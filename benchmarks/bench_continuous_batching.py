@@ -64,13 +64,14 @@ def run_mode(model, histories, gaps, mode):
     threads = []
     with service:
         start = time.perf_counter()
-        for index, (history, gap) in enumerate(zip(histories, gaps)):
-            time.sleep(gap)
-            submitted_at = time.perf_counter()
+        # Open loop: arrivals follow an absolute schedule, so a submitter
+        # held up by the decode thread (thread start, the interpreter lock)
+        # catches up instead of pushing every later arrival back, and
+        # latency counts from when a request was *due*.
+        for index, (history, due) in enumerate(zip(histories, start + np.cumsum(gaps))):
+            time.sleep(max(0.0, due - time.perf_counter()))
             handle = service.submit(history, top_k=TOP_K)
-            thread = threading.Thread(
-                target=waiter, args=(index, handle, submitted_at)
-            )
+            thread = threading.Thread(target=waiter, args=(index, handle, due))
             thread.start()
             threads.append(thread)
         for thread in threads:

@@ -124,6 +124,7 @@ class P5CID:
             losses.append(epoch_loss / max(batches, 1))
             if (epoch + 1) % 10 == 0:
                 logger.info("P5-CID epoch %d: loss=%.4f", epoch + 1, losses[-1])
+        self.lm.zero_grad()  # spent gradients would keep the decode's WeightMemos from caching
         self.lm.eval()
         return losses
 

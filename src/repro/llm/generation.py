@@ -363,7 +363,12 @@ def _prefill_prompts(
     suffix_pad = np.arange(tokens.shape[1])[None, :] < suffix_pads[:, None]
     pad_columns = np.concatenate([prefix_pad, suffix_pad], axis=1)
     hidden = model.hidden_states(
-        tokens, caches=caches, pad_columns=pad_columns, workspace=workspace, precision=precision
+        tokens,
+        caches=caches,
+        pad_columns=pad_columns,
+        workspace=workspace,
+        precision=precision,
+        last_only=True,
     ).data[:, -1, :]
     if prefix_cache is not None:
         _store_prompts(prompts, caches, cached_lens, prefix_width, suffix_pads, prefix_cache)
@@ -648,7 +653,10 @@ def decode_prefill(
         else:
             token_ids = order
         beam_tokens = [[(int(token),) for token in row] for row in token_ids]
-        model.fan_out_caches(caches, num_beams)
+        # Every beam appends at most one K/V column per remaining level.
+        model.fan_out_caches(caches, num_beams, suffix_length=trie.num_levels - 1)
+        if workspace is not None:
+            workspace.clear()  # B prompt rows become B*K beam rows: step scratch resizes
     return DecodeState(
         model=model,
         trie=trie,
@@ -732,6 +740,7 @@ def decode_step(state: DecodeState) -> DecodeState:
             pad_columns=state.flat_pad_columns(),
             workspace=state.workspace,
             precision=state.precision,
+            last_only=True,
         ).data[:, -1, :]
         state.forwards += 1
         if state.sparse:
@@ -985,6 +994,7 @@ def _flush_pending(state: DecodeState) -> None:
             pad_columns=state.flat_pad_columns(),
             workspace=state.workspace,
             precision=state.precision,
+            last_only=True,  # only the K/V matter: skip most of the final block
         )
     state.forwards += 1
     state.pending = state.pending[:, -1:]
@@ -1328,7 +1338,8 @@ def sequence_logprob(
         raise ValueError("continuation must be non-empty")
     full = np.asarray(prompt_ids + continuation_ids, dtype=np.int64)[None, :]
     with no_grad():
-        logits = model.forward(full).data[0]
+        # Throwaway caches: what puts a no-grad forward on the inference kernel.
+        logits = model.forward(full, caches=model.new_caches()).data[0]
     log_probs = log_softmax_np(logits)
     start = len(prompt_ids) - 1
     total = 0.0

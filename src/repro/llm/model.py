@@ -31,11 +31,13 @@ from ..tensor import (
     fp16_activations,
     fp16_weight,
     int8_matmul,
+    is_grad_enabled,
     precision_token,
     quantize_weight_int8,
     validate_precision,
 )
 from .config import LMConfig
+from .inference import cached_hidden_states
 
 __all__ = ["TinyLlama", "TransformerBlock", "SwiGLU"]
 
@@ -48,13 +50,31 @@ class SwiGLU(Module):
         self.gate_proj = Linear(dim, hidden, bias=False, rng=rng)
         self.up_proj = Linear(dim, hidden, bias=False, rng=rng)
         self.down_proj = Linear(hidden, dim, bias=False, rng=rng)
+        # Cleared on every train()/eval() transition by Module.train.
+        self._fused_gate_up = WeightMemo(max_entries=1)
 
     def forward(self, x: Tensor) -> Tensor:
         return self.down_proj(self.gate_proj(x).silu() * self.up_proj(x))
 
+    def fused_gate_up_weight(self) -> np.ndarray:
+        """Concatenated ``(dim, 2*hidden)`` weight for a single gate|up GEMM.
+
+        Inference-only (read by :mod:`repro.llm.inference`), memoized under
+        the same staleness rules as the fused QKV weight — see
+        :class:`repro.tensor.WeightMemo`.
+        """
+        params = (self.gate_proj.weight, self.up_proj.weight)
+        sources = tuple(param.data for param in params)
+        return self._fused_gate_up.get(sources, params, lambda: np.concatenate(sources, axis=1))
+
 
 class TransformerBlock(Module):
-    """Pre-norm attention + SwiGLU block with residual connections."""
+    """Pre-norm attention + SwiGLU block with residual connections.
+
+    The differentiable form of a layer.  A KV-cached no-grad decode reads
+    this block's parameters from :mod:`repro.llm.inference` instead of
+    calling it.
+    """
 
     def __init__(self, config: LMConfig, rope: RotaryEmbedding, rng: np.random.Generator):
         super().__init__()
@@ -76,17 +96,10 @@ class TransformerBlock(Module):
         attn_mask: np.ndarray | None,
         cache: KVCache | None = None,
         rope_offset: int | np.ndarray | None = None,
-        workspace: StepWorkspace | None = None,
-        precision: str = "fp32",
     ) -> Tensor:
         x = x + self.dropout(
             self.attention(
-                self.attn_norm(x),
-                attn_mask=attn_mask,
-                cache=cache,
-                rope_offset=rope_offset,
-                workspace=workspace,
-                precision=precision,
+                self.attn_norm(x), attn_mask=attn_mask, cache=cache, rope_offset=rope_offset
             )
         )
         x = x + self.dropout(self.feed_forward(self.ffn_norm(x)))
@@ -163,8 +176,21 @@ class TinyLlama(Module):
         extra_mask: np.ndarray | None = None,
         position_deltas: np.ndarray | None = None,
         precision: str = "fp32",
+        last_only: bool = False,
     ) -> Tensor:
         """Final-norm hidden states ``(B, T, dim)`` for ``tokens``.
+
+        With ``caches`` and grad disabled — every decode in the repo — this
+        is the ndarray inference kernel (:mod:`repro.llm.inference`);
+        otherwise (training, uncached scoring) it walks the autograd
+        blocks.  Both compute the same function of the same parameters.
+        ``workspace`` (reusable step scratch) and ``precision`` (fused-QKV
+        GEMM precision, see :mod:`repro.tensor.quantized`) only mean
+        something to the kernel.  ``last_only`` returns just the last
+        position, ``(B, 1, dim)``: every layer cache still receives K/V for
+        all of ``tokens``, but the kernel's final block does its attention
+        and FFN for that one position — the callers that feed an output
+        head from the last position lose nothing and skip most of a block.
 
         ``pad_lengths[b]`` counts *left* pads in row ``b`` of a padded batch.
         Pad positions are masked out as attention keys and real tokens keep
@@ -190,8 +216,7 @@ class TinyLlama(Module):
         ``position_deltas`` (``(T,)`` ints) places new token ``t`` at RoPE
         position ``row_offset + position_deltas[t]`` instead of
         ``row_offset + t`` — sibling candidates all sit at the same next
-        position.  ``precision`` selects the fused-QKV GEMM precision on
-        the cached decode path (see :mod:`repro.tensor.quantized`).
+        position.
         """
         tokens = np.asarray(tokens)
         seq_len = tokens.shape[1]
@@ -226,18 +251,18 @@ class TinyLlama(Module):
             # delta (RotaryEmbedding treats a 2-D offset as absolute).
             base = np.atleast_1d(np.asarray(rope_offset, dtype=np.int64))
             rope_offset = base[:, None] + deltas[None, :]
+        if caches and not is_grad_enabled():
+            return Tensor(
+                cached_hidden_states(
+                    self, tokens, caches, mask, rope_offset, workspace, precision, last_only
+                )
+            )
         x = self.tok_embeddings(tokens)
         for layer_index, block in enumerate(self.blocks):
             cache = caches[layer_index] if caches else None
-            x = block(
-                x,
-                attn_mask=mask,
-                cache=cache,
-                rope_offset=rope_offset,
-                workspace=workspace,
-                precision=precision,
-            )
-        return self.final_norm(x)
+            x = block(x, attn_mask=mask, cache=cache, rope_offset=rope_offset)
+        hidden = self.final_norm(x)
+        return hidden[:, -1:, :] if last_only else hidden
 
     def forward(
         self,
@@ -261,9 +286,8 @@ class TinyLlama(Module):
             pad_lengths=pad_lengths,
             pad_columns=pad_columns,
             workspace=workspace,
+            last_only=last_only,
         )
-        if last_only:
-            hidden = hidden[:, -1:, :]
         return self.lm_head(hidden)
 
     # ------------------------------------------------------------------
@@ -352,10 +376,14 @@ class TinyLlama(Module):
         """Per-layer beam caches sharing the prompt across hypotheses."""
         return [BeamKVCache() for _ in range(self.config.num_layers)]
 
-    def fan_out_caches(self, caches: list[BeamKVCache], beams: int) -> None:
-        """Declare ``beams`` hypotheses per request on every layer cache."""
+    def fan_out_caches(self, caches: list[BeamKVCache], beams: int, suffix_length: int = 0) -> None:
+        """Declare ``beams`` hypotheses per request on every layer cache.
+
+        ``suffix_length``: the per-beam columns still to come, when known
+        (see :meth:`repro.tensor.BeamKVCache.fan_out`).
+        """
         for cache in caches:
-            cache.fan_out(beams)
+            cache.fan_out(beams, suffix_length)
 
     def reorder_caches(self, caches: list[KVCache], beam_indices: np.ndarray) -> None:
         """Reindex every layer cache; supports a flattened ``B*K`` beam axis."""

@@ -84,4 +84,5 @@ def pretrain_lm(
         losses.append(loss.item())
         if (step + 1) % config.log_every == 0:
             logger.info("pretrain step %d: loss=%.4f", step + 1, losses[-1])
+    model.zero_grad()  # spent gradients would keep the decode's WeightMemos from caching
     return losses

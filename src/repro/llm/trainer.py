@@ -132,6 +132,7 @@ class InstructionTuner:
                         break
         if early_stopping and best_state is not None:
             self.model.load_state_dict(best_state)
+        self.model.zero_grad()  # spent gradients would keep the decode's WeightMemos from caching
         self.model.eval()
         return losses
 

@@ -3,6 +3,12 @@
 This single block powers the tiny LLaMA language model (causal self-attention
 with RoPE, paper backbone), the TIGER encoder-decoder (self + cross
 attention) and the Transformer baselines (SASRec, BERT4Rec, FDSA).
+
+:class:`MultiHeadAttention` is the differentiable module.  The KV-cached
+no-grad decode of the language model does not call it: that path is
+:mod:`repro.llm.inference`, which reads this module's parameters (and its
+memoized fused QKV weight) and owns the attention over a fanned
+:class:`BeamKVCache`.  The cache classes here serve both.
 """
 
 from __future__ import annotations
@@ -14,15 +20,14 @@ import numpy as np
 from . import functional as F
 from .nn import Dropout, Linear, Module
 from .quantized import (
-    fp16_activations,
+    Int8Weight,
     fp16_weight,
-    int8_matmul,
     precision_token,
     quantize_weight_int8,
     validate_precision,
 )
-from .tensor import Tensor, concat, is_grad_enabled
-from .workspace import StepWorkspace, WeightMemo
+from .tensor import Tensor, concat
+from .workspace import WeightMemo
 
 __all__ = ["RotaryEmbedding", "KVCache", "BeamKVCache", "MultiHeadAttention", "causal_mask"]
 
@@ -102,15 +107,28 @@ class KVCache:
     that grow geometrically, so appending one decode step writes a single
     column instead of re-copying the whole cache (``np.concatenate`` made
     every step O(sequence length); batched serving made that the dominant
-    cost).
+    cost).  ``max_length`` is the final length when the owner knows it (0:
+    unknown): buffers are then sized to exactly that many columns, which
+    matters because :meth:`reorder` gathers whole buffers — a beam suffix
+    of at most ``num_levels - 1`` columns must not drag 16 spare ones
+    through every step's shuffle.
     """
 
     keys: np.ndarray | None = None
     values: np.ndarray | None = None
+    max_length: int = 0
 
     def __post_init__(self) -> None:
         self._buf_keys = self.keys
         self._buf_values = self.values
+
+    def _capacity(self, length: int) -> int:
+        """Columns to allocate for ``length`` used ones."""
+        if length <= self.max_length:
+            return self.max_length
+        # Modest headroom: beam reordering copies whole buffers, so a 2x
+        # growth factor would double that traffic for short decodes.
+        return length + max(16, length // 4)
 
     def seed(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Resume decoding from precomputed K/V of shape ``(B, H, L, Dh)``.
@@ -139,11 +157,7 @@ class KVCache:
             or new_len > self._buf_keys.shape[2]
             or self._buf_keys.shape[0] != k.shape[0]
         ):
-            # Modest headroom: beam reordering copies whole buffers, so a
-            # 2x growth factor would double that traffic for the short
-            # (num_levels-long) decodes this cache serves.
-            capacity = new_len + max(16, new_len // 4)
-            shape = (k.shape[0], k.shape[1], capacity, k.shape[3])
+            shape = (k.shape[0], k.shape[1], self._capacity(new_len), k.shape[3])
             new_keys = np.empty(shape, dtype=k.dtype)
             new_values = np.empty(shape, dtype=v.dtype)
             if used:
@@ -163,6 +177,11 @@ class KVCache:
     @property
     def batch_size(self) -> int:
         return 0 if self.keys is None else self.keys.shape[0]
+
+    @property
+    def capacity(self) -> int:
+        """Columns the current buffers hold before :meth:`append` reallocates."""
+        return 0 if self._buf_keys is None else self._buf_keys.shape[2]
 
     def reorder(self, beam_indices: np.ndarray) -> None:
         """Reindex the batch dimension after a beam-search hypothesis shuffle.
@@ -248,8 +267,8 @@ class KVCache:
         corresponding rows, exactly like prompt left-padding.  An empty
         ``other`` instead contributes ``other_rows`` rows made entirely of
         zero columns (a freshly admitted request's share of an in-flight
-        suffix region).  Spare capacity is allocated so following appends
-        stay single-column writes.
+        suffix region).  Capacity is allocated as in :meth:`append`, so
+        following appends stay single-column writes.
         """
         if self.keys is None:
             raise RuntimeError("join requires a non-empty left cache")
@@ -263,8 +282,7 @@ class KVCache:
                 f"{other.length}+{pad_other}"
             )
         rows = self.batch_size + other_batch
-        capacity = width + max(16, width // 4)
-        shape = (rows, self.keys.shape[1], capacity, self.keys.shape[3])
+        shape = (rows, self.keys.shape[1], self._capacity(width), self.keys.shape[3])
         new_keys = np.zeros(shape, dtype=self.keys.dtype)
         new_values = np.zeros(shape, dtype=self.values.dtype)
         new_keys[: self.batch_size, :, pad_self:width] = self.keys
@@ -286,7 +304,7 @@ class BeamKVCache:
     makes memory traffic — not matmuls — the decode bottleneck.  This cache
     keeps the prompt portion at ``B`` rows and only the post-``fan_out``
     suffix at ``B*K`` rows; attention combines the two blockwise (see
-    :meth:`MultiHeadAttention.forward`).
+    :mod:`repro.llm.inference` — a fanned cache is inference-only).
 
     Beam reordering is legal because hypotheses never migrate between
     requests: flat index ``b*K + k`` always maps to prompt row ``b``, so
@@ -321,8 +339,15 @@ class BeamKVCache:
             raise RuntimeError("seed_prompt must precede fan_out")
         self.prompt.seed(keys, values)
 
-    def fan_out(self, beams: int) -> None:
-        """Declare ``beams`` hypotheses per request.  No data is copied."""
+    def fan_out(self, beams: int, suffix_length: int = 0) -> None:
+        """Declare ``beams`` hypotheses per request.  No data is copied.
+
+        ``suffix_length`` is the number of per-beam columns the decode
+        will append at most (the trie levels left), when known: the suffix
+        buffers are then exactly that wide (see :class:`KVCache`).  A
+        decode that outgrows it — a speculative window's sibling columns —
+        falls back to the default headroom.
+        """
         if beams < 1:
             raise ValueError("beams must be positive")
         if self.fanned:
@@ -330,6 +355,7 @@ class BeamKVCache:
         if self.suffix.keys is not None:
             raise RuntimeError("fan_out must precede suffix appends")
         self.beams = beams
+        self.suffix.max_length = suffix_length
 
     def append(self, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Append to the prompt before :meth:`fan_out`, else to the suffix."""
@@ -405,7 +431,12 @@ class BeamKVCache:
 
 
 class MultiHeadAttention(Module):
-    """Scaled dot-product multi-head attention.
+    """Scaled dot-product multi-head attention (the autograd module).
+
+    Training, and the uncached or plainly cached decodes of TIGER and the
+    baselines, run :meth:`forward`.  TinyLlama's KV-cached inference runs
+    :mod:`repro.llm.inference` over the same parameters instead;
+    :meth:`fused_qkv_weight` is what that kernel reads.
 
     Parameters
     ----------
@@ -445,35 +476,27 @@ class MultiHeadAttention(Module):
         # entry per precision (fp32 base + derived fp16/int8 variants).
         self._fused_qkv = WeightMemo(max_entries=4)
 
-    def _fused_qkv_weight(self) -> np.ndarray:
+    def fused_qkv_weight(self, precision: str = "fp32") -> np.ndarray | Int8Weight:
         """Concatenated ``(dim, 3*dim)`` weight for a single QKV GEMM.
 
-        Inference-only: one fused matmul replaces three per-projection BLAS
-        calls on the decode hot path.  Staleness guards live in
-        :class:`repro.tensor.WeightMemo`.
+        Inference-only (read by :mod:`repro.llm.inference`): one fused
+        matmul replaces three per-projection BLAS calls on the decode hot
+        path.  ``"fp16"``/``"int8"`` return the fusion quantized to that
+        precision, keyed into the same memo via the precision's interned
+        sentinel (see :func:`repro.tensor.precision_token`), so
+        invalidation — grad presence, train()/eval(), in-place optimizer
+        steps; see :class:`repro.tensor.WeightMemo` — is identical for
+        every precision.
         """
         params = (self.q_proj.weight, self.k_proj.weight, self.v_proj.weight)
         sources = tuple(param.data for param in params)
+        if precision == "fp32":
+            return self._fused_qkv.get(sources, params, lambda: np.concatenate(sources, axis=1))
+        quantize = fp16_weight if validate_precision(precision) == "fp16" else quantize_weight_int8
         return self._fused_qkv.get(
-            sources, params, lambda: np.concatenate(sources, axis=1)
-        )
-
-    def _fused_qkv_quantized(self, precision: str):
-        """The fused QKV weight quantized to ``precision`` (memoized).
-
-        Keyed into the same memo as the fp32 fusion via the precision's
-        interned sentinel (see :func:`repro.tensor.precision_token`), so
-        invalidation — grad presence, train()/eval(), in-place optimizer
-        steps — is identical for every precision.
-        """
-        params = (self.q_proj.weight, self.k_proj.weight, self.v_proj.weight)
-        sources = tuple(param.data for param in params) + (precision_token(precision),)
-        if precision == "fp16":
-            return self._fused_qkv.get(
-                sources, params, lambda: fp16_weight(self._fused_qkv_weight())
-            )
-        return self._fused_qkv.get(
-            sources, params, lambda: quantize_weight_int8(self._fused_qkv_weight())
+            sources + (precision_token(precision),),
+            params,
+            lambda: quantize(self.fused_qkv_weight()),
         )
 
     def _split_heads(self, x: Tensor) -> Tensor:
@@ -491,53 +514,27 @@ class MultiHeadAttention(Module):
         attn_mask: np.ndarray | None = None,
         cache: KVCache | None = None,
         rope_offset: int | np.ndarray | None = None,
-        workspace: StepWorkspace | None = None,
-        precision: str = "fp32",
     ) -> Tensor:
         """Attend from ``x`` to ``context`` (defaults to self-attention).
+
+        This is the differentiable graph: training, and the uncached or
+        plainly cached decodes of TIGER and the baselines.  The KV-cached
+        no-grad decode of :class:`repro.llm.TinyLlama` does not come
+        through here — :mod:`repro.llm.inference` computes the same
+        function on plain ndarrays.
 
         ``attn_mask`` is a boolean array broadcastable to
         ``(batch, heads, q_len, k_len)``; True entries are masked out.
         When ``cache`` is given, newly computed keys/values are appended and
-        attention spans the full cached sequence.  ``rope_offset`` overrides
-        the RoPE position offset (default: the cache length); batched
-        left-padded decoding passes a per-row ``(B,)`` array.  ``workspace``
-        optionally provides reusable scratch buffers for the cached decode
-        path (see :class:`repro.tensor.StepWorkspace`).  ``precision``
-        selects the fused-QKV GEMM precision on the cached decode path
-        (``"fp16"``/``"int8"`` quantize that projection only — see
-        :mod:`repro.tensor.quantized`); the training path ignores it.
+        attention spans the full cached sequence (gradients stop at the
+        cache).  ``rope_offset`` overrides the RoPE position offset
+        (default: the cache length); batched left-padded decoding passes a
+        per-row ``(B,)`` array.
         """
         source = context if context is not None else x
-        if cache is not None and context is None and not is_grad_enabled():
-            # Cached self-attention decode: one fused QKV GEMM instead of
-            # three projection matmuls, written into workspace scratch.
-            x_data = x.data
-            out_buf = (
-                workspace.take("qkv", x_data.shape[:-1] + (3 * self.dim,))
-                if workspace is not None
-                else None
-            )
-            # Folded GEMM: collapse (B, T) so the projection is one BLAS
-            # call regardless of batch shape (matches Tensor.__matmul__).
-            flat_x = x_data.reshape(-1, x_data.shape[-1])
-            flat_out = None if out_buf is None else out_buf.reshape(-1, 3 * self.dim)
-            if precision == "fp32":
-                qkv = np.matmul(flat_x, self._fused_qkv_weight(), out=flat_out)
-            elif validate_precision(precision) == "fp16":
-                qkv = np.matmul(
-                    fp16_activations(flat_x), self._fused_qkv_quantized("fp16"), out=flat_out
-                )
-            else:
-                qkv = int8_matmul(flat_x, self._fused_qkv_quantized("int8"), out=flat_out)
-            qkv = qkv.reshape(x_data.shape[:-1] + (3 * self.dim,))
-            q = self._split_heads(Tensor(qkv[..., : self.dim]))
-            k = self._split_heads(Tensor(qkv[..., self.dim : 2 * self.dim]))
-            v = self._split_heads(Tensor(qkv[..., 2 * self.dim :]))
-        else:
-            q = self._split_heads(self.q_proj(x))
-            k = self._split_heads(self.k_proj(source))
-            v = self._split_heads(self.v_proj(source))
+        q = self._split_heads(self.q_proj(x))
+        k = self._split_heads(self.k_proj(source))
+        v = self._split_heads(self.v_proj(source))
 
         if rope_offset is None:
             rope_offset = cache.length if cache is not None else 0
@@ -546,10 +543,12 @@ class MultiHeadAttention(Module):
             k = self.rope.apply(k, offset=rope_offset)
 
         if cache is not None:
-            k_data, v_data = cache.append(k.data, v.data)
             if isinstance(cache, BeamKVCache) and cache.fanned:
-                out = self._beam_cached_attention(q.data, cache, attn_mask, workspace)
-                return self.out_proj(Tensor(out))
+                raise RuntimeError(
+                    "a fanned BeamKVCache is inference-only: decode it under no_grad() "
+                    "through TinyLlama.hidden_states"
+                )
+            k_data, v_data = cache.append(k.data, v.data)
             k, v = Tensor(k_data), Tensor(v_data)
 
         scale = 1.0 / np.sqrt(self.head_dim)
@@ -560,79 +559,3 @@ class MultiHeadAttention(Module):
         probs = self.attn_dropout(probs)
         out = probs @ v
         return self.out_proj(self._merge_heads(out))
-
-    def _beam_cached_attention(
-        self,
-        q: np.ndarray,
-        cache: BeamKVCache,
-        attn_mask: np.ndarray | None,
-        workspace: StepWorkspace | None = None,
-    ) -> np.ndarray:
-        """Decode attention over a shared-prompt beam cache (``T >= 1``).
-
-        ``q`` is ``(B*K, H, T, Dh)`` — the new token(s) per hypothesis, RoPE
-        already applied; their keys/values are already in ``cache.suffix``.
-        ``T`` is 1 on an ordinary decode step; the forced-token fast path
-        flushes several pending trie levels in one combined forward, so any
-        ``T`` is supported (queries carry the model's causal mask).  Prompt
-        keys/values stay at ``B`` rows and are attended through broadcast
-        matmuls per request instead of ``K`` duplicated copies; only the
-        per-beam suffix lives on the flat ``B*K`` axis.  With a
-        :class:`repro.tensor.StepWorkspace`, every score/output scratch
-        array is reused across steps (zero step-scoped allocations at
-        steady state).  Returns merged-head outputs ``(B*K, T, dim)``.
-        """
-        kp, vp = cache.prompt.keys, cache.prompt.values  # (B, H, Tp, Dh)
-        ks, vs = cache.suffix.keys, cache.suffix.values  # (B*K, H, S, Dh)
-        beams = cache.beams
-        num_requests, heads, prompt_len, head_dim = kp.shape
-        flat, _, q_len, _ = q.shape
-        suffix_len = ks.shape[2]
-        key_len = prompt_len + suffix_len
-        scale = np.float32(1.0 / np.sqrt(head_dim))
-
-        def scratch(name: str, shape: tuple[int, ...]) -> np.ndarray:
-            if workspace is not None:
-                return workspace.take(name, shape)
-            return np.empty(shape, dtype=np.float32)
-
-        # (B, H, K, T, Dh) view of the flat queries: the prompt matmul
-        # broadcasts each request's K/V over the K (and T) axes.
-        q5 = q.reshape(num_requests, beams, heads, q_len, head_dim).transpose(0, 2, 1, 3, 4)
-        scores = scratch("attn_scores", (num_requests, heads, beams, q_len, key_len))
-        np.matmul(q5, kp.transpose(0, 1, 3, 2)[:, :, None], out=scores[..., :prompt_len])
-        ks5 = ks.reshape(num_requests, beams, heads, suffix_len, head_dim)
-        np.matmul(q5, ks5.transpose(0, 2, 1, 4, 3), out=scores[..., prompt_len:])
-        scores *= scale
-
-        if attn_mask is not None and np.any(attn_mask):
-            mask = np.asarray(attn_mask)
-            if mask.ndim == 2:
-                # (T, key_len) causal mask shared by every hypothesis.
-                mask = mask[None, None, None, :, :]
-            elif mask.shape[0] == flat:
-                # (B*K, 1, T, key_len) -> (B, 1, K, T, key_len)
-                mask = mask.reshape(num_requests, beams, 1, q_len, key_len).transpose(
-                    0, 2, 1, 3, 4
-                )
-            else:
-                raise ValueError(f"unsupported beam attention mask shape {mask.shape}")
-            np.copyto(scores, np.float32(-1e9), where=mask)
-
-        scores -= scores.max(axis=-1, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= scores.sum(axis=-1, keepdims=True)
-        probs = self.attn_dropout(Tensor(scores)).data
-
-        ctx = scratch("attn_ctx", (num_requests, heads, beams, q_len, head_dim))
-        np.matmul(probs[..., :prompt_len], vp[:, :, None], out=ctx)
-        ctx_s = scratch("attn_ctx_suffix", (num_requests, heads, beams, q_len, head_dim))
-        vs5 = vs.reshape(num_requests, beams, heads, suffix_len, head_dim)
-        np.matmul(probs[..., prompt_len:], vs5.transpose(0, 2, 1, 3, 4), out=ctx_s)
-        ctx += ctx_s
-        merged = scratch("attn_merged", (flat, q_len, self.dim))
-        np.copyto(
-            merged.reshape(num_requests, beams, q_len, heads, head_dim),
-            ctx.transpose(0, 2, 3, 1, 4),
-        )
-        return merged

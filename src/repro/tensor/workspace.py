@@ -43,9 +43,11 @@ class StepWorkspace:
 
         Contents are unspecified — the caller must overwrite every element
         before reading.  The same ``(name, shape, dtype)`` always returns
-        the same array object until :meth:`clear`.
+        the same array object until :meth:`clear`.  The key holds the
+        ``dtype`` object as passed (this runs some forty times per decode
+        step), so spell a dtype the same way at every call site.
         """
-        key = (name, tuple(shape), np.dtype(dtype).str)
+        key = (name, shape, dtype)
         buffer = self._buffers.get(key)
         if buffer is None:
             buffer = np.empty(shape, dtype=dtype)
@@ -78,7 +80,10 @@ class WeightMemo:
     step may have changed the data behind the same array object.  Owners
     additionally :meth:`clear` the memo on ``train()``/``eval()``
     transitions (every training loop in the repo brackets itself with
-    them), which covers loops that end with zeroed gradients.
+    them), which covers loops that end with zeroed gradients — as the
+    repo's language-model loops do on purpose: a model served with its
+    last step's gradients still attached would rebuild every derived
+    weight on every decode forward.
 
     Holding the source arrays in each entry keeps them alive, so a key
     built from their ``id()``s can never collide with a recycled object.

@@ -1,0 +1,406 @@
+"""The ndarray inference kernel against the autograd graph it replaced.
+
+``TinyLlama.hidden_states`` runs :mod:`repro.llm.inference` whenever KV
+caches are given and grad is off; with ``caches=None`` and grad on it
+walks the autograd modules.  Both must compute the same function of the
+same weights, so every cached decode shape the serving stack produces —
+left-padded prefill, prefix-seeded prefill, fanned beam steps, forced-token
+flushes, speculative windows — is checked here against an *uncached,
+unpadded, per-sequence* autograd forward.  Also pinned: ``last_only`` is
+exact (same last position, bit-identical K/V), the fused gate|up memo
+never serves stale weights, and the step workspace neither grows at a
+fixed row count nor outlives its rows.
+"""
+
+import numpy as np
+import pytest
+
+from repro.llm import (
+    LMConfig,
+    TinyLlama,
+    beam_search_items_batched,
+    decode_finish,
+    decode_prefill,
+    decode_retire,
+    decode_step,
+    left_pad_prompts,
+)
+from repro.quantization import IndexTrie
+from repro.tensor import Adam, BeamKVCache, StepWorkspace, Tensor, causal_mask, no_grad
+from repro.tensor import functional as F
+
+RTOL, ATOL = 1e-5, 2e-6
+
+
+def make_model(seed=5, **overrides):
+    config = dict(vocab_size=50, dim=32, num_layers=3, num_heads=4, ffn_hidden=40,
+                  max_seq_len=64, seed=seed)
+    config.update(overrides)
+    model = TinyLlama(LMConfig(**config))
+    model.eval()
+    return model
+
+
+def reference(model, sequence):
+    """Autograd-path hidden states of one unpadded sequence: ``(len, dim)``."""
+    hidden = model.hidden_states(np.asarray([sequence], dtype=np.int64))
+    assert isinstance(hidden, Tensor) and hidden.requires_grad  # the Tensor graph, grad on
+    return hidden.data[0]
+
+
+def kernel(model, tokens, caches, **kwargs):
+    with no_grad():
+        return model.hidden_states(np.asarray(tokens, dtype=np.int64), caches=caches, **kwargs).data
+
+
+def assert_close(got, expected):
+    np.testing.assert_allclose(got, expected, rtol=RTOL, atol=ATOL)
+
+
+def layer_kv(caches):
+    regions = []
+    for cache in caches:
+        for region in (cache.prompt, cache.suffix) if isinstance(cache, BeamKVCache) else (cache,):
+            if region.keys is not None:
+                regions.append((region.keys.copy(), region.values.copy()))
+    return regions
+
+
+PROMPTS = [[3, 9, 4, 7, 1], [8, 2, 6], [5, 5, 11, 2, 9, 13]]
+
+
+class TestAgainstAutograd:
+    @pytest.mark.parametrize("workspace", [None, "shared"])
+    def test_left_padded_prefill(self, workspace):
+        model = make_model()
+        tokens, pads = left_pad_prompts(PROMPTS)
+        got = kernel(model, tokens, model.new_beam_caches(), pad_lengths=pads,
+                     workspace=StepWorkspace() if workspace else None)
+        for row, prompt in enumerate(PROMPTS):
+            assert_close(got[row, pads[row]:], reference(model, prompt))
+
+    def test_plain_caches_incremental(self):
+        # beam_search_items_single / greedy_generate shape: plain KVCache,
+        # prompt first, then one token at a time.
+        model = make_model()
+        sequence = PROMPTS[2]
+        caches = model.new_caches()
+        parts = [kernel(model, [sequence[:3]], caches)]
+        parts += [kernel(model, [[token]], caches) for token in sequence[3:]]
+        assert_close(np.concatenate(parts, axis=1)[0], reference(model, sequence))
+
+    def test_prefix_seeded_prefill_with_mid_sequence_pads(self):
+        # Rows resume from cached prefixes of different lengths: pads sit
+        # between the right-aligned prefix region and the left-padded
+        # suffix, which only pad_columns can express.
+        model = make_model()
+        cached_lens = [3, 0, 4]
+        width = max(cached_lens)
+        prefix_kv = {}
+        for row, (prompt, cached) in enumerate(zip(PROMPTS, cached_lens)):
+            if cached:
+                prefix_kv[row] = model.new_caches()
+                kernel(model, [prompt[:cached]], prefix_kv[row])
+        caches = model.new_beam_caches()
+        for layer, cache in enumerate(caches):
+            heads, head_dim = model.config.num_heads, model.config.dim // model.config.num_heads
+            keys = np.zeros((len(PROMPTS), heads, width, head_dim), dtype=np.float32)
+            values = np.zeros_like(keys)
+            for row, kv in prefix_kv.items():
+                keys[row, :, width - cached_lens[row]:] = kv[layer].keys[0]
+                values[row, :, width - cached_lens[row]:] = kv[layer].values[0]
+            cache.seed_prompt(keys, values)
+        remainders = [prompt[cached:] for prompt, cached in zip(PROMPTS, cached_lens)]
+        tokens, suffix_pads = left_pad_prompts(remainders)
+        prefix_pad = np.arange(width)[None, :] < (width - np.asarray(cached_lens))[:, None]
+        suffix_pad = np.arange(tokens.shape[1])[None, :] < suffix_pads[:, None]
+        pad_columns = np.concatenate([prefix_pad, suffix_pad], axis=1)
+        assert pad_columns[0, width - cached_lens[0]:].any()  # a pad *after* real columns
+        got = kernel(model, tokens, caches, pad_columns=pad_columns)
+        for row, prompt in enumerate(PROMPTS):
+            assert_close(got[row, suffix_pads[row]:],
+                         reference(model, prompt)[cached_lens[row]:])
+
+    @pytest.mark.parametrize("workspace", [None, "shared"])
+    def test_fanned_beam_steps_after_reorder(self, workspace):
+        # Two requests x three beams: a T=1 step, a within-request beam
+        # shuffle, then a T=2 forced-token flush.  Every flat row is checked
+        # against the full sequence its lineage spells.
+        model = make_model()
+        workspace = StepWorkspace() if workspace else None
+        prompts, beams = PROMPTS[:2], 3
+        tokens, pads = left_pad_prompts(prompts)
+        caches = model.new_beam_caches()
+        kernel(model, tokens, caches, pad_lengths=pads, workspace=workspace, last_only=True)
+        model.fan_out_caches(caches, beams, suffix_length=3)
+        prompt_pads = np.arange(tokens.shape[1])[None, :] < pads[:, None]
+        flat_pads = np.repeat(prompt_pads, beams, axis=0)
+        lineage = [list(prompts[row // beams]) for row in range(len(prompts) * beams)]
+
+        step1 = np.array([[20], [21], [22], [23], [24], [25]])
+        got = kernel(model, step1, caches, pad_columns=flat_pads, workspace=workspace)
+        for row in range(len(lineage)):
+            lineage[row] = lineage[row] + [int(step1[row, 0])]
+            assert_close(got[row, 0], reference(model, lineage[row])[-1])
+
+        origin = np.array([1, 0, 0, 5, 5, 3])
+        model.reorder_caches(caches, origin)
+        lineage = [lineage[src] for src in origin]
+
+        step2 = np.array([[30, 31], [32, 33], [34, 35], [36, 37], [38, 39], [40, 41]])
+        got = kernel(model, step2, caches, pad_columns=flat_pads, workspace=workspace)
+        for row in range(len(lineage)):
+            lineage[row] = lineage[row] + [int(t) for t in step2[row]]
+            assert_close(got[row], reference(model, lineage[row])[-2:])
+
+    def test_speculative_window(self):
+        # One pending token plus three sibling candidates in a single
+        # forward: tree-masked so siblings ignore each other, all placed at
+        # the same RoPE position.  Column c must equal the last position of
+        # "prompt + pending + candidate c" decoded on its own.
+        model = make_model()
+        prompts, beams = PROMPTS[:2], 2
+        tokens, pads = left_pad_prompts(prompts)
+        caches = model.new_beam_caches()
+        kernel(model, tokens, caches, pad_lengths=pads, last_only=True)
+        model.fan_out_caches(caches, beams, suffix_length=3)
+        flat_pads = np.repeat(np.arange(tokens.shape[1])[None, :] < pads[:, None], beams, axis=0)
+        pending = np.array([[20], [21], [22], [23]])
+        candidates = np.array([[30, 31, 32], [33, 34, 35], [36, 37, 38], [39, 40, 41]])
+        m, n = pending.shape[1], candidates.shape[1]
+        key_len = caches[0].length + m + n
+        offset = key_len - (m + n)
+        extra = np.zeros((m + n, key_len), dtype=bool)
+        extra[m:, offset + m:] = True
+        extra[m + np.arange(n), offset + m + np.arange(n)] = False
+        deltas = np.concatenate([np.arange(m), np.full(n, m)])
+        got = kernel(model, np.concatenate([pending, candidates], axis=1), caches,
+                     pad_columns=flat_pads, extra_mask=extra, position_deltas=deltas)
+        for row in range(len(pending)):
+            base = list(prompts[row // beams]) + [int(pending[row, 0])]
+            assert_close(got[row, 0], reference(model, base)[-1])
+            for column in range(n):
+                assert_close(got[row, m + column],
+                             reference(model, base + [int(candidates[row, column])])[-1])
+
+    def test_workspace_changes_nothing(self):
+        model = make_model()
+        tokens, pads = left_pad_prompts(PROMPTS)
+        plain = kernel(model, tokens, model.new_beam_caches(), pad_lengths=pads)
+        pooled = kernel(model, tokens, model.new_beam_caches(), pad_lengths=pads,
+                        workspace=StepWorkspace())
+        np.testing.assert_array_equal(plain, pooled)
+
+    def test_grad_on_stays_on_the_tensor_graph(self):
+        # The kernel is selected by (caches given, grad off) and nothing
+        # else: with grad on, cached or not, the Tensor modules run.
+        model = make_model(num_layers=1)
+        tokens = np.array([PROMPTS[0]])
+        cached = model.hidden_states(tokens, caches=model.new_caches())
+        assert cached.requires_grad
+        assert_close(cached.data, kernel(model, tokens, model.new_caches()))
+        model.hidden_states(tokens).sum().backward()
+        assert all(param.grad is not None for name, param in model.named_parameters()
+                   if not name.startswith("lm_head"))
+
+    def test_fanned_cache_refuses_the_autograd_modules(self):
+        model = make_model(num_layers=1)
+        cache = BeamKVCache()
+        kernel(model, [[1, 2]], [cache])
+        cache.fan_out(2)
+        with pytest.raises(RuntimeError, match="inference-only"):
+            model.blocks[0].attention(Tensor(np.zeros((2, 1, 32), dtype=np.float32)),
+                                      attn_mask=causal_mask(1, 3, offset=2), cache=cache)
+
+
+class TestLastOnly:
+    def run_prefill(self, model, last_only):
+        tokens, pads = left_pad_prompts(PROMPTS)
+        caches = model.new_beam_caches()
+        return kernel(model, tokens, caches, pad_lengths=pads, last_only=last_only), caches
+
+    def test_prefill_last_position_and_kv_are_exact(self):
+        model = make_model()
+        full, full_caches = self.run_prefill(model, last_only=False)
+        last, last_caches = self.run_prefill(model, last_only=True)
+        assert last.shape == (len(PROMPTS), 1, model.config.dim)
+        assert_close(last, full[:, -1:])
+        # What PrefixKVCache stores: every layer, every position, to the bit.
+        for (k_full, v_full), (k_last, v_last) in zip(layer_kv(full_caches), layer_kv(last_caches)):
+            np.testing.assert_array_equal(k_full, k_last)
+            np.testing.assert_array_equal(v_full, v_last)
+
+    def test_fanned_flush_last_position_and_kv_are_exact(self):
+        model = make_model()
+        outputs, kvs = [], []
+        for last_only in (False, True):
+            _, caches = self.run_prefill(model, last_only=True)
+            model.fan_out_caches(caches, 2, suffix_length=3)
+            flush = np.arange(20, 20 + 6 * 2).reshape(6, 2)
+            tokens, pads = left_pad_prompts(PROMPTS)
+            flat_pads = np.repeat(np.arange(tokens.shape[1])[None, :] < pads[:, None], 2, axis=0)
+            outputs.append(kernel(model, flush, caches, pad_columns=flat_pads,
+                                  last_only=last_only))
+            kvs.append(layer_kv(caches))
+        assert_close(outputs[1], outputs[0][:, -1:])
+        for (k_full, v_full), (k_last, v_last) in zip(*kvs):
+            np.testing.assert_array_equal(k_full, k_last)
+            np.testing.assert_array_equal(v_full, v_last)
+
+    def test_autograd_path_honours_last_only(self):
+        model = make_model()
+        tokens = np.array([PROMPTS[0]])
+        full = model.hidden_states(tokens).data
+        np.testing.assert_array_equal(model.hidden_states(tokens, last_only=True).data,
+                                      full[:, -1:])
+
+    def test_forward_last_only_logits(self):
+        model = make_model()
+        tokens = np.array([PROMPTS[0]])
+        with no_grad():
+            full = model.forward(tokens, caches=model.new_caches()).data
+            last = model.forward(tokens, caches=model.new_caches(), last_only=True).data
+        assert last.shape == (1, 1, model.vocab_size)
+        assert_close(last, full[:, -1:])
+
+
+class TestQuantizedProjection:
+    @pytest.mark.parametrize("precision, tolerance", [("fp16", 5e-3), ("int8", 5e-2)])
+    def test_hidden_states_stay_near_fp32(self, precision, tolerance):
+        # Tolerances from the grids: fp16 rounds at 2^-11 relative, int8 at
+        # 1/254 of a row's absmax, through three layers of unit-RMS states.
+        model = make_model()
+        tokens, pads = left_pad_prompts(PROMPTS)
+        base = kernel(model, tokens, model.new_beam_caches(), pad_lengths=pads)
+        quant = kernel(model, tokens, model.new_beam_caches(), pad_lengths=pads,
+                       precision=precision)
+        real = np.arange(tokens.shape[1])[None, :] >= pads[:, None]
+        assert not np.array_equal(quant, base)
+        assert np.abs(quant - base)[real].max() < tolerance
+
+    def test_unknown_precision_is_rejected(self):
+        model = make_model()
+        with pytest.raises(ValueError, match="precision"):
+            kernel(model, [[1, 2]], model.new_caches(), precision="fp8")
+
+
+def make_trie():
+    """Four levels, every prefix with a real choice: no forced fast path."""
+    items = {}
+    for a in (10, 11):
+        for b in (20, 21):
+            for c in (30, 31):
+                for d in (40, 41):
+                    items[len(items)] = (a, b, c, d)
+    return IndexTrie(items)
+
+
+class TestFusedGateUpMemo:
+    def test_memoized_and_equal_to_the_concatenation(self):
+        ffn = make_model().blocks[0].feed_forward
+        fused = ffn.fused_gate_up_weight()
+        assert ffn.fused_gate_up_weight() is fused
+        np.testing.assert_array_equal(
+            fused, np.concatenate([ffn.gate_proj.weight.data, ffn.up_proj.weight.data], axis=1)
+        )
+
+    @pytest.mark.parametrize("leave_grads", [True, False])
+    def test_sees_weight_updates_across_training(self, leave_grads):
+        model, trie = make_model(seed=21), make_trie()
+        before = beam_search_items_batched(model, [[1, 2]], trie, beam_size=5)
+        stale = model.blocks[0].feed_forward.fused_gate_up_weight()
+        optimizer = Adam(model.parameters(), lr=0.05)
+        sequence = np.array([[1, 10, 20, 30, 41]])
+        model.train()
+        for _ in range(30):
+            optimizer.zero_grad()
+            loss = F.cross_entropy(model(sequence[:, :-1]), sequence[:, 1:])
+            loss.backward()
+            optimizer.step()
+        if not leave_grads:
+            # The repo's training loops end like this: only the
+            # train()/eval() transition protects the memo then.
+            model.zero_grad()
+        model.eval()
+        assert model.blocks[0].feed_forward.fused_gate_up_weight() is not stale
+        after = beam_search_items_batched(model, [[1, 2]], trie, beam_size=5)
+        fresh = TinyLlama(model.config)
+        fresh.load_state_dict(model.state_dict())
+        fresh.eval()
+        expected = beam_search_items_batched(fresh, [[1, 2]], trie, beam_size=5)
+        assert [h.token_ids for h in after[0]] == [h.token_ids for h in expected[0]]
+        np.testing.assert_allclose([h.score for h in after[0]],
+                                   [h.score for h in expected[0]], rtol=1e-5, atol=1e-6)
+        assert [h.score for h in after[0]] != [h.score for h in before[0]]
+
+    def test_training_loops_leave_the_memos_live(self):
+        # pretrain_lm ends with zeroed gradients, so a served model keeps
+        # its fused weights instead of re-concatenating them every forward.
+        from repro.llm import PretrainConfig, pretrain_lm
+        from repro.text import WordTokenizer
+
+        corpus = ["the quick brown fox jumps over the lazy dog"]
+        tokenizer = WordTokenizer(WordTokenizer.build_vocab(corpus))
+        model = make_model(vocab_size=len(tokenizer.vocab))
+        pretrain_lm(model, tokenizer, corpus, PretrainConfig(steps=2, batch_size=2, seq_len=6))
+        model.eval()
+        attention, ffn = model.blocks[0].attention, model.blocks[0].feed_forward
+        assert attention.fused_qkv_weight() is attention.fused_qkv_weight()
+        assert ffn.fused_gate_up_weight() is ffn.fused_gate_up_weight()
+
+
+class TestWorkspaceHygiene:
+    def test_steps_at_a_fixed_row_count_allocate_nothing_new(self):
+        model, trie = make_model(), make_trie()
+        state = decode_prefill(model, PROMPTS, trie, beam_size=4)
+        assert state.workspace.num_buffers == 0  # prefill scratch left with the B-row shape
+        decode_step(state)
+        buffers, nbytes = state.workspace.num_buffers, state.workspace.nbytes
+        assert buffers > 0
+        while not state.done:
+            decode_step(state)
+            assert (state.workspace.num_buffers, state.workspace.nbytes) == (buffers, nbytes)
+
+    def test_nbytes_returns_to_zero_after_the_last_row_retires(self):
+        model, trie = make_model(), make_trie()
+        state = decode_prefill(model, PROMPTS, trie, beam_size=4)
+        workspace = state.workspace
+        while not state.done:
+            decode_step(state)
+        assert workspace.nbytes > 0
+        decode_retire(state, [0])
+        assert workspace.nbytes == 0
+        decode_finish(state)
+        assert state.workspace is workspace and workspace.nbytes == 0
+
+    def test_suffix_buffers_are_exactly_as_deep_as_the_trie_needs(self):
+        # Beam reordering gathers whole suffix buffers, so they hold the
+        # num_levels - 1 columns a decode can append and nothing more.
+        model, trie = make_model(), make_trie()
+        state = decode_prefill(model, PROMPTS, trie, beam_size=4)
+        depth = trie.num_levels - 1
+        for step in range(depth):
+            decode_step(state)
+            for cache in state.caches:
+                assert (cache.suffix.length, cache.suffix.capacity) == (step + 1, depth)
+
+    def test_append_after_reorder_is_a_single_column_write(self):
+        rng = np.random.default_rng(0)
+        cache = BeamKVCache()
+        prompt = rng.standard_normal((2, 4, 5, 8)).astype(np.float32)
+        cache.append(prompt, prompt)
+        cache.fan_out(3, suffix_length=3)
+        held = None
+        for _ in range(3):
+            column = rng.standard_normal((6, 4, 1, 8)).astype(np.float32)
+            cache.append(column, column)
+            assert cache.suffix.capacity == 3
+            if held is not None:
+                assert np.shares_memory(cache.suffix.keys, held)  # no realloc
+            cache.reorder(np.array([2, 0, 0, 4, 3, 3]))
+            np.testing.assert_array_equal(cache.suffix.keys[[0, 3], :, -1:], column[[2, 4]])
+            held = cache.suffix.keys
+        # Depth exhausted (a speculative window, say): back to default headroom.
+        cache.append(column, column)
+        assert cache.suffix.length == 4 and cache.suffix.capacity >= 4 + 16
+        assert not np.shares_memory(cache.suffix.keys, held)
