@@ -8,10 +8,13 @@ beam search.  No natural-language pretraining anywhere — the contrast with
 LC-Rec the paper draws in Table I.
 
 Two inference routes share one set of weights: :meth:`TIGER.recommend`, the
-per-request reference loop kept as the parity oracle, and
-:meth:`TIGER.recommend_many`, which decodes whole batches through the
-serving stack's :class:`repro.serving.TIGEREngine` (encode once per batch,
-``B×K`` decoder beams per forward).
+per-request reference loop kept as the parity oracle (every beam's whole
+prefix re-decoded, uncached, through the autograd decoder), and
+:meth:`TIGER.recommend_many`, which decodes whole batches through
+:class:`repro.serving.TIGEREngine`: the model is the *scorer* the shared beam
+stepper of :mod:`repro.llm.generation` drives — encode once per batch,
+project cross-attention K/V once per request, then forward only each beam's
+newest token through KV caches on the kernel of :mod:`repro.llm.inference`.
 """
 
 from __future__ import annotations
@@ -22,17 +25,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import SequentialDataset
-from ..data.batching import iterate_minibatches
+from ..data.batching import iterate_minibatches, pad_sequences
 from ..llm import backfill_items
 from ..llm.generation import constrained_log_probs
+from ..llm.inference import (
+    CrossBeamKVCache,
+    absolute_positions,
+    attention_geometry,
+    layer_stack_hidden_states,
+)
 from ..quantization.indexing import ItemIndexSet
 from ..tensor import (
     Adam,
     Dropout,
     Embedding,
+    KVCache,
     LayerNorm,
     Module,
     ModuleList,
+    StepWorkspace,
     Tensor,
     WeightMemo,
     causal_mask,
@@ -40,6 +51,7 @@ from ..tensor import (
     fp16_activations,
     fp16_weight,
     int8_matmul,
+    is_grad_enabled,
     no_grad,
     precision_token,
     quantize_weight_int8,
@@ -125,37 +137,91 @@ class TIGER(Module):
         return replica
 
     # ------------------------------------------------------------------
+    def encode_history(self, history: list[int]) -> list[int]:
+        """The encoder's source tokens for ``history`` (most recent items, unpadded)."""
+        ids = self.space.history_ids(list(history)[-self.config.max_history :])
+        return ids[-self._max_src :]
+
     def _pad_histories(self, histories: list[list[int]]) -> np.ndarray:
-        rows = []
-        for history in histories:
-            ids = self.space.history_ids(list(history)[-self.config.max_history :])
-            rows.append(ids[-self._max_src :])
-        width = max(len(r) for r in rows)
-        batch = np.full((len(rows), width), PAD_ID, dtype=np.int64)
-        for i, row in enumerate(rows):
-            batch[i, : len(row)] = row
-        return batch
+        sources = [self.encode_history(history) for history in histories]
+        return pad_sequences(sources, pad_value=PAD_ID, align="right")
 
     def encode(self, source: np.ndarray) -> tuple[Tensor, np.ndarray]:
-        """Bidirectional encoding; returns memory and the key padding mask."""
+        """Bidirectional encoding; returns memory and the key padding mask.
+
+        With grad off the layers run on the ndarray kernel
+        (:mod:`repro.llm.inference`), with grad on they are the autograd
+        modules: the same function of the same parameters.
+        """
         positions = np.arange(source.shape[1])
+        pad_mask = (source == PAD_ID)[:, None, None, :]
+        if not is_grad_enabled():
+            x = self.token_embeddings.weight.data[source]
+            x += self.encoder_positions.weight.data[positions]
+            caches = [KVCache(max_length=source.shape[1]) for _ in self.encoder_layers]
+            memory = layer_stack_hidden_states(
+                self.encoder_layers, self.encoder_norm, x, caches, pad_mask
+            )
+            return Tensor(memory), pad_mask
         x = self.token_embeddings(source) + self.encoder_positions(positions)
         x = self.dropout(x)
-        pad_mask = (source == PAD_ID)[:, None, None, :]
         for layer in self.encoder_layers:
             x = layer(x, attn_mask=pad_mask)
         return self.encoder_norm(x), pad_mask
 
     def decode_hidden(
-        self, memory: Tensor, memory_mask: np.ndarray, decoder_input: np.ndarray
+        self,
+        memory: Tensor | None,
+        memory_mask: np.ndarray | None,
+        decoder_input: np.ndarray,
+        caches: list[CrossBeamKVCache] | None = None,
+        pad_columns: np.ndarray | None = None,
+        workspace: StepWorkspace | None = None,
+        extra_mask: np.ndarray | None = None,
+        position_deltas: np.ndarray | None = None,
+        precision: str = "fp32",
+        last_only: bool = False,
     ) -> Tensor:
         """Causal decoding with cross-attention; returns hidden states.
 
         The output head (tied to the token embeddings) is applied by the
         caller — densely via :meth:`head_logits`, or for a candidate union
         only via :meth:`head_gather` (the trie-aware sparse decode).
+
+        Without ``caches``, ``decoder_input`` is the whole BOS-prefixed
+        sequence and runs through the autograd layers against ``memory`` —
+        training, and the uncached reference loop of :meth:`recommend`.
+        With ``caches`` (:meth:`new_beam_caches`; grad must be off) it is the
+        KV-cached ndarray kernel: ``decoder_input`` holds only the tokens not
+        forwarded yet, the first call projects ``memory`` into the
+        cross-attention caches and later calls need no ``memory``.  The
+        remaining arguments are those of
+        :meth:`repro.llm.TinyLlama.hidden_states`, with learned positions
+        in place of RoPE.
         """
         seq_len = decoder_input.shape[1]
+        if caches is not None:
+            if is_grad_enabled():
+                raise RuntimeError("KV-cached decoding is inference-only: call under no_grad()")
+            if caches[0].memory.length == 0:
+                for layer, cache in zip(self.decoder_layers, caches):
+                    cache.project_memory(layer.cross_attn, memory.data, memory_mask)
+            mask, offset = attention_geometry(
+                seq_len, caches[0].length, None, pad_columns, extra_mask, position_deltas
+            )
+            x = self.token_embeddings.weight.data[decoder_input]
+            x += self.decoder_positions.weight.data[absolute_positions(offset, seq_len)]
+            hidden = layer_stack_hidden_states(
+                self.decoder_layers,
+                self.decoder_norm,
+                x,
+                caches,
+                mask,
+                workspace,
+                precision,
+                last_only,
+            )
+            return Tensor(hidden)
         positions = np.arange(seq_len)
         x = self.token_embeddings(decoder_input)
         x = x + self.decoder_positions(positions)
@@ -213,6 +279,51 @@ class TIGER(Module):
         return self.decode(memory, mask, decoder_input)
 
     # ------------------------------------------------------------------
+    # The scorer surface the shared beam stepper drives (repro.llm.generation)
+    # ------------------------------------------------------------------
+    @property
+    def vocab_size(self) -> int:
+        return self.space.vocab_size
+
+    def new_beam_caches(self) -> list[CrossBeamKVCache]:
+        """Fresh per-layer self- plus cross-attention caches for one batched decode."""
+        return [CrossBeamKVCache() for _ in self.decoder_layers]
+
+    def prefill_prompts(
+        self,
+        prompts: list[list[int]],
+        caches: list[CrossBeamKVCache],
+        workspace: StepWorkspace | None = None,
+        precision: str = "fp32",
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """The prompt phase of a batched decode: encode, then forward BOS.
+
+        ``prompts`` (:meth:`encode_history`) are right-padded into one
+        source batch; pads are masked as keys, so batching changes no row's
+        memory.  The BOS forward projects the memory into ``caches``'
+        cross-attention side and leaves BOS as the one shared, never-padded
+        self-attention prompt column.  Returns the BOS hidden state ``(B,
+        dim)``, that column's pad map and the number of forwards run.
+        """
+        source = pad_sequences(prompts, pad_value=PAD_ID, align="right")
+        memory, memory_mask = self.encode(source)
+        bos = np.full((len(prompts), 1), BOS_ID, dtype=np.int64)
+        hidden = self.decode_hidden(
+            memory, memory_mask, bos, caches=caches, workspace=workspace, precision=precision
+        )
+        return hidden.data[:, -1, :], np.zeros((len(prompts), 1), dtype=bool), 2
+
+    def hidden_states(self, tokens: np.ndarray, caches: list, **kwargs) -> Tensor:
+        """Decoder hidden states of not-yet-forwarded ``tokens`` (see :meth:`decode_hidden`)."""
+        return self.decode_hidden(None, None, tokens, caches=caches, **kwargs)
+
+    def lm_head_gather(
+        self, hidden: np.ndarray, token_ids: np.ndarray, workspace=None, precision: str = "fp32"
+    ) -> np.ndarray:
+        """:meth:`head_gather` under the name the stepper calls (no scratch to reuse)."""
+        return self.head_gather(hidden, token_ids, precision=precision)
+
+    # ------------------------------------------------------------------
     def fit(self, dataset: SequentialDataset) -> list[float]:
         cfg = self.config
         histories, targets = [], []
@@ -246,6 +357,7 @@ class TIGER(Module):
             losses.append(epoch_loss / max(batches, 1))
             if (epoch + 1) % 10 == 0:
                 logger.info("TIGER epoch %d: loss=%.4f", epoch + 1, losses[-1])
+        self.zero_grad()  # spent gradients would keep the decode's WeightMemos from caching
         self.eval()
         return losses
 

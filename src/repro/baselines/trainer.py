@@ -82,6 +82,7 @@ class BaselineTrainer:
             losses.append(epoch_loss / max(batches, 1))
             if (epoch + 1) % self.config.log_every == 0:
                 logger.info("%s epoch %d: loss=%.4f", model.name, epoch + 1, losses[-1])
+        model.zero_grad()  # spent gradients would keep any WeightMemo from caching
         model.eval()
         return losses
 

@@ -22,7 +22,10 @@ Two constrained-decoding paths are provided:
   loop, kept as the parity/throughput baseline.
 
 The batched engine is a resumable stepper built around
-:class:`DecodeState`: :func:`decode_prefill` runs the prompt phase and
+:class:`DecodeState` and driven over a :class:`Scorer` — the decoder-only
+:class:`TinyLlama` or the encoder-decoder :class:`repro.baselines.TIGER`;
+everything below the prompt phase is the same code for both:
+:func:`decode_prefill` runs the prompt phase and
 level-0 beam expansion, :func:`decode_step` advances every in-flight row
 by one trie level, :func:`decode_join` merges freshly prefilled rows into
 a live decode at a level boundary (continuous batching's admission
@@ -75,12 +78,12 @@ skipped (the forced fast path already makes level ``i+1`` free).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
 from ..quantization.trie import IndexTrie, SparseCandidates
-from ..tensor import BeamKVCache, StepWorkspace, no_grad, validate_precision
+from ..tensor import BeamKVCache, StepWorkspace, Tensor, no_grad, validate_precision
 from .model import TinyLlama
 from .prefix_cache import PrefixKVCache, PrefixMatch
 
@@ -88,6 +91,7 @@ __all__ = [
     "DEFAULT_SPEC_BUDGET",
     "BeamHypothesis",
     "DecodeState",
+    "Scorer",
     "backfill_items",
     "backfill_ranked_item_ids",
     "beam_search_items",
@@ -115,6 +119,34 @@ __all__ = [
 # default; the raw stepper keeps it off (spec_budget=0) so callers that
 # count levels per decode_step call see exactly one.
 DEFAULT_SPEC_BUDGET = 64
+
+
+class Scorer(Protocol):
+    """What the beam stepper needs from a model: hidden states and a head.
+
+    :class:`~repro.llm.TinyLlama` (decoder-only: the prompt is forwarded
+    into the caches' shared prompt region; the methods are documented
+    there) and :class:`repro.baselines.TIGER` (encoder-decoder: the prompt
+    becomes cross-attention K/V, BOS is the shared self-attention prompt
+    column) both supply it over the kernel of :mod:`repro.llm.inference`.
+    ``caches`` is what :meth:`new_beam_caches` returned: per-layer
+    :class:`~repro.tensor.BeamKVCache` (or a subclass carrying more), which
+    the stepper fans out, reorders and evicts itself.  ``hidden_states``
+    takes ``pad_columns``, ``workspace``, ``extra_mask``, ``position_deltas``,
+    ``precision`` and ``last_only``.  An encoder-decoder scorer also has
+    ``prefill_prompts(prompts, caches, workspace=, precision=)`` — its prompt
+    phase, returning ``(last_hidden, pad_columns, forwards)``.
+    """
+
+    vocab_size: int
+
+    def new_beam_caches(self) -> list[BeamKVCache]: ...
+
+    def hidden_states(self, tokens: np.ndarray, caches: list, **kwargs) -> Tensor: ...
+
+    def lm_head_gather(self, hidden: np.ndarray, token_ids: np.ndarray, **kwargs) -> np.ndarray: ...
+
+    def head_logits(self, hidden: np.ndarray) -> np.ndarray: ...
 
 
 def log_softmax_np(logits: np.ndarray) -> np.ndarray:
@@ -177,8 +209,8 @@ def select_beams(
     width)`` — over the full vocabulary (dense) or the candidate union
     (sparse, with ``union`` mapping columns back to token ids); this one
     place owns the score accumulation, the flattened per-request top-k,
-    and the origin/token decomposition, so the decoder-only stepper
-    (:func:`decode_step`) and the TIGER engine cannot drift apart.
+    and the origin/token decomposition, for the sequential and the
+    speculative step alike.
     Returns ``(origin, token, new_scores)``, each ``(B, K)``.
     """
     candidates = step_logp.astype(np.float64)
@@ -444,6 +476,11 @@ class DecodeState:
     makes continuous admission ranking-preserving rather than an
     approximation.
 
+    ``model`` is the :class:`Scorer` being decoded.  For an encoder-decoder
+    the shared prompt region is the single BOS column (``prompt_pads`` all
+    False) and the cross-attention K/V travel inside ``caches``, so nothing
+    below knows which architecture it is stepping.
+
     ``tags`` carries one caller-opaque object per row (the serving layer
     stores its :class:`RecommendRequest` there) and follows rows through
     joins and retirements.
@@ -481,11 +518,11 @@ class DecodeState:
     :mod:`repro.tensor.quantized`) — quantized runs trade bit parity for
     smaller kernels and are gated by tolerance/top-k-overlap suites, not
     exactness.  ``forwards`` counts the transformer forwards this state
-    has run (prefill, steps, pending flushes) — the speculative and
-    forced fast paths exist to push it below one-per-level.
+    has run (the prompt phase's own count, steps, pending flushes) — the
+    speculative and forced fast paths exist to push it below one-per-level.
     """
 
-    model: TinyLlama
+    model: Scorer
     trie: IndexTrie
     num_beams: int
     pad_id: int
@@ -542,7 +579,7 @@ class DecodeState:
 
 
 def decode_prefill(
-    model: TinyLlama,
+    model: Scorer,
     prompts: Sequence[Sequence[int]],
     trie: IndexTrie,
     beam_size: int = 20,
@@ -590,15 +627,28 @@ def decode_prefill(
     elif len(tags) != len(prompts):
         raise ValueError("tags must match prompts one-to-one")
     vocab_size = model.vocab_size
-    num_beams = min(beam_size, trie.num_items, vocab_size)
+    num_beams = min(beam_size, trie.num_items)
     workspace = StepWorkspace() if sparse else None
     with no_grad():
         # Shared-prompt beam caches: prompt K/V stays at B rows for the
         # whole decode; only per-beam suffix tokens live on the B*K axis.
         caches = model.new_beam_caches()
-        hidden, pad_columns = _prefill_prompts(
-            model, prompts, caches, pad_id, prefix_cache, workspace, precision=precision
-        )
+        # The prompt phase is the one call that differs by architecture.
+        encoder_decoder = getattr(model, "prefill_prompts", None)
+        if encoder_decoder is None:
+            # Decoder-only: left-padded prompts through the prefix cache.
+            forwards = 1
+            hidden, pad_columns = _prefill_prompts(
+                model, prompts, caches, pad_id, prefix_cache, workspace, precision=precision
+            )
+        elif prefix_cache is not None:
+            raise ValueError("an encoder-decoder scorer has no prompt K/V for a prefix cache")
+        else:
+            # Encode, project cross-attention K/V, forward BOS: pad_columns
+            # then maps the one-column (BOS) self-attention prompt region.
+            hidden, pad_columns, forwards = encoder_decoder(
+                prompts, caches, workspace=workspace, precision=precision
+            )
 
         # Level 0: expand every prompt to its top-K legal first tokens
         # under the constrained (renormalised-over-legal) distribution.
@@ -608,18 +658,10 @@ def decode_prefill(
                 hidden, root.union, workspace=workspace, precision=precision
             )
             scores = masked_log_softmax(logits, root.mask)  # (B, U)
-            # Candidate-aware top-k: rank only the real union columns and
-            # pad the remaining beam slots afterwards, instead of
-            # argpartitioning over -inf filler columns.  Equivalent to the
-            # old filler-concat path bit for bit: the fillers scored -inf
-            # and mapped to ``union[width - 1]``, exactly what the pad
-            # slots carry, and -inf ties order real columns before fillers
-            # in both formulations.  A narrowed prefill extends the same
-            # idea to the selection mask: renormalisation stays over the
-            # full root union (the gather above cannot shrink — every
-            # candidate's logit enters the softmax), but ranking runs over
-            # the narrow trie's root candidates alone instead of
-            # -inf-scanning the columns narrowing excluded.
+            # Candidate-aware top-k: rank only the columns selection may
+            # pick and pad the remaining beam slots afterwards.  Narrowing
+            # shrinks the ranked columns only — renormalisation stays over
+            # the full root union (every candidate's logit is in the softmax).
             if narrow is None:
                 selectable = None
                 width = root.num_candidates
@@ -627,23 +669,24 @@ def decode_prefill(
                 selectable = _narrow_positions(root.union, narrow.allowed_tokens(()))
                 scores = scores[:, selectable]
                 width = int(selectable.size)
-            order, top_scores = topk_desc(scores, min(num_beams, width))
-            if num_beams > width:
-                # Fewer legal first tokens than beams: -inf pad slots keep
-                # every row carrying num_beams slots.
-                rows = scores.shape[0]
-                pad_order = np.full((rows, num_beams - width), width - 1, dtype=order.dtype)
-                pad_scores = np.full((rows, num_beams - width), -np.inf, dtype=top_scores.dtype)
-                order = np.concatenate([order, pad_order], axis=1)
-                top_scores = np.concatenate([top_scores, pad_scores], axis=1)
-            if selectable is not None:
-                order = selectable[order]
         else:
-            logits = np.matmul(hidden, model.lm_head.weight.data)  # (B, V)
+            selectable = None
+            width = vocab_size
+            logits = model.head_logits(hidden)  # (B, V)
             scores = masked_log_softmax(logits, trie.root_token_mask(vocab_size))
             if narrow is not None:
                 scores = np.where(narrow.root_token_mask(vocab_size), scores, -np.inf)
-            order, top_scores = topk_desc(scores, num_beams)
+        order, top_scores = topk_desc(scores, min(num_beams, width))
+        if num_beams > width:
+            # Fewer first tokens to rank than beams: -inf pad slots keep
+            # every row carrying num_beams slots.
+            rows = scores.shape[0]
+            pad_order = np.full((rows, num_beams - width), width - 1, dtype=order.dtype)
+            pad_scores = np.full((rows, num_beams - width), -np.inf, dtype=top_scores.dtype)
+            order = np.concatenate([order, pad_order], axis=1)
+            top_scores = np.concatenate([top_scores, pad_scores], axis=1)
+        if selectable is not None:
+            order = selectable[order]
         # Scores accumulate in float64, matching the reference path.
         beam_scores = top_scores.astype(np.float64)  # (B, K)
         if sparse:
@@ -654,7 +697,8 @@ def decode_prefill(
             token_ids = order
         beam_tokens = [[(int(token),) for token in row] for row in token_ids]
         # Every beam appends at most one K/V column per remaining level.
-        model.fan_out_caches(caches, num_beams, suffix_length=trie.num_levels - 1)
+        for cache in caches:
+            cache.fan_out(num_beams, suffix_length=trie.num_levels - 1)
         if workspace is not None:
             workspace.clear()  # B prompt rows become B*K beam rows: step scratch resizes
     return DecodeState(
@@ -674,7 +718,7 @@ def decode_prefill(
         narrow=narrow,
         spec_budget=spec_budget,
         precision=precision,
-        forwards=1,  # the prompt-phase forward in _prefill_prompts
+        forwards=forwards,  # what the prompt phase ran
     )
 
 
@@ -763,7 +807,7 @@ def decode_step(state: DecodeState) -> DecodeState:
         else:
             union = None
             width = vocab_size
-            logits = np.matmul(hidden, model.lm_head.weight.data)  # (B*K, V)
+            logits = model.head_logits(hidden)  # (B*K, V)
             mask = trie.allowed_token_mask(prefixes, vocab_size)
             step_logp = masked_log_softmax(logits, mask)
             if state.narrow is not None:
@@ -777,7 +821,8 @@ def decode_step(state: DecodeState) -> DecodeState:
             for b in range(num_requests)
         ]
         flat_origin = (np.arange(num_requests)[:, None] * num_beams + origin).reshape(-1)
-        model.reorder_caches(state.caches, flat_origin)
+        for cache in state.caches:
+            cache.reorder(flat_origin)
         state.pending = token.reshape(-1, 1).astype(np.int64, copy=False)
     return state
 
@@ -797,8 +842,7 @@ def _speculative_window_open(
     ``spec_budget``, and at least one live (beam, candidate) child set
     with a real choice — when every child is a singleton, the forced fast
     path makes level ``i+1`` free and speculation would only widen the
-    forward without saving one.  Shared by the :class:`DecodeState`
-    stepper and the TIGER engine's speculative step.
+    forward without saving one.
     """
     level = int(levels[0])
     if not np.all(levels == level):
@@ -920,7 +964,8 @@ def _speculative_step(
             for b in range(num_requests)
         ]
         flat_origin1 = (np.arange(num_requests)[:, None] * num_beams + origin1).reshape(-1)
-        model.reorder_caches(state.caches, flat_origin1)
+        for cache in state.caches:
+            cache.reorder(flat_origin1)
 
         # Which sibling column each new beam committed (window-local).
         token1_flat = token1.reshape(-1)
@@ -937,7 +982,8 @@ def _speculative_step(
         keep_cols = np.empty((flat_rows, base + 1), dtype=np.int64)
         keep_cols[:, :base] = np.arange(base)[None, :]
         keep_cols[:, base] = base + chosen
-        model.gather_cache_columns(state.caches, keep_cols)
+        for cache in state.caches:
+            cache.gather_columns(keep_cols)
 
         # --- Level-i+1 selection from the committed columns' hidden ---
         new_prefixes = [prefix for row in mid_tokens for prefix in row]
@@ -964,7 +1010,8 @@ def _speculative_step(
             for b in range(num_requests)
         ]
         flat_origin2 = (np.arange(num_requests)[:, None] * num_beams + origin2).reshape(-1)
-        model.reorder_caches(state.caches, flat_origin2)
+        for cache in state.caches:
+            cache.reorder(flat_origin2)
         state.pending = token2.reshape(-1, 1).astype(np.int64, copy=False)
     return state
 
@@ -1045,7 +1092,8 @@ def decode_join(state: DecodeState, incoming: DecodeState) -> DecodeState:
     # merged batch must share one pending width, so catch the KV up first.
     _flush_pending(state)
     suffix_len = state.caches[0].suffix.length
-    pad_state, pad_incoming = state.model.join_caches(state.caches, incoming.caches)
+    for cache, incoming_cache in zip(state.caches, incoming.caches):
+        pad_state, pad_incoming = cache.join(incoming_cache)  # identical on every layer
     state.prompt_pads = np.concatenate(
         [
             _pad_left_columns(state.prompt_pads, pad_state),
@@ -1105,7 +1153,8 @@ def decode_retire(state: DecodeState, rows: Sequence[int]) -> list[list[BeamHypo
         retired = set(rows)
         keep = [b for b in range(state.num_rows) if b not in retired]
         keep_array = np.asarray(keep, dtype=np.int64)
-        state.model.evict_cache_rows(state.caches, keep_array)
+        for cache in state.caches:
+            cache.select_requests(keep_array)
         state.beam_tokens = [state.beam_tokens[b] for b in keep]
         state.beam_scores = state.beam_scores[keep]
         state.prompt_pads = state.prompt_pads[keep]

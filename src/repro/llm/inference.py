@@ -1,12 +1,16 @@
-"""The no-grad, KV-cached inference forward of :class:`~repro.llm.TinyLlama`.
+"""The no-grad, KV-cached inference forwards: one ndarray kernel, two stacks.
 
 Everything decode-shaped — prompt prefill, beam steps, forced-token
 flushes, speculative windows, greedy generation — runs through
-:func:`cached_hidden_states`: plain ndarrays from the embedding lookup to
-the final norm, scratch reused across layers (and, with a
-:class:`~repro.tensor.StepWorkspace`, across steps), no autograd
-``Tensor`` anywhere.  The autograd modules in :mod:`repro.tensor.attention`
-and :mod:`repro.llm.model` are the training graph; this module computes
+:func:`cached_hidden_states` (:class:`~repro.llm.TinyLlama`: RMSNorm, RoPE,
+SwiGLU) or :func:`layer_stack_hidden_states` (the TIGER encoder and decoder:
+LayerNorm, learned positions, ReLU FFN, cross-attention): plain ndarrays
+from the embedding lookup to the final norm, scratch reused across layers
+(and, with a :class:`~repro.tensor.StepWorkspace`, across steps), no
+autograd ``Tensor`` anywhere.  Both stacks share the attention, the
+projections and the mask/position geometry below.  The autograd modules in
+:mod:`repro.tensor.attention`, :mod:`repro.llm.model` and
+:mod:`repro.baselines.layers` are the training graph; this module computes
 the same function from the same parameters (``tests/test_inference_forward.py``
 holds the two together to ``rtol=1e-5``).
 
@@ -34,30 +38,43 @@ What makes it GEMM-bound rather than temporary-bound:
   position (``last_only=True``) still get K/V for every new position in
   every layer cache, but the final block runs attention, ``out_proj`` and
   the FFN for the last position alone.
+* **Cross-attention K/V projected once** — an encoder-decoder's memory
+  becomes K/V once per request and layer (:class:`CrossBeamKVCache`), in the
+  prompt region of a beam cache that never grows a suffix: cross-attention
+  is the same shared-operand GEMM, and a step forwards only new tokens.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from ..tensor import (
     BeamKVCache,
     KVCache,
+    LayerNorm,
     MultiHeadAttention,
     RMSNorm,
     RotaryEmbedding,
     StepWorkspace,
+    causal_mask,
     fp16_activations,
     int8_matmul,
     validate_precision,
 )
 
 if TYPE_CHECKING:
+    from ..baselines.layers import TransformerEncoderLayer
     from .model import TinyLlama
 
-__all__ = ["cached_hidden_states"]
+__all__ = [
+    "CrossBeamKVCache",
+    "absolute_positions",
+    "attention_geometry",
+    "cached_hidden_states",
+    "layer_stack_hidden_states",
+]
 
 _MASKED = np.float32(-1e9)
 
@@ -126,9 +143,189 @@ def cached_hidden_states(
     return _rms_norm(x, model.final_norm, np.empty(x.shape, dtype=np.float32))
 
 
+class CrossBeamKVCache(BeamKVCache):
+    """A decoder layer's cache in an encoder-decoder: its own K/V and the memory's.
+
+    The inherited regions are the layer's *self-attention* K/V — what the
+    beam stepper fans out, reorders and reads lengths from: BOS is the
+    shared prompt column, every later token a per-beam suffix column.
+    ``memory`` holds the encoder memory's K/V for the layer's
+    cross-attention in the *prompt* region of a second beam cache whose
+    suffix stays empty: written once by :meth:`project_memory`, read by
+    every beam of a request, moved only when a request retires.
+    ``memory_bias`` is the source-pad additive bias over those columns
+    (``None`` when no row is padded).
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.memory = BeamKVCache()
+        self.memory_bias: np.ndarray | None = None
+
+    def project_memory(
+        self, attention: MultiHeadAttention, memory: np.ndarray, pad_mask: np.ndarray
+    ) -> None:
+        """Project encoder ``memory`` ``(B, S, dim)`` to this layer's cross K/V.
+
+        One fused k|v GEMM over the ``B*S`` memory rows (the k|v columns of
+        the cross-attention's memoized fused QKV weight).  ``pad_mask`` is
+        the key padding mask, ``(B, 1, 1, S)``, True at pads.
+        """
+        batch, source_len, dim = memory.shape
+        kv = np.matmul(memory.reshape(-1, dim), attention.fused_qkv_weight()[:, dim:])
+        kv = kv.reshape(batch, source_len, 2, attention.num_heads, attention.head_dim)
+        self.memory.seed_prompt(
+            np.ascontiguousarray(kv[:, :, 0].transpose(0, 2, 1, 3)),
+            np.ascontiguousarray(kv[:, :, 1].transpose(0, 2, 1, 3)),
+        )
+        self.memory_bias = _additive_bias(pad_mask, batch, 1, 1)
+
+    def fan_out(self, beams: int, suffix_length: int = 0) -> None:
+        super().fan_out(beams, suffix_length)
+        self.memory.fan_out(beams)
+
+    def join(self, other: BeamKVCache) -> tuple[int, int]:
+        raise NotImplementedError("joining memories of different source widths is not built yet")
+
+    def select_requests(self, keep: np.ndarray) -> None:
+        super().select_requests(keep)
+        self.memory.select_requests(keep)
+        if self.memory_bias is not None:
+            self.memory_bias = self.memory_bias[:, keep]
+
+
+def layer_stack_hidden_states(
+    layers: Sequence["TransformerEncoderLayer"],
+    final_norm: LayerNorm,
+    x: np.ndarray,
+    caches: Sequence[KVCache],
+    mask: np.ndarray,
+    workspace: StepWorkspace | None = None,
+    precision: str = "fp32",
+    last_only: bool = False,
+) -> np.ndarray:
+    """Final-norm hidden states of a pre-LayerNorm layer stack (no grad).
+
+    ``x`` is the stack's input — token plus learned position embeddings,
+    ``(rows, T, dim)``, updated in place — and ``mask`` the boolean
+    self-attention mask (True disallows).  Every cache receives the new
+    positions' K/V.  A :class:`CrossBeamKVCache` makes its layer also
+    cross-attend the memory K/V it holds; any other cache (one throwaway
+    ``KVCache`` per layer) runs a self-attention-only encoder layer.
+    ``workspace``, ``precision`` (self-attention QKV GEMM) and ``last_only``
+    are as in :func:`cached_hidden_states`.
+    """
+    validate_precision(precision)
+    scratch = (workspace if workspace is not None else StepWorkspace()).take
+    rows, seq_len, dim = x.shape
+    groups = caches[0].beams if isinstance(caches[0], BeamKVCache) else 1
+    attention = layers[0].self_attn
+    heads, head_dim = attention.num_heads, attention.head_dim
+    scale = np.float32(1.0 / np.sqrt(head_dim))
+    bias = _additive_bias(mask, rows, seq_len, groups)
+
+    def buffer(name: str, width: int) -> np.ndarray:
+        """Scratch holding one ``width``-vector per position ``x`` currently has."""
+        return scratch(name, x.shape[:2] + (width,))
+
+    last_layer = len(layers) - 1
+    for index, (layer, cache) in enumerate(zip(layers, caches)):
+        attention = layer.self_attn
+        normed = _layer_norm(x, layer.self_norm, buffer("normed", dim))
+        qkv = _project_qkv(normed, attention, precision, buffer("qkv", 3 * dim))
+        qkv = qkv.reshape(rows, seq_len, 3, heads, head_dim)
+        queries = qkv[:, :, 0]
+        queries *= scale  # scores leave the GEMM already scaled
+        cache.append(qkv[:, :, 1].transpose(0, 2, 1, 3), qkv[:, :, 2].transpose(0, 2, 1, 3))
+        if last_only and index == last_layer:
+            queries, x = queries[:, -1:], x[:, -1:]
+            if bias is not None:
+                bias = bias[..., -1:]
+        context = _attend(queries, cache, bias, scratch)
+        x += _linear(context, attention.out_proj.weight.data, buffer("proj", dim))
+
+        if isinstance(cache, CrossBeamKVCache):
+            attention = layer.cross_attn
+            normed = _layer_norm(x, layer.cross_norm, buffer("normed", dim))
+            query_weight = attention.fused_qkv_weight()[:, :dim]
+            queries = _linear(normed, query_weight, buffer("cross_q", dim))
+            queries *= scale
+            queries = queries.reshape(rows, -1, heads, head_dim)
+            context = _attend(queries, cache.memory, cache.memory_bias, scratch)
+            x += _linear(context, attention.out_proj.weight.data, buffer("proj", dim))
+
+        fc1, fc2 = layer.ffn.fc1, layer.ffn.fc2
+        normed = _layer_norm(x, layer.ffn_norm, buffer("normed", dim))
+        act = _linear(normed, fc1.weight.data, buffer("ffn_act", fc1.out_features))
+        act += fc1.bias.data
+        np.maximum(act, 0.0, out=act)
+        x += _linear(act, fc2.weight.data, buffer("proj", dim))
+        x += fc2.bias.data
+    return _layer_norm(x, final_norm, np.empty(x.shape, dtype=np.float32))
+
+
 # ----------------------------------------------------------------------
 # Once per forward
 # ----------------------------------------------------------------------
+def attention_geometry(
+    seq_len: int,
+    offset: int,
+    pad_lengths: np.ndarray | None = None,
+    pad_columns: np.ndarray | None = None,
+    extra_mask: np.ndarray | None = None,
+    position_deltas: np.ndarray | None = None,
+) -> tuple[np.ndarray, int | np.ndarray]:
+    """Attention mask and position offset of ``seq_len`` new tokens.
+
+    ``offset`` is the number of key columns already cached; the other
+    arguments are documented on :meth:`repro.llm.TinyLlama.hidden_states`.
+    Returns the boolean mask (True disallows; ``(T, key_len)``, or ``(rows,
+    1, T, key_len)`` once a row carries pads) and the position of each
+    row's first new token — an int, a per-row ``(rows,)`` array (pads do
+    not count), or absolute ``(rows, T)`` positions with ``position_deltas``.
+    """
+    key_len = offset + seq_len
+    mask = causal_mask(seq_len, key_len, offset=offset)
+    if extra_mask is not None:
+        if extra_mask.shape != mask.shape:
+            raise ValueError(f"extra_mask shape {extra_mask.shape} != causal shape {mask.shape}")
+        mask = mask | extra_mask
+    position: int | np.ndarray = offset
+    if pad_lengths is not None and pad_columns is not None:
+        raise ValueError("pass pad_lengths or pad_columns, not both")
+    if pad_lengths is not None and np.any(pad_lengths):
+        pad_lengths = np.asarray(pad_lengths, dtype=np.int64)
+        pad_keys = np.arange(key_len)[None, :] < pad_lengths[:, None]
+        mask = mask[None, None, :, :] | pad_keys[:, None, None, :]
+        position = offset - pad_lengths
+    elif pad_columns is not None and np.any(pad_columns):
+        pad_columns = np.asarray(pad_columns, dtype=bool)
+        pad_keys = np.zeros((pad_columns.shape[0], key_len), dtype=bool)
+        pad_keys[:, : pad_columns.shape[1]] = pad_columns
+        mask = mask[None, None, :, :] | pad_keys[:, None, None, :]
+        position = offset - pad_columns.sum(axis=1)
+    if position_deltas is not None:
+        deltas = np.asarray(position_deltas, dtype=np.int64)
+        if deltas.shape != (seq_len,):
+            raise ValueError(f"position_deltas must be ({seq_len},), got {deltas.shape}")
+        # Absolute (B, T) positions: per-row base offset + per-column delta.
+        base = np.atleast_1d(np.asarray(position, dtype=np.int64))
+        position = base[:, None] + deltas[None, :]
+    return mask, position
+
+
+def absolute_positions(offset: int | np.ndarray, seq_len: int) -> np.ndarray:
+    """``(R, T)`` token positions from an :func:`attention_geometry` offset.
+
+    ``R`` is 1 when every row shares its positions.  Pad positions (negative)
+    clamp to 0; they are masked out of attention anyway.
+    """
+    offset = np.asarray(offset, dtype=np.int64)
+    if offset.ndim < 2:
+        offset = offset.reshape(-1, 1) + np.arange(seq_len)
+    return np.maximum(offset, 0)
+
+
 def _additive_bias(mask: np.ndarray, rows: int, seq_len: int, groups: int) -> np.ndarray | None:
     """The attention mask as a key-major additive bias, or ``None``.
 
@@ -162,10 +359,7 @@ def _rope_tables(
     The query half of both tables is pre-multiplied by ``1/sqrt(head_dim)``
     so attention scores come out of the GEMM already scaled.
     """
-    offset = np.asarray(offset, dtype=np.int64)
-    if offset.ndim < 2:
-        offset = offset.reshape(-1, 1) + np.arange(seq_len)
-    positions = np.maximum(offset, 0)  # pad positions clamp to 0; they are masked anyway
+    positions = absolute_positions(offset, seq_len)
     half = rope.head_dim // 2
     shape = positions.shape + (2, heads, 2, half)
     cos = np.empty(shape, dtype=np.float32)
@@ -189,6 +383,22 @@ def _rms_norm(x: np.ndarray, norm: RMSNorm, out: np.ndarray) -> np.ndarray:
     inv_rms = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + norm.eps)
     np.multiply(x, inv_rms, out=out)
     out *= norm.weight.data
+    return out
+
+
+def _layer_norm(x: np.ndarray, norm: LayerNorm, out: np.ndarray) -> np.ndarray:
+    """``norm(x)`` written into ``out``.
+
+    Row means and variances are BLAS dot products against a constant vector
+    rather than ``mean(axis=-1)`` reductions (five times slower on rows this
+    short); they differ from ``F.layer_norm`` in the last bit.
+    """
+    average = np.full(x.shape[-1], 1.0 / x.shape[-1], dtype=np.float32)
+    np.subtract(x, np.matmul(x, average)[..., None], out=out)
+    variance = np.einsum("...i,...i->...", out, out)[..., None] * average[0]
+    out *= 1.0 / np.sqrt(variance + norm.eps)
+    out *= norm.weight.data
+    out += norm.bias.data
     return out
 
 

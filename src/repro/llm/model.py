@@ -27,7 +27,6 @@ from ..tensor import (
     StepWorkspace,
     Tensor,
     WeightMemo,
-    causal_mask,
     fp16_activations,
     fp16_weight,
     int8_matmul,
@@ -37,7 +36,7 @@ from ..tensor import (
     validate_precision,
 )
 from .config import LMConfig
-from .inference import cached_hidden_states
+from .inference import attention_geometry, cached_hidden_states
 
 __all__ = ["TinyLlama", "TransformerBlock", "SwiGLU"]
 
@@ -219,38 +218,14 @@ class TinyLlama(Module):
         position.
         """
         tokens = np.asarray(tokens)
-        seq_len = tokens.shape[1]
-        offset = caches[0].length if caches else 0
-        key_len = offset + seq_len
-        mask = causal_mask(seq_len, key_len, offset=offset)
-        if extra_mask is not None:
-            if extra_mask.shape != mask.shape:
-                raise ValueError(
-                    f"extra_mask shape {extra_mask.shape} != causal shape {mask.shape}"
-                )
-            mask = mask | extra_mask
-        rope_offset: int | np.ndarray = offset
-        if pad_lengths is not None and pad_columns is not None:
-            raise ValueError("pass pad_lengths or pad_columns, not both")
-        if pad_lengths is not None and np.any(pad_lengths):
-            pad_lengths = np.asarray(pad_lengths, dtype=np.int64)
-            pad_keys = np.arange(key_len)[None, :] < pad_lengths[:, None]
-            mask = mask[None, None, :, :] | pad_keys[:, None, None, :]
-            rope_offset = offset - pad_lengths
-        elif pad_columns is not None and np.any(pad_columns):
-            pad_columns = np.asarray(pad_columns, dtype=bool)
-            pad_keys = np.zeros((pad_columns.shape[0], key_len), dtype=bool)
-            pad_keys[:, : pad_columns.shape[1]] = pad_columns
-            mask = mask[None, None, :, :] | pad_keys[:, None, None, :]
-            rope_offset = offset - pad_columns.sum(axis=1)
-        if position_deltas is not None:
-            deltas = np.asarray(position_deltas, dtype=np.int64)
-            if deltas.shape != (seq_len,):
-                raise ValueError(f"position_deltas must be ({seq_len},), got {deltas.shape}")
-            # Absolute (B, T) positions: per-row base offset + per-column
-            # delta (RotaryEmbedding treats a 2-D offset as absolute).
-            base = np.atleast_1d(np.asarray(rope_offset, dtype=np.int64))
-            rope_offset = base[:, None] + deltas[None, :]
+        mask, rope_offset = attention_geometry(
+            tokens.shape[1],
+            caches[0].length if caches else 0,
+            pad_lengths,
+            pad_columns,
+            extra_mask,
+            position_deltas,
+        )
         if caches and not is_grad_enabled():
             return Tensor(
                 cached_hidden_states(
@@ -289,6 +264,10 @@ class TinyLlama(Module):
             last_only=last_only,
         )
         return self.lm_head(hidden)
+
+    def head_logits(self, hidden: np.ndarray) -> np.ndarray:
+        """Dense output head over already-computed hidden states ``(R, dim)``."""
+        return np.matmul(hidden, self.lm_head.weight.data)
 
     # ------------------------------------------------------------------
     # Sparse (candidate-only) output head
@@ -389,33 +368,3 @@ class TinyLlama(Module):
         """Reindex every layer cache; supports a flattened ``B*K`` beam axis."""
         for cache in caches:
             cache.reorder(beam_indices)
-
-    def gather_cache_columns(self, caches: list[BeamKVCache], columns: np.ndarray) -> None:
-        """Per-row column gather on every layer cache's append-target region.
-
-        Speculative decoding appends a window of sibling candidate K/V
-        columns in one forward and then keeps, per beam, only the column
-        of the token that beam committed (see
-        :meth:`repro.tensor.KVCache.gather_columns`).
-        """
-        for cache in caches:
-            cache.gather_columns(columns)
-
-    def join_caches(
-        self, caches: list[BeamKVCache], incoming: list[BeamKVCache]
-    ) -> tuple[int, int]:
-        """Merge ``incoming``'s request rows into ``caches``, layer by layer.
-
-        Returns the ``(pad_self, pad_other)`` prompt-column padding reported
-        by :meth:`repro.tensor.BeamKVCache.join` (identical on every layer);
-        the caller must mask those columns out of attention.
-        """
-        pads = (0, 0)
-        for cache, inc in zip(caches, incoming):
-            pads = cache.join(inc)
-        return pads
-
-    def evict_cache_rows(self, caches: list[BeamKVCache], keep: np.ndarray) -> None:
-        """Keep only request rows ``keep`` on every layer cache."""
-        for cache in caches:
-            cache.select_requests(keep)

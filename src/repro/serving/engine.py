@@ -22,26 +22,30 @@ scheduling discipline, and the request-shaping hooks (``encode_history``,
 model-specific text rendering, beam policy and ranking post-processing out
 of the service.
 
-Three adapters ship with the repo:
+Three adapters ship with the repo, all on one stepper
+(:func:`repro.llm.decode_prefill` / ``decode_step`` / ``decode_retire``
+over a :class:`repro.llm.generation.Scorer`):
 
-=================  ==========================================  ==========  ===========
-adapter            decode path                                 continuous  sparse head
-=================  ==========================================  ==========  ===========
-:class:`LCRecEngine`   shared :class:`repro.llm.DecodeState` stepper   yes         yes
-:class:`P5CIDEngine`   same stepper (decoder-only TinyLlama)           yes         yes
-:class:`TIGEREngine`   batched encoder-decoder beam expansion          no          yes
-=================  ==========================================  ==========  ===========
+====================  ================================================  ==========  ===========
+adapter               scorer                                            continuous  sparse head
+====================  ================================================  ==========  ===========
+:class:`LCRecEngine`  decoder-only :class:`~repro.llm.TinyLlama`        yes         yes
+:class:`P5CIDEngine`  decoder-only :class:`~repro.llm.TinyLlama`        yes         yes
+:class:`TIGEREngine`  encoder-decoder :class:`~repro.baselines.TIGER`   not yet     yes
+====================  ================================================  ==========  ===========
 
 Every adapter is ranking-preserving: batching is a cost optimisation, never
 an approximation, and the parity suites pin each adapter to its
 single-request oracle (``LCRec.recommend`` / ``beam_search_items_single``,
 ``TIGER.recommend``, ``P5CID.recommend``).
 
-Writing a new adapter means implementing ``encode_history`` plus the five
-decode-contract methods over your own state object (any object with
-``num_rows``, ``num_beams``, ``done``, ``tags`` and ``finished_rows()``
-works — see :class:`EngineState`); the service, micro-batcher and bench
-runners then work unchanged.  ``docs/serving.md`` has a walkthrough.
+Writing a new adapter means implementing ``encode_history`` plus the
+decode-contract methods — by delegating to the shared stepper if the model
+can be its scorer (as all three above do), or over your own state object
+(any object with ``num_rows``, ``num_beams``, ``done``, ``tags`` and
+``finished_rows()`` works — see :class:`EngineState`); the service,
+micro-batcher and bench runners then work unchanged.  ``docs/serving.md``
+has a walkthrough.
 
 Thread safety: engines are driven under the service's decode lock; they
 are not required to be thread-safe beyond what their prefix cache already
@@ -52,12 +56,11 @@ from __future__ import annotations
 
 import abc
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
-import numpy as np
-
 from ..llm import (
+    DEFAULT_SPEC_BUDGET,
     BeamHypothesis,
     PrefixKVCache,
     backfill_items,
@@ -68,18 +71,8 @@ from ..llm import (
     decode_step,
     ranked_item_ids,
 )
-from ..data.batching import pad_sequences
-from ..llm.generation import (
-    DEFAULT_SPEC_BUDGET,
-    _narrow_positions,
-    _narrowed_step_candidates,
-    _speculative_window_open,
-    masked_log_softmax,
-    select_beams,
-    topk_desc,
-)
 from ..quantization.trie import IndexTrie
-from ..tensor import Tensor, no_grad, validate_precision
+from ..tensor import validate_precision
 from .queue import RecommendRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids cycles at runtime
@@ -95,7 +88,6 @@ __all__ = [
     "LCRecEngine",
     "P5CIDEngine",
     "TIGEREngine",
-    "TIGERDecodeState",
 ]
 
 
@@ -586,7 +578,7 @@ class TrieDecoderEngine(GenerativeEngine):
     # -- decode contract -----------------------------------------------
     def prefill(self, requests: Sequence[RecommendRequest]) -> EngineState:
         requests = list(requests)
-        _require_uniform_beams(self, requests)
+        num_beams = _require_uniform_beams(self, requests)
         # One trie read pins this decode's catalog version: the state
         # carries the object through every step, join and retirement.
         trie = self.trie
@@ -598,7 +590,7 @@ class TrieDecoderEngine(GenerativeEngine):
             self.lm,
             [request.prompt_ids for request in requests],
             trie,
-            beam_size=requests[0].beam_size,
+            beam_size=num_beams,  # this engine's clamp, not the stepper's
             pad_id=self.pad_id,
             prefix_cache=self.prefix_cache,
             tags=requests,
@@ -731,63 +723,25 @@ class P5CIDEngine(TrieDecoderEngine):
 
 
 # ----------------------------------------------------------------------
-# TIGER: batched encoder-decoder beam expansion
+# TIGER: the same stepper over an encoder-decoder scorer
 # ----------------------------------------------------------------------
-@dataclass
-class TIGERDecodeState:
-    """Resumable state of a batched TIGER decode (satisfies EngineState).
-
-    The encoder runs once per micro-batch at prefill; each step re-decodes
-    every hypothesis's full (``<= num_levels``-token) prefix against the
-    per-row encoder memory, expanded to ``B*K`` decoder rows.  Requests
-    with fewer than ``K`` legal hypotheses carry ``-inf``-scored filler
-    beams to keep the batch rectangular; fillers are dropped at
-    retirement.
-    """
-
-    memory: Tensor  # (B, S, dim) encoder output
-    memory_mask: np.ndarray  # (B, 1, 1, S) key padding mask
-    beam_tokens: list[list[tuple[int, ...]]]  # (B rows) x (K prefixes)
-    beam_scores: np.ndarray  # (B, K) float64
-    num_beams: int
-    num_levels: int
-    tags: list
-    # Beam-flattened (B*K, ...) views of memory/memory_mask, built lazily
-    # on the first step and reused across trie levels (rows only change at
-    # retirement, which invalidates them).
-    memory_flat: Tensor | None = None
-    memory_mask_flat: np.ndarray | None = None
-    # Model forwards run so far (encoder + decoder passes): the forced and
-    # speculative fast paths exist to push this below one per trie level.
-    forwards: int = 0
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.beam_tokens)
-
-    @property
-    def done(self) -> bool:
-        return all(len(row[0]) == self.num_levels for row in self.beam_tokens)
-
-    def finished_rows(self) -> list[int]:
-        return [b for b, row in enumerate(self.beam_tokens) if len(row[0]) == self.num_levels]
-
-
 class TIGEREngine(GenerativeEngine):
-    """The TIGER adapter: batched encoder-decoder trie-constrained beams.
+    """The TIGER adapter: request shaping over the shared stepper.
 
-    Each prefill encodes the whole micro-batch's histories in one
-    bidirectional encoder forward (pad columns masked as keys, so batching
-    never changes any row's memory); each step expands ``B`` requests ×
-    ``K`` beams in a single decoder forward with one vectorized trie mask,
-    replacing TIGER's per-request, per-level Python loop.  Rankings match
-    ``TIGER.recommend`` request-for-request, including its widen-to-catalog
-    retry and deterministic backfill (:func:`widen_and_backfill`).
+    The model itself is the stepper's scorer
+    (:class:`repro.llm.generation.Scorer`): each prefill encodes the whole
+    micro-batch's histories in one bidirectional encoder forward (pad
+    columns masked as keys, so batching never changes any row's memory),
+    projects every request's cross-attention K/V once and forwards BOS;
+    each step then forwards only the ``B*K`` beams' newest tokens through
+    KV caches.  Beam selection, trie masking, forced levels, narrowing and
+    the speculative window are the stepper's, as for the decoder-only
+    adapters.  Rankings match ``TIGER.recommend`` request-for-request,
+    including its widen-to-catalog retry and deterministic backfill.
 
-    No continuous batching: the encoder memory is a closed per-batch
-    rectangle, so admission would need memory joins — a future adapter
-    capability, which is exactly what the ``supports_continuous`` flag is
-    for.
+    No continuous batching yet: admission would have to join cross-attention
+    caches of different source widths.  ``precision`` governs the gathered
+    output head and the decoder's self-attention QKV GEMM.
     """
 
     name = "tiger"
@@ -806,18 +760,15 @@ class TIGEREngine(GenerativeEngine):
     ):
         # Lazy import keeps repro.serving importable without the baselines
         # package (and avoids an import cycle with baselines.tiger).
-        from ..baselines.generative import BOS_ID, PAD_ID
+        from ..baselines.generative import PAD_ID
 
         self.model = model
         self.trie = model.trie
         self.pad_id = PAD_ID
-        self.bos_id = BOS_ID
         self.default_beam_size = model.config.beam_size
         self.sparse_head = sparse_head
         # As in TrieDecoderEngine: speculation rides the sparse gathered
         # head, so the dense baseline always steps one level at a time.
-        # TIGER has no KV cache or fused QKV, so ``precision`` governs the
-        # gathered output-head GEMM only.
         self.spec_budget = int(spec_budget) if sparse_head else 0
         self.precision = validate_precision(precision)
         self.narrow = None
@@ -830,17 +781,13 @@ class TIGEREngine(GenerativeEngine):
     def num_items(self) -> int:
         return self.trie.num_items
 
-    def effective_beams(self, beam_size: int) -> int:
-        # A trie with uniform-depth leaves has at most num_items distinct
-        # prefixes at every level, so wider beams only add -inf fillers.
-        return min(beam_size, self.num_items)
-
     def replicate(self) -> "TIGEREngine":
         """A worker-private engine over a serving replica of the model.
 
-        TIGER keeps all its decode state per :class:`TIGERDecodeState`;
-        the only cross-decode mutable state is the model's gathered-head
-        memo, which the serving replica privatizes (weights stay shared).
+        All decode state lives in the :class:`repro.llm.DecodeState` of one
+        decode; the only cross-decode mutable state is the model's
+        gathered-head memo, which the serving replica privatizes (weights
+        stay shared).
         """
         clone = copy.copy(self)
         clone.model = self.model.serving_replica()
@@ -855,318 +802,31 @@ class TIGEREngine(GenerativeEngine):
     def encode_history(self, history: Sequence[int], template_id: int = 0) -> list[int]:
         if template_id != 0:
             raise ValueError("TIGER has a single prompt format (template_id 0)")
-        model = self.model
-        ids = model.space.history_ids(list(history)[-model.config.max_history :])
-        return ids[-model._max_src :]
+        return self.model.encode_history(list(history))
 
     # -- decode contract -----------------------------------------------
-    def prefill(self, requests: Sequence[RecommendRequest]) -> TIGERDecodeState:
+    # Own definitions, not a base shared with TrieDecoderEngine: the ledger's
+    # tracer patches both classes, and an inherited method is timed twice.
+    def prefill(self, requests: Sequence[RecommendRequest]) -> EngineState:
         requests = list(requests)
-        num_beams = _require_uniform_beams(self, requests)
-        for row, request in enumerate(requests):
-            if not request.prompt_ids:
-                raise ValueError(f"prompt {row} is empty: every request needs at least one token")
-        model = self.model
-        with no_grad():
-            source = pad_sequences(
-                [request.prompt_ids for request in requests],
-                pad_value=self.pad_id,
-                align="right",
-            )
-            memory, memory_mask = model.encode(source)
-            bos = np.full((len(requests), 1), self.bos_id, dtype=np.int64)
-            hidden = model.decode_hidden(memory, memory_mask, bos).data[:, -1, :]
-        if self.sparse_head:
-            root = self.trie.allowed_token_ids([()])
-            logits = model.head_gather(hidden, root.union, precision=self.precision)  # (B, U)
-            scores = masked_log_softmax(logits, root.mask)
-            # Candidate-aware top-k: rank the real union columns only and
-            # pad the leftover beam slots, rather than argpartitioning
-            # over -inf filler columns (bit-identical — fillers scored
-            # -inf and mapped to ``union[width - 1]`` anyway, and -inf
-            # ties order real columns before fillers either way).  A
-            # narrowed prefill ranks only the narrow trie's root
-            # candidates (renormalisation stays over the full root union).
-            if self.narrow is None:
-                selectable = None
-                width = root.num_candidates
-            else:
-                selectable = _narrow_positions(root.union, self.narrow.allowed_tokens(()))
-                scores = scores[:, selectable]
-                width = int(selectable.size)
-            order, top_scores = topk_desc(scores, min(num_beams, width))
-            if num_beams > width:
-                rows = scores.shape[0]
-                pad_order = np.full((rows, num_beams - width), width - 1, dtype=order.dtype)
-                pad_scores = np.full((rows, num_beams - width), -np.inf, dtype=top_scores.dtype)
-                order = np.concatenate([order, pad_order], axis=1)
-                top_scores = np.concatenate([top_scores, pad_scores], axis=1)
-            if selectable is not None:
-                order = selectable[order]
-            order = root.union[order]
-        else:
-            logits = model.head_logits(hidden)  # (B, V)
-            scores = masked_log_softmax(
-                logits, self.trie.root_token_mask(logits.shape[-1])
-            )
-            if self.narrow is not None:
-                scores = np.where(
-                    self.narrow.root_token_mask(logits.shape[-1]), scores, -np.inf
-                )
-            if num_beams > scores.shape[1]:
-                # The beam can be wider than the vocabulary: pad with -inf
-                # filler columns so every row still carries num_beams slots.
-                filler = np.full((scores.shape[0], num_beams - scores.shape[1]), -np.inf)
-                scores = np.concatenate([scores, filler], axis=1)
-            order, top_scores = topk_desc(scores, num_beams)
-        # Filler beams (-inf) may carry arbitrary slot indices; clamp them
-        # to the pad token so later decoder forwards can embed them (their
-        # candidates stay -inf: a pad prefix is never in the trie, so the
-        # constraint never resurrects them).
-        order = np.where(np.isfinite(top_scores), order, self.pad_id)
-        return TIGERDecodeState(
-            memory=memory,
-            memory_mask=memory_mask,
-            beam_tokens=[[(int(token),) for token in row] for row in order],
-            beam_scores=top_scores.astype(np.float64),
-            num_beams=num_beams,
-            num_levels=self.num_levels,
+        return decode_prefill(
+            self.model,
+            [request.prompt_ids for request in requests],
+            self.trie,
+            beam_size=_require_uniform_beams(self, requests),
+            pad_id=self.pad_id,
             tags=requests,
-            forwards=2,  # the encoder pass + the BOS decoder pass
+            sparse=self.sparse_head,
+            narrow=self.narrow,
+            spec_budget=self.spec_budget,
+            precision=self.precision,
         )
 
-    def step(self, state: TIGERDecodeState) -> None:
-        if state.num_rows == 0:
-            raise RuntimeError("cannot step an empty decode state")
-        if state.finished_rows():
-            raise RuntimeError("retire finished rows before stepping")
-        model = self.model
-        num_requests, num_beams = state.num_rows, state.num_beams
-        prefixes = [prefix for row in state.beam_tokens for prefix in row]
-        candidates_info = self.trie.allowed_token_ids(prefixes) if self.sparse_head else None
-        if self.sparse_head:
-            alive = np.isfinite(state.beam_scores).reshape(-1)
-            if candidates_info.is_forced(alive):
-                # Forced level: a singleton allowed set renormalises to
-                # log-probability 0.0, so append with no decoder forward
-                # at all (TIGER re-decodes the full prefix each level —
-                # there is no KV cache to catch up later).
-                forced = candidates_info.forced_tokens(self.pad_id)
-                state.beam_tokens = [
-                    [
-                        prefix + (int(forced[b * num_beams + k]),)
-                        for k, prefix in enumerate(row)
-                    ]
-                    for b, row in enumerate(state.beam_tokens)
-                ]
-                return
-            levels = np.array([len(p) for p in prefixes], dtype=np.int64)
-            if self.spec_budget > 1 and _speculative_window_open(
-                self.trie, self.spec_budget, levels, candidates_info, alive, prefixes
-            ):
-                self._speculative_step(state, candidates_info, alive, prefixes)
-                return
-        decoder_input = np.array(
-            [(self.bos_id,) + prefix for prefix in prefixes], dtype=np.int64
-        )  # (B*K, level+1)
-        with no_grad():
-            if state.memory_flat is None:
-                state.memory_flat = Tensor(np.repeat(state.memory.data, num_beams, axis=0))
-                state.memory_mask_flat = np.repeat(state.memory_mask, num_beams, axis=0)
-            hidden = model.decode_hidden(
-                state.memory_flat, state.memory_mask_flat, decoder_input
-            ).data[:, -1, :]
-            state.forwards += 1
-        if self.sparse_head:
-            if self.narrow is None:
-                union = candidates_info.union
-                width = candidates_info.num_candidates
-                logits = model.head_gather(hidden, union, precision=self.precision)
-                step_logp = masked_log_softmax(logits, candidates_info.mask)
-            else:
-                union, norm_mask, keep = _narrowed_step_candidates(
-                    candidates_info, self.narrow, prefixes, alive
-                )
-                width = int(union.shape[0])
-                logits = model.head_gather(hidden, union, precision=self.precision)
-                step_logp = np.where(keep, masked_log_softmax(logits, norm_mask), -np.inf)
-        else:
-            union = None
-            logits = model.head_logits(hidden)  # (B*K, V)
-            width = logits.shape[-1]
-            mask = self.trie.allowed_token_mask(prefixes, width)
-            step_logp = masked_log_softmax(logits, mask)
-            if self.narrow is not None:
-                keep = self.narrow.allowed_token_mask(prefixes, width)
-                step_logp = np.where(keep, step_logp, -np.inf)
-        origin, token, state.beam_scores = select_beams(
-            step_logp, state.beam_scores, num_beams, width, union
-        )
-        state.beam_tokens = [
-            [
-                state.beam_tokens[b][int(origin[b, k])] + (int(token[b, k]),)
-                for k in range(num_beams)
-            ]
-            for b in range(num_requests)
-        ]
+    def step(self, state: EngineState) -> None:
+        decode_step(state)
 
-    def _speculative_step(
-        self,
-        state: TIGERDecodeState,
-        candidates_info,
-        alive: np.ndarray,
-        prefixes: list[tuple[int, ...]],
-    ) -> None:
-        """Advance two trie levels with a single decoder forward.
-
-        The encoder-decoder shape of the :class:`DecodeState` stepper's
-        speculative step (see ``repro.llm.generation``): TIGER re-decodes
-        every hypothesis's full prefix each level and keeps no KV cache,
-        so instead of sibling columns inside one sequence, each beam's
-        level-``i`` candidates become ``n_max`` *rows* — uniform-length
-        sequences ``(BOS,) + prefix + (candidate,)`` against ``n_max``
-        repeats of the beam's encoder memory.  Causality makes position
-        ``-2`` of every sibling row identical (it never sees the
-        candidate), so the first sibling's ``-2`` hidden state is the
-        level-``i`` head input and each row's ``-1`` hidden state is its
-        candidate's level-``i+1`` input.  One gathered-head GEMM over the
-        two levels' union scores both selection passes; rankings match
-        two sequential steps exactly (same hidden states, same
-        constrained log-softmax, same ``select_beams``).
-        """
-        model = self.model
-        trie = self.trie
-        num_requests, num_beams = state.num_rows, state.num_beams
-        level = len(prefixes[0])
-        per_row = candidates_info.per_row
-        flat_rows = len(prefixes)
-        n_max = max(ids.size for ids in per_row)
-
-        cand_tokens = np.full((flat_rows, n_max), self.pad_id, dtype=np.int64)
-        for row, ids in enumerate(per_row):
-            if ids.size:
-                cand_tokens[row, : ids.size] = ids
-        # (flat_rows * n_max, level + 2): every sibling row is the beam's
-        # BOS-prefixed prefix plus one candidate.
-        base_input = np.array(
-            [(self.bos_id,) + prefix for prefix in prefixes], dtype=np.int64
-        )
-        decoder_input = np.concatenate(
-            [
-                np.repeat(base_input, n_max, axis=0),
-                cand_tokens.reshape(-1, 1),
-            ],
-            axis=1,
-        )
-        with no_grad():
-            if state.memory_flat is None:
-                state.memory_flat = Tensor(np.repeat(state.memory.data, num_beams, axis=0))
-                state.memory_mask_flat = np.repeat(state.memory_mask, num_beams, axis=0)
-            memory_spec = Tensor(np.repeat(state.memory_flat.data, n_max, axis=0))
-            memory_mask_spec = np.repeat(state.memory_mask_flat, n_max, axis=0)
-            hidden = model.decode_hidden(memory_spec, memory_mask_spec, decoder_input).data
-            state.forwards += 1
-        dim = hidden.shape[-1]
-        hidden = hidden.reshape(flat_rows, n_max, level + 2, dim)
-        # Level-i head input (position -2, identical across siblings) then
-        # each sibling's level-i+1 input (position -1): (flat, 1+n_max, dim).
-        head_in = np.concatenate([hidden[:, :1, -2, :], hidden[:, :, -1, :]], axis=1)
-        pair_union = trie.union_for_levels((level, level + 1))
-        logits_all = model.head_gather(
-            head_in.reshape(-1, dim), pair_union, precision=self.precision
-        ).reshape(flat_rows, 1 + n_max, pair_union.shape[0])
-
-        # --- Level-i selection (identical to a sequential step's) ---
-        if self.narrow is None:
-            union0 = candidates_info.union
-            width0 = candidates_info.num_candidates
-            logits0 = logits_all[:, 0, np.searchsorted(pair_union, union0)]
-            step_logp0 = masked_log_softmax(logits0, candidates_info.mask)
-        else:
-            union0, norm_mask0, keep0 = _narrowed_step_candidates(
-                candidates_info, self.narrow, prefixes, alive
-            )
-            width0 = int(union0.shape[0])
-            logits0 = logits_all[:, 0, np.searchsorted(pair_union, union0)]
-            step_logp0 = np.where(keep0, masked_log_softmax(logits0, norm_mask0), -np.inf)
-        origin1, token1, mid_scores = select_beams(
-            step_logp0, state.beam_scores, num_beams, width0, union0
-        )
-        mid_tokens = [
-            [
-                state.beam_tokens[b][int(origin1[b, k])] + (int(token1[b, k]),)
-                for k in range(num_beams)
-            ]
-            for b in range(num_requests)
-        ]
-        flat_origin1 = (np.arange(num_requests)[:, None] * num_beams + origin1).reshape(-1)
-        # Which sibling row each committed beam corresponds to; dead
-        # (-inf) beams clamp into range, harmlessly (never revived).
-        token1_flat = token1.reshape(-1)
-        chosen = np.zeros(flat_rows, dtype=np.int64)
-        for i, src in enumerate(flat_origin1):
-            ids = per_row[int(src)]
-            if ids.size:
-                chosen[i] = min(int(np.searchsorted(ids, token1_flat[i])), ids.size - 1)
-
-        # --- Level-i+1 selection from the committed siblings' logits ---
-        new_prefixes = [prefix for row in mid_tokens for prefix in row]
-        mid_alive = np.isfinite(mid_scores).reshape(-1)
-        candidates_next = trie.allowed_token_ids(new_prefixes)
-        row_logits = logits_all[flat_origin1, 1 + chosen]  # (flat_rows, |pair|)
-        if self.narrow is None:
-            union1 = candidates_next.union
-            width1 = candidates_next.num_candidates
-            logits1 = row_logits[:, np.searchsorted(pair_union, union1)]
-            step_logp1 = masked_log_softmax(logits1, candidates_next.mask)
-        else:
-            union1, norm_mask1, keep1 = _narrowed_step_candidates(
-                candidates_next, self.narrow, new_prefixes, mid_alive
-            )
-            width1 = int(union1.shape[0])
-            logits1 = row_logits[:, np.searchsorted(pair_union, union1)]
-            step_logp1 = np.where(keep1, masked_log_softmax(logits1, norm_mask1), -np.inf)
-        origin2, token2, state.beam_scores = select_beams(
-            step_logp1, mid_scores, num_beams, width1, union1
-        )
-        state.beam_tokens = [
-            [
-                mid_tokens[b][int(origin2[b, k])] + (int(token2[b, k]),)
-                for k in range(num_beams)
-            ]
-            for b in range(num_requests)
-        ]
-
-    def retire(
-        self, state: TIGERDecodeState, rows: Sequence[int]
-    ) -> list[list[BeamHypothesis]]:
-        rows = [int(row) for row in rows]
-        if len(set(rows)) != len(rows):
-            raise ValueError("duplicate rows in retirement")
-        results: list[list[BeamHypothesis]] = []
-        for row in rows:
-            if not 0 <= row < state.num_rows:
-                raise IndexError(f"row {row} out of range for {state.num_rows} rows")
-            if len(state.beam_tokens[row][0]) != state.num_levels:
-                raise ValueError(f"row {row} has not reached the final trie level")
-            hypotheses = [
-                BeamHypothesis(prefix, float(score), self.trie.item_at(prefix))
-                for prefix, score in zip(state.beam_tokens[row], state.beam_scores[row])
-                if np.isfinite(score)
-            ]
-            hypotheses.sort(key=lambda h: -h.score)
-            results.append(hypotheses)
-        if rows:
-            retired = set(rows)
-            keep = [b for b in range(state.num_rows) if b not in retired]
-            state.memory = Tensor(state.memory.data[keep])
-            state.memory_mask = state.memory_mask[keep]
-            state.memory_flat = None
-            state.memory_mask_flat = None
-            state.beam_tokens = [state.beam_tokens[b] for b in keep]
-            state.beam_scores = state.beam_scores[keep]
-            state.tags = [state.tags[b] for b in keep]
-        return results
+    def retire(self, state: EngineState, rows: Sequence[int]) -> list[list[BeamHypothesis]]:
+        return decode_retire(state, rows)
 
     def finalize(self, requests, all_hypotheses) -> list[list[int]]:
         return widen_and_backfill(self, requests, all_hypotheses)

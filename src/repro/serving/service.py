@@ -43,6 +43,7 @@ callers); handles are safe to share between threads.
 
 from __future__ import annotations
 
+import ctypes
 import threading
 import time
 from dataclasses import dataclass
@@ -259,6 +260,21 @@ class ServingStats:
         }
 
 
+def _release_freed_heap() -> None:
+    """Return freed heap pages to the OS before a decode thread starts.
+
+    A thread allocates from its own malloc arena, so what a model build
+    freed on the starting thread is memory the decode thread never reuses,
+    and glibc by itself trims only the top of that heap: ≈ 25 MB stayed
+    resident on the serving ledger or not, as the heap's layout fell out.
+    Other C libraries lack the symbol.
+    """
+    try:
+        ctypes.CDLL(None).malloc_trim(0)
+    except (AttributeError, OSError):
+        pass
+
+
 class RecommendationService(RecommendationClient):
     """Micro-batched recommendation serving over a :class:`GenerativeEngine`.
 
@@ -434,6 +450,7 @@ class RecommendationService(RecommendationClient):
             if self._worker is not None:
                 raise RuntimeError("service is already running")
             self._stop.clear()
+            _release_freed_heap()
             target = self._continuous_loop if self.mode == "continuous" else self._flush_loop
             self._worker = threading.Thread(target=target, name="serving-flush", daemon=True)
             self._worker.start()

@@ -9,12 +9,20 @@ flushes, speculative windows — is checked here against an *uncached,
 unpadded, per-sequence* autograd forward.  Also pinned: ``last_only`` is
 exact (same last position, bit-identical K/V), the fused gate|up memo
 never serves stale weights, and the step workspace neither grows at a
-fixed row count nor outlives its rows.
+fixed row count nor outlives its rows.  ``TIGER.encode`` /
+``TIGER.decode_hidden`` take the same kernel (encoder-decoder stack) under
+the same rule and are held to the same tolerances against their autograd
+layers, with the extra contract that cross-attention K/V are projected
+once per request and never copied afterwards.
 """
 
 import numpy as np
 import pytest
 
+from repro.baselines import TIGER, TIGERConfig
+from repro.baselines.generative import BOS_ID, PAD_ID
+from repro.core.indexer import build_random_index_set
+from repro.data.batching import pad_sequences
 from repro.llm import (
     LMConfig,
     TinyLlama,
@@ -213,6 +221,207 @@ class TestAgainstAutograd:
                                       attn_mask=causal_mask(1, 3, offset=2), cache=cache)
 
 
+def make_tiger(seed=4, **overrides):
+    """Untrained but not degenerate: norms and biases are perturbed off 1 / 0."""
+    index_set = build_random_index_set(40, 4, 6, np.random.default_rng(seed))
+    config = dict(dim=32, num_heads=4, max_history=4, seed=seed)
+    config.update(overrides)
+    model = TIGER(index_set, TIGERConfig(**config))
+    rng = np.random.default_rng(seed + 1)
+    for name, param in model.named_parameters():
+        if param.data.ndim == 1:
+            param.data += (rng.standard_normal(param.shape) * 0.1).astype(np.float32)
+    model.eval()
+    return model
+
+
+SOURCES = [[5, 9, 14, 20, 6, 11, 13, 22], [7, 10, 16, 25],
+           [4, 12, 17, 23, 8, 9, 15, 21, 3, 10, 18, 26]]
+
+
+def pad_sources(sources):
+    return pad_sequences(sources, pad_value=PAD_ID, align="right")
+
+
+class TestEncoderDecoder:
+    """TIGER on the kernel: same weights, same function as its autograd layers."""
+
+    def prefill(self, model, sources=SOURCES, **kwargs):
+        """Kernel encode + BOS step; returns (memory, mask, caches, BOS hidden)."""
+        with no_grad():
+            memory, mask = model.encode(pad_sources(sources))
+            caches = model.new_beam_caches()
+            bos = np.full((len(sources), 1), BOS_ID, dtype=np.int64)
+            hidden = model.decode_hidden(memory, mask, bos, caches=caches, **kwargs).data
+        return memory, mask, caches, hidden
+
+    def reference(self, model, memory, mask, row, tokens):
+        """Uncached autograd decoder over ``BOS + tokens`` of one source row."""
+        hidden = model.decode_hidden(Tensor(memory.data[row:row + 1]), mask[row:row + 1],
+                                     np.array([[BOS_ID] + list(tokens)], dtype=np.int64))
+        assert hidden.requires_grad  # the Tensor graph, grad on
+        return hidden.data[0]
+
+    @staticmethod
+    def fan_out(caches, beams):
+        for cache in caches:
+            cache.fan_out(beams, suffix_length=3)
+
+    def step(self, model, caches, tokens, **kwargs):
+        with no_grad():
+            return model.hidden_states(np.asarray(tokens, dtype=np.int64), caches=caches,
+                                       **kwargs).data
+
+    def test_encode_matches_autograd_on_real_positions(self):
+        model = make_tiger()
+        source = pad_sources(SOURCES)
+        expected, expected_mask = model.encode(source)
+        assert expected.requires_grad
+        with no_grad():
+            got, mask = model.encode(source)
+        assert not got.requires_grad
+        np.testing.assert_array_equal(mask, expected_mask)
+        real = source != PAD_ID
+        assert not real.all()  # ragged: the pad bias is exercised
+        assert_close(got.data[real], expected.data[real])
+
+    @pytest.mark.parametrize("sources", [SOURCES, SOURCES[:1]], ids=["ragged", "single"])
+    def test_bos_step_over_a_padded_source_batch(self, sources):
+        model = make_tiger()
+        memory, mask, caches, hidden = self.prefill(model, sources)
+        assert all((cache.memory_bias is None) == (len(sources) == 1) for cache in caches)
+        for row in range(len(sources)):
+            assert_close(hidden[row], self.reference(model, memory, mask, row, []))
+
+    @pytest.mark.parametrize("workspace", [None, "shared"])
+    def test_fanned_steps_reorder_and_forced_flush(self, workspace):
+        # Three requests x two beams: a T=1 step, a within-request shuffle,
+        # then a T=2 forced-token flush; every flat row against the whole
+        # sequence its lineage spells.  The cross K/V never move.
+        model = make_tiger()
+        workspace = StepWorkspace() if workspace else None
+        memory, mask, caches, _ = self.prefill(model, workspace=workspace)
+        beams = 2
+        self.fan_out(caches, beams)
+        cross_kv = [(cache.memory.prompt.keys, cache.memory.prompt.values) for cache in caches]
+        lineage = [[] for _ in range(len(SOURCES) * beams)]
+
+        def check_cross_untouched():
+            for cache, (keys, values) in zip(caches, cross_kv):
+                memory = cache.memory
+                assert memory.prompt.keys is keys and memory.prompt.values is values
+                assert memory.beams == beams and memory.suffix.length == 0
+
+        step1 = np.array([[5], [6], [7], [8], [5], [7]])
+        got = self.step(model, caches, step1, workspace=workspace, last_only=True)
+        for row in range(len(lineage)):
+            lineage[row] = lineage[row] + [int(step1[row, 0])]
+            assert_close(got[row, 0], self.reference(model, memory, mask, row // beams,
+                                                     lineage[row])[-1])
+        check_cross_untouched()
+
+        origin = np.array([1, 1, 2, 3, 5, 4])
+        for cache in caches:
+            cache.reorder(origin)
+        lineage = [lineage[src] for src in origin]
+        check_cross_untouched()
+
+        step2 = np.array([[9, 15], [10, 16], [11, 17], [12, 18], [13, 19], [14, 20]])
+        got = self.step(model, caches, step2, workspace=workspace)
+        for row in range(len(lineage)):
+            lineage[row] = lineage[row] + [int(t) for t in step2[row]]
+            assert_close(got[row], self.reference(model, memory, mask, row // beams,
+                                                  lineage[row])[-2:])
+        check_cross_untouched()
+
+    def test_speculative_window(self):
+        # One pending token plus three tree-masked sibling candidates, all
+        # at the same learned position, in one forward.
+        model = make_tiger()
+        memory, mask, caches, _ = self.prefill(model)
+        beams = 2
+        self.fan_out(caches, beams)
+        pending = np.array([[5], [6], [7], [8], [5], [7]])
+        candidates = 9 + np.arange(18).reshape(6, 3) % 6
+        m, n = pending.shape[1], candidates.shape[1]
+        key_len = caches[0].length + m + n
+        offset = key_len - (m + n)
+        extra = np.zeros((m + n, key_len), dtype=bool)
+        extra[m:, offset + m:] = True
+        extra[m + np.arange(n), offset + m + np.arange(n)] = False
+        deltas = np.concatenate([np.arange(m), np.full(n, m)])
+        got = self.step(model, caches, np.concatenate([pending, candidates], axis=1),
+                        extra_mask=extra, position_deltas=deltas)
+        for row in range(len(pending)):
+            base = [int(pending[row, 0])]
+            assert_close(got[row, 0], self.reference(model, memory, mask, row // beams, base)[-1])
+            for column in range(n):
+                sequence = base + [int(candidates[row, column])]
+                assert_close(got[row, m + column],
+                             self.reference(model, memory, mask, row // beams, sequence)[-1])
+        # Committing one sibling per beam leaves the cross side alone.
+        keys = [cache.memory.prompt.keys for cache in caches]
+        for cache in caches:
+            cache.gather_columns(np.array([[0, 2]] * 6))
+        assert all(cache.memory.prompt.keys is held for cache, held in zip(caches, keys))
+        assert caches[0].suffix.length == 2
+
+    def test_workspace_changes_nothing(self):
+        model = make_tiger()
+        outputs = []
+        for workspace in (None, StepWorkspace()):
+            *_, caches, hidden = self.prefill(model, workspace=workspace)
+            self.fan_out(caches, 2)
+            step = self.step(model, caches, [[5], [6], [7], [8], [5], [7]], workspace=workspace)
+            outputs.append((hidden, step))
+        np.testing.assert_array_equal(outputs[0][0], outputs[1][0])
+        np.testing.assert_array_equal(outputs[0][1], outputs[1][1])
+
+    def test_retiring_rows_releases_both_sides(self):
+        model = make_tiger()
+        *_, caches, _ = self.prefill(model)
+        self.fan_out(caches, 2)
+        self.step(model, caches, [[5], [6], [7], [8], [5], [7]])
+        for cache in caches:
+            cache.select_requests(np.array([2]))
+            assert (cache.batch_size, cache.memory.prompt.batch_size) == (2, 1)
+            assert cache.memory_bias.shape[1] == 1
+            cache.select_requests(np.array([], dtype=np.int64))
+            assert cache.prompt.batch_size == cache.memory.prompt.batch_size == 0
+            with pytest.raises(NotImplementedError, match="source widths"):
+                cache.join(cache)
+
+    def test_empty_suffix_beam_ops_are_no_ops(self):
+        # What the cross side is, in isolation: fanned, never appended to.
+        cache = BeamKVCache()
+        block = np.ones((2, 4, 5, 8), dtype=np.float32)
+        cache.seed_prompt(block, block.copy())
+        cache.fan_out(3)
+        keys = cache.prompt.keys
+        cache.reorder(np.array([2, 0, 0, 4, 3, 3]))
+        cache.gather_columns(np.zeros((6, 1), dtype=np.int64))
+        assert cache.prompt.keys is keys and cache.suffix.length == 0
+
+    def test_grad_on_or_no_caches_stays_on_the_tensor_graph(self, monkeypatch):
+        model = make_tiger()
+        memory, mask, caches, _ = self.prefill(model)
+        with pytest.raises(RuntimeError, match="inference-only"):
+            model.decode_hidden(memory, mask, np.array([[BOS_ID]] * 3), caches=caches)
+        with no_grad():  # the oracle's decoder: no caches, so no kernel
+            uncached = model.decode_hidden(memory, mask, np.array([[BOS_ID, 5]] * 3))
+        assert_close(uncached.data[0], self.reference(model, memory, mask, 0, [5]))
+
+        # Training never reaches the kernel.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the inference kernel ran with grad on")
+
+        monkeypatch.setattr("repro.baselines.tiger.layer_stack_hidden_states", forbidden)
+        model.train()
+        logits = model(pad_sources(SOURCES), np.array([[BOS_ID, 5, 9]] * 3))
+        logits.sum().backward()
+        assert all(param.grad is not None for param in model.parameters())
+
+
 class TestLastOnly:
     def run_prefill(self, model, last_only):
         tokens, pads = left_pad_prompts(PROMPTS)
@@ -347,6 +556,26 @@ class TestFusedGateUpMemo:
         attention, ffn = model.blocks[0].attention, model.blocks[0].feed_forward
         assert attention.fused_qkv_weight() is attention.fused_qkv_weight()
         assert ffn.fused_gate_up_weight() is ffn.fused_gate_up_weight()
+
+    def test_tiger_fit_leaves_the_memos_live(self, tiny_dataset):
+        # Same for TIGER.fit: the gathered head rows, the decoder's fused
+        # QKV and the cross-attention's fused k|v are built on the first
+        # forward after training and served from the memo on the second.
+        index_set = build_random_index_set(tiny_dataset.num_items, 3, 8,
+                                           np.random.default_rng(0))
+        model = TIGER(index_set, TIGERConfig(epochs=1, dim=16, seed=2))
+        model.fit(tiny_dataset)
+        assert all(param.grad is None for param in model.parameters())
+        histories = [list(h) for h in tiny_dataset.split.test_histories[:3]]
+        model.recommend_many(histories, top_k=3)
+        layer = model.decoder_layers[0]
+        fused = [layer.self_attn.fused_qkv_weight(), layer.cross_attn.fused_qkv_weight()]
+        gathered = dict(model._head_gather_cache._entries)
+        assert gathered  # a WeightMemo never stores while a grad is attached
+        model.recommend_many(histories, top_k=3)
+        assert layer.self_attn.fused_qkv_weight() is fused[0]
+        assert layer.cross_attn.fused_qkv_weight() is fused[1]
+        assert model._head_gather_cache._entries == gathered
 
 
 class TestWorkspaceHygiene:

@@ -195,6 +195,24 @@ class TestAsyncService:
         with pytest.raises(RuntimeError):
             service.start()
 
+    def test_start_releases_freed_heap_where_the_c_library_can(self, service, monkeypatch):
+        """start() hands free heap pages back (glibc) and shrugs elsewhere."""
+        import repro.serving.service as service_module
+
+        calls = []
+
+        class Libc:
+            def malloc_trim(self, pad):
+                calls.append(pad)
+
+        monkeypatch.setattr(service_module.ctypes, "CDLL", lambda name: Libc())
+        service.start()
+        service.stop()
+        assert calls == [0]
+        monkeypatch.setattr(service_module.ctypes, "CDLL", lambda name: object())  # no symbol
+        service.start()
+        assert service.is_running
+
     def test_stop_idempotent_and_restartable(self, service, tiny_dataset):
         service.start()
         service.stop()

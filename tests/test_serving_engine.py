@@ -10,6 +10,10 @@ Acceptance contracts pinned here:
 * TIGER rankings through ``TIGEREngine`` are identical to the
   ``TIGER.recommend`` single loop for B ∈ {1, 4, 16}, including the
   widen-to-catalog retry, top-k backfill, and single-item tries;
+* TIGER decodes on the *shared* stepper (``repro.llm.decode_*`` over an
+  encoder-decoder scorer): forced middle levels catch the KV cache up
+  through ``pending``, retirement releases both cache sides and the step
+  scratch, and none of it changes a ranking;
 * the pre-PR-4 ``RecommendationService(model)`` shim is gone: a bare
   model raises ``TypeError`` naming ``LCRecEngine(model)`` as the fix.
 """
@@ -20,6 +24,7 @@ import pytest
 from repro.baselines import P5CID, P5CIDConfig, TIGER, TIGERConfig
 from repro.core.indexer import build_random_index_set
 from repro.llm import DecodeState, beam_search_items_single, ranked_item_ids
+from repro.quantization import ItemIndexSet
 from repro.serving import (
     EngineState,
     GenerativeEngine,
@@ -263,6 +268,151 @@ class TestTIGEREngine:
             service.submit_instruction("free text has no meaning here")
         with pytest.raises(NotImplementedError):
             service.submit_intention("nor do intention queries")
+
+
+def mixed_fanout_index_set():
+    """18 items, 4 levels: the second level is forced under two of the three
+    first codes and a real choice under the third, so whether a decode skips
+    that forward depends on which beams are alive."""
+    codes = [(0, 0, c, d) for c in range(3) for d in range(2)]
+    codes += [(1, 1, c, d) for c in range(2) for d in range(3)]
+    codes += [(2, b, c, 0) for b in range(3) for c in range(2)]
+    return ItemIndexSet(np.array(codes), [3, 3, 3, 3])
+
+
+class TestTIGEROnTheSharedStepper:
+    """What the private TIGER stepper never had: KV caches and ``pending``."""
+
+    @pytest.fixture(scope="class")
+    def tiger(self):
+        model = TIGER(mixed_fanout_index_set(),
+                      TIGERConfig(dim=16, max_history=3, beam_size=2, seed=1))
+        rng = np.random.default_rng(7)
+        for param in model.parameters():  # untrained, but no two rows tie
+            param.data += (rng.standard_normal(param.shape) * 0.3).astype(np.float32)
+        model.eval()
+        return model
+
+    @pytest.fixture(scope="class")
+    def histories(self, tiger):
+        rng = np.random.default_rng(3)
+        return [list(rng.integers(0, tiger.trie.num_items, size=rng.integers(1, 5)))
+                for _ in range(12)]
+
+    @staticmethod
+    def drive(engine, histories, top_k, beam_size):
+        """Prefill + step to depth; returns (state, requests, pending width of each forward)."""
+        requests = [RecommendRequest(prompt_ids=engine.encode_history(h), top_k=top_k,
+                                     beam_size=beam_size) for h in histories]
+        state = engine.prefill(requests)
+        assert isinstance(state, DecodeState) and state.model is engine.model
+        widths = []
+        while not state.done:
+            before, width = state.forwards, state.pending.shape[1]
+            engine.step(state)
+            if state.forwards > before:
+                widths.append(width)
+        return state, requests, widths
+
+    @pytest.mark.parametrize("candidates, widths", [
+        (range(18), [1, 1, 1]),  # a free first code alive: one token per forward
+        (range(12), [2, 1]),  # level 1 forced: level 2 forwards both pending tokens
+        (range(12, 18), [1, 1]),  # level 3 forced: its token is never forwarded
+    ], ids=["free", "forced-middle", "forced-last"])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_forced_levels_catch_up_through_pending(self, tiger, histories, candidates,
+                                                    widths, batch):
+        # Which levels are forced depends on which beams are alive, which
+        # narrowing controls; beams as wide as the candidate set keep the
+        # decode exhaustive, so the exhaustive oracle ranking is the target.
+        candidates = list(candidates)
+        engine = TIGEREngine(tiger, spec_budget=0).narrowed(candidates)
+        state, requests, seen = self.drive(engine, histories[:batch], top_k=len(candidates),
+                                           beam_size=len(candidates))
+        assert seen == widths
+        assert state.forwards == 2 + len(widths)  # encoder + BOS + the unforced levels
+        ranked = engine.finalize(requests, engine.finish(state))
+        full = [tiger.recommend(h, top_k=tiger.trie.num_items) for h in histories[:batch]]
+        assert ranked == [[item for item in ranking if item in candidates] for ranking in full]
+
+    @pytest.mark.parametrize("batch", [1, 4, 12])
+    @pytest.mark.parametrize("kwargs", [{}, {"spec_budget": 0}, {"sparse_head": False}],
+                             ids=["default", "sequential", "dense"])
+    def test_matches_single_loop(self, tiger, histories, batch, kwargs):
+        engine = TIGEREngine(tiger, **kwargs)
+        num_items = tiger.trie.num_items
+        for top_k in (2, 5, num_items + 3):  # the last: beams wider than the catalog
+            got = engine.recommend_many(histories[:batch], top_k=top_k)
+            assert got == [tiger.recommend(h, top_k=top_k) for h in histories[:batch]]
+
+    def test_narrowed_matches_full_decode_restricted(self, tiger, histories):
+        engine = TIGEREngine(tiger)
+        num_items = tiger.trie.num_items
+        full = engine.recommend_many(histories, top_k=num_items)
+        for candidates in ([0, 1, 7, 8], [3, 12, 13, 17], list(range(0, num_items, 2))):
+            expected = [[item for item in ranking if item in candidates] for ranking in full]
+            for sparse in (True, False):
+                narrowed = TIGEREngine(tiger, sparse_head=sparse).narrowed(candidates)
+                assert narrowed.recommend_many(histories, top_k=len(candidates)) == expected
+
+    def test_widen_to_catalog_retry(self, tiger, histories):
+        # A beam narrower than top_k comes up short; finalize re-decodes the
+        # short rows at catalog width, which is the exhaustive ranking.
+        engine = TIGEREngine(tiger)
+        num_items = tiger.trie.num_items
+        state, requests, _ = self.drive(engine, histories[:4], top_k=5, beam_size=1)
+        hypotheses = engine.finish(state)
+        assert all(len(row) == 1 for row in hypotheses)
+        ranked = engine.finalize(requests, hypotheses)
+        assert ranked == [tiger.recommend(h, top_k=num_items)[:5] for h in histories[:4]]
+
+    def test_retiring_a_subset_leaves_the_rest_untouched(self, tiger, histories):
+        engine = TIGEREngine(tiger)
+        state, _, _ = self.drive(engine, histories[:5], top_k=3, beam_size=3)
+        rest = [1, 3]
+        held = [(list(state.beam_tokens[row]), state.beam_scores[row].copy()) for row in rest]
+        engine.retire(state, [0, 2, 4])
+        assert state.num_rows == 2
+        assert [cache.memory.prompt.batch_size for cache in state.caches] == [2, 2]
+        for row, (tokens, scores) in enumerate(held):
+            assert state.beam_tokens[row] == tokens
+            np.testing.assert_array_equal(state.beam_scores[row], scores)
+        alone, _, _ = self.drive(engine, [histories[row] for row in rest], top_k=3, beam_size=3)
+        for got, expected in zip(engine.finish(state), engine.finish(alone)):
+            assert [h.token_ids for h in got] == [h.token_ids for h in expected]
+            np.testing.assert_allclose([h.score for h in got], [h.score for h in expected],
+                                       rtol=1e-5, atol=1e-6)
+
+    def test_scratch_and_cache_rows_are_released(self, tiger, histories):
+        engine = TIGEREngine(tiger, spec_budget=0)
+        state, _, _ = self.drive(engine, histories[:3], top_k=3, beam_size=3)
+        workspace, caches = state.workspace, state.caches
+        assert workspace.nbytes > 0
+        engine.retire(state, [1])
+        assert workspace.nbytes == 0
+        engine.finish(state)
+        assert workspace.nbytes == 0
+        for cache in caches:
+            assert cache.prompt.batch_size == cache.memory.prompt.batch_size == 0
+            assert cache.memory_bias is None or cache.memory_bias.shape[1] == 0
+
+    def test_steps_at_a_fixed_row_count_allocate_nothing_new(self):
+        # Every prefix has two children: no forced level, so every step is
+        # the same (B*K, 1) forward and reuses the first step's scratch.
+        codes = np.array([(a, b, c, d) for a in range(2) for b in range(2)
+                          for c in range(2) for d in range(2)])
+        model = TIGER(ItemIndexSet(codes, [2, 2, 2, 2]), TIGERConfig(dim=16, max_history=3))
+        model.eval()
+        engine = TIGEREngine(model, spec_budget=0)
+        state = engine.prefill([RecommendRequest(prompt_ids=engine.encode_history([item]),
+                                                 top_k=4, beam_size=4) for item in (3, 9)])
+        assert state.workspace.num_buffers == 0  # prefill scratch left with the B-row shape
+        engine.step(state)
+        buffers, nbytes = state.workspace.num_buffers, state.workspace.nbytes
+        assert buffers > 0
+        while not state.done:
+            engine.step(state)
+            assert (state.workspace.num_buffers, state.workspace.nbytes) == (buffers, nbytes)
 
 
 class TestP5CIDEngine:
