@@ -6,12 +6,12 @@ open-loop Poisson workload (``SESSIONS`` users, each refreshing the same
 prompt ``REFRESH`` times — the traffic shape the affinity router exists
 for):
 
-1. **Routing matters.**  At equal fleet size, rendezvous affinity beats
-   random placement: refresh traffic lands on the worker whose prefix
-   K/V cache already holds that session's prompt, so the cache reuses
-   *long per-session* prefixes instead of just the short template head
-   shared by everyone.  The aggregate ``token_hit_rate`` and the served
-   req/s gap quantify it.
+1. **Routing matters.**  Rendezvous affinity lands refresh traffic on
+   the worker whose prefix K/V cache already holds that session's
+   prompt, so the cache reuses *long per-session* prefixes instead of
+   just the short template head shared by everyone.  The aggregate
+   ``token_hit_rate`` and ``affinity_hit_rate`` quantify it (the
+   comparable record is the ledger's ``session_cluster`` workload).
 2. **Scale-out, where the hardware allows it.**  Workers are decode
    threads; numpy's BLAS kernels drop the GIL, so on a multicore host
    the fleet's aggregate req/s scales with workers.  On a single-core
@@ -80,7 +80,6 @@ def run_fleet(
     traffic,
     gaps,
     num_workers,
-    routing="affinity",
     deadline_ms=None,
     max_backlog=None,
     burst=False,
@@ -105,7 +104,6 @@ def run_fleet(
         num_workers=num_workers,
         batcher=MicroBatcherConfig(max_batch_size=BATCH_WIDTH),
         deadline_ms=FLUSH_MS,
-        routing=routing,
         max_backlog=max_backlog,
     )
     outcomes = [None] * len(traffic)  # "shed" | ranking
@@ -155,7 +153,6 @@ def run_fleet(
     reused_tokens = sum(cache.stats.reused_tokens for cache in caches)
     return {
         "workers": num_workers,
-        "routing": routing,
         "rankings": outcomes,
         "served": len(served),
         "shed": len(traffic) - len(served),
@@ -213,10 +210,8 @@ def run_cluster_serving_table():
 
     run_fleet(engine_for, traffic[:BATCH_WIDTH], gaps[:BATCH_WIDTH], 1)  # warm
     sweep = [run_fleet(engine_for, traffic, gaps, workers) for workers in (1, 2, 4)]
-    random_fleet = run_fleet(engine_for, traffic, gaps, 4, routing="random")
     for result in sweep:
         assert result["rankings"] == reference, "fleet size changed rankings"
-    assert random_fleet["rankings"] == reference, "random routing changed rankings"
 
     # Overload segment: ~10x arrival rate, bounded backlogs, shed budgets.
     overload = run_fleet(
@@ -240,14 +235,13 @@ def run_cluster_serving_table():
 
     one, four = sweep[0], sweep[-1]
     scaling = four["requests_per_second"] / one["requests_per_second"]
-    routing_gain = four["requests_per_second"] / random_fleet["requests_per_second"]
     rows = [
         f"{'config':<26} {'req/s':>8} {'p50 ms':>8} {'p95 ms':>8} "
         f"{'tok hit':>8} {'shed':>6}",
     ]
     named = [
         (f"affinity x{r['workers']}", r) for r in sweep
-    ] + [("random x4", random_fleet), ("overload x4", overload), ("TIGER x4", tiger_fleet)]
+    ] + [("overload x4", overload), ("TIGER x4", tiger_fleet)]
     for name, r in named:
         rows.append(
             f"{name:<26} {r['requests_per_second']:>8.1f} {r['p50_ms']:>8.1f} "
@@ -258,9 +252,8 @@ def run_cluster_serving_table():
         f"workload: {SESSIONS} sessions x {REFRESH} refreshes, Poisson mean gap "
         f"{MEAN_GAP_MS:.1f} ms (overload: back-to-back burst), "
         f"width {BATCH_WIDTH}, {CACHE_ENTRIES}-entry K/V per worker, {cores} cores",
-        f"4-vs-1 worker scaling {scaling:.2f}x; affinity-vs-random routing "
-        f"{routing_gain:.2f}x req/s at 4 workers "
-        f"(affinity hit rate {four['affinity_hit_rate']:.2f} vs random placement)",
+        f"4-vs-1 worker scaling {scaling:.2f}x; affinity hit rate "
+        f"{four['affinity_hit_rate']:.2f} at 4 workers",
         f"overload: {overload['shed']}/{len(traffic)} shed "
         f"(front door + deadline), served p95 {overload['p95_ms']:.1f} ms vs "
         f"{four['p95_ms']:.1f} ms at moderate load",
@@ -296,7 +289,6 @@ def run_cluster_serving_table():
     )
     return {
         "sweep": sweep,
-        "random": random_fleet,
         "overload": overload,
         "tiger": tiger_fleet,
         "cores": cores,
@@ -305,30 +297,15 @@ def run_cluster_serving_table():
 
 def test_cluster_serving(benchmark):
     results = benchmark.pedantic(run_cluster_serving_table, rounds=1, iterations=1)
-    sweep, random_fleet = results["sweep"], results["random"]
-    overload, cores = results["overload"], results["cores"]
+    sweep, overload, cores = results["sweep"], results["overload"], results["cores"]
     four = sweep[-1]
     strict = bench_scale().name != "tiny"
 
-    # Affinity keeps keyed traffic on its rendezvous worker; random
-    # placement cannot (its per-session cache reuse collapses to the
-    # shared template head).
+    # Affinity keeps keyed traffic on its rendezvous worker: better than
+    # the 1/N a key-blind placement would manage.
     assert four["affinity_hit_rate"] > 1.0 / four["workers"], (
-        f"affinity hit rate {four['affinity_hit_rate']:.2f} no better than "
-        "random placement"
+        f"affinity hit rate {four['affinity_hit_rate']:.2f} no better than chance"
     )
-    if strict:
-        assert four["token_hit_rate"] > random_fleet["token_hit_rate"], (
-            "affinity routing did not improve prefix K/V token reuse: "
-            f"{four['token_hit_rate']:.2f} vs {random_fleet['token_hit_rate']:.2f}"
-        )
-        # req/s at moderate load is arrival-limited (open loop), so the
-        # routing win shows up in token reuse and tail latency; the
-        # throughput bar only guards against a real regression.
-        assert four["requests_per_second"] >= 0.9 * random_fleet["requests_per_second"], (
-            f"affinity req/s {four['requests_per_second']:.1f} fell behind "
-            f"random routing {random_fleet['requests_per_second']:.1f}"
-        )
 
     # Overload degrades by shedding, never by an unbounded latency cliff:
     # at ~10x the moderate arrival rate, load must actually shed and the

@@ -48,14 +48,8 @@ from ..tensor import (
     WeightMemo,
     causal_mask,
     clip_grad_norm,
-    fp16_activations,
-    fp16_weight,
-    int8_matmul,
     is_grad_enabled,
     no_grad,
-    precision_token,
-    quantize_weight_int8,
-    validate_precision,
 )
 from ..tensor import functional as F
 from ..utils.logging import get_logger
@@ -177,9 +171,6 @@ class TIGER(Module):
         caches: list[CrossBeamKVCache] | None = None,
         pad_columns: np.ndarray | None = None,
         workspace: StepWorkspace | None = None,
-        extra_mask: np.ndarray | None = None,
-        position_deltas: np.ndarray | None = None,
-        precision: str = "fp32",
         last_only: bool = False,
     ) -> Tensor:
         """Causal decoding with cross-attention; returns hidden states.
@@ -206,20 +197,11 @@ class TIGER(Module):
             if caches[0].memory.length == 0:
                 for layer, cache in zip(self.decoder_layers, caches):
                     cache.project_memory(layer.cross_attn, memory.data, memory_mask)
-            mask, offset = attention_geometry(
-                seq_len, caches[0].length, None, pad_columns, extra_mask, position_deltas
-            )
+            mask, offset = attention_geometry(seq_len, caches[0].length, None, pad_columns)
             x = self.token_embeddings.weight.data[decoder_input]
             x += self.decoder_positions.weight.data[absolute_positions(offset, seq_len)]
             hidden = layer_stack_hidden_states(
-                self.decoder_layers,
-                self.decoder_norm,
-                x,
-                caches,
-                mask,
-                workspace,
-                precision,
-                last_only,
+                self.decoder_layers, self.decoder_norm, x, caches, mask, workspace, last_only
             )
             return Tensor(hidden)
         positions = np.arange(seq_len)
@@ -241,9 +223,7 @@ class TIGER(Module):
         """Dense output head over already-computed hidden states ``(R, dim)``."""
         return np.matmul(hidden, self.token_embeddings.weight.data.T)
 
-    def head_gather(
-        self, hidden: np.ndarray, token_ids: np.ndarray, precision: str = "fp32"
-    ) -> np.ndarray:
+    def head_gather(self, hidden: np.ndarray, token_ids: np.ndarray) -> np.ndarray:
         """Logits for ``token_ids`` only: ``hidden @ W[token_ids].T``.
 
         The sparse counterpart of :meth:`head_logits` for trie-constrained
@@ -251,11 +231,7 @@ class TIGER(Module):
         the dense head performs, just restricted to the candidate union.
         The gathered rows are memoized against the candidate array's
         identity (the trie keeps one stable array per level); staleness
-        guards live in :class:`repro.tensor.WeightMemo`.  ``precision``
-        selects the GEMM kernel exactly as in
-        :meth:`repro.llm.TinyLlama.lm_head_gather`: quantized gathered
-        weights share the memo (keyed by the union's identity plus the
-        precision's interned sentinel) and its invalidation.
+        guards live in :class:`repro.tensor.WeightMemo`.
         """
         weight = self.token_embeddings.weight
         sub = self._head_gather_cache.get(
@@ -263,16 +239,7 @@ class TIGER(Module):
             (weight,),
             lambda: np.ascontiguousarray(weight.data[np.asarray(token_ids, dtype=np.int64)].T),
         )
-        if precision == "fp32":
-            return np.matmul(hidden, sub)
-        sources = (token_ids, weight.data, precision_token(precision))
-        if validate_precision(precision) == "fp16":
-            qsub = self._head_gather_cache.get(sources, (weight,), lambda: fp16_weight(sub))
-            return np.matmul(fp16_activations(hidden), qsub)
-        qsub = self._head_gather_cache.get(
-            sources, (weight,), lambda: quantize_weight_int8(sub)
-        )
-        return int8_matmul(hidden, qsub)
+        return np.matmul(hidden, sub)
 
     def forward(self, source: np.ndarray, decoder_input: np.ndarray) -> Tensor:
         memory, mask = self.encode(source)
@@ -294,7 +261,6 @@ class TIGER(Module):
         prompts: list[list[int]],
         caches: list[CrossBeamKVCache],
         workspace: StepWorkspace | None = None,
-        precision: str = "fp32",
     ) -> tuple[np.ndarray, np.ndarray, int]:
         """The prompt phase of a batched decode: encode, then forward BOS.
 
@@ -308,9 +274,7 @@ class TIGER(Module):
         source = pad_sequences(prompts, pad_value=PAD_ID, align="right")
         memory, memory_mask = self.encode(source)
         bos = np.full((len(prompts), 1), BOS_ID, dtype=np.int64)
-        hidden = self.decode_hidden(
-            memory, memory_mask, bos, caches=caches, workspace=workspace, precision=precision
-        )
+        hidden = self.decode_hidden(memory, memory_mask, bos, caches=caches, workspace=workspace)
         return hidden.data[:, -1, :], np.zeros((len(prompts), 1), dtype=bool), 2
 
     def hidden_states(self, tokens: np.ndarray, caches: list, **kwargs) -> Tensor:
@@ -318,10 +282,10 @@ class TIGER(Module):
         return self.decode_hidden(None, None, tokens, caches=caches, **kwargs)
 
     def lm_head_gather(
-        self, hidden: np.ndarray, token_ids: np.ndarray, workspace=None, precision: str = "fp32"
+        self, hidden: np.ndarray, token_ids: np.ndarray, workspace=None
     ) -> np.ndarray:
         """:meth:`head_gather` under the name the stepper calls (no scratch to reuse)."""
-        return self.head_gather(hidden, token_ids, precision=precision)
+        return self.head_gather(hidden, token_ids)
 
     # ------------------------------------------------------------------
     def fit(self, dataset: SequentialDataset) -> list[float]:

@@ -214,7 +214,7 @@ _TOP_LEVEL_KEYS = {
 
 # Top-level config fields a sweep axis may range over.  Anything else in
 # a sweep must be a parameter every configured backend accepts (e.g.
-# ``precision`` / ``spec_budget``) — that path is validated per backend.
+# ``epochs``) — that path is validated per backend.
 _SWEEPABLE_TOP_LEVEL = ("batch_width", "num_workers", "top_k", "mode")
 
 
@@ -269,7 +269,7 @@ class ExperimentConfig:
     ``sweep`` turns one config into a grid: each axis maps a sweepable
     top-level key (``batch_width``/``num_workers``/``top_k``/``mode``)
     or a backend parameter shared by every configured backend
-    (``precision``, ``spec_budget``, …) to a value list.  The runner
+    (``epochs``, ``dim``, …) to a value list.  The runner
     replays the whole (scenario × backend) matrix once per combination
     — same traffic at every sweep point — and suffixes cell names with
     ``@key=value,…`` (see :func:`sweep_combinations` /

@@ -46,7 +46,6 @@ from ..serving import (
     ServingCluster,
     TIGEREngine,
 )
-from ..tensor import validate_precision
 from .config import (
     ExperimentConfig,
     ExperimentConfigError,
@@ -85,14 +84,12 @@ class ExperimentError(RuntimeError):
 # ----------------------------------------------------------------------
 # Backends
 # ----------------------------------------------------------------------
-# Parameter name → expected type.  ``precision``/``spec_budget`` reach
-# the engine adapter; ``epochs``/``dim`` reach the model builder (so
-# they participate in the runtime cache key — see ``_runtime``).
-_ENGINE_PARAMS = {"precision": str, "spec_budget": int}
+# Parameter name → expected type.  ``epochs``/``dim`` reach the model
+# builder (so they are the runtime cache key — see ``_runtime``).
 _BACKEND_PARAMS = {
-    "lcrec": dict(_ENGINE_PARAMS),
-    "tiger": {"epochs": int, "dim": int, **_ENGINE_PARAMS},
-    "p5cid": {"epochs": int, "dim": int, **_ENGINE_PARAMS},
+    "lcrec": {},
+    "tiger": {"epochs": int, "dim": int},
+    "p5cid": {"epochs": int, "dim": int},
 }
 
 
@@ -118,19 +115,6 @@ def validate_backend(name: str, params: Mapping, where: str) -> None:
             raise ExperimentConfigError(
                 f"{where}: parameter {key!r} must be an int, got {value!r}"
             )
-        if expected is str and not isinstance(value, str):
-            raise ExperimentConfigError(
-                f"{where}: parameter {key!r} must be a string, got {value!r}"
-            )
-    if "precision" in params:
-        try:
-            validate_precision(params["precision"])
-        except ValueError as exc:
-            raise ExperimentConfigError(f"{where}: {exc}") from None
-    if "spec_budget" in params and params["spec_budget"] < 0:
-        raise ExperimentConfigError(
-            f"{where}: spec_budget must be >= 0, got {params['spec_budget']}"
-        )
 
 
 class PopularityFallback:
@@ -168,20 +152,13 @@ class _BackendRuntime:
     supports_language: bool
     _fallback: object = field(default=None, repr=False)
 
-    def make_engine(self, prefix_cache: bool, params: Mapping | None = None):
+    def make_engine(self, prefix_cache: bool):
         cache = PrefixKVCache(max_entries=_CACHE_ENTRIES) if prefix_cache else None
-        kwargs = {
-            key: value
-            for key, value in (params or {}).items()
-            if key in _ENGINE_PARAMS
-        }
         if self.name == "lcrec":
-            return LCRecEngine(
-                self.model, prefix_cache=cache if prefix_cache else False, **kwargs
-            )
+            return LCRecEngine(self.model, prefix_cache=cache if prefix_cache else False)
         if self.name == "p5cid":
-            return P5CIDEngine(self.model, prefix_cache=cache, **kwargs)
-        return TIGEREngine(self.model, **kwargs)
+            return P5CIDEngine(self.model, prefix_cache=cache)
+        return TIGEREngine(self.model)
 
     def make_fallback(self):
         if self._fallback is None:
@@ -285,9 +262,8 @@ class ExperimentRunner:
 
     # -- backends ------------------------------------------------------
     def _runtime(self, spec) -> _BackendRuntime:
-        # Keyed by the *model-building* params only: engine params
-        # (precision, spec_budget) never force a retrain, so sweep
-        # points over them share one built model.
+        # Keyed by the model-building params: sweep points that do not
+        # vary them share one built model.
         key = (spec.name, spec.params.get("epochs"), spec.params.get("dim"))
         if key not in self._runtimes:
             self._runtimes[key] = _build_backend(
@@ -307,18 +283,16 @@ class ExperimentRunner:
             return "continuous"
         return "deadline"
 
-    def _fleet_order(self, plan: ScenarioPlan, cell_runtime, cell_spec):
-        """(runtime, spec) pairs behind this cell's cluster, worker 0 first."""
+    def _fleet_order(self, plan: ScenarioPlan, cell_runtime):
+        """Runtimes behind this cell's cluster, worker 0 first."""
         if plan.kind != "mixed_fleet":
-            return [(cell_runtime, cell_spec)]
+            return [cell_runtime]
         others = [
-            (self._runtime(spec), spec)
-            for spec in self.config.backends
-            if spec.name != cell_runtime.name
+            self._runtime(spec) for spec in self.config.backends if spec.name != cell_runtime.name
         ]
-        return [(cell_runtime, cell_spec)] + (others or [(cell_runtime, cell_spec)])
+        return [cell_runtime] + (others or [cell_runtime])
 
-    def _build_client(self, plan: ScenarioPlan, runtime: _BackendRuntime, spec):
+    def _build_client(self, plan: ScenarioPlan, runtime: _BackendRuntime):
         """The scenario's client plus per-cell context for the record."""
         batcher = MicroBatcherConfig(max_batch_size=self.config.batch_width)
         fallback = runtime.make_fallback() if plan.use_fallback else None
@@ -326,7 +300,7 @@ class ExperimentRunner:
         if plan.client == "service":
             if plan.kind == "catalog_churn":
                 catalog = runtime.model.live_catalog(retrieval=True)
-                engine = runtime.make_engine(plan.prefix_cache, spec.params)
+                engine = runtime.make_engine(plan.prefix_cache)
                 engine.attach_catalog(catalog)
                 # Deliberately the *version-0* tier object: the ingest
                 # refresh hook must swap it, and the record's candidate
@@ -334,7 +308,7 @@ class ExperimentRunner:
                 fallback = catalog.version.retrieval
                 context["catalog"] = catalog
             else:
-                engine = runtime.make_engine(plan.prefix_cache, spec.params)
+                engine = runtime.make_engine(plan.prefix_cache)
             mode = self._cell_mode(plan, [runtime])
             client = RecommendationService(
                 engine,
@@ -344,14 +318,13 @@ class ExperimentRunner:
                 fallback=fallback,
             )
         else:
-            fleet = self._fleet_order(plan, runtime, spec)
-            mode = self._cell_mode(plan, [member for member, _ in fleet])
+            fleet = self._fleet_order(plan, runtime)
+            mode = self._cell_mode(plan, fleet)
             workers = plan.num_workers
             cursor = iter(range(10**9))
 
             def engine_factory():
-                member, member_spec = fleet[next(cursor) % len(fleet)]
-                return member.make_engine(plan.prefix_cache, member_spec.params)
+                return fleet[next(cursor) % len(fleet)].make_engine(plan.prefix_cache)
 
             client = ServingCluster(
                 engine_factory,
@@ -360,14 +333,10 @@ class ExperimentRunner:
                 deadline_ms=self.config.deadline_flush_ms,
                 mode=mode,
                 max_backlog=plan.max_backlog,
-                routing=plan.routing,
-                seed=self.config.seed,
                 fallback=fallback,
             )
             if plan.kind == "mixed_fleet":
-                context["fleet"] = [
-                    fleet[worker % len(fleet)][0].name for worker in range(workers)
-                ]
+                context["fleet"] = [fleet[worker % len(fleet)].name for worker in range(workers)]
         context["mode"] = mode
         return client, context
 
@@ -539,7 +508,7 @@ class ExperimentRunner:
                 f"{backend_spec.name} has none",
             }
 
-        client, context = self._build_client(plan, runtime, backend_spec)
+        client, context = self._build_client(plan, runtime)
         replay = self._replay(plan, client, rng)
         outcomes = replay["outcomes"]
 

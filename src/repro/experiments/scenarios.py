@@ -132,7 +132,6 @@ class ScenarioPlan:
     client: str = "cluster"  # "service" | "cluster"
     num_workers: int = 1
     max_backlog: int | None = None
-    routing: str = "affinity"
     use_fallback: bool = False
     prefix_cache: bool = False
     requires: tuple[str, ...] = ()

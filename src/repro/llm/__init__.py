@@ -3,7 +3,6 @@
 from .config import LMConfig
 from .embedding import encode_items, encode_texts
 from .generation import (
-    DEFAULT_SPEC_BUDGET,
     BeamHypothesis,
     DecodeState,
     backfill_items,
@@ -37,7 +36,6 @@ from .sampling import sample_generate
 from .trainer import InstructionTuner, TuningConfig
 
 __all__ = [
-    "DEFAULT_SPEC_BUDGET",
     "LMConfig",
     "TinyLlama",
     "TransformerBlock",

@@ -52,27 +52,6 @@ transformer in one combined multi-token forward when (and if) a later
 level actually needs logits.  ``sparse=False`` keeps the dense full-vocab
 head as the measurable baseline; rankings and scores agree to float
 rounding (the reduction order over candidates differs).
-
-**Two-level speculative decoding** (``spec_budget``): index tries are
-shallow and their per-level candidate unions tiny, so when every row sits
-at one level ``i`` and ``|union_i| * |union_{i+1}|`` fits the budget,
-:func:`decode_step` scores levels ``i`` and ``i+1`` from a *single*
-transformer forward.  Every beam's level-``i`` candidates are appended as
-sibling columns of one forward — tree-masked so siblings never attend
-each other and RoPE-placed at the same next position — which makes column
-``c``'s hidden state exactly what a sequential decode would compute
-*after* committing ``c``.  One gathered-head GEMM over the two levels'
-token union then yields both levels' logits, and selection runs the same
-two sequential ``select_beams`` passes a two-forward decode runs (the
-level-``i+1`` pass slices the committed candidate's logits row), so the
-chosen hypotheses and their rankings are identical — **not** a joint
-top-``K`` over pairs, which is a different (wrong) algorithm.  Afterwards
-each beam keeps only its committed candidate's K/V column
-(:meth:`~repro.tensor.KVCache.gather_columns`), leaving caches
-bit-identical to the sequential path's.  The budget bounds the extra
-sibling columns; a level whose fan-out product exceeds it simply steps
-sequentially, and windows where every child set is a singleton are
-skipped (the forced fast path already makes level ``i+1`` free).
 """
 
 from __future__ import annotations
@@ -83,12 +62,11 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from ..quantization.trie import IndexTrie, SparseCandidates
-from ..tensor import BeamKVCache, StepWorkspace, Tensor, no_grad, validate_precision
+from ..tensor import BeamKVCache, StepWorkspace, Tensor, no_grad
 from .model import TinyLlama
 from .prefix_cache import PrefixKVCache, PrefixMatch
 
 __all__ = [
-    "DEFAULT_SPEC_BUDGET",
     "BeamHypothesis",
     "DecodeState",
     "Scorer",
@@ -113,14 +91,6 @@ __all__ = [
     "sequence_logprob",
 ]
 
-# Default fan-out-product budget for the two-level speculative decode:
-# a window over levels (i, i+1) opens when |union_i| * |union_i+1| stays
-# within it.  The engine adapters enable speculation with this budget by
-# default; the raw stepper keeps it off (spec_budget=0) so callers that
-# count levels per decode_step call see exactly one.
-DEFAULT_SPEC_BUDGET = 64
-
-
 class Scorer(Protocol):
     """What the beam stepper needs from a model: hidden states and a head.
 
@@ -132,10 +102,10 @@ class Scorer(Protocol):
     ``caches`` is what :meth:`new_beam_caches` returned: per-layer
     :class:`~repro.tensor.BeamKVCache` (or a subclass carrying more), which
     the stepper fans out, reorders and evicts itself.  ``hidden_states``
-    takes ``pad_columns``, ``workspace``, ``extra_mask``, ``position_deltas``,
-    ``precision`` and ``last_only``.  An encoder-decoder scorer also has
-    ``prefill_prompts(prompts, caches, workspace=, precision=)`` — its prompt
-    phase, returning ``(last_hidden, pad_columns, forwards)``.
+    takes ``pad_columns``, ``workspace`` and ``last_only``.  An
+    encoder-decoder scorer also has ``prefill_prompts(prompts, caches,
+    workspace=)`` — its prompt phase, returning ``(last_hidden, pad_columns,
+    forwards)``.
     """
 
     vocab_size: int
@@ -167,9 +137,9 @@ def masked_log_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     (candidate-union) heads — only the number of columns differs.
     """
     if mask.all():
-        # Every column legal (the root-union prefill expansion, window
-        # rows whose prefixes share a full level): a plain log-softmax is
-        # bit-identical and skips the mask machinery entirely.
+        # Every column legal (the root-union prefill expansion, rows whose
+        # prefixes share a full level): a plain log-softmax is bit-identical
+        # and skips the mask machinery entirely.
         return log_softmax_np(logits)
     masked = np.where(mask, logits, -np.inf)
     peak = masked.max(axis=-1, keepdims=True)
@@ -209,8 +179,7 @@ def select_beams(
     width)`` — over the full vocabulary (dense) or the candidate union
     (sparse, with ``union`` mapping columns back to token ids); this one
     place owns the score accumulation, the flattened per-request top-k,
-    and the origin/token decomposition, for the sequential and the
-    speculative step alike.
+    and the origin/token decomposition.
     Returns ``(origin, token, new_scores)``, each ``(B, K)``.
     """
     candidates = step_logp.astype(np.float64)
@@ -366,7 +335,6 @@ def _prefill_prompts(
     pad_id: int,
     prefix_cache: PrefixKVCache | None,
     workspace: StepWorkspace | None = None,
-    precision: str = "fp32",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the prompt phase of a batched decode through ``caches``.
 
@@ -399,7 +367,6 @@ def _prefill_prompts(
         caches=caches,
         pad_columns=pad_columns,
         workspace=workspace,
-        precision=precision,
         last_only=True,
     ).data[:, -1, :]
     if prefix_cache is not None:
@@ -504,22 +471,9 @@ class DecodeState:
     With the sparse head, narrowing also shrinks the gathered candidate
     union to the alive rows' allowed sets — fewer output-head columns.
 
-    ``spec_budget`` enables the two-level speculative fast path (sparse
-    head only): when every row sits at one level ``i`` and the product of
-    the next two levels' candidate-union sizes is within the budget,
-    :func:`decode_step` scores both levels from a *single* forward — the
-    level-``i`` candidates ride along as tree-masked sibling columns, the
-    gathered head runs once over the two levels' union, and the
-    constrained log-softmax is factored per level, so rankings are
-    bit-identical to two sequential steps (see the module docstring).
-    ``0`` (the default) disables speculation: each ``decode_step``
-    advances exactly one level.  ``precision`` selects the decode GEMM
-    precision (gathered head + fused QKV; see
-    :mod:`repro.tensor.quantized`) — quantized runs trade bit parity for
-    smaller kernels and are gated by tolerance/top-k-overlap suites, not
-    exactness.  ``forwards`` counts the transformer forwards this state
-    has run (the prompt phase's own count, steps, pending flushes) — the
-    speculative and forced fast paths exist to push it below one-per-level.
+    ``forwards`` counts the transformer forwards this state has run (the
+    prompt phase's own count, steps, pending flushes) — the forced fast
+    path exists to push it below one-per-level.
     """
 
     model: Scorer
@@ -536,19 +490,12 @@ class DecodeState:
     sparse: bool = True
     workspace: StepWorkspace | None = None
     narrow: IndexTrie | None = None
-    spec_budget: int = 0
-    precision: str = "fp32"
     forwards: int = 0
 
     @property
     def num_rows(self) -> int:
         """Requests currently in flight."""
         return len(self.beam_tokens)
-
-    @property
-    def levels(self) -> np.ndarray:
-        """Per-row decoded depth (number of index tokens chosen so far)."""
-        return np.array([len(row[0]) for row in self.beam_tokens], dtype=np.int64)
 
     @property
     def done(self) -> bool:
@@ -588,15 +535,12 @@ def decode_prefill(
     tags: Sequence[object] | None = None,
     sparse: bool = True,
     narrow: IndexTrie | None = None,
-    spec_budget: int = 0,
-    precision: str = "fp32",
 ) -> DecodeState:
     """Run the prompt phase and level-0 beam expansion for ``prompts``.
 
     Returns a :class:`DecodeState` with every row holding its top-``K``
     legal first index tokens; :func:`decode_step` advances it one trie
-    level per call (or two, with a ``spec_budget`` — see
-    :class:`DecodeState`).  ``prefix_cache`` enables cross-request prompt
+    level per call.  ``prefix_cache`` enables cross-request prompt
     K/V reuse exactly as in :func:`beam_search_items_batched`.  ``tags``
     optionally attaches one opaque object per prompt (defaults to the
     prompt's position).  ``sparse`` (default) computes logits for the
@@ -605,12 +549,10 @@ def decode_prefill(
     (rankings identical, scores to float rounding).  ``narrow``
     optionally restricts beam selection to a candidate subtrie of
     ``trie`` (see :class:`DecodeState`): ranking over the candidate set
-    matches a full decode filtered post hoc.  ``precision`` selects the
-    decode GEMM precision (``"fp32"``/``"fp16"``/``"int8"``).
+    matches a full decode filtered post hoc.
     """
     if beam_size < 1:
         raise ValueError("beam_size must be positive")
-    validate_precision(precision)
     if narrow is not None and narrow.num_levels != trie.num_levels:
         raise ValueError(
             f"narrow trie depth {narrow.num_levels} does not match "
@@ -639,24 +581,20 @@ def decode_prefill(
             # Decoder-only: left-padded prompts through the prefix cache.
             forwards = 1
             hidden, pad_columns = _prefill_prompts(
-                model, prompts, caches, pad_id, prefix_cache, workspace, precision=precision
+                model, prompts, caches, pad_id, prefix_cache, workspace
             )
         elif prefix_cache is not None:
             raise ValueError("an encoder-decoder scorer has no prompt K/V for a prefix cache")
         else:
             # Encode, project cross-attention K/V, forward BOS: pad_columns
             # then maps the one-column (BOS) self-attention prompt region.
-            hidden, pad_columns, forwards = encoder_decoder(
-                prompts, caches, workspace=workspace, precision=precision
-            )
+            hidden, pad_columns, forwards = encoder_decoder(prompts, caches, workspace=workspace)
 
         # Level 0: expand every prompt to its top-K legal first tokens
         # under the constrained (renormalised-over-legal) distribution.
         if sparse:
             root = trie.allowed_token_ids([()])
-            logits = model.lm_head_gather(
-                hidden, root.union, workspace=workspace, precision=precision
-            )
+            logits = model.lm_head_gather(hidden, root.union, workspace=workspace)
             scores = masked_log_softmax(logits, root.mask)  # (B, U)
             # Candidate-aware top-k: rank only the columns selection may
             # pick and pad the remaining beam slots afterwards.  Narrowing
@@ -716,23 +654,18 @@ def decode_prefill(
         sparse=sparse,
         workspace=workspace,
         narrow=narrow,
-        spec_budget=spec_budget,
-        precision=precision,
         forwards=forwards,  # what the prompt phase ran
     )
 
 
 def decode_step(state: DecodeState) -> DecodeState:
-    """Advance every in-flight row by one trie level (two, speculatively).
+    """Advance every in-flight row by one trie level.
 
     Rows at different levels step together: the vectorized trie constraint
     is built from each hypothesis's own prefix, so depth never has to be
     uniform across the batch.  Rows already at the final level must be
     retired (:func:`decode_retire`) before stepping.  Returns ``state``
-    (mutated in place) for chaining.  With a positive ``spec_budget`` a
-    step may advance *two* levels from one forward when the speculative
-    window opens (see :class:`DecodeState`); drive the stepper with
-    ``while not state.done`` rather than a fixed level count.
+    (mutated in place) for chaining.
 
     Two fast paths apply when ``state.sparse`` (the default):
 
@@ -773,17 +706,12 @@ def decode_step(state: DecodeState) -> DecodeState:
             ]
             state.pending = np.concatenate([state.pending, forced[:, None]], axis=1)
             return state
-        if state.spec_budget > 1 and _speculative_window_open(
-            trie, state.spec_budget, state.levels, candidates_info, alive, prefixes
-        ):
-            return _speculative_step(state, candidates_info, alive, prefixes)
     with no_grad():
         hidden = model.hidden_states(
             state.pending,
             caches=state.caches,
             pad_columns=state.flat_pad_columns(),
             workspace=state.workspace,
-            precision=state.precision,
             last_only=True,
         ).data[:, -1, :]
         state.forwards += 1
@@ -791,18 +719,14 @@ def decode_step(state: DecodeState) -> DecodeState:
             if state.narrow is None:
                 union = candidates_info.union
                 width = candidates_info.num_candidates
-                logits = model.lm_head_gather(
-                    hidden, union, workspace=state.workspace, precision=state.precision
-                )
+                logits = model.lm_head_gather(hidden, union, workspace=state.workspace)
                 step_logp = masked_log_softmax(logits, candidates_info.mask)  # (B*K, U)
             else:
                 union, norm_mask, keep = _narrowed_step_candidates(
                     candidates_info, state.narrow, prefixes, alive
                 )
                 width = int(union.shape[0])
-                logits = model.lm_head_gather(
-                    hidden, union, workspace=state.workspace, precision=state.precision
-                )
+                logits = model.lm_head_gather(hidden, union, workspace=state.workspace)
                 step_logp = np.where(keep, masked_log_softmax(logits, norm_mask), -np.inf)
         else:
             union = None
@@ -824,195 +748,6 @@ def decode_step(state: DecodeState) -> DecodeState:
         for cache in state.caches:
             cache.reorder(flat_origin)
         state.pending = token.reshape(-1, 1).astype(np.int64, copy=False)
-    return state
-
-
-def _speculative_window_open(
-    trie: IndexTrie,
-    spec_budget: int,
-    levels: np.ndarray,
-    candidates_info: SparseCandidates,
-    alive: np.ndarray,
-    prefixes: list[tuple[int, ...]],
-) -> bool:
-    """Whether this step may score two trie levels in one forward.
-
-    Requires every row to sit at the same level ``i`` with at least two
-    levels left, the fan-out product ``|union_i| * |union_{i+1}|`` within
-    ``spec_budget``, and at least one live (beam, candidate) child set
-    with a real choice — when every child is a singleton, the forced fast
-    path makes level ``i+1`` free and speculation would only widen the
-    forward without saving one.
-    """
-    level = int(levels[0])
-    if not np.all(levels == level):
-        return False
-    if level + 2 > trie.num_levels:
-        return False
-    fan_out = candidates_info.num_candidates * int(trie.level_union(level + 1).shape[0])
-    if fan_out > spec_budget:
-        return False
-    per_row = candidates_info.per_row
-    for row, prefix in enumerate(prefixes):
-        if not alive[row]:
-            continue
-        for token in per_row[row]:
-            if trie.allowed_tokens(prefix + (int(token),)).size > 1:
-                return True
-    return False
-
-
-def _speculative_step(
-    state: DecodeState,
-    candidates_info: SparseCandidates,
-    alive: np.ndarray,
-    prefixes: list[tuple[int, ...]],
-) -> DecodeState:
-    """Advance two trie levels with a single transformer forward.
-
-    See the module docstring for the algorithm.  Mechanics, in order:
-
-    1. Forward ``pending + candidate window``: each beam row runs its
-       pending tokens plus its level-``i`` candidates (padded to the batch
-       max ``n_max``) as sibling columns — tree-masked via ``extra_mask``,
-       all at RoPE position ``m`` via ``position_deltas``.
-    2. One gathered-head GEMM over the two levels' token union; slice
-       per-level columns out of it for each of the two selection passes.
-    3. Level-``i`` ``select_beams`` from the last pending column's hidden
-       state — identical inputs to a sequential step's.
-    4. Commit: reorder caches to the chosen origins, then keep exactly one
-       candidate K/V column per beam (the committed token's), leaving the
-       caches as a sequential step + flush would.
-    5. Level-``i+1`` ``select_beams`` from each committed candidate's
-       sibling-column hidden state — identical to what a second forward
-       over the committed token would produce, because that column already
-       attended prefix + pending + itself at the right position.
-
-    Dead (``-inf``) rows may carry tokens outside their origin's candidate
-    list; their ``chosen`` index clamps into range, which is harmless —
-    attention is row-independent and dead rows never revive, so the
-    gathered filler column is never read by a live hypothesis.
-    """
-    model, trie = state.model, state.trie
-    num_requests, num_beams = state.num_rows, state.num_beams
-    beam_tokens = state.beam_tokens
-    level = len(prefixes[0])
-    per_row = candidates_info.per_row
-    flat_rows = len(prefixes)
-    n_max = max(ids.size for ids in per_row)
-    m = state.pending.shape[1]
-    seq_len = m + n_max
-
-    cand_tokens = np.full((flat_rows, n_max), state.pad_id, dtype=np.int64)
-    for row, ids in enumerate(per_row):
-        if ids.size:
-            cand_tokens[row, : ids.size] = ids
-    tokens = np.concatenate([state.pending, cand_tokens], axis=1)
-
-    with no_grad():
-        key_len = state.caches[0].length + seq_len
-        offset = key_len - seq_len
-        # Tree mask: candidate columns must not attend their siblings —
-        # only the shared prefix, the pending tokens and themselves.
-        extra = np.zeros((seq_len, key_len), dtype=bool)
-        extra[m:, offset + m :] = True
-        diag = np.arange(n_max)
-        extra[m + diag, offset + m + diag] = False
-        # All candidates sit at the *same* next position: the one the
-        # committed token will occupy.
-        deltas = np.concatenate(
-            [np.arange(m, dtype=np.int64), np.full(n_max, m, dtype=np.int64)]
-        )
-        hidden_full = model.hidden_states(
-            tokens,
-            caches=state.caches,
-            pad_columns=state.flat_pad_columns(),
-            workspace=state.workspace,
-            extra_mask=extra,
-            position_deltas=deltas,
-            precision=state.precision,
-        ).data
-        state.forwards += 1
-
-        # One gathered-head GEMM over both levels' union: row layout is
-        # (flat_rows, 1 + n_max) — the last pending column (level-i head
-        # input) followed by the n_max candidate columns (level-i+1).
-        pair_union = trie.union_for_levels((level, level + 1))
-        head_in = hidden_full[:, m - 1 :, :].reshape(-1, hidden_full.shape[-1])
-        logits_all = model.lm_head_gather(
-            head_in, pair_union, workspace=state.workspace, precision=state.precision
-        ).reshape(flat_rows, 1 + n_max, pair_union.shape[0])
-
-        # --- Level-i selection (identical to a sequential step's) ---
-        if state.narrow is None:
-            union0 = candidates_info.union
-            width0 = candidates_info.num_candidates
-            logits0 = logits_all[:, 0, np.searchsorted(pair_union, union0)]
-            step_logp0 = masked_log_softmax(logits0, candidates_info.mask)
-        else:
-            union0, norm_mask0, keep0 = _narrowed_step_candidates(
-                candidates_info, state.narrow, prefixes, alive
-            )
-            width0 = int(union0.shape[0])
-            logits0 = logits_all[:, 0, np.searchsorted(pair_union, union0)]
-            step_logp0 = np.where(keep0, masked_log_softmax(logits0, norm_mask0), -np.inf)
-        origin1, token1, mid_scores = select_beams(
-            step_logp0, state.beam_scores, num_beams, width0, union0
-        )
-        mid_tokens = [
-            [beam_tokens[b][int(origin1[b, k])] + (int(token1[b, k]),) for k in range(num_beams)]
-            for b in range(num_requests)
-        ]
-        flat_origin1 = (np.arange(num_requests)[:, None] * num_beams + origin1).reshape(-1)
-        for cache in state.caches:
-            cache.reorder(flat_origin1)
-
-        # Which sibling column each new beam committed (window-local).
-        token1_flat = token1.reshape(-1)
-        chosen = np.zeros(flat_rows, dtype=np.int64)
-        for i, src in enumerate(flat_origin1):
-            ids = per_row[int(src)]
-            if ids.size:
-                chosen[i] = min(int(np.searchsorted(ids, token1_flat[i])), ids.size - 1)
-        # Keep every pre-window column plus the committed candidate's: the
-        # caches end up exactly as a sequential step + flush leaves them.
-        cache0 = state.caches[0]
-        region = cache0.suffix if cache0.fanned else cache0.prompt
-        base = region.length - n_max
-        keep_cols = np.empty((flat_rows, base + 1), dtype=np.int64)
-        keep_cols[:, :base] = np.arange(base)[None, :]
-        keep_cols[:, base] = base + chosen
-        for cache in state.caches:
-            cache.gather_columns(keep_cols)
-
-        # --- Level-i+1 selection from the committed columns' hidden ---
-        new_prefixes = [prefix for row in mid_tokens for prefix in row]
-        mid_alive = np.isfinite(mid_scores).reshape(-1)
-        candidates_next = trie.allowed_token_ids(new_prefixes)
-        row_logits = logits_all[flat_origin1, 1 + chosen]  # (flat_rows, |pair|)
-        if state.narrow is None:
-            union1 = candidates_next.union
-            width1 = candidates_next.num_candidates
-            logits1 = row_logits[:, np.searchsorted(pair_union, union1)]
-            step_logp1 = masked_log_softmax(logits1, candidates_next.mask)
-        else:
-            union1, norm_mask1, keep1 = _narrowed_step_candidates(
-                candidates_next, state.narrow, new_prefixes, mid_alive
-            )
-            width1 = int(union1.shape[0])
-            logits1 = row_logits[:, np.searchsorted(pair_union, union1)]
-            step_logp1 = np.where(keep1, masked_log_softmax(logits1, norm_mask1), -np.inf)
-        origin2, token2, state.beam_scores = select_beams(
-            step_logp1, mid_scores, num_beams, width1, union1
-        )
-        state.beam_tokens = [
-            [mid_tokens[b][int(origin2[b, k])] + (int(token2[b, k]),) for k in range(num_beams)]
-            for b in range(num_requests)
-        ]
-        flat_origin2 = (np.arange(num_requests)[:, None] * num_beams + origin2).reshape(-1)
-        for cache in state.caches:
-            cache.reorder(flat_origin2)
-        state.pending = token2.reshape(-1, 1).astype(np.int64, copy=False)
     return state
 
 
@@ -1040,7 +775,6 @@ def _flush_pending(state: DecodeState) -> None:
             caches=state.caches,
             pad_columns=state.flat_pad_columns(),
             workspace=state.workspace,
-            precision=state.precision,
             last_only=True,  # only the K/V matter: skip most of the final block
         )
     state.forwards += 1
@@ -1077,11 +811,6 @@ def decode_join(state: DecodeState, incoming: DecodeState) -> DecodeState:
         raise ValueError("joined decodes must share the sparse-head setting")
     if incoming.narrow is not state.narrow:
         raise ValueError("joined decodes must share one narrowing trie")
-    if incoming.precision != state.precision:
-        raise ValueError(
-            f"joined decodes must share one precision: "
-            f"{incoming.precision!r} != {state.precision!r}"
-        )
     if incoming.num_rows == 0:
         raise ValueError("incoming state has no rows")
     if incoming.caches[0].suffix.length or incoming.pending.shape[1] != 1:
@@ -1209,8 +938,6 @@ def beam_search_items_batched(
     prefix_cache: PrefixKVCache | None = None,
     sparse: bool = True,
     narrow: IndexTrie | None = None,
-    spec_budget: int = 0,
-    precision: str = "fp32",
 ) -> list[list[BeamHypothesis]]:
     """Batched trie-constrained beam search (the serving engine).
 
@@ -1237,8 +964,6 @@ def beam_search_items_batched(
     (:func:`decode_prefill` → :func:`decode_step` × levels →
     :func:`decode_finish`); the continuous-batching scheduler drives the
     same stepper with admissions and retirements between levels.
-    ``spec_budget``/``precision`` configure the two-level speculative fast
-    path and the decode GEMM precision — see :class:`DecodeState`.
     """
     if beam_size < 1:
         raise ValueError("beam_size must be positive")
@@ -1253,8 +978,6 @@ def beam_search_items_batched(
         prefix_cache=prefix_cache,
         sparse=sparse,
         narrow=narrow,
-        spec_budget=spec_budget,
-        precision=precision,
     )
     while not state.done:
         decode_step(state)

@@ -1,9 +1,9 @@
 """The no-grad, KV-cached inference forwards: one ndarray kernel, two stacks.
 
 Everything decode-shaped — prompt prefill, beam steps, forced-token
-flushes, speculative windows, greedy generation — runs through
-:func:`cached_hidden_states` (:class:`~repro.llm.TinyLlama`: RMSNorm, RoPE,
-SwiGLU) or :func:`layer_stack_hidden_states` (the TIGER encoder and decoder:
+flushes, greedy generation — runs through :func:`cached_hidden_states`
+(:class:`~repro.llm.TinyLlama`: RMSNorm, RoPE, SwiGLU) or
+:func:`layer_stack_hidden_states` (the TIGER encoder and decoder:
 LayerNorm, learned positions, ReLU FFN, cross-attention): plain ndarrays
 from the embedding lookup to the final norm, scratch reused across layers
 (and, with a :class:`~repro.tensor.StepWorkspace`, across steps), no
@@ -16,12 +16,12 @@ holds the two together to ``rtol=1e-5``).
 
 What makes it GEMM-bound rather than temporary-bound:
 
-* **Once per forward, not per layer** — the causal | pad | tree mask
-  becomes one additive float bias (``None`` when nothing is masked), and
-  the RoPE cos/sin rows are gathered and laid out once.
-* **Fused projections** — one QKV GEMM (fp32/fp16/int8, memoized on the
-  attention module) and one gate|up GEMM (memoized on the SwiGLU) per
-  layer; RoPE rotates the q|k slab of the QKV buffer in place, with the
+* **Once per forward, not per layer** — the causal | pad mask becomes
+  one additive float bias (``None`` when nothing is masked), and the
+  RoPE cos/sin rows are gathered and laid out once.
+* **Fused projections** — one QKV GEMM (memoized on the attention
+  module) and one gate|up GEMM (memoized on the SwiGLU) per layer; RoPE
+  rotates the q|k slab of the QKV buffer in place, with the
   ``1/sqrt(head_dim)`` score scale folded into the query's cos/sin.
 * **Key-major scores** — attention scores live as ``(key, request, head,
   query)``, so the softmax reduces over the *leading* axis: every max,
@@ -59,9 +59,6 @@ from ..tensor import (
     RotaryEmbedding,
     StepWorkspace,
     causal_mask,
-    fp16_activations,
-    int8_matmul,
-    validate_precision,
 )
 
 if TYPE_CHECKING:
@@ -88,20 +85,18 @@ def cached_hidden_states(
     mask: np.ndarray,
     rope_offset: int | np.ndarray,
     workspace: StepWorkspace | None = None,
-    precision: str = "fp32",
     last_only: bool = False,
 ) -> np.ndarray:
     """Final-norm hidden states of ``tokens`` through ``caches`` (no grad).
 
     ``mask`` (boolean, True disallows; ``(T, key_len)`` or ``(rows, 1, T,
-    key_len)``) and ``rope_offset`` (int, per-row ``(rows,)`` or absolute
-    ``(rows, T)``) are what :meth:`TinyLlama.hidden_states` derives from
-    its padding/tree arguments.  Every layer cache receives the new
-    positions' K/V.  Returns a fresh ``(rows, T, dim)`` array — ``(rows, 1,
-    dim)`` with ``last_only``.  Without a ``workspace`` the scratch lives
-    for this call only (still shared by all layers).
+    key_len)``) and ``rope_offset`` (int or per-row ``(rows,)``) are what
+    :meth:`TinyLlama.hidden_states` derives from its padding arguments.
+    Every layer cache receives the new positions' K/V.  Returns a fresh
+    ``(rows, T, dim)`` array — ``(rows, 1, dim)`` with ``last_only``.
+    Without a ``workspace`` the scratch lives for this call only (still
+    shared by all layers).
     """
-    validate_precision(precision)
     scratch = (workspace if workspace is not None else StepWorkspace()).take
     rows, seq_len = tokens.shape
     groups = caches[0].beams if isinstance(caches[0], BeamKVCache) else 1
@@ -122,7 +117,7 @@ def cached_hidden_states(
     for index, (block, cache) in enumerate(zip(model.blocks, caches)):
         attention, ffn = block.attention, block.feed_forward
         normed = _rms_norm(x, block.attn_norm, buffer("normed", dim))
-        qkv = _project_qkv(normed, attention, precision, buffer("qkv", 3 * dim))
+        qkv = _linear(normed, attention.fused_qkv_weight(), buffer("qkv", 3 * dim))
         qkv = qkv.reshape(rows, seq_len, 3, heads, head_dim)
         _rotate(qkv[:, :, :2].reshape(slab_shape), cos, sin, scratch("rope_tmp", slab_shape))
         cache.append(qkv[:, :, 1].transpose(0, 2, 1, 3), qkv[:, :, 2].transpose(0, 2, 1, 3))
@@ -201,7 +196,6 @@ def layer_stack_hidden_states(
     caches: Sequence[KVCache],
     mask: np.ndarray,
     workspace: StepWorkspace | None = None,
-    precision: str = "fp32",
     last_only: bool = False,
 ) -> np.ndarray:
     """Final-norm hidden states of a pre-LayerNorm layer stack (no grad).
@@ -212,10 +206,8 @@ def layer_stack_hidden_states(
     positions' K/V.  A :class:`CrossBeamKVCache` makes its layer also
     cross-attend the memory K/V it holds; any other cache (one throwaway
     ``KVCache`` per layer) runs a self-attention-only encoder layer.
-    ``workspace``, ``precision`` (self-attention QKV GEMM) and ``last_only``
-    are as in :func:`cached_hidden_states`.
+    ``workspace`` and ``last_only`` are as in :func:`cached_hidden_states`.
     """
-    validate_precision(precision)
     scratch = (workspace if workspace is not None else StepWorkspace()).take
     rows, seq_len, dim = x.shape
     groups = caches[0].beams if isinstance(caches[0], BeamKVCache) else 1
@@ -232,7 +224,7 @@ def layer_stack_hidden_states(
     for index, (layer, cache) in enumerate(zip(layers, caches)):
         attention = layer.self_attn
         normed = _layer_norm(x, layer.self_norm, buffer("normed", dim))
-        qkv = _project_qkv(normed, attention, precision, buffer("qkv", 3 * dim))
+        qkv = _linear(normed, attention.fused_qkv_weight(), buffer("qkv", 3 * dim))
         qkv = qkv.reshape(rows, seq_len, 3, heads, head_dim)
         queries = qkv[:, :, 0]
         queries *= scale  # scores leave the GEMM already scaled
@@ -272,8 +264,6 @@ def attention_geometry(
     offset: int,
     pad_lengths: np.ndarray | None = None,
     pad_columns: np.ndarray | None = None,
-    extra_mask: np.ndarray | None = None,
-    position_deltas: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int | np.ndarray]:
     """Attention mask and position offset of ``seq_len`` new tokens.
 
@@ -281,15 +271,11 @@ def attention_geometry(
     arguments are documented on :meth:`repro.llm.TinyLlama.hidden_states`.
     Returns the boolean mask (True disallows; ``(T, key_len)``, or ``(rows,
     1, T, key_len)`` once a row carries pads) and the position of each
-    row's first new token — an int, a per-row ``(rows,)`` array (pads do
-    not count), or absolute ``(rows, T)`` positions with ``position_deltas``.
+    row's first new token — an int, or a per-row ``(rows,)`` array (pads do
+    not count).
     """
     key_len = offset + seq_len
     mask = causal_mask(seq_len, key_len, offset=offset)
-    if extra_mask is not None:
-        if extra_mask.shape != mask.shape:
-            raise ValueError(f"extra_mask shape {extra_mask.shape} != causal shape {mask.shape}")
-        mask = mask | extra_mask
     position: int | np.ndarray = offset
     if pad_lengths is not None and pad_columns is not None:
         raise ValueError("pass pad_lengths or pad_columns, not both")
@@ -304,13 +290,6 @@ def attention_geometry(
         pad_keys[:, : pad_columns.shape[1]] = pad_columns
         mask = mask[None, None, :, :] | pad_keys[:, None, None, :]
         position = offset - pad_columns.sum(axis=1)
-    if position_deltas is not None:
-        deltas = np.asarray(position_deltas, dtype=np.int64)
-        if deltas.shape != (seq_len,):
-            raise ValueError(f"position_deltas must be ({seq_len},), got {deltas.shape}")
-        # Absolute (B, T) positions: per-row base offset + per-column delta.
-        base = np.atleast_1d(np.asarray(position, dtype=np.int64))
-        position = base[:, None] + deltas[None, :]
     return mask, position
 
 
@@ -320,10 +299,8 @@ def absolute_positions(offset: int | np.ndarray, seq_len: int) -> np.ndarray:
     ``R`` is 1 when every row shares its positions.  Pad positions (negative)
     clamp to 0; they are masked out of attention anyway.
     """
-    offset = np.asarray(offset, dtype=np.int64)
-    if offset.ndim < 2:
-        offset = offset.reshape(-1, 1) + np.arange(seq_len)
-    return np.maximum(offset, 0)
+    positions = np.asarray(offset, dtype=np.int64).reshape(-1, 1) + np.arange(seq_len)
+    return np.maximum(positions, 0)
 
 
 def _additive_bias(mask: np.ndarray, rows: int, seq_len: int, groups: int) -> np.ndarray | None:
@@ -406,17 +383,6 @@ def _linear(x: np.ndarray, weight: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``x @ weight`` as one folded GEMM, written into ``out``."""
     np.matmul(x.reshape(-1, x.shape[-1]), weight, out=out.reshape(-1, out.shape[-1]))
     return out
-
-
-def _project_qkv(
-    x: np.ndarray, attention: MultiHeadAttention, precision: str, out: np.ndarray
-) -> np.ndarray:
-    """The fused QKV projection of ``x`` at ``precision``, written into ``out``."""
-    weight = attention.fused_qkv_weight(precision)
-    if precision == "int8":
-        int8_matmul(x.reshape(-1, x.shape[-1]), weight, out=out.reshape(-1, out.shape[-1]))
-        return out
-    return _linear(fp16_activations(x) if precision == "fp16" else x, weight, out)
 
 
 def _rotate(slab: np.ndarray, cos: np.ndarray, sin: np.ndarray, tmp: np.ndarray) -> None:

@@ -27,13 +27,7 @@ from ..tensor import (
     StepWorkspace,
     Tensor,
     WeightMemo,
-    fp16_activations,
-    fp16_weight,
-    int8_matmul,
     is_grad_enabled,
-    precision_token,
-    quantize_weight_int8,
-    validate_precision,
 )
 from .config import LMConfig
 from .inference import attention_geometry, cached_hidden_states
@@ -172,9 +166,6 @@ class TinyLlama(Module):
         pad_lengths: np.ndarray | None = None,
         pad_columns: np.ndarray | None = None,
         workspace: StepWorkspace | None = None,
-        extra_mask: np.ndarray | None = None,
-        position_deltas: np.ndarray | None = None,
-        precision: str = "fp32",
         last_only: bool = False,
     ) -> Tensor:
         """Final-norm hidden states ``(B, T, dim)`` for ``tokens``.
@@ -183,13 +174,12 @@ class TinyLlama(Module):
         is the ndarray inference kernel (:mod:`repro.llm.inference`);
         otherwise (training, uncached scoring) it walks the autograd
         blocks.  Both compute the same function of the same parameters.
-        ``workspace`` (reusable step scratch) and ``precision`` (fused-QKV
-        GEMM precision, see :mod:`repro.tensor.quantized`) only mean
-        something to the kernel.  ``last_only`` returns just the last
-        position, ``(B, 1, dim)``: every layer cache still receives K/V for
-        all of ``tokens``, but the kernel's final block does its attention
-        and FFN for that one position — the callers that feed an output
-        head from the last position lose nothing and skip most of a block.
+        ``workspace`` (reusable step scratch) only means something to the
+        kernel.  ``last_only`` returns just the last position, ``(B, 1,
+        dim)``: every layer cache still receives K/V for all of ``tokens``,
+        but the kernel's final block does its attention and FFN for that
+        one position — the callers that feed an output head from the last
+        position lose nothing and skip most of a block.
 
         ``pad_lengths[b]`` counts *left* pads in row ``b`` of a padded batch.
         Pad positions are masked out as attention keys and real tokens keep
@@ -207,30 +197,14 @@ class TinyLlama(Module):
         the new tokens is offset by the cache length minus its total pad
         count.  At most one of ``pad_lengths`` / ``pad_columns`` may be
         given.
-
-        ``extra_mask`` is an optional boolean ``(T, key_len)`` map OR-ed
-        into the causal mask (True disallows), shared by every row.
-        Speculative decoding uses it as a *tree mask*: sibling candidate
-        tokens appended in one forward must not attend to each other.
-        ``position_deltas`` (``(T,)`` ints) places new token ``t`` at RoPE
-        position ``row_offset + position_deltas[t]`` instead of
-        ``row_offset + t`` — sibling candidates all sit at the same next
-        position.
         """
         tokens = np.asarray(tokens)
         mask, rope_offset = attention_geometry(
-            tokens.shape[1],
-            caches[0].length if caches else 0,
-            pad_lengths,
-            pad_columns,
-            extra_mask,
-            position_deltas,
+            tokens.shape[1], caches[0].length if caches else 0, pad_lengths, pad_columns
         )
         if caches and not is_grad_enabled():
             return Tensor(
-                cached_hidden_states(
-                    self, tokens, caches, mask, rope_offset, workspace, precision, last_only
-                )
+                cached_hidden_states(self, tokens, caches, mask, rope_offset, workspace, last_only)
             )
         x = self.tok_embeddings(tokens)
         for layer_index, block in enumerate(self.blocks):
@@ -277,7 +251,6 @@ class TinyLlama(Module):
         hidden: np.ndarray,
         token_ids: np.ndarray,
         workspace: StepWorkspace | None = None,
-        precision: str = "fp32",
     ) -> np.ndarray:
         """Logits for ``token_ids`` only: ``hidden @ W[:, token_ids]``.
 
@@ -290,12 +263,6 @@ class TinyLlama(Module):
         computed column is the same dot product the dense head performs,
         so candidate logits match the dense head's columns exactly.
 
-        ``precision`` selects the GEMM kernel: ``"fp16"``/``"int8"`` run
-        the gathered head through :mod:`repro.tensor.quantized` with the
-        quantized gathered weight memoized alongside the fp32 slice (same
-        union-identity key, same invalidation).  Quantized logits match
-        fp32 to a grid-rounding tolerance, not bit-for-bit.
-
         ``hidden`` is ``(rows, dim)`` float32; returns ``(rows,
         len(token_ids))``.
         """
@@ -304,12 +271,7 @@ class TinyLlama(Module):
             if workspace is not None
             else None
         )
-        if precision == "fp32":
-            return np.matmul(hidden, self._gathered_head_weight(token_ids), out=out)
-        if validate_precision(precision) == "fp16":
-            sub = self._quantized_head_weight(token_ids, "fp16")
-            return np.matmul(fp16_activations(hidden), sub, out=out)
-        return int8_matmul(hidden, self._quantized_head_weight(token_ids, "int8"), out=out)
+        return np.matmul(hidden, self._gathered_head_weight(token_ids), out=out)
 
     def _gathered_head_weight(self, token_ids: np.ndarray) -> np.ndarray:
         """Memoized contiguous column gather ``W[:, token_ids]``.
@@ -323,28 +285,6 @@ class TinyLlama(Module):
             (token_ids, weight),
             (self.lm_head.weight,),
             lambda: np.ascontiguousarray(weight[:, np.asarray(token_ids, dtype=np.int64)]),
-        )
-
-    def _quantized_head_weight(self, token_ids: np.ndarray, precision: str):
-        """The gathered head slice quantized to ``precision`` (memoized).
-
-        Lives in the same :class:`~repro.tensor.WeightMemo` as the fp32
-        slice, keyed by the union's identity plus the precision's interned
-        sentinel — so catalog swaps (new union arrays), optimizer steps
-        (grad gate) and train()/eval() transitions invalidate every
-        precision at once.
-        """
-        weight = self.lm_head.weight.data
-        sources = (token_ids, weight, precision_token(precision))
-        params = (self.lm_head.weight,)
-        if precision == "fp16":
-            return self._head_gather_cache.get(
-                sources, params, lambda: fp16_weight(self._gathered_head_weight(token_ids))
-            )
-        return self._head_gather_cache.get(
-            sources,
-            params,
-            lambda: quantize_weight_int8(self._gathered_head_weight(token_ids)),
         )
 
     def new_caches(self) -> list[KVCache]:

@@ -336,10 +336,9 @@ class IndexTrie:
 
         The multi-level generalisation of :meth:`level_union`, memoized
         under the same normalised key :meth:`allowed_token_ids` uses for
-        its union — so a speculative two-level decode step and a mixed
-        -depth batched step stepping the same levels share one stable,
-        read-only array (and therefore one gathered output-head memo
-        entry).  Invalidated on :meth:`add_item`.
+        its union — so every mixed-depth batched step stepping the same
+        levels shares one stable, read-only array (and therefore one
+        gathered output-head memo entry).  Invalidated on :meth:`add_item`.
         """
         normalized = tuple(sorted({int(level) for level in levels}))
         if not normalized:

@@ -49,7 +49,6 @@ service's lifecycle lock.
 
 from __future__ import annotations
 
-import random
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -161,16 +160,9 @@ class ServingCluster(RecommendationClient):
         Per-worker admission bound on undelivered requests (queued plus
         in-decode).  ``None`` disables shedding at the front door (pure
         routing).
-    routing:
-        ``"affinity"`` (default) routes keyed traffic by rendezvous hash
-        with least-loaded spillover; ``"least_loaded"`` ignores keys;
-        ``"random"`` places uniformly at random (the baseline the
-        affinity benchmark compares against).
     spillover:
         With ``False``, a keyed request whose affine worker is saturated
         is shed instead of diverted — strict cache-locality mode.
-    seed:
-        Seeds the ``"random"`` routing policy (determinism in benches).
     fallback:
         Optional :class:`repro.serving.FallbackRecommender` — the
         retrieval fast lane, shared by the front door and every worker.
@@ -202,9 +194,7 @@ class ServingCluster(RecommendationClient):
         deadline_ms: float = 25.0,
         mode: str = "deadline",
         max_backlog: int | None = 64,
-        routing: str = "affinity",
         spillover: bool = True,
-        seed: int = 0,
         fallback: FallbackRecommender | None = None,
         hybrid=None,
     ):
@@ -212,10 +202,6 @@ class ServingCluster(RecommendationClient):
             raise ValueError("num_workers must be positive")
         if max_backlog is not None and max_backlog < 1:
             raise ValueError("max_backlog must be positive (or None for unbounded)")
-        if routing not in ("affinity", "least_loaded", "random"):
-            raise ValueError(
-                f"routing must be 'affinity', 'least_loaded' or 'random', got {routing!r}"
-            )
         engines = self._provision_engines(engine, num_workers)
         self._workers = [
             _Worker(
@@ -233,13 +219,11 @@ class ServingCluster(RecommendationClient):
         ]
         self.router = AffinityRouter(num_workers)
         self.max_backlog = max_backlog
-        self.routing = routing
         self.spillover = spillover
         self.fallback = fallback
         self.hybrid = hybrid
         self.stats = ClusterStats()
         self._stats_lock = threading.Lock()
-        self._rng = random.Random(seed)
 
     @staticmethod
     def _provision_engines(
@@ -351,19 +335,12 @@ class ServingCluster(RecommendationClient):
         return min(candidates, key=lambda worker: (worker.backlog, worker.index))
 
     def _admit(self, session_key: str | None) -> tuple[_Worker | None, str]:
-        """Pick a worker per the routing policy; ``None`` means shed.
+        """Pick a worker (affine, else least loaded); ``None`` means shed.
 
         Returns the worker and the stats bucket the decision belongs to
         (``"affine"`` / ``"spilled"`` / ``"keyless"`` / ``"rejected"``).
         """
-        if self.routing == "random":
-            with self._stats_lock:
-                worker = self._workers[self._rng.randrange(len(self._workers))]
-            if self._has_room(worker):
-                return worker, "keyless"
-            worker = self._least_loaded()
-            return (worker, "spilled") if worker is not None else (None, "rejected")
-        if session_key is None or self.routing == "least_loaded":
+        if session_key is None:
             worker = self._least_loaded()
             return (worker, "keyless") if worker is not None else (None, "rejected")
         affine = self._workers[self.router.affine_worker(session_key)]

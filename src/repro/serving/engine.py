@@ -60,7 +60,6 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 from ..llm import (
-    DEFAULT_SPEC_BUDGET,
     BeamHypothesis,
     PrefixKVCache,
     backfill_items,
@@ -72,7 +71,6 @@ from ..llm import (
     ranked_item_ids,
 )
 from ..quantization.trie import IndexTrie
-from ..tensor import validate_precision
 from .queue import RecommendRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids cycles at runtime
@@ -416,8 +414,6 @@ class TrieDecoderEngine(GenerativeEngine):
         prefix_cache: PrefixKVCache | bool | None = None,
         default_beam_size: int = 20,
         sparse_head: bool = True,
-        spec_budget: int = DEFAULT_SPEC_BUDGET,
-        precision: str = "fp32",
     ):
         self.lm = lm
         self.catalog = None
@@ -426,12 +422,6 @@ class TrieDecoderEngine(GenerativeEngine):
         self.pad_id = pad_id
         self.default_beam_size = default_beam_size
         self.sparse_head = sparse_head
-        # Two-level speculative decode fan-out budget (0 disables) and
-        # decode GEMM precision; see repro.llm.DecodeState.  Speculation
-        # needs the sparse head's gathered logits, so the dense baseline
-        # steps sequentially regardless of the budget.
-        self.spec_budget = int(spec_budget) if sparse_head else 0
-        self.precision = validate_precision(precision)
         self.narrow = None
         self.set_prefix_cache(prefix_cache)
 
@@ -596,8 +586,6 @@ class TrieDecoderEngine(GenerativeEngine):
             tags=requests,
             sparse=self.sparse_head,
             narrow=narrow,
-            spec_budget=self.spec_budget,
-            precision=self.precision,
         )
 
     def step(self, state: EngineState) -> None:
@@ -652,8 +640,6 @@ class LCRecEngine(TrieDecoderEngine):
         model: "LCRec",
         prefix_cache: PrefixKVCache | bool | None = True,
         sparse_head: bool = True,
-        spec_budget: int = DEFAULT_SPEC_BUDGET,
-        precision: str = "fp32",
     ):
         model._require_built()
         super().__init__(
@@ -663,8 +649,6 @@ class LCRecEngine(TrieDecoderEngine):
             prefix_cache=prefix_cache,
             default_beam_size=model.config.beam_size,
             sparse_head=sparse_head,
-            spec_budget=spec_budget,
-            precision=precision,
         )
         self.model = model
 
@@ -694,8 +678,6 @@ class P5CIDEngine(TrieDecoderEngine):
         model: "P5CID",
         prefix_cache: PrefixKVCache | bool | None = None,
         sparse_head: bool = True,
-        spec_budget: int = DEFAULT_SPEC_BUDGET,
-        precision: str = "fp32",
     ):
         # Lazy import: repro.baselines must stay importable without pulling
         # the serving package in (and vice versa).
@@ -708,8 +690,6 @@ class P5CIDEngine(TrieDecoderEngine):
             prefix_cache=prefix_cache,
             default_beam_size=model.config.beam_size,
             sparse_head=sparse_head,
-            spec_budget=spec_budget,
-            precision=precision,
         )
         self.model = model
 
@@ -734,14 +714,13 @@ class TIGEREngine(GenerativeEngine):
     columns masked as keys, so batching never changes any row's memory),
     projects every request's cross-attention K/V once and forwards BOS;
     each step then forwards only the ``B*K`` beams' newest tokens through
-    KV caches.  Beam selection, trie masking, forced levels, narrowing and
-    the speculative window are the stepper's, as for the decoder-only
-    adapters.  Rankings match ``TIGER.recommend`` request-for-request,
-    including its widen-to-catalog retry and deterministic backfill.
+    KV caches.  Beam selection, trie masking, forced levels and narrowing
+    are the stepper's, as for the decoder-only adapters.  Rankings match
+    ``TIGER.recommend`` request-for-request, including its widen-to-catalog
+    retry and deterministic backfill.
 
     No continuous batching yet: admission would have to join cross-attention
-    caches of different source widths.  ``precision`` governs the gathered
-    output head and the decoder's self-attention QKV GEMM.
+    caches of different source widths.
     """
 
     name = "tiger"
@@ -751,13 +730,7 @@ class TIGEREngine(GenerativeEngine):
     supports_replication = True
     supports_narrowing = True
 
-    def __init__(
-        self,
-        model: "TIGER",
-        sparse_head: bool = True,
-        spec_budget: int = DEFAULT_SPEC_BUDGET,
-        precision: str = "fp32",
-    ):
+    def __init__(self, model: "TIGER", sparse_head: bool = True):
         # Lazy import keeps repro.serving importable without the baselines
         # package (and avoids an import cycle with baselines.tiger).
         from ..baselines.generative import PAD_ID
@@ -767,10 +740,6 @@ class TIGEREngine(GenerativeEngine):
         self.pad_id = PAD_ID
         self.default_beam_size = model.config.beam_size
         self.sparse_head = sparse_head
-        # As in TrieDecoderEngine: speculation rides the sparse gathered
-        # head, so the dense baseline always steps one level at a time.
-        self.spec_budget = int(spec_budget) if sparse_head else 0
-        self.precision = validate_precision(precision)
         self.narrow = None
 
     @property
@@ -818,8 +787,6 @@ class TIGEREngine(GenerativeEngine):
             tags=requests,
             sparse=self.sparse_head,
             narrow=self.narrow,
-            spec_budget=self.spec_budget,
-            precision=self.precision,
         )
 
     def step(self, state: EngineState) -> None:

@@ -15,17 +15,6 @@ from .nn import (
     Sequential,
 )
 from .optim import Adam, AdamW, SGD, clip_grad_norm
-from .quantized import (
-    INT8_EXACT_DEPTH,
-    PRECISIONS,
-    Int8Weight,
-    fp16_activations,
-    fp16_weight,
-    int8_matmul,
-    precision_token,
-    quantize_weight_int8,
-    validate_precision,
-)
 from .recurrent import GRU, GRUCell
 from .sched import ConstantSchedule, CosineWarmup, LinearWarmup
 from .serialize import load_module, save_module
@@ -67,15 +56,6 @@ __all__ = [
     "StepWorkspace",
     "WeightMemo",
     "causal_mask",
-    "INT8_EXACT_DEPTH",
-    "PRECISIONS",
-    "Int8Weight",
-    "fp16_activations",
-    "fp16_weight",
-    "int8_matmul",
-    "precision_token",
-    "quantize_weight_int8",
-    "validate_precision",
     "GRU",
     "GRUCell",
     "SGD",

@@ -19,13 +19,6 @@ import numpy as np
 
 from . import functional as F
 from .nn import Dropout, Linear, Module
-from .quantized import (
-    Int8Weight,
-    fp16_weight,
-    precision_token,
-    quantize_weight_int8,
-    validate_precision,
-)
 from .tensor import Tensor, concat
 from .workspace import WeightMemo
 
@@ -68,21 +61,14 @@ class RotaryEmbedding:
         ``offset`` may be a per-row array of shape ``(B,)``, which batched
         decoding uses to keep left-padded rows at their *unpadded* positions
         (a padded row's offset is negative by its pad count; pad positions
-        clamp to 0 — they are always masked out of attention anyway).  A
-        2-D ``(B, T)`` array gives every token its *absolute* position
-        directly: speculative decoding places all of a step's candidate
-        tokens at the same next position, which no offset-plus-arange
-        progression can express.
+        clamp to 0 — they are always masked out of attention anyway).
         """
         seq_len = x.shape[2]
         half = self.head_dim // 2
         if isinstance(offset, np.ndarray):
-            if offset.ndim == 2:
-                positions = np.maximum(offset.astype(np.int64), 0)  # (B, T)
-            else:
-                positions = np.maximum(
-                    offset.astype(np.int64)[:, None] + np.arange(seq_len), 0
-                )  # (B, T)
+            positions = np.maximum(
+                offset.astype(np.int64)[:, None] + np.arange(seq_len), 0
+            )  # (B, T)
             cos = self.cos[positions][:, None, :, :]
             sin = self.sin[positions][:, None, :, :]
             x1 = x[..., :half]
@@ -227,34 +213,6 @@ class KVCache:
         self.keys = self._buf_keys
         self.values = self._buf_values
 
-    def gather_columns(self, columns: np.ndarray) -> None:
-        """Keep ``columns[i]`` (in order) for row ``i``, drop the rest.
-
-        The per-row generalisation of :meth:`take_columns`: ``columns`` is
-        ``(batch, n_keep)`` and each row keeps its own column subset.
-        Speculative decoding uses this to discard the candidate K/V
-        columns a beam did *not* select — every row scored the same
-        speculative window but commits a different member of it.  The
-        gathered buffers keep no spare capacity; the next ``append``
-        reallocates (one realloc per speculative step, amortised by the
-        forward it saves).
-        """
-        if self.keys is None:
-            return
-        columns = np.asarray(columns, dtype=np.int64)
-        if columns.ndim != 2 or columns.shape[0] != self.batch_size:
-            raise ValueError(
-                f"columns must be (batch, n_keep) = ({self.batch_size}, *), "
-                f"got shape {columns.shape}"
-            )
-        index = columns[:, None, :, None]
-        self._buf_keys = np.ascontiguousarray(np.take_along_axis(self.keys, index, axis=2))
-        self._buf_values = np.ascontiguousarray(
-            np.take_along_axis(self.values, index, axis=2)
-        )
-        self.keys = self._buf_keys
-        self.values = self._buf_values
-
     def join(
         self, other: "KVCache", pad_self: int = 0, pad_other: int = 0, other_rows: int = 0
     ) -> None:
@@ -344,9 +302,7 @@ class BeamKVCache:
 
         ``suffix_length`` is the number of per-beam columns the decode
         will append at most (the trie levels left), when known: the suffix
-        buffers are then exactly that wide (see :class:`KVCache`).  A
-        decode that outgrows it — a speculative window's sibling columns —
-        falls back to the default headroom.
+        buffers are then exactly that wide (see :class:`KVCache`).
         """
         if beams < 1:
             raise ValueError("beams must be positive")
@@ -369,20 +325,6 @@ class BeamKVCache:
             self.prompt.reorder(beam_indices)
         else:
             self.suffix.reorder(beam_indices)
-
-    def gather_columns(self, columns: np.ndarray) -> None:
-        """Per-row column gather on the *append-target* region.
-
-        ``columns`` indexes the suffix region once the cache is fanned
-        out, else the prompt region (a width-1 decode appends its suffix
-        tokens to the prompt cache) — mirroring :meth:`append`, because
-        the columns being discarded are always ones a forward just
-        appended (see :meth:`KVCache.gather_columns`).
-        """
-        if not self.fanned:
-            self.prompt.gather_columns(columns)
-        else:
-            self.suffix.gather_columns(columns)
 
     def join(self, other: "BeamKVCache") -> tuple[int, int]:
         """Merge ``other``'s requests onto this cache's batch axis.
@@ -472,32 +414,20 @@ class MultiHeadAttention(Module):
         self.v_proj = Linear(dim, dim, bias=False, rng=rng)
         self.out_proj = Linear(dim, dim, bias=False, rng=rng)
         self.attn_dropout = Dropout(dropout, rng=rng)
-        # Cleared on every train()/eval() transition by Module.train.  One
-        # entry per precision (fp32 base + derived fp16/int8 variants).
-        self._fused_qkv = WeightMemo(max_entries=4)
+        # Cleared on every train()/eval() transition by Module.train.
+        self._fused_qkv = WeightMemo(max_entries=1)
 
-    def fused_qkv_weight(self, precision: str = "fp32") -> np.ndarray | Int8Weight:
+    def fused_qkv_weight(self) -> np.ndarray:
         """Concatenated ``(dim, 3*dim)`` weight for a single QKV GEMM.
 
         Inference-only (read by :mod:`repro.llm.inference`): one fused
         matmul replaces three per-projection BLAS calls on the decode hot
-        path.  ``"fp16"``/``"int8"`` return the fusion quantized to that
-        precision, keyed into the same memo via the precision's interned
-        sentinel (see :func:`repro.tensor.precision_token`), so
-        invalidation — grad presence, train()/eval(), in-place optimizer
-        steps; see :class:`repro.tensor.WeightMemo` — is identical for
-        every precision.
+        path.  Invalidation — grad presence, train()/eval(), in-place
+        optimizer steps — is :class:`repro.tensor.WeightMemo`'s.
         """
         params = (self.q_proj.weight, self.k_proj.weight, self.v_proj.weight)
         sources = tuple(param.data for param in params)
-        if precision == "fp32":
-            return self._fused_qkv.get(sources, params, lambda: np.concatenate(sources, axis=1))
-        quantize = fp16_weight if validate_precision(precision) == "fp16" else quantize_weight_int8
-        return self._fused_qkv.get(
-            sources + (precision_token(precision),),
-            params,
-            lambda: quantize(self.fused_qkv_weight()),
-        )
+        return self._fused_qkv.get(sources, params, lambda: np.concatenate(sources, axis=1))
 
     def _split_heads(self, x: Tensor) -> Tensor:
         batch, seq, _ = x.shape

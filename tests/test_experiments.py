@@ -396,43 +396,46 @@ class TestScenarioShapes:
 # ----------------------------------------------------------------------
 class TestSweep:
     def test_sweep_roundtrip(self):
-        config = minimal_config(sweep={"precision": ["fp32", "int8"], "batch_width": [4, 8]})
+        config = minimal_config(
+            backends=["tiger"], sweep={"epochs": [1, 2], "batch_width": [4, 8]}
+        )
         assert ExperimentConfig.from_dict(config.to_dict()) == config
 
     def test_combinations_row_major(self):
-        config = minimal_config(sweep={"precision": ["fp32", "int8"], "batch_width": [4, 8]})
+        config = minimal_config(
+            backends=["tiger"], sweep={"epochs": [1, 2], "batch_width": [4, 8]}
+        )
         assert sweep_combinations(config) == [
-            {"precision": "fp32", "batch_width": 4},
-            {"precision": "fp32", "batch_width": 8},
-            {"precision": "int8", "batch_width": 4},
-            {"precision": "int8", "batch_width": 8},
+            {"epochs": 1, "batch_width": 4},
+            {"epochs": 1, "batch_width": 8},
+            {"epochs": 2, "batch_width": 4},
+            {"epochs": 2, "batch_width": 8},
         ]
         assert sweep_combinations(minimal_config()) == [{}]
 
     def test_suffix_format(self):
         assert sweep_suffix({}) == ""
-        assert sweep_suffix({"precision": "int8", "batch_width": 4}) == (
-            "@precision=int8,batch_width=4"
-        )
+        assert sweep_suffix({"epochs": 2, "batch_width": 4}) == "@epochs=2,batch_width=4"
 
     def test_apply_sweep_routes_keys(self):
-        config = minimal_config(sweep={"batch_width": [4], "spec_budget": [0]})
+        config = minimal_config(backends=["tiger"], sweep={"batch_width": [4], "epochs": [1]})
         combo = sweep_combinations(config)[0]
         concrete = apply_sweep(config, combo)
         assert concrete.sweep == ()
         assert concrete.batch_width == 4  # top-level field
-        assert all(spec.params["spec_budget"] == 0 for spec in concrete.backends)
+        assert all(spec.params["epochs"] == 1 for spec in concrete.backends)
 
     @pytest.mark.parametrize(
         "sweep, fragment",
         [
-            ({"precision": []}, "at least one value"),
-            ({"precision": ["int8", "int8"]}, "duplicate"),
+            ({"batch_width": []}, "at least one value"),
+            ({"batch_width": [4, 4]}, "duplicate"),
             ({"mode": ["warp"]}, "mode"),
             ({"batch_width": [0]}, "positive"),
             ({"bogus_knob": [1]}, "unknown parameters"),
-            ({"precision": ["fp8"]}, "unknown precision"),
-            ({"spec_budget": [-1]}, "spec_budget"),
+            # Deleted knobs: a stale config fails typed, it is not silently ignored.
+            ({"precision": ["int8"]}, "unknown parameters"),
+            ({"spec_budget": [0]}, "unknown parameters"),
         ],
     )
     def test_invalid_sweeps_rejected(self, sweep, fragment):
@@ -454,7 +457,7 @@ class TestSweep:
                 "scale": "tiny",
                 "backends": ["lcrec"],
                 "scenarios": [{"kind": "steady_state", "requests": 4}],
-                "sweep": {"spec_budget": [64, 0]},
+                "sweep": {"batch_width": [4, 2]},
             },
             dataset=tiny_dataset,
             models={"lcrec": tiny_lcrec},
@@ -462,15 +465,15 @@ class TestSweep:
         )
         records = result["records"]
         assert [r["name"] for r in records] == [
-            "steady_statexlcrec@spec_budget=64",
-            "steady_statexlcrec@spec_budget=0",
+            "steady_statexlcrec@batch_width=4",
+            "steady_statexlcrec@batch_width=2",
         ]
         assert [r["sweep"] for r in records] == [
-            {"spec_budget": 64},
-            {"spec_budget": 0},
+            {"batch_width": 4},
+            {"batch_width": 2},
         ]
-        # Traffic is combo-independent and speculative decode is exact,
-        # so the sweep points differ only in name/sweep/timing.
+        # Traffic is combo-independent and batching never changes a
+        # ranking, so the sweep points differ only in name/sweep/timing.
         stripped = [strip_timing(r) for r in records]
         for record in stripped:
             record.pop("name"), record.pop("sweep")

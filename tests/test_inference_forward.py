@@ -5,8 +5,8 @@ caches are given and grad is off; with ``caches=None`` and grad on it
 walks the autograd modules.  Both must compute the same function of the
 same weights, so every cached decode shape the serving stack produces —
 left-padded prefill, prefix-seeded prefill, fanned beam steps, forced-token
-flushes, speculative windows — is checked here against an *uncached,
-unpadded, per-sequence* autograd forward.  Also pinned: ``last_only`` is
+flushes — is checked here against an *uncached, unpadded, per-sequence*
+autograd forward.  Also pinned: ``last_only`` is
 exact (same last position, bit-identical K/V), the fused gate|up memo
 never serves stale weights, and the step workspace neither grows at a
 fixed row count nor outlives its rows.  ``TIGER.encode`` /
@@ -161,36 +161,6 @@ class TestAgainstAutograd:
             lineage[row] = lineage[row] + [int(t) for t in step2[row]]
             assert_close(got[row], reference(model, lineage[row])[-2:])
 
-    def test_speculative_window(self):
-        # One pending token plus three sibling candidates in a single
-        # forward: tree-masked so siblings ignore each other, all placed at
-        # the same RoPE position.  Column c must equal the last position of
-        # "prompt + pending + candidate c" decoded on its own.
-        model = make_model()
-        prompts, beams = PROMPTS[:2], 2
-        tokens, pads = left_pad_prompts(prompts)
-        caches = model.new_beam_caches()
-        kernel(model, tokens, caches, pad_lengths=pads, last_only=True)
-        model.fan_out_caches(caches, beams, suffix_length=3)
-        flat_pads = np.repeat(np.arange(tokens.shape[1])[None, :] < pads[:, None], beams, axis=0)
-        pending = np.array([[20], [21], [22], [23]])
-        candidates = np.array([[30, 31, 32], [33, 34, 35], [36, 37, 38], [39, 40, 41]])
-        m, n = pending.shape[1], candidates.shape[1]
-        key_len = caches[0].length + m + n
-        offset = key_len - (m + n)
-        extra = np.zeros((m + n, key_len), dtype=bool)
-        extra[m:, offset + m:] = True
-        extra[m + np.arange(n), offset + m + np.arange(n)] = False
-        deltas = np.concatenate([np.arange(m), np.full(n, m)])
-        got = kernel(model, np.concatenate([pending, candidates], axis=1), caches,
-                     pad_columns=flat_pads, extra_mask=extra, position_deltas=deltas)
-        for row in range(len(pending)):
-            base = list(prompts[row // beams]) + [int(pending[row, 0])]
-            assert_close(got[row, 0], reference(model, base)[-1])
-            for column in range(n):
-                assert_close(got[row, m + column],
-                             reference(model, base + [int(candidates[row, column])])[-1])
-
     def test_workspace_changes_nothing(self):
         model = make_model()
         tokens, pads = left_pad_prompts(PROMPTS)
@@ -334,38 +304,6 @@ class TestEncoderDecoder:
                                                   lineage[row])[-2:])
         check_cross_untouched()
 
-    def test_speculative_window(self):
-        # One pending token plus three tree-masked sibling candidates, all
-        # at the same learned position, in one forward.
-        model = make_tiger()
-        memory, mask, caches, _ = self.prefill(model)
-        beams = 2
-        self.fan_out(caches, beams)
-        pending = np.array([[5], [6], [7], [8], [5], [7]])
-        candidates = 9 + np.arange(18).reshape(6, 3) % 6
-        m, n = pending.shape[1], candidates.shape[1]
-        key_len = caches[0].length + m + n
-        offset = key_len - (m + n)
-        extra = np.zeros((m + n, key_len), dtype=bool)
-        extra[m:, offset + m:] = True
-        extra[m + np.arange(n), offset + m + np.arange(n)] = False
-        deltas = np.concatenate([np.arange(m), np.full(n, m)])
-        got = self.step(model, caches, np.concatenate([pending, candidates], axis=1),
-                        extra_mask=extra, position_deltas=deltas)
-        for row in range(len(pending)):
-            base = [int(pending[row, 0])]
-            assert_close(got[row, 0], self.reference(model, memory, mask, row // beams, base)[-1])
-            for column in range(n):
-                sequence = base + [int(candidates[row, column])]
-                assert_close(got[row, m + column],
-                             self.reference(model, memory, mask, row // beams, sequence)[-1])
-        # Committing one sibling per beam leaves the cross side alone.
-        keys = [cache.memory.prompt.keys for cache in caches]
-        for cache in caches:
-            cache.gather_columns(np.array([[0, 2]] * 6))
-        assert all(cache.memory.prompt.keys is held for cache, held in zip(caches, keys))
-        assert caches[0].suffix.length == 2
-
     def test_workspace_changes_nothing(self):
         model = make_tiger()
         outputs = []
@@ -399,7 +337,6 @@ class TestEncoderDecoder:
         cache.fan_out(3)
         keys = cache.prompt.keys
         cache.reorder(np.array([2, 0, 0, 4, 3, 3]))
-        cache.gather_columns(np.zeros((6, 1), dtype=np.int64))
         assert cache.prompt.keys is keys and cache.suffix.length == 0
 
     def test_grad_on_or_no_caches_stays_on_the_tensor_graph(self, monkeypatch):
@@ -471,26 +408,6 @@ class TestLastOnly:
             last = model.forward(tokens, caches=model.new_caches(), last_only=True).data
         assert last.shape == (1, 1, model.vocab_size)
         assert_close(last, full[:, -1:])
-
-
-class TestQuantizedProjection:
-    @pytest.mark.parametrize("precision, tolerance", [("fp16", 5e-3), ("int8", 5e-2)])
-    def test_hidden_states_stay_near_fp32(self, precision, tolerance):
-        # Tolerances from the grids: fp16 rounds at 2^-11 relative, int8 at
-        # 1/254 of a row's absmax, through three layers of unit-RMS states.
-        model = make_model()
-        tokens, pads = left_pad_prompts(PROMPTS)
-        base = kernel(model, tokens, model.new_beam_caches(), pad_lengths=pads)
-        quant = kernel(model, tokens, model.new_beam_caches(), pad_lengths=pads,
-                       precision=precision)
-        real = np.arange(tokens.shape[1])[None, :] >= pads[:, None]
-        assert not np.array_equal(quant, base)
-        assert np.abs(quant - base)[real].max() < tolerance
-
-    def test_unknown_precision_is_rejected(self):
-        model = make_model()
-        with pytest.raises(ValueError, match="precision"):
-            kernel(model, [[1, 2]], model.new_caches(), precision="fp8")
 
 
 def make_trie():
@@ -629,7 +546,7 @@ class TestWorkspaceHygiene:
             cache.reorder(np.array([2, 0, 0, 4, 3, 3]))
             np.testing.assert_array_equal(cache.suffix.keys[[0, 3], :, -1:], column[[2, 4]])
             held = cache.suffix.keys
-        # Depth exhausted (a speculative window, say): back to default headroom.
+        # Depth exhausted: back to default headroom.
         cache.append(column, column)
         assert cache.suffix.length == 4 and cache.suffix.capacity >= 4 + 16
         assert not np.shares_memory(cache.suffix.keys, held)

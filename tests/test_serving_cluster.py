@@ -230,17 +230,6 @@ class TestRoutingPolicies:
         for handle in handles:
             assert len(handle.result()) == 3
 
-    def test_random_routing_ignores_affinity(self, tiny_lcrec):
-        cluster = ServingCluster(
-            LCRecEngine(tiny_lcrec), num_workers=4, routing="random", seed=3
-        )
-        history = [0, 1]
-        for _ in range(12):
-            cluster.submit(history, top_k=3, session_key="user:7")
-        assert cluster.stats.affine == 0
-        assert len([w for w in range(4) if cluster.stats.per_worker.get(w)]) > 1
-        cluster.flush()
-
 
 class TestAdmissionControl:
     def test_spillover_when_affine_worker_saturated(self, tiny_lcrec, tiny_dataset):
@@ -436,8 +425,6 @@ class TestLifecycle:
             ServingCluster(engine, num_workers=0)
         with pytest.raises(ValueError, match="max_backlog"):
             ServingCluster(engine, num_workers=1, max_backlog=0)
-        with pytest.raises(ValueError, match="routing"):
-            ServingCluster(engine, num_workers=1, routing="round_robin")
 
 
 class TestPendingHandleSurface:

@@ -46,13 +46,7 @@ def make_model(vocab=30, num_layers=2):
 
 
 def make_scheduler(model, trie, max_width=8):
-    # spec_budget=0: these tests assert admission *pacing* (which step a
-    # join lands on), which assumes one trie level per scheduler step; the
-    # speculative fast path can finish a 3-level decode in a single step.
-    # Speculative/continuous interplay is covered in
-    # test_speculative_decode.py.
-    return ContinuousScheduler(TrieDecoderEngine(model, trie, spec_budget=0),
-                               max_width=max_width)
+    return ContinuousScheduler(TrieDecoderEngine(model, trie), max_width=max_width)
 
 
 def make_trie():

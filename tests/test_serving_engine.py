@@ -198,15 +198,54 @@ class TestLCRecEngineParity:
             tiny_lcrec, histories, 4)
 
 
-class TestTIGEREngine:
-    @pytest.fixture(scope="class")
-    def tiger(self, tiny_dataset):
-        index_set = build_random_index_set(tiny_dataset.num_items, 3, 8,
-                                           np.random.default_rng(0))
-        model = TIGER(index_set, TIGERConfig(epochs=3, dim=16, beam_size=10))
-        model.fit(tiny_dataset)
-        return model
+@pytest.fixture(scope="module")
+def tiger(tiny_dataset):
+    index_set = build_random_index_set(tiny_dataset.num_items, 3, 8,
+                                       np.random.default_rng(0))
+    model = TIGER(index_set, TIGERConfig(epochs=3, dim=16, beam_size=10))
+    model.fit(tiny_dataset)
+    return model
 
+
+@pytest.fixture(scope="module")
+def p5cid(tiny_dataset):
+    model = P5CID(tiny_dataset, P5CIDConfig(epochs=3, dim=16,
+                                            cluster_levels=2, branch=4,
+                                            beam_size=10))
+    model.fit(tiny_dataset)
+    return model
+
+
+class TestOneLevelPerStep:
+    """A default-constructed engine advances exactly one trie level per step."""
+
+    @pytest.mark.parametrize("backend, engine_class", [
+        ("tiny_lcrec", LCRecEngine), ("p5cid", P5CIDEngine), ("tiger", TIGEREngine),
+    ], ids=["lcrec", "p5cid", "tiger"])
+    def test_unforced_decode_runs_one_forward_per_level(self, request, tiny_dataset,
+                                                        backend, engine_class):
+        engine = engine_class(request.getfixturevalue(backend))
+        state = engine.prefill([
+            RecommendRequest(prompt_ids=engine.encode_history(list(history)), top_k=5,
+                             beam_size=5)
+            for history in tiny_dataset.split.test_histories[:4]
+        ])
+        prefill_forwards = state.forwards
+
+        def depths():
+            return [len(row[0]) for row in state.beam_tokens]
+
+        assert depths() == [1] * 4
+        while not state.done:
+            before = depths()
+            engine.step(state)
+            assert depths() == [depth + 1 for depth in before]
+        # No level of these tries is forced for the whole batch, so every
+        # level after the prefill's costs exactly one forward.
+        assert state.forwards == prefill_forwards + engine.num_levels - 1
+
+
+class TestTIGEREngine:
     def test_capability_flags(self, tiger):
         engine = TIGEREngine(tiger)
         assert not engine.supports_continuous
@@ -326,7 +365,7 @@ class TestTIGEROnTheSharedStepper:
         # narrowing controls; beams as wide as the candidate set keep the
         # decode exhaustive, so the exhaustive oracle ranking is the target.
         candidates = list(candidates)
-        engine = TIGEREngine(tiger, spec_budget=0).narrowed(candidates)
+        engine = TIGEREngine(tiger).narrowed(candidates)
         state, requests, seen = self.drive(engine, histories[:batch], top_k=len(candidates),
                                            beam_size=len(candidates))
         assert seen == widths
@@ -336,8 +375,7 @@ class TestTIGEROnTheSharedStepper:
         assert ranked == [[item for item in ranking if item in candidates] for ranking in full]
 
     @pytest.mark.parametrize("batch", [1, 4, 12])
-    @pytest.mark.parametrize("kwargs", [{}, {"spec_budget": 0}, {"sparse_head": False}],
-                             ids=["default", "sequential", "dense"])
+    @pytest.mark.parametrize("kwargs", [{}, {"sparse_head": False}], ids=["default", "dense"])
     def test_matches_single_loop(self, tiger, histories, batch, kwargs):
         engine = TIGEREngine(tiger, **kwargs)
         num_items = tiger.trie.num_items
@@ -384,7 +422,7 @@ class TestTIGEROnTheSharedStepper:
                                        rtol=1e-5, atol=1e-6)
 
     def test_scratch_and_cache_rows_are_released(self, tiger, histories):
-        engine = TIGEREngine(tiger, spec_budget=0)
+        engine = TIGEREngine(tiger)
         state, _, _ = self.drive(engine, histories[:3], top_k=3, beam_size=3)
         workspace, caches = state.workspace, state.caches
         assert workspace.nbytes > 0
@@ -403,7 +441,7 @@ class TestTIGEROnTheSharedStepper:
                           for c in range(2) for d in range(2)])
         model = TIGER(ItemIndexSet(codes, [2, 2, 2, 2]), TIGERConfig(dim=16, max_history=3))
         model.eval()
-        engine = TIGEREngine(model, spec_budget=0)
+        engine = TIGEREngine(model)
         state = engine.prefill([RecommendRequest(prompt_ids=engine.encode_history([item]),
                                                  top_k=4, beam_size=4) for item in (3, 9)])
         assert state.workspace.num_buffers == 0  # prefill scratch left with the B-row shape
@@ -416,14 +454,6 @@ class TestTIGEROnTheSharedStepper:
 
 
 class TestP5CIDEngine:
-    @pytest.fixture(scope="class")
-    def p5cid(self, tiny_dataset):
-        model = P5CID(tiny_dataset, P5CIDConfig(epochs=3, dim=16,
-                                                cluster_levels=2, branch=4,
-                                                beam_size=10))
-        model.fit(tiny_dataset)
-        return model
-
     def test_capability_flags(self, p5cid):
         engine = P5CIDEngine(p5cid)
         assert engine.supports_continuous  # decoder-only: shared stepper
