@@ -176,8 +176,8 @@ class TIGER(Module):
         """Causal decoding with cross-attention; returns hidden states.
 
         The output head (tied to the token embeddings) is applied by the
-        caller — densely via :meth:`head_logits`, or for a candidate union
-        only via :meth:`head_gather` (the trie-aware sparse decode).
+        caller — densely in :meth:`decode`, or for a candidate union only
+        via :meth:`head_gather` (the trie-aware sparse decode).
 
         Without ``caches``, ``decoder_input`` is the whole BOS-prefixed
         sequence and runs through the autograd layers against ``memory`` —
@@ -219,16 +219,12 @@ class TIGER(Module):
         hidden = self.decode_hidden(memory, memory_mask, decoder_input)
         return hidden @ self.token_embeddings.weight.transpose(1, 0)
 
-    def head_logits(self, hidden: np.ndarray) -> np.ndarray:
-        """Dense output head over already-computed hidden states ``(R, dim)``."""
-        return np.matmul(hidden, self.token_embeddings.weight.data.T)
-
     def head_gather(self, hidden: np.ndarray, token_ids: np.ndarray) -> np.ndarray:
         """Logits for ``token_ids`` only: ``hidden @ W[token_ids].T``.
 
-        The sparse counterpart of :meth:`head_logits` for trie-constrained
-        decoding: each computed column is the same embedding dot product
-        the dense head performs, just restricted to the candidate union.
+        The output head of trie-constrained decoding: each computed column
+        is the same embedding dot product :meth:`decode`'s dense head
+        performs, just restricted to the candidate union.
         The gathered rows are memoized against the candidate array's
         identity (the trie keeps one stable array per level); staleness
         guards live in :class:`repro.tensor.WeightMemo`.
@@ -248,10 +244,6 @@ class TIGER(Module):
     # ------------------------------------------------------------------
     # The scorer surface the shared beam stepper drives (repro.llm.generation)
     # ------------------------------------------------------------------
-    @property
-    def vocab_size(self) -> int:
-        return self.space.vocab_size
-
     def new_beam_caches(self) -> list[CrossBeamKVCache]:
         """Fresh per-layer self- plus cross-attention caches for one batched decode."""
         return [CrossBeamKVCache() for _ in self.decoder_layers]

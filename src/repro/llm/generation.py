@@ -49,9 +49,7 @@ also makes levels where every live beam has exactly one legal continuation
 the **forced-token fast path** appends those tokens without any model
 forward and the consecutive forced levels are flushed through the
 transformer in one combined multi-token forward when (and if) a later
-level actually needs logits.  ``sparse=False`` keeps the dense full-vocab
-head as the measurable baseline; rankings and scores agree to float
-rounding (the reduction order over candidates differs).
+level actually needs logits.
 """
 
 from __future__ import annotations
@@ -108,15 +106,11 @@ class Scorer(Protocol):
     forwards)``.
     """
 
-    vocab_size: int
-
     def new_beam_caches(self) -> list[BeamKVCache]: ...
 
     def hidden_states(self, tokens: np.ndarray, caches: list, **kwargs) -> Tensor: ...
 
     def lm_head_gather(self, hidden: np.ndarray, token_ids: np.ndarray, **kwargs) -> np.ndarray: ...
-
-    def head_logits(self, hidden: np.ndarray) -> np.ndarray: ...
 
 
 def log_softmax_np(logits: np.ndarray) -> np.ndarray:
@@ -132,9 +126,7 @@ def masked_log_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     the columns where ``mask[i]`` is True (``mask`` may broadcast over
     rows).  This is the trie-constrained decoding rule: illegal tokens get
     probability 0 and the remaining mass renormalises over the legal set.
-    A row with no True column comes back all ``-inf`` (a dead beam).  The
-    same function serves the dense (full-vocabulary) and sparse
-    (candidate-union) heads — only the number of columns differs.
+    A row with no True column comes back all ``-inf`` (a dead beam).
     """
     if mask.all():
         # Every column legal (the root-union prefill expansion, rows whose
@@ -167,30 +159,22 @@ def topk_desc(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def select_beams(
-    step_logp: np.ndarray,
-    beam_scores: np.ndarray,
-    num_beams: int,
-    width: int,
-    union: np.ndarray | None = None,
+    step_logp: np.ndarray, beam_scores: np.ndarray, num_beams: int, union: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Top-``K`` beam continuation selection, shared by every stepper.
 
     ``step_logp`` is the per-hypothesis constrained log-softmax ``(B*K,
-    width)`` — over the full vocabulary (dense) or the candidate union
-    (sparse, with ``union`` mapping columns back to token ids); this one
-    place owns the score accumulation, the flattened per-request top-k,
-    and the origin/token decomposition.
+    len(union))`` over the candidate ``union``, which maps its columns back
+    to token ids; this one place owns the score accumulation, the
+    flattened per-request top-k, and the origin/token decomposition.
     Returns ``(origin, token, new_scores)``, each ``(B, K)``.
     """
+    width = union.shape[0]
     candidates = step_logp.astype(np.float64)
     candidates += beam_scores.reshape(-1, 1)
     candidates = candidates.reshape(-1, num_beams * width)
     order, new_scores = topk_desc(candidates, num_beams)
-    origin = order // width
-    token = order % width
-    if union is not None:
-        token = union[token]
-    return origin, token, new_scores
+    return order // width, union[order % width], new_scores
 
 
 @dataclass
@@ -334,7 +318,7 @@ def _prefill_prompts(
     caches: list[BeamKVCache],
     pad_id: int,
     prefix_cache: PrefixKVCache | None,
-    workspace: StepWorkspace | None = None,
+    workspace: StepWorkspace,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the prompt phase of a batched decode through ``caches``.
 
@@ -345,10 +329,10 @@ def _prefill_prompts(
     histories, and duplicate queries hit on later batches.
 
     Returns ``(last_hidden, pad_columns)``: the final-norm hidden state of
-    every row's last prompt token ``(B, dim)`` — the output head (dense or
-    candidate-gathered) is the caller's choice — and the boolean per-row
-    pad-column map over all prompt columns, which every subsequent decode
-    step must pass back to the model.
+    every row's last prompt token ``(B, dim)`` — the candidate-gathered
+    output head is the caller's — and the boolean per-row pad-column map
+    over all prompt columns, which every subsequent decode step must pass
+    back to the model.
     """
     matches: list[PrefixMatch | None] = [None] * len(prompts)
     if prefix_cache is not None:
@@ -457,10 +441,8 @@ class DecodeState:
     — after forced-token fast-path levels — the forced tokens accumulated
     since the last real forward.  The next step that needs logits (or a
     :func:`decode_join` flush) runs all pending columns through the
-    transformer in one combined forward.  ``sparse`` selects the
-    candidate-only output head and enables the forced fast path;
-    ``workspace`` is the step-scratch arena (cleared whenever the row
-    count changes).
+    transformer in one combined forward.  ``workspace`` is the step-scratch
+    arena (cleared whenever the row count changes).
 
     ``narrow`` optionally restricts beam *selection* to a candidate
     subtrie (:meth:`IndexTrie.subtrie`) while scores keep renormalising
@@ -468,8 +450,8 @@ class DecodeState:
     *after* the constrained log-softmax, so the surviving hypotheses carry
     exactly the scores a full decode would give them and the ranking over
     the candidate set is identical to a full decode filtered post hoc.
-    With the sparse head, narrowing also shrinks the gathered candidate
-    union to the alive rows' allowed sets — fewer output-head columns.
+    Narrowing also shrinks the gathered candidate union to the alive rows'
+    allowed sets — fewer output-head columns.
 
     ``forwards`` counts the transformer forwards this state has run (the
     prompt phase's own count, steps, pending flushes) — the forced fast
@@ -487,8 +469,7 @@ class DecodeState:
     suffix_pads: np.ndarray  # (B,) int64: suffix columns predating each row
     tags: list[object]
     pending: np.ndarray = field(default_factory=lambda: np.empty((0, 1), dtype=np.int64))
-    sparse: bool = True
-    workspace: StepWorkspace | None = None
+    workspace: StepWorkspace = field(default_factory=StepWorkspace)
     narrow: IndexTrie | None = None
     forwards: int = 0
 
@@ -533,7 +514,6 @@ def decode_prefill(
     pad_id: int = 0,
     prefix_cache: PrefixKVCache | None = None,
     tags: Sequence[object] | None = None,
-    sparse: bool = True,
     narrow: IndexTrie | None = None,
 ) -> DecodeState:
     """Run the prompt phase and level-0 beam expansion for ``prompts``.
@@ -543,13 +523,11 @@ def decode_prefill(
     level per call.  ``prefix_cache`` enables cross-request prompt
     K/V reuse exactly as in :func:`beam_search_items_batched`.  ``tags``
     optionally attaches one opaque object per prompt (defaults to the
-    prompt's position).  ``sparse`` (default) computes logits for the
-    trie's candidate union only — see the module docstring; ``False``
-    keeps the dense full-vocabulary head as the measurable baseline
-    (rankings identical, scores to float rounding).  ``narrow``
-    optionally restricts beam selection to a candidate subtrie of
-    ``trie`` (see :class:`DecodeState`): ranking over the candidate set
-    matches a full decode filtered post hoc.
+    prompt's position).  Logits are computed for the trie's candidate
+    union only — see the module docstring.  ``narrow`` optionally
+    restricts beam selection to a candidate subtrie of ``trie`` (see
+    :class:`DecodeState`): ranking over the candidate set matches a full
+    decode filtered post hoc.
     """
     if beam_size < 1:
         raise ValueError("beam_size must be positive")
@@ -568,9 +546,8 @@ def decode_prefill(
         tags = list(range(len(prompts)))
     elif len(tags) != len(prompts):
         raise ValueError("tags must match prompts one-to-one")
-    vocab_size = model.vocab_size
     num_beams = min(beam_size, trie.num_items)
-    workspace = StepWorkspace() if sparse else None
+    workspace = StepWorkspace()
     with no_grad():
         # Shared-prompt beam caches: prompt K/V stays at B rows for the
         # whole decode; only per-beam suffix tokens live on the B*K axis.
@@ -592,28 +569,20 @@ def decode_prefill(
 
         # Level 0: expand every prompt to its top-K legal first tokens
         # under the constrained (renormalised-over-legal) distribution.
-        if sparse:
-            root = trie.allowed_token_ids([()])
-            logits = model.lm_head_gather(hidden, root.union, workspace=workspace)
-            scores = masked_log_softmax(logits, root.mask)  # (B, U)
-            # Candidate-aware top-k: rank only the columns selection may
-            # pick and pad the remaining beam slots afterwards.  Narrowing
-            # shrinks the ranked columns only — renormalisation stays over
-            # the full root union (every candidate's logit is in the softmax).
-            if narrow is None:
-                selectable = None
-                width = root.num_candidates
-            else:
-                selectable = _narrow_positions(root.union, narrow.allowed_tokens(()))
-                scores = scores[:, selectable]
-                width = int(selectable.size)
-        else:
+        root = trie.allowed_token_ids([()])
+        logits = model.lm_head_gather(hidden, root.union, workspace=workspace)
+        scores = masked_log_softmax(logits, root.mask)  # (B, U)
+        # Candidate-aware top-k: rank only the columns selection may pick
+        # and pad the remaining beam slots afterwards.  Narrowing shrinks
+        # the ranked columns only — renormalisation stays over the full
+        # root union (every candidate's logit is in the softmax).
+        if narrow is None:
             selectable = None
-            width = vocab_size
-            logits = model.head_logits(hidden)  # (B, V)
-            scores = masked_log_softmax(logits, trie.root_token_mask(vocab_size))
-            if narrow is not None:
-                scores = np.where(narrow.root_token_mask(vocab_size), scores, -np.inf)
+            width = root.num_candidates
+        else:
+            selectable = _narrow_positions(root.union, narrow.allowed_tokens(()))
+            scores = scores[:, selectable]
+            width = int(selectable.size)
         order, top_scores = topk_desc(scores, min(num_beams, width))
         if num_beams > width:
             # Fewer first tokens to rank than beams: -inf pad slots keep
@@ -627,18 +596,14 @@ def decode_prefill(
             order = selectable[order]
         # Scores accumulate in float64, matching the reference path.
         beam_scores = top_scores.astype(np.float64)  # (B, K)
-        if sparse:
-            # Map union positions back to token ids; -inf pad slots carry
-            # an arbitrary legal token (they are dropped at retirement).
-            token_ids = root.union[order]
-        else:
-            token_ids = order
+        # Map union positions back to token ids; -inf pad slots carry an
+        # arbitrary legal token (they are dropped at retirement).
+        token_ids = root.union[order]
         beam_tokens = [[(int(token),) for token in row] for row in token_ids]
         # Every beam appends at most one K/V column per remaining level.
         for cache in caches:
             cache.fan_out(num_beams, suffix_length=trie.num_levels - 1)
-        if workspace is not None:
-            workspace.clear()  # B prompt rows become B*K beam rows: step scratch resizes
+        workspace.clear()  # B prompt rows become B*K beam rows: step scratch resizes
     return DecodeState(
         model=model,
         trie=trie,
@@ -651,7 +616,6 @@ def decode_prefill(
         suffix_pads=np.zeros(len(prompts), dtype=np.int64),
         tags=list(tags),
         pending=token_ids.reshape(-1, 1).astype(np.int64, copy=False),
-        sparse=sparse,
         workspace=workspace,
         narrow=narrow,
         forwards=forwards,  # what the prompt phase ran
@@ -667,7 +631,7 @@ def decode_step(state: DecodeState) -> DecodeState:
     retired (:func:`decode_retire`) before stepping.  Returns ``state``
     (mutated in place) for chaining.
 
-    Two fast paths apply when ``state.sparse`` (the default):
+    Two fast paths apply:
 
     * **Forced tokens** — when every live beam's allowed set is a
       singleton (deduplication levels, thin trie branches), the forced
@@ -689,23 +653,21 @@ def decode_step(state: DecodeState) -> DecodeState:
         raise RuntimeError("retire finished rows before stepping")
     model, trie = state.model, state.trie
     num_requests, num_beams = state.num_rows, state.num_beams
-    vocab_size = model.vocab_size
     beam_tokens = state.beam_tokens
     prefixes = [prefix for row in beam_tokens for prefix in row]
-    candidates_info = trie.allowed_token_ids(prefixes) if state.sparse else None
-    if state.sparse:
-        alive = np.isfinite(state.beam_scores).reshape(-1)
-        if candidates_info.is_forced(alive):
-            # Every live hypothesis is forced: append without a forward
-            # (log-probability 0.0 each), defer the KV update to the next
-            # level that needs logits.
-            forced = candidates_info.forced_tokens(state.pad_id)
-            state.beam_tokens = [
-                [prefix + (int(forced[b * num_beams + k]),) for k, prefix in enumerate(row)]
-                for b, row in enumerate(beam_tokens)
-            ]
-            state.pending = np.concatenate([state.pending, forced[:, None]], axis=1)
-            return state
+    candidates_info = trie.allowed_token_ids(prefixes)
+    alive = np.isfinite(state.beam_scores).reshape(-1)
+    if candidates_info.is_forced(alive):
+        # Every live hypothesis is forced: append without a forward
+        # (log-probability 0.0 each), defer the KV update to the next
+        # level that needs logits.
+        forced = candidates_info.forced_tokens(state.pad_id)
+        state.beam_tokens = [
+            [prefix + (int(forced[b * num_beams + k]),) for k, prefix in enumerate(row)]
+            for b, row in enumerate(beam_tokens)
+        ]
+        state.pending = np.concatenate([state.pending, forced[:, None]], axis=1)
+        return state
     with no_grad():
         hidden = model.hidden_states(
             state.pending,
@@ -715,30 +677,18 @@ def decode_step(state: DecodeState) -> DecodeState:
             last_only=True,
         ).data[:, -1, :]
         state.forwards += 1
-        if state.sparse:
-            if state.narrow is None:
-                union = candidates_info.union
-                width = candidates_info.num_candidates
-                logits = model.lm_head_gather(hidden, union, workspace=state.workspace)
-                step_logp = masked_log_softmax(logits, candidates_info.mask)  # (B*K, U)
-            else:
-                union, norm_mask, keep = _narrowed_step_candidates(
-                    candidates_info, state.narrow, prefixes, alive
-                )
-                width = int(union.shape[0])
-                logits = model.lm_head_gather(hidden, union, workspace=state.workspace)
-                step_logp = np.where(keep, masked_log_softmax(logits, norm_mask), -np.inf)
+        if state.narrow is None:
+            union = candidates_info.union
+            logits = model.lm_head_gather(hidden, union, workspace=state.workspace)
+            step_logp = masked_log_softmax(logits, candidates_info.mask)  # (B*K, U)
         else:
-            union = None
-            width = vocab_size
-            logits = model.head_logits(hidden)  # (B*K, V)
-            mask = trie.allowed_token_mask(prefixes, vocab_size)
-            step_logp = masked_log_softmax(logits, mask)
-            if state.narrow is not None:
-                keep = state.narrow.allowed_token_mask(prefixes, vocab_size)
-                step_logp = np.where(keep, step_logp, -np.inf)
+            union, norm_mask, keep = _narrowed_step_candidates(
+                candidates_info, state.narrow, prefixes, alive
+            )
+            logits = model.lm_head_gather(hidden, union, workspace=state.workspace)
+            step_logp = np.where(keep, masked_log_softmax(logits, norm_mask), -np.inf)
         origin, token, state.beam_scores = select_beams(
-            step_logp, state.beam_scores, num_beams, width, union
+            step_logp, state.beam_scores, num_beams, union
         )
         state.beam_tokens = [
             [beam_tokens[b][int(origin[b, k])] + (int(token[b, k]),) for k in range(num_beams)]
@@ -807,8 +757,6 @@ def decode_join(state: DecodeState, incoming: DecodeState) -> DecodeState:
         raise ValueError("cannot join width-1 beam decodes; decode them separately")
     if incoming.pad_id != state.pad_id:
         raise ValueError("joined decodes must share a pad id")
-    if incoming.sparse != state.sparse:
-        raise ValueError("joined decodes must share the sparse-head setting")
     if incoming.narrow is not state.narrow:
         raise ValueError("joined decodes must share one narrowing trie")
     if incoming.num_rows == 0:
@@ -838,8 +786,7 @@ def decode_join(state: DecodeState, incoming: DecodeState) -> DecodeState:
     state.tags.extend(incoming.tags)
     state.pending = np.concatenate([state.pending, incoming.pending], axis=0)
     state.forwards += incoming.forwards
-    if state.workspace is not None:
-        state.workspace.clear()  # row count changed: step scratch resizes
+    state.workspace.clear()  # row count changed: step scratch resizes
     # Consume the incoming state so a stray step/retire on it cannot
     # corrupt the caches it no longer owns.
     incoming.caches = []
@@ -893,10 +840,9 @@ def decode_retire(state: DecodeState, rows: Sequence[int]) -> list[list[BeamHypo
             keep_array[:, None] * state.num_beams + np.arange(state.num_beams)
         ).reshape(-1)
         state.pending = state.pending[flat_keep]
-        if state.workspace is not None:
-            # Trim the step scratch: surviving rows re-size it next step,
-            # so retired requests never pin peak-width buffers.
-            state.workspace.clear()
+        # Trim the step scratch: surviving rows re-size it next step, so
+        # retired requests never pin peak-width buffers.
+        state.workspace.clear()
         _trim_all_pad_prompt_columns(state)
     return results
 
@@ -936,7 +882,6 @@ def beam_search_items_batched(
     beam_size: int = 20,
     pad_id: int = 0,
     prefix_cache: PrefixKVCache | None = None,
-    sparse: bool = True,
     narrow: IndexTrie | None = None,
 ) -> list[list[BeamHypothesis]]:
     """Batched trie-constrained beam search (the serving engine).
@@ -976,7 +921,6 @@ def beam_search_items_batched(
         beam_size=beam_size,
         pad_id=pad_id,
         prefix_cache=prefix_cache,
-        sparse=sparse,
         narrow=narrow,
     )
     while not state.done:

@@ -239,10 +239,6 @@ class TinyLlama(Module):
         )
         return self.lm_head(hidden)
 
-    def head_logits(self, hidden: np.ndarray) -> np.ndarray:
-        """Dense output head over already-computed hidden states ``(R, dim)``."""
-        return np.matmul(hidden, self.lm_head.weight.data)
-
     # ------------------------------------------------------------------
     # Sparse (candidate-only) output head
     # ------------------------------------------------------------------

@@ -13,8 +13,8 @@ per-row legal continuations plus a memoized per-level *candidate union* —
 so the language model can compute logits for the candidate tokens only
 (see ``TinyLlama.lm_head_gather``) instead of the full vocabulary.
 
-All derived lookups (dense masks, level unions, union-space rows, the root
-mask) are cached; :meth:`IndexTrie.add_item` mutates in place and
+All derived lookups (dense masks, level unions, union-space rows) are
+cached; :meth:`IndexTrie.add_item` mutates in place and
 :meth:`IndexTrie.with_item` produces a copy-on-write snapshot — both
 refresh only the caches the insertion can actually stale.  The memoized
 arrays are returned read-only and with a stable identity, which downstream
@@ -121,8 +121,8 @@ class IndexTrie:
 
         Called on construction and after every mutation
         (:meth:`add_item`): the per-prefix allowed arrays are rebuilt and
-        all memoized masks, level unions, union-space rows and the root
-        mask are dropped, so no caller can observe a stale constraint.
+        all memoized masks, level unions and union-space rows are dropped,
+        so no caller can observe a stale constraint.
         """
         self._allowed_cache: dict[tuple[int, ...], np.ndarray] = {}
         for prefix, children in self._children.items():
@@ -133,7 +133,6 @@ class IndexTrie:
         self._mask_vocab_size = 0
         self._level_unions: dict[tuple[int, ...], np.ndarray] = {}
         self._union_rows: dict[tuple[tuple[int, ...], tuple[int, ...]], np.ndarray] = {}
-        self._root_mask: np.ndarray | None = None
         self.max_token_id = max(
             token for children in self._children.values() for token in children
         )
@@ -210,8 +209,6 @@ class IndexTrie:
             for key, row in self._union_rows.items()
             if key[1] not in changed_prefixes and not changed_levels.intersection(key[0])
         }
-        if () in changed_prefixes:
-            self._root_mask = None
         self.max_token_id = max(self.max_token_id, max(sequence))
 
     def add_item(self, item_id: int, sequence: tuple[int, ...]) -> None:
@@ -220,13 +217,13 @@ class IndexTrie:
         The sequence must have the trie's depth and be unused.  Every
         derived cache the insertion can stale — the allowed arrays and
         dense mask rows of the prefixes along the inserted path, plus the
-        cross-prefix memos (level unions, union-space rows, the cached
-        root mask) that the new tokens actually extend — is refreshed or
-        dropped, so in-flight callers that re-query the trie see the new
-        item immediately.  The update is incremental (``O(levels)`` prefix
-        rebuilds, not a whole-trie rebuild), so growing a catalog item by
-        item stays linear.  For a publication-safe variant that leaves
-        ``self`` untouched, see :meth:`with_item`.
+        cross-prefix memos (level unions, union-space rows) that the new
+        tokens actually extend — is refreshed or dropped, so in-flight
+        callers that re-query the trie see the new item immediately.  The
+        update is incremental (``O(levels)`` prefix rebuilds, not a
+        whole-trie rebuild), so growing a catalog item by item stays
+        linear.  For a publication-safe variant that leaves ``self``
+        untouched, see :meth:`with_item`.
         """
         sequence = self._validated_new_sequence(item_id, sequence)
         self._leaf_to_item[sequence] = item_id
@@ -256,7 +253,6 @@ class IndexTrie:
         clone._mask_vocab_size = self._mask_vocab_size
         clone._level_unions = dict(self._level_unions)
         clone._union_rows = dict(self._union_rows)
-        clone._root_mask = self._root_mask
         clone.max_token_id = self.max_token_id
         clone._leaf_to_item[sequence] = item_id
         changed = clone._insert_path(sequence)
@@ -288,7 +284,6 @@ class IndexTrie:
             )
         if vocab_size != self._mask_vocab_size:
             self._mask_cache = {}
-            self._root_mask = None
             self._mask_vocab_size = vocab_size
         rows = []
         for prefix in prefixes:
@@ -302,21 +297,6 @@ class IndexTrie:
                 self._mask_cache[prefix] = row
             rows.append(row)
         return np.stack(rows, axis=0)
-
-    def root_token_mask(self, vocab_size: int) -> np.ndarray:
-        """Cached ``(1, vocab_size)`` mask of the legal *first* index tokens.
-
-        Every prefill of every request starts from the root, so this mask
-        is the hottest trie lookup in the serving path; it is built once
-        per vocabulary size, returned read-only (callers must not mutate
-        it), and invalidated on trie mutation (:meth:`add_item`).
-        """
-        if self._root_mask is not None and self._root_mask.shape[1] == vocab_size:
-            return self._root_mask
-        mask = self.allowed_token_mask([()], vocab_size).copy()
-        mask.setflags(write=False)
-        self._root_mask = mask
-        return mask
 
     def level_union(self, level: int) -> np.ndarray:
         """Sorted union of every token id appearing at trie depth ``level``.

@@ -9,12 +9,12 @@ serving layer and one concrete model — :class:`LCRecEngine` over a built
 :class:`RecommendRequest`\\ s into a thread-safe :class:`RequestQueue`,
 the :class:`MicroBatcher` plans length-bucketed, prefix-clustered
 micro-batches, and :class:`RecommendationService` decodes them through
-the engine — synchronously via ``flush()``, asynchronously via a
-deadline-batched background loop (``start()``/``stop()``), or with
-continuous batching (``mode="continuous"``, engines advertising
-``supports_continuous``): a :class:`ContinuousScheduler` admits queued
-requests into the in-flight decode at trie-level boundaries and retires
-finished requests the moment their own rows complete.  A cross-request
+the engine on one :class:`ContinuousScheduler` tick — closed batches
+admitted into an idle scheduler, synchronously via ``flush()`` or by a
+deadline-batched background loop (``start()``/``stop()``), or continuous
+batching (``mode="continuous"``, engines advertising
+``supports_continuous``): queued requests join the in-flight decode at
+trie-level boundaries and retire the moment their rows complete.  A cross-request
 :class:`repro.llm.PrefixKVCache` (re-exported here) skips re-running
 prompt prefixes shared between requests, for engines advertising
 ``supports_prefix_cache``.

@@ -63,12 +63,13 @@ def plan_batches(
 ) -> list[list[RecommendRequest]]:
     """Partition ``requests`` into micro-batches.
 
-    Requests are sorted by (beam width, leading prompt tokens, effective
-    length) — stable, so FIFO order breaks ties — then sliced greedily: a
-    batch closes when it reaches ``max_batch_size``, when the next request
-    would stretch the batch's length spread beyond ``bucket_width``, or
-    when its beam width differs (a request's rankings must not depend on
-    who it is co-batched with, and beam width changes rankings).  The
+    Requests are sorted by (beam width, narrow candidate set, leading
+    prompt tokens, effective length) — stable, so FIFO order breaks ties —
+    then sliced greedily: a batch closes when it reaches
+    ``max_batch_size``, when the next request would stretch the batch's
+    length spread beyond ``bucket_width``, or when its beam width or
+    ``narrow_items`` differs (one batch is one engine prefill, which takes
+    one beam width — it changes rankings — and one narrow set).  The
     leading-token component clusters requests that share a template prefix,
     which feeds the prefix KV cache whole batches of hits.  Every request
     lands in exactly one batch — nothing is dropped.
@@ -88,7 +89,8 @@ def plan_batches(
         effective_len = _prompt_len
 
     def sort_key(request: RecommendRequest):
-        return (request.beam_size, request.prompt_ids[:locality], effective_len(request))
+        narrow = request.narrow_items or ()  # None sorts beside the tuples
+        return (request.beam_size, narrow, request.prompt_ids[:locality], effective_len(request))
 
     ordered = sorted(requests, key=sort_key)
     batches: list[list[RecommendRequest]] = []
@@ -101,6 +103,7 @@ def plan_batches(
         if current and (
             len(current) >= config.max_batch_size
             or request.beam_size != current[0].beam_size
+            or request.narrow_items != current[0].narrow_items
             or max(max_len, length) - min(min_len, length) > config.bucket_width
         ):
             batches.append(current)

@@ -152,7 +152,7 @@ class ServingCluster(RecommendationClient):
         or deployments that want fully independent models.
     num_workers:
         Fleet size (decode threads once started).
-    batcher / deadline_ms / mode / prefix_cache-style knobs:
+    batcher / deadline_ms / mode:
         Forwarded to every worker's ``RecommendationService`` unchanged;
         ``mode="continuous"`` requires an engine with
         ``supports_continuous``, exactly as for a single service.
@@ -160,9 +160,6 @@ class ServingCluster(RecommendationClient):
         Per-worker admission bound on undelivered requests (queued plus
         in-decode).  ``None`` disables shedding at the front door (pure
         routing).
-    spillover:
-        With ``False``, a keyed request whose affine worker is saturated
-        is shed instead of diverted — strict cache-locality mode.
     fallback:
         Optional :class:`repro.serving.FallbackRecommender` — the
         retrieval fast lane, shared by the front door and every worker.
@@ -194,7 +191,6 @@ class ServingCluster(RecommendationClient):
         deadline_ms: float = 25.0,
         mode: str = "deadline",
         max_backlog: int | None = 64,
-        spillover: bool = True,
         fallback: FallbackRecommender | None = None,
         hybrid=None,
     ):
@@ -219,7 +215,6 @@ class ServingCluster(RecommendationClient):
         ]
         self.router = AffinityRouter(num_workers)
         self.max_backlog = max_backlog
-        self.spillover = spillover
         self.fallback = fallback
         self.hybrid = hybrid
         self.stats = ClusterStats()
@@ -346,8 +341,6 @@ class ServingCluster(RecommendationClient):
         affine = self._workers[self.router.affine_worker(session_key)]
         if self._has_room(affine):
             return affine, "affine"
-        if not self.spillover:
-            return None, "rejected"
         worker = self._least_loaded()
         return (worker, "spilled") if worker is not None else (None, "rejected")
 
@@ -458,8 +451,12 @@ class ServingCluster(RecommendationClient):
         )
 
     def flush(self) -> int:
-        """Synchronously decode every worker's queue; returns requests served."""
-        return sum(worker.service.flush() for worker in self._workers)
+        """Flush every worker's queue, then re-raise the first error; returns requests served."""
+        outcomes = [service._drain(service.queue.drain()) for service in self.workers]
+        errors = [error for _, error in outcomes if error is not None]
+        if errors:
+            raise errors[0]
+        return sum(served for served, _ in outcomes)
 
     def ingest_item(
         self,

@@ -1,14 +1,18 @@
-"""Continuous batching: admit requests into an in-flight decode.
+"""The scheduler: the one driver of an engine's resumable decode.
 
-The deadline-batched loop (see ``docs/serving.md``) decodes in *closed*
-batches: a request arriving one tick after a flush waits for the whole
-in-flight batch to finish every trie level before its own decode even
-starts, which caps throughput and inflates tail latency exactly where
-interactive traffic hurts most.  Trie-constrained decoding, however, is
-level-synchronous with a tiny fixed depth — the generative-retrieval
-serving shape every :class:`repro.serving.GenerativeEngine` exposes — so
-*trie-level boundaries* are natural admission points: between two levels
-an engine's whole state is one opaque :class:`EngineState`, and
+Every serving mode runs the same tick on the same
+:class:`ContinuousScheduler` — :meth:`~ContinuousScheduler.admit`, then
+:meth:`~ContinuousScheduler.step` — and differs only in what it admits
+when (see :class:`repro.serving.RecommendationService`).  Admitting only
+into an idle scheduler gives *closed* batches: a request arriving one tick
+after a flush waits for the whole in-flight batch to finish every trie
+level before its own decode even starts, which caps throughput and
+inflates tail latency exactly where interactive traffic hurts most.
+Trie-constrained decoding, however, is level-synchronous with a tiny
+fixed depth — the generative-retrieval serving shape every
+:class:`repro.serving.GenerativeEngine` exposes — so *trie-level
+boundaries* are natural admission points: between two levels an engine's
+whole state is one opaque :class:`EngineState`, and
 
 * newly queued requests are prefilled on the side
   (:meth:`GenerativeEngine.prefill`) and joined onto the live state
@@ -19,11 +23,12 @@ an engine's whole state is one opaque :class:`EngineState`, and
 Rankings are identical to decoding each request alone no matter when it is
 admitted — joining must never change a live row's decode inputs, the
 correctness invariant the parity suite (``tests/test_serving_continuous.py``)
-pins down.  Only engines advertising ``supports_continuous`` may be
-scheduled this way.
+pins down.  An engine that cannot join (:meth:`GenerativeEngine.can_join`
+is ``False``: TIGER) is never offered a mid-flight admission, so it
+degrades to closed batches by itself.
 
 Thread safety: the scheduler is *not* thread-safe; the service drives it
-from a single thread (the background loop, or the caller during drain)
+from one thread at a time (the background loop, or a caller's ``flush``)
 under its decode lock.
 """
 
@@ -44,9 +49,8 @@ class ContinuousScheduler:
     Parameters
     ----------
     engine:
-        A :class:`repro.serving.GenerativeEngine` with
-        ``supports_continuous`` set; the scheduler owns exactly one of its
-        decode states at a time.
+        A :class:`repro.serving.GenerativeEngine`; the scheduler owns
+        exactly one of its decode states at a time.
     max_width:
         Cap on the joined batch width (requests in flight at once); queued
         requests beyond it wait for retirements to free rows.
@@ -55,17 +59,11 @@ class ContinuousScheduler:
     def __init__(self, engine: GenerativeEngine, *, max_width: int = 16):
         if max_width < 1:
             raise ValueError("max_width must be positive")
-        if not engine.supports_continuous:
-            raise ValueError(
-                f"engine {engine.name!r} does not support continuous batching "
-                "(supports_continuous is False)"
-            )
         self.engine = engine
         self.max_width = max_width
         self._state: EngineState | None = None
         self.admissions = 0  # admit() calls that added at least one request
         self.joins = 0  # admissions that joined an already-live decode
-        self.steps = 0  # engine.step calls
 
     # ------------------------------------------------------------------
     # Introspection
@@ -83,11 +81,6 @@ class ContinuousScheduler:
     @property
     def idle(self) -> bool:
         return self.width == 0
-
-    @property
-    def in_flight(self) -> list[RecommendRequest]:
-        """Tags (requests) of every row currently being decoded."""
-        return list(self._state.tags) if self._state is not None else []
 
     def compatible(self, request: RecommendRequest) -> bool:
         """Whether ``request`` may join the current decode.
@@ -158,7 +151,6 @@ class ContinuousScheduler:
         delivered = self._retire_finished()
         if self._state is not None:
             self.engine.step(self._state)
-            self.steps += 1
             delivered.extend(self._retire_finished())
         return delivered
 
@@ -176,6 +168,6 @@ class ContinuousScheduler:
 
     def abort(self) -> list[RecommendRequest]:
         """Drop the in-flight decode, returning its requests (to be failed)."""
-        tags = self.in_flight
+        tags = list(self._state.tags) if self._state is not None else []
         self._state = None
         return tags

@@ -1,8 +1,8 @@
 """The engine boundary: one serving stack for every generative recommender.
 
 :class:`GenerativeEngine` is the protocol between the serving layer (queue,
-micro-batcher, deadline loop, continuous scheduler) and a concrete
-generative recommendation model.  It captures the *resumable decode*
+micro-batcher, the one :class:`repro.serving.ContinuousScheduler` tick) and
+a concrete generative recommendation model.  It captures the *resumable decode*
 contract the batched trie-constrained beam search exposes —
 
 * :meth:`GenerativeEngine.prefill` runs the prompt phase plus the level-0
@@ -14,10 +14,11 @@ contract the batched trie-constrained beam search exposes —
   state (continuous batching's admission primitive),
 * :meth:`GenerativeEngine.retire` pops finished rows the moment they reach
   the final level, and :meth:`GenerativeEngine.finish` harvests everything
+  (the one-shot :meth:`GenerativeEngine.decode`; the scheduler only retires)
 
 — plus capability flags (``supports_continuous``, ``supports_prefix_cache``,
-``supports_sparse_head``, ``num_levels``) the service uses to pick a
-scheduling discipline, and the request-shaping hooks (``encode_history``,
+``num_levels``) the service uses to pick an admission policy, and the
+request-shaping hooks (``encode_history``,
 ``request_beam_size``, ``effective_len``, ``finalize``) that keep
 model-specific text rendering, beam policy and ranking post-processing out
 of the service.
@@ -26,13 +27,13 @@ Three adapters ship with the repo, all on one stepper
 (:func:`repro.llm.decode_prefill` / ``decode_step`` / ``decode_retire``
 over a :class:`repro.llm.generation.Scorer`):
 
-====================  ================================================  ==========  ===========
-adapter               scorer                                            continuous  sparse head
-====================  ================================================  ==========  ===========
-:class:`LCRecEngine`  decoder-only :class:`~repro.llm.TinyLlama`        yes         yes
-:class:`P5CIDEngine`  decoder-only :class:`~repro.llm.TinyLlama`        yes         yes
-:class:`TIGEREngine`  encoder-decoder :class:`~repro.baselines.TIGER`   not yet     yes
-====================  ================================================  ==========  ===========
+====================  ================================================  ==========
+adapter               scorer                                            continuous
+====================  ================================================  ==========
+:class:`LCRecEngine`  decoder-only :class:`~repro.llm.TinyLlama`        yes
+:class:`P5CIDEngine`  decoder-only :class:`~repro.llm.TinyLlama`        yes
+:class:`TIGEREngine`  encoder-decoder :class:`~repro.baselines.TIGER`   not yet
+====================  ================================================  ==========
 
 Every adapter is ranking-preserving: batching is a cost optimisation, never
 an approximation, and the parity suites pin each adapter to its
@@ -127,21 +128,15 @@ class GenerativeEngine(abc.ABC):
     Capability flags
     ----------------
     ``supports_continuous``
-        Whether :meth:`join`/:meth:`retire` implement level-boundary
-        admission and early delivery, so the service may run its
-        continuous-batching loop against this engine.
+        Whether :meth:`join`/:meth:`can_join` implement level-boundary
+        admission, so a service may be built with ``mode="continuous"``.
+        An engine without it still serves through the same scheduler:
+        :meth:`can_join` answers ``False``, so every admission waits for
+        an idle decode — closed batches.
     ``supports_prefix_cache``
         Whether the engine can seed prompt K/V from a shared
         :class:`repro.llm.PrefixKVCache` (``prefix_cache`` is then not
         ``None`` when enabled).
-    ``supports_sparse_head``
-        Whether the engine can decode with a trie-aware *sparse* output
-        head: logits computed for the current trie level's candidate
-        union only, log-softmax renormalised over candidates, and forced
-        (singleton-continuation) levels appended without a model forward.
-        Rankings are identical to the dense head; only the cost changes.
-        Engines that support it take a ``sparse_head`` constructor flag
-        (default on) so benchmarks can measure the dense baseline.
     ``supports_replication``
         Whether :meth:`replicate` can stamp out worker-private copies of
         this engine — shared (read-only at serving time) model weights,
@@ -165,7 +160,6 @@ class GenerativeEngine(abc.ABC):
     name: str = "engine"
     supports_continuous: bool = False
     supports_prefix_cache: bool = False
-    supports_sparse_head: bool = False
     supports_replication: bool = False
     supports_narrowing: bool = False
     narrow: IndexTrie | None = None
@@ -402,7 +396,6 @@ class TrieDecoderEngine(GenerativeEngine):
 
     supports_continuous = True
     supports_prefix_cache = True
-    supports_sparse_head = True
     supports_replication = True
     supports_narrowing = True
 
@@ -413,7 +406,6 @@ class TrieDecoderEngine(GenerativeEngine):
         pad_id: int = 0,
         prefix_cache: PrefixKVCache | bool | None = None,
         default_beam_size: int = 20,
-        sparse_head: bool = True,
     ):
         self.lm = lm
         self.catalog = None
@@ -421,7 +413,6 @@ class TrieDecoderEngine(GenerativeEngine):
         self.trie = trie
         self.pad_id = pad_id
         self.default_beam_size = default_beam_size
-        self.sparse_head = sparse_head
         self.narrow = None
         self.set_prefix_cache(prefix_cache)
 
@@ -584,7 +575,6 @@ class TrieDecoderEngine(GenerativeEngine):
             pad_id=self.pad_id,
             prefix_cache=self.prefix_cache,
             tags=requests,
-            sparse=self.sparse_head,
             narrow=narrow,
         )
 
@@ -635,12 +625,7 @@ class LCRecEngine(TrieDecoderEngine):
 
     name = "lcrec"
 
-    def __init__(
-        self,
-        model: "LCRec",
-        prefix_cache: PrefixKVCache | bool | None = True,
-        sparse_head: bool = True,
-    ):
+    def __init__(self, model: "LCRec", prefix_cache: PrefixKVCache | bool | None = True):
         model._require_built()
         super().__init__(
             model.lm,
@@ -648,7 +633,6 @@ class LCRecEngine(TrieDecoderEngine):
             pad_id=0,
             prefix_cache=prefix_cache,
             default_beam_size=model.config.beam_size,
-            sparse_head=sparse_head,
         )
         self.model = model
 
@@ -673,12 +657,7 @@ class P5CIDEngine(TrieDecoderEngine):
 
     name = "p5cid"
 
-    def __init__(
-        self,
-        model: "P5CID",
-        prefix_cache: PrefixKVCache | bool | None = None,
-        sparse_head: bool = True,
-    ):
+    def __init__(self, model: "P5CID", prefix_cache: PrefixKVCache | bool | None = None):
         # Lazy import: repro.baselines must stay importable without pulling
         # the serving package in (and vice versa).
         from ..baselines.generative import PAD_ID
@@ -689,7 +668,6 @@ class P5CIDEngine(TrieDecoderEngine):
             pad_id=PAD_ID,
             prefix_cache=prefix_cache,
             default_beam_size=model.config.beam_size,
-            sparse_head=sparse_head,
         )
         self.model = model
 
@@ -720,17 +698,17 @@ class TIGEREngine(GenerativeEngine):
     retry and deterministic backfill.
 
     No continuous batching yet: admission would have to join cross-attention
-    caches of different source widths.
+    caches of different source widths, so ``can_join`` stays ``False`` and
+    the scheduler serves TIGER in closed batches.
     """
 
     name = "tiger"
     supports_continuous = False
     supports_prefix_cache = False
-    supports_sparse_head = True
     supports_replication = True
     supports_narrowing = True
 
-    def __init__(self, model: "TIGER", sparse_head: bool = True):
+    def __init__(self, model: "TIGER"):
         # Lazy import keeps repro.serving importable without the baselines
         # package (and avoids an import cycle with baselines.tiger).
         from ..baselines.generative import PAD_ID
@@ -739,7 +717,6 @@ class TIGEREngine(GenerativeEngine):
         self.trie = model.trie
         self.pad_id = PAD_ID
         self.default_beam_size = model.config.beam_size
-        self.sparse_head = sparse_head
         self.narrow = None
 
     @property
@@ -785,7 +762,6 @@ class TIGEREngine(GenerativeEngine):
             beam_size=_require_uniform_beams(self, requests),
             pad_id=self.pad_id,
             tags=requests,
-            sparse=self.sparse_head,
             narrow=self.narrow,
         )
 

@@ -5,27 +5,33 @@ generative recommender wrapped in a :class:`repro.serving.GenerativeEngine`
 (LC-Rec, TIGER, P5-CID, or your own adapter): callers ``submit``
 recommendation requests (histories, free-form instructions, or intention
 queries — whichever the engine can encode) and read results from the
-returned :class:`PendingRecommendation`.  Three flush disciplines drain
-the queue through the micro-batcher into the engine's batched
-trie-constrained decode:
+returned :class:`PendingRecommendation`.
 
-* **Synchronous** — the caller invokes :meth:`RecommendationService.flush`
-  (or lets ``result()`` trigger it).  Zero threads, deterministic batching;
-  what tests and offline evaluation use.
-* **Asynchronous, deadline-batched** (``mode="deadline"``, the default) —
-  :meth:`RecommendationService.start` launches a background flush thread
-  that decodes as soon as a full micro-batch is waiting *or* the oldest
-  request exceeds the ``deadline_ms`` latency budget, whichever comes
-  first.  Callers block in ``PendingRecommendation.result(timeout=...)``;
-  :meth:`stop` drains in-flight work and joins the thread.
-* **Asynchronous, continuous** (``mode="continuous"``, engines with
-  ``supports_continuous`` only) — the background thread instead drives a
-  :class:`ContinuousScheduler`: requests are admitted into the in-flight
-  decode at trie-level boundaries (no closed batches, no deadline wait)
-  and delivered the moment their own rows finish.  Under load this trades
-  the deadline-flush queueing delay for at most one trie level of
-  admission latency; ``benchmarks/bench_continuous_batching.py`` measures
-  the p50/p95 gap under Poisson arrivals.
+The service owns one :class:`ContinuousScheduler`, and every way of
+serving runs the same *tick* on it under the decode lock — shed expired
+requests, ``scheduler.admit``, ``scheduler.step``, ``engine.finalize``,
+deliver — so the stats and the error handling are written once.  What
+differs is the admission policy, *what is admitted when*:
+
+* **Closed batches** — the queue is drained, the micro-batcher plans it
+  into batches, and the next batch is admitted only when the scheduler is
+  idle.  Synchronous :meth:`RecommendationService.flush` (or ``result()``
+  on a stopped service) does this on the caller's thread: zero threads,
+  deterministic batching, what tests and offline evaluation use.  The
+  ``mode="deadline"`` background thread (:meth:`RecommendationService.start`,
+  the default) does it as soon as a full micro-batch is waiting *or* the
+  oldest request exceeds the ``deadline_ms`` latency budget, whichever
+  comes first; callers block in ``PendingRecommendation.result(timeout=...)``
+  and :meth:`stop` drains in-flight work and joins the thread.
+* **Continuous** (``mode="continuous"``, engines with
+  ``supports_continuous`` only) — every tick of the background thread pops
+  whatever the scheduler's admission predicate lets join the in-flight
+  decode at this trie-level boundary (no closed batches, no deadline
+  wait), and requests are delivered the moment their own rows finish.
+  Under load this trades the deadline-flush queueing delay for at most
+  one trie level of admission latency;
+  ``benchmarks/bench_continuous_batching.py`` measures the p50/p95 gap
+  under Poisson arrivals.
 
 Results are identical to the engine's single-request oracle in every mode
 — batching, deadlines, and continuous admission change the cost, never the
@@ -34,8 +40,9 @@ prompt prefixes they have decoded before; see ``docs/serving.md`` for
 tuning and invalidation.
 
 Thread safety: ``submit*`` may be called from any number of threads in
-any mode, and ``flush`` may race the background loop (decoding is
-serialized on an internal lock; each request is delivered exactly once).
+any mode, and ``flush`` may race the background loop (ticks are serialized
+on an internal lock, a ``flush`` releases it only with the scheduler idle,
+and each request is delivered exactly once).
 ``start``/``stop`` are serialized on a lifecycle lock and may be called
 from any thread (``stop`` is idempotent, including under concurrent
 callers); handles are safe to share between threads.
@@ -46,6 +53,7 @@ from __future__ import annotations
 import ctypes
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -67,8 +75,6 @@ __all__ = [
     "RecommendationService",
     "refresh_retrieval_tier",
 ]
-
-_UNSET = object()  # distinguishes "not passed" from an explicit prefix_cache
 
 
 def refresh_retrieval_tier(client, version) -> bool:
@@ -152,26 +158,22 @@ class PendingRecommendation:
     def result(self, timeout: float | None = None) -> list[int]:
         """The ranked item ids, blocking until the request is served.
 
-        With the background flush loop running, blocks (up to ``timeout``
-        seconds, raising ``TimeoutError`` on expiry) until the deadline or
-        batch-size trigger decodes this request.  Without it, triggers a
-        synchronous ``flush()`` — the pre-async behaviour.  Raises the
-        decode's exception if this request's batch failed.
+        With the background loop running, blocks (up to ``timeout``
+        seconds, raising ``TimeoutError`` on expiry) until the loop serves
+        this request.  Without it, serves the queue synchronously — but
+        unlike an explicit ``flush()`` never raises another request's
+        error: only this request's own decode failure is raised here.
         """
         if not self._event.is_set() and not self._service.is_running:
-            self._service.flush()
+            self._service._drain(self._service.queue.drain())
         if not self._event.wait(timeout):
             raise TimeoutError(f"request {self._request_id} not served within {timeout}s")
         if self._error is not None:
             raise self._error
         return self._result
 
-    def _deliver(self, result: list[int]) -> None:
-        self._result = result
-        self._event.set()
-
-    def _deliver_degraded(self, result: list[int], reason: str) -> None:
-        self._degraded_reason = reason
+    def _deliver(self, result: list[int], degraded_reason: str | None = None) -> None:
+        self._degraded_reason = degraded_reason
         self._result = result
         self._event.set()
 
@@ -185,12 +187,13 @@ class ServingStats:
     """O(1)-memory counters the throughput benchmark and tests read.
 
     ``size_flushes``/``deadline_flushes`` count what triggered each
-    background flush: a full batch waiting vs the oldest request aging past
-    the latency budget.  Synchronous ``flush()`` calls count in neither.
-    In continuous mode, ``batches`` counts admission prefills instead of
-    closed batches, and ``admissions``/``joins`` record how many admission
-    groups were prefilled / how many of those joined an already-live
-    decode rather than starting a fresh one.
+    deadline-mode background flush: a full batch waiting vs the oldest
+    request aging past the latency budget.  Synchronous ``flush()`` calls
+    count in neither.  ``batches`` and ``admissions`` both count admission
+    prefills — closed batches, or in continuous mode the groups admitted
+    at a level boundary — and ``joins`` how many of those joined an
+    already-live decode rather than starting a fresh one (none, outside
+    continuous mode).
 
     ``padding_fraction_sum`` accumulates per-batch padding fractions over
     the engine's *effective* lengths (post-prefix-cache, for engines with
@@ -335,19 +338,13 @@ class RecommendationService(RecommendationClient):
         Intention/instruction submits bypass the lane (no history to
         retrieve for).
     mode:
-        Background-loop discipline: ``"deadline"`` (default) decodes in
-        closed deadline-batched flushes; ``"continuous"`` admits queued
-        requests into the in-flight decode at trie-level boundaries and
-        retires finished requests early, with ``max_batch_size`` acting as
-        the cap on the joined batch width.  Continuous mode requires an
+        The background thread's admission policy: ``"deadline"`` (default)
+        admits closed deadline-batched flushes into an idle scheduler;
+        ``"continuous"`` admits queued requests into the in-flight decode
+        at trie-level boundaries, with ``max_batch_size`` acting as the
+        cap on the joined batch width.  Continuous mode requires an
         engine with ``supports_continuous``.  Synchronous ``flush()`` and
         rankings are identical in both modes.
-    prefix_cache:
-        Optional override forwarded to ``engine.set_prefix_cache`` —
-        ``True`` builds a fresh :class:`repro.llm.PrefixKVCache`, a cache
-        instance shares/sizes one, ``False``/``None`` disables.  Left
-        unset, the engine keeps whatever cache it was constructed with.
-        Rankings are identical either way.
     fallback:
         Optional :class:`repro.serving.FallbackRecommender` — the
         retrieval fast lane.  When set, a ``submit`` (history) request
@@ -359,9 +356,9 @@ class RecommendationService(RecommendationClient):
         ``Overloaded`` rejection.  ``None`` (default) keeps pre-fallback
         shedding exactly as it was.
 
-    Thread safety: see the module docstring.  The decode path itself is
-    serialized on one internal lock, so a concurrent ``flush()`` and
-    background loop never interleave inside the engine.
+    Thread safety: see the module docstring.  Every tick runs under one
+    internal lock, so a concurrent ``flush()`` and background loop never
+    interleave inside the engine.
     """
 
     def __init__(
@@ -370,7 +367,6 @@ class RecommendationService(RecommendationClient):
         batcher: MicroBatcherConfig | None = None,
         deadline_ms: float = 25.0,
         mode: str = "deadline",
-        prefix_cache: PrefixKVCache | bool | None = _UNSET,
         queue_depth: int | None = None,
         fallback: FallbackRecommender | None = None,
         hybrid=None,
@@ -383,8 +379,6 @@ class RecommendationService(RecommendationClient):
                 f"{type(engine).__name__}; wrap the model first, e.g. "
                 "RecommendationService(LCRecEngine(model)) or model.service(...)"
             )
-        if prefix_cache is not _UNSET:
-            engine.set_prefix_cache(prefix_cache)
         if deadline_ms <= 0:
             raise ValueError("deadline_ms must be positive")
         if mode not in ("deadline", "continuous"):
@@ -403,6 +397,7 @@ class RecommendationService(RecommendationClient):
         self.fallback = fallback
         self.hybrid = hybrid
         self.batcher = MicroBatcher(batcher)
+        self.scheduler = ContinuousScheduler(engine, max_width=self.batcher.config.max_batch_size)
         self.queue = RequestQueue(max_depth=queue_depth)
         self.stats = ServingStats()
         self.deadline_ms = float(deadline_ms)
@@ -436,23 +431,22 @@ class RecommendationService(RecommendationClient):
     # ------------------------------------------------------------------
     @property
     def is_running(self) -> bool:
-        """Whether the background flush loop is active."""
+        """Whether the background loop is active."""
         return self._worker is not None
 
     def start(self) -> "RecommendationService":
         """Launch the background loop thread; returns self for chaining.
 
-        The thread runs the deadline-batched flush loop or the continuous
-        scheduler, per the service's ``mode``.  Serialized with
-        :meth:`stop` on the lifecycle lock.
+        The thread ticks the scheduler under the service's ``mode``
+        admission policy.  Serialized with :meth:`stop` on the lifecycle
+        lock.
         """
         with self._lifecycle:
             if self._worker is not None:
                 raise RuntimeError("service is already running")
             self._stop.clear()
             _release_freed_heap()
-            target = self._continuous_loop if self.mode == "continuous" else self._flush_loop
-            self._worker = threading.Thread(target=target, name="serving-flush", daemon=True)
+            self._worker = threading.Thread(target=self._loop, name="serving-flush", daemon=True)
             self._worker.start()
         return self
 
@@ -480,115 +474,38 @@ class RecommendationService(RecommendationClient):
     # the context manager starts/stops the background loop, and
     # recommend_many is submit-all + flush-or-await.
 
-    def _flush_loop(self) -> None:
-        """Deadline-batched flushing: the background thread's main loop."""
-        deadline = self.deadline_ms / 1000.0
-        max_size = self.batcher.config.max_batch_size
-        while True:
-            requests, reason = self.queue.await_batch(deadline, max_size, self._stop.is_set)
-            if reason == "stop":
-                break
-            if reason == "size":
-                self.stats.size_flushes += 1
-            else:
-                self.stats.deadline_flushes += 1
-            self._decode_requests(requests, raise_errors=False)
-        if self._drain_on_stop:
-            self._decode_requests(self.queue.drain(), raise_errors=False)
-
-    def _continuous_loop(self) -> None:
-        """Continuous batching: the background thread's main loop.
-
-        Each iteration is one trie-level boundary: admit whatever queued
-        requests fit the in-flight decode (width cap, engine join
-        constraints), advance every row one level, and deliver the rows
-        that finished.  When idle it parks on the queue — no deadline
-        wait: the first request is admitted immediately and later ones
-        join it mid-decode.
-        """
-        scheduler = ContinuousScheduler(
-            self.engine, max_width=self.batcher.config.max_batch_size
-        )
-        while not self._stop.is_set():
-            if scheduler.idle and not self.queue.await_request(self._stop.is_set):
-                break
-            self._drive_scheduler(scheduler)
-        # In-flight rows are no longer queued, so they must be finished and
+    def _loop(self) -> None:
+        """The background thread: wait as ``mode`` prescribes, tick, repeat."""
+        stopped = self._stop.is_set
+        if self.mode == "continuous":
+            # Park only while idle, and with no deadline to wait out: the
+            # first request is admitted at once, later ones join it
+            # mid-decode.  ``idle`` is this thread's own reading, taken under
+            # the lock; a racing flush() can only leave the scheduler idle.
+            idle = True
+            while not stopped() and (not idle or self.queue.await_request(stopped)):
+                with self._decode_lock:
+                    joinable = self.queue.pop_front(
+                        self.scheduler.free_width, self.scheduler.admission_predicate()
+                    )
+                    self._tick(joinable, self.engine.effective_len)
+                    idle = self.scheduler.idle
+        else:
+            deadline = self.deadline_ms / 1000.0
+            max_size = self.batcher.config.max_batch_size
+            while True:
+                requests, reason = self.queue.await_batch(deadline, max_size, stopped)
+                if reason == "stop":
+                    break
+                if reason == "size":
+                    self.stats.size_flushes += 1
+                else:
+                    self.stats.deadline_flushes += 1
+                self._drain(requests)
+        # In-flight rows are no longer queued, so they are finished and
         # delivered regardless of the drain flag; with drain, everything
-        # still waiting in the queue is admitted and finished too.
-        while not scheduler.idle or (self._drain_on_stop and self.queue):
-            self._drive_scheduler(scheduler, admit=self._drain_on_stop)
-
-    def _drive_scheduler(self, scheduler: ContinuousScheduler, admit: bool = True) -> None:
-        """One level boundary: admit compatible queued work, step, deliver."""
-        ready: list[tuple[PendingRecommendation, list[int]]] = []
-        with self._decode_lock:
-            if admit:
-                requests = self.queue.pop_front(
-                    scheduler.free_width, scheduler.admission_predicate()
-                )
-                # Shed-at-admission: a deadline that expired while queued
-                # fails here, the last instant before decode cost is paid.
-                requests = self._shed_expired(requests)
-                if requests:
-                    joining = not scheduler.idle
-                    # Probe effective lengths before admit(): prefill files
-                    # the prompts into the prefix cache, after which they
-                    # would all probe as full hits.
-                    padding = padding_fraction(requests, self._effective_len())
-                    tick = time.perf_counter()
-                    try:
-                        scheduler.admit(requests)
-                    except Exception as exc:
-                        # Prefill and join validation run before the live
-                        # decode's state is touched: fail only the incoming
-                        # requests, keep serving the in-flight ones.
-                        self._fail_requests(requests, exc)
-                        requests = []
-                    finally:
-                        # Admission is an engine prefill (plus the join).
-                        self.stats.prefill_seconds += time.perf_counter() - tick
-                    if requests:
-                        self.stats.admissions += 1
-                        self.stats.joins += int(joining)
-                        self.stats.batches += 1
-                        self.stats.padding_fraction_sum += padding
-            tick = time.perf_counter()
-            try:
-                delivered = scheduler.step()
-            except Exception as exc:
-                # A broken step takes down every in-flight row (their
-                # decode state is unrecoverable); fail those handles and
-                # keep the loop alive for the requests still queued.
-                self.stats.step_seconds += time.perf_counter() - tick
-                self._fail_requests(scheduler.abort(), exc)
-                return
-            self.stats.step_seconds += time.perf_counter() - tick
-            self.stats.requests += len(delivered)
-            for request, hypotheses in delivered:
-                with self._pending_lock:
-                    handle = self._pending.pop(request.request_id, None)
-                if handle is not None:
-                    # finalize may re-decode (widen-and-backfill engines),
-                    # so it runs under the decode lock with delivery after.
-                    # A failing finalize must fail only its own handle, not
-                    # take down the loop (and with it every later request).
-                    tick = time.perf_counter()
-                    try:
-                        ready.append((handle, self._finalize_rankings([request], [hypotheses])[0]))
-                    except Exception as exc:
-                        handle._fail(exc)
-                    finally:
-                        self.stats.finalize_seconds += time.perf_counter() - tick
-        for handle, ranking in ready:
-            handle._deliver(ranking)
-
-    def _fail_requests(self, requests: list[RecommendRequest], error: Exception) -> None:
-        for request in requests:
-            with self._pending_lock:
-                handle = self._pending.pop(request.request_id, None)
-            if handle is not None:
-                handle._fail(error)
+        # still waiting in the queue is served too.
+        self._drain(self.queue.drain() if self._drain_on_stop else [])
 
     # ------------------------------------------------------------------
     # Submission
@@ -708,26 +625,12 @@ class RecommendationService(RecommendationClient):
         with self._pending_lock:
             self._pending[request.request_id] = handle
         if not self.queue.try_push(request):
-            # Admission control: the bounded queue refused the request.
-            # Nothing was enqueued either way; with a retrieval fallback
-            # and a history to retrieve for, the request is served
-            # degraded, otherwise the handle comes back already failed —
+            # Admission control: the bounded queue refused the request and
+            # nothing was enqueued; the handle comes back already resolved —
             # submit itself stays exception-free under overload.
-            with self._pending_lock:
-                self._pending.pop(request.request_id, None)
-            if self.fallback is not None and history is not None:
-                self.stats.degraded_queue_full += 1
-                handle._deliver_degraded(
-                    self.fallback.recommend(history, request.top_k), "queue_full"
-                )
-            else:
-                self.stats.shed_queue_full += 1
-                handle._fail(
-                    Overloaded(
-                        f"request queue full (depth bound {self.queue.max_depth})",
-                        reason="queue_full",
-                    )
-                )
+            self._shed(
+                request, "queue_full", f"request queue full (depth bound {self.queue.max_depth})"
+            )
         return handle
 
     # ------------------------------------------------------------------
@@ -773,43 +676,134 @@ class RecommendationService(RecommendationClient):
 
         Requests whose shed deadline has already passed are dropped (their
         handles fail with :class:`repro.serving.Overloaded`) and do not
-        count as served.
+        count as served.  A failing batch neither hangs its own waiters
+        nor strands the batches planned behind it: its handles fail, the
+        rest are served, and the first error is re-raised at the end.
         """
-        return self._decode_requests(self.queue.drain())
+        served, error = self._drain(self.queue.drain())
+        if error is not None:
+            raise error
+        return served
 
-    def _shed_expired(self, requests: list[RecommendRequest]) -> list[RecommendRequest]:
-        """Drop deadline-expired requests, failing their handles; keep the rest.
+    def _drain(self, requests: list[RecommendRequest]) -> tuple[int, Exception | None]:
+        """Serve ``requests`` as closed batches: ``(served, first engine error)``.
 
-        This is the shed side of the deadline-vs-completion race, and it
-        runs exactly once per request, at the moment its decode would
-        start: a request that made it into a decode batch completes
-        normally even if its deadline passes mid-decode.
+        The closed-batch admission policy of ``flush()`` and the deadline
+        thread: the micro-batcher plans the batches and the next one is
+        admitted only when the scheduler is idle.  The decode lock is held
+        until the scheduler is idle again — finishing rows a racing
+        continuous loop left in flight, too — so that loop never parks
+        with rows in flight and the service never holds two live decode
+        states.  Never raises: engine errors fail their handles.
         """
-        live: list[RecommendRequest] = []
-        for request in requests:
-            if not request.expired:
-                live.append(request)
-            elif self.fallback is not None and request.history is not None:
-                # Degrade instead of shed: answer from the retrieval fast
-                # lane, flagged, rather than failing the caller outright.
-                with self._pending_lock:
-                    handle = self._pending.pop(request.request_id, None)
-                if handle is not None:
-                    self.stats.degraded_deadline += 1
-                    handle._deliver_degraded(
-                        self.fallback.recommend(request.history, request.top_k),
-                        "deadline",
-                    )
+        effective_len = self._effective_len()
+        served, first_error = 0, None
+        with self._decode_lock:
+            batches = deque(self.batcher.plan(requests, effective_len))
+            while batches or not self.scheduler.idle:
+                batch = batches.popleft() if self.scheduler.idle else []
+                count, error = self._tick(batch, effective_len)
+                served += count
+                first_error = first_error or error
+        return served, first_error
+
+    def _tick(
+        self,
+        requests: list[RecommendRequest],
+        effective_len: "Callable[[RecommendRequest], int]",
+    ) -> tuple[int, Exception | None]:
+        """One trie-level boundary: shed, admit ``requests``, step, finalize, deliver.
+
+        The one serving step of every mode.  The caller holds the decode
+        lock and has picked ``requests`` by its admission policy (they fit
+        the scheduler's free width and join constraints).  Returns the
+        number of rankings delivered and the first engine error; errors
+        fail exactly the handles they belong to, never the caller.
+        """
+        scheduler, stats = self.scheduler, self.stats
+        outcomes: list[tuple[RecommendRequest, list[int] | Exception]] = []
+        requests = self._shed_expired(requests)
+        if requests:
+            joining = not scheduler.idle
+            # Probe effective lengths before admit(): prefill files the
+            # prompts into the prefix cache, after which they would all
+            # probe as full hits.  (Closed batches pass the memo the
+            # batcher bucketed on, so both see the same numbers.)
+            padding = padding_fraction(requests, effective_len)
+            tick = time.perf_counter()
+            try:
+                scheduler.admit(requests)
+            except Exception as exc:
+                # Prefill and join validation run before the live decode's
+                # state is touched: fail only the incoming requests, keep
+                # serving the in-flight ones.
+                outcomes += [(request, exc) for request in requests]
             else:
-                self.stats.shed_deadline += 1
-                self._fail_requests(
-                    [request],
-                    Overloaded(
-                        f"request {request.request_id} missed its deadline while queued",
-                        reason="deadline",
-                    ),
-                )
-        return live
+                stats.admissions += 1
+                stats.joins += joining
+                stats.batches += 1
+                stats.padding_fraction_sum += padding
+            finally:
+                stats.prefill_seconds += time.perf_counter() - tick
+        tick = time.perf_counter()
+        try:
+            delivered = scheduler.step()
+        except Exception as exc:
+            # A broken step takes down every in-flight row (their decode
+            # state is unrecoverable); fail those handles and keep serving
+            # the requests still queued.
+            delivered = []
+            outcomes += [(request, exc) for request in scheduler.abort()]
+        finally:
+            stats.step_seconds += time.perf_counter() - tick
+        if delivered:
+            stats.requests += len(delivered)
+            tick = time.perf_counter()
+            outcomes += self._finalize(delivered)
+            stats.finalize_seconds += time.perf_counter() - tick
+        for request, outcome in outcomes:
+            self._resolve(request, outcome)
+        errors = [outcome for _, outcome in outcomes if isinstance(outcome, Exception)]
+        return len(outcomes) - len(errors), errors[0] if errors else None
+
+    def _finalize(self, delivered) -> list[tuple[RecommendRequest, list[int] | Exception]]:
+        """Rankings (or the error) of the rows one tick retired.
+
+        One ``engine.finalize`` call for all of them keeps widen-and-backfill
+        engines' re-decode batched; when it raises, each request is retried
+        alone so a failing finalize fails only its own handle.  Finalize
+        may re-decode, hence under the decode lock.
+        """
+        requests = [request for request, _ in delivered]
+        try:
+            return list(zip(requests, self._finalize_rankings(requests, [h for _, h in delivered])))
+        except Exception:
+            outcomes = []
+            for request, hypotheses in delivered:
+                try:
+                    outcomes.append((request, self._finalize_rankings([request], [hypotheses])[0]))
+                except Exception as exc:
+                    outcomes.append((request, exc))
+            return outcomes
+
+    def _finalize_rankings(self, batch, all_hypotheses) -> list[list[int]]:
+        """Engine finalize plus the hybrid lane's backfill rule.
+
+        A narrowed decode surfaces at most its candidate set; backfilling
+        from the candidate order and then the popularity order
+        (:meth:`HybridRecommender.backfill`) is what makes a served
+        narrowed request return the exact list ``hybrid.recommend``
+        would.
+        """
+        rankings = self.engine.finalize(batch, all_hypotheses)
+        if self.hybrid is None:
+            return rankings
+        return [
+            self.hybrid.backfill(ranking, list(request.narrow_items), request.top_k)
+            if request.narrow_items is not None
+            else ranking
+            for request, ranking in zip(batch, rankings)
+        ]
 
     def _effective_len(self) -> "Callable[[RecommendRequest], int]":
         """The engine's decode-cost model, memoized per request.
@@ -832,111 +826,56 @@ class RecommendationService(RecommendationClient):
 
         return effective
 
-    def _finalize_rankings(self, batch, all_hypotheses) -> list[list[int]]:
-        """Engine finalize plus the hybrid lane's backfill rule.
+    def _shed_expired(self, requests: list[RecommendRequest]) -> list[RecommendRequest]:
+        """Shed the deadline-expired requests; keep the rest.
 
-        A narrowed decode surfaces at most its candidate set; backfilling
-        from the candidate order and then the popularity order
-        (:meth:`HybridRecommender.backfill`) is what makes a served
-        narrowed request return the exact list ``hybrid.recommend``
-        would.
+        This is the shed side of the deadline-vs-completion race, and it
+        runs exactly once per request, at admission — the last instant
+        before decode cost is paid: a request that made it into a decode
+        completes normally even if its deadline passes mid-decode.
         """
-        rankings = self.engine.finalize(batch, all_hypotheses)
-        if self.hybrid is None:
-            return rankings
-        return [
-            self.hybrid.backfill(ranking, list(request.narrow_items), request.top_k)
-            if request.narrow_items is not None
-            else ranking
-            for request, ranking in zip(batch, rankings)
-        ]
-
-    def _narrow_groups(
-        self, requests: list[RecommendRequest]
-    ) -> list[list[RecommendRequest]]:
-        """Partition a drained queue by narrow candidate set, FIFO-stable.
-
-        One engine prefill takes one narrow set (mixed sets fail
-        prefill's validation), so the closed-batch path plans each group
-        separately — the continuous path gets the same grouping from the
-        admission predicate instead.
-        """
-        groups: dict[tuple[int, ...] | None, list[RecommendRequest]] = {}
+        live: list[RecommendRequest] = []
         for request in requests:
-            groups.setdefault(request.narrow_items, []).append(request)
-        return list(groups.values())
+            if request.expired:
+                self._shed(
+                    request,
+                    "deadline",
+                    f"request {request.request_id} missed its deadline while queued",
+                )
+            else:
+                live.append(request)
+        return live
 
-    def _decode_requests(
-        self,
-        requests: list[RecommendRequest],
-        raise_errors: bool = True,
-        shed: bool = True,
-    ) -> int:
-        # A failing batch must neither hang its own waiters nor strand the
-        # other planned batches (their requests are already drained from the
-        # queue): fail the broken batch's handles, keep decoding the rest,
-        # and re-raise the first error at the end.
-        #
-        # Deadline shedding runs per micro-batch, at the moment that
-        # batch's decode would start — not once for the whole plan — so
-        # ``deadline_ms`` caps queueing delay even when a deep backlog
-        # drains across many sequential batches.
-        #
-        # Requests are partitioned by narrow candidate set before the
-        # micro-batcher plans: one prefill takes one narrow set.
-        first_error: Exception | None = None
-        served = 0
-        effective_len = self._effective_len()
-        with self._decode_lock:
-            for group in self._narrow_groups(requests):
-                for batch in self.batcher.plan(group, effective_len):
-                    if shed:
-                        batch = self._shed_expired(batch)
-                        if not batch:
-                            continue
-                    try:
-                        self._decode_batch(batch, effective_len)
-                        served += len(batch)
-                    except Exception as exc:
-                        for request in batch:
-                            with self._pending_lock:
-                                handle = self._pending.pop(request.request_id, None)
-                            if handle is not None:
-                                handle._fail(exc)
-                        if first_error is None:
-                            first_error = exc
-        if first_error is not None and raise_errors:
-            raise first_error
-        return served
+    def _shed(self, request: RecommendRequest, reason: str, message: str) -> None:
+        """Admission control turned ``request`` away: degrade it, or fail it typed.
 
-    def _decode_batch(
+        With a retrieval fallback and a history to retrieve for, the
+        request is answered from the fast lane, flagged ``degraded``,
+        rather than failing the caller outright; served and shed are
+        disjoint outcomes, counted apart.
+        """
+        degrade = self.fallback is not None and request.history is not None
+        counter = f"{'degraded' if degrade else 'shed'}_{reason}"
+        setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+        if degrade:
+            self._resolve(
+                request, self.fallback.recommend(request.history, request.top_k), reason
+            )
+        else:
+            self._resolve(request, Overloaded(message, reason=reason))
+
+    def _resolve(
         self,
-        batch: list[RecommendRequest],
-        effective_len: "Callable[[RecommendRequest], int]",
+        request: RecommendRequest,
+        outcome: "list[int] | Exception",
+        degraded_reason: str | None = None,
     ) -> None:
-        # Drive the engine contract directly (exactly what engine.decode
-        # does) so wall time can be attributed per stage in the stats.
-        tick = time.perf_counter()
-        state = self.engine.prefill(batch)
-        self.stats.prefill_seconds += time.perf_counter() - tick
-        tick = time.perf_counter()
-        while not state.done:
-            self.engine.step(state)
-        all_hypotheses = self.engine.finish(state)
-        self.stats.step_seconds += time.perf_counter() - tick
-        tick = time.perf_counter()
-        rankings = self._finalize_rankings(batch, all_hypotheses)
-        self.stats.finalize_seconds += time.perf_counter() - tick
-        for request, ranking in zip(batch, rankings):
-            with self._pending_lock:
-                handle = self._pending.pop(request.request_id, None)
-            if handle is not None:
-                handle._deliver(ranking)
-        self.stats.requests += len(batch)
-        self.stats.batches += 1
-        # Effective lengths (memoized at plan time, so this sees the same
-        # probe the batcher bucketed on): rows served from a prefix cache
-        # forward only their unseen suffix, and the padding stat must
-        # reflect that real decode width, not raw prompt shapes.
-        self.stats.padding_fraction_sum += padding_fraction(batch, effective_len)
-
+        """Settle ``request``'s pending handle: the one site that fails or delivers one."""
+        with self._pending_lock:
+            handle = self._pending.pop(request.request_id, None)
+        if handle is None:
+            return
+        if isinstance(outcome, Exception):
+            handle._fail(outcome)
+        else:
+            handle._deliver(outcome, degraded_reason)

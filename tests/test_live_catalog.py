@@ -61,7 +61,7 @@ def draw_new_sequence(data, sequences):
 
 def warm_derived_caches(trie):
     """Touch every derived-array cache so invalidation has work to scope."""
-    trie.root_token_mask(VOCAB)
+    trie.allowed_token_mask([()], VOCAB)
     for level in range(trie.num_levels):
         trie.level_union(level)
     prefixes = set()
@@ -79,7 +79,12 @@ def warm_derived_caches(trie):
 def assert_same_content(trie, oracle):
     """``trie`` serves exactly the same derived arrays as ``oracle``."""
     assert trie.all_sequences() == oracle.all_sequences()
-    assert np.array_equal(trie.root_token_mask(VOCAB), oracle.root_token_mask(VOCAB))
+    assert np.array_equal(
+        trie.allowed_token_mask([()], VOCAB), oracle.allowed_token_mask([()], VOCAB)
+    )
+    root, oracle_root = trie.allowed_token_ids([()]), oracle.allowed_token_ids([()])
+    assert np.array_equal(root.union, oracle_root.union)
+    assert np.array_equal(root.mask, oracle_root.mask)
     for level in range(oracle.num_levels):
         assert np.array_equal(trie.level_union(level), oracle.level_union(level))
     for seq in oracle.all_sequences().values():

@@ -249,22 +249,6 @@ class TestAdmissionControl:
         cluster.flush()
         assert first.result() == second.result()
 
-    def test_no_spillover_mode_sheds_at_the_affine_worker(self, tiny_lcrec, tiny_dataset):
-        history = list(tiny_dataset.split.test_histories[0])
-        cluster = ServingCluster(
-            LCRecEngine(tiny_lcrec),
-            num_workers=2,
-            batcher=BATCHER,
-            max_backlog=1,
-            spillover=False,
-        )
-        cluster.submit(history, top_k=3, session_key="user:1")
-        rejected = cluster.submit(history, top_k=3, session_key="user:1")
-        assert cluster.stats.rejected == 1
-        with pytest.raises(Overloaded):
-            rejected.result()
-        cluster.flush()
-
     def test_shed_requests_counter_spans_all_guards(self, tiny_lcrec, tiny_dataset):
         history = list(tiny_dataset.split.test_histories[0])
         cluster = ServingCluster(
@@ -384,6 +368,28 @@ class TestLifecycle:
         assert [len(handle.result()) for handle in handles] == [3] * len(histories)
         assert not cluster.is_running
         cluster.stop()  # idempotent
+
+    def test_flush_reaches_every_worker_before_raising(
+        self, tiny_lcrec, tiny_dataset, monkeypatch
+    ):
+        """Regression: ``flush()`` summed the workers' flushes, so the first
+        worker to raise left every later worker's queue undecoded."""
+        history = list(tiny_dataset.split.test_histories[0])
+        cluster = ServingCluster(
+            LCRecEngine(tiny_lcrec, prefix_cache=False), num_workers=2, batcher=BATCHER
+        )
+
+        def broken(requests):
+            raise RuntimeError("worker 0 blew up")
+
+        monkeypatch.setattr(cluster.workers[0].engine, "prefill", broken)
+        # Keyless submits balance least-loaded: one request per worker.
+        doomed, healthy = (cluster.submit(history, top_k=3) for _ in range(2))
+        assert [worker.backlog for worker in cluster.workers] == [1, 1]
+        with pytest.raises(RuntimeError, match="worker 0 blew up"):
+            cluster.flush()
+        assert doomed.done and healthy.done and cluster.backlog == 0
+        assert healthy.result() == tiny_lcrec.recommend(history, top_k=3)
 
     def test_concurrent_submitters_one_cluster(self, tiny_lcrec, tiny_dataset):
         pool = tiny_dataset.split.test_histories

@@ -6,9 +6,13 @@ is what makes continuous batching a scheduling change, not an
 approximation.  The parity suite pins that down for every admission level,
 the scheduler tests cover admission policy (width cap, beam
 compatibility, FIFO), and the service tests drive the whole background
-loop under concurrent submitters.
+loop under concurrent submitters.  The scheduler is also the one driver
+behind sync ``flush()`` and the deadline thread, so the failure-isolation
+matrix at the end runs every driver through the same tick.
 """
 
+import contextlib
+import sys
 import threading
 
 import numpy as np
@@ -506,38 +510,38 @@ class TestContinuousService:
         # handle must still resolve via the synchronous fallback.
         assert len(pending.result(timeout=20.0)) == 3
 
-    def test_sync_flush_coexists_with_continuous_loop(self, service,
+    def test_sync_flush_coexists_with_continuous_loop(self, service, tiny_lcrec,
                                                       tiny_dataset):
-        service.start()
-        pending = [service.submit(h, top_k=3)
-                   for h in tiny_dataset.split.test_histories[:3]]
-        service.flush()  # may race the loop; each request delivered once
-        assert all(len(p.result(timeout=20.0)) == 3 for p in pending)
+        """flush() calls racing the loop share its scheduler: each finishes
+        what it finds in flight before it returns, so once they all have,
+        every handle is resolved — once — and the scheduler is idle."""
+        histories = [list(h) for h in tiny_dataset.split.test_histories[:12]]
+        pending = [None] * len(histories)
 
-    def test_failing_decode_fails_handles_but_not_loop(self, tiny_lcrec,
-                                                       tiny_dataset,
-                                                       monkeypatch):
-        service = RecommendationService(
-            LCRecEngine(tiny_lcrec, prefix_cache=False),
-            batcher=MicroBatcherConfig(max_batch_size=4), mode="continuous")
-        calls = {"count": 0}
-        real_prefill = service.engine.prefill
+        def submit_and_flush(start):  # more flushers than cores, beside the loop
+            for index in range(start, start + 3):
+                pending[index] = service.submit(histories[index], top_k=3)
+            service.flush()
 
-        def flaky(*args, **kwargs):
-            calls["count"] += 1
-            if calls["count"] == 1:
-                raise RuntimeError("decode blew up")
-            return real_prefill(*args, **kwargs)
-
-        monkeypatch.setattr(service.engine, "prefill", flaky)
-        service.start()
-        first = service.submit(tiny_dataset.split.test_histories[0], top_k=3)
-        with pytest.raises(RuntimeError, match="decode blew up"):
-            first.result(timeout=20.0)
-        # The loop survives: later submissions are served normally.
-        second = service.submit(tiny_dataset.split.test_histories[1], top_k=3)
-        assert len(second.result(timeout=20.0)) == 3
-        service.stop()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            service.start()
+            threads = [threading.Thread(target=submit_and_flush, args=(start,))
+                       for start in range(0, len(histories), 3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        # Whoever drained a request has returned from its flush by now.
+        assert all(p.done for p in pending)
+        assert service.scheduler.idle and service.backlog == 0
+        assert service.stats.requests == len(pending)  # nobody was decoded twice
+        for history, p in zip(histories, pending):
+            assert p.result(timeout=20.0) == tiny_lcrec.recommend(history, top_k=3)
 
     def test_failing_admission_spares_in_flight_requests(self, tiny_lcrec,
                                                          tiny_dataset,
@@ -566,3 +570,77 @@ class TestContinuousService:
             second.result(timeout=20.0)
         assert len(first.result(timeout=20.0)) == 3  # in-flight unharmed
         service.stop()
+        assert service.backlog == 0 and service.scheduler.idle
+
+
+POISON = 7  # the top_k that marks the request an engine stage blows up on
+
+
+class Poisoned(LCRecEngine):
+    """Raises at one stage whenever the poisoned request is there, and
+    records which requests that failure has to take down with it."""
+
+    def __init__(self, model, stage):
+        super().__init__(model, prefix_cache=False)
+        self.stage = stage
+        self.doomed = set()
+
+    def boom(self, stage, present, doomed=None):
+        if stage == self.stage and any(r.top_k == POISON for r in present):
+            self.doomed |= {r.request_id for r in (present if doomed is None else doomed)}
+            raise RuntimeError(f"{stage} boom")
+
+    def prefill(self, requests):
+        self.boom("prefill", requests)  # one admission is one prefill: all of it fails
+        return super().prefill(requests)
+
+    def step(self, state):
+        self.boom("step", state.tags)  # the in-flight rows' decode state is lost
+        super().step(state)
+
+    def finalize(self, requests, all_hypotheses):
+        # Only the poisoned request's own ranking is unobtainable.
+        self.boom("finalize", requests, [r for r in requests if r.top_k == POISON])
+        return super().finalize(requests, all_hypotheses)
+
+
+class TestOneTick:
+    """Every driver runs the same tick, so an engine failure at any stage
+    fails exactly the handles it owns under all of them: a failing
+    admission spares everything already in flight or planned behind it, a
+    failing step fails exactly the in-flight rows, a failing finalize only
+    its own handle even when it was finalized in one call with others."""
+
+    @pytest.mark.parametrize("stage", ["prefill", "step", "finalize"])
+    @pytest.mark.parametrize("driver", ["sync", "deadline", "continuous"])
+    def test_failure_isolation(self, tiny_lcrec, tiny_dataset, driver, stage):
+        histories = [list(h) for h in tiny_dataset.split.test_histories[:6]]
+        top_ks = [3, 3, POISON, 3, 3, 3]
+        engine = Poisoned(tiny_lcrec, stage)
+        service = RecommendationService(
+            engine,
+            batcher=MicroBatcherConfig(max_batch_size=2, bucket_width=10_000),
+            deadline_ms=5.0,
+            mode="continuous" if driver == "continuous" else "deadline")
+        failed = set()
+        with contextlib.nullcontext() if driver == "sync" else service:
+            handles = [service.submit(h, top_k=k) for h, k in zip(histories, top_ks)]
+            if driver == "sync":
+                # Explicit flush() re-raises, but only after every batch ran.
+                with pytest.raises(RuntimeError, match=f"{stage} boom"):
+                    service.flush()
+                assert all(handle.done for handle in handles)
+            # A background loop the failure had killed would time these out.
+            for handle, history, top_k in zip(handles, histories, top_ks):
+                try:
+                    ranking = handle.result(timeout=20.0)
+                except RuntimeError as exc:
+                    assert str(exc) == f"{stage} boom"
+                    failed.add(handle.request_id)
+                else:
+                    assert ranking == tiny_lcrec.recommend(history, top_k=top_k)
+        assert failed == engine.doomed
+        assert handles[2].request_id in failed and len(failed) < len(handles)
+        if stage == "finalize":
+            assert failed == {handles[2].request_id}
+        assert service.backlog == 0 and service.scheduler.idle

@@ -26,6 +26,7 @@ from repro.core.indexer import build_random_index_set
 from repro.llm import DecodeState, beam_search_items_single, ranked_item_ids
 from repro.quantization import ItemIndexSet
 from repro.serving import (
+    ContinuousScheduler,
     EngineState,
     GenerativeEngine,
     LCRecEngine,
@@ -72,8 +73,11 @@ class TestEngineProtocol:
         assert not state.done
 
     def test_prefix_cache_override_through_service(self, tiny_lcrec):
-        service = RecommendationService(LCRecEngine(tiny_lcrec), prefix_cache=False)
-        assert service.prefix_cache is None
+        # The engine owns its cache; the model's service factory routes the
+        # keyword to the engine, the service itself takes none.
+        assert tiny_lcrec.service(prefix_cache=False).prefix_cache is None
+        with pytest.raises(TypeError):
+            RecommendationService(LCRecEngine(tiny_lcrec), prefix_cache=False)
         service = RecommendationService(LCRecEngine(tiny_lcrec, prefix_cache=False))
         assert service.prefix_cache is None
         service = RecommendationService(LCRecEngine(tiny_lcrec))
@@ -112,30 +116,6 @@ class TestEngineProtocol:
             assert tiny_lcrec._inference_engine.lm is tiny_lcrec.lm
         finally:
             tiny_lcrec.lm = original_lm
-
-    def test_failing_finalize_fails_handle_but_not_continuous_loop(
-            self, tiny_lcrec, tiny_dataset):
-        """A finalize error (widen-and-backfill engines re-decode there)
-        must fail only its own request, never kill the background loop."""
-
-        class PoisonedFinalize(LCRecEngine):
-            def finalize(self, requests, all_hypotheses):
-                if any(request.top_k == 7 for request in requests):
-                    raise RuntimeError("finalize boom")
-                return super().finalize(requests, all_hypotheses)
-
-        histories = [list(h) for h in tiny_dataset.split.test_histories[:4]]
-        with RecommendationService(
-                PoisonedFinalize(tiny_lcrec, prefix_cache=False),
-                batcher=MicroBatcherConfig(max_batch_size=4),
-                mode="continuous") as service:
-            bad = service.submit(histories[0], top_k=7)
-            with pytest.raises(RuntimeError, match="finalize boom"):
-                bad.result(timeout=30.0)
-            # The loop is still alive and serving.
-            good = [service.submit(h, top_k=5) for h in histories[1:]]
-            results = [p.result(timeout=30.0) for p in good]
-        assert results == lcrec_oracle(tiny_lcrec, histories[1:], 5)
 
     def test_bare_model_constructor_raises_with_fix(self, tiny_lcrec):
         # The PR-4 deprecation shim is gone: the error must say what to
@@ -375,9 +355,8 @@ class TestTIGEROnTheSharedStepper:
         assert ranked == [[item for item in ranking if item in candidates] for ranking in full]
 
     @pytest.mark.parametrize("batch", [1, 4, 12])
-    @pytest.mark.parametrize("kwargs", [{}, {"sparse_head": False}], ids=["default", "dense"])
-    def test_matches_single_loop(self, tiger, histories, batch, kwargs):
-        engine = TIGEREngine(tiger, **kwargs)
+    def test_matches_single_loop(self, tiger, histories, batch):
+        engine = TIGEREngine(tiger)
         num_items = tiger.trie.num_items
         for top_k in (2, 5, num_items + 3):  # the last: beams wider than the catalog
             got = engine.recommend_many(histories[:batch], top_k=top_k)
@@ -386,12 +365,11 @@ class TestTIGEROnTheSharedStepper:
     def test_narrowed_matches_full_decode_restricted(self, tiger, histories):
         engine = TIGEREngine(tiger)
         num_items = tiger.trie.num_items
-        full = engine.recommend_many(histories, top_k=num_items)
+        full = [tiger.recommend(h, top_k=num_items) for h in histories]  # the dense oracle
         for candidates in ([0, 1, 7, 8], [3, 12, 13, 17], list(range(0, num_items, 2))):
             expected = [[item for item in ranking if item in candidates] for ranking in full]
-            for sparse in (True, False):
-                narrowed = TIGEREngine(tiger, sparse_head=sparse).narrowed(candidates)
-                assert narrowed.recommend_many(histories, top_k=len(candidates)) == expected
+            narrowed = engine.narrowed(candidates)
+            assert narrowed.recommend_many(histories, top_k=len(candidates)) == expected
 
     def test_widen_to_catalog_retry(self, tiger, histories):
         # A beam narrower than top_k comes up short; finalize re-decodes the
@@ -403,6 +381,41 @@ class TestTIGEROnTheSharedStepper:
         assert all(len(row) == 1 for row in hypotheses)
         ranked = engine.finalize(requests, hypotheses)
         assert ranked == [tiger.recommend(h, top_k=num_items)[:5] for h in histories[:4]]
+
+    def test_served_through_the_scheduler(self, tiger, histories):
+        """TIGER cannot join, so the one scheduler serves it in closed
+        batches: nothing is admitted beside live rows, rows retire the tick
+        they finish, and one finalize call widens the short row beside the
+        normal ones."""
+
+        class ModelBeams(TIGEREngine):  # beam 2 whatever top_k: top_k=5 comes up short
+            def request_beam_size(self, top_k):
+                return self.default_beam_size
+
+        engine = ModelBeams(tiger)
+        requests = [RecommendRequest(prompt_ids=engine.encode_history(h), top_k=2, beam_size=2)
+                    for h in histories[:3]]
+        scheduler = ContinuousScheduler(engine, max_width=4)
+        scheduler.admit(requests[:2])
+        assert not scheduler.compatible(requests[2])  # waits for an idle scheduler
+        delivered = [scheduler.step() for _ in range(engine.num_levels - 1)]
+        assert [len(rows) for rows in delivered] == [0] * (engine.num_levels - 2) + [2]
+        assert scheduler.idle and scheduler.compatible(requests[2])
+
+        finalized = []
+        finalize = engine.finalize
+        engine.finalize = lambda reqs, hyps: finalized.append(len(reqs)) or finalize(reqs, hyps)
+        service = RecommendationService(
+            engine, batcher=MicroBatcherConfig(max_batch_size=4, bucket_width=10_000))
+        normal = [service.submit(h, top_k=2) for h in histories[:3]]
+        short = service.submit(histories[3], top_k=5)
+        assert service.flush() == 4
+        assert finalized == [4]  # one call for everything the tick retired
+        assert [p.result() for p in normal] == [tiger.recommend(h, top_k=2) for h in histories[:3]]
+        # The short row was re-decoded at catalog width: the exhaustive ranking.
+        assert short.result() == tiger.recommend(histories[3], top_k=tiger.trie.num_items)[:5]
+        assert service.backlog == 0 and service.scheduler.idle
+        assert (service.stats.batches, service.stats.joins) == (1, 0)
 
     def test_retiring_a_subset_leaves_the_rest_untouched(self, tiger, histories):
         engine = TIGEREngine(tiger)

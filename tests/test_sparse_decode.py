@@ -5,10 +5,12 @@ Parity contracts pinned here:
 * ``IndexTrie.allowed_token_ids`` exposes exactly the same constraint as
   the dense ``allowed_token_mask`` (union + mask in candidate space),
   with memoized identities and invalidation on trie mutation;
-* the sparse (candidate-only) decode returns rankings identical to the
-  dense full-vocabulary head — and scores equal to float rounding — for
-  the raw stepper and for every engine adapter (LCRec, P5CID, TIGER) at
-  B ∈ {1, 4, 16}, with and without the prefix cache;
+* the sparse (candidate-only) decode — the only output head — returns
+  rankings identical to the single-request oracles, which score the full
+  vocabulary (``beam_search_items_single``, ``TIGER.recommend``), and
+  scores equal to float rounding: the raw stepper and every engine
+  adapter (LCRec, P5CID, TIGER) at B ∈ {1, 4, 16}, with and without the
+  prefix cache;
 * the forced-token fast path skips model forwards without changing any
   score (a singleton allowed set renormalises to log-probability 0.0),
   across one-shot decodes, mid-decode retirement, and continuous joins;
@@ -33,6 +35,7 @@ from repro.llm import (
     decode_retire,
     decode_step,
     masked_log_softmax,
+    ranked_item_ids,
 )
 from repro.llm.generation import log_softmax_np
 from repro.quantization import IndexTrie
@@ -117,27 +120,19 @@ class TestAllowedTokenIds:
         with pytest.raises(ValueError):
             trie.level_union(3)
 
-    def test_root_token_mask_is_cached(self):
-        trie = make_trie()
-        first = trie.root_token_mask(30)
-        assert trie.root_token_mask(30) is first
-        assert first.shape == (1, 30)
-        np.testing.assert_array_equal(np.flatnonzero(first[0]), [10, 11])
-        # A different vocab size rebuilds rather than serving a stale row.
-        assert trie.root_token_mask(40).shape == (1, 40)
-
     def test_add_item_invalidates_derived_caches(self):
         trie = make_trie()
-        root_before = trie.root_token_mask(30)
+        root_before = trie.allowed_token_mask([()], 30)
         union_before = trie.level_union(0)
         trie.add_item(5, (20, 21, 22))
         assert trie.num_items == 6
         assert trie.item_at((20, 21, 22)) == 5
         assert 20 in set(trie.level_union(0))
         assert trie.level_union(0) is not union_before
-        root_after = trie.root_token_mask(30)
-        assert root_after is not root_before
+        root_after = trie.allowed_token_mask([()], 30)
+        assert not root_before[0, 20]
         assert root_after[0, 20]
+        assert 20 in set(trie.allowed_token_ids([()]).per_row[0])
 
     def test_add_item_validates_depth_and_duplicates(self):
         trie = make_trie()
@@ -198,39 +193,28 @@ class TestStepWorkspace:
 
 
 # ----------------------------------------------------------------------
-# Sparse vs dense stepper parity
+# Sparse stepper vs the dense single-request oracle
 # ----------------------------------------------------------------------
 class TestSparseDenseParity:
-    @pytest.mark.parametrize("beam_size", [1, 4, 16])
-    def test_rankings_and_scores_match_dense(self, beam_size):
+    @pytest.mark.parametrize("beam_size", [1, 4, 10, 16])
+    def test_matches_single_request_oracle(self, beam_size):
         model, trie = make_model(), make_trie()
-        sparse = beam_search_items_batched(model, MIXED_PROMPTS, trie,
-                                           beam_size=beam_size, sparse=True)
-        dense = beam_search_items_batched(model, MIXED_PROMPTS, trie,
-                                          beam_size=beam_size, sparse=False)
-        for got, expected in zip(sparse, dense):
-            assert_same_hypotheses(got, expected)
-
-    def test_matches_single_request_oracle(self):
-        model, trie = make_model(), make_trie()
-        batched = beam_search_items_batched(model, MIXED_PROMPTS, trie, beam_size=10)
+        batched = beam_search_items_batched(model, MIXED_PROMPTS, trie, beam_size=beam_size)
         for prompt, hypotheses in zip(MIXED_PROMPTS, batched):
-            reference = beam_search_items_single(model, prompt, trie, beam_size=10)
+            reference = beam_search_items_single(model, prompt, trie, beam_size=beam_size)
             assert_same_hypotheses(hypotheses, reference)
 
-    @pytest.mark.parametrize("sparse", [True, False])
-    def test_prefix_cache_parity(self, sparse):
+    def test_prefix_cache_parity(self):
         model, trie = make_model(), make_trie()
         cache = PrefixKVCache()
         cold = beam_search_items_batched(model, MIXED_PROMPTS, trie, beam_size=6,
-                                         prefix_cache=cache, sparse=sparse)
+                                         prefix_cache=cache)
         warm = beam_search_items_batched(model, MIXED_PROMPTS, trie, beam_size=6,
-                                         prefix_cache=cache, sparse=sparse)
-        plain = beam_search_items_batched(model, MIXED_PROMPTS, trie, beam_size=6,
-                                          sparse=sparse)
-        for a, b, c in zip(cold, warm, plain):
-            assert_same_hypotheses(a, c, rtol=1e-4, atol=1e-5)
-            assert_same_hypotheses(b, c, rtol=1e-4, atol=1e-5)
+                                         prefix_cache=cache)
+        for prompt, a, b in zip(MIXED_PROMPTS, cold, warm):
+            reference = beam_search_items_single(model, prompt, trie, beam_size=6)
+            assert_same_hypotheses(a, reference, rtol=1e-4, atol=1e-5)
+            assert_same_hypotheses(b, reference, rtol=1e-4, atol=1e-5)
 
     def test_lm_head_gather_matches_dense_columns(self):
         model = make_model()
@@ -264,29 +248,25 @@ class TestForcedFastPath:
 
     def test_forced_level_skips_forwards_and_keeps_parity(self):
         trie = make_forced_trie()
-        model, dense_model = make_model(seed=11), make_model(seed=11)
+        model = make_model(seed=11)
         counts = self._count_forwards(model)
-        sparse = beam_search_items_batched(model, MIXED_PROMPTS, trie,
-                                           beam_size=4, sparse=True)
-        sparse_forwards = counts["n"]
-        counts_dense = self._count_forwards(dense_model)
-        dense = beam_search_items_batched(dense_model, MIXED_PROMPTS, trie,
-                                          beam_size=4, sparse=False)
-        dense_forwards = counts_dense["n"]
-        # Dense: prefill + 3 steps.  Sparse: level 2 is forced (no forward)
-        # and its token is flushed inside level 3's combined forward.
-        assert dense_forwards == 4
-        assert sparse_forwards == 3
-        for got, expected in zip(sparse, dense):
-            assert_same_hypotheses(got, expected)
+        batched = beam_search_items_batched(model, MIXED_PROMPTS, trie, beam_size=4)
+        # One forward per level would be prefill + 3 steps.  Level 2 is
+        # forced (no forward) and its token is flushed inside level 3's
+        # combined forward.
+        assert trie.num_levels == 4
+        assert counts["n"] == 3
+        for prompt, got in zip(MIXED_PROMPTS, batched):
+            # The oracle forwards at every level and scores the whole vocabulary.
+            assert_same_hypotheses(
+                got, beam_search_items_single(model, prompt, trie, beam_size=4))
 
     def test_trailing_forced_levels_never_forward(self):
         # A single-item trie is forced at every level after the root.
         trie = IndexTrie({0: (10, 12, 14, 16)})
         model = make_model(seed=5)
         counts = self._count_forwards(model)
-        hypotheses = beam_search_items_batched(model, [[1, 2]], trie,
-                                               beam_size=8, sparse=True)
+        hypotheses = beam_search_items_batched(model, [[1, 2]], trie, beam_size=8)
         assert counts["n"] == 1  # prefill only: levels 1..3 are all forced
         assert [h.item_id for h in hypotheses[0]] == [0]
         assert hypotheses[0][0].score == pytest.approx(
@@ -297,30 +277,26 @@ class TestForcedFastPath:
         trie = make_forced_trie()
         model = make_model(seed=9)
         prompts = [[1, 2, 3], [4, 5]]
-        state = decode_prefill(model, prompts, trie, beam_size=4, sparse=True)
+        state = decode_prefill(model, prompts, trie, beam_size=4)
         decode_step(state)  # level 1
         decode_step(state)  # level 2: forced, appended without a forward
         decode_step(state)  # level 3: combined forward flushes the pending
         assert state.done
         first = decode_retire(state, [0])[0]
         rest = decode_finish(state)[0]
-        alone = beam_search_items_batched(model, [prompts[0]], trie,
-                                          beam_size=4, sparse=True)[0]
-        alone_rest = beam_search_items_batched(model, [prompts[1]], trie,
-                                               beam_size=4, sparse=True)[0]
-        assert_same_hypotheses(first, alone)
-        assert_same_hypotheses(rest, alone_rest)
+        assert_same_hypotheses(
+            first, beam_search_items_single(model, prompts[0], trie, beam_size=4))
+        assert_same_hypotheses(
+            rest, beam_search_items_single(model, prompts[1], trie, beam_size=4))
 
     def test_join_flushes_pending_tokens(self):
         trie = make_forced_trie()
         model = make_model(seed=13)
-        live = decode_prefill(model, [[1, 2, 3]], trie, beam_size=4,
-                              sparse=True, tags=["first"])
+        live = decode_prefill(model, [[1, 2, 3]], trie, beam_size=4, tags=["first"])
         decode_step(live)  # level 1
         decode_step(live)  # level 2: forced -> two pending columns
         assert live.pending.shape[1] == 2
-        incoming = decode_prefill(model, [[4, 5]], trie, beam_size=4,
-                                  sparse=True, tags=["second"])
+        incoming = decode_prefill(model, [[4, 5]], trie, beam_size=4, tags=["second"])
         decode_join(live, incoming)
         assert live.pending.shape[1] == 1  # flushed before the join
         # Mixed-level decode: retire rows the moment they finish, exactly
@@ -335,17 +311,8 @@ class TestForcedFastPath:
                 continue
             decode_step(live)
         for tag, prompt in (("first", [1, 2, 3]), ("second", [4, 5])):
-            alone = beam_search_items_batched(model, [prompt], trie,
-                                              beam_size=4, sparse=True)[0]
-            assert_same_hypotheses(merged[tag], alone)
-
-    def test_join_rejects_mixed_sparse_settings(self):
-        trie = make_trie()
-        model = make_model()
-        live = decode_prefill(model, [[1, 2]], trie, beam_size=4, sparse=True)
-        incoming = decode_prefill(model, [[3]], trie, beam_size=4, sparse=False)
-        with pytest.raises(ValueError, match="sparse"):
-            decode_join(live, incoming)
+            assert_same_hypotheses(
+                merged[tag], beam_search_items_single(model, prompt, trie, beam_size=4))
 
 
 class TestStaleWeightGuards:
@@ -374,7 +341,7 @@ class TestStaleWeightGuards:
 
 
 # ----------------------------------------------------------------------
-# Engine adapters: sparse vs dense across backends
+# Engine adapters: the sparse head against each backend's oracle
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def tiny_p5cid(tiny_dataset):
@@ -392,61 +359,59 @@ def tiny_tiger(tiny_dataset):
     return model
 
 
+def lcrec_oracle(model, histories, top_k):
+    """Per-request rankings from the dense single-request beam search."""
+    beam = max(model.config.beam_size, top_k)
+    prompts = [model.encode_instruction(model.seq_instruction(h)) for h in histories]
+    return [
+        ranked_item_ids(beam_search_items_single(model.lm, p, model.trie, beam_size=beam), top_k)
+        for p in prompts
+    ]
+
+
 class TestEngineSparseParity:
     @pytest.mark.parametrize("batch", [1, 4, 16])
     def test_lcrec_engine_parity(self, tiny_lcrec, tiny_dataset, batch):
         pool = tiny_dataset.split.test_histories
         histories = [list(pool[i % len(pool)]) for i in range(batch)]
-        sparse = LCRecEngine(tiny_lcrec, prefix_cache=False, sparse_head=True)
-        dense = LCRecEngine(tiny_lcrec, prefix_cache=False, sparse_head=False)
-        assert sparse.supports_sparse_head
-        assert sparse.recommend_many(histories, top_k=5) == \
-            dense.recommend_many(histories, top_k=5)
+        engine = LCRecEngine(tiny_lcrec, prefix_cache=False)
+        assert engine.recommend_many(histories, top_k=5) == lcrec_oracle(tiny_lcrec, histories, 5)
 
     def test_lcrec_engine_parity_with_prefix_cache(self, tiny_lcrec, tiny_dataset):
         pool = tiny_dataset.split.test_histories
         histories = [list(pool[i % len(pool)]) for i in range(4)]
-        sparse = LCRecEngine(tiny_lcrec, prefix_cache=True, sparse_head=True)
-        dense = LCRecEngine(tiny_lcrec, prefix_cache=False, sparse_head=False)
-        cold = sparse.recommend_many(histories, top_k=5)
-        warm = sparse.recommend_many(histories, top_k=5)
-        expected = dense.recommend_many(histories, top_k=5)
+        engine = LCRecEngine(tiny_lcrec, prefix_cache=True)
+        cold = engine.recommend_many(histories, top_k=5)
+        warm = engine.recommend_many(histories, top_k=5)
+        expected = lcrec_oracle(tiny_lcrec, histories, 5)
         assert cold == expected
         assert warm == expected
 
     def test_lcrec_continuous_service_parity(self, tiny_lcrec, tiny_dataset):
         pool = tiny_dataset.split.test_histories
         histories = [list(pool[i % len(pool)]) for i in range(6)]
-        rankings = {}
-        for sparse_head in (True, False):
-            engine = LCRecEngine(tiny_lcrec, prefix_cache=False,
-                                 sparse_head=sparse_head)
-            with RecommendationService(
-                engine, batcher=MicroBatcherConfig(max_batch_size=3),
-                mode="continuous",
-            ) as service:
-                pending = [service.submit(h, top_k=5) for h in histories]
-                rankings[sparse_head] = [p.result(timeout=60.0) for p in pending]
-        assert rankings[True] == rankings[False]
+        with RecommendationService(
+            LCRecEngine(tiny_lcrec, prefix_cache=False),
+            batcher=MicroBatcherConfig(max_batch_size=3),
+            mode="continuous",
+        ) as service:
+            pending = [service.submit(h, top_k=5) for h in histories]
+            rankings = [p.result(timeout=60.0) for p in pending]
+        assert rankings == lcrec_oracle(tiny_lcrec, histories, 5)
 
     @pytest.mark.parametrize("batch", [1, 4, 16])
     def test_p5cid_engine_parity(self, tiny_p5cid, tiny_dataset, batch):
         pool = tiny_dataset.split.test_histories
         histories = [list(pool[i % len(pool)]) for i in range(batch)]
-        sparse = P5CIDEngine(tiny_p5cid, sparse_head=True)
-        dense = P5CIDEngine(tiny_p5cid, sparse_head=False)
-        assert sparse.recommend_many(histories, top_k=5) == \
-            dense.recommend_many(histories, top_k=5)
+        ranked = P5CIDEngine(tiny_p5cid).recommend_many(histories, top_k=5)
+        assert ranked == [tiny_p5cid.recommend(h, top_k=5) for h in histories]
 
     @pytest.mark.parametrize("batch", [1, 4, 16])
     def test_tiger_engine_parity(self, tiny_tiger, tiny_dataset, batch):
         pool = tiny_dataset.split.test_histories
         histories = [list(pool[i % len(pool)]) for i in range(batch)]
-        sparse = TIGEREngine(tiny_tiger, sparse_head=True)
-        dense = TIGEREngine(tiny_tiger, sparse_head=False)
-        ranked = sparse.recommend_many(histories, top_k=5)
-        assert ranked == dense.recommend_many(histories, top_k=5)
-        # And both match the single-request oracle loop.
+        ranked = TIGEREngine(tiny_tiger).recommend_many(histories, top_k=5)
+        # The single-request oracle loop scores the whole vocabulary.
         assert ranked == [tiny_tiger.recommend(h, top_k=5) for h in histories]
 
 
