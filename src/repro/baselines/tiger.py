@@ -387,7 +387,7 @@ class TIGER(Module):
 
         Routes through the serving stack's :class:`repro.serving.TIGEREngine`
         — the whole batch is encoded in one encoder forward and expanded
-        ``B×K`` decoder beams per trie level — instead of the per-request
+        ``B×G`` live decoder beams per trie level — instead of the per-request
         Python loop.  Rankings match :meth:`recommend` request-for-request,
         including the widen-to-catalog retry and deterministic backfill.
         """

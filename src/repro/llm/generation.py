@@ -7,9 +7,12 @@ using the index trie built from the learned item indices.
 
 Two constrained-decoding paths are provided:
 
-* the batched serving engine — decodes ``B`` prompts × ``K`` beams per
-  step in a single ``model.forward`` over a flattened ``B*K`` batch axis,
-  with the trie constraint applied as one vectorized mask.  Prompts of
+* the batched serving engine — decodes ``B`` prompts × ``G`` live beams
+  per step in a single ``model.forward`` over a flattened ``B*G`` batch
+  axis, with the trie constraint applied as one vectorized mask.  The beam
+  size ``K`` caps a request's hypotheses, it is not the row shape: ``G`` is
+  the most hypotheses any in-flight request has alive (a request owns at
+  most as many as the trie offers), so a thin level steps thin.  Prompts of
   mixed length are left-padded; pad positions are masked out of attention
   and real tokens keep their unpadded RoPE positions, so padding changes
   nothing mathematically: rankings are identical to per-request decoding
@@ -163,17 +166,19 @@ def select_beams(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Top-``K`` beam continuation selection, shared by every stepper.
 
-    ``step_logp`` is the per-hypothesis constrained log-softmax ``(B*K,
-    len(union))`` over the candidate ``union``, which maps its columns back
-    to token ids; this one place owns the score accumulation, the
-    flattened per-request top-k, and the origin/token decomposition.
-    Returns ``(origin, token, new_scores)``, each ``(B, K)``.
+    ``step_logp`` is the per-hypothesis constrained log-softmax ``(B*G,
+    len(union))`` of the ``(B, G)`` hypotheses scored ``beam_scores``, over
+    the candidate ``union``, which maps its columns back to token ids; this
+    one place owns the score accumulation, the flattened per-request top-k
+    and the origin/token decomposition.  Returns ``(origin, token,
+    new_scores)``, each ``(B, min(num_beams, G * len(union)))`` — the beam
+    size caps the hypotheses, it does not pad them.
     """
     width = union.shape[0]
     candidates = step_logp.astype(np.float64)
     candidates += beam_scores.reshape(-1, 1)
-    candidates = candidates.reshape(-1, num_beams * width)
-    order, new_scores = topk_desc(candidates, num_beams)
+    candidates = candidates.reshape(beam_scores.shape[0], -1)
+    order, new_scores = topk_desc(candidates, min(num_beams, candidates.shape[1]))
     return order // width, union[order % width], new_scores
 
 
@@ -455,7 +460,15 @@ class DecodeState:
 
     ``forwards`` counts the transformer forwards this state has run (the
     prompt phase's own count, steps, pending flushes) — the forced fast
-    path exists to push it below one-per-level.
+    path exists to push it below one-per-level — and ``beam_rows`` the
+    hypothesis rows × tokens the steps and flushes forwarded.
+
+    ``num_beams`` caps a request's hypotheses; it is not a shape.  The
+    caches and ``pending`` carry :attr:`width` hypotheses per request —
+    the most any row with a level to go has alive — and only those leading
+    slots of the score/token tables (at least that wide; top-k sorts
+    ``-inf`` last, so a row's live hypotheses are its leading slots) reach
+    the model and the trie.
     """
 
     model: Scorer
@@ -463,8 +476,8 @@ class DecodeState:
     num_beams: int
     pad_id: int
     caches: list[BeamKVCache]
-    beam_tokens: list[list[tuple[int, ...]]]  # (B rows) x (K prefixes)
-    beam_scores: np.ndarray  # (B, K) float64
+    beam_tokens: list[list[tuple[int, ...]]]  # (B rows) x (>= width prefixes)
+    beam_scores: np.ndarray  # (B, >= width) float64
     prompt_pads: np.ndarray  # (B, W) bool: pad columns in the prompt region
     suffix_pads: np.ndarray  # (B,) int64: suffix columns predating each row
     tags: list[object]
@@ -472,11 +485,25 @@ class DecodeState:
     workspace: StepWorkspace = field(default_factory=StepWorkspace)
     narrow: IndexTrie | None = None
     forwards: int = 0
+    beam_rows: int = 0
 
     @property
     def num_rows(self) -> int:
         """Requests currently in flight."""
         return len(self.beam_tokens)
+
+    @property
+    def width(self) -> int:
+        """Hypotheses per request the caches and ``pending`` carry right now."""
+        return self.caches[0].beams
+
+    def live_width(self) -> int:
+        """Most live hypotheses of any row with a level to go (0: no such row)."""
+        depth = self.trie.num_levels
+        rows = [b for b, row in enumerate(self.beam_tokens) if len(row[0]) < depth]
+        if not rows:
+            return 0
+        return max(1, int(np.isfinite(self.beam_scores[rows]).sum(axis=1).max()))
 
     @property
     def done(self) -> bool:
@@ -503,7 +530,7 @@ class DecodeState:
             full = np.concatenate([full, suffix_map], axis=1)
         if not np.any(full):
             return None
-        return np.repeat(full, self.num_beams, axis=0)
+        return np.repeat(full, self.width, axis=0)
 
 
 def decode_prefill(
@@ -550,7 +577,7 @@ def decode_prefill(
     workspace = StepWorkspace()
     with no_grad():
         # Shared-prompt beam caches: prompt K/V stays at B rows for the
-        # whole decode; only per-beam suffix tokens live on the B*K axis.
+        # whole decode; only per-beam suffix tokens live on the B*G axis.
         caches = model.new_beam_caches()
         # The prompt phase is the one call that differs by architecture.
         encoder_decoder = getattr(model, "prefill_prompts", None)
@@ -584,26 +611,16 @@ def decode_prefill(
             scores = scores[:, selectable]
             width = int(selectable.size)
         order, top_scores = topk_desc(scores, min(num_beams, width))
-        if num_beams > width:
-            # Fewer first tokens to rank than beams: -inf pad slots keep
-            # every row carrying num_beams slots.
-            rows = scores.shape[0]
-            pad_order = np.full((rows, num_beams - width), width - 1, dtype=order.dtype)
-            pad_scores = np.full((rows, num_beams - width), -np.inf, dtype=top_scores.dtype)
-            order = np.concatenate([order, pad_order], axis=1)
-            top_scores = np.concatenate([top_scores, pad_scores], axis=1)
         if selectable is not None:
             order = selectable[order]
         # Scores accumulate in float64, matching the reference path.
-        beam_scores = top_scores.astype(np.float64)  # (B, K)
-        # Map union positions back to token ids; -inf pad slots carry an
-        # arbitrary legal token (they are dropped at retirement).
-        token_ids = root.union[order]
+        beam_scores = top_scores.astype(np.float64)  # (B, G): the first tokens that exist
+        token_ids = root.union[order]  # union positions back to token ids
         beam_tokens = [[(int(token),) for token in row] for row in token_ids]
         # Every beam appends at most one K/V column per remaining level.
         for cache in caches:
-            cache.fan_out(num_beams, suffix_length=trie.num_levels - 1)
-        workspace.clear()  # B prompt rows become B*K beam rows: step scratch resizes
+            cache.fan_out(token_ids.shape[1], suffix_length=trie.num_levels - 1)
+        workspace.clear()  # B prompt rows become B*G beam rows: step scratch resizes
     return DecodeState(
         model=model,
         trie=trie,
@@ -652,20 +669,23 @@ def decode_step(state: DecodeState) -> DecodeState:
     if state.finished_rows():
         raise RuntimeError("retire finished rows before stepping")
     model, trie = state.model, state.trie
-    num_requests, num_beams = state.num_rows, state.num_beams
-    beam_tokens = state.beam_tokens
+    num_requests, width = state.num_rows, state.width
+    # Nothing past the width is alive: wider rows, since retired, left it.
+    beam_tokens = [row[:width] for row in state.beam_tokens]
+    beam_scores = state.beam_scores[:, :width]
     prefixes = [prefix for row in beam_tokens for prefix in row]
     candidates_info = trie.allowed_token_ids(prefixes)
-    alive = np.isfinite(state.beam_scores).reshape(-1)
+    alive = np.isfinite(beam_scores).reshape(-1)
     if candidates_info.is_forced(alive):
         # Every live hypothesis is forced: append without a forward
         # (log-probability 0.0 each), defer the KV update to the next
         # level that needs logits.
         forced = candidates_info.forced_tokens(state.pad_id)
         state.beam_tokens = [
-            [prefix + (int(forced[b * num_beams + k]),) for k, prefix in enumerate(row)]
+            [prefix + (int(forced[b * width + k]),) for k, prefix in enumerate(row)]
             for b, row in enumerate(beam_tokens)
         ]
+        state.beam_scores = beam_scores
         state.pending = np.concatenate([state.pending, forced[:, None]], axis=1)
         return state
     with no_grad():
@@ -677,10 +697,11 @@ def decode_step(state: DecodeState) -> DecodeState:
             last_only=True,
         ).data[:, -1, :]
         state.forwards += 1
+        state.beam_rows += state.pending.size
         if state.narrow is None:
             union = candidates_info.union
             logits = model.lm_head_gather(hidden, union, workspace=state.workspace)
-            step_logp = masked_log_softmax(logits, candidates_info.mask)  # (B*K, U)
+            step_logp = masked_log_softmax(logits, candidates_info.mask)  # (B*G, U)
         else:
             union, norm_mask, keep = _narrowed_step_candidates(
                 candidates_info, state.narrow, prefixes, alive
@@ -688,16 +709,23 @@ def decode_step(state: DecodeState) -> DecodeState:
             logits = model.lm_head_gather(hidden, union, workspace=state.workspace)
             step_logp = np.where(keep, masked_log_softmax(logits, norm_mask), -np.inf)
         origin, token, state.beam_scores = select_beams(
-            step_logp, state.beam_scores, num_beams, union
+            step_logp, beam_scores, state.num_beams, union
         )
         state.beam_tokens = [
-            [beam_tokens[b][int(origin[b, k])] + (int(token[b, k]),) for k in range(num_beams)]
+            [beam_tokens[b][int(o)] + (int(t),) for o, t in zip(origin[b], token[b])]
             for b in range(num_requests)
         ]
-        flat_origin = (np.arange(num_requests)[:, None] * num_beams + origin).reshape(-1)
-        for cache in state.caches:
-            cache.reorder(flat_origin)
-        state.pending = token.reshape(-1, 1).astype(np.int64, copy=False)
+        # Gather K/V straight onto the next step's width.  Rows that just
+        # finished need their scores and tokens only: when no row has a
+        # level left, nothing is reordered at all.
+        live = state.live_width()
+        if live:
+            flat_origin = np.arange(num_requests)[:, None] * width + origin[:, :live]
+            for cache in state.caches:
+                cache.reorder(flat_origin.reshape(-1), live)
+            state.pending = token[:, :live].reshape(-1, 1).astype(np.int64, copy=False)
+            if live != width:
+                state.workspace.clear()  # scratch of the old shape is released
     return state
 
 
@@ -706,6 +734,11 @@ def _pad_left_columns(pads: np.ndarray, extra: int) -> np.ndarray:
     if not extra:
         return pads
     return np.pad(pads, ((0, 0), (extra, 0)), constant_values=True)
+
+
+def _pad_slots(table: np.ndarray, slots: int, fill: float) -> np.ndarray:
+    """Widen a ``(B, G)`` per-hypothesis table to ``slots`` per request."""
+    return np.pad(table, ((0, 0), (0, slots - table.shape[1])), constant_values=fill)
 
 
 def _flush_pending(state: DecodeState) -> None:
@@ -728,6 +761,7 @@ def _flush_pending(state: DecodeState) -> None:
             last_only=True,  # only the K/V matter: skip most of the final block
         )
     state.forwards += 1
+    state.beam_rows += state.pending.size - state.pending.shape[0]
     state.pending = state.pending[:, -1:]
 
 
@@ -738,9 +772,11 @@ def decode_join(state: DecodeState, incoming: DecodeState) -> DecodeState:
     the engine's state is just per-row beams plus K/V caches, so new
     requests prefilled on the side (:func:`decode_prefill`) can join the
     in-flight batch axis.  ``incoming`` must share ``state``'s model, trie,
-    pad id and effective beam width, and must not have stepped yet —
-    admission happens at a level boundary, straight out of prefill.  The
-    incoming rows' pad maps are extended over the columns they must ignore
+    pad id and beam cap, and must not have stepped yet — admission happens
+    at a level boundary, straight out of prefill.  The two sides may carry
+    different widths: the merged decode steps at the wider one, the
+    narrower side's extra slots being ``-inf`` filler.  The incoming rows'
+    pad maps are extended over the columns they must ignore
     (width-alignment pads and the live batch's existing suffix columns),
     which is why joining changes no row's rankings.  ``incoming`` is
     consumed: its rows now live in ``state``.
@@ -751,10 +787,6 @@ def decode_join(state: DecodeState, incoming: DecodeState) -> DecodeState:
         raise ValueError("joined decodes must share one model and trie")
     if incoming.num_beams != state.num_beams:
         raise ValueError(f"beam width mismatch: {incoming.num_beams} != {state.num_beams}")
-    if state.num_beams == 1:
-        # A width-1 decode never fans out, so its suffix tokens share the
-        # prompt cache region; there is no suffix axis to join onto.
-        raise ValueError("cannot join width-1 beam decodes; decode them separately")
     if incoming.pad_id != state.pad_id:
         raise ValueError("joined decodes must share a pad id")
     if incoming.narrow is not state.narrow:
@@ -769,6 +801,8 @@ def decode_join(state: DecodeState, incoming: DecodeState) -> DecodeState:
     # merged batch must share one pending width, so catch the KV up first.
     _flush_pending(state)
     suffix_len = state.caches[0].suffix.length
+    sides = (state, incoming)
+    pending = [side.pending.reshape(side.num_rows, side.width) for side in sides]
     for cache, incoming_cache in zip(state.caches, incoming.caches):
         pad_state, pad_incoming = cache.join(incoming_cache)  # identical on every layer
     state.prompt_pads = np.concatenate(
@@ -781,11 +815,21 @@ def decode_join(state: DecodeState, incoming: DecodeState) -> DecodeState:
     state.suffix_pads = np.concatenate(
         [state.suffix_pads, np.full(incoming.num_rows, suffix_len, dtype=np.int64)]
     )
-    state.beam_tokens.extend(incoming.beam_tokens)
-    state.beam_scores = np.concatenate([state.beam_scores, incoming.beam_scores], axis=0)
+    # Both sides' tables and pending reach one shape; filler slots repeat a
+    # row's first prefix under a -inf score, like a starved beam's.
+    slots = max(side.beam_scores.shape[1] for side in sides)
+    state.beam_tokens = [
+        row + row[:1] * (slots - len(row)) for side in sides for row in side.beam_tokens
+    ]
+    state.beam_scores = np.concatenate(
+        [_pad_slots(side.beam_scores, slots, -np.inf) for side in sides], axis=0
+    )
     state.tags.extend(incoming.tags)
-    state.pending = np.concatenate([state.pending, incoming.pending], axis=0)
+    state.pending = np.concatenate(
+        [_pad_slots(rows, state.width, state.pad_id) for rows in pending], axis=0
+    ).reshape(-1, 1)
     state.forwards += incoming.forwards
+    state.beam_rows += incoming.beam_rows
     state.workspace.clear()  # row count changed: step scratch resizes
     # Consume the incoming state so a stray step/retire on it cannot
     # corrupt the caches it no longer owns.
@@ -804,7 +848,8 @@ def decode_retire(state: DecodeState, rows: Sequence[int]) -> list[list[BeamHypo
 
     Every row must be at the final trie level.  Remaining rows keep
     decoding in a smaller batch: the layer caches are compacted (prompt
-    and suffix rows evicted) so later forwards pay only for live requests.
+    and suffix rows evicted, the width narrowed to what the survivors have
+    alive) so later forwards pay only for live hypotheses.
     Results are in the order of ``rows``; ``-inf`` filler beams are
     dropped, as in :func:`beam_search_items_batched`.
     """
@@ -829,17 +874,18 @@ def decode_retire(state: DecodeState, rows: Sequence[int]) -> list[list[BeamHypo
         retired = set(rows)
         keep = [b for b in range(state.num_rows) if b not in retired]
         keep_array = np.asarray(keep, dtype=np.int64)
-        for cache in state.caches:
-            cache.select_requests(keep_array)
         state.beam_tokens = [state.beam_tokens[b] for b in keep]
         state.beam_scores = state.beam_scores[keep]
         state.prompt_pads = state.prompt_pads[keep]
         state.suffix_pads = state.suffix_pads[keep]
         state.tags = [state.tags[b] for b in keep]
-        flat_keep = (
-            keep_array[:, None] * state.num_beams + np.arange(state.num_beams)
-        ).reshape(-1)
+        # The same gather narrows to the width the survivors still need (a
+        # forced last level retires wide rows without a reorder before it).
+        width = state.live_width() or state.width
+        flat_keep = (keep_array[:, None] * state.width + np.arange(width)).reshape(-1)
         state.pending = state.pending[flat_keep]
+        for cache in state.caches:
+            cache.select_requests(keep_array, width)
         # Trim the step scratch: surviving rows re-size it next step, so
         # retired requests never pin peak-width buffers.
         state.workspace.clear()
@@ -887,7 +933,7 @@ def beam_search_items_batched(
     """Batched trie-constrained beam search (the serving engine).
 
     Decodes all ``len(prompts)`` requests together: each step is a single
-    ``model.forward`` over the flattened ``B*K`` hypothesis axis with one
+    ``model.forward`` over the flattened ``B*G`` live-hypothesis axis with one
     vectorized trie mask, instead of per-request forwards and
     per-hypothesis Python loops.  Returns one score-sorted hypothesis list
     per prompt with the same rankings as running each prompt through the
@@ -901,9 +947,9 @@ def beam_search_items_batched(
     whenever the tokens and weights are identical); see
     :class:`repro.llm.PrefixKVCache` for the invalidation contract.
 
-    Requests with fewer than ``K`` legal hypotheses at some level carry
-    ``-inf``-scored filler beams to keep the batch rectangular; fillers are
-    dropped from the results.
+    A request with fewer live hypotheses than the widest one in the batch
+    carries ``-inf``-scored filler beams up to that width to keep the batch
+    rectangular; fillers are dropped from the results.
 
     This is the one-shot wrapper over the resumable stepper
     (:func:`decode_prefill` → :func:`decode_step` × levels →

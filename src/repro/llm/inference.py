@@ -29,9 +29,9 @@ What makes it GEMM-bound rather than temporary-bound:
   70-element ones.  BLAS writes straight into that layout (and reads the
   queries straight out of the QKV buffer) through strided views.
 * **GEMM-shaped beam attention** — with a fanned
-  :class:`~repro.tensor.BeamKVCache`, the ``K`` beams of a request share
-  its prompt K/V, so their queries stack into one ``(K*T, head_dim)``
-  operand: ``B*H`` GEMMs against the prompt instead of ``B*H*K`` GEMVs.
+  :class:`~repro.tensor.BeamKVCache`, the ``G`` live beams of a request
+  share its prompt K/V, so their queries stack into one ``(G*T, head_dim)``
+  operand: ``B*H`` GEMMs against the prompt instead of ``B*H*G`` GEMVs.
   Only the per-beam suffix (at most ``num_levels - 1`` columns) stays a
   batch of tiny products.
 * **Last-position-only final block** — callers that keep just the last
@@ -179,12 +179,16 @@ class CrossBeamKVCache(BeamKVCache):
         super().fan_out(beams, suffix_length)
         self.memory.fan_out(beams)
 
+    def reorder(self, beam_indices: np.ndarray, beams: int | None = None) -> None:
+        super().reorder(beam_indices, beams)
+        self.memory.beams = self.beams  # the memory's K/V is per request: only its width moves
+
     def join(self, other: BeamKVCache) -> tuple[int, int]:
         raise NotImplementedError("joining memories of different source widths is not built yet")
 
-    def select_requests(self, keep: np.ndarray) -> None:
-        super().select_requests(keep)
-        self.memory.select_requests(keep)
+    def select_requests(self, keep: np.ndarray, beams: int | None = None) -> None:
+        super().select_requests(keep, beams)
+        self.memory.select_requests(keep, beams)
         if self.memory_bias is not None:
             self.memory_bias = self.memory_bias[:, keep]
 
@@ -409,8 +413,8 @@ def _attend(
 
     ``queries`` is ``(rows, Tq, H, Dh)`` — rotated, pre-scaled, usually a
     strided view into the QKV buffer; the new positions' K/V are already
-    appended.  A request's ``G`` beams (``rows = B * G``; ``G = 1`` for
-    unfanned caches) read the same prompt K/V, so their queries are one
+    appended.  A request's ``G`` beams (``rows = B * G``: the cache's
+    current width) read the same prompt K/V, so their queries are one
     ``(G*Tq, Dh)`` GEMM operand per request and head.  Returns the merged
     heads ``(rows, Tq, H*Dh)`` in scratch.
     """

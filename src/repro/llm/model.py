@@ -301,6 +301,6 @@ class TinyLlama(Module):
             cache.fan_out(beams, suffix_length)
 
     def reorder_caches(self, caches: list[KVCache], beam_indices: np.ndarray) -> None:
-        """Reindex every layer cache; supports a flattened ``B*K`` beam axis."""
+        """Reindex every layer cache; supports a flattened ``B*G`` beam axis."""
         for cache in caches:
             cache.reorder(beam_indices)

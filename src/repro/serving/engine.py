@@ -591,19 +591,15 @@ class TrieDecoderEngine(GenerativeEngine):
         return decode_finish(state)
 
     def can_join(self, state: EngineState, request: RecommendRequest) -> bool:
-        """Joined rows must share beam width, catalog version and narrow.
+        """Joined rows must share beam cap, catalog version and narrow.
 
-        Width-1 decodes never fan out (suffix tokens share the prompt
-        cache region), so they cannot be joined mid-flight: such a request
-        waits for the decode to drain instead.  A live state is pinned to
-        the trie it prefilled with, so after a catalog version swap new
-        requests are not admitted into it — they wait for the drain and
-        then prefill against the new catalog.  Narrowed (hybrid-lane)
-        requests join only decodes narrowed to the *same* candidate
-        subtrie.
+        A live state is pinned to the trie it prefilled with, so after a
+        catalog version swap new requests are not admitted into it — they
+        wait for the drain and then prefill against the new catalog.
+        Narrowed (hybrid-lane) requests join only decodes narrowed to the
+        *same* candidate subtrie.
         """
-        width = self.effective_beams(request.beam_size)
-        if width != state.num_beams or width <= 1:
+        if self.effective_beams(request.beam_size) != state.num_beams:
             return False
         trie = self.trie
         if state.trie is not trie:
@@ -691,7 +687,7 @@ class TIGEREngine(GenerativeEngine):
     micro-batch's histories in one bidirectional encoder forward (pad
     columns masked as keys, so batching never changes any row's memory),
     projects every request's cross-attention K/V once and forwards BOS;
-    each step then forwards only the ``B*K`` beams' newest tokens through
+    each step then forwards only the live beams' newest tokens through
     KV caches.  Beam selection, trie masking, forced levels and narrowing
     are the stepper's, as for the decoder-only adapters.  Rankings match
     ``TIGER.recommend`` request-for-request, including its widen-to-catalog

@@ -172,9 +172,9 @@ class KVCache:
     def reorder(self, beam_indices: np.ndarray) -> None:
         """Reindex the batch dimension after a beam-search hypothesis shuffle.
 
-        ``beam_indices`` may have any length, so a flattened ``B*K`` beam
+        ``beam_indices`` may have any length, so a flattened ``B*G`` beam
         axis is supported directly: batched beam search reorders with global
-        indices ``b * K + origin`` and may also grow or shrink the batch
+        indices ``b * G + origin`` and may also grow or shrink the batch
         (continuous batching retires finished rows by reordering with the
         surviving subset).  Spare buffer capacity is preserved so the
         following ``append`` stays a single-column write.
@@ -213,70 +213,80 @@ class KVCache:
         self.keys = self._buf_keys
         self.values = self._buf_values
 
-    def join(
-        self, other: "KVCache", pad_self: int = 0, pad_other: int = 0, other_rows: int = 0
-    ) -> None:
+    def join(self, other: "KVCache", pad_self: int = 0, pad_other: int = 0) -> None:
         """Concatenate ``other``'s rows after this cache's on the batch axis.
 
         ``pad_self``/``pad_other`` zero key *columns* are prepended to the
         respective side so both reach one common width (``self.length +
         pad_self == other.length + pad_other``).  Prepended columns carry
         no information — callers must mask them out of attention for the
-        corresponding rows, exactly like prompt left-padding.  An empty
-        ``other`` instead contributes ``other_rows`` rows made entirely of
-        zero columns (a freshly admitted request's share of an in-flight
-        suffix region).  Capacity is allocated as in :meth:`append`, so
-        following appends stay single-column writes.
+        corresponding rows, exactly like prompt left-padding.  Capacity is
+        allocated as in :meth:`append`, so following appends stay
+        single-column writes.
         """
-        if self.keys is None:
-            raise RuntimeError("join requires a non-empty left cache")
-        if other.keys is None and other_rows <= 0:
-            raise ValueError("joining an empty cache requires other_rows")
-        other_batch = other.batch_size if other.keys is not None else other_rows
+        if self.keys is None or other.keys is None:
+            raise RuntimeError("join requires two non-empty caches")
         width = self.length + pad_self
         if other.length + pad_other != width:
             raise ValueError(
                 f"padded widths disagree: {self.length}+{pad_self} != "
                 f"{other.length}+{pad_other}"
             )
-        rows = self.batch_size + other_batch
+        rows = self.batch_size + other.batch_size
         shape = (rows, self.keys.shape[1], self._capacity(width), self.keys.shape[3])
         new_keys = np.zeros(shape, dtype=self.keys.dtype)
         new_values = np.zeros(shape, dtype=self.values.dtype)
         new_keys[: self.batch_size, :, pad_self:width] = self.keys
         new_values[: self.batch_size, :, pad_self:width] = self.values
-        if other.keys is not None:
-            new_keys[self.batch_size :, :, pad_other:width] = other.keys
-            new_values[self.batch_size :, :, pad_other:width] = other.values
+        new_keys[self.batch_size :, :, pad_other:width] = other.keys
+        new_values[self.batch_size :, :, pad_other:width] = other.values
         self._buf_keys, self._buf_values = new_keys, new_values
         self.keys = new_keys[:, :, :width]
         self.values = new_values[:, :, :width]
 
+    def regroup(self, old: int, new: int, requests: int) -> None:
+        """Re-lay rows grouped ``old`` per request as ``requests`` groups of ``new >= old``.
+
+        One zero-filled copy: request ``b``'s rows land at ``b*new ..
+        b*new+old``; the rows widening adds, and every row of a request
+        past the old count (a fresh admission's share of an in-flight
+        suffix region), are all-zero columns the caller masks or never reads.
+        """
+        shape = (self.batch_size // old, old) + self._buf_keys.shape[1:]
+        new_keys = np.zeros((requests, new) + shape[2:], dtype=self.keys.dtype)
+        new_values = np.zeros_like(new_keys)
+        new_keys[: shape[0], :old] = self._buf_keys.reshape(shape)
+        new_values[: shape[0], :old] = self._buf_values.reshape(shape)
+        self._buf_keys = new_keys.reshape((-1,) + shape[2:])
+        self._buf_values = new_values.reshape((-1,) + shape[2:])
+        self.keys = self._buf_keys[:, :, : self.length]
+        self.values = self._buf_values[:, :, : self.length]
+
 
 class BeamKVCache:
-    """KV cache that shares the prompt prefix across ``K`` beams per request.
+    """KV cache that shares the prompt prefix across a request's beams.
 
-    Beam search over ``B`` requests × ``K`` beams reads the same prompt
-    keys/values for every beam of a request; a flat ``(B*K, H, T, Dh)``
-    cache stores (and re-shuffles, every level) ``K`` copies of them, which
+    Beam search over ``B`` requests × ``G`` beams reads the same prompt
+    keys/values for every beam of a request; a flat ``(B*G, H, T, Dh)``
+    cache stores (and re-shuffles, every level) ``G`` copies of them, which
     makes memory traffic — not matmuls — the decode bottleneck.  This cache
     keeps the prompt portion at ``B`` rows and only the post-``fan_out``
-    suffix at ``B*K`` rows; attention combines the two blockwise (see
+    suffix at ``B*G`` rows; attention combines the two blockwise (see
     :mod:`repro.llm.inference` — a fanned cache is inference-only).
 
-    Beam reordering is legal because hypotheses never migrate between
-    requests: flat index ``b*K + k`` always maps to prompt row ``b``, so
-    ``reorder`` touches only the tiny suffix.
+    ``beams`` is the *current* width ``G`` — the hypotheses per request
+    that exist, not a cap: :meth:`reorder`, :meth:`join` and
+    :meth:`select_requests` move the suffix onto a new width in the gather
+    or copy they make anyway.  Beam reordering is legal because hypotheses
+    never migrate between requests: flat index ``b*G + g`` always maps to
+    prompt row ``b``, so ``reorder`` touches only the tiny suffix.
     """
 
     def __init__(self) -> None:
         self.prompt = KVCache()
         self.suffix = KVCache()
         self.beams = 1
-
-    @property
-    def fanned(self) -> bool:
-        return self.beams > 1
+        self.fanned = False
 
     @property
     def length(self) -> int:
@@ -300,17 +310,18 @@ class BeamKVCache:
     def fan_out(self, beams: int, suffix_length: int = 0) -> None:
         """Declare ``beams`` hypotheses per request.  No data is copied.
 
-        ``suffix_length`` is the number of per-beam columns the decode
-        will append at most (the trie levels left), when known: the suffix
-        buffers are then exactly that wide (see :class:`KVCache`).
+        From here on appends go to the per-beam suffix region — at a width
+        of 1 like at any other.  ``suffix_length`` is the number of
+        per-beam columns the decode will append at most (the trie levels
+        left), when known: the suffix buffers are then exactly that wide
+        (see :class:`KVCache`).
         """
         if beams < 1:
             raise ValueError("beams must be positive")
         if self.fanned:
             raise RuntimeError("cache is already fanned out")
-        if self.suffix.keys is not None:
-            raise RuntimeError("fan_out must precede suffix appends")
         self.beams = beams
+        self.fanned = True
         self.suffix.max_length = suffix_length
 
     def append(self, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -319,57 +330,57 @@ class BeamKVCache:
             return self.prompt.append(k, v)
         return self.suffix.append(k, v)
 
-    def reorder(self, beam_indices: np.ndarray) -> None:
-        """Shuffle hypotheses (flat ``B*K`` indices, within-request only)."""
-        if not self.fanned:
-            self.prompt.reorder(beam_indices)
-        else:
-            self.suffix.reorder(beam_indices)
+    def reorder(self, beam_indices: np.ndarray, beams: int | None = None) -> None:
+        """Shuffle hypotheses (flat ``B*G`` indices, within-request only).
+
+        ``beams`` is the width the gathered rows are grouped by (default:
+        unchanged) — ``len(beam_indices) / B``.
+        """
+        (self.suffix if self.fanned else self.prompt).reorder(beam_indices)
+        self.beams = beams or self.beams
 
     def join(self, other: "BeamKVCache") -> tuple[int, int]:
         """Merge ``other``'s requests onto this cache's batch axis.
 
         The continuous-batching admission primitive: ``other`` holds freshly
-        prefilled requests (fanned out to the same beam count, no suffix
-        columns yet) and its rows are appended after this cache's.  Prompt
-        regions of different widths are aligned by prepending zero columns
-        to the narrower side; the incoming rows also receive one all-zero
-        column per existing suffix column (decode steps that ran before they
-        were admitted).  Returns ``(pad_self, pad_other)`` — the prompt
-        columns prepended to the live rows / the incoming rows — so the
-        caller can extend its pad-column masks; every prepended or zero
+        prefilled requests (fanned out, no suffix columns yet) and its rows
+        are appended after this cache's, at the wider of the two widths.
+        Prompt regions of different widths are aligned by prepending zero
+        columns to the narrower side; the incoming rows also receive one
+        all-zero column per existing suffix column (decode steps that ran
+        before they were admitted).  Returns ``(pad_self, pad_other)`` — the
+        prompt columns prepended to the live rows / the incoming rows — so
+        the caller can extend its pad-column masks; every prepended or zero
         column must be masked out of attention for the affected rows.
         """
         if not self.fanned or not other.fanned:
             raise RuntimeError("join requires both caches fanned out")
-        if self.beams != other.beams:
-            raise ValueError(f"beam width mismatch: {self.beams} != {other.beams}")
         if other.suffix.length:
             raise ValueError("incoming cache must not have suffix columns")
         if self.prompt.keys is None or other.prompt.keys is None:
             raise RuntimeError("join requires prefilled prompt regions")
         pad_self = max(0, other.prompt.length - self.prompt.length)
         pad_other = max(0, self.prompt.length - other.prompt.length)
-        incoming_rows = other.prompt.batch_size
+        beams = max(self.beams, other.beams)
         self.prompt.join(other.prompt, pad_self, pad_other)
         if self.suffix.keys is not None:
-            self.suffix.join(
-                other.suffix, 0, self.suffix.length, other_rows=incoming_rows * self.beams
-            )
+            self.suffix.regroup(self.beams, beams, self.prompt.batch_size)
+        self.beams = beams
         return pad_self, pad_other
 
-    def select_requests(self, keep: np.ndarray) -> None:
+    def select_requests(self, keep: np.ndarray, beams: int | None = None) -> None:
         """Keep only the request rows in ``keep`` (in order), drop the rest.
 
-        ``keep`` indexes the request axis; the matching flat ``B*K`` suffix
-        rows are derived from it.  Retiring finished requests mid-decode
-        this way shrinks every later forward and reorder to the live rows.
+        ``keep`` indexes the request axis; the matching flat suffix rows
+        are derived from it — each kept request's leading ``beams`` ones
+        (default: all).  Retiring finished requests mid-decode this way
+        shrinks every later forward and reorder to the live rows.
         """
         keep = np.asarray(keep, dtype=np.int64)
         self.prompt.reorder(keep)
-        if self.suffix.keys is not None:
-            flat = (keep[:, None] * self.beams + np.arange(self.beams)).reshape(-1)
-            self.suffix.reorder(flat)
+        beams = beams or self.beams
+        self.suffix.reorder((keep[:, None] * self.beams + np.arange(beams)).reshape(-1))
+        self.beams = beams
 
 
 class MultiHeadAttention(Module):

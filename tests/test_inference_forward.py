@@ -28,6 +28,7 @@ from repro.llm import (
     TinyLlama,
     beam_search_items_batched,
     decode_finish,
+    decode_join,
     decode_prefill,
     decode_retire,
     decode_step,
@@ -495,10 +496,24 @@ class TestFusedGateUpMemo:
         assert model._head_gather_cache._entries == gathered
 
 
+class RecordingWorkspace(StepWorkspace):
+    """Remembers the keys taken since ``taken`` was last cleared."""
+
+    def __init__(self):
+        super().__init__()
+        self.taken = set()
+
+    def take(self, name, shape, dtype=np.float32):
+        self.taken.add((name, shape, dtype))
+        return super().take(name, shape, dtype)
+
+
 class TestWorkspaceHygiene:
     def test_steps_at_a_fixed_row_count_allocate_nothing_new(self):
+        # Every level offers as many continuations as there are beams, so
+        # the live width is the beam size from the prefill on.
         model, trie = make_model(), make_trie()
-        state = decode_prefill(model, PROMPTS, trie, beam_size=4)
+        state = decode_prefill(model, PROMPTS, trie, beam_size=2)
         assert state.workspace.num_buffers == 0  # prefill scratch left with the B-row shape
         decode_step(state)
         buffers, nbytes = state.workspace.num_buffers, state.workspace.nbytes
@@ -506,6 +521,36 @@ class TestWorkspaceHygiene:
         while not state.done:
             decode_step(state)
             assert (state.workspace.num_buffers, state.workspace.nbytes) == (buffers, nbytes)
+
+    def test_a_width_change_releases_the_old_shapes_scratch(self, monkeypatch):
+        # 1 -> 1 -> 7 -> 2 codes.  The first request reaches width 7 at its
+        # last level; the second joins it there at width 1 and is back at
+        # width 1 once the first retires.
+        trie = IndexTrie({2 * c + d: (10, 20, 30 + c, 40 + d)
+                          for c in range(7) for d in range(2)})
+        model = make_model()
+        state = decode_prefill(model, PROMPTS[:1], trie, beam_size=20)
+        workspace = state.workspace = RecordingWorkspace()
+        head, forwarded = model.lm_head_gather, []
+
+        def checking_head(hidden, token_ids, workspace=None):
+            if workspace is state.workspace:  # a step's head, not the late prefill's
+                # The forward just ran: what the workspace holds is this
+                # step's scratch, not that plus an earlier width's.
+                assert set(workspace._buffers) <= workspace.taken
+                forwarded.append((state.width, workspace.nbytes))
+            return head(hidden, token_ids, workspace=workspace)
+
+        monkeypatch.setattr(model, "lm_head_gather", checking_head)
+        for late in (None, None, PROMPTS[1:2], None):
+            if late:
+                decode_join(state, decode_prefill(model, late, trie, beam_size=20))
+            workspace.taken.clear()
+            decode_step(state)
+            decode_retire(state, state.finished_rows())
+        assert [width for width, _ in forwarded] == [1, 7, 1]
+        assert forwarded[2][1] < forwarded[1][1]
+        assert workspace.nbytes == 0  # the last step widened 1 -> 7: released again
 
     def test_nbytes_returns_to_zero_after_the_last_row_retires(self):
         model, trie = make_model(), make_trie()

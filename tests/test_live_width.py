@@ -1,0 +1,422 @@
+"""Live-width beam stepping: the beam size is a cap, not a shape.
+
+A request owns at most as many hypotheses as the trie offers, so the one
+shared stepper carries ``G`` hypotheses per request — the largest live
+count of any in-flight request that still has a level to go — through the
+model, the head, the trie and the K/V reorder, never ``beam_size`` slots
+padded with ``-inf`` filler.  Pinned here, on tries whose widths are ragged
+(collapsed codebooks like the perf ledger's 1 → 1 → 7 → N fixture, wide →
+thin → wide, single-item, random):
+
+* rankings identical to the single-request oracles
+  (``beam_search_items_single``, ``TIGER.recommend``) and scores equal to
+  float rounding, for closed batches and for continuous schedules in which
+  widths meet: narrow joins wide, wide joins narrow, a retirement shrinks
+  the width under the survivors;
+* the invariants, asserted around every prefill / step / join / retire by
+  :class:`Watched`: finite scores are a prefix of every request's slots,
+  the width is exactly the live width, no forward, head gather or trie
+  lookup receives more than ``B*G`` rows, and suffix K/V and step scratch
+  are gone after the last retire;
+* the exact traffic, as ``DecodeState.beam_rows``, and that a closed
+  batch gathers no K/V after its last level.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.baselines import TIGER, TIGERConfig
+from repro.llm import (
+    LMConfig,
+    TinyLlama,
+    backfill_items,
+    beam_search_items_single,
+    decode_join,
+    decode_prefill,
+    decode_retire,
+    decode_step,
+)
+from repro.quantization import IndexTrie, ItemIndexSet
+from repro.serving import ContinuousScheduler, RecommendRequest, TIGEREngine, TrieDecoderEngine
+from repro.serving import engine as engine_module
+from repro.tensor import BeamKVCache
+
+FIXTURE = (1, 1, 7, 3)  # the ledger's LC-Rec trie, 1 -> 1 -> 7 -> N, in small
+PROMPTS = [[1, 2, 3], [4, 5], [6], [2, 2, 6, 7], [3, 3, 3]]
+
+
+def make_model(vocab=120, seed=7):
+    model = TinyLlama(LMConfig(vocab_size=vocab, dim=16, num_layers=2, num_heads=2,
+                               ffn_hidden=24, max_seq_len=64, seed=seed))
+    model.eval()
+    return model
+
+
+def level_codes(branching):
+    """Every code tuple of a trie whose level ``l`` offers ``branching[l]`` codes."""
+    return list(itertools.product(*(range(width) for width in branching)))
+
+
+def make_trie(codes, first_token=10):
+    """Code tuples as an ``IndexTrie`` with a disjoint token range per level."""
+    sizes = [max(code[level] for code in codes) + 1 for level in range(len(codes[0]))]
+    offsets = first_token + np.concatenate([[0], np.cumsum(sizes[:-1])])
+    return IndexTrie({item: tuple(int(o + c) for o, c in zip(offsets, code))
+                      for item, code in enumerate(codes)})
+
+
+class Watched:
+    """The stepper's entry points, with the live-width invariants around each.
+
+    ``install`` puts them where the engines look the stepper up, so a real
+    scheduler can be driven under the same checks.  ``patch`` is how
+    models and tries are instrumented: pass ``monkeypatch.setattr`` for
+    objects that outlive the test.
+    """
+
+    def __init__(self, patch=setattr):
+        self.patch = patch
+        self.watching = set()
+        self.bound = None  # most rows a model or trie call may get; None outside step/join
+        self.widths = []  # the width every step ran at
+
+    def install(self, monkeypatch):
+        for name in ("prefill", "step", "join", "retire"):
+            monkeypatch.setattr(engine_module, f"decode_{name}", getattr(self, name))
+
+    def _watch(self, owner, name):
+        if (id(owner), name) in self.watching:
+            return
+        self.watching.add((id(owner), name))
+        original = getattr(owner, name)
+
+        def watched(rows, *args, **kwargs):
+            assert self.bound is None or len(rows) <= self.bound, (name, len(rows), self.bound)
+            return original(rows, *args, **kwargs)
+
+        self.patch(owner, name, watched)
+
+    def check(self, state):
+        finite = np.isfinite(state.beam_scores)
+        assert (finite[:, :-1] >= finite[:, 1:]).all()  # finite scores: a prefix of the slots
+        depth = state.trie.num_levels
+        live = [int(finite[b].sum()) for b, row in enumerate(state.beam_tokens)
+                if len(row[0]) < depth]
+        if len(live) == state.num_rows:
+            assert state.width == max(1, max(live, default=state.width))
+        elif live:  # rows a forced last level finished still hold the width until retired
+            assert state.width >= max(live)
+        assert 1 <= state.width <= state.num_beams
+        assert state.pending.shape[0] == state.num_rows * state.width
+        for cache in state.caches:
+            assert cache.fanned and cache.beams == state.width
+            assert cache.prompt.batch_size == state.num_rows
+            if cache.suffix.keys is not None:
+                assert cache.suffix.batch_size == state.num_rows * state.width
+        if state.num_rows == 0:
+            assert state.workspace.nbytes == 0
+            assert all(cache.suffix.batch_size == 0 for cache in state.caches)
+
+    def prefill(self, model, prompts, trie, **kwargs):
+        for owner, name in ((model, "hidden_states"), (model, "lm_head_gather"),
+                            (trie, "allowed_token_ids")):
+            self._watch(owner, name)
+        state = decode_prefill(model, prompts, trie, **kwargs)
+        self.check(state)
+        return state
+
+    def _bounded(self, call, state, *args):
+        self.bound = state.num_rows * state.width
+        try:
+            call(state, *args)
+        finally:
+            self.bound = None
+        self.check(state)
+        return state
+
+    def step(self, state):
+        self.widths.append(state.width)
+        return self._bounded(decode_step, state)
+
+    def join(self, state, incoming):
+        return self._bounded(decode_join, state, incoming)  # the bound is the pending flush's
+
+    def retire(self, state, rows):
+        results = decode_retire(state, rows)
+        self.check(state)
+        return results
+
+    def retire_finished(self, state, results):
+        rows = state.finished_rows()
+        if rows:
+            tags = [state.tags[row] for row in rows]
+            results.update(zip(tags, self.retire(state, rows)))
+
+    def decode(self, model, trie, admissions, beam_size, narrow=None):
+        """The scheduler's tick: ``admissions[tick]`` prompts join before that tick's step."""
+        state, results, tick = None, {}, 0
+        while state is not None or tick <= max(admissions):
+            if tick in admissions:
+                incoming = self.prefill(model, admissions[tick], trie, beam_size=beam_size,
+                                        tags=[tuple(p) for p in admissions[tick]], narrow=narrow)
+                state = incoming if state is None else self.join(state, incoming)
+            if state is not None:
+                self.retire_finished(state, results)  # a one-level trie finishes in prefill
+                if state.num_rows:
+                    self.step(state)
+                    self.retire_finished(state, results)
+                if state.num_rows == 0:
+                    state = None
+            tick += 1
+        return results
+
+
+def assert_same_hypotheses(got, expected):
+    assert [h.token_ids for h in got] == [h.token_ids for h in expected]
+    assert [h.item_id for h in got] == [h.item_id for h in expected]
+    np.testing.assert_allclose([h.score for h in got], [h.score for h in expected],
+                               rtol=1e-5, atol=2e-6)
+
+
+def assert_matches_oracle(results, model, trie, beam_size):
+    for prompt, hypotheses in results.items():
+        assert_same_hypotheses(
+            hypotheses, beam_search_items_single(model, list(prompt), trie, beam_size=beam_size))
+
+
+# ----------------------------------------------------------------------
+# Closed batches on ragged tries
+# ----------------------------------------------------------------------
+class TestRaggedTries:
+    @pytest.mark.parametrize("beam_size", [1, 5, 20, 64])
+    @pytest.mark.parametrize("branching", [FIXTURE, (6, 1, 4), (1, 1, 1), (3,), (1, 9), (9, 1)],
+                             ids=lambda b: "x".join(map(str, b)))
+    def test_closed_batch_matches_single_request_oracle(self, branching, beam_size):
+        model, trie = make_model(), make_trie(level_codes(branching))
+        watched = Watched()
+        results = watched.decode(model, trie, {0: PROMPTS}, beam_size)
+        assert len(results) == len(PROMPTS)
+        assert_matches_oracle(results, model, trie, beam_size)
+        # The widths are the trie's, capped: nothing steps at beam_size
+        # unless that many prefixes exist.
+        prefixes = np.cumprod(branching)
+        assert max(watched.widths, default=1) <= min(beam_size, prefixes[-1])
+
+    def test_ragged_branches_keep_per_request_live_counts(self):
+        # One first code leads to a single item, the other to twelve: the
+        # requests' beams grow at different rates inside one batch.
+        codes = [(0, 0, 0)] + [(1, b, c) for b in range(3) for c in range(4)]
+        model, trie = make_model(), make_trie(codes)
+        results = Watched().decode(model, trie, {0: PROMPTS}, 8)
+        assert_matches_oracle(results, model, trie, 8)
+
+    def test_narrowing_that_leaves_fewer_paths_than_beams(self):
+        model, trie = make_model(), make_trie(level_codes(FIXTURE))
+        candidates = [2, 9, 10, 20]
+        watched = Watched()
+        results = watched.decode(model, trie, {0: PROMPTS[:3], 1: PROMPTS[3:]}, 20,
+                                 narrow=trie.subtrie(candidates))
+        assert max(watched.widths) <= len(candidates)
+        for prompt, hypotheses in results.items():
+            full = beam_search_items_single(model, list(prompt), trie, beam_size=trie.num_items)
+            assert_same_hypotheses(hypotheses, [h for h in full if h.item_id in candidates])
+
+
+# ----------------------------------------------------------------------
+# Continuous schedules in which widths meet
+# ----------------------------------------------------------------------
+class TestWidthsMeet:
+    """On a 1 -> 1 -> 7 -> N trie a request steps at widths 1, 1 and 7."""
+
+    def run(self, branching, admissions):
+        model, trie = make_model(), make_trie(level_codes(branching))
+        watched = Watched()
+        results = watched.decode(model, trie, admissions, 20)
+        assert len(results) == sum(map(len, admissions.values()))
+        assert_matches_oracle(results, model, trie, 20)
+        return watched.widths
+
+    def test_alone(self):
+        assert self.run(FIXTURE, {0: PROMPTS[:2]}) == [1, 1, 7]
+
+    def test_width_one_admission_joins_a_width_seven_decode(self):
+        # The late request's forced level rides the early one's last step;
+        # that step already gathers K/V onto the survivor's width of 1.
+        assert self.run(FIXTURE, {0: PROMPTS[:2], 2: PROMPTS[2:3]}) == [1, 1, 7, 1, 7]
+
+    def test_a_retirement_narrows_what_a_forced_last_level_left_wide(self):
+        # Two forced levels end the trie, so the wide request finishes in a
+        # step that reorders nothing: the retirement's own gather takes the
+        # survivor (and its two pending tokens) from width 7 to 1.
+        widths = self.run((1, 1, 7, 1, 1), {0: PROMPTS[:1], 3: PROMPTS[1:2]})
+        assert widths == [1, 1, 7, 7, 1, 7, 7]
+
+    def test_staggered_admissions_keep_the_widest_survivor_width(self):
+        widths = self.run(FIXTURE, {0: PROMPTS[:1], 1: PROMPTS[1:2], 2: PROMPTS[2:4]})
+        assert widths == [1, 1, 7, 7, 7]
+
+    def test_width_seven_admission_joins_a_width_two_decode(self):
+        # On one trie a request's live count never falls, so an admission is
+        # never wider than the decode it joins - unless hypotheses died
+        # (-inf logits).  Kill all but the best first token of a live row:
+        # it decodes on at width 2 and a fresh width-7 admission joins it.
+        model, trie = make_model(), make_trie(level_codes((7, 2, 2)))
+        watched = Watched()
+        state = watched.prefill(model, PROMPTS[:1], trie, beam_size=20, tags=["thinned"])
+        state.beam_scores[:, 1:] = -np.inf
+        first_token = state.beam_tokens[0][0]
+        watched.step(state)
+        incoming = watched.prefill(model, PROMPTS[1:2], trie, beam_size=20, tags=["fresh"])
+        assert (state.width, incoming.width) == (2, 7)
+        watched.join(state, incoming)
+        assert state.width == 7 and state.pending.shape == (14, 1)
+        results = {}
+        while state.num_rows:
+            watched.step(state)
+            watched.retire_finished(state, results)
+        full = [beam_search_items_single(model, p, trie, beam_size=20) for p in PROMPTS[:2]]
+        assert_same_hypotheses(results["thinned"],
+                               [h for h in full[0] if h.token_ids[:1] == first_token])
+        assert_same_hypotheses(results["fresh"], full[1])
+
+
+# ----------------------------------------------------------------------
+# The real drivers under the same checks
+# ----------------------------------------------------------------------
+def request(prompt, beam_size=20, top_k=5):
+    return RecommendRequest(prompt_ids=list(prompt), top_k=top_k, beam_size=beam_size)
+
+
+class TestSchedulerAndEngines:
+    def test_scheduler_admissions_at_every_level(self, monkeypatch):
+        model, trie = make_model(), make_trie(level_codes(FIXTURE))
+        watched = Watched()
+        watched.install(monkeypatch)
+        scheduler = ContinuousScheduler(TrieDecoderEngine(model, trie), max_width=8)
+        delivered = []
+        for prompt in PROMPTS:  # one admission per tick: every pair of levels meets
+            scheduler.admit([request(prompt)])
+            delivered.extend(scheduler.step())
+        while not scheduler.idle:
+            delivered.extend(scheduler.step())
+        assert scheduler.joins == len(PROMPTS) - 1
+        assert sorted(set(watched.widths)) == [1, 7]
+        for served, hypotheses in delivered:
+            assert_same_hypotheses(
+                hypotheses, beam_search_items_single(model, served.prompt_ids, trie, beam_size=20))
+
+    @pytest.fixture(scope="class")
+    def tiger(self):
+        # Untrained weights rank as well as any for parity; 21 items on the
+        # fixture's shape, so every level but the last is thinner than a beam.
+        codes = np.array(level_codes(FIXTURE))
+        model = TIGER(ItemIndexSet(codes, list(FIXTURE)), TIGERConfig(dim=16, max_history=3))
+        model.eval()
+        return model
+
+    @pytest.mark.parametrize("top_k", [3, 10, 21, 30])  # 30: the beam exceeds the catalog
+    def test_tiger_matches_recommend(self, tiger, top_k, monkeypatch):
+        watched = Watched(monkeypatch.setattr)
+        watched.install(monkeypatch)
+        histories = [[3], [9, 4], [20, 1, 7], [5, 5]]
+        got = TIGEREngine(tiger).recommend_many(histories, top_k=top_k)
+        assert got == [tiger.recommend(history, top_k=top_k) for history in histories]
+        assert watched.widths == [1, 1, min(7, max(tiger.config.beam_size, top_k))]
+
+    def test_tiger_widen_to_catalog_retry_on_a_narrowed_decode(self, tiger, monkeypatch):
+        # Three candidate paths, five results wanted: the first decode comes
+        # up short, the retry asks for a catalog-wide beam (21) and still
+        # steps at the three hypotheses that exist; the rest is backfill.
+        watched = Watched(monkeypatch.setattr)
+        watched.install(monkeypatch)
+        candidates, histories = [2, 9, 20], [[3], [9, 4]]
+        got = TIGEREngine(tiger).narrowed(candidates).recommend_many(histories, top_k=5)
+        for history, ranking in zip(histories, got):
+            full = tiger.recommend(history, top_k=tiger.trie.num_items)
+            assert ranking == backfill_items([i for i in full if i in candidates], 5, 21)
+        assert max(watched.widths) == 3 and len(watched.widths) == 6  # two decodes
+
+
+# ----------------------------------------------------------------------
+# Exact counts
+# ----------------------------------------------------------------------
+class TestForwardedRows:
+    def decode(self, branching, prompts, beam_size=20):
+        model, trie = make_model(vocab=400), make_trie(level_codes(branching))
+        state = decode_prefill(model, prompts, trie, beam_size=beam_size)
+        while not state.done:
+            decode_step(state)
+        return state
+
+    def test_collapsed_trie_forwards_the_hypotheses_that_exist(self):
+        # 1 -> 1 -> 7 -> N at K = 20: level 1 is forced, so level 2 flushes
+        # T = 2 tokens on the one live row, then level 3 forwards 7 rows.
+        # Twenty slots per request would have forwarded 20*2 + 20 = 60.
+        state = self.decode(FIXTURE, PROMPTS[:1])
+        assert (state.beam_rows, state.forwards) == (1 * 2 + 7, 3)
+        assert self.decode(FIXTURE, PROMPTS[:4]).beam_rows == 4 * 9
+
+    def test_a_trie_wider_than_the_beam_forwards_the_beam(self):
+        state = self.decode((64, 2, 2), PROMPTS[:3])
+        assert state.width == 20
+        assert state.beam_rows == 3 * 20 * 2  # two steps of B*K rows, T = 1 each
+
+    def test_joins_carry_the_count_like_forwards(self):
+        model, trie = make_model(), make_trie(level_codes(FIXTURE))
+        state = decode_prefill(model, PROMPTS[:1], trie, beam_size=20)
+        decode_step(state)  # forced: two tokens pending on one row
+        late = decode_prefill(model, PROMPTS[1:2], trie, beam_size=20)
+        decode_step(late)  # forced
+        decode_step(late)  # forwards both pending tokens on its one row
+        assert (state.beam_rows, late.beam_rows) == (0, 2)
+        fresh = decode_prefill(model, PROMPTS[2:3], trie, beam_size=20)
+        decode_join(state, fresh)  # flushes the older of the two pending tokens
+        assert state.beam_rows == 1
+        fresh = decode_prefill(model, PROMPTS[3:4], trie, beam_size=20)
+        fresh.beam_rows = 5
+        decode_join(state, fresh)
+        assert state.beam_rows == 6
+
+    def test_a_closed_batch_gathers_no_kv_after_its_last_level(self, monkeypatch):
+        reorders = []
+        original = BeamKVCache.reorder
+
+        def counting(cache, beam_indices, beams=None):
+            reorders.append(len(beam_indices))
+            return original(cache, beam_indices, beams)
+
+        monkeypatch.setattr(BeamKVCache, "reorder", counting)
+        state = self.decode((3, 3, 3), PROMPTS[:2], beam_size=4)
+        layers = len(state.caches)
+        # Two steps, one gather per layer after the first (onto width 4), none after the last.
+        assert state.forwards == 3 and reorders == [2 * 4] * layers
+
+
+# ----------------------------------------------------------------------
+# Random tries x random admission orders
+# ----------------------------------------------------------------------
+@st.composite
+def ragged_tries(draw):
+    """2-4 levels, 1-4 codes a level (one-code levels included), items dropped at random."""
+    branching = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    codes = level_codes(branching)
+    kept = draw(st.lists(st.sampled_from(codes), min_size=1, max_size=len(codes), unique=True))
+    return sorted(kept)
+
+
+class TestProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(codes=ragged_tries(), beam_size=st.integers(1, 9),
+           ticks=st.lists(st.integers(0, 5), min_size=1, max_size=len(PROMPTS)))
+    def test_any_trie_any_admission_order(self, codes, beam_size, ticks):
+        model, trie = make_model(), make_trie(codes)
+        admissions = {}
+        for prompt, tick in zip(PROMPTS, ticks):
+            admissions.setdefault(tick, []).append(prompt)
+        results = Watched().decode(model, trie, admissions, beam_size)
+        assert len(results) == len(ticks)
+        assert_matches_oracle(results, model, trie, beam_size)

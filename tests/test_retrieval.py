@@ -311,6 +311,17 @@ class TestNarrowedDecodeParity:
         got = engine.narrowed(candidates).recommend_many(histories, top_k=len(candidates))
         assert got == restricted_oracle(engine, histories, candidates, len(candidates))
 
+    @pytest.mark.parametrize("name", ["lcrec", "tiger"])
+    def test_fewer_candidate_paths_than_beams(self, name, tiny_lcrec, tiny_dataset, tiger, p5cid):
+        # Three paths under a beam of at least ten: the decode steps at the
+        # hypotheses that exist and still ranks them as the full decode does.
+        engine = make_engine(name, tiny_lcrec, tiger, p5cid)
+        histories = [list(h) for h in tiny_dataset.split.test_histories[:4]]
+        candidates = [1, tiny_dataset.num_items // 2, tiny_dataset.num_items - 1]
+        assert engine.request_beam_size(3) > len(candidates)
+        got = engine.narrowed(candidates).recommend_many(histories, top_k=3)
+        assert got == restricted_oracle(engine, histories, candidates, 3)
+
     def test_singleton_candidate_set(self, tiny_lcrec, tiny_dataset):
         engine = LCRecEngine(tiny_lcrec, prefix_cache=False)
         histories = [list(tiny_dataset.split.test_histories[0])]

@@ -23,6 +23,7 @@ from repro.llm import (
     PrefixKVCache,
     TinyLlama,
     beam_search_items_batched,
+    beam_search_items_single,
     decode_finish,
     decode_join,
     decode_prefill,
@@ -266,14 +267,20 @@ class TestJoinValidation:
         with pytest.raises(ValueError, match="beam width"):
             decode_join(state, incoming)
 
-    def test_width_one_join_rejected_with_clear_error(self):
-        """Width-1 decodes never fan out, so join must refuse them cleanly."""
+    def test_width_one_decodes_join(self):
+        """A width of 1 uses the suffix region like any other, so it joins."""
         model = make_model()
         trie = IndexTrie({0: (10, 12, 14)})  # single item -> effective width 1
-        state = decode_prefill(model, [[1, 2]], trie, beam_size=5)
-        incoming = decode_prefill(model, [[3]], trie, beam_size=5)
-        with pytest.raises(ValueError, match="width-1"):
-            decode_join(state, incoming)
+        state = decode_prefill(model, [[1, 2]], trie, beam_size=5, tags=["live"])
+        decode_step(state)
+        decode_join(state, decode_prefill(model, [[3]], trie, beam_size=5, tags=["late"]))
+        assert state.num_rows == 2 and state.width == 1
+        results, order = run_to_completion(state)
+        assert order == ["live", "late"]
+        for tag, prompt in (("live", [1, 2]), ("late", [3])):
+            expected = beam_search_items_batched(model, [prompt], trie, beam_size=5)[0]
+            assert [h.token_ids for h in results[tag]] == [h.token_ids for h in expected]
+            assert results[tag][0].score == pytest.approx(expected[0].score, abs=1e-6)
 
     def test_stepped_incoming_rejected(self):
         model, trie = make_model(), make_trie()
@@ -356,26 +363,25 @@ class TestContinuousScheduler:
             scheduler.step()
         assert scheduler.compatible(request([3], beam_size=2))
 
-    def test_width_one_requests_wait_instead_of_joining(self):
-        """A width-1 in-flight decode rejects joiners; they drain-then-run."""
-        model = make_model()
-        trie = IndexTrie({0: (10, 12, 14)})
+    def test_beam_one_requests_join_in_flight(self):
+        """Two ``beam_size=1`` requests admitted a level apart share one decode."""
+        model, trie = make_model(), make_trie()
         scheduler = make_scheduler(model, trie, max_width=8)
-        first, second = request([1, 2], beam_size=5), request([3], beam_size=5)
+        first, second = request([1, 2], beam_size=1), request([3], beam_size=1)
         scheduler.admit([first])
-        assert not scheduler.compatible(second)
-        delivered = []
-        while not scheduler.idle:
-            delivered.extend(scheduler.step())
+        delivered = scheduler.step()
         assert scheduler.compatible(second)
         scheduler.admit([second])
+        assert (scheduler.width, scheduler.joins) == (2, 1)
         while not scheduler.idle:
             delivered.extend(scheduler.step())
         assert [req.request_id for req, _ in delivered] == [
             first.request_id, second.request_id
         ]
-        for _, hyps in delivered:
-            assert [h.item_id for h in hyps] == [0]
+        for req, hyps in delivered:
+            expected = beam_search_items_single(model, req.prompt_ids, trie, beam_size=1)
+            assert [h.token_ids for h in hyps] == [h.token_ids for h in expected]
+            assert hyps[0].score == pytest.approx(expected[0].score, abs=1e-5)
 
     def test_abort_reports_in_flight_requests(self):
         model, trie = make_model(), make_trie()

@@ -448,15 +448,16 @@ class TestTIGEROnTheSharedStepper:
             assert cache.memory_bias is None or cache.memory_bias.shape[1] == 0
 
     def test_steps_at_a_fixed_row_count_allocate_nothing_new(self):
-        # Every prefix has two children: no forced level, so every step is
-        # the same (B*K, 1) forward and reuses the first step's scratch.
+        # Every prefix has two children and there are two beams: no forced
+        # level and a fixed live width, so every step is the same (B*2, 1)
+        # forward and reuses the first step's scratch.
         codes = np.array([(a, b, c, d) for a in range(2) for b in range(2)
                           for c in range(2) for d in range(2)])
         model = TIGER(ItemIndexSet(codes, [2, 2, 2, 2]), TIGERConfig(dim=16, max_history=3))
         model.eval()
         engine = TIGEREngine(model)
         state = engine.prefill([RecommendRequest(prompt_ids=engine.encode_history([item]),
-                                                 top_k=4, beam_size=4) for item in (3, 9)])
+                                                 top_k=2, beam_size=2) for item in (3, 9)])
         assert state.workspace.num_buffers == 0  # prefill scratch left with the B-row shape
         engine.step(state)
         buffers, nbytes = state.workspace.num_buffers, state.workspace.nbytes
