@@ -382,7 +382,7 @@ def _narrow_positions(union: np.ndarray, allowed: np.ndarray) -> np.ndarray:
 
 def _narrowed_step_candidates(
     candidates_info: SparseCandidates,
-    narrow: IndexTrie,
+    narrow: list[IndexTrie | None],
     prefixes: list[tuple[int, ...]],
     alive: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -393,7 +393,8 @@ def _narrowed_step_candidates(
     union of the *alive* rows' full-trie allowed sets.  The normalisation
     mask stays the full trie's per-row allowed sets — scores renormalise
     exactly as an unnarrowed decode would — while the selection mask
-    restricts the beam argmax to the narrow trie's continuations.  Dead and
+    restricts the beam argmax to the continuations of each hypothesis's own
+    subtrie (``narrow[row]``; ``None`` keeps everything allowed).  Dead and
     filler rows get all-False rows in both masks (they stay ``-inf``).
     """
     rows = len(prefixes)
@@ -411,7 +412,8 @@ def _narrowed_step_candidates(
         if ids is None:
             continue
         norm_mask[row, np.searchsorted(union, ids)] = True
-        narrowed = narrow.allowed_tokens(prefixes[row])
+        subtrie = narrow[row]
+        narrowed = ids if subtrie is None else subtrie.allowed_tokens(prefixes[row])
         if narrowed.size:
             keep[row, _narrow_positions(union, narrowed)] = True
     return union, norm_mask, keep
@@ -449,14 +451,17 @@ class DecodeState:
     transformer in one combined forward.  ``workspace`` is the step-scratch
     arena (cleared whenever the row count changes).
 
-    ``narrow`` optionally restricts beam *selection* to a candidate
-    subtrie (:meth:`IndexTrie.subtrie`) while scores keep renormalising
-    over the full trie: tokens outside the narrow trie are set to ``-inf``
-    *after* the constrained log-softmax, so the surviving hypotheses carry
-    exactly the scores a full decode would give them and the ranking over
-    the candidate set is identical to a full decode filtered post hoc.
-    Narrowing also shrinks the gathered candidate union to the alive rows'
-    allowed sets — fewer output-head columns.
+    ``narrow`` holds one entry per row, following it through joins and
+    retirements like ``tags``: ``None`` decodes the full trie, a candidate
+    subtrie (:meth:`IndexTrie.subtrie`) restricts that row's beam
+    *selection* while scores keep renormalising over the full trie —
+    tokens outside the subtrie are set to ``-inf`` *after* the constrained
+    log-softmax, so the surviving hypotheses carry exactly the scores a
+    full decode would give them and the row's ranking over its candidate
+    set is identical to a full decode filtered post hoc.  Rows narrowed to
+    different sets (and un-narrowed rows) share one decode.  A step with a
+    narrowed row also shrinks the gathered candidate union to the alive
+    rows' allowed sets — fewer output-head columns.
 
     ``forwards`` counts the transformer forwards this state has run (the
     prompt phase's own count, steps, pending flushes) — the forced fast
@@ -481,9 +486,9 @@ class DecodeState:
     prompt_pads: np.ndarray  # (B, W) bool: pad columns in the prompt region
     suffix_pads: np.ndarray  # (B,) int64: suffix columns predating each row
     tags: list[object]
+    narrow: list[IndexTrie | None]  # (B,) each row's selection subtrie, None = full trie
     pending: np.ndarray = field(default_factory=lambda: np.empty((0, 1), dtype=np.int64))
     workspace: StepWorkspace = field(default_factory=StepWorkspace)
-    narrow: IndexTrie | None = None
     forwards: int = 0
     beam_rows: int = 0
 
@@ -541,7 +546,7 @@ def decode_prefill(
     pad_id: int = 0,
     prefix_cache: PrefixKVCache | None = None,
     tags: Sequence[object] | None = None,
-    narrow: IndexTrie | None = None,
+    narrow: IndexTrie | Sequence[IndexTrie | None] | None = None,
 ) -> DecodeState:
     """Run the prompt phase and level-0 beam expansion for ``prompts``.
 
@@ -552,20 +557,26 @@ def decode_prefill(
     optionally attaches one opaque object per prompt (defaults to the
     prompt's position).  Logits are computed for the trie's candidate
     union only — see the module docstring.  ``narrow`` optionally
-    restricts beam selection to a candidate subtrie of ``trie`` (see
-    :class:`DecodeState`): ranking over the candidate set matches a full
-    decode filtered post hoc.
+    restricts beam selection to candidate subtries of ``trie`` (see
+    :class:`DecodeState`) — one for every prompt, or one per prompt with
+    ``None`` for a full-trie row: each row's ranking over its candidate
+    set matches a full decode filtered post hoc.
     """
     if beam_size < 1:
         raise ValueError("beam_size must be positive")
-    if narrow is not None and narrow.num_levels != trie.num_levels:
-        raise ValueError(
-            f"narrow trie depth {narrow.num_levels} does not match "
-            f"decode trie depth {trie.num_levels}"
-        )
     prompts = [list(map(int, p)) for p in prompts]
     if not prompts:
         raise ValueError("need at least one prompt")
+    if narrow is None or isinstance(narrow, IndexTrie):
+        narrow = [narrow] * len(prompts)
+    elif len(narrow) != len(prompts):
+        raise ValueError("narrow must match prompts one-to-one")
+    for subtrie in narrow:
+        if subtrie is not None and subtrie.num_levels != trie.num_levels:
+            raise ValueError(
+                f"narrow trie depth {subtrie.num_levels} does not match "
+                f"decode trie depth {trie.num_levels}"
+            )
     for row, prompt in enumerate(prompts):
         if not prompt:
             raise ValueError(f"prompt {row} is empty: every request needs at least one token")
@@ -599,20 +610,21 @@ def decode_prefill(
         root = trie.allowed_token_ids([()])
         logits = model.lm_head_gather(hidden, root.union, workspace=workspace)
         scores = masked_log_softmax(logits, root.mask)  # (B, U)
-        # Candidate-aware top-k: rank only the columns selection may pick
-        # and pad the remaining beam slots afterwards.  Narrowing shrinks
-        # the ranked columns only — renormalisation stays over the full
-        # root union (every candidate's logit is in the softmax).
-        if narrow is None:
-            selectable = None
-            width = root.num_candidates
-        else:
-            selectable = _narrow_positions(root.union, narrow.allowed_tokens(()))
-            scores = scores[:, selectable]
-            width = int(selectable.size)
+        # Narrowing masks selection only, after the softmax: renormalisation
+        # stays over the full root union.  The batch is as wide as its row
+        # with the most selectable first tokens; a row with fewer carries
+        # -inf filler repeating its first token, like a joined thin row.
+        width = root.num_candidates
+        if any(subtrie is not None for subtrie in narrow):
+            keep = np.ones(scores.shape, dtype=bool)
+            for row, subtrie in enumerate(narrow):
+                if subtrie is not None:
+                    keep[row] = False
+                    keep[row, _narrow_positions(root.union, subtrie.allowed_tokens(()))] = True
+            scores = np.where(keep, scores, -np.inf)
+            width = int(keep.sum(axis=1).max())
         order, top_scores = topk_desc(scores, min(num_beams, width))
-        if selectable is not None:
-            order = selectable[order]
+        order = np.where(np.isfinite(top_scores), order, order[:, :1])
         # Scores accumulate in float64, matching the reference path.
         beam_scores = top_scores.astype(np.float64)  # (B, G): the first tokens that exist
         token_ids = root.union[order]  # union positions back to token ids
@@ -634,7 +646,7 @@ def decode_prefill(
         tags=list(tags),
         pending=token_ids.reshape(-1, 1).astype(np.int64, copy=False),
         workspace=workspace,
-        narrow=narrow,
+        narrow=list(narrow),
         forwards=forwards,  # what the prompt phase ran
     )
 
@@ -698,13 +710,14 @@ def decode_step(state: DecodeState) -> DecodeState:
         ).data[:, -1, :]
         state.forwards += 1
         state.beam_rows += state.pending.size
-        if state.narrow is None:
+        if all(subtrie is None for subtrie in state.narrow):
             union = candidates_info.union
             logits = model.lm_head_gather(hidden, union, workspace=state.workspace)
             step_logp = masked_log_softmax(logits, candidates_info.mask)  # (B*G, U)
         else:
+            narrow = [subtrie for subtrie in state.narrow for _ in range(width)]
             union, norm_mask, keep = _narrowed_step_candidates(
-                candidates_info, state.narrow, prefixes, alive
+                candidates_info, narrow, prefixes, alive
             )
             logits = model.lm_head_gather(hidden, union, workspace=state.workspace)
             step_logp = np.where(keep, masked_log_softmax(logits, norm_mask), -np.inf)
@@ -775,7 +788,8 @@ def decode_join(state: DecodeState, incoming: DecodeState) -> DecodeState:
     pad id and beam cap, and must not have stepped yet — admission happens
     at a level boundary, straight out of prefill.  The two sides may carry
     different widths: the merged decode steps at the wider one, the
-    narrower side's extra slots being ``-inf`` filler.  The incoming rows'
+    narrower side's extra slots being ``-inf`` filler.  Narrowing is per
+    row, so any mix of candidate sets may meet.  The incoming rows'
     pad maps are extended over the columns they must ignore
     (width-alignment pads and the live batch's existing suffix columns),
     which is why joining changes no row's rankings.  ``incoming`` is
@@ -789,8 +803,6 @@ def decode_join(state: DecodeState, incoming: DecodeState) -> DecodeState:
         raise ValueError(f"beam width mismatch: {incoming.num_beams} != {state.num_beams}")
     if incoming.pad_id != state.pad_id:
         raise ValueError("joined decodes must share a pad id")
-    if incoming.narrow is not state.narrow:
-        raise ValueError("joined decodes must share one narrowing trie")
     if incoming.num_rows == 0:
         raise ValueError("incoming state has no rows")
     if incoming.caches[0].suffix.length or incoming.pending.shape[1] != 1:
@@ -825,6 +837,7 @@ def decode_join(state: DecodeState, incoming: DecodeState) -> DecodeState:
         [_pad_slots(side.beam_scores, slots, -np.inf) for side in sides], axis=0
     )
     state.tags.extend(incoming.tags)
+    state.narrow.extend(incoming.narrow)
     state.pending = np.concatenate(
         [_pad_slots(rows, state.width, state.pad_id) for rows in pending], axis=0
     ).reshape(-1, 1)
@@ -839,6 +852,7 @@ def decode_join(state: DecodeState, incoming: DecodeState) -> DecodeState:
     incoming.prompt_pads = incoming.prompt_pads[:0]
     incoming.suffix_pads = incoming.suffix_pads[:0]
     incoming.tags = []
+    incoming.narrow = []
     incoming.pending = incoming.pending[:0]
     return state
 
@@ -879,6 +893,7 @@ def decode_retire(state: DecodeState, rows: Sequence[int]) -> list[list[BeamHypo
         state.prompt_pads = state.prompt_pads[keep]
         state.suffix_pads = state.suffix_pads[keep]
         state.tags = [state.tags[b] for b in keep]
+        state.narrow = [state.narrow[b] for b in keep]
         # The same gather narrows to the width the survivors still need (a
         # forced last level retires wide rows without a reorder before it).
         width = state.live_width() or state.width

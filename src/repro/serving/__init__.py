@@ -7,14 +7,15 @@ serving layer and one concrete model — :class:`LCRecEngine` over a built
 :class:`P5CIDEngine` over a fitted P5-CID, or your own (see
 ``docs/serving.md``, "Writing an engine adapter").  Producers push
 :class:`RecommendRequest`\\ s into a thread-safe :class:`RequestQueue`,
-the :class:`MicroBatcher` plans length-bucketed, prefix-clustered
-micro-batches, and :class:`RecommendationService` decodes them through
-the engine on one :class:`ContinuousScheduler` tick — closed batches
-admitted into an idle scheduler, synchronously via ``flush()`` or by a
-deadline-batched background loop (``start()``/``stop()``), or continuous
-batching (``mode="continuous"``, engines advertising
-``supports_continuous``): queued requests join the in-flight decode at
-trie-level boundaries and retire the moment their rows complete.  A cross-request
+the :class:`MicroBatcher` plans length-bucketed micro-batches, and
+:class:`RecommendationService` decodes them through the engine on one
+:class:`ContinuousScheduler` tick — closed batches admitted into an idle
+scheduler, synchronously via ``flush()`` or by a deadline-batched
+background loop (``start()``/``stop()``), or continuous batching
+(``mode="continuous"``, engines advertising ``supports_continuous``): a
+queue that fits the free width joins the in-flight decode at trie-level
+boundaries, a backlog is served as full cohorts, and rows retire the
+moment they complete.  A cross-request
 :class:`repro.llm.PrefixKVCache` (re-exported here) skips re-running
 prompt prefixes shared between requests, for engines advertising
 ``supports_prefix_cache``.

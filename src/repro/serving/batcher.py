@@ -7,13 +7,11 @@ by prompt length before slicing them into batches: within a micro-batch the
 length spread is bounded by ``bucket_width``, which bounds wasted padding
 while still filling batches.
 
-With the cross-request prefix KV cache in play, batch *composition* also
-matters for cache effectiveness: requests rendered from the same template
-share a long prompt prefix, so co-batching them turns one cached template
-head into hits for the whole batch.  ``prefix_locality`` folds the first
-few prompt token ids into the sort key, which clusters same-template
-requests without changing the batching invariants (beam widths never mix,
-length spread stays bounded).
+The planner sorts by what a batch costs — beam width, then effective
+length — and by nothing else.  It does not cluster requests that share a
+prompt prefix: a prefill matches every row against the prefix cache
+*before* the batch's own inserts, so same-prefix requests co-batched miss
+together, and any key ahead of the length fragments the length order.
 
 Thread safety: the planner is stateless — ``plan_batches`` is a pure
 function of its inputs and a :class:`MicroBatcher` holds only immutable
@@ -40,16 +38,14 @@ class MicroBatcherConfig:
     """
 
     max_batch_size: int = 16
-    bucket_width: int = 16  # max (longest - shortest) prompt in one batch
-    prefix_locality: int = 12  # leading token ids folded into the sort key
+    # Max (longest - shortest) prompt in one batch; no ledger workload exercises it.
+    bucket_width: int = 16
 
     def validate(self) -> None:
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be positive")
         if self.bucket_width < 0:
             raise ValueError("bucket_width must be non-negative")
-        if self.prefix_locality < 0:
-            raise ValueError("prefix_locality must be non-negative")
 
 
 def _prompt_len(request: RecommendRequest) -> int:
@@ -63,16 +59,14 @@ def plan_batches(
 ) -> list[list[RecommendRequest]]:
     """Partition ``requests`` into micro-batches.
 
-    Requests are sorted by (beam width, narrow candidate set, leading
-    prompt tokens, effective length) — stable, so FIFO order breaks ties —
-    then sliced greedily: a batch closes when it reaches
-    ``max_batch_size``, when the next request would stretch the batch's
-    length spread beyond ``bucket_width``, or when its beam width or
-    ``narrow_items`` differs (one batch is one engine prefill, which takes
-    one beam width — it changes rankings — and one narrow set).  The
-    leading-token component clusters requests that share a template prefix,
-    which feeds the prefix KV cache whole batches of hits.  Every request
-    lands in exactly one batch — nothing is dropped.
+    Requests are sorted by (beam width, effective length) — stable, so
+    FIFO order breaks ties — then sliced greedily: a batch closes when it
+    reaches ``max_batch_size``, when the next request is more than
+    ``bucket_width`` longer than the batch's first (its shortest), or when
+    its beam width differs (one batch is one engine prefill, which takes
+    one beam width — it changes rankings; narrowing is per row and mixes
+    freely).  Every request lands in exactly one batch — nothing is
+    dropped.
 
     ``effective_len`` (default: the prompt length) is the per-request cost
     model the length bucketing runs on.  The service passes the
@@ -84,35 +78,26 @@ def plan_batches(
     config.validate()
     if not requests:
         return []
-    locality = config.prefix_locality
     if effective_len is None:
         effective_len = _prompt_len
-
-    def sort_key(request: RecommendRequest):
-        narrow = request.narrow_items or ()  # None sorts beside the tuples
-        return (request.beam_size, narrow, request.prompt_ids[:locality], effective_len(request))
-
-    ordered = sorted(requests, key=sort_key)
+    keyed = sorted(
+        ((request.beam_size, effective_len(request), request) for request in requests),
+        key=lambda entry: entry[:2],
+    )
     batches: list[list[RecommendRequest]] = []
     current: list[RecommendRequest] = []
-    min_len = max_len = 0
-    for request in ordered:
-        length = effective_len(request)
-        # Prefix-locality sorting means lengths are not globally ascending,
-        # so the spread check tracks the open batch's min and max.
+    first_len = 0
+    for beam_size, length, request in keyed:
+        # Lengths ascend within a beam width: the spread is this - the first.
         if current and (
             len(current) >= config.max_batch_size
-            or request.beam_size != current[0].beam_size
-            or request.narrow_items != current[0].narrow_items
-            or max(max_len, length) - min(min_len, length) > config.bucket_width
+            or beam_size != current[0].beam_size
+            or length - first_len > config.bucket_width
         ):
             batches.append(current)
             current = []
-        if current:
-            min_len = min(min_len, length)
-            max_len = max(max_len, length)
-        else:
-            min_len = max_len = length
+        if not current:
+            first_len = length
         current.append(request)
     batches.append(current)
     return batches

@@ -20,6 +20,14 @@ whole state is one opaque :class:`EngineState`, and
 * finished rows are retired and delivered the moment they reach the final
   level (:meth:`GenerativeEngine.retire`), not at batch end.
 
+Joins are for an empty queue.  A join copies the live K/V, flushes pending
+forced tokens and prefills a trickle, so under backlog it costs more than
+it saves (``docs/serving.md``, "Continuous batching"):
+:meth:`ContinuousScheduler.admission_limit` admits into a live decode only
+when the *whole* queue fits the free width, and otherwise nothing — the
+live cohort finishes within ``num_levels - 1`` ticks, its rows retire
+together, and the idle scheduler takes up to ``max_width`` in one prefill.
+
 Rankings are identical to decoding each request alone no matter when it is
 admitted — joining must never change a live row's decode inputs, the
 correctness invariant the parity suite (``tests/test_serving_continuous.py``)
@@ -82,6 +90,16 @@ class ContinuousScheduler:
     def idle(self) -> bool:
         return self.width == 0
 
+    def admission_limit(self, queued: int) -> int:
+        """How many of ``queued`` waiting requests this tick may admit.
+
+        The free width while the whole queue fits it (always, when idle or
+        lightly loaded: a late arrival joins at the next level boundary);
+        nothing while it does not — a backlog waits for the live cohort to
+        finish and is then served as full cohorts.
+        """
+        return self.free_width if self.idle or queued <= self.free_width else 0
+
     def compatible(self, request: RecommendRequest) -> bool:
         """Whether ``request`` may join the current decode.
 
@@ -97,19 +115,18 @@ class ContinuousScheduler:
         """A fresh FIFO pop predicate for one admission round.
 
         With a live decode this is :meth:`compatible`.  Idle, it latches
-        the first candidate's effective beam width and narrow candidate
-        set and admits only matching followers: one admission is one
-        engine prefill, which requires a uniform effective width and a
-        single narrow set — a mixed queue must be split across admission
-        rounds (FIFO prefix by prefix), not popped wholesale and failed
-        by prefill's validation.
+        the first candidate's effective beam width and admits only
+        matching followers: one admission is one engine prefill, which
+        requires a uniform effective width — a mixed queue must be split
+        across admission rounds (FIFO prefix by prefix), not popped
+        wholesale and failed by prefill's validation.
         """
         if self._state is not None:
             return self.compatible
-        latched: list[tuple] = []
+        latched: list[int] = []
 
         def admit(request: RecommendRequest) -> bool:
-            key = (self.engine.effective_beams(request.beam_size), request.narrow_items)
+            key = self.engine.effective_beams(request.beam_size)
             if not latched:
                 latched.append(key)
             return key == latched[0]

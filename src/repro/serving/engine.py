@@ -525,11 +525,10 @@ class TrieDecoderEngine(GenerativeEngine):
     ) -> IndexTrie | None:
         """The narrow subtrie a request's ``narrow_items`` asks for.
 
+        Narrowing is per row, so requests with different candidate sets
+        (or none) share a prefill and join one another's decodes.
         Candidate subtries are memoized per ``(trie, candidate tuple)``
-        so repeated submissions with one retrieval candidate set share a
-        subtrie *object* — the identity :meth:`can_join` (and the decode
-        stepper's join check) compares, which is what lets narrowed
-        requests join an in-flight narrowed decode.
+        only to save rebuilding one a session submits again.
         """
         if narrow_items is None:
             return self.narrow
@@ -548,14 +547,6 @@ class TrieDecoderEngine(GenerativeEngine):
             self._narrow_memo[key] = narrow
         return narrow
 
-    def _uniform_request_narrow(
-        self, requests: Sequence[RecommendRequest], trie: IndexTrie
-    ) -> IndexTrie | None:
-        keys = {request.narrow_items for request in requests}
-        if len(keys) != 1:
-            raise ValueError("co-batched requests must share one narrow candidate set")
-        return self._request_narrow(keys.pop(), trie)
-
     # -- decode contract -----------------------------------------------
     def prefill(self, requests: Sequence[RecommendRequest]) -> EngineState:
         requests = list(requests)
@@ -563,7 +554,7 @@ class TrieDecoderEngine(GenerativeEngine):
         # One trie read pins this decode's catalog version: the state
         # carries the object through every step, join and retirement.
         trie = self.trie
-        narrow = self._uniform_request_narrow(requests, trie)
+        narrow = [self._request_narrow(request.narrow_items, trie) for request in requests]
         if self.prefix_cache is not None and self.catalog is not None:
             version = self.catalog.version
             self.prefix_cache.sync_catalog(version.version, version.stale_tokens)
@@ -591,24 +582,16 @@ class TrieDecoderEngine(GenerativeEngine):
         return decode_finish(state)
 
     def can_join(self, state: EngineState, request: RecommendRequest) -> bool:
-        """Joined rows must share beam cap, catalog version and narrow.
+        """Joined rows must share beam cap and catalog version.
 
         A live state is pinned to the trie it prefilled with, so after a
         catalog version swap new requests are not admitted into it — they
         wait for the drain and then prefill against the new catalog.
-        Narrowed (hybrid-lane) requests join only decodes narrowed to the
-        *same* candidate subtrie.
+        What a request is narrowed to does not matter: that is per row.
         """
         if self.effective_beams(request.beam_size) != state.num_beams:
             return False
-        trie = self.trie
-        if state.trie is not trie:
-            return False  # pinned to a previous catalog version: drain first
-        try:
-            narrow = self._request_narrow(request.narrow_items, trie)
-        except (KeyError, ValueError):
-            return False
-        return state.narrow is narrow
+        return state.trie is self.trie  # else pinned to a previous catalog version: drain first
 
 
 class LCRecEngine(TrieDecoderEngine):

@@ -55,11 +55,11 @@ class RecommendRequest:
     encoding, the prompt ids alone cannot be mapped back to items.
 
     ``narrow_items`` is the hybrid lane's retrieval candidate set (a
-    tuple, hashable so the service can group co-decodable requests;
-    ``None`` = full-trie decode).  The engine decodes such a request over
-    a candidate subtrie — same rankings over the candidates as a full
-    decode, less work — and only co-batches/joins requests sharing the
-    exact candidate tuple.
+    tuple, hashable as the engine's subtrie memo key; ``None`` = full-trie
+    decode).  The engine decodes such a request over a candidate subtrie —
+    same rankings over the candidates as a full decode, less work.
+    Narrowing is per decode row, so it never decides who a request is
+    batched or joined with.
     """
 
     prompt_ids: list[int]
@@ -181,8 +181,8 @@ class RequestQueue:
         FIFO order is never bypassed: an inadmissible request at the head
         (wrong beam width for the in-flight batch) blocks the ones behind
         it until the decode drains, rather than being overtaken.  The
-        continuous scheduler uses this to take exactly what fits its width
-        cap and beam-compatibility constraint.
+        continuous loop uses this to take what the scheduler's
+        ``admission_limit`` and beam-compatibility predicate allow.
         """
         with self._cond:
             popped: list[RecommendRequest] = []

@@ -24,14 +24,15 @@ differs is the admission policy, *what is admitted when*:
   comes first; callers block in ``PendingRecommendation.result(timeout=...)``
   and :meth:`stop` drains in-flight work and joins the thread.
 * **Continuous** (``mode="continuous"``, engines with
-  ``supports_continuous`` only) — every tick of the background thread pops
-  whatever the scheduler's admission predicate lets join the in-flight
-  decode at this trie-level boundary (no closed batches, no deadline
-  wait), and requests are delivered the moment their own rows finish.
-  Under load this trades the deadline-flush queueing delay for at most
-  one trie level of admission latency;
+  ``supports_continuous`` only) — no deadline wait: a tick of the
+  background thread pops what the scheduler's ``admission_limit`` and
+  admission predicate allow.  While the whole queue fits the free width
+  that is everything queued, joined onto the in-flight decode at this
+  trie-level boundary (at most one level of admission latency;
   ``benchmarks/bench_continuous_batching.py`` measures the p50/p95 gap
-  under Poisson arrivals.
+  under Poisson arrivals); under backlog it is nothing until the live
+  cohort has finished, then a full cohort in one prefill.  Requests are
+  delivered the moment their own rows finish.
 
 Results are identical to the engine's single-request oracle in every mode
 — batching, deadlines, and continuous admission change the cost, never the
@@ -329,7 +330,8 @@ class RecommendationService(RecommendationClient):
         from retrieval immediately (a pre-served ``degraded`` handle,
         reason ``"cold_start"`` / ``"no_candidates"``); everything else
         is stamped with the candidate tuple (``narrow_items``) and
-        decoded over the candidate subtrie, then backfilled exactly as
+        decoded over its own candidate subtrie — beside requests narrowed
+        to other sets, or to none — then backfilled exactly as
         :meth:`HybridRecommender.recommend` would — a submitted request
         and a library call return identical rankings.  Requires an
         engine with ``supports_narrowing``; the hybrid's own engine is
@@ -480,13 +482,15 @@ class RecommendationService(RecommendationClient):
         if self.mode == "continuous":
             # Park only while idle, and with no deadline to wait out: the
             # first request is admitted at once, later ones join it
-            # mid-decode.  ``idle`` is this thread's own reading, taken under
-            # the lock; a racing flush() can only leave the scheduler idle.
+            # mid-decode while the queue fits the free width.  ``idle`` is
+            # this thread's own reading, taken under the lock; a racing
+            # flush() can only leave the scheduler idle.
             idle = True
             while not stopped() and (not idle or self.queue.await_request(stopped)):
                 with self._decode_lock:
                     joinable = self.queue.pop_front(
-                        self.scheduler.free_width, self.scheduler.admission_predicate()
+                        self.scheduler.admission_limit(len(self.queue)),
+                        self.scheduler.admission_predicate(),
                     )
                     self._tick(joinable, self.engine.effective_len)
                     idle = self.scheduler.idle

@@ -477,6 +477,26 @@ class TestHybridServingLane:
             got = [handle.result(timeout=120) for handle in handles]
         assert got == expected
 
+    def test_distinct_candidate_sets_share_one_admission(
+        self, tiny_lcrec, tiny_dataset, live_catalog, hybrid
+    ):
+        # Narrowing is per row: six requests narrowed to six different
+        # candidate tuples are one prefill, not six.
+        engine = tiny_lcrec.engine(prefix_cache=None)
+        engine.attach_catalog(live_catalog)
+        service = RecommendationService(engine, hybrid=hybrid)
+        distinct = {}
+        for history in tiny_dataset.split.test_histories:
+            distinct.setdefault(tuple(hybrid.candidates(list(history)[:3], 6)), list(history)[:3])
+        histories = list(distinct.values())[:6]
+        assert len(histories) == 6
+        handles = [service.submit(h, top_k=6) for h in histories]
+        assert service.flush() == 6
+        assert (service.stats.admissions, service.stats.hybrid_narrowed) == (1, 6)
+        assert [handle.result() for handle in handles] == [
+            hybrid.recommend(h, top_k=6) for h in histories
+        ]
+
     def test_hybrid_lane_tracks_ingestion(self, tiny_lcrec, live_catalog, hybrid):
         engine = tiny_lcrec.engine(prefix_cache=None)
         engine.attach_catalog(live_catalog)

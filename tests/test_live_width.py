@@ -157,12 +157,18 @@ class Watched:
             results.update(zip(tags, self.retire(state, rows)))
 
     def decode(self, model, trie, admissions, beam_size, narrow=None):
-        """The scheduler's tick: ``admissions[tick]`` prompts join before that tick's step."""
+        """The scheduler's tick: ``admissions[tick]`` prompts join before that tick's step.
+
+        ``narrow`` is one subtrie for every prompt, or a dict of one
+        (or ``None``) per prompt.
+        """
         state, results, tick = None, {}, 0
         while state is not None or tick <= max(admissions):
             if tick in admissions:
+                tags = [tuple(p) for p in admissions[tick]]
+                rows = [narrow[tag] for tag in tags] if isinstance(narrow, dict) else narrow
                 incoming = self.prefill(model, admissions[tick], trie, beam_size=beam_size,
-                                        tags=[tuple(p) for p in admissions[tick]], narrow=narrow)
+                                        tags=tags, narrow=rows)
                 state = incoming if state is None else self.join(state, incoming)
             if state is not None:
                 self.retire_finished(state, results)  # a one-level trie finishes in prefill
@@ -420,3 +426,26 @@ class TestProperty:
         results = Watched().decode(model, trie, admissions, beam_size)
         assert len(results) == len(ticks)
         assert_matches_oracle(results, model, trie, beam_size)
+
+    @settings(max_examples=30, deadline=None)
+    @given(codes=ragged_tries(), data=st.data(),
+           ticks=st.lists(st.integers(0, 5), min_size=1, max_size=len(PROMPTS)))
+    def test_any_candidate_set_per_row(self, codes, data, ticks):
+        # Narrowing is per row: whatever each request is narrowed to (or not
+        # at all) and whenever it joins, it gets the exhaustive decode
+        # filtered to its own candidates.
+        model, trie = make_model(), make_trie(codes)
+        items = list(range(trie.num_items))
+        subsets = st.none() | st.lists(st.sampled_from(items), min_size=1, unique=True)
+        admissions, candidates = {}, {}
+        for prompt, tick in zip(PROMPTS, ticks):
+            admissions.setdefault(tick, []).append(prompt)
+            candidates[tuple(prompt)] = data.draw(subsets)
+        narrow = {tag: chosen and trie.subtrie(chosen) for tag, chosen in candidates.items()}
+        results = Watched().decode(model, trie, admissions, len(items), narrow=narrow)
+        assert len(results) == len(ticks)
+        for prompt, hypotheses in results.items():
+            full = beam_search_items_single(model, list(prompt), trie, beam_size=len(items))
+            chosen = candidates[prompt]
+            assert_same_hypotheses(
+                hypotheses, [h for h in full if chosen is None or h.item_id in chosen])

@@ -21,7 +21,9 @@ import pytest
 
 from repro.baselines import P5CID, P5CIDConfig, TIGER, TIGERConfig
 from repro.core.indexer import build_random_index_set
-from repro.llm import beam_search_items_batched, decode_join, decode_prefill, ranked_item_ids
+from test_live_width import Watched, assert_same_hypotheses
+
+from repro.llm import beam_search_items_batched, decode_prefill, ranked_item_ids
 from repro.llm.generation import _narrow_positions
 from repro.quantization import IndexTrie
 from repro.retrieval import (
@@ -334,16 +336,71 @@ class TestNarrowedDecodeParity:
         with pytest.raises(ValueError, match="depth"):
             decode_prefill(engine.lm, [prompt], engine.trie, beam_size=4, narrow=shallow)
 
-    def test_join_requires_matching_narrow(self, tiny_lcrec, tiny_dataset):
+    # -- narrowing is per row: any mix of candidate sets shares a decode --
+    @staticmethod
+    def mixed_rows(engine, tiny_dataset):
+        """Four requests: two wide candidate sets, one under a single first
+        token (fewer level-0 continuations than its neighbours: the ``-inf``
+        filler path) and one un-narrowed.  ``(histories, prompts, candidates)``."""
+        sequences = engine.trie.all_sequences()
+        by_first = {}
+        for item in sorted(sequences):
+            by_first.setdefault(sequences[item][0], []).append(item)
+        assert len(by_first) > 1, "the fixture trie needs more than one first token"
+        thin = min(by_first.values(), key=len)[:2]
+        candidates = [list(range(0, engine.num_items, 5)), list(range(1, engine.num_items, 4)),
+                      thin, None]
+        histories = [list(h) for h in tiny_dataset.split.test_histories[:4]]
+        return histories, [engine.encode_history(h) for h in histories], candidates
+
+    def assert_mixed_decode(self, engine, tiny_dataset, ticks):
+        """Admit the four rows at ``ticks`` under the live-width checks: every
+        row equals decoding it alone and, narrowed, its restricted oracle."""
+        scorer = engine.model if isinstance(engine, TIGEREngine) else engine.lm
+        histories, prompts, candidates = self.mixed_rows(engine, tiny_dataset)
+        narrow = {tuple(prompt): chosen and engine.trie.subtrie(chosen)
+                  for prompt, chosen in zip(prompts, candidates)}
+        beams = engine.effective_beams(engine.num_items)
+        admissions = {}
+        for prompt, tick in zip(prompts, ticks):
+            admissions.setdefault(tick, []).append(prompt)
+        results = Watched().decode(scorer, engine.trie, admissions, beams, narrow=narrow)
+        assert len(results) == len(prompts)
+        for history, prompt, chosen in zip(histories, prompts, candidates):
+            alone = Watched().decode(scorer, engine.trie, {0: [prompt]}, beams, narrow=narrow)
+            assert_same_hypotheses(results[tuple(prompt)], alone[tuple(prompt)])
+            if chosen is not None:
+                assert [h.item_id for h in results[tuple(prompt)]] == restricted_oracle(
+                    engine, [history], chosen, len(chosen))[0]
+
+    @pytest.mark.parametrize("name", ["lcrec", "p5cid", "tiger"])  # tiger: CrossBeamKVCache
+    def test_mixed_candidate_sets_prefilled_together(
+        self, name, tiny_lcrec, tiny_dataset, tiger, p5cid
+    ):
+        engine = make_engine(name, tiny_lcrec, tiger, p5cid)
+        self.assert_mixed_decode(engine, tiny_dataset, ticks=(0, 0, 0, 0))
+        # The thin row carried filler beside its neighbours' first tokens.
+        _, prompts, candidates = self.mixed_rows(engine, tiny_dataset)
+        state = decode_prefill(
+            engine.model if name == "tiger" else engine.lm, prompts, engine.trie, beam_size=10,
+            narrow=[chosen and engine.trie.subtrie(chosen) for chosen in candidates])
+        finite = np.isfinite(state.beam_scores).sum(axis=1)
+        assert finite[2] == 1 and finite[2] < finite.max() == state.width
+        assert state.beam_tokens[2][-1] == state.beam_tokens[2][0]
+
+    @pytest.mark.parametrize("name", ["lcrec", "p5cid"])  # TIGER decodes do not join yet
+    @pytest.mark.parametrize("ticks", [(0, 0, 1, 1), (1, 1, 0, 0), (0, 1, 1, 0)], ids=str)
+    def test_mixed_candidate_sets_joined_a_level_apart(
+        self, name, ticks, tiny_lcrec, tiny_dataset, tiger, p5cid
+    ):
+        engine = make_engine(name, tiny_lcrec, tiger, p5cid)
+        self.assert_mixed_decode(engine, tiny_dataset, ticks)
+
+    def test_narrow_must_match_prompts_one_to_one(self, tiny_lcrec, tiny_dataset):
         engine = LCRecEngine(tiny_lcrec, prefix_cache=False)
-        prompts = [
-            engine.encode_history(list(h)) for h in tiny_dataset.split.test_histories[:2]
-        ]
-        narrow = engine.trie.subtrie([0, 1, 2])
-        state = decode_prefill(engine.lm, prompts[:1], engine.trie, beam_size=4, narrow=narrow)
-        incoming = decode_prefill(engine.lm, prompts[1:], engine.trie, beam_size=4)
-        with pytest.raises(ValueError, match="narrow"):
-            decode_join(state, incoming)
+        prompts = [engine.encode_history(list(h)) for h in tiny_dataset.split.test_histories[:2]]
+        with pytest.raises(ValueError, match="one-to-one"):
+            decode_prefill(engine.lm, prompts, engine.trie, beam_size=4, narrow=[None])
 
     def test_narrowed_continuous_serving_matches_oracle(self, tiny_lcrec, tiny_dataset):
         """A narrowed engine still serves through every serving mode."""

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serving import (
     LCRecEngine,
@@ -81,6 +83,55 @@ class TestMicroBatcher:
         for batch in plan_batches(requests, config):
             lengths = [r.prompt_len for r in batch]
             assert max(lengths) - min(lengths) <= 2
+
+    def test_distinct_leading_tokens_do_not_fragment_batches(self):
+        """The TIGER shape: every history starts with another item, lengths
+        12-45.  The plan follows the length order alone, so 48 requests at
+        ``max_batch_size=16`` are exactly three full batches."""
+        lengths = [12 + (i * 34) // 48 for i in range(48)]
+        requests = [
+            RecommendRequest(prompt_ids=[100 + i] + [7] * (length - 1), beam_size=10)
+            for i, length in zip(np.random.default_rng(0).permutation(48), lengths)
+        ]
+        arrival = [requests[i] for i in np.random.default_rng(1).permutation(48)]
+        batches = plan_batches(arrival, MicroBatcherConfig(max_batch_size=16))
+        assert [[r.prompt_len for r in b] for b in batches] == [
+            lengths[:16], lengths[16:32], lengths[32:]
+        ]
+
+    def test_narrow_items_do_not_split_batches(self):
+        """Narrowing is per row: candidate sets neither order nor close a batch."""
+        requests = [request(5), request(6), request(5), request(7)]
+        for r, items in zip(requests, [(3, 1), None, (2,), (3, 1)]):
+            r.narrow_items = items
+        (batch,) = plan_batches(requests, MicroBatcherConfig())
+        assert [r.prompt_len for r in batch] == [5, 5, 6, 7]
+        assert batch[:2] == [requests[0], requests[2]]  # FIFO among equals
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shapes=st.lists(st.tuples(st.integers(1, 60), st.sampled_from([5, 10, 20])), max_size=40),
+        max_batch_size=st.integers(1, 8),
+        bucket_width=st.integers(0, 20),
+    )
+    def test_plan_properties(self, shapes, max_batch_size, bucket_width):
+        requests = [request(length, beam_size=beam) for length, beam in shapes]
+        config = MicroBatcherConfig(max_batch_size=max_batch_size, bucket_width=bucket_width)
+        batches = plan_batches(requests, config)
+        flat = [r.request_id for b in batches for r in b]
+        assert sorted(flat) == sorted(r.request_id for r in requests)  # once each
+
+        def spread(batch):
+            return max(r.prompt_len for r in batch) - min(r.prompt_len for r in batch)
+
+        for batch in batches:
+            assert 1 <= len(batch) <= max_batch_size
+            assert len({r.beam_size for r in batch}) == 1
+            assert spread(batch) <= bucket_width
+        for left, right in zip(batches, batches[1:]):
+            if left[0].beam_size == right[0].beam_size:  # else unmergeable anyway
+                merged = left + right
+                assert len(merged) > max_batch_size or spread(merged) > bucket_width
 
     def test_empty_plan(self):
         assert plan_batches([], MicroBatcherConfig()) == []

@@ -445,6 +445,142 @@ class TestQueueAdmissionPrimitives:
         assert out["ready"] is False
 
 
+def make_deep_trie():
+    """Four levels, ten items: a cohort needs three steps after its prefill."""
+    codes = [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (0, 1, 1, 1),
+             (1, 0, 0, 0), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0), (1, 1, 1, 1)]
+    return IndexTrie({item: tuple(10 + 2 * level + code for level, code in enumerate(seq))
+                      for item, seq in enumerate(codes)})
+
+
+class TestBacklogAwareAdmission:
+    """The continuous loop's admission decision, with no thread in sight.
+
+    ``tick`` is the loop's body by hand: pop what ``admission_limit`` and
+    the predicate allow, admit it, step.  Into a live decode the scheduler
+    admits only a queue that fits its free width whole; a backlog waits for
+    the cohort to finish and is then prefilled as one.
+    """
+
+    TRIES = {"three_levels": make_trie, "four_levels": make_deep_trie}
+
+    @staticmethod
+    def prompts(count):
+        return [[1 + (i * 7 + j) % 9 for j in range(1 + i % 4)] for i in range(count)]
+
+    @staticmethod
+    def tick(scheduler, queue, served):
+        admitted = queue.pop_front(scheduler.admission_limit(len(queue)),
+                                   scheduler.admission_predicate())
+        scheduler.admit(admitted)
+        served.extend(scheduler.step())
+        return admitted
+
+    @staticmethod
+    def assert_each_served_once(served, requests, model, trie):
+        assert sorted(r.request_id for r, _ in served) == sorted(
+            r.request_id for r in requests)
+        for req, hyps in served:
+            expected = beam_search_items_single(model, req.prompt_ids, trie,
+                                                beam_size=req.beam_size)
+            assert [h.token_ids for h in hyps] == [h.token_ids for h in expected]
+            np.testing.assert_allclose([h.score for h in hyps],
+                                       [h.score for h in expected], rtol=1e-5, atol=2e-6)
+
+    def test_limit_is_free_width_or_nothing(self):
+        scheduler = make_scheduler(make_model(), make_trie(), max_width=8)
+        assert [scheduler.admission_limit(n) for n in (0, 1, 8, 9, 100)] == [8] * 5  # idle
+        scheduler.admit([request(p) for p in self.prompts(6)])
+        assert scheduler.free_width == 2
+        assert [scheduler.admission_limit(n) for n in (0, 1, 2, 3, 50)] == [2, 2, 2, 0, 0]
+
+    @pytest.mark.parametrize("shape", TRIES)
+    def test_a_queue_that_fits_joins_at_the_next_boundary(self, shape):
+        model, trie = make_model(), self.TRIES[shape]()
+        scheduler, queue, served = make_scheduler(model, trie), RequestQueue(), []
+        requests = [request(p) for p in self.prompts(5)]
+        for r in requests[:2]:
+            queue.push(r)
+        assert self.tick(scheduler, queue, served) == requests[:2]
+        for r in requests[2:]:
+            queue.push(r)  # 3 queued, 6 rows free
+        assert self.tick(scheduler, queue, served) == requests[2:]
+        assert (scheduler.admissions, scheduler.joins) == (2, 1)
+        while not scheduler.idle:
+            assert self.tick(scheduler, queue, served) == []
+        self.assert_each_served_once(served, requests, model, trie)
+        # Joined rows retire a level after the rows they joined.
+        assert [r.request_id for r, _ in served] == [r.request_id for r in requests]
+
+    @pytest.mark.parametrize("shape", TRIES)
+    def test_a_backlog_waits_for_idle_and_is_prefilled_as_one(self, shape):
+        model, trie = make_model(), self.TRIES[shape]()
+        scheduler, queue, served = make_scheduler(model, trie), RequestQueue(), []
+        requests = [request(p) for p in self.prompts(11)]
+        for r in requests[:6]:
+            queue.push(r)
+        assert self.tick(scheduler, queue, served) == requests[:6]
+        for r in requests[6:]:
+            queue.push(r)  # 5 queued, 2 rows free
+        waited = 0
+        while not scheduler.idle:
+            assert self.tick(scheduler, queue, served) == []
+            waited += 1
+        assert waited == trie.num_levels - 2  # the cohort's first step rode its own tick
+        assert [r.request_id for r, _ in served] == [r.request_id for r in requests[:6]]
+        assert self.tick(scheduler, queue, served) == requests[6:]
+        assert (scheduler.admissions, scheduler.joins) == (2, 0)
+        while not scheduler.idle:
+            self.tick(scheduler, queue, served)
+        self.assert_each_served_once(served, requests, model, trie)
+
+    def test_an_incompatible_beam_width_at_the_head_still_blocks(self):
+        model, trie = make_model(), make_deep_trie()
+        scheduler, queue, served = make_scheduler(model, trie), RequestQueue(), []
+        live = [request(p) for p in self.prompts(2)]
+        blocker, behind = request([3, 4], beam_size=2), request([5], beam_size=5)
+        for r in live:
+            queue.push(r)
+        self.tick(scheduler, queue, served)
+        queue.push(blocker)
+        queue.push(behind)  # the queue fits (2 <= 6), its head does not join beam 5
+        while not scheduler.idle:
+            assert self.tick(scheduler, queue, served) == []
+        assert self.tick(scheduler, queue, served) == [blocker]  # the idle latch: one width
+        while not scheduler.idle:
+            assert self.tick(scheduler, queue, served) == []
+        assert self.tick(scheduler, queue, served) == [behind]
+        while not scheduler.idle:
+            self.tick(scheduler, queue, served)
+        assert scheduler.joins == 0
+        self.assert_each_served_once(served, live + [blocker, behind], model, trie)
+
+    @pytest.mark.parametrize("shape", TRIES)
+    def test_a_queue_that_never_fits_never_starves(self, shape):
+        """Arrivals keep the queue deeper than the free width at every tick:
+        full cohorts go through back to back, FIFO, and nobody waits more
+        than ``num_levels - 1`` ticks behind an admission."""
+        model, trie = make_model(), self.TRIES[shape]()
+        scheduler, queue, served = make_scheduler(model, trie, max_width=4), RequestQueue(), []
+        requests = [request(p) for p in self.prompts(30)]
+        arrivals = iter(requests)
+        admitted, since_admission = [], 0
+        for _ in range(60):
+            while len(queue) < 6 and (r := next(arrivals, None)) is not None:
+                queue.push(r)
+            if not queue and scheduler.idle:
+                break
+            cohort = self.tick(scheduler, queue, served)
+            since_admission = 0 if cohort else since_admission + 1
+            assert since_admission <= trie.num_levels - 1
+            if cohort:
+                assert len(cohort) == min(4, len(requests) - len(admitted))
+                admitted.extend(cohort)
+        assert admitted == requests and scheduler.joins == 0
+        self.assert_each_served_once(served, requests, model, trie)
+        assert [r.request_id for r, _ in served] == [r.request_id for r in requests]
+
+
 class TestContinuousService:
     @pytest.fixture()
     def service(self, tiny_lcrec):
