@@ -296,25 +296,19 @@ def _store_prompts(
     decode cache — the seeded prefix region and the forwarded suffix region
     — so its pad-free concatenation is exactly the unpadded prompt K/V
     (pads influence nothing: they are masked out of attention and K/V at
-    position ``i`` depends only on tokens ``<= i``).
+    position ``i`` depends only on tokens ``<= i``).  ``insert`` is handed
+    row views and the two column ranges and makes that one copy itself.
     """
     for row, prompt in enumerate(prompts):
         if len(prompt) < prefix_cache.min_prefix_len or prompt in prefix_cache:
             continue
-        layer_kvs = []
-        for cache in caches:
-            kp, vp = cache.prompt.keys, cache.prompt.values
-            row_slice = slice(row, row + 1)
-            prefix_cols = slice(prefix_width - int(cached_lens[row]), prefix_width)
-            suffix_cols = slice(prefix_width + int(suffix_pads[row]), kp.shape[2])
-            keys = np.concatenate(
-                [kp[row_slice, :, prefix_cols, :], kp[row_slice, :, suffix_cols, :]], axis=2
-            )
-            values = np.concatenate(
-                [vp[row_slice, :, prefix_cols, :], vp[row_slice, :, suffix_cols, :]], axis=2
-            )
-            layer_kvs.append((keys, values))
-        prefix_cache.insert(prompt, layer_kvs)
+        rows = slice(row, row + 1)
+        layer_kvs = [(c.prompt.keys[rows], c.prompt.values[rows]) for c in caches]
+        columns = (
+            slice(prefix_width - int(cached_lens[row]), prefix_width),
+            slice(prefix_width + int(suffix_pads[row]), None),
+        )
+        prefix_cache.insert(prompt, layer_kvs, columns=columns)
 
 
 def _prefill_prompts(

@@ -10,16 +10,21 @@ waste — key/value tensors at position ``i`` depend only on tokens ``<= i``,
 so the K/V of any previously decoded prompt prefix can be reused verbatim.
 
 :class:`PrefixKVCache` stores per-layer prompt K/V keyed by token-id
-sequence in a trie:
+sequence in a path-compressed (radix) index — a node per point where
+stored prompts diverge or end, edges labelled with token tuples:
 
 * ``insert(prompt_ids, layer_kvs)`` files the full prompt's K/V under its
-  token sequence.  Every trie node along the path remembers one *donor*
-  entry passing through it.
-* ``match(prompt_ids)`` walks the trie as deep as the query agrees with any
-  stored sequence and returns that donor's K/V sliced to the matched depth
-  — so a stored prompt serves exact repeats, grown-session prompts (shared
-  history prefix), and unrelated requests from the same template (shared
-  template head) with a single entry.
+  token sequence, splitting at most one edge (two new nodes at most).
+  Every node names one *donor* entry whose key covers its edge; the copy
+  of the K/V is the only one made (``columns`` cuts it straight out of a
+  padded decode cache).  Overflow evicts exactly one LRU entry by
+  walking its path — no rebuild.
+* ``match(prompt_ids)`` walks the index, comparing tuple slices in pure
+  Python (no NumPy under the lock until a hit is sliced), as deep as the
+  query agrees with any stored sequence and returns that donor's K/V
+  sliced to the matched depth — so a stored prompt serves exact repeats,
+  grown-session prompts (shared history prefix), and unrelated requests
+  from the same template (shared template head) with a single entry.
 
 The decode integration lives in
 :func:`repro.llm.generation.beam_search_items_batched`: matched rows skip
@@ -91,14 +96,21 @@ class _Entry:
     layer_kvs: list[tuple[np.ndarray, np.ndarray]]
 
 
-class _TrieNode:
-    """Token-trie node; ``donor`` is any stored entry passing through it."""
+class _Node:
+    """Radix node reached over ``edge``; children are keyed by first edge token.
 
-    __slots__ = ("children", "donor")
+    ``donor`` is a live entry whose key covers the whole edge, ``entry`` the
+    one ending exactly here.  No parent link: paths are re-walked from the
+    root, so dropped nodes and their K/V are freed by refcount, not the GC.
+    """
 
-    def __init__(self) -> None:
-        self.children: dict[int, _TrieNode] = {}
-        self.donor: _Entry | None = None
+    __slots__ = ("edge", "children", "donor", "entry")
+
+    def __init__(self, edge: tuple[int, ...], donor: _Entry | None) -> None:
+        self.edge = edge
+        self.children: dict[int, _Node] = {}
+        self.donor = donor
+        self.entry: _Entry | None = None
 
 
 @dataclass(frozen=True)
@@ -116,7 +128,7 @@ class PrefixMatch:
 
 
 class PrefixKVCache:
-    """Trie-keyed LRU cache of prompt-prefix K/V tensors.
+    """Radix-indexed LRU cache of prompt-prefix K/V tensors.
 
     Parameters
     ----------
@@ -143,13 +155,43 @@ class PrefixKVCache:
         self.stats = PrefixCacheStats()
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple[int, ...], _Entry] = OrderedDict()
-        self._root = _TrieNode()
+        self._root = _Node((), None)
         # Catalog version this cache was last synced to (None = unversioned).
         self.catalog_version: int | None = None
 
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
+    def _walk(self, key: tuple[int, ...]) -> tuple[list[_Node], int, _Node | None, int]:
+        """Descend along ``key``: ``(path, depth, child, common)``.
+
+        ``path`` holds the fully matched nodes (root first) and ``depth``
+        their token count; ``child`` is the node whose edge ``key`` leaves
+        (or ends inside) after ``common >= 1`` tokens, else ``None, 0``.
+        """
+        path, depth = [self._root], 0
+        while depth < len(key):
+            child = path[-1].children.get(key[depth])
+            if child is None:
+                break
+            edge = child.edge
+            if key[depth : depth + len(edge)] != edge:
+                common, stop = 1, min(len(edge), len(key) - depth)
+                while common < stop and key[depth + common] == edge[common]:
+                    common += 1
+                return path, depth, child, common
+            path.append(child)
+            depth += len(edge)
+        return path, depth, None, 0
+
+    def _longest(self, prompt_ids: Sequence[int], max_len: int | None) -> tuple[int, _Entry | None]:
+        """``(length, donor)`` of the longest stored prefix; ``(0, None)`` under the floor."""
+        limit = len(prompt_ids) if max_len is None else max(0, min(max_len, len(prompt_ids)))
+        path, depth, child, common = self._walk(tuple(prompt_ids[:limit]))
+        depth += common
+        donor = (child or path[-1]).donor
+        return (depth, donor) if depth >= self.min_prefix_len else (0, None)
+
     def match(self, prompt_ids: list[int], max_len: int | None = None) -> PrefixMatch | None:
         """Longest cached prefix of ``prompt_ids``, or None.
 
@@ -160,18 +202,8 @@ class PrefixKVCache:
         with self._lock:
             self.stats.lookups += 1
             self.stats.prompt_tokens += len(prompt_ids)
-            limit = len(prompt_ids) if max_len is None else min(max_len, len(prompt_ids))
-            node = self._root
-            depth = 0
-            donor: _Entry | None = None
-            for token in prompt_ids[:limit]:
-                child = node.children.get(int(token))
-                if child is None:
-                    break
-                node = child
-                depth += 1
-                donor = node.donor
-            if donor is None or depth < self.min_prefix_len:
+            depth, donor = self._longest(prompt_ids, max_len)
+            if donor is None:
                 return None
             self._entries.move_to_end(donor.key)  # LRU touch
             self.stats.hits += 1
@@ -192,33 +224,30 @@ class PrefixKVCache:
         forward width anyway.
         """
         with self._lock:
-            limit = len(prompt_ids) if max_len is None else min(max_len, len(prompt_ids))
-            node = self._root
-            depth = 0
-            matched = 0
-            for token in prompt_ids[:limit]:
-                child = node.children.get(int(token))
-                if child is None:
-                    break
-                node = child
-                depth += 1
-                if node.donor is not None:
-                    matched = depth
-            return matched if matched >= self.min_prefix_len else 0
+            return self._longest(prompt_ids, max_len)[0]
 
     # ------------------------------------------------------------------
     # Insertion and eviction
     # ------------------------------------------------------------------
-    def insert(self, prompt_ids: list[int], layer_kvs: list[tuple[np.ndarray, np.ndarray]]) -> bool:
+    def insert(
+        self,
+        prompt_ids: list[int],
+        layer_kvs: list[tuple[np.ndarray, np.ndarray]],
+        *,
+        columns: Sequence[slice] = (slice(None),),
+    ) -> bool:
         """Store a decoded prompt's per-layer K/V under its token sequence.
 
         ``layer_kvs[i]`` must be ``(keys, values)`` of shape
-        ``(1, heads, len(prompt_ids), head_dim)``.  The arrays are copied
-        and frozen, so callers may hand in views of live decode caches.
+        ``(1, heads, width, head_dim)`` whose ``columns`` — slices of the
+        ``width`` axis, in order; default all of it — hold exactly the
+        ``len(prompt_ids)`` prompt positions (a padded decode-cache row
+        passes its prefix and suffix ranges).  The one copy stored is made
+        here and frozen, so callers may hand in views of live decode caches.
         Returns False (and stores nothing) for prompts shorter than
         ``min_prefix_len`` or already stored.
         """
-        key = tuple(int(t) for t in prompt_ids)
+        key = tuple(map(int, prompt_ids))
         if len(key) < self.min_prefix_len:
             return False
         with self._lock:
@@ -226,47 +255,63 @@ class PrefixKVCache:
                 self._entries.move_to_end(key)
                 return False
             stored = []
-            for keys, values in layer_kvs:
-                if keys.shape[2] != len(key):
-                    raise ValueError(f"K/V length {keys.shape[2]} != prompt length {len(key)}")
-                keys = np.array(keys, copy=True)  # never alias live caches
-                values = np.array(values, copy=True)
-                keys.flags.writeable = False
-                values.flags.writeable = False
-                stored.append((keys, values))
-            entry = _Entry(key=key, layer_kvs=stored)
-            self._entries[key] = entry
-            self._index(entry)
+            for pair in layer_kvs:
+                # concatenate always allocates: never an alias of a live cache, and slices
+                # (not an index gather) keep it to one strided copy per range.
+                pair = tuple(np.concatenate([a[:, :, s] for s in columns], axis=2) for a in pair)
+                if pair[0].shape[2] != len(key):
+                    raise ValueError(f"K/V length {pair[0].shape[2]} != prompt length {len(key)}")
+                for array in pair:
+                    array.flags.writeable = False
+                stored.append(pair)
+            entry = self._entries[key] = _Entry(key=key, layer_kvs=stored)
+            path, depth, child, common = self._walk(key)
+            end = path[-1]
+            if child is not None:  # the key leaves (or ends inside) an edge: split it there
+                mid = end.children[key[depth]] = _Node(child.edge[:common], child.donor)
+                child.edge = child.edge[common:]
+                mid.children[child.edge[0]] = child
+                path.append(mid)
+                end, depth = mid, depth + common
+            if depth < len(key):  # the rest of the key hangs off as a new leaf
+                leaf = end.children[key[depth]] = _Node(key[depth:], entry)
+                end = leaf
+            end.entry = entry
+            for node in path[1:]:  # newest entry donates: LRU touches keep it, not a stale one
+                node.donor = entry
             self.stats.inserts += 1
             if len(self._entries) > self.max_entries:
-                # Evict a batch of cold entries (1/4 of capacity) so the
-                # trie rebuild amortizes over many inserts instead of
-                # running once per overflow.
-                drop = max(1, self.max_entries // 4)
-                for _ in range(drop):
-                    self._entries.popitem(last=False)
-                    self.stats.evictions += 1
-                self._rebuild_trie()
+                self._drop(next(iter(self._entries.values())))
             return True
 
-    def _index(self, entry: _Entry) -> None:
-        node = self._root
-        for token in entry.key:
-            node = node.children.setdefault(token, _TrieNode())
-            node.donor = entry
+    def _drop(self, entry: _Entry) -> None:
+        """Un-index one entry along its own path (caller holds the lock)."""
+        del self._entries[entry.key]
+        self.stats.evictions += 1
+        path = self._walk(entry.key)[0]
+        path[-1].entry = None
+        for parent, node in zip(path[-2::-1], path[:0:-1]):  # bottom-up
+            if node.entry is None and len(node.children) < 2:
+                del parent.children[node.edge[0]]
+                for child in node.children.values():  # unary pass-through: merge into it
+                    child.edge = node.edge + child.edge
+                    parent.children[child.edge[0]] = child
+            elif node.donor is entry:
+                node.donor = node.entry or next(iter(node.children.values())).donor
 
-    def _rebuild_trie(self) -> None:
-        # Eviction is rare (LRU overflow only) and entries are few, so a
-        # rebuild beats reference-counted donor bookkeeping on every node.
-        self._root = _TrieNode()
-        for entry in self._entries.values():
-            self._index(entry)
+    def _drop_tokens(self, tokens: Sequence[int]) -> int:
+        """Drop every entry mentioning any of ``tokens`` (caller holds the lock)."""
+        stale = {int(t) for t in tokens}
+        doomed = [entry for entry in self._entries.values() if not stale.isdisjoint(entry.key)]
+        for entry in doomed:
+            self._drop(entry)
+        return len(doomed)
 
     def clear(self) -> None:
         """Drop every entry (required after any model-weight change)."""
         with self._lock:
             self._entries.clear()
-            self._root = _TrieNode()
+            self._root = _Node((), None)
 
     def invalidate_tokens(self, tokens: Sequence[int]) -> int:
         """Drop every entry whose key contains any of ``tokens``.
@@ -276,17 +321,8 @@ class PrefixKVCache:
         tokens, say) can serve wrong K/V — everything else stays warm.
         Returns the number of entries dropped.
         """
-        stale = {int(t) for t in tokens}
-        if not stale:
-            return 0
         with self._lock:
-            doomed = [key for key in self._entries if stale.intersection(key)]
-            for key in doomed:
-                del self._entries[key]
-                self.stats.evictions += 1
-            if doomed:
-                self._rebuild_trie()
-            return len(doomed)
+            return self._drop_tokens(tokens)
 
     def sync_catalog(self, version: int, stale_tokens: Sequence[int] = ()) -> int:
         """Advance the cache to catalog ``version``, scoped-invalidation only.
@@ -302,11 +338,11 @@ class PrefixKVCache:
             if self.catalog_version is not None and version <= self.catalog_version:
                 return 0
             self.catalog_version = version
-        return self.invalidate_tokens(stale_tokens)
+            return self._drop_tokens(stale_tokens)
 
     def __contains__(self, prompt_ids: Sequence[int]) -> bool:
         """Whether the *exact* prompt is stored (not merely matchable)."""
-        key = tuple(int(t) for t in prompt_ids)
+        key = tuple(map(int, prompt_ids))
         with self._lock:
             return key in self._entries
 

@@ -1,7 +1,13 @@
-"""Cross-request prefix KV cache: trie semantics, eviction, decode parity."""
+"""Cross-request prefix KV cache: radix-index semantics, eviction, decode parity."""
+
+import sys
+import threading
+from os.path import commonprefix
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.llm import (
     LMConfig,
@@ -22,6 +28,255 @@ def fake_kvs(length, layers=2, heads=2, head_dim=4, fill=1.0):
         values = keys + 100.0
         out.append((keys, values))
     return out
+
+
+def prefix_kvs(key):
+    """One-layer K/V whose column ``j`` encodes ``key[: j + 1]`` and nothing else.
+
+    Any donor covering a prefix holds the same columns for it, so a match
+    can be checked column by column against the *query* alone.
+    """
+    codes, code = [], 7
+    for token in key:
+        code = (code * 31 + token + 1) % 65521  # exact in float32
+        codes.append(code)
+    keys = np.array(codes, dtype=np.float32).reshape(1, 1, len(key), 1).repeat(2, axis=3)
+    return [(keys, keys + 0.5)]
+
+
+def assert_match_is_prefix_of(match, query):
+    """The K/V a match hands out is exactly what was inserted for ``query[:length]``."""
+    (keys, values), (want_keys, want_values) = match.layer_kvs[0], prefix_kvs(query)[0]
+    np.testing.assert_array_equal(keys, want_keys[:, :, : match.length])
+    np.testing.assert_array_equal(values, want_values[:, :, : match.length])
+
+
+def oracle_match_len(cache, query, max_len=None):
+    """Brute force: longest common prefix with any live key, capped, floored."""
+    limit = len(query) if max_len is None else max(0, min(max_len, len(query)))
+    capped = tuple(query[:limit])
+    best = max((len(commonprefix([key, capped])) for key in cache._entries), default=0)
+    return best if best >= cache.min_prefix_len else 0
+
+
+def check_index(cache):
+    """Structural invariants of the radix index (see ``_Node``)."""
+    live = cache._entries
+    assert len(live) <= cache.max_entries
+    root = cache._root
+    assert root.entry is None and root.edge == ()
+    nodes, ended, stack = 0, set(), [((), child) for child in root.children.values()]
+    assert all(first == child.edge[0] for first, child in root.children.items())
+    while stack:
+        above, node = stack.pop()
+        nodes += 1
+        prefix = above + node.edge
+        assert node.edge, "empty edge"
+        assert live.get(node.donor.key) is node.donor, "donor is not a live entry"
+        assert node.donor.key[: len(prefix)] == prefix, "donor does not cover the node"
+        if node.entry is None:
+            assert len(node.children) >= 2, "unary pass-through node left unmerged"
+        else:
+            assert node.entry.key == prefix and live.get(prefix) is node.entry
+            ended.add(prefix)
+        for first, child in node.children.items():
+            assert first == child.edge[0]
+            stack.append((prefix, child))
+    assert ended == set(live), "index and LRU table disagree about what is stored"
+    assert nodes <= 2 * len(live)  # so an empty cache is a bare root: back to baseline
+
+
+class TestRadixIndexModel:
+    """Random op sequences against a brute-force longest-common-prefix oracle."""
+
+    OPS = ("insert", "match", "touch", "probe", "invalidate", "clear")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        max_entries=st.sampled_from([1, 2, 3, 8]),
+        min_prefix_len=st.integers(1, 3),
+        # Hypothesis seeds (and on failure reports) the generator; drawing the ops
+        # from it directly reaches deep, branching states that element-by-element
+        # list strategies almost never build.
+        rng=st.randoms(use_true_random=True),
+    )
+    def test_matches_oracle_and_keeps_invariants(self, max_entries, min_prefix_len, rng):
+        cache = PrefixKVCache(max_entries=max_entries, min_prefix_len=min_prefix_len)
+        for _ in range(50):
+            (op,) = rng.choices(self.OPS, weights=(10, 4, 3, 2, 2, 0.2))
+            # Three common tokens so prefixes collide constantly, three rare ones so an
+            # invalidation can drop one entry out of a branch instead of the whole branch.
+            key = rng.choices(range(6), weights=(6, 6, 6, 1, 1, 1), k=rng.randint(0, 7))
+            max_len = rng.choice([None, None, *range(-2, 9)])
+            if op == "insert":
+                lru_before, evictions = list(cache._entries), cache.stats.evictions
+                fresh = len(key) >= min_prefix_len and tuple(key) not in cache._entries
+                assert cache.insert(key, prefix_kvs(key)) == fresh
+                if fresh and len(lru_before) == max_entries:  # overflow: exactly the LRU goes
+                    assert cache.stats.evictions == evictions + 1
+                    assert list(cache._entries) == lru_before[1:] + [tuple(key)]
+                else:
+                    assert cache.stats.evictions == evictions
+                assert (key in cache) == (len(key) >= min_prefix_len)
+            elif op in ("match", "touch"):
+                if op == "touch" and cache._entries:  # exact repeat of a live key: LRU reorder
+                    key, max_len = list(rng.choice(list(cache._entries))), None
+                want = oracle_match_len(cache, key, max_len)
+                match = cache.match(key, max_len=max_len)
+                assert (match.length if match else 0) == want
+                if match:
+                    assert_match_is_prefix_of(match, key)
+            elif op == "probe":
+                assert cache.probe(key, max_len=max_len) == oracle_match_len(cache, key, max_len)
+            elif op == "invalidate":
+                stale = key[:2]
+                doomed = [live for live in cache._entries if set(stale) & set(live)]
+                assert cache.invalidate_tokens(stale) == len(doomed)
+                assert not any(live in cache for live in doomed)
+            else:
+                cache.clear()
+                assert len(cache) == 0
+            check_index(cache)
+        cache.invalidate_tokens(range(6))  # evict everything that is left
+        check_index(cache)
+        assert len(cache) == 0 and not cache._root.children
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_strict_prefix_keys_in_both_insertion_orders(self, order):
+        keys = [[1, 2, 3], [1, 2, 3, 4, 5]]
+        cache = PrefixKVCache(min_prefix_len=2)
+        for index in order:
+            assert cache.insert(keys[index], prefix_kvs(keys[index]))
+            check_index(cache)
+        assert keys[0] in cache and keys[1] in cache
+        assert cache.match(keys[0]).length == 3
+        assert cache.match(keys[1]).length == 5
+        assert cache.match([1, 2, 3, 4, 9]).length == 4  # ends inside the longer key's edge
+        assert cache.probe([1, 2, 9]) == 2
+
+    @pytest.mark.parametrize("max_len", [0, -1, -3])
+    def test_non_positive_max_len_is_a_miss(self, max_len):
+        cache = PrefixKVCache(min_prefix_len=1)
+        cache.insert([1, 2, 3, 4], prefix_kvs([1, 2, 3, 4]))
+        assert cache.match([1, 2, 3, 4], max_len=max_len) is None
+        assert cache.probe([1, 2, 3, 4], max_len=max_len) == 0
+
+    def test_columns_cut_one_copy_from_a_padded_row(self):
+        """``columns=`` stores exactly the listed column ranges of a wider live buffer."""
+        key = [1, 2, 3, 4]
+        ((want_keys, want_values),) = prefix_kvs(key)
+        columns = (slice(1, 3), slice(5, None))  # prefix region | pads | suffix region
+        live = [tuple(np.full((1, 1, 7, 2), -1.0, dtype=np.float32) for _ in range(2))]
+        for array, want in zip(live[0], (want_keys, want_values)):
+            array[:, :, [1, 2, 5, 6]] = want
+        cache = PrefixKVCache(min_prefix_len=2)
+        assert cache.insert(key, live, columns=columns)
+        live[0][0][:] = -2.0  # the decode cache moves on; the stored copy is private
+        match = cache.match(key)
+        assert_match_is_prefix_of(match, key)
+        assert not match.layer_kvs[0][0].flags.writeable
+        with pytest.raises(ValueError):
+            cache.insert([1, 2, 3, 4, 5], live, columns=columns)
+
+
+class TestScopedInvalidation:
+    """Stale-token drops go through the same un-index as eviction (ROADMAP 5a)."""
+
+    HEAD = [1, 30, 31, 32]
+    A = HEAD + [40, 41]
+    B = A + [42, 43]  # A is a strict prefix of B; 43 occurs only in B's tail
+    C = HEAD + [50, 51, 52]  # shares only the template head
+    D = [2, 60, 61, 62, 63]  # unrelated
+
+    def test_drops_exactly_the_entry_mentioning_the_token(self):
+        cache = PrefixKVCache(min_prefix_len=2)
+        for key in (self.A, self.B, self.C, self.D):
+            cache.insert(key, prefix_kvs(key))
+        assert cache.invalidate_tokens([43]) == 1
+        check_index(cache)
+        assert self.B not in cache and len(cache) == 3
+        for key in (self.A, self.C, self.D):
+            match = cache.match(key)
+            assert match.length == len(key)
+            assert_match_is_prefix_of(match, key)
+        assert cache.match(self.B).length == len(self.A)  # only the shared part survives
+        head = cache._root.children[1]
+        assert head.edge == tuple(self.HEAD) and head.donor.key in cache._entries
+        leaf = head.children[40]
+        assert leaf.entry.key == tuple(self.A) and not leaf.children  # A's node is a leaf again
+
+    def test_sync_catalog_stamp_and_drop_are_one_critical_section(self):
+        """No match of a stale-token prompt once ``catalog_version`` reads the new value."""
+        cache = PrefixKVCache(min_prefix_len=2)
+        cache.insert(self.B, prefix_kvs(self.B))
+        cache.sync_catalog(1)
+        lock, at_gap, resume = cache._lock, threading.Event(), threading.Event()
+
+        class GapLock:
+            """The cache's lock, parking the syncing thread right after every release."""
+
+            def __enter__(self):
+                return lock.__enter__()
+
+            def __exit__(self, *exc_info):
+                lock.__exit__(*exc_info)
+                if threading.current_thread() is syncer:
+                    at_gap.set()
+                    assert resume.wait(timeout=10)
+
+        cache._lock = GapLock()
+        syncer = threading.Thread(target=cache.sync_catalog, args=(2, [43]))
+        syncer.start()
+        try:
+            assert at_gap.wait(timeout=10)  # first time sync_catalog lets go of the lock
+            assert cache.catalog_version == 2
+            assert cache.match(self.B) is None, "stale-token K/V served under the new version"
+            assert self.B not in cache and cache.stats.evictions == 1
+        finally:
+            resume.set()
+            syncer.join(timeout=10)
+        assert not syncer.is_alive()
+
+
+class TestThreadStress:
+    def test_interleaved_insert_match_invalidate(self):
+        """Two threads hammer one small cache; every match is checked column by column."""
+        cache = PrefixKVCache(max_entries=6, min_prefix_len=2)
+        errors = []
+
+        def worker(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                for _ in range(1500):
+                    key = [1, 2] + [int(t) for t in rng.integers(3, 6, size=rng.integers(0, 5))]
+                    roll = rng.random()
+                    if roll < 0.45:
+                        cache.insert(key, prefix_kvs(key))
+                    elif roll < 0.9:
+                        match = cache.match(key, max_len=len(key) - 1)
+                        if match is not None:
+                            assert 2 <= match.length < len(key)
+                            assert_match_is_prefix_of(match, key)
+                        assert cache.probe(key) <= len(key)
+                    else:
+                        cache.invalidate_tokens([int(rng.integers(3, 6))])
+            except Exception as error:  # surfaced by the main thread below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        check_index(cache)
+        assert cache.stats.inserts - cache.stats.evictions == len(cache)
 
 
 class TestPrefixKVCacheUnit:
@@ -76,7 +331,7 @@ class TestPrefixKVCacheUnit:
         with pytest.raises(ValueError):
             cache.insert([1, 2, 3], fake_kvs(4))
 
-    def test_lru_eviction_and_rebuild(self):
+    def test_lru_evicts_exactly_one_per_overflow(self):
         cache = PrefixKVCache(max_entries=2, min_prefix_len=2)
         cache.insert([1, 2, 3], fake_kvs(3))
         cache.insert([4, 5, 6], fake_kvs(3))
@@ -84,9 +339,16 @@ class TestPrefixKVCacheUnit:
         cache.insert([7, 8, 9], fake_kvs(3))
         assert len(cache) == 2
         assert cache.stats.evictions == 1
-        assert cache.match([4, 5, 6]) is None  # evicted, trie rebuilt
+        assert cache.match([4, 5, 6]) is None  # evicted and un-indexed
         assert cache.match([1, 2, 3]) is not None
         assert cache.match([7, 8, 9]) is not None
+        # Capacity holds at max_entries: each further overflow drops one, in LRU order.
+        for evicted, key in enumerate(([10, 11, 12], [13, 14, 15]), start=2):
+            oldest = next(iter(cache._entries))
+            cache.insert(key, fake_kvs(3))
+            assert len(cache) == 2 and cache.stats.evictions == evicted
+            assert list(oldest) not in cache and key in cache
+        assert [7, 8, 9] not in cache and [1, 2, 3] not in cache
 
     def test_clear(self):
         cache = PrefixKVCache(min_prefix_len=2)
@@ -230,6 +492,26 @@ class TestPrefixCacheDecodeParity:
         assert cache.stats.reused_tokens == len(prompt) - 1
         reference = beam_search_items_single(model, prompt, trie, beam_size=6)
         assert ranked_item_ids(repeat[0], 5) == ranked_item_ids(reference, 5)
+
+
+    def test_warm_cache_after_scoped_invalidation_equals_cacheless(self):
+        """``sync_catalog`` un-indexes stale-token prompts; what is left still decodes right."""
+        model, trie = make_model(), make_trie()
+        prompts = session_prompts(np.random.default_rng(5), users=5, turns=3)
+        plain = beam_search_items_batched(model, prompts, trie, beam_size=8)
+        cache = PrefixKVCache()
+        beam_search_items_batched(model, prompts, trie, beam_size=8, prefix_cache=cache)
+        stale = [prompts[2][-1], prompts[7][-2]]  # history tokens of a few stored prompts
+        dropped = cache.sync_catalog(1, stale)
+        assert 0 < dropped < len(set(map(tuple, prompts)))
+        assert not any(set(stale) & set(key) for key in cache._entries)
+        check_index(cache)
+        warm = beam_search_items_batched(model, prompts, trie, beam_size=8, prefix_cache=cache)
+        assert cache.stats.reused_tokens > 0
+        for plain_row, warm_row in zip(plain, warm):
+            assert [h.token_ids for h in plain_row] == [h.token_ids for h in warm_row]
+            for plain_hyp, warm_hyp in zip(plain_row, warm_row):
+                assert plain_hyp.score == pytest.approx(warm_hyp.score, abs=1e-4)
 
 
 class TestPrefixCacheOnLCRec:
