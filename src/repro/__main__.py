@@ -6,7 +6,7 @@ Subcommands:
 * ``stats``      — Table II-style statistics for a preset;
 * ``demo``       — build a miniature LC-Rec and print one recommendation;
 * ``experiment`` — run a config-driven scenario-matrix experiment
-  (``experiment run <config.json|.yaml>``) or list the available
+  (``experiment run <config.json>``) or list the available
   scenarios and backends (``experiment scenarios``).
 """
 
@@ -132,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
     experiment = sub.add_parser("experiment", help="config-driven experiment harness")
     experiment_sub = experiment.add_subparsers(dest="experiment_command", required=True)
     run = experiment_sub.add_parser("run", help="execute a scenario-matrix config")
-    run.add_argument("config", help="path to a .json (or .yaml, with PyYAML) config")
+    run.add_argument("config", help="path to a .json config")
     run.add_argument(
         "--scale", choices=["tiny", "small", "full"], help="override the config's scale"
     )

@@ -2,11 +2,12 @@
 
 ``pytest`` captures stdout, so every experiment table is also written to
 ``benchmarks/results/<name>.txt``; run pytest with ``-s`` to watch tables
-stream live.  Serving benchmarks additionally persist a machine-readable
-record via :func:`report_json` into the repo-root ``benchmark_results/``
-directory — req/s, latency percentiles, the bench configuration and the
-git revision — so the performance trajectory is trackable PR-over-PR (CI
-parses the JSON and uploads it as an artifact).
+stream live.  The experiment harness (``repro.experiments``) additionally
+persists one machine-readable record per run via :func:`report_json` into
+the repo-root ``benchmark_results/`` directory — an untracked output
+location; CI validates what its harness smoke wrote there and uploads it
+as an artifact.  Comparable serving numbers come from ``perf/run.py``,
+not from these records.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def results_dir() -> pathlib.Path:
 
 
 def benchmark_results_dir() -> pathlib.Path:
-    """The repo-root ``benchmark_results/`` directory (tracked artifacts)."""
+    """The repo-root ``benchmark_results/`` directory (untracked output)."""
     root = _repo_root()
     target = (root / "benchmark_results") if root else pathlib.Path.cwd() / "benchmark_results"
     target.mkdir(parents=True, exist_ok=True)
@@ -66,20 +67,18 @@ def report(name: str, text: str) -> pathlib.Path:
 
 
 def report_json(name: str, config: dict, results) -> pathlib.Path:
-    """Persist a machine-readable bench record to ``benchmark_results/``.
+    """Persist a machine-readable record to ``benchmark_results/``.
 
-    The payload schema every serving bench shares::
+    The payload schema every experiment record shares::
 
         {
           "bench":   "<name>",
           "git_sha": "<revision the numbers were measured at>",
           "config":  {...workload knobs: widths, request counts, scale...},
-          "results": [...one entry per measured configuration, typically
-                      {"name", "requests_per_second", "p50_ms", "p95_ms"}
-                      plus bench-specific fields...]
+          "results": [...one entry per measured configuration...]
         }
 
-    ``docs/performance.md`` documents how to read these records.
+    ``docs/experiments.md`` documents the harness's per-cell entries.
     """
     payload = {"bench": name, "git_sha": git_sha(), "config": config, "results": results}
     destination = benchmark_results_dir() / f"{name}.json"

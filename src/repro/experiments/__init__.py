@@ -1,13 +1,12 @@
 """Config-driven experiment harness: one declaration → a reproducible
 (scenario × backend) matrix of quality + serving measurements.
 
-The ad-hoc benchmarks under ``benchmarks/`` each hand-roll the same
-skeleton: build a model, shape some traffic, drive the serving client,
-assert, report.  This package factors that skeleton into three pieces:
+A serving experiment is one skeleton — build a model, shape some traffic,
+drive the serving client, assert, report — factored into three pieces:
 
 * :class:`ExperimentConfig` (``config``) — the declarative input: seeds,
   backends, scenarios, metric/cutoff lists, scale, expectations.  Loads
-  from dicts, JSON files, or YAML files (when PyYAML is available).
+  from dicts or JSON files.
 * the scenario matrix (``scenarios``) — deterministic workload
   generators (cold-start, long-history, session-refresh, catalog-churn,
   burst-overload, mixed-fleet, …) compiled into event plans any backend
@@ -15,11 +14,11 @@ assert, report.  This package factors that skeleton into three pieces:
 * :class:`ExperimentRunner` (``runner``) — builds each backend once,
   runs every cell through the one :class:`repro.serving.RecommendationClient`
   surface, and emits one schema'd JSON record per cell via
-  :func:`repro.bench.report_json` into ``benchmark_results/``.
+  :func:`repro.bench.report_json`.
 
 Same config + same seed → identical records modulo each record's
 ``timing`` block (see :func:`strip_timing`).  Run from the CLI with
-``python -m repro experiment run <config.json|.yaml>``, or in code::
+``python -m repro experiment run <config.json>``, or in code::
 
     from repro.experiments import run_experiment
 

@@ -1,4 +1,4 @@
-"""Declarative experiment configuration: one dict/YAML → one reproducible run.
+"""Declarative experiment configuration: one dict/JSON → one reproducible run.
 
 An :class:`ExperimentConfig` is the single declaration the harness needs:
 *what* to measure (backends × scenarios, metric/cutoff lists), *at which
@@ -10,10 +10,8 @@ the JSON record — is a pure function of this object, which is what makes
 two runs of the same config at the same seed emit identical records
 modulo timings.
 
-Configs load from plain dicts, from JSON files, or from YAML files when
-PyYAML is installed (YAML is optional sugar — the harness itself never
-imports it unless asked to read a ``.yaml``).  Validation is strict and
-early: unknown keys, unknown scenario kinds, unknown backends, malformed
+Configs load from plain dicts or from JSON files.  Validation is strict
+and early: unknown keys, unknown scenario kinds, unknown backends, malformed
 expectations and out-of-range values all raise
 :class:`ExperimentConfigError` before any model is built.
 """
@@ -72,10 +70,10 @@ class Expectation:
     """One per-cell assertion: ``metric`` (dotted path into the record)
     compared against ``value`` with ``op`` (gt/ge/lt/le/eq/ne).
 
-    This is how a ported ad-hoc benchmark keeps its assertions: the
-    harness evaluates every expectation against the finished cell record,
-    writes the outcomes into the record, and the run fails loudly if any
-    expectation does not hold.
+    This is how a scenario keeps its assertions: the harness evaluates
+    every expectation against the finished cell record, writes the
+    outcomes into the record, and the run fails loudly if any expectation
+    does not hold.
     """
 
     metric: str
@@ -262,7 +260,7 @@ class ExperimentConfig:
 
     ``scale`` selects the :class:`repro.bench.BenchScale` by name
     (``tiny``/``small``/``full``); ``None`` falls back to the
-    ``REPRO_SCALE`` environment variable exactly like the ad-hoc benches
+    ``REPRO_SCALE`` environment variable exactly like ``benchmarks/``
     — but a config that pins ``scale`` is self-contained and needs no
     environment setup (and no monkeypatching in tests).
 
@@ -393,27 +391,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | pathlib.Path) -> "ExperimentConfig":
-        """Load a config from ``.json`` or (with PyYAML installed) ``.yaml``."""
+        """Load a config from a ``.json`` file."""
         path = pathlib.Path(path)
         if not path.exists():
             raise ExperimentConfigError(f"config file not found: {path}")
-        text = path.read_text()
-        if path.suffix in (".yaml", ".yml"):
-            try:
-                import yaml
-            except ImportError as exc:  # pragma: no cover - env-dependent
-                raise ExperimentConfigError(
-                    f"{path} is YAML but PyYAML is not installed; "
-                    "use a .json config or install pyyaml"
-                ) from exc
-            raw = yaml.safe_load(text)
-        elif path.suffix == ".json":
-            raw = json.loads(text)
-        else:
-            raise ExperimentConfigError(
-                f"config file must be .json or .yaml, got {path.suffix!r} ({path})"
-            )
-        return cls.from_dict(raw)
+        if path.suffix != ".json":
+            raise ExperimentConfigError(f"config file must be .json, got {path.suffix!r} ({path})")
+        return cls.from_dict(json.loads(path.read_text()))
 
     # ------------------------------------------------------------------
     # Serialisation (the record's config block)

@@ -12,9 +12,8 @@ plan carried, scenario-specific extras, expectation outcomes, and a
 ``timing`` block that is the *only* place wall-clock appears.
 
 Records are written through :func:`repro.bench.report_json`, so an
-experiment run lands in ``benchmark_results/`` with exactly the payload
-shape CI already validates for the ad-hoc benches — one ``results``
-entry per cell instead of per bench table row.
+experiment run lands in ``benchmark_results/`` with the payload shape
+CI validates — one ``results`` entry per cell.
 
 Reproducibility contract: two runs of the same config at the same seed
 produce identical records after dropping each record's ``timing`` block

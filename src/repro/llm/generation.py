@@ -1014,8 +1014,8 @@ def beam_search_items_single(
 ) -> list[BeamHypothesis]:
     """Reference single-request beam search (pre-batching implementation).
 
-    Kept as the parity oracle for the batched engine and as the baseline
-    for ``benchmarks/bench_serving_throughput.py``.  Scores follow the
+    Kept as the parity oracle for the batched engine (``tests/`` and the
+    ledger's ``correct`` gate compare against it).  Scores follow the
     constrained-log-softmax semantics of the module docstring: each level
     renormalises over the tokens the trie allows for that beam, which is
     what a ``prefix_allowed_tokens_fn`` logits processor computes in the
@@ -1036,7 +1036,8 @@ def beam_search_items_single(
         top = np.argsort(-scores)[:k]
         beam_tokens = [(int(allowed[i]),) for i in top]
         beam_scores = scores[top].astype(np.float64)
-        model.reorder_caches(caches, np.zeros(k, dtype=np.int64))
+        for cache in caches:
+            cache.reorder(np.zeros(k, dtype=np.int64))
 
         for _ in range(1, num_levels):
             last = np.array([t[-1] for t in beam_tokens], dtype=np.int64)[:, None]
@@ -1056,7 +1057,8 @@ def beam_search_items_single(
             beam_tokens = [beam_tokens[candidate_origin[i]] + (candidate_token[i],) for i in order]
             beam_scores = np.asarray([candidate_scores[i] for i in order])
             origins = np.asarray([candidate_origin[i] for i in order])
-            model.reorder_caches(caches, origins)
+            for cache in caches:
+                cache.reorder(origins)
 
     hypotheses = []
     for tokens, score in zip(beam_tokens, beam_scores):

@@ -290,17 +290,3 @@ class TinyLlama(Module):
     def new_beam_caches(self) -> list[BeamKVCache]:
         """Per-layer beam caches sharing the prompt across hypotheses."""
         return [BeamKVCache() for _ in range(self.config.num_layers)]
-
-    def fan_out_caches(self, caches: list[BeamKVCache], beams: int, suffix_length: int = 0) -> None:
-        """Declare ``beams`` hypotheses per request on every layer cache.
-
-        ``suffix_length``: the per-beam columns still to come, when known
-        (see :meth:`repro.tensor.BeamKVCache.fan_out`).
-        """
-        for cache in caches:
-            cache.fan_out(beams, suffix_length)
-
-    def reorder_caches(self, caches: list[KVCache], beam_indices: np.ndarray) -> None:
-        """Reindex every layer cache; supports a flattened ``B*G`` beam axis."""
-        for cache in caches:
-            cache.reorder(beam_indices)

@@ -23,14 +23,13 @@ fronts them with three policies:
   while queued (again a typed ``Overloaded``), keeping served-request
   latency bounded past the saturation knee: under overload the cluster
   degrades by shedding a fraction of load, never by an unbounded p95
-  cliff.  ``benchmarks/bench_cluster_serving.py`` records the curves.
+  cliff (``tests/test_serving_cluster.py::TestDeadlineShedding``).
   With a ``fallback`` (:class:`repro.serving.FallbackRecommender`, e.g.
   :class:`repro.retrieval.RetrievalRecommender`), would-be-shed history
   requests are *served* from the retrieval fast lane instead — handles
   resolve with ``degraded=True`` rather than failing — and empty
   histories short-circuit to the fallback at the front door
   (``reason="cold_start"``) without costing a decode slot.
-  ``benchmarks/bench_hybrid_retrieval.py`` measures the fast lane.
 
 The cluster speaks the same :class:`repro.serving.RecommendationClient`
 surface as the single-process service — ``submit(...) -> handle`` /
@@ -452,7 +451,7 @@ class ServingCluster(RecommendationClient):
 
     def flush(self) -> int:
         """Flush every worker's queue, then re-raise the first error; returns requests served."""
-        outcomes = [service._drain(service.queue.drain()) for service in self.workers]
+        outcomes = [service._drain() for service in self.workers]
         errors = [error for _, error in outcomes if error is not None]
         if errors:
             raise errors[0]

@@ -28,9 +28,8 @@ differs is the admission policy, *what is admitted when*:
   background thread pops what the scheduler's ``admission_limit`` and
   admission predicate allow.  While the whole queue fits the free width
   that is everything queued, joined onto the in-flight decode at this
-  trie-level boundary (at most one level of admission latency;
-  ``benchmarks/bench_continuous_batching.py`` measures the p50/p95 gap
-  under Poisson arrivals); under backlog it is nothing until the live
+  trie-level boundary (at most one level of admission latency); under
+  backlog — the ledger's ``steady_closed`` — it is nothing until the live
   cohort has finished, then a full cohort in one prefill.  Requests are
   delivered the moment their own rows finish.
 
@@ -166,7 +165,7 @@ class PendingRecommendation:
         error: only this request's own decode failure is raised here.
         """
         if not self._event.is_set() and not self._service.is_running:
-            self._service._drain(self._service.queue.drain())
+            self._service._drain()
         if not self._event.wait(timeout):
             raise TimeoutError(f"request {self._request_id} not served within {timeout}s")
         if self._error is not None:
@@ -185,7 +184,7 @@ class PendingRecommendation:
 
 @dataclass
 class ServingStats:
-    """O(1)-memory counters the throughput benchmark and tests read.
+    """O(1)-memory counters of one service (the ledger and tests read them).
 
     ``size_flushes``/``deadline_flushes`` count what triggered each
     deadline-mode background flush: a full batch waiting vs the oldest
@@ -223,11 +222,11 @@ class ServingStats:
     decode-path wall time to its stages: the prompt phase (including
     prefix-cache matching and level-0 expansion), the per-level stepping
     loop (including retirements), and ranking post-processing (which may
-    re-decode for widen-and-backfill engines).  The benchmark JSON reports
-    read these through :meth:`stage_seconds`, so a perf regression can be
-    attributed to a stage instead of showing up only in end-to-end
-    latency.  Queue wait and thread handoff are deliberately excluded —
-    these are engine-cost counters.
+    re-decode for widen-and-backfill engines); :meth:`stage_seconds`
+    returns the three, so a perf regression can be attributed to a stage
+    instead of showing up only in end-to-end latency.  Queue wait and
+    thread handoff are deliberately excluded — these are engine-cost
+    counters.
     """
 
     requests: int = 0
@@ -509,7 +508,7 @@ class RecommendationService(RecommendationClient):
         # In-flight rows are no longer queued, so they are finished and
         # delivered regardless of the drain flag; with drain, everything
         # still waiting in the queue is served too.
-        self._drain(self.queue.drain() if self._drain_on_stop else [])
+        self._drain(None if self._drain_on_stop else [])
 
     # ------------------------------------------------------------------
     # Submission
@@ -684,15 +683,20 @@ class RecommendationService(RecommendationClient):
         nor strands the batches planned behind it: its handles fail, the
         rest are served, and the first error is re-raised at the end.
         """
-        served, error = self._drain(self.queue.drain())
+        served, error = self._drain()
         if error is not None:
             raise error
         return served
 
-    def _drain(self, requests: list[RecommendRequest]) -> tuple[int, Exception | None]:
+    def _drain(
+        self, requests: list[RecommendRequest] | None = None
+    ) -> tuple[int, Exception | None]:
         """Serve ``requests`` as closed batches: ``(served, first engine error)``.
 
-        The closed-batch admission policy of ``flush()`` and the deadline
+        ``None`` takes the whole queue once the decode lock is held, so a
+        flusher that finds the queue empty has waited out whoever emptied
+        it (lock order decode → queue, as in the continuous loop).  The
+        closed-batch admission policy of ``flush()`` and the deadline
         thread: the micro-batcher plans the batches and the next one is
         admitted only when the scheduler is idle.  The decode lock is held
         until the scheduler is idle again — finishing rows a racing
@@ -703,6 +707,8 @@ class RecommendationService(RecommendationClient):
         effective_len = self._effective_len()
         served, first_error = 0, None
         with self._decode_lock:
+            if requests is None:
+                requests = self.queue.drain()
             batches = deque(self.batcher.plan(requests, effective_len))
             while batches or not self.scheduler.idle:
                 batch = batches.popleft() if self.scheduler.idle else []

@@ -1,5 +1,8 @@
 """Tests for the benchmark harness (scales, reporting, Table V choosers)."""
 
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -52,6 +55,25 @@ class TestReporting:
         directory = results_dir()
         assert directory.name == "results"
         assert directory.exists()
+
+
+def test_doc_paths_exist():
+    """Every bench script, experiment config and ledger module that docs,
+    CI, the verify skill or a ``src/`` docstring names is in the tree."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    sources = [root / "README.md", root / ".github/workflows/ci.yml"]
+    sources += [root / ".claude/skills/verify/SKILL.md", *root.glob("docs/*.md")]
+    sources += root.glob("src/**/*.py")
+    named = re.compile(
+        r"(?:benchmarks/)?(bench_\w+\.py)|(examples/experiments/\w+\.\w+)|(perf/[\w/]+\.py)"
+    )
+    missing = set()
+    for source in filter(pathlib.Path.exists, sources):
+        for bench, config, ledger in named.findall(source.read_text()):
+            path = f"benchmarks/{bench}" if bench else config or ledger
+            if not (root / path).exists():
+                missing.add(f"{source.relative_to(root)}: {path}")
+    assert not missing, sorted(missing)
 
 
 class FakeScoreModel:

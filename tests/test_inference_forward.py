@@ -141,7 +141,8 @@ class TestAgainstAutograd:
         tokens, pads = left_pad_prompts(prompts)
         caches = model.new_beam_caches()
         kernel(model, tokens, caches, pad_lengths=pads, workspace=workspace, last_only=True)
-        model.fan_out_caches(caches, beams, suffix_length=3)
+        for cache in caches:
+            cache.fan_out(beams, 3)
         prompt_pads = np.arange(tokens.shape[1])[None, :] < pads[:, None]
         flat_pads = np.repeat(prompt_pads, beams, axis=0)
         lineage = [list(prompts[row // beams]) for row in range(len(prompts) * beams)]
@@ -153,7 +154,8 @@ class TestAgainstAutograd:
             assert_close(got[row, 0], reference(model, lineage[row])[-1])
 
         origin = np.array([1, 0, 0, 5, 5, 3])
-        model.reorder_caches(caches, origin)
+        for cache in caches:
+            cache.reorder(origin)
         lineage = [lineage[src] for src in origin]
 
         step2 = np.array([[30, 31], [32, 33], [34, 35], [36, 37], [38, 39], [40, 41]])
@@ -382,7 +384,8 @@ class TestLastOnly:
         outputs, kvs = [], []
         for last_only in (False, True):
             _, caches = self.run_prefill(model, last_only=True)
-            model.fan_out_caches(caches, 2, suffix_length=3)
+            for cache in caches:
+                cache.fan_out(2, 3)
             flush = np.arange(20, 20 + 6 * 2).reshape(6, 2)
             tokens, pads = left_pad_prompts(PROMPTS)
             flat_pads = np.repeat(np.arange(tokens.shape[1])[None, :] < pads[:, None], 2, axis=0)

@@ -411,10 +411,14 @@ class TestServingIngest:
         engine = tiny_lcrec.engine(prefix_cache=True)
         engine.attach_catalog(catalog)
         service = RecommendationService(engine)
-        result = service.ingest_item(text="smart home hub with voice control")
-        handle = service.submit([1, 2, 3], top_k=catalog.num_items)
-        service.flush()
-        assert result.item_id in handle.result()
+        initial = catalog.num_items
+        for generation in range(3):  # ingests interleaved with served requests
+            result = service.ingest_item(text=f"smart home hub with voice control v{generation}")
+            handle = service.submit([1, 2, 3], top_k=catalog.num_items)
+            service.flush()
+            assert result.item_id in handle.result()
+        assert catalog.index_set.is_unique()
+        assert catalog.num_items == initial + 3
 
     def test_service_without_catalog_rejects_ingest(self, tiny_lcrec):
         service = RecommendationService(tiny_lcrec.engine(prefix_cache=None))

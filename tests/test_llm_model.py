@@ -97,7 +97,8 @@ class TestTinyLlama:
             caches = model.new_caches()
             tokens = np.array([[1, 2], [3, 4]])
             model(tokens, caches=caches)
-            model.reorder_caches(caches, np.array([1, 0]))
+            for cache in caches:
+                cache.reorder(np.array([1, 0]))
             assert caches[0].keys.shape[0] == 2
 
     def test_hidden_states_shape(self):

@@ -1,5 +1,7 @@
 """Serving subsystem: queue, micro-batcher, and the service facade."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from repro.serving import (
     RecommendationService,
     RecommendRequest,
     RequestQueue,
+    ServingCluster,
     padding_fraction,
     plan_batches,
 )
@@ -182,6 +185,47 @@ class TestRecommendationService:
         for p in pending:
             assert p.done
             assert len(p.result()) == 3
+
+    @pytest.mark.parametrize("fleet", [False, True])
+    def test_concurrent_flush_waits_for_the_flusher_holding_the_queue(
+        self, service, tiny_dataset, fleet
+    ):
+        """``flush()`` decodes everything queued before the call: a flusher
+        that finds the queue already taken by another waits for that one."""
+        client = ServingCluster(service.engine, num_workers=1) if fleet else service
+        worker = client.workers[0] if fleet else service
+        handles = [client.submit(h, top_k=3) for h in tiny_dataset.split.test_histories[:5]]
+        drained, release = threading.Event(), threading.Event()
+        real_drain = worker.queue.drain
+
+        def held_drain(*args):
+            taken = real_drain(*args)
+            if taken:  # flusher A, held between its drain and its first tick
+                drained.set()
+                release.wait(timeout=30)
+            return taken
+
+        worker.queue.drain = held_drain
+        served, done_when_b_returned = {}, []
+
+        def flush_b():
+            served["b"] = client.flush()
+            done_when_b_returned.extend(handle.done for handle in handles)
+
+        flusher_a = threading.Thread(target=lambda: served.update(a=client.flush()))
+        flusher_b = threading.Thread(target=flush_b)
+        flusher_a.start()
+        assert drained.wait(timeout=30)
+        flusher_b.start()
+        flusher_b.join(timeout=0.3)  # B must still be waiting for A here
+        release.set()
+        for thread in (flusher_a, flusher_b):
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert done_when_b_returned == [True] * 5
+        # Each request resolved once: A served all five, B none.
+        assert served == {"a": 5, "b": 0} and worker.stats.requests == 5
+        assert all(len(handle.result()) == 3 for handle in handles)
 
     def test_result_triggers_flush(self, service, tiny_dataset):
         pending = service.submit(tiny_dataset.split.test_histories[0])
