@@ -266,6 +266,8 @@ class TIGER(Module):
         source = pad_sequences(prompts, pad_value=PAD_ID, align="right")
         memory, memory_mask = self.encode(source)
         bos = np.full((len(prompts), 1), BOS_ID, dtype=np.int64)
+        for cache in caches:
+            cache.prompt.max_length = 1  # BOS is the whole self-attention prompt
         hidden = self.decode_hidden(memory, memory_mask, bos, caches=caches, workspace=workspace)
         return hidden.data[:, -1, :], np.zeros((len(prompts), 1), dtype=bool), 2
 

@@ -57,6 +57,7 @@ level actually needs logits.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
@@ -182,7 +183,7 @@ def select_beams(
     return order // width, union[order % width], new_scores
 
 
-@dataclass
+@dataclass(slots=True)
 class BeamHypothesis:
     """One completed beam: an index-token id sequence and its log prob."""
 
@@ -265,21 +266,24 @@ def _seed_prefix_region(
 
     The cached region is one rectangle of ``prefix_width`` columns shared by
     the whole batch; rows with shorter (or no) matches are left-padded
-    inside it and those columns are masked as pads by the caller.
+    inside it and those columns are masked as pads by the caller.  Each
+    layer's buffer is allocated at the prompt's final width
+    (``prompt.max_length``), so the suffix forward appends into it instead
+    of copying the seeded prefix into a bigger one.
     """
     first = next(m for m in matches if m is not None)
     batch = len(matches)
     for layer, cache in enumerate(caches):
         ref = first.layer_kvs[layer][0]
         _, heads, _, head_dim = ref.shape
-        keys = np.zeros((batch, heads, prefix_width, head_dim), dtype=ref.dtype)
+        keys = np.zeros((batch, heads, cache.prompt.max_length, head_dim), dtype=ref.dtype)
         values = np.zeros_like(keys)
         for row, match in enumerate(matches):
             if match is not None:
                 k, v = match.layer_kvs[layer]
-                keys[row, :, prefix_width - match.length :, :] = k[0]
-                values[row, :, prefix_width - match.length :, :] = v[0]
-        cache.seed_prompt(keys, values)
+                keys[row, :, prefix_width - match.length : prefix_width, :] = k[0]
+                values[row, :, prefix_width - match.length : prefix_width, :] = v[0]
+        cache.seed_prompt(keys, values, length=prefix_width)
 
 
 def _store_prompts(
@@ -338,10 +342,14 @@ def _prefill_prompts(
         matches = [prefix_cache.match(p, max_len=len(p) - 1) for p in prompts]
     cached_lens = np.array([m.length if m else 0 for m in matches], dtype=np.int64)
     prefix_width = int(cached_lens.max())
-    if prefix_width:
-        _seed_prefix_region(caches, matches, prefix_width)
     remainders = [p[int(c) :] for p, c in zip(prompts, cached_lens)]
     tokens, suffix_pads = left_pad_prompts(remainders, pad_id=pad_id)
+    for cache in caches:
+        # The prompt region's final width is known now: no spare columns
+        # for the prefill to copy into or for every retirement to gather.
+        cache.prompt.max_length = prefix_width + tokens.shape[1]
+    if prefix_width:
+        _seed_prefix_region(caches, matches, prefix_width)
     prefix_pad = np.arange(prefix_width)[None, :] < (prefix_width - cached_lens)[:, None]
     suffix_pad = np.arange(tokens.shape[1])[None, :] < suffix_pads[:, None]
     pad_columns = np.concatenate([prefix_pad, suffix_pad], axis=1)
@@ -357,59 +365,38 @@ def _prefill_prompts(
     return hidden, pad_columns
 
 
-def _narrow_positions(union: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-    """Positions of ``allowed`` inside the sorted ``union`` (validated).
-
-    Raises if the narrowing trie allows a token the full trie's candidate
-    union does not — the narrow trie must be a subtrie of the decode trie
-    (:meth:`IndexTrie.subtrie`), otherwise selection and renormalisation
-    would disagree about the legal token set.
-    """
-    positions = np.searchsorted(union, allowed)
-    if allowed.size and (
-        int(positions[-1]) >= union.shape[0]
-        or not np.array_equal(union[positions], allowed)
-    ):
-        raise ValueError("narrow trie allows tokens the full trie does not")
-    return positions
-
-
 def _narrowed_step_candidates(
     candidates_info: SparseCandidates,
-    narrow: list[IndexTrie | None],
-    prefixes: list[tuple[int, ...]],
+    narrow: list[np.ndarray | None],
+    width: int,
     alive: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Candidate union, normalisation mask, selection mask of a narrowed step.
 
     A narrowed decode only ever keeps candidate-path beams alive, so the
     gathered-head union can shrink from the whole trie level's union to the
-    union of the *alive* rows' full-trie allowed sets.  The normalisation
-    mask stays the full trie's per-row allowed sets — scores renormalise
-    exactly as an unnarrowed decode would — while the selection mask
-    restricts the beam argmax to the continuations of each hypothesis's own
-    subtrie (``narrow[row]``; ``None`` keeps everything allowed).  Dead and
-    filler rows get all-False rows in both masks (they stay ``-inf``).
+    union of the *alive* hypotheses' full-trie children.  The normalisation
+    mask stays the full trie's per-hypothesis allowed sets — scores
+    renormalise exactly as an unnarrowed decode would — while the selection
+    mask keeps only the children on the request's own candidate paths
+    (``narrow[request]``, a node mask; ``None`` keeps everything allowed).
+    Dead and filler hypotheses get all-False rows in both masks (they stay
+    ``-inf``).  ``width`` is hypotheses per request.
     """
-    rows = len(prefixes)
-    live: list[np.ndarray | None] = [
-        ids if alive[row] and ids.size else None
-        for row, ids in enumerate(candidates_info.per_row)
-    ]
-    parts = [ids for ids in live if ids is not None]
-    if not parts:
+    table = candidates_info.table
+    hypotheses, children = table.expand(candidates_info.nodes, alive)
+    if not children.size:
         raise RuntimeError("no live hypotheses to step in a narrowed decode")
-    union = np.unique(np.concatenate(parts))
-    norm_mask = np.zeros((rows, union.shape[0]), dtype=bool)
+    tokens = table.token[children]
+    union = np.unique(tokens)
+    columns = np.searchsorted(union, tokens)
+    norm_mask = np.zeros((alive.shape[0], union.shape[0]), dtype=bool)
+    norm_mask[hypotheses, columns] = True
+    everything = np.ones(table.size, dtype=bool)
+    selectable = np.stack([everything if mask is None else mask for mask in narrow])
+    chosen = selectable[hypotheses // width, children]
     keep = np.zeros_like(norm_mask)
-    for row, ids in enumerate(live):
-        if ids is None:
-            continue
-        norm_mask[row, np.searchsorted(union, ids)] = True
-        subtrie = narrow[row]
-        narrowed = ids if subtrie is None else subtrie.allowed_tokens(prefixes[row])
-        if narrowed.size:
-            keep[row, _narrow_positions(union, narrowed)] = True
+    keep[hypotheses[chosen], columns[chosen]] = True
     return union, norm_mask, keep
 
 
@@ -445,9 +432,17 @@ class DecodeState:
     transformer in one combined forward.  ``workspace`` is the step-scratch
     arena (cleared whenever the row count changes).
 
+    A hypothesis is one trie node id (:attr:`IndexTrie.nodes`):
+    ``beam_nodes[b, g]`` is the prefix hypothesis ``g`` of row ``b`` has
+    decoded, so the trie constraint, forcedness, depth, beam extension and
+    the retired item ids are array gathers over ``beam_nodes``, never
+    per-hypothesis Python.  A ``-inf`` hypothesis may hold a dead node
+    (an illegal prefix); every slot of a row sits at the row's depth.
+
     ``narrow`` holds one entry per row, following it through joins and
-    retirements like ``tags``: ``None`` decodes the full trie, a candidate
-    subtrie (:meth:`IndexTrie.subtrie`) restricts that row's beam
+    retirements like ``tags``: ``None`` decodes the full trie, a node mask
+    of the decode trie (:meth:`TrieNodes.path_mask` of a candidate
+    subtrie, :meth:`IndexTrie.subtrie`) restricts that row's beam
     *selection* while scores keep renormalising over the full trie —
     tokens outside the subtrie are set to ``-inf`` *after* the constrained
     log-softmax, so the surviving hypotheses carry exactly the scores a
@@ -465,9 +460,9 @@ class DecodeState:
     ``num_beams`` caps a request's hypotheses; it is not a shape.  The
     caches and ``pending`` carry :attr:`width` hypotheses per request —
     the most any row with a level to go has alive — and only those leading
-    slots of the score/token tables (at least that wide; top-k sorts
-    ``-inf`` last, so a row's live hypotheses are its leading slots) reach
-    the model and the trie.
+    slots of the score/node tables (at least that wide; every row's slots
+    are best first, as top-k sorts them, so its live hypotheses are its
+    leading slots) reach the model and the trie.
     """
 
     model: Scorer
@@ -475,12 +470,12 @@ class DecodeState:
     num_beams: int
     pad_id: int
     caches: list[BeamKVCache]
-    beam_tokens: list[list[tuple[int, ...]]]  # (B rows) x (>= width prefixes)
+    beam_nodes: np.ndarray  # (B, >= width) int64: each hypothesis's trie node
     beam_scores: np.ndarray  # (B, >= width) float64
     prompt_pads: np.ndarray  # (B, W) bool: pad columns in the prompt region
     suffix_pads: np.ndarray  # (B,) int64: suffix columns predating each row
     tags: list[object]
-    narrow: list[IndexTrie | None]  # (B,) each row's selection subtrie, None = full trie
+    narrow: list[np.ndarray | None]  # (B,) each row's selectable nodes, None = full trie
     pending: np.ndarray = field(default_factory=lambda: np.empty((0, 1), dtype=np.int64))
     workspace: StepWorkspace = field(default_factory=StepWorkspace)
     forwards: int = 0
@@ -489,31 +484,32 @@ class DecodeState:
     @property
     def num_rows(self) -> int:
         """Requests currently in flight."""
-        return len(self.beam_tokens)
+        return self.beam_nodes.shape[0]
 
     @property
     def width(self) -> int:
         """Hypotheses per request the caches and ``pending`` carry right now."""
         return self.caches[0].beams
 
+    def row_depths(self) -> np.ndarray:
+        """``(B,)`` trie levels each row has decoded."""
+        return self.trie.nodes.depth[self.beam_nodes[:, 0]]
+
     def live_width(self) -> int:
         """Most live hypotheses of any row with a level to go (0: no such row)."""
-        depth = self.trie.num_levels
-        rows = [b for b, row in enumerate(self.beam_tokens) if len(row[0]) < depth]
-        if not rows:
+        stepping = self.row_depths() < self.trie.num_levels
+        if not stepping.any():
             return 0
-        return max(1, int(np.isfinite(self.beam_scores[rows]).sum(axis=1).max()))
+        return max(1, int(np.isfinite(self.beam_scores[stepping]).sum(axis=1).max()))
 
     @property
     def done(self) -> bool:
         """Whether every in-flight row has reached the final trie level."""
-        depth = self.trie.num_levels
-        return all(len(row[0]) == depth for row in self.beam_tokens)
+        return bool((self.row_depths() == self.trie.num_levels).all())
 
     def finished_rows(self) -> list[int]:
         """Row indices that have reached the final trie level."""
-        depth = self.trie.num_levels
-        return [b for b, row in enumerate(self.beam_tokens) if len(row[0]) == depth]
+        return np.flatnonzero(self.row_depths() == self.trie.num_levels).tolist()
 
     def flat_pad_columns(self) -> np.ndarray | None:
         """Per-hypothesis pad map over all current key columns (or None).
@@ -601,20 +597,21 @@ def decode_prefill(
 
         # Level 0: expand every prompt to its top-K legal first tokens
         # under the constrained (renormalised-over-legal) distribution.
-        root = trie.allowed_token_ids([()])
+        table = trie.nodes
+        root = trie.allowed_token_ids(np.zeros(1, dtype=np.int64))  # the root's node
         logits = model.lm_head_gather(hidden, root.union, workspace=workspace)
         scores = masked_log_softmax(logits, root.mask)  # (B, U)
+        # The root's children are level 1's nodes, in union order.
+        first_nodes = slice(table.level_start[1], table.level_start[2])
         # Narrowing masks selection only, after the softmax: renormalisation
         # stays over the full root union.  The batch is as wide as its row
         # with the most selectable first tokens; a row with fewer carries
         # -inf filler repeating its first token, like a joined thin row.
         width = root.num_candidates
-        if any(subtrie is not None for subtrie in narrow):
-            keep = np.ones(scores.shape, dtype=bool)
-            for row, subtrie in enumerate(narrow):
-                if subtrie is not None:
-                    keep[row] = False
-                    keep[row, _narrow_positions(root.union, subtrie.allowed_tokens(()))] = True
+        narrow = [None if sub is None else table.path_mask(sub.sequence_array()) for sub in narrow]
+        if any(mask is not None for mask in narrow):
+            everything = np.ones(width, dtype=bool)
+            keep = np.stack([everything if mask is None else mask[first_nodes] for mask in narrow])
             scores = np.where(keep, scores, -np.inf)
             width = int(keep.sum(axis=1).max())
         order, top_scores = topk_desc(scores, min(num_beams, width))
@@ -622,7 +619,6 @@ def decode_prefill(
         # Scores accumulate in float64, matching the reference path.
         beam_scores = top_scores.astype(np.float64)  # (B, G): the first tokens that exist
         token_ids = root.union[order]  # union positions back to token ids
-        beam_tokens = [[(int(token),) for token in row] for row in token_ids]
         # Every beam appends at most one K/V column per remaining level.
         for cache in caches:
             cache.fan_out(token_ids.shape[1], suffix_length=trie.num_levels - 1)
@@ -633,14 +629,14 @@ def decode_prefill(
         num_beams=num_beams,
         pad_id=pad_id,
         caches=caches,
-        beam_tokens=beam_tokens,
+        beam_nodes=first_nodes.start + order,
         beam_scores=beam_scores,
         prompt_pads=pad_columns,
         suffix_pads=np.zeros(len(prompts), dtype=np.int64),
         tags=list(tags),
         pending=token_ids.reshape(-1, 1).astype(np.int64, copy=False),
         workspace=workspace,
-        narrow=list(narrow),
+        narrow=narrow,
         forwards=forwards,  # what the prompt phase ran
     )
 
@@ -649,8 +645,8 @@ def decode_step(state: DecodeState) -> DecodeState:
     """Advance every in-flight row by one trie level.
 
     Rows at different levels step together: the vectorized trie constraint
-    is built from each hypothesis's own prefix, so depth never has to be
-    uniform across the batch.  Rows already at the final level must be
+    is one gather over each hypothesis's own trie node, so depth never has
+    to be uniform across the batch.  Rows already at the final level must be
     retired (:func:`decode_retire`) before stepping.  Returns ``state``
     (mutated in place) for chaining.
 
@@ -675,22 +671,19 @@ def decode_step(state: DecodeState) -> DecodeState:
     if state.finished_rows():
         raise RuntimeError("retire finished rows before stepping")
     model, trie = state.model, state.trie
+    table = trie.nodes
     num_requests, width = state.num_rows, state.width
     # Nothing past the width is alive: wider rows, since retired, left it.
-    beam_tokens = [row[:width] for row in state.beam_tokens]
+    beam_nodes = state.beam_nodes[:, :width]
     beam_scores = state.beam_scores[:, :width]
-    prefixes = [prefix for row in beam_tokens for prefix in row]
-    candidates_info = trie.allowed_token_ids(prefixes)
+    candidates_info = trie.allowed_token_ids(beam_nodes.reshape(-1))
     alive = np.isfinite(beam_scores).reshape(-1)
     if candidates_info.is_forced(alive):
         # Every live hypothesis is forced: append without a forward
         # (log-probability 0.0 each), defer the KV update to the next
         # level that needs logits.
         forced = candidates_info.forced_tokens(state.pad_id)
-        state.beam_tokens = [
-            [prefix + (int(forced[b * width + k]),) for k, prefix in enumerate(row)]
-            for b, row in enumerate(beam_tokens)
-        ]
+        state.beam_nodes = table.first_child[beam_nodes]
         state.beam_scores = beam_scores
         state.pending = np.concatenate([state.pending, forced[:, None]], axis=1)
         return state
@@ -704,26 +697,22 @@ def decode_step(state: DecodeState) -> DecodeState:
         ).data[:, -1, :]
         state.forwards += 1
         state.beam_rows += state.pending.size
-        if all(subtrie is None for subtrie in state.narrow):
+        if all(mask is None for mask in state.narrow):
             union = candidates_info.union
             logits = model.lm_head_gather(hidden, union, workspace=state.workspace)
             step_logp = masked_log_softmax(logits, candidates_info.mask)  # (B*G, U)
         else:
-            narrow = [subtrie for subtrie in state.narrow for _ in range(width)]
             union, norm_mask, keep = _narrowed_step_candidates(
-                candidates_info, narrow, prefixes, alive
+                candidates_info, state.narrow, width, alive
             )
             logits = model.lm_head_gather(hidden, union, workspace=state.workspace)
             step_logp = np.where(keep, masked_log_softmax(logits, norm_mask), -np.inf)
         origin, token, state.beam_scores = select_beams(
             step_logp, beam_scores, state.num_beams, union
         )
-        state.beam_tokens = [
-            [beam_tokens[b][int(o)] + (int(t),) for o, t in zip(origin[b], token[b])]
-            for b in range(num_requests)
-        ]
+        state.beam_nodes = table.child(np.take_along_axis(beam_nodes, origin, axis=1), token)
         # Gather K/V straight onto the next step's width.  Rows that just
-        # finished need their scores and tokens only: when no row has a
+        # finished need their scores and nodes only: when no row has a
         # level left, nothing is reordered at all.
         live = state.live_width()
         if live:
@@ -746,6 +735,12 @@ def _pad_left_columns(pads: np.ndarray, extra: int) -> np.ndarray:
 def _pad_slots(table: np.ndarray, slots: int, fill: float) -> np.ndarray:
     """Widen a ``(B, G)`` per-hypothesis table to ``slots`` per request."""
     return np.pad(table, ((0, 0), (0, slots - table.shape[1])), constant_values=fill)
+
+
+def _repeat_first(nodes: np.ndarray, slots: int) -> np.ndarray:
+    """Widen ``(B, G)`` beam nodes to ``slots``, repeating each row's first node."""
+    filler = np.repeat(nodes[:, :1], slots - nodes.shape[1], axis=1)
+    return np.concatenate([nodes, filler], axis=1)
 
 
 def _flush_pending(state: DecodeState) -> None:
@@ -822,11 +817,11 @@ def decode_join(state: DecodeState, incoming: DecodeState) -> DecodeState:
         [state.suffix_pads, np.full(incoming.num_rows, suffix_len, dtype=np.int64)]
     )
     # Both sides' tables and pending reach one shape; filler slots repeat a
-    # row's first prefix under a -inf score, like a starved beam's.
+    # row's first node under a -inf score, like a starved beam's.
     slots = max(side.beam_scores.shape[1] for side in sides)
-    state.beam_tokens = [
-        row + row[:1] * (slots - len(row)) for side in sides for row in side.beam_tokens
-    ]
+    state.beam_nodes = np.concatenate(
+        [_repeat_first(side.beam_nodes, slots) for side in sides], axis=0
+    )
     state.beam_scores = np.concatenate(
         [_pad_slots(side.beam_scores, slots, -np.inf) for side in sides], axis=0
     )
@@ -841,7 +836,7 @@ def decode_join(state: DecodeState, incoming: DecodeState) -> DecodeState:
     # Consume the incoming state so a stray step/retire on it cannot
     # corrupt the caches it no longer owns.
     incoming.caches = []
-    incoming.beam_tokens = []
+    incoming.beam_nodes = incoming.beam_nodes[:0]
     incoming.beam_scores = incoming.beam_scores[:0]
     incoming.prompt_pads = incoming.prompt_pads[:0]
     incoming.suffix_pads = incoming.suffix_pads[:0]
@@ -849,6 +844,27 @@ def decode_join(state: DecodeState, incoming: DecodeState) -> DecodeState:
     incoming.narrow = []
     incoming.pending = incoming.pending[:0]
     return state
+
+
+def _harvest(state: DecodeState, rows: list[int]) -> list[list[BeamHypothesis]]:
+    """Finished rows' finite hypotheses, best first, read off their leaf nodes.
+
+    Each row's slots are already best first (see :class:`DecodeState`), so
+    this is one finite filter and one item / sequence gather for all
+    ``rows`` together; only the :class:`BeamHypothesis` objects are built
+    per hypothesis.
+    """
+    table = state.trie.nodes
+    scores = state.beam_scores[rows]
+    finite = np.isfinite(scores)
+    leaves = state.beam_nodes[rows][finite] - table.level_start[-2]  # leaf order
+    hypotheses = map(
+        BeamHypothesis,
+        map(table.sequences.__getitem__, leaves.tolist()),
+        scores[finite].tolist(),
+        table.items[leaves].tolist(),
+    )
+    return [list(itertools.islice(hypotheses, n)) for n in finite.sum(axis=1).tolist()]
 
 
 def decode_retire(state: DecodeState, rows: Sequence[int]) -> list[list[BeamHypothesis]]:
@@ -864,25 +880,18 @@ def decode_retire(state: DecodeState, rows: Sequence[int]) -> list[list[BeamHypo
     rows = [int(row) for row in rows]
     if len(set(rows)) != len(rows):
         raise ValueError("duplicate rows in retirement")
-    depth = state.trie.num_levels
-    results: list[list[BeamHypothesis]] = []
+    depths = state.row_depths()
     for row in rows:
         if not 0 <= row < state.num_rows:
             raise IndexError(f"row {row} out of range for {state.num_rows} rows")
-        if len(state.beam_tokens[row][0]) != depth:
+        if depths[row] != state.trie.num_levels:
             raise ValueError(f"row {row} has not reached the final trie level")
-        hypotheses = [
-            BeamHypothesis(prefix, float(score), state.trie.item_at(prefix))
-            for prefix, score in zip(state.beam_tokens[row], state.beam_scores[row])
-            if np.isfinite(score)
-        ]
-        hypotheses.sort(key=lambda h: -h.score)
-        results.append(hypotheses)
+    results = _harvest(state, rows)
     if rows:
         retired = set(rows)
         keep = [b for b in range(state.num_rows) if b not in retired]
         keep_array = np.asarray(keep, dtype=np.int64)
-        state.beam_tokens = [state.beam_tokens[b] for b in keep]
+        state.beam_nodes = state.beam_nodes[keep_array]
         state.beam_scores = state.beam_scores[keep]
         state.prompt_pads = state.prompt_pads[keep]
         state.suffix_pads = state.suffix_pads[keep]

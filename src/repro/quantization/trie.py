@@ -13,52 +13,249 @@ per-row legal continuations plus a memoized per-level *candidate union* —
 so the language model can compute logits for the candidate tokens only
 (see ``TinyLlama.lm_head_gather``) instead of the full vocabulary.
 
-All derived lookups (dense masks, level unions, union-space rows) are
-cached; :meth:`IndexTrie.add_item` mutates in place and
-:meth:`IndexTrie.with_item` produces a copy-on-write snapshot — both
-refresh only the caches the insertion can actually stale.  The memoized
-arrays are returned read-only and with a stable identity, which downstream
-weight-gather caches key on: an insertion that does not change a level's
-candidate union keeps that union's identity, so those caches stay warm.
+The decode hot path does not walk prefixes at all: :attr:`IndexTrie.nodes`
+compiles the trie once into :class:`TrieNodes` — one integer id per
+prefix, children as contiguous id ranges, leaf → item / sequence arrays and
+one union-space mask table per level — so a beam stepper carries one node
+id per hypothesis and every per-hypothesis query is an array gather.
 
-Snapshots share per-prefix child sets and memoized arrays with their
-parent, so shared structures are never mutated after publication: an
-insertion *replaces* a changed prefix's child set and allowed array
-instead of updating them in place.
+:meth:`IndexTrie.add_item` mutates in place and :meth:`IndexTrie.with_item`
+produces a copy-on-write snapshot; either way the node table is rebuilt
+lazily, on the first decode that reads it.  Per-prefix allowed arrays and
+level unions are returned read-only and with a stable identity, which
+downstream weight-gather caches key on: an insertion that does not change
+a level's candidate union keeps that union's identity, so those caches stay
+warm.  Snapshots share per-prefix child arrays and memoized unions with
+their parent, so shared structures are never mutated after publication: an
+insertion *replaces* a changed prefix's child array instead of updating it
+in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-__all__ = ["IndexTrie", "SparseCandidates"]
+__all__ = ["IndexTrie", "SparseCandidates", "TrieNodes"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 _EMPTY.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class SparseCandidates:
-    """Legal continuations of a batch of prefixes, in candidate space.
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
-    ``union`` is the memoized, sorted union of every candidate token id for
-    the trie levels the prefixes sit at (a stable, read-only array — its
-    identity is a valid cache key for gathered weight slices).  ``mask``
-    restricts the union per row: ``mask[i, j]`` is True iff ``union[j]``
-    legally extends ``prefixes[i]``.  ``per_row[i]`` is the same set as a
-    sorted id array (empty for illegal prefixes).
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` for small int arrays, without its per-call overhead."""
+    values = np.sort(values)
+    if values.size:
+        values = values[np.concatenate([[True], values[1:] != values[:-1]])]
+    return values
+
+
+class TrieNodes:
+    """An :class:`IndexTrie` compiled to arrays: one integer id per prefix.
+
+    Ids are level-major: the root is ``0``, then every depth-1 prefix in
+    token order, then every depth-2 prefix in lexicographic order, … then
+    the leaves (depth ``num_levels``), one per item.  A node's children are
+    therefore the consecutive ids ``first_child[n] .. first_child[n] +
+    num_children[n]``, in token order, and leaf ``level_start[L] + i`` holds
+    item ``items[i]``, whose token tuple is ``sequences[i]`` (prebuilt, so
+    a retiring beam builds no tuples).  Past the ``num_real`` real ids sit one
+    *dead* node per depth ``d`` (id ``num_real + d``): the node of any
+    length-``d`` prefix no item has, with no children — what a ``-inf``
+    hypothesis that picked an illegal token holds, so depth stays readable
+    off every id.
+
+    Per node (arrays of length :attr:`size`): ``depth``, ``token`` (the
+    token leading into it; ``-1`` for the root and dead nodes),
+    ``num_children``, ``first_child`` (a dead node when childless),
+    ``first_token`` (its first child's token, ``-1`` when childless).  Per
+    depth ``d``: ``unions[d]``, the sorted union of the tokens at trie
+    level ``d`` (the memoized :meth:`IndexTrie.level_union` array itself),
+    and ``masks[d]``, row ``local[n]`` of which marks node ``n``'s children
+    in ``unions[d]`` space (the dead node's row is all False).  Every array
+    is read-only and the table is never mutated after construction.
     """
 
-    per_row: list[np.ndarray]  # row -> sorted legal token ids
+    def __init__(
+        self,
+        leaf_to_item: dict[tuple[int, ...], int],
+        num_levels: int,
+        level_unions: dict[tuple[int, ...], np.ndarray],
+    ):
+        levels, count = num_levels, len(leaf_to_item)
+        tokens = itertools.chain.from_iterable(leaf_to_item)
+        sequences = np.fromiter(tokens, dtype=np.int64, count=count * levels).reshape(count, -1)
+        items = np.fromiter(leaf_to_item.values(), dtype=np.int64, count=count)
+        order = np.lexsort(sequences.T[::-1])
+        sequences, items = sequences[order], items[order]
+        # starts[d, i]: sorted row i begins a new depth-(d + 1) prefix.
+        starts = np.ones((levels, count), dtype=bool)
+        if count > 1:
+            starts[:, 1:] = np.logical_or.accumulate(sequences[1:] != sequences[:-1], axis=1).T
+        widths = np.concatenate([[1], starts.sum(axis=1)])  # nodes per depth 0..L
+        level_start = np.concatenate([[0], np.cumsum(widths)])
+        real = int(level_start[-1])
+        size = real + levels + 1
+        depth = np.concatenate([np.repeat(np.arange(levels + 1), widths), np.arange(levels + 1)])
+        token = np.full(size, -1, dtype=np.int64)
+        parent = np.zeros(real, dtype=np.int64)
+        first_row = np.zeros(real, dtype=np.int64)
+        row_node = np.zeros(count, dtype=np.int64)  # each sorted row's node at depth d
+        for d in range(levels):
+            rows = np.flatnonzero(starts[d])
+            ids = slice(level_start[d + 1], level_start[d + 2])
+            parent[ids] = row_node[rows]
+            token[ids] = sequences[rows, d]
+            first_row[ids] = rows
+            row_node = level_start[d + 1] + np.cumsum(starts[d]) - 1
+        num_children = np.zeros(size, dtype=np.int64)
+        num_children[:real] = np.bincount(parent[1:], minlength=real)
+        # Children are grouped by parent in id order, starting at id 1.
+        first_child = real + np.minimum(depth + 1, levels)
+        has = num_children > 0
+        first_child[has] = (np.cumsum(num_children) - num_children + 1)[has]
+        first_token = np.where(has, token[first_child], -1)
+        local = np.concatenate([np.arange(real) - level_start[depth[:real]], widths])
+
+        self.num_levels = levels
+        self.num_real = real
+        self.size = size
+        self.level_start = _frozen(level_start)
+        self.depth = _frozen(depth)
+        self.token = _frozen(token)
+        self.num_children = _frozen(num_children)
+        self.first_child = _frozen(first_child)
+        self.first_token = _frozen(first_token)
+        self.local = _frozen(local)
+        # Leaf level_start[L] + i holds items[i], whose sequence is sequences[i].
+        self.sequences: list[tuple[int, ...]] = list(map(tuple, sequences.tolist()))
+        self.items = _frozen(items)
+        self._first_row = first_row
+        self._item_order = np.argsort(items, kind="stable")
+        self._sorted_items = items[self._item_order]
+        self._stride = int(sequences.max()) + 1
+        self._edge_keys = parent[1:] * self._stride + token[1:real]  # edge e -> node e + 1
+        self.unions: list[np.ndarray] = []
+        self.masks: list[np.ndarray] = []
+        for d in range(levels + 1):
+            children = np.arange(level_start[d + 1], level_start[d + 2]) if d < levels else _EMPTY
+            union = level_unions.get((d,))
+            if union is None:
+                union = _frozen(_sorted_unique(token[children]))
+                union = level_unions.setdefault((d,), union)
+            mask = np.zeros((widths[d] + 1, union.shape[0]), dtype=bool)
+            mask[local[parent[children]], np.searchsorted(union, token[children])] = True
+            self.unions.append(union)
+            self.masks.append(_frozen(mask))
+
+    # ------------------------------------------------------------------
+    def child(self, parents: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+        """Node of ``parents[i] + (tokens[i],)`` (dead when no item has it)."""
+        keys = parents * self._stride + tokens
+        pos = np.minimum(np.searchsorted(self._edge_keys, keys), self._edge_keys.shape[0] - 1)
+        found = (self._edge_keys[pos] == keys) & (tokens >= 0) & (tokens < self._stride)
+        dead = self.num_real + np.minimum(self.depth[parents] + 1, self.num_levels)
+        return np.where(found, pos + 1, dead)
+
+    def node_of(self, prefix: Sequence[int]) -> int:
+        """Node id of a token prefix (a dead node for an illegal one)."""
+        node = 0
+        for token in prefix:
+            node = int(self.child(np.array([node]), np.array([int(token)]))[0])
+        return node
+
+    def prefix(self, node: int) -> tuple[int, ...] | None:
+        """The token prefix a node stands for (``None`` for a dead node)."""
+        if node >= self.num_real:
+            return None
+        return self.sequences[self._first_row[node]][: self.depth[node]]
+
+    def child_tokens(self, node: int) -> np.ndarray:
+        """Sorted tokens that extend ``node`` (a read-only view)."""
+        start = self.first_child[node]
+        return self.token[start : start + self.num_children[node]]
+
+    def children_by_prefix(self) -> dict[tuple[int, ...], np.ndarray]:
+        """Every prefix that has children -> :meth:`child_tokens` of its node."""
+        rows, depth = self._first_row.tolist(), self.depth.tolist()
+        starts, ends = self.first_child.tolist(), (self.first_child + self.num_children).tolist()
+        return {
+            self.sequences[rows[node]][: depth[node]]: self.token[starts[node] : ends[node]]
+            for node in range(self.level_start[-2])  # every node above the leaves
+        }
+
+    def expand(self, nodes: np.ndarray, alive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every child of the ``alive`` entries of ``nodes``: ``(row, child node)`` pairs.
+
+        Rows are in order and each row's children in token order, so
+        ``token[children]`` is sorted within a row.
+        """
+        counts = np.where(alive, self.num_children[nodes], 0)
+        rows = np.repeat(np.arange(nodes.shape[0]), counts)
+        offsets = np.repeat(self.first_child[nodes] - (np.cumsum(counts) - counts), counts)
+        return rows, np.arange(rows.shape[0]) + offsets
+
+    def leaf_rows(self, item_ids: Sequence[int]) -> np.ndarray:
+        """Leaf order (leaf ``level_start[L] + row``) of ``item_ids``."""
+        wanted = np.asarray(item_ids, dtype=np.int64).reshape(-1)
+        pos = np.minimum(np.searchsorted(self._sorted_items, wanted), self.items.shape[0] - 1)
+        missing = self._sorted_items[pos] != wanted
+        if missing.any():
+            item = int(wanted[np.argmax(missing)])
+            raise KeyError(f"item {item} has no index sequence in this trie")
+        return self._item_order[pos]
+
+    def path_mask(self, sequences: np.ndarray) -> np.ndarray:
+        """Bool over node ids: True on every prefix of the given full sequences.
+
+        The node form of a subtrie (candidate narrowing): a decode keeps a
+        hypothesis selectable iff its node is on one of these paths.
+        Raises ``ValueError`` if a sequence is not an item of this trie.
+        """
+        mask = np.zeros(self.size, dtype=bool)
+        nodes = np.zeros(sequences.shape[0], dtype=np.int64)
+        mask[0] = True
+        for d in range(self.num_levels):
+            nodes = self.child(nodes, sequences[:, d])
+            mask[nodes] = True
+        if (nodes >= self.num_real).any():
+            raise ValueError("narrow trie allows tokens the full trie does not")
+        return mask
+
+
+@dataclass(frozen=True)
+class SparseCandidates:
+    """Legal continuations of a batch of trie nodes, in candidate space.
+
+    ``nodes`` are the rows' ids in ``table`` (:class:`TrieNodes`).
+    ``union`` is the memoized, sorted union of every candidate token id for
+    the trie levels the rows sit at (a stable, read-only array — its
+    identity is a valid cache key for gathered weight slices).  ``mask``
+    restricts the union per row: ``mask[i, j]`` is True iff ``union[j]``
+    legally extends row ``i``'s prefix.
+    """
+
+    nodes: np.ndarray  # (rows,) node ids
     union: np.ndarray  # sorted union over the rows' trie levels
     mask: np.ndarray  # (rows, len(union)) bool
+    table: TrieNodes = field(repr=False, compare=False)
 
     @property
     def num_candidates(self) -> int:
         return int(self.union.shape[0])
+
+    @property
+    def per_row(self) -> list[np.ndarray]:
+        """Row -> sorted legal token ids (empty for illegal prefixes)."""
+        return [self.table.child_tokens(node) for node in self.nodes.tolist()]
 
     def is_forced(self, alive: np.ndarray | None = None) -> bool:
         """Whether every (alive) row has exactly one legal continuation.
@@ -67,19 +264,15 @@ class SparseCandidates:
         finite score); dead filler rows may have any number of legal
         continuations — including zero — without breaking forcedness.
         """
-        if alive is None:
-            return all(ids.size == 1 for ids in self.per_row)
-        return all(
-            ids.size == 1 or not bool(alive[row]) for row, ids in enumerate(self.per_row)
-        )
+        single = self.table.num_children[self.nodes] == 1
+        if alive is not None:
+            single |= ~alive
+        return bool(single.all())
 
     def forced_tokens(self, pad_id: int = 0) -> np.ndarray:
-        """The single legal continuation per row (``pad_id`` for dead rows)."""
-        return np.fromiter(
-            (ids[0] if ids.size else pad_id for ids in self.per_row),
-            dtype=np.int64,
-            count=len(self.per_row),
-        )
+        """The first legal continuation per row (``pad_id`` for childless rows)."""
+        first = self.table.first_token[self.nodes]
+        return np.where(first >= 0, first, pad_id)
 
 
 class IndexTrie:
@@ -100,42 +293,46 @@ class IndexTrie:
         if self.num_levels == 0:
             raise ValueError("index sequences must be non-empty")
 
-        self._children: dict[tuple[int, ...], set[int]] = {}
         self._leaf_to_item: dict[tuple[int, ...], int] = {}
         for item_id, seq in sequences.items():
-            self._insert(item_id, seq)
-        self._invalidate_derived()
-
-    def _insert(self, item_id: int, seq: tuple[int, ...]) -> None:
-        seq = tuple(int(t) for t in seq)
-        if seq in self._leaf_to_item:
-            other = self._leaf_to_item[seq]
-            raise ValueError(f"duplicate index sequence {seq} for items {other} and {item_id}")
-        self._leaf_to_item[seq] = item_id
-        for depth in range(self.num_levels):
-            prefix = seq[:depth]
-            self._children.setdefault(prefix, set()).add(seq[depth])
-
-    def _invalidate_derived(self) -> None:
-        """Rebuild every cache derived from the trie's structure.
-
-        Called on construction and after every mutation
-        (:meth:`add_item`): the per-prefix allowed arrays are rebuilt and
-        all memoized masks, level unions and union-space rows are dropped,
-        so no caller can observe a stale constraint.
-        """
-        self._allowed_cache: dict[tuple[int, ...], np.ndarray] = {}
-        for prefix, children in self._children.items():
-            allowed = np.array(sorted(children), dtype=np.int64)
-            allowed.setflags(write=False)
-            self._allowed_cache[prefix] = allowed
-        self._mask_cache: dict[tuple[int, ...], np.ndarray] = {}
-        self._mask_vocab_size = 0
+            seq = tuple(int(t) for t in seq)
+            if seq in self._leaf_to_item:
+                other = self._leaf_to_item[seq]
+                raise ValueError(f"duplicate index sequence {seq} for items {other} and {item_id}")
+            self._leaf_to_item[seq] = item_id
+        self.max_token_id = max(max(seq) for seq in self._leaf_to_item)
         self._level_unions: dict[tuple[int, ...], np.ndarray] = {}
-        self._union_rows: dict[tuple[tuple[int, ...], tuple[int, ...]], np.ndarray] = {}
-        self.max_token_id = max(
-            token for children in self._children.values() for token in children
-        )
+        # Derived on first use, so a trie built only to be read as a set of
+        # sequences (a narrowing subtrie) costs its validation loop alone.
+        self._nodes: TrieNodes | None = None
+        self._children: dict[tuple[int, ...], np.ndarray] | None = None
+
+    @property
+    def nodes(self) -> TrieNodes:
+        """The compiled node table, built on first use.
+
+        Built once per trie object and never mutated; :meth:`add_item`
+        drops it, so node ids are only comparable between queries on one
+        unmutated trie (a live catalog publishes :meth:`with_item`
+        snapshots, which in-flight decodes never see).  Concurrent first
+        reads may both build it: the tables are identical.
+        """
+        table = self._nodes
+        if table is None:
+            table = self._nodes = TrieNodes(self._leaf_to_item, self.num_levels, self._level_unions)
+        return table
+
+    def _child_arrays(self) -> dict[tuple[int, ...], np.ndarray]:
+        """prefix -> sorted, read-only child tokens.
+
+        With ``_leaf_to_item`` the state a snapshot updates: a snapshot
+        copies this map and replaces only the entries its insertion
+        changes, which is how unchanged prefixes keep their arrays.
+        """
+        children = self._children
+        if children is None:
+            children = self._children = self.nodes.children_by_prefix()
+        return children
 
     # ------------------------------------------------------------------
     # Mutation
@@ -153,110 +350,69 @@ class IndexTrie:
             )
         return sequence
 
-    def _insert_path(self, sequence: tuple[int, ...]) -> set[tuple[int, ...]]:
-        """Insert ``sequence``'s path, replacing (never mutating) child sets.
+    def _insert(self, item_id: int, sequence: tuple[int, ...]) -> None:
+        """Insert ``sequence``, replacing (never mutating) changed child arrays.
 
-        A snapshot (:meth:`with_item`) shares set objects and allowed
-        arrays with its parent, so a changed prefix's set is replaced with
-        a copy; unchanged prefixes keep their set *and* allowed-array
-        identity.  Returns the prefixes whose child set actually changed.
+        A snapshot (:meth:`with_item`) shares child arrays with its parent,
+        so a prefix gaining a child gets a new array; unchanged prefixes
+        keep their array's identity.  Level unions survive iff the inserted
+        token was already in them, and the node table is dropped.
         """
-        changed: set[tuple[int, ...]] = set()
-        for depth in range(self.num_levels):
-            prefix = sequence[:depth]
-            token = sequence[depth]
-            children = self._children.get(prefix)
-            if children is not None and token in children:
-                continue
-            children = set(children) if children is not None else set()
-            children.add(token)
-            self._children[prefix] = children
-            allowed = np.array(sorted(children), dtype=np.int64)
-            allowed.setflags(write=False)
-            self._allowed_cache[prefix] = allowed
-            self._mask_cache.pop(prefix, None)
-            changed.add(prefix)
-        return changed
-
-    def _scoped_invalidate(
-        self, sequence: tuple[int, ...], changed_prefixes: set[tuple[int, ...]]
-    ) -> None:
-        """Drop only the cross-prefix memos the insertion can stale.
-
-        A level whose path prefix is unchanged — or whose memoized union
-        already contains the inserted token — keeps its union array
-        identity, so gathered-weight caches keyed on that identity stay
-        warm.  Union-space rows survive iff neither their prefix nor any
-        of their levels changed.
-        """
-        changed_levels: set[int] = set()
+        child_arrays = self._child_arrays()
+        self._leaf_to_item[sequence] = item_id
         for depth, token in enumerate(sequence):
-            if sequence[:depth] not in changed_prefixes:
+            prefix = sequence[:depth]
+            children = child_arrays.get(prefix, _EMPTY)
+            pos = int(children.searchsorted(token))
+            if pos < children.shape[0] and int(children[pos]) == token:
                 continue
+            grown = np.concatenate([children[:pos], [token], children[pos:]])
+            child_arrays[prefix] = _frozen(grown)
             union = self._level_unions.get((depth,))
             if union is not None:
-                pos = int(np.searchsorted(union, token))
+                pos = int(union.searchsorted(token))
                 if pos < union.shape[0] and int(union[pos]) == token:
                     continue
-            changed_levels.add(depth)
-        self._level_unions = {
-            levels: union
-            for levels, union in self._level_unions.items()
-            if not changed_levels.intersection(levels)
-        }
-        self._union_rows = {
-            key: row
-            for key, row in self._union_rows.items()
-            if key[1] not in changed_prefixes and not changed_levels.intersection(key[0])
-        }
+            self._level_unions = {
+                key: kept for key, kept in self._level_unions.items() if depth not in key
+            }
+        self._nodes = None
         self.max_token_id = max(self.max_token_id, max(sequence))
 
     def add_item(self, item_id: int, sequence: tuple[int, ...]) -> None:
         """Insert one more item's index sequence (catalog growth), in place.
 
-        The sequence must have the trie's depth and be unused.  Every
-        derived cache the insertion can stale — the allowed arrays and
-        dense mask rows of the prefixes along the inserted path, plus the
-        cross-prefix memos (level unions, union-space rows) that the new
-        tokens actually extend — is refreshed or dropped, so in-flight
-        callers that re-query the trie see the new item immediately.  The
-        update is incremental (``O(levels)`` prefix rebuilds, not a
-        whole-trie rebuild), so growing a catalog item by item stays
-        linear.  For a publication-safe variant that leaves ``self``
-        untouched, see :meth:`with_item`.
+        The sequence must have the trie's depth and be unused.  Only the
+        child arrays along the inserted path and the level unions the new
+        tokens actually extend are rebuilt (``O(levels)`` work, so growing
+        a catalog item by item stays linear); the node table is rebuilt on
+        next use, so node ids handed out before do not carry over.  For a
+        publication-safe variant that leaves ``self`` untouched — what a
+        trie with decodes in flight needs — see :meth:`with_item`.
         """
         sequence = self._validated_new_sequence(item_id, sequence)
-        self._leaf_to_item[sequence] = item_id
-        changed = self._insert_path(sequence)
-        self._scoped_invalidate(sequence, changed)
+        self._insert(item_id, sequence)
 
     def with_item(self, item_id: int, sequence: tuple[int, ...]) -> "IndexTrie":
         """A copy-on-write snapshot of this trie containing one more item.
 
         ``self`` is left completely untouched — in-flight decodes pinned
         to it keep decoding against exactly the catalog they started with
-        — while the snapshot shares every unchanged structure and derived
-        memo with its parent, *including identities*: allowed arrays and
-        level unions the insertion does not change are the same array
-        objects, so downstream gathered-weight caches keyed on them stay
-        warm across a catalog version swap.  Only the ``O(levels)``
-        prefixes along the inserted path (and the memos the new tokens
-        actually extend) are rebuilt.
+        — while the snapshot shares every unchanged structure with its
+        parent, *including identities*: child arrays and level unions the
+        insertion does not change are the same array objects, so
+        downstream gathered-weight caches keyed on them stay warm across a
+        catalog version swap.  The snapshot compiles its own node table
+        lazily, on the first decode against it, so publishing stays cheap.
         """
         sequence = self._validated_new_sequence(item_id, sequence)
         clone = IndexTrie.__new__(IndexTrie)
         clone.num_levels = self.num_levels
-        clone._children = dict(self._children)
+        clone._children = dict(self._child_arrays())
         clone._leaf_to_item = dict(self._leaf_to_item)
-        clone._allowed_cache = dict(self._allowed_cache)
-        clone._mask_cache = dict(self._mask_cache)
-        clone._mask_vocab_size = self._mask_vocab_size
         clone._level_unions = dict(self._level_unions)
-        clone._union_rows = dict(self._union_rows)
         clone.max_token_id = self.max_token_id
-        clone._leaf_to_item[sequence] = item_id
-        changed = clone._insert_path(sequence)
-        clone._scoped_invalidate(sequence, changed)
+        clone._insert(item_id, sequence)
         return clone
 
     # ------------------------------------------------------------------
@@ -265,7 +421,7 @@ class IndexTrie:
     def allowed_tokens(self, prefix: tuple[int, ...]) -> np.ndarray:
         """Token ids that legally extend ``prefix`` (empty array if none)."""
         prefix = tuple(int(t) for t in prefix)
-        return self._allowed_cache.get(prefix, _EMPTY)
+        return self._child_arrays().get(prefix, _EMPTY)
 
     def allowed_token_mask(
         self, prefixes: list[tuple[int, ...]], vocab_size: int
@@ -273,30 +429,17 @@ class IndexTrie:
         """Boolean ``(len(prefixes), vocab_size)`` constraint mask.
 
         Row ``i`` is True exactly at the token ids that legally extend
-        ``prefixes[i]`` (all-False for unknown/illegal prefixes).  Per-prefix
-        rows are cached, so constrained decoding pays one dictionary lookup
-        and one stack per step instead of per-hypothesis Python loops.
+        ``prefixes[i]`` (all-False for unknown/illegal prefixes).
         """
         if vocab_size <= self.max_token_id:
             raise ValueError(
                 f"vocab_size {vocab_size} too small for trie tokens "
                 f"(max id {self.max_token_id})"
             )
-        if vocab_size != self._mask_vocab_size:
-            self._mask_cache = {}
-            self._mask_vocab_size = vocab_size
-        rows = []
-        for prefix in prefixes:
-            prefix = tuple(int(t) for t in prefix)
-            row = self._mask_cache.get(prefix)
-            if row is None:
-                row = np.zeros(vocab_size, dtype=bool)
-                allowed = self._allowed_cache.get(prefix)
-                if allowed is not None:
-                    row[allowed] = True
-                self._mask_cache[prefix] = row
-            rows.append(row)
-        return np.stack(rows, axis=0)
+        mask = np.zeros((len(prefixes), vocab_size), dtype=bool)
+        for row, prefix in enumerate(prefixes):
+            mask[row, self.allowed_tokens(prefix)] = True
+        return mask
 
     def level_union(self, level: int) -> np.ndarray:
         """Sorted union of every token id appearing at trie depth ``level``.
@@ -334,49 +477,42 @@ class IndexTrie:
         union = self._level_unions.get(levels)
         if union is None:
             if len(levels) == 1:
-                tokens: set[int] = set()
-                for prefix, children in self._children.items():
-                    if len(prefix) == levels[0]:
-                        tokens.update(children)
-                union = np.array(sorted(tokens), dtype=np.int64)
-            else:
-                parts = [self._union_for_levels((level,)) for level in levels]
-                union = parts[0]
-                for part in parts[1:]:
-                    union = np.union1d(union, part)
-            union.setflags(write=False)
-            self._level_unions[levels] = union
+                return self.nodes.unions[levels[0]]  # the table memoizes single levels
+            union = self._union_for_levels(levels[:1])
+            for level in levels[1:]:
+                union = np.union1d(union, self._union_for_levels((level,)))
+            union = self._level_unions.setdefault(levels, _frozen(union))
         return union
 
-    def allowed_token_ids(self, prefixes: list[tuple[int, ...]]) -> SparseCandidates:
+    def allowed_token_ids(
+        self, nodes: np.ndarray | Sequence[tuple[int, ...]]
+    ) -> SparseCandidates:
         """Per-row legal continuations plus the memoized candidate union.
 
-        The sparse counterpart of :meth:`allowed_token_mask`: instead of a
-        ``(rows, vocab_size)`` mask it returns the (tiny) union of
-        candidate ids for the trie levels the prefixes sit at, and a
-        ``(rows, len(union))`` mask in union space.  Per-(levels, prefix)
-        rows are cached, so a steady-state decode step pays dictionary
-        lookups and one stack — no vocabulary-sized work at all.
+        ``nodes`` is an int array of :attr:`nodes` ids — what a beam
+        stepper holds per hypothesis — or a list of token prefixes, looked
+        up first.  Returns the (tiny) union of candidate ids for the trie
+        levels the rows sit at and a ``(rows, len(union))`` mask in union
+        space: for rows at one level that is one gather from the level's
+        mask table — no per-row Python and no vocabulary-sized work.
         """
-        prefixes = [tuple(int(t) for t in p) for p in prefixes]
-        levels = tuple(sorted({len(p) for p in prefixes}))
-        union = self._union_for_levels(levels)
-        per_row: list[np.ndarray] = []
-        rows: list[np.ndarray] = []
-        for prefix in prefixes:
-            allowed = self._allowed_cache.get(prefix, _EMPTY)
-            per_row.append(allowed)
-            key = (levels, prefix)
-            row = self._union_rows.get(key)
-            if row is None:
-                row = np.zeros(union.shape[0], dtype=bool)
-                if allowed.size:
-                    row[np.searchsorted(union, allowed)] = True
-                row.setflags(write=False)
-                self._union_rows[key] = row
-            rows.append(row)
-        mask = np.stack(rows, axis=0)
-        return SparseCandidates(per_row=per_row, union=union, mask=mask)
+        table = self.nodes
+        if not isinstance(nodes, np.ndarray):
+            nodes = np.array([table.node_of(p) for p in nodes], dtype=np.int64)
+        depths = table.depth[nodes]
+        low, high = int(depths.min()), int(depths.max())
+        if low == high:
+            union = table.unions[low]
+            mask = table.masks[low][table.local[nodes]]
+        else:  # rows admitted at different levels (continuous joins)
+            levels = tuple(np.unique(depths).tolist())
+            union = self._union_for_levels(levels)
+            mask = np.zeros((nodes.shape[0], union.shape[0]), dtype=bool)
+            for level in levels:
+                rows = np.flatnonzero(depths == level)
+                columns = np.searchsorted(union, table.unions[level])
+                mask[np.ix_(rows, columns)] = table.masks[level][table.local[nodes[rows]]]
+        return SparseCandidates(nodes=nodes, union=union, mask=mask, table=table)
 
     def item_at(self, sequence: tuple[int, ...]) -> int:
         """The item id stored at a complete index sequence."""
@@ -390,7 +526,7 @@ class IndexTrie:
         prefix = tuple(int(t) for t in prefix)
         if len(prefix) == self.num_levels:
             return prefix in self._leaf_to_item
-        return prefix in self._children or prefix == ()
+        return prefix in self._child_arrays() or prefix == ()
 
     def items_under_prefix(self, prefix: tuple[int, ...]) -> list[int]:
         """All item ids whose index starts with ``prefix``."""
@@ -407,6 +543,10 @@ class IndexTrie:
         """item_id -> token sequence (a copy)."""
         return {item: seq for seq, item in self._leaf_to_item.items()}
 
+    def sequence_array(self) -> np.ndarray:
+        """Every item's sequence as an ``(items, levels)`` int array, in no set order."""
+        return np.array(list(self._leaf_to_item), dtype=np.int64).reshape(-1, self.num_levels)
+
     def subtrie(self, item_ids: "Sequence[int]") -> "IndexTrie":
         """A new trie over the given items' sequences only (candidate narrowing).
 
@@ -415,20 +555,15 @@ class IndexTrie:
         narrowed decode (see ``repro.llm.decode_prefill``'s ``narrow``
         parameter — scoring still renormalises over this full trie, so
         narrowing never changes how the surviving candidates rank).  The
-        subtrie is independent of its parent: mutating either afterwards
-        does not affect the other.  Raises ``KeyError`` for ids not in the
-        trie and ``ValueError`` for an empty candidate set.
+        items are looked up through the node table's item → leaf map, so
+        the cost is the candidate set's, not the catalog's.  The subtrie is
+        independent of its parent: mutating either afterwards does not
+        affect the other.  Raises ``KeyError`` for ids not in the trie and
+        ``ValueError`` for an empty candidate set.
         """
-        sequences: dict[int, tuple[int, ...]] = {}
-        item_to_seq = {item: seq for seq, item in self._leaf_to_item.items()}
-        for item_id in item_ids:
-            item_id = int(item_id)
-            if item_id in sequences:
-                continue
-            try:
-                sequences[item_id] = item_to_seq[item_id]
-            except KeyError:
-                raise KeyError(f"item {item_id} has no index sequence in this trie") from None
-        if not sequences:
+        item_ids = [int(item) for item in item_ids]
+        if not item_ids:
             raise ValueError("cannot build a subtrie from no items")
-        return IndexTrie(sequences)
+        table = self.nodes
+        rows = table.leaf_rows(item_ids).tolist()
+        return IndexTrie(dict(zip(item_ids, map(table.sequences.__getitem__, rows))))

@@ -116,15 +116,18 @@ class KVCache:
         # growth factor would double that traffic for short decodes.
         return length + max(16, length // 4)
 
-    def seed(self, keys: np.ndarray, values: np.ndarray) -> None:
+    def seed(self, keys: np.ndarray, values: np.ndarray, length: int | None = None) -> None:
         """Resume decoding from precomputed K/V of shape ``(B, H, L, Dh)``.
 
         The cached-prefix serving path (:class:`repro.llm.PrefixKVCache`)
         seeds a fresh cache with the keys/values of an already-forwarded
         prompt prefix, so the model only runs the suffix tokens.  The
-        arrays are adopted without copying: the first :meth:`append` sees a
-        full buffer and reallocates, so seeded (possibly read-only, shared)
-        arrays are never written in place.
+        arrays are adopted without copying.  By default every column is
+        used: the first :meth:`append` sees a full buffer and reallocates,
+        so seeded (possibly read-only, shared) arrays are never written in
+        place.  ``length`` marks only the leading columns as used; the rest
+        is capacity later appends write in place, so the arrays must be the
+        caller's own.
         """
         if self.keys is not None:
             raise RuntimeError("seed() requires an empty cache")
@@ -132,8 +135,8 @@ class KVCache:
             raise ValueError("keys and values must share a shape")
         self._buf_keys = keys
         self._buf_values = values
-        self.keys = keys
-        self.values = values
+        self.keys = keys if length is None else keys[:, :, :length]
+        self.values = values if length is None else values[:, :, :length]
 
     def append(self, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         used = self.length
@@ -296,16 +299,19 @@ class BeamKVCache:
     def batch_size(self) -> int:
         return self.prompt.batch_size * self.beams
 
-    def seed_prompt(self, keys: np.ndarray, values: np.ndarray) -> None:
+    def seed_prompt(
+        self, keys: np.ndarray, values: np.ndarray, length: int | None = None
+    ) -> None:
         """Resume from cached prompt-prefix K/V (``(B, H, L, Dh)``).
 
         Must run before any :meth:`append` or :meth:`fan_out`: the seeded
         columns become the leftmost prompt columns, and the remaining
         prompt tokens are appended behind them by the suffix forward pass.
+        ``length`` is as in :meth:`KVCache.seed`.
         """
         if self.fanned:
             raise RuntimeError("seed_prompt must precede fan_out")
-        self.prompt.seed(keys, values)
+        self.prompt.seed(keys, values, length)
 
     def fan_out(self, beams: int, suffix_length: int = 0) -> None:
         """Declare ``beams`` hypotheses per request.  No data is copied.
@@ -362,6 +368,8 @@ class BeamKVCache:
         pad_self = max(0, other.prompt.length - self.prompt.length)
         pad_other = max(0, self.prompt.length - other.prompt.length)
         beams = max(self.beams, other.beams)
+        # Prompt regions never grow after prefill: the joined one is exact.
+        self.prompt.max_length = self.prompt.length + pad_self
         self.prompt.join(other.prompt, pad_self, pad_other)
         if self.suffix.keys is not None:
             self.suffix.regroup(self.beams, beams, self.prompt.batch_size)

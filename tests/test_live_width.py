@@ -15,9 +15,10 @@ thin → wide, single-item, random):
   the width under the survivors;
 * the invariants, asserted around every prefill / step / join / retire by
   :class:`Watched`: finite scores are a prefix of every request's slots,
-  the width is exactly the live width, no forward, head gather or trie
-  lookup receives more than ``B*G`` rows, and suffix K/V and step scratch
-  are gone after the last retire;
+  the width is exactly the live width, every hypothesis's trie node sits
+  at its row's depth and every live one maps back to its token prefix, no
+  forward, head gather or trie lookup receives more than ``B*G`` rows, and
+  suffix K/V and step scratch are gone after the last retire;
 * the exact traffic, as ``DecodeState.beam_rows``, and that a closed
   batch gathers no K/V after its last level.
 """
@@ -30,11 +31,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import TIGER, TIGERConfig
+from repro.core.indexer import build_random_index_set
 from repro.llm import (
     LMConfig,
     TinyLlama,
     backfill_items,
     beam_search_items_single,
+    decode_finish,
     decode_join,
     decode_prefill,
     decode_retire,
@@ -103,9 +106,12 @@ class Watched:
     def check(self, state):
         finite = np.isfinite(state.beam_scores)
         assert (finite[:, :-1] >= finite[:, 1:]).all()  # finite scores: a prefix of the slots
+        ordered = np.where(finite, state.beam_scores, -np.inf)
+        assert (ordered[:, :-1] >= ordered[:, 1:]).all()  # best first: retire reads them so
         depth = state.trie.num_levels
-        live = [int(finite[b].sum()) for b, row in enumerate(state.beam_tokens)
-                if len(row[0]) < depth]
+        depths = state.row_depths()
+        self.check_nodes(state, finite, depths)
+        live = [int(finite[b].sum()) for b in range(state.num_rows) if depths[b] < depth]
         if len(live) == state.num_rows:
             assert state.width == max(1, max(live, default=state.width))
         elif live:  # rows a forced last level finished still hold the width until retired
@@ -120,6 +126,17 @@ class Watched:
         if state.num_rows == 0:
             assert state.workspace.nbytes == 0
             assert all(cache.suffix.batch_size == 0 for cache in state.caches)
+
+    @staticmethod
+    def check_nodes(state, finite, depths):
+        """Every slot sits at its row's depth; every live node is a real prefix."""
+        table = state.trie.nodes
+        assert state.beam_nodes.shape == state.beam_scores.shape
+        assert (table.depth[state.beam_nodes] == depths[:, None]).all()
+        for node in state.beam_nodes[finite].tolist():
+            prefix = table.prefix(node)
+            assert prefix is not None and state.trie.contains_prefix(prefix)
+            assert table.node_of(prefix) == node
 
     def prefill(self, model, prompts, trie, **kwargs):
         for owner, name in ((model, "hidden_states"), (model, "lm_head_gather"),
@@ -274,7 +291,7 @@ class TestWidthsMeet:
         watched = Watched()
         state = watched.prefill(model, PROMPTS[:1], trie, beam_size=20, tags=["thinned"])
         state.beam_scores[:, 1:] = -np.inf
-        first_token = state.beam_tokens[0][0]
+        first_token = trie.nodes.prefix(state.beam_nodes[0, 0])
         watched.step(state)
         incoming = watched.prefill(model, PROMPTS[1:2], trie, beam_size=20, tags=["fresh"])
         assert (state.width, incoming.width) == (2, 7)
@@ -345,6 +362,60 @@ class TestSchedulerAndEngines:
             full = tiger.recommend(history, top_k=tiger.trie.num_items)
             assert ranking == backfill_items([i for i in full if i in candidates], 5, 21)
         assert max(watched.widths) == 3 and len(watched.widths) == 6  # two decodes
+
+
+class TestTigerBatchShape:
+    """The perf ledger's ``tiger_batch`` shape: 16 requests x 20 beams over
+    3 x 256 random codes, i.e. 320 hypotheses a step, every one a node id."""
+
+    @pytest.fixture(scope="class")
+    def tiger(self):
+        model = TIGER(build_random_index_set(400, 3, 256, np.random.default_rng(5)),
+                      TIGERConfig(dim=16, max_history=3, beam_size=20, seed=2))
+        rng = np.random.default_rng(9)
+        for param in model.parameters():  # untrained, but no two rows tie
+            param.data += (rng.standard_normal(param.shape) * 0.3).astype(np.float32)
+        model.eval()
+        return model
+
+    @pytest.fixture(scope="class")
+    def histories(self, tiger):
+        rng = np.random.default_rng(4)
+        return [list(rng.integers(0, tiger.trie.num_items, size=rng.integers(1, 4)))
+                for _ in range(16)]
+
+    def test_matches_recommend(self, tiger, histories, monkeypatch):
+        watched = Watched(monkeypatch.setattr)
+        watched.install(monkeypatch)
+        got = TIGEREngine(tiger).recommend_many(histories, top_k=20)
+        assert got == [tiger.recommend(history, top_k=20) for history in histories]
+        assert watched.widths == [20, 20]
+
+    def test_one_trie_gather_per_step_and_no_prefix_walks(self, tiger, histories, monkeypatch):
+        trie, engine = tiger.trie, TIGEREngine(tiger)
+        gathered = []
+        gather = trie.allowed_token_ids
+
+        def counting(nodes):
+            gathered.append(len(nodes))
+            return gather(nodes)
+
+        def per_prefix(*args):
+            raise AssertionError("the stepper walked a token prefix")
+
+        monkeypatch.setattr(trie, "allowed_token_ids", counting)
+        for name in ("allowed_tokens", "item_at", "contains_prefix"):
+            monkeypatch.setattr(trie, name, per_prefix)
+        state = decode_prefill(tiger, [engine.encode_history(h) for h in histories], trie,
+                               beam_size=20)
+        assert gathered == [1]  # the root, for every row at once
+        while not state.done:
+            calls = len(gathered)
+            decode_step(state)  # one gather, whether it forwards or finds every beam forced
+            assert len(gathered) == calls + 1
+        assert gathered == [1, 16 * 20, 16 * 20]
+        hypotheses = decode_finish(state)
+        assert [len(row) for row in hypotheses] == [20] * 16
 
 
 # ----------------------------------------------------------------------

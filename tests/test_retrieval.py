@@ -24,7 +24,6 @@ from repro.core.indexer import build_random_index_set
 from test_live_width import Watched, assert_same_hypotheses
 
 from repro.llm import beam_search_items_batched, decode_prefill, ranked_item_ids
-from repro.llm.generation import _narrow_positions
 from repro.quantization import IndexTrie
 from repro.retrieval import (
     ClusteredKNNConfig,
@@ -204,18 +203,22 @@ class TestSubtrie:
             trie.subtrie([])
 
 
-class TestNarrowPositions:
-    def test_maps_allowed_into_union(self):
-        union = np.array([2, 5, 9])
-        assert _narrow_positions(union, np.array([5, 9])).tolist() == [1, 2]
-        assert _narrow_positions(union, np.array([], dtype=np.int64)).tolist() == []
+class TestNarrowNodeMask:
+    """A narrowed row carries its subtrie as a node mask of the decode trie."""
 
-    def test_foreign_token_rejected(self):
-        union = np.array([2, 5, 9])
-        with pytest.raises(ValueError, match="narrow"):
-            _narrow_positions(union, np.array([6]))
-        with pytest.raises(ValueError, match="narrow"):
-            _narrow_positions(union, np.array([11]))
+    def test_marks_candidate_paths(self):
+        trie = IndexTrie({0: (10, 14), 1: (10, 15), 2: (11, 14), 3: (11, 16)})
+        table = trie.nodes
+        mask = table.path_mask(trie.subtrie([1, 3]).sequence_array())
+        assert mask.shape == (table.size,)
+        marked = {table.prefix(node) for node in np.flatnonzero(mask).tolist()}
+        assert marked == {(), (10,), (10, 15), (11,), (11, 16)}
+
+    def test_foreign_sequence_rejected(self):
+        trie = IndexTrie({0: (10, 14), 1: (10, 15)})
+        for foreign in ((10, 16), (12, 14)):  # an unknown leaf, an unknown first token
+            with pytest.raises(ValueError, match="narrow"):
+                trie.nodes.path_mask(IndexTrie({0: foreign}).sequence_array())
 
 
 def constrained_logprob(lm, prompt, sequence, trie):
@@ -386,7 +389,7 @@ class TestNarrowedDecodeParity:
             narrow=[chosen and engine.trie.subtrie(chosen) for chosen in candidates])
         finite = np.isfinite(state.beam_scores).sum(axis=1)
         assert finite[2] == 1 and finite[2] < finite.max() == state.width
-        assert state.beam_tokens[2][-1] == state.beam_tokens[2][0]
+        assert state.beam_nodes[2, -1] == state.beam_nodes[2, 0]
 
     @pytest.mark.parametrize("name", ["lcrec", "p5cid"])  # TIGER decodes do not join yet
     @pytest.mark.parametrize("ticks", [(0, 0, 1, 1), (1, 1, 0, 0), (0, 1, 1, 0)], ids=str)

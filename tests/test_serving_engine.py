@@ -213,7 +213,7 @@ class TestOneLevelPerStep:
         prefill_forwards = state.forwards
 
         def depths():
-            return [len(row[0]) for row in state.beam_tokens]
+            return state.row_depths().tolist()
 
         assert depths() == [1] * 4
         while not state.done:
@@ -421,12 +421,12 @@ class TestTIGEROnTheSharedStepper:
         engine = TIGEREngine(tiger)
         state, _, _ = self.drive(engine, histories[:5], top_k=3, beam_size=3)
         rest = [1, 3]
-        held = [(list(state.beam_tokens[row]), state.beam_scores[row].copy()) for row in rest]
+        held = [(state.beam_nodes[row].copy(), state.beam_scores[row].copy()) for row in rest]
         engine.retire(state, [0, 2, 4])
         assert state.num_rows == 2
         assert [cache.memory.prompt.batch_size for cache in state.caches] == [2, 2]
-        for row, (tokens, scores) in enumerate(held):
-            assert state.beam_tokens[row] == tokens
+        for row, (nodes, scores) in enumerate(held):
+            np.testing.assert_array_equal(state.beam_nodes[row], nodes)
             np.testing.assert_array_equal(state.beam_scores[row], scores)
         alone, _, _ = self.drive(engine, [histories[row] for row in rest], top_k=3, beam_size=3)
         for got, expected in zip(engine.finish(state), engine.finish(alone)):

@@ -216,6 +216,41 @@ class TestSparseDenseParity:
             assert_same_hypotheses(a, reference, rtol=1e-4, atol=1e-5)
             assert_same_hypotheses(b, reference, rtol=1e-4, atol=1e-5)
 
+    def test_prompt_buffers_are_sized_once(self):
+        # A prefix hit seeds part of the prompt region and forwards the rest:
+        # both land in one buffer exactly the prompt's width, so the forward
+        # copies nothing and a retirement gathers no spare columns.
+        model, trie = make_model(), make_trie()
+        cache = PrefixKVCache(min_prefix_len=2)
+        grown = [prompt + [8, 9] for prompt in MIXED_PROMPTS]
+        states = [
+            decode_prefill(model, prompts, trie, beam_size=6, prefix_cache=cache,
+                           tags=[tuple(p) for p in prompts])
+            for prompts in (MIXED_PROMPTS, grown)
+        ]
+        assert cache.stats.hits > 0  # the grown prompts' prefill seeded a prefix region
+        live, hit = states
+
+        def assert_exact(state):
+            width = state.prompt_pads.shape[1]
+            assert all(c.prompt.capacity == c.prompt.length == width for c in state.caches)
+
+        assert_exact(live)
+        assert_exact(hit)
+        decode_step(live)
+        decode_join(live, hit)
+        assert_exact(live)  # a joined prompt region is exact too
+        results = {}
+        while live.num_rows:
+            finished = live.finished_rows()
+            results.update(zip([live.tags[row] for row in finished], decode_retire(live, finished)))
+            if live.num_rows:
+                decode_step(live)
+        assert len(results) == 2 * len(MIXED_PROMPTS)
+        for prompt, got in results.items():
+            expected = beam_search_items_single(model, list(prompt), trie, beam_size=6)
+            assert_same_hypotheses(got, expected, rtol=1e-4, atol=1e-5)
+
     def test_lm_head_gather_matches_dense_columns(self):
         model = make_model()
         hidden = np.random.default_rng(3).standard_normal((5, 16)).astype(np.float32)

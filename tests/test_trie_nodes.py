@@ -1,0 +1,183 @@
+"""The compiled trie node table against a brute-force oracle.
+
+``IndexTrie.nodes`` is what the beam stepper reads instead of token
+prefixes: one id per prefix, children as id ranges, leaf -> item and
+sequence, one union-space mask table per level.  Every answer it gives is
+checked here against sets computed straight from the item sequences, on
+random tries (depth 1-4, unary chains, single items, 256-wide levels) and
+along chains of ``with_item`` snapshots — where a parent's answers must not
+move and a level union keeps its identity exactly when the new token was
+already in it.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.quantization import IndexTrie
+
+
+@st.composite
+def catalogs(draw, max_items=40):
+    """``{item_id: sequence}``: 1-4 levels of 1 (a unary chain), 2, 3 or 256 codes."""
+    depth = draw(st.integers(1, 4))
+    width = draw(st.sampled_from([1, 2, 3, 256]))
+    stride = draw(st.sampled_from([0, width]))  # 0: levels share token ids
+    codes = st.tuples(*[st.integers(0, width - 1)] * depth)
+    sequences = draw(st.lists(codes, min_size=1, max_size=max_items, unique=True))
+    items = draw(st.lists(st.integers(0, 10**6), min_size=len(sequences),
+                          max_size=len(sequences), unique=True))
+    return {item: tuple(5 + level * stride + code for level, code in enumerate(seq))
+            for item, seq in zip(items, sequences)}
+
+
+def prefixes_of(catalog):
+    """Every legal prefix, root included, sorted."""
+    return sorted({seq[:depth] for seq in catalog.values() for depth in range(len(seq) + 1)})
+
+
+def brute_children(catalog, prefix):
+    return sorted({seq[len(prefix)] for seq in catalog.values()
+                   if len(seq) > len(prefix) and seq[: len(prefix)] == prefix})
+
+
+def brute_candidates(catalog, prefixes):
+    """What ``allowed_token_ids`` means: the rows' levels' union, each row's mask."""
+    levels = {len(prefix) for prefix in prefixes}
+    union = sorted({seq[level] for seq in catalog.values() for level in levels
+                    if level < len(seq)})
+    mask = np.zeros((len(prefixes), len(union)), dtype=bool)
+    for row, prefix in enumerate(prefixes):
+        for token in brute_children(catalog, prefix):
+            mask[row, union.index(token)] = True
+    return union, mask
+
+
+def assert_matches_catalog(trie, catalog):
+    """Every node-table answer equals the brute-force one."""
+    table = trie.nodes
+    legal = prefixes_of(catalog)
+    assert table.num_real == len(legal)
+    assert sorted(table.prefix(node) for node in range(table.num_real)) == legal
+    depth = trie.num_levels
+    for prefix in legal:
+        node = table.node_of(prefix)
+        assert table.prefix(node) == prefix and table.depth[node] == len(prefix)
+        children = brute_children(catalog, prefix)
+        assert table.child_tokens(node).tolist() == children
+        assert table.num_children[node] == len(children)
+        ids = table.first_child[node] + np.arange(len(children))
+        assert [table.prefix(child) for child in ids.tolist()] == [
+            prefix + (token,) for token in children]
+        assert table.child(np.full(len(children), node), np.array(children, dtype=np.int64)
+                           ).tolist() == ids.tolist()
+        assert table.first_token[node] == (children[0] if children else -1)
+    leaves = table.level_start[depth]
+    for item, sequence in catalog.items():
+        leaf = table.node_of(sequence)
+        row = leaf - leaves
+        assert table.items[row] == item == trie.item_at(sequence)
+        assert table.sequences[row] == sequence
+        assert table.leaf_rows([item]).tolist() == [row]
+    for level in range(depth + 1):
+        assert table.unions[level] is trie._union_for_levels((level,))
+    # Illegal prefixes: the dead node of their depth, with nothing below it.
+    top = max(token for seq in catalog.values() for token in seq)
+    for prefix in ((top + 1,), (-1,), legal[-1][:-1] + (top + 7,)):
+        node = table.node_of(prefix)
+        assert node == table.num_real + len(prefix) and table.prefix(node) is None
+        assert table.depth[node] == len(prefix) and table.child_tokens(node).size == 0
+
+
+class TestNodeTable:
+    @settings(max_examples=60, deadline=None)
+    @given(catalog=catalogs())
+    def test_matches_brute_force(self, catalog):
+        assert_matches_catalog(IndexTrie(catalog), catalog)
+
+    @settings(max_examples=60, deadline=None)
+    @given(catalog=catalogs(), data=st.data())
+    def test_allowed_token_ids_over_mixed_levels(self, catalog, data):
+        trie = IndexTrie(catalog)
+        table = trie.nodes
+        top = max(token for seq in catalog.values() for token in seq)
+        pool = prefixes_of(catalog) + [(top + 1,), (top + 1, top + 1)[: trie.num_levels]]
+        batch = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+        nodes = np.array([table.node_of(prefix) for prefix in batch], dtype=np.int64)
+        union, mask = brute_candidates(catalog, batch)
+        for candidates in (trie.allowed_token_ids(nodes), trie.allowed_token_ids(batch)):
+            assert candidates.union.tolist() == union
+            np.testing.assert_array_equal(candidates.mask, mask)
+            assert [row.tolist() for row in candidates.per_row] == [
+                brute_children(catalog, prefix) for prefix in batch]
+        fanout = np.array([len(brute_children(catalog, prefix)) for prefix in batch])
+        alive = np.array(data.draw(st.lists(st.booleans(), min_size=len(batch),
+                                            max_size=len(batch))))
+        candidates = trie.allowed_token_ids(nodes)
+        assert candidates.is_forced() == bool((fanout == 1).all())
+        assert candidates.is_forced(alive) == bool(((fanout == 1) | ~alive).all())
+        forced = [brute_children(catalog, prefix)[:1] or [-3] for prefix in batch]
+        assert candidates.forced_tokens(pad_id=-3).tolist() == [ids[0] for ids in forced]
+
+    def test_single_item_and_unary_chain(self):
+        for catalog in ({7: (3,)}, {7: (3, 3, 3, 3)}, {1: (4, 5, 6), 2: (4, 5, 7)}):
+            trie = IndexTrie(catalog)
+            assert_matches_catalog(trie, catalog)
+            chain = trie.nodes.num_children[: trie.nodes.level_start[trie.num_levels - 1]]
+            assert (chain == 1).all()  # one child all the way down to the last split
+
+    def test_256_wide_levels(self):
+        catalog = {item: (item // 256, 256 + item % 256) for item in range(600)}
+        trie = IndexTrie(catalog)
+        assert_matches_catalog(trie, catalog)
+        assert [mask.shape for mask in trie.nodes.masks] == [(2, 3), (4, 256), (601, 0)]
+
+
+class TestSnapshotChains:
+    @settings(max_examples=40, deadline=None)
+    @given(catalog=catalogs(max_items=12), data=st.data())
+    def test_with_item_chain(self, catalog, data):
+        trie = IndexTrie(catalog)
+        depth = trie.num_levels
+        assert trie.nodes.num_real  # compiled before the first snapshot, like a serving trie
+        for _ in range(data.draw(st.integers(1, 4))):
+            # Per level: a token the level has, or one no level has yet.
+            new = max(token for seq in catalog.values() for token in seq) + 1
+            levels = [sorted({seq[level] for seq in catalog.values()}) + [new]
+                      for level in range(depth)]
+            taken = set(catalog.values())
+            sequence = data.draw(st.tuples(*map(st.sampled_from, levels)).filter(
+                lambda seq: seq not in taken))
+            item = max(catalog) + 1
+            before = [trie.level_union(level) for level in range(depth)]
+            snapshot = trie.with_item(item, sequence)
+            # The parent answers exactly as before: it is what pinned decodes read.
+            assert_matches_catalog(trie, catalog)
+            catalog = {**catalog, item: sequence}
+            assert_matches_catalog(snapshot, catalog)
+            for level, union in enumerate(before):
+                kept = sequence[level] in set(union.tolist())
+                assert (snapshot.level_union(level) is union) == kept
+                assert snapshot.nodes.unions[level] is snapshot.level_union(level)
+            trie = snapshot
+
+    def test_add_item_recompiles(self):
+        trie = IndexTrie({0: (10, 20), 1: (10, 21)})
+        old = trie.nodes
+        trie.add_item(2, (11, 20))
+        assert trie.nodes is not old
+        assert_matches_catalog(trie, {0: (10, 20), 1: (10, 21), 2: (11, 20)})
+
+
+class TestSubtrie:
+    @settings(max_examples=40, deadline=None)
+    @given(catalog=catalogs(), data=st.data())
+    def test_subtrie_through_the_item_map(self, catalog, data):
+        trie = IndexTrie(catalog)
+        chosen = data.draw(st.lists(st.sampled_from(sorted(catalog)), min_size=1))
+        subtrie = trie.subtrie(chosen)
+        assert subtrie.all_sequences() == {item: catalog[item] for item in chosen}
+        mask = trie.nodes.path_mask(subtrie.sequence_array())
+        on_paths = {seq[:level] for item in chosen for level in range(trie.num_levels + 1)
+                    for seq in (catalog[item],)}
+        assert {trie.nodes.prefix(node) for node in np.flatnonzero(mask).tolist()} == on_paths
