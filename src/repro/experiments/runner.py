@@ -147,7 +147,6 @@ class _BackendRuntime:
     name: str
     model: object
     dataset: object
-    supports_continuous: bool
     supports_language: bool
     _fallback: object = field(default=None, repr=False)
 
@@ -210,7 +209,6 @@ def _build_backend(spec, dataset, scale, seed: int, model=None) -> _BackendRunti
         name=spec.name,
         model=model,
         dataset=dataset,
-        supports_continuous=spec.name != "tiger",
         supports_language=spec.name == "lcrec",
     )
 
@@ -275,13 +273,6 @@ class ExperimentRunner:
         return self._runtimes[key]
 
     # -- cell plumbing -------------------------------------------------
-    def _cell_mode(self, plan: ScenarioPlan, runtimes: list[_BackendRuntime]) -> str:
-        if self.config.mode == "continuous" and all(
-            runtime.supports_continuous for runtime in runtimes
-        ):
-            return "continuous"
-        return "deadline"
-
     def _fleet_order(self, plan: ScenarioPlan, cell_runtime):
         """Runtimes behind this cell's cluster, worker 0 first."""
         if plan.kind != "mixed_fleet":
@@ -295,7 +286,8 @@ class ExperimentRunner:
         """The scenario's client plus per-cell context for the record."""
         batcher = MicroBatcherConfig(max_batch_size=self.config.batch_width)
         fallback = runtime.make_fallback() if plan.use_fallback else None
-        context: dict = {}
+        mode = self.config.mode
+        context: dict = {"mode": mode}
         if plan.client == "service":
             if plan.kind == "catalog_churn":
                 catalog = runtime.model.live_catalog(retrieval=True)
@@ -308,7 +300,6 @@ class ExperimentRunner:
                 context["catalog"] = catalog
             else:
                 engine = runtime.make_engine(plan.prefix_cache)
-            mode = self._cell_mode(plan, [runtime])
             client = RecommendationService(
                 engine,
                 batcher=batcher,
@@ -318,7 +309,6 @@ class ExperimentRunner:
             )
         else:
             fleet = self._fleet_order(plan, runtime)
-            mode = self._cell_mode(plan, fleet)
             workers = plan.num_workers
             cursor = iter(range(10**9))
 
@@ -336,7 +326,6 @@ class ExperimentRunner:
             )
             if plan.kind == "mixed_fleet":
                 context["fleet"] = [fleet[worker % len(fleet)].name for worker in range(workers)]
-        context["mode"] = mode
         return client, context
 
     # -- event replay --------------------------------------------------
@@ -428,15 +417,13 @@ class ExperimentRunner:
                     {"event": event, "ranking": None, "shed": getattr(exc, "reason", "shed")}
                 )
                 continue
-            reason = None
-            if getattr(handle, "degraded", False):
-                # PendingRecommendation spells it degraded_reason; the
-                # front door's DegradedRecommendation spells it reason.
-                reason = getattr(handle, "degraded_reason", None) or getattr(
-                    handle, "reason", None
-                )
             outcomes.append(
-                {"event": event, "ranking": ranking, "shed": None, "degraded_reason": reason}
+                {
+                    "event": event,
+                    "ranking": ranking,
+                    "shed": None,
+                    "degraded_reason": handle.degraded_reason,
+                }
             )
         return {"outcomes": outcomes, "latencies": latencies, "wall_s": wall_s}
 

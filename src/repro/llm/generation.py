@@ -441,16 +441,16 @@ class DecodeState:
 
     ``narrow`` holds one entry per row, following it through joins and
     retirements like ``tags``: ``None`` decodes the full trie, a node mask
-    of the decode trie (:meth:`TrieNodes.path_mask` of a candidate
-    subtrie, :meth:`IndexTrie.subtrie`) restricts that row's beam
-    *selection* while scores keep renormalising over the full trie —
-    tokens outside the subtrie are set to ``-inf`` *after* the constrained
-    log-softmax, so the surviving hypotheses carry exactly the scores a
-    full decode would give them and the row's ranking over its candidate
-    set is identical to a full decode filtered post hoc.  Rows narrowed to
-    different sets (and un-narrowed rows) share one decode.  A step with a
-    narrowed row also shrinks the gathered candidate union to the alive
-    rows' allowed sets — fewer output-head columns.
+    of the decode trie (:meth:`TrieNodes.path_mask` of the row's candidate
+    items) restricts that row's beam *selection* while scores keep
+    renormalising over the full trie — tokens off the candidate paths are
+    set to ``-inf`` *after* the constrained log-softmax, so the surviving
+    hypotheses carry exactly the scores a full decode would give them and
+    the row's ranking over its candidate set is identical to a full decode
+    filtered post hoc.  Rows narrowed to different sets (and un-narrowed
+    rows) share one decode.  A step with a narrowed row also shrinks the
+    gathered candidate union to the alive rows' allowed sets — fewer
+    output-head columns.
 
     ``forwards`` counts the transformer forwards this state has run (the
     prompt phase's own count, steps, pending flushes) — the forced fast
@@ -536,7 +536,7 @@ def decode_prefill(
     pad_id: int = 0,
     prefix_cache: PrefixKVCache | None = None,
     tags: Sequence[object] | None = None,
-    narrow: IndexTrie | Sequence[IndexTrie | None] | None = None,
+    narrow: Sequence[Sequence[int] | None] | None = None,
 ) -> DecodeState:
     """Run the prompt phase and level-0 beam expansion for ``prompts``.
 
@@ -547,26 +547,23 @@ def decode_prefill(
     optionally attaches one opaque object per prompt (defaults to the
     prompt's position).  Logits are computed for the trie's candidate
     union only — see the module docstring.  ``narrow`` optionally
-    restricts beam selection to candidate subtries of ``trie`` (see
-    :class:`DecodeState`) — one for every prompt, or one per prompt with
-    ``None`` for a full-trie row: each row's ranking over its candidate
-    set matches a full decode filtered post hoc.
+    restricts beam selection to candidate items of ``trie`` (see
+    :class:`DecodeState`): one item-id sequence per prompt, ``None`` for a
+    full-trie row.  Each row's ranking over its candidate set matches a
+    full decode filtered post hoc.
     """
     if beam_size < 1:
         raise ValueError("beam_size must be positive")
     prompts = [list(map(int, p)) for p in prompts]
     if not prompts:
         raise ValueError("need at least one prompt")
-    if narrow is None or isinstance(narrow, IndexTrie):
-        narrow = [narrow] * len(prompts)
+    table = trie.nodes
+    if narrow is None:
+        narrow = [None] * len(prompts)
     elif len(narrow) != len(prompts):
         raise ValueError("narrow must match prompts one-to-one")
-    for subtrie in narrow:
-        if subtrie is not None and subtrie.num_levels != trie.num_levels:
-            raise ValueError(
-                f"narrow trie depth {subtrie.num_levels} does not match "
-                f"decode trie depth {trie.num_levels}"
-            )
+    else:
+        narrow = [None if items is None else table.path_mask(items) for items in narrow]
     for row, prompt in enumerate(prompts):
         if not prompt:
             raise ValueError(f"prompt {row} is empty: every request needs at least one token")
@@ -597,7 +594,6 @@ def decode_prefill(
 
         # Level 0: expand every prompt to its top-K legal first tokens
         # under the constrained (renormalised-over-legal) distribution.
-        table = trie.nodes
         root = trie.allowed_token_ids(np.zeros(1, dtype=np.int64))  # the root's node
         logits = model.lm_head_gather(hidden, root.union, workspace=workspace)
         scores = masked_log_softmax(logits, root.mask)  # (B, U)
@@ -608,7 +604,6 @@ def decode_prefill(
         # with the most selectable first tokens; a row with fewer carries
         # -inf filler repeating its first token, like a joined thin row.
         width = root.num_candidates
-        narrow = [None if sub is None else table.path_mask(sub.sequence_array()) for sub in narrow]
         if any(mask is not None for mask in narrow):
             everything = np.ones(width, dtype=bool)
             keep = np.stack([everything if mask is None else mask[first_nodes] for mask in narrow])
@@ -946,7 +941,6 @@ def beam_search_items_batched(
     beam_size: int = 20,
     pad_id: int = 0,
     prefix_cache: PrefixKVCache | None = None,
-    narrow: IndexTrie | None = None,
 ) -> list[list[BeamHypothesis]]:
     """Batched trie-constrained beam search (the serving engine).
 
@@ -985,7 +979,6 @@ def beam_search_items_batched(
         beam_size=beam_size,
         pad_id=pad_id,
         prefix_cache=prefix_cache,
-        narrow=narrow,
     )
     while not state.done:
         decode_step(state)

@@ -21,14 +21,12 @@ id per hypothesis and every per-hypothesis query is an array gather.
 
 :meth:`IndexTrie.add_item` mutates in place and :meth:`IndexTrie.with_item`
 produces a copy-on-write snapshot; either way the node table is rebuilt
-lazily, on the first decode that reads it.  Per-prefix allowed arrays and
-level unions are returned read-only and with a stable identity, which
-downstream weight-gather caches key on: an insertion that does not change
-a level's candidate union keeps that union's identity, so those caches stay
-warm.  Snapshots share per-prefix child arrays and memoized unions with
-their parent, so shared structures are never mutated after publication: an
-insertion *replaces* a changed prefix's child array instead of updating it
-in place.
+lazily, on the first decode that reads it.  Level unions are returned
+read-only and with a stable identity, which the gathered output-head memo
+keys on: an insertion that does not change a level's candidate union keeps
+that union's identity, so the memo stays warm across a catalog swap.
+Snapshots share memoized unions with their parent and never mutate them:
+an insertion that extends a union drops it instead.
 """
 
 from __future__ import annotations
@@ -183,15 +181,6 @@ class TrieNodes:
         start = self.first_child[node]
         return self.token[start : start + self.num_children[node]]
 
-    def children_by_prefix(self) -> dict[tuple[int, ...], np.ndarray]:
-        """Every prefix that has children -> :meth:`child_tokens` of its node."""
-        rows, depth = self._first_row.tolist(), self.depth.tolist()
-        starts, ends = self.first_child.tolist(), (self.first_child + self.num_children).tolist()
-        return {
-            self.sequences[rows[node]][: depth[node]]: self.token[starts[node] : ends[node]]
-            for node in range(self.level_start[-2])  # every node above the leaves
-        }
-
     def expand(self, nodes: np.ndarray, alive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every child of the ``alive`` entries of ``nodes``: ``(row, child node)`` pairs.
 
@@ -213,21 +202,26 @@ class TrieNodes:
             raise KeyError(f"item {item} has no index sequence in this trie")
         return self._item_order[pos]
 
-    def path_mask(self, sequences: np.ndarray) -> np.ndarray:
-        """Bool over node ids: True on every prefix of the given full sequences.
+    def path_mask(self, item_ids: Sequence[int]) -> np.ndarray:
+        """Bool over node ids: True on every prefix of the given items' sequences.
 
-        The node form of a subtrie (candidate narrowing): a decode keeps a
-        hypothesis selectable iff its node is on one of these paths.
-        Raises ``ValueError`` if a sequence is not an item of this trie.
+        A candidate-narrowed decode row keeps a hypothesis selectable iff
+        its node is on one of these paths: the items' leaves, then their
+        ancestors up to the root.  Raises ``KeyError`` for an id with no
+        leaf and ``ValueError`` for no ids.
         """
+        nodes = self.level_start[-2] + self.leaf_rows(item_ids)
+        if not nodes.size:
+            raise ValueError("a narrowed row needs at least one candidate item")
+        # Every prefix above the leaves has children, numbered in its id
+        # order, so a node's parent is the last inner node whose first child
+        # is at or before it.
+        inner_first_child = self.first_child[: self.level_start[-2]]
         mask = np.zeros(self.size, dtype=bool)
-        nodes = np.zeros(sequences.shape[0], dtype=np.int64)
-        mask[0] = True
-        for d in range(self.num_levels):
-            nodes = self.child(nodes, sequences[:, d])
+        for _ in range(self.num_levels):
             mask[nodes] = True
-        if (nodes >= self.num_real).any():
-            raise ValueError("narrow trie allows tokens the full trie does not")
+            nodes = inner_first_child.searchsorted(nodes, side="right") - 1
+        mask[0] = True
         return mask
 
 
@@ -303,9 +297,8 @@ class IndexTrie:
         self.max_token_id = max(max(seq) for seq in self._leaf_to_item)
         self._level_unions: dict[tuple[int, ...], np.ndarray] = {}
         # Derived on first use, so a trie built only to be read as a set of
-        # sequences (a narrowing subtrie) costs its validation loop alone.
+        # sequences (a subtrie) costs its validation loop alone.
         self._nodes: TrieNodes | None = None
-        self._children: dict[tuple[int, ...], np.ndarray] | None = None
 
     @property
     def nodes(self) -> TrieNodes:
@@ -321,18 +314,6 @@ class IndexTrie:
         if table is None:
             table = self._nodes = TrieNodes(self._leaf_to_item, self.num_levels, self._level_unions)
         return table
-
-    def _child_arrays(self) -> dict[tuple[int, ...], np.ndarray]:
-        """prefix -> sorted, read-only child tokens.
-
-        With ``_leaf_to_item`` the state a snapshot updates: a snapshot
-        copies this map and replaces only the entries its insertion
-        changes, which is how unchanged prefixes keep their arrays.
-        """
-        children = self._children
-        if children is None:
-            children = self._children = self.nodes.children_by_prefix()
-        return children
 
     # ------------------------------------------------------------------
     # Mutation
@@ -351,23 +332,14 @@ class IndexTrie:
         return sequence
 
     def _insert(self, item_id: int, sequence: tuple[int, ...]) -> None:
-        """Insert ``sequence``, replacing (never mutating) changed child arrays.
+        """Insert ``sequence`` into the leaf map and drop the node table.
 
-        A snapshot (:meth:`with_item`) shares child arrays with its parent,
-        so a prefix gaining a child gets a new array; unchanged prefixes
-        keep their array's identity.  Level unions survive iff the inserted
-        token was already in them, and the node table is dropped.
+        Level unions survive iff the inserted token was already in them: a
+        snapshot (:meth:`with_item`) shares them with its parent, so a
+        union the insertion extends is dropped, never mutated.
         """
-        child_arrays = self._child_arrays()
         self._leaf_to_item[sequence] = item_id
         for depth, token in enumerate(sequence):
-            prefix = sequence[:depth]
-            children = child_arrays.get(prefix, _EMPTY)
-            pos = int(children.searchsorted(token))
-            if pos < children.shape[0] and int(children[pos]) == token:
-                continue
-            grown = np.concatenate([children[:pos], [token], children[pos:]])
-            child_arrays[prefix] = _frozen(grown)
             union = self._level_unions.get((depth,))
             if union is not None:
                 pos = int(union.searchsorted(token))
@@ -383,12 +355,11 @@ class IndexTrie:
         """Insert one more item's index sequence (catalog growth), in place.
 
         The sequence must have the trie's depth and be unused.  Only the
-        child arrays along the inserted path and the level unions the new
-        tokens actually extend are rebuilt (``O(levels)`` work, so growing
-        a catalog item by item stays linear); the node table is rebuilt on
-        next use, so node ids handed out before do not carry over.  For a
-        publication-safe variant that leaves ``self`` untouched — what a
-        trie with decodes in flight needs — see :meth:`with_item`.
+        level unions the new tokens actually extend are dropped; the node
+        table is rebuilt on next use, so node ids handed out before do not
+        carry over.  For a publication-safe variant that leaves ``self``
+        untouched — what a trie with decodes in flight needs — see
+        :meth:`with_item`.
         """
         sequence = self._validated_new_sequence(item_id, sequence)
         self._insert(item_id, sequence)
@@ -398,17 +369,15 @@ class IndexTrie:
 
         ``self`` is left completely untouched — in-flight decodes pinned
         to it keep decoding against exactly the catalog they started with
-        — while the snapshot shares every unchanged structure with its
-        parent, *including identities*: child arrays and level unions the
-        insertion does not change are the same array objects, so
-        downstream gathered-weight caches keyed on them stay warm across a
-        catalog version swap.  The snapshot compiles its own node table
-        lazily, on the first decode against it, so publishing stays cheap.
+        — while the snapshot keeps every level union the insertion does
+        not change as the same array object, so the gathered output-head
+        memo keyed on it stays warm across a catalog version swap.  The
+        snapshot compiles its own node table lazily, on the first decode
+        against it, so publishing copies only the leaf map.
         """
         sequence = self._validated_new_sequence(item_id, sequence)
         clone = IndexTrie.__new__(IndexTrie)
         clone.num_levels = self.num_levels
-        clone._children = dict(self._child_arrays())
         clone._leaf_to_item = dict(self._leaf_to_item)
         clone._level_unions = dict(self._level_unions)
         clone.max_token_id = self.max_token_id
@@ -420,8 +389,8 @@ class IndexTrie:
     # ------------------------------------------------------------------
     def allowed_tokens(self, prefix: tuple[int, ...]) -> np.ndarray:
         """Token ids that legally extend ``prefix`` (empty array if none)."""
-        prefix = tuple(int(t) for t in prefix)
-        return self._child_arrays().get(prefix, _EMPTY)
+        table = self.nodes
+        return table.child_tokens(table.node_of(prefix))
 
     def allowed_token_mask(
         self, prefixes: list[tuple[int, ...]], vocab_size: int
@@ -523,10 +492,8 @@ class IndexTrie:
             raise KeyError(f"no item with index sequence {sequence}") from None
 
     def contains_prefix(self, prefix: tuple[int, ...]) -> bool:
-        prefix = tuple(int(t) for t in prefix)
-        if len(prefix) == self.num_levels:
-            return prefix in self._leaf_to_item
-        return prefix in self._child_arrays() or prefix == ()
+        table = self.nodes
+        return table.node_of(prefix) < table.num_real
 
     def items_under_prefix(self, prefix: tuple[int, ...]) -> list[int]:
         """All item ids whose index starts with ``prefix``."""
@@ -543,23 +510,17 @@ class IndexTrie:
         """item_id -> token sequence (a copy)."""
         return {item: seq for seq, item in self._leaf_to_item.items()}
 
-    def sequence_array(self) -> np.ndarray:
-        """Every item's sequence as an ``(items, levels)`` int array, in no set order."""
-        return np.array(list(self._leaf_to_item), dtype=np.int64).reshape(-1, self.num_levels)
-
     def subtrie(self, item_ids: "Sequence[int]") -> "IndexTrie":
-        """A new trie over the given items' sequences only (candidate narrowing).
+        """A new trie over the given items' sequences only.
 
-        The retrieval tier hands the decoder a candidate set; a subtrie
-        built from exactly those items is the *selection* constraint of a
-        narrowed decode (see ``repro.llm.decode_prefill``'s ``narrow``
-        parameter — scoring still renormalises over this full trie, so
-        narrowing never changes how the surviving candidates rank).  The
-        items are looked up through the node table's item → leaf map, so
-        the cost is the candidate set's, not the catalog's.  The subtrie is
-        independent of its parent: mutating either afterwards does not
-        affect the other.  Raises ``KeyError`` for ids not in the trie and
-        ``ValueError`` for an empty candidate set.
+        A narrowed decode does not need one: ``repro.llm.decode_prefill``
+        marks a row's candidate paths in this trie's node table
+        (:meth:`TrieNodes.path_mask`).  The items are looked up through the
+        node table's item → leaf map, so the cost is the candidate set's,
+        not the catalog's.  The subtrie is independent of its parent:
+        mutating either afterwards does not affect the other.  Raises
+        ``KeyError`` for ids not in the trie and ``ValueError`` for an
+        empty candidate set.
         """
         item_ids = [int(item) for item in item_ids]
         if not item_ids:

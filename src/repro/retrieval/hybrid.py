@@ -2,13 +2,13 @@
 
 The two lanes of the serving stack meet here.  For each history the
 retrieval tier proposes ``num_candidates`` items in microseconds; the
-generative engine then decodes over a *narrowed* trie built from exactly
-those candidates (:meth:`GenerativeEngine.narrowed`), so the sparse
-output head gathers only candidate-path token unions — a smaller GEMM
-per step — while the constrained log-softmax keeps renormalising over
-the full trie.  The decode therefore ranks the candidate set exactly as
-a full decode would (the parity the test battery and the hybrid bench
-both assert); what changes is only the work.
+generative engine then decodes each history narrowed to exactly those
+candidates (the request's ``narrow_items``, one node mask of the decode
+trie per row), so the sparse output head gathers only candidate-path
+token unions — a smaller GEMM per step — while the constrained
+log-softmax keeps renormalising over the full trie.  The decode therefore
+ranks the candidate set exactly as a full decode would (the parity the
+test battery asserts); what changes is only the work.
 
 Cold-start histories — empty, or containing no item the retrieval index
 knows — skip the LLM entirely and return the retrieval tier's
@@ -80,36 +80,40 @@ class HybridRecommender:
     ) -> list[list[int]]:
         """Ranked item ids per history: decode-ranked candidates, backfilled.
 
-        Histories sharing one candidate set decode together in one
-        narrowed batch; candidates beyond what the decode surfaces (and,
-        after them, the retrieval ranking) backfill to ``top_k``.
+        Each history with candidates becomes a request stamped with them
+        (``narrow_items``), exactly as the serving lane stamps a submit,
+        and all of them share one decode; candidates beyond what the
+        decode surfaces (and, after them, the retrieval ranking) backfill
+        to ``top_k``.
         """
+        from ..serving.queue import RecommendRequest
+
         if top_k < 1:
             raise ValueError("top_k must be positive")
-        results: list[list[int] | None] = [None] * len(histories)
-        groups: dict[tuple[int, ...], list[int]] = {}
-        row_candidates: list[list[int]] = []
+        engine = self.engine
+        results: list[list[int]] = [[] for _ in histories]
+        rows, requests = [], []
         for row, history in enumerate(histories):
-            if self.retriever.profile(history) is None:
-                # Cold start: the decoder has no history signal either.
-                results[row] = self.retriever.recommend(history, top_k)
-                row_candidates.append([])
-                continue
-            candidates = self.candidates(history, top_k)
-            row_candidates.append(candidates)
+            # Cold start (no profile): the decoder has no history signal either.
+            warm = self.retriever.profile(history) is not None
+            candidates = self.candidates(history, top_k) if warm else []
             if not candidates:
                 results[row] = self.retriever.recommend(history, top_k)
                 continue
-            groups.setdefault(tuple(candidates), []).append(row)
-        for candidate_key, rows in groups.items():
-            narrowed = self.engine.narrowed(candidate_key)
-            ranked_lists = narrowed.recommend_many(
-                [histories[row] for row in rows],
-                top_k=min(top_k, len(candidate_key)),
+            rows.append(row)
+            requests.append(
+                RecommendRequest(
+                    prompt_ids=engine.encode_history(list(history)),
+                    top_k=top_k,
+                    beam_size=engine.request_beam_size(top_k),
+                    narrow_items=tuple(int(item) for item in candidates),
+                )
             )
-            for row, ranked in zip(rows, ranked_lists):
-                results[row] = self.backfill(ranked, row_candidates[row], top_k)
-        return [result if result is not None else [] for result in results]
+        if requests:
+            rankings = engine.finalize(requests, engine.decode(requests))
+            for row, request, ranked in zip(rows, requests, rankings):
+                results[row] = self.backfill(ranked, list(request.narrow_items), top_k)
+        return results
 
     def backfill(self, ranked: list[int], candidates: list[int], top_k: int) -> list[int]:
         """Extend a short decode ranking from the retrieval order.

@@ -12,9 +12,10 @@ all share, so callers are *mode-agnostic*:
   thread) and :class:`repro.serving.ServingCluster` (N workers behind an
   affinity router); swapping one for the other changes no caller code.
 * :class:`RecommendationHandle` — the future-style result protocol
-  (``request_id``, ``done``, ``result(timeout)``, ``degraded``).  The
-  service's :class:`repro.serving.PendingRecommendation` satisfies it, as
-  do :class:`RejectedRecommendation`, the pre-failed handle admission
+  (``request_id``, ``done``, ``result(timeout)``, ``degraded``,
+  ``degraded_reason``).  The service's
+  :class:`repro.serving.PendingRecommendation` satisfies it, as do
+  :class:`RejectedRecommendation`, the pre-failed handle admission
   control returns instead of raising at the submit site, and
   :class:`DegradedRecommendation`, the pre-served handle the retrieval
   fast lane returns.
@@ -100,6 +101,8 @@ class RecommendationHandle(Protocol):
     start); it never flips after the handle resolves.  Degraded results
     are always flagged — a caller can rely on ``degraded`` being False
     to mean "this ranking came out of the constrained decoder".
+    ``degraded_reason`` says why the fast lane fired (``None`` when it
+    did not).
     """
 
     @property
@@ -110,6 +113,9 @@ class RecommendationHandle(Protocol):
 
     @property
     def degraded(self) -> bool: ...
+
+    @property
+    def degraded_reason(self) -> str | None: ...
 
     def result(self, timeout: float | None = None) -> list[int]: ...
 
@@ -140,6 +146,10 @@ class RejectedRecommendation:
         """A rejection serves nothing, degraded or otherwise."""
         return False
 
+    @property
+    def degraded_reason(self) -> None:
+        return None
+
     def result(self, timeout: float | None = None) -> list[int]:
         raise self._error
 
@@ -150,16 +160,16 @@ class DegradedRecommendation:
     Returned when admission control would have shed the request but a
     :class:`FallbackRecommender` is configured: the front door answers
     from retrieval immediately instead of queueing (or rejecting), and
-    the handle is already resolved.  ``degraded`` is True and ``reason``
-    says why the fast lane fired (``"queue_full"`` — every admissible
-    backlog was at its bound; ``"cold_start"`` — the history carries no
-    signal the LLM lane could use), so degraded results can never
-    masquerade as LLM-quality ones.
+    the handle is already resolved.  ``degraded`` is True and
+    ``degraded_reason`` says why the fast lane fired (``"queue_full"`` —
+    every admissible backlog was at its bound; ``"cold_start"`` — the
+    history carries no signal the LLM lane could use), so degraded results
+    can never masquerade as LLM-quality ones.
     """
 
-    def __init__(self, items: Sequence[int], reason: str, request_id: int = -1):
+    def __init__(self, items: Sequence[int], degraded_reason: str, request_id: int = -1):
         self._items = [int(item) for item in items]
-        self.reason = reason
+        self.degraded_reason = degraded_reason
         self._request_id = request_id
 
     @property

@@ -29,7 +29,7 @@ fronts them with three policies:
   requests are *served* from the retrieval fast lane instead — handles
   resolve with ``degraded=True`` rather than failing — and empty
   histories short-circuit to the fallback at the front door
-  (``reason="cold_start"``) without costing a decode slot.
+  (``degraded_reason="cold_start"``) without costing a decode slot.
 
 The cluster speaks the same :class:`repro.serving.RecommendationClient`
 surface as the single-process service — ``submit(...) -> handle`` /
@@ -152,9 +152,7 @@ class ServingCluster(RecommendationClient):
     num_workers:
         Fleet size (decode threads once started).
     batcher / deadline_ms / mode:
-        Forwarded to every worker's ``RecommendationService`` unchanged;
-        ``mode="continuous"`` requires an engine with
-        ``supports_continuous``, exactly as for a single service.
+        Forwarded to every worker's ``RecommendationService`` unchanged.
     max_backlog:
         Per-worker admission bound on undelivered requests (queued plus
         in-decode).  ``None`` disables shedding at the front door (pure
@@ -166,15 +164,15 @@ class ServingCluster(RecommendationClient):
         saturation at the front door, per-worker queue overflow, or
         deadline expiry) are served from it with ``degraded=True``
         handles, and empty histories are answered from it immediately
-        (``reason="cold_start"``) without consuming a decode slot.
+        (``degraded_reason="cold_start"``) without consuming a decode slot.
         Intention/instruction submits keep plain rejections.  The object
         must be thread-safe for concurrent reads —
         :class:`repro.retrieval.RetrievalRecommender` is.
     hybrid:
         Optional :class:`repro.retrieval.HybridRecommender`, forwarded to
-        every worker service: history submits decode over a
-        retrieval-narrowed candidate subtrie (or are answered from
-        retrieval outright on cold start), with rankings identical to
+        every worker service: history submits decode narrowed to their
+        retrieval candidates (or are answered from retrieval outright on
+        cold start), with rankings identical to
         :meth:`HybridRecommender.recommend`.  One shared object serves
         the whole fleet — workers use only its retrieval tier and
         backfill rule, never its engine — so its candidate sets stay

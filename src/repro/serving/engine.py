@@ -16,9 +16,8 @@ contract the batched trie-constrained beam search exposes —
   the final level, and :meth:`GenerativeEngine.finish` harvests everything
   (the one-shot :meth:`GenerativeEngine.decode`; the scheduler only retires)
 
-— plus capability flags (``supports_continuous``, ``supports_prefix_cache``,
-``num_levels``) the service uses to pick an admission policy, and the
-request-shaping hooks (``encode_history``,
+— plus capability flags (``supports_prefix_cache``, ``supports_narrowing``,
+``num_levels``) and the request-shaping hooks (``encode_history``,
 ``request_beam_size``, ``effective_len``, ``finalize``) that keep
 model-specific text rendering, beam policy and ranking post-processing out
 of the service.
@@ -28,12 +27,15 @@ Three adapters ship with the repo, all on one stepper
 over a :class:`repro.llm.generation.Scorer`):
 
 ====================  ================================================  ==========
-adapter               scorer                                            continuous
+adapter               scorer                                            joins
 ====================  ================================================  ==========
 :class:`LCRecEngine`  decoder-only :class:`~repro.llm.TinyLlama`        yes
 :class:`P5CIDEngine`  decoder-only :class:`~repro.llm.TinyLlama`        yes
 :class:`TIGEREngine`  encoder-decoder :class:`~repro.baselines.TIGER`   not yet
 ====================  ================================================  ==========
+
+Every adapter serves every mode: one that cannot join (``can_join`` is
+``False``) is served in closed cohorts by the same scheduler.
 
 Every adapter is ranking-preserving: batching is a cost optimisation, never
 an approximation, and the parity suites pin each adapter to its
@@ -127,12 +129,6 @@ class GenerativeEngine(abc.ABC):
 
     Capability flags
     ----------------
-    ``supports_continuous``
-        Whether :meth:`join`/:meth:`can_join` implement level-boundary
-        admission, so a service may be built with ``mode="continuous"``.
-        An engine without it still serves through the same scheduler:
-        :meth:`can_join` answers ``False``, so every admission waits for
-        an idle decode — closed batches.
     ``supports_prefix_cache``
         Whether the engine can seed prompt K/V from a shared
         :class:`repro.llm.PrefixKVCache` (``prefix_cache`` is then not
@@ -145,11 +141,11 @@ class GenerativeEngine(abc.ABC):
         What :class:`repro.serving.ServingCluster` calls to provision one
         engine per worker thread without cloning the weights.
     ``supports_narrowing``
-        Whether :meth:`narrowed` can restrict decoding to a candidate
-        item set (retrieval-narrowed decode): beam *selection* is limited
-        to the candidates' index sequences while scores keep renormalising
-        over the full trie, so the ranking over the candidate set is
-        identical to a full decode filtered post hoc.
+        Whether :meth:`prefill` restricts each request's decode to its
+        ``narrow_items`` (retrieval-narrowed decode): beam *selection* is
+        limited to the candidates' index sequences while scores keep
+        renormalising over the full trie, so the ranking over the candidate
+        set is identical to a full decode filtered post hoc.
     ``num_levels``
         Trie depth — :meth:`prefill` performs the level-0 expansion, so a
         freshly prefilled request needs ``num_levels - 1`` further
@@ -158,11 +154,9 @@ class GenerativeEngine(abc.ABC):
     """
 
     name: str = "engine"
-    supports_continuous: bool = False
     supports_prefix_cache: bool = False
     supports_replication: bool = False
     supports_narrowing: bool = False
-    narrow: IndexTrie | None = None
     prefix_cache: PrefixKVCache | None = None
     default_beam_size: int = 20
 
@@ -224,21 +218,6 @@ class GenerativeEngine(abc.ABC):
         """
         raise NotImplementedError(f"{type(self).__name__} does not support replication")
 
-    def narrowed(self, item_ids: Sequence[int]) -> "GenerativeEngine":
-        """An engine copy whose decode is restricted to ``item_ids``.
-
-        The hybrid retrieval tier calls this with the retrieved candidate
-        set before constrained decode: the copy shares weights, trie and
-        prefix cache with the original but carries a candidate subtrie
-        (:meth:`repro.quantization.IndexTrie.subtrie`) as its beam
-        *selection* constraint.  Scoring still renormalises over the full
-        trie, so the candidates rank exactly as they would in a full
-        decode — narrowing only skips the work (and the beam slots) of
-        non-candidate paths.  Only engines with ``supports_narrowing``
-        implement this.
-        """
-        raise NotImplementedError(f"{type(self).__name__} does not support candidate narrowing")
-
     # ------------------------------------------------------------------
     # Request encoding
     # ------------------------------------------------------------------
@@ -272,7 +251,7 @@ class GenerativeEngine(abc.ABC):
 
     def join(self, state: EngineState, incoming: EngineState) -> None:
         """Merge freshly prefilled rows into a live state (admission)."""
-        raise NotImplementedError(f"{type(self).__name__} does not support continuous batching")
+        raise NotImplementedError(f"{type(self).__name__} cannot join a live decode")
 
     @abc.abstractmethod
     def retire(self, state: EngineState, rows: Sequence[int]) -> list[list[BeamHypothesis]]:
@@ -394,7 +373,6 @@ class TrieDecoderEngine(GenerativeEngine):
     how rankings are post-processed.
     """
 
-    supports_continuous = True
     supports_prefix_cache = True
     supports_replication = True
     supports_narrowing = True
@@ -409,11 +387,9 @@ class TrieDecoderEngine(GenerativeEngine):
     ):
         self.lm = lm
         self.catalog = None
-        self._narrow_memo: dict[tuple, IndexTrie] = {}
         self.trie = trie
         self.pad_id = pad_id
         self.default_beam_size = default_beam_size
-        self.narrow = None
         self.set_prefix_cache(prefix_cache)
 
     @property
@@ -488,23 +464,11 @@ class TrieDecoderEngine(GenerativeEngine):
         """
         clone = copy.copy(self)
         clone.lm = self.lm.serving_replica()
-        clone._narrow_memo = {}
         if self.prefix_cache is not None:
             clone.prefix_cache = PrefixKVCache(
                 max_entries=self.prefix_cache.max_entries,
                 min_prefix_len=self.prefix_cache.min_prefix_len,
             )
-        return clone
-
-    def narrowed(self, item_ids: Sequence[int]) -> "TrieDecoderEngine":
-        """See :meth:`GenerativeEngine.narrowed`.
-
-        The copy shares the prefix cache on purpose: prompt K/V does not
-        depend on the trie, so a narrowed decode both hits and warms the
-        same cache as full decodes of the same session.
-        """
-        clone = copy.copy(self)
-        clone.narrow = self.trie.subtrie(item_ids)
         return clone
 
     def encode_history(self, history: Sequence[int], template_id: int = 0) -> list[int]:
@@ -519,34 +483,6 @@ class TrieDecoderEngine(GenerativeEngine):
             "TrieDecoderEngine has no history rendering; use rank_prompts or a model adapter"
         )
 
-    # -- narrowing per request (the serving hybrid lane) ----------------
-    def _request_narrow(
-        self, narrow_items: tuple[int, ...] | None, trie: IndexTrie
-    ) -> IndexTrie | None:
-        """The narrow subtrie a request's ``narrow_items`` asks for.
-
-        Narrowing is per row, so requests with different candidate sets
-        (or none) share a prefill and join one another's decodes.
-        Candidate subtries are memoized per ``(trie, candidate tuple)``
-        only to save rebuilding one a session submits again.
-        """
-        if narrow_items is None:
-            return self.narrow
-        if self.narrow is not None:
-            raise ValueError(
-                "cannot apply per-request narrow_items to an already-narrowed engine"
-            )
-        key = (trie, tuple(int(item) for item in narrow_items))
-        narrow = self._narrow_memo.get(key)
-        if narrow is None:
-            if len(self._narrow_memo) >= 256:
-                # Bounded: stale (old-trie or cold-candidate) entries die
-                # here; rebuilding a hot subtrie is cheap.
-                self._narrow_memo.clear()
-            narrow = trie.subtrie(key[1])
-            self._narrow_memo[key] = narrow
-        return narrow
-
     # -- decode contract -----------------------------------------------
     def prefill(self, requests: Sequence[RecommendRequest]) -> EngineState:
         requests = list(requests)
@@ -554,7 +490,6 @@ class TrieDecoderEngine(GenerativeEngine):
         # One trie read pins this decode's catalog version: the state
         # carries the object through every step, join and retirement.
         trie = self.trie
-        narrow = [self._request_narrow(request.narrow_items, trie) for request in requests]
         if self.prefix_cache is not None and self.catalog is not None:
             version = self.catalog.version
             self.prefix_cache.sync_catalog(version.version, version.stale_tokens)
@@ -566,7 +501,7 @@ class TrieDecoderEngine(GenerativeEngine):
             pad_id=self.pad_id,
             prefix_cache=self.prefix_cache,
             tags=requests,
-            narrow=narrow,
+            narrow=[request.narrow_items for request in requests],
         )
 
     def step(self, state: EngineState) -> None:
@@ -676,13 +611,12 @@ class TIGEREngine(GenerativeEngine):
     ``TIGER.recommend`` request-for-request, including its widen-to-catalog
     retry and deterministic backfill.
 
-    No continuous batching yet: admission would have to join cross-attention
-    caches of different source widths, so ``can_join`` stays ``False`` and
-    the scheduler serves TIGER in closed batches.
+    No joins yet: admission would have to join cross-attention caches of
+    different source widths, so ``can_join`` stays ``False`` and the
+    scheduler serves TIGER in closed cohorts in every mode.
     """
 
     name = "tiger"
-    supports_continuous = False
     supports_prefix_cache = False
     supports_replication = True
     supports_narrowing = True
@@ -696,7 +630,6 @@ class TIGEREngine(GenerativeEngine):
         self.trie = model.trie
         self.pad_id = PAD_ID
         self.default_beam_size = model.config.beam_size
-        self.narrow = None
 
     @property
     def num_levels(self) -> int:
@@ -718,12 +651,6 @@ class TIGEREngine(GenerativeEngine):
         clone.model = self.model.serving_replica()
         return clone
 
-    def narrowed(self, item_ids: Sequence[int]) -> "TIGEREngine":
-        """See :meth:`GenerativeEngine.narrowed`."""
-        clone = copy.copy(self)
-        clone.narrow = self.trie.subtrie(item_ids)
-        return clone
-
     def encode_history(self, history: Sequence[int], template_id: int = 0) -> list[int]:
         if template_id != 0:
             raise ValueError("TIGER has a single prompt format (template_id 0)")
@@ -741,7 +668,7 @@ class TIGEREngine(GenerativeEngine):
             beam_size=_require_uniform_beams(self, requests),
             pad_id=self.pad_id,
             tags=requests,
-            narrow=self.narrow,
+            narrow=[request.narrow_items for request in requests],
         )
 
     def step(self, state: EngineState) -> None:

@@ -54,12 +54,11 @@ class RecommendRequest:
     retrieval fallback can serve the request at shed time — after
     encoding, the prompt ids alone cannot be mapped back to items.
 
-    ``narrow_items`` is the hybrid lane's retrieval candidate set (a
-    tuple, hashable as the engine's subtrie memo key; ``None`` = full-trie
-    decode).  The engine decodes such a request over a candidate subtrie —
-    same rankings over the candidates as a full decode, less work.
-    Narrowing is per decode row, so it never decides who a request is
-    batched or joined with.
+    ``narrow_items`` is the hybrid lane's retrieval candidate set (``None``
+    = full-trie decode).  The engine's prefill turns it into the row's node
+    mask of the decode trie — same rankings over the candidates as a full
+    decode, less work.  Narrowing is per decode row, so it never decides
+    who a request is batched or joined with.
     """
 
     prompt_ids: list[int]

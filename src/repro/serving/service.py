@@ -23,15 +23,15 @@ differs is the admission policy, *what is admitted when*:
   oldest request exceeds the ``deadline_ms`` latency budget, whichever
   comes first; callers block in ``PendingRecommendation.result(timeout=...)``
   and :meth:`stop` drains in-flight work and joins the thread.
-* **Continuous** (``mode="continuous"``, engines with
-  ``supports_continuous`` only) — no deadline wait: a tick of the
-  background thread pops what the scheduler's ``admission_limit`` and
+* **Continuous** (``mode="continuous"``) — no deadline wait: a tick of
+  the background thread pops what the scheduler's ``admission_limit`` and
   admission predicate allow.  While the whole queue fits the free width
   that is everything queued, joined onto the in-flight decode at this
   trie-level boundary (at most one level of admission latency); under
   backlog — the ledger's ``steady_closed`` — it is nothing until the live
-  cohort has finished, then a full cohort in one prefill.  Requests are
-  delivered the moment their own rows finish.
+  cohort has finished, then a full cohort in one prefill.  An engine that
+  cannot join (TIGER) is admitted only when idle: closed cohorts.
+  Requests are delivered the moment their own rows finish.
 
 Results are identical to the engine's single-request oracle in every mode
 — batching, deadlines, and continuous admission change the cost, never the
@@ -213,8 +213,8 @@ class ServingStats:
     counted as shed — served and shed are disjoint outcomes.
 
     ``hybrid_narrowed`` / ``hybrid_retrieval`` count the hybrid lane
-    (services constructed with ``hybrid=``): history submits decoded over
-    a retrieval-narrowed candidate subtrie, and history submits the
+    (services constructed with ``hybrid=``): history submits decoded
+    narrowed to their retrieval candidates, and history submits the
     retrieval tier answered outright (cold start, or no decodable
     candidates) without costing a decode slot.
 
@@ -327,12 +327,13 @@ class RecommendationService(RecommendationClient):
         hybrid's retrieval tier for candidates: cold-start histories (no
         profile) and histories with no decodable candidates are answered
         from retrieval immediately (a pre-served ``degraded`` handle,
-        reason ``"cold_start"`` / ``"no_candidates"``); everything else
-        is stamped with the candidate tuple (``narrow_items``) and
-        decoded over its own candidate subtrie — beside requests narrowed
-        to other sets, or to none — then backfilled exactly as
-        :meth:`HybridRecommender.recommend` would — a submitted request
-        and a library call return identical rankings.  Requires an
+        ``degraded_reason`` ``"cold_start"`` / ``"no_candidates"``);
+        everything else is stamped with the candidate tuple
+        (``narrow_items``), which the engine turns into that decode row's
+        node mask — beside requests narrowed to other sets, or to none —
+        then backfilled exactly as :meth:`HybridRecommender.recommend`
+        would: the library call stamps and decodes its requests the same
+        way, so both return identical rankings.  Requires an
         engine with ``supports_narrowing``; the hybrid's own engine is
         not used for decoding (only its retriever and backfill rule), so
         one hybrid object can be shared across cluster workers.
@@ -343,8 +344,7 @@ class RecommendationService(RecommendationClient):
         admits closed deadline-batched flushes into an idle scheduler;
         ``"continuous"`` admits queued requests into the in-flight decode
         at trie-level boundaries, with ``max_batch_size`` acting as the
-        cap on the joined batch width.  Continuous mode requires an
-        engine with ``supports_continuous``.  Synchronous ``flush()`` and
+        cap on the joined batch width.  Synchronous ``flush()`` and
         rankings are identical in both modes.
     fallback:
         Optional :class:`repro.serving.FallbackRecommender` — the
@@ -384,11 +384,6 @@ class RecommendationService(RecommendationClient):
             raise ValueError("deadline_ms must be positive")
         if mode not in ("deadline", "continuous"):
             raise ValueError(f"mode must be 'deadline' or 'continuous', got {mode!r}")
-        if mode == "continuous" and not engine.supports_continuous:
-            raise ValueError(
-                f"engine {engine.name!r} does not support continuous batching; "
-                "use mode='deadline'"
-            )
         if hybrid is not None and not engine.supports_narrowing:
             raise ValueError(
                 f"engine {engine.name!r} does not support candidate narrowing; "

@@ -176,14 +176,14 @@ class Watched:
     def decode(self, model, trie, admissions, beam_size, narrow=None):
         """The scheduler's tick: ``admissions[tick]`` prompts join before that tick's step.
 
-        ``narrow`` is one subtrie for every prompt, or a dict of one
-        (or ``None``) per prompt.
+        ``narrow`` maps each prompt (as a tuple) to its candidate items or
+        ``None``.
         """
         state, results, tick = None, {}, 0
         while state is not None or tick <= max(admissions):
             if tick in admissions:
                 tags = [tuple(p) for p in admissions[tick]]
-                rows = [narrow[tag] for tag in tags] if isinstance(narrow, dict) else narrow
+                rows = None if narrow is None else [narrow[tag] for tag in tags]
                 incoming = self.prefill(model, admissions[tick], trie, beam_size=beam_size,
                                         tags=tags, narrow=rows)
                 state = incoming if state is None else self.join(state, incoming)
@@ -203,6 +203,15 @@ def assert_same_hypotheses(got, expected):
     assert [h.item_id for h in got] == [h.item_id for h in expected]
     np.testing.assert_allclose([h.score for h in got], [h.score for h in expected],
                                rtol=1e-5, atol=2e-6)
+
+
+def narrowed_recommend(engine, histories, candidates, top_k):
+    """Rankings of ``histories`` decoded narrowed to ``candidates``, through
+    requests stamped with ``narrow_items`` as the hybrid lane builds them."""
+    requests = [RecommendRequest(prompt_ids=engine.encode_history(list(history)), top_k=top_k,
+                                 beam_size=engine.request_beam_size(top_k),
+                                 narrow_items=tuple(candidates)) for history in histories]
+    return engine.finalize(requests, engine.decode(requests))
 
 
 def assert_matches_oracle(results, model, trie, beam_size):
@@ -242,7 +251,7 @@ class TestRaggedTries:
         candidates = [2, 9, 10, 20]
         watched = Watched()
         results = watched.decode(model, trie, {0: PROMPTS[:3], 1: PROMPTS[3:]}, 20,
-                                 narrow=trie.subtrie(candidates))
+                                 narrow={tuple(prompt): candidates for prompt in PROMPTS})
         assert max(watched.widths) <= len(candidates)
         for prompt, hypotheses in results.items():
             full = beam_search_items_single(model, list(prompt), trie, beam_size=trie.num_items)
@@ -357,7 +366,7 @@ class TestSchedulerAndEngines:
         watched = Watched(monkeypatch.setattr)
         watched.install(monkeypatch)
         candidates, histories = [2, 9, 20], [[3], [9, 4]]
-        got = TIGEREngine(tiger).narrowed(candidates).recommend_many(histories, top_k=5)
+        got = narrowed_recommend(TIGEREngine(tiger), histories, candidates, top_k=5)
         for history, ranking in zip(histories, got):
             full = tiger.recommend(history, top_k=tiger.trie.num_items)
             assert ranking == backfill_items([i for i in full if i in candidates], 5, 21)
@@ -512,8 +521,7 @@ class TestProperty:
         for prompt, tick in zip(PROMPTS, ticks):
             admissions.setdefault(tick, []).append(prompt)
             candidates[tuple(prompt)] = data.draw(subsets)
-        narrow = {tag: chosen and trie.subtrie(chosen) for tag, chosen in candidates.items()}
-        results = Watched().decode(model, trie, admissions, len(items), narrow=narrow)
+        results = Watched().decode(model, trie, admissions, len(items), narrow=candidates)
         assert len(results) == len(ticks)
         for prompt, hypotheses in results.items():
             full = beam_search_items_single(model, list(prompt), trie, beam_size=len(items))

@@ -109,6 +109,26 @@ class TestUnifiedClientSurface:
             handle.result(timeout=0.0)
         assert err.value.reason == "queue_full"
 
+    def test_every_handle_kind_exposes_degraded_reason(self):
+        from repro.serving import (
+            DegradedRecommendation,
+            Overloaded,
+            PendingRecommendation,
+            RecommendationHandle,
+            RejectedRecommendation,
+        )
+
+        pending = PendingRecommendation(None, request_id=1)
+        handles = [
+            pending,
+            RejectedRecommendation(Overloaded("saturated")),
+            DegradedRecommendation([4, 2], "cold_start"),
+        ]
+        assert all(isinstance(handle, RecommendationHandle) for handle in handles)
+        assert [handle.degraded_reason for handle in handles] == [None, None, "cold_start"]
+        pending._deliver([4, 2], degraded_reason="deadline")
+        assert pending.degraded and pending.degraded_reason == "deadline"
+
     def test_overloaded_reasons_are_closed_set(self):
         from repro.serving import Overloaded
 

@@ -21,7 +21,7 @@ import pytest
 
 from repro.baselines import P5CID, P5CIDConfig, TIGER, TIGERConfig
 from repro.core.indexer import build_random_index_set
-from test_live_width import Watched, assert_same_hypotheses
+from test_live_width import Watched, assert_same_hypotheses, narrowed_recommend
 
 from repro.llm import beam_search_items_batched, decode_prefill, ranked_item_ids
 from repro.quantization import IndexTrie
@@ -33,7 +33,13 @@ from repro.retrieval import (
     brute_force_topk,
     rank_by_score,
 )
-from repro.serving import LCRecEngine, P5CIDEngine, TIGEREngine
+from repro.serving import (
+    LCRecEngine,
+    MicroBatcherConfig,
+    P5CIDEngine,
+    RecommendationService,
+    TIGEREngine,
+)
 
 
 # ----------------------------------------------------------------------
@@ -204,21 +210,22 @@ class TestSubtrie:
 
 
 class TestNarrowNodeMask:
-    """A narrowed row carries its subtrie as a node mask of the decode trie."""
+    """A narrowed row carries its candidate items as a node mask of the decode trie."""
 
     def test_marks_candidate_paths(self):
         trie = IndexTrie({0: (10, 14), 1: (10, 15), 2: (11, 14), 3: (11, 16)})
         table = trie.nodes
-        mask = table.path_mask(trie.subtrie([1, 3]).sequence_array())
+        mask = table.path_mask([1, 3])
         assert mask.shape == (table.size,)
         marked = {table.prefix(node) for node in np.flatnonzero(mask).tolist()}
         assert marked == {(), (10,), (10, 15), (11,), (11, 16)}
 
-    def test_foreign_sequence_rejected(self):
-        trie = IndexTrie({0: (10, 14), 1: (10, 15)})
-        for foreign in ((10, 16), (12, 14)):  # an unknown leaf, an unknown first token
-            with pytest.raises(ValueError, match="narrow"):
-                trie.nodes.path_mask(IndexTrie({0: foreign}).sequence_array())
+    def test_unknown_or_no_items_rejected(self):
+        table = IndexTrie({0: (10, 14), 1: (10, 15)}).nodes
+        with pytest.raises(KeyError, match="99"):
+            table.path_mask([0, 99])
+        with pytest.raises(ValueError, match="at least one"):
+            table.path_mask([])
 
 
 def constrained_logprob(lm, prompt, sequence, trie):
@@ -300,11 +307,7 @@ class TestNarrowedDecodeParity:
         histories = [list(pool[i % len(pool)]) for i in range(batch)]
         candidates = sorted(range(0, tiny_dataset.num_items, 3))
         expected = restricted_oracle(engine, histories, candidates, len(candidates))
-        narrowed = engine.narrowed(candidates)
-        got = narrowed.recommend_many(histories, top_k=len(candidates))
-        assert got == expected
-        # Narrowing never leaks into the parent engine.
-        assert engine.narrow is None
+        assert narrowed_recommend(engine, histories, candidates, len(candidates)) == expected
 
     @pytest.mark.parametrize("name", ["lcrec", "tiger"])
     def test_sparser_candidates_match_restricted(
@@ -313,7 +316,7 @@ class TestNarrowedDecodeParity:
         engine = make_engine(name, tiny_lcrec, tiger, p5cid)
         histories = [list(h) for h in tiny_dataset.split.test_histories[:4]]
         candidates = list(range(0, tiny_dataset.num_items, 4))
-        got = engine.narrowed(candidates).recommend_many(histories, top_k=len(candidates))
+        got = narrowed_recommend(engine, histories, candidates, len(candidates))
         assert got == restricted_oracle(engine, histories, candidates, len(candidates))
 
     @pytest.mark.parametrize("name", ["lcrec", "tiger"])
@@ -324,20 +327,13 @@ class TestNarrowedDecodeParity:
         histories = [list(h) for h in tiny_dataset.split.test_histories[:4]]
         candidates = [1, tiny_dataset.num_items // 2, tiny_dataset.num_items - 1]
         assert engine.request_beam_size(3) > len(candidates)
-        got = engine.narrowed(candidates).recommend_many(histories, top_k=3)
+        got = narrowed_recommend(engine, histories, candidates, top_k=3)
         assert got == restricted_oracle(engine, histories, candidates, 3)
 
     def test_singleton_candidate_set(self, tiny_lcrec, tiny_dataset):
         engine = LCRecEngine(tiny_lcrec, prefix_cache=False)
         histories = [list(tiny_dataset.split.test_histories[0])]
-        assert engine.narrowed([5]).recommend_many(histories, top_k=1) == [[5]]
-
-    def test_depth_mismatch_rejected(self, tiny_lcrec, tiny_dataset):
-        engine = LCRecEngine(tiny_lcrec, prefix_cache=False)
-        shallow = IndexTrie({0: (engine.trie.allowed_tokens(())[0],)})
-        prompt = engine.encode_history(list(tiny_dataset.split.test_histories[0]))
-        with pytest.raises(ValueError, match="depth"):
-            decode_prefill(engine.lm, [prompt], engine.trie, beam_size=4, narrow=shallow)
+        assert narrowed_recommend(engine, histories, [5], top_k=1) == [[5]]
 
     # -- narrowing is per row: any mix of candidate sets shares a decode --
     @staticmethod
@@ -361,8 +357,7 @@ class TestNarrowedDecodeParity:
         row equals decoding it alone and, narrowed, its restricted oracle."""
         scorer = engine.model if isinstance(engine, TIGEREngine) else engine.lm
         histories, prompts, candidates = self.mixed_rows(engine, tiny_dataset)
-        narrow = {tuple(prompt): chosen and engine.trie.subtrie(chosen)
-                  for prompt, chosen in zip(prompts, candidates)}
+        narrow = dict(zip(map(tuple, prompts), candidates))
         beams = engine.effective_beams(engine.num_items)
         admissions = {}
         for prompt, tick in zip(prompts, ticks):
@@ -386,7 +381,7 @@ class TestNarrowedDecodeParity:
         _, prompts, candidates = self.mixed_rows(engine, tiny_dataset)
         state = decode_prefill(
             engine.model if name == "tiger" else engine.lm, prompts, engine.trie, beam_size=10,
-            narrow=[chosen and engine.trie.subtrie(chosen) for chosen in candidates])
+            narrow=candidates)
         finite = np.isfinite(state.beam_scores).sum(axis=1)
         assert finite[2] == 1 and finite[2] < finite.max() == state.width
         assert state.beam_nodes[2, -1] == state.beam_nodes[2, 0]
@@ -406,17 +401,19 @@ class TestNarrowedDecodeParity:
             decode_prefill(engine.lm, prompts, engine.trie, beam_size=4, narrow=[None])
 
     def test_narrowed_continuous_serving_matches_oracle(self, tiny_lcrec, tiny_dataset):
-        """A narrowed engine still serves through every serving mode."""
-        from repro.serving import MicroBatcherConfig, RecommendationService
-
+        """Narrowed requests serve through the continuous loop, joins included."""
         candidates = list(range(0, tiny_dataset.num_items, 3))
         histories = [list(h) for h in tiny_dataset.split.test_histories[:5]]
         engine = LCRecEngine(tiny_lcrec, prefix_cache=False)
         expected = restricted_oracle(engine, histories, candidates, 5)
+
+        class FixedCandidates(HybridRecommender):
+            def candidates(self, history, top_k):
+                return candidates
+
+        hybrid = FixedCandidates(engine, RetrievalRecommender.from_lcrec(tiny_lcrec))
         with RecommendationService(
-            engine.narrowed(candidates),
-            batcher=MicroBatcherConfig(max_batch_size=2),
-            mode="continuous",
+            engine, batcher=MicroBatcherConfig(max_batch_size=2), mode="continuous", hybrid=hybrid
         ) as service:
             pending = [service.submit(h, top_k=5) for h in histories]
             assert [p.result(timeout=60.0) for p in pending] == expected
@@ -480,3 +477,30 @@ class TestHybridRecommender:
             int(item) for item in retriever.popularity_order if int(item) not in {5, 7, 9}
         ][:3]
         assert ranked[3:] == popularity_tail
+
+
+class TestHybridServingParity:
+    """The serving lane and the library call are one narrowing path: a
+    ``hybrid=`` service returns ``hybrid.recommend``'s lists for every
+    engine, in every serving mode."""
+
+    @pytest.mark.parametrize("lane", ["flush", "deadline", "continuous"])
+    @pytest.mark.parametrize("name", ["lcrec", "p5cid", "tiger"])
+    def test_service_matches_library(self, name, lane, tiny_lcrec, tiny_dataset, tiger, p5cid):
+        engine = make_engine(name, tiny_lcrec, tiger, p5cid)
+        hybrid = HybridRecommender(engine, RetrievalRecommender.from_lcrec(tiny_lcrec),
+                                   num_candidates=12)
+        histories = [list(h) for h in tiny_dataset.split.test_histories[:6]] + [[]]
+        expected = [hybrid.recommend(h, top_k=5) for h in histories]
+        service = RecommendationService(
+            engine, batcher=MicroBatcherConfig(max_batch_size=4), hybrid=hybrid,
+            mode="deadline" if lane == "flush" else lane)
+        if lane == "flush":
+            assert service.recommend_many(histories, top_k=5) == expected
+        else:
+            with service:
+                pending = [service.submit(h, top_k=5) for h in histories]
+                assert [p.result(timeout=60.0) for p in pending] == expected
+        assert service.stats.hybrid_narrowed == len(histories) - 1
+        for history, ranking in zip(histories[:-1], expected):
+            assert set(ranking) <= set(hybrid.candidates(history, 5))

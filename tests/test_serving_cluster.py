@@ -468,7 +468,7 @@ class TestDegradedFallback:
     def test_degraded_handle_surface(self):
         handle = DegradedRecommendation([3, 1, 4], "cold_start", request_id=9)
         assert handle.done and handle.degraded
-        assert handle.reason == "cold_start"
+        assert handle.degraded_reason == "cold_start"
         assert handle.request_id == 9
         assert handle.result() == [3, 1, 4]
         handle.result().append(99)  # results are defensive copies
@@ -548,7 +548,7 @@ class TestDegradedFallback:
         kept = cluster.submit(history, top_k=3)
         degraded = cluster.submit(history, top_k=3)
         assert isinstance(degraded, DegradedRecommendation)
-        assert degraded.reason == "queue_full"
+        assert degraded.degraded_reason == "queue_full"
         assert degraded.result() == [0, 1, 2]
         assert cluster.stats.degraded == 1
         assert cluster.stats.rejected == 0
@@ -564,7 +564,7 @@ class TestDegradedFallback:
         )
         handle = cluster.submit([], top_k=5, session_key="user:new")
         assert isinstance(handle, DegradedRecommendation)
-        assert handle.reason == "cold_start"
+        assert handle.degraded_reason == "cold_start"
         assert handle.result() == [0, 1, 2, 3, 4]
         assert cluster.stats.cold_start == 1 and cluster.stats.degraded == 1
         # No worker saw the request.

@@ -23,6 +23,8 @@ import pytest
 
 from repro.baselines import P5CID, P5CIDConfig, TIGER, TIGERConfig
 from repro.core.indexer import build_random_index_set
+from test_live_width import narrowed_recommend
+
 from repro.llm import DecodeState, beam_search_items_single, ranked_item_ids
 from repro.quantization import ItemIndexSet
 from repro.serving import (
@@ -54,7 +56,6 @@ class TestEngineProtocol:
     def test_capability_flags(self, tiny_lcrec):
         engine = LCRecEngine(tiny_lcrec)
         assert isinstance(engine, GenerativeEngine)
-        assert engine.supports_continuous
         assert engine.supports_prefix_cache
         assert engine.num_levels == tiny_lcrec.trie.num_levels
         assert engine.num_items == tiny_lcrec.trie.num_items
@@ -228,7 +229,6 @@ class TestOneLevelPerStep:
 class TestTIGEREngine:
     def test_capability_flags(self, tiger):
         engine = TIGEREngine(tiger)
-        assert not engine.supports_continuous
         assert not engine.supports_prefix_cache
         assert engine.num_levels == tiger.num_levels
         assert engine.num_items == tiger.trie.num_items
@@ -277,9 +277,17 @@ class TestTIGEREngine:
             pending = [async_service.submit(h, top_k=5) for h in histories]
             assert [p.result(timeout=30.0) for p in pending] == expected
 
-    def test_continuous_mode_rejected(self, tiger):
-        with pytest.raises(ValueError, match="continuous"):
-            RecommendationService(TIGEREngine(tiger), mode="continuous")
+    def test_continuous_mode_serves_closed_cohorts(self, tiger, tiny_dataset):
+        """TIGER cannot join, so the continuous loop admits into an idle
+        scheduler only: closed cohorts, the single loop's rankings."""
+        histories = [list(h) for h in tiny_dataset.split.test_histories[:6]]
+        service = RecommendationService(
+            TIGEREngine(tiger), batcher=MicroBatcherConfig(max_batch_size=4), mode="continuous")
+        with service:
+            pending = [service.submit(h, top_k=5) for h in histories]
+            results = [p.result(timeout=30.0) for p in pending]
+        assert results == [tiger.recommend(h, top_k=5) for h in histories]
+        assert service.stats.joins == 0 and service.stats.requests == len(histories)
 
     def test_instruction_submission_rejected(self, tiger):
         service = RecommendationService(TIGEREngine(tiger))
@@ -319,10 +327,11 @@ class TestTIGEROnTheSharedStepper:
                 for _ in range(12)]
 
     @staticmethod
-    def drive(engine, histories, top_k, beam_size):
+    def drive(engine, histories, top_k, beam_size, narrow_items=None):
         """Prefill + step to depth; returns (state, requests, pending width of each forward)."""
         requests = [RecommendRequest(prompt_ids=engine.encode_history(h), top_k=top_k,
-                                     beam_size=beam_size) for h in histories]
+                                     beam_size=beam_size, narrow_items=narrow_items)
+                    for h in histories]
         state = engine.prefill(requests)
         assert isinstance(state, DecodeState) and state.model is engine.model
         widths = []
@@ -344,10 +353,10 @@ class TestTIGEROnTheSharedStepper:
         # Which levels are forced depends on which beams are alive, which
         # narrowing controls; beams as wide as the candidate set keep the
         # decode exhaustive, so the exhaustive oracle ranking is the target.
-        candidates = list(candidates)
-        engine = TIGEREngine(tiger).narrowed(candidates)
+        candidates = tuple(candidates)
+        engine = TIGEREngine(tiger)
         state, requests, seen = self.drive(engine, histories[:batch], top_k=len(candidates),
-                                           beam_size=len(candidates))
+                                           beam_size=len(candidates), narrow_items=candidates)
         assert seen == widths
         assert state.forwards == 2 + len(widths)  # encoder + BOS + the unforced levels
         ranked = engine.finalize(requests, engine.finish(state))
@@ -368,8 +377,8 @@ class TestTIGEROnTheSharedStepper:
         full = [tiger.recommend(h, top_k=num_items) for h in histories]  # the dense oracle
         for candidates in ([0, 1, 7, 8], [3, 12, 13, 17], list(range(0, num_items, 2))):
             expected = [[item for item in ranking if item in candidates] for ranking in full]
-            narrowed = engine.narrowed(candidates)
-            assert narrowed.recommend_many(histories, top_k=len(candidates)) == expected
+            got = narrowed_recommend(engine, histories, candidates, top_k=len(candidates))
+            assert got == expected
 
     def test_widen_to_catalog_retry(self, tiger, histories):
         # A beam narrower than top_k comes up short; finalize re-decodes the
@@ -470,7 +479,6 @@ class TestTIGEROnTheSharedStepper:
 class TestP5CIDEngine:
     def test_capability_flags(self, p5cid):
         engine = P5CIDEngine(p5cid)
-        assert engine.supports_continuous  # decoder-only: shared stepper
         assert engine.supports_prefix_cache
         assert engine.prefix_cache is None  # off by default for P5-CID
 

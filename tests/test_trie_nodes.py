@@ -177,7 +177,7 @@ class TestSubtrie:
         chosen = data.draw(st.lists(st.sampled_from(sorted(catalog)), min_size=1))
         subtrie = trie.subtrie(chosen)
         assert subtrie.all_sequences() == {item: catalog[item] for item in chosen}
-        mask = trie.nodes.path_mask(subtrie.sequence_array())
+        mask = trie.nodes.path_mask(chosen)
         on_paths = {seq[:level] for item in chosen for level in range(trie.num_levels + 1)
                     for seq in (catalog[item],)}
         assert {trie.nodes.prefix(node) for node in np.flatnonzero(mask).tolist()} == on_paths
