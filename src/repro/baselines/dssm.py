@@ -13,14 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data.intentions import IntentionExample
-from ..tensor import Adam, Embedding, MLP, Module, Tensor, clip_grad_norm, no_grad
+from ..tensor import MLP, Adam, Embedding, Module, Tensor, no_grad, train_epochs
 from ..tensor import functional as F
 from ..text import WordTokenizer
-from ..utils.logging import get_logger
 
 __all__ = ["DSSM", "DSSMConfig"]
-
-logger = get_logger(__name__)
 
 
 @dataclass
@@ -91,35 +88,28 @@ class DSSM(Module):
             raise ValueError("no training examples")
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
-        optimizer = Adam(self.parameters(), lr=cfg.lr)
-        losses = []
-        self.train()
         queries = [e.text for e in examples]
         titles = [self.item_titles[e.item_id] for e in examples]
-        for epoch in range(cfg.epochs):
-            order = rng.permutation(len(examples))
-            epoch_loss, batches = 0.0, 0
-            for start in range(0, len(order), cfg.batch_size):
-                chosen = order[start : start + cfg.batch_size]
-                if len(chosen) < 2:
-                    continue
-                q_ids, q_mask = self._encode_batch([queries[i] for i in chosen])
-                d_ids, d_mask = self._encode_batch([titles[i] for i in chosen])
-                optimizer.zero_grad()
-                q_vec = self.query_tower(q_ids, q_mask)
-                d_vec = self.doc_tower(d_ids, d_mask)
-                logits = (q_vec @ d_vec.transpose(1, 0)) * (1.0 / cfg.temperature)
-                labels = np.arange(len(chosen))
-                loss = F.cross_entropy(logits, labels)
-                loss.backward()
-                clip_grad_norm(self.parameters(), cfg.clip_norm)
-                optimizer.step()
-                epoch_loss += loss.item()
-                batches += 1
-            losses.append(epoch_loss / max(batches, 1))
-            if (epoch + 1) % 10 == 0:
-                logger.info("DSSM epoch %d: loss=%.4f", epoch + 1, losses[-1])
-        self.eval()
+
+        def batches(order):
+            # In-batch negatives need at least two rows.
+            chunks = (order[s : s + cfg.batch_size] for s in range(0, len(order), cfg.batch_size))
+            return (chosen for chosen in chunks if len(chosen) >= 2)
+
+        def loss(chosen):
+            q_vec = self.query_tower(*self._encode_batch([queries[i] for i in chosen]))
+            d_vec = self.doc_tower(*self._encode_batch([titles[i] for i in chosen]))
+            logits = (q_vec @ d_vec.transpose(1, 0)) * (1.0 / cfg.temperature)
+            return F.cross_entropy(logits, np.arange(len(chosen)))
+
+        losses = train_epochs(
+            self,
+            Adam(self.parameters(), lr=cfg.lr),
+            (batches(rng.permutation(len(examples))) for _ in range(cfg.epochs)),
+            loss,
+            name="DSSM epoch",
+            clip_norm=cfg.clip_norm,
+        )
         self._item_vectors = None
         return losses
 

@@ -19,14 +19,11 @@ import numpy as np
 from ..data import SequentialDataset
 from ..data.batching import iterate_minibatches
 from ..llm import LMConfig, TinyLlama
-from ..tensor import Adam, clip_grad_norm
+from ..tensor import Adam, train_epochs
 from ..tensor import functional as F
-from ..utils.logging import get_logger
 from .generative import BOS_ID, PAD_ID, SEP_ID, IndexTokenSpace, collaborative_index_set
 
 __all__ = ["P5CID", "P5CIDConfig"]
-
-logger = get_logger(__name__)
 
 IGNORE = -100
 
@@ -107,26 +104,19 @@ class P5CID:
             label_matrix[row, : len(labs)] = labs
 
         rng = np.random.default_rng(cfg.seed)
-        optimizer = Adam(self.lm.parameters(), lr=cfg.lr)
-        losses = []
-        self.lm.train()
-        for epoch in range(cfg.epochs):
-            epoch_loss, batches = 0.0, 0
-            for batch_idx in iterate_minibatches(len(inputs), cfg.batch_size, rng=rng):
-                optimizer.zero_grad()
-                logits = self.lm(input_matrix[batch_idx, :-1])
-                loss = F.cross_entropy(logits, label_matrix[batch_idx, 1:], ignore_index=IGNORE)
-                loss.backward()
-                clip_grad_norm(self.lm.parameters(), cfg.clip_norm)
-                optimizer.step()
-                epoch_loss += loss.item()
-                batches += 1
-            losses.append(epoch_loss / max(batches, 1))
-            if (epoch + 1) % 10 == 0:
-                logger.info("P5-CID epoch %d: loss=%.4f", epoch + 1, losses[-1])
-        self.lm.zero_grad()  # spent gradients would keep the decode's WeightMemos from caching
-        self.lm.eval()
-        return losses
+
+        def loss(batch_idx):
+            logits = self.lm(input_matrix[batch_idx, :-1])
+            return F.cross_entropy(logits, label_matrix[batch_idx, 1:], ignore_index=IGNORE)
+
+        return train_epochs(
+            self.lm,
+            Adam(self.lm.parameters(), lr=cfg.lr),
+            (iterate_minibatches(len(inputs), cfg.batch_size, rng=rng) for _ in range(cfg.epochs)),
+            loss,
+            name="P5-CID epoch",
+            clip_norm=cfg.clip_norm,
+        )
 
     # ------------------------------------------------------------------
     def recommend(self, history: list[int], top_k: int = 10) -> list[int]:

@@ -26,7 +26,7 @@ from ..tensor import (
     ModuleList,
     Tensor,
     causal_mask,
-    clip_grad_norm,
+    train_epochs,
 )
 from ..tensor import functional as F
 from .base import SequentialRecommender
@@ -112,41 +112,37 @@ class S3Rec(SequentialRecommender):
         )
         is_real = padded != self.pad_id
         rng = np.random.default_rng(config.seed)
-        optimizer = Adam(self.parameters(), lr=config.lr)
-        losses = []
-        self.train()
+
+        def loss(batch_idx):
+            batch = padded[batch_idx].copy()
+            real = is_real[batch_idx]
+            mask = (rng.random(batch.shape) < config.mask_prob) & real
+            for row in range(batch.shape[0]):
+                if not mask[row].any():
+                    choices = np.flatnonzero(real[row])
+                    mask[row, rng.choice(choices)] = True
+            item_targets = np.where(mask, batch, IGNORE)
+            attr_targets = np.where(mask, self._attributes[batch], IGNORE)
+            batch[mask] = self.mask_id
+            hidden = self.sequence_output(batch)
+            mip_loss = F.cross_entropy(self.item_logits(hidden), item_targets, ignore_index=IGNORE)
+            aap_loss = F.cross_entropy(
+                self.attribute_head(hidden), attr_targets, ignore_index=IGNORE
+            )
+            return mip_loss + aap_loss * config.attribute_weight
+
         self._bidirectional = True
         try:
-            for _ in range(config.epochs):
-                epoch_loss, batches = 0.0, 0
-                for batch_idx in iterate_minibatches(len(sequences), config.batch_size, rng=rng):
-                    batch = padded[batch_idx].copy()
-                    real = is_real[batch_idx]
-                    mask = (rng.random(batch.shape) < config.mask_prob) & real
-                    for row in range(batch.shape[0]):
-                        if not mask[row].any():
-                            choices = np.flatnonzero(real[row])
-                            mask[row, rng.choice(choices)] = True
-                    item_targets = np.where(mask, batch, IGNORE)
-                    attr_targets = np.where(mask, self._attributes[batch], IGNORE)
-                    batch[mask] = self.mask_id
-
-                    optimizer.zero_grad()
-                    hidden = self.sequence_output(batch)
-                    mip_loss = F.cross_entropy(
-                        self.item_logits(hidden), item_targets, ignore_index=IGNORE
-                    )
-                    aap_loss = F.cross_entropy(
-                        self.attribute_head(hidden), attr_targets, ignore_index=IGNORE
-                    )
-                    loss = mip_loss + aap_loss * config.attribute_weight
-                    loss.backward()
-                    clip_grad_norm(self.parameters(), config.clip_norm)
-                    optimizer.step()
-                    epoch_loss += loss.item()
-                    batches += 1
-                losses.append(epoch_loss / max(batches, 1))
+            return train_epochs(
+                self,
+                Adam(self.parameters(), lr=config.lr),
+                (
+                    iterate_minibatches(len(sequences), config.batch_size, rng=rng)
+                    for _ in range(config.epochs)
+                ),
+                loss,
+                name="S3-Rec pretrain epoch",
+                clip_norm=config.clip_norm,
+            )
         finally:
             self._bidirectional = False
-        self.eval()
-        return losses

@@ -47,18 +47,15 @@ from ..tensor import (
     Tensor,
     WeightMemo,
     causal_mask,
-    clip_grad_norm,
     is_grad_enabled,
     no_grad,
+    train_epochs,
 )
 from ..tensor import functional as F
-from ..utils.logging import get_logger
 from .generative import BOS_ID, PAD_ID, IndexTokenSpace
 from .layers import TransformerEncoderLayer
 
 __all__ = ["TIGER", "TIGERConfig"]
-
-logger = get_logger(__name__)
 
 
 @dataclass
@@ -298,26 +295,22 @@ class TIGER(Module):
             axis=1,
         )
         rng = np.random.default_rng(cfg.seed)
-        optimizer = Adam(self.parameters(), lr=cfg.lr)
-        losses = []
-        self.train()
-        for epoch in range(cfg.epochs):
-            epoch_loss, batches = 0.0, 0
-            for batch_idx in iterate_minibatches(len(histories), cfg.batch_size, rng=rng):
-                optimizer.zero_grad()
-                logits = self.forward(source[batch_idx], decoder_input[batch_idx])
-                loss = F.cross_entropy(logits, target_tokens[batch_idx])
-                loss.backward()
-                clip_grad_norm(self.parameters(), cfg.clip_norm)
-                optimizer.step()
-                epoch_loss += loss.item()
-                batches += 1
-            losses.append(epoch_loss / max(batches, 1))
-            if (epoch + 1) % 10 == 0:
-                logger.info("TIGER epoch %d: loss=%.4f", epoch + 1, losses[-1])
-        self.zero_grad()  # spent gradients would keep the decode's WeightMemos from caching
-        self.eval()
-        return losses
+
+        def loss(batch_idx):
+            logits = self.forward(source[batch_idx], decoder_input[batch_idx])
+            return F.cross_entropy(logits, target_tokens[batch_idx])
+
+        return train_epochs(
+            self,
+            Adam(self.parameters(), lr=cfg.lr),
+            (
+                iterate_minibatches(len(histories), cfg.batch_size, rng=rng)
+                for _ in range(cfg.epochs)
+            ),
+            loss,
+            name="TIGER epoch",
+            clip_norm=cfg.clip_norm,
+        )
 
     # ------------------------------------------------------------------
     def _beam_search(

@@ -18,14 +18,11 @@ import numpy as np
 
 from ..data import SequentialDataset
 from ..data.batching import iterate_minibatches, pad_sequences
-from ..tensor import Adam, clip_grad_norm
+from ..tensor import Adam, train_epochs
 from ..tensor import functional as F
-from ..utils.logging import get_logger
 from .base import SequentialRecommender
 
 __all__ = ["BaselineTrainerConfig", "BaselineTrainer"]
-
-logger = get_logger(__name__)
 
 IGNORE = -100
 
@@ -51,43 +48,25 @@ class BaselineTrainer:
 
     # ------------------------------------------------------------------
     def fit(self, model: SequentialRecommender, dataset: SequentialDataset) -> list[float]:
-        mode = model.training_mode
-        if mode == "causal":
-            return self._fit_causal(model, dataset)
-        if mode == "pointwise":
-            return self._fit_pointwise(model, dataset)
-        if mode == "masked":
-            return self._fit_masked(model, dataset)
-        raise ValueError(f"unknown training mode {mode!r}")
+        """Train ``model`` by its ``training_mode``; return per-epoch mean losses."""
+        losses = {"causal": self._causal, "pointwise": self._pointwise, "masked": self._masked}
+        if model.training_mode not in losses:
+            raise ValueError(f"unknown training mode {model.training_mode!r}")
+        cfg = self.config
+        rng = np.random.default_rng(cfg.seed)
+        num_examples, loss = losses[model.training_mode](model, dataset, rng)
+        return train_epochs(
+            model,
+            Adam(model.parameters(), lr=cfg.lr),
+            (iterate_minibatches(num_examples, cfg.batch_size, rng=rng) for _ in range(cfg.epochs)),
+            loss,
+            name=f"{model.name} epoch",
+            clip_norm=cfg.clip_norm,
+            log_every=cfg.log_every,
+        )
 
-    # ------------------------------------------------------------------
-    def _optimizer(self, model):
-        return Adam(model.parameters(), lr=self.config.lr)
-
-    def _epoch_loop(self, model, num_examples, step_fn) -> list[float]:
-        rng = np.random.default_rng(self.config.seed)
-        optimizer = self._optimizer(model)
-        losses = []
-        model.train()
-        for epoch in range(self.config.epochs):
-            epoch_loss, batches = 0.0, 0
-            for batch_idx in iterate_minibatches(num_examples, self.config.batch_size, rng=rng):
-                optimizer.zero_grad()
-                loss = step_fn(batch_idx, rng)
-                loss.backward()
-                clip_grad_norm(model.parameters(), self.config.clip_norm)
-                optimizer.step()
-                epoch_loss += loss.item()
-                batches += 1
-            losses.append(epoch_loss / max(batches, 1))
-            if (epoch + 1) % self.config.log_every == 0:
-                logger.info("%s epoch %d: loss=%.4f", model.name, epoch + 1, losses[-1])
-        model.zero_grad()  # spent gradients would keep any WeightMemo from caching
-        model.eval()
-        return losses
-
-    # ------------------------------------------------------------------
-    def _fit_causal(self, model, dataset) -> list[float]:
+    # -- per-mode (number of training examples, loss of a minibatch) -----
+    def _causal(self, model, dataset, rng):
         sequences = [s for s in dataset.split.train_sequences if len(s) >= 2]
         if not sequences:
             raise ValueError("no training sequences of length >= 2")
@@ -98,16 +77,14 @@ class BaselineTrainer:
         valid = targets_all != model.pad_id
         targets_all = np.where(valid, targets_all, IGNORE)
 
-        def step(batch_idx, rng):
-            inputs = inputs_all[batch_idx]
-            targets = targets_all[batch_idx]
-            output = model.sequence_output(inputs)
+        def loss(batch_idx):
+            output = model.sequence_output(inputs_all[batch_idx])
             logits = model.item_logits(output)
-            return F.cross_entropy(logits, targets, ignore_index=IGNORE)
+            return F.cross_entropy(logits, targets_all[batch_idx], ignore_index=IGNORE)
 
-        return self._epoch_loop(model, len(sequences), step)
+        return len(sequences), loss
 
-    def _fit_pointwise(self, model, dataset) -> list[float]:
+    def _pointwise(self, model, dataset, rng):
         histories, targets = [], []
         for seq in dataset.split.train_sequences:
             for t in range(self.config.min_history, len(seq)):
@@ -121,14 +98,14 @@ class BaselineTrainer:
         lengths = np.array([len(h) for h in histories], dtype=np.int64)
         targets = np.array(targets, dtype=np.int64)
 
-        def step(batch_idx, rng):
+        def loss(batch_idx):
             representation = model.user_representation(padded[batch_idx], lengths[batch_idx])
             logits = model.item_logits(representation)
             return F.cross_entropy(logits, targets[batch_idx])
 
-        return self._epoch_loop(model, len(histories), step)
+        return len(histories), loss
 
-    def _fit_masked(self, model, dataset) -> list[float]:
+    def _masked(self, model, dataset, rng):
         if not hasattr(model, "mask_id"):
             raise TypeError(f"{model.name} lacks mask_id for masked training")
         sequences = [s for s in dataset.split.train_sequences if len(s) >= 2]
@@ -137,7 +114,7 @@ class BaselineTrainer:
         )
         is_real = padded != model.pad_id
 
-        def step(batch_idx, rng):
+        def loss(batch_idx):
             batch = padded[batch_idx].copy()
             real = is_real[batch_idx]
             mask = (rng.random(batch.shape) < self.config.mask_prob) & real
@@ -152,4 +129,4 @@ class BaselineTrainer:
             logits = model.item_logits(output)
             return F.cross_entropy(logits, targets, ignore_index=IGNORE)
 
-        return self._epoch_loop(model, len(sequences), step)
+        return len(sequences), loss

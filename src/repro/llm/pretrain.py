@@ -14,15 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..tensor import AdamW, CosineWarmup, clip_grad_norm
+from ..tensor import AdamW, CosineWarmup, train_epochs
 from ..tensor import functional as F
 from ..text import WordTokenizer
-from ..utils.logging import get_logger
 from .model import TinyLlama
 
 __all__ = ["PretrainConfig", "pretrain_lm", "build_corpus_stream"]
-
-logger = get_logger(__name__)
 
 
 @dataclass
@@ -61,28 +58,28 @@ def pretrain_lm(
         reps = (seq_len + 2) // len(stream) + 1
         stream = np.tile(stream, reps)
     rng = np.random.default_rng(config.seed)
-    optimizer = AdamW(model.parameters(), lr=config.lr, weight_decay=config.weight_decay)
-    schedule = CosineWarmup(
-        config.lr,
-        warmup_steps=int(config.steps * config.warmup_frac),
-        total_steps=config.steps,
-    )
-    losses: list[float] = []
-    model.train()
     max_start = len(stream) - seq_len - 1
-    for step in range(config.steps):
-        schedule.apply(optimizer, step)
+
+    def window() -> np.ndarray:
         starts = rng.integers(0, max_start + 1, size=config.batch_size)
-        batch = np.stack([stream[s : s + seq_len + 1] for s in starts])
-        inputs, targets = batch[:, :-1], batch[:, 1:]
-        optimizer.zero_grad()
-        logits = model(inputs)
-        loss = F.cross_entropy(logits, targets)
-        loss.backward()
-        clip_grad_norm(model.parameters(), config.clip_norm)
-        optimizer.step()
-        losses.append(loss.item())
-        if (step + 1) % config.log_every == 0:
-            logger.info("pretrain step %d: loss=%.4f", step + 1, losses[-1])
-    model.zero_grad()  # spent gradients would keep the decode's WeightMemos from caching
-    return losses
+        return np.stack([stream[s : s + seq_len + 1] for s in starts])
+
+    def loss(batch: np.ndarray):
+        return F.cross_entropy(model(batch[:, :-1]), batch[:, 1:])
+
+    # Windows are independent draws, so every step is its own "epoch":
+    # the per-epoch means are the per-step losses.
+    return train_epochs(
+        model,
+        AdamW(model.parameters(), lr=config.lr, weight_decay=config.weight_decay),
+        ([window()] for _ in range(config.steps)),
+        loss,
+        name="pretrain step",
+        clip_norm=config.clip_norm,
+        schedule=CosineWarmup(
+            config.lr,
+            warmup_steps=int(config.steps * config.warmup_frac),
+            total_steps=config.steps,
+        ),
+        log_every=config.log_every,
+    )

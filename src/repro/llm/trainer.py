@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..tensor import AdamW, CosineWarmup, clip_grad_norm
+from ..tensor import AdamW, CosineWarmup, train_epochs
 from ..tensor import functional as F
 from ..text import WordTokenizer
 from ..utils.logging import get_logger
@@ -72,68 +72,65 @@ class InstructionTuner:
         early_stopping = (
             config.early_stopping_patience is not None and validation_examples is not None
         )
-        best_val = float("inf")
         best_state = None
-        bad_epochs = 0
         rng = np.random.default_rng(config.seed)
-        optimizer = AdamW(self.model.parameters(), lr=config.lr, weight_decay=config.weight_decay)
-
         first_epoch = list(sampler(0))
         if not first_epoch:
             raise ValueError("sampler produced no examples")
-        steps_per_epoch = int(np.ceil(len(first_epoch) / config.batch_size))
-        total_steps = steps_per_epoch * config.epochs
-        schedule = CosineWarmup(
-            config.lr,
-            warmup_steps=int(total_steps * config.warmup_frac),
-            total_steps=total_steps,
+        total_steps = int(np.ceil(len(first_epoch) / config.batch_size)) * config.epochs
+
+        def steps():
+            """One batch per "epoch" (the history is per step); early stopping between epochs."""
+            nonlocal best_state
+            best_val, bad_epochs = float("inf"), 0
+            for epoch in range(config.epochs):
+                examples = first_epoch if epoch == 0 else list(sampler(epoch))
+                encoded = [encode_example(self.tokenizer, ex, config.max_len) for ex in examples]
+                # Length-bucketed shuffling: randomise, then sort within chunks
+                # so batches have similar lengths (less padding waste).
+                order = rng.permutation(len(encoded))
+                chunk = config.batch_size * 8
+                bucketed: list[int] = []
+                for start in range(0, len(order), chunk):
+                    block = sorted(order[start : start + chunk], key=lambda i: len(encoded[i]))
+                    bucketed.extend(block)
+                for start in range(0, len(bucketed), config.batch_size):
+                    batch = [encoded[i] for i in bucketed[start : start + config.batch_size]]
+                    yield [collate_batch(batch, pad_id=self.tokenizer.vocab.pad_id)]
+                if early_stopping:
+                    val_loss = self.evaluate_loss(validation_examples)
+                    self.model.train()
+                    if val_loss < best_val - 1e-6:
+                        best_val, best_state, bad_epochs = val_loss, self.model.state_dict(), 0
+                    else:
+                        bad_epochs += 1
+                        if bad_epochs >= config.early_stopping_patience:
+                            logger.info(
+                                "early stop after epoch %d (best val=%.4f)", epoch + 1, best_val
+                            )
+                            return
+
+        def loss(batch):
+            input_ids, labels = batch
+            logits = self.model(input_ids[:, :-1])
+            return F.cross_entropy(logits, labels[:, 1:], ignore_index=-100)
+
+        losses = train_epochs(
+            self.model,
+            AdamW(self.model.parameters(), lr=config.lr, weight_decay=config.weight_decay),
+            steps(),
+            loss,
+            name="tune step",
+            clip_norm=config.clip_norm,
+            schedule=CosineWarmup(
+                config.lr,
+                warmup_steps=int(total_steps * config.warmup_frac),
+                total_steps=total_steps,
+            ),
+            log_every=config.log_every,
         )
-        losses: list[float] = []
-        step = 0
-        self.model.train()
-        for epoch in range(config.epochs):
-            examples = first_epoch if epoch == 0 else list(sampler(epoch))
-            encoded = [encode_example(self.tokenizer, ex, config.max_len) for ex in examples]
-            # Length-bucketed shuffling: randomise, then sort within chunks
-            # so batches have similar lengths (less padding waste).
-            order = rng.permutation(len(encoded))
-            chunk = config.batch_size * 8
-            bucketed: list[int] = []
-            for start in range(0, len(order), chunk):
-                block = sorted(order[start : start + chunk], key=lambda i: len(encoded[i]))
-                bucketed.extend(block)
-            for start in range(0, len(bucketed), config.batch_size):
-                batch = [encoded[i] for i in bucketed[start : start + config.batch_size]]
-                input_ids, labels = collate_batch(batch, pad_id=self.tokenizer.vocab.pad_id)
-                schedule.apply(optimizer, step)
-                optimizer.zero_grad()
-                logits = self.model(input_ids[:, :-1])
-                loss = F.cross_entropy(logits, labels[:, 1:], ignore_index=-100)
-                loss.backward()
-                clip_grad_norm(self.model.parameters(), config.clip_norm)
-                optimizer.step()
-                losses.append(loss.item())
-                step += 1
-                if step % config.log_every == 0:
-                    logger.info("tune step %d/%d: loss=%.4f", step, total_steps, losses[-1])
-            if early_stopping:
-                val_loss = self.evaluate_loss(validation_examples)
-                self.model.train()
-                if val_loss < best_val - 1e-6:
-                    best_val = val_loss
-                    best_state = self.model.state_dict()
-                    bad_epochs = 0
-                else:
-                    bad_epochs += 1
-                    if bad_epochs >= config.early_stopping_patience:
-                        logger.info(
-                            "early stop after epoch %d (best val=%.4f)", epoch + 1, best_val
-                        )
-                        break
-        if early_stopping and best_state is not None:
+        if best_state is not None:
             self.model.load_state_dict(best_state)
-        self.model.zero_grad()  # spent gradients would keep the decode's WeightMemos from caching
-        self.model.eval()
         return losses
 
     def evaluate_loss(self, examples: Sequence[InstructionExample]) -> float:

@@ -7,13 +7,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..data.batching import iterate_minibatches
-from ..tensor import AdamW, Tensor
-from ..utils.logging import get_logger
+from ..tensor import AdamW, Tensor, train_epochs
 from .rqvae import RQVAE
 
 __all__ = ["RQVAETrainerConfig", "RQVAETrainer"]
-
-logger = get_logger(__name__)
 
 
 @dataclass
@@ -44,31 +41,32 @@ class RQVAETrainer:
                 f"embedding dim {embeddings.shape[1]} != RQ-VAE input_dim "
                 f"{self.model.config.input_dim}"
             )
-        rng = np.random.default_rng(self.config.seed)
-        if self.config.kmeans_init:
+        cfg = self.config
+        rng = np.random.default_rng(cfg.seed)
+        if cfg.kmeans_init:
             self.model.init_codebooks_kmeans(embeddings, rng=rng)
-        optimizer = AdamW(
-            self.model.parameters(), lr=self.config.lr, weight_decay=self.config.weight_decay
+        parts: list[dict[str, list[float]]] = []  # per epoch, per-batch loss terms
+
+        def epochs():
+            for _ in range(cfg.epochs):
+                parts.append({"recon": [], "rq": []})
+                yield iterate_minibatches(len(embeddings), cfg.batch_size, rng=rng)
+
+        def loss(batch_idx):
+            total, terms, _ = self.model(Tensor(embeddings[batch_idx]))
+            for key, values in parts[-1].items():
+                values.append(terms[key].item())
+            return total
+
+        totals = train_epochs(
+            self.model,
+            AdamW(self.model.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay),
+            epochs(),
+            loss,
+            name="rqvae epoch",
+            log_every=cfg.log_every,
         )
-        history: list[dict[str, float]] = []
-        for epoch in range(self.config.epochs):
-            epoch_losses = {"recon": 0.0, "rq": 0.0, "total": 0.0}
-            batches = 0
-            for batch_idx in iterate_minibatches(
-                len(embeddings), self.config.batch_size, rng=rng
-            ):
-                batch = Tensor(embeddings[batch_idx])
-                optimizer.zero_grad()
-                total, parts, _ = self.model(batch)
-                total.backward()
-                optimizer.step()
-                for key in epoch_losses:
-                    epoch_losses[key] += parts[key].item()
-                batches += 1
-            record = {key: value / max(batches, 1) for key, value in epoch_losses.items()}
-            history.append(record)
-            if (epoch + 1) % self.config.log_every == 0:
-                logger.info("rqvae epoch %d: total=%.4f recon=%.4f rq=%.4f",
-                            epoch + 1, record["total"], record["recon"],
-                            record["rq"])
-        return history
+        return [
+            {**{key: sum(v) / max(len(v), 1) for key, v in epoch.items()}, "total": total}
+            for epoch, total in zip(parts, totals)
+        ]

@@ -157,9 +157,9 @@ class RejectedRecommendation:
 class DegradedRecommendation:
     """A handle born served — by the retrieval fast lane, not the LLM.
 
-    Returned when admission control would have shed the request but a
-    :class:`FallbackRecommender` is configured: the front door answers
-    from retrieval immediately instead of queueing (or rejecting), and
+    Returned when admission control would have shed the request, or its
+    history is empty, and a :class:`FallbackRecommender` is configured:
+    retrieval answers immediately instead of queueing (or rejecting), and
     the handle is already resolved.  ``degraded`` is True and
     ``degraded_reason`` says why the fast lane fired (``"queue_full"`` —
     every admissible backlog was at its bound; ``"cold_start"`` — the

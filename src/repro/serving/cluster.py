@@ -27,9 +27,9 @@ fronts them with three policies:
   With a ``fallback`` (:class:`repro.serving.FallbackRecommender`, e.g.
   :class:`repro.retrieval.RetrievalRecommender`), would-be-shed history
   requests are *served* from the retrieval fast lane instead — handles
-  resolve with ``degraded=True`` rather than failing — and empty
-  histories short-circuit to the fallback at the front door
-  (``degraded_reason="cold_start"``) without costing a decode slot.
+  resolve with ``degraded=True`` rather than failing — and each worker
+  answers empty histories from it (``degraded_reason="cold_start"``)
+  without costing a decode slot, exactly as a plain service does.
 
 The cluster speaks the same :class:`repro.serving.RecommendationClient`
 surface as the single-process service — ``submit(...) -> handle`` /
@@ -83,12 +83,11 @@ class ClusterStats:
 
     ``degraded`` counts submits the front door served from the retrieval
     fallback instead of a worker (every-worker saturation with a
-    fallback configured, plus the cold-start lane); ``cold_start`` is
-    the subset served because the history was empty.  Degraded serves
-    count in ``submitted`` but not in ``rejected`` (served is not shed)
-    and never touch ``per_worker`` — no worker saw them.  Worker-level
-    fallback serves (deadline expiry, per-worker queue overflow) live on
-    each worker's :class:`repro.serving.ServingStats` instead.
+    fallback configured).  Degraded serves count in ``submitted`` but not
+    in ``rejected`` (served is not shed) and never touch ``per_worker`` —
+    no worker saw them.  Worker-level fallback serves (deadline expiry,
+    per-worker queue overflow, cold start) live on each worker's
+    :class:`repro.serving.ServingStats` instead.
     """
 
     submitted: int = 0
@@ -97,7 +96,6 @@ class ClusterStats:
     keyless: int = 0
     rejected: int = 0
     degraded: int = 0
-    cold_start: int = 0
     per_worker: dict[int, int] = field(default_factory=dict)
 
     @property
@@ -163,7 +161,7 @@ class ServingCluster(RecommendationClient):
         History submits that would otherwise be shed (fleet-wide
         saturation at the front door, per-worker queue overflow, or
         deadline expiry) are served from it with ``degraded=True``
-        handles, and empty histories are answered from it immediately
+        handles, and workers answer empty histories from it
         (``degraded_reason="cold_start"``) without consuming a decode slot.
         Intention/instruction submits keep plain rejections.  The object
         must be thread-safe for concurrent reads —
@@ -268,12 +266,12 @@ class ServingCluster(RecommendationClient):
     def degraded_requests(self) -> int:
         """Total requests the retrieval fast lane served, fleet-wide.
 
-        Front-door degraded serves (saturation and cold start) plus every
-        worker's queue-overflow and deadline fallback serves.  Disjoint
+        Front-door degraded serves (saturation) plus every worker's
+        queue-overflow, deadline and cold-start fallback serves.  Disjoint
         from :attr:`shed_requests` — degraded requests got a ranking.
         """
         return self.stats.degraded + sum(
-            stats.degraded_queue_full + stats.degraded_deadline
+            stats.degraded_queue_full + stats.degraded_deadline + stats.degraded_cold_start
             for stats in self.worker_stats()
         )
 
@@ -348,17 +346,6 @@ class ServingCluster(RecommendationClient):
         history: list[int] | None = None,
         top_k: int = 10,
     ) -> RecommendationHandle:
-        if self.fallback is not None and history is not None and not history:
-            # Cold-start lane: an empty history gives the constrained
-            # decoder nothing to condition on — answer from retrieval
-            # immediately rather than spending a decode slot on it.
-            with self._stats_lock:
-                self.stats.submitted += 1
-                self.stats.degraded += 1
-                self.stats.cold_start += 1
-            return DegradedRecommendation(
-                self.fallback.recommend(history, top_k), "cold_start"
-            )
         worker, kind = self._admit(session_key)
         if worker is None and self.fallback is not None and history is not None:
             # Fleet-wide saturation with a retrieval fast lane: serve

@@ -196,13 +196,6 @@ class RequestQueue:
         with self._cond:
             self._cond.notify_all()
 
-    def oldest_age(self) -> float | None:
-        """Seconds the oldest queued request has been waiting, if any."""
-        with self._cond:
-            if not self._items:
-                return None
-            return time.monotonic() - self._items[0].enqueued_at
-
     def __len__(self) -> int:
         with self._cond:
             return len(self._items)

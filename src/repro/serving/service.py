@@ -211,6 +211,8 @@ class ServingStats:
     constructed with a ``fallback``): those handles resolve with a
     ranking and ``degraded=True``, and they are deliberately **not**
     counted as shed — served and shed are disjoint outcomes.
+    ``degraded_cold_start`` counts empty-history submits the fallback
+    answered outright, without costing a decode slot.
 
     ``hybrid_narrowed`` / ``hybrid_retrieval`` count the hybrid lane
     (services constructed with ``hybrid=``): history submits decoded
@@ -222,11 +224,10 @@ class ServingStats:
     decode-path wall time to its stages: the prompt phase (including
     prefix-cache matching and level-0 expansion), the per-level stepping
     loop (including retirements), and ranking post-processing (which may
-    re-decode for widen-and-backfill engines); :meth:`stage_seconds`
-    returns the three, so a perf regression can be attributed to a stage
-    instead of showing up only in end-to-end latency.  Queue wait and
-    thread handoff are deliberately excluded — these are engine-cost
-    counters.
+    re-decode for widen-and-backfill engines), so a perf regression can be
+    attributed to a stage instead of showing up only in end-to-end
+    latency.  Queue wait and thread handoff are deliberately excluded —
+    these are engine-cost counters.
     """
 
     requests: int = 0
@@ -240,6 +241,7 @@ class ServingStats:
     shed_deadline: int = 0
     degraded_queue_full: int = 0
     degraded_deadline: int = 0
+    degraded_cold_start: int = 0
     hybrid_narrowed: int = 0
     hybrid_retrieval: int = 0
     prefill_seconds: float = 0.0
@@ -253,14 +255,6 @@ class ServingStats:
     @property
     def mean_padding_fraction(self) -> float:
         return self.padding_fraction_sum / self.batches if self.batches else 0.0
-
-    def stage_seconds(self) -> dict[str, float]:
-        """Per-stage decode time: ``{"prefill": .., "step": .., "finalize": ..}``."""
-        return {
-            "prefill": self.prefill_seconds,
-            "step": self.step_seconds,
-            "finalize": self.finalize_seconds,
-        }
 
 
 def _release_freed_heap() -> None:
@@ -352,7 +346,9 @@ class RecommendationService(RecommendationClient):
         that admission control would shed (full queue at submit, or shed
         deadline passed while queued) is *served* from the fallback
         instead of rejected: its handle resolves with the fallback
-        ranking and ``degraded=True``.  Intention/instruction submits
+        ranking and ``degraded=True``.  An empty history is answered from
+        it at submit (``degraded_reason="cold_start"``) without costing a
+        decode slot.  Intention/instruction submits
         carry no item history the fallback could use and keep the plain
         ``Overloaded`` rejection.  ``None`` (default) keeps pre-fallback
         shedding exactly as it was.
@@ -544,6 +540,11 @@ class RecommendationService(RecommendationClient):
                 return self._serve_retrieval(history, top_k, "no_candidates")
             narrow_items = tuple(int(item) for item in candidates)
             self.stats.hybrid_narrowed += 1
+        elif not history and self.fallback is not None:
+            # Cold start: an empty history gives the constrained decoder
+            # nothing to condition on — answer from the fallback instead.
+            self.stats.degraded_cold_start += 1
+            return DegradedRecommendation(self.fallback.recommend(history, top_k), "cold_start")
         return self._submit_prompt(
             self.engine.encode_history(history, template_id),
             top_k,

@@ -14,7 +14,7 @@ from .nn import (
     RMSNorm,
     Sequential,
 )
-from .optim import Adam, AdamW, SGD, clip_grad_norm
+from .optim import Adam, AdamW, SGD, clip_grad_norm, train_epochs
 from .recurrent import GRU, GRUCell
 from .sched import ConstantSchedule, CosineWarmup, LinearWarmup
 from .serialize import load_module, save_module
@@ -62,6 +62,7 @@ __all__ = [
     "Adam",
     "AdamW",
     "clip_grad_norm",
+    "train_epochs",
     "ConstantSchedule",
     "LinearWarmup",
     "CosineWarmup",

@@ -14,7 +14,7 @@ from typing import Iterator
 import numpy as np
 
 from . import functional as F
-from .init import kaiming_uniform, normal_, uniform_
+from .init import kaiming_uniform, normal_
 from .tensor import Parameter, Tensor
 from .workspace import WeightMemo
 
@@ -273,10 +273,3 @@ class MLP(Module):
             if i < last or self.final_activation:
                 x = x.relu()
         return x
-
-
-def uniform_init(
-    rng: np.random.Generator, shape: tuple[int, ...], low: float, high: float
-) -> np.ndarray:
-    """Convenience re-export used by a few baseline models."""
-    return uniform_(rng, shape, low, high)

@@ -79,10 +79,10 @@ class TestAwaitBatch:
 
     def test_oldest_age(self):
         queue = RequestQueue()
-        assert queue.oldest_age() is None
         queue.push(request(3))
         time.sleep(0.01)
-        assert queue.oldest_age() >= 0.01
+        (oldest,) = queue.pop_front(1)
+        assert time.monotonic() - oldest.enqueued_at >= 0.01
 
 
 class TestAsyncService:

@@ -566,10 +566,23 @@ class TestDegradedFallback:
         assert isinstance(handle, DegradedRecommendation)
         assert handle.degraded_reason == "cold_start"
         assert handle.result() == [0, 1, 2, 3, 4]
-        assert cluster.stats.cold_start == 1 and cluster.stats.degraded == 1
-        # No worker saw the request.
-        assert cluster.stats.per_worker == {}
+        # The worker answered it without queueing: no decode slot spent.
+        assert [s.degraded_cold_start for s in cluster.worker_stats()].count(1) == 1
+        assert cluster.stats.degraded == 0 and cluster.degraded_requests == 1
         assert cluster.backlog == 0
+
+    def test_service_and_one_worker_cluster_share_the_cold_start_lane(self, tiny_lcrec):
+        service = RecommendationService(
+            LCRecEngine(tiny_lcrec), batcher=BATCHER, fallback=StubFallback()
+        )
+        cluster = ServingCluster(
+            LCRecEngine(tiny_lcrec), num_workers=1, batcher=BATCHER, fallback=StubFallback()
+        )
+        handles = [client.submit([], top_k=4) for client in (service, cluster)]
+        assert [(h.result(), h.degraded_reason) for h in handles] == [
+            ([0, 1, 2, 3], "cold_start")
+        ] * 2
+        assert service.backlog == 0 and cluster.backlog == 0
 
     def test_retrieval_recommender_is_a_working_fallback(self, tiny_lcrec, tiny_dataset):
         """End-to-end with the shipped fast lane, not a stub."""
