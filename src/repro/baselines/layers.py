@@ -62,9 +62,8 @@ class TransformerEncoderLayer(Module):
         attn_mask: np.ndarray | None = None,
         context: Tensor | None = None,
         context_mask: np.ndarray | None = None,
-        cache=None,
     ) -> Tensor:
-        x = x + self.dropout(self.self_attn(self.self_norm(x), attn_mask=attn_mask, cache=cache))
+        x = x + self.dropout(self.self_attn(self.self_norm(x), attn_mask=attn_mask))
         if self.with_cross_attention:
             if context is None:
                 raise ValueError("cross-attention layer needs a context")

@@ -194,7 +194,7 @@ class TIGER(Module):
             if caches[0].memory.length == 0:
                 for layer, cache in zip(self.decoder_layers, caches):
                     cache.project_memory(layer.cross_attn, memory.data, memory_mask)
-            mask, offset = attention_geometry(seq_len, caches[0].length, None, pad_columns)
+            mask, offset = attention_geometry(seq_len, caches[0].length, pad_columns)
             x = self.token_embeddings.weight.data[decoder_input]
             x += self.decoder_positions.weight.data[absolute_positions(offset, seq_len)]
             hidden = layer_stack_hidden_states(
@@ -365,6 +365,8 @@ class TIGER(Module):
         This is the single-request parity oracle; serving and batched
         evaluation go through :meth:`recommend_many` instead.
         """
+        if top_k < 1:
+            raise ValueError("top_k must be positive")
         beam_size = max(self.config.beam_size, top_k)
         num_items = self.trie.num_items
         with no_grad():

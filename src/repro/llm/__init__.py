@@ -7,8 +7,6 @@ from .generation import (
     DecodeState,
     backfill_items,
     backfill_ranked_item_ids,
-    beam_search_items,
-    beam_search_items_batched,
     beam_search_items_single,
     decode_finish,
     decode_join,
@@ -57,8 +55,6 @@ __all__ = [
     "DecodeState",
     "backfill_items",
     "backfill_ranked_item_ids",
-    "beam_search_items",
-    "beam_search_items_batched",
     "beam_search_items_single",
     "decode_prefill",
     "decode_step",

@@ -5,38 +5,34 @@ module performs a beam search across the index tokens ... the probabilities
 of tokens that may result in illegal item indices will be assigned as 0",
 using the index trie built from the learned item indices.
 
-Two constrained-decoding paths are provided:
-
-* the batched serving engine — decodes ``B`` prompts × ``G`` live beams
-  per step in a single ``model.forward`` over a flattened ``B*G`` batch
-  axis, with the trie constraint applied as one vectorized mask.  The beam
-  size ``K`` caps a request's hypotheses, it is not the row shape: ``G`` is
-  the most hypotheses any in-flight request has alive (a request owns at
-  most as many as the trie offers), so a thin level steps thin.  Prompts of
-  mixed length are left-padded; pad positions are masked out of attention
-  and real tokens keep their unpadded RoPE positions, so padding changes
-  nothing mathematically: rankings are identical to per-request decoding
-  and scores agree to float rounding (BLAS accumulation order varies with
-  batch shape).  With a :class:`PrefixKVCache` the engine additionally
-  skips re-running prompt prefixes it has decoded before (template heads,
-  grown session histories, repeated queries): cached K/V is seeded into
-  the decode caches and only each request's unseen suffix is forwarded.
-* :func:`beam_search_items_single` — the original per-hypothesis reference
-  loop, kept as the parity/throughput baseline.
-
-The batched engine is a resumable stepper built around
+Constrained decoding is one resumable stepper, built around
 :class:`DecodeState` and driven over a :class:`Scorer` — the decoder-only
 :class:`TinyLlama` or the encoder-decoder :class:`repro.baselines.TIGER`;
-everything below the prompt phase is the same code for both:
-:func:`decode_prefill` runs the prompt phase and
-level-0 beam expansion, :func:`decode_step` advances every in-flight row
-by one trie level, :func:`decode_join` merges freshly prefilled rows into
+everything below the prompt phase is the same code for both.  It decodes
+``B`` prompts × ``G`` live beams per step in a single forward over a
+flattened ``B*G`` batch axis, with the trie constraint applied as one
+vectorized mask.  The beam size ``K`` caps a request's hypotheses, it is
+not the row shape: ``G`` is the most hypotheses any in-flight request has
+alive (a request owns at most as many as the trie offers), so a thin level
+steps thin.  Prompts of mixed length are left-padded; pad positions are
+masked out of attention and real tokens keep their unpadded RoPE
+positions, so padding changes nothing mathematically: rankings are
+identical to per-request decoding and scores agree to float rounding (BLAS
+accumulation order varies with batch shape).  With a
+:class:`PrefixKVCache` the prompt phase additionally skips re-running
+prompt prefixes it has decoded before (template heads, grown session
+histories, repeated queries): cached K/V is seeded into the decode caches
+and only each request's unseen suffix is forwarded.
+
+:func:`decode_prefill` runs the prompt phase, then level 0 as a step from
+the root — one hypothesis per row, scored 0.0 — through the same selection
+:func:`decode_step` runs after its forward to advance every in-flight row
+by one trie level.  :func:`decode_join` merges freshly prefilled rows into
 a live decode at a level boundary (continuous batching's admission
 primitive), :func:`decode_retire` pops finished rows as soon as they reach
 the final level, and :func:`decode_finish` harvests everything.
-:func:`beam_search_items_batched` is the one-shot wrapper (prefill, step
-to depth, finish) and :func:`beam_search_items` keeps the old
-single-request signature on top of it.
+:func:`beam_search_items_single` is the original per-hypothesis loop, kept
+as the parity oracle.
 
 Scoring semantics: hypothesis scores are *constrained* log-probabilities —
 at every level the disallowed logits are set to ``-inf`` **before** the
@@ -74,8 +70,6 @@ __all__ = [
     "Scorer",
     "backfill_items",
     "backfill_ranked_item_ids",
-    "beam_search_items",
-    "beam_search_items_batched",
     "beam_search_items_single",
     "constrained_log_probs",
     "decode_finish",
@@ -388,7 +382,14 @@ def _narrowed_step_candidates(
     if not children.size:
         raise RuntimeError("no live hypotheses to step in a narrowed decode")
     tokens = table.token[children]
-    union = np.unique(tokens)
+    # The children's tokens are a subset of the trie's sorted union: when
+    # they cover it, keep the memoized array itself (the gathered-head
+    # memo's key), else its present columns.
+    union = candidates_info.union
+    present = np.zeros(union.shape[0], dtype=bool)
+    present[np.searchsorted(union, tokens)] = True
+    if not present.all():
+        union = union[present]
     columns = np.searchsorted(union, tokens)
     norm_mask = np.zeros((alive.shape[0], union.shape[0]), dtype=bool)
     norm_mask[hypotheses, columns] = True
@@ -542,11 +543,17 @@ def decode_prefill(
 
     Returns a :class:`DecodeState` with every row holding its top-``K``
     legal first index tokens; :func:`decode_step` advances it one trie
-    level per call.  ``prefix_cache`` enables cross-request prompt
-    K/V reuse exactly as in :func:`beam_search_items_batched`.  ``tags``
-    optionally attaches one opaque object per prompt (defaults to the
-    prompt's position).  Logits are computed for the trie's candidate
-    union only — see the module docstring.  ``narrow`` optionally
+    level per call.  Level 0 is a step from the root: the state starts at
+    one root hypothesis per row, scored 0.0, and the prompt's last hidden
+    state runs through the selection every step uses.
+
+    ``prefix_cache`` enables cross-request prompt K/V reuse: prompt
+    prefixes it has seen before are not re-forwarded — their cached K/V is
+    seeded into the decode caches and only each row's unseen suffix runs
+    through the model.  Rankings are unaffected (see
+    :class:`repro.llm.PrefixKVCache` for the invalidation contract).
+    ``tags`` optionally attaches one opaque object per prompt (defaults to
+    the prompt's position).  ``narrow`` optionally
     restricts beam selection to candidate items of ``trie`` (see
     :class:`DecodeState`): one item-id sequence per prompt, ``None`` for a
     full-trie row.  Each row's ranking over its candidate set matches a
@@ -591,49 +598,31 @@ def decode_prefill(
             # Encode, project cross-attention K/V, forward BOS: pad_columns
             # then maps the one-column (BOS) self-attention prompt region.
             hidden, pad_columns, forwards = encoder_decoder(prompts, caches, workspace=workspace)
-
-        # Level 0: expand every prompt to its top-K legal first tokens
-        # under the constrained (renormalised-over-legal) distribution.
-        root = trie.allowed_token_ids(np.zeros(1, dtype=np.int64))  # the root's node
-        logits = model.lm_head_gather(hidden, root.union, workspace=workspace)
-        scores = masked_log_softmax(logits, root.mask)  # (B, U)
-        # The root's children are level 1's nodes, in union order.
-        first_nodes = slice(table.level_start[1], table.level_start[2])
-        # Narrowing masks selection only, after the softmax: renormalisation
-        # stays over the full root union.  The batch is as wide as its row
-        # with the most selectable first tokens; a row with fewer carries
-        # -inf filler repeating its first token, like a joined thin row.
-        width = root.num_candidates
-        if any(mask is not None for mask in narrow):
-            everything = np.ones(width, dtype=bool)
-            keep = np.stack([everything if mask is None else mask[first_nodes] for mask in narrow])
-            scores = np.where(keep, scores, -np.inf)
-            width = int(keep.sum(axis=1).max())
-        order, top_scores = topk_desc(scores, min(num_beams, width))
-        order = np.where(np.isfinite(top_scores), order, order[:, :1])
-        # Scores accumulate in float64, matching the reference path.
-        beam_scores = top_scores.astype(np.float64)  # (B, G): the first tokens that exist
-        token_ids = root.union[order]  # union positions back to token ids
         # Every beam appends at most one K/V column per remaining level.
         for cache in caches:
-            cache.fan_out(token_ids.shape[1], suffix_length=trie.num_levels - 1)
-        workspace.clear()  # B prompt rows become B*G beam rows: step scratch resizes
-    return DecodeState(
-        model=model,
-        trie=trie,
-        num_beams=num_beams,
-        pad_id=pad_id,
-        caches=caches,
-        beam_nodes=first_nodes.start + order,
-        beam_scores=beam_scores,
-        prompt_pads=pad_columns,
-        suffix_pads=np.zeros(len(prompts), dtype=np.int64),
-        tags=list(tags),
-        pending=token_ids.reshape(-1, 1).astype(np.int64, copy=False),
-        workspace=workspace,
-        narrow=narrow,
-        forwards=forwards,  # what the prompt phase ran
-    )
+            cache.fan_out(1, suffix_length=trie.num_levels - 1)
+        # Level 0 is a step from the root: one hypothesis per row, scored
+        # 0.0, whose hidden state is the prompt's last.
+        state = DecodeState(
+            model=model,
+            trie=trie,
+            num_beams=num_beams,
+            pad_id=pad_id,
+            caches=caches,
+            beam_nodes=np.zeros((len(prompts), 1), dtype=np.int64),
+            beam_scores=np.zeros((len(prompts), 1)),
+            prompt_pads=pad_columns,
+            suffix_pads=np.zeros(len(prompts), dtype=np.int64),
+            tags=list(tags),
+            narrow=narrow,
+            pending=np.full((len(prompts), 1), pad_id, dtype=np.int64),
+            workspace=workspace,
+            forwards=forwards,  # what the prompt phase ran
+        )
+        root = trie.allowed_token_ids(state.beam_nodes.reshape(-1))
+        _advance(state, hidden, root, np.ones(len(prompts), dtype=bool))
+        workspace.clear()  # prompt-phase scratch: the steps size their own
+    return state
 
 
 def decode_step(state: DecodeState) -> DecodeState:
@@ -665,25 +654,22 @@ def decode_step(state: DecodeState) -> DecodeState:
         raise RuntimeError("cannot step an empty decode state")
     if state.finished_rows():
         raise RuntimeError("retire finished rows before stepping")
-    model, trie = state.model, state.trie
-    table = trie.nodes
-    num_requests, width = state.num_rows, state.width
     # Nothing past the width is alive: wider rows, since retired, left it.
-    beam_nodes = state.beam_nodes[:, :width]
-    beam_scores = state.beam_scores[:, :width]
-    candidates_info = trie.allowed_token_ids(beam_nodes.reshape(-1))
+    beam_nodes = state.beam_nodes[:, : state.width]
+    beam_scores = state.beam_scores[:, : state.width]
+    candidates_info = state.trie.allowed_token_ids(beam_nodes.reshape(-1))
     alive = np.isfinite(beam_scores).reshape(-1)
     if candidates_info.is_forced(alive):
         # Every live hypothesis is forced: append without a forward
         # (log-probability 0.0 each), defer the KV update to the next
         # level that needs logits.
         forced = candidates_info.forced_tokens(state.pad_id)
-        state.beam_nodes = table.first_child[beam_nodes]
+        state.beam_nodes = state.trie.nodes.first_child[beam_nodes]
         state.beam_scores = beam_scores
         state.pending = np.concatenate([state.pending, forced[:, None]], axis=1)
         return state
     with no_grad():
-        hidden = model.hidden_states(
+        hidden = state.model.hidden_states(
             state.pending,
             caches=state.caches,
             pad_columns=state.flat_pad_columns(),
@@ -692,32 +678,51 @@ def decode_step(state: DecodeState) -> DecodeState:
         ).data[:, -1, :]
         state.forwards += 1
         state.beam_rows += state.pending.size
-        if all(mask is None for mask in state.narrow):
-            union = candidates_info.union
-            logits = model.lm_head_gather(hidden, union, workspace=state.workspace)
-            step_logp = masked_log_softmax(logits, candidates_info.mask)  # (B*G, U)
-        else:
-            union, norm_mask, keep = _narrowed_step_candidates(
-                candidates_info, state.narrow, width, alive
-            )
-            logits = model.lm_head_gather(hidden, union, workspace=state.workspace)
-            step_logp = np.where(keep, masked_log_softmax(logits, norm_mask), -np.inf)
-        origin, token, state.beam_scores = select_beams(
-            step_logp, beam_scores, state.num_beams, union
-        )
-        state.beam_nodes = table.child(np.take_along_axis(beam_nodes, origin, axis=1), token)
-        # Gather K/V straight onto the next step's width.  Rows that just
-        # finished need their scores and nodes only: when no row has a
-        # level left, nothing is reordered at all.
-        live = state.live_width()
-        if live:
-            flat_origin = np.arange(num_requests)[:, None] * width + origin[:, :live]
-            for cache in state.caches:
-                cache.reorder(flat_origin.reshape(-1), live)
-            state.pending = token[:, :live].reshape(-1, 1).astype(np.int64, copy=False)
-            if live != width:
-                state.workspace.clear()  # scratch of the old shape is released
+        _advance(state, hidden, candidates_info, alive)
     return state
+
+
+def _advance(
+    state: DecodeState, hidden: np.ndarray, candidates_info: SparseCandidates, alive: np.ndarray
+) -> None:
+    """Select every row's next trie level from its hypotheses' hidden states.
+
+    The decoding rule of both :func:`decode_prefill` (level 0, from the
+    root) and :func:`decode_step`: gathered-head logits over the candidate
+    union, the constrained log-softmax, top-``K`` selection, each chosen
+    hypothesis's child node, and the caches and ``pending`` moved onto the
+    new live width.  ``hidden`` is ``(B*width, dim)``, ``candidates_info``
+    the trie's continuations of the leading ``width`` slots and ``alive``
+    which of those carry a finite score.
+    """
+    model, table = state.model, state.trie.nodes
+    num_requests, width = state.num_rows, state.width
+    beam_nodes = state.beam_nodes[:, :width]
+    if all(mask is None for mask in state.narrow):
+        union = candidates_info.union
+        logits = model.lm_head_gather(hidden, union, workspace=state.workspace)
+        step_logp = masked_log_softmax(logits, candidates_info.mask)  # (B*G, U)
+    else:
+        union, norm_mask, keep = _narrowed_step_candidates(
+            candidates_info, state.narrow, width, alive
+        )
+        logits = model.lm_head_gather(hidden, union, workspace=state.workspace)
+        step_logp = np.where(keep, masked_log_softmax(logits, norm_mask), -np.inf)
+    origin, token, state.beam_scores = select_beams(
+        step_logp, state.beam_scores[:, :width], state.num_beams, union
+    )
+    state.beam_nodes = table.child(np.take_along_axis(beam_nodes, origin, axis=1), token)
+    # Gather K/V straight onto the next step's width.  Rows that just
+    # finished need their scores and nodes only: when no row has a level
+    # left, nothing is reordered at all.
+    live = state.live_width()
+    if live:
+        flat_origin = np.arange(num_requests)[:, None] * width + origin[:, :live]
+        for cache in state.caches:
+            cache.reorder(flat_origin.reshape(-1), live)
+        state.pending = token[:, :live].reshape(-1, 1).astype(np.int64, copy=False)
+        if live != width:
+            state.workspace.clear()  # scratch of the old shape is released
 
 
 def _pad_left_columns(pads: np.ndarray, extra: int) -> np.ndarray:
@@ -870,7 +875,7 @@ def decode_retire(state: DecodeState, rows: Sequence[int]) -> list[list[BeamHypo
     and suffix rows evicted, the width narrowed to what the survivors have
     alive) so later forwards pay only for live hypotheses.
     Results are in the order of ``rows``; ``-inf`` filler beams are
-    dropped, as in :func:`beam_search_items_batched`.
+    dropped.
     """
     rows = [int(row) for row in rows]
     if len(set(rows)) != len(rows):
@@ -932,70 +937,6 @@ def _trim_all_pad_prompt_columns(state: DecodeState) -> None:
 def decode_finish(state: DecodeState) -> list[list[BeamHypothesis]]:
     """Retire every row (all must be at the final level), in row order."""
     return decode_retire(state, range(state.num_rows))
-
-
-def beam_search_items_batched(
-    model: TinyLlama,
-    prompts: Sequence[Sequence[int]],
-    trie: IndexTrie,
-    beam_size: int = 20,
-    pad_id: int = 0,
-    prefix_cache: PrefixKVCache | None = None,
-) -> list[list[BeamHypothesis]]:
-    """Batched trie-constrained beam search (the serving engine).
-
-    Decodes all ``len(prompts)`` requests together: each step is a single
-    ``model.forward`` over the flattened ``B*G`` live-hypothesis axis with one
-    vectorized trie mask, instead of per-request forwards and
-    per-hypothesis Python loops.  Returns one score-sorted hypothesis list
-    per prompt with the same rankings as running each prompt through the
-    single-request path alone.
-
-    ``prefix_cache`` enables cross-request prompt K/V reuse: prompt
-    prefixes this cache has seen before (in this batch's predecessors) are
-    not re-forwarded — their cached K/V is seeded directly into the decode
-    caches and only each row's unseen suffix runs through the model.
-    Rankings are unaffected (the K/V of a prompt prefix is identical
-    whenever the tokens and weights are identical); see
-    :class:`repro.llm.PrefixKVCache` for the invalidation contract.
-
-    A request with fewer live hypotheses than the widest one in the batch
-    carries ``-inf``-scored filler beams up to that width to keep the batch
-    rectangular; fillers are dropped from the results.
-
-    This is the one-shot wrapper over the resumable stepper
-    (:func:`decode_prefill` → :func:`decode_step` × levels →
-    :func:`decode_finish`); the continuous-batching scheduler drives the
-    same stepper with admissions and retirements between levels.
-    """
-    if beam_size < 1:
-        raise ValueError("beam_size must be positive")
-    if not list(prompts):
-        return []
-    state = decode_prefill(
-        model,
-        prompts,
-        trie,
-        beam_size=beam_size,
-        pad_id=pad_id,
-        prefix_cache=prefix_cache,
-    )
-    while not state.done:
-        decode_step(state)
-    return decode_finish(state)
-
-
-def beam_search_items(
-    model: TinyLlama, prompt_ids: list[int], trie: IndexTrie, beam_size: int = 20
-) -> list[BeamHypothesis]:
-    """Constrained beam search over the item-index trie.
-
-    Returns hypotheses sorted by descending log probability.  Every
-    hypothesis is a *legal* complete item index (illegal continuations are
-    masked to ``-inf`` at every level), so each maps to exactly one item.
-    Runs on the batched engine with a batch of one.
-    """
-    return beam_search_items_batched(model, [prompt_ids], trie, beam_size=beam_size)[0]
 
 
 def constrained_log_probs(logits_row: np.ndarray, allowed: np.ndarray) -> np.ndarray:

@@ -264,31 +264,21 @@ def layer_stack_hidden_states(
 # Once per forward
 # ----------------------------------------------------------------------
 def attention_geometry(
-    seq_len: int,
-    offset: int,
-    pad_lengths: np.ndarray | None = None,
-    pad_columns: np.ndarray | None = None,
+    seq_len: int, offset: int, pad_columns: np.ndarray | None = None
 ) -> tuple[np.ndarray, int | np.ndarray]:
     """Attention mask and position offset of ``seq_len`` new tokens.
 
-    ``offset`` is the number of key columns already cached; the other
-    arguments are documented on :meth:`repro.llm.TinyLlama.hidden_states`.
-    Returns the boolean mask (True disallows; ``(T, key_len)``, or ``(rows,
-    1, T, key_len)`` once a row carries pads) and the position of each
-    row's first new token — an int, or a per-row ``(rows,)`` array (pads do
-    not count).
+    ``offset`` is the number of key columns already cached; ``pad_columns``
+    is documented on :meth:`repro.llm.TinyLlama.hidden_states`.  Returns
+    the boolean mask (True disallows; ``(T, key_len)``, or ``(rows, 1, T,
+    key_len)`` once a row carries pads) and the position of each row's
+    first new token — an int, or a per-row ``(rows,)`` array (pads do not
+    count).
     """
     key_len = offset + seq_len
     mask = causal_mask(seq_len, key_len, offset=offset)
     position: int | np.ndarray = offset
-    if pad_lengths is not None and pad_columns is not None:
-        raise ValueError("pass pad_lengths or pad_columns, not both")
-    if pad_lengths is not None and np.any(pad_lengths):
-        pad_lengths = np.asarray(pad_lengths, dtype=np.int64)
-        pad_keys = np.arange(key_len)[None, :] < pad_lengths[:, None]
-        mask = mask[None, None, :, :] | pad_keys[:, None, None, :]
-        position = offset - pad_lengths
-    elif pad_columns is not None and np.any(pad_columns):
+    if pad_columns is not None and np.any(pad_columns):
         pad_columns = np.asarray(pad_columns, dtype=bool)
         pad_keys = np.zeros((pad_columns.shape[0], key_len), dtype=bool)
         pad_keys[:, : pad_columns.shape[1]] = pad_columns

@@ -27,6 +27,7 @@ from ..tensor import (
     StepWorkspace,
     Tensor,
     WeightMemo,
+    causal_mask,
     is_grad_enabled,
 )
 from .config import LMConfig
@@ -83,18 +84,8 @@ class TransformerBlock(Module):
         self.feed_forward = SwiGLU(config.dim, config.ffn_hidden, rng)
         self.dropout = Dropout(config.dropout, rng=rng)
 
-    def forward(
-        self,
-        x: Tensor,
-        attn_mask: np.ndarray | None,
-        cache: KVCache | None = None,
-        rope_offset: int | np.ndarray | None = None,
-    ) -> Tensor:
-        x = x + self.dropout(
-            self.attention(
-                self.attn_norm(x), attn_mask=attn_mask, cache=cache, rope_offset=rope_offset
-            )
-        )
+    def forward(self, x: Tensor, attn_mask: np.ndarray | None) -> Tensor:
+        x = x + self.dropout(self.attention(self.attn_norm(x), attn_mask=attn_mask))
         x = x + self.dropout(self.feed_forward(self.ffn_norm(x)))
         return x
 
@@ -163,66 +154,63 @@ class TinyLlama(Module):
         self,
         tokens: np.ndarray,
         caches: list[KVCache] | None = None,
-        pad_lengths: np.ndarray | None = None,
         pad_columns: np.ndarray | None = None,
         workspace: StepWorkspace | None = None,
         last_only: bool = False,
     ) -> Tensor:
         """Final-norm hidden states ``(B, T, dim)`` for ``tokens``.
 
-        With ``caches`` and grad disabled — every decode in the repo — this
-        is the ndarray inference kernel (:mod:`repro.llm.inference`);
-        otherwise (training, uncached scoring) it walks the autograd
-        blocks.  Both compute the same function of the same parameters.
-        ``workspace`` (reusable step scratch) only means something to the
-        kernel.  ``last_only`` returns just the last position, ``(B, 1,
-        dim)``: every layer cache still receives K/V for all of ``tokens``,
-        but the kernel's final block does its attention and FFN for that
-        one position — the callers that feed an output head from the last
-        position lose nothing and skip most of a block.
+        Without ``caches`` or ``pad_columns`` this walks the autograd blocks
+        over a causal mask: the training graph, and the reference the
+        kernel is tested against.  With either, it is the ndarray inference
+        kernel (:mod:`repro.llm.inference`) — every decode in the repo — and
+        grad must be off (``RuntimeError`` otherwise); without ``caches`` it
+        runs through throwaway ones.  Both compute the same function of the
+        same parameters.  ``workspace`` (reusable step scratch) only means
+        something to the kernel.  ``last_only`` returns just the last
+        position, ``(B, 1, dim)``: every layer cache still receives K/V for
+        all of ``tokens``, but the kernel's final block does its attention
+        and FFN for that one position — the callers that feed an output
+        head from the last position lose nothing and skip most of a block.
 
-        ``pad_lengths[b]`` counts *left* pads in row ``b`` of a padded batch.
-        Pad positions are masked out as attention keys and real tokens keep
-        their unpadded RoPE positions, so the hidden states of real tokens
+        ``pad_columns`` is a boolean ``(B, C)`` map over key columns (``C <=
+        cache length + T``; missing trailing columns are real), True at pad
+        positions: left-padding, and the pads a cached-prefix decode leaves
+        *between* a row's cached prefix and its left-padded suffix.  Pads
+        are masked out as attention keys and real tokens keep their unpadded
+        RoPE positions — row ``b`` of the new tokens is offset by the cache
+        length minus its pad count — so the hidden states of real tokens
         match an unpadded per-row forward pass (exactly in exact arithmetic;
         to float rounding under BLAS, whose accumulation order varies with
         batch shape).
-
-        ``pad_columns`` generalises ``pad_lengths`` to pads at arbitrary key
-        columns: a boolean ``(B, C)`` map (``C <= cache length + T``; missing
-        trailing columns are real) that is True at pad positions.  The
-        cached-prefix decode path needs this because its pads sit *between*
-        the per-row cached prefix and the left-padded suffix, not at column
-        zero.  Real tokens still keep unpadded RoPE positions: row ``b`` of
-        the new tokens is offset by the cache length minus its total pad
-        count.  At most one of ``pad_lengths`` / ``pad_columns`` may be
-        given.
         """
         tokens = np.asarray(tokens)
-        mask, rope_offset = attention_geometry(
-            tokens.shape[1], caches[0].length if caches else 0, pad_lengths, pad_columns
-        )
-        if caches and not is_grad_enabled():
-            return Tensor(
-                cached_hidden_states(self, tokens, caches, mask, rope_offset, workspace, last_only)
+        if caches is None and pad_columns is None:
+            x = self.tok_embeddings(tokens)
+            mask = causal_mask(tokens.shape[1], tokens.shape[1])
+            for block in self.blocks:
+                x = block(x, attn_mask=mask)
+            hidden = self.final_norm(x)
+            return hidden[:, -1:, :] if last_only else hidden
+        if is_grad_enabled():
+            raise RuntimeError(
+                "KV-cached or padded decoding is inference-only: call under no_grad()"
             )
-        x = self.tok_embeddings(tokens)
-        for layer_index, block in enumerate(self.blocks):
-            cache = caches[layer_index] if caches else None
-            x = block(x, attn_mask=mask, cache=cache, rope_offset=rope_offset)
-        hidden = self.final_norm(x)
-        return hidden[:, -1:, :] if last_only else hidden
+        caches = caches if caches is not None else self.new_caches()
+        mask, rope_offset = attention_geometry(tokens.shape[1], caches[0].length, pad_columns)
+        return Tensor(
+            cached_hidden_states(self, tokens, caches, mask, rope_offset, workspace, last_only)
+        )
 
     def forward(
         self,
         tokens: np.ndarray,
         caches: list[KVCache] | None = None,
-        pad_lengths: np.ndarray | None = None,
         pad_columns: np.ndarray | None = None,
         last_only: bool = False,
         workspace: StepWorkspace | None = None,
     ) -> Tensor:
-        """Next-token logits ``(B, T, vocab)``.
+        """Next-token logits ``(B, T, vocab)``; arguments as in :meth:`hidden_states`.
 
         ``last_only`` applies the output head to the final position only
         (returning ``(B, 1, vocab)``): prompt prefill needs just the
@@ -232,7 +220,6 @@ class TinyLlama(Module):
         hidden = self.hidden_states(
             tokens,
             caches=caches,
-            pad_lengths=pad_lengths,
             pad_columns=pad_columns,
             workspace=workspace,
             last_only=last_only,

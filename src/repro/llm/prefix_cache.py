@@ -27,7 +27,7 @@ stored prompts diverge or end, edges labelled with token tuples:
   from the same template (shared template head) with a single entry.
 
 The decode integration lives in
-:func:`repro.llm.generation.beam_search_items_batched`: matched rows skip
+:func:`repro.llm.generation.decode_prefill`: matched rows skip
 the transformer for their cached prefix (the K/V is seeded straight into
 the :class:`repro.tensor.BeamKVCache` via ``seed_prompt``) and only the
 per-row suffix is forwarded.

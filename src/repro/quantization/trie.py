@@ -246,11 +246,6 @@ class SparseCandidates:
     def num_candidates(self) -> int:
         return int(self.union.shape[0])
 
-    @property
-    def per_row(self) -> list[np.ndarray]:
-        """Row -> sorted legal token ids (empty for illegal prefixes)."""
-        return [self.table.child_tokens(node) for node in self.nodes.tolist()]
-
     def is_forced(self, alive: np.ndarray | None = None) -> bool:
         """Whether every (alive) row has exactly one legal continuation.
 
@@ -494,13 +489,6 @@ class IndexTrie:
     def contains_prefix(self, prefix: tuple[int, ...]) -> bool:
         table = self.nodes
         return table.node_of(prefix) < table.num_real
-
-    def items_under_prefix(self, prefix: tuple[int, ...]) -> list[int]:
-        """All item ids whose index starts with ``prefix``."""
-        prefix = tuple(int(t) for t in prefix)
-        return [
-            item for seq, item in self._leaf_to_item.items() if seq[: len(prefix)] == prefix
-        ]
 
     @property
     def num_items(self) -> int:

@@ -1,6 +1,6 @@
 """Micro-batching: group queued requests for one-forward-per-step decoding.
 
-The engine (:func:`repro.llm.beam_search_items_batched`) left-pads every
+The prompt phase (:func:`repro.llm.decode_prefill`) left-pads every
 batch to its longest prompt, so each pad token costs a full extra model
 column for the whole beam fan-out.  The batcher therefore buckets requests
 by prompt length before slicing them into batches: within a micro-batch the

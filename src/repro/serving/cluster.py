@@ -62,6 +62,7 @@ from .api import (
 )
 from .batcher import MicroBatcherConfig
 from .engine import GenerativeEngine
+from .queue import check_top_k
 from .router import AffinityRouter
 from .service import RecommendationService, ServingStats, refresh_retrieval_tier
 
@@ -343,9 +344,11 @@ class ServingCluster(RecommendationClient):
         self,
         submit: Callable[[RecommendationService], RecommendationHandle],
         session_key: str | None,
+        top_k: int,
         history: list[int] | None = None,
-        top_k: int = 10,
     ) -> RecommendationHandle:
+        # Before routing: the degraded lane below answers without a request.
+        check_top_k(top_k)
         worker, kind = self._admit(session_key)
         if worker is None and self.fallback is not None and history is not None:
             # Fleet-wide saturation with a retrieval fast lane: serve
@@ -398,8 +401,8 @@ class ServingCluster(RecommendationClient):
                 deadline_ms=deadline_ms,
             ),
             session_key,
+            top_k,
             history=history,
-            top_k=top_k,
         )
 
     def submit_intention(
@@ -416,6 +419,7 @@ class ServingCluster(RecommendationClient):
                 intention_text, top_k=top_k, session_key=session_key, deadline_ms=deadline_ms
             ),
             session_key,
+            top_k,
         )
 
     def submit_instruction(
@@ -432,6 +436,7 @@ class ServingCluster(RecommendationClient):
                 instruction, top_k=top_k, session_key=session_key, deadline_ms=deadline_ms
             ),
             session_key,
+            top_k,
         )
 
     def flush(self) -> int:

@@ -2,14 +2,14 @@
 
 Requests arrive one at a time (interactive traffic) but are decoded in
 micro-batches; the queue is the buffer between the two.  It is a
-thread-safe FIFO with a condition variable on top: producers ``push`` from
-any thread, and the consumer either ``drain``\\ s explicitly (synchronous
+thread-safe FIFO with a condition variable on top: producers ``try_push``
+from any thread, and the consumer either ``drain``\\ s explicitly (synchronous
 serving) or blocks in :meth:`RequestQueue.await_batch` until a flush is
 due (the async serving loop) — due meaning a full batch is waiting or the
 oldest request has exceeded its latency budget.
 
 Thread safety: every method takes the internal condition's lock;
-``push``/``drain``/``await_batch``/``kick`` may be called concurrently
+``try_push``/``drain``/``await_batch``/``kick`` may be called concurrently
 from any mix of threads.
 """
 
@@ -25,6 +25,12 @@ from typing import Callable
 __all__ = ["RecommendRequest", "RequestQueue"]
 
 _request_counter = itertools.count()
+
+
+def check_top_k(top_k: int) -> None:
+    """Raise ``ValueError`` unless ``top_k`` asks for at least one item."""
+    if top_k < 1:
+        raise ValueError("top_k must be positive")
 
 
 @dataclass
@@ -71,6 +77,9 @@ class RecommendRequest:
     history: list[int] | None = None
     narrow_items: tuple[int, ...] | None = None
 
+    def __post_init__(self) -> None:
+        check_top_k(self.top_k)
+
     @property
     def prompt_len(self) -> int:
         return len(self.prompt_ids)
@@ -99,12 +108,6 @@ class RequestQueue:
         self._cond = threading.Condition()
         self.max_depth = max_depth
 
-    def push(self, request: RecommendRequest) -> None:
-        """Enqueue unconditionally (even past ``max_depth``); see try_push."""
-        with self._cond:
-            self._items.append(request)
-            self._cond.notify_all()
-
     def try_push(self, request: RecommendRequest) -> bool:
         """Enqueue unless the depth bound is reached; False means refused."""
         with self._cond:
@@ -114,17 +117,14 @@ class RequestQueue:
             self._cond.notify_all()
             return True
 
-    def drain(self, limit: int | None = None) -> list[RecommendRequest]:
-        """Pop up to ``limit`` requests (all, if ``limit`` is None), FIFO."""
+    def drain(self) -> list[RecommendRequest]:
+        """Pop every waiting request, FIFO."""
         with self._cond:
-            return self._drain_locked(limit)
+            return self._drain_locked()
 
-    def _drain_locked(self, limit: int | None) -> list[RecommendRequest]:
-        if limit is None or limit >= len(self._items):
-            drained = list(self._items)
-            self._items.clear()
-        else:
-            drained = [self._items.popleft() for _ in range(limit)]
+    def _drain_locked(self) -> list[RecommendRequest]:
+        drained = list(self._items)
+        self._items.clear()
         return drained
 
     def await_batch(
@@ -147,10 +147,10 @@ class RequestQueue:
                     self._cond.wait()
                     continue
                 if len(self._items) >= max_size:
-                    return self._drain_locked(None), "size"
+                    return self._drain_locked(), "size"
                 age = time.monotonic() - self._items[0].enqueued_at
                 if age >= deadline:
-                    return self._drain_locked(None), "deadline"
+                    return self._drain_locked(), "deadline"
                 self._cond.wait(timeout=deadline - age)
             return [], "stop"
 

@@ -67,7 +67,7 @@ from .api import (
 from .batcher import MicroBatcher, MicroBatcherConfig, padding_fraction
 from .continuous import ContinuousScheduler
 from .engine import GenerativeEngine
-from .queue import RecommendRequest, RequestQueue
+from .queue import RecommendRequest, RequestQueue, check_top_k
 
 __all__ = [
     "PendingRecommendation",
@@ -527,6 +527,7 @@ class RecommendationService(RecommendationClient):
         outright on cold start), and the delivered ranking matches
         :meth:`HybridRecommender.recommend` exactly.
         """
+        check_top_k(top_k)
         history = list(history)
         narrow_items: tuple[int, ...] | None = None
         if self.hybrid is not None:
@@ -572,6 +573,7 @@ class RecommendationService(RecommendationClient):
         deadline_ms: float | None = None,
     ) -> PendingRecommendation:
         """Queue an intention-query retrieval (engines that encode intentions)."""
+        check_top_k(top_k)
         return self._submit_prompt(
             self.engine.encode_intention(intention_text),
             top_k,
@@ -588,6 +590,7 @@ class RecommendationService(RecommendationClient):
         deadline_ms: float | None = None,
     ) -> PendingRecommendation:
         """Queue an already-rendered instruction (engines that encode text)."""
+        check_top_k(top_k)
         return self._submit_prompt(
             self.engine.encode_instruction(instruction),
             top_k,

@@ -4,11 +4,12 @@ This single block powers the tiny LLaMA language model (causal self-attention
 with RoPE, paper backbone), the TIGER encoder-decoder (self + cross
 attention) and the Transformer baselines (SASRec, BERT4Rec, FDSA).
 
-:class:`MultiHeadAttention` is the differentiable module.  The KV-cached
-no-grad decode of the language model does not call it: that path is
-:mod:`repro.llm.inference`, which reads this module's parameters (and its
-memoized fused QKV weight) and owns the attention over a fanned
-:class:`BeamKVCache`.  The cache classes here serve both.
+:class:`MultiHeadAttention` is the differentiable module, over whole
+sequences: training and the uncached reference forwards.  Every KV-cached
+decode — the language model's and TIGER's — runs
+:mod:`repro.llm.inference` instead, which reads this module's parameters
+(and its memoized fused QKV weight); the cache classes here are that
+kernel's.
 """
 
 from __future__ import annotations
@@ -55,27 +56,14 @@ class RotaryEmbedding:
         self.cos = np.cos(angles).astype(np.float32)
         self.sin = np.sin(angles).astype(np.float32)
 
-    def apply(self, x: Tensor, offset: int | np.ndarray = 0) -> Tensor:
+    def apply(self, x: Tensor, offset: int = 0) -> Tensor:
         """Rotate ``x`` of shape ``(B, H, T, Dh)`` at positions ``offset..``.
 
-        ``offset`` may be a per-row array of shape ``(B,)``, which batched
-        decoding uses to keep left-padded rows at their *unpadded* positions
-        (a padded row's offset is negative by its pad count; pad positions
-        clamp to 0 — they are always masked out of attention anyway).
+        Per-row positions (left-padded batches) are the inference kernel's
+        (:mod:`repro.llm.inference`).
         """
         seq_len = x.shape[2]
         half = self.head_dim // 2
-        if isinstance(offset, np.ndarray):
-            positions = np.maximum(
-                offset.astype(np.int64)[:, None] + np.arange(seq_len), 0
-            )  # (B, T)
-            cos = self.cos[positions][:, None, :, :]
-            sin = self.sin[positions][:, None, :, :]
-            x1 = x[..., :half]
-            x2 = x[..., half:]
-            rotated_first = x1 * cos - x2 * sin
-            rotated_second = x2 * cos + x1 * sin
-            return concat([rotated_first, rotated_second], axis=-1)
         cos = self.cos[offset : offset + seq_len][None, None, :, :]
         sin = self.sin[offset : offset + seq_len][None, None, :, :]
         x1 = x[..., :half]
@@ -394,10 +382,9 @@ class BeamKVCache:
 class MultiHeadAttention(Module):
     """Scaled dot-product multi-head attention (the autograd module).
 
-    Training, and the uncached or plainly cached decodes of TIGER and the
-    baselines, run :meth:`forward`.  TinyLlama's KV-cached inference runs
-    :mod:`repro.llm.inference` over the same parameters instead;
-    :meth:`fused_qkv_weight` is what that kernel reads.
+    Training, and the uncached reference forwards, run :meth:`forward`.
+    Every KV-cached decode runs :mod:`repro.llm.inference` over the same
+    parameters instead; :meth:`fused_qkv_weight` is what that kernel reads.
 
     Parameters
     ----------
@@ -461,44 +448,21 @@ class MultiHeadAttention(Module):
         x: Tensor,
         context: Tensor | None = None,
         attn_mask: np.ndarray | None = None,
-        cache: KVCache | None = None,
-        rope_offset: int | np.ndarray | None = None,
     ) -> Tensor:
         """Attend from ``x`` to ``context`` (defaults to self-attention).
 
-        This is the differentiable graph: training, and the uncached or
-        plainly cached decodes of TIGER and the baselines.  The KV-cached
-        no-grad decode of :class:`repro.llm.TinyLlama` does not come
-        through here — :mod:`repro.llm.inference` computes the same
-        function on plain ndarrays.
-
-        ``attn_mask`` is a boolean array broadcastable to
-        ``(batch, heads, q_len, k_len)``; True entries are masked out.
-        When ``cache`` is given, newly computed keys/values are appended and
-        attention spans the full cached sequence (gradients stop at the
-        cache).  ``rope_offset`` overrides the RoPE position offset
-        (default: the cache length); batched left-padded decoding passes a
-        per-row ``(B,)`` array.
+        The differentiable graph, over whole sequences: every cached decode
+        runs :mod:`repro.llm.inference` instead.  ``attn_mask`` is a boolean
+        array broadcastable to ``(batch, heads, q_len, k_len)``; True
+        entries are masked out.
         """
         source = context if context is not None else x
         q = self._split_heads(self.q_proj(x))
         k = self._split_heads(self.k_proj(source))
         v = self._split_heads(self.v_proj(source))
-
-        if rope_offset is None:
-            rope_offset = cache.length if cache is not None else 0
         if self.rope is not None and context is None:
-            q = self.rope.apply(q, offset=rope_offset)
-            k = self.rope.apply(k, offset=rope_offset)
-
-        if cache is not None:
-            if isinstance(cache, BeamKVCache) and cache.fanned:
-                raise RuntimeError(
-                    "a fanned BeamKVCache is inference-only: decode it under no_grad() "
-                    "through TinyLlama.hidden_states"
-                )
-            k_data, v_data = cache.append(k.data, v.data)
-            k, v = Tensor(k_data), Tensor(v_data)
+            q = self.rope.apply(q)
+            k = self.rope.apply(k)
 
         scale = 1.0 / np.sqrt(self.head_dim)
         scores = (q @ k.transpose(0, 1, 3, 2)) * scale

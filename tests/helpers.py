@@ -1,4 +1,4 @@
-"""Shared test utilities (configs and numerical gradient checking).
+"""Shared test utilities (configs, one-shot decoding, numerical gradient checking).
 
 Imported absolutely (``from helpers import ...``): the tests directory is
 not a package, so relative imports do not resolve here.
@@ -13,7 +13,7 @@ import numpy as np
 from repro.core import LCRecConfig
 from repro.core.indexer import SemanticIndexerConfig
 from repro.core.tasks import AlignmentTaskConfig
-from repro.llm import PretrainConfig, TuningConfig
+from repro.llm import PretrainConfig, TuningConfig, decode_finish, decode_prefill, decode_step
 from repro.quantization import RQVAEConfig, RQVAETrainerConfig
 from repro.tensor import Tensor
 
@@ -34,6 +34,19 @@ def small_lcrec_config(**overrides) -> LCRecConfig:
     for key, value in overrides.items():
         setattr(config, key, value)
     return config
+
+
+def decode_prompts(model, prompts, trie, beam_size=20, pad_id=0, prefix_cache=None):
+    """Decode ``prompts`` to the trie's last level in one go: one hypothesis list each.
+
+    Prefill, step until every row is done, finish — what the serving
+    engines drive, with no admissions or retirements in between.
+    """
+    state = decode_prefill(model, prompts, trie, beam_size=beam_size, pad_id=pad_id,
+                           prefix_cache=prefix_cache)
+    while not state.done:
+        decode_step(state)
+    return decode_finish(state)
 
 
 def numeric_grad(fn: Callable[[np.ndarray], float], x: np.ndarray,

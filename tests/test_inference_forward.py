@@ -26,7 +26,6 @@ from repro.data.batching import pad_sequences
 from repro.llm import (
     LMConfig,
     TinyLlama,
-    beam_search_items_batched,
     decode_finish,
     decode_join,
     decode_prefill,
@@ -35,8 +34,10 @@ from repro.llm import (
     left_pad_prompts,
 )
 from repro.quantization import IndexTrie
-from repro.tensor import Adam, BeamKVCache, StepWorkspace, Tensor, causal_mask, no_grad
+from repro.tensor import Adam, BeamKVCache, StepWorkspace, Tensor, no_grad
 from repro.tensor import functional as F
+
+from helpers import decode_prompts
 
 RTOL, ATOL = 1e-5, 2e-6
 
@@ -62,6 +63,11 @@ def kernel(model, tokens, caches, **kwargs):
         return model.hidden_states(np.asarray(tokens, dtype=np.int64), caches=caches, **kwargs).data
 
 
+def pad_map(tokens, pads):
+    """The pad-column map of a left-padded batch (``left_pad_prompts``' counts)."""
+    return np.arange(tokens.shape[1]) < pads[:, None]
+
+
 def assert_close(got, expected):
     np.testing.assert_allclose(got, expected, rtol=RTOL, atol=ATOL)
 
@@ -83,7 +89,7 @@ class TestAgainstAutograd:
     def test_left_padded_prefill(self, workspace):
         model = make_model()
         tokens, pads = left_pad_prompts(PROMPTS)
-        got = kernel(model, tokens, model.new_beam_caches(), pad_lengths=pads,
+        got = kernel(model, tokens, model.new_beam_caches(), pad_columns=pad_map(tokens, pads),
                      workspace=StepWorkspace() if workspace else None)
         for row, prompt in enumerate(PROMPTS):
             assert_close(got[row, pads[row]:], reference(model, prompt))
@@ -140,10 +146,11 @@ class TestAgainstAutograd:
         prompts, beams = PROMPTS[:2], 3
         tokens, pads = left_pad_prompts(prompts)
         caches = model.new_beam_caches()
-        kernel(model, tokens, caches, pad_lengths=pads, workspace=workspace, last_only=True)
+        prompt_pads = pad_map(tokens, pads)
+        kernel(model, tokens, caches, pad_columns=prompt_pads, workspace=workspace,
+               last_only=True)
         for cache in caches:
             cache.fan_out(beams, 3)
-        prompt_pads = np.arange(tokens.shape[1])[None, :] < pads[:, None]
         flat_pads = np.repeat(prompt_pads, beams, axis=0)
         lineage = [list(prompts[row // beams]) for row in range(len(prompts) * beams)]
 
@@ -167,31 +174,31 @@ class TestAgainstAutograd:
     def test_workspace_changes_nothing(self):
         model = make_model()
         tokens, pads = left_pad_prompts(PROMPTS)
-        plain = kernel(model, tokens, model.new_beam_caches(), pad_lengths=pads)
-        pooled = kernel(model, tokens, model.new_beam_caches(), pad_lengths=pads,
+        plain = kernel(model, tokens, model.new_beam_caches(), pad_columns=pad_map(tokens, pads))
+        pooled = kernel(model, tokens, model.new_beam_caches(), pad_columns=pad_map(tokens, pads),
                         workspace=StepWorkspace())
         np.testing.assert_array_equal(plain, pooled)
 
     def test_grad_on_stays_on_the_tensor_graph(self):
-        # The kernel is selected by (caches given, grad off) and nothing
-        # else: with grad on, cached or not, the Tensor modules run.
+        # Without caches or pads the Tensor modules run: the training graph.
         model = make_model(num_layers=1)
-        tokens = np.array([PROMPTS[0]])
-        cached = model.hidden_states(tokens, caches=model.new_caches())
-        assert cached.requires_grad
-        assert_close(cached.data, kernel(model, tokens, model.new_caches()))
-        model.hidden_states(tokens).sum().backward()
+        model.hidden_states(np.array([PROMPTS[0]])).sum().backward()
         assert all(param.grad is not None for name, param in model.named_parameters()
                    if not name.startswith("lm_head"))
 
-    def test_fanned_cache_refuses_the_autograd_modules(self):
+    def test_caches_or_pads_under_grad_raise(self):
+        # The kernel is the only cached or padded forward, and it has no graph.
         model = make_model(num_layers=1)
-        cache = BeamKVCache()
-        kernel(model, [[1, 2]], [cache])
-        cache.fan_out(2)
-        with pytest.raises(RuntimeError, match="inference-only"):
-            model.blocks[0].attention(Tensor(np.zeros((2, 1, 32), dtype=np.float32)),
-                                      attn_mask=causal_mask(1, 3, offset=2), cache=cache)
+        tokens = np.array([PROMPTS[0]])
+        pads = np.zeros(tokens.shape, dtype=bool)
+        for kwargs in ({"caches": model.new_caches()}, {"caches": model.new_beam_caches()},
+                       {"pad_columns": pads}):
+            for call in (model.hidden_states, model.forward):
+                with pytest.raises(RuntimeError, match="inference-only"):
+                    call(tokens, **kwargs)
+        with no_grad():  # the same call with grad off runs the kernel
+            padded = model.hidden_states(tokens, pad_columns=pads).data[0]
+        assert_close(padded, reference(model, PROMPTS[0]))
 
 
 def make_tiger(seed=4, **overrides):
@@ -366,7 +373,8 @@ class TestLastOnly:
     def run_prefill(self, model, last_only):
         tokens, pads = left_pad_prompts(PROMPTS)
         caches = model.new_beam_caches()
-        return kernel(model, tokens, caches, pad_lengths=pads, last_only=last_only), caches
+        return (kernel(model, tokens, caches, pad_columns=pad_map(tokens, pads),
+                       last_only=last_only), caches)
 
     def test_prefill_last_position_and_kv_are_exact(self):
         model = make_model()
@@ -388,7 +396,7 @@ class TestLastOnly:
                 cache.fan_out(2, 3)
             flush = np.arange(20, 20 + 6 * 2).reshape(6, 2)
             tokens, pads = left_pad_prompts(PROMPTS)
-            flat_pads = np.repeat(np.arange(tokens.shape[1])[None, :] < pads[:, None], 2, axis=0)
+            flat_pads = np.repeat(pad_map(tokens, pads), 2, axis=0)
             outputs.append(kernel(model, flush, caches, pad_columns=flat_pads,
                                   last_only=last_only))
             kvs.append(layer_kv(caches))
@@ -437,7 +445,7 @@ class TestFusedGateUpMemo:
     @pytest.mark.parametrize("leave_grads", [True, False])
     def test_sees_weight_updates_across_training(self, leave_grads):
         model, trie = make_model(seed=21), make_trie()
-        before = beam_search_items_batched(model, [[1, 2]], trie, beam_size=5)
+        before = decode_prompts(model, [[1, 2]], trie, beam_size=5)
         stale = model.blocks[0].feed_forward.fused_gate_up_weight()
         optimizer = Adam(model.parameters(), lr=0.05)
         sequence = np.array([[1, 10, 20, 30, 41]])
@@ -453,11 +461,11 @@ class TestFusedGateUpMemo:
             model.zero_grad()
         model.eval()
         assert model.blocks[0].feed_forward.fused_gate_up_weight() is not stale
-        after = beam_search_items_batched(model, [[1, 2]], trie, beam_size=5)
+        after = decode_prompts(model, [[1, 2]], trie, beam_size=5)
         fresh = TinyLlama(model.config)
         fresh.load_state_dict(model.state_dict())
         fresh.eval()
-        expected = beam_search_items_batched(fresh, [[1, 2]], trie, beam_size=5)
+        expected = decode_prompts(fresh, [[1, 2]], trie, beam_size=5)
         assert [h.token_ids for h in after[0]] == [h.token_ids for h in expected[0]]
         np.testing.assert_allclose([h.score for h in after[0]],
                                    [h.score for h in expected[0]], rtol=1e-5, atol=1e-6)

@@ -417,12 +417,12 @@ class TestTigerBatchShape:
             monkeypatch.setattr(trie, name, per_prefix)
         state = decode_prefill(tiger, [engine.encode_history(h) for h in histories], trie,
                                beam_size=20)
-        assert gathered == [1]  # the root, for every row at once
+        assert gathered == [16]  # level 0 is a step from each row's root
         while not state.done:
             calls = len(gathered)
             decode_step(state)  # one gather, whether it forwards or finds every beam forced
             assert len(gathered) == calls + 1
-        assert gathered == [1, 16 * 20, 16 * 20]
+        assert gathered == [16, 16 * 20, 16 * 20]
         hypotheses = decode_finish(state)
         assert [len(row) for row in hypotheses] == [20] * 16
 
@@ -472,7 +472,8 @@ class TestForwardedRows:
         original = BeamKVCache.reorder
 
         def counting(cache, beam_indices, beams=None):
-            reorders.append(len(beam_indices))
+            if cache.suffix.length:  # level 0 only sets the width: no K/V to gather yet
+                reorders.append(len(beam_indices))
             return original(cache, beam_indices, beams)
 
         monkeypatch.setattr(BeamKVCache, "reorder", counting)

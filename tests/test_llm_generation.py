@@ -6,11 +6,12 @@ import pytest
 from repro.llm import (
     LMConfig,
     TinyLlama,
-    beam_search_items,
     greedy_generate,
     sequence_logprob,
 )
 from repro.quantization import IndexTrie
+
+from helpers import decode_prompts
 
 
 def make_model(vocab=30):
@@ -34,7 +35,7 @@ class TestBeamSearch:
     def test_returns_only_legal_items(self):
         model = make_model()
         trie = make_trie()
-        hypotheses = beam_search_items(model, [1, 2, 3], trie, beam_size=10)
+        hypotheses = decode_prompts(model, [[1, 2, 3]], trie, beam_size=10)[0]
         legal = set(trie.all_sequences().keys())
         for hypothesis in hypotheses:
             assert hypothesis.item_id in legal
@@ -42,23 +43,23 @@ class TestBeamSearch:
 
     def test_scores_sorted_descending(self):
         model = make_model()
-        hypotheses = beam_search_items(model, [1], make_trie(), beam_size=5)
+        hypotheses = decode_prompts(model, [[1]], make_trie(), beam_size=5)[0]
         scores = [h.score for h in hypotheses]
         assert scores == sorted(scores, reverse=True)
 
     def test_beam_covers_all_items_when_wide(self):
         model = make_model()
-        hypotheses = beam_search_items(model, [1], make_trie(), beam_size=50)
+        hypotheses = decode_prompts(model, [[1]], make_trie(), beam_size=50)[0]
         assert {h.item_id for h in hypotheses} == {0, 1, 2, 3, 4}
 
     def test_beam_size_one_is_greedy_path(self):
         model = make_model()
-        hypotheses = beam_search_items(model, [1], make_trie(), beam_size=1)
+        hypotheses = decode_prompts(model, [[1]], make_trie(), beam_size=1)[0]
         assert len(hypotheses) == 1
 
     def test_beam_size_validated(self):
         with pytest.raises(ValueError):
-            beam_search_items(make_model(), [1], make_trie(), beam_size=0)
+            decode_prompts(make_model(), [[1]], make_trie(), beam_size=0)
 
     def test_scores_are_constrained_log_probabilities(self):
         """Beam score must equal the summed *constrained* token log-probs.
@@ -71,7 +72,7 @@ class TestBeamSearch:
         model = make_model()
         trie = make_trie()
         prompt = [1, 2]
-        hypotheses = beam_search_items(model, prompt, trie, beam_size=50)
+        hypotheses = decode_prompts(model, [prompt], trie, beam_size=50)[0]
         best = hypotheses[0]
         full = np.asarray(prompt + list(best.token_ids), dtype=np.int64)[None, :]
         logits = model.forward(full).data[0]

@@ -7,8 +7,6 @@ from repro.llm import (
     LMConfig,
     TinyLlama,
     backfill_ranked_item_ids,
-    beam_search_items,
-    beam_search_items_batched,
     beam_search_items_single,
     decode_join,
     decode_prefill,
@@ -17,6 +15,9 @@ from repro.llm import (
     ranked_item_ids,
 )
 from repro.quantization import IndexTrie
+from repro.tensor import no_grad
+
+from helpers import decode_prompts
 
 
 def make_model(vocab=30):
@@ -66,7 +67,7 @@ class TestBatchedParity:
     @pytest.mark.parametrize("beam_size", [1, 3, 5, 50])
     def test_mixed_length_batch_matches_reference(self, beam_size):
         model, trie = make_model(), make_trie()
-        batched = beam_search_items_batched(model, MIXED_PROMPTS, trie,
+        batched = decode_prompts(model, MIXED_PROMPTS, trie,
                                             beam_size=beam_size)
         assert len(batched) == len(MIXED_PROMPTS)
         for prompt, hypotheses in zip(MIXED_PROMPTS, batched):
@@ -82,7 +83,7 @@ class TestBatchedParity:
 
     def test_wrapper_matches_reference(self):
         model, trie = make_model(), make_trie()
-        wrapped = beam_search_items(model, [1, 2, 3], trie, beam_size=10)
+        wrapped = decode_prompts(model, [[1, 2, 3]], trie, beam_size=10)[0]
         reference = beam_search_items_single(model, [1, 2, 3], trie,
                                              beam_size=10)
         assert [h.item_id for h in wrapped] == [h.item_id for h in reference]
@@ -91,48 +92,49 @@ class TestBatchedParity:
 
     def test_batch_of_one_equals_batch_of_many(self):
         model, trie = make_model(), make_trie()
-        together = beam_search_items_batched(model, MIXED_PROMPTS, trie,
+        together = decode_prompts(model, MIXED_PROMPTS, trie,
                                              beam_size=5)
         for prompt, hypotheses in zip(MIXED_PROMPTS, together):
-            alone = beam_search_items_batched(model, [prompt], trie,
+            alone = decode_prompts(model, [prompt], trie,
                                               beam_size=5)[0]
             assert ([h.item_id for h in hypotheses]
                     == [h.item_id for h in alone])
 
     def test_wide_beam_covers_all_items_per_request(self):
         model, trie = make_model(), make_trie()
-        batched = beam_search_items_batched(model, [[1], [2, 3]], trie,
+        batched = decode_prompts(model, [[1], [2, 3]], trie,
                                             beam_size=50)
         for hypotheses in batched:
             assert {h.item_id for h in hypotheses} == {0, 1, 2, 3, 4}
 
     def test_scores_sorted_descending_per_request(self):
         model, trie = make_model(), make_trie()
-        for hypotheses in beam_search_items_batched(model, MIXED_PROMPTS,
+        for hypotheses in decode_prompts(model, MIXED_PROMPTS,
                                                     trie, beam_size=10):
             scores = [h.score for h in hypotheses]
             assert scores == sorted(scores, reverse=True)
             assert all(np.isfinite(s) for s in scores)
 
     def test_empty_batch(self):
-        assert beam_search_items_batched(make_model(), [], make_trie()) == []
+        with pytest.raises(ValueError, match="at least one prompt"):
+            decode_prefill(make_model(), [], make_trie())
 
     def test_beam_size_validated(self):
         with pytest.raises(ValueError):
-            beam_search_items_batched(make_model(), [[1]], make_trie(),
+            decode_prompts(make_model(), [[1]], make_trie(),
                                       beam_size=0)
 
     def test_empty_prompt_in_batch_rejected_with_row(self):
         """A degenerate row must raise a clear per-row error, not crash
         somewhere inside left-padding or prefill."""
         with pytest.raises(ValueError, match="prompt 1 is empty"):
-            beam_search_items_batched(make_model(), [[1, 2], [], [3]],
+            decode_prompts(make_model(), [[1, 2], [], [3]],
                                       make_trie(), beam_size=5)
 
     def test_single_item_trie(self):
         model = make_model()
         trie = IndexTrie({0: (10, 12, 14)})
-        batched = beam_search_items_batched(model, [[1], [2, 3]], trie,
+        batched = decode_prompts(model, [[1], [2, 3]], trie,
                                             beam_size=20)
         for hypotheses in batched:
             assert [h.item_id for h in hypotheses] == [0]
@@ -148,7 +150,7 @@ class TestBatchedParity:
             1: (10, 12, 15),
             5: (20, 21, 22),
         })
-        batched = beam_search_items_batched(model, [[1, 2], [4]], trie,
+        batched = decode_prompts(model, [[1, 2], [4]], trie,
                                             beam_size=50)
         for prompt, hypotheses in zip([[1, 2], [4]], batched):
             assert {h.item_id for h in hypotheses} == {0, 1, 5}
@@ -178,7 +180,7 @@ class TestForwardsAccounting:
 class TestRankedItemIds:
     def test_dedup_and_truncation(self):
         model, trie = make_model(), make_trie()
-        hypotheses = beam_search_items(model, [1], trie, beam_size=50)
+        hypotheses = decode_prompts(model, [[1]], trie, beam_size=50)[0]
         ranked = ranked_item_ids(hypotheses, top_k=3)
         assert len(ranked) == 3
         assert len(set(ranked)) == 3
@@ -186,7 +188,7 @@ class TestRankedItemIds:
 
     def test_backfill_pads_short_rankings(self):
         model, trie = make_model(), make_trie()
-        hypotheses = beam_search_items(model, [1], trie, beam_size=50)
+        hypotheses = decode_prompts(model, [[1]], trie, beam_size=50)[0]
         # Full beams are untouched.
         assert backfill_ranked_item_ids(hypotheses, 3, 5) == ranked_item_ids(
             hypotheses, 3)
@@ -234,7 +236,9 @@ class TestPaddedForwardEquivalence:
         """Left-padding + masking must reproduce per-row forward passes."""
         model = make_model()
         tokens, pads = left_pad_prompts(MIXED_PROMPTS, pad_id=0)
-        batched = model.forward(tokens, pad_lengths=pads).data
+        pad_columns = np.arange(tokens.shape[1]) < pads[:, None]
+        with no_grad():
+            batched = model.forward(tokens, pad_columns=pad_columns).data
         for row, prompt in enumerate(MIXED_PROMPTS):
             solo = model.forward(np.asarray([prompt], dtype=np.int64)).data[0]
             real = batched[row, pads[row]:, :]

@@ -13,11 +13,12 @@ from repro.llm import (
     LMConfig,
     PrefixKVCache,
     TinyLlama,
-    beam_search_items_batched,
     beam_search_items_single,
     ranked_item_ids,
 )
 from repro.quantization.trie import IndexTrie
+
+from helpers import decode_prompts
 
 
 def fake_kvs(length, layers=2, heads=2, head_dim=4, fill=1.0):
@@ -426,7 +427,7 @@ class TestPrefixCacheDecodeParity:
         ]
         cache = PrefixKVCache()
         for round_index in range(3):  # cold, then increasingly warm
-            batched = beam_search_items_batched(
+            batched = decode_prompts(
                 model, prompts, trie, beam_size=8, prefix_cache=cache
             )
             assert [ranked_item_ids(h, 5) for h in batched] == reference, (
@@ -439,10 +440,10 @@ class TestPrefixCacheDecodeParity:
         model, trie = make_model(), make_trie()
         rng = np.random.default_rng(11)
         prompts = session_prompts(rng, users=3)
-        plain = beam_search_items_batched(model, prompts, trie, beam_size=6)
+        plain = decode_prompts(model, prompts, trie, beam_size=6)
         cache = PrefixKVCache()
-        beam_search_items_batched(model, prompts, trie, beam_size=6, prefix_cache=cache)
-        warm = beam_search_items_batched(
+        decode_prompts(model, prompts, trie, beam_size=6, prefix_cache=cache)
+        warm = decode_prompts(
             model, prompts, trie, beam_size=6, prefix_cache=cache
         )
         for plain_row, warm_row in zip(plain, warm):
@@ -454,10 +455,10 @@ class TestPrefixCacheDecodeParity:
         model, trie = make_model(), make_trie()
         cache = PrefixKVCache()
         first = TEMPLATE_HEAD + [40, 41, 42]
-        beam_search_items_batched(model, [first], trie, beam_size=6, prefix_cache=cache)
+        decode_prompts(model, [first], trie, beam_size=6, prefix_cache=cache)
         grown = first + [43, 44]
         reused_before = cache.stats.reused_tokens
-        batched = beam_search_items_batched(
+        batched = decode_prompts(
             model, [grown], trie, beam_size=6, prefix_cache=cache
         )
         assert cache.stats.reused_tokens - reused_before == len(first)
@@ -470,10 +471,10 @@ class TestPrefixCacheDecodeParity:
         rng = np.random.default_rng(3)
         known = session_prompts(rng, users=2, turns=1)
         cache = PrefixKVCache()
-        beam_search_items_batched(model, known, trie, beam_size=8, prefix_cache=cache)
+        decode_prompts(model, known, trie, beam_size=8, prefix_cache=cache)
         fresh = [[1, 50, 51, 52, 53, 54, 55], [1, 56, 57]]  # no shared head
         mixed = [known[0], fresh[0], known[1], fresh[1]]
-        batched = beam_search_items_batched(
+        batched = decode_prompts(
             model, mixed, trie, beam_size=8, prefix_cache=cache
         )
         for prompt, hypotheses in zip(mixed, batched):
@@ -485,8 +486,8 @@ class TestPrefixCacheDecodeParity:
         model, trie = make_model(), make_trie()
         cache = PrefixKVCache()
         prompt = TEMPLATE_HEAD + [44, 45]
-        beam_search_items_batched(model, [prompt], trie, beam_size=6, prefix_cache=cache)
-        repeat = beam_search_items_batched(
+        decode_prompts(model, [prompt], trie, beam_size=6, prefix_cache=cache)
+        repeat = decode_prompts(
             model, [prompt], trie, beam_size=6, prefix_cache=cache
         )
         assert cache.stats.reused_tokens == len(prompt) - 1
@@ -498,15 +499,15 @@ class TestPrefixCacheDecodeParity:
         """``sync_catalog`` un-indexes stale-token prompts; what is left still decodes right."""
         model, trie = make_model(), make_trie()
         prompts = session_prompts(np.random.default_rng(5), users=5, turns=3)
-        plain = beam_search_items_batched(model, prompts, trie, beam_size=8)
+        plain = decode_prompts(model, prompts, trie, beam_size=8)
         cache = PrefixKVCache()
-        beam_search_items_batched(model, prompts, trie, beam_size=8, prefix_cache=cache)
+        decode_prompts(model, prompts, trie, beam_size=8, prefix_cache=cache)
         stale = [prompts[2][-1], prompts[7][-2]]  # history tokens of a few stored prompts
         dropped = cache.sync_catalog(1, stale)
         assert 0 < dropped < len(set(map(tuple, prompts)))
         assert not any(set(stale) & set(key) for key in cache._entries)
         check_index(cache)
-        warm = beam_search_items_batched(model, prompts, trie, beam_size=8, prefix_cache=cache)
+        warm = decode_prompts(model, prompts, trie, beam_size=8, prefix_cache=cache)
         assert cache.stats.reused_tokens > 0
         for plain_row, warm_row in zip(plain, warm):
             assert [h.token_ids for h in plain_row] == [h.token_ids for h in warm_row]

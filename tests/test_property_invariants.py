@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.batching import pad_sequences
-from repro.llm import LMConfig, TinyLlama, beam_search_items, sequence_logprob
+from repro.llm import LMConfig, TinyLlama, sequence_logprob
 from repro.quantization import IndexTrie
+
+from helpers import decode_prompts
 
 
 def make_model(vocab=24):
@@ -21,7 +23,7 @@ class TestBeamSearchExactness:
 
     def constrained_sequence_logprob(self, model, prompt, sequence, trie):
         """Summed per-level log-probs renormalised over the trie's allowed
-        sets — the constrained-decoding semantics of beam_search_items."""
+        sets — the constrained-decoding semantics of the beam stepper."""
         full = np.asarray(list(prompt) + list(sequence), dtype=np.int64)[None, :]
         logits = model.forward(full).data[0]
         total = 0.0
@@ -48,7 +50,7 @@ class TestBeamSearchExactness:
             4: (12, 14), 5: (12, 15),
         })
         prompt = [1, 2, 3]
-        hypotheses = beam_search_items(model, prompt, trie, beam_size=100)
+        hypotheses = decode_prompts(model, [prompt], trie, beam_size=100)[0]
         beam_items = [h.item_id for h in hypotheses]
         beam_scores = [h.score for h in hypotheses]
         exact_items, exact_scores = self.exhaustive_ranking(model, prompt,
@@ -63,9 +65,9 @@ class TestBeamSearchExactness:
             i: (10 + i // 4, 15 + i % 4) for i in range(12)
         })
         wide = [h.item_id for h in
-                beam_search_items(model, [1], trie, beam_size=50)]
+                decode_prompts(model, [[1]], trie, beam_size=50)[0]]
         narrow = [h.item_id for h in
-                  beam_search_items(model, [1], trie, beam_size=3)]
+                  decode_prompts(model, [[1]], trie, beam_size=3)[0]]
         assert narrow[0] == wide[0]  # greedy top-1 always agrees
 
 

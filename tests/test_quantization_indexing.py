@@ -168,7 +168,10 @@ class TestIndexTrie:
             self.make().item_at((11, 21))
 
     def test_items_under_prefix(self):
-        assert sorted(self.make().items_under_prefix((10,))) == [0, 1]
+        table = self.make().nodes
+        leaves = table.first_child[table.node_of((10,))] + np.arange(2)
+        assert table.child_tokens(table.node_of((10,))).tolist() == [20, 21]
+        assert sorted(table.items[leaves - table.level_start[-2]].tolist()) == [0, 1]
 
     def test_duplicate_sequences_rejected(self):
         with pytest.raises(ValueError):

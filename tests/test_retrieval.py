@@ -23,7 +23,7 @@ from repro.baselines import P5CID, P5CIDConfig, TIGER, TIGERConfig
 from repro.core.indexer import build_random_index_set
 from test_live_width import Watched, assert_same_hypotheses, narrowed_recommend
 
-from repro.llm import beam_search_items_batched, decode_prefill, ranked_item_ids
+from repro.llm import decode_prefill, ranked_item_ids
 from repro.quantization import IndexTrie
 from repro.retrieval import (
     ClusteredKNNConfig,
@@ -40,6 +40,8 @@ from repro.serving import (
     RecommendationService,
     TIGEREngine,
 )
+
+from helpers import decode_prompts
 
 
 # ----------------------------------------------------------------------
@@ -268,7 +270,7 @@ def restricted_oracle(engine, histories, candidates, top_k):
         ]
     if engine.effective_beams(engine.num_items) == engine.num_items:
         prompts = [engine.encode_history(list(h)) for h in histories]
-        hypotheses = beam_search_items_batched(
+        hypotheses = decode_prompts(
             engine.lm,
             prompts,
             engine.trie,
@@ -384,7 +386,8 @@ class TestNarrowedDecodeParity:
             narrow=candidates)
         finite = np.isfinite(state.beam_scores).sum(axis=1)
         assert finite[2] == 1 and finite[2] < finite.max() == state.width
-        assert state.beam_nodes[2, -1] == state.beam_nodes[2, 0]
+        assert np.isneginf(state.beam_scores[2, 1:state.width]).all()
+        assert (engine.trie.nodes.depth[state.beam_nodes[2]] == 1).all()  # at the row's depth
 
     @pytest.mark.parametrize("name", ["lcrec", "p5cid"])  # TIGER decodes do not join yet
     @pytest.mark.parametrize("ticks", [(0, 0, 1, 1), (1, 1, 0, 0), (0, 1, 1, 0)], ids=str)

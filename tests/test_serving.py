@@ -29,7 +29,7 @@ class TestRequestQueue:
         queue = RequestQueue()
         submitted = [request(3), request(5), request(2)]
         for r in submitted:
-            queue.push(r)
+            assert queue.try_push(r)
         assert len(queue) == 3
         drained = queue.drain()
         assert [r.request_id for r in drained] \
@@ -37,14 +37,13 @@ class TestRequestQueue:
         assert len(queue) == 0
         assert not queue
 
-    def test_drain_limit(self):
+    def test_drain_empties_the_queue(self):
         queue = RequestQueue()
         for _ in range(5):
-            queue.push(request(4))
-        first = queue.drain(limit=2)
-        assert len(first) == 2
-        assert len(queue) == 3
-        assert len(queue.drain()) == 3
+            assert queue.try_push(request(4))
+        assert len(queue.drain()) == 5
+        assert len(queue) == 0
+        assert queue.drain() == []
 
     def test_request_ids_unique(self):
         ids = {request(2).request_id for _ in range(50)}
@@ -347,6 +346,45 @@ class TestLCRecBatchedPaths:
         assert len(results) == 2
         assert session.num_turns == 2
         assert session.turns[0].query == "something nice"
+
+
+class TestNonPositiveTopK:
+    """``top_k < 1`` is refused on every surface, before any lane answers."""
+
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_every_surface_raises(self, top_k, tiny_lcrec, tiny_dataset):
+        from repro.baselines import TIGER, TIGERConfig
+        from repro.core.indexer import build_random_index_set
+        from repro.retrieval import ClusteredKNNConfig, HybridRecommender, RetrievalRecommender
+
+        history = list(tiny_dataset.split.test_histories[0])
+        engine = LCRecEngine(tiny_lcrec, prefix_cache=False)
+        retriever = RetrievalRecommender.from_lcrec(
+            tiny_lcrec, ClusteredKNNConfig(n_clusters=4, n_probe=2))
+        tiger = TIGER(build_random_index_set(tiny_dataset.num_items, 3, 8,
+                                             np.random.default_rng(0)),
+                      TIGERConfig(dim=16))
+        clients = [
+            RecommendationService(engine),
+            RecommendationService(engine, fallback=retriever),  # cold-start lane
+            RecommendationService(engine, hybrid=HybridRecommender(engine, retriever)),
+            ServingCluster(engine, num_workers=1, fallback=retriever),
+        ]
+        calls = [
+            lambda: RecommendRequest(prompt_ids=[1, 2, 3], top_k=top_k),
+            lambda: engine.rank_prompts([[1, 2, 3]], top_k=top_k),
+            lambda: tiger.recommend(history, top_k=top_k),
+        ]
+        for client in clients:
+            calls += [
+                lambda client=client: client.submit(history, top_k=top_k),
+                lambda client=client: client.submit([], top_k=top_k),
+                lambda client=client: client.submit_intention("a gift", top_k=top_k),
+                lambda client=client: client.submit_instruction("a gift", top_k=top_k),
+            ]
+        for call in calls:
+            with pytest.raises(ValueError, match="top_k must be positive"):
+                call()
 
 
 class TestKVCacheBeamAxis:

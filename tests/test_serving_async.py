@@ -24,7 +24,7 @@ class TestAwaitBatch:
     def test_size_trigger_fires_immediately(self):
         queue = RequestQueue()
         for _ in range(3):
-            queue.push(request(4))
+            assert queue.try_push(request(4))
         start = time.monotonic()
         drained, reason = queue.await_batch(60.0, 3, should_stop=lambda: False)
         assert reason == "size"
@@ -34,7 +34,7 @@ class TestAwaitBatch:
 
     def test_deadline_trigger_fires_on_oldest_age(self):
         queue = RequestQueue()
-        queue.push(request(4))
+        assert queue.try_push(request(4))
         start = time.monotonic()
         drained, reason = queue.await_batch(0.05, 100, should_stop=lambda: False)
         elapsed = time.monotonic() - start
@@ -69,8 +69,8 @@ class TestAwaitBatch:
 
         thread = threading.Thread(target=waiter)
         thread.start()
-        queue.push(request(4))
-        queue.push(request(4))
+        assert queue.try_push(request(4))
+        assert queue.try_push(request(4))
         thread.join(timeout=5)
         assert not thread.is_alive()
         drained, reason = results["out"]
@@ -79,7 +79,7 @@ class TestAwaitBatch:
 
     def test_oldest_age(self):
         queue = RequestQueue()
-        queue.push(request(3))
+        assert queue.try_push(request(3))
         time.sleep(0.01)
         (oldest,) = queue.pop_front(1)
         assert time.monotonic() - oldest.enqueued_at >= 0.01

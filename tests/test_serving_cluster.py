@@ -328,7 +328,7 @@ class TestBoundedQueue:
         assert queue.try_push(RecommendRequest(prompt_ids=[1]))
         assert queue.try_push(RecommendRequest(prompt_ids=[2]))
         assert not queue.try_push(RecommendRequest(prompt_ids=[3]))
-        queue.drain(limit=1)
+        queue.drain()
         assert queue.try_push(RecommendRequest(prompt_ids=[4]))
 
     def test_service_queue_depth_rejects_with_typed_handle(self, tiny_lcrec, tiny_dataset):

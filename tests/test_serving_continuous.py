@@ -22,7 +22,6 @@ from repro.llm import (
     LMConfig,
     PrefixKVCache,
     TinyLlama,
-    beam_search_items_batched,
     beam_search_items_single,
     decode_finish,
     decode_join,
@@ -40,6 +39,8 @@ from repro.serving import (
     RequestQueue,
     TrieDecoderEngine,
 )
+
+from helpers import decode_prompts
 
 
 def make_model(vocab=30, num_layers=2):
@@ -92,7 +93,7 @@ class TestStepperParity:
 
     def test_stepper_matches_one_shot(self):
         model, trie = make_model(), make_trie()
-        one_shot = beam_search_items_batched(model, LIVE_PROMPTS + LATE_PROMPTS,
+        one_shot = decode_prompts(model, LIVE_PROMPTS + LATE_PROMPTS,
                                              trie, beam_size=5)
         state = decode_prefill(model, LIVE_PROMPTS + LATE_PROMPTS, trie,
                                beam_size=5)
@@ -108,7 +109,7 @@ class TestStepperParity:
         """Join at level L: every request matches decode-alone, for all L."""
         model, trie = make_model(), make_trie()
         reference = {
-            tuple(p): beam_search_items_batched(model, [p], trie, beam_size=5)[0]
+            tuple(p): decode_prompts(model, [p], trie, beam_size=5)[0]
             for p in LIVE_PROMPTS + LATE_PROMPTS
         }
         state = decode_prefill(model, LIVE_PROMPTS, trie, beam_size=5,
@@ -137,11 +138,11 @@ class TestStepperParity:
         live = [[1, 2, 3, 4, 5, 6], [4, 5, 2]]
         late = [[1, 2, 3, 4, 5, 6, 7, 8], [1, 2, 3, 4]]  # hit live's prompts
         reference = {
-            tuple(p): beam_search_items_batched(model, [p], trie, beam_size=5)[0]
+            tuple(p): decode_prompts(model, [p], trie, beam_size=5)[0]
             for p in live + late
         }
         cache = PrefixKVCache(min_prefix_len=2)
-        beam_search_items_batched(model, live, trie, beam_size=5,
+        decode_prompts(model, live, trie, beam_size=5,
                                   prefix_cache=cache)
         state = decode_prefill(model, live, trie, beam_size=5,
                                prefix_cache=cache, tags=["a", "b"])
@@ -179,7 +180,7 @@ class TestStepperParity:
         """Several staggered admissions accumulate into one live decode."""
         model, trie = make_model(), make_trie()
         reference = {
-            tuple(p): beam_search_items_batched(model, [p], trie, beam_size=4)[0]
+            tuple(p): decode_prompts(model, [p], trie, beam_size=4)[0]
             for p in LIVE_PROMPTS + LATE_PROMPTS
         }
         state = decode_prefill(model, [LIVE_PROMPTS[0]], trie, beam_size=4,
@@ -215,7 +216,7 @@ class TestRetirementTrimming:
         """
         model, trie = make_model(), make_trie()
         long_p, short_p = [1, 2, 3, 4, 5, 6, 7, 8], [9, 9]
-        reference = beam_search_items_batched(model, [short_p], trie,
+        reference = decode_prompts(model, [short_p], trie,
                                               beam_size=5)[0]
         state = decode_prefill(model, [long_p], trie, beam_size=5,
                                tags=["long"])
@@ -243,7 +244,7 @@ class TestRetirementTrimming:
         model, trie = make_model(), make_trie()
         prompts = [[1, 2, 3, 4, 5, 6, 7], [2, 4], [5, 5, 5, 5, 5], [6]]
         reference = {
-            tuple(p): beam_search_items_batched(model, [p], trie, beam_size=5)[0]
+            tuple(p): decode_prompts(model, [p], trie, beam_size=5)[0]
             for p in prompts
         }
         scheduler = make_scheduler(model, trie, max_width=4)
@@ -278,7 +279,7 @@ class TestJoinValidation:
         results, order = run_to_completion(state)
         assert order == ["live", "late"]
         for tag, prompt in (("live", [1, 2]), ("late", [3])):
-            expected = beam_search_items_batched(model, [prompt], trie, beam_size=5)[0]
+            expected = decode_prompts(model, [prompt], trie, beam_size=5)[0]
             assert [h.token_ids for h in results[tag]] == [h.token_ids for h in expected]
             assert results[tag][0].score == pytest.approx(expected[0].score, abs=1e-6)
 
@@ -323,7 +324,7 @@ class TestContinuousScheduler:
     def test_admit_step_parity(self):
         model, trie = make_model(), make_trie()
         reference = {
-            tuple(p): beam_search_items_batched(model, [p], trie, beam_size=5)[0]
+            tuple(p): decode_prompts(model, [p], trie, beam_size=5)[0]
             for p in LIVE_PROMPTS + LATE_PROMPTS
         }
         scheduler = make_scheduler(model, trie, max_width=8)
@@ -400,7 +401,7 @@ class TestQueueAdmissionPrimitives:
         blocker = request([3], beam_size=2)
         behind = request([4], beam_size=5)
         for r in (first, blocker, behind):
-            queue.push(r)
+            assert queue.try_push(r)
         popped = queue.pop_front(10, lambda r: r.beam_size == 5)
         # FIFO is never bypassed: the incompatible head blocks what follows.
         assert [r.request_id for r in popped] == [first.request_id]
@@ -410,7 +411,7 @@ class TestQueueAdmissionPrimitives:
         queue = RequestQueue()
         reqs = [request([i + 1]) for i in range(5)]
         for r in reqs:
-            queue.push(r)
+            assert queue.try_push(r)
         popped = queue.pop_front(3)
         assert [r.request_id for r in popped] == [r.request_id for r in reqs[:3]]
 
@@ -423,7 +424,7 @@ class TestQueueAdmissionPrimitives:
 
         thread = threading.Thread(target=waiter)
         thread.start()
-        queue.push(request([1]))
+        assert queue.try_push(request([1]))
         thread.join(timeout=5)
         assert not thread.is_alive()
         assert out["ready"] is True
@@ -500,10 +501,10 @@ class TestBacklogAwareAdmission:
         scheduler, queue, served = make_scheduler(model, trie), RequestQueue(), []
         requests = [request(p) for p in self.prompts(5)]
         for r in requests[:2]:
-            queue.push(r)
+            assert queue.try_push(r)
         assert self.tick(scheduler, queue, served) == requests[:2]
         for r in requests[2:]:
-            queue.push(r)  # 3 queued, 6 rows free
+            assert queue.try_push(r)  # 3 queued, 6 rows free
         assert self.tick(scheduler, queue, served) == requests[2:]
         assert (scheduler.admissions, scheduler.joins) == (2, 1)
         while not scheduler.idle:
@@ -518,10 +519,10 @@ class TestBacklogAwareAdmission:
         scheduler, queue, served = make_scheduler(model, trie), RequestQueue(), []
         requests = [request(p) for p in self.prompts(11)]
         for r in requests[:6]:
-            queue.push(r)
+            assert queue.try_push(r)
         assert self.tick(scheduler, queue, served) == requests[:6]
         for r in requests[6:]:
-            queue.push(r)  # 5 queued, 2 rows free
+            assert queue.try_push(r)  # 5 queued, 2 rows free
         waited = 0
         while not scheduler.idle:
             assert self.tick(scheduler, queue, served) == []
@@ -540,10 +541,10 @@ class TestBacklogAwareAdmission:
         live = [request(p) for p in self.prompts(2)]
         blocker, behind = request([3, 4], beam_size=2), request([5], beam_size=5)
         for r in live:
-            queue.push(r)
+            assert queue.try_push(r)
         self.tick(scheduler, queue, served)
-        queue.push(blocker)
-        queue.push(behind)  # the queue fits (2 <= 6), its head does not join beam 5
+        assert queue.try_push(blocker)
+        assert queue.try_push(behind)  # the queue fits (2 <= 6), its head does not join beam 5
         while not scheduler.idle:
             assert self.tick(scheduler, queue, served) == []
         assert self.tick(scheduler, queue, served) == [blocker]  # the idle latch: one width
@@ -567,7 +568,7 @@ class TestBacklogAwareAdmission:
         admitted, since_admission = [], 0
         for _ in range(60):
             while len(queue) < 6 and (r := next(arrivals, None)) is not None:
-                queue.push(r)
+                assert queue.try_push(r)
             if not queue and scheduler.idle:
                 break
             cohort = self.tick(scheduler, queue, served)

@@ -27,7 +27,6 @@ from repro.llm import (
     LMConfig,
     PrefixKVCache,
     TinyLlama,
-    beam_search_items_batched,
     beam_search_items_single,
     decode_finish,
     decode_join,
@@ -47,6 +46,8 @@ from repro.serving import (
     TIGEREngine,
 )
 from repro.tensor import StepWorkspace
+
+from helpers import decode_prompts
 
 
 def make_model(vocab=60, seed=7):
@@ -101,7 +102,7 @@ class TestAllowedTokenIds:
             for row, prefix in enumerate(batch):
                 np.testing.assert_array_equal(cand.union[cand.mask[row]],
                                               np.flatnonzero(dense[row]))
-                np.testing.assert_array_equal(cand.per_row[row],
+                np.testing.assert_array_equal(cand.table.child_tokens(cand.nodes[row]),
                                               np.flatnonzero(dense[row]))
 
     def test_union_covers_mixed_levels(self):
@@ -132,7 +133,7 @@ class TestAllowedTokenIds:
         root_after = trie.allowed_token_mask([()], 30)
         assert not root_before[0, 20]
         assert root_after[0, 20]
-        assert 20 in set(trie.allowed_token_ids([()]).per_row[0])
+        assert 20 in set(trie.nodes.child_tokens(0))
 
     def test_add_item_validates_depth_and_duplicates(self):
         trie = make_trie()
@@ -199,7 +200,7 @@ class TestSparseDenseParity:
     @pytest.mark.parametrize("beam_size", [1, 4, 10, 16])
     def test_matches_single_request_oracle(self, beam_size):
         model, trie = make_model(), make_trie()
-        batched = beam_search_items_batched(model, MIXED_PROMPTS, trie, beam_size=beam_size)
+        batched = decode_prompts(model, MIXED_PROMPTS, trie, beam_size=beam_size)
         for prompt, hypotheses in zip(MIXED_PROMPTS, batched):
             reference = beam_search_items_single(model, prompt, trie, beam_size=beam_size)
             assert_same_hypotheses(hypotheses, reference)
@@ -207,9 +208,9 @@ class TestSparseDenseParity:
     def test_prefix_cache_parity(self):
         model, trie = make_model(), make_trie()
         cache = PrefixKVCache()
-        cold = beam_search_items_batched(model, MIXED_PROMPTS, trie, beam_size=6,
+        cold = decode_prompts(model, MIXED_PROMPTS, trie, beam_size=6,
                                          prefix_cache=cache)
-        warm = beam_search_items_batched(model, MIXED_PROMPTS, trie, beam_size=6,
+        warm = decode_prompts(model, MIXED_PROMPTS, trie, beam_size=6,
                                          prefix_cache=cache)
         for prompt, a, b in zip(MIXED_PROMPTS, cold, warm):
             reference = beam_search_items_single(model, prompt, trie, beam_size=6)
@@ -285,7 +286,7 @@ class TestForcedFastPath:
         trie = make_forced_trie()
         model = make_model(seed=11)
         counts = self._count_forwards(model)
-        batched = beam_search_items_batched(model, MIXED_PROMPTS, trie, beam_size=4)
+        batched = decode_prompts(model, MIXED_PROMPTS, trie, beam_size=4)
         # One forward per level would be prefill + 3 steps.  Level 2 is
         # forced (no forward) and its token is flushed inside level 3's
         # combined forward.
@@ -301,7 +302,7 @@ class TestForcedFastPath:
         trie = IndexTrie({0: (10, 12, 14, 16)})
         model = make_model(seed=5)
         counts = self._count_forwards(model)
-        hypotheses = beam_search_items_batched(model, [[1, 2]], trie, beam_size=8)
+        hypotheses = decode_prompts(model, [[1, 2]], trie, beam_size=8)
         assert counts["n"] == 1  # prefill only: levels 1..3 are all forced
         assert [h.item_id for h in hypotheses[0]] == [0]
         assert hypotheses[0][0].score == pytest.approx(
@@ -356,7 +357,7 @@ class TestStaleWeightGuards:
         from repro.tensor import functional as F
 
         model, trie = make_model(seed=21), make_trie()
-        before = beam_search_items_batched(model, [[1, 2]], trie, beam_size=5)
+        before = decode_prompts(model, [[1, 2]], trie, beam_size=5)
         optimizer = Adam(model.parameters(), lr=0.05)
         sequence = np.array([[1, 10, 12, 14]])
         model.train()
@@ -366,11 +367,11 @@ class TestStaleWeightGuards:
             loss.backward()
             optimizer.step()
         model.eval()
-        after = beam_search_items_batched(model, [[1, 2]], trie, beam_size=5)
+        after = decode_prompts(model, [[1, 2]], trie, beam_size=5)
         fresh = TinyLlama(model.config)
         fresh.load_state_dict(model.state_dict())
         fresh.eval()
-        expected = beam_search_items_batched(fresh, [[1, 2]], trie, beam_size=5)
+        expected = decode_prompts(fresh, [[1, 2]], trie, beam_size=5)
         assert_same_hypotheses(after[0], expected[0])
         assert [h.score for h in after[0]] != [h.score for h in before[0]]
 

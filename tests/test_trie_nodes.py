@@ -108,7 +108,7 @@ class TestNodeTable:
         for candidates in (trie.allowed_token_ids(nodes), trie.allowed_token_ids(batch)):
             assert candidates.union.tolist() == union
             np.testing.assert_array_equal(candidates.mask, mask)
-            assert [row.tolist() for row in candidates.per_row] == [
+            assert [table.child_tokens(node).tolist() for node in candidates.nodes] == [
                 brute_children(catalog, prefix) for prefix in batch]
         fanout = np.array([len(brute_children(catalog, prefix)) for prefix in batch])
         alive = np.array(data.draw(st.lists(st.booleans(), min_size=len(batch),
