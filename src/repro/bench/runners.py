@@ -28,7 +28,6 @@ from ..core.tasks import ALL_TASKS, AlignmentTaskConfig
 from ..data import SequentialDataset
 from ..eval import (
     MetricReport,
-    evaluate_generative_model,
     evaluate_generative_model_batched,
     evaluate_score_model,
 )
@@ -131,18 +130,12 @@ def run_generative_baseline(
         raise KeyError(f"unknown generative baseline {name!r}")
 
     histories, targets = _eval_slice(dataset, scale)
-    if hasattr(model, "recommend_many"):
-        # Both generative baselines decode through their serving-engine
-        # adapters (TIGEREngine / P5CIDEngine): whole evaluation chunks
-        # share one beam-expansion forward per trie level.
-        return evaluate_generative_model_batched(
-            lambda chunk: model.recommend_many(chunk, top_k=10), histories, targets
-        )
-
-    def recommend(history):
-        return model.recommend(history, top_k=10)
-
-    return evaluate_generative_model(recommend, histories, targets)
+    # Both generative baselines decode through their serving-engine
+    # adapters (TIGEREngine / P5CIDEngine): whole evaluation chunks
+    # share one beam-expansion forward per trie level.
+    return evaluate_generative_model_batched(
+        lambda chunk: model.recommend_many(chunk, top_k=10), histories, targets
+    )
 
 
 def lcrec_config_for(

@@ -16,8 +16,9 @@ drive the serving client, assert, report — factored into three pieces:
   surface, and emits one schema'd JSON record per cell via
   :func:`repro.bench.report_json`.
 
-Same config + same seed → identical records modulo each record's
-``timing`` block (see :func:`strip_timing`).  Run from the CLI with
+Same config + same seed → identical records: every cell runs
+closed-loop, and no record holds a wall-clock number (serving time is
+the serving ledger's, ``perf/run.py``).  Run from the CLI with
 ``python -m repro experiment run <config.json>``, or in code::
 
     from repro.experiments import run_experiment
@@ -38,11 +39,8 @@ from .config import (
     ExperimentConfig,
     ExperimentConfigError,
     ScenarioSpec,
-    apply_sweep,
     cell_name,
     ordered_cells,
-    sweep_combinations,
-    sweep_suffix,
 )
 from .runner import (
     ExperimentError,
@@ -50,7 +48,6 @@ from .runner import (
     PopularityFallback,
     known_backends,
     run_experiment,
-    strip_timing,
 )
 from .scenarios import (
     BarrierEvent,
@@ -74,14 +71,10 @@ __all__ = [
     "ScenarioPlan",
     "ScenarioSpec",
     "SubmitEvent",
-    "apply_sweep",
     "build_plan",
     "cell_name",
     "known_backends",
     "known_scenarios",
     "ordered_cells",
     "run_experiment",
-    "strip_timing",
-    "sweep_combinations",
-    "sweep_suffix",
 ]

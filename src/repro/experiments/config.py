@@ -7,8 +7,7 @@ here programmatically, with the ``REPRO_SCALE`` environment variable only
 as the fallback), and *under which identity* (seed, run id).  Everything
 downstream — workload generation, serving wiring, metric computation and
 the JSON record — is a pure function of this object, which is what makes
-two runs of the same config at the same seed emit identical records
-modulo timings.
+two runs of the same config at the same seed emit identical records.
 
 Configs load from plain dicts or from JSON files.  Validation is strict
 and early: unknown keys, unknown scenario kinds, unknown backends, malformed
@@ -18,10 +17,9 @@ expectations and out-of-range values all raise
 
 from __future__ import annotations
 
-import itertools
 import json
 import pathlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 __all__ = [
@@ -30,13 +28,9 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentConfigError",
     "ScenarioSpec",
-    "apply_sweep",
-    "sweep_combinations",
-    "sweep_suffix",
 ]
 
 KNOWN_METRICS = ("hr", "ndcg")
-KNOWN_MODES = ("deadline", "continuous")
 
 _EXPECT_OPS = {
     "gt": lambda a, b: a > b,
@@ -203,55 +197,8 @@ _TOP_LEVEL_KEYS = {
     "cutoffs",
     "top_k",
     "num_workers",
-    "batch_width",
-    "deadline_flush_ms",
-    "mode",
     "run_id",
-    "sweep",
 }
-
-# Top-level config fields a sweep axis may range over.  Anything else in
-# a sweep must be a parameter every configured backend accepts (e.g.
-# ``epochs``) — that path is validated per backend.
-_SWEEPABLE_TOP_LEVEL = ("batch_width", "num_workers", "top_k", "mode")
-
-
-def _validate_sweep(raw_sweep, backends: Sequence["BackendSpec"]):
-    """Parse ``sweep`` into a canonical ``((key, (values, ...)), ...)``."""
-    _require_type(raw_sweep, dict, "sweep")
-    axes = []
-    for key, values in raw_sweep.items():
-        key = _require_type(key, str, "sweep axis name")
-        values = _require_type(values, list, f"sweep.{key}")
-        if not values:
-            raise ExperimentConfigError(f"sweep.{key} must list at least one value")
-        if len(set(values)) != len(values):
-            raise ExperimentConfigError(f"sweep.{key} has duplicate values: {values}")
-        if key in _SWEEPABLE_TOP_LEVEL:
-            for value in values:
-                if key == "mode":
-                    if value not in KNOWN_MODES:
-                        raise ExperimentConfigError(
-                            f"sweep.mode value must be one of {KNOWN_MODES}, got {value!r}"
-                        )
-                elif not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                    raise ExperimentConfigError(
-                        f"sweep.{key} values must be positive ints, got {value!r}"
-                    )
-        else:
-            # A backend-parameter axis: every configured backend must
-            # accept every value, so one sweep point stays one matrix.
-            from .runner import validate_backend  # late: avoids an import cycle
-
-            for spec in backends:
-                for value in values:
-                    validate_backend(
-                        spec.name,
-                        {**spec.params, key: value},
-                        f"sweep.{key} (backend {spec.name!r})",
-                    )
-        axes.append((key, tuple(values)))
-    return tuple(axes)
 
 
 @dataclass(frozen=True)
@@ -263,15 +210,6 @@ class ExperimentConfig:
     ``REPRO_SCALE`` environment variable exactly like ``benchmarks/``
     — but a config that pins ``scale`` is self-contained and needs no
     environment setup (and no monkeypatching in tests).
-
-    ``sweep`` turns one config into a grid: each axis maps a sweepable
-    top-level key (``batch_width``/``num_workers``/``top_k``/``mode``)
-    or a backend parameter shared by every configured backend
-    (``epochs``, ``dim``, …) to a value list.  The runner
-    replays the whole (scenario × backend) matrix once per combination
-    — same traffic at every sweep point — and suffixes cell names with
-    ``@key=value,…`` (see :func:`sweep_combinations` /
-    :func:`apply_sweep`).
     """
 
     name: str
@@ -284,11 +222,7 @@ class ExperimentConfig:
     cutoffs: tuple[int, ...] = (5, 10)
     top_k: int = 10
     num_workers: int = 2
-    batch_width: int = 4
-    deadline_flush_ms: float = 10.0
-    mode: str = "deadline"
     run_id: str | None = None
-    sweep: tuple[tuple[str, tuple], ...] = ()
 
     # ------------------------------------------------------------------
     # Loading
@@ -353,9 +287,6 @@ class ExperimentConfig:
 
             scale = _require_type(scale, str, "scale").lower()
             bench_scale(scale)  # raises KeyError on unknown names
-        mode = _require_type(raw.get("mode", cls.mode), str, "mode")
-        if mode not in KNOWN_MODES:
-            raise ExperimentConfigError(f"mode must be one of {KNOWN_MODES}, got {mode!r}")
         config = cls(
             name=name,
             backends=backends,
@@ -367,25 +298,13 @@ class ExperimentConfig:
             cutoffs=cutoffs,
             top_k=_require_type(raw.get("top_k", cls.top_k), int, "top_k"),
             num_workers=_require_type(raw.get("num_workers", cls.num_workers), int, "num_workers"),
-            batch_width=_require_type(raw.get("batch_width", cls.batch_width), int, "batch_width"),
-            deadline_flush_ms=float(raw.get("deadline_flush_ms", cls.deadline_flush_ms)),
-            mode=mode,
             run_id=raw.get("run_id"),
-            sweep=_validate_sweep(raw.get("sweep", {}), backends),
         )
         if config.top_k < 1:
             raise ExperimentConfigError(f"top_k must be positive, got {config.top_k}")
         if config.num_workers < 1:
             raise ExperimentConfigError(
                 f"num_workers must be positive, got {config.num_workers}"
-            )
-        if config.batch_width < 1:
-            raise ExperimentConfigError(
-                f"batch_width must be positive, got {config.batch_width}"
-            )
-        if config.deadline_flush_ms <= 0:
-            raise ExperimentConfigError(
-                f"deadline_flush_ms must be positive, got {config.deadline_flush_ms}"
             )
         return config
 
@@ -414,11 +333,7 @@ class ExperimentConfig:
             "cutoffs": list(self.cutoffs),
             "top_k": self.top_k,
             "num_workers": self.num_workers,
-            "batch_width": self.batch_width,
-            "deadline_flush_ms": self.deadline_flush_ms,
-            "mode": self.mode,
             "run_id": self.run_id,
-            "sweep": {key: list(values) for key, values in self.sweep},
         }
 
     def metric_keys(self) -> list[str]:
@@ -448,43 +363,3 @@ def ordered_cells(
         for scenario in config.scenarios
         for backend in config.backends
     ]
-
-
-def sweep_combinations(config: ExperimentConfig) -> list[dict]:
-    """Every sweep point as ``{axis: value}``, row-major in axis order.
-
-    A config without a sweep yields the single empty combination, so
-    callers can always loop over the result.
-    """
-    if not config.sweep:
-        return [{}]
-    keys = [key for key, _ in config.sweep]
-    return [
-        dict(zip(keys, values))
-        for values in itertools.product(*(values for _, values in config.sweep))
-    ]
-
-
-def sweep_suffix(combo: Mapping) -> str:
-    """The cell-name suffix for one sweep point (empty for no sweep)."""
-    if not combo:
-        return ""
-    return "@" + ",".join(f"{key}={value}" for key, value in combo.items())
-
-
-def apply_sweep(config: ExperimentConfig, combo: Mapping) -> ExperimentConfig:
-    """The concrete config at one sweep point.
-
-    Top-level axes override the config field; backend-parameter axes
-    merge into every backend's params.  The result carries no ``sweep``
-    of its own — it is one fully resolved run declaration.
-    """
-    top = {key: value for key, value in combo.items() if key in _SWEEPABLE_TOP_LEVEL}
-    backend_params = {key: value for key, value in combo.items() if key not in top}
-    backends = config.backends
-    if backend_params:
-        backends = tuple(
-            replace(spec, params={**spec.params, **backend_params})
-            for spec in backends
-        )
-    return replace(config, backends=backends, sweep=(), **top)

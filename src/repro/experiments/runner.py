@@ -8,24 +8,23 @@ replays the scenario's deterministic event plan through the one
 :class:`repro.serving.RecommendationClient` surface, and distils the
 outcome into one schema'd record: admission counters (served / shed /
 degraded / cold-start), quality metrics over the held-out targets the
-plan carried, scenario-specific extras, expectation outcomes, and a
-``timing`` block that is the *only* place wall-clock appears.
+plan carried, scenario-specific extras and expectation outcomes.  No
+record holds a wall-clock number: serving time is measured by the
+serving ledger (``perf/run.py``), not here.
 
 Records are written through :func:`repro.bench.report_json`, so an
 experiment run lands in ``benchmark_results/`` with the payload shape
 CI validates — one ``results`` entry per cell.
 
 Reproducibility contract: two runs of the same config at the same seed
-produce identical records after dropping each record's ``timing`` block
-(:func:`strip_timing`).  Open-loop cells lean on the serving stack's
-placement/batching invariance; closed-loop cells (burst overload,
-catalog churn) submit with the background loops stopped so admission
-outcomes are a pure function of submission order.
+produce identical records.  Every cell submits with the background loops
+stopped and serves at the plan's flush barriers, so admission outcomes
+are a pure function of submission order, and rankings do not depend on
+batching or placement.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -37,7 +36,6 @@ from ..eval.metrics import hit_ratio_at_k, ndcg_at_k
 from ..eval.popularity import item_popularity
 from ..serving import (
     LCRecEngine,
-    MicroBatcherConfig,
     Overloaded,
     P5CIDEngine,
     PrefixKVCache,
@@ -48,11 +46,8 @@ from ..serving import (
 from .config import (
     ExperimentConfig,
     ExperimentConfigError,
-    apply_sweep,
     cell_name,
     ordered_cells,
-    sweep_combinations,
-    sweep_suffix,
 )
 from .scenarios import (
     BarrierEvent,
@@ -68,7 +63,6 @@ __all__ = [
     "PopularityFallback",
     "known_backends",
     "run_experiment",
-    "strip_timing",
     "validate_backend",
 ]
 
@@ -83,8 +77,7 @@ class ExperimentError(RuntimeError):
 # ----------------------------------------------------------------------
 # Backends
 # ----------------------------------------------------------------------
-# Parameter name → expected type.  ``epochs``/``dim`` reach the model
-# builder (so they are the runtime cache key — see ``_runtime``).
+# Parameter name → expected type.  ``epochs``/``dim`` reach the model builder.
 _BACKEND_PARAMS = {
     "lcrec": {},
     "tiger": {"epochs": int, "dim": int},
@@ -214,21 +207,6 @@ def _build_backend(spec, dataset, scale, seed: int, model=None) -> _BackendRunti
 
 
 # ----------------------------------------------------------------------
-# Record post-processing
-# ----------------------------------------------------------------------
-def strip_timing(record: Mapping) -> dict:
-    """A record without its wall-clock block — the determinism view."""
-    return {key: value for key, value in record.items() if key != "timing"}
-
-
-def _percentiles(latencies_ms: list[float]) -> tuple[float, float]:
-    if not latencies_ms:
-        return 0.0, 0.0
-    array = np.asarray(latencies_ms)
-    return float(np.percentile(array, 50)), float(np.percentile(array, 95))
-
-
-# ----------------------------------------------------------------------
 # Runner
 # ----------------------------------------------------------------------
 class ExperimentRunner:
@@ -255,22 +233,19 @@ class ExperimentRunner:
         self.dataset = dataset
         self._injected = dict(models or {})
         self.write = write
-        self._runtimes: dict[tuple, _BackendRuntime] = {}
+        self._runtimes: dict[str, _BackendRuntime] = {}
 
     # -- backends ------------------------------------------------------
     def _runtime(self, spec) -> _BackendRuntime:
-        # Keyed by the model-building params: sweep points that do not
-        # vary them share one built model.
-        key = (spec.name, spec.params.get("epochs"), spec.params.get("dim"))
-        if key not in self._runtimes:
-            self._runtimes[key] = _build_backend(
+        if spec.name not in self._runtimes:
+            self._runtimes[spec.name] = _build_backend(
                 spec,
                 self.dataset,
                 self.scale,
                 self.config.seed,
                 model=self._injected.get(spec.name),
             )
-        return self._runtimes[key]
+        return self._runtimes[spec.name]
 
     # -- cell plumbing -------------------------------------------------
     def _fleet_order(self, plan: ScenarioPlan, cell_runtime):
@@ -284,10 +259,8 @@ class ExperimentRunner:
 
     def _build_client(self, plan: ScenarioPlan, runtime: _BackendRuntime):
         """The scenario's client plus per-cell context for the record."""
-        batcher = MicroBatcherConfig(max_batch_size=self.config.batch_width)
         fallback = runtime.make_fallback() if plan.use_fallback else None
-        mode = self.config.mode
-        context: dict = {"mode": mode}
+        context: dict = {}
         if plan.client == "service":
             if plan.kind == "catalog_churn":
                 catalog = runtime.model.live_catalog(retrieval=True)
@@ -300,13 +273,7 @@ class ExperimentRunner:
                 context["catalog"] = catalog
             else:
                 engine = runtime.make_engine(plan.prefix_cache)
-            client = RecommendationService(
-                engine,
-                batcher=batcher,
-                deadline_ms=self.config.deadline_flush_ms,
-                mode=mode,
-                fallback=fallback,
-            )
+            client = RecommendationService(engine, fallback=fallback)
         else:
             fleet = self._fleet_order(plan, runtime)
             workers = plan.num_workers
@@ -318,9 +285,6 @@ class ExperimentRunner:
             client = ServingCluster(
                 engine_factory,
                 num_workers=workers,
-                batcher=batcher,
-                deadline_ms=self.config.deadline_flush_ms,
-                mode=mode,
                 max_backlog=plan.max_backlog,
                 fallback=fallback,
             )
@@ -329,103 +293,52 @@ class ExperimentRunner:
         return client, context
 
     # -- event replay --------------------------------------------------
-    def _replay(self, plan: ScenarioPlan, client, rng) -> dict:
-        """Run the plan's events; returns outcomes + raw latency samples."""
+    def _replay(self, plan: ScenarioPlan, client, rng) -> list[dict]:
+        """Run the plan's events with the background loops stopped.
+
+        Admission is a pure function of submission order, and every
+        barrier serves the backlog synchronously; returns one outcome
+        per submit.
+        """
         submitted: list[tuple[SubmitEvent, object]] = []
-        latencies: list[float] = []
-        resolved = 0
-
-        def submit(event: SubmitEvent):
-            if event.kind == "intention":
-                return client.submit_intention(
-                    event.text, top_k=self.config.top_k, session_key=event.session
-                )
-            if event.kind == "instruction":
-                return client.submit_instruction(
-                    event.text, top_k=self.config.top_k, session_key=event.session
-                )
-            return client.submit(
-                list(event.history),
-                top_k=self.config.top_k,
-                session_key=event.session,
-            )
-
-        def ingest(event: IngestEvent):
-            dim = client_embedding_dim(client)
-            item = client.ingest_item(embedding=rng.normal(size=dim))
-            if item.item_id != event.item_id:
-                raise RuntimeError(
-                    f"planned ingest id {event.item_id} but catalog assigned "
-                    f"{item.item_id}"
-                )
-
-        start = time.perf_counter()
-        if plan.closed_loop:
-            # Loops stay stopped: admission is a pure function of
-            # submission order, and flush barriers serve synchronously.
-            segment: list[object] = []
-            for event in plan.events:
-                if isinstance(event, SubmitEvent):
-                    handle = submit(event)
-                    submitted.append((event, handle))
-                    segment.append(handle)
-                elif isinstance(event, BarrierEvent):
-                    flush_start = time.perf_counter()
-                    served = client.flush()
-                    flush_ms = (time.perf_counter() - flush_start) * 1000.0
-                    if served:
-                        latencies.extend([flush_ms / served] * served)
-                    segment = []
-                elif isinstance(event, IngestEvent):
-                    ingest(event)
-        else:
-            client.start()
-            try:
-                submit_times: list[float] = []
-                for event in plan.events:
-                    if isinstance(event, SubmitEvent):
-                        submit_times.append(time.perf_counter())
-                        handle = submit(event)
-                        submitted.append((event, handle))
-                    elif isinstance(event, BarrierEvent):
-                        while resolved < len(submitted):
-                            _, handle = submitted[resolved]
-                            _observe(handle)
-                            latencies.append(
-                                (time.perf_counter() - submit_times[resolved]) * 1000.0
-                            )
-                            resolved += 1
-                    elif isinstance(event, IngestEvent):
-                        ingest(event)
-                while resolved < len(submitted):
-                    _, handle = submitted[resolved]
-                    _observe(handle)
-                    latencies.append(
-                        (time.perf_counter() - submit_times[resolved]) * 1000.0
+        for event in plan.events:
+            if isinstance(event, SubmitEvent):
+                submitted.append((event, self._submit(client, event)))
+            elif isinstance(event, BarrierEvent):
+                client.flush()
+            elif isinstance(event, IngestEvent):
+                item = client.ingest_item(embedding=rng.normal(size=client_embedding_dim(client)))
+                if item.item_id != event.item_id:
+                    raise RuntimeError(
+                        f"planned ingest id {event.item_id} but catalog assigned "
+                        f"{item.item_id}"
                     )
-                    resolved += 1
-            finally:
-                client.stop(drain=True)
-        wall_s = time.perf_counter() - start
 
         outcomes = []
         for event, handle in submitted:
             try:
                 ranking = handle.result(timeout=_RESULT_TIMEOUT_S)
-            except Overloaded as exc:
-                outcomes.append(
-                    {"event": event, "ranking": None, "shed": getattr(exc, "reason", "shed")}
-                )
-                continue
+            except Overloaded:
+                ranking = None  # shed
             outcomes.append(
-                {
-                    "event": event,
-                    "ranking": ranking,
-                    "shed": None,
-                    "degraded_reason": handle.degraded_reason,
-                }
+                {"event": event, "ranking": ranking, "degraded_reason": handle.degraded_reason}
             )
-        return {"outcomes": outcomes, "latencies": latencies, "wall_s": wall_s}
+        return outcomes
+
+    def _submit(self, client, event: SubmitEvent):
+        if event.kind == "intention":
+            return client.submit_intention(
+                event.text, top_k=self.config.top_k, session_key=event.session
+            )
+        if event.kind == "instruction":
+            return client.submit_instruction(
+                event.text, top_k=self.config.top_k, session_key=event.session
+            )
+        return client.submit(
+            list(event.history),
+            top_k=self.config.top_k,
+            session_key=event.session,
+        )
 
     # -- metrics -------------------------------------------------------
     def _quality(self, outcomes: list[dict]) -> dict:
@@ -467,18 +380,16 @@ class ExperimentRunner:
         return extras
 
     # -- one cell ------------------------------------------------------
-    def _run_cell(self, spec, backend_spec, rng, sweep: Mapping | None = None) -> dict:
+    def _run_cell(self, spec, backend_spec, rng) -> dict:
         runtime = self._runtime(backend_spec)
         plan = build_plan(self.dataset, self.scale, self.config, spec)
         base = {
-            "name": cell_name(spec, backend_spec) + sweep_suffix(sweep or {}),
+            "name": cell_name(spec, backend_spec),
             "scenario": spec.label,
             "scenario_kind": spec.kind,
             "backend": backend_spec.name,
             "seed": self.config.seed,
         }
-        if sweep:
-            base["sweep"] = dict(sweep)
         if "rqvae" in plan.requires and not runtime.has_rqvae:
             return {
                 **base,
@@ -495,8 +406,7 @@ class ExperimentRunner:
             }
 
         client, context = self._build_client(plan, runtime)
-        replay = self._replay(plan, client, rng)
-        outcomes = replay["outcomes"]
+        outcomes = self._replay(plan, client, rng)
 
         served = sum(1 for o in outcomes if o["ranking"] is not None)
         shed = sum(1 for o in outcomes if o["ranking"] is None)
@@ -508,14 +418,11 @@ class ExperimentRunner:
             for o in outcomes
             if o.get("degraded_reason") not in (None, "cold_start")
         )
-        p50, p95 = _percentiles(replay["latencies"])
         record = {
             **base,
             "supported": True,
             "client": plan.client,
-            "mode": context["mode"],
             "num_workers": plan.num_workers if plan.client == "cluster" else 1,
-            "closed_loop": plan.closed_loop,
             "requests": len(outcomes),
             "served": served,
             "shed": shed,
@@ -545,53 +452,22 @@ class ExperimentRunner:
                     f"{expectation.value} (observed {observed!r})"
                 )
         record["expectations"] = {"checked": checked, "failed": failed}
-        wall = replay["wall_s"]
-        record["timing"] = {
-            "wall_s": round(wall, 4),
-            "requests_per_second": round(len(outcomes) / wall, 2) if wall else 0.0,
-            "p50_ms": round(p50, 3),
-            "p95_ms": round(p95, 3),
-        }
         return record
 
     # -- the matrix ----------------------------------------------------
-    def _at_sweep_point(self, combo: Mapping) -> "ExperimentRunner":
-        """A runner for one sweep point, sharing this runner's models."""
-        if not combo:
-            return self
-        variant = ExperimentRunner(
-            apply_sweep(self.config, combo),
-            dataset=self.dataset,
-            models=self._injected,
-            write=False,
-        )
-        variant._runtimes = self._runtimes  # built models are shared
-        return variant
-
     def run(self) -> dict:
         """Execute every cell; returns ``{records, failed, path}``.
-
-        With a ``sweep``, the whole (scenario × backend) matrix runs
-        once per combination — the per-cell RNG depends only on the
-        cell's position, so every sweep point replays identical traffic
-        and the records differ only where the swept knob matters.
 
         Raises :class:`ExperimentError` after writing the record file if
         any cell's expectations failed — results land on disk either
         way, so a red run is still inspectable.
         """
         records, failed = [], []
-        for combo in sweep_combinations(self.config):
-            runner = self._at_sweep_point(combo)
-            for scenario_index, (spec, backend_spec) in enumerate(
-                ordered_cells(runner.config)
-            ):
-                rng = np.random.default_rng(
-                    [max(self.config.seed, 0), scenario_index]
-                )
-                record = runner._run_cell(spec, backend_spec, rng, sweep=combo)
-                records.append(record)
-                failed.extend(record.get("expectations", {}).get("failed", []))
+        for scenario_index, (spec, backend_spec) in enumerate(ordered_cells(self.config)):
+            rng = np.random.default_rng([max(self.config.seed, 0), scenario_index])
+            record = self._run_cell(spec, backend_spec, rng)
+            records.append(record)
+            failed.extend(record.get("expectations", {}).get("failed", []))
         path = None
         if self.write:
             path = report_json(
@@ -627,11 +503,3 @@ def client_embedding_dim(client) -> int:
     if catalog is None:
         raise RuntimeError("client has no live catalog attached; cannot ingest")
     return int(catalog.rqvae.config.input_dim)
-
-
-def _observe(handle) -> None:
-    """Wait for a handle without consuming its outcome (shed is fine)."""
-    try:
-        handle.result(timeout=_RESULT_TIMEOUT_S)
-    except Overloaded:
-        pass

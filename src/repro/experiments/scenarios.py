@@ -8,15 +8,13 @@ prefix cache).  The runner replays the plan against any backend; the
 plan itself never touches a model, which is why every (scenario ×
 backend) cell of a matrix serves the *same* traffic.
 
-Determinism is the design constraint.  Open-loop scenarios (steady
-state, cold start, long history, session refresh, mixed fleet) rely on
-the serving stack's guarantee that batching and placement change cost,
-never math.  Scenarios whose *counters* are the point — burst overload
-shedding, catalog churn — run closed-loop: every submit lands while the
-background loop is stopped, so admission-control outcomes are a pure
-function of submission order, and ``flush()`` barriers serve the
-backlog synchronously.  Wall-clock only ever shows up in the record's
-``timing`` block.
+Determinism is the design constraint.  Every plan is closed-loop: every
+submit lands while the background loops are stopped, so admission-control
+outcomes (served, shed, degraded, cold start) are a pure function of
+submission order, and ``flush()`` barriers serve the backlog
+synchronously.  Every plan ends in a barrier.  Rankings do not depend on
+batching or placement, so a plan's record is the same on every host; the
+serving ledger (``perf/run.py``) is where serving time is measured.
 
 Scenario kinds and their parameters (defaults in parentheses):
 
@@ -33,13 +31,14 @@ Scenario kinds and their parameters (defaults in parentheses):
     bucketing stress case.  ``requests`` (16).
 ``session_refresh``
     ``sessions`` (6) users each re-requesting ``refresh`` (4) times
-    under one session key — the affinity + prefix-cache case.
+    under one session key, one flush barrier per round — the affinity +
+    prefix-cache case (later rounds hit the prefix cache).
 ``burst_overload``
-    Closed-loop: ``requests`` (36) back-to-back submits against
+    ``requests`` (36) back-to-back submits against
     ``max_backlog`` (2) per worker.  With ``fallback`` (true) the
     overflow degrades to retrieval; without it, it sheds.
 ``catalog_churn``
-    Closed-loop, single service, LC-Rec only (needs the RQ-VAE): one
+    Single service, LC-Rec only (needs the RQ-VAE): one
     :meth:`repro.core.LiveCatalog.ingest` every ``ingest_every`` (6)
     requests, interleaved with decodes via flush barriers.  After the
     run, the record's ``new_item_in_tier_rate`` probes the client's
@@ -103,12 +102,9 @@ class SubmitEvent:
 
 @dataclass(frozen=True)
 class BarrierEvent:
-    """A synchronisation point.
-
-    Closed-loop runs ``flush()`` here (serving everything queued so
-    far); open-loop runs resolve every outstanding handle.  Either way,
-    events after the barrier observe the effects of events before it.
-    """
+    """A synchronisation point: the runner calls ``flush()`` here, serving
+    everything queued so far, so events after the barrier observe the
+    effects of events before it."""
 
 
 @dataclass(frozen=True)
@@ -128,7 +124,6 @@ class ScenarioPlan:
     kind: str
     label: str
     events: tuple
-    closed_loop: bool = False
     client: str = "cluster"  # "service" | "cluster"
     num_workers: int = 1
     max_backlog: int | None = None
@@ -159,8 +154,9 @@ def _eval_pairs(dataset, scale: "BenchScale") -> list[tuple[tuple[int, ...], int
     return pairs
 
 
-def _int_param(params: Mapping, key: str, default: int) -> int:
-    return int(params.get(key, default))
+def _param(spec: "ScenarioSpec", key: str):
+    """A scenario parameter, its registered default when the spec omits it."""
+    return spec.params.get(key, _SCENARIOS[spec.kind][1][key])
 
 
 # ----------------------------------------------------------------------
@@ -168,11 +164,11 @@ def _int_param(params: Mapping, key: str, default: int) -> int:
 # ----------------------------------------------------------------------
 def _plan_steady_state(dataset, scale, config, spec) -> ScenarioPlan:
     pairs = _eval_pairs(dataset, scale)
-    requests = _int_param(spec.params, "requests", 24)
+    requests = _param(spec, "requests")
     events = tuple(
         SubmitEvent(f"user:{i % len(pairs)}", *pairs[i % len(pairs)])
         for i in range(requests)
-    )
+    ) + (BarrierEvent(),)
     return ScenarioPlan(
         kind=spec.kind,
         label=spec.label,
@@ -183,21 +179,21 @@ def _plan_steady_state(dataset, scale, config, spec) -> ScenarioPlan:
 
 def _plan_cold_start(dataset, scale, config, spec) -> ScenarioPlan:
     pairs = _eval_pairs(dataset, scale)
-    requests = _int_param(spec.params, "requests", 24)
-    prefix_len = _int_param(spec.params, "prefix_len", 2)
-    empty_fraction = float(spec.params.get("empty_fraction", 0.25))
-    if not 0.0 <= empty_fraction <= 1.0:
-        raise ValueError(f"empty_fraction must be in [0, 1], got {empty_fraction}")
+    requests = _param(spec, "requests")
+    prefix_len = _param(spec, "prefix_len")
+    empty_fraction = _param(spec, "empty_fraction")
     stride = int(round(1.0 / empty_fraction)) if empty_fraction > 0 else 0
     events = []
     empty = 0
     for i in range(requests):
         history, target = pairs[i % len(pairs)]
-        if stride and i % stride == 0:
+        # prefix_len 0 empties every history (``history[-0:]`` would keep it whole).
+        if not prefix_len or (stride and i % stride == 0):
             history, empty = (), empty + 1
         else:
             history = history[-prefix_len:]
         events.append(SubmitEvent(f"user:{i % len(pairs)}", history, target))
+    events.append(BarrierEvent())
     return ScenarioPlan(
         kind=spec.kind,
         label=spec.label,
@@ -210,11 +206,11 @@ def _plan_cold_start(dataset, scale, config, spec) -> ScenarioPlan:
 
 def _plan_long_history(dataset, scale, config, spec) -> ScenarioPlan:
     pairs = _eval_pairs(dataset, scale)
-    requests = _int_param(spec.params, "requests", 16)
+    requests = _param(spec, "requests")
     # Longest histories first; ties keep dataset order (stable sort).
     ranked = sorted(range(len(pairs)), key=lambda i: -len(pairs[i][0]))
     picks = [ranked[i % len(ranked)] for i in range(requests)]
-    events = tuple(SubmitEvent(f"user:{i}", *pairs[i]) for i in picks)
+    events = tuple(SubmitEvent(f"user:{i}", *pairs[i]) for i in picks) + (BarrierEvent(),)
     lengths = [len(pairs[i][0]) for i in picks]
     return ScenarioPlan(
         kind=spec.kind,
@@ -227,13 +223,11 @@ def _plan_long_history(dataset, scale, config, spec) -> ScenarioPlan:
 
 def _plan_session_refresh(dataset, scale, config, spec) -> ScenarioPlan:
     pairs = _eval_pairs(dataset, scale)
-    sessions = min(_int_param(spec.params, "sessions", 6), len(pairs))
-    refresh = _int_param(spec.params, "refresh", 4)
-    events = tuple(
-        SubmitEvent(f"user:{s}", *pairs[s])
-        for _ in range(refresh)
-        for s in range(sessions)
-    )
+    sessions = min(_param(spec, "sessions"), len(pairs))
+    refresh = _param(spec, "refresh")
+    # One barrier per round: a round's prompts are cached before the next asks.
+    round_events = tuple(SubmitEvent(f"user:{s}", *pairs[s]) for s in range(sessions))
+    events = (round_events + (BarrierEvent(),)) * refresh
     return ScenarioPlan(
         kind=spec.kind,
         label=spec.label,
@@ -246,9 +240,9 @@ def _plan_session_refresh(dataset, scale, config, spec) -> ScenarioPlan:
 
 def _plan_burst_overload(dataset, scale, config, spec) -> ScenarioPlan:
     pairs = _eval_pairs(dataset, scale)
-    requests = _int_param(spec.params, "requests", 36)
-    max_backlog = _int_param(spec.params, "max_backlog", 2)
-    use_fallback = bool(spec.params.get("fallback", True))
+    requests = _param(spec, "requests")
+    max_backlog = _param(spec, "max_backlog")
+    use_fallback = _param(spec, "fallback")
     events = tuple(
         SubmitEvent(f"user:{i % len(pairs)}", *pairs[i % len(pairs)])
         for i in range(requests)
@@ -258,7 +252,6 @@ def _plan_burst_overload(dataset, scale, config, spec) -> ScenarioPlan:
         kind=spec.kind,
         label=spec.label,
         events=events,
-        closed_loop=True,
         num_workers=config.num_workers,
         max_backlog=max_backlog,
         use_fallback=use_fallback,
@@ -268,8 +261,8 @@ def _plan_burst_overload(dataset, scale, config, spec) -> ScenarioPlan:
 
 def _plan_catalog_churn(dataset, scale, config, spec) -> ScenarioPlan:
     pairs = _eval_pairs(dataset, scale)
-    requests = _int_param(spec.params, "requests", 24)
-    ingest_every = max(_int_param(spec.params, "ingest_every", 6), 1)
+    requests = _param(spec, "requests")
+    ingest_every = _param(spec, "ingest_every")
     events: list = []
     ingested: list[int] = []
     next_id = dataset.num_items  # catalog ids are dense: ingest k → num_items + k
@@ -286,7 +279,6 @@ def _plan_catalog_churn(dataset, scale, config, spec) -> ScenarioPlan:
         kind=spec.kind,
         label=spec.label,
         events=tuple(events),
-        closed_loop=True,
         client="service",
         use_fallback=True,
         requires=("rqvae",),
@@ -300,8 +292,8 @@ def _plan_intention_traffic(dataset, scale, config, spec) -> ScenarioPlan:
     carry no quality target (there is no held-out answer to a free-text
     ask), so ``quality.evaluated`` counts only the seq submits."""
     pairs = _eval_pairs(dataset, scale)
-    requests = _int_param(spec.params, "requests", 16)
-    intention_every = max(_int_param(spec.params, "intention_every", 2), 1)
+    requests = _param(spec, "requests")
+    intention_every = _param(spec, "intention_every")
     events = []
     intentions = 0
     for i in range(requests):
@@ -321,6 +313,7 @@ def _plan_intention_traffic(dataset, scale, config, spec) -> ScenarioPlan:
             intentions += 1
         else:
             events.append(SubmitEvent(session, history, target))
+    events.append(BarrierEvent())
     return ScenarioPlan(
         kind=spec.kind,
         label=spec.label,
@@ -337,8 +330,8 @@ def _plan_instruction_traffic(dataset, scale, config, spec) -> ScenarioPlan:
     the sequential task, so the quality block stays meaningful (if
     template-shifted)."""
     pairs = _eval_pairs(dataset, scale)
-    requests = _int_param(spec.params, "requests", 16)
-    tail = max(_int_param(spec.params, "history_tail", 5), 1)
+    requests = _param(spec, "requests")
+    tail = _param(spec, "history_tail")
     events = []
     for i in range(requests):
         history, target = pairs[i % len(pairs)]
@@ -353,6 +346,7 @@ def _plan_instruction_traffic(dataset, scale, config, spec) -> ScenarioPlan:
                 "Predict the next item they will interact with.",
             )
         )
+    events.append(BarrierEvent())
     return ScenarioPlan(
         kind=spec.kind,
         label=spec.label,
@@ -365,11 +359,11 @@ def _plan_instruction_traffic(dataset, scale, config, spec) -> ScenarioPlan:
 
 def _plan_mixed_fleet(dataset, scale, config, spec) -> ScenarioPlan:
     pairs = _eval_pairs(dataset, scale)
-    requests = _int_param(spec.params, "requests", 24)
+    requests = _param(spec, "requests")
     events = tuple(
         SubmitEvent(f"user:{i % len(pairs)}", *pairs[i % len(pairs)])
         for i in range(requests)
-    )
+    ) + (BarrierEvent(),)
     fleet = max(len(config.backends), 2)
     return ScenarioPlan(
         kind=spec.kind,
@@ -412,7 +406,12 @@ def known_scenarios() -> dict[str, dict]:
 
 
 def validate_scenario(kind: str, params: Mapping, where: str) -> None:
-    """Reject unknown kinds and unknown/ill-typed parameters early."""
+    """Reject unknown kinds and unknown, ill-typed or out-of-range parameters.
+
+    A parameter takes its default's type: bool defaults are flags, int
+    defaults are counts (at least 1; ``prefix_len`` at least 0), float
+    defaults are fractions in [0, 1].
+    """
     if kind not in _SCENARIOS:
         raise ExperimentConfigError(
             f"{where}: unknown scenario kind {kind!r}; one of {sorted(_SCENARIOS)}"
@@ -425,14 +424,25 @@ def validate_scenario(kind: str, params: Mapping, where: str) -> None:
             f"{kind!r}; allowed: {sorted(defaults)}"
         )
     for key, value in params.items():
-        if isinstance(defaults[key], bool):
+        default = defaults[key]
+        if isinstance(default, bool):
             if not isinstance(value, bool):
                 raise ExperimentConfigError(
                     f"{where}: parameter {key!r} must be a bool, got {value!r}"
                 )
-        elif not isinstance(value, (int, float)) or isinstance(value, bool):
+        elif isinstance(default, int):
+            minimum = 0 if key == "prefix_len" else 1
+            if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+                raise ExperimentConfigError(
+                    f"{where}: parameter {key!r} must be an int >= {minimum}, got {value!r}"
+                )
+        elif (
+            not isinstance(value, (int, float))
+            or isinstance(value, bool)
+            or not 0.0 <= value <= 1.0
+        ):
             raise ExperimentConfigError(
-                f"{where}: parameter {key!r} must be a number, got {value!r}"
+                f"{where}: parameter {key!r} must be a fraction in [0, 1], got {value!r}"
             )
 
 

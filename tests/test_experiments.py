@@ -24,14 +24,10 @@ from repro.experiments import (
     IngestEvent,
     PopularityFallback,
     SubmitEvent,
-    apply_sweep,
     build_plan,
     known_backends,
     known_scenarios,
     run_experiment,
-    strip_timing,
-    sweep_combinations,
-    sweep_suffix,
 )
 from repro.retrieval import RetrievalRecommender
 from repro.serving import (
@@ -154,8 +150,8 @@ class TestConfigValidation:
                 "positive",
             ),
             (
-                {"name": "x", "backends": ["lcrec"], "scenarios": ["steady_state"], "mode": "warp"},
-                "mode",
+                {"name": "x", "backends": ["lcrec"], "scenarios": ["steady_state"], "mode": "x"},
+                "unknown config keys",
             ),
             (
                 {
@@ -177,6 +173,35 @@ class TestConfigValidation:
                     "scenarios": [{"kind": "steady_state", "expect": [{"metric": "shed"}]}],
                 },
                 "missing",
+            ),
+            # Deleted serving knobs: a stale config fails typed, it is not silently ignored.
+            *(
+                (
+                    {"name": "x", "backends": ["lcrec"], "scenarios": ["steady_state"], key: value},
+                    "unknown config keys",
+                )
+                for key, value in (
+                    ("sweep", {"epochs": [1, 2]}),
+                    ("batch_width", 4),
+                    ("deadline_flush_ms", 10.0),
+                )
+            ),
+            # Scenario parameters are range-checked at load, before any model is built.
+            *(
+                (
+                    {"name": "x", "backends": ["lcrec"], "scenarios": [{"kind": kind, **params}]},
+                    fragment,
+                )
+                for kind, params, fragment in (
+                    ("cold_start", {"empty_fraction": 2}, "fraction"),
+                    ("cold_start", {"empty_fraction": -0.25}, "fraction"),
+                    ("cold_start", {"prefix_len": -1}, "int >= 0"),
+                    ("burst_overload", {"max_backlog": 0}, "int >= 1"),
+                    ("steady_state", {"requests": 2.5}, "int >= 1"),
+                    ("steady_state", {"requests": 0}, "int >= 1"),
+                    ("session_refresh", {"refresh": 0}, "int >= 1"),
+                    ("catalog_churn", {"ingest_every": 0}, "int >= 1"),
+                )
             ),
         ],
     )
@@ -290,15 +315,16 @@ class TestScenarioShapes:
             )
             spec = config.scenarios[0]
             scale = bench_scale("tiny")
-            assert (
-                build_plan(tiny_dataset, scale, config, spec).events
-                == build_plan(tiny_dataset, scale, config, spec).events
-            )
+            plan = build_plan(tiny_dataset, scale, config, spec)
+            assert plan.events == build_plan(tiny_dataset, scale, config, spec).events
+            # The runner serves only at barriers, so every plan ends in one.
+            assert isinstance(plan.events[-1], BarrierEvent)
 
     def test_steady_state(self, tiny_dataset):
         plan = self.plan(tiny_dataset, "steady_state", requests=7)
-        assert plan.num_submits == 7 and not plan.closed_loop
-        assert all(isinstance(e, SubmitEvent) and e.target is not None for e in plan.events)
+        *submits, barrier = plan.events
+        assert len(submits) == 7 and isinstance(barrier, BarrierEvent)
+        assert all(isinstance(e, SubmitEvent) and e.target is not None for e in submits)
 
     def test_cold_start_truncates_and_empties(self, tiny_dataset):
         plan = self.plan(
@@ -309,10 +335,13 @@ class TestScenarioShapes:
         assert len(empty) == 2  # every 4th request
         assert all(len(e.history) <= 2 for e in submits)
         assert plan.use_fallback
+        bare = self.plan(tiny_dataset, "cold_start", requests=4, prefix_len=0, empty_fraction=0)
+        assert all(e.history == () for e in bare.events if isinstance(e, SubmitEvent))
+        assert bare.extra["empty_histories"] == 4
 
     def test_long_history_longest_first(self, tiny_dataset):
         plan = self.plan(tiny_dataset, "long_history", requests=5)
-        lengths = [len(e.history) for e in plan.events]
+        lengths = [len(e.history) for e in plan.events if isinstance(e, SubmitEvent)]
         assert lengths == sorted(lengths, reverse=True)
         full = max(len(h) for h in tiny_dataset.split.test_histories)
         assert lengths[0] == full
@@ -326,10 +355,13 @@ class TestScenarioShapes:
             by_session.setdefault(event.session, []).append(event.history)
         assert len(by_session) == 3
         assert all(len(set(histories)) == 1 for histories in by_session.values())
+        # One flush barrier closes each round, so later rounds hit the prefix cache.
+        barriers = [i for i, e in enumerate(plan.events) if isinstance(e, BarrierEvent)]
+        assert barriers == [3, 7, 11, 15]
 
     def test_burst_overload_closed_loop(self, tiny_dataset):
         plan = self.plan(tiny_dataset, "burst_overload", requests=9, max_backlog=1)
-        assert plan.closed_loop and plan.max_backlog == 1
+        assert plan.max_backlog == 1
         assert isinstance(plan.events[-1], BarrierEvent)
         assert plan.num_submits == 9
         assert plan.extra["backlog_capacity"] == 2  # 2 workers x backlog 1
@@ -341,7 +373,7 @@ class TestScenarioShapes:
             tiny_dataset.num_items,
             tiny_dataset.num_items + 1,
         ]
-        assert plan.closed_loop and plan.client == "service"
+        assert plan.client == "service"
         assert plan.requires == ("rqvae",)
         # Every ingest rides between flush barriers.
         for index, event in enumerate(plan.events):
@@ -381,96 +413,8 @@ class TestScenarioShapes:
 
     def test_submit_events_default_to_sequential_kind(self, tiny_dataset):
         plan = self.plan(tiny_dataset, "steady_state", requests=3)
-        assert all(e.kind == "seq" and e.text is None for e in plan.events)
-
-
-# ----------------------------------------------------------------------
-# Sweep axes: validation, expansion, and swept runs
-# ----------------------------------------------------------------------
-class TestSweep:
-    def test_sweep_roundtrip(self):
-        config = minimal_config(
-            backends=["tiger"], sweep={"epochs": [1, 2], "batch_width": [4, 8]}
-        )
-        assert ExperimentConfig.from_dict(config.to_dict()) == config
-
-    def test_combinations_row_major(self):
-        config = minimal_config(
-            backends=["tiger"], sweep={"epochs": [1, 2], "batch_width": [4, 8]}
-        )
-        assert sweep_combinations(config) == [
-            {"epochs": 1, "batch_width": 4},
-            {"epochs": 1, "batch_width": 8},
-            {"epochs": 2, "batch_width": 4},
-            {"epochs": 2, "batch_width": 8},
-        ]
-        assert sweep_combinations(minimal_config()) == [{}]
-
-    def test_suffix_format(self):
-        assert sweep_suffix({}) == ""
-        assert sweep_suffix({"epochs": 2, "batch_width": 4}) == "@epochs=2,batch_width=4"
-
-    def test_apply_sweep_routes_keys(self):
-        config = minimal_config(backends=["tiger"], sweep={"batch_width": [4], "epochs": [1]})
-        combo = sweep_combinations(config)[0]
-        concrete = apply_sweep(config, combo)
-        assert concrete.sweep == ()
-        assert concrete.batch_width == 4  # top-level field
-        assert all(spec.params["epochs"] == 1 for spec in concrete.backends)
-
-    @pytest.mark.parametrize(
-        "sweep, fragment",
-        [
-            ({"batch_width": []}, "at least one value"),
-            ({"batch_width": [4, 4]}, "duplicate"),
-            ({"mode": ["warp"]}, "mode"),
-            ({"batch_width": [0]}, "positive"),
-            ({"bogus_knob": [1]}, "unknown parameters"),
-            # Deleted knobs: a stale config fails typed, it is not silently ignored.
-            ({"precision": ["int8"]}, "unknown parameters"),
-            ({"spec_budget": [0]}, "unknown parameters"),
-        ],
-    )
-    def test_invalid_sweeps_rejected(self, sweep, fragment):
-        with pytest.raises(ExperimentConfigError, match=fragment):
-            minimal_config(sweep=sweep)
-
-    def test_backend_param_sweep_checked_against_every_backend(self):
-        # epochs is a tiger knob the lcrec backend does not accept, so a
-        # config listing both backends cannot sweep it.
-        with pytest.raises(ExperimentConfigError, match="epochs"):
-            minimal_config(backends=["lcrec", "tiger"], sweep={"epochs": [1, 2]})
-
-    def test_swept_run_suffixes_cells_and_keeps_parity(
-        self, tiny_dataset, tiny_lcrec
-    ):
-        result = run_experiment(
-            {
-                "name": "sweep",
-                "scale": "tiny",
-                "backends": ["lcrec"],
-                "scenarios": [{"kind": "steady_state", "requests": 4}],
-                "sweep": {"batch_width": [4, 2]},
-            },
-            dataset=tiny_dataset,
-            models={"lcrec": tiny_lcrec},
-            write=False,
-        )
-        records = result["records"]
-        assert [r["name"] for r in records] == [
-            "steady_statexlcrec@batch_width=4",
-            "steady_statexlcrec@batch_width=2",
-        ]
-        assert [r["sweep"] for r in records] == [
-            {"batch_width": 4},
-            {"batch_width": 2},
-        ]
-        # Traffic is combo-independent and batching never changes a
-        # ranking, so the sweep points differ only in name/sweep/timing.
-        stripped = [strip_timing(r) for r in records]
-        for record in stripped:
-            record.pop("name"), record.pop("sweep")
-        assert stripped[0] == stripped[1]
+        submits = [e for e in plan.events if isinstance(e, SubmitEvent)]
+        assert all(e.kind == "seq" and e.text is None for e in submits)
 
 
 # ----------------------------------------------------------------------
@@ -492,12 +436,16 @@ class TestMatrixRun:
         for record in matrix_result["records"]:
             if not record["supported"]:
                 continue
-            for key in (
+            # Exactly these keys: no record holds a wall-clock number.
+            assert set(record) == {
+                "name",
                 "scenario",
+                "scenario_kind",
                 "backend",
                 "seed",
+                "supported",
                 "client",
-                "mode",
+                "num_workers",
                 "requests",
                 "served",
                 "shed",
@@ -506,15 +454,7 @@ class TestMatrixRun:
                 "quality",
                 "extra",
                 "expectations",
-                "timing",
-            ):
-                assert key in record, f"{record['name']} missing {key}"
-            assert set(record["timing"]) == {
-                "wall_s",
-                "requests_per_second",
-                "p50_ms",
-                "p95_ms",
-            }
+            }, record["name"]
             quality = record["quality"]
             assert quality["evaluated"] == record["served"]
             for key in ("HR@5", "HR@10", "NDCG@5", "NDCG@10"):
@@ -555,7 +495,7 @@ class TestMatrixRun:
         assert checked and all(entry["holds"] for entry in checked)
         assert matrix_result["failed"] == []
 
-    def test_seed_determinism_modulo_timing(
+    def test_seed_determinism_identical_records(
         self, tiny_dataset, tiny_lcrec, tiny_tiger, matrix_result
     ):
         again = run_experiment(
@@ -564,11 +504,7 @@ class TestMatrixRun:
             models={"lcrec": tiny_lcrec, "tiger": tiny_tiger},
             write=False,
         )
-        first = [strip_timing(r) for r in matrix_result["records"]]
-        second = [strip_timing(r) for r in again["records"]]
-        assert first == second
-        # ... and the timing block really is the only varying part.
-        assert all("timing" in r for r in matrix_result["records"] if r["supported"])
+        assert json.dumps(again["records"]) == json.dumps(matrix_result["records"])
 
     def test_failed_expectation_raises_but_writes(
         self, tiny_dataset, tiny_lcrec, monkeypatch, tmp_path

@@ -186,12 +186,16 @@ class TestClusterParity:
             assert [h.result(timeout=60.0) for h in handles] == expected
         assert cluster.stats.submitted == len(histories)
 
-    def test_tiger_fleet_parity(self, tiny_dataset):
+    @pytest.fixture(scope="class")
+    def tiger(self, tiny_dataset):
         index_set = build_random_index_set(
             tiny_dataset.num_items, 3, 8, np.random.default_rng(0)
         )
         tiger = TIGER(index_set, TIGERConfig(epochs=2, dim=16, beam_size=10))
         tiger.fit(tiny_dataset)
+        return tiger
+
+    def test_tiger_fleet_parity(self, tiger, tiny_dataset):
         histories = [list(h) for h in tiny_dataset.split.test_histories[:6]]
         expected = [tiger.recommend(h, top_k=5) for h in histories]
         cluster = ServingCluster(TIGEREngine(tiger), num_workers=2, batcher=BATCHER)
@@ -201,6 +205,25 @@ class TestClusterParity:
                 for i, h in enumerate(histories)
             ]
             assert [h.result(timeout=60.0) for h in handles] == expected
+
+    def test_mixed_fleet_matches_each_workers_oracle(self, tiny_lcrec, tiger, tiny_dataset):
+        # The factory runs once per worker: worker 0 decodes LC-Rec, worker 1 TIGER.
+        engines = iter([LCRecEngine(tiny_lcrec), TIGEREngine(tiger)])
+        cluster = ServingCluster(lambda: next(engines), num_workers=2, batcher=BATCHER)
+        models = (tiny_lcrec, tiger)
+        keys = [f"user:{i}" for i in range(8)]
+        pinned = [cluster.router.affine_worker(key) for key in keys]
+        assert set(pinned) == {0, 1}
+        histories = [list(h) for h in tiny_dataset.split.test_histories[: len(keys)]]
+        with cluster:
+            handles = [
+                cluster.submit(h, top_k=5, session_key=key) for key, h in zip(keys, histories)
+            ]
+            rankings = [handle.result(timeout=60.0) for handle in handles]
+        assert cluster.stats.affine == len(keys)
+        assert rankings == [
+            models[worker].recommend(h, top_k=5) for worker, h in zip(pinned, histories)
+        ]
 
 
 class TestRoutingPolicies:
