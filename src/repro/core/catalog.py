@@ -10,12 +10,12 @@ runtime object*:
 
 * :class:`CatalogVersion` is one immutable snapshot: a trie, the index
   set behind it and (optionally) the retrieval tier, all consistent with
-  each other.  Snapshots share almost all of their storage with their
-  predecessor (copy-on-write: the trie's leaf map, the level unions the
-  insertion extends and the touched KNN cluster are new objects), so
-  holding several versions alive is cheap and — crucially — unchanged
-  level unions keep their *identity*, which keeps the engines'
-  gathered-head weight memo warm across a swap.
+  each other.  A snapshot's trie is built whole by ``IndexTrie.with_item``
+  inside :meth:`LiveCatalog.ingest`, on the ingesting thread, so no decode
+  ever builds one; the retrieval tier shares everything but the touched
+  KNN cluster with its predecessor, and unchanged level unions keep their
+  *identity*, which keeps the engines' gathered-head weight memo warm
+  across a swap.
 * :class:`LiveCatalog` owns the current version and publishes new ones
   atomically.  ``ingest`` encodes a new item's semantic indices through
   the trained RQ-VAE on the fly (greedy codes, then the USM-style

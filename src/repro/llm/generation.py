@@ -377,11 +377,11 @@ def _narrowed_step_candidates(
     Dead and filler hypotheses get all-False rows in both masks (they stay
     ``-inf``).  ``width`` is hypotheses per request.
     """
-    table = candidates_info.table
-    hypotheses, children = table.expand(candidates_info.nodes, alive)
+    trie = candidates_info.trie
+    hypotheses, children = trie.expand(candidates_info.nodes, alive)
     if not children.size:
         raise RuntimeError("no live hypotheses to step in a narrowed decode")
-    tokens = table.token[children]
+    tokens = trie.token[children]
     # The children's tokens are a subset of the trie's sorted union: when
     # they cover it, keep the memoized array itself (the gathered-head
     # memo's key), else its present columns.
@@ -393,7 +393,7 @@ def _narrowed_step_candidates(
     columns = np.searchsorted(union, tokens)
     norm_mask = np.zeros((alive.shape[0], union.shape[0]), dtype=bool)
     norm_mask[hypotheses, columns] = True
-    everything = np.ones(table.size, dtype=bool)
+    everything = np.ones(trie.size, dtype=bool)
     selectable = np.stack([everything if mask is None else mask for mask in narrow])
     chosen = selectable[hypotheses // width, children]
     keep = np.zeros_like(norm_mask)
@@ -433,7 +433,7 @@ class DecodeState:
     transformer in one combined forward.  ``workspace`` is the step-scratch
     arena (cleared whenever the row count changes).
 
-    A hypothesis is one trie node id (:attr:`IndexTrie.nodes`):
+    A hypothesis is one trie node id (see :class:`IndexTrie`):
     ``beam_nodes[b, g]`` is the prefix hypothesis ``g`` of row ``b`` has
     decoded, so the trie constraint, forcedness, depth, beam extension and
     the retired item ids are array gathers over ``beam_nodes``, never
@@ -442,7 +442,7 @@ class DecodeState:
 
     ``narrow`` holds one entry per row, following it through joins and
     retirements like ``tags``: ``None`` decodes the full trie, a node mask
-    of the decode trie (:meth:`TrieNodes.path_mask` of the row's candidate
+    of the decode trie (:meth:`IndexTrie.path_mask` of the row's candidate
     items) restricts that row's beam *selection* while scores keep
     renormalising over the full trie — tokens off the candidate paths are
     set to ``-inf`` *after* the constrained log-softmax, so the surviving
@@ -494,7 +494,7 @@ class DecodeState:
 
     def row_depths(self) -> np.ndarray:
         """``(B,)`` trie levels each row has decoded."""
-        return self.trie.nodes.depth[self.beam_nodes[:, 0]]
+        return self.trie.depth[self.beam_nodes[:, 0]]
 
     def live_width(self) -> int:
         """Most live hypotheses of any row with a level to go (0: no such row)."""
@@ -564,13 +564,12 @@ def decode_prefill(
     prompts = [list(map(int, p)) for p in prompts]
     if not prompts:
         raise ValueError("need at least one prompt")
-    table = trie.nodes
     if narrow is None:
         narrow = [None] * len(prompts)
     elif len(narrow) != len(prompts):
         raise ValueError("narrow must match prompts one-to-one")
     else:
-        narrow = [None if items is None else table.path_mask(items) for items in narrow]
+        narrow = [None if items is None else trie.path_mask(items) for items in narrow]
     for row, prompt in enumerate(prompts):
         if not prompt:
             raise ValueError(f"prompt {row} is empty: every request needs at least one token")
@@ -664,7 +663,7 @@ def decode_step(state: DecodeState) -> DecodeState:
         # (log-probability 0.0 each), defer the KV update to the next
         # level that needs logits.
         forced = candidates_info.forced_tokens(state.pad_id)
-        state.beam_nodes = state.trie.nodes.first_child[beam_nodes]
+        state.beam_nodes = state.trie.first_child[beam_nodes]
         state.beam_scores = beam_scores
         state.pending = np.concatenate([state.pending, forced[:, None]], axis=1)
         return state
@@ -695,7 +694,7 @@ def _advance(
     the trie's continuations of the leading ``width`` slots and ``alive``
     which of those carry a finite score.
     """
-    model, table = state.model, state.trie.nodes
+    model, trie = state.model, state.trie
     num_requests, width = state.num_rows, state.width
     beam_nodes = state.beam_nodes[:, :width]
     if all(mask is None for mask in state.narrow):
@@ -711,7 +710,7 @@ def _advance(
     origin, token, state.beam_scores = select_beams(
         step_logp, state.beam_scores[:, :width], state.num_beams, union
     )
-    state.beam_nodes = table.child(np.take_along_axis(beam_nodes, origin, axis=1), token)
+    state.beam_nodes = trie.child(np.take_along_axis(beam_nodes, origin, axis=1), token)
     # Gather K/V straight onto the next step's width.  Rows that just
     # finished need their scores and nodes only: when no row has a level
     # left, nothing is reordered at all.
@@ -854,15 +853,15 @@ def _harvest(state: DecodeState, rows: list[int]) -> list[list[BeamHypothesis]]:
     ``rows`` together; only the :class:`BeamHypothesis` objects are built
     per hypothesis.
     """
-    table = state.trie.nodes
+    trie = state.trie
     scores = state.beam_scores[rows]
     finite = np.isfinite(scores)
-    leaves = state.beam_nodes[rows][finite] - table.level_start[-2]  # leaf order
+    leaves = state.beam_nodes[rows][finite] - trie.level_start[-2]  # leaf order
     hypotheses = map(
         BeamHypothesis,
-        map(table.sequences.__getitem__, leaves.tolist()),
+        map(trie.sequences.__getitem__, leaves.tolist()),
         scores[finite].tolist(),
-        table.items[leaves].tolist(),
+        trie.items[leaves].tolist(),
     )
     return [list(itertools.islice(hypotheses, n)) for n in finite.sum(axis=1).tolist()]
 

@@ -144,4 +144,4 @@ class HybridRecommender:
 
 def engine_items(engine: "GenerativeEngine") -> list[int]:
     """The item ids an engine's trie can decode."""
-    return list(engine.trie.all_sequences().keys())
+    return engine.trie.items.tolist()

@@ -130,13 +130,13 @@ class Watched:
     @staticmethod
     def check_nodes(state, finite, depths):
         """Every slot sits at its row's depth; every live node is a real prefix."""
-        table = state.trie.nodes
+        trie = state.trie
         assert state.beam_nodes.shape == state.beam_scores.shape
-        assert (table.depth[state.beam_nodes] == depths[:, None]).all()
+        assert (trie.depth[state.beam_nodes] == depths[:, None]).all()
         for node in state.beam_nodes[finite].tolist():
-            prefix = table.prefix(node)
-            assert prefix is not None and state.trie.contains_prefix(prefix)
-            assert table.node_of(prefix) == node
+            prefix = trie.prefix(node)
+            assert prefix is not None and trie.contains_prefix(prefix)
+            assert trie.node_of(prefix) == node
 
     def prefill(self, model, prompts, trie, **kwargs):
         for owner, name in ((model, "hidden_states"), (model, "lm_head_gather"),
@@ -300,7 +300,7 @@ class TestWidthsMeet:
         watched = Watched()
         state = watched.prefill(model, PROMPTS[:1], trie, beam_size=20, tags=["thinned"])
         state.beam_scores[:, 1:] = -np.inf
-        first_token = trie.nodes.prefix(state.beam_nodes[0, 0])
+        first_token = trie.prefix(state.beam_nodes[0, 0])
         watched.step(state)
         incoming = watched.prefill(model, PROMPTS[1:2], trie, beam_size=20, tags=["fresh"])
         assert (state.width, incoming.width) == (2, 7)

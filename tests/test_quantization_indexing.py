@@ -168,14 +168,24 @@ class TestIndexTrie:
             self.make().item_at((11, 21))
 
     def test_items_under_prefix(self):
-        table = self.make().nodes
-        leaves = table.first_child[table.node_of((10,))] + np.arange(2)
-        assert table.child_tokens(table.node_of((10,))).tolist() == [20, 21]
-        assert sorted(table.items[leaves - table.level_start[-2]].tolist()) == [0, 1]
+        trie = self.make()
+        leaves = trie.first_child[trie.node_of((10,))] + np.arange(2)
+        assert trie.child_tokens(trie.node_of((10,))).tolist() == [20, 21]
+        assert sorted(trie.items[leaves - trie.level_start[-2]].tolist()) == [0, 1]
 
     def test_duplicate_sequences_rejected(self):
         with pytest.raises(ValueError):
             IndexTrie({0: (1, 2), 1: (1, 2)})
+
+    def test_bad_token_ids_rejected(self):
+        # A negative id would alias another node's edge key; a fractional
+        # one would be truncated.  Both are refused on every way in.
+        for sequence in ((-1, 2), (1.7, 2), (float("nan"), 2)):
+            with pytest.raises(ValueError, match="token ids must be"):
+                IndexTrie({0: sequence, 1: (3, 4)})
+            with pytest.raises(ValueError, match="token ids must be"):
+                self.make().with_item(3, sequence)
+        assert IndexTrie({0: (1.0, 2), 1: (3, 4)}).item_at((1, 2)) == 0
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):

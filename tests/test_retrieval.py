@@ -216,18 +216,17 @@ class TestNarrowNodeMask:
 
     def test_marks_candidate_paths(self):
         trie = IndexTrie({0: (10, 14), 1: (10, 15), 2: (11, 14), 3: (11, 16)})
-        table = trie.nodes
-        mask = table.path_mask([1, 3])
-        assert mask.shape == (table.size,)
-        marked = {table.prefix(node) for node in np.flatnonzero(mask).tolist()}
+        mask = trie.path_mask([1, 3])
+        assert mask.shape == (trie.size,)
+        marked = {trie.prefix(node) for node in np.flatnonzero(mask).tolist()}
         assert marked == {(), (10,), (10, 15), (11,), (11, 16)}
 
     def test_unknown_or_no_items_rejected(self):
-        table = IndexTrie({0: (10, 14), 1: (10, 15)}).nodes
+        trie = IndexTrie({0: (10, 14), 1: (10, 15)})
         with pytest.raises(KeyError, match="99"):
-            table.path_mask([0, 99])
+            trie.path_mask([0, 99])
         with pytest.raises(ValueError, match="at least one"):
-            table.path_mask([])
+            trie.path_mask([])
 
 
 def constrained_logprob(lm, prompt, sequence, trie):
@@ -387,7 +386,7 @@ class TestNarrowedDecodeParity:
         finite = np.isfinite(state.beam_scores).sum(axis=1)
         assert finite[2] == 1 and finite[2] < finite.max() == state.width
         assert np.isneginf(state.beam_scores[2, 1:state.width]).all()
-        assert (engine.trie.nodes.depth[state.beam_nodes[2]] == 1).all()  # at the row's depth
+        assert (engine.trie.depth[state.beam_nodes[2]] == 1).all()  # at the row's depth
 
     @pytest.mark.parametrize("name", ["lcrec", "p5cid"])  # TIGER decodes do not join yet
     @pytest.mark.parametrize("ticks", [(0, 0, 1, 1), (1, 1, 0, 0), (0, 1, 1, 0)], ids=str)

@@ -4,7 +4,7 @@ Parity contracts pinned here:
 
 * ``IndexTrie.allowed_token_ids`` exposes exactly the same constraint as
   the dense ``allowed_token_mask`` (union + mask in candidate space),
-  with memoized identities and invalidation on trie mutation;
+  with stable union identities, and ``with_item`` rebuilds them;
 * the sparse (candidate-only) decode — the only output head — returns
   rankings identical to the single-request oracles, which score the full
   vocabulary (``beam_search_items_single``, ``TIGER.recommend``), and
@@ -90,7 +90,7 @@ def assert_same_hypotheses(got, expected, rtol=1e-5, atol=1e-6):
 
 
 # ----------------------------------------------------------------------
-# Trie: candidate unions, masks, memoization, mutation
+# Trie: candidate unions, masks, stable identities, snapshots
 # ----------------------------------------------------------------------
 class TestAllowedTokenIds:
     def test_union_and_mask_match_dense_mask(self):
@@ -102,7 +102,7 @@ class TestAllowedTokenIds:
             for row, prefix in enumerate(batch):
                 np.testing.assert_array_equal(cand.union[cand.mask[row]],
                                               np.flatnonzero(dense[row]))
-                np.testing.assert_array_equal(cand.table.child_tokens(cand.nodes[row]),
+                np.testing.assert_array_equal(cand.trie.child_tokens(cand.nodes[row]),
                                               np.flatnonzero(dense[row]))
 
     def test_union_covers_mixed_levels(self):
@@ -121,26 +121,29 @@ class TestAllowedTokenIds:
         with pytest.raises(ValueError):
             trie.level_union(3)
 
-    def test_add_item_invalidates_derived_caches(self):
+    def test_with_item_rebuilds_derived_arrays(self):
         trie = make_trie()
         root_before = trie.allowed_token_mask([()], 30)
         union_before = trie.level_union(0)
-        trie.add_item(5, (20, 21, 22))
-        assert trie.num_items == 6
-        assert trie.item_at((20, 21, 22)) == 5
-        assert 20 in set(trie.level_union(0))
-        assert trie.level_union(0) is not union_before
-        root_after = trie.allowed_token_mask([()], 30)
+        grown = trie.with_item(5, (20, 21, 22))
+        assert (grown.num_items, trie.num_items) == (6, 5)
+        assert grown.item_at((20, 21, 22)) == 5
+        assert 20 in set(grown.level_union(0))
+        assert grown.level_union(0) is not union_before
+        assert trie.level_union(0) is union_before
+        root_after = grown.allowed_token_mask([()], 30)
         assert not root_before[0, 20]
         assert root_after[0, 20]
-        assert 20 in set(trie.nodes.child_tokens(0))
+        assert 20 in set(grown.child_tokens(0))
 
-    def test_add_item_validates_depth_and_duplicates(self):
+    def test_with_item_validates_depth_and_duplicates(self):
         trie = make_trie()
-        with pytest.raises(ValueError):
-            trie.add_item(9, (10, 12))
-        with pytest.raises(ValueError):
-            trie.add_item(9, (10, 12, 14))
+        with pytest.raises(ValueError, match="depth"):
+            trie.with_item(9, (10, 12))
+        with pytest.raises(ValueError, match="duplicate index sequence"):
+            trie.with_item(9, (10, 12, 14))
+        with pytest.raises(ValueError, match="already has"):
+            trie.with_item(4, (20, 21, 22))
 
     def test_forcedness_helpers(self):
         trie = make_forced_trie()

@@ -20,6 +20,7 @@ import pytest
 from repro.baselines import TIGER, TIGERConfig
 from repro.core.indexer import build_random_index_set
 from repro.llm import TinyLlama
+from repro.quantization import IndexTrie
 from repro.serving import RecommendRequest, TIGEREngine, TrieDecoderEngine
 from repro.serving import engine as engine_module
 
@@ -48,6 +49,9 @@ def test_every_seam_the_ledger_names_resolves(installed):
         expected |= {(engine_class, name) for name in ("prefill", "step", "retire", "finalize")}
     expected |= {(engine_module, f"decode_{name}")
                  for name in ("prefill", "step", "join", "retire", "finish")}
+    expected |= {(IndexTrie, name) for name in (
+        "allowed_token_ids", "allowed_token_mask", "level_union", "union_for_levels", "subtrie",
+        "with_item")}
     assert expected <= set(patched)
 
 

@@ -1,13 +1,13 @@
-"""The compiled trie node table against a brute-force oracle.
+"""The trie's node arrays against a brute-force oracle.
 
-``IndexTrie.nodes`` is what the beam stepper reads instead of token
-prefixes: one id per prefix, children as id ranges, leaf -> item and
-sequence, one union-space mask table per level.  Every answer it gives is
-checked here against sets computed straight from the item sequences, on
-random tries (depth 1-4, unary chains, single items, 256-wide levels) and
-along chains of ``with_item`` snapshots — where a parent's answers must not
-move and a level union keeps its identity exactly when the new token was
-already in it.
+An ``IndexTrie`` is what the beam stepper reads instead of token prefixes:
+one id per prefix, children as id ranges, leaf -> item and sequence, one
+union-space mask table per level.  Every answer it gives is checked here
+against sets computed straight from the item sequences, on random tries
+(depth 1-4, unary chains, single items, 256-wide levels) and along chains
+of ``with_item`` snapshots — where a parent's answers must not move, every
+array equals a from-scratch build's, and a level union keeps its identity
+exactly when the new token was already in it.
 """
 
 import numpy as np
@@ -54,39 +54,55 @@ def brute_candidates(catalog, prefixes):
 
 
 def assert_matches_catalog(trie, catalog):
-    """Every node-table answer equals the brute-force one."""
-    table = trie.nodes
+    """Every node-array answer equals the brute-force one."""
     legal = prefixes_of(catalog)
-    assert table.num_real == len(legal)
-    assert sorted(table.prefix(node) for node in range(table.num_real)) == legal
+    assert trie.num_real == len(legal)
+    assert sorted(trie.prefix(node) for node in range(trie.num_real)) == legal
     depth = trie.num_levels
     for prefix in legal:
-        node = table.node_of(prefix)
-        assert table.prefix(node) == prefix and table.depth[node] == len(prefix)
+        node = trie.node_of(prefix)
+        assert trie.prefix(node) == prefix and trie.depth[node] == len(prefix)
         children = brute_children(catalog, prefix)
-        assert table.child_tokens(node).tolist() == children
-        assert table.num_children[node] == len(children)
-        ids = table.first_child[node] + np.arange(len(children))
-        assert [table.prefix(child) for child in ids.tolist()] == [
+        assert trie.child_tokens(node).tolist() == children
+        assert trie.num_children[node] == len(children)
+        ids = trie.first_child[node] + np.arange(len(children))
+        assert [trie.prefix(child) for child in ids.tolist()] == [
             prefix + (token,) for token in children]
-        assert table.child(np.full(len(children), node), np.array(children, dtype=np.int64)
-                           ).tolist() == ids.tolist()
-        assert table.first_token[node] == (children[0] if children else -1)
-    leaves = table.level_start[depth]
+        assert trie.child(np.full(len(children), node), np.array(children, dtype=np.int64)
+                          ).tolist() == ids.tolist()
+        assert trie.first_token[node] == (children[0] if children else -1)
+    leaves = trie.level_start[depth]
     for item, sequence in catalog.items():
-        leaf = table.node_of(sequence)
+        leaf = trie.node_of(sequence)
         row = leaf - leaves
-        assert table.items[row] == item == trie.item_at(sequence)
-        assert table.sequences[row] == sequence
-        assert table.leaf_rows([item]).tolist() == [row]
+        assert trie.items[row] == item == trie.item_at(sequence)
+        assert trie.sequences[row] == sequence
+        assert trie.leaf_rows([item]).tolist() == [row]
     for level in range(depth + 1):
-        assert table.unions[level] is trie._union_for_levels((level,))
+        assert trie.unions[level] is trie._union_for_levels((level,))
     # Illegal prefixes: the dead node of their depth, with nothing below it.
     top = max(token for seq in catalog.values() for token in seq)
     for prefix in ((top + 1,), (-1,), legal[-1][:-1] + (top + 7,)):
-        node = table.node_of(prefix)
-        assert node == table.num_real + len(prefix) and table.prefix(node) is None
-        assert table.depth[node] == len(prefix) and table.child_tokens(node).size == 0
+        node = trie.node_of(prefix)
+        assert node == trie.num_real + len(prefix) and trie.prefix(node) is None
+        assert trie.depth[node] == len(prefix) and trie.child_tokens(node).size == 0
+
+
+def assert_same_arrays(trie, scratch):
+    """Every array (and array list) of ``trie`` equals ``scratch``'s, one for one."""
+    fields = vars(scratch)
+    assert vars(trie).keys() == fields.keys()
+    for name, want in fields.items():
+        got = getattr(trie, name)
+        if isinstance(want, np.ndarray):
+            np.testing.assert_array_equal(got, want, err_msg=name)
+            assert got.dtype == want.dtype, name
+        elif isinstance(want, list):
+            assert len(got) == len(want), name
+            for got_level, want_level in zip(got, want):
+                np.testing.assert_array_equal(got_level, want_level, err_msg=name)
+        elif not isinstance(want, dict):  # the mixed-depth union memo: a cache, not content
+            assert got == want, name
 
 
 class TestNodeTable:
@@ -99,16 +115,15 @@ class TestNodeTable:
     @given(catalog=catalogs(), data=st.data())
     def test_allowed_token_ids_over_mixed_levels(self, catalog, data):
         trie = IndexTrie(catalog)
-        table = trie.nodes
         top = max(token for seq in catalog.values() for token in seq)
         pool = prefixes_of(catalog) + [(top + 1,), (top + 1, top + 1)[: trie.num_levels]]
         batch = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
-        nodes = np.array([table.node_of(prefix) for prefix in batch], dtype=np.int64)
+        nodes = np.array([trie.node_of(prefix) for prefix in batch], dtype=np.int64)
         union, mask = brute_candidates(catalog, batch)
         for candidates in (trie.allowed_token_ids(nodes), trie.allowed_token_ids(batch)):
             assert candidates.union.tolist() == union
             np.testing.assert_array_equal(candidates.mask, mask)
-            assert [table.child_tokens(node).tolist() for node in candidates.nodes] == [
+            assert [trie.child_tokens(node).tolist() for node in candidates.nodes] == [
                 brute_children(catalog, prefix) for prefix in batch]
         fanout = np.array([len(brute_children(catalog, prefix)) for prefix in batch])
         alive = np.array(data.draw(st.lists(st.booleans(), min_size=len(batch),
@@ -123,14 +138,14 @@ class TestNodeTable:
         for catalog in ({7: (3,)}, {7: (3, 3, 3, 3)}, {1: (4, 5, 6), 2: (4, 5, 7)}):
             trie = IndexTrie(catalog)
             assert_matches_catalog(trie, catalog)
-            chain = trie.nodes.num_children[: trie.nodes.level_start[trie.num_levels - 1]]
+            chain = trie.num_children[: trie.level_start[trie.num_levels - 1]]
             assert (chain == 1).all()  # one child all the way down to the last split
 
     def test_256_wide_levels(self):
         catalog = {item: (item // 256, 256 + item % 256) for item in range(600)}
         trie = IndexTrie(catalog)
         assert_matches_catalog(trie, catalog)
-        assert [mask.shape for mask in trie.nodes.masks] == [(2, 3), (4, 256), (601, 0)]
+        assert [mask.shape for mask in trie.masks] == [(2, 3), (4, 256), (601, 0)]
 
 
 class TestSnapshotChains:
@@ -139,7 +154,6 @@ class TestSnapshotChains:
     def test_with_item_chain(self, catalog, data):
         trie = IndexTrie(catalog)
         depth = trie.num_levels
-        assert trie.nodes.num_real  # compiled before the first snapshot, like a serving trie
         for _ in range(data.draw(st.integers(1, 4))):
             # Per level: a token the level has, or one no level has yet.
             new = max(token for seq in catalog.values() for token in seq) + 1
@@ -155,18 +169,11 @@ class TestSnapshotChains:
             assert_matches_catalog(trie, catalog)
             catalog = {**catalog, item: sequence}
             assert_matches_catalog(snapshot, catalog)
+            assert_same_arrays(snapshot, IndexTrie(catalog))
             for level, union in enumerate(before):
                 kept = sequence[level] in set(union.tolist())
                 assert (snapshot.level_union(level) is union) == kept
-                assert snapshot.nodes.unions[level] is snapshot.level_union(level)
             trie = snapshot
-
-    def test_add_item_recompiles(self):
-        trie = IndexTrie({0: (10, 20), 1: (10, 21)})
-        old = trie.nodes
-        trie.add_item(2, (11, 20))
-        assert trie.nodes is not old
-        assert_matches_catalog(trie, {0: (10, 20), 1: (10, 21), 2: (11, 20)})
 
 
 class TestSubtrie:
@@ -177,7 +184,7 @@ class TestSubtrie:
         chosen = data.draw(st.lists(st.sampled_from(sorted(catalog)), min_size=1))
         subtrie = trie.subtrie(chosen)
         assert subtrie.all_sequences() == {item: catalog[item] for item in chosen}
-        mask = trie.nodes.path_mask(chosen)
+        mask = trie.path_mask(chosen)
         on_paths = {seq[:level] for item in chosen for level in range(trie.num_levels + 1)
                     for seq in (catalog[item],)}
-        assert {trie.nodes.prefix(node) for node in np.flatnonzero(mask).tolist()} == on_paths
+        assert {trie.prefix(node) for node in np.flatnonzero(mask).tolist()} == on_paths
