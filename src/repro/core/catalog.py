@@ -27,9 +27,9 @@ Version pinning is what makes ingestion safe under load: a decode state
 holds the trie *object* it was prefilled against, so an in-flight decode
 finishes bit-identically against its pinned version no matter how many
 swaps happen mid-decode, while the next prefill picks up the new version.
-The serving engines read ``catalog.version`` exactly once per prefill and
-gate joins on trie identity (:meth:`TrieDecoderEngine.can_join`), and the
-prompt-prefix K/V cache is version-stamped so entries that a future
+The serving engines read ``catalog.version`` exactly once per prefill (a
+decode is a closed cohort, so no later request enters a pinned decode),
+and the prompt-prefix K/V cache is version-stamped so entries that a future
 re-encode invalidates are dropped exactly then
 (:meth:`repro.llm.PrefixKVCache.sync_catalog`) — pure ingestion
 invalidates nothing, because prompt K/V never depends on the trie.

@@ -9,7 +9,6 @@ from .generation import (
     backfill_ranked_item_ids,
     beam_search_items_single,
     decode_finish,
-    decode_join,
     decode_prefill,
     decode_retire,
     decode_step,
@@ -58,7 +57,6 @@ __all__ = [
     "beam_search_items_single",
     "decode_prefill",
     "decode_step",
-    "decode_join",
     "decode_retire",
     "decode_finish",
     "PrefixKVCache",

@@ -26,11 +26,11 @@ and only each request's unseen suffix is forwarded.
 
 :func:`decode_prefill` runs the prompt phase, then level 0 as a step from
 the root — one hypothesis per row, scored 0.0 — through the same selection
-:func:`decode_step` runs after its forward to advance every in-flight row
-by one trie level.  :func:`decode_join` merges freshly prefilled rows into
-a live decode at a level boundary (continuous batching's admission
-primitive), :func:`decode_retire` pops finished rows as soon as they reach
-the final level, and :func:`decode_finish` harvests everything.
+:func:`decode_step` runs after its forward to advance every row by one trie
+level.  A decode is a closed cohort: its rows are one prefill's, from
+prefill to finish, and sit at one trie depth, so they all reach the final
+level on the same step; :func:`decode_retire` then harvests them (all at
+once, or a few at a time) and :func:`decode_finish` harvests everything.
 :func:`beam_search_items_single` is the original per-hypothesis loop, kept
 as the parity oracle.
 
@@ -73,7 +73,6 @@ __all__ = [
     "beam_search_items_single",
     "constrained_log_probs",
     "decode_finish",
-    "decode_join",
     "decode_prefill",
     "decode_retire",
     "decode_step",
@@ -97,7 +96,7 @@ class Scorer(Protocol):
     column) both supply it over the kernel of :mod:`repro.llm.inference`.
     ``caches`` is what :meth:`new_beam_caches` returned: per-layer
     :class:`~repro.tensor.BeamKVCache` (or a subclass carrying more), which
-    the stepper fans out, reorders and evicts itself.  ``hidden_states``
+    the stepper fans out and reorders itself.  ``hidden_states``
     takes ``pad_columns``, ``workspace`` and ``last_only``.  An
     encoder-decoder scorer also has ``prefill_prompts(prompts, caches,
     workspace=)`` — its prompt phase, returning ``(last_hidden, pad_columns,
@@ -285,7 +284,7 @@ def _store_prompts(
     caches: list[BeamKVCache],
     cached_lens: np.ndarray,
     prefix_width: int,
-    suffix_pads: np.ndarray,
+    remainder_pads: np.ndarray,
     prefix_cache: PrefixKVCache,
 ) -> None:
     """File each row's full-prompt K/V back into the prefix cache.
@@ -304,7 +303,7 @@ def _store_prompts(
         layer_kvs = [(c.prompt.keys[rows], c.prompt.values[rows]) for c in caches]
         columns = (
             slice(prefix_width - int(cached_lens[row]), prefix_width),
-            slice(prefix_width + int(suffix_pads[row]), None),
+            slice(prefix_width + int(remainder_pads[row]), None),
         )
         prefix_cache.insert(prompt, layer_kvs, columns=columns)
 
@@ -337,15 +336,15 @@ def _prefill_prompts(
     cached_lens = np.array([m.length if m else 0 for m in matches], dtype=np.int64)
     prefix_width = int(cached_lens.max())
     remainders = [p[int(c) :] for p, c in zip(prompts, cached_lens)]
-    tokens, suffix_pads = left_pad_prompts(remainders, pad_id=pad_id)
+    tokens, remainder_pads = left_pad_prompts(remainders, pad_id=pad_id)
     for cache in caches:
         # The prompt region's final width is known now: no spare columns
-        # for the prefill to copy into or for every retirement to gather.
+        # for the prefill to copy into.
         cache.prompt.max_length = prefix_width + tokens.shape[1]
     if prefix_width:
         _seed_prefix_region(caches, matches, prefix_width)
     prefix_pad = np.arange(prefix_width)[None, :] < (prefix_width - cached_lens)[:, None]
-    suffix_pad = np.arange(tokens.shape[1])[None, :] < suffix_pads[:, None]
+    suffix_pad = np.arange(tokens.shape[1])[None, :] < remainder_pads[:, None]
     pad_columns = np.concatenate([prefix_pad, suffix_pad], axis=1)
     hidden = model.hidden_states(
         tokens,
@@ -355,7 +354,7 @@ def _prefill_prompts(
         last_only=True,
     ).data[:, -1, :]
     if prefix_cache is not None:
-        _store_prompts(prompts, caches, cached_lens, prefix_width, suffix_pads, prefix_cache)
+        _store_prompts(prompts, caches, cached_lens, prefix_width, remainder_pads, prefix_cache)
     return hidden, pad_columns
 
 
@@ -406,15 +405,13 @@ class DecodeState:
     """Resumable state of a batched trie-constrained beam decode.
 
     Produced by :func:`decode_prefill`, advanced one trie level at a time
-    by :func:`decode_step`, grown by :func:`decode_join` and harvested by
-    :func:`decode_retire`/:func:`decode_finish`.  Rows may sit at
-    *different* trie levels — requests admitted at different level
-    boundaries — and the per-row pad bookkeeping (``prompt_pads`` over the
-    shared prompt region, ``suffix_pads`` counting suffix columns that
-    predate each row's admission) keeps every row's attention inputs and
-    RoPE positions identical to decoding it alone.  That invariant is what
-    makes continuous admission ranking-preserving rather than an
-    approximation.
+    by :func:`decode_step` and harvested by
+    :func:`decode_retire`/:func:`decode_finish`.  A state is a closed
+    cohort: its rows are one prefill's, from prefill to finish, and every
+    row sits at the same trie depth, so the cohort finishes on one step.
+    ``prompt_pads`` marks each row's pad columns in the shared prompt
+    region, which keeps every row's attention inputs and RoPE positions
+    identical to decoding it alone.
 
     ``model`` is the :class:`Scorer` being decoded.  For an encoder-decoder
     the shared prompt region is the single BOS column (``prompt_pads`` all
@@ -423,25 +420,25 @@ class DecodeState:
 
     ``tags`` carries one caller-opaque object per row (the serving layer
     stores its :class:`RecommendRequest` there) and follows rows through
-    joins and retirements.
+    retirement.
 
     ``pending`` holds the tokens already appended to every beam but not
     yet forwarded through the model: always the latest chosen token, plus
     — after forced-token fast-path levels — the forced tokens accumulated
-    since the last real forward.  The next step that needs logits (or a
-    :func:`decode_join` flush) runs all pending columns through the
-    transformer in one combined forward.  ``workspace`` is the step-scratch
-    arena (cleared whenever the row count changes).
+    since the last real forward.  The next step that needs logits runs all
+    pending columns through the transformer in one combined forward.
+    ``workspace`` is the step-scratch arena (cleared whenever the width
+    changes, and at retirement).
 
     A hypothesis is one trie node id (see :class:`IndexTrie`):
     ``beam_nodes[b, g]`` is the prefix hypothesis ``g`` of row ``b`` has
     decoded, so the trie constraint, forcedness, depth, beam extension and
     the retired item ids are array gathers over ``beam_nodes``, never
     per-hypothesis Python.  A ``-inf`` hypothesis may hold a dead node
-    (an illegal prefix); every slot of a row sits at the row's depth.
+    (an illegal prefix); every slot sits at the cohort's depth.
 
-    ``narrow`` holds one entry per row, following it through joins and
-    retirements like ``tags``: ``None`` decodes the full trie, a node mask
+    ``narrow`` holds one entry per row, following it through retirement
+    like ``tags``: ``None`` decodes the full trie, a node mask
     of the decode trie (:meth:`IndexTrie.path_mask` of the row's candidate
     items) restricts that row's beam *selection* while scores keep
     renormalising over the full trie — tokens off the candidate paths are
@@ -454,16 +451,16 @@ class DecodeState:
     output-head columns.
 
     ``forwards`` counts the transformer forwards this state has run (the
-    prompt phase's own count, steps, pending flushes) — the forced fast
-    path exists to push it below one-per-level — and ``beam_rows`` the
-    hypothesis rows × tokens the steps and flushes forwarded.
+    prompt phase's own count and the steps) — the forced fast path exists
+    to push it below one-per-level — and ``beam_rows`` the hypothesis rows
+    × tokens the steps forwarded.
 
     ``num_beams`` caps a request's hypotheses; it is not a shape.  The
     caches and ``pending`` carry :attr:`width` hypotheses per request —
-    the most any row with a level to go has alive — and only those leading
-    slots of the score/node tables (at least that wide; every row's slots
-    are best first, as top-k sorts them, so its live hypotheses are its
-    leading slots) reach the model and the trie.
+    the most any row has alive — and only those leading slots of the
+    score/node tables (at least that wide; every row's slots are best
+    first, as top-k sorts them, so its live hypotheses are its leading
+    slots) reach the model and the trie.
     """
 
     model: Scorer
@@ -474,7 +471,6 @@ class DecodeState:
     beam_nodes: np.ndarray  # (B, >= width) int64: each hypothesis's trie node
     beam_scores: np.ndarray  # (B, >= width) float64
     prompt_pads: np.ndarray  # (B, W) bool: pad columns in the prompt region
-    suffix_pads: np.ndarray  # (B,) int64: suffix columns predating each row
     tags: list[object]
     narrow: list[np.ndarray | None]  # (B,) each row's selectable nodes, None = full trie
     pending: np.ndarray = field(default_factory=lambda: np.empty((0, 1), dtype=np.int64))
@@ -490,43 +486,35 @@ class DecodeState:
     @property
     def width(self) -> int:
         """Hypotheses per request the caches and ``pending`` carry right now."""
-        return self.caches[0].beams
+        return self.caches[0].beams if self.caches else 0
 
     def row_depths(self) -> np.ndarray:
-        """``(B,)`` trie levels each row has decoded."""
+        """``(B,)`` trie levels each row has decoded: one value, a closed cohort's depth."""
         return self.trie.depth[self.beam_nodes[:, 0]]
 
     def live_width(self) -> int:
-        """Most live hypotheses of any row with a level to go (0: no such row)."""
-        stepping = self.row_depths() < self.trie.num_levels
-        if not stepping.any():
+        """Most live hypotheses of any row (0: the cohort is at the final level)."""
+        if self.done:
             return 0
-        return max(1, int(np.isfinite(self.beam_scores[stepping]).sum(axis=1).max()))
+        return max(1, int(np.isfinite(self.beam_scores).sum(axis=1).max()))
 
     @property
     def done(self) -> bool:
-        """Whether every in-flight row has reached the final trie level."""
+        """Whether the cohort has reached the final trie level."""
         return bool((self.row_depths() == self.trie.num_levels).all())
 
     def finished_rows(self) -> list[int]:
-        """Row indices that have reached the final trie level."""
-        return np.flatnonzero(self.row_depths() == self.trie.num_levels).tolist()
+        """Row indices that have reached the final trie level: all of them, or none."""
+        return list(range(self.num_rows)) if self.done else []
 
     def flat_pad_columns(self) -> np.ndarray | None:
-        """Per-hypothesis pad map over all current key columns (or None).
+        """Per-hypothesis pad map over the prompt region (None: no pads).
 
-        Covers the prompt region (left-padding and cached-prefix padding)
-        plus, for rows admitted mid-decode, the suffix columns written
-        before they joined.  Recomputed per step because joins change it.
+        Suffix columns are every hypothesis's own tokens, never pads.
         """
-        full = self.prompt_pads
-        suffix_len = self.caches[0].suffix.length
-        if suffix_len:
-            suffix_map = np.arange(suffix_len)[None, :] < self.suffix_pads[:, None]
-            full = np.concatenate([full, suffix_map], axis=1)
-        if not np.any(full):
+        if not self.prompt_pads.any():
             return None
-        return np.repeat(full, self.width, axis=0)
+        return np.repeat(self.prompt_pads, self.width, axis=0)
 
 
 def decode_prefill(
@@ -611,7 +599,6 @@ def decode_prefill(
             beam_nodes=np.zeros((len(prompts), 1), dtype=np.int64),
             beam_scores=np.zeros((len(prompts), 1)),
             prompt_pads=pad_columns,
-            suffix_pads=np.zeros(len(prompts), dtype=np.int64),
             tags=list(tags),
             narrow=narrow,
             pending=np.full((len(prompts), 1), pad_id, dtype=np.int64),
@@ -625,13 +612,12 @@ def decode_prefill(
 
 
 def decode_step(state: DecodeState) -> DecodeState:
-    """Advance every in-flight row by one trie level.
+    """Advance every row of the cohort by one trie level.
 
-    Rows at different levels step together: the vectorized trie constraint
-    is one gather over each hypothesis's own trie node, so depth never has
-    to be uniform across the batch.  Rows already at the final level must be
-    retired (:func:`decode_retire`) before stepping.  Returns ``state``
-    (mutated in place) for chaining.
+    The vectorized trie constraint is one gather of the level's mask table
+    over each hypothesis's trie node.  A cohort at the final level is
+    finished: stepping it raises, it is retired (:func:`decode_retire`).
+    Returns ``state`` (mutated in place) for chaining.
 
     Two fast paths apply:
 
@@ -651,9 +637,9 @@ def decode_step(state: DecodeState) -> DecodeState:
     """
     if state.num_rows == 0:
         raise RuntimeError("cannot step an empty decode state")
-    if state.finished_rows():
-        raise RuntimeError("retire finished rows before stepping")
-    # Nothing past the width is alive: wider rows, since retired, left it.
+    if state.done:
+        raise RuntimeError("the cohort is at the final level: retire it, do not step it")
+    # Nothing past the width is alive.
     beam_nodes = state.beam_nodes[:, : state.width]
     beam_scores = state.beam_scores[:, : state.width]
     candidates_info = state.trie.allowed_token_ids(beam_nodes.reshape(-1))
@@ -711,9 +697,8 @@ def _advance(
         step_logp, state.beam_scores[:, :width], state.num_beams, union
     )
     state.beam_nodes = trie.child(np.take_along_axis(beam_nodes, origin, axis=1), token)
-    # Gather K/V straight onto the next step's width.  Rows that just
-    # finished need their scores and nodes only: when no row has a level
-    # left, nothing is reordered at all.
+    # Gather K/V straight onto the next step's width.  A cohort that just
+    # finished needs its scores and nodes only: nothing is reordered.
     live = state.live_width()
     if live:
         flat_origin = np.arange(num_requests)[:, None] * width + origin[:, :live]
@@ -722,127 +707,6 @@ def _advance(
         state.pending = token[:, :live].reshape(-1, 1).astype(np.int64, copy=False)
         if live != width:
             state.workspace.clear()  # scratch of the old shape is released
-
-
-def _pad_left_columns(pads: np.ndarray, extra: int) -> np.ndarray:
-    """Prepend ``extra`` all-pad columns to a boolean ``(B, W)`` pad map."""
-    if not extra:
-        return pads
-    return np.pad(pads, ((0, 0), (extra, 0)), constant_values=True)
-
-
-def _pad_slots(table: np.ndarray, slots: int, fill: float) -> np.ndarray:
-    """Widen a ``(B, G)`` per-hypothesis table to ``slots`` per request."""
-    return np.pad(table, ((0, 0), (0, slots - table.shape[1])), constant_values=fill)
-
-
-def _repeat_first(nodes: np.ndarray, slots: int) -> np.ndarray:
-    """Widen ``(B, G)`` beam nodes to ``slots``, repeating each row's first node."""
-    filler = np.repeat(nodes[:, :1], slots - nodes.shape[1], axis=1)
-    return np.concatenate([nodes, filler], axis=1)
-
-
-def _flush_pending(state: DecodeState) -> None:
-    """Run all but the newest pending token through the model (KV only).
-
-    Forced-token levels append to ``state.pending`` without a forward;
-    before a join the accumulated columns (except the newest token, which
-    the next :func:`decode_step` forwards for its logits) must be flushed
-    into the KV caches so every row of the merged batch carries the same
-    pending width.  One combined multi-token forward, no output head.
-    """
-    if state.pending.shape[1] <= 1:
-        return
-    with no_grad():
-        state.model.hidden_states(
-            state.pending[:, :-1],
-            caches=state.caches,
-            pad_columns=state.flat_pad_columns(),
-            workspace=state.workspace,
-            last_only=True,  # only the K/V matter: skip most of the final block
-        )
-    state.forwards += 1
-    state.beam_rows += state.pending.size - state.pending.shape[0]
-    state.pending = state.pending[:, -1:]
-
-
-def decode_join(state: DecodeState, incoming: DecodeState) -> DecodeState:
-    """Merge ``incoming``'s freshly prefilled rows into a live decode.
-
-    The continuous-batching admission primitive: between two trie levels
-    the engine's state is just per-row beams plus K/V caches, so new
-    requests prefilled on the side (:func:`decode_prefill`) can join the
-    in-flight batch axis.  ``incoming`` must share ``state``'s model, trie,
-    pad id and beam cap, and must not have stepped yet — admission happens
-    at a level boundary, straight out of prefill.  The two sides may carry
-    different widths: the merged decode steps at the wider one, the
-    narrower side's extra slots being ``-inf`` filler.  Narrowing is per
-    row, so any mix of candidate sets may meet.  The incoming rows'
-    pad maps are extended over the columns they must ignore
-    (width-alignment pads and the live batch's existing suffix columns),
-    which is why joining changes no row's rankings.  ``incoming`` is
-    consumed: its rows now live in ``state``.
-    """
-    if incoming is state:
-        raise ValueError("cannot join a decode state with itself")
-    if incoming.model is not state.model or incoming.trie is not state.trie:
-        raise ValueError("joined decodes must share one model and trie")
-    if incoming.num_beams != state.num_beams:
-        raise ValueError(f"beam width mismatch: {incoming.num_beams} != {state.num_beams}")
-    if incoming.pad_id != state.pad_id:
-        raise ValueError("joined decodes must share a pad id")
-    if incoming.num_rows == 0:
-        raise ValueError("incoming state has no rows")
-    if incoming.caches[0].suffix.length or incoming.pending.shape[1] != 1:
-        raise ValueError("incoming state must be freshly prefilled (no steps yet)")
-    if state.num_rows == 0:
-        raise RuntimeError("cannot join into an empty decode state")
-    # Forced levels may have left unforwarded tokens on the live rows; the
-    # merged batch must share one pending width, so catch the KV up first.
-    _flush_pending(state)
-    suffix_len = state.caches[0].suffix.length
-    sides = (state, incoming)
-    pending = [side.pending.reshape(side.num_rows, side.width) for side in sides]
-    for cache, incoming_cache in zip(state.caches, incoming.caches):
-        pad_state, pad_incoming = cache.join(incoming_cache)  # identical on every layer
-    state.prompt_pads = np.concatenate(
-        [
-            _pad_left_columns(state.prompt_pads, pad_state),
-            _pad_left_columns(incoming.prompt_pads, pad_incoming),
-        ],
-        axis=0,
-    )
-    state.suffix_pads = np.concatenate(
-        [state.suffix_pads, np.full(incoming.num_rows, suffix_len, dtype=np.int64)]
-    )
-    # Both sides' tables and pending reach one shape; filler slots repeat a
-    # row's first node under a -inf score, like a starved beam's.
-    slots = max(side.beam_scores.shape[1] for side in sides)
-    state.beam_nodes = np.concatenate(
-        [_repeat_first(side.beam_nodes, slots) for side in sides], axis=0
-    )
-    state.beam_scores = np.concatenate(
-        [_pad_slots(side.beam_scores, slots, -np.inf) for side in sides], axis=0
-    )
-    state.tags.extend(incoming.tags)
-    state.narrow.extend(incoming.narrow)
-    state.pending = np.concatenate(
-        [_pad_slots(rows, state.width, state.pad_id) for rows in pending], axis=0
-    ).reshape(-1, 1)
-    state.forwards += incoming.forwards
-    state.beam_rows += incoming.beam_rows
-    state.workspace.clear()  # row count changed: step scratch resizes
-    # Consume the incoming state so a stray step/retire on it cannot
-    # corrupt the caches it no longer owns.
-    incoming.caches = []
-    incoming.beam_nodes = incoming.beam_nodes[:0]
-    incoming.beam_scores = incoming.beam_scores[:0]
-    incoming.prompt_pads = incoming.prompt_pads[:0]
-    incoming.suffix_pads = incoming.suffix_pads[:0]
-    incoming.tags = []
-    incoming.narrow = []
-    incoming.pending = incoming.pending[:0]
-    return state
 
 
 def _harvest(state: DecodeState, rows: list[int]) -> list[list[BeamHypothesis]]:
@@ -867,70 +731,34 @@ def _harvest(state: DecodeState, rows: list[int]) -> list[list[BeamHypothesis]]:
 
 
 def decode_retire(state: DecodeState, rows: Sequence[int]) -> list[list[BeamHypothesis]]:
-    """Pop the given finished rows, returning one hypothesis list per row.
+    """Harvest the given finished rows and drop them, one hypothesis list per row.
 
-    Every row must be at the final trie level.  Remaining rows keep
-    decoding in a smaller batch: the layer caches are compacted (prompt
-    and suffix rows evicted, the width narrowed to what the survivors have
-    alive) so later forwards pay only for live hypotheses.
-    Results are in the order of ``rows``; ``-inf`` filler beams are
-    dropped.
+    Every row must be at the final trie level — and then so is every
+    survivor, because a cohort steps in lockstep: nothing steps again, so
+    no cache is compacted.  The step scratch goes at once and the K/V with
+    the last row.  Results are in the order of ``rows``; ``-inf`` filler
+    beams are dropped.
     """
     rows = [int(row) for row in rows]
     if len(set(rows)) != len(rows):
         raise ValueError("duplicate rows in retirement")
-    depths = state.row_depths()
     for row in rows:
         if not 0 <= row < state.num_rows:
             raise IndexError(f"row {row} out of range for {state.num_rows} rows")
-        if depths[row] != state.trie.num_levels:
-            raise ValueError(f"row {row} has not reached the final trie level")
+    if rows and not state.done:
+        raise ValueError("the cohort has not reached the final trie level")
     results = _harvest(state, rows)
     if rows:
-        retired = set(rows)
-        keep = [b for b in range(state.num_rows) if b not in retired]
-        keep_array = np.asarray(keep, dtype=np.int64)
-        state.beam_nodes = state.beam_nodes[keep_array]
+        keep = np.setdiff1d(np.arange(state.num_rows), rows)
+        state.beam_nodes = state.beam_nodes[keep]
         state.beam_scores = state.beam_scores[keep]
         state.prompt_pads = state.prompt_pads[keep]
-        state.suffix_pads = state.suffix_pads[keep]
-        state.tags = [state.tags[b] for b in keep]
-        state.narrow = [state.narrow[b] for b in keep]
-        # The same gather narrows to the width the survivors still need (a
-        # forced last level retires wide rows without a reorder before it).
-        width = state.live_width() or state.width
-        flat_keep = (keep_array[:, None] * state.width + np.arange(width)).reshape(-1)
-        state.pending = state.pending[flat_keep]
-        for cache in state.caches:
-            cache.select_requests(keep_array, width)
-        # Trim the step scratch: surviving rows re-size it next step, so
-        # retired requests never pin peak-width buffers.
+        state.tags = [state.tags[b] for b in keep.tolist()]
+        state.narrow = [state.narrow[b] for b in keep.tolist()]
         state.workspace.clear()
-        _trim_all_pad_prompt_columns(state)
+        if not keep.size:
+            state.caches = []
     return results
-
-
-def _trim_all_pad_prompt_columns(state: DecodeState) -> None:
-    """Drop prompt columns every surviving row masks as padding.
-
-    Retiring a long-prompt row can leave the joined prompt region wider
-    than any remaining request needs: columns that were real tokens only
-    for the retired rows are now all-pad, yet every later forward still
-    pays attention width for them.  Those columns are masked out of
-    attention for every surviving row, so removing them (from each layer
-    cache and the pad map alike) changes no scores, ranks, or RoPE
-    positions — real tokens keep their unpadded positions because per-row
-    pad counts shrink by exactly the columns dropped.
-    """
-    if state.num_rows == 0:
-        return
-    all_pad = state.prompt_pads.all(axis=0)
-    if not all_pad.any():
-        return
-    keep = np.flatnonzero(~all_pad)
-    for cache in state.caches:
-        cache.prompt.take_columns(keep)
-    state.prompt_pads = state.prompt_pads[:, keep]
 
 
 def decode_finish(state: DecodeState) -> list[list[BeamHypothesis]]:

@@ -147,7 +147,7 @@ class CrossBeamKVCache(BeamKVCache):
     ``memory`` holds the encoder memory's K/V for the layer's
     cross-attention in the *prompt* region of a second beam cache whose
     suffix stays empty: written once by :meth:`project_memory`, read by
-    every beam of a request, moved only when a request retires.
+    every beam of a request, never moved.
     ``memory_bias`` is the source-pad additive bias over those columns
     (``None`` when no row is padded).
     """
@@ -182,15 +182,6 @@ class CrossBeamKVCache(BeamKVCache):
     def reorder(self, beam_indices: np.ndarray, beams: int | None = None) -> None:
         super().reorder(beam_indices, beams)
         self.memory.beams = self.beams  # the memory's K/V is per request: only its width moves
-
-    def join(self, other: BeamKVCache) -> tuple[int, int]:
-        raise NotImplementedError("joining memories of different source widths is not built yet")
-
-    def select_requests(self, keep: np.ndarray, beams: int | None = None) -> None:
-        super().select_requests(keep, beams)
-        self.memory.select_requests(keep, beams)
-        if self.memory_bias is not None:
-            self.memory_bias = self.memory_bias[:, keep]
 
 
 def layer_stack_hidden_states(

@@ -137,8 +137,8 @@ class IndexTrie:
     depth ``d``: ``unions[d]``, the sorted union of the tokens at trie
     level ``d``, and ``masks[d]``, row ``local[n]`` of which marks node
     ``n``'s children in ``unions[d]`` space (the dead node's row is all
-    False).  Every public array is read-only; the only state that changes
-    after the constructor returns is the memo of mixed-depth unions.
+    False).  Every public array is read-only and nothing changes after the
+    constructor returns.
     """
 
     def __init__(self, sequences: dict[int, tuple[int, ...]]):
@@ -228,7 +228,6 @@ class IndexTrie:
         self._sorted_items = items[self._item_order]
         self._stride = int(rows.max()) + 1
         self._edge_keys = parent[1:] * self._stride + token[1:real]  # edge e -> node e + 1
-        self._mixed_unions: dict[tuple[int, ...], np.ndarray] = {}
         self.unions: list[np.ndarray] = []
         self.masks: list[np.ndarray] = []
         for d in range(levels + 1):
@@ -353,38 +352,24 @@ class IndexTrie:
         """Per-row legal continuations plus the candidate union.
 
         ``nodes`` is an int array of node ids — what a beam stepper holds
-        per hypothesis — or a list of token prefixes, looked up first.
-        Returns the (tiny) union of candidate ids for the trie levels the
-        rows sit at and a ``(rows, len(union))`` mask in union space: for
-        rows at one level that is one gather from the level's mask table —
-        no per-row Python and no vocabulary-sized work.
+        per hypothesis — or a list of token prefixes, looked up first.  All
+        of them must sit at one depth (a decode cohort steps in lockstep):
+        nodes at different depths raise ``ValueError``.  Returns the level's
+        (tiny) candidate union and a ``(rows, len(union))`` mask in union
+        space, one gather from the level's mask table — no per-row Python
+        and no vocabulary-sized work.
         """
         if not isinstance(nodes, np.ndarray):
             nodes = np.array([self.node_of(p) for p in nodes], dtype=np.int64)
         depths = self.depth[nodes]
-        low, high = int(depths.min()), int(depths.max())
-        if low == high:
-            union = self.unions[low]
-            mask = self.masks[low][self.local[nodes]]
-        else:  # rows admitted at different levels (continuous joins)
-            levels = tuple(np.unique(depths).tolist())
-            union = self._union_for_levels(levels)
-            mask = np.zeros((nodes.shape[0], union.shape[0]), dtype=bool)
-            for level in levels:
-                rows = np.flatnonzero(depths == level)
-                columns = np.searchsorted(union, self.unions[level])
-                mask[np.ix_(rows, columns)] = self.masks[level][self.local[nodes[rows]]]
+        level = int(depths.min())
+        if depths.max() != level:
+            raise ValueError(
+                f"nodes sit at depths {sorted(set(depths.tolist()))}: one decode steps one level"
+            )
+        union = self.unions[level]
+        mask = self.masks[level][self.local[nodes]]
         return SparseCandidates(nodes=nodes, union=union, mask=mask, trie=self)
-
-    def _union_for_levels(self, levels: tuple[int, ...]) -> np.ndarray:
-        """Sorted union of ``levels``' tokens, one stable array per level set."""
-        if len(levels) == 1:
-            return self.unions[levels[0]]
-        union = self._mixed_unions.get(levels)
-        if union is None:
-            union = functools.reduce(np.union1d, (self.unions[level] for level in levels))
-            union = self._mixed_unions.setdefault(levels, _frozen(union))
-        return union
 
     # ------------------------------------------------------------------
     # Per-prefix queries (the single-request oracles and tests)
@@ -444,16 +429,15 @@ class IndexTrie:
     def union_for_levels(self, levels: Sequence[int]) -> np.ndarray:
         """Sorted union of the token ids at any depth in ``levels``.
 
-        The same stable array :meth:`allowed_token_ids` uses for rows at
-        those depths.
+        One level's union is ``unions[level]`` itself.
         """
-        normalized = tuple(sorted({int(level) for level in levels}))
+        normalized = sorted({int(level) for level in levels})
         if not normalized:
             raise ValueError("levels must be non-empty")
         for level in normalized:
             if not 0 <= level < self.num_levels:
                 raise ValueError(f"level {level} out of range for depth {self.num_levels}")
-        return self._union_for_levels(normalized)
+        return functools.reduce(np.union1d, (self.unions[level] for level in normalized))
 
     def subtrie(self, item_ids: Sequence[int]) -> "IndexTrie":
         """A new trie over the given items' sequences only.

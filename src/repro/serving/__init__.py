@@ -11,11 +11,10 @@ the :class:`MicroBatcher` plans length-bucketed micro-batches, and
 :class:`RecommendationService` decodes them through the engine on one
 :class:`ContinuousScheduler` tick — closed batches admitted into an idle
 scheduler, synchronously via ``flush()`` or by a deadline-batched
-background loop (``start()``/``stop()``), or continuous batching
-(``mode="continuous"``): a queue that fits the free width joins the
-in-flight decode at trie-level boundaries (engines that can join), a
-backlog is served as full cohorts, and rows retire the moment they
-complete.  A cross-request
+background loop (``start()``/``stop()``), or with no deadline wait
+(``mode="continuous"``): the queue's head is admitted the moment the
+scheduler is idle.  Every decode is a closed cohort — one prefill's rows,
+stepped in lockstep and retired together.  A cross-request
 :class:`repro.llm.PrefixKVCache` (re-exported here) skips re-running
 prompt prefixes shared between requests, for engines advertising
 ``supports_prefix_cache``.

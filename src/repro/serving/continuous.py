@@ -3,37 +3,29 @@
 Every serving mode runs the same tick on the same
 :class:`ContinuousScheduler` — :meth:`~ContinuousScheduler.admit`, then
 :meth:`~ContinuousScheduler.step` — and differs only in what it admits
-when (see :class:`repro.serving.RecommendationService`).  Admitting only
-into an idle scheduler gives *closed* batches: a request arriving one tick
-after a flush waits for the whole in-flight batch to finish every trie
-level before its own decode even starts, which caps throughput and
-inflates tail latency exactly where interactive traffic hurts most.
-Trie-constrained decoding, however, is level-synchronous with a tiny
-fixed depth — the generative-retrieval serving shape every
-:class:`repro.serving.GenerativeEngine` exposes — so *trie-level
-boundaries* are natural admission points: between two levels an engine's
-whole state is one opaque :class:`EngineState`, and
+when (see :class:`repro.serving.RecommendationService`).
 
-* newly queued requests are prefilled on the side
-  (:meth:`GenerativeEngine.prefill`) and joined onto the live state
-  (:meth:`GenerativeEngine.join`),
-* finished rows are retired and delivered the moment they reach the final
-  level (:meth:`GenerativeEngine.retire`), not at batch end.
+A decode is a closed cohort.  Trie-constrained generation is a
+fixed-depth, level-synchronous beam search (paper Sec. III-D2), so every
+row of one prefill reaches the final level on the same step:
 
-Joins are for an empty queue.  A join copies the live K/V, flushes pending
-forced tokens and prefills a trickle, so under backlog it costs more than
-it saves (``docs/serving.md``, "Continuous batching"):
-:meth:`ContinuousScheduler.admission_limit` admits into a live decode only
-when the *whole* queue fits the free width, and otherwise nothing — the
-live cohort finishes within ``num_levels - 1`` ticks, its rows retire
-together, and the idle scheduler takes up to ``max_width`` in one prefill.
+* the scheduler admits only when idle — one engine prefill
+  (:meth:`GenerativeEngine.prefill`) of up to ``max_width`` requests of one
+  effective beam width;
+* it steps that cohort one trie level per tick
+  (:meth:`GenerativeEngine.step`);
+* it retires and delivers every row on the tick the cohort reaches the
+  final level (:meth:`GenerativeEngine.retire`), and is idle again.
 
-Rankings are identical to decoding each request alone no matter when it is
-admitted — joining must never change a live row's decode inputs, the
-correctness invariant the parity suite (``tests/test_serving_continuous.py``)
-pins down.  An engine that cannot join (:meth:`GenerativeEngine.can_join`
-is ``False``: TIGER) is never offered a mid-flight admission, so it
-degrades to closed batches by itself.
+Requests that arrive while a cohort is in flight wait in the queue for at
+most ``num_levels - 1`` ticks.  Mid-flight admission ("continuous joins")
+was measured against this idle-only rule under open-loop light load and
+lost on p50 and p95, so it is gone (``docs/serving.md``, "Continuous
+batching").
+
+Rankings are identical to decoding each request alone, whichever cohort
+it lands in — the parity suites (``tests/test_serving_continuous.py``)
+pin that down.
 
 Thread safety: the scheduler is *not* thread-safe; the service drives it
 from one thread at a time (the background loop, or a caller's ``flush``)
@@ -52,7 +44,7 @@ __all__ = ["ContinuousScheduler"]
 
 
 class ContinuousScheduler:
-    """Drives one in-flight decode, admitting and retiring at level boundaries.
+    """Drives one decode cohort at a time: admit when idle, step, retire.
 
     Parameters
     ----------
@@ -60,8 +52,7 @@ class ContinuousScheduler:
         A :class:`repro.serving.GenerativeEngine`; the scheduler owns
         exactly one of its decode states at a time.
     max_width:
-        Cap on the joined batch width (requests in flight at once); queued
-        requests beyond it wait for retirements to free rows.
+        Cap on a cohort's size (requests prefilled together).
     """
 
     def __init__(self, engine: GenerativeEngine, *, max_width: int = 16):
@@ -70,8 +61,7 @@ class ContinuousScheduler:
         self.engine = engine
         self.max_width = max_width
         self._state: EngineState | None = None
-        self.admissions = 0  # admit() calls that added at least one request
-        self.joins = 0  # admissions that joined an already-live decode
+        self.admissions = 0  # admit() calls that started a cohort
 
     # ------------------------------------------------------------------
     # Introspection
@@ -82,47 +72,18 @@ class ContinuousScheduler:
         return self._state.num_rows if self._state is not None else 0
 
     @property
-    def free_width(self) -> int:
-        """Rows the width cap still allows to be admitted."""
-        return self.max_width - self.width
-
-    @property
     def idle(self) -> bool:
         return self.width == 0
 
-    def admission_limit(self, queued: int) -> int:
-        """How many of ``queued`` waiting requests this tick may admit.
-
-        The free width while the whole queue fits it (always, when idle or
-        lightly loaded: a late arrival joins at the next level boundary);
-        nothing while it does not — a backlog waits for the live cohort to
-        finish and is then served as full cohorts.
-        """
-        return self.free_width if self.idle or queued <= self.free_width else 0
-
-    def compatible(self, request: RecommendRequest) -> bool:
-        """Whether ``request`` may join the current decode.
-
-        Delegates to the engine (:meth:`GenerativeEngine.can_join`), which
-        owns the join constraints — e.g. the shared-beam-width rule of the
-        trie-decoder engines.  An idle scheduler accepts anything.
-        """
-        if self._state is None:
-            return True
-        return self.engine.can_join(self._state, request)
-
     def admission_predicate(self) -> Callable[[RecommendRequest], bool]:
-        """A fresh FIFO pop predicate for one admission round.
+        """A fresh FIFO pop predicate for one admission into an idle scheduler.
 
-        With a live decode this is :meth:`compatible`.  Idle, it latches
-        the first candidate's effective beam width and admits only
-        matching followers: one admission is one engine prefill, which
-        requires a uniform effective width — a mixed queue must be split
-        across admission rounds (FIFO prefix by prefix), not popped
+        It latches the first candidate's effective beam width and admits
+        only matching followers: one admission is one engine prefill,
+        which requires a uniform effective width — a mixed queue must be
+        split across admission rounds (FIFO prefix by prefix), not popped
         wholesale and failed by prefill's validation.
         """
-        if self._state is not None:
-            return self.compatible
         latched: list[int] = []
 
         def admit(request: RecommendRequest) -> bool:
@@ -137,33 +98,26 @@ class ContinuousScheduler:
     # Admission and stepping
     # ------------------------------------------------------------------
     def admit(self, requests: Sequence[RecommendRequest]) -> None:
-        """Prefill ``requests`` and join them onto the in-flight decode.
+        """Prefill ``requests`` as the next cohort, in one engine prefill.
 
-        All requests of one admission are prefilled as a single batch (one
-        engine prefill) and must be join-compatible with the live decode;
-        the caller gates candidates through :meth:`compatible` and
-        ``free_width``.
+        The scheduler must be idle: a cohort runs closed until it retires.
         """
         requests = list(requests)
         if not requests:
             return
-        if len(requests) > self.free_width:
-            raise ValueError(f"admission of {len(requests)} exceeds free width {self.free_width}")
-        incoming = self.engine.prefill(requests)
+        if not self.idle:
+            raise RuntimeError("a cohort is in flight: admit only into an idle scheduler")
+        if len(requests) > self.max_width:
+            raise ValueError(f"admission of {len(requests)} exceeds max width {self.max_width}")
+        self._state = self.engine.prefill(requests)
         self.admissions += 1
-        if self._state is None:
-            self._state = incoming
-        else:
-            self.engine.join(self._state, incoming)
-            self.joins += 1
 
     def step(self) -> list[tuple[RecommendRequest, list[BeamHypothesis]]]:
-        """Retire finished rows, advance one trie level, retire again.
+        """Advance the cohort one trie level, retiring it once it is finished.
 
         Returns ``(request, hypotheses)`` pairs for every request completed
-        by this call.  Finished rows are delivered *before* the remaining
-        rows' next level runs, so an early request never waits on later
-        admissions.
+        by this call: none, or the whole cohort.  A cohort its prefill
+        already finished (a one-level trie) retires without a step.
         """
         delivered = self._retire_finished()
         if self._state is not None:

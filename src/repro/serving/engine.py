@@ -8,13 +8,12 @@ contract the batched trie-constrained beam search exposes —
 * :meth:`GenerativeEngine.prefill` runs the prompt phase plus the level-0
   beam expansion for a micro-batch and returns an opaque
   :class:`EngineState`,
-* :meth:`GenerativeEngine.step` advances every in-flight row one trie
-  level,
-* :meth:`GenerativeEngine.join` merges freshly prefilled rows into a live
-  state (continuous batching's admission primitive),
-* :meth:`GenerativeEngine.retire` pops finished rows the moment they reach
-  the final level, and :meth:`GenerativeEngine.finish` harvests everything
-  (the one-shot :meth:`GenerativeEngine.decode`; the scheduler only retires)
+* :meth:`GenerativeEngine.step` advances every row of the state one trie
+  level — a state is a closed cohort, so all its rows reach the final
+  level on the same step,
+* :meth:`GenerativeEngine.retire` harvests finished rows, and
+  :meth:`GenerativeEngine.finish` harvests everything (the one-shot
+  :meth:`GenerativeEngine.decode`; the scheduler only retires)
 
 — plus capability flags (``supports_prefix_cache``, ``supports_narrowing``,
 ``num_levels``) and the request-shaping hooks (``encode_history``,
@@ -26,16 +25,15 @@ Three adapters ship with the repo, all on one stepper
 (:func:`repro.llm.decode_prefill` / ``decode_step`` / ``decode_retire``
 over a :class:`repro.llm.generation.Scorer`):
 
-====================  ================================================  ==========
-adapter               scorer                                            joins
-====================  ================================================  ==========
-:class:`LCRecEngine`  decoder-only :class:`~repro.llm.TinyLlama`        yes
-:class:`P5CIDEngine`  decoder-only :class:`~repro.llm.TinyLlama`        yes
-:class:`TIGEREngine`  encoder-decoder :class:`~repro.baselines.TIGER`   not yet
-====================  ================================================  ==========
+====================  ================================================
+adapter               scorer
+====================  ================================================
+:class:`LCRecEngine`  decoder-only :class:`~repro.llm.TinyLlama`
+:class:`P5CIDEngine`  decoder-only :class:`~repro.llm.TinyLlama`
+:class:`TIGEREngine`  encoder-decoder :class:`~repro.baselines.TIGER`
+====================  ================================================
 
-Every adapter serves every mode: one that cannot join (``can_join`` is
-``False``) is served in closed cohorts by the same scheduler.
+Every adapter serves every mode, in closed cohorts, on the same scheduler.
 
 Every adapter is ranking-preserving: batching is a cost optimisation, never
 an approximation, and the parity suites pin each adapter to its
@@ -67,7 +65,6 @@ from ..llm import (
     PrefixKVCache,
     backfill_items,
     decode_finish,
-    decode_join,
     decode_prefill,
     decode_retire,
     decode_step,
@@ -100,7 +97,7 @@ class EngineState(Protocol):
     long as it exposes this introspection surface; everything else about
     the state (caches, beams, memory) is the engine's private business.
     ``tags`` carries the :class:`RecommendRequest` of every in-flight row,
-    in row order, through joins and retirements.
+    in row order, through retirement.
     """
 
     num_beams: int
@@ -148,9 +145,8 @@ class GenerativeEngine(abc.ABC):
         set is identical to a full decode filtered post hoc.
     ``num_levels``
         Trie depth — :meth:`prefill` performs the level-0 expansion, so a
-        freshly prefilled request needs ``num_levels - 1`` further
-        :meth:`step` calls; levels are the granularity of continuous
-        admission.
+        freshly prefilled cohort needs ``num_levels - 1`` further
+        :meth:`step` calls.
     """
 
     name: str = "engine"
@@ -249,10 +245,6 @@ class GenerativeEngine(abc.ABC):
     def step(self, state: EngineState) -> None:
         """Advance every in-flight row one trie level (one model forward)."""
 
-    def join(self, state: EngineState, incoming: EngineState) -> None:
-        """Merge freshly prefilled rows into a live state (admission)."""
-        raise NotImplementedError(f"{type(self).__name__} cannot join a live decode")
-
     @abc.abstractmethod
     def retire(self, state: EngineState, rows: Sequence[int]) -> list[list[BeamHypothesis]]:
         """Pop the given finished rows, one hypothesis list per row."""
@@ -260,10 +252,6 @@ class GenerativeEngine(abc.ABC):
     def finish(self, state: EngineState) -> list[list[BeamHypothesis]]:
         """Retire every row (all must be at the final level), in row order."""
         return self.retire(state, range(state.num_rows))
-
-    def can_join(self, state: EngineState, request: RecommendRequest) -> bool:
-        """Whether ``request`` may be admitted into the live ``state``."""
-        return False
 
     # ------------------------------------------------------------------
     # One-shot conveniences built on the contract
@@ -366,9 +354,9 @@ class TrieDecoderEngine(GenerativeEngine):
     """Engine over a decoder-only :class:`TinyLlama` plus an index trie.
 
     Wraps the resumable :class:`repro.llm.DecodeState` stepper
-    (:func:`decode_prefill` / :func:`decode_step` / :func:`decode_join` /
-    :func:`decode_retire`), which is why every decoder-only backend gets
-    continuous batching and the prefix KV cache for free — LC-Rec and
+    (:func:`decode_prefill` / :func:`decode_step` / :func:`decode_retire`),
+    which is why every decoder-only backend gets the scheduler and the
+    prefix KV cache for free — LC-Rec and
     P5-CID differ only in how they render a history into prompt ids and
     how rankings are post-processed.
     """
@@ -456,9 +444,8 @@ class TrieDecoderEngine(GenerativeEngine):
         equally-sized private instance: cross-worker K/V sharing would
         need locking on the decode hot path, and the cluster's affinity
         router exists precisely so one session's refreshes keep hitting
-        the same worker's cache.  The trie is shared: its derived-array
-        memos are get-or-build dict fills of identical values, safe for
-        concurrent readers.  Works for subclasses too (``copy.copy``
+        the same worker's cache.  The trie is shared: it is immutable.
+        Works for subclasses too (``copy.copy``
         keeps their extra attributes, e.g. the model reference the
         encoders use).
         """
@@ -488,7 +475,7 @@ class TrieDecoderEngine(GenerativeEngine):
         requests = list(requests)
         num_beams = _require_uniform_beams(self, requests)
         # One trie read pins this decode's catalog version: the state
-        # carries the object through every step, join and retirement.
+        # carries the object through every step and retirement.
         trie = self.trie
         if self.prefix_cache is not None and self.catalog is not None:
             version = self.catalog.version
@@ -507,26 +494,20 @@ class TrieDecoderEngine(GenerativeEngine):
     def step(self, state: EngineState) -> None:
         decode_step(state)
 
-    def join(self, state: EngineState, incoming: EngineState) -> None:
-        decode_join(state, incoming)
-
     def retire(self, state: EngineState, rows: Sequence[int]) -> list[list[BeamHypothesis]]:
         return decode_retire(state, rows)
 
     def finish(self, state: EngineState) -> list[list[BeamHypothesis]]:
         return decode_finish(state)
 
-    def can_join(self, state: EngineState, request: RecommendRequest) -> bool:
-        """Joined rows must share beam cap and catalog version.
-
-        A live state is pinned to the trie it prefilled with, so after a
-        catalog version swap new requests are not admitted into it — they
-        wait for the drain and then prefill against the new catalog.
-        What a request is narrowed to does not matter: that is per row.
-        """
-        if self.effective_beams(request.beam_size) != state.num_beams:
-            return False
-        return state.trie is self.trie  # else pinned to a previous catalog version: drain first
+    # ------------------------------------------------------------------
+    # Tracer seam: no serving path calls this.  ``perf/tracing.py`` wraps
+    # it by name (``serving.engine.join``), so it stays, raising, until
+    # that wrapper is dropped; see also the module-level block at the end.
+    # ------------------------------------------------------------------
+    def join(self, state: EngineState, incoming: EngineState) -> None:
+        """Deleted: a decode is a closed cohort, nothing joins it."""
+        raise NotImplementedError("a decode is a closed cohort: nothing joins a live decode")
 
 
 class LCRecEngine(TrieDecoderEngine):
@@ -564,7 +545,7 @@ class P5CIDEngine(TrieDecoderEngine):
     """The P5-CID adapter: collaborative-ID prompts over the shared stepper.
 
     P5-CID's decoder-only LM speaks the same decode contract as LC-Rec, so
-    the adapter inherits continuous batching and (optionally) the prefix
+    the adapter inherits the scheduler and (optionally) the prefix
     cache; only the prompt rendering (BOS + history ids + SEP, no natural
     language) and the full-``top_k`` ranking guarantee differ.
     """
@@ -610,10 +591,6 @@ class TIGEREngine(GenerativeEngine):
     are the stepper's, as for the decoder-only adapters.  Rankings match
     ``TIGER.recommend`` request-for-request, including its widen-to-catalog
     retry and deterministic backfill.
-
-    No joins yet: admission would have to join cross-attention caches of
-    different source widths, so ``can_join`` stays ``False`` and the
-    scheduler serves TIGER in closed cohorts in every mode.
     """
 
     name = "tiger"
@@ -679,3 +656,14 @@ class TIGEREngine(GenerativeEngine):
 
     def finalize(self, requests, all_hypotheses) -> list[list[int]]:
         return widen_and_backfill(self, requests, all_hypotheses)
+
+
+# ----------------------------------------------------------------------
+# Tracer seams: no serving path calls these.  ``perf/tracing.py`` wraps
+# ``decode_join`` here (``llm.generation.join``) and
+# ``TrieDecoderEngine.join`` by name, so both stay, raising, until those
+# wrappers are dropped.
+# ----------------------------------------------------------------------
+def decode_join(state: EngineState, incoming: EngineState) -> None:
+    """Deleted: a decode is a closed cohort, nothing joins it."""
+    raise NotImplementedError("a decode is a closed cohort: nothing joins a live decode")

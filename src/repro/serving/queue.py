@@ -4,9 +4,12 @@ Requests arrive one at a time (interactive traffic) but are decoded in
 micro-batches; the queue is the buffer between the two.  It is a
 thread-safe FIFO with a condition variable on top: producers ``try_push``
 from any thread, and the consumer either ``drain``\\ s explicitly (synchronous
-serving) or blocks in :meth:`RequestQueue.await_batch` until a flush is
-due (the async serving loop) — due meaning a full batch is waiting or the
-oldest request has exceeded its latency budget.
+serving), blocks in :meth:`RequestQueue.await_batch` until a flush is
+due (the deadline loop) — due meaning a full batch is waiting or the
+oldest request has exceeded its latency budget — or parks in
+:meth:`RequestQueue.await_request` until anything is queued and then pops
+a cohort off the head with :meth:`RequestQueue.pop_front` (the
+continuous loop).
 
 Thread safety: every method takes the internal condition's lock;
 ``try_push``/``drain``/``await_batch``/``kick`` may be called concurrently
@@ -64,7 +67,7 @@ class RecommendRequest:
     = full-trie decode).  The engine's prefill turns it into the row's node
     mask of the decode trie — same rankings over the candidates as a full
     decode, less work.  Narrowing is per decode row, so it never decides
-    who a request is batched or joined with.
+    who a request is batched with.
     """
 
     prompt_ids: list[int]
@@ -157,10 +160,10 @@ class RequestQueue:
     def await_request(self, should_stop: Callable[[], bool]) -> bool:
         """Block until at least one request is queued (True) or stop (False).
 
-        The continuous-batching loop parks here while its decode is idle:
-        unlike :meth:`await_batch` there is no deadline to wait out —
-        admission happens immediately, and batching emerges from later
-        requests joining the decode in flight.
+        The continuous loop parks here while its decode is idle: unlike
+        :meth:`await_batch` there is no deadline to wait out — admission
+        happens immediately, and whatever queues up while that cohort is in
+        flight becomes the next cohort.
         """
         with self._cond:
             while not should_stop():
@@ -177,11 +180,11 @@ class RequestQueue:
         """Pop up to ``limit`` requests from the head, stopping at the first
         one ``admit`` rejects.
 
-        FIFO order is never bypassed: an inadmissible request at the head
-        (wrong beam width for the in-flight batch) blocks the ones behind
-        it until the decode drains, rather than being overtaken.  The
-        continuous loop uses this to take what the scheduler's
-        ``admission_limit`` and beam-compatibility predicate allow.
+        FIFO order is never bypassed: a request whose beam width differs
+        from the cohort's blocks the ones behind it until the next
+        admission, rather than being overtaken.  The continuous loop uses
+        this to take a cohort of up to the scheduler's ``max_width``
+        requests of the head's beam width (its admission predicate).
         """
         with self._cond:
             popped: list[RecommendRequest] = []

@@ -23,18 +23,15 @@ differs is the admission policy, *what is admitted when*:
   oldest request exceeds the ``deadline_ms`` latency budget, whichever
   comes first; callers block in ``PendingRecommendation.result(timeout=...)``
   and :meth:`stop` drains in-flight work and joins the thread.
-* **Continuous** (``mode="continuous"``) — no deadline wait: a tick of
-  the background thread pops what the scheduler's ``admission_limit`` and
-  admission predicate allow.  While the whole queue fits the free width
-  that is everything queued, joined onto the in-flight decode at this
-  trie-level boundary (at most one level of admission latency); under
-  backlog — the ledger's ``steady_closed`` — it is nothing until the live
-  cohort has finished, then a full cohort in one prefill.  An engine that
-  cannot join (TIGER) is admitted only when idle: closed cohorts.
-  Requests are delivered the moment their own rows finish.
+* **Continuous** (``mode="continuous"``) — no deadline wait: with
+  nothing in flight, the background thread admits the FIFO head at once,
+  up to ``max_batch_size`` requests of one beam width, as one cohort;
+  while a cohort is in flight it only steps it, and it parks in
+  :meth:`RequestQueue.await_request` when idle and the queue is empty.  A
+  request that arrives mid-cohort waits at most ``num_levels - 1`` ticks.
 
 Results are identical to the engine's single-request oracle in every mode
-— batching, deadlines, and continuous admission change the cost, never the
+— batching, deadlines and admission order change the cost, never the
 math.  Engines with ``supports_prefix_cache`` additionally skip re-running
 prompt prefixes they have decoded before; see ``docs/serving.md`` for
 tuning and invalidation.
@@ -190,10 +187,8 @@ class ServingStats:
     deadline-mode background flush: a full batch waiting vs the oldest
     request aging past the latency budget.  Synchronous ``flush()`` calls
     count in neither.  ``batches`` and ``admissions`` both count admission
-    prefills — closed batches, or in continuous mode the groups admitted
-    at a level boundary — and ``joins`` how many of those joined an
-    already-live decode rather than starting a fresh one (none, outside
-    continuous mode).
+    prefills, one per decode cohort.  ``joins`` is always 0: no request
+    joins a live decode (kept for the perf ledger, which reads it).
 
     ``padding_fraction_sum`` accumulates per-batch padding fractions over
     the engine's *effective* lengths (post-prefix-cache, for engines with
@@ -306,7 +301,7 @@ class RecommendationService(RecommendationClient):
     deadline_ms:
         Async latency budget: the background loop flushes once the oldest
         queued request has waited this long (a full batch flushes sooner).
-        Ignored by the continuous loop, which admits immediately.
+        Ignored by the continuous loop, which admits as soon as it is idle.
     queue_depth:
         Admission-control bound on how many requests may wait in the
         queue at once (``None`` = unbounded, the default).  A submit that
@@ -336,10 +331,10 @@ class RecommendationService(RecommendationClient):
     mode:
         The background thread's admission policy: ``"deadline"`` (default)
         admits closed deadline-batched flushes into an idle scheduler;
-        ``"continuous"`` admits queued requests into the in-flight decode
-        at trie-level boundaries, with ``max_batch_size`` acting as the
-        cap on the joined batch width.  Synchronous ``flush()`` and
-        rankings are identical in both modes.
+        ``"continuous"`` admits the queue's head into an idle scheduler at
+        once, up to ``max_batch_size`` requests of one beam width, with no
+        deadline wait.  Synchronous ``flush()`` and rankings are identical
+        in both modes.
     fallback:
         Optional :class:`repro.serving.FallbackRecommender` — the
         retrieval fast lane.  When set, a ``submit`` (history) request
@@ -470,19 +465,20 @@ class RecommendationService(RecommendationClient):
         """The background thread: wait as ``mode`` prescribes, tick, repeat."""
         stopped = self._stop.is_set
         if self.mode == "continuous":
-            # Park only while idle, and with no deadline to wait out: the
-            # first request is admitted at once, later ones join it
-            # mid-decode while the queue fits the free width.  ``idle`` is
-            # this thread's own reading, taken under the lock; a racing
-            # flush() can only leave the scheduler idle.
+            # Park only while idle, and with no deadline to wait out: an
+            # idle tick admits the queue's head at once as one cohort, a
+            # busy one only steps.  ``idle`` is this thread's own reading,
+            # taken under the lock; a racing flush() can only leave the
+            # scheduler idle.
             idle = True
             while not stopped() and (not idle or self.queue.await_request(stopped)):
                 with self._decode_lock:
-                    joinable = self.queue.pop_front(
-                        self.scheduler.admission_limit(len(self.queue)),
-                        self.scheduler.admission_predicate(),
-                    )
-                    self._tick(joinable, self.engine.effective_len)
+                    cohort = []
+                    if self.scheduler.idle:
+                        cohort = self.queue.pop_front(
+                            self.scheduler.max_width, self.scheduler.admission_predicate()
+                        )
+                    self._tick(cohort, self.engine.effective_len)
                     idle = self.scheduler.idle
         else:
             deadline = self.deadline_ms / 1000.0
@@ -724,8 +720,8 @@ class RecommendationService(RecommendationClient):
         """One trie-level boundary: shed, admit ``requests``, step, finalize, deliver.
 
         The one serving step of every mode.  The caller holds the decode
-        lock and has picked ``requests`` by its admission policy (they fit
-        the scheduler's free width and join constraints).  Returns the
+        lock and has picked ``requests`` by its admission policy (none, or
+        a cohort for an idle scheduler).  Returns the
         number of rankings delivered and the first engine error; errors
         fail exactly the handles they belong to, never the caller.
         """
@@ -733,7 +729,6 @@ class RecommendationService(RecommendationClient):
         outcomes: list[tuple[RecommendRequest, list[int] | Exception]] = []
         requests = self._shed_expired(requests)
         if requests:
-            joining = not scheduler.idle
             # Probe effective lengths before admit(): prefill files the
             # prompts into the prefix cache, after which they would all
             # probe as full hits.  (Closed batches pass the memo the
@@ -743,13 +738,10 @@ class RecommendationService(RecommendationClient):
             try:
                 scheduler.admit(requests)
             except Exception as exc:
-                # Prefill and join validation run before the live decode's
-                # state is touched: fail only the incoming requests, keep
-                # serving the in-flight ones.
+                # A failed prefill fails only the requests it was admitting.
                 outcomes += [(request, exc) for request in requests]
             else:
                 stats.admissions += 1
-                stats.joins += joining
                 stats.batches += 1
                 stats.padding_fraction_sum += padding
             finally:

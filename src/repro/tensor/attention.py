@@ -165,10 +165,9 @@ class KVCache:
 
         ``beam_indices`` may have any length, so a flattened ``B*G`` beam
         axis is supported directly: batched beam search reorders with global
-        indices ``b * G + origin`` and may also grow or shrink the batch
-        (continuous batching retires finished rows by reordering with the
-        surviving subset).  Spare buffer capacity is preserved so the
-        following ``append`` stays a single-column write.
+        indices ``b * G + origin`` and may also grow or shrink the batch.
+        Spare buffer capacity is preserved so the following ``append``
+        stays a single-column write.
         """
         if self.keys is None:
             return
@@ -185,74 +184,6 @@ class KVCache:
         self.keys = self._buf_keys[:, :, :used]
         self.values = self._buf_values[:, :, :used]
 
-    def take_columns(self, keep: np.ndarray) -> None:
-        """Keep only the given key *columns* (in order), drop the rest.
-
-        ``keep`` indexes the used columns.  Continuous batching uses this
-        to trim prompt columns that became all-pad once their last real row
-        retired: dropped columns were masked out of attention for every
-        remaining row, so removing them changes no output while shrinking
-        every later forward's key width.  The gathered buffers keep no
-        spare capacity; a later ``append`` reallocates (prompt regions
-        never append after prefill, so this costs nothing in practice).
-        """
-        if self.keys is None:
-            return
-        keep = np.asarray(keep, dtype=np.int64)
-        self._buf_keys = np.ascontiguousarray(self.keys[:, :, keep, :])
-        self._buf_values = np.ascontiguousarray(self.values[:, :, keep, :])
-        self.keys = self._buf_keys
-        self.values = self._buf_values
-
-    def join(self, other: "KVCache", pad_self: int = 0, pad_other: int = 0) -> None:
-        """Concatenate ``other``'s rows after this cache's on the batch axis.
-
-        ``pad_self``/``pad_other`` zero key *columns* are prepended to the
-        respective side so both reach one common width (``self.length +
-        pad_self == other.length + pad_other``).  Prepended columns carry
-        no information — callers must mask them out of attention for the
-        corresponding rows, exactly like prompt left-padding.  Capacity is
-        allocated as in :meth:`append`, so following appends stay
-        single-column writes.
-        """
-        if self.keys is None or other.keys is None:
-            raise RuntimeError("join requires two non-empty caches")
-        width = self.length + pad_self
-        if other.length + pad_other != width:
-            raise ValueError(
-                f"padded widths disagree: {self.length}+{pad_self} != "
-                f"{other.length}+{pad_other}"
-            )
-        rows = self.batch_size + other.batch_size
-        shape = (rows, self.keys.shape[1], self._capacity(width), self.keys.shape[3])
-        new_keys = np.zeros(shape, dtype=self.keys.dtype)
-        new_values = np.zeros(shape, dtype=self.values.dtype)
-        new_keys[: self.batch_size, :, pad_self:width] = self.keys
-        new_values[: self.batch_size, :, pad_self:width] = self.values
-        new_keys[self.batch_size :, :, pad_other:width] = other.keys
-        new_values[self.batch_size :, :, pad_other:width] = other.values
-        self._buf_keys, self._buf_values = new_keys, new_values
-        self.keys = new_keys[:, :, :width]
-        self.values = new_values[:, :, :width]
-
-    def regroup(self, old: int, new: int, requests: int) -> None:
-        """Re-lay rows grouped ``old`` per request as ``requests`` groups of ``new >= old``.
-
-        One zero-filled copy: request ``b``'s rows land at ``b*new ..
-        b*new+old``; the rows widening adds, and every row of a request
-        past the old count (a fresh admission's share of an in-flight
-        suffix region), are all-zero columns the caller masks or never reads.
-        """
-        shape = (self.batch_size // old, old) + self._buf_keys.shape[1:]
-        new_keys = np.zeros((requests, new) + shape[2:], dtype=self.keys.dtype)
-        new_values = np.zeros_like(new_keys)
-        new_keys[: shape[0], :old] = self._buf_keys.reshape(shape)
-        new_values[: shape[0], :old] = self._buf_values.reshape(shape)
-        self._buf_keys = new_keys.reshape((-1,) + shape[2:])
-        self._buf_values = new_values.reshape((-1,) + shape[2:])
-        self.keys = self._buf_keys[:, :, : self.length]
-        self.values = self._buf_values[:, :, : self.length]
-
 
 class BeamKVCache:
     """KV cache that shares the prompt prefix across a request's beams.
@@ -266,9 +197,8 @@ class BeamKVCache:
     :mod:`repro.llm.inference` — a fanned cache is inference-only).
 
     ``beams`` is the *current* width ``G`` — the hypotheses per request
-    that exist, not a cap: :meth:`reorder`, :meth:`join` and
-    :meth:`select_requests` move the suffix onto a new width in the gather
-    or copy they make anyway.  Beam reordering is legal because hypotheses
+    that exist, not a cap: :meth:`reorder` moves the suffix onto a new
+    width in the gather it makes anyway.  Beam reordering is legal because hypotheses
     never migrate between requests: flat index ``b*G + g`` always maps to
     prompt row ``b``, so ``reorder`` touches only the tiny suffix.
     """
@@ -332,51 +262,6 @@ class BeamKVCache:
         """
         (self.suffix if self.fanned else self.prompt).reorder(beam_indices)
         self.beams = beams or self.beams
-
-    def join(self, other: "BeamKVCache") -> tuple[int, int]:
-        """Merge ``other``'s requests onto this cache's batch axis.
-
-        The continuous-batching admission primitive: ``other`` holds freshly
-        prefilled requests (fanned out, no suffix columns yet) and its rows
-        are appended after this cache's, at the wider of the two widths.
-        Prompt regions of different widths are aligned by prepending zero
-        columns to the narrower side; the incoming rows also receive one
-        all-zero column per existing suffix column (decode steps that ran
-        before they were admitted).  Returns ``(pad_self, pad_other)`` — the
-        prompt columns prepended to the live rows / the incoming rows — so
-        the caller can extend its pad-column masks; every prepended or zero
-        column must be masked out of attention for the affected rows.
-        """
-        if not self.fanned or not other.fanned:
-            raise RuntimeError("join requires both caches fanned out")
-        if other.suffix.length:
-            raise ValueError("incoming cache must not have suffix columns")
-        if self.prompt.keys is None or other.prompt.keys is None:
-            raise RuntimeError("join requires prefilled prompt regions")
-        pad_self = max(0, other.prompt.length - self.prompt.length)
-        pad_other = max(0, self.prompt.length - other.prompt.length)
-        beams = max(self.beams, other.beams)
-        # Prompt regions never grow after prefill: the joined one is exact.
-        self.prompt.max_length = self.prompt.length + pad_self
-        self.prompt.join(other.prompt, pad_self, pad_other)
-        if self.suffix.keys is not None:
-            self.suffix.regroup(self.beams, beams, self.prompt.batch_size)
-        self.beams = beams
-        return pad_self, pad_other
-
-    def select_requests(self, keep: np.ndarray, beams: int | None = None) -> None:
-        """Keep only the request rows in ``keep`` (in order), drop the rest.
-
-        ``keep`` indexes the request axis; the matching flat suffix rows
-        are derived from it — each kept request's leading ``beams`` ones
-        (default: all).  Retiring finished requests mid-decode this way
-        shrinks every later forward and reorder to the live rows.
-        """
-        keep = np.asarray(keep, dtype=np.int64)
-        self.prompt.reorder(keep)
-        beams = beams or self.beams
-        self.suffix.reorder((keep[:, None] * self.beams + np.arange(beams)).reshape(-1))
-        self.beams = beams
 
 
 class MultiHeadAttention(Module):

@@ -16,9 +16,9 @@ values): callers must fully overwrite them, typically via ``out=`` on
 ``np.matmul`` or whole-array assignment.  A workspace belongs to exactly
 one decode state and is not thread-safe; the serving layer's decode lock
 already guarantees single-threaded stepping.  ``clear()`` drops every
-buffer — decode states call it when their row count changes (retire/join),
-which is what keeps retired requests from pinning peak-width scratch
-memory.
+buffer — decode states call it when their width changes and at
+retirement, which is what keeps a finished cohort from pinning peak-width
+scratch memory.
 """
 
 from __future__ import annotations

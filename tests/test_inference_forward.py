@@ -27,7 +27,6 @@ from repro.llm import (
     LMConfig,
     TinyLlama,
     decode_finish,
-    decode_join,
     decode_prefill,
     decode_retire,
     decode_step,
@@ -126,14 +125,14 @@ class TestAgainstAutograd:
                 values[row, :, width - cached_lens[row]:] = kv[layer].values[0]
             cache.seed_prompt(keys, values)
         remainders = [prompt[cached:] for prompt, cached in zip(PROMPTS, cached_lens)]
-        tokens, suffix_pads = left_pad_prompts(remainders)
+        tokens, remainder_pads = left_pad_prompts(remainders)
         prefix_pad = np.arange(width)[None, :] < (width - np.asarray(cached_lens))[:, None]
-        suffix_pad = np.arange(tokens.shape[1])[None, :] < suffix_pads[:, None]
+        suffix_pad = np.arange(tokens.shape[1])[None, :] < remainder_pads[:, None]
         pad_columns = np.concatenate([prefix_pad, suffix_pad], axis=1)
         assert pad_columns[0, width - cached_lens[0]:].any()  # a pad *after* real columns
         got = kernel(model, tokens, caches, pad_columns=pad_columns)
         for row, prompt in enumerate(PROMPTS):
-            assert_close(got[row, suffix_pads[row]:],
+            assert_close(got[row, remainder_pads[row]:],
                          reference(model, prompt)[cached_lens[row]:])
 
     @pytest.mark.parametrize("workspace", [None, "shared"])
@@ -326,18 +325,21 @@ class TestEncoderDecoder:
         np.testing.assert_array_equal(outputs[0][1], outputs[1][1])
 
     def test_retiring_rows_releases_both_sides(self):
+        # A finished cohort's retirement compacts neither side — the
+        # self-attention K/V nor the encoder memory's — and the last row
+        # takes both with it.
         model = make_tiger()
-        *_, caches, _ = self.prefill(model)
-        self.fan_out(caches, 2)
-        self.step(model, caches, [[5], [6], [7], [8], [5], [7]])
-        for cache in caches:
-            cache.select_requests(np.array([2]))
-            assert (cache.batch_size, cache.memory.prompt.batch_size) == (2, 1)
-            assert cache.memory_bias.shape[1] == 1
-            cache.select_requests(np.array([], dtype=np.int64))
-            assert cache.prompt.batch_size == cache.memory.prompt.batch_size == 0
-            with pytest.raises(NotImplementedError, match="source widths"):
-                cache.join(cache)
+        state = decode_prefill(model, SOURCES, model.trie, beam_size=2)
+        while not state.done:
+            decode_step(state)
+        held = [(cache.prompt.keys, cache.memory.prompt.keys) for cache in state.caches]
+        assert all(keys.shape[0] == len(SOURCES) for pair in held for keys in pair)
+        decode_retire(state, [2])
+        assert state.num_rows == 2
+        assert all(cache.prompt.keys is own and cache.memory.prompt.keys is memory
+                   for cache, (own, memory) in zip(state.caches, held))
+        decode_finish(state)
+        assert state.num_rows == 0 and state.caches == []
 
     def test_empty_suffix_beam_ops_are_no_ops(self):
         # What the cross side is, in isolation: fanned, never appended to.
@@ -534,11 +536,10 @@ class TestWorkspaceHygiene:
             assert (state.workspace.num_buffers, state.workspace.nbytes) == (buffers, nbytes)
 
     def test_a_width_change_releases_the_old_shapes_scratch(self, monkeypatch):
-        # 1 -> 1 -> 7 -> 2 codes.  The first request reaches width 7 at its
-        # last level; the second joins it there at width 1 and is back at
-        # width 1 once the first retires.
-        trie = IndexTrie({2 * c + d: (10, 20, 30 + c, 40 + d)
-                          for c in range(7) for d in range(2)})
+        # 1 -> 7 -> 2 -> 2 codes: the decode steps at width 1, widens to 7,
+        # then to 14.
+        trie = IndexTrie({4 * c + 2 * d + e: (10, 20 + c, 30 + d, 40 + e)
+                          for c in range(7) for d in range(2) for e in range(2)})
         model = make_model()
         state = decode_prefill(model, PROMPTS[:1], trie, beam_size=20)
         workspace = state.workspace = RecordingWorkspace()
@@ -553,15 +554,13 @@ class TestWorkspaceHygiene:
             return head(hidden, token_ids, workspace=workspace)
 
         monkeypatch.setattr(model, "lm_head_gather", checking_head)
-        for late in (None, None, PROMPTS[1:2], None):
-            if late:
-                decode_join(state, decode_prefill(model, late, trie, beam_size=20))
+        while not state.done:
             workspace.taken.clear()
             decode_step(state)
-            decode_retire(state, state.finished_rows())
-        assert [width for width, _ in forwarded] == [1, 7, 1]
-        assert forwarded[2][1] < forwarded[1][1]
-        assert workspace.nbytes == 0  # the last step widened 1 -> 7: released again
+        assert [width for width, _ in forwarded] == [1, 7, 14]
+        assert forwarded[0][1] < forwarded[1][1] < forwarded[2][1]
+        decode_finish(state)
+        assert workspace.nbytes == 0  # the retirement released the last width's scratch
 
     def test_nbytes_returns_to_zero_after_the_last_row_retires(self):
         model, trie = make_model(), make_trie()

@@ -254,9 +254,10 @@ class TestEnginePinning:
         request = RecommendRequest(prompt_ids=[1, 2, 3], top_k=4, beam_size=4)
         state = engine.prefill([request])
         follower = RecommendRequest(prompt_ids=[4, 5], top_k=4, beam_size=4)
-        assert engine.can_join(state, follower)
         catalog.swap(trie.with_item(4, (11, 12, 14)))
-        assert not engine.can_join(state, follower)
+        # A decode is a closed cohort, so the follower cannot enter the
+        # pinned decode at all: it waits for the drain.
+        assert state.trie is trie and engine.trie is not trie
         # After the pinned decode drains, new prefills use the new trie.
         while not state.finished_rows():
             engine.step(state)

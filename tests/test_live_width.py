@@ -10,15 +10,16 @@ thin → wide, single-item, random):
 
 * rankings identical to the single-request oracles
   (``beam_search_items_single``, ``TIGER.recommend``) and scores equal to
-  float rounding, for closed batches and for continuous schedules in which
-  widths meet: narrow joins wide, wide joins narrow, a retirement shrinks
-  the width under the survivors;
-* the invariants, asserted around every prefill / step / join / retire by
-  :class:`Watched`: finite scores are a prefix of every request's slots,
-  the width is exactly the live width, every hypothesis's trie node sits
-  at its row's depth and every live one maps back to its token prefix, no
-  forward, head gather or trie lookup receives more than ``B*G`` rows, and
-  suffix K/V and step scratch are gone after the last retire;
+  float rounding, for one cohort and for arrivals spread over the ticks of
+  the continuous loop, which admits them as later cohorts;
+* the invariants, asserted around every prefill / step / retire by
+  :class:`Watched`: a state is a closed cohort (every row at one depth,
+  prefill to finish), finite scores are a prefix of every request's
+  slots, the width is exactly the live width, every hypothesis's trie
+  node sits at the cohort's depth and every live one maps back to its
+  token prefix, no forward, head gather or trie lookup receives more than
+  ``B*G`` rows, and the K/V and step scratch are gone after the last
+  retire;
 * the exact traffic, as ``DecodeState.beam_rows``, and that a closed
   batch gathers no K/V after its last level.
 """
@@ -38,13 +39,18 @@ from repro.llm import (
     backfill_items,
     beam_search_items_single,
     decode_finish,
-    decode_join,
     decode_prefill,
     decode_retire,
     decode_step,
 )
 from repro.quantization import IndexTrie, ItemIndexSet
-from repro.serving import ContinuousScheduler, RecommendRequest, TIGEREngine, TrieDecoderEngine
+from repro.serving import (
+    ContinuousScheduler,
+    RecommendRequest,
+    RequestQueue,
+    TIGEREngine,
+    TrieDecoderEngine,
+)
 from repro.serving import engine as engine_module
 from repro.tensor import BeamKVCache
 
@@ -84,11 +90,11 @@ class Watched:
     def __init__(self, patch=setattr):
         self.patch = patch
         self.watching = set()
-        self.bound = None  # most rows a model or trie call may get; None outside step/join
+        self.bound = None  # most rows a model or trie call may get; None outside a step
         self.widths = []  # the width every step ran at
 
     def install(self, monkeypatch):
-        for name in ("prefill", "step", "join", "retire"):
+        for name in ("prefill", "step", "retire"):
             monkeypatch.setattr(engine_module, f"decode_{name}", getattr(self, name))
 
     def _watch(self, owner, name):
@@ -108,14 +114,15 @@ class Watched:
         assert (finite[:, :-1] >= finite[:, 1:]).all()  # finite scores: a prefix of the slots
         ordered = np.where(finite, state.beam_scores, -np.inf)
         assert (ordered[:, :-1] >= ordered[:, 1:]).all()  # best first: retire reads them so
-        depth = state.trie.num_levels
         depths = state.row_depths()
+        assert len(set(depths.tolist())) <= 1  # a closed cohort: one depth, prefill to finish
         self.check_nodes(state, finite, depths)
-        live = [int(finite[b].sum()) for b in range(state.num_rows) if depths[b] < depth]
-        if len(live) == state.num_rows:
-            assert state.width == max(1, max(live, default=state.width))
-        elif live:  # rows a forced last level finished still hold the width until retired
-            assert state.width >= max(live)
+        if state.num_rows == 0:  # the last retire released the K/V and the scratch
+            assert state.caches == [] and state.workspace.nbytes == 0
+            return
+        if state.done:
+            return  # a finished cohort only retires: nothing reads its width again
+        assert state.width == max(1, int(finite.sum(axis=1).max()))
         assert 1 <= state.width <= state.num_beams
         assert state.pending.shape[0] == state.num_rows * state.width
         for cache in state.caches:
@@ -123,13 +130,10 @@ class Watched:
             assert cache.prompt.batch_size == state.num_rows
             if cache.suffix.keys is not None:
                 assert cache.suffix.batch_size == state.num_rows * state.width
-        if state.num_rows == 0:
-            assert state.workspace.nbytes == 0
-            assert all(cache.suffix.batch_size == 0 for cache in state.caches)
 
     @staticmethod
     def check_nodes(state, finite, depths):
-        """Every slot sits at its row's depth; every live node is a real prefix."""
+        """Every slot sits at the cohort's depth; every live node is a real prefix."""
         trie = state.trie
         assert state.beam_nodes.shape == state.beam_scores.shape
         assert (trie.depth[state.beam_nodes] == depths[:, None]).all()
@@ -159,9 +163,6 @@ class Watched:
         self.widths.append(state.width)
         return self._bounded(decode_step, state)
 
-    def join(self, state, incoming):
-        return self._bounded(decode_join, state, incoming)  # the bound is the pending flush's
-
     def retire(self, state, rows):
         results = decode_retire(state, rows)
         self.check(state)
@@ -174,19 +175,22 @@ class Watched:
             results.update(zip(tags, self.retire(state, rows)))
 
     def decode(self, model, trie, admissions, beam_size, narrow=None):
-        """The scheduler's tick: ``admissions[tick]`` prompts join before that tick's step.
+        """The continuous loop's ticks: ``admissions[tick]`` prompts arrive
+        before that tick, and an idle tick prefills all that have arrived as
+        one cohort.
 
         ``narrow`` maps each prompt (as a tuple) to its candidate items or
         ``None``.
         """
-        state, results, tick = None, {}, 0
-        while state is not None or tick <= max(admissions):
-            if tick in admissions:
-                tags = [tuple(p) for p in admissions[tick]]
+        state, results, queued, tick = None, {}, [], 0
+        while state is not None or queued or tick <= max(admissions):
+            queued = queued + admissions.get(tick, [])
+            if state is None and queued:
+                tags = [tuple(p) for p in queued]
                 rows = None if narrow is None else [narrow[tag] for tag in tags]
-                incoming = self.prefill(model, admissions[tick], trie, beam_size=beam_size,
-                                        tags=tags, narrow=rows)
-                state = incoming if state is None else self.join(state, incoming)
+                state = self.prefill(model, queued, trie, beam_size=beam_size, tags=tags,
+                                     narrow=rows)
+                queued = []
             if state is not None:
                 self.retire_finished(state, results)  # a one-level trie finishes in prefill
                 if state.num_rows:
@@ -259,10 +263,14 @@ class TestRaggedTries:
 
 
 # ----------------------------------------------------------------------
-# Continuous schedules in which widths meet
+# Widths on the ledger's trie shape
 # ----------------------------------------------------------------------
 class TestWidthsMeet:
-    """On a 1 -> 1 -> 7 -> N trie a request steps at widths 1, 1 and 7."""
+    """On a 1 -> 1 -> 7 -> N trie a request steps at widths 1, 1 and 7.
+
+    Cohorts never meet: a later arrival waits for the live cohort to retire
+    and then steps at its own widths from the root.
+    """
 
     def run(self, branching, admissions):
         model, trie = make_model(), make_trie(level_codes(branching))
@@ -275,45 +283,10 @@ class TestWidthsMeet:
     def test_alone(self):
         assert self.run(FIXTURE, {0: PROMPTS[:2]}) == [1, 1, 7]
 
-    def test_width_one_admission_joins_a_width_seven_decode(self):
-        # The late request's forced level rides the early one's last step;
-        # that step already gathers K/V onto the survivor's width of 1.
-        assert self.run(FIXTURE, {0: PROMPTS[:2], 2: PROMPTS[2:3]}) == [1, 1, 7, 1, 7]
-
-    def test_a_retirement_narrows_what_a_forced_last_level_left_wide(self):
-        # Two forced levels end the trie, so the wide request finishes in a
-        # step that reorders nothing: the retirement's own gather takes the
-        # survivor (and its two pending tokens) from width 7 to 1.
-        widths = self.run((1, 1, 7, 1, 1), {0: PROMPTS[:1], 3: PROMPTS[1:2]})
-        assert widths == [1, 1, 7, 7, 1, 7, 7]
-
-    def test_staggered_admissions_keep_the_widest_survivor_width(self):
-        widths = self.run(FIXTURE, {0: PROMPTS[:1], 1: PROMPTS[1:2], 2: PROMPTS[2:4]})
-        assert widths == [1, 1, 7, 7, 7]
-
-    def test_width_seven_admission_joins_a_width_two_decode(self):
-        # On one trie a request's live count never falls, so an admission is
-        # never wider than the decode it joins - unless hypotheses died
-        # (-inf logits).  Kill all but the best first token of a live row:
-        # it decodes on at width 2 and a fresh width-7 admission joins it.
-        model, trie = make_model(), make_trie(level_codes((7, 2, 2)))
-        watched = Watched()
-        state = watched.prefill(model, PROMPTS[:1], trie, beam_size=20, tags=["thinned"])
-        state.beam_scores[:, 1:] = -np.inf
-        first_token = trie.prefix(state.beam_nodes[0, 0])
-        watched.step(state)
-        incoming = watched.prefill(model, PROMPTS[1:2], trie, beam_size=20, tags=["fresh"])
-        assert (state.width, incoming.width) == (2, 7)
-        watched.join(state, incoming)
-        assert state.width == 7 and state.pending.shape == (14, 1)
-        results = {}
-        while state.num_rows:
-            watched.step(state)
-            watched.retire_finished(state, results)
-        full = [beam_search_items_single(model, p, trie, beam_size=20) for p in PROMPTS[:2]]
-        assert_same_hypotheses(results["thinned"],
-                               [h for h in full[0] if h.token_ids[:1] == first_token])
-        assert_same_hypotheses(results["fresh"], full[1])
+    def test_a_later_arrival_steps_at_its_own_widths(self):
+        # Arriving while the first cohort is at width 7, the late request
+        # waits for it to retire and is then a cohort of width 1, 1, 7.
+        assert self.run(FIXTURE, {0: PROMPTS[:2], 2: PROMPTS[2:3]}) == [1, 1, 7, 1, 1, 7]
 
 
 # ----------------------------------------------------------------------
@@ -324,18 +297,22 @@ def request(prompt, beam_size=20, top_k=5):
 
 
 class TestSchedulerAndEngines:
-    def test_scheduler_admissions_at_every_level(self, monkeypatch):
+    def test_scheduler_arrivals_at_every_level(self, monkeypatch):
         model, trie = make_model(), make_trie(level_codes(FIXTURE))
         watched = Watched()
         watched.install(monkeypatch)
         scheduler = ContinuousScheduler(TrieDecoderEngine(model, trie), max_width=8)
-        delivered = []
-        for prompt in PROMPTS:  # one admission per tick: every pair of levels meets
-            scheduler.admit([request(prompt)])
+        queue, delivered, arrivals = RequestQueue(), [], iter(PROMPTS)
+        # One arrival per tick, so one lands at every level of a live cohort;
+        # the continuous loop's body admits only into an idle scheduler.
+        while (prompt := next(arrivals, None)) is not None or queue or not scheduler.idle:
+            if prompt is not None:
+                assert queue.try_push(request(prompt))
+            if scheduler.idle:
+                scheduler.admit(queue.pop_front(scheduler.max_width,
+                                                scheduler.admission_predicate()))
             delivered.extend(scheduler.step())
-        while not scheduler.idle:
-            delivered.extend(scheduler.step())
-        assert scheduler.joins == len(PROMPTS) - 1
+        assert len(delivered) == len(PROMPTS) and scheduler.admissions < len(PROMPTS)
         assert sorted(set(watched.widths)) == [1, 7]
         for served, hypotheses in delivered:
             assert_same_hypotheses(
@@ -451,22 +428,6 @@ class TestForwardedRows:
         assert state.width == 20
         assert state.beam_rows == 3 * 20 * 2  # two steps of B*K rows, T = 1 each
 
-    def test_joins_carry_the_count_like_forwards(self):
-        model, trie = make_model(), make_trie(level_codes(FIXTURE))
-        state = decode_prefill(model, PROMPTS[:1], trie, beam_size=20)
-        decode_step(state)  # forced: two tokens pending on one row
-        late = decode_prefill(model, PROMPTS[1:2], trie, beam_size=20)
-        decode_step(late)  # forced
-        decode_step(late)  # forwards both pending tokens on its one row
-        assert (state.beam_rows, late.beam_rows) == (0, 2)
-        fresh = decode_prefill(model, PROMPTS[2:3], trie, beam_size=20)
-        decode_join(state, fresh)  # flushes the older of the two pending tokens
-        assert state.beam_rows == 1
-        fresh = decode_prefill(model, PROMPTS[3:4], trie, beam_size=20)
-        fresh.beam_rows = 5
-        decode_join(state, fresh)
-        assert state.beam_rows == 6
-
     def test_a_closed_batch_gathers_no_kv_after_its_last_level(self, monkeypatch):
         reorders = []
         original = BeamKVCache.reorder
@@ -513,7 +474,7 @@ class TestProperty:
            ticks=st.lists(st.integers(0, 5), min_size=1, max_size=len(PROMPTS)))
     def test_any_candidate_set_per_row(self, codes, data, ticks):
         # Narrowing is per row: whatever each request is narrowed to (or not
-        # at all) and whenever it joins, it gets the exhaustive decode
+        # at all) and whenever it arrives, it gets the exhaustive decode
         # filtered to its own candidates.
         model, trie = make_model(), make_trie(codes)
         items = list(range(trie.num_items))

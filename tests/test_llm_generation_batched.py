@@ -8,9 +8,7 @@ from repro.llm import (
     TinyLlama,
     backfill_ranked_item_ids,
     beam_search_items_single,
-    decode_join,
     decode_prefill,
-    decode_step,
     left_pad_prompts,
     ranked_item_ids,
 )
@@ -159,22 +157,6 @@ class TestBatchedParity:
                                                  beam_size=50)
             assert ([h.token_ids for h in hypotheses]
                     == [h.token_ids for h in reference])
-
-
-class TestForwardsAccounting:
-    def test_join_accumulates_incoming_forwards(self):
-        # Five levels, every prefix with two children: no forced level.
-        model = make_model(vocab=60)
-        trie = IndexTrie({
-            i: tuple(10 * (level + 1) + (i >> level & 1) for level in range(5))
-            for i in range(32)
-        })
-        state = decode_prefill(model, MIXED_PROMPTS[:2], trie, beam_size=4)
-        decode_step(state)
-        before = state.forwards
-        incoming = decode_prefill(model, [[8, 8]], trie, beam_size=4)
-        decode_join(state, incoming)
-        assert state.forwards == before + incoming.forwards == before + 1
 
 
 class TestRankedItemIds:

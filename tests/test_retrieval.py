@@ -353,17 +353,15 @@ class TestNarrowedDecodeParity:
         histories = [list(h) for h in tiny_dataset.split.test_histories[:4]]
         return histories, [engine.encode_history(h) for h in histories], candidates
 
-    def assert_mixed_decode(self, engine, tiny_dataset, ticks):
-        """Admit the four rows at ``ticks`` under the live-width checks: every
-        row equals decoding it alone and, narrowed, its restricted oracle."""
+    def assert_mixed_decode(self, engine, tiny_dataset):
+        """Decode the four rows as one cohort under the live-width checks:
+        every row equals decoding it alone and, narrowed, its restricted
+        oracle."""
         scorer = engine.model if isinstance(engine, TIGEREngine) else engine.lm
         histories, prompts, candidates = self.mixed_rows(engine, tiny_dataset)
         narrow = dict(zip(map(tuple, prompts), candidates))
         beams = engine.effective_beams(engine.num_items)
-        admissions = {}
-        for prompt, tick in zip(prompts, ticks):
-            admissions.setdefault(tick, []).append(prompt)
-        results = Watched().decode(scorer, engine.trie, admissions, beams, narrow=narrow)
+        results = Watched().decode(scorer, engine.trie, {0: prompts}, beams, narrow=narrow)
         assert len(results) == len(prompts)
         for history, prompt, chosen in zip(histories, prompts, candidates):
             alone = Watched().decode(scorer, engine.trie, {0: [prompt]}, beams, narrow=narrow)
@@ -377,7 +375,7 @@ class TestNarrowedDecodeParity:
         self, name, tiny_lcrec, tiny_dataset, tiger, p5cid
     ):
         engine = make_engine(name, tiny_lcrec, tiger, p5cid)
-        self.assert_mixed_decode(engine, tiny_dataset, ticks=(0, 0, 0, 0))
+        self.assert_mixed_decode(engine, tiny_dataset)
         # The thin row carried filler beside its neighbours' first tokens.
         _, prompts, candidates = self.mixed_rows(engine, tiny_dataset)
         state = decode_prefill(
@@ -388,14 +386,6 @@ class TestNarrowedDecodeParity:
         assert np.isneginf(state.beam_scores[2, 1:state.width]).all()
         assert (engine.trie.depth[state.beam_nodes[2]] == 1).all()  # at the row's depth
 
-    @pytest.mark.parametrize("name", ["lcrec", "p5cid"])  # TIGER decodes do not join yet
-    @pytest.mark.parametrize("ticks", [(0, 0, 1, 1), (1, 1, 0, 0), (0, 1, 1, 0)], ids=str)
-    def test_mixed_candidate_sets_joined_a_level_apart(
-        self, name, ticks, tiny_lcrec, tiny_dataset, tiger, p5cid
-    ):
-        engine = make_engine(name, tiny_lcrec, tiger, p5cid)
-        self.assert_mixed_decode(engine, tiny_dataset, ticks)
-
     def test_narrow_must_match_prompts_one_to_one(self, tiny_lcrec, tiny_dataset):
         engine = LCRecEngine(tiny_lcrec, prefix_cache=False)
         prompts = [engine.encode_history(list(h)) for h in tiny_dataset.split.test_histories[:2]]
@@ -403,7 +393,7 @@ class TestNarrowedDecodeParity:
             decode_prefill(engine.lm, prompts, engine.trie, beam_size=4, narrow=[None])
 
     def test_narrowed_continuous_serving_matches_oracle(self, tiny_lcrec, tiny_dataset):
-        """Narrowed requests serve through the continuous loop, joins included."""
+        """Narrowed requests serve through the continuous loop."""
         candidates = list(range(0, tiny_dataset.num_items, 3))
         histories = [list(h) for h in tiny_dataset.split.test_histories[:5]]
         engine = LCRecEngine(tiny_lcrec, prefix_cache=False)

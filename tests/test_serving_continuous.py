@@ -1,14 +1,14 @@
-"""Continuous batching: stepper parity, level-boundary admission, scheduler.
+"""The scheduler: stepper parity, closed-cohort admission, the continuous loop.
 
-The load-bearing invariant: a request's rankings are identical to decoding
-it alone *no matter when it is admitted* into an in-flight decode — that
-is what makes continuous batching a scheduling change, not an
-approximation.  The parity suite pins that down for every admission level,
-the scheduler tests cover admission policy (width cap, beam
-compatibility, FIFO), and the service tests drive the whole background
-loop under concurrent submitters.  The scheduler is also the one driver
-behind sync ``flush()`` and the deadline thread, so the failure-isolation
-matrix at the end runs every driver through the same tick.
+A decode is a closed cohort: one prefill's rows, stepped in lockstep and
+retired together, and the scheduler admits only when idle.  The parity
+suite pins the stepper to the one-shot decode, the scheduler tests cover
+admission policy (idle only, width cap, beam-width latch, FIFO), and the
+service tests drive the whole background loop under concurrent
+submitters — a request submitted mid-cohort waits for that cohort to
+retire.  The scheduler is also the one driver behind sync ``flush()`` and
+the deadline thread, so the failure-isolation matrix at the end runs
+every driver through the same tick.
 """
 
 import contextlib
@@ -24,7 +24,6 @@ from repro.llm import (
     TinyLlama,
     beam_search_items_single,
     decode_finish,
-    decode_join,
     decode_prefill,
     decode_retire,
     decode_step,
@@ -69,25 +68,6 @@ LIVE_PROMPTS = [[1, 2, 3], [4, 5]]
 LATE_PROMPTS = [[2, 2, 6, 7], [3, 3, 3], [1]]
 
 
-def run_to_completion(state):
-    """Drive a joined state to the end, collecting results by tag.
-
-    Returns ``(results, delivery_order)``: rows are retired the moment they
-    reach the final level, so rows admitted earlier are delivered earlier.
-    """
-    results, order = {}, []
-    while state.num_rows:
-        rows = state.finished_rows()
-        if rows:
-            tags = [state.tags[row] for row in rows]
-            for tag, hyps in zip(tags, decode_retire(state, rows)):
-                results[tag] = hyps
-                order.append(tag)
-        if state.num_rows:
-            decode_step(state)
-    return results, order
-
-
 class TestStepperParity:
     """prefill/step/finish must reproduce the one-shot engine exactly."""
 
@@ -104,202 +84,32 @@ class TestStepperParity:
             assert [h.token_ids for h in a] == [h.token_ids for h in b]
             assert [h.score for h in a] == [h.score for h in b]
 
-    @pytest.mark.parametrize("level", [0, 1, 2])
-    def test_admission_at_any_level_preserves_rankings(self, level):
-        """Join at level L: every request matches decode-alone, for all L."""
-        model, trie = make_model(), make_trie()
-        reference = {
-            tuple(p): decode_prompts(model, [p], trie, beam_size=5)[0]
-            for p in LIVE_PROMPTS + LATE_PROMPTS
-        }
-        state = decode_prefill(model, LIVE_PROMPTS, trie, beam_size=5,
-                               tags=[("live", i) for i in range(len(LIVE_PROMPTS))])
-        for _ in range(level):
-            decode_step(state)
-        incoming = decode_prefill(model, LATE_PROMPTS, trie, beam_size=5,
-                                  tags=[("late", i) for i in range(len(LATE_PROMPTS))])
-        decode_join(state, incoming)
-        results, _ = run_to_completion(state)
-        prompts = {("live", i): p for i, p in enumerate(LIVE_PROMPTS)}
-        prompts |= {("late", i): p for i, p in enumerate(LATE_PROMPTS)}
-        assert set(results) == set(prompts)
-        for tag, hyps in results.items():
-            expected = reference[tuple(prompts[tag])]
-            assert [h.item_id for h in hyps] == [h.item_id for h in expected]
-            assert [h.token_ids for h in hyps] == [h.token_ids for h in expected]
-            np.testing.assert_allclose([h.score for h in hyps],
-                                       [h.score for h in expected],
-                                       rtol=1e-5, atol=1e-6)
-
-    @pytest.mark.parametrize("level", [1, 2])
-    def test_admission_with_prefix_cache(self, level):
-        """Cache-seeded rows (mid-sequence pads) join without changing ranks."""
-        model, trie = make_model(), make_trie()
-        live = [[1, 2, 3, 4, 5, 6], [4, 5, 2]]
-        late = [[1, 2, 3, 4, 5, 6, 7, 8], [1, 2, 3, 4]]  # hit live's prompts
-        reference = {
-            tuple(p): decode_prompts(model, [p], trie, beam_size=5)[0]
-            for p in live + late
-        }
-        cache = PrefixKVCache(min_prefix_len=2)
-        decode_prompts(model, live, trie, beam_size=5,
-                                  prefix_cache=cache)
-        state = decode_prefill(model, live, trie, beam_size=5,
-                               prefix_cache=cache, tags=["a", "b"])
-        for _ in range(level):
-            decode_step(state)
-        incoming = decode_prefill(model, late, trie, beam_size=5,
-                                  prefix_cache=cache, tags=["c", "d"])
-        assert cache.stats.hits > 0
-        decode_join(state, incoming)
-        results, _ = run_to_completion(state)
-        prompts = dict(zip("abcd", live + late))
-        for tag, hyps in results.items():
-            expected = reference[tuple(prompts[tag])]
-            assert [h.item_id for h in hyps] == [h.item_id for h in expected]
-            np.testing.assert_allclose([h.score for h in hyps],
-                                       [h.score for h in expected],
-                                       rtol=1e-5, atol=1e-6)
-
     def test_early_rows_retire_before_late_rows(self):
-        """Delivery order follows admission order, not batch completion."""
+        """Delivery follows admission: rows queued behind a live cohort are
+        admitted only once it has retired, so they are delivered after it."""
         model, trie = make_model(), make_trie()
-        state = decode_prefill(model, LIVE_PROMPTS, trie, beam_size=5,
-                               tags=["early0", "early1"])
-        decode_step(state)
-        incoming = decode_prefill(model, LATE_PROMPTS, trie, beam_size=5,
-                                  tags=["late0", "late1", "late2"])
-        decode_join(state, incoming)
-        _, order = run_to_completion(state)
-        assert order == ["early0", "early1", "late0", "late1", "late2"]
-        # The early rows retired while the late rows were still in flight:
-        # both groups were delivered in different retirement rounds.
-        assert order.index("late0") > order.index("early1")
-
-    def test_chained_joins(self):
-        """Several staggered admissions accumulate into one live decode."""
-        model, trie = make_model(), make_trie()
-        reference = {
-            tuple(p): decode_prompts(model, [p], trie, beam_size=4)[0]
-            for p in LIVE_PROMPTS + LATE_PROMPTS
-        }
-        state = decode_prefill(model, [LIVE_PROMPTS[0]], trie, beam_size=4,
-                               tags=[0])
-        decode_join(state, decode_prefill(model, [LIVE_PROMPTS[1]], trie,
-                                          beam_size=4, tags=[1]))
-        decode_step(state)
-        results = {}
-        for i, prompt in enumerate(LATE_PROMPTS):
-            rows = state.finished_rows()
-            if rows:
-                tags = [state.tags[row] for row in rows]
-                results |= dict(zip(tags, decode_retire(state, rows)))
-            decode_join(state, decode_prefill(model, [prompt], trie,
-                                              beam_size=4, tags=[2 + i]))
-            decode_step(state)
-        rest, _ = run_to_completion(state)
-        results |= rest
-        prompts = LIVE_PROMPTS + LATE_PROMPTS
-        for tag, hyps in results.items():
-            expected = reference[tuple(prompts[tag])]
-            assert [h.item_id for h in hyps] == [h.item_id for h in expected]
-
-
-class TestRetirementTrimming:
-    def test_retirement_trims_all_pad_prompt_columns(self):
-        """Retiring the only long-prompt row shrinks the KV/attention width.
-
-        After the long row leaves, the columns that were real tokens only
-        for it are all-pad for every survivor — decode_retire trims them,
-        so later forwards pay attention width for live prompts only, and
-        the survivor's rankings stay identical to decoding it alone.
-        """
-        model, trie = make_model(), make_trie()
-        long_p, short_p = [1, 2, 3, 4, 5, 6, 7, 8], [9, 9]
-        reference = decode_prompts(model, [short_p], trie,
-                                              beam_size=5)[0]
-        state = decode_prefill(model, [long_p], trie, beam_size=5,
-                               tags=["long"])
-        decode_step(state)
-        decode_join(state, decode_prefill(model, [short_p], trie, beam_size=5,
-                                          tags=["short"]))
-        assert state.caches[0].prompt.length == len(long_p)
-        decode_step(state)  # the long row reaches the final level
-        assert state.finished_rows() == [0]
-        decode_retire(state, [0])
-        # The 6 columns only the retired row used are gone on every layer.
-        assert all(c.prompt.length == len(short_p) for c in state.caches)
-        assert state.prompt_pads.shape[1] == len(short_p)
-        assert not state.prompt_pads.any()
-        results, _ = run_to_completion(state)
-        hyps = results["short"]
-        assert [h.item_id for h in hyps] == [h.item_id for h in reference]
-        assert [h.token_ids for h in hyps] == [h.token_ids for h in reference]
-        np.testing.assert_allclose([h.score for h in hyps],
-                                   [h.score for h in reference],
-                                   rtol=1e-5, atol=1e-6)
-
-    def test_scheduler_parity_survives_trimming(self):
-        """Staggered mixed-length admissions still match decode-alone."""
-        model, trie = make_model(), make_trie()
-        prompts = [[1, 2, 3, 4, 5, 6, 7], [2, 4], [5, 5, 5, 5, 5], [6]]
-        reference = {
-            tuple(p): decode_prompts(model, [p], trie, beam_size=5)[0]
-            for p in prompts
-        }
-        scheduler = make_scheduler(model, trie, max_width=4)
+        scheduler, queue = make_scheduler(model, trie), RequestQueue()
+        early = [request(p) for p in LIVE_PROMPTS]
+        late = [request(p) for p in LATE_PROMPTS]
+        for r in early:
+            assert queue.try_push(r)
         delivered = []
-        for prompt in prompts:
-            scheduler.admit([request(prompt)])
-            delivered.extend(scheduler.step())
+        assert tick(scheduler, queue, delivered) == early
+        for r in late:
+            assert queue.try_push(r)
         while not scheduler.idle:
-            delivered.extend(scheduler.step())
-        assert len(delivered) == len(prompts)
+            assert tick(scheduler, queue, delivered) == []
+        assert tick(scheduler, queue, delivered) == late
+        while not scheduler.idle:
+            tick(scheduler, queue, delivered)
+        order = [r.request_id for r, _ in delivered]
+        assert order == [r.request_id for r in early + late]
         for req, hyps in delivered:
-            expected = reference[tuple(req.prompt_ids)]
-            assert [h.item_id for h in hyps] == [h.item_id for h in expected]
+            expected = decode_prompts(model, [req.prompt_ids], trie, beam_size=5)[0]
+            assert [h.token_ids for h in hyps] == [h.token_ids for h in expected]
 
 
-class TestJoinValidation:
-    def test_beam_width_mismatch_rejected(self):
-        model, trie = make_model(), make_trie()
-        state = decode_prefill(model, LIVE_PROMPTS, trie, beam_size=5)
-        incoming = decode_prefill(model, LATE_PROMPTS, trie, beam_size=3)
-        with pytest.raises(ValueError, match="beam width"):
-            decode_join(state, incoming)
-
-    def test_width_one_decodes_join(self):
-        """A width of 1 uses the suffix region like any other, so it joins."""
-        model = make_model()
-        trie = IndexTrie({0: (10, 12, 14)})  # single item -> effective width 1
-        state = decode_prefill(model, [[1, 2]], trie, beam_size=5, tags=["live"])
-        decode_step(state)
-        decode_join(state, decode_prefill(model, [[3]], trie, beam_size=5, tags=["late"]))
-        assert state.num_rows == 2 and state.width == 1
-        results, order = run_to_completion(state)
-        assert order == ["live", "late"]
-        for tag, prompt in (("live", [1, 2]), ("late", [3])):
-            expected = decode_prompts(model, [prompt], trie, beam_size=5)[0]
-            assert [h.token_ids for h in results[tag]] == [h.token_ids for h in expected]
-            assert results[tag][0].score == pytest.approx(expected[0].score, abs=1e-6)
-
-    def test_stepped_incoming_rejected(self):
-        model, trie = make_model(), make_trie()
-        state = decode_prefill(model, LIVE_PROMPTS, trie, beam_size=5)
-        incoming = decode_prefill(model, LATE_PROMPTS, trie, beam_size=5)
-        decode_step(incoming)
-        with pytest.raises(ValueError, match="freshly prefilled"):
-            decode_join(state, incoming)
-
-    def test_join_consumes_incoming(self):
-        model, trie = make_model(), make_trie()
-        state = decode_prefill(model, LIVE_PROMPTS, trie, beam_size=5)
-        incoming = decode_prefill(model, LATE_PROMPTS, trie, beam_size=5)
-        decode_join(state, incoming)
-        assert incoming.num_rows == 0
-        with pytest.raises(RuntimeError):
-            decode_step(incoming)
-
+class TestStepValidation:
     def test_step_requires_retirement_first(self):
         model, trie = make_model(), make_trie()
         state = decode_prefill(model, LIVE_PROMPTS, trie, beam_size=5)
@@ -320,6 +130,17 @@ def request(prompt, beam_size=5, top_k=3):
                             beam_size=beam_size)
 
 
+def tick(scheduler, queue, served):
+    """The continuous loop's body by hand: an idle scheduler pops a cohort
+    off the queue's head and admits it, a busy one only steps."""
+    admitted = []
+    if scheduler.idle:
+        admitted = queue.pop_front(scheduler.max_width, scheduler.admission_predicate())
+    scheduler.admit(admitted)
+    served.extend(scheduler.step())
+    return admitted
+
+
 class TestContinuousScheduler:
     def test_admit_step_parity(self):
         model, trie = make_model(), make_trie()
@@ -331,7 +152,9 @@ class TestContinuousScheduler:
         early = [request(p) for p in LIVE_PROMPTS]
         late = [request(p) for p in LATE_PROMPTS]
         scheduler.admit(early)
-        delivered = scheduler.step()
+        delivered = []
+        while not scheduler.idle:
+            delivered.extend(scheduler.step())
         scheduler.admit(late)
         while not scheduler.idle:
             delivered.extend(scheduler.step())
@@ -342,47 +165,36 @@ class TestContinuousScheduler:
             expected = reference[tuple(req.prompt_ids)]
             assert [h.item_id for h in hyps] == [h.item_id for h in expected]
         assert scheduler.admissions == 2
-        assert scheduler.joins == 1
 
     def test_width_cap_enforced(self):
         model, trie = make_model(), make_trie()
         scheduler = make_scheduler(model, trie, max_width=2)
+        with pytest.raises(ValueError, match="max width"):
+            scheduler.admit([request(p) for p in LIVE_PROMPTS + [[9, 9]]])
         scheduler.admit([request(p) for p in LIVE_PROMPTS])
-        assert scheduler.free_width == 0
-        with pytest.raises(ValueError, match="free width"):
-            scheduler.admit([request([9, 9])])
+        assert scheduler.width == 2
+
+    def test_a_live_cohort_admits_nothing(self):
+        model, trie = make_model(), make_trie()
+        scheduler = make_scheduler(model, trie, max_width=8)
+        scheduler.admit([request([1, 2])])
+        with pytest.raises(RuntimeError, match="idle"):
+            scheduler.admit([request([3])])
+        assert (scheduler.width, scheduler.admissions) == (1, 1)
+        scheduler.admit([])  # an empty admission is a no-op, live or not
 
     def test_beam_compatibility_gate(self):
+        # One admission is one prefill, so the predicate latches the head's
+        # effective beam width and passes only followers that match it.
         model, trie = make_model(), make_trie()
         scheduler = make_scheduler(model, trie, max_width=8)
-        scheduler.admit([request([1, 2], beam_size=5)])
-        assert not scheduler.compatible(request([3], beam_size=2))
+        admit = scheduler.admission_predicate()
+        assert admit(request([1, 2], beam_size=5))
+        assert not admit(request([3], beam_size=2))
         # Same *effective* width is compatible even if raw sizes differ:
         # the 5-item trie clamps any beam >= 5 to 5 hypotheses.
-        assert scheduler.compatible(request([3], beam_size=50))
-        while not scheduler.idle:
-            scheduler.step()
-        assert scheduler.compatible(request([3], beam_size=2))
-
-    def test_beam_one_requests_join_in_flight(self):
-        """Two ``beam_size=1`` requests admitted a level apart share one decode."""
-        model, trie = make_model(), make_trie()
-        scheduler = make_scheduler(model, trie, max_width=8)
-        first, second = request([1, 2], beam_size=1), request([3], beam_size=1)
-        scheduler.admit([first])
-        delivered = scheduler.step()
-        assert scheduler.compatible(second)
-        scheduler.admit([second])
-        assert (scheduler.width, scheduler.joins) == (2, 1)
-        while not scheduler.idle:
-            delivered.extend(scheduler.step())
-        assert [req.request_id for req, _ in delivered] == [
-            first.request_id, second.request_id
-        ]
-        for req, hyps in delivered:
-            expected = beam_search_items_single(model, req.prompt_ids, trie, beam_size=1)
-            assert [h.token_ids for h in hyps] == [h.token_ids for h in expected]
-            assert hyps[0].score == pytest.approx(expected[0].score, abs=1e-5)
+        assert admit(request([3], beam_size=50))
+        assert scheduler.admission_predicate()(request([3], beam_size=2))  # a fresh latch
 
     def test_abort_reports_in_flight_requests(self):
         model, trie = make_model(), make_trie()
@@ -457,10 +269,9 @@ def make_deep_trie():
 class TestBacklogAwareAdmission:
     """The continuous loop's admission decision, with no thread in sight.
 
-    ``tick`` is the loop's body by hand: pop what ``admission_limit`` and
-    the predicate allow, admit it, step.  Into a live decode the scheduler
-    admits only a queue that fits its free width whole; a backlog waits for
-    the cohort to finish and is then prefilled as one.
+    ``tick`` is the loop's body by hand.  Whatever queues up while a cohort
+    is in flight waits for it to retire and is then prefilled as one
+    cohort, up to the width cap.
     """
 
     TRIES = {"three_levels": make_trie, "four_levels": make_deep_trie}
@@ -469,13 +280,7 @@ class TestBacklogAwareAdmission:
     def prompts(count):
         return [[1 + (i * 7 + j) % 9 for j in range(1 + i % 4)] for i in range(count)]
 
-    @staticmethod
-    def tick(scheduler, queue, served):
-        admitted = queue.pop_front(scheduler.admission_limit(len(queue)),
-                                   scheduler.admission_predicate())
-        scheduler.admit(admitted)
-        served.extend(scheduler.step())
-        return admitted
+    tick = staticmethod(tick)
 
     @staticmethod
     def assert_each_served_once(served, requests, model, trie):
@@ -488,15 +293,8 @@ class TestBacklogAwareAdmission:
             np.testing.assert_allclose([h.score for h in hyps],
                                        [h.score for h in expected], rtol=1e-5, atol=2e-6)
 
-    def test_limit_is_free_width_or_nothing(self):
-        scheduler = make_scheduler(make_model(), make_trie(), max_width=8)
-        assert [scheduler.admission_limit(n) for n in (0, 1, 8, 9, 100)] == [8] * 5  # idle
-        scheduler.admit([request(p) for p in self.prompts(6)])
-        assert scheduler.free_width == 2
-        assert [scheduler.admission_limit(n) for n in (0, 1, 2, 3, 50)] == [2, 2, 2, 0, 0]
-
     @pytest.mark.parametrize("shape", TRIES)
-    def test_a_queue_that_fits_joins_at_the_next_boundary(self, shape):
+    def test_a_queue_that_fits_waits_for_idle_too(self, shape):
         model, trie = make_model(), self.TRIES[shape]()
         scheduler, queue, served = make_scheduler(model, trie), RequestQueue(), []
         requests = [request(p) for p in self.prompts(5)]
@@ -504,13 +302,14 @@ class TestBacklogAwareAdmission:
             assert queue.try_push(r)
         assert self.tick(scheduler, queue, served) == requests[:2]
         for r in requests[2:]:
-            assert queue.try_push(r)  # 3 queued, 6 rows free
+            assert queue.try_push(r)  # 3 queued, 6 rows of width to spare
+        while not scheduler.idle:
+            assert self.tick(scheduler, queue, served) == []
         assert self.tick(scheduler, queue, served) == requests[2:]
-        assert (scheduler.admissions, scheduler.joins) == (2, 1)
+        assert scheduler.admissions == 2
         while not scheduler.idle:
             assert self.tick(scheduler, queue, served) == []
         self.assert_each_served_once(served, requests, model, trie)
-        # Joined rows retire a level after the rows they joined.
         assert [r.request_id for r, _ in served] == [r.request_id for r in requests]
 
     @pytest.mark.parametrize("shape", TRIES)
@@ -522,7 +321,7 @@ class TestBacklogAwareAdmission:
             assert queue.try_push(r)
         assert self.tick(scheduler, queue, served) == requests[:6]
         for r in requests[6:]:
-            assert queue.try_push(r)  # 5 queued, 2 rows free
+            assert queue.try_push(r)  # 5 queued behind a live cohort of 6
         waited = 0
         while not scheduler.idle:
             assert self.tick(scheduler, queue, served) == []
@@ -530,7 +329,7 @@ class TestBacklogAwareAdmission:
         assert waited == trie.num_levels - 2  # the cohort's first step rode its own tick
         assert [r.request_id for r, _ in served] == [r.request_id for r in requests[:6]]
         assert self.tick(scheduler, queue, served) == requests[6:]
-        assert (scheduler.admissions, scheduler.joins) == (2, 0)
+        assert scheduler.admissions == 2
         while not scheduler.idle:
             self.tick(scheduler, queue, served)
         self.assert_each_served_once(served, requests, model, trie)
@@ -544,7 +343,7 @@ class TestBacklogAwareAdmission:
             assert queue.try_push(r)
         self.tick(scheduler, queue, served)
         assert queue.try_push(blocker)
-        assert queue.try_push(behind)  # the queue fits (2 <= 6), its head does not join beam 5
+        assert queue.try_push(behind)  # both wait for the live cohort
         while not scheduler.idle:
             assert self.tick(scheduler, queue, served) == []
         assert self.tick(scheduler, queue, served) == [blocker]  # the idle latch: one width
@@ -553,12 +352,11 @@ class TestBacklogAwareAdmission:
         assert self.tick(scheduler, queue, served) == [behind]
         while not scheduler.idle:
             self.tick(scheduler, queue, served)
-        assert scheduler.joins == 0
         self.assert_each_served_once(served, live + [blocker, behind], model, trie)
 
     @pytest.mark.parametrize("shape", TRIES)
     def test_a_queue_that_never_fits_never_starves(self, shape):
-        """Arrivals keep the queue deeper than the free width at every tick:
+        """Arrivals keep the queue deeper than the width cap at every tick:
         full cohorts go through back to back, FIFO, and nobody waits more
         than ``num_levels - 1`` ticks behind an admission."""
         model, trie = make_model(), self.TRIES[shape]()
@@ -577,7 +375,7 @@ class TestBacklogAwareAdmission:
             if cohort:
                 assert len(cohort) == min(4, len(requests) - len(admitted))
                 admitted.extend(cohort)
-        assert admitted == requests and scheduler.joins == 0
+        assert admitted == requests
         self.assert_each_served_once(served, requests, model, trie)
         assert [r.request_id for r, _ in served] == [r.request_id for r in requests]
 
@@ -607,6 +405,32 @@ class TestContinuousService:
                 list(history), top_k=5)
         assert service.stats.requests == len(histories)
         assert service.stats.admissions >= 1
+
+    def test_a_request_submitted_mid_cohort_waits_for_it_to_retire(
+            self, service, tiny_lcrec, tiny_dataset, monkeypatch):
+        """The started loop admits only into an idle scheduler: a request
+        submitted while a cohort is in flight is prefilled once that cohort
+        has retired, as the next admission."""
+        first, second = [list(h) for h in tiny_dataset.split.test_histories[:2]]
+        seen, handles = [], []
+        step = service.engine.step
+
+        def watching(state):
+            if not handles[1:]:  # the first cohort's first step: submit behind it
+                handles.append(service.submit(second, top_k=5))
+            seen.append((service.scheduler.width, service.stats.admissions, len(service.queue)))
+            step(state)
+
+        monkeypatch.setattr(service.engine, "step", watching)
+        handles.append(service.submit(first, top_k=5))
+        service.start()
+        assert handles[0].result(timeout=20.0) == tiny_lcrec.recommend(first, top_k=5)
+        assert handles[1].result(timeout=20.0) == tiny_lcrec.recommend(second, top_k=5)
+        levels = service.engine.num_levels - 1
+        # The first cohort steps to the end with the second request queued
+        # behind it; only then is the second admitted, alone.
+        assert seen == [(1, 1, 1)] * levels + [(1, 2, 0)] * levels
+        assert service.stats.admissions == 2 and service.stats.joins == 0
 
     def test_concurrent_submitters_stress(self, service, tiny_lcrec,
                                           tiny_dataset):
@@ -689,8 +513,8 @@ class TestContinuousService:
     def test_failing_admission_spares_in_flight_requests(self, tiny_lcrec,
                                                          tiny_dataset,
                                                          monkeypatch):
-        """A prefill failure fails only the incoming requests: the live
-        decode's K/V is untouched and its requests still deliver."""
+        """A prefill failure fails only the requests it was admitting: the
+        cohort admitted before it still delivers."""
         service = RecommendationService(
             LCRecEngine(tiny_lcrec, prefix_cache=False),
             batcher=MicroBatcherConfig(max_batch_size=4), mode="continuous")

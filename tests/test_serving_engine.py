@@ -278,8 +278,8 @@ class TestTIGEREngine:
             assert [p.result(timeout=30.0) for p in pending] == expected
 
     def test_continuous_mode_serves_closed_cohorts(self, tiger, tiny_dataset):
-        """TIGER cannot join, so the continuous loop admits into an idle
-        scheduler only: closed cohorts, the single loop's rankings."""
+        """The continuous loop admits into an idle scheduler only: closed
+        cohorts, the single loop's rankings."""
         histories = [list(h) for h in tiny_dataset.split.test_histories[:6]]
         service = RecommendationService(
             TIGEREngine(tiger), batcher=MicroBatcherConfig(max_batch_size=4), mode="continuous")
@@ -392,10 +392,9 @@ class TestTIGEROnTheSharedStepper:
         assert ranked == [tiger.recommend(h, top_k=num_items)[:5] for h in histories[:4]]
 
     def test_served_through_the_scheduler(self, tiger, histories):
-        """TIGER cannot join, so the one scheduler serves it in closed
-        batches: nothing is admitted beside live rows, rows retire the tick
-        they finish, and one finalize call widens the short row beside the
-        normal ones."""
+        """The one scheduler serves TIGER in closed cohorts: nothing is
+        admitted beside live rows, rows retire the tick they finish, and one
+        finalize call widens the short row beside the normal ones."""
 
         class ModelBeams(TIGEREngine):  # beam 2 whatever top_k: top_k=5 comes up short
             def request_beam_size(self, top_k):
@@ -406,10 +405,13 @@ class TestTIGEROnTheSharedStepper:
                     for h in histories[:3]]
         scheduler = ContinuousScheduler(engine, max_width=4)
         scheduler.admit(requests[:2])
-        assert not scheduler.compatible(requests[2])  # waits for an idle scheduler
+        with pytest.raises(RuntimeError, match="idle"):  # waits for an idle scheduler
+            scheduler.admit(requests[2:])
         delivered = [scheduler.step() for _ in range(engine.num_levels - 1)]
         assert [len(rows) for rows in delivered] == [0] * (engine.num_levels - 2) + [2]
-        assert scheduler.idle and scheduler.compatible(requests[2])
+        assert scheduler.idle
+        scheduler.admit(requests[2:])
+        assert scheduler.width == 1
 
         finalized = []
         finalize = engine.finalize
@@ -433,7 +435,8 @@ class TestTIGEROnTheSharedStepper:
         held = [(state.beam_nodes[row].copy(), state.beam_scores[row].copy()) for row in rest]
         engine.retire(state, [0, 2, 4])
         assert state.num_rows == 2
-        assert [cache.memory.prompt.batch_size for cache in state.caches] == [2, 2]
+        # The survivors are finished too: the row tables shrink, no cache is compacted.
+        assert [cache.memory.prompt.batch_size for cache in state.caches] == [5, 5]
         for row, (nodes, scores) in enumerate(held):
             np.testing.assert_array_equal(state.beam_nodes[row], nodes)
             np.testing.assert_array_equal(state.beam_scores[row], scores)
@@ -446,15 +449,13 @@ class TestTIGEROnTheSharedStepper:
     def test_scratch_and_cache_rows_are_released(self, tiger, histories):
         engine = TIGEREngine(tiger)
         state, _, _ = self.drive(engine, histories[:3], top_k=3, beam_size=3)
-        workspace, caches = state.workspace, state.caches
+        workspace = state.workspace
         assert workspace.nbytes > 0
         engine.retire(state, [1])
         assert workspace.nbytes == 0
         engine.finish(state)
         assert workspace.nbytes == 0
-        for cache in caches:
-            assert cache.prompt.batch_size == cache.memory.prompt.batch_size == 0
-            assert cache.memory_bias is None or cache.memory_bias.shape[1] == 0
+        assert state.caches == []  # the last row took the self and cross K/V along
 
     def test_steps_at_a_fixed_row_count_allocate_nothing_new(self):
         # Every prefix has two children and there are two beams: no forced

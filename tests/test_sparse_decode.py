@@ -13,7 +13,7 @@ Parity contracts pinned here:
   prefix cache;
 * the forced-token fast path skips model forwards without changing any
   score (a singleton allowed set renormalises to log-probability 0.0),
-  across one-shot decodes, mid-decode retirement, and continuous joins;
+  across one-shot decodes and retirement;
 * the fused-QKV / gathered-head caches never serve stale weights across
   train()/eval() cycles.
 """
@@ -29,7 +29,6 @@ from repro.llm import (
     TinyLlama,
     beam_search_items_single,
     decode_finish,
-    decode_join,
     decode_prefill,
     decode_retire,
     decode_step,
@@ -95,7 +94,7 @@ def assert_same_hypotheses(got, expected, rtol=1e-5, atol=1e-6):
 class TestAllowedTokenIds:
     def test_union_and_mask_match_dense_mask(self):
         trie = make_trie()
-        prefixes = [(), (10,), (11,), (10, 12), (11, 13), (9,)]
+        prefixes = [(), (10,), (11,), (10, 12), (11, 13), (9, 9)]
         for batch in ([prefixes[0]], prefixes[1:3], prefixes[3:]):
             cand = trie.allowed_token_ids(batch)
             dense = trie.allowed_token_mask(batch, vocab_size=30)
@@ -105,12 +104,14 @@ class TestAllowedTokenIds:
                 np.testing.assert_array_equal(cand.trie.child_tokens(cand.nodes[row]),
                                               np.flatnonzero(dense[row]))
 
-    def test_union_covers_mixed_levels(self):
+    def test_mixed_levels_are_rejected(self):
+        # A decode cohort steps in lockstep, so one call never spans depths.
         trie = make_trie()
-        cand = trie.allowed_token_ids([(), (10,), (10, 12)])
-        assert set(trie.allowed_tokens(())) <= set(cand.union)
-        assert set(trie.allowed_tokens((10,))) <= set(cand.union)
-        assert set(trie.allowed_tokens((10, 12))) <= set(cand.union)
+        for batch in ([(), (10,)], [(10,), (10, 12)], [(10, 12), (9,), (11, 13)]):
+            with pytest.raises(ValueError, match="depths"):
+                trie.allowed_token_ids(batch)
+            with pytest.raises(ValueError, match="depths"):
+                trie.allowed_token_ids(np.array([trie.node_of(p) for p in batch]))
 
     def test_level_union_is_memoized_and_readonly(self):
         trie = make_trie()
@@ -150,7 +151,7 @@ class TestAllowedTokenIds:
         cand = trie.allowed_token_ids([(10, 20), (11, 21)])
         assert cand.is_forced()
         np.testing.assert_array_equal(cand.forced_tokens(), [30, 31])
-        mixed = trie.allowed_token_ids([(10,), (10, 20)])
+        mixed = trie.allowed_token_ids([(9, 9), (10, 20)])  # an illegal prefix: no child
         assert not mixed.is_forced()
         # Dead rows (alive=False) may have any fan-out without breaking it.
         assert mixed.is_forced(alive=np.array([False, True]))
@@ -223,7 +224,7 @@ class TestSparseDenseParity:
     def test_prompt_buffers_are_sized_once(self):
         # A prefix hit seeds part of the prompt region and forwards the rest:
         # both land in one buffer exactly the prompt's width, so the forward
-        # copies nothing and a retirement gathers no spare columns.
+        # copies nothing.
         model, trie = make_model(), make_trie()
         cache = PrefixKVCache(min_prefix_len=2)
         grown = [prompt + [8, 9] for prompt in MIXED_PROMPTS]
@@ -239,17 +240,13 @@ class TestSparseDenseParity:
             width = state.prompt_pads.shape[1]
             assert all(c.prompt.capacity == c.prompt.length == width for c in state.caches)
 
-        assert_exact(live)
-        assert_exact(hit)
-        decode_step(live)
-        decode_join(live, hit)
-        assert_exact(live)  # a joined prompt region is exact too
         results = {}
-        while live.num_rows:
-            finished = live.finished_rows()
-            results.update(zip([live.tags[row] for row in finished], decode_retire(live, finished)))
-            if live.num_rows:
-                decode_step(live)
+        for state in states:
+            assert_exact(state)
+            while not state.done:
+                decode_step(state)
+            assert_exact(state)  # steps append to the suffix region only
+            results.update(zip(state.tags, decode_finish(state)))
         assert len(results) == 2 * len(MIXED_PROMPTS)
         for prompt, got in results.items():
             expected = beam_search_items_single(model, list(prompt), trie, beam_size=6)
@@ -321,38 +318,19 @@ class TestForcedFastPath:
         decode_step(state)  # level 2: forced, appended without a forward
         decode_step(state)  # level 3: combined forward flushes the pending
         assert state.done
+        held = [(c.prompt.keys, c.suffix.keys) for c in state.caches]
         first = decode_retire(state, [0])[0]
+        # The row is dropped from the row tables; the survivor is finished
+        # too, so no cache is compacted.
+        assert (state.num_rows, state.tags) == (1, [1])
+        assert all(c.prompt.keys is keys and c.suffix.keys is suffix
+                   for c, (keys, suffix) in zip(state.caches, held))
         rest = decode_finish(state)[0]
+        assert state.caches == []
         assert_same_hypotheses(
             first, beam_search_items_single(model, prompts[0], trie, beam_size=4))
         assert_same_hypotheses(
             rest, beam_search_items_single(model, prompts[1], trie, beam_size=4))
-
-    def test_join_flushes_pending_tokens(self):
-        trie = make_forced_trie()
-        model = make_model(seed=13)
-        live = decode_prefill(model, [[1, 2, 3]], trie, beam_size=4, tags=["first"])
-        decode_step(live)  # level 1
-        decode_step(live)  # level 2: forced -> two pending columns
-        assert live.pending.shape[1] == 2
-        incoming = decode_prefill(model, [[4, 5]], trie, beam_size=4, tags=["second"])
-        decode_join(live, incoming)
-        assert live.pending.shape[1] == 1  # flushed before the join
-        # Mixed-level decode: retire rows the moment they finish, exactly
-        # as the continuous scheduler drives the stepper.
-        merged = {}
-        while live.num_rows:
-            finished = live.finished_rows()
-            if finished:
-                tags = [live.tags[row] for row in finished]
-                for tag, hypotheses in zip(tags, decode_retire(live, finished)):
-                    merged[tag] = hypotheses
-                continue
-            decode_step(live)
-        for tag, prompt in (("first", [1, 2, 3]), ("second", [4, 5])):
-            assert_same_hypotheses(
-                merged[tag], beam_search_items_single(model, prompt, trie, beam_size=4))
-
 
 class TestStaleWeightGuards:
     def test_fused_qkv_sees_weight_updates_across_training(self):

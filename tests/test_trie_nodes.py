@@ -11,6 +11,7 @@ exactly when the new token was already in it.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,7 +43,7 @@ def brute_children(catalog, prefix):
 
 
 def brute_candidates(catalog, prefixes):
-    """What ``allowed_token_ids`` means: the rows' levels' union, each row's mask."""
+    """What ``allowed_token_ids`` means: the rows' level's union, each row's mask."""
     levels = {len(prefix) for prefix in prefixes}
     union = sorted({seq[level] for seq in catalog.values() for level in levels
                     if level < len(seq)})
@@ -78,8 +79,8 @@ def assert_matches_catalog(trie, catalog):
         assert trie.items[row] == item == trie.item_at(sequence)
         assert trie.sequences[row] == sequence
         assert trie.leaf_rows([item]).tolist() == [row]
-    for level in range(depth + 1):
-        assert trie.unions[level] is trie._union_for_levels((level,))
+    for level in range(depth):
+        assert trie.unions[level] is trie.union_for_levels([level])
     # Illegal prefixes: the dead node of their depth, with nothing below it.
     top = max(token for seq in catalog.values() for token in seq)
     for prefix in ((top + 1,), (-1,), legal[-1][:-1] + (top + 7,)):
@@ -101,7 +102,7 @@ def assert_same_arrays(trie, scratch):
             assert len(got) == len(want), name
             for got_level, want_level in zip(got, want):
                 np.testing.assert_array_equal(got_level, want_level, err_msg=name)
-        elif not isinstance(want, dict):  # the mixed-depth union memo: a cache, not content
+        else:
             assert got == want, name
 
 
@@ -119,6 +120,13 @@ class TestNodeTable:
         pool = prefixes_of(catalog) + [(top + 1,), (top + 1, top + 1)[: trie.num_levels]]
         batch = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
         nodes = np.array([trie.node_of(prefix) for prefix in batch], dtype=np.int64)
+        if len({len(prefix) for prefix in batch}) > 1:
+            for query in (nodes, batch):
+                with pytest.raises(ValueError, match="depths"):
+                    trie.allowed_token_ids(query)
+            # One level at a time is what a decode cohort asks for.
+            batch = [prefix for prefix in batch if len(prefix) == len(batch[0])]
+            nodes = np.array([trie.node_of(prefix) for prefix in batch], dtype=np.int64)
         union, mask = brute_candidates(catalog, batch)
         for candidates in (trie.allowed_token_ids(nodes), trie.allowed_token_ids(batch)):
             assert candidates.union.tolist() == union
