@@ -14,7 +14,7 @@ from .generation import (
     decode_step,
     greedy_generate,
     left_pad_prompts,
-    masked_log_softmax,
+    pair_log_softmax,
     ranked_item_ids,
     sequence_logprob,
 )
@@ -63,7 +63,7 @@ __all__ = [
     "PrefixMatch",
     "PrefixCacheStats",
     "left_pad_prompts",
-    "masked_log_softmax",
+    "pair_log_softmax",
     "ranked_item_ids",
     "greedy_generate",
     "sequence_logprob",

@@ -10,15 +10,15 @@ Constrained decoding is one resumable stepper, built around
 :class:`TinyLlama` or the encoder-decoder :class:`repro.baselines.TIGER`;
 everything below the prompt phase is the same code for both.  It decodes
 ``B`` prompts × ``G`` live beams per step in a single forward over a
-flattened ``B*G`` batch axis, with the trie constraint applied as one
-vectorized mask.  The beam size ``K`` caps a request's hypotheses, it is
-not the row shape: ``G`` is the most hypotheses any in-flight request has
-alive (a request owns at most as many as the trie offers), so a thin level
-steps thin.  Prompts of mixed length are left-padded; pad positions are
-masked out of attention and real tokens keep their unpadded RoPE
-positions, so padding changes nothing mathematically: rankings are
-identical to per-request decoding and scores agree to float rounding (BLAS
-accumulation order varies with batch shape).  With a
+flattened ``B*G`` batch axis, with the trie constraint applied as array
+gathers over (hypothesis, child) pairs.  The beam size ``K`` caps a
+request's hypotheses, it is not the row shape: ``G`` is the most
+hypotheses any in-flight request has alive (a request owns at most as many
+as the trie offers), so a thin level steps thin.  Prompts of mixed length
+are left-padded; pad positions are masked out of attention and real tokens
+keep their unpadded RoPE positions, so padding changes nothing
+mathematically: rankings are identical to per-request decoding and scores
+agree to float rounding (BLAS accumulation order varies with batch shape).  With a
 :class:`PrefixKVCache` the prompt phase additionally skips re-running
 prompt prefixes it has decoded before (template heads, grown session
 histories, repeated queries): cached K/V is seeded into the decode caches
@@ -35,14 +35,14 @@ once, or a few at a time) and :func:`decode_finish` harvests everything.
 as the parity oracle.
 
 Scoring semantics: hypothesis scores are *constrained* log-probabilities —
-at every level the disallowed logits are set to ``-inf`` **before** the
-log-softmax, so each step's distribution renormalises over the tokens the
-trie allows (exactly what a ``prefix_allowed_tokens_fn`` logits processor
-does in the reference implementations).  This is what makes the decode
-*sparse*: only the logits of the current trie level's candidate union ever
-enter the math, so the engine computes just those columns via a gathered
-output-head GEMM (``TinyLlama.lm_head_gather``) and a candidate-only
-log-softmax — identical scores, a vocabulary-sized factor less work.  It
+at every level each hypothesis's distribution renormalises over the tokens
+the trie allows it (exactly what a ``prefix_allowed_tokens_fn`` logits
+processor does in the reference implementations).  This is what makes the
+decode *sparse*: only the logits of the current trie level's candidate
+union ever enter the math, so the engine computes just those columns via a
+gathered output-head GEMM (``TinyLlama.lm_head_gather``) and normalises each
+hypothesis over its own children only (:func:`pair_log_softmax`) —
+identical scores, a vocabulary-sized factor less work.  It
 also makes levels where every live beam has exactly one legal continuation
 *free*: a singleton allowed set renormalises to log-probability 0.0, so
 the **forced-token fast path** appends those tokens without any model
@@ -77,10 +77,8 @@ __all__ = [
     "decode_retire",
     "decode_step",
     "left_pad_prompts",
-    "log_softmax_np",
-    "masked_log_softmax",
+    "pair_log_softmax",
     "ranked_item_ids",
-    "select_beams",
     "topk_desc",
     "greedy_generate",
     "sequence_logprob",
@@ -110,33 +108,28 @@ class Scorer(Protocol):
     def lm_head_gather(self, hidden: np.ndarray, token_ids: np.ndarray, **kwargs) -> np.ndarray: ...
 
 
-def log_softmax_np(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax over the last axis (numerically stabilized)."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+def pair_log_softmax(logits: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Constrained log-softmax of hypotheses whose legal logits lie end to end.
 
-
-def masked_log_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Constrained log-softmax: ``-inf`` outside ``mask``, renormalised inside.
-
-    Row ``i``'s distribution is the softmax of ``logits[i]`` restricted to
-    the columns where ``mask[i]`` is True (``mask`` may broadcast over
-    rows).  This is the trie-constrained decoding rule: illegal tokens get
-    probability 0 and the remaining mass renormalises over the legal set.
-    A row with no True column comes back all ``-inf`` (a dead beam).
+    ``logits`` holds hypothesis ``i``'s ``counts[i]`` legal-continuation
+    logits as one contiguous segment, the segments in hypothesis order (a
+    hypothesis that expands nothing has count 0 and no segment).  Each
+    segment is normalised over itself alone, with the arithmetic of
+    :func:`constrained_log_probs` — so a hypothesis's scores never depend
+    on how many children its neighbours have.
     """
-    if mask.all():
-        # Every column legal (the root-union prefill expansion, rows whose
-        # prefixes share a full level): a plain log-softmax is bit-identical
-        # and skips the mask machinery entirely.
-        return log_softmax_np(logits)
-    masked = np.where(mask, logits, -np.inf)
-    peak = masked.max(axis=-1, keepdims=True)
-    peak = np.where(np.isfinite(peak), peak, 0.0)
-    shifted = masked - peak
-    with np.errstate(divide="ignore", invalid="ignore"):
-        normalizer = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-        return np.where(mask, shifted - normalizer, -np.inf)
+    sizes = counts[counts > 0]
+    starts = np.cumsum(sizes) - sizes
+    shifted = logits - np.repeat(np.maximum.reduceat(logits, starts), sizes)
+    # Each segment's sum starts from a 0.0 slot of its own: ``add.reduceat``
+    # then adds in ``np.sum``'s order (it would otherwise add the first
+    # term last), so the normaliser is the oracle's bit for bit.
+    heads = starts + np.arange(sizes.shape[0])
+    terms = np.ones(logits.shape[0] + sizes.shape[0], dtype=bool)
+    terms[heads] = False
+    exps = np.zeros(terms.shape[0], dtype=logits.dtype)
+    exps[terms] = np.exp(shifted)
+    return shifted - np.repeat(np.log(np.add.reduceat(exps, heads)), sizes)
 
 
 def topk_desc(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -153,27 +146,6 @@ def topk_desc(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     order = np.lexsort((part, -part_scores), axis=1)
     top = np.take_along_axis(part, order, axis=1)
     return top, np.take_along_axis(part_scores, order, axis=1)
-
-
-def select_beams(
-    step_logp: np.ndarray, beam_scores: np.ndarray, num_beams: int, union: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Top-``K`` beam continuation selection, shared by every stepper.
-
-    ``step_logp`` is the per-hypothesis constrained log-softmax ``(B*G,
-    len(union))`` of the ``(B, G)`` hypotheses scored ``beam_scores``, over
-    the candidate ``union``, which maps its columns back to token ids; this
-    one place owns the score accumulation, the flattened per-request top-k
-    and the origin/token decomposition.  Returns ``(origin, token,
-    new_scores)``, each ``(B, min(num_beams, G * len(union)))`` — the beam
-    size caps the hypotheses, it does not pad them.
-    """
-    width = union.shape[0]
-    candidates = step_logp.astype(np.float64)
-    candidates += beam_scores.reshape(-1, 1)
-    candidates = candidates.reshape(beam_scores.shape[0], -1)
-    order, new_scores = topk_desc(candidates, min(num_beams, candidates.shape[1]))
-    return order // width, union[order % width], new_scores
 
 
 @dataclass(slots=True)
@@ -358,48 +330,6 @@ def _prefill_prompts(
     return hidden, pad_columns
 
 
-def _narrowed_step_candidates(
-    candidates_info: SparseCandidates,
-    narrow: list[np.ndarray | None],
-    width: int,
-    alive: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Candidate union, normalisation mask, selection mask of a narrowed step.
-
-    A narrowed decode only ever keeps candidate-path beams alive, so the
-    gathered-head union can shrink from the whole trie level's union to the
-    union of the *alive* hypotheses' full-trie children.  The normalisation
-    mask stays the full trie's per-hypothesis allowed sets — scores
-    renormalise exactly as an unnarrowed decode would — while the selection
-    mask keeps only the children on the request's own candidate paths
-    (``narrow[request]``, a node mask; ``None`` keeps everything allowed).
-    Dead and filler hypotheses get all-False rows in both masks (they stay
-    ``-inf``).  ``width`` is hypotheses per request.
-    """
-    trie = candidates_info.trie
-    hypotheses, children = trie.expand(candidates_info.nodes, alive)
-    if not children.size:
-        raise RuntimeError("no live hypotheses to step in a narrowed decode")
-    tokens = trie.token[children]
-    # The children's tokens are a subset of the trie's sorted union: when
-    # they cover it, keep the memoized array itself (the gathered-head
-    # memo's key), else its present columns.
-    union = candidates_info.union
-    present = np.zeros(union.shape[0], dtype=bool)
-    present[np.searchsorted(union, tokens)] = True
-    if not present.all():
-        union = union[present]
-    columns = np.searchsorted(union, tokens)
-    norm_mask = np.zeros((alive.shape[0], union.shape[0]), dtype=bool)
-    norm_mask[hypotheses, columns] = True
-    everything = np.ones(trie.size, dtype=bool)
-    selectable = np.stack([everything if mask is None else mask for mask in narrow])
-    chosen = selectable[hypotheses // width, children]
-    keep = np.zeros_like(norm_mask)
-    keep[hypotheses[chosen], columns[chosen]] = True
-    return union, norm_mask, keep
-
-
 @dataclass
 class DecodeState:
     """Resumable state of a batched trie-constrained beam decode.
@@ -434,8 +364,8 @@ class DecodeState:
     ``beam_nodes[b, g]`` is the prefix hypothesis ``g`` of row ``b`` has
     decoded, so the trie constraint, forcedness, depth, beam extension and
     the retired item ids are array gathers over ``beam_nodes``, never
-    per-hypothesis Python.  A ``-inf`` hypothesis may hold a dead node
-    (an illegal prefix); every slot sits at the cohort's depth.
+    per-hypothesis Python.  A ``-inf`` slot holds its depth's dead node;
+    every slot sits at the cohort's depth.
 
     ``narrow`` holds one entry per row, following it through retirement
     like ``tags``: ``None`` decodes the full trie, a node mask
@@ -446,9 +376,8 @@ class DecodeState:
     hypotheses carry exactly the scores a full decode would give them and
     the row's ranking over its candidate set is identical to a full decode
     filtered post hoc.  Rows narrowed to different sets (and un-narrowed
-    rows) share one decode.  A step with a narrowed row also shrinks the
-    gathered candidate union to the alive rows' allowed sets — fewer
-    output-head columns.
+    rows) share one decode and one scoring path: narrowing is a filter on
+    the scored (hypothesis, child) pairs, nothing more.
 
     ``forwards`` counts the transformer forwards this state has run (the
     prompt phase's own count and the steps) — the forced fast path exists
@@ -614,8 +543,8 @@ def decode_prefill(
 def decode_step(state: DecodeState) -> DecodeState:
     """Advance every row of the cohort by one trie level.
 
-    The vectorized trie constraint is one gather of the level's mask table
-    over each hypothesis's trie node.  A cohort at the final level is
+    The trie constraint is the live hypotheses' (hypothesis, child) pairs
+    (:meth:`IndexTrie.expand` of their nodes).  A cohort at the final level is
     finished: stepping it raises, it is retired (:func:`decode_retire`).
     Returns ``state`` (mutated in place) for chaining.
 
@@ -630,10 +559,10 @@ def decode_step(state: DecodeState) -> DecodeState:
       the transformer in one combined forward at the next level that
       needs logits — or never, if the trie ends first.
     * **Candidate-only head** — logits are computed for the trie level's
-      candidate union only (``TinyLlama.lm_head_gather``) and the
-      log-softmax renormalises over candidates, replacing the full
-      vocabulary GEMM + softmax with one a vocabulary-sized factor
-      smaller.
+      candidate union only (``TinyLlama.lm_head_gather``) and each
+      hypothesis's log-softmax runs over its own children only, replacing
+      the full vocabulary GEMM + softmax with one a vocabulary-sized
+      factor smaller.
     """
     if state.num_rows == 0:
         raise RuntimeError("cannot step an empty decode state")
@@ -673,38 +602,53 @@ def _advance(
     """Select every row's next trie level from its hypotheses' hidden states.
 
     The decoding rule of both :func:`decode_prefill` (level 0, from the
-    root) and :func:`decode_step`: gathered-head logits over the candidate
-    union, the constrained log-softmax, top-``K`` selection, each chosen
-    hypothesis's child node, and the caches and ``pending`` moved onto the
-    new live width.  ``hidden`` is ``(B*width, dim)``, ``candidates_info``
-    the trie's continuations of the leading ``width`` slots and ``alive``
-    which of those carry a finite score.
+    root) and :func:`decode_step`, over the (hypothesis, child) pairs of
+    the ``alive`` hypotheses: each pair's logit from the gathered head over
+    the level's whole union, each hypothesis's constrained log-softmax over
+    its own children (:func:`pair_log_softmax`), narrowed rows' path masks
+    applied after normalising, then each request's top-``K`` over its pairs
+    in pair order — ties go to the earlier origin, then the smaller token.
+    Slots past a request's finite pairs hold ``-inf`` on the new depth's
+    dead node.  The caches and ``pending`` move onto the new live width.
+    ``hidden`` is ``(B*width, dim)`` and ``candidates_info`` the trie's
+    continuations of the leading ``width`` slots.
     """
     model, trie = state.model, state.trie
     num_requests, width = state.num_rows, state.width
-    beam_nodes = state.beam_nodes[:, :width]
-    if all(mask is None for mask in state.narrow):
-        union = candidates_info.union
-        logits = model.lm_head_gather(hidden, union, workspace=state.workspace)
-        step_logp = masked_log_softmax(logits, candidates_info.mask)  # (B*G, U)
-    else:
-        union, norm_mask, keep = _narrowed_step_candidates(
-            candidates_info, state.narrow, width, alive
-        )
-        logits = model.lm_head_gather(hidden, union, workspace=state.workspace)
-        step_logp = np.where(keep, masked_log_softmax(logits, norm_mask), -np.inf)
-    origin, token, state.beam_scores = select_beams(
-        step_logp, state.beam_scores[:, :width], state.num_beams, union
-    )
-    state.beam_nodes = trie.child(np.take_along_axis(beam_nodes, origin, axis=1), token)
+    nodes = candidates_info.nodes
+    counts = np.where(alive, trie.num_children[nodes], 0)
+    hypotheses, children = trie.expand(nodes, alive)
+    if not children.size:
+        raise RuntimeError("no live hypotheses to step")
+    logits = model.lm_head_gather(hidden, candidates_info.union, workspace=state.workspace)
+    # A pair's logit is its child's union column in its hypothesis's row.
+    step_logp = pair_log_softmax(logits[hypotheses, trie.column[children]], counts)
+    scores = state.beam_scores[:, :width].reshape(-1)[hypotheses] + step_logp  # float64
+    if any(mask is not None for mask in state.narrow):
+        everything = np.ones(trie.size, dtype=bool)
+        selectable = np.stack([everything if mask is None else mask for mask in state.narrow])
+        scores[~selectable[hypotheses // width, children]] = -np.inf
+    # Each request's pairs, in pair order, as one row of a -inf padded table.
+    per_request = counts.reshape(num_requests, width).sum(axis=1)
+    first = np.cumsum(per_request) - per_request
+    widest = int(per_request.max())
+    table = np.full((num_requests, widest), -np.inf)
+    shift = np.repeat(np.arange(num_requests) * widest - first, per_request)
+    table.reshape(-1)[np.arange(scores.shape[0]) + shift] = scores
+    top, state.beam_scores = topk_desc(table, min(state.num_beams, widest))
+    # A slot past its request's pairs repeats the request's last pair for
+    # origin and token (filler of a -inf row) on the new depth's dead node.
+    pair = np.minimum(first[:, None] + top, (first + per_request - 1)[:, None])
+    chosen = children[pair]
+    dead = trie.num_real + trie.depth[nodes[0]] + 1
+    state.beam_nodes = np.where(np.isfinite(state.beam_scores), chosen, dead)
     # Gather K/V straight onto the next step's width.  A cohort that just
     # finished needs its scores and nodes only: nothing is reordered.
     live = state.live_width()
     if live:
-        flat_origin = np.arange(num_requests)[:, None] * width + origin[:, :live]
         for cache in state.caches:
-            cache.reorder(flat_origin.reshape(-1), live)
-        state.pending = token[:, :live].reshape(-1, 1).astype(np.int64, copy=False)
+            cache.reorder(hypotheses[pair[:, :live]].reshape(-1), live)
+        state.pending = trie.token[chosen[:, :live]].reshape(-1, 1)
         if live != width:
             state.workspace.clear()  # scratch of the old shape is released
 
@@ -769,10 +713,10 @@ def decode_finish(state: DecodeState) -> list[list[BeamHypothesis]]:
 def constrained_log_probs(logits_row: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     """Per-beam constrained log-softmax over the allowed token ids only.
 
-    The scalar (one-beam) form of :func:`masked_log_softmax`, shared by
-    the single-request oracles (here and in ``TIGER._beam_search``) so a
-    numerics change to the constrained-scoring semantics cannot diverge
-    between them.
+    The one-hypothesis form of :func:`pair_log_softmax` (bit for bit),
+    shared by the single-request oracles (here and in
+    ``TIGER._beam_search``) so a numerics change to the constrained-scoring
+    semantics cannot diverge between them.
     """
     raw = logits_row[allowed]
     shifted = raw - raw.max()
@@ -883,7 +827,8 @@ def sequence_logprob(
     with no_grad():
         # Throwaway caches: what puts a no-grad forward on the inference kernel.
         logits = model.forward(full, caches=model.new_caches()).data[0]
-    log_probs = log_softmax_np(logits)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     start = len(prompt_ids) - 1
     total = 0.0
     for offset, token in enumerate(continuation_ids):

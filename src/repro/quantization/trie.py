@@ -14,10 +14,13 @@ language model can compute logits for the candidate tokens only (see
 ``TinyLlama.lm_head_gather``) instead of the full vocabulary.
 
 The trie *is* a table of arrays: one integer id per prefix, children as
-contiguous id ranges, leaf → item / sequence arrays and one union-space
-mask table per level, so a beam stepper carries one node id per hypothesis
-and every per-hypothesis query is an array gather.  The constructor builds
-every array; nothing is built lazily, so no decode ever pays for a build.
+contiguous id ranges, leaf → item / sequence arrays and each node's column
+in its level's union, so a beam stepper carries one node id per hypothesis
+and every per-hypothesis query is an array gather: a hypothesis's legal
+continuations are the (hypothesis, child) pairs of :meth:`IndexTrie.expand`,
+and each child's logit is column ``column[child]`` of the level's union.
+The constructor builds every array; nothing is built lazily, so no decode
+ever pays for a build.
 
 An :class:`IndexTrie` is immutable.  Catalog growth goes through
 :meth:`IndexTrie.with_item`, which returns a new trie with one more item
@@ -81,21 +84,16 @@ class SparseCandidates:
     """Legal continuations of a batch of trie nodes, in candidate space.
 
     ``nodes`` are the rows' node ids in ``trie``.  ``union`` is the sorted
-    union of every candidate token id for the trie levels the rows sit at
+    union of every candidate token id at the trie level the rows sit at
     (a stable, read-only array — its identity is a valid cache key for
-    gathered weight slices).  ``mask`` restricts the union per row:
-    ``mask[i, j]`` is True iff ``union[j]`` legally extends row ``i``'s
-    prefix.
+    gathered weight slices).  Row ``i``'s legal continuations are its
+    node's children (:meth:`IndexTrie.expand`); child ``c`` sits at column
+    ``trie.column[c]`` of ``union``.
     """
 
     nodes: np.ndarray  # (rows,) node ids
-    union: np.ndarray  # sorted union over the rows' trie levels
-    mask: np.ndarray  # (rows, len(union)) bool
+    union: np.ndarray  # sorted union over the rows' trie level
     trie: IndexTrie = field(repr=False, compare=False)
-
-    @property
-    def num_candidates(self) -> int:
-        return int(self.union.shape[0])
 
     def is_forced(self, alive: np.ndarray | None = None) -> bool:
         """Whether every (alive) row has exactly one legal continuation.
@@ -133,12 +131,11 @@ class IndexTrie:
     Per node (arrays of length :attr:`size`): ``depth``, ``token`` (the
     token leading into it; ``-1`` for the root and dead nodes),
     ``num_children``, ``first_child`` (a dead node when childless),
-    ``first_token`` (its first child's token, ``-1`` when childless).  Per
-    depth ``d``: ``unions[d]``, the sorted union of the tokens at trie
-    level ``d``, and ``masks[d]``, row ``local[n]`` of which marks node
-    ``n``'s children in ``unions[d]`` space (the dead node's row is all
-    False).  Every public array is read-only and nothing changes after the
-    constructor returns.
+    ``first_token`` (its first child's token, ``-1`` when childless) and
+    ``column`` (the position of ``token[n]`` in ``unions[depth[n] - 1]``;
+    ``-1`` for the root and dead nodes).  Per depth ``d``: ``unions[d]``,
+    the sorted union of the tokens at trie level ``d``.  Every public
+    array is read-only and nothing changes after the constructor returns.
     """
 
     def __init__(self, sequences: dict[int, tuple[int, ...]]):
@@ -208,7 +205,7 @@ class IndexTrie:
         has = num_children > 0
         first_child[has] = (np.cumsum(num_children) - num_children + 1)[has]
         first_token = np.where(has, token[first_child], -1)
-        local = np.concatenate([np.arange(real) - level_start[depth[:real]], widths])
+        column = np.full(size, -1, dtype=np.int64)
 
         self.num_levels = levels
         self.num_real = real
@@ -219,7 +216,6 @@ class IndexTrie:
         self.num_children = _frozen(num_children)
         self.first_child = _frozen(first_child)
         self.first_token = _frozen(first_token)
-        self.local = _frozen(local)
         self.sequences = sequences
         self.items = _frozen(items)
         self._rows = _frozen(rows)
@@ -229,16 +225,14 @@ class IndexTrie:
         self._stride = int(rows.max()) + 1
         self._edge_keys = parent[1:] * self._stride + token[1:real]  # edge e -> node e + 1
         self.unions: list[np.ndarray] = []
-        self.masks: list[np.ndarray] = []
         for d in range(levels + 1):
-            children = np.arange(level_start[d + 1], level_start[d + 2]) if d < levels else _EMPTY
+            children = slice(level_start[d + 1], level_start[d + 2]) if d < levels else _EMPTY
             union = _sorted_unique(token[children])
             if d < len(previous_unions) and np.array_equal(previous_unions[d], union):
                 union = previous_unions[d]
-            mask = np.zeros((widths[d] + 1, union.shape[0]), dtype=bool)
-            mask[local[parent[children]], np.searchsorted(union, token[children])] = True
+            column[children] = np.searchsorted(union, token[children])
             self.unions.append(_frozen(union))
-            self.masks.append(_frozen(mask))
+        self.column = _frozen(column)
 
     def with_item(self, item_id: int, sequence: tuple[int, ...]) -> "IndexTrie":
         """A new trie holding every item of this one plus ``item_id``.
@@ -354,10 +348,11 @@ class IndexTrie:
         ``nodes`` is an int array of node ids — what a beam stepper holds
         per hypothesis — or a list of token prefixes, looked up first.  All
         of them must sit at one depth (a decode cohort steps in lockstep):
-        nodes at different depths raise ``ValueError``.  Returns the level's
-        (tiny) candidate union and a ``(rows, len(union))`` mask in union
-        space, one gather from the level's mask table — no per-row Python
-        and no vocabulary-sized work.
+        nodes at different depths raise ``ValueError``.  Returns the nodes
+        with their level's (tiny) candidate union; each row's legal
+        continuations are its node's children (:meth:`expand`), at union
+        columns :attr:`column` — no per-row Python and no vocabulary-sized
+        work.
         """
         if not isinstance(nodes, np.ndarray):
             nodes = np.array([self.node_of(p) for p in nodes], dtype=np.int64)
@@ -367,9 +362,7 @@ class IndexTrie:
             raise ValueError(
                 f"nodes sit at depths {sorted(set(depths.tolist()))}: one decode steps one level"
             )
-        union = self.unions[level]
-        mask = self.masks[level][self.local[nodes]]
-        return SparseCandidates(nodes=nodes, union=union, mask=mask, trie=self)
+        return SparseCandidates(nodes=nodes, union=self.unions[level], trie=self)
 
     # ------------------------------------------------------------------
     # Per-prefix queries (the single-request oracles and tests)

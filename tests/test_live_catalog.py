@@ -87,7 +87,7 @@ def assert_same_content(trie, oracle):
     )
     root, oracle_root = trie.allowed_token_ids([()]), oracle.allowed_token_ids([()])
     assert np.array_equal(root.union, oracle_root.union)
-    assert np.array_equal(root.mask, oracle_root.mask)
+    assert np.array_equal(trie.column, oracle.column)
     for level in range(oracle.num_levels):
         assert np.array_equal(trie.level_union(level), oracle.level_union(level))
     for seq in oracle.all_sequences().values():

@@ -133,10 +133,13 @@ class Watched:
 
     @staticmethod
     def check_nodes(state, finite, depths):
-        """Every slot sits at the cohort's depth; every live node is a real prefix."""
+        """Every slot sits at the cohort's depth; every live node is a real
+        prefix and every -inf slot the depth's dead node."""
         trie = state.trie
         assert state.beam_nodes.shape == state.beam_scores.shape
         assert (trie.depth[state.beam_nodes] == depths[:, None]).all()
+        dead = trie.num_real + depths[:, None]
+        assert (finite | (state.beam_nodes == dead)).all()
         for node in state.beam_nodes[finite].tolist():
             prefix = trie.prefix(node)
             assert prefix is not None and trie.contains_prefix(prefix)

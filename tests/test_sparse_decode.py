@@ -3,8 +3,12 @@
 Parity contracts pinned here:
 
 * ``IndexTrie.allowed_token_ids`` exposes exactly the same constraint as
-  the dense ``allowed_token_mask`` (union + mask in candidate space),
-  with stable union identities, and ``with_item`` rebuilds them;
+  the dense ``allowed_token_mask`` (each node's children, at their
+  ``column`` of the level's union), with stable union identities, and
+  ``with_item`` rebuilds them;
+* ``pair_log_softmax`` normalises each hypothesis over its own children,
+  exactly as the single-request ``constrained_log_probs`` does, whatever
+  its neighbours' fan-out, and a step with no live pair raises;
 * the sparse (candidate-only) decode — the only output head — returns
   rankings identical to the single-request oracles, which score the full
   vocabulary (``beam_search_items_single``, ``TIGER.recommend``), and
@@ -15,7 +19,8 @@ Parity contracts pinned here:
   score (a singleton allowed set renormalises to log-probability 0.0),
   across one-shot decodes and retirement;
 * the fused-QKV / gathered-head caches never serve stale weights across
-  train()/eval() cycles.
+  train()/eval() cycles, and a warm decode, narrowed or not, builds no
+  gathered head.
 """
 
 import numpy as np
@@ -32,10 +37,10 @@ from repro.llm import (
     decode_prefill,
     decode_retire,
     decode_step,
-    masked_log_softmax,
+    pair_log_softmax,
     ranked_item_ids,
 )
-from repro.llm.generation import log_softmax_np
+from repro.llm.generation import constrained_log_probs
 from repro.quantization import IndexTrie
 from repro.serving import (
     LCRecEngine,
@@ -44,7 +49,7 @@ from repro.serving import (
     RecommendationService,
     TIGEREngine,
 )
-from repro.tensor import StepWorkspace
+from repro.tensor import StepWorkspace, WeightMemo
 
 from helpers import decode_prompts
 
@@ -98,8 +103,9 @@ class TestAllowedTokenIds:
         for batch in ([prefixes[0]], prefixes[1:3], prefixes[3:]):
             cand = trie.allowed_token_ids(batch)
             dense = trie.allowed_token_mask(batch, vocab_size=30)
+            rows, children = trie.expand(cand.nodes, np.ones(len(batch), dtype=bool))
             for row, prefix in enumerate(batch):
-                np.testing.assert_array_equal(cand.union[cand.mask[row]],
+                np.testing.assert_array_equal(cand.union[trie.column[children[rows == row]]],
                                               np.flatnonzero(dense[row]))
                 np.testing.assert_array_equal(cand.trie.child_tokens(cand.nodes[row]),
                                               np.flatnonzero(dense[row]))
@@ -157,26 +163,77 @@ class TestAllowedTokenIds:
         assert mixed.is_forced(alive=np.array([False, True]))
 
 
-class TestMaskedLogSoftmax:
-    def test_matches_full_log_softmax_when_unmasked(self):
+def ragged_pairs(rng, counts, vocab):
+    """Random logits ``(len(counts), vocab)`` and ``counts[i]`` sorted legal ids per row."""
+    logits = (rng.standard_normal((len(counts), vocab)) * 3).astype(np.float32)
+    allowed = [np.sort(rng.choice(vocab, size=n, replace=False)) for n in counts]
+    return logits, allowed
+
+
+def pair_scores(logits, allowed):
+    """``pair_log_softmax`` over the rows' allowed ids laid end to end, split per row."""
+    counts = np.array([len(ids) for ids in allowed])
+    rows = np.repeat(np.arange(len(allowed)), counts)
+    flat = pair_log_softmax(logits[rows, np.concatenate(allowed)], counts)
+    return np.split(flat, np.cumsum(counts)[:-1])
+
+
+class TestPairLogSoftmax:
+    def test_matches_full_log_softmax_when_every_column_is_legal(self):
         logits = np.random.default_rng(0).standard_normal((4, 9)).astype(np.float32)
-        np.testing.assert_allclose(
-            masked_log_softmax(logits, np.ones((1, 9), dtype=bool)),
-            log_softmax_np(logits), rtol=1e-6)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        dense = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        got = pair_scores(logits, [np.arange(9)] * 4)
+        np.testing.assert_allclose(np.stack(got), dense, rtol=1e-6)
 
-    def test_renormalises_over_the_masked_set(self):
+    def test_renormalises_over_the_legal_set(self):
         logits = np.array([[0.5, 1.0, -2.0, 3.0]], dtype=np.float32)
-        mask = np.array([[True, False, True, False]])
-        out = masked_log_softmax(logits, mask)
-        assert out[0, 1] == -np.inf and out[0, 3] == -np.inf
-        np.testing.assert_allclose(np.exp(out[0, [0, 2]]).sum(), 1.0, rtol=1e-6)
+        (out,) = pair_scores(logits, [np.array([0, 2])])
+        assert np.isfinite(out).all() and out.shape == (2,)
+        np.testing.assert_allclose(np.exp(out).sum(), 1.0, rtol=1e-6)
 
-    def test_empty_row_is_all_neg_inf(self):
-        logits = np.zeros((2, 3), dtype=np.float32)
-        mask = np.array([[True, True, True], [False, False, False]])
-        out = masked_log_softmax(logits, mask)
-        assert np.isfinite(out[0]).all()
-        assert (out[1] == -np.inf).all()
+    def test_childless_hypothesis_has_no_segment(self):
+        # A hypothesis that expands nothing (count 0) scores no pair and
+        # leaves its neighbours' segments where they are.
+        logits = np.arange(6, dtype=np.float32).reshape(2, 3)
+        counts = np.array([0, 3])
+        out = pair_log_softmax(logits[1], counts)
+        assert out.shape == (3,) and np.isfinite(out).all()
+        np.testing.assert_array_equal(out, constrained_log_probs(logits[1], np.arange(3)))
+
+    def test_equals_the_single_request_rule_on_ragged_sets(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            counts = rng.integers(1, 65, size=rng.integers(1, 12))
+            logits, allowed = ragged_pairs(rng, counts, vocab=96)
+            for row, (ids, got) in enumerate(zip(allowed, pair_scores(logits, allowed))):
+                want = constrained_log_probs(logits[row], ids)
+                assert got.dtype == want.dtype
+                if len(ids) < 8:
+                    np.testing.assert_array_equal(got, want)
+                else:  # past numpy's sequential-sum length the orders may differ
+                    np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
+
+    def test_scores_do_not_depend_on_a_neighbours_fan_out(self):
+        rng = np.random.default_rng(5)
+        for own in (1, 3, 7, 8, 40):
+            logits, (mine,) = ragged_pairs(rng, [own], vocab=256)
+            alone = pair_scores(logits, [mine])[0]
+            for fan_out in (1, 200):
+                theirs = np.sort(rng.choice(256, size=fan_out, replace=False))
+                other = rng.standard_normal((1, 256)).astype(np.float32)
+                after = pair_scores(np.vstack([logits, other]), [mine, theirs])[0]
+                before = pair_scores(np.vstack([other, logits]), [theirs, mine])[1]
+                np.testing.assert_array_equal(after, alone)
+                np.testing.assert_array_equal(before, alone)
+
+    def test_a_step_with_no_live_pair_raises(self):
+        model, trie = make_model(), make_trie()
+        state = decode_prefill(model, MIXED_PROMPTS[:2], trie, beam_size=4)
+        # Finite scores on the depth's dead node: alive, but nothing to expand.
+        state.beam_nodes[:] = trie.num_real + 1
+        with pytest.raises(RuntimeError, match="no live hypotheses"):
+            decode_step(state)
 
 
 class TestStepWorkspace:
@@ -333,6 +390,38 @@ class TestForcedFastPath:
             rest, beam_search_items_single(model, prompts[1], trie, beam_size=4))
 
 class TestStaleWeightGuards:
+    def test_warm_narrowed_decodes_build_no_gathered_head(self, monkeypatch):
+        # tiger_batch's shape: a narrowed step's live children rarely cover
+        # a 256-wide level, and the gathered head is still the level's own.
+        tiger = TIGER(build_random_index_set(400, 3, 256, np.random.default_rng(5)),
+                      TIGERConfig(dim=16, max_history=3, beam_size=20, seed=2))
+        tiger.eval()
+        engine, memo = TIGEREngine(tiger), tiger._head_gather_cache
+        built = []
+        get = WeightMemo.get
+
+        def counting(self, sources, params, build):
+            def counted():
+                if self is memo:
+                    built.append(sources[0])
+                return build()
+            return get(self, sources, params, counted)
+
+        monkeypatch.setattr(WeightMemo, "get", counting)
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            histories = [list(rng.integers(0, 400, size=3)) for _ in range(4)]
+            narrow = [rng.choice(400, size=32, replace=False).tolist() for _ in histories]
+            state = decode_prefill(tiger, [engine.encode_history(h) for h in histories],
+                                   tiger.trie, beam_size=20, narrow=narrow)
+            while not state.done:
+                decode_step(state)
+            decode_finish(state)
+        # One build per level union the decodes forwarded at, and no other:
+        # every later step at that level hits the memo.
+        assert built and all(any(ids is union for union in tiger.trie.unions) for ids in built)
+        assert len({id(ids) for ids in built}) == len(built)
+
     def test_fused_qkv_sees_weight_updates_across_training(self):
         from repro.tensor import Adam
         from repro.tensor import functional as F

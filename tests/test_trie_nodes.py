@@ -1,8 +1,8 @@
 """The trie's node arrays against a brute-force oracle.
 
 An ``IndexTrie`` is what the beam stepper reads instead of token prefixes:
-one id per prefix, children as id ranges, leaf -> item and sequence, one
-union-space mask table per level.  Every answer it gives is checked here
+one id per prefix, children as id ranges, leaf -> item and sequence, each
+node's column in its level's union.  Every answer it gives is checked here
 against sets computed straight from the item sequences, on random tries
 (depth 1-4, unary chains, single items, 256-wide levels) and along chains
 of ``with_item`` snapshots — where a parent's answers must not move, every
@@ -42,16 +42,11 @@ def brute_children(catalog, prefix):
                    if len(seq) > len(prefix) and seq[: len(prefix)] == prefix})
 
 
-def brute_candidates(catalog, prefixes):
-    """What ``allowed_token_ids`` means: the rows' level's union, each row's mask."""
+def brute_union(catalog, prefixes):
+    """The union ``allowed_token_ids`` returns: every token at the rows' level."""
     levels = {len(prefix) for prefix in prefixes}
-    union = sorted({seq[level] for seq in catalog.values() for level in levels
-                    if level < len(seq)})
-    mask = np.zeros((len(prefixes), len(union)), dtype=bool)
-    for row, prefix in enumerate(prefixes):
-        for token in brute_children(catalog, prefix):
-            mask[row, union.index(token)] = True
-    return union, mask
+    return sorted({seq[level] for seq in catalog.values() for level in levels
+                   if level < len(seq)})
 
 
 def assert_matches_catalog(trie, catalog):
@@ -72,6 +67,8 @@ def assert_matches_catalog(trie, catalog):
         assert trie.child(np.full(len(children), node), np.array(children, dtype=np.int64)
                           ).tolist() == ids.tolist()
         assert trie.first_token[node] == (children[0] if children else -1)
+        if prefix:
+            assert trie.unions[len(prefix) - 1][trie.column[node]] == prefix[-1]
     leaves = trie.level_start[depth]
     for item, sequence in catalog.items():
         leaf = trie.node_of(sequence)
@@ -86,6 +83,7 @@ def assert_matches_catalog(trie, catalog):
     for prefix in ((top + 1,), (-1,), legal[-1][:-1] + (top + 7,)):
         node = trie.node_of(prefix)
         assert node == trie.num_real + len(prefix) and trie.prefix(node) is None
+        assert trie.column[node] == -1
         assert trie.depth[node] == len(prefix) and trie.child_tokens(node).size == 0
 
 
@@ -127,10 +125,14 @@ class TestNodeTable:
             # One level at a time is what a decode cohort asks for.
             batch = [prefix for prefix in batch if len(prefix) == len(batch[0])]
             nodes = np.array([trie.node_of(prefix) for prefix in batch], dtype=np.int64)
-        union, mask = brute_candidates(catalog, batch)
+        union = brute_union(catalog, batch)
+        everyone = np.ones(len(batch), dtype=bool)
         for candidates in (trie.allowed_token_ids(nodes), trie.allowed_token_ids(batch)):
             assert candidates.union.tolist() == union
-            np.testing.assert_array_equal(candidates.mask, mask)
+            rows, children = trie.expand(candidates.nodes, everyone)
+            assert [candidates.union[trie.column[children[rows == row]]].tolist()
+                    for row in range(len(batch))] == [
+                brute_children(catalog, prefix) for prefix in batch]
             assert [trie.child_tokens(node).tolist() for node in candidates.nodes] == [
                 brute_children(catalog, prefix) for prefix in batch]
         fanout = np.array([len(brute_children(catalog, prefix)) for prefix in batch])
@@ -153,7 +155,8 @@ class TestNodeTable:
         catalog = {item: (item // 256, 256 + item % 256) for item in range(600)}
         trie = IndexTrie(catalog)
         assert_matches_catalog(trie, catalog)
-        assert [mask.shape for mask in trie.masks] == [(2, 3), (4, 256), (601, 0)]
+        assert [union.shape[0] for union in trie.unions] == [3, 256, 0]
+        assert trie.column[trie.level_start[2]:trie.level_start[3]].max() == 255
 
 
 class TestSnapshotChains:
