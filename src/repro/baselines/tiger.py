@@ -39,7 +39,6 @@ from ..tensor import (
     Adam,
     Dropout,
     Embedding,
-    KVCache,
     LayerNorm,
     Module,
     ModuleList,
@@ -149,10 +148,8 @@ class TIGER(Module):
         if not is_grad_enabled():
             x = self.token_embeddings.weight.data[source]
             x += self.encoder_positions.weight.data[positions]
-            caches = [KVCache(max_length=source.shape[1]) for _ in self.encoder_layers]
-            memory = layer_stack_hidden_states(
-                self.encoder_layers, self.encoder_norm, x, caches, pad_mask
-            )
+            layers, norm = self.encoder_layers, self.encoder_norm
+            memory = layer_stack_hidden_states(layers, norm, x, None, pad_mask)
             return Tensor(memory), pad_mask
         x = self.token_embeddings(source) + self.encoder_positions(positions)
         x = self.dropout(x)
@@ -191,7 +188,7 @@ class TIGER(Module):
         if caches is not None:
             if is_grad_enabled():
                 raise RuntimeError("KV-cached decoding is inference-only: call under no_grad()")
-            if caches[0].memory.length == 0:
+            if caches[0].memory_keys is None:
                 for layer, cache in zip(self.decoder_layers, caches):
                     cache.project_memory(layer.cross_attn, memory.data, memory_mask)
             mask, offset = attention_geometry(seq_len, caches[0].length, pad_columns)

@@ -32,16 +32,15 @@ What makes it GEMM-bound rather than temporary-bound:
   :class:`~repro.tensor.BeamKVCache`, the ``G`` live beams of a request
   share its prompt K/V, so their queries stack into one ``(G*T, head_dim)``
   operand: ``B*H`` GEMMs against the prompt instead of ``B*H*G`` GEMVs.
-  Only the per-beam suffix (at most ``num_levels - 1`` columns) stays a
-  batch of tiny products.
+  The per-beam suffix (at most ``num_levels - 1`` columns) is two ``einsum``s.
 * **Last-position-only final block** — callers that keep just the last
   position (``last_only=True``) still get K/V for every new position in
   every layer cache, but the final block runs attention, ``out_proj`` and
   the FFN for the last position alone.
-* **Cross-attention K/V projected once** — an encoder-decoder's memory
-  becomes K/V once per request and layer (:class:`CrossBeamKVCache`), in the
-  prompt region of a beam cache that never grows a suffix: cross-attention
-  is the same shared-operand GEMM, and a step forwards only new tokens.
+* **Cross-attention K/V projected once** — per request and layer, as two
+  views of one k|v GEMM (:class:`CrossBeamKVCache`) that every beam reads
+  as the shared operand; a step forwards only new tokens.  The encoder
+  attends over its own QKV buffer.
 """
 
 from __future__ import annotations
@@ -120,7 +119,7 @@ def cached_hidden_states(
         qkv = _linear(normed, attention.fused_qkv_weight(), buffer("qkv", 3 * dim))
         qkv = qkv.reshape(rows, seq_len, 3, heads, head_dim)
         _rotate(qkv[:, :, :2].reshape(slab_shape), cos, sin, scratch("rope_tmp", slab_shape))
-        cache.append(qkv[:, :, 1].transpose(0, 2, 1, 3), qkv[:, :, 2].transpose(0, 2, 1, 3))
+        kv = _append(cache, qkv[:, :, 1].transpose(0, 2, 1, 3), qkv[:, :, 2].transpose(0, 2, 1, 3))
         queries = qkv[:, :, 0]
         if last_only and index == last_block:
             # K/V above covered every new position (the caches need
@@ -128,7 +127,7 @@ def cached_hidden_states(
             queries, x = queries[:, -1:], x[:, -1:]
             if bias is not None:
                 bias = bias[..., -1:]
-        context = _attend(queries, cache, bias, scratch)
+        context = _attend(queries, *kv, bias, scratch)
         x += _linear(context, attention.out_proj.weight.data, buffer("proj", dim))
 
         normed = _rms_norm(x, block.ffn_norm, buffer("normed", dim))
@@ -144,51 +143,37 @@ class CrossBeamKVCache(BeamKVCache):
     The inherited regions are the layer's *self-attention* K/V — what the
     beam stepper fans out, reorders and reads lengths from: BOS is the
     shared prompt column, every later token a per-beam suffix column.
-    ``memory`` holds the encoder memory's K/V for the layer's
-    cross-attention in the *prompt* region of a second beam cache whose
-    suffix stays empty: written once by :meth:`project_memory`, read by
-    every beam of a request, never moved.
-    ``memory_bias`` is the source-pad additive bias over those columns
-    (``None`` when no row is padded).
+    ``memory_keys`` / ``memory_values`` ``(B, H, S, Dh)`` are the encoder
+    memory's cross-attention K/V: two views of one projection that
+    :meth:`project_memory` writes once and every beam of a request reads.
+    ``memory_bias`` is their source-pad additive bias (``None`` if unpadded).
     """
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.memory = BeamKVCache()
-        self.memory_bias: np.ndarray | None = None
+    memory_keys: np.ndarray | None = None
+    memory_values: np.ndarray | None = None
+    memory_bias: np.ndarray | None = None
 
     def project_memory(
         self, attention: MultiHeadAttention, memory: np.ndarray, pad_mask: np.ndarray
     ) -> None:
         """Project encoder ``memory`` ``(B, S, dim)`` to this layer's cross K/V.
 
-        One fused k|v GEMM over the ``B*S`` memory rows (the k|v columns of
-        the cross-attention's memoized fused QKV weight).  ``pad_mask`` is
-        the key padding mask, ``(B, 1, 1, S)``, True at pads.
+        One GEMM over the ``B*S`` memory rows and the fused QKV weight's k|v
+        columns.  ``pad_mask`` is the key padding mask ``(B, 1, 1, S)``.
         """
         batch, source_len, dim = memory.shape
         kv = np.matmul(memory.reshape(-1, dim), attention.fused_qkv_weight()[:, dim:])
         kv = kv.reshape(batch, source_len, 2, attention.num_heads, attention.head_dim)
-        self.memory.seed_prompt(
-            np.ascontiguousarray(kv[:, :, 0].transpose(0, 2, 1, 3)),
-            np.ascontiguousarray(kv[:, :, 1].transpose(0, 2, 1, 3)),
-        )
+        self.memory_keys = kv[:, :, 0].transpose(0, 2, 1, 3)
+        self.memory_values = kv[:, :, 1].transpose(0, 2, 1, 3)
         self.memory_bias = _additive_bias(pad_mask, batch, 1, 1)
-
-    def fan_out(self, beams: int, suffix_length: int = 0) -> None:
-        super().fan_out(beams, suffix_length)
-        self.memory.fan_out(beams)
-
-    def reorder(self, beam_indices: np.ndarray, beams: int | None = None) -> None:
-        super().reorder(beam_indices, beams)
-        self.memory.beams = self.beams  # the memory's K/V is per request: only its width moves
 
 
 def layer_stack_hidden_states(
     layers: Sequence["TransformerEncoderLayer"],
     final_norm: LayerNorm,
     x: np.ndarray,
-    caches: Sequence[KVCache],
+    caches: Sequence[CrossBeamKVCache] | None,
     mask: np.ndarray,
     workspace: StepWorkspace | None = None,
     last_only: bool = False,
@@ -197,15 +182,15 @@ def layer_stack_hidden_states(
 
     ``x`` is the stack's input — token plus learned position embeddings,
     ``(rows, T, dim)``, updated in place — and ``mask`` the boolean
-    self-attention mask (True disallows).  Every cache receives the new
-    positions' K/V.  A :class:`CrossBeamKVCache` makes its layer also
-    cross-attend the memory K/V it holds; any other cache (one throwaway
-    ``KVCache`` per layer) runs a self-attention-only encoder layer.
-    ``workspace`` and ``last_only`` are as in :func:`cached_hidden_states`.
+    self-attention mask (True disallows).  With ``caches`` this is the
+    decoder: every cache receives the new positions' K/V and its layer also
+    cross-attends the memory K/V it holds.  With ``caches=None`` it is the
+    encoder: each layer attends over its own QKV buffer.  ``workspace`` and
+    ``last_only`` are as in :func:`cached_hidden_states`.
     """
     scratch = (workspace if workspace is not None else StepWorkspace()).take
     rows, seq_len, dim = x.shape
-    groups = caches[0].beams if isinstance(caches[0], BeamKVCache) else 1
+    groups = caches[0].beams if caches else 1
     attention = layers[0].self_attn
     heads, head_dim = attention.num_heads, attention.head_dim
     scale = np.float32(1.0 / np.sqrt(head_dim))
@@ -216,29 +201,33 @@ def layer_stack_hidden_states(
         return scratch(name, x.shape[:2] + (width,))
 
     last_layer = len(layers) - 1
-    for index, (layer, cache) in enumerate(zip(layers, caches)):
+    for index, layer in enumerate(layers):
         attention = layer.self_attn
         normed = _layer_norm(x, layer.self_norm, buffer("normed", dim))
         qkv = _linear(normed, attention.fused_qkv_weight(), buffer("qkv", 3 * dim))
         qkv = qkv.reshape(rows, seq_len, 3, heads, head_dim)
         queries = qkv[:, :, 0]
         queries *= scale  # scores leave the GEMM already scaled
-        cache.append(qkv[:, :, 1].transpose(0, 2, 1, 3), qkv[:, :, 2].transpose(0, 2, 1, 3))
+        keys, values = qkv[:, :, 1].transpose(0, 2, 1, 3), qkv[:, :, 2].transpose(0, 2, 1, 3)
+        suffix = None
+        if caches is not None:
+            keys, values, suffix = _append(caches[index], keys, values)
         if last_only and index == last_layer:
             queries, x = queries[:, -1:], x[:, -1:]
             if bias is not None:
                 bias = bias[..., -1:]
-        context = _attend(queries, cache, bias, scratch)
+        context = _attend(queries, keys, values, suffix, bias, scratch)
         x += _linear(context, attention.out_proj.weight.data, buffer("proj", dim))
 
-        if isinstance(cache, CrossBeamKVCache):
-            attention = layer.cross_attn
+        if caches is not None:
+            cache, attention = caches[index], layer.cross_attn
             normed = _layer_norm(x, layer.cross_norm, buffer("normed", dim))
             query_weight = attention.fused_qkv_weight()[:, :dim]
             queries = _linear(normed, query_weight, buffer("cross_q", dim))
             queries *= scale
             queries = queries.reshape(rows, -1, heads, head_dim)
-            context = _attend(queries, cache.memory, cache.memory_bias, scratch)
+            context = _attend(queries, cache.memory_keys, cache.memory_values, None,
+                              cache.memory_bias, scratch)
             x += _linear(context, attention.out_proj.weight.data, buffer("proj", dim))
 
         fc1, fc2 = layer.ffn.fc1, layer.ffn.fc2
@@ -387,28 +376,35 @@ def _swiglu(gate: np.ndarray, up: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _append(
+    cache: KVCache | BeamKVCache, keys: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, KVCache | None]:
+    """Append the new positions' K/V; return what :func:`_attend` reads of ``cache``."""
+    cache.append(keys, values)
+    if isinstance(cache, BeamKVCache):
+        return cache.prompt.keys, cache.prompt.values, cache.suffix if cache.suffix.length else None
+    return cache.keys, cache.values, None
+
+
 def _attend(
-    queries: np.ndarray, cache: KVCache | BeamKVCache, bias: np.ndarray | None, scratch: Scratch
+    queries: np.ndarray, keys: np.ndarray, values: np.ndarray, suffix: KVCache | None,
+    bias: np.ndarray | None, scratch: Scratch,
 ) -> np.ndarray:
-    """Softmax attention of ``queries`` over everything in ``cache``.
+    """Softmax attention of ``queries`` over ``keys``/``values`` and ``suffix``.
 
     ``queries`` is ``(rows, Tq, H, Dh)`` — rotated, pre-scaled, usually a
-    strided view into the QKV buffer; the new positions' K/V are already
-    appended.  A request's ``G`` beams (``rows = B * G``: the cache's
-    current width) read the same prompt K/V, so their queries are one
-    ``(G*Tq, Dh)`` GEMM operand per request and head.  Returns the merged
-    heads ``(rows, Tq, H*Dh)`` in scratch.
+    strided view into the QKV buffer; the new positions' K/V are already in
+    place.  ``keys``/``values`` ``(B, H, P, Dh)`` are shared by the ``G =
+    rows / B`` beams of a request, so their queries are one ``(G*Tq, Dh)``
+    GEMM operand per request and head.  ``suffix`` is ``None`` or the
+    ``rows``-row cache region of each beam's own columns.  Returns the
+    merged heads ``(rows, Tq, H*Dh)`` in scratch.
     """
-    if isinstance(cache, BeamKVCache):
-        shared, groups = cache.prompt, cache.beams
-        own = cache.suffix if cache.suffix.length else None
-    else:
-        shared, groups, own = cache, 1, None
-    keys, values = shared.keys, shared.values  # (B, H, P, Dh)
     batch, heads, shared_len, head_dim = keys.shape
-    q_len = queries.shape[1]
+    rows, q_len = queries.shape[:2]
+    groups = rows // batch
     width = groups * q_len
-    own_len = own.length if own is not None else 0
+    own_len = suffix.length if suffix is not None else 0
     key_len = shared_len + own_len
     queries = queries.reshape(batch, width, heads, head_dim)
 
@@ -416,19 +412,16 @@ def _attend(
     # the leading axis, i.e. over long contiguous rows — and a longer key
     # axis is a longer prefix of the same buffer, so sizing it to the
     # suffix's capacity lets every step of a decode reuse one allocation.
-    spare = own.capacity - own_len if own is not None else 0
+    spare = suffix.capacity - own_len if suffix is not None else 0
     scores = scratch("attn_scores", (key_len + spare, batch, heads, width))[:key_len]
     shared_scores = scores[:shared_len]
     np.matmul(keys, queries.transpose(0, 2, 3, 1), out=shared_scores.transpose(1, 2, 0, 3))
-    if own is not None:
-        # Per-beam suffix columns: B*H*G tiny (Tq, Dh) x (Dh, S) products.
+    if suffix is not None:
         own_shape = (batch, groups, heads, own_len, head_dim)
-        own_keys = own.keys.reshape(own_shape).transpose(0, 2, 1, 4, 3)  # (B, H, G, Dh, S)
-        own_values = own.values.reshape(own_shape).transpose(0, 2, 1, 3, 4)  # (B, H, G, S, Dh)
         beam_queries = queries.reshape(batch, groups, q_len, heads, head_dim)
         own_scores = scores[shared_len:].reshape(own_len, batch, heads, groups, q_len)
-        own_scores = own_scores.transpose(1, 2, 3, 4, 0)  # (B, H, G, Tq, S)
-        np.matmul(beam_queries.transpose(0, 3, 1, 2, 4), own_keys, out=own_scores)
+        np.einsum("bghsd,bgqhd->sbhgq", suffix.keys.reshape(own_shape), beam_queries,
+                  out=own_scores)
 
     if bias is not None:
         grouped = scores.reshape(key_len, batch, heads, groups, q_len)
@@ -442,9 +435,7 @@ def _attend(
 
     merged = scratch("attn_merged", (batch, width, heads, head_dim))
     np.matmul(shared_scores.transpose(1, 2, 3, 0), values, out=merged.transpose(0, 2, 1, 3))
-    if own is not None:
-        own_context = scratch("attn_own", (batch, heads, groups, q_len, head_dim))
-        np.matmul(own_scores, own_values, out=own_context)
+    if suffix is not None:
         by_beam = merged.reshape(batch, groups, q_len, heads, head_dim)
-        by_beam += own_context.transpose(0, 2, 3, 1, 4)
-    return merged.reshape(batch * groups, q_len, heads * head_dim)
+        by_beam += np.einsum("sbhgq,bghsd->bgqhd", own_scores, suffix.values.reshape(own_shape))
+    return merged.reshape(rows, q_len, heads * head_dim)

@@ -62,7 +62,7 @@ from .api import (
 )
 from .batcher import MicroBatcherConfig
 from .engine import GenerativeEngine
-from .queue import check_top_k
+from .queue import check_history, check_top_k
 from .router import AffinityRouter
 from .service import RecommendationService, ServingStats, refresh_retrieval_tier
 
@@ -392,6 +392,7 @@ class ServingCluster(RecommendationClient):
         ``deadline_ms`` is the request's shed budget at its worker.
         """
         history = list(history)
+        check_history(history, self._workers[0].service.engine.num_items)
         return self._route(
             lambda service: service.submit(
                 history,

@@ -71,7 +71,7 @@ from ..llm import (
     ranked_item_ids,
 )
 from ..quantization.trie import IndexTrie
-from .queue import RecommendRequest
+from .queue import RecommendRequest, check_history
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids cycles at runtime
     from ..baselines.p5cid import P5CID
@@ -298,6 +298,8 @@ class GenerativeEngine(abc.ABC):
         self, histories: Sequence[Sequence[int]], top_k: int = 10, template_id: int = 0
     ) -> list[list[int]]:
         """Batched next-item recommendation: one decode for all histories."""
+        for history in histories:
+            check_history(history, self.num_items)
         prompts = [self.encode_history(list(history), template_id) for history in histories]
         return self.rank_prompts(prompts, top_k=top_k)
 

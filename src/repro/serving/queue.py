@@ -23,7 +23,9 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 __all__ = ["RecommendRequest", "RequestQueue"]
 
@@ -34,6 +36,18 @@ def check_top_k(top_k: int) -> None:
     """Raise ``ValueError`` unless ``top_k`` asks for at least one item."""
     if top_k < 1:
         raise ValueError("top_k must be positive")
+
+
+def check_history(history: Sequence[int], num_items: int) -> None:
+    """Raise ``ValueError`` naming the first id in ``history`` that is not an item.
+
+    Items are Python or numpy integers (not ``bool``) in ``[0, num_items)``,
+    the engine's live count.  A plain loop: submitters share the GIL with decode.
+    """
+    for item in history:
+        integer = isinstance(item, (int, np.integer)) and not isinstance(item, bool)
+        if not (integer and 0 <= item < num_items):
+            raise ValueError(f"history item {item!r} is not an item id in [0, {num_items})")
 
 
 @dataclass

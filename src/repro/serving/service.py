@@ -64,7 +64,7 @@ from .api import (
 from .batcher import MicroBatcher, MicroBatcherConfig, padding_fraction
 from .continuous import ContinuousScheduler
 from .engine import GenerativeEngine
-from .queue import RecommendRequest, RequestQueue, check_top_k
+from .queue import RecommendRequest, RequestQueue, check_history, check_top_k
 
 __all__ = [
     "PendingRecommendation",
@@ -525,6 +525,7 @@ class RecommendationService(RecommendationClient):
         """
         check_top_k(top_k)
         history = list(history)
+        check_history(history, self.engine.num_items)
         narrow_items: tuple[int, ...] | None = None
         if self.hybrid is not None:
             if self.hybrid.retriever.profile(history) is None:

@@ -104,18 +104,15 @@ class KVCache:
         # growth factor would double that traffic for short decodes.
         return length + max(16, length // 4)
 
-    def seed(self, keys: np.ndarray, values: np.ndarray, length: int | None = None) -> None:
-        """Resume decoding from precomputed K/V of shape ``(B, H, L, Dh)``.
+    def seed(self, keys: np.ndarray, values: np.ndarray, length: int) -> None:
+        """Resume decoding from precomputed K/V of shape ``(B, H, C, Dh)``.
 
         The cached-prefix serving path (:class:`repro.llm.PrefixKVCache`)
         seeds a fresh cache with the keys/values of an already-forwarded
         prompt prefix, so the model only runs the suffix tokens.  The
-        arrays are adopted without copying.  By default every column is
-        used: the first :meth:`append` sees a full buffer and reallocates,
-        so seeded (possibly read-only, shared) arrays are never written in
-        place.  ``length`` marks only the leading columns as used; the rest
-        is capacity later appends write in place, so the arrays must be the
-        caller's own.
+        arrays are adopted without copying: their leading ``length`` columns
+        are used, the rest is capacity later appends write in place, so the
+        arrays must be the caller's own.
         """
         if self.keys is not None:
             raise RuntimeError("seed() requires an empty cache")
@@ -123,8 +120,8 @@ class KVCache:
             raise ValueError("keys and values must share a shape")
         self._buf_keys = keys
         self._buf_values = values
-        self.keys = keys if length is None else keys[:, :, :length]
-        self.values = values if length is None else values[:, :, :length]
+        self.keys = keys[:, :, :length]
+        self.values = values[:, :, :length]
 
     def append(self, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         used = self.length
@@ -217,15 +214,11 @@ class BeamKVCache:
     def batch_size(self) -> int:
         return self.prompt.batch_size * self.beams
 
-    def seed_prompt(
-        self, keys: np.ndarray, values: np.ndarray, length: int | None = None
-    ) -> None:
-        """Resume from cached prompt-prefix K/V (``(B, H, L, Dh)``).
+    def seed_prompt(self, keys: np.ndarray, values: np.ndarray, length: int) -> None:
+        """:meth:`KVCache.seed` the prompt region, before any :meth:`append` or :meth:`fan_out`.
 
-        Must run before any :meth:`append` or :meth:`fan_out`: the seeded
-        columns become the leftmost prompt columns, and the remaining
-        prompt tokens are appended behind them by the suffix forward pass.
-        ``length`` is as in :meth:`KVCache.seed`.
+        The seeded columns become the leftmost prompt columns; the suffix
+        forward pass appends the remaining prompt tokens behind them.
         """
         if self.fanned:
             raise RuntimeError("seed_prompt must precede fan_out")

@@ -32,8 +32,9 @@ from repro.llm import (
     decode_step,
     left_pad_prompts,
 )
+from repro.llm.inference import _additive_bias, _attend
 from repro.quantization import IndexTrie
-from repro.tensor import Adam, BeamKVCache, StepWorkspace, Tensor, no_grad
+from repro.tensor import Adam, BeamKVCache, KVCache, StepWorkspace, Tensor, no_grad
 from repro.tensor import functional as F
 
 from helpers import decode_prompts
@@ -123,7 +124,7 @@ class TestAgainstAutograd:
             for row, kv in prefix_kv.items():
                 keys[row, :, width - cached_lens[row]:] = kv[layer].keys[0]
                 values[row, :, width - cached_lens[row]:] = kv[layer].values[0]
-            cache.seed_prompt(keys, values)
+            cache.seed_prompt(keys, values, length=width)
         remainders = [prompt[cached:] for prompt, cached in zip(PROMPTS, cached_lens)]
         tokens, remainder_pads = left_pad_prompts(remainders)
         prefix_pad = np.arange(width)[None, :] < (width - np.asarray(cached_lens))[:, None]
@@ -200,6 +201,43 @@ class TestAgainstAutograd:
         assert_close(padded, reference(model, PROMPTS[0]))
 
 
+class TestAttend:
+    """``_attend`` against a softmax taken separately per request, head and beam."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_shared_and_suffix_columns_against_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        batch, heads, head_dim = int(rng.integers(1, 4)), int(rng.integers(1, 4)), 8
+        beams, q_len = int(rng.integers(1, 6)), int(rng.integers(1, 3))
+        shared_len, own_len = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        rows, key_len = batch * beams, shared_len + own_len
+
+        def normal(*shape):
+            return rng.standard_normal(shape).astype(np.float32)
+
+        queries = normal(rows, q_len, heads, head_dim)
+        keys, values = (normal(batch, heads, shared_len, head_dim) for _ in range(2))
+        suffix = KVCache(max_length=3)  # spare capacity: the scores scratch outgrows the keys
+        suffix.append(*(normal(rows, heads, own_len, head_dim) for _ in range(2)))
+        mask = rng.random((rows, 1, q_len, key_len)) < (0.3 if seed % 2 else 0.0)
+        bias = _additive_bias(mask, rows, q_len, beams)
+        assert (bias is None) == (seed % 2 == 0)
+
+        got = _attend(queries, keys, values, suffix, bias, StepWorkspace().take)
+        assert got.shape == (rows, q_len, heads * head_dim)
+        for row in range(rows):
+            request = row // beams
+            for head in range(heads):
+                k = np.concatenate([keys[request, head], suffix.keys[row, head]]).astype(float)
+                v = np.concatenate([values[request, head], suffix.values[row, head]]).astype(float)
+                scores = queries[row, :, head].astype(float) @ k.T
+                scores[mask[row, 0]] = -1e9
+                probs = np.exp(scores - scores.max(axis=1, keepdims=True))
+                probs /= probs.sum(axis=1, keepdims=True)
+                np.testing.assert_allclose(got[row, :, head * head_dim:(head + 1) * head_dim],
+                                           probs @ v, rtol=1e-6, atol=1e-6)
+
+
 def make_tiger(seed=4, **overrides):
     """Untrained but not degenerate: norms and biases are perturbed off 1 / 0."""
     index_set = build_random_index_set(40, 4, 6, np.random.default_rng(seed))
@@ -264,6 +302,26 @@ class TestEncoderDecoder:
         assert not real.all()  # ragged: the pad bias is exercised
         assert_close(got.data[real], expected.data[real])
 
+    def test_encode_builds_no_cache(self, monkeypatch):
+        # The encoder attends over its own QKV buffer: nothing outlives a layer.
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError("TIGER.encode built a KVCache")
+
+        model = make_tiger()
+        monkeypatch.setattr(KVCache, "__init__", forbidden)
+        with no_grad():
+            memory, _ = model.encode(pad_sources(SOURCES))
+        assert memory.shape == (len(SOURCES), max(map(len, SOURCES)), model.config.dim)
+
+    def test_cross_kv_are_two_views_of_one_projection(self):
+        model = make_tiger()
+        *_, caches, _ = self.prefill(model)
+        for cache in caches:
+            keys, values = cache.memory_keys, cache.memory_values
+            projection = keys.base  # the one k|v GEMM output: no copy behind either view
+            assert values.base is projection and projection.size == keys.size + values.size
+            assert np.shares_memory(keys, projection) and np.shares_memory(values, projection)
+
     @pytest.mark.parametrize("sources", [SOURCES, SOURCES[:1]], ids=["ragged", "single"])
     def test_bos_step_over_a_padded_source_batch(self, sources):
         model = make_tiger()
@@ -282,14 +340,14 @@ class TestEncoderDecoder:
         memory, mask, caches, _ = self.prefill(model, workspace=workspace)
         beams = 2
         self.fan_out(caches, beams)
-        cross_kv = [(cache.memory.prompt.keys, cache.memory.prompt.values) for cache in caches]
+        cross_kv = [(cache.memory_keys, cache.memory_values) for cache in caches]
         lineage = [[] for _ in range(len(SOURCES) * beams)]
 
         def check_cross_untouched():
+            assert all(cache.beams == beams for cache in caches)
             for cache, (keys, values) in zip(caches, cross_kv):
-                memory = cache.memory
-                assert memory.prompt.keys is keys and memory.prompt.values is values
-                assert memory.beams == beams and memory.suffix.length == 0
+                assert cache.memory_keys is keys and cache.memory_values is values
+                assert keys.shape[0] == values.shape[0] == len(SOURCES)  # per request
 
         step1 = np.array([[5], [6], [7], [8], [5], [7]])
         got = self.step(model, caches, step1, workspace=workspace, last_only=True)
@@ -332,20 +390,20 @@ class TestEncoderDecoder:
         state = decode_prefill(model, SOURCES, model.trie, beam_size=2)
         while not state.done:
             decode_step(state)
-        held = [(cache.prompt.keys, cache.memory.prompt.keys) for cache in state.caches]
+        held = [(cache.prompt.keys, cache.memory_keys) for cache in state.caches]
         assert all(keys.shape[0] == len(SOURCES) for pair in held for keys in pair)
         decode_retire(state, [2])
         assert state.num_rows == 2
-        assert all(cache.prompt.keys is own and cache.memory.prompt.keys is memory
+        assert all(cache.prompt.keys is own and cache.memory_keys is memory
                    for cache, (own, memory) in zip(state.caches, held))
         decode_finish(state)
         assert state.num_rows == 0 and state.caches == []
 
     def test_empty_suffix_beam_ops_are_no_ops(self):
-        # What the cross side is, in isolation: fanned, never appended to.
+        # A fanned cache whose suffix never grew: a reorder moves nothing.
         cache = BeamKVCache()
         block = np.ones((2, 4, 5, 8), dtype=np.float32)
-        cache.seed_prompt(block, block.copy())
+        cache.seed_prompt(block, block.copy(), length=5)
         cache.fan_out(3)
         keys = cache.prompt.keys
         cache.reorder(np.array([2, 0, 0, 4, 3, 3]))

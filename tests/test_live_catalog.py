@@ -39,6 +39,7 @@ from repro.serving import (
     ServingCluster,
     TrieDecoderEngine,
 )
+from repro.serving.queue import check_history
 
 # ----------------------------------------------------------------------
 # Helpers
@@ -407,6 +408,17 @@ class TestServingIngest:
             assert result.item_id in handle.result()
         assert catalog.index_set.is_unique()
         assert catalog.num_items == initial + 3
+
+    def test_ingested_ids_are_valid_history_ids(self, tiny_lcrec):
+        catalog = tiny_lcrec.live_catalog(retrieval=False)
+        engine = tiny_lcrec.engine(prefix_cache=None)
+        engine.attach_catalog(catalog)
+        service = RecommendationService(engine)
+        new_id = catalog.num_items
+        with pytest.raises(ValueError, match=f"history item {new_id} is not"):
+            service.submit([1, new_id], top_k=3)
+        assert service.ingest_item(text="solar powered garden lamp").item_id == new_id
+        check_history([1, new_id], engine.num_items)  # the live count: no ValueError now
 
     def test_service_without_catalog_rejects_ingest(self, tiny_lcrec):
         service = RecommendationService(tiny_lcrec.engine(prefix_cache=None))

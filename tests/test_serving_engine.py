@@ -37,6 +37,7 @@ from repro.serving import (
     PrefixKVCache,
     RecommendationService,
     RecommendRequest,
+    ServingCluster,
     TIGEREngine,
 )
 
@@ -224,6 +225,55 @@ class TestOneLevelPerStep:
         # No level of these tries is forced for the whole batch, so every
         # level after the prefill's costs exactly one forward.
         assert state.forwards == prefill_forwards + engine.num_levels - 1
+
+
+def bad_histories(num_items):
+    """``(history, first bad id)``: the hostile inputs every surface must refuse."""
+    return [([-1, 5], -1), ([num_items, 5], num_items), ([5, 3.7], 3.7), ([True, 2], True)]
+
+
+class TestHistoryIdsAreValidated:
+    """A history id outside ``[0, num_items)`` is a ``ValueError``, never a ranking."""
+
+    @pytest.mark.parametrize("backend, engine_class", [
+        ("tiny_lcrec", LCRecEngine), ("p5cid", P5CIDEngine), ("tiger", TIGEREngine),
+    ], ids=["lcrec", "p5cid", "tiger"])
+    def test_every_engine_refuses_bad_ids(self, request, backend, engine_class):
+        engine = engine_class(request.getfixturevalue(backend))
+        for history, bad in bad_histories(engine.num_items):
+            with pytest.raises(ValueError, match=f"history item {bad!r} is not"):
+                engine.recommend_many([[0, 1], history], top_k=3)
+        last = engine.num_items - 1
+        ids = [np.int64(last), 0, np.int32(1)]
+        assert engine.recommend_many([ids], top_k=3) == engine.recommend_many(
+            [[last, 0, 1]], top_k=3)
+
+    def test_service_and_cluster_refuse_before_any_lane(self, tiny_lcrec):
+        from repro.retrieval import ClusteredKNNConfig, HybridRecommender, RetrievalRecommender
+
+        engine = LCRecEngine(tiny_lcrec, prefix_cache=False)
+        retriever = RetrievalRecommender.from_lcrec(
+            tiny_lcrec, ClusteredKNNConfig(n_clusters=4, n_probe=2))
+        full = ServingCluster(engine, num_workers=1, fallback=retriever, max_backlog=1)
+        full.submit([1, 2], top_k=3)  # the fleet is saturated: the next submit would degrade
+        clients = [
+            RecommendationService(engine),
+            RecommendationService(engine, fallback=retriever),
+            RecommendationService(engine, hybrid=HybridRecommender(engine, retriever)),
+            ServingCluster(engine, num_workers=1),
+            full,
+        ]
+        for client in clients:
+            for history, bad in bad_histories(engine.num_items):
+                with pytest.raises(ValueError, match=f"history item {bad!r} is not"):
+                    client.submit(history, top_k=3)
+        assert (full.stats.degraded, full.stats.submitted) == (0, 1)
+        # An empty history is no bad id: decoded, or the fallback's cold start.
+        plain, fallback = RecommendationService(engine), clients[1]
+        handle = plain.submit([], top_k=3)
+        plain.flush()
+        assert handle.result() == engine.recommend_many([[]], top_k=3)[0]
+        assert fallback.submit([], top_k=3).result() == retriever.recommend([], 3)
 
 
 class TestTIGEREngine:
@@ -436,7 +486,7 @@ class TestTIGEROnTheSharedStepper:
         engine.retire(state, [0, 2, 4])
         assert state.num_rows == 2
         # The survivors are finished too: the row tables shrink, no cache is compacted.
-        assert [cache.memory.prompt.batch_size for cache in state.caches] == [5, 5]
+        assert [cache.memory_keys.shape[0] for cache in state.caches] == [5, 5]
         for row, (nodes, scores) in enumerate(held):
             np.testing.assert_array_equal(state.beam_nodes[row], nodes)
             np.testing.assert_array_equal(state.beam_scores[row], scores)
