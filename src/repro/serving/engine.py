@@ -60,6 +60,7 @@ import copy
 from dataclasses import replace
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
+from ..core.templates import SEQ_TEMPLATES
 from ..llm import (
     BeamHypothesis,
     PrefixKVCache,
@@ -534,7 +535,16 @@ class LCRecEngine(TrieDecoderEngine):
         self.model = model
 
     def encode_history(self, history: Sequence[int], template_id: int = 0) -> list[int]:
-        return self.encode_instruction(self.model.seq_instruction(list(history), template_id))
+        """:meth:`LCRec.seq_instruction`'s prompt, over the live index set.
+
+        With a catalog attached that is the current version's: an ingested
+        id passes ``check_history`` (the live item count) but is not in the
+        model's build-time index set.
+        """
+        index_set = self.model.index_set if self.catalog is None else self.catalog.version.index_set
+        history = list(history)[-self.model.config.tasks.max_history:]
+        history_text = " , ".join(index_set.index_text(i) for i in history)
+        return self.encode_instruction(SEQ_TEMPLATES[template_id].format(history=history_text))
 
     def encode_instruction(self, instruction: str) -> list[int]:
         return self.model.encode_instruction(instruction)

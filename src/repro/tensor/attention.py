@@ -20,7 +20,7 @@ import numpy as np
 
 from . import functional as F
 from .nn import Dropout, Linear, Module
-from .tensor import Tensor, concat
+from .tensor import Tensor
 from .workspace import WeightMemo
 
 __all__ = ["RotaryEmbedding", "KVCache", "BeamKVCache", "MultiHeadAttention", "causal_mask"]
@@ -41,8 +41,8 @@ def causal_mask(query_len: int, key_len: int, offset: int = 0) -> np.ndarray:
 class RotaryEmbedding:
     """Rotary positional embedding (RoPE), as used by LLaMA.
 
-    Precomputes cos/sin tables up to ``max_positions`` and applies the
-    rotation with differentiable primitive ops.
+    Precomputes cos/sin tables up to ``max_positions``; :meth:`apply` is
+    the differentiable rotation.
     """
 
     def __init__(self, head_dim: int, max_positions: int = 4096, base: float = 10000.0):
@@ -59,18 +59,31 @@ class RotaryEmbedding:
     def apply(self, x: Tensor, offset: int = 0) -> Tensor:
         """Rotate ``x`` of shape ``(B, H, T, Dh)`` at positions ``offset..``.
 
-        Per-row positions (left-padded batches) are the inference kernel's
-        (:mod:`repro.llm.inference`).
+        One tape node: its closure keeps only the two table slices.  The
+        backward is the sum of what the sliced-and-concatenated composition
+        of primitive ops routed to each half, so gradients match it bit for
+        bit.  Per-row positions (left-padded batches) are the inference
+        kernel's (:mod:`repro.llm.inference`).
         """
         seq_len = x.shape[2]
         half = self.head_dim // 2
         cos = self.cos[offset : offset + seq_len][None, None, :, :]
         sin = self.sin[offset : offset + seq_len][None, None, :, :]
-        x1 = x[..., :half]
-        x2 = x[..., half:]
-        rotated_first = x1 * cos - x2 * sin
-        rotated_second = x2 * cos + x1 * sin
-        return concat([rotated_first, rotated_second], axis=-1)
+        x1 = x.data[..., :half]
+        x2 = x.data[..., half:]
+        out_data = np.concatenate([x1 * cos - x2 * sin, x2 * cos + x1 * sin], axis=-1)
+        shape = x.shape
+
+        def backward(g):
+            g1 = g[..., :half]
+            g2 = g[..., half:]
+            # Added into zeros, as the composition's slice backward did.
+            grad = np.zeros(shape, dtype=np.float32)
+            grad[..., :half] += g1 * cos + g2 * sin
+            grad[..., half:] += (-g1) * sin + g2 * cos
+            return (grad,)
+
+        return Tensor._make(out_data, (x,), backward)
 
 
 @dataclass
@@ -342,11 +355,46 @@ class MultiHeadAttention(Module):
             q = self.rope.apply(q)
             k = self.rope.apply(k)
 
-        scale = 1.0 / np.sqrt(self.head_dim)
-        scores = (q @ k.transpose(0, 1, 3, 2)) * scale
-        if attn_mask is not None:
-            scores = F.masked_fill(scores, attn_mask, -1e9)
-        probs = F.softmax(scores, axis=-1)
-        probs = self.attn_dropout(probs)
-        out = probs @ v
+        out = _attention(q, k, v, attn_mask, self.attn_dropout)
         return self.out_proj(self._merge_heads(out))
+
+
+def _attention(
+    q: Tensor, k: Tensor, v: Tensor, attn_mask: np.ndarray | None, dropout: Dropout
+) -> Tensor:
+    """``softmax(masked(q kᵀ · scale)) → dropout → @ v`` as one tape node.
+
+    The closure keeps ``q``, ``k``, ``v``, the softmax output and the
+    dropout mask, nothing else: the scores and their scaled and masked
+    copies die in the forward.  The backward runs the numpy expressions the
+    primitive ops' backwards ran, in their order and on the same operand
+    views, so every gradient is bit-identical to the composed graph's; the
+    parents are ``(q, k, v)``, so the depth-first sort in
+    :meth:`Tensor.backward` still visits v, k and q in that order.
+    """
+    scale = np.float32(1.0 / np.sqrt(q.shape[-1]))
+    kt = k.data.transpose(0, 1, 3, 2)
+    scores = (q.data @ kt) * scale
+    if attn_mask is not None:
+        attn_mask = np.asarray(attn_mask, dtype=bool)
+        scores = np.where(attn_mask, np.float32(-1e9), scores)
+    probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    mask = F.dropout_mask(probs.shape, dropout.p, dropout.rng, dropout.training)
+    out_data = (probs if mask is None else probs * mask) @ v.data
+
+    def backward(g):
+        dropped = probs if mask is None else probs * mask
+        g_probs = g @ np.swapaxes(v.data, -1, -2)
+        g_v = np.swapaxes(dropped, -1, -2) @ g
+        if mask is not None:
+            g_probs = g_probs * mask
+        g_scores = probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True))
+        if attn_mask is not None:
+            g_scores = np.where(attn_mask, 0.0, g_scores)
+        g_scores = g_scores * scale
+        g_q = g_scores @ np.swapaxes(kt, -1, -2)
+        g_k = (np.swapaxes(q.data, -1, -2) @ g_scores).transpose(0, 1, 3, 2)
+        return (g_q, g_k, g_v)
+
+    return Tensor._make(out_data, (q, k, v), backward)

@@ -17,6 +17,7 @@ __all__ = [
     "layer_norm",
     "rms_norm",
     "dropout",
+    "dropout_mask",
     "embedding",
     "masked_fill",
     "logsumexp",
@@ -166,13 +167,22 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
     return Tensor._make(out_data, (x, weight), backward)
 
 
+def dropout_mask(
+    shape: tuple[int, ...], p: float, rng: np.random.Generator, training: bool
+) -> np.ndarray | None:
+    """Inverted-dropout multipliers (0 or ``1 / (1 - p)``); None when dropout is off."""
+    if not training or p <= 0.0:
+        return None
+    keep = 1.0 - p
+    return (rng.random(shape) < keep).astype(np.float32) / keep
+
+
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
     """Inverted dropout; identity when not training or ``p == 0``."""
-    if not training or p <= 0.0:
-        return as_tensor(x)
     x = as_tensor(x)
-    keep = 1.0 - p
-    mask = (rng.random(x.shape) < keep).astype(np.float32) / keep
+    mask = dropout_mask(x.shape, p, rng, training)
+    if mask is None:
+        return x
 
     def backward(g):
         return (g * mask,)

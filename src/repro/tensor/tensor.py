@@ -11,6 +11,17 @@ accumulating gradients.
 Design notes
 ------------
 * Everything is vectorised; backward closures capture numpy arrays only.
+* The tape keeps what backward reads and nothing more: a node's closure
+  is the only owner of the activations it needs.  Hot compositions are one
+  node each (the fused ops in :mod:`repro.tensor.functional`, attention and
+  RoPE in :mod:`repro.tensor.attention`), so their intermediates die in the
+  forward; each such backward runs the expressions the primitive ops'
+  backwards would, so gradients are bit-identical to the composition's.
+* :meth:`Tensor.backward` frees as it goes: once a node has dispatched,
+  its closure, its parent links and its slot in the topological order are
+  dropped, so a training step's activations are released while its
+  backward runs, not after it.  Gradients still accumulate in the
+  depth-first order, which fixes every floating-point sum.
 * Gradients flow through broadcasting: ``_unbroadcast`` sums a gradient
   down to the shape of the original operand.
 * A per-thread ``no_grad`` switch disables taping for inference paths
@@ -162,7 +173,7 @@ class Tensor:
             grad = np.ones_like(self.data)
         grad = np.asarray(grad, dtype=np.float32)
 
-        topo: list[Tensor] = []
+        topo: list[Tensor | None] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
@@ -178,21 +189,24 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
+        # Walk the order backwards, freeing as it goes: once a node has
+        # dispatched, its closure (and with it every activation only that
+        # closure captured) and its slot in the order are dropped, so the
+        # activations die while the backward runs rather than after it.
         grads: dict[int, np.ndarray] = {id(self): grad}
-        for node in reversed(topo):
+        for i in range(len(topo) - 1, -1, -1):
+            node = topo[i]
+            topo[i] = None
             node_grad = grads.pop(id(node), None)
-            if node_grad is None:
-                continue
-            if node.requires_grad and node._backward is None:
-                # Leaf tensor: accumulate into .grad
-                node._accumulate(node_grad)
-                continue
-            if node._backward is None:
-                continue
-            # Intermediate: route gradient to parents through the closure.
-            node._backward_dispatch(node_grad, grads)
-        # Release the graph so intermediate buffers can be collected.
-        self._release_graph(topo)
+            if node_grad is not None:
+                if node._backward is not None:
+                    # Intermediate: route gradient to parents through the closure.
+                    node._backward_dispatch(node_grad, grads)
+                elif node.requires_grad:
+                    # Leaf tensor: accumulate into .grad
+                    node._accumulate(node_grad)
+            node._backward = None
+            node._parents = ()
 
     def _backward_dispatch(self, grad: np.ndarray, grads: dict[int, np.ndarray]):
         contributions = self._backward(grad)
@@ -204,12 +218,6 @@ class Tensor:
                 grads[key] = grads[key] + contribution
             else:
                 grads[key] = contribution
-
-    @staticmethod
-    def _release_graph(topo: list["Tensor"]) -> None:
-        for node in topo:
-            node._backward = None
-            node._parents = ()
 
     # ------------------------------------------------------------------
     # Elementwise arithmetic

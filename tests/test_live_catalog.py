@@ -419,6 +419,10 @@ class TestServingIngest:
             service.submit([1, new_id], top_k=3)
         assert service.ingest_item(text="solar powered garden lamp").item_id == new_id
         check_history([1, new_id], engine.num_items)  # the live count: no ValueError now
+        # ... and it renders through the live index set, so it is served.
+        handle = service.submit([1, new_id], top_k=3)
+        service.flush()
+        assert len(handle.result()) == 3
 
     def test_service_without_catalog_rejects_ingest(self, tiny_lcrec):
         service = RecommendationService(tiny_lcrec.engine(prefix_cache=None))
