@@ -33,9 +33,7 @@ def run_sweep(games_dataset, games_lcrec):
     return by_beam
 
 
-def test_beam_size(benchmark, games_dataset, games_lcrec):
-    by_beam = benchmark.pedantic(run_sweep,
-                                 args=(games_dataset, games_lcrec),
-                                 rounds=1, iterations=1)
+def test_beam_size(games_dataset, games_lcrec):
+    by_beam = run_sweep(games_dataset, games_lcrec)
     # Wider beams can only add candidates: HR@10 must not degrade much.
     assert by_beam[40]["HR@10"] >= by_beam[5]["HR@10"] - 1e-9

@@ -60,9 +60,8 @@ def run_comparison(games_lcrec):
     return cached, uncached[:len(cached)], speedup
 
 
-def test_kv_cache(benchmark, games_lcrec):
-    cached, uncached, speedup = benchmark.pedantic(
-        run_comparison, args=(games_lcrec,), rounds=1, iterations=1)
+def test_kv_cache(games_lcrec):
+    cached, uncached, speedup = run_comparison(games_lcrec)
     # Correctness: both decoders produce the same greedy continuation.
     assert cached == uncached[:len(cached)]
     # Efficiency: caching must not be slower.

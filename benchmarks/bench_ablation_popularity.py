@@ -52,10 +52,8 @@ def run_buckets(games_dataset, games_lcrec):
     return reports, overall
 
 
-def test_popularity_buckets(benchmark, games_dataset, games_lcrec):
-    reports, overall = benchmark.pedantic(run_buckets,
-                                          args=(games_dataset, games_lcrec),
-                                          rounds=1, iterations=1)
+def test_popularity_buckets(games_dataset, games_lcrec):
+    reports, overall = run_buckets(games_dataset, games_lcrec)
     # Every ranker sees per-bucket HR in [0, 1]; the tail bucket exists.
     for bucket_report in reports.values():
         assert bucket_report.bucket_sizes[0] > 0

@@ -45,11 +45,8 @@ def run_figure(games_dataset, games_lcrec):
     return results, lcrec_report
 
 
-def test_fig2(benchmark, games_dataset, games_lcrec):
-    results, lcrec_report = benchmark.pedantic(
-        run_figure, args=(games_dataset, games_lcrec), rounds=1,
-        iterations=1,
-    )
+def test_fig2(games_dataset, games_lcrec):
+    results, lcrec_report = run_figure(games_dataset, games_lcrec)
     # Shape: alignment tasks help each indexing on average (Fig. 2 claim:
     # "their performance can be boosted by a large margin").
     gains = [

@@ -59,11 +59,8 @@ def run_figure(games_dataset, games_lcrec):
     return dssm_report, zero_report, lcrec_report
 
 
-def test_fig3(benchmark, games_dataset, games_lcrec):
-    dssm_report, zero_report, lcrec_report = benchmark.pedantic(
-        run_figure, args=(games_dataset, games_lcrec), rounds=1,
-        iterations=1,
-    )
+def test_fig3(games_dataset, games_lcrec):
+    dssm_report, zero_report, lcrec_report = run_figure(games_dataset, games_lcrec)
     num_items = games_dataset.num_items
     chance_hr10 = 10 / num_items
     # Shape: trained LC-Rec well above chance and above its zero-shot

@@ -42,11 +42,9 @@ def run_figure(games_lcrec, seq_only):
     return separations
 
 
-def test_fig4(benchmark, games_lcrec, games_dataset, lcrec_seq_only_factory):
+def test_fig4(games_lcrec, games_dataset, lcrec_seq_only_factory):
     seq_only = lcrec_seq_only_factory("games")
-    separations = benchmark.pedantic(run_figure,
-                                     args=(games_lcrec, seq_only),
-                                     rounds=1, iterations=1)
+    separations = run_figure(games_lcrec, seq_only)
     # Shape: full LC-Rec integrates index tokens at least as well as the
     # SEQ-only variant (strictly better in the paper).
     assert separations["LC-Rec"] <= separations["SEQ only"] * 1.1

@@ -58,11 +58,8 @@ def run_case_study(games_dataset, games_lcrec):
     return convergence_hits, index_related
 
 
-def test_fig5(benchmark, games_dataset, games_lcrec):
-    convergence_hits, index_related = benchmark.pedantic(
-        run_case_study, args=(games_dataset, games_lcrec), rounds=1,
-        iterations=1,
-    )
+def test_fig5(games_dataset, games_lcrec):
+    convergence_hits, index_related = run_case_study(games_dataset, games_lcrec)
     # Shape: full-prefix generations are at least as close to the truth as
     # one-token generations for the showcase items.
     assert convergence_hits >= 1

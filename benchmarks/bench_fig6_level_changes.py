@@ -33,10 +33,8 @@ def run_figure(games_dataset, games_lcrec):
     return changes
 
 
-def test_fig6(benchmark, games_dataset, games_lcrec):
-    changes = benchmark.pedantic(run_figure,
-                                 args=(games_dataset, games_lcrec),
-                                 rounds=1, iterations=1)
+def test_fig6(games_dataset, games_lcrec):
+    changes = run_figure(games_dataset, games_lcrec)
     proportions = changes.change_proportions
     # Shape: earlier levels cause at least as many changes as the last.
     assert proportions[0] >= proportions[-1]

@@ -59,13 +59,8 @@ def run_dataset(name, dataset_factory, lcrec_full_factory):
 
 
 @pytest.mark.parametrize("dataset_name", DATASETS)
-def test_table3(benchmark, dataset_name, dataset_factory,
-                lcrec_full_factory):
-    reports = benchmark.pedantic(
-        run_dataset, args=(dataset_name, dataset_factory,
-                           lcrec_full_factory),
-        rounds=1, iterations=1,
-    )
+def test_table3(dataset_name, dataset_factory, lcrec_full_factory):
+    reports = run_dataset(dataset_name, dataset_factory, lcrec_full_factory)
     # Shape assertions.  At reproduction scale the gold-feature baselines
     # (FDSA/S3-Rec receive the generator's true category labels) can edge
     # LC-Rec on the smallest dataset, so the hard requirement is

@@ -41,13 +41,9 @@ def run_ablation(dataset_name, dataset_factory, lcrec_full_factory,
 
 
 @pytest.mark.parametrize("dataset_name", DATASETS)
-def test_table4(benchmark, dataset_name, dataset_factory,
-                lcrec_full_factory, lcrec_seq_only_factory):
-    reports = benchmark.pedantic(
-        run_ablation,
-        args=(dataset_name, dataset_factory, lcrec_full_factory,
-              lcrec_seq_only_factory),
-        rounds=1, iterations=1,
+def test_table4(dataset_name, dataset_factory, lcrec_full_factory, lcrec_seq_only_factory):
+    reports = run_ablation(
+        dataset_name, dataset_factory, lcrec_full_factory, lcrec_seq_only_factory
     )
     # Shape: the full mixture should not be worse than SEQ-only.
     assert reports["+ PER"]["HR@10"] >= 0.9 * reports["SEQ"]["HR@10"]

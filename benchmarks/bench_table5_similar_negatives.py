@@ -95,10 +95,8 @@ def run_table(games_dataset, games_lcrec):
     return accuracies
 
 
-def test_table5(benchmark, games_dataset, games_lcrec):
-    accuracies = benchmark.pedantic(run_table,
-                                    args=(games_dataset, games_lcrec),
-                                    rounds=1, iterations=1)
+def test_table5(games_dataset, games_lcrec):
+    accuracies = run_table(games_dataset, games_lcrec)
     # Shape assertions from the paper's Table V discussion.  Individual
     # cells move by ~±5% between runs at 100 evaluation pairs, so the
     # comparisons use the better LC-Rec variant (the paper reports both

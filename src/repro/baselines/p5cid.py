@@ -71,7 +71,6 @@ class P5CID:
                 seed=cfg.seed,
             )
         )
-        self._engine = None  # lazily built serving adapter (P5CIDEngine)
 
     # ------------------------------------------------------------------
     def _example(self, history: list[int], target: int | None) -> tuple[list[int], list[int]]:
@@ -138,6 +137,4 @@ class P5CID:
         # other way around; baselines must stay importable without it.
         from ..serving import P5CIDEngine
 
-        if self._engine is None:
-            self._engine = P5CIDEngine(self)
-        return self._engine.recommend_many(histories, top_k=top_k)
+        return P5CIDEngine(self).recommend_many(histories, top_k=top_k)

@@ -108,7 +108,6 @@ class TIGER(Module):
         self.decoder_norm = LayerNorm(cfg.dim)
         self.dropout = Dropout(cfg.dropout, rng=rng)
         self._max_src = max_src
-        self._engine = None  # lazily built serving adapter (TIGEREngine)
         # Cleared on every train()/eval() transition by Module.train.
         self._head_gather_cache = WeightMemo()
 
@@ -117,13 +116,12 @@ class TIGER(Module):
 
         Same contract as :meth:`repro.llm.TinyLlama.serving_replica` —
         the module graph (and so every parameter array) is shared, while
-        the gathered-head :class:`~repro.tensor.WeightMemo` and the lazy
-        engine slot are private to the replica, so cluster workers can
-        decode concurrently without racing each other's caches.
+        the gathered-head :class:`~repro.tensor.WeightMemo` is private to
+        the replica, so cluster workers can decode concurrently without
+        racing each other's caches.
         """
         replica = copy.copy(self)
         replica._head_gather_cache = WeightMemo()
-        replica._engine = None
         return replica
 
     # ------------------------------------------------------------------
@@ -389,9 +387,7 @@ class TIGER(Module):
         # other way around; baselines must stay importable without it.
         from ..serving import TIGEREngine
 
-        if self._engine is None:
-            self._engine = TIGEREngine(self)
-        return self._engine.recommend_many(histories, top_k=top_k)
+        return TIGEREngine(self).recommend_many(histories, top_k=top_k)
 
     def score_all(self, histories):  # pragma: no cover - guard
         raise NotImplementedError("TIGER is generative; use recommend()")

@@ -98,7 +98,6 @@ class LCRec:
         self.pretrain_losses: list[float] = []
         self._pretrained_state: dict[str, np.ndarray] | None = None
         self._pretrained_config: LMConfig | None = None
-        self._inference_engine = None  # lazily built LCRecEngine
 
     # ------------------------------------------------------------------
     # Build stages
@@ -228,15 +227,10 @@ class LCRec:
         """
         self._require_built()
         prompts = [self.encode_instruction(i) for i in instructions]
-        engine = self._inference_engine
-        if engine is None or engine.lm is not self.lm or engine.trie is not self.trie:
-            # One cache-less engine for the whole model: the oracle decode
-            # path (no prefix cache, no scheduling) the serving parity
-            # suites compare against.  Rebuilt whenever a build stage has
-            # replaced the language model or the trie, so a re-built model
-            # never serves stale weights.
-            self._inference_engine = self.engine(prefix_cache=None)
-        return self._inference_engine.rank_prompts(prompts, top_k=top_k)
+        # A cache-less engine over the current lm and trie: the oracle decode
+        # path (no prefix cache, no scheduling) the serving parity suites
+        # compare against.  Building one only stores references.
+        return self.engine(prefix_cache=None).rank_prompts(prompts, top_k=top_k)
 
     def engine(self, prefix_cache=True):
         """A :class:`repro.serving.LCRecEngine` adapter over this model.

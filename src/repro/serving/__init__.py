@@ -23,14 +23,18 @@ Scaling past one decode thread, :class:`ServingCluster` runs N workers —
 each a ``RecommendationService`` over a private engine replica — behind a
 rendezvous-hash :class:`AffinityRouter` (session traffic sticks to the
 worker holding its prompt K/V) with bounded per-worker backlogs,
-least-loaded spillover and deadline-based load shedding (typed
-:class:`Overloaded` rejections).  A configured
-:class:`FallbackRecommender` (the retrieval fast lane of
-``repro.retrieval``) upgrades shedding to graceful degradation: requests
-that would be rejected are served from retrieval instead, on handles
-flagged ``degraded``.  Every mode, single-process or cluster, speaks the
-one :class:`RecommendationClient` surface:
-``submit(...) -> RecommendationHandle`` / ``handle.result(timeout)``.
+least-loaded spillover and deadline-based load shedding.
+
+Every mode, single-process or cluster, speaks the one
+:class:`RecommendationClient` surface and returns one handle class:
+``submit(...) -> PendingRecommendation`` / ``handle.result(timeout)``.
+A request the LLM lane does not decode — cold start, no hybrid
+candidates, a full queue, an expired deadline, a saturated cluster —
+takes one turn-away path (:func:`repro.serving.api.turn_away`): with a
+configured :class:`FallbackRecommender` (the retrieval tier of
+``repro.retrieval``) its handle resolves with a retrieval ranking,
+flagged ``degraded``; without one it fails with a typed
+:class:`Overloaded`.
 
 See ``docs/serving.md`` for the architecture, tuning guidance, and the
 prefix-cache invalidation contract, and ``examples/serving_async.py`` for
@@ -39,12 +43,10 @@ a runnable walkthrough.
 
 from ..llm import PrefixCacheStats, PrefixKVCache
 from .api import (
-    DegradedRecommendation,
     FallbackRecommender,
     Overloaded,
+    PendingRecommendation,
     RecommendationClient,
-    RecommendationHandle,
-    RejectedRecommendation,
 )
 from .batcher import (
     MicroBatcher,
@@ -64,12 +66,7 @@ from .engine import (
 )
 from .queue import RecommendRequest, RequestQueue
 from .router import AffinityRouter, rendezvous_weight
-from .service import (
-    PendingRecommendation,
-    RecommendationService,
-    ServingStats,
-    refresh_retrieval_tier,
-)
+from .service import RecommendationService, ServingStats, refresh_retrieval_tier
 
 __all__ = [
     "RecommendRequest",
@@ -87,9 +84,6 @@ __all__ = [
     "TIGEREngine",
     "Overloaded",
     "RecommendationClient",
-    "RecommendationHandle",
-    "RejectedRecommendation",
-    "DegradedRecommendation",
     "FallbackRecommender",
     "PendingRecommendation",
     "RecommendationService",

@@ -1,36 +1,31 @@
 """The one client API every serving mode speaks.
 
-PRs 1–5 grew four ways to serve a recommendation — synchronous flushes,
-the deadline-batched background loop, continuous batching, and now the
-multi-worker cluster — and this module pins down the single surface they
-all share, so callers are *mode-agnostic*:
+Synchronous flushes, the deadline-batched background loop, continuous
+batching and the multi-worker cluster all share the surface pinned down
+here, so callers are *mode-agnostic*:
 
-* :class:`RecommendationClient` — ``submit(...) -> RecommendationHandle``
+* :class:`RecommendationClient` — ``submit(...) -> PendingRecommendation``
   plus the intention/instruction variants, ``recommend_many``,
   ``start``/``stop`` and context-manager lifecycle.  Implemented by
   :class:`repro.serving.RecommendationService` (one engine, one decode
   thread) and :class:`repro.serving.ServingCluster` (N workers behind an
   affinity router); swapping one for the other changes no caller code.
-* :class:`RecommendationHandle` — the future-style result protocol
-  (``request_id``, ``done``, ``result(timeout)``, ``degraded``,
-  ``degraded_reason``).  The service's
-  :class:`repro.serving.PendingRecommendation` satisfies it, as do
-  :class:`RejectedRecommendation`, the pre-failed handle admission
-  control returns instead of raising at the submit site, and
-  :class:`DegradedRecommendation`, the pre-served handle the retrieval
-  fast lane returns.
+* :class:`PendingRecommendation` — the one handle every ``submit*``
+  returns (``request_id``, ``done``, ``result(timeout)``, ``degraded``,
+  ``degraded_reason``), whether the request is decoded, served from
+  retrieval, or turned away.
+* :func:`turn_away` — the one path for a request the LLM lane will not
+  decode (cold start, no hybrid candidates, a full queue, a deadline that
+  expired in the queue, a saturated cluster front door): it answers from
+  the configured retrieval tier, flagged ``degraded``, or fails the
+  handle with a typed :class:`Overloaded`, and moves exactly one counter.
+  ``docs/serving.md`` ("Turning a request away") tabulates reason,
+  counter and tier.
 * :class:`Overloaded` — the typed rejection.  Under overload a client
-  *sheds* work instead of queueing unboundedly: a full bounded queue or a
-  missed per-request deadline fails the handle with an ``Overloaded``
-  carrying a machine-readable ``reason`` (``"queue_full"`` /
-  ``"deadline"``), so callers can tell "the system protected itself" from
-  "the decode broke" and fall back accordingly.
-* :class:`FallbackRecommender` — the duck type of the retrieval fast
-  lane.  A client configured with a fallback *serves* would-be-shed
-  requests from it instead of rejecting them: the handle resolves with
-  the fallback's ranking and ``degraded`` is True, so callers always
-  know when a result is retrieval-quality rather than LLM-quality —
-  degradation is typed, never silent.
+  *sheds* work instead of queueing unboundedly, and the failure's
+  machine-readable ``reason`` (``"queue_full"`` / ``"deadline"``) lets
+  callers tell "the system protected itself" from "the decode broke".
+* :class:`FallbackRecommender` — the duck type of a retrieval tier.
   :class:`repro.retrieval.RetrievalRecommender` is the shipped
   implementation; the protocol keeps ``repro.serving`` free of any
   import on it.
@@ -42,21 +37,23 @@ client implementations document their own submit/lifecycle guarantees.
 from __future__ import annotations
 
 import abc
+import threading
 from typing import Protocol, Sequence, runtime_checkable
 
+from .queue import next_request_id
+
 __all__ = [
-    "DegradedRecommendation",
     "FallbackRecommender",
     "Overloaded",
-    "RecommendationHandle",
-    "RejectedRecommendation",
+    "PendingRecommendation",
     "RecommendationClient",
+    "turn_away",
 ]
 
 
 @runtime_checkable
 class FallbackRecommender(Protocol):
-    """What the serving layer needs from a retrieval fast lane.
+    """What the serving layer needs from a retrieval tier.
 
     Any object answering ``recommend(history, top_k) -> list[int]``
     cheaply (no model forward — it runs inline on submit and shed paths)
@@ -86,106 +83,114 @@ class Overloaded(RuntimeError):
         self.reason = reason
 
 
-@runtime_checkable
-class RecommendationHandle(Protocol):
+class PendingRecommendation:
     """Future-style result of one submitted request, mode-agnostic.
 
-    ``result`` blocks until the request is served (up to ``timeout``
+    ``result`` blocks until the request is settled (up to ``timeout``
     seconds, raising ``TimeoutError`` on expiry), returning the ranked
     item ids or raising the request's failure — an :class:`Overloaded`
-    if admission control shed it, the decode's exception if its batch
-    broke.  Exactly one outcome is ever delivered per handle.
+    if it was turned away with no retrieval tier to answer it, the
+    decode's exception if its batch broke.  Exactly one outcome is ever
+    delivered per handle.
 
-    ``degraded`` is True when the result came from the retrieval
-    fallback lane instead of the LLM decode (load shedding or cold
-    start); it never flips after the handle resolves.  Degraded results
-    are always flagged — a caller can rely on ``degraded`` being False
-    to mean "this ranking came out of the constrained decoder".
-    ``degraded_reason`` says why the fast lane fired (``None`` when it
-    did not).
+    ``degraded`` is True when the ranking came from a retrieval tier
+    instead of the constrained decoder, and ``degraded_reason`` says why
+    (``None`` otherwise); neither flips after the handle resolves, so
+    ``degraded`` being False means "this ranking came out of the
+    constrained decoder".
+
+    ``service`` is the :class:`repro.serving.RecommendationService` that
+    queued the request: ``result`` on a stopped service serves its queue.
+    A handle :func:`turn_away` settles at submit has none — it is born
+    done, with a fresh ``request_id`` from the counter requests draw from.
+
+    Thread safety: the handle is written once by whichever thread settles
+    it (delivery is signalled through a :class:`threading.Event`) and may
+    be read from any thread; ``result`` and ``done`` never race the
+    writer.
     """
 
-    @property
-    def request_id(self) -> int: ...
+    def __init__(self, service=None, request_id: int | None = None):
+        self._service = service
+        self._request_id = next_request_id() if request_id is None else request_id
+        self._event = threading.Event()
+        self._result: list[int] | None = None
+        self._error: BaseException | None = None
+        self._degraded_reason: str | None = None
 
     @property
-    def done(self) -> bool: ...
+    def request_id(self) -> int:
+        return self._request_id
 
     @property
-    def degraded(self) -> bool: ...
+    def done(self) -> bool:
+        return self._event.is_set()
 
     @property
-    def degraded_reason(self) -> str | None: ...
+    def degraded(self) -> bool:
+        """True when a retrieval tier served this request (meaningful once ``done``)."""
+        return self._degraded_reason is not None
 
-    def result(self, timeout: float | None = None) -> list[int]: ...
+    @property
+    def degraded_reason(self) -> str | None:
+        return self._degraded_reason
 
+    def result(self, timeout: float | None = None) -> list[int]:
+        """The ranked item ids, blocking until the request is served.
 
-class RejectedRecommendation:
-    """A handle born failed: admission control refused the request.
+        With the background loop running, blocks (up to ``timeout``
+        seconds, raising ``TimeoutError`` on expiry) until the loop serves
+        this request.  Without it, serves the queue synchronously — but
+        unlike an explicit ``flush()`` never raises another request's
+        error: only this request's own failure is raised here.
+        """
+        if not self._event.is_set() and not self._service.is_running:
+            self._service._drain()
+        if not self._event.wait(timeout):
+            raise TimeoutError(f"request {self._request_id} not served within {timeout}s")
+        if self._error is not None:
+            raise self._error
+        return self._result
 
-    Returned by ``submit`` when nothing was enqueued (e.g. every
-    admissible worker queue was full), so the caller sees the same
-    handle surface on the rejection path as on the happy path — no
-    exception racing out of ``submit`` while other submits succeed.
-    """
+    def _deliver(self, result: list[int], degraded_reason: str | None = None) -> None:
+        self._degraded_reason = degraded_reason
+        self._result = result
+        self._event.set()
 
-    def __init__(self, error: Overloaded, request_id: int = -1):
+    def _fail(self, error: BaseException) -> None:
         self._error = error
-        self._request_id = request_id
-
-    @property
-    def request_id(self) -> int:
-        return self._request_id
-
-    @property
-    def done(self) -> bool:
-        return True
-
-    @property
-    def degraded(self) -> bool:
-        """A rejection serves nothing, degraded or otherwise."""
-        return False
-
-    @property
-    def degraded_reason(self) -> None:
-        return None
-
-    def result(self, timeout: float | None = None) -> list[int]:
-        raise self._error
+        self._event.set()
 
 
-class DegradedRecommendation:
-    """A handle born served — by the retrieval fast lane, not the LLM.
+def turn_away(
+    stats,
+    reason: str,
+    tier: FallbackRecommender | None,
+    history: list[int] | None,
+    top_k: int,
+    *,
+    served: str,
+    shed: str = "",
+    message: str = "",
+    handle: PendingRecommendation | None = None,
+) -> PendingRecommendation:
+    """Settle a request the LLM lane will not decode: degrade it, or fail it typed.
 
-    Returned when admission control would have shed the request, or its
-    history is empty, and a :class:`FallbackRecommender` is configured:
-    retrieval answers immediately instead of queueing (or rejecting), and
-    the handle is already resolved.  ``degraded`` is True and
-    ``degraded_reason`` says why the fast lane fired (``"queue_full"`` —
-    every admissible backlog was at its bound; ``"cold_start"`` — the
-    history carries no signal the LLM lane could use), so degraded results
-    can never masquerade as LLM-quality ones.
+    With a retrieval ``tier`` and a ``history`` to retrieve for, the
+    handle resolves with the tier's ranking, ``degraded_reason=reason``,
+    and ``stats``' ``served`` counter moves; otherwise it fails with
+    ``Overloaded(message, reason)`` and the ``shed`` counter moves —
+    served and shed are disjoint outcomes.  ``handle`` is the queued
+    request's own handle; by default a new one is born settled.
     """
-
-    def __init__(self, items: Sequence[int], degraded_reason: str, request_id: int = -1):
-        self._items = [int(item) for item in items]
-        self.degraded_reason = degraded_reason
-        self._request_id = request_id
-
-    @property
-    def request_id(self) -> int:
-        return self._request_id
-
-    @property
-    def done(self) -> bool:
-        return True
-
-    @property
-    def degraded(self) -> bool:
-        return True
-
-    def result(self, timeout: float | None = None) -> list[int]:
-        return list(self._items)
+    handle = PendingRecommendation() if handle is None else handle
+    degrade = tier is not None and history is not None
+    stats.count(served if degrade else shed)
+    if degrade:
+        handle._deliver([int(item) for item in tier.recommend(history, top_k)], reason)
+    else:
+        handle._fail(Overloaded(message, reason=reason))
+    return handle
 
 
 class RecommendationClient(abc.ABC):
@@ -208,7 +213,7 @@ class RecommendationClient(abc.ABC):
         *,
         session_key: str | None = None,
         deadline_ms: float | None = None,
-    ) -> RecommendationHandle:
+    ) -> PendingRecommendation:
         """Queue a next-item recommendation for an interaction history."""
 
     @abc.abstractmethod
@@ -219,7 +224,7 @@ class RecommendationClient(abc.ABC):
         *,
         session_key: str | None = None,
         deadline_ms: float | None = None,
-    ) -> RecommendationHandle:
+    ) -> PendingRecommendation:
         """Queue an intention-query retrieval (engines that encode intentions)."""
 
     @abc.abstractmethod
@@ -230,7 +235,7 @@ class RecommendationClient(abc.ABC):
         *,
         session_key: str | None = None,
         deadline_ms: float | None = None,
-    ) -> RecommendationHandle:
+    ) -> PendingRecommendation:
         """Queue an already-rendered instruction (engines that encode text)."""
 
     @abc.abstractmethod

@@ -24,19 +24,16 @@ fronts them with three policies:
   latency bounded past the saturation knee: under overload the cluster
   degrades by shedding a fraction of load, never by an unbounded p95
   cliff (``tests/test_serving_cluster.py::TestDeadlineShedding``).
-  With a ``fallback`` (:class:`repro.serving.FallbackRecommender`, e.g.
-  :class:`repro.retrieval.RetrievalRecommender`), would-be-shed history
-  requests are *served* from the retrieval fast lane instead — handles
-  resolve with ``degraded=True`` rather than failing — and each worker
-  answers empty histories from it (``degraded_reason="cold_start"``)
-  without costing a decode slot, exactly as a plain service does.
+  With a ``fallback``, the front door and the workers serve would-be-shed
+  history requests from it, flagged ``degraded``, through the same
+  turn-away path as a plain service (:func:`repro.serving.api.turn_away`).
 
 The cluster speaks the same :class:`repro.serving.RecommendationClient`
-surface as the single-process service — ``submit(...) -> handle`` /
-``handle.result(timeout)`` — so callers are mode-agnostic, and a
-one-worker cluster returns rankings bit-identical to a plain
-``RecommendationService`` over the same engine (scheduling and placement
-change cost, never math).
+surface as the single-process service — ``submit(...) ->
+PendingRecommendation`` / ``handle.result(timeout)`` — so callers are
+mode-agnostic, and a one-worker cluster returns rankings bit-identical to
+a plain ``RecommendationService`` over the same engine (scheduling and
+placement change cost, never math).
 
 Thread safety: ``submit*`` may race from any number of threads (routing
 reads worker backlogs without a global lock, so the backlog bound is
@@ -52,17 +49,10 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .api import (
-    DegradedRecommendation,
-    FallbackRecommender,
-    Overloaded,
-    RecommendationClient,
-    RecommendationHandle,
-    RejectedRecommendation,
-)
+from .api import FallbackRecommender, PendingRecommendation, RecommendationClient, turn_away
 from .batcher import MicroBatcherConfig
 from .engine import GenerativeEngine
-from .queue import check_history, check_top_k
+from .queue import check_deadline_ms, check_history, check_top_k
 from .router import AffinityRouter
 from .service import RecommendationService, ServingStats, refresh_retrieval_tier
 
@@ -83,12 +73,10 @@ class ClusterStats:
     ``affine / (affine + spilled)``.
 
     ``degraded`` counts submits the front door served from the retrieval
-    fallback instead of a worker (every-worker saturation with a
-    fallback configured).  Degraded serves count in ``submitted`` but not
-    in ``rejected`` (served is not shed) and never touch ``per_worker`` —
-    no worker saw them.  Worker-level fallback serves (deadline expiry,
-    per-worker queue overflow, cold start) live on each worker's
-    :class:`repro.serving.ServingStats` instead.
+    fallback instead (every worker saturated, a fallback configured):
+    they count in ``submitted``, not in ``rejected`` or ``per_worker``.
+    Worker-level turn-aways live on each worker's
+    :class:`repro.serving.ServingStats`.
     """
 
     submitted: int = 0
@@ -98,16 +86,22 @@ class ClusterStats:
     rejected: int = 0
     degraded: int = 0
     per_worker: dict[int, int] = field(default_factory=dict)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
 
     @property
     def affinity_hit_rate(self) -> float:
         keyed = self.affine + self.spilled
         return self.affine / keyed if keyed else 0.0
 
-    def record(self, worker: int, kind: str) -> None:
-        self.submitted += 1
-        self.per_worker[worker] = self.per_worker.get(worker, 0) + 1
-        setattr(self, kind, getattr(self, kind) + 1)
+    def count(self, kind: str, worker: int | None = None) -> None:
+        """One front-door decision: ``kind`` moves, and ``worker``'s share if routed."""
+        with self._lock:
+            self.submitted += 1
+            setattr(self, kind, getattr(self, kind) + 1)
+            if worker is not None:
+                self.per_worker[worker] = self.per_worker.get(worker, 0) + 1
 
 
 class _Worker:
@@ -214,7 +208,6 @@ class ServingCluster(RecommendationClient):
         self.fallback = fallback
         self.hybrid = hybrid
         self.stats = ClusterStats()
-        self._stats_lock = threading.Lock()
 
     @staticmethod
     def _provision_engines(
@@ -321,57 +314,38 @@ class ServingCluster(RecommendationClient):
     def _least_loaded(self) -> _Worker | None:
         """The admissible worker with the smallest backlog (stable on ties)."""
         candidates = [worker for worker in self._workers if self._has_room(worker)]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda worker: (worker.backlog, worker.index))
+        return min(candidates, key=lambda worker: (worker.backlog, worker.index), default=None)
 
     def _admit(self, session_key: str | None) -> tuple[_Worker | None, str]:
-        """Pick a worker (affine, else least loaded); ``None`` means shed.
+        """Pick a worker (affine, else least loaded) and its routing counter.
 
-        Returns the worker and the stats bucket the decision belongs to
-        (``"affine"`` / ``"spilled"`` / ``"keyless"`` / ``"rejected"``).
+        No worker means every one is at its backlog bound.
         """
-        if session_key is None:
-            worker = self._least_loaded()
-            return (worker, "keyless") if worker is not None else (None, "rejected")
-        affine = self._workers[self.router.affine_worker(session_key)]
-        if self._has_room(affine):
-            return affine, "affine"
-        worker = self._least_loaded()
-        return (worker, "spilled") if worker is not None else (None, "rejected")
+        if session_key is not None:
+            affine = self._workers[self.router.affine_worker(session_key)]
+            if self._has_room(affine):
+                return affine, "affine"
+        return self._least_loaded(), "keyless" if session_key is None else "spilled"
 
     def _route(
         self,
-        submit: Callable[[RecommendationService], RecommendationHandle],
+        submit: Callable[[RecommendationService], PendingRecommendation],
         session_key: str | None,
         top_k: int,
+        deadline_ms: float | None,
         history: list[int] | None = None,
-    ) -> RecommendationHandle:
-        # Before routing: the degraded lane below answers without a request.
+    ) -> PendingRecommendation:
+        # Arguments first: no lane may answer a submit that should raise.
         check_top_k(top_k)
+        check_deadline_ms(deadline_ms)
         worker, kind = self._admit(session_key)
-        if worker is None and self.fallback is not None and history is not None:
-            # Fleet-wide saturation with a retrieval fast lane: serve
-            # degraded instead of rejecting at the front door.
-            with self._stats_lock:
-                self.stats.submitted += 1
-                self.stats.degraded += 1
-            return DegradedRecommendation(
-                self.fallback.recommend(history, top_k), "queue_full"
-            )
-        with self._stats_lock:
-            if worker is None:
-                self.stats.submitted += 1
-                self.stats.rejected += 1
-            else:
-                self.stats.record(worker.index, kind)
         if worker is None:
-            return RejectedRecommendation(
-                Overloaded(
-                    f"all {self.num_workers} workers at backlog bound {self.max_backlog}",
-                    reason="queue_full",
-                )
+            return turn_away(
+                self.stats, "queue_full", self.fallback, history, top_k,
+                served="degraded", shed="rejected",
+                message=f"all {self.num_workers} workers at backlog bound {self.max_backlog}",
             )
+        self.stats.count(kind, worker.index)
         return submit(worker.service)
 
     # ------------------------------------------------------------------
@@ -385,7 +359,7 @@ class ServingCluster(RecommendationClient):
         *,
         session_key: str | None = None,
         deadline_ms: float | None = None,
-    ) -> RecommendationHandle:
+    ) -> PendingRecommendation:
         """Route + queue a next-item recommendation for a history.
 
         ``session_key`` (user or session id) drives affinity placement;
@@ -403,6 +377,7 @@ class ServingCluster(RecommendationClient):
             ),
             session_key,
             top_k,
+            deadline_ms,
             history=history,
         )
 
@@ -413,7 +388,7 @@ class ServingCluster(RecommendationClient):
         *,
         session_key: str | None = None,
         deadline_ms: float | None = None,
-    ) -> RecommendationHandle:
+    ) -> PendingRecommendation:
         """Route + queue an intention-query retrieval."""
         return self._route(
             lambda service: service.submit_intention(
@@ -421,6 +396,7 @@ class ServingCluster(RecommendationClient):
             ),
             session_key,
             top_k,
+            deadline_ms,
         )
 
     def submit_instruction(
@@ -430,7 +406,7 @@ class ServingCluster(RecommendationClient):
         *,
         session_key: str | None = None,
         deadline_ms: float | None = None,
-    ) -> RecommendationHandle:
+    ) -> PendingRecommendation:
         """Route + queue an already-rendered instruction."""
         return self._route(
             lambda service: service.submit_instruction(
@@ -438,6 +414,7 @@ class ServingCluster(RecommendationClient):
             ),
             session_key,
             top_k,
+            deadline_ms,
         )
 
     def flush(self) -> int:

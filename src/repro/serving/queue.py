@@ -32,10 +32,21 @@ __all__ = ["RecommendRequest", "RequestQueue"]
 _request_counter = itertools.count()
 
 
+def next_request_id() -> int:
+    """A fresh process-wide request id: every request and every handle draws here."""
+    return next(_request_counter)
+
+
 def check_top_k(top_k: int) -> None:
     """Raise ``ValueError`` unless ``top_k`` asks for at least one item."""
     if top_k < 1:
         raise ValueError("top_k must be positive")
+
+
+def check_deadline_ms(deadline_ms: float | None) -> None:
+    """Raise ``ValueError`` unless ``deadline_ms`` is a positive shed budget or ``None``."""
+    if deadline_ms is not None and deadline_ms <= 0:
+        raise ValueError("deadline_ms must be positive (or None for no deadline)")
 
 
 def check_history(history: Sequence[int], num_items: int) -> None:
@@ -89,7 +100,7 @@ class RecommendRequest:
     beam_size: int = 0
     session_key: str | None = None
     deadline: float | None = None
-    request_id: int = field(default_factory=lambda: next(_request_counter))
+    request_id: int = field(default_factory=next_request_id)
     enqueued_at: float = field(default_factory=time.monotonic)
     history: list[int] | None = None
     narrow_items: tuple[int, ...] | None = None

@@ -21,9 +21,10 @@ a key's affine worker is the argmax.  Two properties matter here:
   Plain ``hash(key) % N`` would reshuffle almost every session on any
   resize, discarding every warm cache in the fleet at once.
 
-:meth:`AffinityRouter.ranked` returns the full preference order (the
-argmax first), which gives admission control a deterministic spill
-sequence before it falls back to least-loaded placement.
+The router only names the affine worker.  When that worker is at its
+backlog bound, :class:`repro.serving.ServingCluster` spills the request
+to the least-loaded worker with room (lowest index on ties), not to the
+key's next-ranked worker.
 
 Thread safety: the router is stateless and pure — every method may be
 called concurrently from any thread.
@@ -60,12 +61,4 @@ class AffinityRouter:
         """The worker this key's traffic should land on (the HRW argmax)."""
         return max(
             range(self.num_workers), key=lambda worker: rendezvous_weight(session_key, worker)
-        )
-
-    def ranked(self, session_key: str) -> list[int]:
-        """Every worker, best (affine) first: the deterministic spill order."""
-        return sorted(
-            range(self.num_workers),
-            key=lambda worker: rendezvous_weight(session_key, worker),
-            reverse=True,
         )

@@ -56,18 +56,23 @@ from typing import Callable, Sequence
 
 from ..llm import PrefixKVCache
 from .api import (
-    DegradedRecommendation,
     FallbackRecommender,
-    Overloaded,
+    PendingRecommendation,
     RecommendationClient,
+    turn_away,
 )
 from .batcher import MicroBatcher, MicroBatcherConfig, padding_fraction
 from .continuous import ContinuousScheduler
 from .engine import GenerativeEngine
-from .queue import RecommendRequest, RequestQueue, check_history, check_top_k
+from .queue import (
+    RecommendRequest,
+    RequestQueue,
+    check_deadline_ms,
+    check_history,
+    check_top_k,
+)
 
 __all__ = [
-    "PendingRecommendation",
     "ServingStats",
     "RecommendationService",
     "refresh_retrieval_tier",
@@ -114,71 +119,6 @@ def refresh_retrieval_tier(client, version) -> bool:
     return refreshed
 
 
-class PendingRecommendation:
-    """Future-style handle for one submitted request.
-
-    Thread safety: the handle is written once by whichever thread decodes
-    its batch (delivery is signalled through a :class:`threading.Event`)
-    and may be read from any thread; ``result`` and ``done`` never race the
-    writer.
-    """
-
-    def __init__(self, service: "RecommendationService", request_id: int):
-        self._service = service
-        self._request_id = request_id
-        self._event = threading.Event()
-        self._result: list[int] | None = None
-        self._error: BaseException | None = None
-        self._degraded_reason: str | None = None
-
-    @property
-    def request_id(self) -> int:
-        return self._request_id
-
-    @property
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    @property
-    def degraded(self) -> bool:
-        """True when the retrieval fallback lane served this request.
-
-        Meaningful once ``done``; a degraded handle also records why in
-        ``degraded_reason`` (``"queue_full"`` or ``"deadline"``).
-        """
-        return self._degraded_reason is not None
-
-    @property
-    def degraded_reason(self) -> str | None:
-        return self._degraded_reason
-
-    def result(self, timeout: float | None = None) -> list[int]:
-        """The ranked item ids, blocking until the request is served.
-
-        With the background loop running, blocks (up to ``timeout``
-        seconds, raising ``TimeoutError`` on expiry) until the loop serves
-        this request.  Without it, serves the queue synchronously — but
-        unlike an explicit ``flush()`` never raises another request's
-        error: only this request's own decode failure is raised here.
-        """
-        if not self._event.is_set() and not self._service.is_running:
-            self._service._drain()
-        if not self._event.wait(timeout):
-            raise TimeoutError(f"request {self._request_id} not served within {timeout}s")
-        if self._error is not None:
-            raise self._error
-        return self._result
-
-    def _deliver(self, result: list[int], degraded_reason: str | None = None) -> None:
-        self._degraded_reason = degraded_reason
-        self._result = result
-        self._event.set()
-
-    def _fail(self, error: BaseException) -> None:
-        self._error = error
-        self._event.set()
-
-
 @dataclass
 class ServingStats:
     """O(1)-memory counters of one service (the ledger and tests read them).
@@ -195,25 +135,14 @@ class ServingStats:
     a cache) — the columns the decode actually forwards — so the mean
     reflects real decode cost, not raw prompt shapes.
 
-    ``shed_queue_full`` / ``shed_deadline`` count admission-control
-    rejections (typed :class:`repro.serving.Overloaded` deliveries): a
-    bounded queue refusing a submit, and a queued request dropped because
-    its shed deadline passed before its decode started.  Shed requests
-    count in neither ``requests`` nor ``batches``.
-
-    ``degraded_queue_full`` / ``degraded_deadline`` count would-be-shed
-    requests the retrieval fallback *served* instead (the service was
-    constructed with a ``fallback``): those handles resolve with a
-    ranking and ``degraded=True``, and they are deliberately **not**
-    counted as shed — served and shed are disjoint outcomes.
-    ``degraded_cold_start`` counts empty-history submits the fallback
-    answered outright, without costing a decode slot.
-
-    ``hybrid_narrowed`` / ``hybrid_retrieval`` count the hybrid lane
-    (services constructed with ``hybrid=``): history submits decoded
-    narrowed to their retrieval candidates, and history submits the
-    retrieval tier answered outright (cold start, or no decodable
-    candidates) without costing a decode slot.
+    ``shed_*``, ``degraded_*`` and ``hybrid_retrieval`` count requests
+    turned away from the decode (:func:`repro.serving.api.turn_away`; the
+    reason → counter → tier table is in ``docs/serving.md``, "Turning a
+    request away"): shed ones failed with a typed
+    :class:`repro.serving.Overloaded`, the rest served from a retrieval
+    tier — served and shed are disjoint, and neither counts in
+    ``requests`` or ``batches``.  ``hybrid_narrowed`` counts history
+    submits queued narrowed to their retrieval candidates.
 
     ``prefill_seconds`` / ``step_seconds`` / ``finalize_seconds`` attribute
     decode-path wall time to its stages: the prompt phase (including
@@ -242,6 +171,10 @@ class ServingStats:
     prefill_seconds: float = 0.0
     step_seconds: float = 0.0
     finalize_seconds: float = 0.0
+
+    def count(self, counter: str) -> None:
+        """Move one outcome counter by one (:func:`repro.serving.api.turn_away`)."""
+        setattr(self, counter, getattr(self, counter) + 1)
 
     @property
     def mean_batch_size(self) -> float:
@@ -315,7 +248,7 @@ class RecommendationService(RecommendationClient):
         ``submit`` calls.  When set, each history submit first asks the
         hybrid's retrieval tier for candidates: cold-start histories (no
         profile) and histories with no decodable candidates are answered
-        from retrieval immediately (a pre-served ``degraded`` handle,
+        from retrieval immediately (a handle born ``degraded``,
         ``degraded_reason`` ``"cold_start"`` / ``"no_candidates"``);
         everything else is stamped with the candidate tuple
         (``narrow_items``), which the engine turns into that decode row's
@@ -345,8 +278,8 @@ class RecommendationService(RecommendationClient):
         it at submit (``degraded_reason="cold_start"``) without costing a
         decode slot.  Intention/instruction submits
         carry no item history the fallback could use and keep the plain
-        ``Overloaded`` rejection.  ``None`` (default) keeps pre-fallback
-        shedding exactly as it was.
+        ``Overloaded`` rejection.  ``None`` (default) sheds with
+        ``Overloaded``.
 
     Thread safety: see the module docstring.  Every tick runs under one
     internal lock, so a concurrent ``flush()`` and background loop never
@@ -524,25 +457,31 @@ class RecommendationService(RecommendationClient):
         :meth:`HybridRecommender.recommend` exactly.
         """
         check_top_k(top_k)
+        check_deadline_ms(deadline_ms)
         history = list(history)
         check_history(history, self.engine.num_items)
         narrow_items: tuple[int, ...] | None = None
         if self.hybrid is not None:
-            if self.hybrid.retriever.profile(history) is None:
-                # Cold start: the constrained decoder has no history
-                # signal either — answer from retrieval without costing
-                # a decode slot (exactly hybrid.recommend's lane).
-                return self._serve_retrieval(history, top_k, "cold_start")
-            candidates = self.hybrid.candidates(history, top_k)
+            # No profile (cold start) or no decodable candidates: the
+            # constrained decoder has nothing to narrow to — answer from
+            # retrieval without costing a decode slot, as hybrid.recommend does.
+            retriever = self.hybrid.retriever
+            candidates = None
+            if retriever.profile(history) is not None:
+                candidates = self.hybrid.candidates(history, top_k)
             if not candidates:
-                return self._serve_retrieval(history, top_k, "no_candidates")
+                reason = "cold_start" if candidates is None else "no_candidates"
+                return turn_away(
+                    self.stats, reason, retriever, history, top_k, served="hybrid_retrieval"
+                )
             narrow_items = tuple(int(item) for item in candidates)
-            self.stats.hybrid_narrowed += 1
         elif not history and self.fallback is not None:
             # Cold start: an empty history gives the constrained decoder
             # nothing to condition on — answer from the fallback instead.
-            self.stats.degraded_cold_start += 1
-            return DegradedRecommendation(self.fallback.recommend(history, top_k), "cold_start")
+            return turn_away(
+                self.stats, "cold_start", self.fallback, history, top_k,
+                served="degraded_cold_start",
+            )
         return self._submit_prompt(
             self.engine.encode_history(history, template_id),
             top_k,
@@ -550,15 +489,6 @@ class RecommendationService(RecommendationClient):
             deadline_ms=deadline_ms,
             history=history,
             narrow_items=narrow_items,
-        )
-
-    def _serve_retrieval(
-        self, history: list[int], top_k: int, reason: str
-    ) -> DegradedRecommendation:
-        """A pre-served handle from the hybrid's retrieval tier."""
-        self.stats.hybrid_retrieval += 1
-        return DegradedRecommendation(
-            self.hybrid.retriever.recommend(history, top_k), reason
         )
 
     def submit_intention(
@@ -571,6 +501,7 @@ class RecommendationService(RecommendationClient):
     ) -> PendingRecommendation:
         """Queue an intention-query retrieval (engines that encode intentions)."""
         check_top_k(top_k)
+        check_deadline_ms(deadline_ms)
         return self._submit_prompt(
             self.engine.encode_intention(intention_text),
             top_k,
@@ -588,6 +519,7 @@ class RecommendationService(RecommendationClient):
     ) -> PendingRecommendation:
         """Queue an already-rendered instruction (engines that encode text)."""
         check_top_k(top_k)
+        check_deadline_ms(deadline_ms)
         return self._submit_prompt(
             self.engine.encode_instruction(instruction),
             top_k,
@@ -604,8 +536,6 @@ class RecommendationService(RecommendationClient):
         history: list[int] | None = None,
         narrow_items: tuple[int, ...] | None = None,
     ) -> PendingRecommendation:
-        if deadline_ms is not None and deadline_ms <= 0:
-            raise ValueError("deadline_ms must be positive (or None for no deadline)")
         request = RecommendRequest(
             prompt_ids=prompt_ids,
             top_k=top_k,
@@ -618,6 +548,8 @@ class RecommendationService(RecommendationClient):
             history=history,
             narrow_items=narrow_items,
         )
+        if narrow_items is not None:
+            self.stats.hybrid_narrowed += 1
         handle = PendingRecommendation(self, request.request_id)
         # Register before push: with the background loop running, the
         # request may be decoded the instant it becomes visible.
@@ -853,31 +785,27 @@ class RecommendationService(RecommendationClient):
 
         With a retrieval fallback and a history to retrieve for, the
         request is answered from the fast lane, flagged ``degraded``,
-        rather than failing the caller outright; served and shed are
-        disjoint outcomes, counted apart.
+        rather than failing the caller outright.
         """
-        degrade = self.fallback is not None and request.history is not None
-        counter = f"{'degraded' if degrade else 'shed'}_{reason}"
-        setattr(self.stats, counter, getattr(self.stats, counter) + 1)
-        if degrade:
-            self._resolve(
-                request, self.fallback.recommend(request.history, request.top_k), reason
+        handle = self._claim(request)
+        if handle is not None:
+            turn_away(
+                self.stats, reason, self.fallback, request.history, request.top_k,
+                served=f"degraded_{reason}", shed=f"shed_{reason}", message=message,
+                handle=handle,
             )
-        else:
-            self._resolve(request, Overloaded(message, reason=reason))
 
-    def _resolve(
-        self,
-        request: RecommendRequest,
-        outcome: "list[int] | Exception",
-        degraded_reason: str | None = None,
-    ) -> None:
-        """Settle ``request``'s pending handle: the one site that fails or delivers one."""
-        with self._pending_lock:
-            handle = self._pending.pop(request.request_id, None)
+    def _resolve(self, request: RecommendRequest, outcome: "list[int] | Exception") -> None:
+        """Settle ``request``'s pending handle with its decode's ranking or error."""
+        handle = self._claim(request)
         if handle is None:
             return
         if isinstance(outcome, Exception):
             handle._fail(outcome)
         else:
-            handle._deliver(outcome, degraded_reason)
+            handle._deliver(outcome)
+
+    def _claim(self, request: RecommendRequest) -> PendingRecommendation | None:
+        """Unregister ``request``'s handle: the one site that hands a handle to its settler."""
+        with self._pending_lock:
+            return self._pending.pop(request.request_id, None)

@@ -1,6 +1,6 @@
 """Public-API consistency: every ``__all__`` name exists and is importable,
 and every serving entry point speaks the one client surface
-(``submit(...) -> RecommendationHandle`` / ``handle.result(timeout)``)."""
+(``submit(...) -> PendingRecommendation`` / ``handle.result(timeout)``)."""
 
 import importlib
 import inspect
@@ -95,39 +95,28 @@ class TestUnifiedClientSurface:
                          "recommend_many"):
                 assert hasattr(cls, verb), f"{cls.__name__} lacks {verb}"
 
-    def test_handle_protocol_is_runtime_checkable(self):
-        from repro.serving import (
-            Overloaded,
-            RecommendationHandle,
-            RejectedRecommendation,
-        )
+    def test_every_submit_verb_returns_the_one_handle(self):
+        """Both clients annotate every submit verb with the one handle class."""
+        import typing
 
-        handle = RejectedRecommendation(Overloaded("saturated"))
-        assert isinstance(handle, RecommendationHandle)
-        assert handle.done
-        with pytest.raises(Overloaded) as err:
-            handle.result(timeout=0.0)
-        assert err.value.reason == "queue_full"
+        from repro.serving import PendingRecommendation, RecommendationClient
 
-    def test_every_handle_kind_exposes_degraded_reason(self):
-        from repro.serving import (
-            DegradedRecommendation,
-            Overloaded,
-            PendingRecommendation,
-            RecommendationHandle,
-            RejectedRecommendation,
-        )
+        for cls in (RecommendationClient, *self.clients()):
+            for method in ("submit", "submit_intention", "submit_instruction"):
+                hints = typing.get_type_hints(getattr(cls, method))
+                assert hints["return"] is PendingRecommendation, (cls.__name__, method)
 
-        pending = PendingRecommendation(None, request_id=1)
-        handles = [
-            pending,
-            RejectedRecommendation(Overloaded("saturated")),
-            DegradedRecommendation([4, 2], "cold_start"),
-        ]
-        assert all(isinstance(handle, RecommendationHandle) for handle in handles)
-        assert [handle.degraded_reason for handle in handles] == [None, None, "cold_start"]
-        pending._deliver([4, 2], degraded_reason="deadline")
-        assert pending.degraded and pending.degraded_reason == "deadline"
+    def test_handle_born_settled_draws_a_real_request_id(self):
+        from repro.serving import PendingRecommendation, RecommendRequest
+
+        before = RecommendRequest(prompt_ids=[1]).request_id
+        handle = PendingRecommendation()
+        after = RecommendRequest(prompt_ids=[1]).request_id
+        assert before < handle.request_id < after
+        assert not handle.done and not handle.degraded and handle.degraded_reason is None
+        handle._deliver([4, 2], degraded_reason="deadline")
+        assert handle.done and handle.degraded and handle.degraded_reason == "deadline"
+        assert handle.result() == [4, 2]
 
     def test_overloaded_reasons_are_closed_set(self):
         from repro.serving import Overloaded

@@ -101,21 +101,26 @@ class TestEngineProtocol:
         engine.set_prefix_cache(None)
         assert engine.prefix_cache is None
 
-    def test_rebuilt_model_refreshes_cached_inference_engine(
-            self, tiny_lcrec, tiny_dataset):
-        """Swapping lm/trie (what a re-build does) must not serve stale
-        weights through the lazily cached oracle engine."""
+    def test_rebuilt_model_serves_its_current_lm(self, tiny_lcrec, tiny_dataset):
+        """Swapping lm (what a re-build does) reaches the very next
+        recommend: no engine outlives the weights it was built over."""
         import copy
 
         history = list(tiny_dataset.split.test_histories[0])
-        tiny_lcrec.recommend(history, top_k=3)
-        stale = tiny_lcrec._inference_engine
+        expected = tiny_lcrec.recommend(history, top_k=3)
         original_lm = tiny_lcrec.lm
+        swapped = copy.copy(original_lm)
+        calls = []
+
+        def new_beam_caches():
+            calls.append(1)
+            return original_lm.new_beam_caches()
+
+        swapped.new_beam_caches = new_beam_caches
         try:
-            tiny_lcrec.lm = copy.copy(original_lm)
-            tiny_lcrec.recommend(history, top_k=3)
-            assert tiny_lcrec._inference_engine is not stale
-            assert tiny_lcrec._inference_engine.lm is tiny_lcrec.lm
+            tiny_lcrec.lm = swapped
+            assert tiny_lcrec.recommend(history, top_k=3) == expected
+            assert calls, "recommend decoded through a stale lm"
         finally:
             tiny_lcrec.lm = original_lm
 
