@@ -3,7 +3,9 @@
 For each dataset, trains all eight traditional baselines, both generative
 baselines (P5-CID, TIGER) and LC-Rec, then evaluates full-ranking
 HR@{1,5,10} / NDCG@{5,10} with the leave-one-out protocol (beam size 20
-for the generative models — the paper's setting).
+for the generative models — the paper's setting).  LC-Rec's row is the
+average over several instruction templates, as the paper reports it
+(``evaluate_recommender_multi_template``).
 
 Paper-shape expectation (not absolute numbers): LC-Rec is the best model
 on every dataset; content-aware baselines (FDSA, S3-Rec) beat pure-ID
@@ -17,7 +19,7 @@ from repro.bench import report
 from repro.bench.runners import (
     GENERATIVE_BASELINES,
     TRADITIONAL_BASELINES,
-    evaluate_recommender,
+    evaluate_recommender_multi_template,
     run_generative_baseline,
     run_traditional_baseline,
 )
@@ -39,7 +41,7 @@ def run_dataset(name, dataset_factory, lcrec_full_factory):
         reports[baseline] = run_generative_baseline(baseline, dataset)
         rows.append(reports[baseline].row(baseline))
     model = lcrec_full_factory(name)
-    reports["LC-Rec"] = evaluate_recommender(model, dataset)
+    reports["LC-Rec"] = evaluate_recommender_multi_template(model, dataset)
     rows.append(reports["LC-Rec"].row("LC-Rec"))
 
     best_baseline = {

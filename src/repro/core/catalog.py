@@ -264,7 +264,8 @@ class LiveCatalog:
 
         Exactly one of ``text`` (encoded through the catalog's ``embed``
         callable, outside the ingest lock) and ``embedding`` (a raw
-        ``(input_dim,)`` vector) must be given.  The new item's id is the
+        ``(input_dim,)`` vector, finite) must be given; a bad embedding
+        raises ``ValueError`` and publishes nothing.  The new item's id is the
         next dense id (``num_items`` of the version it lands in), its
         semantic indices come from the RQ-VAE with conflict avoidance
         against every taken code tuple, and the returned
@@ -282,6 +283,11 @@ class LiveCatalog:
                 )
             embedding = self.embed(text)
         embedding = np.asarray(embedding, dtype=np.float64)
+        dim = self.rqvae.config.input_dim
+        if embedding.shape != (dim,) or not np.isfinite(embedding).all():
+            raise ValueError(
+                f"an item embedding must be a finite ({dim},) vector, got shape {embedding.shape}"
+            )
 
         with self._ingest_lock:
             current = self._version

@@ -189,6 +189,9 @@ class LCRec:
     # ------------------------------------------------------------------
     def seq_instruction(self, history: list[int], template_id: int = 0) -> str:
         """Render a sequential-prediction instruction for ``history``."""
+        count = len(T.SEQ_TEMPLATES)
+        if not 0 <= template_id < count:
+            raise ValueError(f"template_id must be in [0, {count}), got {template_id}")
         history = history[-self.config.tasks.max_history:]
         history_text = " , ".join(self.index_set.index_text(i) for i in history)
         return T.SEQ_TEMPLATES[template_id].format(history=history_text)
@@ -236,7 +239,7 @@ class LCRec:
         """A :class:`repro.serving.LCRecEngine` adapter over this model.
 
         The engine is what the serving stack (micro-batcher, deadline
-        loop, continuous scheduler) drives; ``prefix_cache`` is forwarded
+        loop, continuous loop) drives; ``prefix_cache`` is forwarded
         to its constructor (``True`` builds a fresh cache).
         """
         from ..serving import LCRecEngine

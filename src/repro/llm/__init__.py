@@ -10,7 +10,6 @@ from .generation import (
     beam_search_items_single,
     decode_finish,
     decode_prefill,
-    decode_retire,
     decode_step,
     greedy_generate,
     left_pad_prompts,
@@ -57,7 +56,6 @@ __all__ = [
     "beam_search_items_single",
     "decode_prefill",
     "decode_step",
-    "decode_retire",
     "decode_finish",
     "PrefixKVCache",
     "PrefixMatch",

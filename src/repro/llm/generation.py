@@ -29,8 +29,7 @@ the root — one hypothesis per row, scored 0.0 — through the same selection
 :func:`decode_step` runs after its forward to advance every row by one trie
 level.  A decode is a closed cohort: its rows are one prefill's, from
 prefill to finish, and sit at one trie depth, so they all reach the final
-level on the same step; :func:`decode_retire` then harvests them (all at
-once, or a few at a time) and :func:`decode_finish` harvests everything.
+level on the same step, where :func:`decode_finish` harvests them all.
 :func:`beam_search_items_single` is the original per-hypothesis loop, kept
 as the parity oracle.
 
@@ -74,7 +73,6 @@ __all__ = [
     "constrained_log_probs",
     "decode_finish",
     "decode_prefill",
-    "decode_retire",
     "decode_step",
     "left_pad_prompts",
     "pair_log_softmax",
@@ -335,8 +333,7 @@ class DecodeState:
     """Resumable state of a batched trie-constrained beam decode.
 
     Produced by :func:`decode_prefill`, advanced one trie level at a time
-    by :func:`decode_step` and harvested by
-    :func:`decode_retire`/:func:`decode_finish`.  A state is a closed
+    by :func:`decode_step` and harvested by :func:`decode_finish`.  A state is a closed
     cohort: its rows are one prefill's, from prefill to finish, and every
     row sits at the same trie depth, so the cohort finishes on one step.
     ``prompt_pads`` marks each row's pad columns in the shared prompt
@@ -348,17 +345,13 @@ class DecodeState:
     False) and the cross-attention K/V travel inside ``caches``, so nothing
     below knows which architecture it is stepping.
 
-    ``tags`` carries one caller-opaque object per row (the serving layer
-    stores its :class:`RecommendRequest` there) and follows rows through
-    retirement.
-
     ``pending`` holds the tokens already appended to every beam but not
     yet forwarded through the model: always the latest chosen token, plus
     — after forced-token fast-path levels — the forced tokens accumulated
     since the last real forward.  The next step that needs logits runs all
     pending columns through the transformer in one combined forward.
     ``workspace`` is the step-scratch arena (cleared whenever the width
-    changes, and at retirement).
+    changes, and at finish).
 
     A hypothesis is one trie node id (see :class:`IndexTrie`):
     ``beam_nodes[b, g]`` is the prefix hypothesis ``g`` of row ``b`` has
@@ -367,8 +360,7 @@ class DecodeState:
     per-hypothesis Python.  A ``-inf`` slot holds its depth's dead node;
     every slot sits at the cohort's depth.
 
-    ``narrow`` holds one entry per row, following it through retirement
-    like ``tags``: ``None`` decodes the full trie, a node mask
+    ``narrow`` holds one entry per row: ``None`` decodes the full trie, a node mask
     of the decode trie (:meth:`IndexTrie.path_mask` of the row's candidate
     items) restricts that row's beam *selection* while scores keep
     renormalising over the full trie — tokens off the candidate paths are
@@ -400,7 +392,6 @@ class DecodeState:
     beam_nodes: np.ndarray  # (B, >= width) int64: each hypothesis's trie node
     beam_scores: np.ndarray  # (B, >= width) float64
     prompt_pads: np.ndarray  # (B, W) bool: pad columns in the prompt region
-    tags: list[object]
     narrow: list[np.ndarray | None]  # (B,) each row's selectable nodes, None = full trie
     pending: np.ndarray = field(default_factory=lambda: np.empty((0, 1), dtype=np.int64))
     workspace: StepWorkspace = field(default_factory=StepWorkspace)
@@ -432,10 +423,6 @@ class DecodeState:
         """Whether the cohort has reached the final trie level."""
         return bool((self.row_depths() == self.trie.num_levels).all())
 
-    def finished_rows(self) -> list[int]:
-        """Row indices that have reached the final trie level: all of them, or none."""
-        return list(range(self.num_rows)) if self.done else []
-
     def flat_pad_columns(self) -> np.ndarray | None:
         """Per-hypothesis pad map over the prompt region (None: no pads).
 
@@ -453,7 +440,6 @@ def decode_prefill(
     beam_size: int = 20,
     pad_id: int = 0,
     prefix_cache: PrefixKVCache | None = None,
-    tags: Sequence[object] | None = None,
     narrow: Sequence[Sequence[int] | None] | None = None,
 ) -> DecodeState:
     """Run the prompt phase and level-0 beam expansion for ``prompts``.
@@ -469,8 +455,7 @@ def decode_prefill(
     seeded into the decode caches and only each row's unseen suffix runs
     through the model.  Rankings are unaffected (see
     :class:`repro.llm.PrefixKVCache` for the invalidation contract).
-    ``tags`` optionally attaches one opaque object per prompt (defaults to
-    the prompt's position).  ``narrow`` optionally
+    ``narrow`` optionally
     restricts beam selection to candidate items of ``trie`` (see
     :class:`DecodeState`): one item-id sequence per prompt, ``None`` for a
     full-trie row.  Each row's ranking over its candidate set matches a
@@ -490,10 +475,6 @@ def decode_prefill(
     for row, prompt in enumerate(prompts):
         if not prompt:
             raise ValueError(f"prompt {row} is empty: every request needs at least one token")
-    if tags is None:
-        tags = list(range(len(prompts)))
-    elif len(tags) != len(prompts):
-        raise ValueError("tags must match prompts one-to-one")
     num_beams = min(beam_size, trie.num_items)
     workspace = StepWorkspace()
     with no_grad():
@@ -528,7 +509,6 @@ def decode_prefill(
             beam_nodes=np.zeros((len(prompts), 1), dtype=np.int64),
             beam_scores=np.zeros((len(prompts), 1)),
             prompt_pads=pad_columns,
-            tags=list(tags),
             narrow=narrow,
             pending=np.full((len(prompts), 1), pad_id, dtype=np.int64),
             workspace=workspace,
@@ -545,7 +525,7 @@ def decode_step(state: DecodeState) -> DecodeState:
 
     The trie constraint is the live hypotheses' (hypothesis, child) pairs
     (:meth:`IndexTrie.expand` of their nodes).  A cohort at the final level is
-    finished: stepping it raises, it is retired (:func:`decode_retire`).
+    finished: stepping it raises, it is harvested (:func:`decode_finish`).
     Returns ``state`` (mutated in place) for chaining.
 
     Two fast paths apply:
@@ -653,61 +633,31 @@ def _advance(
             state.workspace.clear()  # scratch of the old shape is released
 
 
-def _harvest(state: DecodeState, rows: list[int]) -> list[list[BeamHypothesis]]:
-    """Finished rows' finite hypotheses, best first, read off their leaf nodes.
+def decode_finish(state: DecodeState) -> list[list[BeamHypothesis]]:
+    """Harvest the finished cohort: one hypothesis list per row, in row order.
 
-    Each row's slots are already best first (see :class:`DecodeState`), so
-    this is one finite filter and one item / sequence gather for all
-    ``rows`` together; only the :class:`BeamHypothesis` objects are built
-    per hypothesis.
+    Every row is at the final trie level (a cohort steps in lockstep), and
+    its slots are already best first (see :class:`DecodeState`), so this is
+    one finite filter and one item / sequence gather for the whole cohort;
+    only the :class:`BeamHypothesis` objects are built per hypothesis, and
+    ``-inf`` filler beams are dropped.  The K/V and the step scratch are
+    released: nothing steps the state again.
     """
+    if not state.done:
+        raise ValueError("the cohort has not reached the final trie level")
     trie = state.trie
-    scores = state.beam_scores[rows]
+    scores = state.beam_scores
     finite = np.isfinite(scores)
-    leaves = state.beam_nodes[rows][finite] - trie.level_start[-2]  # leaf order
+    leaves = state.beam_nodes[finite] - trie.level_start[-2]  # leaf order
     hypotheses = map(
         BeamHypothesis,
         map(trie.sequences.__getitem__, leaves.tolist()),
         scores[finite].tolist(),
         trie.items[leaves].tolist(),
     )
+    state.caches = []
+    state.workspace.clear()
     return [list(itertools.islice(hypotheses, n)) for n in finite.sum(axis=1).tolist()]
-
-
-def decode_retire(state: DecodeState, rows: Sequence[int]) -> list[list[BeamHypothesis]]:
-    """Harvest the given finished rows and drop them, one hypothesis list per row.
-
-    Every row must be at the final trie level — and then so is every
-    survivor, because a cohort steps in lockstep: nothing steps again, so
-    no cache is compacted.  The step scratch goes at once and the K/V with
-    the last row.  Results are in the order of ``rows``; ``-inf`` filler
-    beams are dropped.
-    """
-    rows = [int(row) for row in rows]
-    if len(set(rows)) != len(rows):
-        raise ValueError("duplicate rows in retirement")
-    for row in rows:
-        if not 0 <= row < state.num_rows:
-            raise IndexError(f"row {row} out of range for {state.num_rows} rows")
-    if rows and not state.done:
-        raise ValueError("the cohort has not reached the final trie level")
-    results = _harvest(state, rows)
-    if rows:
-        keep = np.setdiff1d(np.arange(state.num_rows), rows)
-        state.beam_nodes = state.beam_nodes[keep]
-        state.beam_scores = state.beam_scores[keep]
-        state.prompt_pads = state.prompt_pads[keep]
-        state.tags = [state.tags[b] for b in keep.tolist()]
-        state.narrow = [state.narrow[b] for b in keep.tolist()]
-        state.workspace.clear()
-        if not keep.size:
-            state.caches = []
-    return results
-
-
-def decode_finish(state: DecodeState) -> list[list[BeamHypothesis]]:
-    """Retire every row (all must be at the final level), in row order."""
-    return decode_retire(state, range(state.num_rows))
 
 
 def constrained_log_probs(logits_row: np.ndarray, allowed: np.ndarray) -> np.ndarray:

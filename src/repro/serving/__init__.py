@@ -8,13 +8,13 @@ serving layer and one concrete model — :class:`LCRecEngine` over a built
 ``docs/serving.md``, "Writing an engine adapter").  Producers push
 :class:`RecommendRequest`\\ s into a thread-safe :class:`RequestQueue`,
 the :class:`MicroBatcher` plans length-bucketed micro-batches, and
-:class:`RecommendationService` decodes them through the engine on one
-:class:`ContinuousScheduler` tick — closed batches admitted into an idle
-scheduler, synchronously via ``flush()`` or by a deadline-batched
-background loop (``start()``/``stop()``), or with no deadline wait
-(``mode="continuous"``): the queue's head is admitted the moment the
-scheduler is idle.  Every decode is a closed cohort — one prefill's rows,
-stepped in lockstep and retired together.  A cross-request
+:class:`RecommendationService` decodes each cohort in one
+:meth:`GenerativeEngine.decode` call — closed batches synchronously via
+``flush()`` or by a deadline-batched background loop
+(``start()``/``stop()``), or with no deadline wait (``mode="continuous"``):
+the queue's head is the next cohort as soon as the last one is
+delivered.  Every decode is a closed cohort — one prefill's rows, stepped
+in lockstep and harvested together.  A cross-request
 :class:`repro.llm.PrefixKVCache` (re-exported here) skips re-running
 prompt prefixes shared between requests, for engines advertising
 ``supports_prefix_cache``.
@@ -55,9 +55,7 @@ from .batcher import (
     plan_batches,
 )
 from .cluster import ClusterStats, ServingCluster
-from .continuous import ContinuousScheduler
 from .engine import (
-    EngineState,
     GenerativeEngine,
     LCRecEngine,
     P5CIDEngine,
@@ -75,8 +73,6 @@ __all__ = [
     "MicroBatcherConfig",
     "plan_batches",
     "padding_fraction",
-    "ContinuousScheduler",
-    "EngineState",
     "GenerativeEngine",
     "TrieDecoderEngine",
     "LCRecEngine",

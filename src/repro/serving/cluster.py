@@ -52,7 +52,7 @@ from typing import Callable, Sequence
 from .api import FallbackRecommender, PendingRecommendation, RecommendationClient, turn_away
 from .batcher import MicroBatcherConfig
 from .engine import GenerativeEngine
-from .queue import check_deadline_ms, check_history, check_top_k
+from .queue import check_deadline_ms, check_history, check_template_id, check_top_k
 from .router import AffinityRouter
 from .service import RecommendationService, ServingStats, refresh_retrieval_tier
 
@@ -366,7 +366,9 @@ class ServingCluster(RecommendationClient):
         ``deadline_ms`` is the request's shed budget at its worker.
         """
         history = list(history)
-        check_history(history, self._workers[0].service.engine.num_items)
+        engine = self._workers[0].service.engine
+        check_template_id(template_id, engine.num_templates)
+        check_history(history, engine.num_items)
         return self._route(
             lambda service: service.submit(
                 history,

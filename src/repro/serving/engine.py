@@ -1,29 +1,24 @@
 """The engine boundary: one serving stack for every generative recommender.
 
 :class:`GenerativeEngine` is the protocol between the serving layer (queue,
-micro-batcher, the one :class:`repro.serving.ContinuousScheduler` tick) and
-a concrete generative recommendation model.  It captures the *resumable decode*
-contract the batched trie-constrained beam search exposes —
+micro-batcher, :class:`repro.serving.RecommendationService`) and a concrete
+generative recommendation model.  Its decode contract is one call:
+:meth:`GenerativeEngine.decode` takes a closed cohort of requests (one
+effective beam width) and returns every request's hypotheses, best first.
+Trie-constrained generation is a fixed-depth, level-synchronous beam search
+(paper Sec. III-D2), so a cohort runs from prompt to final level together
+and nothing joins or leaves it on the way.
 
-* :meth:`GenerativeEngine.prefill` runs the prompt phase plus the level-0
-  beam expansion for a micro-batch and returns an opaque
-  :class:`EngineState`,
-* :meth:`GenerativeEngine.step` advances every row of the state one trie
-  level — a state is a closed cohort, so all its rows reach the final
-  level on the same step,
-* :meth:`GenerativeEngine.retire` harvests finished rows, and
-  :meth:`GenerativeEngine.finish` harvests everything (the one-shot
-  :meth:`GenerativeEngine.decode`; the scheduler only retires)
-
-— plus capability flags (``supports_prefix_cache``, ``supports_narrowing``,
-``num_levels``) and the request-shaping hooks (``encode_history``,
-``request_beam_size``, ``effective_len``, ``finalize``) that keep
-model-specific text rendering, beam policy and ranking post-processing out
-of the service.
+Around that call sit capability flags (``supports_prefix_cache``,
+``supports_narrowing``, ``num_levels``, ``num_templates``) and the
+request-shaping hooks (``encode_history``, ``request_beam_size``,
+``effective_len``, ``finalize``) that keep model-specific text rendering,
+beam policy and ranking post-processing out of the service.
 
 Three adapters ship with the repo, all on one stepper
-(:func:`repro.llm.decode_prefill` / ``decode_step`` / ``decode_retire``
-over a :class:`repro.llm.generation.Scorer`):
+(:func:`repro.llm.decode_prefill` / ``decode_step`` / ``decode_finish``
+over a :class:`repro.llm.generation.Scorer`); each one's ``decode`` is
+``prefill``, ``step`` to the final level, ``retire``:
 
 ====================  ================================================
 adapter               scorer
@@ -33,18 +28,16 @@ adapter               scorer
 :class:`TIGEREngine`  encoder-decoder :class:`~repro.baselines.TIGER`
 ====================  ================================================
 
-Every adapter serves every mode, in closed cohorts, on the same scheduler.
+Every adapter serves every mode, in closed cohorts.
 
 Every adapter is ranking-preserving: batching is a cost optimisation, never
 an approximation, and the parity suites pin each adapter to its
 single-request oracle (``LCRec.recommend`` / ``beam_search_items_single``,
 ``TIGER.recommend``, ``P5CID.recommend``).
 
-Writing a new adapter means implementing ``encode_history`` plus the
-decode-contract methods — by delegating to the shared stepper if the model
-can be its scorer (as all three above do), or over your own state object
-(any object with ``num_rows``, ``num_beams``, ``done``, ``tags`` and
-``finished_rows()`` works — see :class:`EngineState`); the service,
+Writing a new adapter means implementing ``encode_history`` and ``decode``
+— by delegating to the shared stepper if the model can be its scorer (as
+all three above do), or with any decoder of your own; the service,
 micro-batcher and bench runners then work unchanged.  ``docs/serving.md``
 has a walkthrough.
 
@@ -58,21 +51,21 @@ from __future__ import annotations
 import abc
 import copy
 from dataclasses import replace
-from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Sequence
 
 from ..core.templates import SEQ_TEMPLATES
 from ..llm import (
     BeamHypothesis,
+    DecodeState,
     PrefixKVCache,
     backfill_items,
     decode_finish,
     decode_prefill,
-    decode_retire,
     decode_step,
     ranked_item_ids,
 )
 from ..quantization.trie import IndexTrie
-from .queue import RecommendRequest, check_history
+from .queue import RecommendRequest, check_history, check_template_id
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids cycles at runtime
     from ..baselines.p5cid import P5CID
@@ -81,7 +74,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids cycles at runtime
     from ..llm.model import TinyLlama
 
 __all__ = [
-    "EngineState",
     "GenerativeEngine",
     "TrieDecoderEngine",
     "LCRecEngine",
@@ -90,40 +82,14 @@ __all__ = [
 ]
 
 
-@runtime_checkable
-class EngineState(Protocol):
-    """What the serving layer needs from an engine's opaque decode state.
-
-    Engines may return any object from :meth:`GenerativeEngine.prefill` as
-    long as it exposes this introspection surface; everything else about
-    the state (caches, beams, memory) is the engine's private business.
-    ``tags`` carries the :class:`RecommendRequest` of every in-flight row,
-    in row order, through retirement.
-    """
-
-    num_beams: int
-
-    @property
-    def num_rows(self) -> int: ...
-
-    @property
-    def done(self) -> bool: ...
-
-    @property
-    def tags(self) -> list: ...
-
-    def finished_rows(self) -> list[int]: ...
-
-
 class GenerativeEngine(abc.ABC):
     """Backend adapter driven by :class:`repro.serving.RecommendationService`.
 
     Subclasses wrap one built generative recommender and translate the
     serving layer's request/decode vocabulary into the model's own.  The
-    base class supplies the one-shot :meth:`decode` loop, the default
-    ranking :meth:`finalize`, and batch-free conveniences
-    (:meth:`recommend_many`, :meth:`rank_prompts`) on top of the abstract
-    decode contract.
+    base class supplies the default ranking :meth:`finalize` and batch-free
+    conveniences (:meth:`recommend_many`, :meth:`rank_prompts`) on top of
+    the one abstract decode call, :meth:`decode`.
 
     Capability flags
     ----------------
@@ -139,15 +105,16 @@ class GenerativeEngine(abc.ABC):
         What :class:`repro.serving.ServingCluster` calls to provision one
         engine per worker thread without cloning the weights.
     ``supports_narrowing``
-        Whether :meth:`prefill` restricts each request's decode to its
+        Whether :meth:`decode` restricts each request's decode to its
         ``narrow_items`` (retrieval-narrowed decode): beam *selection* is
         limited to the candidates' index sequences while scores keep
         renormalising over the full trie, so the ranking over the candidate
         set is identical to a full decode filtered post hoc.
     ``num_levels``
-        Trie depth — :meth:`prefill` performs the level-0 expansion, so a
-        freshly prefilled cohort needs ``num_levels - 1`` further
-        :meth:`step` calls.
+        Trie depth: the index tokens every decoded item is spelled with.
+    ``num_templates``
+        How many prompt templates ``encode_history`` renders; a
+        ``template_id`` outside ``[0, num_templates)`` is refused at submit.
     """
 
     name: str = "engine"
@@ -156,6 +123,7 @@ class GenerativeEngine(abc.ABC):
     supports_narrowing: bool = False
     prefix_cache: PrefixKVCache | None = None
     default_beam_size: int = 20
+    num_templates: int = 1
 
     # ------------------------------------------------------------------
     # Capabilities and request shaping
@@ -163,7 +131,7 @@ class GenerativeEngine(abc.ABC):
     @property
     @abc.abstractmethod
     def num_levels(self) -> int:
-        """Trie depth (prefill covers level 0; steps needed = depth - 1)."""
+        """Trie depth (index tokens per item)."""
 
     @property
     @abc.abstractmethod
@@ -231,41 +199,16 @@ class GenerativeEngine(abc.ABC):
         raise NotImplementedError(f"{type(self).__name__} does not take intention queries")
 
     # ------------------------------------------------------------------
-    # The resumable decode contract
+    # The decode contract
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def prefill(self, requests: Sequence[RecommendRequest]) -> EngineState:
-        """Run the prompt phase and level-0 expansion for one micro-batch.
-
-        All requests of one prefill must agree on effective beam width (a
-        request's rankings must never depend on who it is co-batched
-        with, and beam width changes rankings).
-        """
-
-    @abc.abstractmethod
-    def step(self, state: EngineState) -> None:
-        """Advance every in-flight row one trie level (one model forward)."""
-
-    @abc.abstractmethod
-    def retire(self, state: EngineState, rows: Sequence[int]) -> list[list[BeamHypothesis]]:
-        """Pop the given finished rows, one hypothesis list per row."""
-
-    def finish(self, state: EngineState) -> list[list[BeamHypothesis]]:
-        """Retire every row (all must be at the final level), in row order."""
-        return self.retire(state, range(state.num_rows))
-
-    # ------------------------------------------------------------------
-    # One-shot conveniences built on the contract
-    # ------------------------------------------------------------------
     def decode(self, requests: Sequence[RecommendRequest]) -> list[list[BeamHypothesis]]:
-        """One closed-batch decode: prefill, step to depth, finish."""
-        requests = list(requests)
-        if not requests:
-            return []
-        state = self.prefill(requests)
-        while not state.done:
-            self.step(state)
-        return self.finish(state)
+        """Decode one closed cohort: each request's hypotheses, best first.
+
+        All requests of one cohort must agree on effective beam width (a
+        request's rankings must never depend on who it is co-batched
+        with, and beam width changes rankings).  No requests, no decode.
+        """
 
     def finalize(
         self,
@@ -299,6 +242,7 @@ class GenerativeEngine(abc.ABC):
         self, histories: Sequence[Sequence[int]], top_k: int = 10, template_id: int = 0
     ) -> list[list[int]]:
         """Batched next-item recommendation: one decode for all histories."""
+        check_template_id(template_id, self.num_templates)
         for history in histories:
             check_history(history, self.num_items)
         prompts = [self.encode_history(list(history), template_id) for history in histories]
@@ -350,15 +294,26 @@ def _require_uniform_beams(engine: GenerativeEngine, requests: Sequence[Recommen
     return widths.pop()
 
 
+def _decode_cohort(engine, requests: Sequence[RecommendRequest]) -> list[list[BeamHypothesis]]:
+    """The stepper engines' ``decode``: prefill, step to the final level, retire."""
+    requests = list(requests)
+    if not requests:
+        return []
+    state = engine.prefill(requests)
+    while not state.done:
+        engine.step(state)
+    return engine.retire(state)
+
+
 # ----------------------------------------------------------------------
 # Decoder-only adapters: the shared DecodeState stepper
 # ----------------------------------------------------------------------
 class TrieDecoderEngine(GenerativeEngine):
     """Engine over a decoder-only :class:`TinyLlama` plus an index trie.
 
-    Wraps the resumable :class:`repro.llm.DecodeState` stepper
-    (:func:`decode_prefill` / :func:`decode_step` / :func:`decode_retire`),
-    which is why every decoder-only backend gets the scheduler and the
+    Wraps the :class:`repro.llm.DecodeState` stepper
+    (:func:`decode_prefill` / :func:`decode_step` / :func:`decode_finish`),
+    which is why every decoder-only backend gets batched serving and the
     prefix KV cache for free — LC-Rec and
     P5-CID differ only in how they render a history into prompt ids and
     how rankings are post-processed.
@@ -474,11 +429,15 @@ class TrieDecoderEngine(GenerativeEngine):
         )
 
     # -- decode contract -----------------------------------------------
-    def prefill(self, requests: Sequence[RecommendRequest]) -> EngineState:
+    def decode(self, requests: Sequence[RecommendRequest]) -> list[list[BeamHypothesis]]:
+        return _decode_cohort(self, requests)
+
+    def prefill(self, requests: Sequence[RecommendRequest]) -> DecodeState:
+        """The prompt phase and level-0 expansion of one cohort."""
         requests = list(requests)
         num_beams = _require_uniform_beams(self, requests)
         # One trie read pins this decode's catalog version: the state
-        # carries the object through every step and retirement.
+        # carries the object through every step to the finish.
         trie = self.trie
         if self.prefix_cache is not None and self.catalog is not None:
             version = self.catalog.version
@@ -490,27 +449,30 @@ class TrieDecoderEngine(GenerativeEngine):
             beam_size=num_beams,  # this engine's clamp, not the stepper's
             pad_id=self.pad_id,
             prefix_cache=self.prefix_cache,
-            tags=requests,
             narrow=[request.narrow_items for request in requests],
         )
 
-    def step(self, state: EngineState) -> None:
+    def step(self, state: DecodeState) -> None:
+        """Advance the cohort one trie level."""
         decode_step(state)
 
-    def retire(self, state: EngineState, rows: Sequence[int]) -> list[list[BeamHypothesis]]:
-        return decode_retire(state, rows)
-
-    def finish(self, state: EngineState) -> list[list[BeamHypothesis]]:
+    def retire(self, state: DecodeState) -> list[list[BeamHypothesis]]:
+        """Harvest the finished cohort, one hypothesis list per request."""
         return decode_finish(state)
 
     # ------------------------------------------------------------------
-    # Tracer seam: no serving path calls this.  ``perf/tracing.py`` wraps
-    # it by name (``serving.engine.join``), so it stays, raising, until
-    # that wrapper is dropped; see also the module-level block at the end.
+    # Tracer seams: no serving path calls these.  ``perf/tracing.py`` wraps
+    # them by name (``serving.engine.join`` / ``serving.engine.retire``),
+    # so they stay, raising, until those wrappers are dropped; see also
+    # the module-level block at the end.
     # ------------------------------------------------------------------
-    def join(self, state: EngineState, incoming: EngineState) -> None:
+    def join(self, state: DecodeState, incoming: DecodeState) -> None:
         """Deleted: a decode is a closed cohort, nothing joins it."""
         raise NotImplementedError("a decode is a closed cohort: nothing joins a live decode")
+
+    def finish(self, state: DecodeState) -> None:
+        """Deleted: :meth:`retire` harvests the whole finished cohort."""
+        raise NotImplementedError("retire harvests the finished cohort")
 
 
 class LCRecEngine(TrieDecoderEngine):
@@ -522,6 +484,7 @@ class LCRecEngine(TrieDecoderEngine):
     """
 
     name = "lcrec"
+    num_templates = len(SEQ_TEMPLATES)
 
     def __init__(self, model: "LCRec", prefix_cache: PrefixKVCache | bool | None = True):
         model._require_built()
@@ -557,7 +520,7 @@ class P5CIDEngine(TrieDecoderEngine):
     """The P5-CID adapter: collaborative-ID prompts over the shared stepper.
 
     P5-CID's decoder-only LM speaks the same decode contract as LC-Rec, so
-    the adapter inherits the scheduler and (optionally) the prefix
+    the adapter inherits batched serving and (optionally) the prefix
     cache; only the prompt rendering (BOS + history ids + SEP, no natural
     language) and the full-``top_k`` ranking guarantee differ.
     """
@@ -579,8 +542,6 @@ class P5CIDEngine(TrieDecoderEngine):
         self.model = model
 
     def encode_history(self, history: Sequence[int], template_id: int = 0) -> list[int]:
-        if template_id != 0:
-            raise ValueError("P5-CID has a single prompt format (template_id 0)")
         return self.model._example(list(history), None)[0]
 
     def finalize(self, requests, all_hypotheses) -> list[list[int]]:
@@ -641,14 +602,16 @@ class TIGEREngine(GenerativeEngine):
         return clone
 
     def encode_history(self, history: Sequence[int], template_id: int = 0) -> list[int]:
-        if template_id != 0:
-            raise ValueError("TIGER has a single prompt format (template_id 0)")
         return self.model.encode_history(list(history))
 
     # -- decode contract -----------------------------------------------
     # Own definitions, not a base shared with TrieDecoderEngine: the ledger's
     # tracer patches both classes, and an inherited method is timed twice.
-    def prefill(self, requests: Sequence[RecommendRequest]) -> EngineState:
+    def decode(self, requests: Sequence[RecommendRequest]) -> list[list[BeamHypothesis]]:
+        return _decode_cohort(self, requests)
+
+    def prefill(self, requests: Sequence[RecommendRequest]) -> DecodeState:
+        """Encode the cohort's histories, project cross K/V, forward BOS, expand level 0."""
         requests = list(requests)
         return decode_prefill(
             self.model,
@@ -656,15 +619,16 @@ class TIGEREngine(GenerativeEngine):
             self.trie,
             beam_size=_require_uniform_beams(self, requests),
             pad_id=self.pad_id,
-            tags=requests,
             narrow=[request.narrow_items for request in requests],
         )
 
-    def step(self, state: EngineState) -> None:
+    def step(self, state: DecodeState) -> None:
+        """Advance the cohort one trie level."""
         decode_step(state)
 
-    def retire(self, state: EngineState, rows: Sequence[int]) -> list[list[BeamHypothesis]]:
-        return decode_retire(state, rows)
+    def retire(self, state: DecodeState) -> list[list[BeamHypothesis]]:
+        """Harvest the finished cohort, one hypothesis list per request."""
+        return decode_finish(state)
 
     def finalize(self, requests, all_hypotheses) -> list[list[int]]:
         return widen_and_backfill(self, requests, all_hypotheses)
@@ -672,10 +636,15 @@ class TIGEREngine(GenerativeEngine):
 
 # ----------------------------------------------------------------------
 # Tracer seams: no serving path calls these.  ``perf/tracing.py`` wraps
-# ``decode_join`` here (``llm.generation.join``) and
-# ``TrieDecoderEngine.join`` by name, so both stay, raising, until those
-# wrappers are dropped.
+# ``decode_join`` and ``decode_retire`` here (``llm.generation.join`` /
+# ``llm.generation.retire``) and ``TrieDecoderEngine.join`` / ``finish`` by
+# name, so all four stay, raising, until those wrappers are dropped.
 # ----------------------------------------------------------------------
-def decode_join(state: EngineState, incoming: EngineState) -> None:
+def decode_join(state: DecodeState, incoming: DecodeState) -> None:
     """Deleted: a decode is a closed cohort, nothing joins it."""
     raise NotImplementedError("a decode is a closed cohort: nothing joins a live decode")
+
+
+def decode_retire(state: DecodeState, rows: Sequence[int]) -> None:
+    """Deleted: :func:`repro.llm.decode_finish` harvests the whole finished cohort."""
+    raise NotImplementedError("a cohort is harvested whole: use decode_finish")

@@ -43,6 +43,12 @@ def check_top_k(top_k: int) -> None:
         raise ValueError("top_k must be positive")
 
 
+def check_template_id(template_id: int, num_templates: int) -> None:
+    """Raise ``ValueError`` unless ``template_id`` names one of the engine's prompt templates."""
+    if not 0 <= template_id < num_templates:
+        raise ValueError(f"template_id must be in [0, {num_templates}), got {template_id}")
+
+
 def check_deadline_ms(deadline_ms: float | None) -> None:
     """Raise ``ValueError`` unless ``deadline_ms`` is a positive shed budget or ``None``."""
     if deadline_ms is not None and deadline_ms <= 0:
@@ -185,10 +191,10 @@ class RequestQueue:
     def await_request(self, should_stop: Callable[[], bool]) -> bool:
         """Block until at least one request is queued (True) or stop (False).
 
-        The continuous loop parks here while its decode is idle: unlike
+        The continuous loop parks here between cohorts: unlike
         :meth:`await_batch` there is no deadline to wait out — admission
-        happens immediately, and whatever queues up while that cohort is in
-        flight becomes the next cohort.
+        happens immediately, and whatever queues up while a cohort decodes
+        becomes the next cohort.
         """
         with self._cond:
             while not should_stop():
@@ -200,21 +206,21 @@ class RequestQueue:
     def pop_front(
         self,
         limit: int,
-        admit: Callable[[RecommendRequest], bool] | None = None,
+        key: Callable[[RecommendRequest], object] | None = None,
     ) -> list[RecommendRequest]:
-        """Pop up to ``limit`` requests from the head, stopping at the first
-        one ``admit`` rejects.
+        """Pop up to ``limit`` requests from the head that share the head's ``key``.
 
-        FIFO order is never bypassed: a request whose beam width differs
-        from the cohort's blocks the ones behind it until the next
-        admission, rather than being overtaken.  The continuous loop uses
-        this to take a cohort of up to the scheduler's ``max_width``
-        requests of the head's beam width (its admission predicate).
+        FIFO order is never bypassed: a request whose key differs from the
+        head's blocks the ones behind it until the next pop, rather than
+        being overtaken.  The continuous loop uses this to take a cohort of
+        up to ``max_batch_size`` requests of the head's effective beam
+        width, since one cohort is one decode.
         """
         with self._cond:
             popped: list[RecommendRequest] = []
+            head = key(self._items[0]) if key is not None and self._items else None
             while self._items and len(popped) < limit:
-                if admit is not None and not admit(self._items[0]):
+                if key is not None and key(self._items[0]) != head:
                     break
                 popped.append(self._items.popleft())
             return popped

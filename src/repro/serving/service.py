@@ -7,28 +7,27 @@ recommendation requests (histories, free-form instructions, or intention
 queries — whichever the engine can encode) and read results from the
 returned :class:`PendingRecommendation`.
 
-The service owns one :class:`ContinuousScheduler`, and every way of
-serving runs the same *tick* on it under the decode lock — shed expired
-requests, ``scheduler.admit``, ``scheduler.step``, ``engine.finalize``,
-deliver — so the stats and the error handling are written once.  What
-differs is the admission policy, *what is admitted when*:
+Every way of serving decodes closed cohorts the same way, one at a time
+under the decode lock — shed the expired requests, one
+:meth:`GenerativeEngine.decode` call, ``engine.finalize``, deliver — so
+the stats and the error handling are written once.  What differs is the
+admission policy, *which requests form the next cohort, and when*:
 
 * **Closed batches** — the queue is drained, the micro-batcher plans it
-  into batches, and the next batch is admitted only when the scheduler is
-  idle.  Synchronous :meth:`RecommendationService.flush` (or ``result()``
-  on a stopped service) does this on the caller's thread: zero threads,
+  into batches, and each batch is one cohort.  Synchronous
+  :meth:`RecommendationService.flush` (or ``result()`` on a stopped
+  service) does this on the caller's thread: zero threads,
   deterministic batching, what tests and offline evaluation use.  The
   ``mode="deadline"`` background thread (:meth:`RecommendationService.start`,
   the default) does it as soon as a full micro-batch is waiting *or* the
   oldest request exceeds the ``deadline_ms`` latency budget, whichever
   comes first; callers block in ``PendingRecommendation.result(timeout=...)``
   and :meth:`stop` drains in-flight work and joins the thread.
-* **Continuous** (``mode="continuous"``) — no deadline wait: with
-  nothing in flight, the background thread admits the FIFO head at once,
-  up to ``max_batch_size`` requests of one beam width, as one cohort;
-  while a cohort is in flight it only steps it, and it parks in
-  :meth:`RequestQueue.await_request` when idle and the queue is empty.  A
-  request that arrives mid-cohort waits at most ``num_levels - 1`` ticks.
+* **Continuous** (``mode="continuous"``) — no deadline wait: the
+  background thread parks in :meth:`RequestQueue.await_request` while the
+  queue is empty and otherwise pops the FIFO head at once, up to
+  ``max_batch_size`` requests of one beam width, as the next cohort.  A
+  request that arrives mid-cohort waits for that one decode to finish.
 
 Results are identical to the engine's single-request oracle in every mode
 — batching, deadlines and admission order change the cost, never the
@@ -37,9 +36,9 @@ prompt prefixes they have decoded before; see ``docs/serving.md`` for
 tuning and invalidation.
 
 Thread safety: ``submit*`` may be called from any number of threads in
-any mode, and ``flush`` may race the background loop (ticks are serialized
-on an internal lock, a ``flush`` releases it only with the scheduler idle,
-and each request is delivered exactly once).
+any mode, and ``flush`` may race the background loop (cohorts are decoded
+one at a time on an internal lock, and each request is delivered exactly
+once).
 ``start``/``stop`` are serialized on a lifecycle lock and may be called
 from any thread (``stop`` is idempotent, including under concurrent
 callers); handles are safe to share between threads.
@@ -50,7 +49,6 @@ from __future__ import annotations
 import ctypes
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -62,13 +60,13 @@ from .api import (
     turn_away,
 )
 from .batcher import MicroBatcher, MicroBatcherConfig, padding_fraction
-from .continuous import ContinuousScheduler
 from .engine import GenerativeEngine
 from .queue import (
     RecommendRequest,
     RequestQueue,
     check_deadline_ms,
     check_history,
+    check_template_id,
     check_top_k,
 )
 
@@ -126,8 +124,8 @@ class ServingStats:
     ``size_flushes``/``deadline_flushes`` count what triggered each
     deadline-mode background flush: a full batch waiting vs the oldest
     request aging past the latency budget.  Synchronous ``flush()`` calls
-    count in neither.  ``batches`` and ``admissions`` both count admission
-    prefills, one per decode cohort.  ``joins`` is always 0: no request
+    count in neither.  ``batches`` and ``admissions`` both count decoded
+    cohorts (one ``engine.decode`` call each).  ``joins`` is always 0: no request
     joins a live decode (kept for the perf ledger, which reads it).
 
     ``padding_fraction_sum`` accumulates per-batch padding fractions over
@@ -144,14 +142,12 @@ class ServingStats:
     ``requests`` or ``batches``.  ``hybrid_narrowed`` counts history
     submits queued narrowed to their retrieval candidates.
 
-    ``prefill_seconds`` / ``step_seconds`` / ``finalize_seconds`` attribute
-    decode-path wall time to its stages: the prompt phase (including
-    prefix-cache matching and level-0 expansion), the per-level stepping
-    loop (including retirements), and ranking post-processing (which may
-    re-decode for widen-and-backfill engines), so a perf regression can be
-    attributed to a stage instead of showing up only in end-to-end
-    latency.  Queue wait and thread handoff are deliberately excluded —
-    these are engine-cost counters.
+    ``decode_seconds`` / ``finalize_seconds`` attribute decode-path wall
+    time to its two engine calls: the cohort's decode (prompt phase,
+    prefix-cache matching and every trie level) and ranking
+    post-processing (which may re-decode for widen-and-backfill engines).
+    Queue wait and thread handoff are deliberately excluded — these are
+    engine-cost counters; the perf ledger's spans split the decode further.
     """
 
     requests: int = 0
@@ -168,8 +164,7 @@ class ServingStats:
     degraded_cold_start: int = 0
     hybrid_narrowed: int = 0
     hybrid_retrieval: int = 0
-    prefill_seconds: float = 0.0
-    step_seconds: float = 0.0
+    decode_seconds: float = 0.0
     finalize_seconds: float = 0.0
 
     def count(self, counter: str) -> None:
@@ -220,7 +215,7 @@ class RecommendationService(RecommendationClient):
     The service holds no model-specific code: request encoding, beam
     policy, the decode itself, and ranking post-processing all live behind
     the engine protocol, so TIGER and P5-CID (and any future backend)
-    serve through the exact same queue/batcher/scheduler machinery.
+    serve through the exact same queue/batcher machinery.
 
     Parameters
     ----------
@@ -263,10 +258,9 @@ class RecommendationService(RecommendationClient):
         retrieve for).
     mode:
         The background thread's admission policy: ``"deadline"`` (default)
-        admits closed deadline-batched flushes into an idle scheduler;
-        ``"continuous"`` admits the queue's head into an idle scheduler at
-        once, up to ``max_batch_size`` requests of one beam width, with no
-        deadline wait.  Synchronous ``flush()`` and rankings are identical
+        decodes closed deadline-batched flushes; ``"continuous"`` decodes
+        the queue's head at once, up to ``max_batch_size`` requests of one
+        beam width, with no deadline wait.  Synchronous ``flush()`` and rankings are identical
         in both modes.
     fallback:
         Optional :class:`repro.serving.FallbackRecommender` — the
@@ -281,8 +275,8 @@ class RecommendationService(RecommendationClient):
         ``Overloaded`` rejection.  ``None`` (default) sheds with
         ``Overloaded``.
 
-    Thread safety: see the module docstring.  Every tick runs under one
-    internal lock, so a concurrent ``flush()`` and background loop never
+    Thread safety: see the module docstring.  Every cohort decodes under
+    one internal lock, so a concurrent ``flush()`` and background loop never
     interleave inside the engine.
     """
 
@@ -317,7 +311,6 @@ class RecommendationService(RecommendationClient):
         self.fallback = fallback
         self.hybrid = hybrid
         self.batcher = MicroBatcher(batcher)
-        self.scheduler = ContinuousScheduler(engine, max_width=self.batcher.config.max_batch_size)
         self.queue = RequestQueue(max_depth=queue_depth)
         self.stats = ServingStats()
         self.deadline_ms = float(deadline_ms)
@@ -357,9 +350,8 @@ class RecommendationService(RecommendationClient):
     def start(self) -> "RecommendationService":
         """Launch the background loop thread; returns self for chaining.
 
-        The thread ticks the scheduler under the service's ``mode``
-        admission policy.  Serialized with :meth:`stop` on the lifecycle
-        lock.
+        The thread serves cohorts under the service's ``mode`` admission
+        policy.  Serialized with :meth:`stop` on the lifecycle lock.
         """
         with self._lifecycle:
             if self._worker is not None:
@@ -395,27 +387,21 @@ class RecommendationService(RecommendationClient):
     # recommend_many is submit-all + flush-or-await.
 
     def _loop(self) -> None:
-        """The background thread: wait as ``mode`` prescribes, tick, repeat."""
+        """The background thread: wait as ``mode`` prescribes, serve, repeat."""
         stopped = self._stop.is_set
+        max_size = self.batcher.config.max_batch_size
         if self.mode == "continuous":
-            # Park only while idle, and with no deadline to wait out: an
-            # idle tick admits the queue's head at once as one cohort, a
-            # busy one only steps.  ``idle`` is this thread's own reading,
-            # taken under the lock; a racing flush() can only leave the
-            # scheduler idle.
-            idle = True
-            while not stopped() and (not idle or self.queue.await_request(stopped)):
+            # No deadline to wait out: the queue's head is the next cohort,
+            # of one effective beam width since one cohort is one decode.
+            # A racing flush() may have emptied the queue; then it is none.
+            def beams(request: RecommendRequest) -> int:
+                return self.engine.effective_beams(request.beam_size)
+
+            while self.queue.await_request(stopped):
                 with self._decode_lock:
-                    cohort = []
-                    if self.scheduler.idle:
-                        cohort = self.queue.pop_front(
-                            self.scheduler.max_width, self.scheduler.admission_predicate()
-                        )
-                    self._tick(cohort, self.engine.effective_len)
-                    idle = self.scheduler.idle
+                    self._serve(self.queue.pop_front(max_size, beams), self.engine.effective_len)
         else:
             deadline = self.deadline_ms / 1000.0
-            max_size = self.batcher.config.max_batch_size
             while True:
                 requests, reason = self.queue.await_batch(deadline, max_size, stopped)
                 if reason == "stop":
@@ -425,9 +411,7 @@ class RecommendationService(RecommendationClient):
                 else:
                     self.stats.deadline_flushes += 1
                 self._drain(requests)
-        # In-flight rows are no longer queued, so they are finished and
-        # delivered regardless of the drain flag; with drain, everything
-        # still waiting in the queue is served too.
+        # With drain, everything still waiting in the queue is served too.
         self._drain(None if self._drain_on_stop else [])
 
     # ------------------------------------------------------------------
@@ -457,6 +441,7 @@ class RecommendationService(RecommendationClient):
         :meth:`HybridRecommender.recommend` exactly.
         """
         check_top_k(top_k)
+        check_template_id(template_id, self.engine.num_templates)
         check_deadline_ms(deadline_ms)
         history = list(history)
         check_history(history, self.engine.num_items)
@@ -625,95 +610,78 @@ class RecommendationService(RecommendationClient):
         flusher that finds the queue empty has waited out whoever emptied
         it (lock order decode → queue, as in the continuous loop).  The
         closed-batch admission policy of ``flush()`` and the deadline
-        thread: the micro-batcher plans the batches and the next one is
-        admitted only when the scheduler is idle.  The decode lock is held
-        until the scheduler is idle again — finishing rows a racing
-        continuous loop left in flight, too — so that loop never parks
-        with rows in flight and the service never holds two live decode
-        states.  Never raises: engine errors fail their handles.
+        thread: the micro-batcher plans the batches and each is one cohort.
+        Never raises: engine errors fail their handles.
         """
         effective_len = self._effective_len()
         served, first_error = 0, None
         with self._decode_lock:
             if requests is None:
                 requests = self.queue.drain()
-            batches = deque(self.batcher.plan(requests, effective_len))
-            while batches or not self.scheduler.idle:
-                batch = batches.popleft() if self.scheduler.idle else []
-                count, error = self._tick(batch, effective_len)
+            for batch in self.batcher.plan(requests, effective_len):
+                count, error = self._serve(batch, effective_len)
                 served += count
                 first_error = first_error or error
         return served, first_error
 
-    def _tick(
+    def _serve(
         self,
         requests: list[RecommendRequest],
         effective_len: "Callable[[RecommendRequest], int]",
     ) -> tuple[int, Exception | None]:
-        """One trie-level boundary: shed, admit ``requests``, step, finalize, deliver.
+        """One cohort: shed the expired, decode, finalize, deliver.
 
         The one serving step of every mode.  The caller holds the decode
-        lock and has picked ``requests`` by its admission policy (none, or
-        a cohort for an idle scheduler).  Returns the
-        number of rankings delivered and the first engine error; errors
+        lock and has picked ``requests`` by its admission policy.  Returns
+        the number of rankings delivered and the first engine error; errors
         fail exactly the handles they belong to, never the caller.
         """
-        scheduler, stats = self.scheduler, self.stats
-        outcomes: list[tuple[RecommendRequest, list[int] | Exception]] = []
+        stats = self.stats
         requests = self._shed_expired(requests)
-        if requests:
-            # Probe effective lengths before admit(): prefill files the
-            # prompts into the prefix cache, after which they would all
-            # probe as full hits.  (Closed batches pass the memo the
-            # batcher bucketed on, so both see the same numbers.)
-            padding = padding_fraction(requests, effective_len)
-            tick = time.perf_counter()
-            try:
-                scheduler.admit(requests)
-            except Exception as exc:
-                # A failed prefill fails only the requests it was admitting.
-                outcomes += [(request, exc) for request in requests]
-            else:
-                stats.admissions += 1
-                stats.batches += 1
-                stats.padding_fraction_sum += padding
-            finally:
-                stats.prefill_seconds += time.perf_counter() - tick
-        tick = time.perf_counter()
+        if not requests:
+            return 0, None
+        # Probe effective lengths before the decode: its prefill files the
+        # prompts into the prefix cache, after which they would all probe
+        # as full hits.  (Closed batches pass the memo the batcher bucketed
+        # on, so both see the same numbers.)
+        padding = padding_fraction(requests, effective_len)
+        start = time.perf_counter()
         try:
-            delivered = scheduler.step()
+            all_hypotheses = self.engine.decode(requests)
         except Exception as exc:
-            # A broken step takes down every in-flight row (their decode
-            # state is unrecoverable); fail those handles and keep serving
-            # the requests still queued.
-            delivered = []
-            outcomes += [(request, exc) for request in scheduler.abort()]
-        finally:
-            stats.step_seconds += time.perf_counter() - tick
-        if delivered:
-            stats.requests += len(delivered)
-            tick = time.perf_counter()
-            outcomes += self._finalize(delivered)
-            stats.finalize_seconds += time.perf_counter() - tick
+            all_hypotheses = exc
+        decoded = time.perf_counter()
+        stats.decode_seconds += decoded - start
+        if isinstance(all_hypotheses, Exception):
+            # A failed decode fails exactly its own cohort.
+            outcomes = [(request, all_hypotheses) for request in requests]
+        else:
+            stats.admissions += 1
+            stats.batches += 1
+            stats.padding_fraction_sum += padding
+            stats.requests += len(requests)
+            outcomes = self._finalize(requests, all_hypotheses)
+            stats.finalize_seconds += time.perf_counter() - decoded
         for request, outcome in outcomes:
             self._resolve(request, outcome)
         errors = [outcome for _, outcome in outcomes if isinstance(outcome, Exception)]
         return len(outcomes) - len(errors), errors[0] if errors else None
 
-    def _finalize(self, delivered) -> list[tuple[RecommendRequest, list[int] | Exception]]:
-        """Rankings (or the error) of the rows one tick retired.
+    def _finalize(
+        self, requests: list[RecommendRequest], all_hypotheses
+    ) -> list[tuple[RecommendRequest, list[int] | Exception]]:
+        """Rankings (or the error) of one decoded cohort.
 
         One ``engine.finalize`` call for all of them keeps widen-and-backfill
         engines' re-decode batched; when it raises, each request is retried
         alone so a failing finalize fails only its own handle.  Finalize
         may re-decode, hence under the decode lock.
         """
-        requests = [request for request, _ in delivered]
         try:
-            return list(zip(requests, self._finalize_rankings(requests, [h for _, h in delivered])))
+            return list(zip(requests, self._finalize_rankings(requests, all_hypotheses)))
         except Exception:
             outcomes = []
-            for request, hypotheses in delivered:
+            for request, hypotheses in zip(requests, all_hypotheses):
                 try:
                     outcomes.append((request, self._finalize_rankings([request], [hypotheses])[0]))
                 except Exception as exc:

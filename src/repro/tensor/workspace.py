@@ -17,7 +17,7 @@ values): callers must fully overwrite them, typically via ``out=`` on
 one decode state and is not thread-safe; the serving layer's decode lock
 already guarantees single-threaded stepping.  ``clear()`` drops every
 buffer — decode states call it when their width changes and at
-retirement, which is what keeps a finished cohort from pinning peak-width
+finish, which is what keeps a finished cohort from pinning peak-width
 scratch memory.
 """
 

@@ -28,7 +28,6 @@ from repro.llm import (
     TinyLlama,
     decode_finish,
     decode_prefill,
-    decode_retire,
     decode_step,
     left_pad_prompts,
 )
@@ -383,21 +382,16 @@ class TestEncoderDecoder:
         np.testing.assert_array_equal(outputs[0][1], outputs[1][1])
 
     def test_retiring_rows_releases_both_sides(self):
-        # A finished cohort's retirement compacts neither side — the
-        # self-attention K/V nor the encoder memory's — and the last row
-        # takes both with it.
+        # A finished cohort's harvest reads no K/V: it releases both sides,
+        # the self-attention K/V and the encoder memory's, whole.
         model = make_tiger()
         state = decode_prefill(model, SOURCES, model.trie, beam_size=2)
         while not state.done:
             decode_step(state)
         held = [(cache.prompt.keys, cache.memory_keys) for cache in state.caches]
         assert all(keys.shape[0] == len(SOURCES) for pair in held for keys in pair)
-        decode_retire(state, [2])
-        assert state.num_rows == 2
-        assert all(cache.prompt.keys is own and cache.memory_keys is memory
-                   for cache, (own, memory) in zip(state.caches, held))
-        decode_finish(state)
-        assert state.num_rows == 0 and state.caches == []
+        assert len(decode_finish(state)) == len(SOURCES)
+        assert state.caches == []
 
     def test_empty_suffix_beam_ops_are_no_ops(self):
         # A fanned cache whose suffix never grew: a reorder moves nothing.
@@ -627,8 +621,6 @@ class TestWorkspaceHygiene:
         while not state.done:
             decode_step(state)
         assert workspace.nbytes > 0
-        decode_retire(state, [0])
-        assert workspace.nbytes == 0
         decode_finish(state)
         assert state.workspace is workspace and workspace.nbytes == 0
 

@@ -139,9 +139,9 @@ def assert_rankings_close(got, want):
 def decode_rankings(engine, prompt, beam_size, top_k=10):
     request = RecommendRequest(prompt_ids=list(prompt), top_k=top_k, beam_size=beam_size)
     state = engine.prefill([request])
-    while not state.finished_rows():
+    while not state.done:
         engine.step(state)
-    return [(h.item_id, h.token_ids, h.score) for h in engine.retire(state, [0])[0]]
+    return [(h.item_id, h.token_ids, h.score) for h in engine.retire(state)[0]]
 
 
 # ----------------------------------------------------------------------
@@ -238,13 +238,13 @@ class TestEnginePinning:
         request = RecommendRequest(prompt_ids=list(prompt), top_k=10, beam_size=beam_size)
         state = engine.prefill([request])
         steps = 0
-        while not state.finished_rows():
+        while not state.done:
             if steps == swap_after:
                 catalog.swap(pinned.with_item(len(sequences), new_sequence))
             engine.step(state)
             steps += 1
         got = [(h.item_id, h.token_ids, h.score)
-               for h in engine.retire(state, [0])[0]]
+               for h in engine.retire(state)[0]]
 
         oracle_engine = TrieDecoderEngine(make_model(), pinned)
         assert got == decode_rankings(oracle_engine, prompt, beam_size)
@@ -260,9 +260,9 @@ class TestEnginePinning:
         # pinned decode at all: it waits for the drain.
         assert state.trie is trie and engine.trie is not trie
         # After the pinned decode drains, new prefills use the new trie.
-        while not state.finished_rows():
+        while not state.done:
             engine.step(state)
-        engine.retire(state, [0])
+        engine.retire(state)
         fresh = engine.prefill([follower])
         assert fresh.trie is catalog.version.trie
 
@@ -341,6 +341,22 @@ class TestLiveCatalogIngest:
             catalog.ingest()
         with pytest.raises(ValueError, match="exactly one"):
             catalog.ingest(text="x", embedding=embedding)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "short", "matrix"])
+    def test_ingest_rejects_a_hostile_embedding(self, tiny_lcrec, bad):
+        catalog = tiny_lcrec.live_catalog(retrieval=False)
+        dim = tiny_lcrec.item_embeddings.shape[1]
+        embedding = {
+            "nan": np.full(dim, np.nan),
+            "inf": np.r_[np.ones(dim - 1), np.inf],
+            "short": np.ones(dim - 1),
+            "matrix": np.ones((1, dim)),
+        }[bad]
+        before = catalog.version
+        with pytest.raises(ValueError, match="finite"):
+            catalog.ingest(embedding=embedding)
+        assert catalog.version is before and catalog.ingested == 0  # nothing published
+        assert catalog.ingest(embedding=np.ones(dim)).item_id == before.num_items
 
     def test_ingest_without_rqvae_rejected(self, tiny_lcrec):
         catalog = LiveCatalog(

@@ -10,16 +10,15 @@ thin → wide, single-item, random):
 
 * rankings identical to the single-request oracles
   (``beam_search_items_single``, ``TIGER.recommend``) and scores equal to
-  float rounding, for one cohort and for arrivals spread over the ticks of
-  the continuous loop, which admits them as later cohorts;
-* the invariants, asserted around every prefill / step / retire by
+  float rounding, for one cohort and for arrivals spread over the levels of
+  a live cohort, which the continuous loop decodes as later cohorts;
+* the invariants, asserted around every prefill / step / finish by
   :class:`Watched`: a state is a closed cohort (every row at one depth,
   prefill to finish), finite scores are a prefix of every request's
   slots, the width is exactly the live width, every hypothesis's trie
   node sits at the cohort's depth and every live one maps back to its
   token prefix, no forward, head gather or trie lookup receives more than
-  ``B*G`` rows, and the K/V and step scratch are gone after the last
-  retire;
+  ``B*G`` rows, and the K/V and step scratch are gone after the finish;
 * the exact traffic, as ``DecodeState.beam_rows``, and that a closed
   batch gathers no K/V after its last level.
 """
@@ -40,12 +39,10 @@ from repro.llm import (
     beam_search_items_single,
     decode_finish,
     decode_prefill,
-    decode_retire,
     decode_step,
 )
 from repro.quantization import IndexTrie, ItemIndexSet
 from repro.serving import (
-    ContinuousScheduler,
     RecommendRequest,
     RequestQueue,
     TIGEREngine,
@@ -82,7 +79,7 @@ class Watched:
     """The stepper's entry points, with the live-width invariants around each.
 
     ``install`` puts them where the engines look the stepper up, so a real
-    scheduler can be driven under the same checks.  ``patch`` is how
+    engine's ``decode`` can be driven under the same checks.  ``patch`` is how
     models and tries are instrumented: pass ``monkeypatch.setattr`` for
     objects that outlive the test.
     """
@@ -94,7 +91,7 @@ class Watched:
         self.widths = []  # the width every step ran at
 
     def install(self, monkeypatch):
-        for name in ("prefill", "step", "retire"):
+        for name in ("prefill", "step", "finish"):
             monkeypatch.setattr(engine_module, f"decode_{name}", getattr(self, name))
 
     def _watch(self, owner, name):
@@ -113,15 +110,12 @@ class Watched:
         finite = np.isfinite(state.beam_scores)
         assert (finite[:, :-1] >= finite[:, 1:]).all()  # finite scores: a prefix of the slots
         ordered = np.where(finite, state.beam_scores, -np.inf)
-        assert (ordered[:, :-1] >= ordered[:, 1:]).all()  # best first: retire reads them so
+        assert (ordered[:, :-1] >= ordered[:, 1:]).all()  # best first: finish reads them so
         depths = state.row_depths()
         assert len(set(depths.tolist())) <= 1  # a closed cohort: one depth, prefill to finish
         self.check_nodes(state, finite, depths)
-        if state.num_rows == 0:  # the last retire released the K/V and the scratch
-            assert state.caches == [] and state.workspace.nbytes == 0
-            return
         if state.done:
-            return  # a finished cohort only retires: nothing reads its width again
+            return  # a finished cohort is only harvested: nothing reads its width again
         assert state.width == max(1, int(finite.sum(axis=1).max()))
         assert 1 <= state.width <= state.num_beams
         assert state.pending.shape[0] == state.num_rows * state.width
@@ -166,40 +160,33 @@ class Watched:
         self.widths.append(state.width)
         return self._bounded(decode_step, state)
 
-    def retire(self, state, rows):
-        results = decode_retire(state, rows)
+    def finish(self, state):
+        results = decode_finish(state)
         self.check(state)
+        assert state.caches == [] and state.workspace.nbytes == 0  # released with the harvest
         return results
 
-    def retire_finished(self, state, results):
-        rows = state.finished_rows()
-        if rows:
-            tags = [state.tags[row] for row in rows]
-            results.update(zip(tags, self.retire(state, rows)))
-
     def decode(self, model, trie, admissions, beam_size, narrow=None):
-        """The continuous loop's ticks: ``admissions[tick]`` prompts arrive
-        before that tick, and an idle tick prefills all that have arrived as
-        one cohort.
+        """Cohorts over ticks: ``admissions[tick]`` prompts arrive before that
+        tick, a live cohort steps one level a tick, and a tick with none live
+        prefills all that have arrived as the next cohort.
 
         ``narrow`` maps each prompt (as a tuple) to its candidate items or
         ``None``.
         """
-        state, results, queued, tick = None, {}, [], 0
+        state, cohort, results, queued, tick = None, [], {}, [], 0
         while state is not None or queued or tick <= max(admissions):
             queued = queued + admissions.get(tick, [])
             if state is None and queued:
-                tags = [tuple(p) for p in queued]
-                rows = None if narrow is None else [narrow[tag] for tag in tags]
-                state = self.prefill(model, queued, trie, beam_size=beam_size, tags=tags,
-                                     narrow=rows)
-                queued = []
+                cohort, queued = [tuple(p) for p in queued], []
+                rows = None if narrow is None else [narrow[prompt] for prompt in cohort]
+                state = self.prefill(model, [list(p) for p in cohort], trie,
+                                     beam_size=beam_size, narrow=rows)
             if state is not None:
-                self.retire_finished(state, results)  # a one-level trie finishes in prefill
-                if state.num_rows:
+                if not state.done:  # a one-level trie finishes in prefill
                     self.step(state)
-                    self.retire_finished(state, results)
-                if state.num_rows == 0:
+                if state.done:
+                    results.update(zip(cohort, self.finish(state)))
                     state = None
             tick += 1
         return results
@@ -271,7 +258,7 @@ class TestRaggedTries:
 class TestWidthsMeet:
     """On a 1 -> 1 -> 7 -> N trie a request steps at widths 1, 1 and 7.
 
-    Cohorts never meet: a later arrival waits for the live cohort to retire
+    Cohorts never meet: a later arrival waits for the live cohort to finish
     and then steps at its own widths from the root.
     """
 
@@ -288,7 +275,7 @@ class TestWidthsMeet:
 
     def test_a_later_arrival_steps_at_its_own_widths(self):
         # Arriving while the first cohort is at width 7, the late request
-        # waits for it to retire and is then a cohort of width 1, 1, 7.
+        # waits for it to finish and is then a cohort of width 1, 1, 7.
         assert self.run(FIXTURE, {0: PROMPTS[:2], 2: PROMPTS[2:3]}) == [1, 1, 7, 1, 1, 7]
 
 
@@ -304,18 +291,23 @@ class TestSchedulerAndEngines:
         model, trie = make_model(), make_trie(level_codes(FIXTURE))
         watched = Watched()
         watched.install(monkeypatch)
-        scheduler = ContinuousScheduler(TrieDecoderEngine(model, trie), max_width=8)
+        engine = TrieDecoderEngine(model, trie)
         queue, delivered, arrivals = RequestQueue(), [], iter(PROMPTS)
-        # One arrival per tick, so one lands at every level of a live cohort;
-        # the continuous loop's body admits only into an idle scheduler.
-        while (prompt := next(arrivals, None)) is not None or queue or not scheduler.idle:
-            if prompt is not None:
+        step = engine.step
+
+        def arriving(state):  # one arrival per level of a live cohort
+            if (prompt := next(arrivals, None)) is not None:
                 assert queue.try_push(request(prompt))
-            if scheduler.idle:
-                scheduler.admit(queue.pop_front(scheduler.max_width,
-                                                scheduler.admission_predicate()))
-            delivered.extend(scheduler.step())
-        assert len(delivered) == len(PROMPTS) and scheduler.admissions < len(PROMPTS)
+            step(state)
+
+        monkeypatch.setattr(engine, "step", arriving)
+        assert queue.try_push(request(next(arrivals)))
+        cohorts = 0
+        while queue:  # the continuous loop's body: the head of one width is the next cohort
+            cohort = queue.pop_front(8, lambda r: engine.effective_beams(r.beam_size))
+            delivered.extend(zip(cohort, engine.decode(cohort)))
+            cohorts += 1
+        assert len(delivered) == len(PROMPTS) and cohorts < len(PROMPTS)
         assert sorted(set(watched.widths)) == [1, 7]
         for served, hypotheses in delivered:
             assert_same_hypotheses(

@@ -1,14 +1,14 @@
-"""The scheduler: stepper parity, closed-cohort admission, the continuous loop.
+"""Closed cohorts: stepper parity, head-of-queue admission, the continuous loop.
 
 A decode is a closed cohort: one prefill's rows, stepped in lockstep and
-retired together, and the scheduler admits only when idle.  The parity
-suite pins the stepper to the one-shot decode, the scheduler tests cover
-admission policy (idle only, width cap, beam-width latch, FIFO), and the
-service tests drive the whole background loop under concurrent
+harvested together, in one ``engine.decode`` call.  The parity suite pins
+the stepper to the one-shot decode, the admission tests cover what forms
+a cohort (the queue's FIFO head, one effective beam width, the width cap),
+and the service tests drive the whole background loop under concurrent
 submitters — a request submitted mid-cohort waits for that cohort to
-retire.  The scheduler is also the one driver behind sync ``flush()`` and
-the deadline thread, so the failure-isolation matrix at the end runs
-every driver through the same tick.
+finish.  Every driver (sync ``flush()``, the deadline thread, the
+continuous loop) serves a cohort the same way, so the failure-isolation
+matrix at the end runs them all.
 """
 
 import contextlib
@@ -20,17 +20,14 @@ import pytest
 
 from repro.llm import (
     LMConfig,
-    PrefixKVCache,
     TinyLlama,
     beam_search_items_single,
     decode_finish,
     decode_prefill,
-    decode_retire,
     decode_step,
 )
 from repro.quantization import IndexTrie
 from repro.serving import (
-    ContinuousScheduler,
     LCRecEngine,
     MicroBatcherConfig,
     RecommendationService,
@@ -50,10 +47,6 @@ def make_model(vocab=30, num_layers=2):
     return model
 
 
-def make_scheduler(model, trie, max_width=8):
-    return ContinuousScheduler(TrieDecoderEngine(model, trie), max_width=max_width)
-
-
 def make_trie():
     return IndexTrie({
         0: (10, 12, 14),
@@ -66,6 +59,38 @@ def make_trie():
 
 LIVE_PROMPTS = [[1, 2, 3], [4, 5]]
 LATE_PROMPTS = [[2, 2, 6, 7], [3, 3, 3], [1]]
+
+
+def request(prompt, beam_size=5, top_k=3):
+    return RecommendRequest(prompt_ids=list(prompt), top_k=top_k,
+                            beam_size=beam_size)
+
+
+def tick(engine, queue, served, max_width=8):
+    """The continuous loop's body by hand: the queue's head, up to
+    ``max_width`` requests of one effective beam width, is the next cohort,
+    decoded in one call."""
+    cohort = queue.pop_front(max_width, lambda r: engine.effective_beams(r.beam_size))
+    if cohort:
+        served.extend(zip(cohort, engine.decode(cohort)))
+    return cohort
+
+
+def arrive_while_stepping(engine, queue, arrivals):
+    """Push ``arrivals[n]`` (requests) into ``queue`` during the engine's
+    ``n``-th step, i.e. while a cohort is mid-decode; returns the step count."""
+    arrivals, steps = list(arrivals), []
+    step = engine.step
+
+    def stepping(state):
+        if len(steps) < len(arrivals):
+            for r in arrivals[len(steps)]:
+                assert queue.try_push(r)
+        steps.append(state.num_rows)
+        step(state)
+
+    engine.step = stepping
+    return steps
 
 
 class TestStepperParity:
@@ -85,23 +110,19 @@ class TestStepperParity:
             assert [h.score for h in a] == [h.score for h in b]
 
     def test_early_rows_retire_before_late_rows(self):
-        """Delivery follows admission: rows queued behind a live cohort are
-        admitted only once it has retired, so they are delivered after it."""
+        """Delivery follows admission: rows queued behind a live cohort form
+        the next cohort once it has finished, so they are delivered after it."""
         model, trie = make_model(), make_trie()
-        scheduler, queue = make_scheduler(model, trie), RequestQueue()
+        engine, queue = TrieDecoderEngine(model, trie), RequestQueue()
         early = [request(p) for p in LIVE_PROMPTS]
         late = [request(p) for p in LATE_PROMPTS]
         for r in early:
             assert queue.try_push(r)
+        arrive_while_stepping(engine, queue, [late])
         delivered = []
-        assert tick(scheduler, queue, delivered) == early
-        for r in late:
-            assert queue.try_push(r)
-        while not scheduler.idle:
-            assert tick(scheduler, queue, delivered) == []
-        assert tick(scheduler, queue, delivered) == late
-        while not scheduler.idle:
-            tick(scheduler, queue, delivered)
+        assert tick(engine, queue, delivered) == early
+        assert tick(engine, queue, delivered) == late
+        assert tick(engine, queue, delivered) == []
         order = [r.request_id for r, _ in delivered]
         assert order == [r.request_id for r in early + late]
         for req, hyps in delivered:
@@ -122,88 +143,56 @@ class TestStepValidation:
         model, trie = make_model(), make_trie()
         state = decode_prefill(model, LIVE_PROMPTS, trie, beam_size=5)
         with pytest.raises(ValueError, match="final trie level"):
-            decode_retire(state, [0])
-
-
-def request(prompt, beam_size=5, top_k=3):
-    return RecommendRequest(prompt_ids=list(prompt), top_k=top_k,
-                            beam_size=beam_size)
-
-
-def tick(scheduler, queue, served):
-    """The continuous loop's body by hand: an idle scheduler pops a cohort
-    off the queue's head and admits it, a busy one only steps."""
-    admitted = []
-    if scheduler.idle:
-        admitted = queue.pop_front(scheduler.max_width, scheduler.admission_predicate())
-    scheduler.admit(admitted)
-    served.extend(scheduler.step())
-    return admitted
+            decode_finish(state)
 
 
 class TestContinuousScheduler:
+    """What forms a cohort: one decode call each, the queue's head of one
+    effective beam width, at most ``max_batch_size`` requests."""
+
     def test_admit_step_parity(self):
         model, trie = make_model(), make_trie()
         reference = {
             tuple(p): decode_prompts(model, [p], trie, beam_size=5)[0]
             for p in LIVE_PROMPTS + LATE_PROMPTS
         }
-        scheduler = make_scheduler(model, trie, max_width=8)
+        engine = TrieDecoderEngine(model, trie)
         early = [request(p) for p in LIVE_PROMPTS]
         late = [request(p) for p in LATE_PROMPTS]
-        scheduler.admit(early)
-        delivered = []
-        while not scheduler.idle:
-            delivered.extend(scheduler.step())
-        scheduler.admit(late)
-        while not scheduler.idle:
-            delivered.extend(scheduler.step())
+        delivered = [pair for cohort in (early, late)
+                     for pair in zip(cohort, engine.decode(cohort))]
         assert [req.request_id for req, _ in delivered] == [
             r.request_id for r in early + late
         ]
         for req, hyps in delivered:
             expected = reference[tuple(req.prompt_ids)]
             assert [h.item_id for h in hyps] == [h.item_id for h in expected]
-        assert scheduler.admissions == 2
 
-    def test_width_cap_enforced(self):
-        model, trie = make_model(), make_trie()
-        scheduler = make_scheduler(model, trie, max_width=2)
-        with pytest.raises(ValueError, match="max width"):
-            scheduler.admit([request(p) for p in LIVE_PROMPTS + [[9, 9]]])
-        scheduler.admit([request(p) for p in LIVE_PROMPTS])
-        assert scheduler.width == 2
-
-    def test_a_live_cohort_admits_nothing(self):
-        model, trie = make_model(), make_trie()
-        scheduler = make_scheduler(model, trie, max_width=8)
-        scheduler.admit([request([1, 2])])
-        with pytest.raises(RuntimeError, match="idle"):
-            scheduler.admit([request([3])])
-        assert (scheduler.width, scheduler.admissions) == (1, 1)
-        scheduler.admit([])  # an empty admission is a no-op, live or not
+    def test_width_cap_enforced(self, tiny_lcrec, tiny_dataset):
+        service = RecommendationService(
+            LCRecEngine(tiny_lcrec), batcher=MicroBatcherConfig(max_batch_size=2),
+            mode="continuous")
+        cohorts = []
+        decode = service.engine.decode
+        service.engine.decode = lambda requests: cohorts.append(len(requests)) or decode(requests)
+        pending = [service.submit(h, top_k=3) for h in tiny_dataset.split.test_histories[:5]]
+        with service:
+            assert all(len(p.result(timeout=20.0)) == 3 for p in pending)
+        assert cohorts == [2, 2, 1]  # queued before the start: the head, two at a time
 
     def test_beam_compatibility_gate(self):
-        # One admission is one prefill, so the predicate latches the head's
-        # effective beam width and passes only followers that match it.
+        # One cohort is one decode, so the queue's head latches its
+        # effective beam width and the pop takes only followers that match it.
         model, trie = make_model(), make_trie()
-        scheduler = make_scheduler(model, trie, max_width=8)
-        admit = scheduler.admission_predicate()
-        assert admit(request([1, 2], beam_size=5))
-        assert not admit(request([3], beam_size=2))
+        engine, queue = TrieDecoderEngine(model, trie), RequestQueue()
+        head, same, other = request([1, 2], beam_size=5), request([3], beam_size=50), request(
+            [3], beam_size=2)
+        for r in (head, same, other):
+            assert queue.try_push(r)
         # Same *effective* width is compatible even if raw sizes differ:
         # the 5-item trie clamps any beam >= 5 to 5 hypotheses.
-        assert admit(request([3], beam_size=50))
-        assert scheduler.admission_predicate()(request([3], beam_size=2))  # a fresh latch
-
-    def test_abort_reports_in_flight_requests(self):
-        model, trie = make_model(), make_trie()
-        scheduler = make_scheduler(model, trie, max_width=8)
-        reqs = [request(p) for p in LIVE_PROMPTS]
-        scheduler.admit(reqs)
-        aborted = scheduler.abort()
-        assert [r.request_id for r in aborted] == [r.request_id for r in reqs]
-        assert scheduler.idle
+        assert tick(engine, queue, []) == [head, same]
+        assert tick(engine, queue, []) == [other]  # a fresh latch
 
 
 class TestQueueAdmissionPrimitives:
@@ -270,7 +259,7 @@ class TestBacklogAwareAdmission:
     """The continuous loop's admission decision, with no thread in sight.
 
     ``tick`` is the loop's body by hand.  Whatever queues up while a cohort
-    is in flight waits for it to retire and is then prefilled as one
+    is mid-decode waits for it to finish and is then prefilled as one
     cohort, up to the width cap.
     """
 
@@ -279,8 +268,6 @@ class TestBacklogAwareAdmission:
     @staticmethod
     def prompts(count):
         return [[1 + (i * 7 + j) % 9 for j in range(1 + i % 4)] for i in range(count)]
-
-    tick = staticmethod(tick)
 
     @staticmethod
     def assert_each_served_once(served, requests, model, trie):
@@ -296,85 +283,66 @@ class TestBacklogAwareAdmission:
     @pytest.mark.parametrize("shape", TRIES)
     def test_a_queue_that_fits_waits_for_idle_too(self, shape):
         model, trie = make_model(), self.TRIES[shape]()
-        scheduler, queue, served = make_scheduler(model, trie), RequestQueue(), []
+        engine, queue, served = TrieDecoderEngine(model, trie), RequestQueue(), []
         requests = [request(p) for p in self.prompts(5)]
         for r in requests[:2]:
             assert queue.try_push(r)
-        assert self.tick(scheduler, queue, served) == requests[:2]
-        for r in requests[2:]:
-            assert queue.try_push(r)  # 3 queued, 6 rows of width to spare
-        while not scheduler.idle:
-            assert self.tick(scheduler, queue, served) == []
-        assert self.tick(scheduler, queue, served) == requests[2:]
-        assert scheduler.admissions == 2
-        while not scheduler.idle:
-            assert self.tick(scheduler, queue, served) == []
+        arrive_while_stepping(engine, queue, [requests[2:]])  # 6 rows of width to spare
+        assert tick(engine, queue, served) == requests[:2]
+        assert tick(engine, queue, served) == requests[2:]
+        assert not queue
         self.assert_each_served_once(served, requests, model, trie)
         assert [r.request_id for r, _ in served] == [r.request_id for r in requests]
 
     @pytest.mark.parametrize("shape", TRIES)
     def test_a_backlog_waits_for_idle_and_is_prefilled_as_one(self, shape):
         model, trie = make_model(), self.TRIES[shape]()
-        scheduler, queue, served = make_scheduler(model, trie), RequestQueue(), []
+        engine, queue, served = TrieDecoderEngine(model, trie), RequestQueue(), []
         requests = [request(p) for p in self.prompts(11)]
         for r in requests[:6]:
             assert queue.try_push(r)
-        assert self.tick(scheduler, queue, served) == requests[:6]
-        for r in requests[6:]:
-            assert queue.try_push(r)  # 5 queued behind a live cohort of 6
-        waited = 0
-        while not scheduler.idle:
-            assert self.tick(scheduler, queue, served) == []
-            waited += 1
-        assert waited == trie.num_levels - 2  # the cohort's first step rode its own tick
+        steps = arrive_while_stepping(engine, queue, [requests[6:]])  # 5 behind a live 6
+        assert tick(engine, queue, served) == requests[:6]
+        assert steps == [6] * (trie.num_levels - 1)  # the whole cohort, every level
         assert [r.request_id for r, _ in served] == [r.request_id for r in requests[:6]]
-        assert self.tick(scheduler, queue, served) == requests[6:]
-        assert scheduler.admissions == 2
-        while not scheduler.idle:
-            self.tick(scheduler, queue, served)
+        assert tick(engine, queue, served) == requests[6:]
+        assert steps[trie.num_levels - 1:] == [5] * (trie.num_levels - 1)
         self.assert_each_served_once(served, requests, model, trie)
 
     def test_an_incompatible_beam_width_at_the_head_still_blocks(self):
         model, trie = make_model(), make_deep_trie()
-        scheduler, queue, served = make_scheduler(model, trie), RequestQueue(), []
+        engine, queue, served = TrieDecoderEngine(model, trie), RequestQueue(), []
         live = [request(p) for p in self.prompts(2)]
         blocker, behind = request([3, 4], beam_size=2), request([5], beam_size=5)
         for r in live:
             assert queue.try_push(r)
-        self.tick(scheduler, queue, served)
-        assert queue.try_push(blocker)
-        assert queue.try_push(behind)  # both wait for the live cohort
-        while not scheduler.idle:
-            assert self.tick(scheduler, queue, served) == []
-        assert self.tick(scheduler, queue, served) == [blocker]  # the idle latch: one width
-        while not scheduler.idle:
-            assert self.tick(scheduler, queue, served) == []
-        assert self.tick(scheduler, queue, served) == [behind]
-        while not scheduler.idle:
-            self.tick(scheduler, queue, served)
+        arrive_while_stepping(engine, queue, [[blocker, behind]])  # both wait for the live cohort
+        assert tick(engine, queue, served) == live
+        assert tick(engine, queue, served) == [blocker]  # the head's latch: one width
+        assert tick(engine, queue, served) == [behind]
         self.assert_each_served_once(served, live + [blocker, behind], model, trie)
 
     @pytest.mark.parametrize("shape", TRIES)
     def test_a_queue_that_never_fits_never_starves(self, shape):
-        """Arrivals keep the queue deeper than the width cap at every tick:
-        full cohorts go through back to back, FIFO, and nobody waits more
-        than ``num_levels - 1`` ticks behind an admission."""
+        """Arrivals keep the queue deeper than the width cap at every level:
+        full cohorts go through back to back, FIFO."""
         model, trie = make_model(), self.TRIES[shape]()
-        scheduler, queue, served = make_scheduler(model, trie, max_width=4), RequestQueue(), []
+        engine, queue, served = TrieDecoderEngine(model, trie), RequestQueue(), []
         requests = [request(p) for p in self.prompts(30)]
         arrivals = iter(requests)
-        admitted, since_admission = [], 0
-        for _ in range(60):
+
+        def top_up():
             while len(queue) < 6 and (r := next(arrivals, None)) is not None:
                 assert queue.try_push(r)
-            if not queue and scheduler.idle:
-                break
-            cohort = self.tick(scheduler, queue, served)
-            since_admission = 0 if cohort else since_admission + 1
-            assert since_admission <= trie.num_levels - 1
-            if cohort:
-                assert len(cohort) == min(4, len(requests) - len(admitted))
-                admitted.extend(cohort)
+
+        step = engine.step
+        engine.step = lambda state: top_up() or step(state)
+        admitted = []
+        top_up()
+        while cohort := tick(engine, queue, served, max_width=4):
+            assert len(cohort) == min(4, len(requests) - len(admitted))
+            admitted.extend(cohort)
+            top_up()
         assert admitted == requests
         self.assert_each_served_once(served, requests, model, trie)
         assert [r.request_id for r, _ in served] == [r.request_id for r in requests]
@@ -408,9 +376,8 @@ class TestContinuousService:
 
     def test_a_request_submitted_mid_cohort_waits_for_it_to_retire(
             self, service, tiny_lcrec, tiny_dataset, monkeypatch):
-        """The started loop admits only into an idle scheduler: a request
-        submitted while a cohort is in flight is prefilled once that cohort
-        has retired, as the next admission."""
+        """A request submitted while a cohort is mid-decode is prefilled once
+        that cohort has finished, as the next cohort."""
         first, second = [list(h) for h in tiny_dataset.split.test_histories[:2]]
         seen, handles = [], []
         step = service.engine.step
@@ -418,7 +385,7 @@ class TestContinuousService:
         def watching(state):
             if not handles[1:]:  # the first cohort's first step: submit behind it
                 handles.append(service.submit(second, top_k=5))
-            seen.append((service.scheduler.width, service.stats.admissions, len(service.queue)))
+            seen.append((state.num_rows, service.stats.admissions, len(service.queue)))
             step(state)
 
         monkeypatch.setattr(service.engine, "step", watching)
@@ -429,7 +396,7 @@ class TestContinuousService:
         levels = service.engine.num_levels - 1
         # The first cohort steps to the end with the second request queued
         # behind it; only then is the second admitted, alone.
-        assert seen == [(1, 1, 1)] * levels + [(1, 2, 0)] * levels
+        assert seen == [(1, 0, 1)] * levels + [(1, 1, 0)] * levels
         assert service.stats.admissions == 2 and service.stats.joins == 0
 
     def test_concurrent_submitters_stress(self, service, tiny_lcrec,
@@ -479,9 +446,9 @@ class TestContinuousService:
 
     def test_sync_flush_coexists_with_continuous_loop(self, service, tiny_lcrec,
                                                       tiny_dataset):
-        """flush() calls racing the loop share its scheduler: each finishes
-        what it finds in flight before it returns, so once they all have,
-        every handle is resolved — once — and the scheduler is idle."""
+        """flush() calls racing the loop share its decode lock: each waits
+        out the cohort in flight before it drains, so once they all have
+        returned, every handle is resolved — once."""
         histories = [list(h) for h in tiny_dataset.split.test_histories[:12]]
         pending = [None] * len(histories)
 
@@ -505,7 +472,7 @@ class TestContinuousService:
             sys.setswitchinterval(interval)
         # Whoever drained a request has returned from its flush by now.
         assert all(p.done for p in pending)
-        assert service.scheduler.idle and service.backlog == 0
+        assert service.backlog == 0
         assert service.stats.requests == len(pending)  # nobody was decoded twice
         for history, p in zip(histories, pending):
             assert p.result(timeout=20.0) == tiny_lcrec.recommend(history, top_k=3)
@@ -537,7 +504,7 @@ class TestContinuousService:
             second.result(timeout=20.0)
         assert len(first.result(timeout=20.0)) == 3  # in-flight unharmed
         service.stop()
-        assert service.backlog == 0 and service.scheduler.idle
+        assert service.backlog == 0
 
 
 POISON = 7  # the top_k that marks the request an engine stage blows up on
@@ -557,12 +524,17 @@ class Poisoned(LCRecEngine):
             self.doomed |= {r.request_id for r in (present if doomed is None else doomed)}
             raise RuntimeError(f"{stage} boom")
 
+    def decode(self, requests):
+        self.cohort = list(requests)
+        self.boom("decode", requests)  # one cohort is one decode: all of it fails
+        return super().decode(requests)
+
     def prefill(self, requests):
-        self.boom("prefill", requests)  # one admission is one prefill: all of it fails
+        self.boom("prefill", requests)
         return super().prefill(requests)
 
     def step(self, state):
-        self.boom("step", state.tags)  # the in-flight rows' decode state is lost
+        self.boom("step", self.cohort)  # the cohort's decode state is lost
         super().step(state)
 
     def finalize(self, requests, all_hypotheses):
@@ -572,13 +544,13 @@ class Poisoned(LCRecEngine):
 
 
 class TestOneTick:
-    """Every driver runs the same tick, so an engine failure at any stage
-    fails exactly the handles it owns under all of them: a failing
-    admission spares everything already in flight or planned behind it, a
-    failing step fails exactly the in-flight rows, a failing finalize only
-    its own handle even when it was finalized in one call with others."""
+    """Every driver serves a cohort the same way, so an engine failure at
+    any stage fails exactly the handles it owns under all of them: a
+    failing decode (wherever in it) fails exactly its own cohort and spares
+    the cohorts planned or queued behind it, a failing finalize only its
+    own handle even when it was finalized in one call with others."""
 
-    @pytest.mark.parametrize("stage", ["prefill", "step", "finalize"])
+    @pytest.mark.parametrize("stage", ["decode", "prefill", "step", "finalize"])
     @pytest.mark.parametrize("driver", ["sync", "deadline", "continuous"])
     def test_failure_isolation(self, tiny_lcrec, tiny_dataset, driver, stage):
         histories = [list(h) for h in tiny_dataset.split.test_histories[:6]]
@@ -610,4 +582,4 @@ class TestOneTick:
         assert handles[2].request_id in failed and len(failed) < len(handles)
         if stage == "finalize":
             assert failed == {handles[2].request_id}
-        assert service.backlog == 0 and service.scheduler.idle
+        assert service.backlog == 0

@@ -28,8 +28,6 @@ from test_live_width import narrowed_recommend
 from repro.llm import DecodeState, beam_search_items_single, ranked_item_ids
 from repro.quantization import ItemIndexSet
 from repro.serving import (
-    ContinuousScheduler,
-    EngineState,
     GenerativeEngine,
     LCRecEngine,
     MicroBatcherConfig,
@@ -63,15 +61,13 @@ class TestEngineProtocol:
         assert engine.request_beam_size(3) == tiny_lcrec.config.beam_size
         assert engine.request_beam_size(99) == 99
 
-    def test_decode_state_satisfies_engine_state(self, tiny_lcrec, tiny_dataset):
+    def test_prefill_returns_a_decode_state(self, tiny_lcrec, tiny_dataset):
         engine = LCRecEngine(tiny_lcrec, prefix_cache=False)
         prompt = engine.encode_history(list(tiny_dataset.split.test_histories[0]))
         request = RecommendRequest(prompt_ids=prompt, top_k=3, beam_size=5)
         state = engine.prefill([request])
         assert isinstance(state, DecodeState)
-        assert isinstance(state, EngineState)
         assert state.num_rows == 1
-        assert state.tags == [request]
         assert not state.done
 
     def test_prefix_cache_override_through_service(self, tiny_lcrec):
@@ -333,8 +329,7 @@ class TestTIGEREngine:
             assert [p.result(timeout=30.0) for p in pending] == expected
 
     def test_continuous_mode_serves_closed_cohorts(self, tiger, tiny_dataset):
-        """The continuous loop admits into an idle scheduler only: closed
-        cohorts, the single loop's rankings."""
+        """The continuous loop decodes closed cohorts: the single loop's rankings."""
         histories = [list(h) for h in tiny_dataset.split.test_histories[:6]]
         service = RecommendationService(
             TIGEREngine(tiger), batcher=MicroBatcherConfig(max_batch_size=4), mode="continuous")
@@ -414,7 +409,7 @@ class TestTIGEROnTheSharedStepper:
                                            beam_size=len(candidates), narrow_items=candidates)
         assert seen == widths
         assert state.forwards == 2 + len(widths)  # encoder + BOS + the unforced levels
-        ranked = engine.finalize(requests, engine.finish(state))
+        ranked = engine.finalize(requests, engine.retire(state))
         full = [tiger.recommend(h, top_k=tiger.trie.num_items) for h in histories[:batch]]
         assert ranked == [[item for item in ranking if item in candidates] for ranking in full]
 
@@ -441,32 +436,24 @@ class TestTIGEROnTheSharedStepper:
         engine = TIGEREngine(tiger)
         num_items = tiger.trie.num_items
         state, requests, _ = self.drive(engine, histories[:4], top_k=5, beam_size=1)
-        hypotheses = engine.finish(state)
+        hypotheses = engine.retire(state)
         assert all(len(row) == 1 for row in hypotheses)
         ranked = engine.finalize(requests, hypotheses)
         assert ranked == [tiger.recommend(h, top_k=num_items)[:5] for h in histories[:4]]
 
     def test_served_through_the_scheduler(self, tiger, histories):
-        """The one scheduler serves TIGER in closed cohorts: nothing is
-        admitted beside live rows, rows retire the tick they finish, and one
-        finalize call widens the short row beside the normal ones."""
+        """The service's admission serves TIGER one closed cohort per
+        ``engine.decode`` call, and one finalize call widens the short row
+        beside the normal ones."""
 
         class ModelBeams(TIGEREngine):  # beam 2 whatever top_k: top_k=5 comes up short
             def request_beam_size(self, top_k):
                 return self.default_beam_size
 
         engine = ModelBeams(tiger)
-        requests = [RecommendRequest(prompt_ids=engine.encode_history(h), top_k=2, beam_size=2)
-                    for h in histories[:3]]
-        scheduler = ContinuousScheduler(engine, max_width=4)
-        scheduler.admit(requests[:2])
-        with pytest.raises(RuntimeError, match="idle"):  # waits for an idle scheduler
-            scheduler.admit(requests[2:])
-        delivered = [scheduler.step() for _ in range(engine.num_levels - 1)]
-        assert [len(rows) for rows in delivered] == [0] * (engine.num_levels - 2) + [2]
-        assert scheduler.idle
-        scheduler.admit(requests[2:])
-        assert scheduler.width == 1
+        decoded = []
+        decode = engine.decode
+        engine.decode = lambda reqs: decoded.append(len(reqs)) or decode(reqs)
 
         finalized = []
         finalize = engine.finalize
@@ -476,39 +463,20 @@ class TestTIGEROnTheSharedStepper:
         normal = [service.submit(h, top_k=2) for h in histories[:3]]
         short = service.submit(histories[3], top_k=5)
         assert service.flush() == 4
-        assert finalized == [4]  # one call for everything the tick retired
+        assert finalized == [4]  # one call for the whole cohort
         assert [p.result() for p in normal] == [tiger.recommend(h, top_k=2) for h in histories[:3]]
         # The short row was re-decoded at catalog width: the exhaustive ranking.
         assert short.result() == tiger.recommend(histories[3], top_k=tiger.trie.num_items)[:5]
-        assert service.backlog == 0 and service.scheduler.idle
+        assert decoded == [4, 1]  # the cohort, then finalize's widened re-decode of the short row
+        assert service.backlog == 0
         assert (service.stats.batches, service.stats.joins) == (1, 0)
-
-    def test_retiring_a_subset_leaves_the_rest_untouched(self, tiger, histories):
-        engine = TIGEREngine(tiger)
-        state, _, _ = self.drive(engine, histories[:5], top_k=3, beam_size=3)
-        rest = [1, 3]
-        held = [(state.beam_nodes[row].copy(), state.beam_scores[row].copy()) for row in rest]
-        engine.retire(state, [0, 2, 4])
-        assert state.num_rows == 2
-        # The survivors are finished too: the row tables shrink, no cache is compacted.
-        assert [cache.memory_keys.shape[0] for cache in state.caches] == [5, 5]
-        for row, (nodes, scores) in enumerate(held):
-            np.testing.assert_array_equal(state.beam_nodes[row], nodes)
-            np.testing.assert_array_equal(state.beam_scores[row], scores)
-        alone, _, _ = self.drive(engine, [histories[row] for row in rest], top_k=3, beam_size=3)
-        for got, expected in zip(engine.finish(state), engine.finish(alone)):
-            assert [h.token_ids for h in got] == [h.token_ids for h in expected]
-            np.testing.assert_allclose([h.score for h in got], [h.score for h in expected],
-                                       rtol=1e-5, atol=1e-6)
 
     def test_scratch_and_cache_rows_are_released(self, tiger, histories):
         engine = TIGEREngine(tiger)
         state, _, _ = self.drive(engine, histories[:3], top_k=3, beam_size=3)
         workspace = state.workspace
         assert workspace.nbytes > 0
-        engine.retire(state, [1])
-        assert workspace.nbytes == 0
-        engine.finish(state)
+        engine.retire(state)
         assert workspace.nbytes == 0
         assert state.caches == []  # the last row took the self and cross K/V along
 

@@ -203,7 +203,31 @@ def test_outcome_matrix(tiny_lcrec, tiny_dataset, kind, case):
 
 
 class TestArgumentsCheckedBeforeAnyLane:
-    """A bad ``deadline_ms`` raises on every lane, and nothing is counted."""
+    """A bad ``deadline_ms`` or ``template_id`` raises on every lane, and
+    nothing is counted."""
+
+    @pytest.mark.parametrize("template_id", [-1, 4])  # LC-Rec renders templates 0-3
+    def test_template_id(self, tiny_lcrec, tiny_dataset, template_id):
+        history = list(tiny_dataset.split.test_histories[0])
+        lanes = (
+            (dict(fallback=True), []),  # cold start
+            (dict(hybrid=True), []),  # hybrid, no profile
+            (dict(hybrid=True), history),  # hybrid, no candidates
+            ({}, history),  # decode
+        )
+        for kind in ("service", "cluster"):
+            for options, submitted in lanes:
+                client = make_client(kind, tiny_lcrec, **options)
+                with pytest.raises(ValueError, match="template_id"):
+                    client.submit(submitted, top_k=TOP_K, template_id=template_id)
+                assert not any(outcome_counters(client).values())
+                assert not the_service(client).queue and the_service(client).backlog == 0
+                if kind == "cluster":
+                    assert client.stats.submitted == 0 and not client.stats.per_worker
+        with pytest.raises(ValueError, match="template_id"):
+            LCRecEngine(tiny_lcrec).recommend_many([history], top_k=TOP_K, template_id=template_id)
+        with pytest.raises(ValueError, match="template_id"):
+            tiny_lcrec.recommend(history, top_k=TOP_K, template_id=template_id)
 
     @pytest.mark.parametrize("deadline_ms", [0.0, -1.0])
     def test_cold_start_lane(self, tiny_lcrec, deadline_ms):
