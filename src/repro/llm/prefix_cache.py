@@ -40,14 +40,12 @@ token ids under *fixed* model weights — call :meth:`clear` after any
 weight update (further tuning, vocabulary extension) or when switching
 models.
 
-Catalog versioning: prompt K/V depends on the token sequence and the
-weights only — *not* on the decoding trie — so a pure item ingestion
-(new trie leaves, no vocabulary or weight change) stales **nothing**
-here.  That is the whole point of the version-scoped contract: the cache
-carries a catalog-version stamp (:meth:`sync_catalog`), and a version
-swap drops only entries containing the swap's *stale tokens* (re-encoded
-items, remapped ids — empty for plain ingestion), via
-:meth:`invalidate_tokens`, instead of flushing a warm cache.
+Catalog churn needs no invalidation here: prompt K/V depends on the
+token sequence and the weights only — *not* on the decoding trie — and
+LC-Rec registers every per-level index token before tuning, so an
+ingested item only adds trie leaves over tokens whose meaning never
+changes (:class:`repro.core.LiveCatalog`).  A future delete or re-encode
+would bring its own invalidation.
 """
 
 from __future__ import annotations
@@ -156,8 +154,6 @@ class PrefixKVCache:
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple[int, ...], _Entry] = OrderedDict()
         self._root = _Node((), None)
-        # Catalog version this cache was last synced to (None = unversioned).
-        self.catalog_version: int | None = None
 
     # ------------------------------------------------------------------
     # Lookup
@@ -299,46 +295,11 @@ class PrefixKVCache:
             elif node.donor is entry:
                 node.donor = node.entry or next(iter(node.children.values())).donor
 
-    def _drop_tokens(self, tokens: Sequence[int]) -> int:
-        """Drop every entry mentioning any of ``tokens`` (caller holds the lock)."""
-        stale = {int(t) for t in tokens}
-        doomed = [entry for entry in self._entries.values() if not stale.isdisjoint(entry.key)]
-        for entry in doomed:
-            self._drop(entry)
-        return len(doomed)
-
     def clear(self) -> None:
         """Drop every entry (required after any model-weight change)."""
         with self._lock:
             self._entries.clear()
             self._root = _Node((), None)
-
-    def invalidate_tokens(self, tokens: Sequence[int]) -> int:
-        """Drop every entry whose key contains any of ``tokens``.
-
-        The scoped invalidation of a catalog version swap: only prompts
-        that *mention* a stale token (a re-encoded item's old index
-        tokens, say) can serve wrong K/V — everything else stays warm.
-        Returns the number of entries dropped.
-        """
-        with self._lock:
-            return self._drop_tokens(tokens)
-
-    def sync_catalog(self, version: int, stale_tokens: Sequence[int] = ()) -> int:
-        """Advance the cache to catalog ``version``, scoped-invalidation only.
-
-        Idempotent per version: the first call after a swap drops the
-        entries containing ``stale_tokens`` (none, for a pure item
-        ingestion — prompt K/V does not depend on the trie) and stamps
-        the cache; repeat calls with the same version are no-ops, so the
-        serving engine can sync on every prefill for free.  Returns the
-        number of entries dropped.
-        """
-        with self._lock:
-            if self.catalog_version is not None and version <= self.catalog_version:
-                return 0
-            self.catalog_version = version
-            return self._drop_tokens(stale_tokens)
 
     def __contains__(self, prompt_ids: Sequence[int]) -> bool:
         """Whether the *exact* prompt is stored (not merely matchable)."""
@@ -349,3 +310,12 @@ class PrefixKVCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
+
+    # ------------------------------------------------------------------
+    # Tracer seam: no serving path calls this.  ``perf/tracing.py`` wraps
+    # it by name (``llm.prefix_cache.sync_catalog``), so it stays, raising,
+    # until that wrapper is dropped.
+    # ------------------------------------------------------------------
+    def sync_catalog(self, *args, **kwargs) -> int:
+        """Deleted: an ingest only adds trie leaves, so no cached prompt goes stale."""
+        raise NotImplementedError("the catalog only grows: no prompt K/V goes stale")

@@ -84,13 +84,16 @@ class HybridRecommender:
         (``narrow_items``), exactly as the serving lane stamps a submit,
         and all of them share one decode; candidates beyond what the
         decode surfaces (and, after them, the retrieval ranking) backfill
-        to ``top_k``.
+        to ``top_k``.  A history holding anything but an item id of the
+        engine's live catalog raises ``ValueError``, as a submit does.
         """
-        from ..serving.queue import RecommendRequest
+        from ..serving.queue import RecommendRequest, check_history
 
         if top_k < 1:
             raise ValueError("top_k must be positive")
         engine = self.engine
+        for history in histories:  # before any lane answers
+            check_history(history, engine.num_items)
         results: list[list[int]] = [[] for _ in histories]
         rows, requests = [], []
         for row, history in enumerate(histories):

@@ -99,17 +99,15 @@ class RetrievalRecommender:
         cls,
         model: "LCRec",
         config: ClusteredKNNConfig | None = None,
-        reconstructed: bool = True,
     ) -> "RetrievalRecommender":
         """Build the retrieval tier from a built LC-Rec model.
 
         Item vectors are the RQ-VAE reconstructions of the item text
-        embeddings by default — the collaborative-semantic representation
-        the index tokens quantize, so retrieval and the trie speak about
-        the same geometry — or the raw text embeddings with
-        ``reconstructed=False`` (also the automatic fallback when the
-        model was built without an RQ-VAE, e.g. vanilla/random indexing).
-        Popularity comes from the model's training split.
+        embeddings — the collaborative-semantic representation the index
+        tokens quantize, so retrieval and the trie speak about the same
+        geometry — or the raw text embeddings when the model was built
+        without an RQ-VAE (vanilla/random indexing).  Popularity comes
+        from the model's training split.
         """
         model._require_built()
         if model.item_embeddings is None:
@@ -118,7 +116,7 @@ class RetrievalRecommender:
                 "or construct RetrievalRecommender from explicit vectors"
             )
         vectors = model.item_embeddings
-        if reconstructed and model.rqvae is not None:
+        if model.rqvae is not None:
             vectors = model.rqvae.reconstruct(vectors)
         index = ClusteredKNNIndex(vectors, config)
         counts = item_popularity(model.dataset.split.train_sequences, index.num_items)

@@ -64,7 +64,7 @@ from .engine import (
 )
 from .queue import RecommendRequest, RequestQueue
 from .router import AffinityRouter, rendezvous_weight
-from .service import RecommendationService, ServingStats, refresh_retrieval_tier
+from .service import RecommendationService, ServingStats
 
 __all__ = [
     "RecommendRequest",
@@ -84,7 +84,6 @@ __all__ = [
     "PendingRecommendation",
     "RecommendationService",
     "ServingStats",
-    "refresh_retrieval_tier",
     "AffinityRouter",
     "rendezvous_weight",
     "ClusterStats",

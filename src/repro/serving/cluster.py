@@ -54,7 +54,7 @@ from .batcher import MicroBatcherConfig
 from .engine import GenerativeEngine
 from .queue import check_deadline_ms, check_history, check_template_id, check_top_k
 from .router import AffinityRouter
-from .service import RecommendationService, ServingStats, refresh_retrieval_tier
+from .service import RecommendationService, ServingStats
 
 __all__ = ["ClusterStats", "ServingCluster"]
 
@@ -345,8 +345,9 @@ class ServingCluster(RecommendationClient):
                 served="degraded", shed="rejected",
                 message=f"all {self.num_workers} workers at backlog bound {self.max_backlog}",
             )
+        handle = submit(worker.service)  # a submit that raises moves no counter
         self.stats.count(kind, worker.index)
-        return submit(worker.service)
+        return handle
 
     # ------------------------------------------------------------------
     # The client surface
@@ -441,13 +442,10 @@ class ServingCluster(RecommendationClient):
         attribute, not the object), so one ingestion here publishes one
         new catalog version that every worker's next prefill observes —
         there is no per-worker propagation step, and workers mid-decode
-        finish against their pinned versions.  Static retrieval tiers —
-        the front door's ``fallback`` and every worker's
-        ``fallback``/``hybrid`` — are refreshed to the published version
-        (:func:`repro.serving.service.refresh_retrieval_tier`), so a
-        session whose history already contains the new item sees it in
-        its retrieval candidates fleet-wide.  Returns the catalog's
-        :class:`repro.core.IngestedItem`.
+        finish against their pinned versions.  A ``fallback=catalog`` or
+        ``HybridRecommender(engine, catalog)`` follows the new version
+        fleet-wide by itself; configured lanes are left as they are.
+        Returns the catalog's :class:`repro.core.IngestedItem`.
         """
         catalogs = {
             id(catalog): catalog
@@ -467,10 +465,4 @@ class ServingCluster(RecommendationClient):
                 "intended catalog object directly"
             )
         (catalog,) = catalogs.values()
-        ingested = catalog.ingest(
-            text=text, embedding=embedding, popularity_count=popularity_count
-        )
-        refresh_retrieval_tier(self, ingested.version)
-        for worker in self._workers:
-            refresh_retrieval_tier(worker.service, ingested.version)
-        return ingested
+        return catalog.ingest(text=text, embedding=embedding, popularity_count=popularity_count)

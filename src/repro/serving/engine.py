@@ -439,9 +439,6 @@ class TrieDecoderEngine(GenerativeEngine):
         # One trie read pins this decode's catalog version: the state
         # carries the object through every step to the finish.
         trie = self.trie
-        if self.prefix_cache is not None and self.catalog is not None:
-            version = self.catalog.version
-            self.prefix_cache.sync_catalog(version.version, version.stale_tokens)
         return decode_prefill(
             self.lm,
             [request.prompt_ids for request in requests],

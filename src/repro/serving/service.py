@@ -73,48 +73,7 @@ from .queue import (
 __all__ = [
     "ServingStats",
     "RecommendationService",
-    "refresh_retrieval_tier",
 ]
-
-
-def refresh_retrieval_tier(client, version) -> bool:
-    """Point a client's static retrieval lanes at a new catalog version.
-
-    The ingestion-triggered retrieval-profile refresh: a service or
-    cluster configured with a *static* :class:`repro.retrieval.RetrievalRecommender`
-    as its ``fallback`` (or behind its ``hybrid``) would keep serving the
-    pre-ingest tier forever — a session that already interacted with a
-    newly ingested item could never see it among its retrieval candidates,
-    because the frozen tier has neither the item's vector (profiles skip
-    unknown ids) nor its index entry.  ``ingest_item`` calls this after
-    the catalog publishes, swapping those static tiers for the published
-    version's retrieval tier so retrieval profiles refresh in lockstep
-    with the decode trie.
-
-    Only plain ``RetrievalRecommender`` instances are touched: a
-    :class:`repro.core.LiveCatalog` used as the fallback proxies the
-    current version by itself, and custom fallback objects are the
-    caller's to manage.  Swaps are single attribute assignments (atomic
-    in CPython), so concurrent submits read either the old or the new
-    tier, both internally consistent.  Returns whether anything changed.
-    """
-    tier = getattr(version, "retrieval", None)
-    if tier is None:
-        return False
-    from ..retrieval import RetrievalRecommender
-
-    refreshed = False
-    fallback = getattr(client, "fallback", None)
-    if isinstance(fallback, RetrievalRecommender) and fallback is not tier:
-        client.fallback = tier
-        refreshed = True
-    hybrid = getattr(client, "hybrid", None)
-    if hybrid is not None:
-        retriever = getattr(hybrid, "retriever", None)
-        if isinstance(retriever, RetrievalRecommender) and retriever is not tier:
-            hybrid.retriever = tier
-            refreshed = True
-    return refreshed
 
 
 @dataclass
@@ -565,11 +524,11 @@ class RecommendationService(RecommendationClient):
         attached (:meth:`TrieDecoderEngine.attach_catalog`).  Returns the
         catalog's :class:`repro.core.IngestedItem`; the very next prefill
         decodes over the new item while in-flight decodes finish against
-        their pinned version.  A static ``fallback``/``hybrid`` retrieval
-        tier is refreshed to the published version
-        (:func:`refresh_retrieval_tier`), so sessions that already
-        interacted with the new item see it in their retrieval
-        candidates.  Thread-safe against concurrent submits and the
+        their pinned version.  Retrieval lanes that must follow ingests
+        are the catalog itself (``fallback=catalog``,
+        ``HybridRecommender(engine, catalog)``): it proxies the current
+        version's tier, so ``ingest_item`` leaves every configured lane
+        as it is.  Thread-safe against concurrent submits and the
         background loop — ingestion never touches decode state.
         """
         catalog = getattr(self.engine, "catalog", None)
@@ -578,11 +537,7 @@ class RecommendationService(RecommendationClient):
                 "engine has no live catalog; build one with model.live_catalog() "
                 "and engine.attach_catalog(catalog) before ingesting"
             )
-        ingested = catalog.ingest(
-            text=text, embedding=embedding, popularity_count=popularity_count
-        )
-        refresh_retrieval_tier(self, ingested.version)
-        return ingested
+        return catalog.ingest(text=text, embedding=embedding, popularity_count=popularity_count)
 
     # ------------------------------------------------------------------
     # Decoding

@@ -1,5 +1,5 @@
 """The experiment harness: config validation, scenario shapes, matrix
-runs, record determinism, and the ingestion-triggered retrieval refresh.
+runs, record determinism, and retrieval lanes that follow the live catalog.
 
 The expensive piece — a 2-backend × 3-scenario matrix over the session
 fixtures — runs once (module scope) and every record-shape assertion
@@ -30,12 +30,7 @@ from repro.experiments import (
     run_experiment,
 )
 from repro.retrieval import RetrievalRecommender
-from repro.serving import (
-    LCRecEngine,
-    RecommendationService,
-    ServingCluster,
-    refresh_retrieval_tier,
-)
+from repro.serving import LCRecEngine, RecommendationService, ServingCluster
 
 
 def minimal_config(**overrides):
@@ -622,67 +617,66 @@ class TestPopularityFallback:
 
 
 # ----------------------------------------------------------------------
-# Ingestion-triggered retrieval refresh (service + cluster)
+# Retrieval follows ingestion: the catalog is the tier (service + cluster)
 # ----------------------------------------------------------------------
+def catalog_engine(model, catalog):
+    engine = LCRecEngine(model, prefix_cache=False)
+    engine.attach_catalog(catalog)
+    return engine
+
+
 class TestRetrievalRefresh:
-    def test_service_ingest_refreshes_static_fallback(self, tiny_lcrec, rng):
+    """A ``fallback=catalog`` answers from the current version; nothing swaps lanes."""
+
+    def test_service_degrades_from_the_ingested_catalog(self, tiny_lcrec, tiny_dataset, rng):
         catalog = tiny_lcrec.live_catalog(retrieval=True)
-        engine = LCRecEngine(tiny_lcrec, prefix_cache=False)
-        engine.attach_catalog(catalog)
-        stale = catalog.version.retrieval
-        service = RecommendationService(engine, fallback=stale)
+        built = catalog.version.retrieval
+        service = RecommendationService(
+            catalog_engine(tiny_lcrec, catalog), fallback=catalog, queue_depth=1
+        )
         dim = tiny_lcrec.item_embeddings.shape[1]
         ingested = service.ingest_item(embedding=rng.normal(size=dim))
-        assert service.fallback is not stale
-        assert service.fallback is ingested.version.retrieval
-        assert service.fallback.num_items == stale.num_items + 1
-        # A session that interacted with the new item now has a profile.
-        assert service.fallback.profile([ingested.item_id]) is not None
-        assert stale.profile([ingested.item_id]) is None
+        assert service.fallback is catalog
+        service.submit(list(tiny_dataset.split.test_histories[0]), top_k=5)  # fills the queue
+        handle = service.submit([ingested.item_id], top_k=5)
+        assert handle.degraded_reason == "queue_full"
+        assert handle.result() == ingested.version.retrieval.recommend([ingested.item_id], 5)
+        # The built tier has no profile for the new id: it would answer popularity.
+        assert built.profile([ingested.item_id]) is None
+        service.flush()
 
-    def test_cluster_ingest_refreshes_every_worker(self, tiny_lcrec, rng):
+    def test_cluster_degrades_from_the_ingested_catalog(self, tiny_lcrec, tiny_dataset, rng):
         catalog = tiny_lcrec.live_catalog(retrieval=True)
-        stale = catalog.version.retrieval
-
-        def engine_factory():
-            engine = LCRecEngine(tiny_lcrec, prefix_cache=False)
-            engine.attach_catalog(catalog)
-            return engine
-
-        cluster = ServingCluster(engine_factory, num_workers=2, fallback=stale)
-        for worker in cluster._workers:
-            worker.service.fallback = stale
+        cluster = ServingCluster(
+            catalog_engine(tiny_lcrec, catalog), num_workers=2, max_backlog=1, fallback=catalog
+        )
         dim = tiny_lcrec.item_embeddings.shape[1]
         ingested = cluster.ingest_item(embedding=rng.normal(size=dim))
-        assert cluster.fallback is ingested.version.retrieval
-        for worker in cluster._workers:
-            assert worker.service.fallback is ingested.version.retrieval
+        for _ in range(cluster.num_workers):  # keyless: one per worker fills the front door
+            cluster.submit(list(tiny_dataset.split.test_histories[0]), top_k=5)
+        handle = cluster.submit([ingested.item_id], top_k=5)
+        assert handle.degraded_reason == "queue_full" and cluster.stats.degraded == 1
+        assert handle.result() == ingested.version.retrieval.recommend([ingested.item_id], 5)
+        cluster.flush()
 
-    def test_refresh_leaves_custom_fallbacks_alone(self, tiny_lcrec, tiny_dataset, rng):
+    def test_ingest_leaves_every_fallback_untouched(self, tiny_lcrec, tiny_dataset, rng):
         catalog = tiny_lcrec.live_catalog(retrieval=True)
-        engine = LCRecEngine(tiny_lcrec, prefix_cache=False)
-        engine.attach_catalog(catalog)
+        static = catalog.version.retrieval
         custom = PopularityFallback(tiny_dataset)
-        service = RecommendationService(engine, fallback=custom)
         dim = tiny_lcrec.item_embeddings.shape[1]
-        service.ingest_item(embedding=rng.normal(size=dim))
-        assert service.fallback is custom
-
-    def test_refresh_helper_reports_whether_it_swapped(self, tiny_lcrec, rng):
-        catalog = tiny_lcrec.live_catalog(retrieval=True)
-        stale = catalog.version.retrieval
-
-        class Client:
-            fallback = stale
-
-        ingested = catalog.ingest(
-            embedding=rng.normal(size=tiny_lcrec.item_embeddings.shape[1])
-        )
-        client = Client()
-        assert refresh_retrieval_tier(client, ingested.version) is True
-        assert client.fallback is ingested.version.retrieval
-        # Idempotent: already current → nothing to do.
-        assert refresh_retrieval_tier(client, ingested.version) is False
+        for fallback in (static, custom, catalog):
+            service = RecommendationService(catalog_engine(tiny_lcrec, catalog), fallback=fallback)
+            ingested = service.ingest_item(embedding=rng.normal(size=dim))
+            assert service.fallback is fallback
+            cluster = ServingCluster(
+                catalog_engine(tiny_lcrec, catalog), num_workers=2, fallback=fallback
+            )
+            cluster.ingest_item(embedding=rng.normal(size=dim))
+            assert cluster.fallback is fallback
+            assert all(worker.fallback is fallback for worker in cluster.workers)
+        # A static tier stays the version it was built from.
+        assert static.num_items == tiny_dataset.num_items
+        assert static.profile([ingested.item_id]) is None
 
     def test_static_tier_is_a_retrieval_recommender(self, tiny_lcrec):
         tier = RetrievalRecommender.from_lcrec(tiny_lcrec)

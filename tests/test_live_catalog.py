@@ -13,8 +13,8 @@ three layers:
   prefilled against — no matter when a version swap lands mid-decode, the
   in-flight rankings are bit-identical to a from-scratch decode against
   the pinned version, post-swap requests never join a pinned decode, and
-  the prompt K/V cache survives pure ingestion but drops entries whose
-  tokens a swap declared stale.
+  the prompt K/V cache keeps every entry across an ingest (the catalog
+  only grows, so no token changes meaning).
 * **Catalog/serving layer**: ``LiveCatalog.ingest`` publishes atomic
   versions (old snapshots intact, uniqueness preserved, retrieval tier
   extended and periodically reclustered), new items are recommendable
@@ -111,10 +111,9 @@ MODEL = make_model()
 
 
 class _StubVersion:
-    def __init__(self, version, trie, stale_tokens=()):
+    def __init__(self, version, trie):
         self.version = version
         self.trie = trie
-        self.stale_tokens = tuple(stale_tokens)
 
 
 class _StubCatalog:
@@ -123,8 +122,8 @@ class _StubCatalog:
     def __init__(self, trie):
         self.version = _StubVersion(0, trie)
 
-    def swap(self, trie, stale_tokens=()):
-        self.version = _StubVersion(self.version.version + 1, trie, stale_tokens)
+    def swap(self, trie):
+        self.version = _StubVersion(self.version.version + 1, trie)
 
 
 def assert_rankings_close(got, want):
@@ -272,39 +271,13 @@ class TestEnginePinning:
         prompt = [1, 2, 3, 4, 5, 6]
         decode_rankings(engine, prompt, beam_size=3)
         assert len(engine.prefix_cache) == 1
-        # Pure ingestion never remaps a token: the swap declares nothing
-        # stale and the next prefill keeps (and hits) the entry.
+        # Pure ingestion never remaps a token: the next prefill keeps
+        # (and hits) the entry.
         catalog.swap(trie.with_item(3, (11, 12, 15)))
         got = decode_rankings(engine, prompt, beam_size=3)
-        assert engine.prefix_cache.catalog_version == 1
         assert len(engine.prefix_cache) == 1
         cacheless = TrieDecoderEngine(make_model(), catalog.version.trie)
         assert_rankings_close(got, decode_rankings(cacheless, prompt, beam_size=3))
-
-    def test_stale_tokens_dropped_at_next_prefill(self):
-        trie = build_trie([(10, 12, 14), (10, 12, 15), (11, 13, 14)])
-        engine, catalog = self.make_engine(trie, prefix_cache=PrefixKVCache())
-        stale_prompt = [1, 2, 3, 4, 5, 6]
-        clean_prompt = [7, 8, 7, 8, 7, 8]
-        decode_rankings(engine, stale_prompt, beam_size=3)
-        decode_rankings(engine, clean_prompt, beam_size=3)
-        assert len(engine.prefix_cache) == 2
-        # A (hypothetical) re-encode declares token 3 stale: only prompts
-        # containing it lose their K/V at the next prefill's sync.
-        catalog.swap(trie.with_item(3, (11, 12, 15)), stale_tokens=(3,))
-        decode_rankings(engine, clean_prompt, beam_size=3)
-        assert engine.prefix_cache.catalog_version == 1
-        assert stale_prompt not in engine.prefix_cache
-        assert clean_prompt in engine.prefix_cache
-
-    def test_sync_catalog_is_idempotent_per_version(self):
-        cache = PrefixKVCache()
-        dropped = cache.sync_catalog(3, stale_tokens=(1,))
-        assert dropped == 0 and cache.catalog_version == 3
-        # Replays and regressions of the version stamp are no-ops.
-        assert cache.sync_catalog(3, stale_tokens=(1,)) == 0
-        assert cache.sync_catalog(2, stale_tokens=(1,)) == 0
-        assert cache.catalog_version == 3
 
 
 # ----------------------------------------------------------------------

@@ -60,6 +60,21 @@ def oracle_match_len(cache, query, max_len=None):
     return best if best >= cache.min_prefix_len else 0
 
 
+def drop_entries_mentioning(cache, tokens):
+    """Un-index every entry whose key contains any of ``tokens``; returns how many.
+
+    Drives ``_drop`` — the one un-index path, which LRU eviction takes —
+    under the cache lock, so the radix bookkeeping is checked on drops out
+    of any branch, not only on whichever entry the LRU order names.
+    """
+    stale = set(tokens)
+    with cache._lock:
+        doomed = [entry for entry in cache._entries.values() if not stale.isdisjoint(entry.key)]
+        for entry in doomed:
+            cache._drop(entry)
+    return len(doomed)
+
+
 def check_index(cache):
     """Structural invariants of the radix index (see ``_Node``)."""
     live = cache._entries
@@ -90,7 +105,7 @@ def check_index(cache):
 class TestRadixIndexModel:
     """Random op sequences against a brute-force longest-common-prefix oracle."""
 
-    OPS = ("insert", "match", "touch", "probe", "invalidate", "clear")
+    OPS = ("insert", "match", "touch", "probe", "drop", "clear")
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -106,7 +121,7 @@ class TestRadixIndexModel:
         for _ in range(50):
             (op,) = rng.choices(self.OPS, weights=(10, 4, 3, 2, 2, 0.2))
             # Three common tokens so prefixes collide constantly, three rare ones so an
-            # invalidation can drop one entry out of a branch instead of the whole branch.
+            # un-index can drop one entry out of a branch instead of the whole branch.
             key = rng.choices(range(6), weights=(6, 6, 6, 1, 1, 1), k=rng.randint(0, 7))
             max_len = rng.choice([None, None, *range(-2, 9)])
             if op == "insert":
@@ -129,16 +144,16 @@ class TestRadixIndexModel:
                     assert_match_is_prefix_of(match, key)
             elif op == "probe":
                 assert cache.probe(key, max_len=max_len) == oracle_match_len(cache, key, max_len)
-            elif op == "invalidate":
+            elif op == "drop":
                 stale = key[:2]
                 doomed = [live for live in cache._entries if set(stale) & set(live)]
-                assert cache.invalidate_tokens(stale) == len(doomed)
+                assert drop_entries_mentioning(cache, stale) == len(doomed)
                 assert not any(live in cache for live in doomed)
             else:
                 cache.clear()
                 assert len(cache) == 0
             check_index(cache)
-        cache.invalidate_tokens(range(6))  # evict everything that is left
+        drop_entries_mentioning(cache, range(6))  # evict everything that is left
         check_index(cache)
         assert len(cache) == 0 and not cache._root.children
 
@@ -181,7 +196,7 @@ class TestRadixIndexModel:
 
 
 class TestScopedInvalidation:
-    """Stale-token drops go through the same un-index as eviction (ROADMAP 5a)."""
+    """Dropping one entry out of a shared branch leaves the rest of the index intact."""
 
     HEAD = [1, 30, 31, 32]
     A = HEAD + [40, 41]
@@ -193,7 +208,7 @@ class TestScopedInvalidation:
         cache = PrefixKVCache(min_prefix_len=2)
         for key in (self.A, self.B, self.C, self.D):
             cache.insert(key, prefix_kvs(key))
-        assert cache.invalidate_tokens([43]) == 1
+        assert drop_entries_mentioning(cache, [43]) == 1
         check_index(cache)
         assert self.B not in cache and len(cache) == 3
         for key in (self.A, self.C, self.D):
@@ -205,38 +220,6 @@ class TestScopedInvalidation:
         assert head.edge == tuple(self.HEAD) and head.donor.key in cache._entries
         leaf = head.children[40]
         assert leaf.entry.key == tuple(self.A) and not leaf.children  # A's node is a leaf again
-
-    def test_sync_catalog_stamp_and_drop_are_one_critical_section(self):
-        """No match of a stale-token prompt once ``catalog_version`` reads the new value."""
-        cache = PrefixKVCache(min_prefix_len=2)
-        cache.insert(self.B, prefix_kvs(self.B))
-        cache.sync_catalog(1)
-        lock, at_gap, resume = cache._lock, threading.Event(), threading.Event()
-
-        class GapLock:
-            """The cache's lock, parking the syncing thread right after every release."""
-
-            def __enter__(self):
-                return lock.__enter__()
-
-            def __exit__(self, *exc_info):
-                lock.__exit__(*exc_info)
-                if threading.current_thread() is syncer:
-                    at_gap.set()
-                    assert resume.wait(timeout=10)
-
-        cache._lock = GapLock()
-        syncer = threading.Thread(target=cache.sync_catalog, args=(2, [43]))
-        syncer.start()
-        try:
-            assert at_gap.wait(timeout=10)  # first time sync_catalog lets go of the lock
-            assert cache.catalog_version == 2
-            assert cache.match(self.B) is None, "stale-token K/V served under the new version"
-            assert self.B not in cache and cache.stats.evictions == 1
-        finally:
-            resume.set()
-            syncer.join(timeout=10)
-        assert not syncer.is_alive()
 
 
 class TestThreadStress:
@@ -260,7 +243,7 @@ class TestThreadStress:
                             assert_match_is_prefix_of(match, key)
                         assert cache.probe(key) <= len(key)
                     else:
-                        cache.invalidate_tokens([int(rng.integers(3, 6))])
+                        drop_entries_mentioning(cache, [int(rng.integers(3, 6))])
             except Exception as error:  # surfaced by the main thread below
                 errors.append(error)
 
@@ -496,14 +479,14 @@ class TestPrefixCacheDecodeParity:
 
 
     def test_warm_cache_after_scoped_invalidation_equals_cacheless(self):
-        """``sync_catalog`` un-indexes stale-token prompts; what is left still decodes right."""
+        """Un-indexing some stored prompts leaves the rest decoding right."""
         model, trie = make_model(), make_trie()
         prompts = session_prompts(np.random.default_rng(5), users=5, turns=3)
         plain = decode_prompts(model, prompts, trie, beam_size=8)
         cache = PrefixKVCache()
         decode_prompts(model, prompts, trie, beam_size=8, prefix_cache=cache)
         stale = [prompts[2][-1], prompts[7][-2]]  # history tokens of a few stored prompts
-        dropped = cache.sync_catalog(1, stale)
+        dropped = drop_entries_mentioning(cache, stale)
         assert 0 < dropped < len(set(map(tuple, prompts)))
         assert not any(set(stale) & set(key) for key in cache._entries)
         check_index(cache)

@@ -441,6 +441,17 @@ class TestHybridRecommender:
         hybrid = HybridRecommender(engine, retriever)
         assert hybrid.recommend([], top_k=5) == retriever.recommend([], 5)
 
+    @pytest.mark.parametrize("history", [[-1, 5], [True, 2], [40, 5], [5, 3.7]])
+    def test_history_ids_checked_before_any_lane(self, tiny_lcrec, retriever, history):
+        # -1 would render as item 39, True as 1; 40 and 3.7 would fail deep in a lookup.
+        engine = LCRecEngine(tiny_lcrec, prefix_cache=False)
+        assert engine.num_items == 40
+        hybrid = HybridRecommender(engine, retriever)
+        with pytest.raises(ValueError, match="is not an item id"):
+            hybrid.recommend(history, top_k=5)
+        with pytest.raises(ValueError, match="is not an item id"):
+            hybrid.recommend_many([[1, 2], history], top_k=5)
+
     def test_batched_matches_per_row(self, tiny_lcrec, retriever, tiny_dataset):
         engine = LCRecEngine(tiny_lcrec, prefix_cache=False)
         hybrid = HybridRecommender(engine, retriever, num_candidates=8)

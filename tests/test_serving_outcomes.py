@@ -9,15 +9,20 @@ argument checks run before any of those lanes.
 
 import time
 
+import numpy as np
 import pytest
 
+from repro.baselines import TIGER, TIGERConfig
+from repro.core.indexer import build_random_index_set
 from repro.serving import (
+    ClusterStats,
     LCRecEngine,
     MicroBatcherConfig,
     Overloaded,
     PendingRecommendation,
     RecommendationService,
     ServingCluster,
+    TIGEREngine,
 )
 
 BATCHER = MicroBatcherConfig(max_batch_size=4)
@@ -260,6 +265,29 @@ class TestArgumentsCheckedBeforeAnyLane:
                 submit()
         assert (cluster.stats.submitted, cluster.stats.degraded, cluster.stats.rejected) == (
             1, 0, 0
+        )
+        cluster.flush()
+
+    def test_a_worker_submit_that_raises_is_not_counted(self, tiny_lcrec, tiny_dataset):
+        # The front door checks worker 0 (LC-Rec: four templates, intentions);
+        # worker 1's TIGER engine has one template and no intention encoder.
+        tiger = TIGER(
+            build_random_index_set(tiny_dataset.num_items, 3, 8, np.random.default_rng(0)),
+            TIGERConfig(dim=16),
+        )
+        tiger.eval()
+        engines = iter([LCRecEngine(tiny_lcrec), TIGEREngine(tiger)])
+        cluster = ServingCluster(lambda: next(engines), num_workers=2, batcher=BATCHER)
+        key = next(k for k in map(str, range(100)) if cluster.router.affine_worker(k) == 1)
+        with pytest.raises(ValueError, match="template_id"):
+            cluster.submit([1, 2], top_k=TOP_K, template_id=1, session_key=key)
+        with pytest.raises(NotImplementedError):
+            cluster.submit_intention("a gift", top_k=TOP_K, session_key=key)
+        assert cluster.stats == ClusterStats()
+        assert cluster.workers[1].backlog == 0
+        cluster.submit([1, 2], top_k=TOP_K, session_key=key)
+        assert (cluster.stats.submitted, cluster.stats.affine, cluster.stats.per_worker) == (
+            1, 1, {1: 1}
         )
         cluster.flush()
 
