@@ -30,6 +30,7 @@ from ..tensor import (
     causal_mask,
     is_grad_enabled,
 )
+from ..tensor import functional as F
 from .config import LMConfig
 from .inference import attention_geometry, cached_hidden_states
 
@@ -48,7 +49,7 @@ class SwiGLU(Module):
         self._fused_gate_up = WeightMemo(max_entries=1)
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.down_proj(self.gate_proj(x).silu() * self.up_proj(x))
+        return self.down_proj(F.swiglu(self.gate_proj(x), self.up_proj(x)))
 
     def fused_gate_up_weight(self) -> np.ndarray:
         """Concatenated ``(dim, 2*hidden)`` weight for a single gate|up GEMM.

@@ -364,28 +364,33 @@ def _attention(
 ) -> Tensor:
     """``softmax(masked(q kᵀ · scale)) → dropout → @ v`` as one tape node.
 
-    The closure keeps ``q``, ``k``, ``v``, the softmax output and the
-    dropout mask, nothing else: the scores and their scaled and masked
-    copies die in the forward.  The backward runs the numpy expressions the
-    primitive ops' backwards ran, in their order and on the same operand
-    views, so every gradient is bit-identical to the composed graph's; the
-    parents are ``(q, k, v)``, so the depth-first sort in
-    :meth:`Tensor.backward` still visits v, k and q in that order.
+    The closure keeps the arrays of ``q``, ``k`` and ``v``, the softmax
+    output and the dropout keep-mask (``bool``), nothing else: the scores,
+    their scaled and masked copies and the float dropout multipliers die in
+    the forward.  The backward runs the numpy expressions the primitive ops'
+    backwards ran, in their order and on the same operand views, so every
+    gradient is bit-identical to the composed graph's; the parents are
+    ``(q, k, v)``, so the depth-first sort in :meth:`Tensor.backward` still
+    visits v, k and q in that order.
     """
     scale = np.float32(1.0 / np.sqrt(q.shape[-1]))
+    q_data, v_data = q.data, v.data
     kt = k.data.transpose(0, 1, 3, 2)
-    scores = (q.data @ kt) * scale
+    scores = (q_data @ kt) * scale
     if attn_mask is not None:
         attn_mask = np.asarray(attn_mask, dtype=bool)
         scores = np.where(attn_mask, np.float32(-1e9), scores)
     probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
     probs /= probs.sum(axis=-1, keepdims=True)
-    mask = F.dropout_mask(probs.shape, dropout.p, dropout.rng, dropout.training)
-    out_data = (probs if mask is None else probs * mask) @ v.data
+    del scores
+    keep = F.dropout_keep(probs.shape, dropout.p, dropout.rng, dropout.training)
+    p = dropout.p
+    out_data = (probs if keep is None else probs * F.dropout_mask(keep, p)) @ v_data
 
     def backward(g):
+        mask = None if keep is None else F.dropout_mask(keep, p)
         dropped = probs if mask is None else probs * mask
-        g_probs = g @ np.swapaxes(v.data, -1, -2)
+        g_probs = g @ np.swapaxes(v_data, -1, -2)
         g_v = np.swapaxes(dropped, -1, -2) @ g
         if mask is not None:
             g_probs = g_probs * mask
@@ -394,7 +399,7 @@ def _attention(
             g_scores = np.where(attn_mask, 0.0, g_scores)
         g_scores = g_scores * scale
         g_q = g_scores @ np.swapaxes(kt, -1, -2)
-        g_k = (np.swapaxes(q.data, -1, -2) @ g_scores).transpose(0, 1, 3, 2)
+        g_k = (np.swapaxes(q_data, -1, -2) @ g_scores).transpose(0, 1, 3, 2)
         return (g_q, g_k, g_v)
 
     return Tensor._make(out_data, (q, k, v), backward)

@@ -1,7 +1,9 @@
 """Fused neural-network operations for the autodiff engine.
 
 These functions create single tape nodes with hand-derived backward rules,
-which is substantially faster than composing them from primitive ops.
+which is substantially faster than composing them from primitive ops.  Like
+every closure on the tape, each backward captures only the arrays and
+shapes it reads.
 """
 
 from __future__ import annotations
@@ -17,10 +19,12 @@ __all__ = [
     "layer_norm",
     "rms_norm",
     "dropout",
+    "dropout_keep",
     "dropout_mask",
     "embedding",
     "masked_fill",
     "logsumexp",
+    "swiglu",
 ]
 
 
@@ -130,9 +134,10 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     x_hat = (x.data - mu) * inv_std
     out_data = weight.data * x_hat + bias.data
     feature_axes = tuple(range(x.ndim - 1))
+    weight_data = weight.data
 
     def backward(g):
-        g_hat = g * weight.data
+        g_hat = g * weight_data
         gx = inv_std * (
             g_hat
             - g_hat.mean(axis=-1, keepdims=True)
@@ -155,39 +160,48 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
     out_data = weight.data * normed
     dim = x.shape[-1]
     feature_axes = tuple(range(x.ndim - 1))
+    x_data, weight_data = x.data, weight.data
 
     def backward(g):
-        g_normed = g * weight.data
+        g_normed = g * weight_data
         # d/dx [x * inv_rms]: inv_rms * g - x * <g, x> * inv_rms^3 / dim
-        inner = (g_normed * x.data).sum(axis=-1, keepdims=True)
-        gx = g_normed * inv_rms - x.data * inner * (inv_rms**3) / dim
+        inner = (g_normed * x_data).sum(axis=-1, keepdims=True)
+        gx = g_normed * inv_rms - x_data * inner * (inv_rms**3) / dim
         g_weight = (g * normed).sum(axis=feature_axes)
         return (gx, g_weight)
 
     return Tensor._make(out_data, (x, weight), backward)
 
 
-def dropout_mask(
+def dropout_keep(
     shape: tuple[int, ...], p: float, rng: np.random.Generator, training: bool
 ) -> np.ndarray | None:
-    """Inverted-dropout multipliers (0 or ``1 / (1 - p)``); None when dropout is off."""
+    """Boolean keep-mask for inverted dropout; None when dropout is off.
+
+    A tape node stores this (one byte an element) and rebuilds the float
+    multipliers with :func:`dropout_mask` when its backward runs.
+    """
     if not training or p <= 0.0:
         return None
-    keep = 1.0 - p
-    return (rng.random(shape) < keep).astype(np.float32) / keep
+    return rng.random(shape) < 1.0 - p
+
+
+def dropout_mask(keep: np.ndarray, p: float) -> np.ndarray:
+    """Inverted-dropout multipliers (0 or ``1 / (1 - p)``) of a keep-mask."""
+    return keep.astype(np.float32) / (1.0 - p)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
     """Inverted dropout; identity when not training or ``p == 0``."""
     x = as_tensor(x)
-    mask = dropout_mask(x.shape, p, rng, training)
-    if mask is None:
+    keep = dropout_keep(x.shape, p, rng, training)
+    if keep is None:
         return x
 
     def backward(g):
-        return (g * mask,)
+        return (g * dropout_mask(keep, p),)
 
-    return Tensor._make(x.data * mask, (x,), backward)
+    return Tensor._make(x.data * dropout_mask(keep, p), (x,), backward)
 
 
 def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
@@ -215,3 +229,33 @@ def masked_fill(x: Tensor, mask: np.ndarray, value: float) -> Tensor:
         return (np.where(mask, 0.0, g),)
 
     return Tensor._make(out_data, (x,), backward)
+
+
+def swiglu(gate: Tensor, up: Tensor) -> Tensor:
+    """``gate.silu() * up`` as one tape node (the LLaMA feed-forward's gating).
+
+    The closure keeps ``gate`` and ``up`` only: the sigmoid and the SiLU
+    output die in the forward, and the backward recomputes them with the
+    same numpy expressions, then runs what the ``silu`` and ``*`` nodes'
+    backwards ran, so gradients are bit-identical to the composition's.
+    The parents are ``(gate, up)``, so the depth-first sort visits ``up``
+    and then ``gate``, as it did through the ``*`` node.
+    """
+    gate = as_tensor(gate)
+    up = as_tensor(up)
+    x, u = gate.data, up.data
+    # One buffer: the sigmoid, then times gate, then times up (IEEE products
+    # commute, so these are the composition's bits).
+    out_data = np.negative(x)
+    np.exp(out_data, out=out_data)
+    out_data += 1.0
+    np.divide(1.0, out_data, out=out_data)
+    out_data *= x
+    out_data *= u
+
+    def backward(g):
+        sig = 1.0 / (1.0 + np.exp(-x))
+        g_gate = g * u
+        return (g_gate * (sig + x * sig * (1.0 - sig)), g * (x * sig))
+
+    return Tensor._make(out_data, (gate, up), backward)

@@ -10,11 +10,15 @@ accumulating gradients.
 
 Design notes
 ------------
-* Everything is vectorised; backward closures capture numpy arrays only.
-* The tape keeps what backward reads and nothing more: a node's closure
-  is the only owner of the activations it needs.  Hot compositions are one
-  node each (the fused ops in :mod:`repro.tensor.functional`, attention and
-  RoPE in :mod:`repro.tensor.attention`), so their intermediates die in the
+* Everything is vectorised.
+* The tape links nodes, not tensors: an op output's :class:`_Node` holds
+  its backward closure and its parents' nodes, and a leaf's node holds (a
+  weak reference to) the tensor it accumulates into.  Closures capture
+  the numpy arrays or shapes their backward reads and nothing else, so an
+  activation lives only while a closure needs it or the caller holds its
+  tensor.  Hot compositions are one node each (the fused ops in
+  :mod:`repro.tensor.functional`, attention and RoPE in
+  :mod:`repro.tensor.attention`), so their intermediates die in the
   forward; each such backward runs the expressions the primitive ops'
   backwards would, so gradients are bit-identical to the composition's.
 * :meth:`Tensor.backward` frees as it goes: once a node has dispatched,
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
+import weakref
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -74,6 +79,23 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+class _Node:
+    """One entry of the tape.
+
+    An op output's node holds the backward closure and its parents' nodes
+    (``None`` for a parent that needs no gradient), in the op's operand
+    order; a leaf's node has no closure and holds a weak reference to the
+    tensor whose ``.grad`` it accumulates into.
+    """
+
+    __slots__ = ("backward", "parents", "leaf")
+
+    def __init__(self, backward=None, parents=(), leaf=None):
+        self.backward: Callable[[np.ndarray], tuple] | None = backward
+        self.parents: tuple[_Node | None, ...] = parents
+        self.leaf: weakref.ref | None = leaf
+
+
 class Tensor:
     """A numpy-backed tensor with reverse-mode autodiff.
 
@@ -86,7 +108,7 @@ class Tensor:
         Whether gradients should be accumulated into ``self.grad``.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
@@ -97,8 +119,7 @@ class Tensor:
         self.data: np.ndarray = array
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._backward: Callable[[np.ndarray], None] | None = None
-        self._parents: tuple[Tensor, ...] = ()
+        self._node: _Node | None = None
 
     # ------------------------------------------------------------------
     # Introspection helpers
@@ -133,6 +154,12 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
+    def __getstate__(self):
+        # Copies and pickles start off the tape: a copied leaf node would
+        # still accumulate into the original tensor.
+        state = {"data": self.data, "grad": self.grad, "requires_grad": self.requires_grad}
+        return None, {**state, "_node": None}
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype}{flag})"
@@ -147,15 +174,25 @@ class Tensor:
     def _make(
         data: np.ndarray,
         parents: Sequence["Tensor"],
-        backward: Callable[[np.ndarray], None],
+        backward: Callable[[np.ndarray], tuple],
     ) -> "Tensor":
-        """Create an op output, recording it on the tape when appropriate."""
+        """Create an op output, recording it on the tape when appropriate.
+
+        ``backward`` maps the output's gradient to one contribution per
+        parent, in ``parents`` order; it must not capture the parents
+        themselves, only the arrays or shapes it reads.
+        """
         needs_grad = is_grad_enabled() and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=needs_grad)
         if needs_grad:
-            out._parents = tuple(parents)
-            out._backward = backward
+            out._node = _Node(backward, tuple(p._tape_node() for p in parents))
         return out
+
+    def _tape_node(self) -> _Node | None:
+        """This tensor's node on the tape; a grad-requiring leaf gets one on first use."""
+        if self._node is None and self.requires_grad:
+            self._node = _Node(leaf=weakref.ref(self))
+        return self._node
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
@@ -172,10 +209,16 @@ class Tensor:
                 raise RuntimeError("grad must be provided for non-scalar output")
             grad = np.ones_like(self.data)
         grad = np.asarray(grad, dtype=np.float32)
+        if grad.shape != self.data.shape:
+            raise ValueError(
+                f"gradient of shape {grad.shape} does not match the output's shape "
+                f"{self.data.shape}"
+            )
 
-        topo: list[Tensor | None] = []
+        root = self._tape_node()
+        topo: list[_Node | None] = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -185,125 +228,110 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in visited:
+            for parent in node.parents:
+                if parent is not None and id(parent) not in visited:
                     stack.append((parent, False))
 
         # Walk the order backwards, freeing as it goes: once a node has
         # dispatched, its closure (and with it every activation only that
         # closure captured) and its slot in the order are dropped, so the
         # activations die while the backward runs rather than after it.
-        grads: dict[int, np.ndarray] = {id(self): grad}
+        grads: dict[int, np.ndarray] = {id(root): grad}
         for i in range(len(topo) - 1, -1, -1):
             node = topo[i]
             topo[i] = None
             node_grad = grads.pop(id(node), None)
             if node_grad is not None:
-                if node._backward is not None:
+                if node.backward is not None:
                     # Intermediate: route gradient to parents through the closure.
-                    node._backward_dispatch(node_grad, grads)
-                elif node.requires_grad:
-                    # Leaf tensor: accumulate into .grad
-                    node._accumulate(node_grad)
-            node._backward = None
-            node._parents = ()
-
-    def _backward_dispatch(self, grad: np.ndarray, grads: dict[int, np.ndarray]):
-        contributions = self._backward(grad)
-        for parent, contribution in zip(self._parents, contributions):
-            if contribution is None or not (parent.requires_grad or parent._backward is not None):
-                continue
-            key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + contribution
-            else:
-                grads[key] = contribution
+                    for parent, contribution in zip(node.parents, node.backward(node_grad)):
+                        if contribution is None or parent is None:
+                            continue
+                        key = id(parent)
+                        if key in grads:
+                            grads[key] = grads[key] + contribution
+                        else:
+                            grads[key] = contribution
+                elif node.leaf is not None and (leaf := node.leaf()) is not None:
+                    leaf._accumulate(node_grad)
+            node.backward = None
+            node.parents = ()
 
     # ------------------------------------------------------------------
     # Elementwise arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other) -> "Tensor":
         other = as_tensor(other)
-        out_data = self.data + other.data
-        a, b = self, other
+        a_shape, b_shape = self.shape, other.shape
 
         def backward(g):
-            return (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
+            return (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape))
 
-        return Tensor._make(out_data, (a, b), backward)
+        return Tensor._make(self.data + other.data, (self, other), backward)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Tensor":
         other = as_tensor(other)
-        out_data = self.data - other.data
-        a, b = self, other
+        a_shape, b_shape = self.shape, other.shape
 
         def backward(g):
-            return (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape))
+            return (_unbroadcast(g, a_shape), _unbroadcast(-g, b_shape))
 
-        return Tensor._make(out_data, (a, b), backward)
+        return Tensor._make(self.data - other.data, (self, other), backward)
 
     def __rsub__(self, other) -> "Tensor":
         return as_tensor(other).__sub__(self)
 
     def __mul__(self, other) -> "Tensor":
         other = as_tensor(other)
-        out_data = self.data * other.data
-        a, b = self, other
+        a, b = self.data, other.data
 
         def backward(g):
-            return (
-                _unbroadcast(g * b.data, a.shape),
-                _unbroadcast(g * a.data, b.shape),
-            )
+            return (_unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape))
 
-        return Tensor._make(out_data, (a, b), backward)
+        return Tensor._make(a * b, (self, other), backward)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
         other = as_tensor(other)
-        out_data = self.data / other.data
-        a, b = self, other
+        a, b = self.data, other.data
 
         def backward(g):
             return (
-                _unbroadcast(g / b.data, a.shape),
-                _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
+                _unbroadcast(g / b, a.shape),
+                _unbroadcast(-g * a / (b * b), b.shape),
             )
 
-        return Tensor._make(out_data, (a, b), backward)
+        return Tensor._make(a / b, (self, other), backward)
 
     def __rtruediv__(self, other) -> "Tensor":
         return as_tensor(other).__truediv__(self)
 
     def __neg__(self) -> "Tensor":
-        a = self
-
         def backward(g):
             return (-g,)
 
-        return Tensor._make(-self.data, (a,), backward)
+        return Tensor._make(-self.data, (self,), backward)
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
-        a = self
-        out_data = self.data**exponent
+        a = self.data
 
         def backward(g):
-            return (g * exponent * a.data ** (exponent - 1),)
+            return (g * exponent * a ** (exponent - 1),)
 
-        return Tensor._make(out_data, (a,), backward)
+        return Tensor._make(a**exponent, (self,), backward)
 
     # ------------------------------------------------------------------
     # Matrix operations
     # ------------------------------------------------------------------
     def __matmul__(self, other) -> "Tensor":
         other = as_tensor(other)
-        a, b = self, other
-        if a.data.ndim >= 3 and b.data.ndim == 2:
+        a, b = self.data, other.data
+        if a.ndim >= 3 and b.ndim == 2:
             # Fold the batch dims into one GEMM: numpy dispatches
             # (B, T, k) @ (k, m) as B separate (T, k) products, which for
             # the decode hot path's (B*K, 1, k) activations degenerates
@@ -311,72 +339,65 @@ class Tensor:
             # is the same arithmetic in a single BLAS dispatch, and the
             # gradients likewise fold (the batched ``aᵀ @ g`` summed over
             # batch dims *is* the folded two-dimensional product).
-            lead = a.data.shape[:-1]
-            a2 = np.ascontiguousarray(a.data).reshape(-1, a.data.shape[-1])
-            out_data = (a2 @ b.data).reshape(*lead, b.data.shape[-1])
+            a_shape = a.shape
+            a2 = np.ascontiguousarray(a).reshape(-1, a_shape[-1])
+            out_data = (a2 @ b).reshape(*a_shape[:-1], b.shape[-1])
 
             def backward_folded(g):
                 g2 = g.reshape(-1, g.shape[-1])
-                ga = (g2 @ b.data.T).reshape(a.data.shape)
+                ga = (g2 @ b.T).reshape(a_shape)
                 gb = a2.T @ g2
                 return (ga, gb)
 
-            return Tensor._make(out_data, (a, b), backward_folded)
-        out_data = a.data @ b.data
+            return Tensor._make(out_data, (self, other), backward_folded)
 
         def backward(g):
-            if b.data.ndim == 1:
+            if b.ndim == 1:
                 # (…, n) @ (n,) -> (…)
-                ga = g[..., None] * b.data
-                gb = np.tensordot(g, a.data, axes=(range(g.ndim), range(g.ndim)))
+                ga = g[..., None] * b
+                gb = np.tensordot(g, a, axes=(range(g.ndim), range(g.ndim)))
                 return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
-            if a.data.ndim == 1:
+            if a.ndim == 1:
                 # (n,) @ (n, m) -> (m,)
-                ga = g @ np.swapaxes(b.data, -1, -2)
-                gb = np.outer(a.data, g)
+                ga = g @ np.swapaxes(b, -1, -2)
+                gb = np.outer(a, g)
                 return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            gb = np.swapaxes(a.data, -1, -2) @ g
+            ga = g @ np.swapaxes(b, -1, -2)
+            gb = np.swapaxes(a, -1, -2) @ g
             return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
 
-        return Tensor._make(out_data, (a, b), backward)
+        return Tensor._make(a @ b, (self, other), backward)
 
     def transpose(self, *axes: int) -> "Tensor":
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
-        a = self
         inverse = np.argsort(axes)
 
         def backward(g):
             return (g.transpose(inverse),)
 
-        return Tensor._make(self.data.transpose(axes), (a,), backward)
+        return Tensor._make(self.data.transpose(axes), (self,), backward)
 
     def swapaxes(self, axis1: int, axis2: int) -> "Tensor":
-        a = self
-
         def backward(g):
             return (np.swapaxes(g, axis1, axis2),)
 
-        return Tensor._make(np.swapaxes(self.data, axis1, axis2), (a,), backward)
+        return Tensor._make(np.swapaxes(self.data, axis1, axis2), (self,), backward)
 
     def reshape(self, *shape: int) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        a = self
         original = self.shape
 
         def backward(g):
             return (g.reshape(original),)
 
-        return Tensor._make(self.data.reshape(shape), (a,), backward)
+        return Tensor._make(self.data.reshape(shape), (self,), backward)
 
     # ------------------------------------------------------------------
     # Indexing
     # ------------------------------------------------------------------
     def __getitem__(self, index) -> "Tensor":
-        a = self
-        out_data = self.data[index]
         shape = self.shape
 
         def backward(g):
@@ -384,14 +405,12 @@ class Tensor:
             np.add.at(grad, index, g)
             return (grad,)
 
-        return Tensor._make(out_data, (a,), backward)
+        return Tensor._make(self.data[index], (self,), backward)
 
     # ------------------------------------------------------------------
     # Reductions
     # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        a = self
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
         shape = self.shape
 
         def backward(g):
@@ -402,7 +421,7 @@ class Tensor:
                 g_expanded = np.expand_dims(g, axis)
             return (np.broadcast_to(g_expanded, shape).astype(np.float32),)
 
-        return Tensor._make(out_data, (a,), backward)
+        return Tensor._make(self.data.sum(axis=axis, keepdims=keepdims), (self,), backward)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -413,7 +432,6 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     def max(self, axis: int, keepdims: bool = False) -> "Tensor":
-        a = self
         out_data = self.data.max(axis=axis, keepdims=keepdims)
         # Route gradient to the first maximal element only (ties broken).
         argmax = self.data.argmax(axis=axis)
@@ -423,83 +441,75 @@ class Tensor:
             grad = np.zeros(shape, dtype=np.float32)
             g_arr = g if keepdims else np.expand_dims(g, axis)
             indices = list(np.indices(argmax.shape))
-            indices.insert(axis if axis >= 0 else self_ndim + axis, argmax)
+            indices.insert(axis if axis >= 0 else len(shape) + axis, argmax)
             grad[tuple(indices)] = np.squeeze(g_arr, axis=axis)
             return (grad,)
 
-        self_ndim = self.ndim
-        return Tensor._make(out_data, (a,), backward)
+        return Tensor._make(out_data, (self,), backward)
 
     # ------------------------------------------------------------------
     # Elementwise non-linearities
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
-        a = self
         out_data = np.exp(self.data)
 
         def backward(g):
             return (g * out_data,)
 
-        return Tensor._make(out_data, (a,), backward)
+        return Tensor._make(out_data, (self,), backward)
 
     def log(self) -> "Tensor":
-        a = self
+        a = self.data
 
         def backward(g):
-            return (g / a.data,)
+            return (g / a,)
 
-        return Tensor._make(np.log(self.data), (a,), backward)
+        return Tensor._make(np.log(a), (self,), backward)
 
     def sqrt(self) -> "Tensor":
-        a = self
         out_data = np.sqrt(self.data)
 
         def backward(g):
             return (g * 0.5 / out_data,)
 
-        return Tensor._make(out_data, (a,), backward)
+        return Tensor._make(out_data, (self,), backward)
 
     def tanh(self) -> "Tensor":
-        a = self
         out_data = np.tanh(self.data)
 
         def backward(g):
             return (g * (1.0 - out_data * out_data),)
 
-        return Tensor._make(out_data, (a,), backward)
+        return Tensor._make(out_data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
-        a = self
         out_data = 1.0 / (1.0 + np.exp(-self.data))
 
         def backward(g):
             return (g * out_data * (1.0 - out_data),)
 
-        return Tensor._make(out_data, (a,), backward)
+        return Tensor._make(out_data, (self,), backward)
 
     def relu(self) -> "Tensor":
-        a = self
         mask = self.data > 0
 
         def backward(g):
             return (g * mask,)
 
-        return Tensor._make(self.data * mask, (a,), backward)
+        return Tensor._make(self.data * mask, (self,), backward)
 
     def silu(self) -> "Tensor":
         """SiLU / swish activation: ``x * sigmoid(x)`` (used by SwiGLU)."""
-        a = self
-        sig = 1.0 / (1.0 + np.exp(-self.data))
-        out_data = self.data * sig
+        x = self.data
+        sig = 1.0 / (1.0 + np.exp(-x))
 
         def backward(g):
-            return (g * (sig + self.data * sig * (1.0 - sig)),)
+            return (g * (sig + x * sig * (1.0 - sig)),)
 
-        return Tensor._make(out_data, (a,), backward)
+        return Tensor._make(x * sig, (self,), backward)
 
     def gelu(self) -> "Tensor":
         """Gaussian error linear unit (tanh approximation)."""
-        a = self
         x = self.data
         c = np.float32(np.sqrt(2.0 / np.pi))
         inner = c * (x + 0.044715 * x**3)
@@ -510,16 +520,15 @@ class Tensor:
             dt = (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * x * x)
             return (g * (0.5 * (1.0 + t) + 0.5 * x * dt),)
 
-        return Tensor._make(out_data, (a,), backward)
+        return Tensor._make(out_data, (self,), backward)
 
     def abs(self) -> "Tensor":
-        a = self
         sign = np.sign(self.data)
 
         def backward(g):
             return (g * sign,)
 
-        return Tensor._make(np.abs(self.data), (a,), backward)
+        return Tensor._make(np.abs(self.data), (self,), backward)
 
 
 class Parameter(Tensor):
@@ -558,9 +567,10 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new ``axis`` with gradient support."""
     tensors = [as_tensor(t) for t in tensors]
     out_data = np.stack([t.data for t in tensors], axis=axis)
+    count = len(tensors)
 
     def backward(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
+        return tuple(np.take(g, i, axis=axis) for i in range(count))
 
     return Tensor._make(out_data, tensors, backward)
 
@@ -574,11 +584,12 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     b = as_tensor(b)
     cond = np.asarray(condition, dtype=bool)
     out_data = np.where(cond, a.data, b.data)
+    a_shape, b_shape = a.shape, b.shape
 
     def backward(g):
         return (
-            _unbroadcast(np.where(cond, g, 0.0), a.shape),
-            _unbroadcast(np.where(cond, 0.0, g), b.shape),
+            _unbroadcast(np.where(cond, g, 0.0), a_shape),
+            _unbroadcast(np.where(cond, 0.0, g), b_shape),
         )
 
     return Tensor._make(out_data, (a, b), backward)

@@ -1,9 +1,11 @@
 """Gradient checks and graph-mechanics tests for the autodiff engine."""
 
+import copy
+
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, concat, no_grad, stack, where
+from repro.tensor import Parameter, Tensor, concat, no_grad, stack, where
 from repro.tensor import functional as F
 
 from helpers import check_gradient
@@ -222,13 +224,33 @@ class TestGraphMechanics:
         x = Tensor(rand(2, 2), requires_grad=True)
         with no_grad():
             y = x * 2.0
-        assert y._backward is None
+        assert y._node is None
         assert not y.requires_grad
 
     def test_backward_requires_scalar(self):
         x = Tensor(rand(2, 2), requires_grad=True)
         with pytest.raises(RuntimeError):
             (x * 2.0).backward()
+
+    def test_backward_rejects_a_seed_of_the_wrong_shape(self):
+        x = Tensor(rand(2, 3), requires_grad=True)
+        with pytest.raises(ValueError, match=r"\(2, 1\).*\(2, 3\)"):
+            x.backward(np.ones((2, 1), dtype=np.float32))
+        assert x.grad is None
+
+    def test_backward_rejects_a_seed_that_would_broadcast(self):
+        x = Tensor(rand(2), requires_grad=True)
+        with pytest.raises(ValueError, match=r"\(1,\).*\(2,\)"):
+            (x * 2.0).backward(np.ones((1,), dtype=np.float32))
+        assert x.grad is None
+
+    def test_a_deep_copied_parameter_is_its_own_leaf(self):
+        original = Parameter(rand(2, 2))
+        (original * 2.0).sum()  # taped forward: the parameter now has a leaf node
+        clone = copy.deepcopy(original)
+        (clone * 3.0).sum().backward()
+        assert original.grad is None
+        np.testing.assert_array_equal(clone.grad, np.full((2, 2), 3.0, dtype=np.float32))
 
     def test_backward_on_leafless_raises(self):
         x = Tensor(rand(2, 2))

@@ -1,11 +1,13 @@
-"""The training tape: fused attention and RoPE nodes, and a backward that frees as it goes.
+"""The training tape: fused nodes, node links, and a backward that frees as it goes.
 
 ``MultiHeadAttention.forward`` records its scores → softmax → dropout → ``@ v``
-chain as one tape node and ``RotaryEmbedding.apply`` its rotation as another.
-Both must reproduce the composition of primitive ``Tensor`` ops they
-replaced bit for bit — outputs, every gradient, and so every weight after
-training — which this file keeps as a test-local reference.  The memory
-guards pin what the fusion and the freeing buy.
+chain as one tape node, ``RotaryEmbedding.apply`` its rotation as another and
+``SwiGLU.forward`` its ``silu(gate) * up`` as a third.  Each must reproduce
+the composition of primitive ``Tensor`` ops it replaced bit for bit —
+outputs, every gradient, and so every weight after training — which this
+file keeps as a test-local reference.  The memory guards pin what the
+fusion, the node links (an op output dies with its last reference unless a
+backward reads it) and the freeing buy.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro.baselines import TIGER, TIGERConfig
 from repro.baselines.generative import BOS_ID
 from repro.core.indexer import build_random_index_set
 from repro.llm import LMConfig, TinyLlama
+from repro.llm.model import SwiGLU
 from repro.tensor import (
     Adam,
     AdamW,
@@ -61,13 +64,19 @@ def reference_attention_forward(self, x, context=None, attn_mask=None):
     return self.out_proj(self._merge_heads(probs @ v))
 
 
+def reference_swiglu_forward(self, x):
+    """The gating composed from a ``silu`` node and a ``*`` node."""
+    return self.down_proj(self.gate_proj(x).silu() * self.up_proj(x))
+
+
 @pytest.fixture
 def composed(monkeypatch):
-    """Patch the primitive-op reference in for both fused nodes."""
+    """Patch the primitive-op reference in for the three fused nodes."""
 
     def patch():
         monkeypatch.setattr(MultiHeadAttention, "forward", reference_attention_forward)
         monkeypatch.setattr(RotaryEmbedding, "apply", reference_rope_apply)
+        monkeypatch.setattr(SwiGLU, "forward", reference_swiglu_forward)
 
     return patch
 
@@ -193,12 +202,44 @@ def test_three_steps_train_byte_equal_weights(train, composed):
     assert fused == train()
 
 
+def test_swiglu_is_bit_identical_to_the_composition(composed):
+    rng = np.random.default_rng(11)
+    module = SwiGLU(16, 24, np.random.default_rng(12))
+    data = rng.standard_normal((3, 5, 16)).astype(np.float32)
+    upstream = rng.standard_normal((3, 5, 16)).astype(np.float32)
+    results = []
+    for patch in (lambda: None, composed):
+        patch()
+        module.zero_grad()
+        x = Tensor(data, requires_grad=True)
+        out = module(x)
+        (out * upstream).sum().backward()
+        results.append([out.data, x.grad] + [p.grad for p in module.parameters()])
+    for fused, reference in zip(*results):
+        assert np.array_equal(fused, reference)
+
+
+def traced_step_peak(loss_fn, optimizer):
+    """``tracemalloc``'s peak over one forward, backward and optimiser step."""
+    tracemalloc.start()
+    try:
+        loss = loss_fn()
+        optimizer.zero_grad()
+        loss.backward()
+        optimizer.step()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_fixture_shaped_pretrain_step_peak_memory():
     """One ledger-fixture-shaped LM pretraining step (vocabulary 758).
 
     The composed tape held every score, masked copy and RoPE temporary
     until the end of the backward and read a 119 MB traced peak; the fused
-    nodes and the freeing backward read 79 MB.
+    nodes and the freeing backward read 79 MB; node links, the fused
+    SwiGLU and ``bool`` dropout masks read 58 MB.  The bound is that plus
+    10 %.
     """
     config = LMConfig(vocab_size=758, dim=128, num_layers=4, num_heads=8, ffn_hidden=352,
                       max_seq_len=256, seed=0)
@@ -206,16 +247,76 @@ def test_fixture_shaped_pretrain_step_peak_memory():
     optimizer = AdamW(model.parameters(), lr=1e-3)
     batch = np.random.default_rng(0).integers(0, config.vocab_size, size=(16, 65))
     model.train()
-    tracemalloc.start()
-    try:
-        loss = F.cross_entropy(model(batch[:, :-1]), batch[:, 1:])
-        optimizer.zero_grad()
-        loss.backward()
-        optimizer.step()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 95 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+    peak = traced_step_peak(
+        lambda: F.cross_entropy(model(batch[:, :-1]), batch[:, 1:]), optimizer
+    )
+    assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+
+def test_fixture_shaped_tiger_step_peak_memory():
+    """One ledger-fixture-shaped TIGER training step (413 items, batch 64).
+
+    Tensor-linked parents, ``__add__`` closures holding whole tensors and
+    float32 dropout masks read a 76.7 MB traced peak; node links and
+    ``bool`` masks read 35.6 MB.  The bound is that plus 10 %.
+    """
+    num_items, batch = 413, 64
+    index_set = build_random_index_set(num_items, 3, 256, np.random.default_rng(0))
+    model = TIGER(index_set, TIGERConfig(dim=128, num_heads=4, seed=0))
+    optimizer = Adam(model.parameters(), lr=1e-3)
+    rng = np.random.default_rng(1)
+    source = model._pad_histories(
+        [list(rng.integers(0, num_items, size=10)) for _ in range(batch)]
+    )
+    targets = np.array(
+        [model.space.item_tokens(int(i)) for i in rng.integers(0, num_items, batch)]
+    )
+    decoder_input = np.concatenate([np.full((batch, 1), BOS_ID), targets[:, :-1]], axis=1)
+    model.train()
+    peak = traced_step_peak(
+        lambda: F.cross_entropy(model(source, decoder_input), targets), optimizer
+    )
+    assert peak < 39.2 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+def test_activations_no_backward_reads_are_dead_once_the_loss_exists(monkeypatch, dropout):
+    """An ``out_proj`` output and a pre-RoPE q die in the forward.
+
+    The residual ``+`` (or, with dropout on, the dropout node before it)
+    keeps no operand and the RoPE node only its tables, and the tape links
+    nodes, not tensors, so nothing holds them by the time the loss exists.
+    """
+    config = LMConfig(vocab_size=40, dim=32, num_layers=2, num_heads=4, ffn_hidden=48,
+                      max_seq_len=16, dropout=dropout, seed=0)
+    model = TinyLlama(config)
+    model.train()
+    watched = {}
+    out_proj = model.blocks[0].attention.out_proj
+    out_proj_forward = out_proj.forward
+
+    def recording_out_proj(x):
+        out = out_proj_forward(x)
+        watched.setdefault("out_proj output", weakref.ref(out.data))
+        return out
+
+    rope_apply = RotaryEmbedding.apply
+
+    def recording_rope_apply(self, x, offset=0):
+        watched.setdefault("pre-RoPE q", weakref.ref(x.data))
+        return rope_apply(self, x, offset)
+
+    monkeypatch.setattr(out_proj, "forward", recording_out_proj)
+    monkeypatch.setattr(RotaryEmbedding, "apply", recording_rope_apply)
+    batch = np.random.default_rng(0).integers(0, config.vocab_size, size=(2, 9))
+    loss = F.cross_entropy(model(batch[:, :-1]), batch[:, 1:])
+    assert sorted(watched) == ["out_proj output", "pre-RoPE q"]
+    assert {name: ref() is None for name, ref in watched.items()} == {
+        "out_proj output": True,
+        "pre-RoPE q": True,
+    }
+    loss.backward()
+    assert all(p.grad is not None for p in model.parameters())
 
 
 def test_backward_frees_a_closure_array_before_upstream_nodes_run():
@@ -242,4 +343,4 @@ def test_backward_frees_a_closure_array_before_upstream_nodes_run():
     out.sum().backward()
     assert seen == {"captured_alive": False}
     assert np.array_equal(leaf.grad, np.arange(4, dtype=np.float32))
-    assert out._backward is None and out._parents == ()
+    assert out._node.backward is None and out._node.parents == ()
