@@ -1,42 +1,57 @@
 #!/usr/bin/env python
-"""Case study: what do the learned item indices mean?  (Figs. 5 and 6.)
+"""What do the learned item indices mean?  (Figs. 4, 5 and 6, Games.)
 
-* Generates item titles from progressively longer index prefixes and shows
-  how the text converges coarse-to-fine toward the true title.
-* Counts how often adding each index level changes the generated content.
-* Compares index-based related-item generation with raw text-embedding
-  cosine recall (Fig. 5b): the former reflects collaborative semantics,
-  the latter only language similarity.
+* Fig. 4: PCA of the index-token and item-text-token embeddings, for a
+  model tuned on sequential prediction only and for full LC-Rec.  A lower
+  separation score means the alignment tasks pulled the index tokens
+  into the language space.
+* Fig. 5(a): titles generated from growing index prefixes converge
+  coarse-to-fine toward the true title.
+* Fig. 6: how often adding each index level changes the generated text.
+* Fig. 5(b): related items by shared index prefix (language +
+  collaborative semantics) vs by raw text-embedding cosine (language only).
 
-Run:  python examples/index_semantics.py
+Both models are the experiment harness's LC-Rec builds at the scale
+``REPRO_SCALE`` names (``tiny`` | ``small`` | ``full``; default ``small``).
+
+Run:  REPRO_SCALE=tiny PYTHONPATH=src python examples/index_semantics.py
 """
 
 import numpy as np
 
-from repro.analysis import count_level_changes, generate_from_prefixes
-from repro.core import LCRec, LCRecConfig
-from repro.core.indexer import SemanticIndexerConfig
-from repro.core.tasks import AlignmentTaskConfig
-from repro.data import build_dataset, preset_config
-from repro.llm import PretrainConfig, TuningConfig
-from repro.quantization import RQVAEConfig, RQVAETrainerConfig
+from repro.analysis import (
+    ascii_scatter,
+    count_level_changes,
+    embedding_separation,
+    fit_pca,
+    generate_from_prefixes,
+)
+from repro.bench import bench_scale, build_lcrec_model, scaled_dataset
+
+
+def figure4(models) -> None:
+    for label, model in models.items():
+        groups = model.token_embedding_groups()
+        indices, texts = groups["item_indices"], groups["item_texts"]
+        separation = embedding_separation(indices, texts)
+        pca = fit_pca(np.concatenate([indices, texts], axis=0), n_components=2)
+        print(
+            f"\n--- Fig. 4, {label}: separation {separation.separation:.3f} "
+            f"(centroid distance {separation.centroid_distance:.3f}, "
+            f"spread {separation.within_spread:.3f}) ---"
+        )
+        projected = {"indices": pca.transform(indices), "texts": pca.transform(texts)}
+        print(ascii_scatter(projected, width=64, height=16))
 
 
 def main() -> None:
-    dataset = build_dataset(preset_config("games", scale=0.25))
-    config = LCRecConfig(
-        pretrain=PretrainConfig(steps=250, batch_size=16),
-        indexer=SemanticIndexerConfig(
-            rqvae=RQVAEConfig(latent_dim=32, hidden_dims=(96, 48), num_levels=4, codebook_size=16),
-            trainer=RQVAETrainerConfig(epochs=120, batch_size=512),
-        ),
-        tasks=AlignmentTaskConfig(max_history=8, seq_per_user=2),
-        tuning=TuningConfig(epochs=3, batch_size=16, lr=3e-3),
-    )
-    model = LCRec(dataset, config).build()
+    scale = bench_scale()
+    dataset = scaled_dataset("games", scale)
+    model = build_lcrec_model(dataset, scale)
+    figure4({"SEQ only": build_lcrec_model(dataset, scale, tasks=("seq",)), "LC-Rec": model})
 
     # Fig. 5(a): title generation from index prefixes, two showcase items.
-    rng = np.random.default_rng(0)
+    rng = np.random.default_rng(9)
     for item_id in rng.choice(dataset.num_items, size=2, replace=False):
         study = generate_from_prefixes(model, int(item_id))
         print(f"\nitem {item_id}: true title = {study.true_title!r}")
@@ -45,13 +60,13 @@ def main() -> None:
             print(f"  {prefix:<28} -> {text[:70]}")
 
     # Fig. 6: proportion of generation changes per added level.
-    sample = rng.choice(dataset.num_items, size=min(60, dataset.num_items), replace=False)
-    studies = [generate_from_prefixes(model, int(i)) for i in sample]
+    size = min(scale.max_eval_users, dataset.num_items, 80)
+    sample = np.random.default_rng(17).choice(dataset.num_items, size=size, replace=False)
+    studies = [generate_from_prefixes(model, int(i), max_new_tokens=12) for i in sample]
     changes = count_level_changes(studies)
-    print("\ncontent changes caused by each index level (Fig. 6):")
+    print(f"\ncontent changes caused by each index level (Fig. 6, {changes.total_items} items):")
     for transition, proportion in zip(changes.transitions, changes.change_proportions):
-        bar = "#" * int(proportion * 40)
-        print(f"  level {transition}: {proportion:6.1%} {bar}")
+        print(f"  level {transition}: {proportion:6.1%} {'#' * int(proportion * 40)}")
 
     # Fig. 5(b): related items — index neighbourhood vs text-cosine recall.
     anchor = int(sample[0])

@@ -16,7 +16,7 @@ from repro.core import LCRec, LCRecConfig
 from repro.core.indexer import SemanticIndexerConfig
 from repro.core.tasks import AlignmentTaskConfig
 from repro.data import build_dataset, dataset_statistics, format_table2_row, preset_config
-from repro.eval import evaluate_generative_model
+from repro.eval import evaluate_generative_model_batched
 from repro.llm import PretrainConfig, TuningConfig
 from repro.quantization import RQVAEConfig, RQVAETrainerConfig
 
@@ -55,8 +55,8 @@ def main() -> None:
         print(f"  {rank:2d}. {dataset.catalog[item_id].title}{marker}")
 
     # ...and evaluate full-ranking metrics on a slice of test users.
-    report = evaluate_generative_model(
-        lambda h: model.recommend(h, top_k=10),
+    report = evaluate_generative_model_batched(
+        lambda batch: model.recommend_many(batch, top_k=10),
         dataset.split.test_histories[:100],
         dataset.split.test_targets[:100],
     )

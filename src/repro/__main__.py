@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``info``       — package, configuration and preset overview;
-* ``stats``      — Table II-style statistics for a preset;
+* ``stats``      — Table II: statistics of the three paper presets (or one);
 * ``demo``       — build a miniature LC-Rec and print one recommendation;
 * ``experiment`` — run a config-driven scenario-matrix experiment
   (``experiment run <config.json>``) or list the available
@@ -32,8 +32,13 @@ def _cmd_info(_args) -> int:
 def _cmd_stats(args) -> int:
     from repro.data import build_dataset, dataset_statistics, format_table2_row, preset_config
 
-    dataset = build_dataset(preset_config(args.preset, scale=args.scale))
-    print(format_table2_row(dataset_statistics(dataset)))
+    print(
+        f"{'dataset':<12} {'#users':>8} {'#items':>8} "
+        f"{'#interactions':>13} {'sparsity':>8} {'avg.len':>8}"
+    )
+    for preset in [args.preset] if args.preset else ["instruments", "arts", "games"]:
+        dataset = build_dataset(preset_config(preset, scale=args.scale))
+        print(format_table2_row(dataset_statistics(dataset)))
     return 0
 
 
@@ -121,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("info", help="package overview").set_defaults(func=_cmd_info)
     stats = sub.add_parser("stats", help="dataset statistics (Table II)")
-    stats.add_argument("preset", choices=["instruments", "arts", "games", "tiny"])
+    stats.add_argument("preset", nargs="?", choices=["instruments", "arts", "games", "tiny"])
     stats.add_argument("--scale", type=float, default=1.0)
     stats.set_defaults(func=_cmd_stats)
     demo = sub.add_parser("demo", help="tiny end-to-end demonstration")

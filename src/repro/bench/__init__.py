@@ -1,28 +1,25 @@
-"""Benchmark harness: scaled experiment runners for every table/figure."""
+"""Scale control, model builds and JSON records for the experiment harness."""
 
 from .config import BenchScale, bench_scale, scaled_dataset
 from .runners import (
+    TRADITIONAL_BASELINES,
     baseline_model,
     build_lcrec_model,
-    evaluate_recommender,
-    evaluate_recommender_multi_template,
     lcrec_config_for,
-    run_generative_baseline,
-    run_traditional_baseline,
+    semantic_tiger_index,
+    train_traditional_baseline,
 )
-from .reporting import report, report_json
+from .reporting import report_json
 
 __all__ = [
     "BenchScale",
     "bench_scale",
     "scaled_dataset",
+    "TRADITIONAL_BASELINES",
     "baseline_model",
-    "run_traditional_baseline",
-    "run_generative_baseline",
+    "train_traditional_baseline",
+    "semantic_tiger_index",
     "build_lcrec_model",
     "lcrec_config_for",
-    "evaluate_recommender",
-    "evaluate_recommender_multi_template",
-    "report",
     "report_json",
 ]

@@ -1,13 +1,14 @@
 """Benchmark scale control.
 
-Experiments honour the ``REPRO_SCALE`` environment variable:
+An experiment config names its scale; with none, the ``REPRO_SCALE``
+environment variable selects it:
 
 * ``tiny``  — smoke-test scale (seconds per model; shapes may be noisy);
 * ``small`` — default; minutes per table, paper-shaped results;
 * ``full``  — the presets at full size (slowest, sharpest contrasts).
 
 The paper's absolute dataset sizes (tens of thousands of users) are out of
-reach for a pure-numpy substrate; DESIGN.md documents the scaling.
+reach for a pure-numpy substrate; docs/reproducing.md documents the scaling.
 """
 
 from __future__ import annotations
@@ -46,8 +47,7 @@ def bench_scale(name: str | None = None) -> BenchScale:
     With ``name`` given (e.g. from an :class:`repro.experiments.ExperimentConfig`)
     that scale is returned directly — no environment variable involved, no
     monkeypatching required.  With ``name=None`` the ``REPRO_SCALE``
-    environment variable selects the scale (default ``small``), which is
-    what ad-hoc bench entry points use.
+    environment variable selects the scale (default ``small``).
     """
     source = "scale name"
     if name is None:

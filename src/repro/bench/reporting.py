@@ -1,13 +1,10 @@
-"""Benchmark result reporting: print and persist tables and JSON.
+"""Experiment records: one machine-readable JSON file per harness run.
 
-``pytest`` captures stdout, so every experiment table is also written to
-``benchmarks/results/<name>.txt``; run pytest with ``-s`` to watch tables
-stream live.  The experiment harness (``repro.experiments``) additionally
-persists one machine-readable record per run via :func:`report_json` into
-the repo-root ``benchmark_results/`` directory — an untracked output
-location; CI validates what its harness smoke wrote there and uploads it
-as an artifact.  Comparable serving numbers come from ``perf/run.py``,
-not from these records.
+The experiment harness (``repro.experiments``) persists one record per
+run via :func:`report_json` into the repo-root ``benchmark_results/``
+directory — an untracked output location; CI validates what its harness
+runs wrote there and uploads it as an artifact.  Comparable serving
+numbers come from ``perf/run.py``, not from these records.
 """
 
 from __future__ import annotations
@@ -16,7 +13,7 @@ import json
 import pathlib
 import subprocess
 
-__all__ = ["report", "report_json", "results_dir", "benchmark_results_dir", "git_sha"]
+__all__ = ["report_json", "benchmark_results_dir", "git_sha"]
 
 
 def _repo_root() -> pathlib.Path | None:
@@ -25,13 +22,6 @@ def _repo_root() -> pathlib.Path | None:
         if (parent / "pyproject.toml").exists():
             return parent
     return None
-
-
-def results_dir() -> pathlib.Path:
-    root = _repo_root()
-    target = (root / "benchmarks" / "results") if root else pathlib.Path.cwd() / "benchmark_results"
-    target.mkdir(parents=True, exist_ok=True)
-    return target
 
 
 def benchmark_results_dir() -> pathlib.Path:
@@ -56,14 +46,6 @@ def git_sha() -> str:
     except (OSError, subprocess.TimeoutExpired):
         return "unknown"
     return out.stdout.strip() if out.returncode == 0 else "unknown"
-
-
-def report(name: str, text: str) -> pathlib.Path:
-    """Print ``text`` and persist it under ``benchmarks/results/``."""
-    print(f"\n===== {name} =====\n{text}\n")
-    destination = results_dir() / f"{name}.txt"
-    destination.write_text(text + "\n")
-    return destination
 
 
 def report_json(name: str, config: dict, results) -> pathlib.Path:

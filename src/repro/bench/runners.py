@@ -1,10 +1,13 @@
-"""Model construction and train/eval runners shared by every benchmark."""
+"""Model builds shared by the experiment harness's backends.
+
+Every builder is a pure function of ``(dataset, scale, seed)`` plus the
+build parameters a config names, so two runs of one config train the
+same weights.
+"""
 
 from __future__ import annotations
 
 from typing import Callable
-
-import numpy as np
 
 from ..baselines import (
     BERT4Rec,
@@ -15,35 +18,24 @@ from ..baselines import (
     FMLP,
     GRU4Rec,
     HGN,
-    P5CID,
-    P5CIDConfig,
     S3Rec,
     SASRec,
-    TIGER,
-    TIGERConfig,
 )
 from ..core import LCRec, LCRecConfig
-from ..core.indexer import SemanticIndexerConfig
+from ..core.indexer import SemanticIndexerConfig, build_semantic_index_set
 from ..core.tasks import ALL_TASKS, AlignmentTaskConfig
 from ..data import SequentialDataset
-from ..eval import (
-    MetricReport,
-    evaluate_generative_model_batched,
-    evaluate_score_model,
-)
 from ..llm import LMConfig, PretrainConfig, TuningConfig
-from ..quantization import RQVAEConfig, RQVAETrainerConfig
+from ..quantization import ItemIndexSet, RQVAEConfig, RQVAETrainerConfig
 from .config import BenchScale, bench_scale
 
 __all__ = [
     "baseline_model",
-    "run_traditional_baseline",
-    "run_generative_baseline",
+    "train_traditional_baseline",
+    "semantic_tiger_index",
     "lcrec_config_for",
     "build_lcrec_model",
-    "evaluate_recommender",
     "TRADITIONAL_BASELINES",
-    "GENERATIVE_BASELINES",
 ]
 
 TRADITIONAL_BASELINES = (
@@ -56,7 +48,6 @@ TRADITIONAL_BASELINES = (
     "FDSA",
     "S3-Rec",
 )
-GENERATIVE_BASELINES = ("P5-CID", "TIGER")
 
 _DIM = 48
 
@@ -82,15 +73,10 @@ def baseline_model(name: str, dataset: SequentialDataset, seed: int = 0):
     return factories[name]()
 
 
-def _eval_slice(dataset: SequentialDataset, scale: BenchScale):
-    limit = scale.max_eval_users
-    return (dataset.split.test_histories[:limit], dataset.split.test_targets[:limit])
-
-
-def run_traditional_baseline(
+def train_traditional_baseline(
     name: str, dataset: SequentialDataset, scale: BenchScale | None = None, seed: int = 0
-) -> MetricReport:
-    """Train one ID-based baseline and evaluate it with full ranking."""
+):
+    """Train one ID-based baseline (Table III's budget) and return it."""
     scale = scale or bench_scale()
     model = baseline_model(name, dataset, seed=seed)
     trainer = BaselineTrainer(
@@ -99,43 +85,26 @@ def run_traditional_baseline(
     if name == "S3-Rec":
         model.pretrain(dataset)
     trainer.fit(model, dataset)
-    histories, targets = _eval_slice(dataset, scale)
-    return evaluate_score_model(model, histories, targets)
+    return model
 
 
-def run_generative_baseline(
-    name: str, dataset: SequentialDataset, scale: BenchScale | None = None, seed: int = 0
-) -> MetricReport:
-    """Train TIGER or P5-CID and evaluate with constrained beam search."""
-    scale = scale or bench_scale()
-    if name == "TIGER":
-        # TIGER's semantic IDs: RQ-VAE over LLM text embeddings with the
-        # extra-level dedup (its original conflict handling, no USM).
-        lcrec = LCRec(dataset, lcrec_config_for(dataset, scale, seed=seed))
-        lcrec.build_vocabulary()
-        lcrec.build_language_model()
-        lcrec.build_item_embeddings()
-        config = lcrec.config.indexer
-        config.strategy = "extra_level"
-        config.rqvae.input_dim = lcrec.item_embeddings.shape[1]
-        from ..core.indexer import build_semantic_index_set
+def semantic_tiger_index(
+    dataset: SequentialDataset, scale: BenchScale | None = None, seed: int = 0
+) -> ItemIndexSet:
+    """TIGER's Table III semantic IDs.
 
-        index_set, _, _ = build_semantic_index_set(lcrec.item_embeddings, config)
-        model = TIGER(index_set, TIGERConfig(dim=_DIM, epochs=scale.epochs(30), seed=seed))
-        model.fit(dataset)
-    elif name == "P5-CID":
-        model = P5CID(dataset, P5CIDConfig(dim=_DIM, epochs=scale.epochs(30), seed=seed))
-        model.fit(dataset)
-    else:
-        raise KeyError(f"unknown generative baseline {name!r}")
-
-    histories, targets = _eval_slice(dataset, scale)
-    # Both generative baselines decode through their serving-engine
-    # adapters (TIGEREngine / P5CIDEngine): whole evaluation chunks
-    # share one beam-expansion forward per trie level.
-    return evaluate_generative_model_batched(
-        lambda chunk: model.recommend_many(chunk, top_k=10), histories, targets
-    )
+    An RQ-VAE over the pretrained LM's item text embeddings, with the
+    extra-level dedup (TIGER's own conflict handling, no USM).
+    """
+    lcrec = LCRec(dataset, lcrec_config_for(dataset, scale, seed=seed))
+    lcrec.build_vocabulary()
+    lcrec.build_language_model()
+    lcrec.build_item_embeddings()
+    config = lcrec.config.indexer
+    config.strategy = "extra_level"
+    config.rqvae.input_dim = lcrec.item_embeddings.shape[1]
+    index_set, _, _ = build_semantic_index_set(lcrec.item_embeddings, config)
+    return index_set
 
 
 def lcrec_config_for(
@@ -191,47 +160,3 @@ def build_lcrec_model(
         seed=seed,
     )
     return LCRec(dataset, config).build()
-
-
-def evaluate_recommender(
-    model: LCRec,
-    dataset: SequentialDataset,
-    scale: BenchScale | None = None,
-    template_id: int = 0,
-    batch_size: int = 16,
-) -> MetricReport:
-    """Full-ranking leave-one-out evaluation of an LC-Rec model.
-
-    Users are decoded through the batched serving engine ``batch_size`` at
-    a time (rankings are identical to per-user decoding).
-    """
-    scale = scale or bench_scale()
-    histories, targets = _eval_slice(dataset, scale)
-
-    def recommend_batch(batch):
-        return model.recommend_many(batch, top_k=10, template_id=template_id)
-
-    return evaluate_generative_model_batched(
-        recommend_batch, histories, targets, batch_size=batch_size
-    )
-
-
-def evaluate_recommender_multi_template(
-    model: LCRec,
-    dataset: SequentialDataset,
-    scale: BenchScale | None = None,
-    template_ids: tuple[int, ...] = (0, 1, 2),
-) -> MetricReport:
-    """Average metrics over several instruction templates.
-
-    This is the paper's exact Table III protocol: "The performance for our
-    LC-Rec is average results from multiple instruction templates" — each
-    template is evaluated independently and the metric values are averaged
-    (no ensembling of rankings).
-    """
-    if not template_ids:
-        raise ValueError("need at least one template id")
-    reports = [evaluate_recommender(model, dataset, scale, template_id=t) for t in template_ids]
-    keys = reports[0].values.keys()
-    averaged = {key: float(np.mean([report[key] for report in reports])) for key in keys}
-    return MetricReport(averaged)

@@ -16,7 +16,6 @@ from .negatives import (
     pairwise_choice_accuracy,
 )
 from .ranking import (
-    evaluate_generative_model,
     evaluate_generative_model_batched,
     evaluate_score_model,
     rankings_from_scores,
@@ -28,7 +27,6 @@ __all__ = [
     "ndcg_at_k",
     "rank_of_target",
     "evaluate_score_model",
-    "evaluate_generative_model",
     "evaluate_generative_model_batched",
     "rankings_from_scores",
     "NegativeSample",

@@ -4,8 +4,9 @@ Two model families are supported:
 
 * **score models** (all traditional baselines) expose ``score_all`` which
   returns a score per item; ranking is a sort.
-* **generative models** (LC-Rec, TIGER, P5-CID) expose a ``recommend``
-  callable producing a ranked item list via constrained beam search.
+* **generative models** (LC-Rec, TIGER, P5-CID) expose a batched
+  ``recommend_many`` producing ranked item lists via constrained beam
+  search.
 
 No sampled negatives: ranking is always against all items, as the paper
 stresses ("full ranking evaluation over the entire item set").
@@ -22,7 +23,6 @@ from .metrics import MetricReport
 __all__ = [
     "ScoreModel",
     "evaluate_score_model",
-    "evaluate_generative_model",
     "evaluate_generative_model_batched",
     "rankings_from_scores",
 ]
@@ -65,17 +65,6 @@ def evaluate_score_model(
     return MetricReport.from_rankings(rankings, list(targets), ks=ks)
 
 
-def evaluate_generative_model(
-    recommend: Callable[[Sequence[int]], list[int]],
-    histories: Sequence[Sequence[int]],
-    targets: Sequence[int],
-    ks: tuple[int, ...] = (1, 5, 10),
-) -> MetricReport:
-    """Evaluate a beam-search recommender (one call per user)."""
-    rankings = [list(recommend(list(history))) for history in histories]
-    return MetricReport.from_rankings(rankings, list(targets), ks=ks)
-
-
 def evaluate_generative_model_batched(
     recommend_batch: Callable[[Sequence[Sequence[int]]], list[list[int]]],
     histories: Sequence[Sequence[int]],
@@ -88,7 +77,8 @@ def evaluate_generative_model_batched(
     ``recommend_batch`` maps a list of histories to one ranking per history
     (e.g. ``LCRec.recommend_many``); users are decoded ``batch_size`` at a
     time so evaluation cost amortizes across the batch exactly as serving
-    traffic does.  Metrics are identical to the per-user evaluator.
+    traffic does.  Rankings, and so metrics, are identical to decoding one
+    user at a time.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be positive")

@@ -161,10 +161,12 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class BackendSpec:
-    """One backend column: a registered name plus builder overrides
-    (currently ``epochs``, forwarded to the backend's trainer)."""
+    """One backend column: a registered name, the ``label`` that names it
+    in records (defaults to ``name``; build variants of one backend share
+    a config under distinct labels) and its build parameters."""
 
     name: str
+    label: str
     params: dict = field(default_factory=dict)
 
     @classmethod
@@ -176,14 +178,18 @@ class BackendSpec:
         if "name" not in raw:
             raise ExperimentConfigError(f"{where} is missing 'name'")
         name = _require_type(raw["name"], str, f"{where}.name").lower()
-        params = {key: value for key, value in raw.items() if key != "name"}
+        label = _require_type(raw.get("label", name), str, f"{where}.label")
+        if not label:
+            raise ExperimentConfigError(f"{where}.label must be non-empty")
+        params = {key: value for key, value in raw.items() if key not in ("name", "label")}
         from .runner import validate_backend  # late: avoids an import cycle
 
         validate_backend(name, params, where)
-        return cls(name=name, params=params)
+        return cls(name=name, label=label, params=params)
 
     def to_dict(self) -> dict:
-        return {"name": self.name, **self.params}
+        label = {"label": self.label} if self.label != self.name else {}
+        return {"name": self.name, **label, **self.params}
 
 
 _TOP_LEVEL_KEYS = {
@@ -207,9 +213,9 @@ class ExperimentConfig:
 
     ``scale`` selects the :class:`repro.bench.BenchScale` by name
     (``tiny``/``small``/``full``); ``None`` falls back to the
-    ``REPRO_SCALE`` environment variable exactly like ``benchmarks/``
-    — but a config that pins ``scale`` is self-contained and needs no
-    environment setup (and no monkeypatching in tests).
+    ``REPRO_SCALE`` environment variable — but a config that pins
+    ``scale`` is self-contained and needs no environment setup (and no
+    monkeypatching in tests).
     """
 
     name: str
@@ -250,8 +256,10 @@ class ExperimentConfig:
         )
         if not backends:
             raise ExperimentConfigError("backends must name at least one backend")
-        if len({spec.name for spec in backends}) != len(backends):
-            raise ExperimentConfigError("backend names must be unique")
+        if len({spec.label for spec in backends}) != len(backends):
+            raise ExperimentConfigError(
+                "backend labels must be unique; give repeated names an explicit 'label'"
+            )
         scenarios = tuple(
             ScenarioSpec.from_raw(entry, index)
             for index, entry in enumerate(
@@ -286,19 +294,27 @@ class ExperimentConfig:
             from ..bench import bench_scale
 
             scale = _require_type(scale, str, "scale").lower()
-            bench_scale(scale)  # raises KeyError on unknown names
+            try:
+                bench_scale(scale)
+            except KeyError as exc:
+                raise ExperimentConfigError(exc.args[0]) from None
+        preset = _require_type(raw.get("preset", cls.preset), str, "preset")
+        from ..data import PRESETS
+
+        if preset not in PRESETS:
+            raise ExperimentConfigError(f"unknown preset {preset!r}; one of {sorted(PRESETS)}")
         config = cls(
             name=name,
             backends=backends,
             scenarios=scenarios,
             seed=_require_type(raw.get("seed", cls.seed), int, "seed"),
-            preset=_require_type(raw.get("preset", cls.preset), str, "preset"),
+            preset=preset,
             scale=scale,
             metrics=metrics,
             cutoffs=cutoffs,
             top_k=_require_type(raw.get("top_k", cls.top_k), int, "top_k"),
             num_workers=_require_type(raw.get("num_workers", cls.num_workers), int, "num_workers"),
-            run_id=raw.get("run_id"),
+            run_id=_require_type(raw.get("run_id"), (str, type(None)), "run_id"),
         )
         if config.top_k < 1:
             raise ExperimentConfigError(f"top_k must be positive, got {config.top_k}")
@@ -348,10 +364,10 @@ class ExperimentConfig:
 
 
 def cell_name(scenario: ScenarioSpec | str, backend: BackendSpec | str) -> str:
-    """The canonical ``<scenario>x<backend>`` cell id used in records."""
+    """The canonical ``<scenario label>x<backend label>`` cell id used in records."""
     scenario_label = scenario if isinstance(scenario, str) else scenario.label
-    backend_name = backend if isinstance(backend, str) else backend.name
-    return f"{scenario_label}x{backend_name}"
+    backend_label = backend if isinstance(backend, str) else backend.label
+    return f"{scenario_label}x{backend_label}"
 
 
 def ordered_cells(

@@ -8,7 +8,9 @@ replays the scenario's deterministic event plan through the one
 :class:`repro.serving.RecommendationClient` surface, and distils the
 outcome into one schema'd record: admission counters (served / shed /
 degraded / cold-start), quality metrics over the held-out targets the
-plan carried, scenario-specific extras and expectation outcomes.  No
+plan carried, scenario-specific extras and expectation outcomes.  An ID
+baseline has no engine: its ``steady_state`` cells rank every submit
+offline through ``score_all`` (``client: "score_all"``).  No
 record holds a wall-clock number: serving time is measured by the
 serving ledger (``perf/run.py``), not here.
 
@@ -30,10 +32,19 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..bench import bench_scale, report_json, scaled_dataset
-from ..bench.runners import build_lcrec_model
+from ..bench import (
+    TRADITIONAL_BASELINES,
+    bench_scale,
+    build_lcrec_model,
+    report_json,
+    scaled_dataset,
+    semantic_tiger_index,
+    train_traditional_baseline,
+)
+from ..core.tasks import ALL_TASKS
 from ..eval.metrics import hit_ratio_at_k, ndcg_at_k
 from ..eval.popularity import item_popularity
+from ..eval.ranking import rankings_from_scores
 from ..serving import (
     LCRecEngine,
     Overloaded,
@@ -77,11 +88,28 @@ class ExperimentError(RuntimeError):
 # ----------------------------------------------------------------------
 # Backends
 # ----------------------------------------------------------------------
-# Parameter name → expected type.  ``epochs``/``dim`` reach the model builder.
-_BACKEND_PARAMS = {
-    "lcrec": {},
-    "tiger": {"epochs": int, "dim": int},
+# Parameter name → ``int`` or the allowed values (``tasks``: a non-empty
+# list of distinct ones).  ``epochs``/``dim`` reach the model builder.
+_ENGINE_BACKENDS = {
+    "lcrec": {
+        "tasks": ALL_TASKS,
+        "index_source": ("semantic", "vanilla", "random"),
+        "indexing_strategy": ("usm", "extra_level"),
+    },
+    "tiger": {"epochs": int, "dim": int, "index_source": ("random", "semantic")},
     "p5cid": {"epochs": int, "dim": int},
+}
+# The ID baselines of Table III, by lower-cased paper name.  They rank
+# offline through ``score_all``, so only ``steady_state`` cells run them.
+_SCORE_BACKENDS = {name.lower(): name for name in TRADITIONAL_BASELINES}
+_BACKEND_PARAMS = {**_ENGINE_BACKENDS, **{name: {} for name in _SCORE_BACKENDS}}
+
+# Requirement → what the unsupported-cell reason says the backend lacks.
+_REQUIREMENTS = {
+    "engine": "a serving engine",
+    "rqvae": "an RQ-VAE-indexed backend",
+    "language": "intention/instruction encoding",
+    "templates": "several prompt templates",
 }
 
 
@@ -103,9 +131,21 @@ def validate_backend(name: str, params: Mapping, where: str) -> None:
         )
     for key, value in params.items():
         expected = allowed[key]
-        if expected is int and (not isinstance(value, int) or isinstance(value, bool)):
+        if expected is int:
+            valid, wanted = isinstance(value, int) and not isinstance(value, bool), "an int"
+        elif key == "tasks":
+            valid = (
+                isinstance(value, list)
+                and bool(value)
+                and len(set(map(str, value))) == len(value)
+                and all(task in expected for task in value)
+            )
+            wanted = f"a non-empty list of distinct tasks from {list(expected)}"
+        else:
+            valid, wanted = value in expected, f"one of {list(expected)}"
+        if not valid:
             raise ExperimentConfigError(
-                f"{where}: parameter {key!r} must be an int, got {value!r}"
+                f"{where}: parameter {key!r} must be {wanted}, got {value!r}"
             )
 
 
@@ -138,10 +178,22 @@ class _BackendRuntime:
     """One built backend: model + engine/fallback factories."""
 
     name: str
+    label: str
     model: object
     dataset: object
-    supports_language: bool
     _fallback: object = field(default=None, repr=False)
+
+    @property
+    def capabilities(self) -> set[str]:
+        """The plan requirements this backend meets (see ``_REQUIREMENTS``)."""
+        if self.name in _SCORE_BACKENDS:
+            return set()
+        offered = {"engine"}
+        if getattr(self.model, "rqvae", None) is not None:
+            offered.add("rqvae")
+        if self.name == "lcrec":
+            offered |= {"language", "templates"}
+        return offered
 
     def make_engine(self, prefix_cache: bool):
         cache = PrefixKVCache(max_entries=_CACHE_ENTRIES) if prefix_cache else None
@@ -161,49 +213,53 @@ class _BackendRuntime:
                 self._fallback = PopularityFallback(self.dataset)
         return self._fallback
 
-    @property
-    def has_rqvae(self) -> bool:
-        return getattr(self.model, "rqvae", None) is not None
-
 
 def _build_backend(spec, dataset, scale, seed: int, model=None) -> _BackendRuntime:
     if model is None:
+        params = spec.params
         if spec.name == "lcrec":
-            model = build_lcrec_model(dataset, scale, tasks=("seq",), seed=seed)
+            model = build_lcrec_model(
+                dataset,
+                scale,
+                tasks=tuple(params.get("tasks", ("seq",))),
+                index_source=params.get("index_source", "semantic"),
+                indexing_strategy=params.get("indexing_strategy", "usm"),
+                seed=seed,
+            )
         elif spec.name == "tiger":
             from ..baselines.tiger import TIGER, TIGERConfig
             from ..core import build_random_index_set
 
-            index_set = build_random_index_set(
-                dataset.num_items, 3, 8, np.random.default_rng(seed)
-            )
+            if params.get("index_source", "random") == "semantic":
+                index_set = semantic_tiger_index(dataset, scale, seed=seed)
+            else:
+                index_set = build_random_index_set(
+                    dataset.num_items, 3, 8, np.random.default_rng(seed)
+                )
             model = TIGER(
                 index_set,
                 TIGERConfig(
-                    dim=spec.params.get("dim", 48),
-                    epochs=spec.params.get("epochs", scale.epochs(6, minimum=2)),
+                    dim=params.get("dim", 48),
+                    epochs=params.get("epochs", scale.epochs(6, minimum=2)),
                     seed=seed,
                 ),
             )
             model.fit(dataset)
-        else:  # p5cid — spec names are validated at config load
+        elif spec.name == "p5cid":
             from ..baselines.p5cid import P5CID, P5CIDConfig
 
             model = P5CID(
                 dataset,
                 P5CIDConfig(
-                    dim=spec.params.get("dim", 48),
-                    epochs=spec.params.get("epochs", scale.epochs(6, minimum=2)),
+                    dim=params.get("dim", 48),
+                    epochs=params.get("epochs", scale.epochs(6, minimum=2)),
                     seed=seed,
                 ),
             )
             model.fit(dataset)
-    return _BackendRuntime(
-        name=spec.name,
-        model=model,
-        dataset=dataset,
-        supports_language=spec.name == "lcrec",
-    )
+        else:  # an ID baseline — spec names are validated at config load
+            model = train_traditional_baseline(_SCORE_BACKENDS[spec.name], dataset, scale, seed)
+    return _BackendRuntime(name=spec.name, label=spec.label, model=model, dataset=dataset)
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +268,7 @@ def _build_backend(spec, dataset, scale, seed: int, model=None) -> _BackendRunti
 class ExperimentRunner:
     """Execute one :class:`ExperimentConfig` and emit its JSON record.
 
-    ``dataset`` and ``models`` (backend name → already-built model)
+    ``dataset`` and ``models`` (backend label → already-built model)
     inject pre-built state — tests reuse session fixtures instead of
     retraining, and the records stay honest because builders are pure
     functions of (config, seed) anyway.  ``write=False`` skips the
@@ -237,15 +293,15 @@ class ExperimentRunner:
 
     # -- backends ------------------------------------------------------
     def _runtime(self, spec) -> _BackendRuntime:
-        if spec.name not in self._runtimes:
-            self._runtimes[spec.name] = _build_backend(
+        if spec.label not in self._runtimes:
+            self._runtimes[spec.label] = _build_backend(
                 spec,
                 self.dataset,
                 self.scale,
                 self.config.seed,
-                model=self._injected.get(spec.name),
+                model=self._injected.get(spec.label),
             )
-        return self._runtimes[spec.name]
+        return self._runtimes[spec.label]
 
     # -- cell plumbing -------------------------------------------------
     def _fleet_order(self, plan: ScenarioPlan, cell_runtime):
@@ -253,7 +309,9 @@ class ExperimentRunner:
         if plan.kind != "mixed_fleet":
             return [cell_runtime]
         others = [
-            self._runtime(spec) for spec in self.config.backends if spec.name != cell_runtime.name
+            self._runtime(spec)
+            for spec in self.config.backends
+            if spec.label != cell_runtime.label and spec.name in _ENGINE_BACKENDS
         ]
         return [cell_runtime] + (others or [cell_runtime])
 
@@ -288,7 +346,7 @@ class ExperimentRunner:
                 fallback=fallback,
             )
             if plan.kind == "mixed_fleet":
-                context["fleet"] = [fleet[worker % len(fleet)].name for worker in range(workers)]
+                context["fleet"] = [fleet[worker % len(fleet)].label for worker in range(workers)]
         return client, context
 
     # -- event replay --------------------------------------------------
@@ -336,8 +394,19 @@ class ExperimentRunner:
         return client.submit(
             list(event.history),
             top_k=self.config.top_k,
+            template_id=event.template_id,
             session_key=event.session,
         )
+
+    def _rank_offline(self, plan: ScenarioPlan, model) -> list[dict]:
+        """A score model's outcomes: every submit ranked by ``score_all``."""
+        events = [event for event in plan.events if isinstance(event, SubmitEvent)]
+        scores = model.score_all([list(event.history) for event in events])
+        rankings = rankings_from_scores(scores, self.config.top_k)
+        return [
+            {"event": event, "ranking": ranking, "degraded_reason": None}
+            for event, ranking in zip(events, rankings)
+        ]
 
     # -- metrics -------------------------------------------------------
     def _quality(self, outcomes: list[dict]) -> dict:
@@ -386,26 +455,25 @@ class ExperimentRunner:
             "name": cell_name(spec, backend_spec),
             "scenario": spec.label,
             "scenario_kind": spec.kind,
-            "backend": backend_spec.name,
+            "backend": backend_spec.label,
             "seed": self.config.seed,
         }
-        if "rqvae" in plan.requires and not runtime.has_rqvae:
+        missing = [need for need in plan.requires if need not in runtime.capabilities]
+        if missing:
             return {
                 **base,
                 "supported": False,
-                "reason": f"{spec.kind} needs an RQ-VAE-indexed backend, "
-                f"{backend_spec.name} has none",
-            }
-        if "language" in plan.requires and not runtime.supports_language:
-            return {
-                **base,
-                "supported": False,
-                "reason": f"{spec.kind} needs intention/instruction encoding, "
-                f"{backend_spec.name} has none",
+                "reason": f"{spec.kind} needs {_REQUIREMENTS[missing[0]]}, "
+                f"{backend_spec.label} has none",
             }
 
-        client, context = self._build_client(plan, runtime)
-        outcomes = self._replay(plan, client, rng)
+        if runtime.name in _SCORE_BACKENDS:
+            client, context, client_kind = None, {}, "score_all"
+            outcomes = self._rank_offline(plan, runtime.model)
+        else:
+            client, context = self._build_client(plan, runtime)
+            client_kind = plan.client
+            outcomes = self._replay(plan, client, rng)
 
         served = sum(1 for o in outcomes if o["ranking"] is not None)
         shed = sum(1 for o in outcomes if o["ranking"] is None)
@@ -420,8 +488,8 @@ class ExperimentRunner:
         record = {
             **base,
             "supported": True,
-            "client": plan.client,
-            "num_workers": plan.num_workers if plan.client == "cluster" else 1,
+            "client": client_kind,
+            "num_workers": plan.num_workers if client_kind == "cluster" else 1,
             "requests": len(outcomes),
             "served": served,
             "shed": shed,

@@ -19,8 +19,12 @@ serving ledger (``perf/run.py``) is where serving time is measured.
 Scenario kinds and their parameters (defaults in parentheses):
 
 ``steady_state``
-    Round-robin over held-out users with full histories.  ``requests``
-    (24).
+    The first ``requests`` (24) held-out users with full histories, each
+    once per prompt template ``0 .. templates - 1`` (``templates`` 1) —
+    fewer users when the scale's evaluation slice is smaller.  It is the
+    one scenario an offline score model (the ID baselines) can rank, and
+    the paper tables' cell: ``templates: 3`` is Table III's
+    template-averaged protocol (LC-Rec only).
 ``cold_start``
     Histories truncated to ``prefix_len`` (2) items, every
     ``1/empty_fraction`` (0.25) request fully emptied — the cluster's
@@ -88,16 +92,18 @@ class SubmitEvent:
     """One recommendation request: who asks, with what history, and the
     held-out target (``None`` when the request has no quality label).
 
-    ``kind`` selects the client surface: ``"seq"`` submits the history,
-    ``"intention"``/``"instruction"`` submit ``text`` through
-    ``submit_intention``/``submit_instruction`` (language engines only —
-    the plan carries ``requires=("language",)`` in that case)."""
+    ``kind`` selects the client surface: ``"seq"`` submits the history
+    under prompt template ``template_id``, ``"intention"``/``"instruction"``
+    submit ``text`` through ``submit_intention``/``submit_instruction``
+    (language engines only — the plan carries ``requires=("language",)``
+    in that case)."""
 
     session: str
     history: tuple[int, ...]
     target: int | None
     kind: str = "seq"
     text: str | None = None
+    template_id: int = 0
 
 
 @dataclass(frozen=True)
@@ -129,7 +135,11 @@ class ScenarioPlan:
     max_backlog: int | None = None
     use_fallback: bool = False
     prefix_cache: bool = False
-    requires: tuple[str, ...] = ()
+    # What a backend must offer to run the plan; a backend that lacks one
+    # gets a ``supported: false`` record.  Plans need a serving engine
+    # unless they say otherwise: ``steady_state`` needs none, so an
+    # offline score model can rank it.
+    requires: tuple[str, ...] = ("engine",)
     extra: dict = field(default_factory=dict)
 
     @property
@@ -163,17 +173,19 @@ def _param(spec: "ScenarioSpec", key: str):
 # Generators
 # ----------------------------------------------------------------------
 def _plan_steady_state(dataset, scale, config, spec) -> ScenarioPlan:
-    pairs = _eval_pairs(dataset, scale)
-    requests = _param(spec, "requests")
+    pairs = _eval_pairs(dataset, scale)[: _param(spec, "requests")]
+    templates = _param(spec, "templates")
     events = tuple(
-        SubmitEvent(f"user:{i % len(pairs)}", *pairs[i % len(pairs)])
-        for i in range(requests)
+        SubmitEvent(f"user:{i}", *pair, template_id=template)
+        for template in range(templates)
+        for i, pair in enumerate(pairs)
     ) + (BarrierEvent(),)
     return ScenarioPlan(
         kind=spec.kind,
         label=spec.label,
         events=events,
         num_workers=config.num_workers,
+        requires=("templates",) if templates > 1 else (),
     )
 
 
@@ -370,13 +382,12 @@ def _plan_mixed_fleet(dataset, scale, config, spec) -> ScenarioPlan:
         label=spec.label,
         events=events,
         num_workers=fleet,
-        requires=("fleet",),
         extra={"fleet_size": fleet},
     )
 
 
 _SCENARIOS = {
-    "steady_state": (_plan_steady_state, {"requests": 24}),
+    "steady_state": (_plan_steady_state, {"requests": 24, "templates": 1}),
     "cold_start": (
         _plan_cold_start,
         {"requests": 24, "prefix_len": 2, "empty_fraction": 0.25},

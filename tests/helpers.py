@@ -1,4 +1,5 @@
-"""Shared test utilities (configs, one-shot decoding, numerical gradient checking).
+"""Shared test utilities (configs, one-shot decoding, offline evaluation,
+numerical gradient checking).
 
 Imported absolutely (``from helpers import ...``): the tests directory is
 not a package, so relative imports do not resolve here.
@@ -13,6 +14,7 @@ import numpy as np
 from repro.core import LCRecConfig
 from repro.core.indexer import SemanticIndexerConfig
 from repro.core.tasks import AlignmentTaskConfig
+from repro.eval import MetricReport, evaluate_generative_model_batched
 from repro.llm import PretrainConfig, TuningConfig, decode_finish, decode_prefill, decode_step
 from repro.quantization import RQVAEConfig, RQVAETrainerConfig
 from repro.tensor import Tensor
@@ -47,6 +49,33 @@ def decode_prompts(model, prompts, trie, beam_size=20, pad_id=0, prefix_cache=No
     while not state.done:
         decode_step(state)
     return decode_finish(state)
+
+
+def evaluate_recommender(model, dataset, scale, template_id=0, batch_size=16) -> MetricReport:
+    """Offline leave-one-out HR/NDCG of an LC-Rec over the scale's
+    evaluation slice, decoded ``batch_size`` users at a time: the
+    reference a harness ``steady_state`` cell is checked against."""
+    limit = scale.max_eval_users
+    return evaluate_generative_model_batched(
+        lambda batch: model.recommend_many(batch, top_k=10, template_id=template_id),
+        dataset.split.test_histories[:limit],
+        dataset.split.test_targets[:limit],
+        batch_size=batch_size,
+    )
+
+
+def evaluate_recommender_multi_template(
+    model, dataset, scale, template_ids=(0, 1, 2)
+) -> MetricReport:
+    """The paper's Table III protocol ("average results from multiple
+    instruction templates"): each template evaluated on its own, the
+    metric values averaged (no ensembling of rankings)."""
+    if not template_ids:
+        raise ValueError("need at least one template id")
+    reports = [evaluate_recommender(model, dataset, scale, template_id=t) for t in template_ids]
+    return MetricReport(
+        {key: float(np.mean([r[key] for r in reports])) for key in reports[0].values}
+    )
 
 
 def numeric_grad(fn: Callable[[np.ndarray], float], x: np.ndarray,

@@ -1,20 +1,29 @@
-"""Tests for the benchmark harness (scales, reporting, Table V choosers)."""
+"""Tests for benchmark scales, the paths docs name, and the Table V
+choosers of ``examples/games_analyses.py``."""
 
+import importlib.util
 import pathlib
 import re
 
 import numpy as np
 import pytest
 
-from repro.bench import bench_scale, report, scaled_dataset
+from repro.bench import bench_scale, scaled_dataset
 from repro.bench.config import BenchScale
-from repro.bench.reporting import results_dir
-from repro.bench.table5 import (
-    lcrec_index_chooser,
-    lcrec_title_chooser,
-    pretrained_lm_chooser,
-    score_model_chooser,
-)
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _games_analyses():
+    spec = importlib.util.spec_from_file_location(
+        "games_analyses", ROOT / "examples" / "games_analyses.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+analyses = _games_analyses()
 
 
 class TestScales:
@@ -45,27 +54,16 @@ class TestScales:
         assert tiny.num_users < small.num_users
 
 
-class TestReporting:
-    def test_report_writes_file(self):
-        path = report("unit_test_report", "hello table")
-        assert path.read_text() == "hello table\n"
-        path.unlink()
-
-    def test_results_dir_under_repo(self):
-        directory = results_dir()
-        assert directory.name == "results"
-        assert directory.exists()
-
-
 def test_doc_paths_exist():
-    """Every bench script, experiment config and ledger module that docs,
-    CI, the verify skill or a ``src/`` docstring names is in the tree."""
-    root = pathlib.Path(__file__).resolve().parents[1]
+    """Every example script, experiment config and ledger module that docs,
+    CI, the verify skill or a ``src/`` docstring names is in the tree, and
+    none of them names a ``bench_*.py`` script (``benchmarks/`` is gone)."""
+    root = ROOT
     sources = [root / "README.md", root / ".github/workflows/ci.yml"]
     sources += [root / ".claude/skills/verify/SKILL.md", *root.glob("docs/*.md")]
     sources += root.glob("src/**/*.py")
     named = re.compile(
-        r"(?:benchmarks/)?(bench_\w+\.py)|(examples/experiments/\w+\.\w+)|(perf/[\w/]+\.py)"
+        r"(?:benchmarks/)?(bench_\w+\.py)|(examples/[\w/]+\.\w+)|(perf/[\w/]+\.py)"
     )
     missing = set()
     for source in filter(pathlib.Path.exists, sources):
@@ -85,12 +83,12 @@ class FakeScoreModel:
 
 class TestChoosers:
     def test_score_model_chooser(self):
-        choose = score_model_chooser(FakeScoreModel())
+        choose = analyses.score_model_chooser(FakeScoreModel())
         assert choose([0], 3, 7) == 7
         assert choose([0], 8, 2) == 8
 
     def test_lcrec_index_chooser_consistent(self, tiny_lcrec, tiny_dataset):
-        choose = lcrec_index_chooser(tiny_lcrec)
+        choose = analyses.lcrec_index_chooser(tiny_lcrec)
         history = tiny_dataset.split.test_histories[0]
         first = choose(history, 1, 2)
         second = choose(history, 2, 1)  # order-invariant up to ties
@@ -99,13 +97,13 @@ class TestChoosers:
 
     def test_lcrec_title_chooser_returns_candidate(self, tiny_lcrec,
                                                    tiny_dataset):
-        choose = lcrec_title_chooser(tiny_lcrec)
+        choose = analyses.lcrec_title_chooser(tiny_lcrec)
         history = tiny_dataset.split.test_histories[0]
         assert choose(history, 3, 5) in (3, 5)
 
     def test_pretrained_lm_chooser(self, tiny_lcrec, tiny_dataset):
         lm = tiny_lcrec.pretrained_lm()
-        choose = pretrained_lm_chooser(lm, tiny_lcrec.tokenizer,
+        choose = analyses.pretrained_lm_chooser(lm, tiny_lcrec.tokenizer,
                                        tiny_dataset.catalog)
         history = tiny_dataset.split.test_histories[0]
         assert choose(history, 0, 4) in (0, 4)

@@ -18,6 +18,12 @@ class TestCLI:
         assert "tiny" in out
         assert "%" in out
 
+    def test_stats_prints_table2(self, capsys):
+        assert main(["stats", "--scale", "0.15"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0].split()[:3] == ["dataset", "#users", "#items"]
+        assert [row.split()[0] for row in rows[1:]] == ["instruments", "arts", "games"]
+
     def test_stats_scale(self, capsys):
         assert main(["stats", "tiny", "--scale", "0.5"]) == 0
 

@@ -13,6 +13,7 @@ from repro.data import (
     pad_sequences,
     preset_config,
 )
+from repro.bench import bench_scale, scaled_dataset
 from repro.data.intentions import intention_template_texts
 
 
@@ -85,6 +86,18 @@ class TestStatistics:
         row = format_table2_row(dataset_statistics(tiny_dataset))
         assert "tiny" in row
         assert "%" in row
+
+    def test_table2_shape_at_small_scale(self):
+        """Table II's shape: sparse (> 90 %), 5-15 interactions per user,
+        Games at least as many users as Instruments."""
+        stats = {
+            preset: dataset_statistics(scaled_dataset(preset, bench_scale("small")))
+            for preset in ("instruments", "arts", "games")
+        }
+        for stat in stats.values():
+            assert stat.sparsity > 0.90
+            assert 5.0 <= stat.avg_length <= 15.0
+        assert stats["games"].num_users >= stats["instruments"].num_users
 
 
 class TestIntentions:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.eval import (
     MetricReport,
-    evaluate_generative_model,
+    evaluate_generative_model_batched,
     evaluate_score_model,
     hit_ratio_at_k,
     ndcg_at_k,
@@ -114,9 +114,14 @@ class TestEvaluators:
         assert model.calls == 3
 
     def test_evaluate_generative_model(self):
-        def recommend(history):
-            return [history[0], 99]
+        calls = []
 
-        report = evaluate_generative_model(recommend, [[4], [7]], [4, 99],
-                                           ks=(1,))
-        assert report["HR@1"] == 0.5
+        def recommend_batch(histories):
+            calls.append(len(histories))
+            return [[history[0], 99] for history in histories]
+
+        report = evaluate_generative_model_batched(
+            recommend_batch, [[4], [7], [5]], [4, 99, 1], ks=(1,), batch_size=2
+        )
+        assert report["HR@1"] == pytest.approx(1 / 3)
+        assert calls == [2, 1]

@@ -205,8 +205,59 @@ class TestConfigValidation:
             ExperimentConfig.from_dict(raw)
 
     def test_unknown_scale_rejected(self):
-        with pytest.raises(KeyError, match="scale name"):
+        with pytest.raises(ExperimentConfigError, match="scale name"):
             minimal_config(scale="huge")
+
+    def test_unknown_preset_rejected(self):
+        with pytest.raises(ExperimentConfigError, match="unknown preset 'nope'"):
+            minimal_config(preset="nope")
+
+    def test_run_id_must_be_a_string(self):
+        assert minimal_config(run_id="nightly").run_id == "nightly"
+        for run_id in (3, ["a"], {"id": 1}):
+            with pytest.raises(ExperimentConfigError, match="run_id"):
+                minimal_config(run_id=run_id)
+
+    def test_cli_exits_2_on_unknown_scale(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**MATRIX_RAW, "scale": "huge"}))
+        assert main(["experiment", "run", str(path), "--no-write"]) == 2
+        assert "scale name" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "backend, fragment",
+        [
+            ({"name": "lcrec", "tasks": ["seq", "nope"]}, "distinct tasks"),
+            ({"name": "lcrec", "tasks": []}, "distinct tasks"),
+            ({"name": "lcrec", "tasks": ["seq", "seq"]}, "distinct tasks"),
+            ({"name": "lcrec", "tasks": "seq"}, "distinct tasks"),
+            ({"name": "lcrec", "index_source": "hashed"}, "one of"),
+            ({"name": "lcrec", "indexing_strategy": "raw"}, "one of"),
+            ({"name": "tiger", "index_source": "vanilla"}, "one of"),
+            ({"name": "sasrec", "epochs": 3}, "unknown parameters"),
+            ({"name": "lcrec", "label": ""}, "non-empty"),
+        ],
+    )
+    def test_backend_parameters_checked(self, backend, fragment):
+        with pytest.raises(ExperimentConfigError, match=fragment):
+            minimal_config(backends=[backend])
+
+    def test_labels_let_one_backend_appear_twice(self):
+        config = minimal_config(
+            backends=["lcrec", {"name": "lcrec", "label": "full", "tasks": ["seq", "mut"]}]
+        )
+        assert [spec.label for spec in config.backends] == ["lcrec", "full"]
+        assert ExperimentConfig.from_dict(config.to_dict()) == config
+        assert config.to_dict()["backends"][0] == {"name": "lcrec"}
+
+    def test_paper_configs_parse(self):
+        for preset in ("instruments", "arts", "games"):
+            config = ExperimentConfig.from_file(f"examples/experiments/paper_{preset}.json")
+            assert config.preset == preset
+            labels = {spec.label for spec in config.backends}
+            assert {"lcrec", "tiger", "p5cid", "sasrec", "s3-rec"} <= labels
 
     def test_from_file_json(self, tmp_path):
         path = tmp_path / "config.json"
@@ -237,7 +288,10 @@ class TestConfigValidation:
         assert config.metric_keys() == ["HR@1", "HR@5", "NDCG@5"]
 
     def test_registries(self):
-        assert set(known_backends()) == {"lcrec", "tiger", "p5cid"}
+        assert set(known_backends()) == {
+            "lcrec", "tiger", "p5cid",
+            "caser", "hgn", "gru4rec", "bert4rec", "sasrec", "fmlp-rec", "fdsa", "s3-rec",
+        }
         assert "catalog_churn" in known_scenarios()
         assert known_scenarios()["burst_overload"]["max_backlog"] == 2
 
@@ -547,6 +601,101 @@ class TestMatrixRun:
             assert key in payload
         assert payload["results"]
         assert payload["config"]["scenarios"][0]["kind"] == "steady_state"
+
+
+# ----------------------------------------------------------------------
+# The paper tables' cells: served quality is offline quality
+# ----------------------------------------------------------------------
+class TestPaperCells:
+    @pytest.fixture(scope="class")
+    def paper_result(self, tiny_dataset, tiny_lcrec, tiny_tiger):
+        return run_experiment(
+            {
+                "name": "paper",
+                "scale": "tiny",
+                "num_workers": 1,
+                "backends": ["lcrec", "tiger", "sasrec"],
+                "scenarios": [
+                    # More requests than held-out users: each user is ranked once.
+                    {"kind": "steady_state", "label": "template0", "requests": 100},
+                    {"kind": "steady_state", "label": "templates3", "requests": 100,
+                     "templates": 3},
+                    {"kind": "cold_start", "requests": 4},
+                ],
+            },
+            dataset=tiny_dataset,
+            models={"lcrec": tiny_lcrec, "tiger": tiny_tiger},
+            write=False,
+        )
+
+    @staticmethod
+    def record(result, name):
+        return next(r for r in result["records"] if r["name"] == name)
+
+    @staticmethod
+    def assert_quality_equals(quality, report):
+        for key in ("HR@5", "HR@10", "NDCG@5", "NDCG@10"):
+            assert quality[key] == pytest.approx(report[key], abs=1e-6), key
+
+    def test_served_quality_equals_offline(self, paper_result, tiny_lcrec, tiny_dataset):
+        from helpers import evaluate_recommender
+
+        record = self.record(paper_result, "template0xlcrec")
+        assert record["quality"]["evaluated"] == record["served"] == 60
+        offline = evaluate_recommender(tiny_lcrec, tiny_dataset, bench_scale("tiny"))
+        self.assert_quality_equals(record["quality"], offline)
+
+    def test_template_average_equals_multi_template(
+        self, paper_result, tiny_lcrec, tiny_dataset
+    ):
+        from helpers import evaluate_recommender_multi_template
+
+        record = self.record(paper_result, "templates3xlcrec")
+        assert record["quality"]["evaluated"] == 180
+        offline = evaluate_recommender_multi_template(
+            tiny_lcrec, tiny_dataset, bench_scale("tiny")
+        )
+        self.assert_quality_equals(record["quality"], offline)
+
+    def test_id_baseline_ranks_offline(self, paper_result, tiny_dataset):
+        from repro.bench import train_traditional_baseline
+        from repro.eval import evaluate_score_model
+
+        record = self.record(paper_result, "template0xsasrec")
+        assert record["supported"] and record["client"] == "score_all"
+        assert record["served"] == record["quality"]["evaluated"] == 60
+        model = train_traditional_baseline("SASRec", tiny_dataset, bench_scale("tiny"))
+        offline = evaluate_score_model(
+            model, tiny_dataset.split.test_histories[:60], tiny_dataset.split.test_targets[:60]
+        )
+        self.assert_quality_equals(record["quality"], offline)
+
+    def test_unsupported_cells_name_what_is_missing(self, paper_result):
+        reasons = {
+            name: self.record(paper_result, name)["reason"]
+            for name in ("cold_startxsasrec", "templates3xsasrec", "templates3xtiger")
+        }
+        assert reasons["cold_startxsasrec"] == "cold_start needs a serving engine, sasrec has none"
+        assert "several prompt templates" in reasons["templates3xsasrec"]
+        assert "several prompt templates" in reasons["templates3xtiger"]
+        assert self.record(paper_result, "cold_startxtiger")["supported"]
+
+    def test_labels_name_build_variants(self, tiny_dataset, tiny_lcrec):
+        result = run_experiment(
+            {
+                "name": "labels",
+                "scale": "tiny",
+                "backends": ["lcrec", {"name": "lcrec", "label": "again"}],
+                "scenarios": [{"kind": "steady_state", "requests": 4}],
+            },
+            dataset=tiny_dataset,
+            models={"lcrec": tiny_lcrec, "again": tiny_lcrec},
+            write=False,
+        )
+        first, again = result["records"]
+        assert (first["name"], again["name"]) == ("steady_statexlcrec", "steady_statexagain")
+        assert again["backend"] == "again"
+        assert again["quality"] == first["quality"]
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from repro.llm import (
     sequence_logprob,
 )
 from repro.quantization import IndexTrie
+from repro.tensor import no_grad
 
 from helpers import decode_prompts
 
@@ -106,6 +107,22 @@ class TestGreedyGenerate:
         constrained = greedy_generate(model, [1], max_new_tokens=6, eos_id=-1,
                                       banned_ids=banned)
         assert banned.isdisjoint(constrained)
+
+    def test_cached_tokens_match_full_recompute(self):
+        """The KV-cached loop emits what an argmax over a full re-forward
+        of the growing sequence emits, token for token."""
+        model = TinyLlama(LMConfig(vocab_size=50, dim=32, num_layers=2,
+                                   num_heads=4, ffn_hidden=48,
+                                   max_seq_len=64, seed=3))
+        prompt = [1, 5, 9, 2, 7, 7, 3]
+        cached = greedy_generate(model, prompt, max_new_tokens=16, eos_id=-1)
+        tokens, recomputed = list(prompt), []
+        with no_grad():
+            for _ in range(16):
+                logits = model.forward(np.asarray(tokens, dtype=np.int64)[None, :])
+                recomputed.append(int(logits.data[0, -1].argmax()))
+                tokens.append(recomputed[-1])
+        assert cached == recomputed
 
 
 class TestSequenceLogprob:

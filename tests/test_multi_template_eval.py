@@ -1,12 +1,9 @@
 """Tests for the multi-template evaluation protocol (paper Table III note)."""
 
 import pytest
+from helpers import evaluate_recommender, evaluate_recommender_multi_template
 
 from repro.bench.config import BenchScale
-from repro.bench.runners import (
-    evaluate_recommender,
-    evaluate_recommender_multi_template,
-)
 
 FAST = BenchScale("test", dataset_scale=1.0, epoch_scale=1.0,
                   max_eval_users=12)
