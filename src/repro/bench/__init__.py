@@ -6,6 +6,7 @@ from .runners import (
     baseline_model,
     build_lcrec_model,
     lcrec_config_for,
+    pretrained_lcrec,
     semantic_tiger_index,
     train_traditional_baseline,
 )
@@ -21,5 +22,6 @@ __all__ = [
     "semantic_tiger_index",
     "build_lcrec_model",
     "lcrec_config_for",
+    "pretrained_lcrec",
     "report_json",
 ]

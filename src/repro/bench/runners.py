@@ -34,6 +34,7 @@ __all__ = [
     "train_traditional_baseline",
     "semantic_tiger_index",
     "lcrec_config_for",
+    "pretrained_lcrec",
     "build_lcrec_model",
     "TRADITIONAL_BASELINES",
 ]
@@ -88,23 +89,37 @@ def train_traditional_baseline(
     return model
 
 
-def semantic_tiger_index(
-    dataset: SequentialDataset, scale: BenchScale | None = None, seed: int = 0
-) -> ItemIndexSet:
+def semantic_tiger_index(pretrained: LCRec, scale: BenchScale | None = None) -> ItemIndexSet:
     """TIGER's Table III semantic IDs.
 
-    An RQ-VAE over the pretrained LM's item text embeddings, with the
-    extra-level dedup (TIGER's own conflict handling, no USM).
+    An RQ-VAE over the item text embeddings of ``pretrained``'s LM (a
+    :func:`pretrained_lcrec`), with the extra-level dedup (TIGER's own
+    conflict handling, no USM).
+    """
+    config = lcrec_config_for(
+        pretrained.dataset, scale, indexing_strategy="extra_level", seed=pretrained.config.seed
+    )
+    lcrec = LCRec.from_pretrained(pretrained, config)
+    lcrec.build_item_embeddings()
+    config.indexer.rqvae.input_dim = lcrec.item_embeddings.shape[1]
+    index_set, _, _ = build_semantic_index_set(lcrec.item_embeddings, config.indexer)
+    return index_set
+
+
+def pretrained_lcrec(
+    dataset: SequentialDataset, scale: BenchScale | None = None, seed: int = 0
+) -> LCRec:
+    """The vocabulary and pretrained LM of :func:`lcrec_config_for`'s LC-Rec.
+
+    The LM's config and seed depend on ``(dataset, scale, seed)`` only,
+    not on tasks, index source or indexing strategy, so every such variant
+    (and :func:`semantic_tiger_index`) can start from this one through
+    :meth:`LCRec.from_pretrained`.
     """
     lcrec = LCRec(dataset, lcrec_config_for(dataset, scale, seed=seed))
     lcrec.build_vocabulary()
     lcrec.build_language_model()
-    lcrec.build_item_embeddings()
-    config = lcrec.config.indexer
-    config.strategy = "extra_level"
-    config.rqvae.input_dim = lcrec.item_embeddings.shape[1]
-    index_set, _, _ = build_semantic_index_set(lcrec.item_embeddings, config)
-    return index_set
+    return lcrec
 
 
 def lcrec_config_for(

@@ -15,6 +15,8 @@ The :class:`LCRec` model reproduces the paper's pipeline:
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -99,6 +101,34 @@ class LCRec:
         self._pretrained_state: dict[str, np.ndarray] | None = None
         self._pretrained_config: LMConfig | None = None
 
+    @classmethod
+    def from_pretrained(cls, pretrained: "LCRec", config: LCRecConfig) -> "LCRec":
+        """An unbuilt model starting from copies of ``pretrained``'s vocabulary and LM.
+
+        ``pretrained`` has run :meth:`build_vocabulary` and
+        :meth:`build_language_model` and nothing after them.  ``config``
+        must pretrain the same LM (equal ``lm``, ``pretrain`` and ``seed``);
+        its other stages may differ.  :meth:`build` then starts at indexing
+        and trains the weights a build from scratch would, so variants that
+        differ only after pretraining share one pretraining.
+        """
+        if pretrained.lm is None or pretrained.index_set is not None:
+            raise ValueError("pretrained must have run build_language_model() and nothing after")
+        model = cls(pretrained.dataset, config)
+        # What build_language_model writes into the config.
+        config.lm.vocab_size = pretrained.config.lm.vocab_size
+        config.lm.seed = pretrained.config.lm.seed
+        mine = (config.lm, config.pretrain, config.seed)
+        theirs = (pretrained.config.lm, pretrained.config.pretrain, pretrained.config.seed)
+        if mine != theirs:
+            raise ValueError("config pretrains a different LM than pretrained's")
+        model.tokenizer = copy.deepcopy(pretrained.tokenizer)
+        model.lm = copy.deepcopy(pretrained.lm)
+        model.pretrain_losses = list(pretrained.pretrain_losses)
+        model._pretrained_state = pretrained._pretrained_state
+        model._pretrained_config = pretrained._pretrained_config
+        return model
+
     # ------------------------------------------------------------------
     # Build stages
     # ------------------------------------------------------------------
@@ -119,8 +149,6 @@ class LCRec:
         self.pretrain_losses = pretrain_lm(self.lm, self.tokenizer, corpus, self.config.pretrain)
         # Snapshot the language-only model: the Table V "LLaMA" comparator
         # (an LLM that has seen the item texts but no collaborative signal).
-        import dataclasses
-
         self._pretrained_state = self.lm.state_dict()
         self._pretrained_config = dataclasses.replace(lm_config)
 
@@ -168,11 +196,16 @@ class LCRec:
         self.tuning_losses = tuner.tune(self.task_builder.epoch_examples)
 
     def build(self) -> "LCRec":
-        """Run the full pipeline; returns self for chaining."""
-        logger.info("LC-Rec build on %s: vocabulary", self.dataset.name)
-        self.build_vocabulary()
-        logger.info("LC-Rec build: LM pretraining")
-        self.build_language_model()
+        """Run the full pipeline; returns self for chaining.
+
+        A model from :meth:`from_pretrained` has its vocabulary and LM
+        already and starts at indexing.
+        """
+        if self.lm is None or self.index_set is not None:
+            logger.info("LC-Rec build on %s: vocabulary", self.dataset.name)
+            self.build_vocabulary()
+            logger.info("LC-Rec build: LM pretraining")
+            self.build_language_model()
         logger.info("LC-Rec build: indexing (%s)", self.config.index_source)
         self.build_indices()
         self.build_task_builder()

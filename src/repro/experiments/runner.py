@@ -35,12 +35,14 @@ import numpy as np
 from ..bench import (
     TRADITIONAL_BASELINES,
     bench_scale,
-    build_lcrec_model,
+    lcrec_config_for,
+    pretrained_lcrec,
     report_json,
     scaled_dataset,
     semantic_tiger_index,
     train_traditional_baseline,
 )
+from ..core import LCRec
 from ..core.tasks import ALL_TASKS
 from ..eval.metrics import hit_ratio_at_k, ndcg_at_k
 from ..eval.popularity import item_popularity
@@ -214,11 +216,12 @@ class _BackendRuntime:
         return self._fallback
 
 
-def _build_backend(spec, dataset, scale, seed: int, model=None) -> _BackendRuntime:
+def _build_backend(spec, dataset, scale, seed: int, pretrained, model=None) -> _BackendRuntime:
+    """Build ``spec``'s model; ``pretrained()`` is the run's shared :func:`pretrained_lcrec`."""
     if model is None:
         params = spec.params
         if spec.name == "lcrec":
-            model = build_lcrec_model(
+            config = lcrec_config_for(
                 dataset,
                 scale,
                 tasks=tuple(params.get("tasks", ("seq",))),
@@ -226,12 +229,13 @@ def _build_backend(spec, dataset, scale, seed: int, model=None) -> _BackendRunti
                 indexing_strategy=params.get("indexing_strategy", "usm"),
                 seed=seed,
             )
+            model = LCRec.from_pretrained(pretrained(), config).build()
         elif spec.name == "tiger":
             from ..baselines.tiger import TIGER, TIGERConfig
             from ..core import build_random_index_set
 
             if params.get("index_source", "random") == "semantic":
-                index_set = semantic_tiger_index(dataset, scale, seed=seed)
+                index_set = semantic_tiger_index(pretrained(), scale)
             else:
                 index_set = build_random_index_set(
                     dataset.num_items, 3, 8, np.random.default_rng(seed)
@@ -290,8 +294,16 @@ class ExperimentRunner:
         self._injected = dict(models or {})
         self.write = write
         self._runtimes: dict[str, _BackendRuntime] = {}
+        self._pretrained: LCRec | None = None
 
     # -- backends ------------------------------------------------------
+    def _pretrained_lcrec(self) -> LCRec:
+        """The run's one LM pretraining, shared by every LC-Rec variant and
+        the semantic TIGER index (each build starts from copies of it)."""
+        if self._pretrained is None:
+            self._pretrained = pretrained_lcrec(self.dataset, self.scale, seed=self.config.seed)
+        return self._pretrained
+
     def _runtime(self, spec) -> _BackendRuntime:
         if spec.label not in self._runtimes:
             self._runtimes[spec.label] = _build_backend(
@@ -299,6 +311,7 @@ class ExperimentRunner:
                 self.dataset,
                 self.scale,
                 self.config.seed,
+                self._pretrained_lcrec,
                 model=self._injected.get(spec.label),
             )
         return self._runtimes[spec.label]

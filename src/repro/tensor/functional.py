@@ -3,7 +3,10 @@
 These functions create single tape nodes with hand-derived backward rules,
 which is substantially faster than composing them from primitive ops.  Like
 every closure on the tape, each backward captures only the arrays and
-shapes it reads.
+shapes it reads.  The norms and SwiGLU compute their output with a closure
+over those same arrays and hand it to ``Tensor._make`` as the output's
+rebuild, so the GEMM that reads the output recomputes it in its backward
+instead of keeping it.
 """
 
 from __future__ import annotations
@@ -93,28 +96,37 @@ def cross_entropy(
     """
     logits = as_tensor(logits)
     num_classes = logits.shape[-1]
-    flat_logits = logits.data.reshape(-1, num_classes)
     flat_targets = np.asarray(targets).reshape(-1)
-
     if ignore_index is not None:
         valid = flat_targets != ignore_index
     else:
         valid = np.ones_like(flat_targets, dtype=bool)
+    out_of_range = valid & ((flat_targets < 0) | (flat_targets >= num_classes))
+    if out_of_range.any():
+        raise ValueError(
+            f"target {flat_targets[out_of_range][0]} is outside [0, {num_classes})"
+            + ("" if ignore_index is None else f" and is not ignore_index {ignore_index}")
+        )
     n_valid = max(int(valid.sum()), 1)
 
+    # One logits-sized buffer beside the logits: shifted, then log-probs,
+    # then probs, which the backward turns into the gradient in place.
+    flat_logits = logits.data.reshape(-1, num_classes)
     shifted = flat_logits - flat_logits.max(axis=-1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    log_probs = shifted - log_z
+    shifted -= log_z
 
     safe_targets = np.where(valid, flat_targets, 0)
-    picked = log_probs[np.arange(flat_targets.size), safe_targets]
+    picked = shifted[np.arange(flat_targets.size), safe_targets]
     loss = -(picked * valid).sum() / n_valid
 
-    probs = np.exp(log_probs)
+    probs = np.exp(shifted, out=shifted)
     logits_shape = logits.shape
 
     def backward(g):
-        grad = probs.copy()
+        # The node's backward runs once (``Tensor.backward`` drops it after
+        # dispatch), so ``probs`` can become the gradient.
+        grad = probs
         grad[np.arange(flat_targets.size), safe_targets] -= 1.0
         grad *= valid[:, None]
         grad *= float(g) / n_valid
@@ -132,9 +144,8 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     var = x.data.var(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     x_hat = (x.data - mu) * inv_std
-    out_data = weight.data * x_hat + bias.data
     feature_axes = tuple(range(x.ndim - 1))
-    weight_data = weight.data
+    weight_data, bias_data = weight.data, bias.data
 
     def backward(g):
         g_hat = g * weight_data
@@ -147,7 +158,10 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
         g_bias = g.sum(axis=feature_axes)
         return (gx, g_weight, g_bias)
 
-    return Tensor._make(out_data, (x, weight, bias), backward)
+    def output():
+        return weight_data * x_hat + bias_data
+
+    return Tensor._make(output(), (x, weight, bias), backward, output)
 
 
 def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
@@ -156,8 +170,6 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
     weight = as_tensor(weight)
     mean_sq = (x.data * x.data).mean(axis=-1, keepdims=True)
     inv_rms = 1.0 / np.sqrt(mean_sq + eps)
-    normed = x.data * inv_rms
-    out_data = weight.data * normed
     dim = x.shape[-1]
     feature_axes = tuple(range(x.ndim - 1))
     x_data, weight_data = x.data, weight.data
@@ -167,10 +179,13 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
         # d/dx [x * inv_rms]: inv_rms * g - x * <g, x> * inv_rms^3 / dim
         inner = (g_normed * x_data).sum(axis=-1, keepdims=True)
         gx = g_normed * inv_rms - x_data * inner * (inv_rms**3) / dim
-        g_weight = (g * normed).sum(axis=feature_axes)
+        g_weight = (g * (x_data * inv_rms)).sum(axis=feature_axes)
         return (gx, g_weight)
 
-    return Tensor._make(out_data, (x, weight), backward)
+    def output():
+        return weight_data * (x_data * inv_rms)
+
+    return Tensor._make(output(), (x, weight), backward, output)
 
 
 def dropout_keep(
@@ -239,23 +254,27 @@ def swiglu(gate: Tensor, up: Tensor) -> Tensor:
     same numpy expressions, then runs what the ``silu`` and ``*`` nodes'
     backwards ran, so gradients are bit-identical to the composition's.
     The parents are ``(gate, up)``, so the depth-first sort visits ``up``
-    and then ``gate``, as it did through the ``*`` node.
+    and then ``gate``, as it did through the ``*`` node.  ``output`` is
+    also the output's rebuild, so ``down_proj`` does not keep the output.
     """
     gate = as_tensor(gate)
     up = as_tensor(up)
     x, u = gate.data, up.data
-    # One buffer: the sigmoid, then times gate, then times up (IEEE products
-    # commute, so these are the composition's bits).
-    out_data = np.negative(x)
-    np.exp(out_data, out=out_data)
-    out_data += 1.0
-    np.divide(1.0, out_data, out=out_data)
-    out_data *= x
-    out_data *= u
+
+    def output():
+        # One buffer: the sigmoid, then times gate, then times up (IEEE
+        # products commute, so these are the composition's bits).
+        out = np.negative(x)
+        np.exp(out, out=out)
+        out += 1.0
+        np.divide(1.0, out, out=out)
+        out *= x
+        out *= u
+        return out
 
     def backward(g):
         sig = 1.0 / (1.0 + np.exp(-x))
         g_gate = g * u
         return (g_gate * (sig + x * sig * (1.0 - sig)), g * (x * sig))
 
-    return Tensor._make(out_data, (gate, up), backward)
+    return Tensor._make(output(), (gate, up), backward, output)

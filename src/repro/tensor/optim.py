@@ -156,6 +156,8 @@ def train_epochs(
     dropped (a ``WeightMemo`` refuses to cache while any parameter holds
     one) and the model is left in eval mode.
     """
+    if log_every < 1:
+        raise ValueError(f"log_every must be >= 1, got {log_every}")
     means: list[float] = []
     step = 0
     model.train()

@@ -21,6 +21,13 @@ Design notes
   :mod:`repro.tensor.attention`), so their intermediates die in the
   forward; each such backward runs the expressions the primitive ops'
   backwards would, so gradients are bit-identical to the composition's.
+* A GEMM does not keep an input that is cheap to rebuild: an op whose
+  output is an elementwise function of arrays its own node keeps anyway
+  (the norms, SwiGLU) passes the closure that computed the output to
+  ``_make`` as the output's ``_rebuild``, and :meth:`Tensor.__matmul__`
+  keeps that closure instead of the array and calls it in its backward.
+  So a norm output feeding q/k/v or a SwiGLU output feeding ``down_proj``
+  dies in the forward, and the backward reads the same bits.
 * :meth:`Tensor.backward` frees as it goes: once a node has dispatched,
   its closure, its parent links and its slot in the topological order are
   dropped, so a training step's activations are released while its
@@ -108,7 +115,7 @@ class Tensor:
         Whether gradients should be accumulated into ``self.grad``.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_node", "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "_rebuild", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
@@ -120,6 +127,9 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._node: _Node | None = None
+        # Recomputes ``data`` bit for bit from arrays this tensor's own node
+        # keeps; set by ``_make`` for rebuildable op outputs on the tape.
+        self._rebuild: Callable[[], np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # Introspection helpers
@@ -158,7 +168,7 @@ class Tensor:
         # Copies and pickles start off the tape: a copied leaf node would
         # still accumulate into the original tensor.
         state = {"data": self.data, "grad": self.grad, "requires_grad": self.requires_grad}
-        return None, {**state, "_node": None}
+        return None, {**state, "_node": None, "_rebuild": None}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -175,17 +185,22 @@ class Tensor:
         data: np.ndarray,
         parents: Sequence["Tensor"],
         backward: Callable[[np.ndarray], tuple],
+        rebuild: Callable[[], np.ndarray] | None = None,
     ) -> "Tensor":
         """Create an op output, recording it on the tape when appropriate.
 
         ``backward`` maps the output's gradient to one contribution per
         parent, in ``parents`` order; it must not capture the parents
-        themselves, only the arrays or shapes it reads.
+        themselves, only the arrays or shapes it reads.  ``rebuild``, when
+        given, returns ``data`` afresh with the forward's exact expression
+        from arrays ``backward`` already captures; a consumer that would
+        keep ``data`` for its backward may keep ``rebuild`` instead.
         """
         needs_grad = is_grad_enabled() and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=needs_grad)
         if needs_grad:
             out._node = _Node(backward, tuple(p._tape_node() for p in parents))
+            out._rebuild = rebuild
         return out
 
     def _tape_node(self) -> _Node | None:
@@ -331,6 +346,10 @@ class Tensor:
     def __matmul__(self, other) -> "Tensor":
         other = as_tensor(other)
         a, b = self.data, other.data
+        # A rebuildable left operand is not kept: the backward recomputes it
+        # (the norm outputs feeding the projections and the head, the SwiGLU
+        # output feeding ``down_proj``), so it dies in the forward.
+        rebuild = self._rebuild
         if a.ndim >= 3 and b.ndim == 2:
             # Fold the batch dims into one GEMM: numpy dispatches
             # (B, T, k) @ (k, m) as B separate (T, k) products, which for
@@ -342,29 +361,35 @@ class Tensor:
             a_shape = a.shape
             a2 = np.ascontiguousarray(a).reshape(-1, a_shape[-1])
             out_data = (a2 @ b).reshape(*a_shape[:-1], b.shape[-1])
+            kept_a2 = a2 if rebuild is None else None
 
             def backward_folded(g):
                 g2 = g.reshape(-1, g.shape[-1])
                 ga = (g2 @ b.T).reshape(a_shape)
+                a2 = kept_a2 if rebuild is None else rebuild().reshape(-1, a_shape[-1])
                 gb = a2.T @ g2
                 return (ga, gb)
 
             return Tensor._make(out_data, (self, other), backward_folded)
 
+        kept_a = a if rebuild is None else None
+        a_shape = a.shape
+
         def backward(g):
+            a = kept_a if rebuild is None else rebuild()
             if b.ndim == 1:
                 # (…, n) @ (n,) -> (…)
                 ga = g[..., None] * b
                 gb = np.tensordot(g, a, axes=(range(g.ndim), range(g.ndim)))
-                return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
+                return (_unbroadcast(ga, a_shape), _unbroadcast(gb, b.shape))
             if a.ndim == 1:
                 # (n,) @ (n, m) -> (m,)
                 ga = g @ np.swapaxes(b, -1, -2)
                 gb = np.outer(a, g)
-                return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
+                return (_unbroadcast(ga, a_shape), _unbroadcast(gb, b.shape))
             ga = g @ np.swapaxes(b, -1, -2)
             gb = np.swapaxes(a, -1, -2) @ g
-            return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
+            return (_unbroadcast(ga, a_shape), _unbroadcast(gb, b.shape))
 
         return Tensor._make(a @ b, (self, other), backward)
 

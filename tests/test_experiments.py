@@ -849,3 +849,101 @@ class TestCLI:
 
         assert main(["experiment", "run", "does_not_exist.json"]) == 2
         assert "not found" in capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
+# One LM pretraining per run
+# ----------------------------------------------------------------------
+class TestOnePretraining:
+    def test_lcrec_variants_and_semantic_tiger_share_one_pretraining(
+        self, tiny_dataset, monkeypatch
+    ):
+        import repro.bench.runners as runners
+        import repro.core.lcrec as lcrec_module
+        import repro.experiments.runner as runner_module
+
+        real_config, real_pretrain = runners.lcrec_config_for, lcrec_module.pretrain_lm
+
+        def fast_config(*args, **kwargs):
+            # The bench configuration, trained for a few steps: this counts
+            # pretrainings, it does not judge them.
+            config = real_config(*args, **kwargs)
+            config.pretrain.steps = 3
+            config.indexer.trainer.epochs = 2
+            config.tasks.seq_per_user = 1
+            config.tuning.epochs = 1
+            return config
+
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return real_pretrain(*args)
+
+        monkeypatch.setattr(runners, "lcrec_config_for", fast_config)
+        monkeypatch.setattr(runner_module, "lcrec_config_for", fast_config)
+        monkeypatch.setattr(lcrec_module, "pretrain_lm", spy)
+        result = run_experiment(
+            {
+                "name": "one_pretraining",
+                "scale": "tiny",
+                "backends": [
+                    {"name": "lcrec", "tasks": ["seq"]},
+                    {"name": "lcrec", "label": "random_seq", "tasks": ["seq"],
+                     "index_source": "random"},
+                    {"name": "tiger", "index_source": "semantic", "epochs": 1, "dim": 16},
+                ],
+                "scenarios": [{"kind": "steady_state", "requests": 2}],
+            },
+            dataset=tiny_dataset,
+            write=False,
+        )
+        assert len(calls) == 1
+        assert [r["supported"] for r in result["records"]] == [True, True, True]
+
+    @staticmethod
+    def fast_lcrec_config(**overrides):
+        from helpers import small_lcrec_config
+        from repro.core.tasks import AlignmentTaskConfig
+        from repro.llm import PretrainConfig
+
+        return small_lcrec_config(**{
+            "pretrain": PretrainConfig(steps=6, batch_size=8, seq_len=48),
+            "tasks": AlignmentTaskConfig(tasks=("seq",), seq_per_user=1, max_history=6),
+            **overrides,
+        })
+
+    def test_a_build_from_pretrained_trains_the_weights_a_fresh_build_does(
+        self, tiny_dataset
+    ):
+        from repro.core import LCRec
+
+        stem = LCRec(tiny_dataset, self.fast_lcrec_config())
+        stem.build_vocabulary()
+        stem.build_language_model()
+        stem_state = stem.lm.state_dict()
+        shared = LCRec.from_pretrained(stem, self.fast_lcrec_config(index_source="random"))
+        fresh = LCRec(tiny_dataset, self.fast_lcrec_config(index_source="random"))
+        for model in (shared.build(), fresh.build()):
+            assert model.lm.vocab_size > stem.lm.vocab_size
+        assert shared.pretrain_losses == fresh.pretrain_losses
+        assert shared.tuning_losses == fresh.tuning_losses
+        for name, value in fresh.lm.state_dict().items():
+            assert np.array_equal(shared.lm.state_dict()[name], value), name
+        # The stem's vocabulary and LM are copied, never extended or tuned.
+        assert len(stem.tokenizer.vocab) == stem.lm.vocab_size
+        for name, value in stem.lm.state_dict().items():
+            assert np.array_equal(stem_state[name], value), name
+
+    def test_from_pretrained_rejects_a_different_pretraining(self, tiny_dataset):
+        from repro.core import LCRec
+        from repro.llm import PretrainConfig
+
+        stem = LCRec(tiny_dataset, self.fast_lcrec_config())
+        with pytest.raises(ValueError, match="build_language_model"):
+            LCRec.from_pretrained(stem, self.fast_lcrec_config())
+        stem.build_vocabulary()
+        stem.build_language_model()
+        other = self.fast_lcrec_config(pretrain=PretrainConfig(steps=7, batch_size=8, seq_len=48))
+        with pytest.raises(ValueError, match="different LM"):
+            LCRec.from_pretrained(stem, other)

@@ -176,6 +176,23 @@ class TestFusedOps:
         loss = F.cross_entropy(logits, np.array([1, 2]))
         assert loss.item() == pytest.approx(np.log(4.0), rel=1e-5)
 
+    @pytest.mark.parametrize("bad", [-1, 7])
+    def test_cross_entropy_rejects_out_of_range_targets(self, bad):
+        # -1 used to train on the last class through negative indexing,
+        # 7 over 5 classes to raise a bare IndexError.
+        logits = Tensor(rand(2, 5), requires_grad=True)
+        with pytest.raises(ValueError, match=rf"target {bad} is outside \[0, 5\)"):
+            F.cross_entropy(logits, np.array([bad, 1]))
+        with pytest.raises(ValueError, match=f"target {bad} "):
+            F.cross_entropy(logits, np.array([bad, 1]), ignore_index=-100)
+
+    def test_cross_entropy_ignore_index_is_not_out_of_range(self):
+        logits = Tensor(np.zeros((2, 5), dtype=np.float32), requires_grad=True)
+        loss = F.cross_entropy(logits, np.array([-100, 1]), ignore_index=-100)
+        assert loss.item() == pytest.approx(np.log(5.0), rel=1e-5)
+        loss.backward()
+        assert np.array_equal(logits.grad[0], np.zeros(5, dtype=np.float32))
+
     def test_layer_norm(self):
         weight = Tensor(rand(6), requires_grad=False)
         bias = Tensor(rand(6), requires_grad=False)

@@ -141,3 +141,18 @@ class TestTrainEpochs:
         assert means == [2.0, 1.0, 0.0]  # an empty epoch reports 0
         assert seen == [0, 1, 2]
         assert not model.training
+
+    def test_log_every_below_one_is_rejected_before_any_step(self):
+        model = Linear(2, 1, rng=np.random.default_rng(0))
+        calls = []
+
+        def loss(batch):
+            calls.append(batch)
+            return model(Tensor(batch)).sum()
+
+        with pytest.raises(ValueError, match="log_every must be >= 1, got 0"):
+            train_epochs(
+                model, SGD(model.parameters(), lr=0.1), [[np.ones((1, 2))]], loss,
+                name="t", log_every=0,
+            )
+        assert calls == []

@@ -1,17 +1,23 @@
-"""The training tape: fused nodes, node links, and a backward that frees as it goes.
+"""The training tape: fused nodes, node links, rebuilt inputs, and a backward that frees as it goes.
 
 ``MultiHeadAttention.forward`` records its scores → softmax → dropout → ``@ v``
 chain as one tape node, ``RotaryEmbedding.apply`` its rotation as another and
 ``SwiGLU.forward`` its ``silu(gate) * up`` as a third.  Each must reproduce
 the composition of primitive ``Tensor`` ops it replaced bit for bit —
 outputs, every gradient, and so every weight after training — which this
-file keeps as a test-local reference.  The memory guards pin what the
-fusion, the node links (an op output dies with its last reference unless a
-backward reads it) and the freeing buy.
+file keeps as a test-local reference.  The norms and SwiGLU hand the GEMM
+that reads their output a rebuild instead of the array, and cross-entropy
+turns one buffer into log-probs, probs and the gradient; their references
+are the nodes as they were before, whose consumers keep the output and
+whose cross-entropy copies.  The memory guards pin what the fusion, the
+node links (an op output dies with its last reference unless a backward
+reads it), the rebuilds and the freeing buy.
 """
 
 from __future__ import annotations
 
+import copy
+import pickle
 import tracemalloc
 import weakref
 
@@ -26,12 +32,16 @@ from repro.llm.model import SwiGLU
 from repro.tensor import (
     Adam,
     AdamW,
+    LayerNorm,
+    Linear,
     MultiHeadAttention,
     Parameter,
+    RMSNorm,
     RotaryEmbedding,
     Tensor,
     causal_mask,
     concat,
+    no_grad,
 )
 from repro.tensor import functional as F
 
@@ -69,14 +79,85 @@ def reference_swiglu_forward(self, x):
     return self.down_proj(self.gate_proj(x).silu() * self.up_proj(x))
 
 
+def reference_rms_norm(x, weight, eps=1e-6):
+    """RMSNorm keeping ``normed``, with no rebuild: its consumer keeps the output."""
+    mean_sq = (x.data * x.data).mean(axis=-1, keepdims=True)
+    inv_rms = 1.0 / np.sqrt(mean_sq + eps)
+    normed = x.data * inv_rms
+    dim = x.shape[-1]
+    feature_axes = tuple(range(x.ndim - 1))
+    x_data, weight_data = x.data, weight.data
+
+    def backward(g):
+        g_normed = g * weight_data
+        inner = (g_normed * x_data).sum(axis=-1, keepdims=True)
+        gx = g_normed * inv_rms - x_data * inner * (inv_rms**3) / dim
+        return (gx, (g * normed).sum(axis=feature_axes))
+
+    return Tensor._make(weight.data * normed, (x, weight), backward)
+
+
+def reference_layer_norm(x, weight, bias, eps=1e-5):
+    """LayerNorm with no rebuild: its consumer keeps the output."""
+    mu = x.data.mean(axis=-1, keepdims=True)
+    var = x.data.var(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    x_hat = (x.data - mu) * inv_std
+    feature_axes = tuple(range(x.ndim - 1))
+    weight_data = weight.data
+
+    def backward(g):
+        g_hat = g * weight_data
+        gx = inv_std * (
+            g_hat
+            - g_hat.mean(axis=-1, keepdims=True)
+            - x_hat * (g_hat * x_hat).mean(axis=-1, keepdims=True)
+        )
+        return (gx, (g * x_hat).sum(axis=feature_axes), g.sum(axis=feature_axes))
+
+    return Tensor._make(weight.data * x_hat + bias.data, (x, weight, bias), backward)
+
+
+def reference_cross_entropy(logits, targets, ignore_index=None):
+    """Cross-entropy in separate log-prob and prob arrays, copying probs in backward."""
+    num_classes = logits.shape[-1]
+    flat_logits = logits.data.reshape(-1, num_classes)
+    flat_targets = np.asarray(targets).reshape(-1)
+    if ignore_index is not None:
+        valid = flat_targets != ignore_index
+    else:
+        valid = np.ones_like(flat_targets, dtype=bool)
+    n_valid = max(int(valid.sum()), 1)
+    shifted = flat_logits - flat_logits.max(axis=-1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    log_probs = shifted - log_z
+    safe_targets = np.where(valid, flat_targets, 0)
+    picked = log_probs[np.arange(flat_targets.size), safe_targets]
+    loss = -(picked * valid).sum() / n_valid
+    probs = np.exp(log_probs)
+    logits_shape = logits.shape
+
+    def backward(g):
+        grad = probs.copy()
+        grad[np.arange(flat_targets.size), safe_targets] -= 1.0
+        grad *= valid[:, None]
+        grad *= float(g) / n_valid
+        return (grad.reshape(logits_shape),)
+
+    return Tensor._make(np.float32(loss), (logits,), backward)
+
+
 @pytest.fixture
 def composed(monkeypatch):
-    """Patch the primitive-op reference in for the three fused nodes."""
+    """Patch the reference in for the fused nodes, the rebuilds and cross-entropy."""
 
     def patch():
         monkeypatch.setattr(MultiHeadAttention, "forward", reference_attention_forward)
         monkeypatch.setattr(RotaryEmbedding, "apply", reference_rope_apply)
         monkeypatch.setattr(SwiGLU, "forward", reference_swiglu_forward)
+        monkeypatch.setattr(F, "rms_norm", reference_rms_norm)
+        monkeypatch.setattr(F, "layer_norm", reference_layer_norm)
+        monkeypatch.setattr(F, "cross_entropy", reference_cross_entropy)
 
     return patch
 
@@ -219,6 +300,97 @@ def test_swiglu_is_bit_identical_to_the_composition(composed):
         assert np.array_equal(fused, reference)
 
 
+def rms_norm_then_linear(rng, shape):
+    return [RMSNorm(shape[-1]), Linear(shape[-1], 12, rng=rng)]
+
+
+def layer_norm_then_linear(rng, shape):
+    norm = LayerNorm(shape[-1])
+    norm.weight.data = rng.standard_normal(shape[-1]).astype(np.float32)
+    norm.bias.data = rng.standard_normal(shape[-1]).astype(np.float32)
+    return [norm, Linear(shape[-1], 12, rng=rng)]
+
+
+def swiglu_then_down_proj(rng, shape):
+    return [SwiGLU(shape[-1], 24, rng)]
+
+
+REBUILT = {
+    "rms_norm->linear": rms_norm_then_linear,
+    "layer_norm->linear": layer_norm_then_linear,
+    "swiglu->down_proj": swiglu_then_down_proj,
+}
+
+
+def chain_gradients(build, shape, side_use):
+    """Output and every gradient of ``build``'s modules applied in turn.
+
+    ``side_use`` also feeds the first module's output to a ``*`` node, a
+    consumer that keeps the array rather than a rebuild.
+    """
+    rng = np.random.default_rng(13)
+    modules = build(np.random.default_rng(14), shape)
+    x = Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+    hidden = modules[0](x)
+    out = hidden
+    for module in modules[1:]:
+        out = module(out)
+    loss = (out * rng.standard_normal(out.shape).astype(np.float32)).sum()
+    if side_use:
+        loss = loss + (hidden * rng.standard_normal(hidden.shape).astype(np.float32)).sum()
+    loss.backward()
+    grads = [x.grad] + [p.grad for module in modules for p in module.parameters()]
+    return out.data, grads
+
+
+@pytest.mark.parametrize("side_use", [False, True], ids=["gemm_only", "also_mul"])
+@pytest.mark.parametrize("shape", [(3, 5, 16), (7, 16)], ids=["folded", "two_dim"])
+@pytest.mark.parametrize("name", sorted(REBUILT))
+def test_rebuilt_gemm_inputs_give_bit_identical_gradients(name, shape, side_use, composed):
+    rebuilt_out, rebuilt_grads = chain_gradients(REBUILT[name], shape, side_use)
+    composed()
+    reference_out, reference_grads = chain_gradients(REBUILT[name], shape, side_use)
+    assert np.array_equal(rebuilt_out, reference_out)
+    assert len(rebuilt_grads) == len(reference_grads)
+    for rebuilt, reference in zip(rebuilt_grads, reference_grads):
+        assert rebuilt is not None and np.array_equal(rebuilt, reference)
+
+
+@pytest.mark.parametrize("ignore_index", [None, -100])
+def test_in_place_cross_entropy_is_bit_identical(ignore_index, composed):
+    rng = np.random.default_rng(15)
+    data = (rng.standard_normal((4, 6, 9)) * 3).astype(np.float32)
+    targets = rng.integers(0, 9, size=(4, 6))
+    if ignore_index is not None:
+        targets[rng.random((4, 6)) < 0.3] = ignore_index
+    results = []
+    for patch in (lambda: None, composed):
+        patch()
+        logits = Tensor(data, requires_grad=True)
+        loss = F.cross_entropy(logits * 1.0, targets, ignore_index=ignore_index)
+        loss.backward(np.float32(0.7))
+        results.append((loss.data, logits.grad))
+    assert np.array_equal(results[0][0], results[1][0])
+    assert np.array_equal(results[0][1], results[1][1])
+
+
+def test_copies_and_pickles_drop_the_rebuild():
+    x = Tensor(np.random.default_rng(16).standard_normal((2, 8)).astype(np.float32),
+               requires_grad=True)
+    out = RMSNorm(8)(x)
+    assert out._rebuild is not None
+    assert np.array_equal(out._rebuild(), out.data)
+    for clone in (copy.deepcopy(out), copy.copy(out), pickle.loads(pickle.dumps(out))):
+        assert clone._rebuild is None and clone._node is None
+        assert np.array_equal(clone.data, out.data)
+
+
+def test_no_grad_outputs_carry_no_rebuild():
+    x = Tensor(np.ones((2, 8), dtype=np.float32), requires_grad=True)
+    with no_grad():
+        assert RMSNorm(8)(x)._rebuild is None
+
+
 def traced_step_peak(loss_fn, optimizer):
     """``tracemalloc``'s peak over one forward, backward and optimiser step."""
     tracemalloc.start()
@@ -238,8 +410,9 @@ def test_fixture_shaped_pretrain_step_peak_memory():
     The composed tape held every score, masked copy and RoPE temporary
     until the end of the backward and read a 119 MB traced peak; the fused
     nodes and the freeing backward read 79 MB; node links, the fused
-    SwiGLU and ``bool`` dropout masks read 58 MB.  The bound is that plus
-    10 %.
+    SwiGLU and ``bool`` dropout masks read 58 MB; rebuilding the norm and
+    SwiGLU outputs in their GEMMs' backwards and cross-entropy in one
+    buffer read 40.5 MB.  The bound is that plus 10 %.
     """
     config = LMConfig(vocab_size=758, dim=128, num_layers=4, num_heads=8, ffn_hidden=352,
                       max_seq_len=256, seed=0)
@@ -250,7 +423,7 @@ def test_fixture_shaped_pretrain_step_peak_memory():
     peak = traced_step_peak(
         lambda: F.cross_entropy(model(batch[:, :-1]), batch[:, 1:]), optimizer
     )
-    assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+    assert peak < 44.6 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 def test_fixture_shaped_tiger_step_peak_memory():
@@ -258,7 +431,9 @@ def test_fixture_shaped_tiger_step_peak_memory():
 
     Tensor-linked parents, ``__add__`` closures holding whole tensors and
     float32 dropout masks read a 76.7 MB traced peak; node links and
-    ``bool`` masks read 35.6 MB.  The bound is that plus 10 %.
+    ``bool`` masks read 35.6 MB; rebuilding the LayerNorm outputs in their
+    GEMMs' backwards and cross-entropy in one buffer read 30.8 MB.  The
+    bound is that plus 10 %.
     """
     num_items, batch = 413, 64
     index_set = build_random_index_set(num_items, 3, 256, np.random.default_rng(0))
@@ -276,7 +451,7 @@ def test_fixture_shaped_tiger_step_peak_memory():
     peak = traced_step_peak(
         lambda: F.cross_entropy(model(source, decoder_input), targets), optimizer
     )
-    assert peak < 39.2 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+    assert peak < 33.9 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.1])
@@ -314,6 +489,40 @@ def test_activations_no_backward_reads_are_dead_once_the_loss_exists(monkeypatch
     assert {name: ref() is None for name, ref in watched.items()} == {
         "out_proj output": True,
         "pre-RoPE q": True,
+    }
+    loss.backward()
+    assert all(p.grad is not None for p in model.parameters())
+
+
+def test_rebuilt_outputs_and_logits_are_dead_once_the_loss_exists(monkeypatch):
+    """The RMSNorm and SwiGLU outputs and the logits die in the forward.
+
+    Their GEMMs keep rebuilds, not arrays, and cross-entropy keeps only its
+    own buffer, so nothing holds them by the time the loss exists.
+    """
+    config = LMConfig(vocab_size=40, dim=32, num_layers=2, num_heads=4, ffn_hidden=48,
+                      max_seq_len=16, seed=0)
+    model = TinyLlama(config)
+    model.train()
+    watched = {}
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            watched.setdefault(name, weakref.ref(out.data))
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(F, "rms_norm", recording("RMSNorm output", F.rms_norm))
+    monkeypatch.setattr(F, "swiglu", recording("SwiGLU output", F.swiglu))
+    monkeypatch.setattr(model, "forward", recording("logits", model.forward))
+    batch = np.random.default_rng(0).integers(0, config.vocab_size, size=(2, 9))
+    loss = F.cross_entropy(model(batch[:, :-1]), batch[:, 1:])
+    assert {name: ref() is None for name, ref in watched.items()} == {
+        "RMSNorm output": True,
+        "SwiGLU output": True,
+        "logits": True,
     }
     loss.backward()
     assert all(p.grad is not None for p in model.parameters())
