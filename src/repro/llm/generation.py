@@ -220,62 +220,63 @@ def backfill_ranked_item_ids(
     return backfill_items(ranked_item_ids(hypotheses, top_k), top_k, num_items)
 
 
-def _seed_prefix_region(
+def _seed_prompt_block(
+    model: TinyLlama,
     caches: list[BeamKVCache],
     matches: list[PrefixMatch | None],
     prefix_width: int,
-) -> None:
-    """Seed every layer cache with the matched prefix K/V, right-aligned.
+    width: int,
+) -> np.ndarray:
+    """One ``(layers, 2, B, heads, width, head_dim)`` prompt K/V block, prefixes seeded.
 
-    The cached region is one rectangle of ``prefix_width`` columns shared by
-    the whole batch; rows with shorter (or no) matches are left-padded
-    inside it and those columns are masked as pads by the caller.  Each
-    layer's buffer is allocated at the prompt's final width
-    (``prompt.max_length``), so the suffix forward appends into it instead
-    of copying the seeded prefix into a bigger one.
+    Each layer's cache adopts its K and V views, so the suffix forward
+    appends into it.  The leading ``prefix_width`` columns are the cached
+    region: a row's segments are copied in right-aligned (one copy each,
+    every layer at once) and the pads left of them, which the caller
+    masks, are zeroed.
     """
-    first = next(m for m in matches if m is not None)
-    batch = len(matches)
+    attention = model.blocks[0].attention
+    block = np.empty(
+        (len(caches), 2, len(matches), attention.num_heads, width, attention.head_dim),
+        dtype=np.float32,
+    )
+    for row, match in enumerate(matches):
+        start = prefix_width - (match.length if match else 0)
+        block[:, :, row, :, :start] = 0.0
+        for segment in match.segments if match else ():
+            stop = start + segment.shape[3]
+            block[:, :, row, :, start:stop] = segment
+            start = stop
     for layer, cache in enumerate(caches):
-        ref = first.layer_kvs[layer][0]
-        _, heads, _, head_dim = ref.shape
-        keys = np.zeros((batch, heads, cache.prompt.max_length, head_dim), dtype=ref.dtype)
-        values = np.zeros_like(keys)
-        for row, match in enumerate(matches):
-            if match is not None:
-                k, v = match.layer_kvs[layer]
-                keys[row, :, prefix_width - match.length : prefix_width, :] = k[0]
-                values[row, :, prefix_width - match.length : prefix_width, :] = v[0]
-        cache.seed_prompt(keys, values, length=prefix_width)
+        cache.seed_prompt(block[layer, 0], block[layer, 1], length=prefix_width)
+    return block
 
 
 def _store_prompts(
     prompts: list[list[int]],
-    caches: list[BeamKVCache],
+    block: np.ndarray,
     cached_lens: np.ndarray,
     prefix_width: int,
     remainder_pads: np.ndarray,
     prefix_cache: PrefixKVCache,
 ) -> None:
-    """File each row's full-prompt K/V back into the prefix cache.
+    """File each row's prompt K/V back into the prefix cache.
 
-    Row ``b``'s prompt K/V sits right-aligned in two rectangles of the
-    decode cache — the seeded prefix region and the forwarded suffix region
-    — so its pad-free concatenation is exactly the unpadded prompt K/V
-    (pads influence nothing: they are masked out of attention and K/V at
-    position ``i`` depends only on tokens ``<= i``).  ``insert`` is handed
-    row views and the two column ranges and makes that one copy itself.
+    Row ``b``'s prompt K/V sits right-aligned in two column ranges of the
+    prompt block ``block[:, :, b]`` — the seeded prefix region and the
+    forwarded suffix region — so its pad-free concatenation is exactly the
+    unpadded prompt K/V (pads influence nothing: they are masked out of
+    attention and K/V at position ``i`` depends only on tokens ``<= i``).
+    ``insert`` copies only the columns its index does not hold yet.
     """
     for row, prompt in enumerate(prompts):
         if len(prompt) < prefix_cache.min_prefix_len or prompt in prefix_cache:
             continue
-        rows = slice(row, row + 1)
-        layer_kvs = [(c.prompt.keys[rows], c.prompt.values[rows]) for c in caches]
         columns = (
             slice(prefix_width - int(cached_lens[row]), prefix_width),
             slice(prefix_width + int(remainder_pads[row]), None),
         )
-        prefix_cache.insert(prompt, layer_kvs, columns=columns)
+        prefix_cache.insert(prompt, block[:, :, row], columns=columns)
 
 
 def _prefill_prompts(
@@ -307,12 +308,7 @@ def _prefill_prompts(
     prefix_width = int(cached_lens.max())
     remainders = [p[int(c) :] for p, c in zip(prompts, cached_lens)]
     tokens, remainder_pads = left_pad_prompts(remainders, pad_id=pad_id)
-    for cache in caches:
-        # The prompt region's final width is known now: no spare columns
-        # for the prefill to copy into.
-        cache.prompt.max_length = prefix_width + tokens.shape[1]
-    if prefix_width:
-        _seed_prefix_region(caches, matches, prefix_width)
+    block = _seed_prompt_block(model, caches, matches, prefix_width, prefix_width + tokens.shape[1])
     prefix_pad = np.arange(prefix_width)[None, :] < (prefix_width - cached_lens)[:, None]
     suffix_pad = np.arange(tokens.shape[1])[None, :] < remainder_pads[:, None]
     pad_columns = np.concatenate([prefix_pad, suffix_pad], axis=1)
@@ -324,7 +320,7 @@ def _prefill_prompts(
         last_only=True,
     ).data[:, -1, :]
     if prefix_cache is not None:
-        _store_prompts(prompts, caches, cached_lens, prefix_width, remainder_pads, prefix_cache)
+        _store_prompts(prompts, block, cached_lens, prefix_width, remainder_pads, prefix_cache)
     return hidden, pad_columns
 
 

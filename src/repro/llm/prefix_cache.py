@@ -9,36 +9,39 @@ duplicate.  Re-running the transformer over those shared tokens is pure
 waste — key/value tensors at position ``i`` depend only on tokens ``<= i``,
 so the K/V of any previously decoded prompt prefix can be reused verbatim.
 
-:class:`PrefixKVCache` stores per-layer prompt K/V keyed by token-id
-sequence in a path-compressed (radix) index — a node per point where
-stored prompts diverge or end, edges labelled with token tuples:
+:class:`PrefixKVCache` is a path-compressed (radix) index — a node per
+point where stored prompts diverge or end, edges labelled with token
+tuples — whose non-root nodes own their edge's K/V: one read-only
+``(layers, 2, heads, len(edge), head_dim)`` block, so a column shared by
+many stored prompts is stored once (SGLang's RadixAttention layout):
 
-* ``insert(prompt_ids, layer_kvs)`` files the full prompt's K/V under its
-  token sequence, splitting at most one edge (two new nodes at most).
-  Every node names one *donor* entry whose key covers its edge; the copy
-  of the K/V is the only one made (``columns`` cuts it straight out of a
-  padded decode cache).  Overflow evicts exactly one LRU entry by
+* ``insert(prompt_ids, kv)`` copies only the columns past the part of the
+  path already stored (``columns`` cuts them straight out of a padded
+  decode row), splitting at most one edge; a split copies both halves and
+  an eviction's merge concatenates, so no view keeps a dropped column
+  alive.  Every node names one *donor* entry whose key covers its edge:
+  the LRU entry a match touches.  Overflow evicts exactly one LRU entry by
   walking its path — no rebuild.
 * ``match(prompt_ids)`` walks the index, comparing tuple slices in pure
-  Python (no NumPy under the lock until a hit is sliced), as deep as the
-  query agrees with any stored sequence and returns that donor's K/V
-  sliced to the matched depth — so a stored prompt serves exact repeats,
-  grown-session prompts (shared history prefix), and unrelated requests
-  from the same template (shared template head) with a single entry.
+  Python, as deep as the query agrees with any stored sequence, and hands
+  out the path's blocks as ``PrefixMatch.segments`` with no copy — so
+  one stored path serves exact repeats, grown-session prompts (shared
+  history prefix), and other users of the same template (shared head).
 
 The decode integration lives in
 :func:`repro.llm.generation.decode_prefill`: matched rows skip
-the transformer for their cached prefix (the K/V is seeded straight into
-the :class:`repro.tensor.BeamKVCache` via ``seed_prompt``) and only the
-per-row suffix is forwarded.
+the transformer for their cached prefix (each segment is copied once into
+the prefill's prompt block, which every layer's
+:class:`repro.tensor.BeamKVCache` adopts via ``seed_prompt``), only the
+per-row suffix is forwarded, and the block's new columns are filed back.
 
-Thread safety: all public methods take an internal lock, and stored K/V
-arrays are copied on insert and marked read-only, so a
-:class:`PrefixMatch` handed to one decode thread is never mutated by
-another thread's insert or eviction.  Invalidation: entries are keyed by
-token ids under *fixed* model weights — call :meth:`clear` after any
-weight update (further tuning, vocabulary extension) or when switching
-models.
+Thread safety: all public methods take an internal lock.  Stored blocks
+are never written: a split, merge or eviction replaces a node's block
+instead of editing it, so a :class:`PrefixMatch` handed to one decode
+thread stays valid while another thread inserts or evicts.
+Invalidation: entries are keyed by token ids under *fixed* model weights
+— call :meth:`clear` after any weight update (further tuning, vocabulary
+extension) or when switching models.
 
 Catalog churn needs no invalidation here: prompt K/V depends on the
 token sequence and the weights only — *not* on the decoding trie — and
@@ -65,7 +68,8 @@ class PrefixCacheStats:
     """Counters a long-running service (and the benchmark) reads.
 
     ``token_hit_rate`` is the load-bearing number: the fraction of prompt
-    tokens whose transformer forward pass was skipped.
+    tokens whose transformer forward pass was skipped.  ``stored_bytes``
+    (occupancy) is the sum of every node's K/V block, exact under the lock.
     """
 
     lookups: int = 0
@@ -74,6 +78,7 @@ class PrefixCacheStats:
     evictions: int = 0
     prompt_tokens: int = 0
     reused_tokens: int = 0
+    stored_bytes: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -88,24 +93,30 @@ class PrefixCacheStats:
 
 @dataclass
 class _Entry:
-    """One stored prompt: its token key and per-layer K/V arrays."""
+    """One stored prompt: its token key (its K/V lives on the nodes of its path)."""
 
     key: tuple[int, ...]
-    layer_kvs: list[tuple[np.ndarray, np.ndarray]]
+
+
+def _frozen(block: np.ndarray) -> np.ndarray:
+    block.flags.writeable = False
+    return block
 
 
 class _Node:
     """Radix node reached over ``edge``; children are keyed by first edge token.
 
-    ``donor`` is a live entry whose key covers the whole edge, ``entry`` the
-    one ending exactly here.  No parent link: paths are re-walked from the
-    root, so dropped nodes and their K/V are freed by refcount, not the GC.
+    ``kv`` is the edge's K/V block (``None`` at the root), ``donor`` a live
+    entry whose key covers the whole edge, ``entry`` the one ending exactly
+    here.  No parent link: paths are re-walked from the root, so dropped
+    nodes and their K/V are freed by refcount, not the GC.
     """
 
-    __slots__ = ("edge", "children", "donor", "entry")
+    __slots__ = ("edge", "kv", "children", "donor", "entry")
 
-    def __init__(self, edge: tuple[int, ...], donor: _Entry | None) -> None:
+    def __init__(self, edge: tuple[int, ...], kv: np.ndarray | None, donor: _Entry | None):
         self.edge = edge
+        self.kv = kv
         self.children: dict[int, _Node] = {}
         self.donor = donor
         self.entry: _Entry | None = None
@@ -115,14 +126,14 @@ class _Node:
 class PrefixMatch:
     """A successful lookup: reusable K/V for the first ``length`` tokens.
 
-    ``layer_kvs[i]`` is the layer-``i`` ``(keys, values)`` pair, each of
-    shape ``(1, heads, length, head_dim)``.  The arrays are read-only views
-    of cache-owned storage — consume them (seed a decode cache, which
-    copies on first append) without writing into them.
+    ``segments`` are consecutive ``(layers, 2, heads, columns, head_dim)``
+    blocks (K then V of every layer) whose columns add up to ``length``:
+    the matched radix path, root first.  They are read-only cache storage
+    — copy them out (seed a decode cache) without writing into them.
     """
 
     length: int
-    layer_kvs: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
+    segments: tuple[np.ndarray, ...] = field(repr=False)
 
 
 class PrefixKVCache:
@@ -153,7 +164,7 @@ class PrefixKVCache:
         self.stats = PrefixCacheStats()
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple[int, ...], _Entry] = OrderedDict()
-        self._root = _Node((), None)
+        self._root = _Node((), None, None)
 
     # ------------------------------------------------------------------
     # Lookup
@@ -180,13 +191,14 @@ class PrefixKVCache:
             depth += len(edge)
         return path, depth, None, 0
 
-    def _longest(self, prompt_ids: Sequence[int], max_len: int | None) -> tuple[int, _Entry | None]:
-        """``(length, donor)`` of the longest stored prefix; ``(0, None)`` under the floor."""
+    def _longest(
+        self, prompt_ids: Sequence[int], max_len: int | None
+    ) -> tuple[int, list[_Node], _Node | None, int]:
+        """:meth:`_walk` of the capped query, its matched length first (0 under the floor)."""
         limit = len(prompt_ids) if max_len is None else max(0, min(max_len, len(prompt_ids)))
         path, depth, child, common = self._walk(tuple(prompt_ids[:limit]))
         depth += common
-        donor = (child or path[-1]).donor
-        return (depth, donor) if depth >= self.min_prefix_len else (0, None)
+        return (depth if depth >= self.min_prefix_len else 0), path, child, common
 
     def match(self, prompt_ids: list[int], max_len: int | None = None) -> PrefixMatch | None:
         """Longest cached prefix of ``prompt_ids``, or None.
@@ -198,17 +210,16 @@ class PrefixKVCache:
         with self._lock:
             self.stats.lookups += 1
             self.stats.prompt_tokens += len(prompt_ids)
-            depth, donor = self._longest(prompt_ids, max_len)
-            if donor is None:
+            depth, path, child, common = self._longest(prompt_ids, max_len)
+            if not depth:
                 return None
-            self._entries.move_to_end(donor.key)  # LRU touch
+            self._entries.move_to_end((child or path[-1]).donor.key)  # LRU touch
             self.stats.hits += 1
             self.stats.reused_tokens += depth
-            layer_kvs = tuple(
-                (keys[:, :, :depth, :], values[:, :, :depth, :])
-                for keys, values in donor.layer_kvs
-            )
-            return PrefixMatch(length=depth, layer_kvs=layer_kvs)
+            segments = [node.kv for node in path[1:]]
+            if child is not None:
+                segments.append(child.kv[:, :, :, :common])
+            return PrefixMatch(length=depth, segments=tuple(segments))
 
     def probe(self, prompt_ids: Sequence[int], max_len: int | None = None) -> int:
         """Matched prefix length a :meth:`match` would return — no side effects.
@@ -228,49 +239,59 @@ class PrefixKVCache:
     def insert(
         self,
         prompt_ids: list[int],
-        layer_kvs: list[tuple[np.ndarray, np.ndarray]],
+        kv: np.ndarray,
         *,
         columns: Sequence[slice] = (slice(None),),
     ) -> bool:
-        """Store a decoded prompt's per-layer K/V under its token sequence.
+        """Store a decoded prompt's K/V under its token sequence.
 
-        ``layer_kvs[i]`` must be ``(keys, values)`` of shape
-        ``(1, heads, width, head_dim)`` whose ``columns`` — slices of the
-        ``width`` axis, in order; default all of it — hold exactly the
-        ``len(prompt_ids)`` prompt positions (a padded decode-cache row
-        passes its prefix and suffix ranges).  The one copy stored is made
-        here and frozen, so callers may hand in views of live decode caches.
+        ``kv`` is ``(layers, 2, heads, width, head_dim)`` — K then V of
+        every layer, one decode row — whose ``columns`` (unit-step slices of
+        the ``width`` axis, inside it, increasing and disjoint; default all
+        of it) hold exactly the ``len(prompt_ids)`` prompt positions: a
+        padded decode row passes its prefix and suffix ranges.  Only the
+        columns past the part of the path already stored are copied (one
+        copy, frozen), so callers may hand in views of live decode caches.
         Returns False (and stores nothing) for prompts shorter than
         ``min_prefix_len`` or already stored.
         """
         key = tuple(map(int, prompt_ids))
+        width, ranges = kv.shape[3], [(0, 0)]
+        for cut in columns:  # a misfiled column would seed silently wrong K/V later
+            start, stop = cut.start or 0, width if cut.stop is None else cut.stop
+            if cut.step not in (None, 1) or not ranges[-1][1] <= start <= stop <= width:
+                raise ValueError(f"columns {columns} are not in-order unit-step ranges of {width}")
+            ranges.append((start, stop))
+        if sum(stop - start for start, stop in ranges) != len(key):
+            raise ValueError(f"K/V columns {columns} do not hold the {len(key)} prompt positions")
         if len(key) < self.min_prefix_len:
             return False
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
                 return False
-            stored = []
-            for pair in layer_kvs:
-                # concatenate always allocates: never an alias of a live cache, and slices
-                # (not an index gather) keep it to one strided copy per range.
-                pair = tuple(np.concatenate([a[:, :, s] for s in columns], axis=2) for a in pair)
-                if pair[0].shape[2] != len(key):
-                    raise ValueError(f"K/V length {pair[0].shape[2]} != prompt length {len(key)}")
-                for array in pair:
-                    array.flags.writeable = False
-                stored.append(pair)
-            entry = self._entries[key] = _Entry(key=key, layer_kvs=stored)
+            entry = self._entries[key] = _Entry(key=key)
             path, depth, child, common = self._walk(key)
             end = path[-1]
             if child is not None:  # the key leaves (or ends inside) an edge: split it there
-                mid = end.children[key[depth]] = _Node(child.edge[:common], child.donor)
+                mid = end.children[key[depth]] = _Node(
+                    child.edge[:common], _frozen(child.kv[:, :, :, :common].copy()), child.donor
+                )
                 child.edge = child.edge[common:]
+                child.kv = _frozen(child.kv[:, :, :, common:].copy())
                 mid.children[child.edge[0]] = child
                 path.append(mid)
                 end, depth = mid, depth + common
             if depth < len(key):  # the rest of the key hangs off as a new leaf
-                leaf = end.children[key[depth]] = _Node(key[depth:], entry)
+                pieces, offset = [], 0  # prompt positions depth.. of the ranges
+                for start, stop in ranges:
+                    if start + depth - offset < stop:
+                        pieces.append(kv[:, :, :, max(start, start + depth - offset) : stop])
+                    offset += stop - start
+                # concatenate always allocates: never an alias of a live cache.
+                block = _frozen(np.concatenate(pieces, axis=3))
+                self.stats.stored_bytes += block.nbytes
+                leaf = end.children[key[depth]] = _Node(key[depth:], block, entry)
                 end = leaf
             end.entry = entry
             for node in path[1:]:  # newest entry donates: LRU touches keep it, not a stale one
@@ -289,8 +310,11 @@ class PrefixKVCache:
         for parent, node in zip(path[-2::-1], path[:0:-1]):  # bottom-up
             if node.entry is None and len(node.children) < 2:
                 del parent.children[node.edge[0]]
+                if not node.children:
+                    self.stats.stored_bytes -= node.kv.nbytes
                 for child in node.children.values():  # unary pass-through: merge into it
                     child.edge = node.edge + child.edge
+                    child.kv = _frozen(np.concatenate([node.kv, child.kv], axis=3))
                     parent.children[child.edge[0]] = child
             elif node.donor is entry:
                 node.donor = node.entry or next(iter(node.children.values())).donor
@@ -299,7 +323,8 @@ class PrefixKVCache:
         """Drop every entry (required after any model-weight change)."""
         with self._lock:
             self._entries.clear()
-            self._root = _Node((), None)
+            self._root = _Node((), None, None)
+            self.stats.stored_bytes = 0
 
     def __contains__(self, prompt_ids: Sequence[int]) -> bool:
         """Whether the *exact* prompt is stored (not merely matchable)."""

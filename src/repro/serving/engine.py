@@ -402,7 +402,8 @@ class TrieDecoderEngine(GenerativeEngine):
         equally-sized private instance: cross-worker K/V sharing would
         need locking on the decode hot path, and the cluster's affinity
         router exists precisely so one session's refreshes keep hitting
-        the same worker's cache.  The trie is shared: it is immutable.
+        the same worker's cache, whose radix nodes store each prompt
+        column its sessions share once.  The trie is shared: it is immutable.
         Works for subclasses too (``copy.copy``
         keeps their extra attributes, e.g. the model reference the
         encoders use).

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import tracemalloc
 from os.path import commonprefix
 
 import numpy as np
@@ -22,34 +23,39 @@ from helpers import decode_prompts
 
 
 def fake_kvs(length, layers=2, heads=2, head_dim=4, fill=1.0):
-    """Per-layer (keys, values) pairs shaped like a 1-row prompt cache."""
-    out = []
+    """A one-row prompt K/V block ``(layers, 2, heads, length, head_dim)``."""
+    block = np.empty((layers, 2, heads, length, head_dim), dtype=np.float32)
     for layer in range(layers):
-        keys = np.full((1, heads, length, head_dim), fill + layer, dtype=np.float32)
-        values = keys + 100.0
-        out.append((keys, values))
-    return out
+        block[layer, 0] = fill + layer
+        block[layer, 1] = fill + layer + 100.0
+    return block
 
 
-def prefix_kvs(key):
-    """One-layer K/V whose column ``j`` encodes ``key[: j + 1]`` and nothing else.
+def prefix_kvs(key, head_dim=2):
+    """One-layer K/V block whose column ``j`` encodes ``key[: j + 1]`` and nothing else.
 
-    Any donor covering a prefix holds the same columns for it, so a match
-    can be checked column by column against the *query* alone.
+    Any stored path covering a prefix holds the same columns for it, so a
+    match can be checked column by column against the *query* alone.
     """
     codes, code = [], 7
     for token in key:
         code = (code * 31 + token + 1) % 65521  # exact in float32
         codes.append(code)
-    keys = np.array(codes, dtype=np.float32).reshape(1, 1, len(key), 1).repeat(2, axis=3)
-    return [(keys, keys + 0.5)]
+    keys = np.array(codes, dtype=np.float32).reshape(1, len(key), 1).repeat(head_dim, axis=2)
+    return np.stack([keys, keys + 0.5])[None]
+
+
+def matched_kv(match):
+    """The K/V a match hands out, as one ``(layers, 2, heads, length, head_dim)`` array."""
+    assert sum(segment.shape[3] for segment in match.segments) == match.length
+    assert not any(segment.flags.writeable for segment in match.segments)
+    return np.concatenate(match.segments, axis=3)
 
 
 def assert_match_is_prefix_of(match, query):
     """The K/V a match hands out is exactly what was inserted for ``query[:length]``."""
-    (keys, values), (want_keys, want_values) = match.layer_kvs[0], prefix_kvs(query)[0]
-    np.testing.assert_array_equal(keys, want_keys[:, :, : match.length])
-    np.testing.assert_array_equal(values, want_values[:, :, : match.length])
+    want = prefix_kvs(query, head_dim=match.segments[0].shape[4])
+    np.testing.assert_array_equal(matched_kv(match), want[:, :, :, : match.length])
 
 
 def oracle_match_len(cache, query, max_len=None):
@@ -80,14 +86,19 @@ def check_index(cache):
     live = cache._entries
     assert len(live) <= cache.max_entries
     root = cache._root
-    assert root.entry is None and root.edge == ()
+    assert root.entry is None and root.edge == () and root.kv is None
     nodes, ended, stack = 0, set(), [((), child) for child in root.children.values()]
+    stored = 0
     assert all(first == child.edge[0] for first, child in root.children.items())
     while stack:
         above, node = stack.pop()
         nodes += 1
         prefix = above + node.edge
         assert node.edge, "empty edge"
+        assert node.kv.shape[3] == len(node.edge), "block and edge disagree on columns"
+        assert not node.kv.flags.writeable, "stored block is writeable"
+        assert node.kv.base is None, "a view would keep a dropped column alive"
+        stored += node.kv.nbytes
         assert live.get(node.donor.key) is node.donor, "donor is not a live entry"
         assert node.donor.key[: len(prefix)] == prefix, "donor does not cover the node"
         if node.entry is None:
@@ -99,6 +110,7 @@ def check_index(cache):
             assert first == child.edge[0]
             stack.append((prefix, child))
     assert ended == set(live), "index and LRU table disagree about what is stored"
+    assert cache.stats.stored_bytes == stored, "occupancy gauge drifted from the blocks"
     assert nodes <= 2 * len(live)  # so an empty cache is a bare root: back to baseline
 
 
@@ -180,19 +192,105 @@ class TestRadixIndexModel:
     def test_columns_cut_one_copy_from_a_padded_row(self):
         """``columns=`` stores exactly the listed column ranges of a wider live buffer."""
         key = [1, 2, 3, 4]
-        ((want_keys, want_values),) = prefix_kvs(key)
         columns = (slice(1, 3), slice(5, None))  # prefix region | pads | suffix region
-        live = [tuple(np.full((1, 1, 7, 2), -1.0, dtype=np.float32) for _ in range(2))]
-        for array, want in zip(live[0], (want_keys, want_values)):
-            array[:, :, [1, 2, 5, 6]] = want
+        live = np.full((1, 2, 1, 7, 2), -1.0, dtype=np.float32)
+        live[:, :, :, [1, 2, 5, 6]] = prefix_kvs(key)
         cache = PrefixKVCache(min_prefix_len=2)
         assert cache.insert(key, live, columns=columns)
-        live[0][0][:] = -2.0  # the decode cache moves on; the stored copy is private
-        match = cache.match(key)
-        assert_match_is_prefix_of(match, key)
-        assert not match.layer_kvs[0][0].flags.writeable
+        live[:] = -2.0  # the decode cache moves on; the stored copy is private
+        assert_match_is_prefix_of(cache.match(key), key)
+        check_index(cache)
         with pytest.raises(ValueError):
             cache.insert([1, 2, 3, 4, 5], live, columns=columns)
+
+
+class TestMalformedColumns:
+    """``columns`` that would file K/V under the wrong positions raise, storing nothing."""
+
+    KEY = [1, 2, 3, 4]
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            (slice(4, 6), slice(0, 2)),  # out of order
+            (slice(0, 3), slice(2, 3)),  # overlapping
+            (slice(0, 8, 2),),  # strided
+            (slice(6, 10),),  # past the row
+            (slice(-4, None),),  # negative: outside the row
+            (slice(3, 1), slice(2, 8)),  # a reversed range
+        ],
+    )
+    def test_rejected(self, columns):
+        live = np.zeros((1, 2, 1, 8, 2), dtype=np.float32)
+        cache = PrefixKVCache(min_prefix_len=2)
+        with pytest.raises(ValueError):
+            cache.insert(self.KEY, live, columns=columns)
+        assert len(cache) == 0 and cache.stats.stored_bytes == 0
+        check_index(cache)
+
+    def test_unit_step_empty_and_adjacent_ranges_accepted(self):
+        live = np.zeros((1, 2, 1, 8, 2), dtype=np.float32)
+        live[:, :, :, 2:6] = prefix_kvs(self.KEY)
+        cache = PrefixKVCache(min_prefix_len=2)
+        columns = (slice(2, 2), slice(2, 4, 1), slice(4, 6))
+        assert cache.insert(self.KEY, live, columns=columns)
+        assert_match_is_prefix_of(cache.match(self.KEY), self.KEY)
+
+
+class TestSessionOccupancy:
+    """A growing session stores each distinct radix column once, and gives it all back."""
+
+    HEAD = [1, 30, 31, 32, 33]  # template head
+    TAIL = [90, 91, 92]  # the template's fixed tail
+    HEAD_DIM = 512  # 4 KB per column: Python object overhead is noise beside it
+
+    def turn(self, t):
+        return self.HEAD + list(range(40, 40 + t)) + self.TAIL
+
+    def column_bytes(self):
+        return prefix_kvs([1], head_dim=self.HEAD_DIM).nbytes
+
+    def test_turns_store_distinct_columns_and_evict_to_zero(self):
+        turns = 6
+        cache = PrefixKVCache(max_entries=turns, min_prefix_len=2)
+        first = None
+        for t in range(1, turns + 1):
+            key = self.turn(t)
+            kv = prefix_kvs(key, head_dim=self.HEAD_DIM)
+            before = cache.stats.stored_bytes
+            tracing = tracemalloc.is_tracing()
+            tracemalloc.start()
+            try:
+                held = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                assert cache.insert(key, kv)
+                allocated = tracemalloc.get_traced_memory()[1] - held
+            finally:
+                if not tracing:
+                    tracemalloc.stop()
+            # New columns: this turn's history item and the tail.  The previous
+            # turn's leaf (all of turn 1; later its last item and the tail) splits
+            # before the tail: both halves are copied.
+            new_columns = len(key) if t == 1 else 1 + len(self.TAIL)
+            split_columns = {1: 0, 2: len(self.turn(1))}.get(t, 1 + len(self.TAIL))
+            new_bytes = new_columns * self.column_bytes()
+            split_bytes = split_columns * self.column_bytes()
+            assert cache.stats.stored_bytes - before == new_bytes
+            assert new_bytes <= allocated <= new_bytes + split_bytes + 4096
+            check_index(cache)
+            distinct = {live[: i + 1] for live in cache._entries for i in range(len(live))}
+            assert cache.stats.stored_bytes == len(distinct) * self.column_bytes()
+            match = cache.match(key + [7], max_len=len(key))
+            assert match.length == len(key)
+            assert_match_is_prefix_of(match, key)
+            first = first or match
+        for entry in list(cache._entries.values()):  # evict every entry, oldest first
+            with cache._lock:
+                cache._drop(entry)
+            check_index(cache)
+        assert cache.stats.stored_bytes == 0 and not cache._root.children
+        # A match handed out before the splits and evictions still reads its K/V.
+        assert_match_is_prefix_of(first, self.turn(1))
 
 
 class TestScopedInvalidation:
@@ -270,13 +368,11 @@ class TestPrefixKVCacheUnit:
         cache.insert(prompt, fake_kvs(5))
         exact = cache.match(prompt)
         assert exact.length == 5
-        assert exact.layer_kvs[0][0].shape == (1, 2, 5, 4)
+        assert matched_kv(exact).shape == (2, 2, 2, 5, 4)
         # A diverging prompt reuses the shared prefix via the same entry.
         partial = cache.match([1, 5, 6, 9, 9, 9])
         assert partial.length == 3
-        np.testing.assert_array_equal(
-            partial.layer_kvs[1][1], exact.layer_kvs[1][1][:, :, :3, :]
-        )
+        np.testing.assert_array_equal(matched_kv(partial), matched_kv(exact)[:, :, :, :3])
 
     def test_max_len_caps_match(self):
         cache = PrefixKVCache(min_prefix_len=2)
@@ -305,10 +401,9 @@ class TestPrefixKVCacheUnit:
         cache = PrefixKVCache(min_prefix_len=2)
         kvs = fake_kvs(3)
         cache.insert([1, 2, 3], kvs)
-        kvs[0][0][:] = -1.0  # caller mutates its live buffer afterwards
+        kvs[:] = -1.0  # caller mutates its live buffer afterwards
         match = cache.match([1, 2, 3])
-        np.testing.assert_array_equal(match.layer_kvs[0][0], fake_kvs(3)[0][0])
-        assert not match.layer_kvs[0][0].flags.writeable
+        np.testing.assert_array_equal(matched_kv(match), fake_kvs(3))
 
     def test_length_mismatch_rejected(self):
         cache = PrefixKVCache(min_prefix_len=2)
