@@ -359,47 +359,87 @@ class MultiHeadAttention(Module):
         return self.out_proj(self._merge_heads(out))
 
 
+def _softmax_rows(scores: np.ndarray, stats=None):
+    """Softmax over the last axis of ``scores``, in its own buffer.
+
+    Returns the probabilities (``scores``, overwritten) and the per-row
+    ``(max, sum)`` it normalised with.  Handed the forward's ``stats``, it
+    recomputes the forward's bits from the same scores.
+    """
+    row_max = scores.max(axis=-1, keepdims=True) if stats is None else stats[0]
+    scores -= row_max
+    np.exp(scores, out=scores)
+    row_sum = scores.sum(axis=-1, keepdims=True) if stats is None else stats[1]
+    scores /= row_sum
+    return scores, (row_max, row_sum)
+
+
 def _attention(
     q: Tensor, k: Tensor, v: Tensor, attn_mask: np.ndarray | None, dropout: Dropout
 ) -> Tensor:
     """``softmax(masked(q kᵀ · scale)) → dropout → @ v`` as one tape node.
 
-    The closure keeps the arrays of ``q``, ``k`` and ``v``, the softmax
-    output and the dropout keep-mask (``bool``), nothing else: the scores,
-    their scaled and masked copies and the float dropout multipliers die in
-    the forward.  The backward runs the numpy expressions the primitive ops'
-    backwards ran, in their order and on the same operand views, so every
-    gradient is bit-identical to the composed graph's; the parents are
-    ``(q, k, v)``, so the depth-first sort in :meth:`Tensor.backward` still
-    visits v, k and q in that order.
+    The closure keeps the arrays of ``q``, ``k`` and ``v``, the dropout
+    keep-mask (``bool``) and the softmax's per-row max and sum, nothing
+    T×T: the backward recomputes the probabilities from those with the
+    forward's expressions (as FlashAttention does), so they die in the
+    forward with the scores and the float dropout multipliers.  The
+    forward runs in place in one T×T buffer, the backward in two (three
+    with dropout), and both run the IEEE operations the primitive ops ran,
+    in their order and on the same operand views, so every gradient is
+    bit-identical to the composed graph's; the parents are ``(q, k, v)``,
+    so the depth-first sort in :meth:`Tensor.backward` still visits v, k
+    and q in that order.
     """
     scale = np.float32(1.0 / np.sqrt(q.shape[-1]))
     q_data, v_data = q.data, v.data
     kt = k.data.transpose(0, 1, 3, 2)
-    scores = (q_data @ kt) * scale
     if attn_mask is not None:
         attn_mask = np.asarray(attn_mask, dtype=bool)
-        scores = np.where(attn_mask, np.float32(-1e9), scores)
-    probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    probs /= probs.sum(axis=-1, keepdims=True)
-    del scores
+
+    def scores():
+        out = q_data @ kt
+        out *= scale
+        if attn_mask is not None:
+            np.copyto(out, np.float32(-1e9), where=attn_mask)
+        return out
+
+    probs, stats = _softmax_rows(scores())
     keep = F.dropout_keep(probs.shape, dropout.p, dropout.rng, dropout.training)
     p = dropout.p
-    out_data = (probs if keep is None else probs * F.dropout_mask(keep, p)) @ v_data
+    if keep is not None:
+        probs *= F.dropout_mask(keep, p)
+    out_data = probs @ v_data
+    del probs
 
     def backward(g):
-        mask = None if keep is None else F.dropout_mask(keep, p)
-        dropped = probs if mask is None else probs * mask
+        probs = _softmax_rows(scores(), stats)[0]
         g_probs = g @ np.swapaxes(v_data, -1, -2)
-        g_v = np.swapaxes(dropped, -1, -2) @ g
-        if mask is not None:
-            g_probs = g_probs * mask
-        g_scores = probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True))
+        if keep is None:
+            g_v = np.swapaxes(probs, -1, -2) @ g
+        else:
+            mask = F.dropout_mask(keep, p)
+            g_probs *= mask
+            np.multiply(probs, mask, out=mask)
+            g_v = np.swapaxes(mask, -1, -2) @ g
+            del mask
+        # g_scores = probs * (g_probs - Σ g_probs·probs), in g_probs' buffer;
+        # the row sums go one batch row at a time through a small scratch
+        # (each row's sum is the same reduction either way).
+        inner = np.empty(stats[1].shape, dtype=np.float32)
+        scratch = np.empty(probs.shape[1:], dtype=np.float32)
+        for row in range(probs.shape[0]):
+            np.multiply(g_probs[row], probs[row], out=scratch)
+            scratch.sum(axis=-1, keepdims=True, out=inner[row])
+        del scratch
+        g_probs -= inner
+        g_probs *= probs
+        del probs
         if attn_mask is not None:
-            g_scores = np.where(attn_mask, 0.0, g_scores)
-        g_scores = g_scores * scale
-        g_q = g_scores @ np.swapaxes(kt, -1, -2)
-        g_k = (np.swapaxes(q_data, -1, -2) @ g_scores).transpose(0, 1, 3, 2)
+            np.copyto(g_probs, np.float32(0.0), where=attn_mask)
+        g_probs *= scale
+        g_q = g_probs @ np.swapaxes(kt, -1, -2)
+        g_k = (np.swapaxes(q_data, -1, -2) @ g_probs).transpose(0, 1, 3, 2)
         return (g_q, g_k, g_v)
 
     return Tensor._make(out_data, (q, k, v), backward)

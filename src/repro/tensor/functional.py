@@ -4,9 +4,9 @@ These functions create single tape nodes with hand-derived backward rules,
 which is substantially faster than composing them from primitive ops.  Like
 every closure on the tape, each backward captures only the arrays and
 shapes it reads.  The norms and SwiGLU compute their output with a closure
-over those same arrays and hand it to ``Tensor._make`` as the output's
-rebuild, so the GEMM that reads the output recomputes it in its backward
-instead of keeping it.
+over those same arrays (SwiGLU: over its operands' rebuilds) and hand it to
+``Tensor._make`` as the output's rebuild, so the GEMM that reads the output
+recomputes it in its backward instead of keeping it.
 """
 
 from __future__ import annotations
@@ -246,35 +246,78 @@ def masked_fill(x: Tensor, mask: np.ndarray, value: float) -> Tensor:
     return Tensor._make(out_data, (x,), backward)
 
 
+def _kept(tensor: Tensor):
+    """What a backward keeps of ``tensor``: a closure returning its data (the
+    rebuild, or one over the array) and whether that array is the backward's
+    to overwrite (a rebuild's is fresh)."""
+    if tensor._rebuild is not None:
+        return tensor._rebuild, True
+    data = tensor.data
+    return (lambda: data), False
+
+
 def swiglu(gate: Tensor, up: Tensor) -> Tensor:
     """``gate.silu() * up`` as one tape node (the LLaMA feed-forward's gating).
 
-    The closure keeps ``gate`` and ``up`` only: the sigmoid and the SiLU
-    output die in the forward, and the backward recomputes them with the
-    same numpy expressions, then runs what the ``silu`` and ``*`` nodes'
-    backwards ran, so gradients are bit-identical to the composition's.
-    The parents are ``(gate, up)``, so the depth-first sort visits ``up``
-    and then ``gate``, as it did through the ``*`` node.  ``output`` is
-    also the output's rebuild, so ``down_proj`` does not keep the output.
+    The closure keeps ``gate``'s and ``up``'s rebuilds (their GEMMs over a
+    rebuildable norm output, in the LLaMA block) or, failing one, the
+    array: the sigmoid and the SiLU output die in the forward, and the
+    backward recomputes them with the same numpy expressions, then runs
+    what the ``silu`` and ``*`` nodes' backwards ran, so gradients are
+    bit-identical to the composition's.  The parents are ``(gate, up)``, so
+    the depth-first sort visits ``up`` and then ``gate``, as it did through
+    the ``*`` node.  The output is rebuildable too, so ``down_proj`` does
+    not keep it; its rebuild, which ``down_proj``'s backward calls first,
+    leaves the rebuilt gate and up for this node's backward, so each of
+    their GEMMs runs once per backward.
     """
     gate = as_tensor(gate)
     up = as_tensor(up)
-    x, u = gate.data, up.data
+    (gate_data, x_fresh), (up_data, u_fresh) = _kept(gate), _kept(up)
+    rebuilt = []
+
+    def operands():
+        if not rebuilt:
+            rebuilt.append((gate_data(), up_data()))
+        return rebuilt[0]
 
     def output():
-        # One buffer: the sigmoid, then times gate, then times up (IEEE
-        # products commute, so these are the composition's bits).
-        out = np.negative(x)
-        np.exp(out, out=out)
-        out += 1.0
-        np.divide(1.0, out, out=out)
-        out *= x
-        out *= u
-        return out
+        return _silu_times(*operands())
 
     def backward(g):
-        sig = 1.0 / (1.0 + np.exp(-x))
-        g_gate = g * u
-        return (g_gate * (sig + x * sig * (1.0 - sig)), g * (x * sig))
+        x, u = operands()
+        rebuilt.clear()
+        # g·u·(sig + x·sig·(1 - sig)) and g·(x·sig): the plain expressions'
+        # IEEE operations in their order, in two new buffers beside rebuilt
+        # gate and up (four beside kept ones).
+        sig = _sigmoid(x)
+        x_sig = np.multiply(x, sig, out=x if x_fresh else None)
+        d_silu = 1.0 - sig
+        d_silu *= x_sig
+        np.add(sig, d_silu, out=d_silu)
+        del sig
+        g_gate = np.multiply(g, u, out=u if u_fresh else None)
+        g_gate *= d_silu
+        del d_silu
+        np.multiply(g, x_sig, out=x_sig)
+        return (g_gate, x_sig)
 
-    return Tensor._make(output(), (gate, up), backward, output)
+    return Tensor._make(_silu_times(gate.data, up.data), (gate, up), backward, output)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-x))`` in one buffer, with the plain expression's bits."""
+    out = np.negative(x)
+    np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+    return out
+
+
+def _silu_times(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``silu(x) * u`` in one buffer: the sigmoid, then times ``x``, then
+    times ``u`` (IEEE products commute, so these are the composition's bits)."""
+    out = _sigmoid(x)
+    out *= x
+    out *= u
+    return out

@@ -116,14 +116,16 @@ class AdamW(Adam):
 def clip_grad_norm(params: list[Parameter], max_norm: float) -> float:
     """Scale gradients so their global L2 norm is at most ``max_norm``.
 
-    Returns the pre-clipping norm (useful for logging divergence).
+    Returns the pre-clipping norm (useful for logging divergence).  A
+    non-finite norm leaves the gradients as they are, for the caller to
+    reject.
     """
     total = 0.0
     for param in params:
         if param.grad is not None:
             total += float((param.grad.astype(np.float64) ** 2).sum())
     norm = float(np.sqrt(total))
-    if norm > max_norm and norm > 0:
+    if norm > max_norm and 0 < norm < np.inf:
         scale = max_norm / norm
         for param in params:
             if param.grad is not None:
@@ -152,39 +154,53 @@ def train_epochs(
     losses passes one batch per "epoch".  Every ``log_every`` epochs the
     mean is logged as ``"{name} {epoch}: loss=..."``.
 
-    Training ends the same way for every model: spent gradients are
-    dropped (a ``WeightMemo`` refuses to cache while any parameter holds
-    one) and the model is left in eval mode.
+    A non-finite loss, or a non-finite gradient norm when clipping, raises
+    :class:`FloatingPointError` naming ``name`` and the step (counted from
+    0 across epochs, as ``schedule.apply`` sees it) before the optimiser
+    moves, so the weights stay as the last finite step left them.
+
+    Training ends the same way for every model, also when it raises: spent
+    gradients are dropped (a ``WeightMemo`` refuses to cache while any
+    parameter holds one) and the model is left in eval mode.
     """
     if log_every < 1:
         raise ValueError(f"log_every must be >= 1, got {log_every}")
     means: list[float] = []
     step = 0
     model.train()
-    for epoch, batches in enumerate(epochs, start=1):
-        total, count = 0.0, 0
-        for batch in batches:
-            if schedule is not None:
-                schedule.apply(optimizer, step)
-            loss = loss_fn(batch)
-            # Drop the last step's gradients only now: alive through the
-            # forward, they keep glibc from trimming the heap the freed graph
-            # left behind, which the forward would otherwise fault back in.
-            # On the ledger fixture's build, with the backward freeing as it
-            # goes, TIGER.fit faults 21 k pages this way and 45 k dropping
-            # them first; the LM pretraining ≈ 250 k either way, and neither
-            # stage's wall time moves beyond run-to-run noise (2-vCPU Xeon).
-            optimizer.zero_grad()
-            loss.backward()
-            if clip_norm is not None:
-                clip_grad_norm(optimizer.params, clip_norm)
-            optimizer.step()
-            total += loss.item()
-            count += 1
-            step += 1
-        means.append(total / max(count, 1))
-        if epoch % log_every == 0:
-            logger.info("%s %d: loss=%.4f", name, epoch, means[-1])
-    model.zero_grad()
-    model.eval()
+    try:
+        for epoch, batches in enumerate(epochs, start=1):
+            total, count = 0.0, 0
+            for batch in batches:
+                if schedule is not None:
+                    schedule.apply(optimizer, step)
+                loss = loss_fn(batch)
+                value = loss.item()
+                if not np.isfinite(value):
+                    raise FloatingPointError(f"{name}: loss is {value} at step {step}")
+                # The last step's gradients are dropped only now, after the
+                # forward; the weights are the same either way, and the page
+                # faults are glibc's heap trimming, which follows the
+                # allocation history.  On the ledger fixture's build
+                # (``ru_minflt``, two stage-timing scripts) the LM pretraining faults
+                # 152-165 k pages this way and 116-136 k dropping them first,
+                # TIGER.fit 9.6-32 k and 4.9-24 k.
+                optimizer.zero_grad()
+                loss.backward()
+                if clip_norm is not None:
+                    norm = clip_grad_norm(optimizer.params, clip_norm)
+                    if not np.isfinite(norm):
+                        raise FloatingPointError(
+                            f"{name}: gradient norm is {norm} at step {step}"
+                        )
+                optimizer.step()
+                total += value
+                count += 1
+                step += 1
+            means.append(total / max(count, 1))
+            if epoch % log_every == 0:
+                logger.info("%s %d: loss=%.4f", name, epoch, means[-1])
+    finally:
+        model.zero_grad()
+        model.eval()
     return means

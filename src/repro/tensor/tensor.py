@@ -27,7 +27,12 @@ Design notes
   ``_make`` as the output's ``_rebuild``, and :meth:`Tensor.__matmul__`
   keeps that closure instead of the array and calls it in its backward.
   So a norm output feeding q/k/v or a SwiGLU output feeding ``down_proj``
-  dies in the forward, and the backward reads the same bits.
+  dies in the forward, and the backward reads the same bits.  A GEMM
+  output over a rebuildable left operand is rebuildable too (that
+  operand's rebuild, then the same GEMM on the same weight), which is how
+  SwiGLU keeps neither ``gate`` nor ``up``.  The attention node recomputes
+  its probabilities the same way, from q, k and the softmax's row max and
+  sum.
 * :meth:`Tensor.backward` frees as it goes: once a node has dispatched,
   its closure, its parent links and its slot in the topological order are
   dropped, so a training step's activations are released while its
@@ -193,8 +198,9 @@ class Tensor:
         parent, in ``parents`` order; it must not capture the parents
         themselves, only the arrays or shapes it reads.  ``rebuild``, when
         given, returns ``data`` afresh with the forward's exact expression
-        from arrays ``backward`` already captures; a consumer that would
-        keep ``data`` for its backward may keep ``rebuild`` instead.
+        from arrays ``backward`` already captures, as a new array its
+        caller may overwrite; a consumer that would keep ``data`` for its
+        backward may keep ``rebuild`` instead.
         """
         needs_grad = is_grad_enabled() and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=needs_grad)
@@ -348,7 +354,8 @@ class Tensor:
         a, b = self.data, other.data
         # A rebuildable left operand is not kept: the backward recomputes it
         # (the norm outputs feeding the projections and the head, the SwiGLU
-        # output feeding ``down_proj``), so it dies in the forward.
+        # output feeding ``down_proj``), so it dies in the forward.  The
+        # output is then rebuildable too, with one more GEMM.
         rebuild = self._rebuild
         if a.ndim >= 3 and b.ndim == 2:
             # Fold the batch dims into one GEMM: numpy dispatches
@@ -359,18 +366,27 @@ class Tensor:
             # gradients likewise fold (the batched ``aᵀ @ g`` summed over
             # batch dims *is* the folded two-dimensional product).
             a_shape = a.shape
-            a2 = np.ascontiguousarray(a).reshape(-1, a_shape[-1])
-            out_data = (a2 @ b).reshape(*a_shape[:-1], b.shape[-1])
+
+            def fold(a):
+                return np.ascontiguousarray(a).reshape(-1, a_shape[-1])
+
+            out_shape = (*a_shape[:-1], b.shape[-1])
+            a2 = fold(a)
+            out_data = (a2 @ b).reshape(out_shape)
             kept_a2 = a2 if rebuild is None else None
 
             def backward_folded(g):
                 g2 = g.reshape(-1, g.shape[-1])
                 ga = (g2 @ b.T).reshape(a_shape)
-                a2 = kept_a2 if rebuild is None else rebuild().reshape(-1, a_shape[-1])
+                a2 = kept_a2 if rebuild is None else fold(rebuild())
                 gb = a2.T @ g2
                 return (ga, gb)
 
-            return Tensor._make(out_data, (self, other), backward_folded)
+            def output_folded():
+                return (fold(rebuild()) @ b).reshape(out_shape)
+
+            rebuild_out = None if rebuild is None else output_folded
+            return Tensor._make(out_data, (self, other), backward_folded, rebuild_out)
 
         kept_a = a if rebuild is None else None
         a_shape = a.shape
@@ -391,7 +407,11 @@ class Tensor:
             gb = np.swapaxes(a, -1, -2) @ g
             return (_unbroadcast(ga, a_shape), _unbroadcast(gb, b.shape))
 
-        return Tensor._make(a @ b, (self, other), backward)
+        def output():
+            return rebuild() @ b
+
+        rebuild_out = None if rebuild is None else output
+        return Tensor._make(a @ b, (self, other), backward, rebuild_out)
 
     def transpose(self, *axes: int) -> "Tensor":
         if not axes:

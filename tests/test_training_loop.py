@@ -156,3 +156,41 @@ class TestTrainEpochs:
                 name="t", log_every=0,
             )
         assert calls == []
+
+    @pytest.mark.parametrize("clip_norm", [None, 1.0])
+    def test_a_non_finite_loss_raises_before_the_step_moves_the_weights(self, clip_norm):
+        model = Linear(2, 1, rng=np.random.default_rng(0))
+        optimizer = SGD(model.parameters(), lr=0.1)
+        batches = [np.ones((1, 2)), np.ones((1, 2)), np.array([[np.nan, 1.0]]), np.ones((1, 2))]
+        seen = []
+
+        def loss(batch):
+            seen.append(batch)
+            if len(seen) == 3:
+                good.update(model.state_dict())
+            return (model(Tensor(batch)) ** 2).sum()
+
+        good = {}
+        with pytest.raises(FloatingPointError, match=r"^probe: loss is nan at step 2$"):
+            train_epochs(model, optimizer, [batches], loss, name="probe", clip_norm=clip_norm)
+        assert len(seen) == 3
+        assert {k: v.tobytes() for k, v in model.state_dict().items()} == {
+            k: v.tobytes() for k, v in good.items()
+        }
+        assert all(np.isfinite(p.data).all() for p in model.parameters())
+        assert all(p.grad is None for p in model.parameters())
+        assert not model.training
+
+    def test_a_non_finite_gradient_norm_raises_before_the_step(self):
+        model = Linear(2, 1, rng=np.random.default_rng(0))
+        optimizer = SGD(model.parameters(), lr=0.1)
+        before = {k: v.tobytes() for k, v in model.state_dict().items()}
+
+        def loss(batch):
+            # A finite loss whose backward hands the model an infinite gradient.
+            out = model(Tensor(batch)).sum()
+            return Tensor._make(np.float32(0.0), (out,), lambda g: (np.float32(np.inf),))
+
+        with pytest.raises(FloatingPointError, match=r"^probe: gradient norm is inf at step 0$"):
+            train_epochs(model, optimizer, [[np.ones((1, 2))]], loss, name="probe", clip_norm=1.0)
+        assert {k: v.tobytes() for k, v in model.state_dict().items()} == before

@@ -9,9 +9,12 @@ file keeps as a test-local reference.  The norms and SwiGLU hand the GEMM
 that reads their output a rebuild instead of the array, and cross-entropy
 turns one buffer into log-probs, probs and the gradient; their references
 are the nodes as they were before, whose consumers keep the output and
-whose cross-entropy copies.  The memory guards pin what the fusion, the
-node links (an op output dies with its last reference unless a backward
-reads it), the rebuilds and the freeing buy.
+whose cross-entropy copies.  The attention node recomputes its
+probabilities in the backward and SwiGLU rebuilds ``gate`` and ``up``
+through their GEMMs; their references are the fused nodes that kept those
+arrays.  The memory guards pin what the fusion, the node links (an op
+output dies with its last reference unless a backward reads it), the
+rebuilds, the recomputes and the freeing buy.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from repro.tensor import (
     concat,
     no_grad,
 )
+from repro.tensor import attention
 from repro.tensor import functional as F
 
 
@@ -77,6 +81,60 @@ def reference_attention_forward(self, x, context=None, attn_mask=None):
 def reference_swiglu_forward(self, x):
     """The gating composed from a ``silu`` node and a ``*`` node."""
     return self.down_proj(self.gate_proj(x).silu() * self.up_proj(x))
+
+
+def reference_kept_attention(q, k, v, attn_mask, dropout):
+    """The fused attention node keeping its T×T probabilities for the backward."""
+    scale = np.float32(1.0 / np.sqrt(q.shape[-1]))
+    q_data, v_data = q.data, v.data
+    kt = k.data.transpose(0, 1, 3, 2)
+    scores = (q_data @ kt) * scale
+    if attn_mask is not None:
+        attn_mask = np.asarray(attn_mask, dtype=bool)
+        scores = np.where(attn_mask, np.float32(-1e9), scores)
+    # The node's own softmax, so a test watching it sees these probabilities.
+    probs = attention._softmax_rows(scores)[0]
+    keep = F.dropout_keep(probs.shape, dropout.p, dropout.rng, dropout.training)
+    p = dropout.p
+    out_data = (probs if keep is None else probs * F.dropout_mask(keep, p)) @ v_data
+
+    def backward(g):
+        mask = None if keep is None else F.dropout_mask(keep, p)
+        dropped = probs if mask is None else probs * mask
+        g_probs = g @ np.swapaxes(v_data, -1, -2)
+        g_v = np.swapaxes(dropped, -1, -2) @ g
+        if mask is not None:
+            g_probs = g_probs * mask
+        g_scores = probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True))
+        if attn_mask is not None:
+            g_scores = np.where(attn_mask, 0.0, g_scores)
+        g_scores = g_scores * scale
+        g_q = g_scores @ np.swapaxes(kt, -1, -2)
+        g_k = (np.swapaxes(q_data, -1, -2) @ g_scores).transpose(0, 1, 3, 2)
+        return (g_q, g_k, g_v)
+
+    return Tensor._make(out_data, (q, k, v), backward)
+
+
+def reference_kept_swiglu(gate, up):
+    """The fused SwiGLU node keeping ``gate`` and ``up`` for the backward."""
+    x, u = gate.data, up.data
+
+    def output():
+        out = np.negative(x)
+        np.exp(out, out=out)
+        out += 1.0
+        np.divide(1.0, out, out=out)
+        out *= x
+        out *= u
+        return out
+
+    def backward(g):
+        sig = 1.0 / (1.0 + np.exp(-x))
+        g_gate = g * u
+        return (g_gate * (sig + x * sig * (1.0 - sig)), g * (x * sig))
+
+    return Tensor._make(output(), (gate, up), backward, output)
 
 
 def reference_rms_norm(x, weight, eps=1e-6):
@@ -149,9 +207,18 @@ def reference_cross_entropy(logits, targets, ignore_index=None):
 
 @pytest.fixture
 def composed(monkeypatch):
-    """Patch the reference in for the fused nodes, the rebuilds and cross-entropy."""
+    """Patch the reference in for the fused nodes, the rebuilds and cross-entropy.
 
-    def patch():
+    ``patch(kept=True)`` patches in only the fused attention and SwiGLU
+    nodes as they were before their backwards recomputed: attention keeping
+    its probabilities, SwiGLU keeping ``gate`` and ``up``.
+    """
+
+    def patch(kept=False):
+        if kept:
+            monkeypatch.setattr(attention, "_attention", reference_kept_attention)
+            monkeypatch.setattr(F, "swiglu", reference_kept_swiglu)
+            return
         monkeypatch.setattr(MultiHeadAttention, "forward", reference_attention_forward)
         monkeypatch.setattr(RotaryEmbedding, "apply", reference_rope_apply)
         monkeypatch.setattr(SwiGLU, "forward", reference_swiglu_forward)
@@ -197,13 +264,30 @@ def key_pad_mask(batch, q_len, k_len, rng):
     return (np.arange(k_len)[None, :] >= lengths[:, None])[:, None, None, :]
 
 
+def key_pad_mask_with_an_empty_row(batch, q_len, k_len, rng):
+    """TIGER's ``(B, 1, 1, S)`` key mask, with one row masking every key."""
+    mask = key_pad_mask(batch, q_len, k_len, rng)
+    mask[1] = True
+    return mask
+
+
 CASES = {
     "causal_self_attention_with_rope": dict(
         seed=1, rope=True, dropout=0.0, context_len=0,
         mask=lambda b, q, k, rng: causal_mask(q, k),
     ),
+    "causal_self_attention_with_dropout_0.1": dict(
+        seed=5, rope=True, dropout=0.1, context_len=0,
+        mask=lambda b, q, k, rng: causal_mask(q, k),
+    ),
     "cross_attention_with_key_pad_mask": dict(
         seed=2, rope=False, dropout=0.0, context_len=5, mask=key_pad_mask,
+    ),
+    "cross_attention_with_an_empty_key_row_and_dropout_0.1": dict(
+        seed=6, rope=False, dropout=0.1, context_len=5, mask=key_pad_mask_with_an_empty_row,
+    ),
+    "self_attention_with_an_empty_key_row": dict(
+        seed=7, rope=False, dropout=0.0, context_len=0, mask=key_pad_mask_with_an_empty_row,
     ),
     "dropout_on": dict(
         seed=3, rope=True, dropout=0.3, context_len=0,
@@ -224,6 +308,17 @@ def test_fused_attention_is_bit_identical_to_the_composition(name, composed):
     assert len(fused_grads) == len(reference_grads)
     for fused, reference in zip(fused_grads, reference_grads):
         assert fused is not None and np.array_equal(fused, reference)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_recomputed_probabilities_match_the_node_that_kept_them(name, composed):
+    recomputed_out, recomputed_grads = run_attention(CASES[name])
+    composed(kept=True)
+    kept_out, kept_grads = run_attention(CASES[name])
+    assert np.array_equal(recomputed_out, kept_out)
+    assert len(recomputed_grads) == len(kept_grads) == 5 + bool(CASES[name]["context_len"])
+    for recomputed, kept in zip(recomputed_grads, kept_grads):
+        assert recomputed is not None and np.array_equal(recomputed, kept)
 
 
 def test_rope_at_an_offset_is_bit_identical(composed):
@@ -279,6 +374,8 @@ def train_tiger():
 @pytest.mark.parametrize("train", [train_lm, train_tiger], ids=["tinyllama", "tiger"])
 def test_three_steps_train_byte_equal_weights(train, composed):
     fused = train()
+    composed(kept=True)
+    assert fused == train()
     composed()
     assert fused == train()
 
@@ -289,15 +386,65 @@ def test_swiglu_is_bit_identical_to_the_composition(composed):
     data = rng.standard_normal((3, 5, 16)).astype(np.float32)
     upstream = rng.standard_normal((3, 5, 16)).astype(np.float32)
     results = []
-    for patch in (lambda: None, composed):
+    for patch in (lambda: None, lambda: composed(kept=True), composed):
         patch()
         module.zero_grad()
         x = Tensor(data, requires_grad=True)
         out = module(x)
         (out * upstream).sum().backward()
         results.append([out.data, x.grad] + [p.grad for p in module.parameters()])
-    for fused, reference in zip(*results):
-        assert np.array_equal(fused, reference)
+    for fused, kept, reference in zip(*results):
+        assert np.array_equal(fused, kept) and np.array_equal(fused, reference)
+
+
+@pytest.mark.parametrize("consumer", ["down_proj", "mul"])
+def test_swiglu_over_rebuilt_gate_and_up_runs_each_gemm_once(consumer, composed, monkeypatch):
+    """Gate and up rebuild from the norm; each backward rebuilds them once.
+
+    ``down_proj``'s backward rebuilds the SwiGLU output and leaves gate and
+    up for the SwiGLU backward; with no GEMM consumer that backward rebuilds
+    them itself.  Either way the norm output is rebuilt four times: once per
+    gate and up GEMM rebuild, once per ``gate_proj`` and ``up_proj`` backward
+    (the node that kept gate and up rebuilt it for those two only).
+    """
+    rng = np.random.default_rng(17)
+    norm, module = RMSNorm(16), SwiGLU(16, 24, np.random.default_rng(18))
+    norm.weight.data = rng.standard_normal(16).astype(np.float32)
+    data = rng.standard_normal((3, 5, 16)).astype(np.float32)
+    weights = rng.standard_normal((3, 5, 24)).astype(np.float32)
+    upstream = rng.standard_normal((3, 5, 16 if consumer == "down_proj" else 24))
+    rms_norm = F.rms_norm
+    rebuilds = []
+
+    def counted_rms_norm(x, weight, eps=1e-6):
+        out = rms_norm(x, weight, eps)
+        rebuild = out._rebuild
+
+        def counted():
+            rebuilds.append(1)
+            return rebuild()
+
+        out._rebuild = counted
+        return out
+
+    monkeypatch.setattr(F, "rms_norm", counted_rms_norm)
+    results = []
+    for kept in (False, True):
+        if kept:
+            composed(kept=True)
+        rebuilds.clear()
+        norm.zero_grad()
+        module.zero_grad()
+        x = Tensor(data, requires_grad=True)
+        hidden = norm(x)
+        act = F.swiglu(module.gate_proj(hidden), module.up_proj(hidden))
+        out = module.down_proj(act) if consumer == "down_proj" else act * weights
+        (out * upstream.astype(np.float32)).sum().backward()
+        results.append([out.data, x.grad] + [p.grad for p in norm.parameters()]
+                       + [p.grad for p in module.parameters() if p.grad is not None])
+        assert len(rebuilds) == (2 if kept else 4)
+    for recomputed, kept in zip(*results):
+        assert np.array_equal(recomputed, kept)
 
 
 def rms_norm_then_linear(rng, shape):
@@ -412,7 +559,9 @@ def test_fixture_shaped_pretrain_step_peak_memory():
     nodes and the freeing backward read 79 MB; node links, the fused
     SwiGLU and ``bool`` dropout masks read 58 MB; rebuilding the norm and
     SwiGLU outputs in their GEMMs' backwards and cross-entropy in one
-    buffer read 40.5 MB.  The bound is that plus 10 %.
+    buffer read 40.5 MB; recomputing the attention probabilities and
+    SwiGLU's gate and up in their backwards read 23.0 MB (32.8 MB with
+    the attention half alone).  The bound is that plus 10 %.
     """
     config = LMConfig(vocab_size=758, dim=128, num_layers=4, num_heads=8, ffn_hidden=352,
                       max_seq_len=256, seed=0)
@@ -423,7 +572,7 @@ def test_fixture_shaped_pretrain_step_peak_memory():
     peak = traced_step_peak(
         lambda: F.cross_entropy(model(batch[:, :-1]), batch[:, 1:]), optimizer
     )
-    assert peak < 44.6 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+    assert peak < 25.4 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 def test_fixture_shaped_tiger_step_peak_memory():
@@ -432,8 +581,9 @@ def test_fixture_shaped_tiger_step_peak_memory():
     Tensor-linked parents, ``__add__`` closures holding whole tensors and
     float32 dropout masks read a 76.7 MB traced peak; node links and
     ``bool`` masks read 35.6 MB; rebuilding the LayerNorm outputs in their
-    GEMMs' backwards and cross-entropy in one buffer read 30.8 MB.  The
-    bound is that plus 10 %.
+    GEMMs' backwards and cross-entropy in one buffer read 30.8 MB;
+    recomputing the attention probabilities in their backward read
+    29.2 MB.  The bound is that plus 10 %.
     """
     num_items, batch = 413, 64
     index_set = build_random_index_set(num_items, 3, 256, np.random.default_rng(0))
@@ -451,7 +601,7 @@ def test_fixture_shaped_tiger_step_peak_memory():
     peak = traced_step_peak(
         lambda: F.cross_entropy(model(source, decoder_input), targets), optimizer
     )
-    assert peak < 33.9 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+    assert peak < 32.1 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.1])
@@ -526,6 +676,50 @@ def test_rebuilt_outputs_and_logits_are_dead_once_the_loss_exists(monkeypatch):
     }
     loss.backward()
     assert all(p.grad is not None for p in model.parameters())
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+def test_probabilities_gate_and_up_are_dead_once_the_loss_exists(monkeypatch, composed, dropout):
+    """The attention probabilities and SwiGLU's gate and up die in the forward.
+
+    Their backwards recompute them from what the nodes keep (q, k, v and
+    the softmax's row max and sum; the gate and up GEMMs' rebuilds), so
+    nothing holds them by the time the loss exists.  The nodes that kept
+    them, patched in, hold all three.
+    """
+    config = LMConfig(vocab_size=40, dim=32, num_layers=2, num_heads=4, ffn_hidden=48,
+                      max_seq_len=16, dropout=dropout, seed=0)
+    batch = np.random.default_rng(0).integers(0, config.vocab_size, size=(2, 9))
+    softmax_rows = attention._softmax_rows
+    alive = {}
+    for kept in (False, True):
+        if kept:
+            composed(kept=True)
+        swiglu = F.swiglu
+        watched = {}
+
+        def recording_softmax_rows(scores, stats=None):
+            out = softmax_rows(scores, stats)
+            watched.setdefault("probabilities", weakref.ref(out[0]))
+            return out
+
+        def recording_swiglu(gate, up):
+            watched.setdefault("gate", weakref.ref(gate.data))
+            watched.setdefault("up", weakref.ref(up.data))
+            return swiglu(gate, up)
+
+        monkeypatch.setattr(attention, "_softmax_rows", recording_softmax_rows)
+        monkeypatch.setattr(F, "swiglu", recording_swiglu)
+        model = TinyLlama(config)
+        model.train()
+        loss = F.cross_entropy(model(batch[:, :-1]), batch[:, 1:])
+        alive[kept] = {name: ref() is not None for name, ref in watched.items()}
+        loss.backward()
+        assert all(p.grad is not None for p in model.parameters())
+    assert alive == {
+        False: {"probabilities": False, "gate": False, "up": False},
+        True: {"probabilities": True, "gate": True, "up": True},
+    }
 
 
 def test_backward_frees_a_closure_array_before_upstream_nodes_run():
