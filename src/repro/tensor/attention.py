@@ -62,17 +62,21 @@ class RotaryEmbedding:
         One tape node: its closure keeps only the two table slices.  The
         backward is the sum of what the sliced-and-concatenated composition
         of primitive ops routed to each half, so gradients match it bit for
-        bit.  Per-row positions (left-padded batches) are the inference
-        kernel's (:mod:`repro.llm.inference`).
+        bit.  The output is rebuildable when ``x`` is (the rotation of its
+        rebuild), so the attention node keeps no rotated q or k.  Per-row
+        positions (left-padded batches) are the inference kernel's
+        (:mod:`repro.llm.inference`).
         """
         seq_len = x.shape[2]
         half = self.head_dim // 2
         cos = self.cos[offset : offset + seq_len][None, None, :, :]
         sin = self.sin[offset : offset + seq_len][None, None, :, :]
-        x1 = x.data[..., :half]
-        x2 = x.data[..., half:]
-        out_data = np.concatenate([x1 * cos - x2 * sin, x2 * cos + x1 * sin], axis=-1)
         shape = x.shape
+
+        def rotate(x):
+            x1 = x[..., :half]
+            x2 = x[..., half:]
+            return np.concatenate([x1 * cos - x2 * sin, x2 * cos + x1 * sin], axis=-1)
 
         def backward(g):
             g1 = g[..., :half]
@@ -83,7 +87,7 @@ class RotaryEmbedding:
             grad[..., half:] += (-g1) * sin + g2 * cos
             return (grad,)
 
-        return Tensor._make(out_data, (x,), backward)
+        return Tensor._make(rotate(x.data), (x,), backward, x._then(rotate))
 
 
 @dataclass
@@ -379,42 +383,44 @@ def _attention(
 ) -> Tensor:
     """``softmax(masked(q kᵀ · scale)) → dropout → @ v`` as one tape node.
 
-    The closure keeps the arrays of ``q``, ``k`` and ``v``, the dropout
-    keep-mask (``bool``) and the softmax's per-row max and sum, nothing
-    T×T: the backward recomputes the probabilities from those with the
-    forward's expressions (as FlashAttention does), so they die in the
-    forward with the scores and the float dropout multipliers.  The
-    forward runs in place in one T×T buffer, the backward in two (three
-    with dropout), and both run the IEEE operations the primitive ops ran,
-    in their order and on the same operand views, so every gradient is
-    bit-identical to the composed graph's; the parents are ``(q, k, v)``,
-    so the depth-first sort in :meth:`Tensor.backward` still visits v, k
-    and q in that order.
+    The closure keeps the rebuilds of ``q``, ``k`` and ``v`` (their
+    projections of a norm output, through the head split and RoPE), or the
+    array of an operand that has none, plus the dropout keep-mask
+    (``bool``) and the softmax's per-row max and sum, nothing T×T.  So
+    q, k and v die in the forward with the scores and the float dropout
+    multipliers, and the backward rebuilds them, then recomputes the
+    probabilities from them with the forward's expressions (as
+    FlashAttention does).  The forward runs in place in one T×T buffer,
+    the backward in two (three with dropout), and both run the IEEE
+    operations the primitive ops ran, in their order and on the same
+    operand views, so every gradient is bit-identical to the composed
+    graph's; the parents are ``(q, k, v)``, so the depth-first sort in
+    :meth:`Tensor.backward` still visits v, k and q in that order.
     """
     scale = np.float32(1.0 / np.sqrt(q.shape[-1]))
-    q_data, v_data = q.data, v.data
-    kt = k.data.transpose(0, 1, 3, 2)
+    q_kept, k_kept, v_kept = F._kept(q), F._kept(k), F._kept(v)
     if attn_mask is not None:
         attn_mask = np.asarray(attn_mask, dtype=bool)
 
-    def scores():
+    def scores(q_data, kt):
         out = q_data @ kt
         out *= scale
         if attn_mask is not None:
             np.copyto(out, np.float32(-1e9), where=attn_mask)
         return out
 
-    probs, stats = _softmax_rows(scores())
+    probs, stats = _softmax_rows(scores(q.data, k.data.transpose(0, 1, 3, 2)))
     keep = F.dropout_keep(probs.shape, dropout.p, dropout.rng, dropout.training)
     p = dropout.p
     if keep is not None:
         probs *= F.dropout_mask(keep, p)
-    out_data = probs @ v_data
+    out_data = probs @ v.data
     del probs
 
     def backward(g):
-        probs = _softmax_rows(scores(), stats)[0]
-        g_probs = g @ np.swapaxes(v_data, -1, -2)
+        q_data, kt = q_kept(), k_kept().transpose(0, 1, 3, 2)
+        probs = _softmax_rows(scores(q_data, kt), stats)[0]
+        g_probs = g @ np.swapaxes(v_kept(), -1, -2)
         if keep is None:
             g_v = np.swapaxes(probs, -1, -2) @ g
         else:

@@ -6,7 +6,9 @@ every closure on the tape, each backward captures only the arrays and
 shapes it reads.  The norms and SwiGLU compute their output with a closure
 over those same arrays (SwiGLU: over its operands' rebuilds) and hand it to
 ``Tensor._make`` as the output's rebuild, so the GEMM that reads the output
-recomputes it in its backward instead of keeping it.
+recomputes it in its backward instead of keeping it (a norm once per
+backward for all its consumers); dropout passes its operand's rebuild on,
+times the multipliers of its ``bool`` mask.
 """
 
 from __future__ import annotations
@@ -135,6 +137,27 @@ def cross_entropy(
     return Tensor._make(np.float32(loss), (logits,), backward)
 
 
+def _shared(output):
+    """A norm output's rebuild: computed once per backward, shared by its consumers.
+
+    Returns the rebuild and the function that drops its array.  The norm's
+    backward calls that first, and it runs after every consumer's (they are
+    downstream), so the array lives from the first consumer's backward to
+    the norm's own.  It is read-only: no consumer writes into what another
+    reads.
+    """
+    rebuilt = []
+
+    def rebuild():
+        if not rebuilt:
+            out = output()
+            out.flags.writeable = False
+            rebuilt.append(out)
+        return rebuilt[0]
+
+    return rebuild, rebuilt.clear
+
+
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Layer normalisation over the last dimension."""
     x = as_tensor(x)
@@ -147,7 +170,13 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     feature_axes = tuple(range(x.ndim - 1))
     weight_data, bias_data = weight.data, bias.data
 
+    def output():
+        return weight_data * x_hat + bias_data
+
+    rebuild, drop = _shared(output)
+
     def backward(g):
+        drop()
         g_hat = g * weight_data
         gx = inv_std * (
             g_hat
@@ -158,10 +187,7 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
         g_bias = g.sum(axis=feature_axes)
         return (gx, g_weight, g_bias)
 
-    def output():
-        return weight_data * x_hat + bias_data
-
-    return Tensor._make(output(), (x, weight, bias), backward, output)
+    return Tensor._make(output(), (x, weight, bias), backward, rebuild)
 
 
 def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
@@ -174,7 +200,13 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
     feature_axes = tuple(range(x.ndim - 1))
     x_data, weight_data = x.data, weight.data
 
+    def output():
+        return weight_data * (x_data * inv_rms)
+
+    rebuild, drop = _shared(output)
+
     def backward(g):
+        drop()
         g_normed = g * weight_data
         # d/dx [x * inv_rms]: inv_rms * g - x * <g, x> * inv_rms^3 / dim
         inner = (g_normed * x_data).sum(axis=-1, keepdims=True)
@@ -182,10 +214,7 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
         g_weight = (g * (x_data * inv_rms)).sum(axis=feature_axes)
         return (gx, g_weight)
 
-    def output():
-        return weight_data * (x_data * inv_rms)
-
-    return Tensor._make(output(), (x, weight), backward, output)
+    return Tensor._make(output(), (x, weight), backward, rebuild)
 
 
 def dropout_keep(
@@ -207,7 +236,10 @@ def dropout_mask(keep: np.ndarray, p: float) -> np.ndarray:
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout; identity when not training or ``p == 0``."""
+    """Inverted dropout; identity when not training or ``p == 0``.
+
+    The output is rebuildable when ``x`` is, from the kept ``bool`` mask.
+    """
     x = as_tensor(x)
     keep = dropout_keep(x.shape, p, rng, training)
     if keep is None:
@@ -216,7 +248,10 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Te
     def backward(g):
         return (g * dropout_mask(keep, p),)
 
-    return Tensor._make(x.data * dropout_mask(keep, p), (x,), backward)
+    def output(a):
+        return a * dropout_mask(keep, p)
+
+    return Tensor._make(output(x.data), (x,), backward, x._then(output))
 
 
 def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
@@ -247,13 +282,15 @@ def masked_fill(x: Tensor, mask: np.ndarray, value: float) -> Tensor:
 
 
 def _kept(tensor: Tensor):
-    """What a backward keeps of ``tensor``: a closure returning its data (the
-    rebuild, or one over the array) and whether that array is the backward's
-    to overwrite (a rebuild's is fresh)."""
+    """What a backward keeps of ``tensor``: a closure returning its data, the
+    rebuild or, failing one, a read-only view of the array.  The backward
+    may write into what it returns when that is writeable (a fresh rebuild,
+    not a norm's shared one)."""
     if tensor._rebuild is not None:
-        return tensor._rebuild, True
-    data = tensor.data
-    return (lambda: data), False
+        return tensor._rebuild
+    data = tensor.data.view()
+    data.flags.writeable = False
+    return lambda: data
 
 
 def swiglu(gate: Tensor, up: Tensor) -> Tensor:
@@ -273,7 +310,7 @@ def swiglu(gate: Tensor, up: Tensor) -> Tensor:
     """
     gate = as_tensor(gate)
     up = as_tensor(up)
-    (gate_data, x_fresh), (up_data, u_fresh) = _kept(gate), _kept(up)
+    gate_data, up_data = _kept(gate), _kept(up)
     rebuilt = []
 
     def operands():
@@ -291,12 +328,12 @@ def swiglu(gate: Tensor, up: Tensor) -> Tensor:
         # IEEE operations in their order, in two new buffers beside rebuilt
         # gate and up (four beside kept ones).
         sig = _sigmoid(x)
-        x_sig = np.multiply(x, sig, out=x if x_fresh else None)
+        x_sig = np.multiply(x, sig, out=x if x.flags.writeable else None)
         d_silu = 1.0 - sig
         d_silu *= x_sig
         np.add(sig, d_silu, out=d_silu)
         del sig
-        g_gate = np.multiply(g, u, out=u if u_fresh else None)
+        g_gate = np.multiply(g, u, out=u if u.flags.writeable else None)
         g_gate *= d_silu
         del d_silu
         np.multiply(g, x_sig, out=x_sig)

@@ -27,12 +27,21 @@ Design notes
   ``_make`` as the output's ``_rebuild``, and :meth:`Tensor.__matmul__`
   keeps that closure instead of the array and calls it in its backward.
   So a norm output feeding q/k/v or a SwiGLU output feeding ``down_proj``
-  dies in the forward, and the backward reads the same bits.  A GEMM
+  dies in the forward, and the backward reads the same bits.  A norm
+  computes its rebuild once per backward, read-only, for all its
+  consumers, and drops it when its own backward runs.  A GEMM
   output over a rebuildable left operand is rebuildable too (that
   operand's rebuild, then the same GEMM on the same weight), which is how
-  SwiGLU keeps neither ``gate`` nor ``up``.  The attention node recomputes
-  its probabilities the same way, from q, k and the softmax's row max and
-  sum.
+  SwiGLU keeps neither ``gate`` nor ``up``.  ``reshape``, ``transpose``,
+  ``relu``, ``+`` of a parameter (a bias), RoPE and dropout pass their
+  operand's rebuild on (their own expression over it, with only the
+  parameter, the RoPE tables or the ``bool`` mask their node keeps), so
+  the attention node keeps the rebuilds of q, k and v, not the arrays,
+  and the FFN's ``fc2`` none of its input.  A rebuild captures only what
+  its node keeps, parameter arrays and its parents' rebuilds, so no
+  activation lives longer for it.  The attention node recomputes its
+  probabilities the same way, from the rebuilt q and k and the softmax's
+  row max and sum.
 * :meth:`Tensor.backward` frees as it goes: once a node has dispatched,
   its closure, its parent links and its slot in the topological order are
   dropped, so a training step's activations are released while its
@@ -197,10 +206,13 @@ class Tensor:
         ``backward`` maps the output's gradient to one contribution per
         parent, in ``parents`` order; it must not capture the parents
         themselves, only the arrays or shapes it reads.  ``rebuild``, when
-        given, returns ``data`` afresh with the forward's exact expression
-        from arrays ``backward`` already captures, as a new array its
-        caller may overwrite; a consumer that would keep ``data`` for its
-        backward may keep ``rebuild`` instead.
+        given, returns ``data`` afresh with the forward's exact expression;
+        its caller may write into the array only when it is writeable (a
+        norm computes its rebuild once per backward and shares it
+        read-only).  It may capture only what ``backward`` already
+        captures, parameter arrays and its parents' rebuilds, so no
+        activation outlives its node.  A consumer that would keep ``data``
+        for its backward may keep ``rebuild`` instead.
         """
         needs_grad = is_grad_enabled() and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=needs_grad)
@@ -208,6 +220,17 @@ class Tensor:
             out._node = _Node(backward, tuple(p._tape_node() for p in parents))
             out._rebuild = rebuild
         return out
+
+    def _then(self, op: Callable[[np.ndarray], np.ndarray]):
+        """A rebuild applying ``op`` to this tensor's rebuild; None without one.
+
+        ``op`` is the forward's own expression over this tensor's data, so
+        an op whose output is ``op(self.data)`` hands this to ``_make``.
+        """
+        rebuild = self._rebuild
+        if rebuild is None:
+            return None
+        return lambda: op(rebuild())
 
     def _tape_node(self) -> _Node | None:
         """This tensor's node on the tape; a grad-requiring leaf gets one on first use."""
@@ -288,7 +311,11 @@ class Tensor:
         def backward(g):
             return (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape))
 
-        return Tensor._make(self.data + other.data, (self, other), backward)
+        # A rebuildable operand plus a parameter (a ``Linear`` bias) is
+        # rebuildable: the parameter's array is all the rebuild adds.
+        b = other.data
+        rebuild = self._then(lambda a: a + b) if isinstance(other, Parameter) else None
+        return Tensor._make(self.data + b, (self, other), backward, rebuild)
 
     __radd__ = __add__
 
@@ -354,8 +381,9 @@ class Tensor:
         a, b = self.data, other.data
         # A rebuildable left operand is not kept: the backward recomputes it
         # (the norm outputs feeding the projections and the head, the SwiGLU
-        # output feeding ``down_proj``), so it dies in the forward.  The
-        # output is then rebuildable too, with one more GEMM.
+        # output feeding ``down_proj``, the FFN activation feeding ``fc2``),
+        # so it dies in the forward.  The output is then rebuildable too,
+        # with one more GEMM.
         rebuild = self._rebuild
         if a.ndim >= 3 and b.ndim == 2:
             # Fold the batch dims into one GEMM: numpy dispatches
@@ -421,7 +449,10 @@ class Tensor:
         def backward(g):
             return (g.transpose(inverse),)
 
-        return Tensor._make(self.data.transpose(axes), (self,), backward)
+        def output(a):
+            return a.transpose(axes)
+
+        return Tensor._make(output(self.data), (self,), backward, self._then(output))
 
     def swapaxes(self, axis1: int, axis2: int) -> "Tensor":
         def backward(g):
@@ -437,7 +468,10 @@ class Tensor:
         def backward(g):
             return (g.reshape(original),)
 
-        return Tensor._make(self.data.reshape(shape), (self,), backward)
+        def output(a):
+            return a.reshape(shape)
+
+        return Tensor._make(output(self.data), (self,), backward, self._then(output))
 
     # ------------------------------------------------------------------
     # Indexing
@@ -541,7 +575,10 @@ class Tensor:
         def backward(g):
             return (g * mask,)
 
-        return Tensor._make(self.data * mask, (self,), backward)
+        def output(a):
+            return a * mask
+
+        return Tensor._make(output(self.data), (self,), backward, self._then(output))
 
     def silu(self) -> "Tensor":
         """SiLU / swish activation: ``x * sigmoid(x)`` (used by SwiGLU)."""
@@ -552,20 +589,6 @@ class Tensor:
             return (g * (sig + x * sig * (1.0 - sig)),)
 
         return Tensor._make(x * sig, (self,), backward)
-
-    def gelu(self) -> "Tensor":
-        """Gaussian error linear unit (tanh approximation)."""
-        x = self.data
-        c = np.float32(np.sqrt(2.0 / np.pi))
-        inner = c * (x + 0.044715 * x**3)
-        t = np.tanh(inner)
-        out_data = 0.5 * x * (1.0 + t)
-
-        def backward(g):
-            dt = (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * x * x)
-            return (g * (0.5 * (1.0 + t) + 0.5 * x * dt),)
-
-        return Tensor._make(out_data, (self,), backward)
 
     def abs(self) -> "Tensor":
         sign = np.sign(self.data)

@@ -12,9 +12,13 @@ are the nodes as they were before, whose consumers keep the output and
 whose cross-entropy copies.  The attention node recomputes its
 probabilities in the backward and SwiGLU rebuilds ``gate`` and ``up``
 through their GEMMs; their references are the fused nodes that kept those
-arrays.  The memory guards pin what the fusion, the node links (an op
-output dies with its last reference unless a backward reads it), the
-rebuilds, the recomputes and the freeing buy.
+arrays.  The head split, RoPE, a bias ``+``, ReLU and dropout pass their
+operand's rebuild on, so the attention node keeps no q, k or v and the
+FFN's ``fc2`` no input; their reference is those ops without it, whose
+consumers keep the arrays.  A norm computes its rebuild once per backward
+and shares it read-only.  The memory guards pin what the fusion, the node
+links (an op output dies with its last reference unless a backward reads
+it), the rebuilds, the recomputes and the freeing buy.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import pytest
 
 from repro.baselines import TIGER, TIGERConfig
 from repro.baselines.generative import BOS_ID
+from repro.baselines.layers import PointwiseFeedForward
 from repro.core.indexer import build_random_index_set
 from repro.llm import LMConfig, TinyLlama
 from repro.llm.model import SwiGLU
@@ -205,16 +210,47 @@ def reference_cross_entropy(logits, targets, ignore_index=None):
     return Tensor._make(np.float32(loss), (logits,), backward)
 
 
+def without_rebuild(op):
+    """``op`` as it was before its output carried a rebuild: consumers keep the array."""
+
+    def kept_array(*args, **kwargs):
+        out = op(*args, **kwargs)
+        if all(out is not arg for arg in args):  # dropout off hands back its input
+            out._rebuild = None
+        return out
+
+    return kept_array
+
+
+# The ops whose outputs pass a rebuild on, so the attention node and the
+# FFN's ``fc2`` keep no q, k, v or ``fc2`` input.
+PROPAGATING = [
+    (Tensor, "reshape"),
+    (Tensor, "transpose"),
+    (Tensor, "__add__"),
+    (Tensor, "relu"),
+    (RotaryEmbedding, "apply"),
+    (F, "dropout"),
+]
+
+
 @pytest.fixture
 def composed(monkeypatch):
     """Patch the reference in for the fused nodes, the rebuilds and cross-entropy.
 
-    ``patch(kept=True)`` patches in only the fused attention and SwiGLU
-    nodes as they were before their backwards recomputed: attention keeping
-    its probabilities, SwiGLU keeping ``gate`` and ``up``.
+    ``patch(arrays=True)`` patches in only the ops that pass a rebuild on
+    as they were before: with them the attention node keeps q, k and v and
+    ``fc2`` keeps its input.  ``patch(kept=True)`` patches in only the
+    fused attention and SwiGLU nodes as they were before their backwards
+    recomputed: attention keeping its probabilities and q, k and v,
+    SwiGLU keeping ``gate`` and ``up``.
     """
 
-    def patch(kept=False):
+    def patch(kept=False, arrays=False):
+        if arrays:
+            for owner, name in PROPAGATING:
+                monkeypatch.setattr(owner, name, without_rebuild(getattr(owner, name)))
+            return
         if kept:
             monkeypatch.setattr(attention, "_attention", reference_kept_attention)
             monkeypatch.setattr(F, "swiglu", reference_kept_swiglu)
@@ -374,6 +410,8 @@ def train_tiger():
 @pytest.mark.parametrize("train", [train_lm, train_tiger], ids=["tinyllama", "tiger"])
 def test_three_steps_train_byte_equal_weights(train, composed):
     fused = train()
+    composed(arrays=True)
+    assert fused == train()
     composed(kept=True)
     assert fused == train()
     composed()
@@ -403,9 +441,10 @@ def test_swiglu_over_rebuilt_gate_and_up_runs_each_gemm_once(consumer, composed,
 
     ``down_proj``'s backward rebuilds the SwiGLU output and leaves gate and
     up for the SwiGLU backward; with no GEMM consumer that backward rebuilds
-    them itself.  Either way the norm output is rebuilt four times: once per
-    gate and up GEMM rebuild, once per ``gate_proj`` and ``up_proj`` backward
-    (the node that kept gate and up rebuilt it for those two only).
+    them itself.  Either way the norm's rebuild is asked for four times: once
+    per gate and up GEMM rebuild, once per ``gate_proj`` and ``up_proj``
+    backward (the node that kept gate and up asked for those two only).  It
+    computes one read-only array and hands that to every caller.
     """
     rng = np.random.default_rng(17)
     norm, module = RMSNorm(16), SwiGLU(16, 24, np.random.default_rng(18))
@@ -421,8 +460,8 @@ def test_swiglu_over_rebuilt_gate_and_up_runs_each_gemm_once(consumer, composed,
         rebuild = out._rebuild
 
         def counted():
-            rebuilds.append(1)
-            return rebuild()
+            rebuilds.append(rebuild())
+            return rebuilds[-1]
 
         out._rebuild = counted
         return out
@@ -443,6 +482,7 @@ def test_swiglu_over_rebuilt_gate_and_up_runs_each_gemm_once(consumer, composed,
         results.append([out.data, x.grad] + [p.grad for p in norm.parameters()]
                        + [p.grad for p in module.parameters() if p.grad is not None])
         assert len(rebuilds) == (2 if kept else 4)
+        assert all(array is rebuilds[0] and not array.flags.writeable for array in rebuilds)
     for recomputed, kept in zip(*results):
         assert np.array_equal(recomputed, kept)
 
@@ -462,9 +502,15 @@ def swiglu_then_down_proj(rng, shape):
     return [SwiGLU(shape[-1], 24, rng)]
 
 
+def layer_norm_then_pointwise_ffn(rng, shape):
+    """``fc2`` over ``dropout(relu(fc1(norm) + bias))``: a rebuild through bias, relu, dropout."""
+    return [layer_norm_then_linear(rng, shape)[0], PointwiseFeedForward(shape[-1], 24, 0.1, rng)]
+
+
 REBUILT = {
     "rms_norm->linear": rms_norm_then_linear,
     "layer_norm->linear": layer_norm_then_linear,
+    "layer_norm->pointwise_ffn": layer_norm_then_pointwise_ffn,
     "swiglu->down_proj": swiglu_then_down_proj,
 }
 
@@ -538,12 +584,76 @@ def test_no_grad_outputs_carry_no_rebuild():
         assert RMSNorm(8)(x)._rebuild is None
 
 
+def norm_output(shape=(2, 6, 8)):
+    """A grad-requiring RMSNorm output: the root every rebuild chain starts from."""
+    rng = np.random.default_rng(19)
+    norm = RMSNorm(shape[-1])
+    norm.weight.data = rng.standard_normal(shape[-1]).astype(np.float32)
+    return norm(Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True))
+
+
+def heads(t):
+    return t.reshape(2, 6, 2, 4).transpose(0, 2, 1, 3)
+
+
+def bias():
+    return Parameter(np.random.default_rng(20).standard_normal(8).astype(np.float32))
+
+
+PROPAGATED = {
+    "reshape": lambda t: t.reshape(2, 6, 2, 4),
+    "transpose": lambda t: t.transpose(0, 2, 1),
+    "head_split": heads,
+    "rope": lambda t: RotaryEmbedding(4, max_positions=8).apply(heads(t)),
+    "leaf_add": lambda t: t + bias(),
+    "relu": lambda t: t.relu(),
+    "dropout": lambda t: F.dropout(t, 0.3, np.random.default_rng(21), True),
+    "linear_bias_relu_dropout": lambda t: F.dropout(
+        Linear(8, 12, rng=np.random.default_rng(22))(t).relu(), 0.3,
+        np.random.default_rng(23), True,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROPAGATED))
+def test_propagated_rebuilds_return_the_forwards_bits(name):
+    """Each op that passes a rebuild on rebuilds its output's bits and layout."""
+    out = PROPAGATED[name](norm_output())
+    assert out._rebuild is not None
+    rebuilt = out._rebuild()
+    assert np.array_equal(rebuilt, out.data)
+    assert rebuilt.shape == out.shape and rebuilt.strides == out.data.strides
+
+
+@pytest.mark.parametrize("norm", [RMSNorm, LayerNorm])
+def test_a_norm_shares_one_read_only_rebuild_until_its_backward(norm):
+    rng = np.random.default_rng(24)
+    x = Tensor(rng.standard_normal((3, 8)).astype(np.float32), requires_grad=True)
+    out = norm(8)(x)
+    first = out._rebuild()
+    assert out._rebuild() is first and np.array_equal(first, out.data)
+    with pytest.raises(ValueError):
+        first += 1.0
+    rebuilt = weakref.ref(first)
+    del first
+    (out * rng.standard_normal(out.shape).astype(np.float32)).sum().backward()
+    assert rebuilt() is None
+
+
+def test_only_a_parameter_operand_passes_a_rebuild_through_add():
+    hidden = norm_output()
+    constant = Tensor(np.ones(8, dtype=np.float32))
+    assert (hidden + hidden)._rebuild is None
+    assert (hidden + constant)._rebuild is None
+    assert (hidden * 1.0 + bias())._rebuild is None  # the ``*`` output has no rebuild
+
+
 def traced_step_peak(loss_fn, optimizer):
     """``tracemalloc``'s peak over one forward, backward and optimiser step."""
     tracemalloc.start()
     try:
-        loss = loss_fn()
         optimizer.zero_grad()
+        loss = loss_fn()
         loss.backward()
         optimizer.step()
         return tracemalloc.get_traced_memory()[1]
@@ -561,7 +671,10 @@ def test_fixture_shaped_pretrain_step_peak_memory():
     SwiGLU outputs in their GEMMs' backwards and cross-entropy in one
     buffer read 40.5 MB; recomputing the attention probabilities and
     SwiGLU's gate and up in their backwards read 23.0 MB (32.8 MB with
-    the attention half alone).  The bound is that plus 10 %.
+    the attention half alone; 21.8 MB once this helper dropped the last
+    gradients before the forward, as ``train_epochs`` does); rebuilding
+    q, k and v through the head split and RoPE read 15.8 MB.  The bound
+    is that plus 10 %.
     """
     config = LMConfig(vocab_size=758, dim=128, num_layers=4, num_heads=8, ffn_hidden=352,
                       max_seq_len=256, seed=0)
@@ -572,7 +685,7 @@ def test_fixture_shaped_pretrain_step_peak_memory():
     peak = traced_step_peak(
         lambda: F.cross_entropy(model(batch[:, :-1]), batch[:, 1:]), optimizer
     )
-    assert peak < 25.4 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+    assert peak < 17.4 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 def test_fixture_shaped_tiger_step_peak_memory():
@@ -583,7 +696,9 @@ def test_fixture_shaped_tiger_step_peak_memory():
     ``bool`` masks read 35.6 MB; rebuilding the LayerNorm outputs in their
     GEMMs' backwards and cross-entropy in one buffer read 30.8 MB;
     recomputing the attention probabilities in their backward read
-    29.2 MB.  The bound is that plus 10 %.
+    29.2 MB; rebuilding q, k, v and the FFN's ``fc2`` input (through the
+    head split, the bias, ReLU and dropout) read 20.8 MB.  The bound is
+    that plus 10 %.
     """
     num_items, batch = 413, 64
     index_set = build_random_index_set(num_items, 3, 256, np.random.default_rng(0))
@@ -601,7 +716,7 @@ def test_fixture_shaped_tiger_step_peak_memory():
     peak = traced_step_peak(
         lambda: F.cross_entropy(model(source, decoder_input), targets), optimizer
     )
-    assert peak < 32.1 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+    assert peak < 23.9 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.1])
@@ -720,6 +835,108 @@ def test_probabilities_gate_and_up_are_dead_once_the_loss_exists(monkeypatch, co
         False: {"probabilities": False, "gate": False, "up": False},
         True: {"probabilities": True, "gate": True, "up": True},
     }
+
+
+def owner(array):
+    """The array that owns ``array``'s memory (a view's ``base``)."""
+    return array if array.base is None else array.base
+
+
+def watch_attention_operands(monkeypatch):
+    """Record, per attention node in forward order, weak references to q, k and v."""
+    calls = []
+    attend = attention._attention
+
+    def recording_attention(q, k, v, attn_mask, dropout):
+        calls.append({name: weakref.ref(owner(t.data)) for name, t in zip("qkv", (q, k, v))})
+        return attend(q, k, v, attn_mask, dropout)
+
+    monkeypatch.setattr(attention, "_attention", recording_attention)
+    return calls
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+def test_lm_q_k_v_are_dead_once_the_loss_exists(monkeypatch, composed, dropout):
+    """RoPE'd q and k and the head-split v of an LM block die in the forward.
+
+    The attention node keeps their rebuilds (the RMSNorm's, through the
+    projection, the head split and RoPE).  With the ops that pass a rebuild
+    on patched back, the node keeps the arrays.
+    """
+    config = LMConfig(vocab_size=40, dim=32, num_layers=2, num_heads=4, ffn_hidden=48,
+                      max_seq_len=16, dropout=dropout, seed=0)
+    batch = np.random.default_rng(0).integers(0, config.vocab_size, size=(2, 9))
+    calls = watch_attention_operands(monkeypatch)
+    alive = {}
+    for arrays in (False, True):
+        if arrays:
+            composed(arrays=True)
+        calls.clear()
+        model = TinyLlama(config)
+        model.train()
+        loss = F.cross_entropy(model(batch[:, :-1]), batch[:, 1:])
+        assert len(calls) == config.num_layers
+        alive[arrays] = {name: ref() is not None for name, ref in calls[0].items()}
+        loss.backward()
+        assert all(p.grad is not None for p in model.parameters())
+    assert alive == {False: dict.fromkeys("qkv", False), True: dict.fromkeys("qkv", True)}
+
+
+def tiny_tiger(dropout):
+    index_set = build_random_index_set(30, 3, 6, np.random.default_rng(9))
+    model = TIGER(index_set, TIGERConfig(dim=32, num_heads=4, max_history=5, dropout=dropout,
+                                         seed=9))
+    rng = np.random.default_rng(10)
+    source = model._pad_histories(
+        [list(rng.integers(0, 30, size=rng.integers(1, 6))) for _ in range(6)]
+    )
+    targets = np.array([model.space.item_tokens(int(i)) for i in rng.integers(0, 30, 6)])
+    decoder_input = np.concatenate([np.full((6, 1), BOS_ID), targets[:, :-1]], axis=1)
+    model.train()
+    return model, lambda: F.cross_entropy(model(source, decoder_input), targets)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+def test_tiger_q_k_v_and_fc2_inputs_are_dead_once_the_loss_exists(monkeypatch, composed,
+                                                                  dropout):
+    """TIGER's attention operands and FFN hidden activations die in the forward.
+
+    q, k and v of the encoder's self-attention and the decoder's self- and
+    cross-attention (k and v projected from the encoder's final LayerNorm
+    output), and the ``fc2`` input (``dropout(relu(fc1(norm) + bias))``):
+    their consumers keep rebuilds.  With the ops that pass a rebuild on
+    patched back, the consumers keep the arrays.
+    """
+    calls = watch_attention_operands(monkeypatch)
+    alive = {}
+    for arrays in (False, True):
+        if arrays:
+            composed(arrays=True)
+        calls.clear()
+        model, loss_fn = tiny_tiger(dropout)
+        watched = {}
+        for label, layer in (("encoder", model.encoder_layers[0]),
+                             ("decoder", model.decoder_layers[0])):
+            forward = layer.ffn.fc2.forward
+
+            def recording_fc2(x, forward=forward, label=label):
+                watched.setdefault(f"{label} fc2 input", weakref.ref(owner(x.data)))
+                return forward(x)
+
+            monkeypatch.setattr(layer.ffn.fc2, "forward", recording_fc2)
+        loss = loss_fn()
+        encoder_layers = len(model.encoder_layers)
+        assert len(calls) == encoder_layers + 2 * len(model.decoder_layers)
+        for label, call in (("encoder self", calls[0]),
+                            ("decoder self", calls[encoder_layers]),
+                            ("decoder cross", calls[encoder_layers + 1])):
+            watched.update({f"{label} {name}": ref for name, ref in call.items()})
+        alive[arrays] = {name: ref() is not None for name, ref in watched.items()}
+        assert len(alive[arrays]) == 11
+        loss.backward()
+        assert all(p.grad is not None for p in model.parameters())
+    assert not any(alive[False].values()), alive[False]
+    assert all(alive[True].values()), alive[True]
 
 
 def test_backward_frees_a_closure_array_before_upstream_nodes_run():
