@@ -21,13 +21,6 @@ class PCA:
         x = np.asarray(x, dtype=np.float64)
         return (x - self.mean) @ self.components.T
 
-    @property
-    def explained_variance_ratio(self) -> np.ndarray:
-        total = self.explained_variance.sum()
-        if total <= 0:
-            return np.zeros_like(self.explained_variance)
-        return self.explained_variance / total
-
 
 def fit_pca(x: np.ndarray, n_components: int = 2) -> PCA:
     """Fit PCA by singular value decomposition of the centred data."""

@@ -23,7 +23,6 @@ from .s3rec import S3Rec, S3RecPretrainConfig
 from .sasrec import SASRec
 from .tiger import TIGER, TIGERConfig
 from .trainer import BaselineTrainer, BaselineTrainerConfig
-from .trivial import PopularityRecommender, RandomRecommender
 
 __all__ = [
     "SequentialRecommender",
@@ -49,6 +48,4 @@ __all__ = [
     "build_cooccurrence_matrix",
     "collaborative_index_set",
     "spectral_cluster",
-    "PopularityRecommender",
-    "RandomRecommender",
 ]

@@ -77,6 +77,3 @@ class Caser(SequentialRecommender):
 
         features = concat(horizontal_outputs + [vertical], axis=1)
         return self.fc(self.dropout(features)).relu()
-
-    def sequence_output(self, padded: np.ndarray) -> Tensor:
-        raise NotImplementedError("Caser is a pointwise model")

@@ -89,6 +89,3 @@ class FMLP(SequentialRecommender):
             x = block(x) * real
         counts = np.maximum(real.sum(axis=1), 1.0)
         return x.sum(axis=1) / counts
-
-    def sequence_output(self, padded: np.ndarray) -> Tensor:
-        raise NotImplementedError("FMLP-Rec trains pointwise here")

@@ -45,6 +45,3 @@ class HGN(SequentialRecommender):
 
         item_item = x.sum(axis=1) / counts  # raw aggregation term
         return self.dropout(instance + item_item)
-
-    def sequence_output(self, padded: np.ndarray) -> Tensor:
-        raise NotImplementedError("HGN is a pointwise model")

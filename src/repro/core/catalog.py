@@ -339,8 +339,3 @@ class LiveCatalog:
 
     def recommend(self, history: Sequence[int], top_k: int = 10) -> list[int]:
         return self._require_retrieval().recommend(history, top_k)
-
-    def recommend_many(
-        self, histories: Sequence[Sequence[int]], top_k: int = 10
-    ) -> list[list[int]]:
-        return self._require_retrieval().recommend_many(histories, top_k)

@@ -67,22 +67,6 @@ class ChatSession:
         self.turns.append(ChatTurn(query=intention, recommendations=ranked))
         return ranked
 
-    def ask_many(self, intentions: list[str], top_k: int = 5) -> list[list[int]]:
-        """Several intention queries in one batched decode.
-
-        Each query still becomes its own :class:`ChatTurn`, but all of them
-        share a single ``B`` × ``K``-beam constrained beam search instead of
-        one model pass per query.
-        """
-        raw_lists = self.model.recommend_for_intentions(
-            intentions, top_k=top_k * self.over_generate)
-        results = []
-        for intention, raw in zip(intentions, raw_lists):
-            ranked = self._filter(raw, top_k)
-            self.turns.append(ChatTurn(query=intention, recommendations=ranked))
-            results.append(ranked)
-        return results
-
     # ------------------------------------------------------------------
     def accept(self, item_id: int) -> None:
         """User takes a recommendation: it becomes part of the history."""

@@ -279,20 +279,6 @@ class LCRec:
 
         return LCRecEngine(self, prefix_cache=prefix_cache)
 
-    def service(self, batcher=None, **kwargs):
-        """A :class:`repro.serving.RecommendationService` over this model.
-
-        Builds an :class:`repro.serving.LCRecEngine` adapter (taking the
-        ``prefix_cache`` keyword, default on) and forwards the remaining
-        keyword arguments (``deadline_ms``, ``mode``) to the service
-        constructor; call ``.start()`` on the result (or use it as a
-        context manager) for async serving.
-        """
-        from ..serving import RecommendationService
-
-        engine = self.engine(prefix_cache=kwargs.pop("prefix_cache", True))
-        return RecommendationService(engine, batcher=batcher, **kwargs)
-
     def live_catalog(self, retrieval: bool = True, recluster_every: int = 64):
         """A :class:`repro.core.LiveCatalog` over this model's built catalog.
 
@@ -313,13 +299,6 @@ class LCRec:
         return self.recommend_from_instruction(
             self.intention_instruction(intention_text), top_k=top_k
         )
-
-    def recommend_for_intentions(
-        self, intention_texts: Sequence[str], top_k: int = 10
-    ) -> list[list[int]]:
-        """Batched intention retrieval: one decode for all queries."""
-        instructions = [self.intention_instruction(text) for text in intention_texts]
-        return self.recommend_many_from_instructions(instructions, top_k=top_k)
 
     def generate_text(self, instruction: str, max_new_tokens: int = 24) -> str:
         """Free-text generation (titles/descriptions, Fig. 5 case study)."""

@@ -279,10 +279,3 @@ class AlignmentTaskBuilder:
             examples.extend(builders[task](rng))
         rng.shuffle(examples)
         return examples
-
-    def task_counts(self, epoch: int = 0) -> dict[str, int]:
-        """Number of examples per family (diagnostics)."""
-        counts: dict[str, int] = {}
-        for example in self.epoch_examples(epoch):
-            counts[example.task] = counts.get(example.task, 0) + 1
-        return counts

@@ -10,7 +10,6 @@ from .datasets import (
     preset_config,
 )
 from .intentions import IntentionExample, IntentionGenerator, PreferenceExample
-from .io import load_dataset, save_dataset
 from .interactions import (
     BehaviorConfig,
     BehaviorModel,
@@ -55,6 +54,4 @@ __all__ = [
     "pad_sequences",
     "left_truncate",
     "iterate_minibatches",
-    "save_dataset",
-    "load_dataset",
 ]

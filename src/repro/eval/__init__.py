@@ -1,6 +1,5 @@
 """Evaluation protocols: full ranking, hard negatives, intention retrieval."""
 
-from .extra_metrics import catalog_coverage, intra_list_diversity, mrr_at_k
 from .popularity import (
     PopularityBucketReport,
     evaluate_by_popularity,
@@ -34,9 +33,6 @@ __all__ = [
     "mine_random_negatives",
     "pairwise_choice_accuracy",
     "evaluate_intention_retrieval",
-    "mrr_at_k",
-    "catalog_coverage",
-    "intra_list_diversity",
     "paired_bootstrap",
     "BootstrapResult",
     "item_popularity",

@@ -14,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .metrics import hit_ratio_at_k, ndcg_at_k
+
 __all__ = ["BootstrapResult", "paired_bootstrap"]
 
 
@@ -36,17 +38,11 @@ class BootstrapResult:
 def _per_user_scores(
     ranked_lists: Sequence[Sequence[int]], targets: Sequence[int], metric: str, k: int
 ) -> np.ndarray:
-    scores = np.zeros(len(targets))
-    for i, (ranked, target) in enumerate(zip(ranked_lists, targets)):
-        window = list(ranked[:k])
-        if target in window:
-            if metric == "hr":
-                scores[i] = 1.0
-            elif metric == "ndcg":
-                scores[i] = 1.0 / np.log2(window.index(target) + 2)
-            else:
-                raise ValueError(f"unknown metric {metric!r}")
-    return scores
+    """Each user's HR@k or NDCG@k, by the one formula in ``repro.eval.metrics``."""
+    per_user = {"hr": hit_ratio_at_k, "ndcg": ndcg_at_k}[metric]
+    return np.array(
+        [per_user([list(ranked)], [target], k) for ranked, target in zip(ranked_lists, targets)]
+    )
 
 
 def paired_bootstrap(
@@ -71,6 +67,12 @@ def paired_bootstrap(
         raise ValueError("inputs must align per user")
     if not targets:
         raise ValueError("no users to compare")
+    if metric not in ("hr", "ndcg"):
+        raise ValueError(f"unknown metric {metric!r}")
+    if k < 1:
+        raise ValueError("k must be positive")
+    if num_resamples < 1:
+        raise ValueError("num_resamples must be positive")
     rng = rng or np.random.default_rng(0)
     scores_a = _per_user_scores(ranked_a, targets, metric, k)
     scores_b = _per_user_scores(ranked_b, targets, metric, k)

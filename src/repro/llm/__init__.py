@@ -1,7 +1,7 @@
 """Tiny LLaMA-style language model, generation and instruction tuning."""
 
 from .config import LMConfig
-from .embedding import encode_items, encode_texts
+from .embedding import encode_texts
 from .generation import (
     BeamHypothesis,
     DecodeState,
@@ -28,7 +28,6 @@ from .instruction import (
 from .model import SwiGLU, TinyLlama, TransformerBlock
 from .prefix_cache import PrefixCacheStats, PrefixKVCache, PrefixMatch
 from .pretrain import PretrainConfig, build_corpus_stream, pretrain_lm
-from .sampling import sample_generate
 from .trainer import InstructionTuner, TuningConfig
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "pretrain_lm",
     "build_corpus_stream",
     "encode_texts",
-    "encode_items",
     "InstructionExample",
     "EncodedExample",
     "encode_example",
@@ -65,5 +63,4 @@ __all__ = [
     "ranked_item_ids",
     "greedy_generate",
     "sequence_logprob",
-    "sample_generate",
 ]

@@ -13,7 +13,7 @@ from ..tensor import no_grad
 from ..text import WordTokenizer
 from .model import TinyLlama
 
-__all__ = ["encode_texts", "encode_items"]
+__all__ = ["encode_texts"]
 
 
 def encode_texts(
@@ -45,13 +45,3 @@ def encode_texts(
             outputs[start : start + len(chunk)] = pooled
     return outputs
 
-
-def encode_items(
-    model: TinyLlama,
-    tokenizer: WordTokenizer,
-    item_texts: list[str],
-    batch_size: int = 32,
-    max_len: int = 64,
-) -> np.ndarray:
-    """Alias of :func:`encode_texts` with item-centric naming."""
-    return encode_texts(model, tokenizer, item_texts, batch_size=batch_size, max_len=max_len)

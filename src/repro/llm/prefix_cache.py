@@ -81,11 +81,6 @@ class PrefixCacheStats:
     stored_bytes: int = 0
 
     @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups that matched a non-empty prefix."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    @property
     def token_hit_rate(self) -> float:
         """Fraction of looked-up prompt tokens served from the cache."""
         return self.reused_tokens / self.prompt_tokens if self.prompt_tokens else 0.0

@@ -58,11 +58,6 @@ class QuantizationResult:
     level_residuals: np.ndarray  # (N, H, latent) residual entering each level
     quantized: np.ndarray        # (N, latent_dim) sum of codebook vectors
 
-    @property
-    def last_residuals(self) -> np.ndarray:
-        """Residuals entering the last level (the USM input)."""
-        return self.level_residuals[:, -1, :]
-
 
 class Codebook(Module):
     """One level of learnable cluster centers ``{v_k}``."""

@@ -193,12 +193,3 @@ class ClusteredKNNIndex:
         members = self._probed_members(query, top_k, int(n_probe))
         scores = self.vectors[members] @ query
         return rank_by_score(members, scores, top_k)
-
-    def search_many(
-        self, queries: np.ndarray, top_k: int, n_probe: int | None = None
-    ) -> list[np.ndarray]:
-        """:meth:`search` for each row of a ``(Q, D)`` query matrix."""
-        queries = np.asarray(queries, dtype=np.float32)
-        if queries.ndim != 2 or queries.shape[1] != self.dim:
-            raise ValueError(f"queries must have shape (Q, {self.dim}), got {queries.shape}")
-        return [self.search(query, top_k, n_probe=n_probe) for query in queries]

@@ -476,9 +476,9 @@ class TrieDecoderEngine(GenerativeEngine):
 class LCRecEngine(TrieDecoderEngine):
     """The LC-Rec adapter: instruction rendering plus the shared stepper.
 
-    ``LCRecEngine(model)`` (prefix cache on by default) is the primary way
-    to stand a :class:`repro.serving.RecommendationService` over a built
-    :class:`repro.core.LCRec`; ``model.service(...)`` builds exactly this.
+    ``LCRecEngine(model)`` (prefix cache on by default) is how a
+    :class:`repro.serving.RecommendationService` stands over a built
+    :class:`repro.core.LCRec`.
     """
 
     name = "lcrec"

@@ -233,6 +233,3 @@ class RequestQueue:
     def __len__(self) -> int:
         with self._cond:
             return len(self._items)
-
-    def __bool__(self) -> bool:
-        return len(self) > 0

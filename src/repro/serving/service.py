@@ -255,7 +255,7 @@ class RecommendationService(RecommendationClient):
             raise TypeError(
                 "RecommendationService requires a GenerativeEngine adapter, got "
                 f"{type(engine).__name__}; wrap the model first, e.g. "
-                "RecommendationService(LCRecEngine(model)) or model.service(...)"
+                "RecommendationService(LCRecEngine(model))"
             )
         if deadline_ms <= 0:
             raise ValueError("deadline_ms must be positive")

@@ -2,7 +2,7 @@
 
 from . import functional
 from .attention import BeamKVCache, KVCache, MultiHeadAttention, RotaryEmbedding, causal_mask
-from .init import kaiming_uniform, normal_, uniform_, xavier_uniform
+from .init import kaiming_uniform, normal_, xavier_uniform
 from .nn import (
     MLP,
     Dropout,
@@ -16,7 +16,7 @@ from .nn import (
 )
 from .optim import Adam, AdamW, SGD, clip_grad_norm, train_epochs
 from .recurrent import GRU, GRUCell
-from .sched import ConstantSchedule, CosineWarmup, LinearWarmup
+from .sched import CosineWarmup
 from .serialize import load_module, save_module
 from .tensor import (
     Parameter,
@@ -63,13 +63,10 @@ __all__ = [
     "AdamW",
     "clip_grad_norm",
     "train_epochs",
-    "ConstantSchedule",
-    "LinearWarmup",
     "CosineWarmup",
     "save_module",
     "load_module",
     "kaiming_uniform",
     "xavier_uniform",
     "normal_",
-    "uniform_",
 ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["kaiming_uniform", "xavier_uniform", "normal_", "uniform_"]
+__all__ = ["kaiming_uniform", "xavier_uniform", "normal_"]
 
 
 def kaiming_uniform(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
@@ -27,9 +27,3 @@ def normal_(
     """Gaussian init (the transformer-embedding default)."""
     return (rng.standard_normal(shape) * std + mean).astype(np.float32)
 
-
-def uniform_(
-    rng: np.random.Generator, shape: tuple[int, ...], low: float, high: float
-) -> np.ndarray:
-    """Uniform init on ``[low, high)``."""
-    return rng.uniform(low, high, size=shape).astype(np.float32)

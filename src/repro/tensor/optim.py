@@ -17,7 +17,7 @@ from .tensor import Parameter, Tensor
 
 if TYPE_CHECKING:
     from .nn import Module
-    from .sched import Schedule
+    from .sched import CosineWarmup
 
 __all__ = ["SGD", "Adam", "AdamW", "clip_grad_norm", "train_epochs"]
 
@@ -141,7 +141,7 @@ def train_epochs(
     *,
     name: str,
     clip_norm: float | None = None,
-    schedule: Schedule | None = None,
+    schedule: CosineWarmup | None = None,
     log_every: int = 10,
 ) -> list[float]:
     """Minimise ``loss_fn`` over ``epochs`` of batches; return each epoch's mean loss.

@@ -1,58 +1,24 @@
-"""Learning-rate schedules.
+"""The learning-rate schedule.
 
 The paper fine-tunes with "a cosine scheduler with warmup" (Sec. IV-A4);
-:class:`CosineWarmup` reproduces that schedule.
+:class:`CosineWarmup` reproduces that schedule, and it is the one schedule
+:func:`repro.tensor.train_epochs` takes.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["ConstantSchedule", "LinearWarmup", "CosineWarmup"]
+__all__ = ["CosineWarmup"]
 
 
-class Schedule:
-    """Base class mapping a step index to a learning-rate value."""
-
-    def __init__(self, base_lr: float):
-        self.base_lr = float(base_lr)
-
-    def lr_at(self, step: int) -> float:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def apply(self, optimizer, step: int) -> float:
-        lr = self.lr_at(step)
-        optimizer.lr = lr
-        return lr
-
-
-class ConstantSchedule(Schedule):
-    """A flat learning rate."""
-
-    def lr_at(self, step: int) -> float:
-        return self.base_lr
-
-
-class LinearWarmup(Schedule):
-    """Linear warmup to ``base_lr`` then constant."""
-
-    def __init__(self, base_lr: float, warmup_steps: int):
-        super().__init__(base_lr)
-        self.warmup_steps = max(int(warmup_steps), 1)
-
-    def lr_at(self, step: int) -> float:
-        if step < self.warmup_steps:
-            return self.base_lr * (step + 1) / self.warmup_steps
-        return self.base_lr
-
-
-class CosineWarmup(Schedule):
+class CosineWarmup:
     """Linear warmup followed by cosine decay to ``min_lr``."""
 
     def __init__(self, base_lr: float, warmup_steps: int, total_steps: int, min_lr: float = 0.0):
-        super().__init__(base_lr)
         if total_steps <= 0:
             raise ValueError("total_steps must be positive")
+        self.base_lr = float(base_lr)
         self.warmup_steps = max(int(warmup_steps), 0)
         self.total_steps = int(total_steps)
         self.min_lr = float(min_lr)
@@ -64,3 +30,9 @@ class CosineWarmup(Schedule):
         progress = min(max(step - self.warmup_steps, 0) / span, 1.0)
         cosine = 0.5 * (1.0 + math.cos(math.pi * progress))
         return self.min_lr + (self.base_lr - self.min_lr) * cosine
+
+    def apply(self, optimizer, step: int) -> float:
+        """Set ``optimizer.lr`` to the rate at ``step`` and return it."""
+        lr = self.lr_at(step)
+        optimizer.lr = lr
+        return lr

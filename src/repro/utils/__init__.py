@@ -1,6 +1,6 @@
 """Shared utilities: seeded RNG streams and lightweight logging."""
 
-from .rng import SeedSequenceFactory, rng_from_seed
+from .rng import SeedSequenceFactory
 from .logging import get_logger
 
-__all__ = ["SeedSequenceFactory", "rng_from_seed", "get_logger"]
+__all__ = ["SeedSequenceFactory", "get_logger"]

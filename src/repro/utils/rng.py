@@ -12,12 +12,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["rng_from_seed", "SeedSequenceFactory"]
-
-
-def rng_from_seed(seed: int) -> np.random.Generator:
-    """A fresh PCG64 generator for ``seed``."""
-    return np.random.default_rng(seed)
+__all__ = ["SeedSequenceFactory"]
 
 
 class SeedSequenceFactory:

@@ -31,12 +31,6 @@ class TestPCA:
         ev = pca.explained_variance
         assert all(ev[i] >= ev[i + 1] for i in range(len(ev) - 1))
 
-    def test_explained_variance_ratio_sums_below_one(self, rng):
-        x = rng.standard_normal((50, 6))
-        pca = fit_pca(x, n_components=2)
-        ratios = pca.explained_variance_ratio
-        assert (ratios >= 0).all()
-
     def test_validation(self, rng):
         with pytest.raises(ValueError):
             fit_pca(rng.standard_normal(5))

@@ -1,5 +1,7 @@
 """Integration tests for the full LC-Rec pipeline (tiny scale)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,16 @@ class TestBuildArtifacts:
         for token in tiny_lcrec.index_set.all_token_strings():
             assert token in vocab
             assert vocab.is_extension_id(vocab.token_to_id(token))
+
+    def test_vocabulary_pinned(self, tiny_lcrec):
+        """The LM's vocabulary is the catalog text plus every template's prose
+        (``templates.all_template_texts``) plus the index tokens, in id order.
+        Its size sets the embedding and head shapes, so editing or deleting a
+        template's text changes every LC-Rec weight; this pin makes that loud.
+        Tokenising is pure Python, so the pin holds on every host."""
+        tokens = tiny_lcrec.tokenizer.vocab.tokens()
+        digest = hashlib.blake2b("\n".join(tokens).encode(), digest_size=8).hexdigest()
+        assert (len(tokens), digest) == (344, "d96e1ee4accd8174")
 
     def test_lm_vocab_extended_to_match_tokenizer(self, tiny_lcrec):
         assert tiny_lcrec.lm.vocab_size == len(tiny_lcrec.tokenizer.vocab)

@@ -1,5 +1,7 @@
 """Tests for templates and the alignment-task builders."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -43,7 +45,7 @@ class TestTemplates:
 
 class TestTaskBuilder:
     def test_all_families_present(self, builder):
-        counts = builder.task_counts(epoch=0)
+        counts = Counter(example.task for example in builder.epoch_examples(0))
         assert set(counts) == {"seq", "mut", "asy", "ite", "per"}
         assert all(count > 0 for count in counts.values())
 
@@ -53,7 +55,7 @@ class TestTaskBuilder:
             dataset=tiny_dataset, index_set=index_set,
             config=AlignmentTaskConfig(tasks=("seq",)),
         )
-        counts = builder.task_counts()
+        counts = Counter(example.task for example in builder.epoch_examples(0))
         assert set(counts) == {"seq"}
 
     def test_ite_requires_intention_generator(self, tiny_dataset, rng):

@@ -1,5 +1,5 @@
-"""Tests for the extension features: extra metrics, chat sessions,
-bundle/explanation tasks, dataset persistence and early stopping."""
+"""Tests for the extension features: chat sessions, bundle/explanation
+tasks and tuning without a validation set."""
 
 import numpy as np
 import pytest
@@ -7,44 +7,8 @@ import pytest
 from repro.core import ChatSession
 from repro.core.indexer import build_random_index_set
 from repro.core.tasks import AlignmentTaskBuilder, AlignmentTaskConfig
-from repro.data import IntentionGenerator, load_dataset, save_dataset
-from repro.eval import catalog_coverage, intra_list_diversity, mrr_at_k
+from repro.data import IntentionGenerator
 from repro.text import INDEX_TOKEN_PATTERN
-
-
-class TestExtraMetrics:
-    def test_mrr_values(self):
-        assert mrr_at_k([[3, 1, 2]], [1], k=3) == pytest.approx(0.5)
-        assert mrr_at_k([[1, 2]], [1], k=2) == 1.0
-        assert mrr_at_k([[2, 3]], [9], k=2) == 0.0
-
-    def test_mrr_truncation(self):
-        assert mrr_at_k([[5, 6, 7]], [7], k=2) == 0.0
-
-    def test_mrr_validation(self):
-        with pytest.raises(ValueError):
-            mrr_at_k([[1]], [1], k=0)
-        with pytest.raises(ValueError):
-            mrr_at_k([], [], k=1)
-
-    def test_catalog_coverage(self):
-        lists = [[0, 1], [1, 2], [2, 3]]
-        assert catalog_coverage(lists, num_items=8, k=2) == pytest.approx(0.5)
-
-    def test_coverage_validation(self):
-        with pytest.raises(ValueError):
-            catalog_coverage([[0]], num_items=0)
-
-    def test_diversity_extremes(self):
-        categories = np.array([0, 0, 1, 1])
-        same = intra_list_diversity([[0, 1]], categories)
-        mixed = intra_list_diversity([[0, 2]], categories)
-        assert same == 0.0
-        assert mixed == 1.0
-
-    def test_diversity_requires_pairs(self):
-        with pytest.raises(ValueError):
-            intra_list_diversity([[0]], np.array([0, 1]))
 
 
 class TestChatSession:
@@ -143,55 +107,7 @@ class TestExtensionTasks:
             AlignmentTaskConfig(tasks=("seq", "nope")).validate()
 
 
-class TestDatasetPersistence:
-    def test_roundtrip(self, tiny_dataset, tmp_path):
-        path = save_dataset(tiny_dataset, tmp_path / "data.json")
-        loaded = load_dataset(path)
-        assert loaded.num_items == tiny_dataset.num_items
-        assert loaded.sequences == tiny_dataset.sequences
-        assert loaded.split.test_targets == tiny_dataset.split.test_targets
-        assert (loaded.catalog[3].title == tiny_dataset.catalog[3].title)
-
-    def test_loaded_dataset_supports_intentions(self, tiny_dataset,
-                                                tmp_path):
-        path = save_dataset(tiny_dataset, tmp_path / "data.json")
-        loaded = load_dataset(path)
-        generator = IntentionGenerator(loaded.catalog,
-                                       np.random.default_rng(0))
-        example = generator.intention_for_item(loaded.catalog[0])
-        assert example.text
-
-    def test_bad_version_rejected(self, tiny_dataset, tmp_path):
-        import json
-
-        path = save_dataset(tiny_dataset, tmp_path / "data.json")
-        payload = json.loads(path.read_text())
-        payload["format_version"] = 99
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError):
-            load_dataset(path)
-
-
 class TestEarlyStopping:
-    def test_early_stop_restores_best_weights(self):
-        from repro.llm import (InstructionExample, InstructionTuner,
-                               LMConfig, TinyLlama, TuningConfig)
-        from repro.text import WordTokenizer
-
-        tokenizer = WordTokenizer(WordTokenizer.build_vocab(
-            ["alpha beta gamma delta answer :"]))
-        model = TinyLlama(LMConfig(vocab_size=len(tokenizer.vocab), dim=16,
-                                   num_layers=1, num_heads=2, ffn_hidden=24))
-        train = [InstructionExample("alpha beta", "gamma", "t")] * 4
-        valid = [InstructionExample("alpha beta", "delta", "t")]
-        tuner = InstructionTuner(model, tokenizer, TuningConfig(
-            epochs=30, batch_size=4, lr=5e-3, max_len=32,
-            early_stopping_patience=2))
-        tuner.tune(lambda epoch: train, validation_examples=valid)
-        # Training on a target that conflicts with validation must stop
-        # early (well before 30 epochs worth of steps).
-        assert len(tuner.model.parameters()) > 0
-
     def test_no_early_stop_without_patience(self):
         from repro.llm import (InstructionExample, InstructionTuner,
                                LMConfig, TinyLlama, TuningConfig)

@@ -18,6 +18,7 @@ from repro.llm import (
     ranked_item_ids,
 )
 from repro.quantization.trie import IndexTrie
+from repro.serving import LCRecEngine, RecommendationService
 
 from helpers import decode_prompts
 
@@ -443,7 +444,7 @@ class TestPrefixKVCacheUnit:
         assert cache.stats.prompt_tokens == 6
         assert cache.stats.reused_tokens == 4
         assert cache.stats.token_hit_rate == pytest.approx(4 / 6)
-        assert cache.stats.hit_rate == 1.0
+        assert cache.stats.hits == cache.stats.lookups == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -598,7 +599,7 @@ class TestPrefixCacheOnLCRec:
 
     def test_service_prefix_cache_parity(self, tiny_lcrec, tiny_dataset):
         histories = tiny_dataset.split.test_histories[:6]
-        service = tiny_lcrec.service()
+        service = RecommendationService(LCRecEngine(tiny_lcrec))
         assert service.prefix_cache is not None  # on by default
         cold = service.recommend_many(histories, top_k=5)
         warm = service.recommend_many(histories, top_k=5)
@@ -608,7 +609,7 @@ class TestPrefixCacheOnLCRec:
         assert service.prefix_cache.stats.hits > 0
 
     def test_template_heads_hit_across_users(self, tiny_lcrec, tiny_dataset):
-        service = tiny_lcrec.service()
+        service = RecommendationService(LCRecEngine(tiny_lcrec))
         first, second = tiny_dataset.split.test_histories[:2]
         service.recommend_many([first], top_k=3)
         before = service.prefix_cache.stats.reused_tokens
@@ -616,7 +617,7 @@ class TestPrefixCacheOnLCRec:
         assert service.prefix_cache.stats.reused_tokens > before
 
     def test_disabled_cache(self, tiny_lcrec, tiny_dataset):
-        service = tiny_lcrec.service(prefix_cache=False)
+        service = RecommendationService(LCRecEngine(tiny_lcrec, prefix_cache=False))
         assert service.prefix_cache is None
         histories = tiny_dataset.split.test_histories[:3]
         for history, ranked in zip(histories, service.recommend_many(histories, top_k=4)):

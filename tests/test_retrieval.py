@@ -132,12 +132,6 @@ class TestClusteredKNNParity:
         assert len(ranked) == len(vectors)
         assert sorted(ranked.tolist()) == list(range(len(vectors)))
 
-    def test_search_many_matches_search(self, vectors):
-        index = ClusteredKNNIndex(vectors, ClusteredKNNConfig(n_clusters=4, n_probe=2))
-        queries = vectors[:5]
-        many = index.search_many(queries, 6)
-        assert [r.tolist() for r in many] == [index.search(q, 6).tolist() for q in queries]
-
     def test_validation(self, vectors):
         with pytest.raises(ValueError, match="n_clusters"):
             ClusteredKNNConfig(n_clusters=0)

@@ -311,7 +311,8 @@ class TestLCRecBatchedPaths:
 
     def test_recommend_for_intentions_batched(self, tiny_lcrec):
         texts = ["something nice", "a gift for a friend"]
-        batched = tiny_lcrec.recommend_for_intentions(texts, top_k=4)
+        batched = tiny_lcrec.recommend_many_from_instructions(
+            [tiny_lcrec.intention_instruction(text) for text in texts], top_k=4)
         for text, ranked in zip(texts, batched):
             assert ranked == tiny_lcrec.recommend_for_intention(text,
                                                                 top_k=4)
@@ -330,22 +331,6 @@ class TestLCRecBatchedPaths:
                                                  tiny_lcrec.trie,
                                                  beam_size=beam)
             assert ranked == ranked_item_ids(reference, 5)
-
-    def test_service_factory(self, tiny_lcrec):
-        service = tiny_lcrec.service()
-        assert isinstance(service, RecommendationService)
-
-    def test_chat_ask_many(self, tiny_lcrec, tiny_dataset):
-        from repro.core.chat import ChatSession
-
-        session = ChatSession(tiny_lcrec,
-                              history=list(tiny_dataset.split
-                                           .test_histories[0]))
-        results = session.ask_many(["something nice", "a fun game"],
-                                   top_k=3)
-        assert len(results) == 2
-        assert session.num_turns == 2
-        assert session.turns[0].query == "something nice"
 
 
 class TestNonPositiveTopK:

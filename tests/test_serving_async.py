@@ -184,7 +184,7 @@ class TestAsyncService:
         assert pending.done  # stop() drained it after all
 
     def test_context_manager_lifecycle(self, tiny_lcrec, tiny_dataset):
-        with tiny_lcrec.service(deadline_ms=40.0) as service:
+        with RecommendationService(LCRecEngine(tiny_lcrec), deadline_ms=40.0) as service:
             assert service.is_running
             pending = service.submit(tiny_dataset.split.test_histories[0], top_k=3)
             assert len(pending.result(timeout=10.0)) == 3

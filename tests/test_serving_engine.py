@@ -71,9 +71,7 @@ class TestEngineProtocol:
         assert not state.done
 
     def test_prefix_cache_override_through_service(self, tiny_lcrec):
-        # The engine owns its cache; the model's service factory routes the
-        # keyword to the engine, the service itself takes none.
-        assert tiny_lcrec.service(prefix_cache=False).prefix_cache is None
+        # The engine owns its cache; the service itself takes no such keyword.
         with pytest.raises(TypeError):
             RecommendationService(LCRecEngine(tiny_lcrec), prefix_cache=False)
         service = RecommendationService(LCRecEngine(tiny_lcrec, prefix_cache=False))

@@ -7,14 +7,12 @@ from repro.tensor import (
     MLP,
     Adam,
     AdamW,
-    ConstantSchedule,
     CosineWarmup,
     Dropout,
     Embedding,
     GRU,
     LayerNorm,
     Linear,
-    LinearWarmup,
     Module,
     RMSNorm,
     SGD,
@@ -194,16 +192,6 @@ class TestOptimizers:
 
 
 class TestSchedules:
-    def test_constant(self):
-        sched = ConstantSchedule(0.5)
-        assert sched.lr_at(0) == sched.lr_at(1000) == 0.5
-
-    def test_linear_warmup(self):
-        sched = LinearWarmup(1.0, warmup_steps=10)
-        assert sched.lr_at(0) == pytest.approx(0.1)
-        assert sched.lr_at(9) == pytest.approx(1.0)
-        assert sched.lr_at(50) == 1.0
-
     def test_cosine_warmup_shape(self):
         sched = CosineWarmup(1.0, warmup_steps=10, total_steps=110)
         assert sched.lr_at(0) < sched.lr_at(9)
