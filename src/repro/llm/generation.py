@@ -259,24 +259,26 @@ def _store_prompts(
     prefix_width: int,
     remainder_pads: np.ndarray,
     prefix_cache: PrefixKVCache,
+    sessions: Sequence[bool],
 ) -> None:
-    """File each row's prompt K/V back into the prefix cache.
+    """File each row's prompt into the prefix cache.
 
     Row ``b``'s prompt K/V sits right-aligned in two column ranges of the
     prompt block ``block[:, :, b]`` — the seeded prefix region and the
     forwarded suffix region — so its pad-free concatenation is exactly the
     unpadded prompt K/V (pads influence nothing: they are masked out of
     attention and K/V at position ``i`` depends only on tokens ``<= i``).
-    ``insert`` copies only the columns its index does not hold yet.
+    ``insert`` copies only the columns it stores: all of a session row's,
+    and of a keyless row's only those an earlier prompt indexed.
     """
-    for row, prompt in enumerate(prompts):
-        if len(prompt) < prefix_cache.min_prefix_len or prompt in prefix_cache:
+    for row, (prompt, session) in enumerate(zip(prompts, sessions)):
+        if len(prompt) < prefix_cache.min_prefix_len:
             continue
         columns = (
             slice(prefix_width - int(cached_lens[row]), prefix_width),
             slice(prefix_width + int(remainder_pads[row]), None),
         )
-        prefix_cache.insert(prompt, block[:, :, row], columns=columns)
+        prefix_cache.insert(prompt, block[:, :, row], columns=columns, session=session)
 
 
 def _prefill_prompts(
@@ -286,14 +288,16 @@ def _prefill_prompts(
     pad_id: int,
     prefix_cache: PrefixKVCache | None,
     workspace: StepWorkspace,
+    sessions: Sequence[bool],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the prompt phase of a batched decode through ``caches``.
 
     With a prefix cache, each row is independently matched against it: the
     matched K/V is seeded into the caches (skipping the transformer for
-    those tokens) and only the per-row unseen suffix is forwarded.  Newly
-    decoded prompts are stored back, so repeated templates, grown session
-    histories, and duplicate queries hit on later batches.
+    those tokens) and only the per-row unseen suffix is forwarded.  Decoded
+    prompts are filed back (``sessions`` says which rows store all their
+    K/V), so grown session histories hit on their next turn, and repeated
+    templates and duplicate queries from their second sighting on.
 
     Returns ``(last_hidden, pad_columns)``: the final-norm hidden state of
     every row's last prompt token ``(B, dim)`` — the candidate-gathered
@@ -320,7 +324,9 @@ def _prefill_prompts(
         last_only=True,
     ).data[:, -1, :]
     if prefix_cache is not None:
-        _store_prompts(prompts, block, cached_lens, prefix_width, remainder_pads, prefix_cache)
+        _store_prompts(
+            prompts, block, cached_lens, prefix_width, remainder_pads, prefix_cache, sessions
+        )
     return hidden, pad_columns
 
 
@@ -437,6 +443,7 @@ def decode_prefill(
     pad_id: int = 0,
     prefix_cache: PrefixKVCache | None = None,
     narrow: Sequence[Sequence[int] | None] | None = None,
+    sessions: Sequence[bool] | None = None,
 ) -> DecodeState:
     """Run the prompt phase and level-0 beam expansion for ``prompts``.
 
@@ -451,6 +458,10 @@ def decode_prefill(
     seeded into the decode caches and only each row's unseen suffix runs
     through the model.  Rankings are unaffected (see
     :class:`repro.llm.PrefixKVCache` for the invalidation contract).
+    ``sessions`` says, per prompt, whether it belongs to a session whose
+    next prompt extends it: such a row's prompt K/V is stored whole, a
+    keyless row's only where an earlier prompt shares it (``None``: every
+    row is keyless).
     ``narrow`` optionally
     restricts beam selection to candidate items of ``trie`` (see
     :class:`DecodeState`): one item-id sequence per prompt, ``None`` for a
@@ -468,6 +479,10 @@ def decode_prefill(
         raise ValueError("narrow must match prompts one-to-one")
     else:
         narrow = [None if items is None else trie.path_mask(items) for items in narrow]
+    if sessions is None:
+        sessions = [False] * len(prompts)
+    elif len(sessions) != len(prompts):
+        raise ValueError("sessions must match prompts one-to-one")
     for row, prompt in enumerate(prompts):
         if not prompt:
             raise ValueError(f"prompt {row} is empty: every request needs at least one token")
@@ -483,7 +498,7 @@ def decode_prefill(
             # Decoder-only: left-padded prompts through the prefix cache.
             forwards = 1
             hidden, pad_columns = _prefill_prompts(
-                model, prompts, caches, pad_id, prefix_cache, workspace
+                model, prompts, caches, pad_id, prefix_cache, workspace, sessions
             )
         elif prefix_cache is not None:
             raise ValueError("an encoder-decoder scorer has no prompt K/V for a prefix cache")

@@ -10,22 +10,31 @@ waste — key/value tensors at position ``i`` depend only on tokens ``<= i``,
 so the K/V of any previously decoded prompt prefix can be reused verbatim.
 
 :class:`PrefixKVCache` is a path-compressed (radix) index — a node per
-point where stored prompts diverge or end, edges labelled with token
-tuples — whose non-root nodes own their edge's K/V: one read-only
+point where indexed prompts diverge or end, edges labelled with token
+tuples — whose non-root nodes may own their edge's K/V: one read-only
 ``(layers, 2, heads, len(edge), head_dim)`` block, so a column shared by
-many stored prompts is stored once (SGLang's RadixAttention layout):
+many stored prompts is stored once (SGLang's RadixAttention layout).  The
+nodes that hold K/V form a subtree hanging off the root; below it the
+index holds token tuples only:
 
-* ``insert(prompt_ids, kv)`` copies only the columns past the part of the
-  path already stored (``columns`` cuts them straight out of a padded
-  decode row), splitting at most one edge; a split copies both halves and
-  an eviction's merge concatenates, so no view keeps a dropped column
-  alive.  Every node names one *donor* entry whose key covers its edge:
-  the LRU entry a match touches.  Overflow evicts exactly one LRU entry by
-  walking its path — no rebuild.
-* ``match(prompt_ids)`` walks the index, comparing tuple slices in pure
-  Python, as deep as the query agrees with any stored sequence, and hands
-  out the path's blocks as ``PrefixMatch.segments`` with no copy — so
-  one stored path serves exact repeats, grown-session prompts (shared
+* ``insert(prompt_ids, kv, session=...)`` indexes the prompt's tokens and
+  decides which of its columns keep K/V.  A session prompt (one its
+  caller will extend or repeat) stores all of them.  A keyless prompt
+  stores only the columns where it walks an edge an earlier prompt already
+  indexed — their second sighting — so the template head, shared history
+  prefixes and hot verbatim repeats are cached from their second
+  appearance on, while a one-off history tail costs a token tuple, not
+  its K/V (caching on the second request, as CDNs do for one-hit
+  wonders).  ``columns`` cuts the stored columns straight out of a padded
+  decode row; each new block is one copy, and a split copies both halves
+  of a K/V edge and an eviction's merge concatenates, so no view keeps a
+  dropped column alive.  Every node names one *donor* entry whose key
+  covers its edge: the LRU entry a match touches.  Overflow evicts exactly
+  one LRU entry (K/V-holding or not) by walking its path — no rebuild.
+* ``match(prompt_ids)`` walks the K/V subtree, comparing tuple slices in
+  pure Python, as deep as the query agrees with any stored path, and
+  hands out the path's blocks as ``PrefixMatch.segments`` with no copy —
+  so one stored path serves exact repeats, grown-session prompts (shared
   history prefix), and other users of the same template (shared head).
 
 The decode integration lives in
@@ -69,7 +78,8 @@ class PrefixCacheStats:
 
     ``token_hit_rate`` is the load-bearing number: the fraction of prompt
     tokens whose transformer forward pass was skipped.  ``stored_bytes``
-    (occupancy) is the sum of every node's K/V block, exact under the lock.
+    (occupancy) is the sum of every node's K/V block, exact under the lock;
+    token-only nodes count nothing.
     """
 
     lookups: int = 0
@@ -88,7 +98,7 @@ class PrefixCacheStats:
 
 @dataclass
 class _Entry:
-    """One stored prompt: its token key (its K/V lives on the nodes of its path)."""
+    """One indexed prompt: its token key (any K/V lives on the nodes of its path)."""
 
     key: tuple[int, ...]
 
@@ -98,10 +108,23 @@ def _frozen(block: np.ndarray) -> np.ndarray:
     return block
 
 
+def _cut(kv: np.ndarray, ranges: list[tuple[int, int]], lo: int, hi: int) -> np.ndarray:
+    """Prompt positions ``lo:hi`` of a row whose positions sit in ``ranges``: one new block."""
+    pieces, offset = [], 0  # prompt position of each range's first column
+    for start, stop in ranges:
+        first, last = max(start, start + lo - offset), min(stop, start + hi - offset)
+        if first < last:
+            pieces.append(kv[:, :, :, first:last])
+        offset += stop - start
+    # concatenate always allocates: never an alias of a live cache.
+    return _frozen(np.concatenate(pieces, axis=3))
+
+
 class _Node:
     """Radix node reached over ``edge``; children are keyed by first edge token.
 
-    ``kv`` is the edge's K/V block (``None`` at the root), ``donor`` a live
+    ``kv`` is the edge's K/V block (``None`` at the root and on token-only
+    nodes, whose descendants are all token-only too), ``donor`` a live
     entry whose key covers the whole edge, ``entry`` the one ending exactly
     here.  No parent link: paths are re-walked from the root, so dropped
     nodes and their K/V are freed by refcount, not the GC.
@@ -137,11 +160,13 @@ class PrefixKVCache:
     Parameters
     ----------
     max_entries:
-        LRU capacity in stored prompts.  Sized for a template-driven
-        workload: one entry per hot template rendering plus headroom for
-        per-user session prompts.
+        LRU capacity in indexed prompts, whether they hold K/V or only
+        tokens.  Sized for a template-driven workload: enough keyless
+        prompts that a template head or hot query is sighted twice before
+        its first sighting is evicted, plus the session prompts whose
+        returns hit their previous turn.
     min_prefix_len:
-        Shortest prefix worth reusing (and shortest prompt worth storing).
+        Shortest prefix worth reusing (and shortest prompt worth indexing).
         Matching only ``<bos>`` saves nothing, so tiny matches are reported
         as misses.
 
@@ -164,17 +189,20 @@ class PrefixKVCache:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def _walk(self, key: tuple[int, ...]) -> tuple[list[_Node], int, _Node | None, int]:
+    def _walk(
+        self, key: tuple[int, ...], stored: bool = False
+    ) -> tuple[list[_Node], int, _Node | None, int]:
         """Descend along ``key``: ``(path, depth, child, common)``.
 
         ``path`` holds the fully matched nodes (root first) and ``depth``
         their token count; ``child`` is the node whose edge ``key`` leaves
         (or ends inside) after ``common >= 1`` tokens, else ``None, 0``.
+        ``stored`` keeps the walk inside the K/V subtree.
         """
         path, depth = [self._root], 0
         while depth < len(key):
             child = path[-1].children.get(key[depth])
-            if child is None:
+            if child is None or (stored and child.kv is None):
                 break
             edge = child.edge
             if key[depth : depth + len(edge)] != edge:
@@ -191,12 +219,12 @@ class PrefixKVCache:
     ) -> tuple[int, list[_Node], _Node | None, int]:
         """:meth:`_walk` of the capped query, its matched length first (0 under the floor)."""
         limit = len(prompt_ids) if max_len is None else max(0, min(max_len, len(prompt_ids)))
-        path, depth, child, common = self._walk(tuple(prompt_ids[:limit]))
+        path, depth, child, common = self._walk(tuple(prompt_ids[:limit]), stored=True)
         depth += common
         return (depth if depth >= self.min_prefix_len else 0), path, child, common
 
     def match(self, prompt_ids: list[int], max_len: int | None = None) -> PrefixMatch | None:
-        """Longest cached prefix of ``prompt_ids``, or None.
+        """Longest prefix of ``prompt_ids`` whose K/V is stored, or None.
 
         ``max_len`` caps the matched length (decoding needs at least one
         real suffix token to forward, so callers pass ``len(prompt) - 1``).
@@ -237,18 +265,21 @@ class PrefixKVCache:
         kv: np.ndarray,
         *,
         columns: Sequence[slice] = (slice(None),),
+        session: bool = True,
     ) -> bool:
-        """Store a decoded prompt's K/V under its token sequence.
+        """Index a decoded prompt's tokens and store the K/V of its reusable columns.
 
         ``kv`` is ``(layers, 2, heads, width, head_dim)`` — K then V of
         every layer, one decode row — whose ``columns`` (unit-step slices of
         the ``width`` axis, inside it, increasing and disjoint; default all
         of it) hold exactly the ``len(prompt_ids)`` prompt positions: a
-        padded decode row passes its prefix and suffix ranges.  Only the
-        columns past the part of the path already stored are copied (one
-        copy, frozen), so callers may hand in views of live decode caches.
-        Returns False (and stores nothing) for prompts shorter than
-        ``min_prefix_len`` or already stored.
+        padded decode row passes its prefix and suffix ranges.  A
+        ``session`` prompt stores the K/V of every column; a keyless one
+        (``session=False``) only of the columns an earlier prompt already
+        indexed, and the rest as tokens.  Each stored block is copied (once,
+        frozen), so callers may hand in views of live decode caches.
+        Returns False (and only touches the LRU order) for prompts shorter
+        than ``min_prefix_len`` or already stored (``prompt in cache``).
         """
         key = tuple(map(int, prompt_ids))
         width, ranges = kv.shape[3], [(0, 0)]
@@ -262,55 +293,71 @@ class PrefixKVCache:
         if len(key) < self.min_prefix_len:
             return False
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                return False
-            entry = self._entries[key] = _Entry(key=key)
+            entry = self._entries.get(key)
             path, depth, child, common = self._walk(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                if path[-1].kv is not None:  # its whole path holds K/V already
+                    return False
+            start = 0  # every indexed edge on the path is sighted again: store its K/V
+            for node in path[1:]:
+                if node.kv is None:
+                    node.kv = _cut(kv, ranges, start, start + len(node.edge))
+                    self.stats.stored_bytes += node.kv.nbytes
+                start += len(node.edge)
             end = path[-1]
             if child is not None:  # the key leaves (or ends inside) an edge: split it there
-                mid = end.children[key[depth]] = _Node(
-                    child.edge[:common], _frozen(child.kv[:, :, :, :common].copy()), child.donor
-                )
+                if child.kv is None:
+                    head = _cut(kv, ranges, depth, depth + common)
+                    self.stats.stored_bytes += head.nbytes
+                else:
+                    head = _frozen(child.kv[:, :, :, :common].copy())
+                    child.kv = _frozen(child.kv[:, :, :, common:].copy())
+                mid = end.children[key[depth]] = _Node(child.edge[:common], head, child.donor)
                 child.edge = child.edge[common:]
-                child.kv = _frozen(child.kv[:, :, :, common:].copy())
                 mid.children[child.edge[0]] = child
                 path.append(mid)
                 end, depth = mid, depth + common
-            if depth < len(key):  # the rest of the key hangs off as a new leaf
-                pieces, offset = [], 0  # prompt positions depth.. of the ranges
-                for start, stop in ranges:
-                    if start + depth - offset < stop:
-                        pieces.append(kv[:, :, :, max(start, start + depth - offset) : stop])
-                    offset += stop - start
-                # concatenate always allocates: never an alias of a live cache.
-                block = _frozen(np.concatenate(pieces, axis=3))
-                self.stats.stored_bytes += block.nbytes
+            if entry is None:
+                entry = self._entries[key] = _Entry(key=key)
+                self.stats.inserts += 1
+            if depth < len(key):  # the rest of the key is new: it hangs off as a leaf
+                block = None
+                if session:
+                    block = _cut(kv, ranges, depth, len(key))
+                    self.stats.stored_bytes += block.nbytes
                 leaf = end.children[key[depth]] = _Node(key[depth:], block, entry)
                 end = leaf
             end.entry = entry
             for node in path[1:]:  # newest entry donates: LRU touches keep it, not a stale one
                 node.donor = entry
-            self.stats.inserts += 1
             if len(self._entries) > self.max_entries:
                 self._drop(next(iter(self._entries.values())))
             return True
 
     def _drop(self, entry: _Entry) -> None:
-        """Un-index one entry along its own path (caller holds the lock)."""
+        """Un-index one entry along its own path (caller holds the lock).
+
+        A node no entry uses any more goes with its block; a pass-through
+        node left with one child merges into it unless only the node holds
+        K/V (the stored prefix stays stored until its last user goes).
+        """
         del self._entries[entry.key]
         self.stats.evictions += 1
         path = self._walk(entry.key)[0]
         path[-1].entry = None
         for parent, node in zip(path[-2::-1], path[:0:-1]):  # bottom-up
-            if node.entry is None and len(node.children) < 2:
+            only = next(iter(node.children.values())) if len(node.children) == 1 else None
+            if node.entry is None and not node.children:
                 del parent.children[node.edge[0]]
-                if not node.children:
+                if node.kv is not None:
                     self.stats.stored_bytes -= node.kv.nbytes
-                for child in node.children.values():  # unary pass-through: merge into it
-                    child.edge = node.edge + child.edge
-                    child.kv = _frozen(np.concatenate([node.kv, child.kv], axis=3))
-                    parent.children[child.edge[0]] = child
+            elif node.entry is None and only is not None and (only.kv is None) == (node.kv is None):
+                del parent.children[node.edge[0]]  # unary pass-through: merge into its child
+                only.edge = node.edge + only.edge
+                if only.kv is not None:
+                    only.kv = _frozen(np.concatenate([node.kv, only.kv], axis=3))
+                parent.children[only.edge[0]] = only
             elif node.donor is entry:
                 node.donor = node.entry or next(iter(node.children.values())).donor
 
@@ -322,12 +369,13 @@ class PrefixKVCache:
             self.stats.stored_bytes = 0
 
     def __contains__(self, prompt_ids: Sequence[int]) -> bool:
-        """Whether the *exact* prompt is stored (not merely matchable)."""
+        """Whether the *exact* prompt is indexed with its K/V (not merely matchable)."""
         key = tuple(map(int, prompt_ids))
         with self._lock:
-            return key in self._entries
+            return key in self._entries and self._walk(key)[0][-1].kv is not None
 
     def __len__(self) -> int:
+        """Indexed prompts, with or without K/V: what ``max_entries`` caps."""
         with self._lock:
             return len(self._entries)
 

@@ -200,8 +200,9 @@ class RecommendationClient(abc.ABC):
     lifecycle; everything here is shared convenience built on them.  The
     keyword-only ``session_key`` (routing affinity) and ``deadline_ms``
     (shed budget) are accepted by every implementation — a single-process
-    service ignores ``session_key`` and a cluster routes on it, so code
-    written against the client protocol runs unchanged on either.
+    service stores a keyed prompt's K/V whole in its prefix cache and a
+    cluster also routes on it, so code written against the client
+    protocol runs unchanged on either.
     """
 
     @abc.abstractmethod

@@ -10,7 +10,7 @@ Trie-constrained generation is a fixed-depth, level-synchronous beam search
 and nothing joins or leaves it on the way.
 
 Around that call sit capability flags (``supports_prefix_cache``,
-``supports_narrowing``, ``num_levels``, ``num_templates``) and the
+``supports_narrowing``, ``num_templates``) and the
 request-shaping hooks (``encode_history``, ``request_beam_size``,
 ``effective_len``, ``finalize``) that keep model-specific text rendering,
 beam policy and ranking post-processing out of the service.
@@ -110,8 +110,6 @@ class GenerativeEngine(abc.ABC):
         limited to the candidates' index sequences while scores keep
         renormalising over the full trie, so the ranking over the candidate
         set is identical to a full decode filtered post hoc.
-    ``num_levels``
-        Trie depth: the index tokens every decoded item is spelled with.
     ``num_templates``
         How many prompt templates ``encode_history`` renders; a
         ``template_id`` outside ``[0, num_templates)`` is refused at submit.
@@ -128,11 +126,6 @@ class GenerativeEngine(abc.ABC):
     # ------------------------------------------------------------------
     # Capabilities and request shaping
     # ------------------------------------------------------------------
-    @property
-    @abc.abstractmethod
-    def num_levels(self) -> int:
-        """Trie depth (index tokens per item)."""
-
     @property
     @abc.abstractmethod
     def num_items(self) -> int:
@@ -370,10 +363,6 @@ class TrieDecoderEngine(GenerativeEngine):
         self.catalog = catalog
 
     @property
-    def num_levels(self) -> int:
-        return self.trie.num_levels
-
-    @property
     def num_items(self) -> int:
         return self.trie.num_items
 
@@ -448,6 +437,8 @@ class TrieDecoderEngine(GenerativeEngine):
             pad_id=self.pad_id,
             prefix_cache=self.prefix_cache,
             narrow=[request.narrow_items for request in requests],
+            # A session's next prompt extends this one: store its K/V whole.
+            sessions=[request.session_key is not None for request in requests],
         )
 
     def step(self, state: DecodeState) -> None:
@@ -578,10 +569,6 @@ class TIGEREngine(GenerativeEngine):
         self.trie = model.trie
         self.pad_id = PAD_ID
         self.default_beam_size = model.config.beam_size
-
-    @property
-    def num_levels(self) -> int:
-        return self.model.num_levels
 
     @property
     def num_items(self) -> int:

@@ -80,8 +80,10 @@ class RecommendRequest:
 
     ``session_key`` is an opaque caller-supplied affinity key (user or
     session id); the cluster router hashes it so a session's refresh
-    traffic lands on the worker already holding its prompt K/V.  It never
-    affects rankings.  ``deadline`` is an absolute ``time.monotonic()``
+    traffic lands on the worker already holding its prompt K/V, and the
+    engine's prefix cache stores a keyed prompt's K/V whole (a keyless
+    one only where an earlier prompt shares it).  It never affects
+    rankings.  ``deadline`` is an absolute ``time.monotonic()``
     instant after which the request would rather be shed (failed with a
     typed :class:`repro.serving.Overloaded`) than decoded late; ``None``
     means wait forever.  The shed check runs when a decode *starts* — a

@@ -387,9 +387,12 @@ class RecommendationService(RecommendationClient):
     ) -> PendingRecommendation:
         """Queue a next-item recommendation for an interaction history.
 
-        ``session_key`` is accepted for client-API uniformity (the cluster
-        routes on it; a single service has nowhere to route) and recorded
-        on the request.  ``deadline_ms`` is the shed budget: if the
+        ``session_key`` marks a returning session: the engine's prefix
+        cache stores the keyed prompt's K/V whole, so the session's next
+        prompt (its grown history) hits it at once, while a keyless
+        prompt's K/V is stored only where an earlier prompt shares it (the
+        cluster also routes on the key).  It never changes rankings.
+        ``deadline_ms`` is the shed budget: if the
         request is still queued that many milliseconds from now, it is
         dropped with a typed :class:`repro.serving.Overloaded` instead of
         decoded late.

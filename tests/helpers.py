@@ -38,14 +38,16 @@ def small_lcrec_config(**overrides) -> LCRecConfig:
     return config
 
 
-def decode_prompts(model, prompts, trie, beam_size=20, pad_id=0, prefix_cache=None):
+def decode_prompts(model, prompts, trie, beam_size=20, pad_id=0, prefix_cache=None,
+                   sessions=None):
     """Decode ``prompts`` to the trie's last level in one go: one hypothesis list each.
 
     Prefill, step until every row is done, finish — what the serving
     engines drive, with no admissions or retirements in between.
+    ``sessions`` marks the rows whose prompt K/V the cache stores whole.
     """
     state = decode_prefill(model, prompts, trie, beam_size=beam_size, pad_id=pad_id,
-                           prefix_cache=prefix_cache)
+                           prefix_cache=prefix_cache, sessions=sessions)
     while not state.done:
         decode_step(state)
     return decode_finish(state)

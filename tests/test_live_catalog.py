@@ -135,8 +135,10 @@ def assert_rankings_close(got, want):
         assert a == pytest.approx(b, abs=1e-5)
 
 
-def decode_rankings(engine, prompt, beam_size, top_k=10):
-    request = RecommendRequest(prompt_ids=list(prompt), top_k=top_k, beam_size=beam_size)
+def decode_rankings(engine, prompt, beam_size, top_k=10, session_key=None):
+    request = RecommendRequest(
+        prompt_ids=list(prompt), top_k=top_k, beam_size=beam_size, session_key=session_key
+    )
     state = engine.prefill([request])
     while not state.done:
         engine.step(state)
@@ -269,13 +271,14 @@ class TestEnginePinning:
         trie = build_trie([(10, 12, 14), (10, 12, 15), (11, 13, 14)])
         engine, catalog = self.make_engine(trie, prefix_cache=PrefixKVCache())
         prompt = [1, 2, 3, 4, 5, 6]
-        decode_rankings(engine, prompt, beam_size=3)
-        assert len(engine.prefix_cache) == 1
+        decode_rankings(engine, prompt, beam_size=3, session_key="user")  # stored whole
+        assert len(engine.prefix_cache) == 1 and prompt in engine.prefix_cache
         # Pure ingestion never remaps a token: the next prefill keeps
         # (and hits) the entry.
         catalog.swap(trie.with_item(3, (11, 12, 15)))
-        got = decode_rankings(engine, prompt, beam_size=3)
+        got = decode_rankings(engine, prompt, beam_size=3, session_key="user")
         assert len(engine.prefix_cache) == 1
+        assert engine.prefix_cache.stats.reused_tokens == len(prompt) - 1
         cacheless = TrieDecoderEngine(make_model(), catalog.version.trie)
         assert_rankings_close(got, decode_rankings(cacheless, prompt, beam_size=3))
 

@@ -59,12 +59,36 @@ def assert_match_is_prefix_of(match, query):
     np.testing.assert_array_equal(matched_kv(match), want[:, :, :, : match.length])
 
 
-def oracle_match_len(cache, query, max_len=None):
-    """Brute force: longest common prefix with any live key, capped, floored."""
+def oracle_match_len(cache, query, max_len=None, stored=None):
+    """Brute force: longest prefix, capped and floored, in ``stored``.
+
+    ``stored`` is the set of prefixes whose K/V the cache holds; ``None``
+    means every prefix of a live key (only whole-prompt inserts happened).
+    """
     limit = len(query) if max_len is None else max(0, min(max_len, len(query)))
     capped = tuple(query[:limit])
-    best = max((len(commonprefix([key, capped])) for key in cache._entries), default=0)
+    if stored is None:
+        best = max((len(commonprefix([key, capped])) for key in cache._entries), default=0)
+    else:
+        best = next((d for d in range(limit, 0, -1) if capped[:d] in stored), 0)
     return best if best >= cache.min_prefix_len else 0
+
+
+def indexed_prefixes(cache):
+    """Every non-empty prefix of a live key: what the index holds, K/V or not."""
+    return {key[:i] for key in cache._entries for i in range(1, len(key) + 1)}
+
+
+def stored_prefixes(cache):
+    """Every prefix whose column the index holds K/V for, read off the nodes."""
+    held, stack = set(), [((), child) for child in cache._root.children.values()]
+    while stack:
+        above, node = stack.pop()
+        prefix = above + node.edge
+        if node.kv is not None:
+            held.update(prefix[:i] for i in range(len(above) + 1, len(prefix) + 1))
+        stack.extend((prefix, child) for child in node.children.values())
+    return held
 
 
 def drop_entries_mentioning(cache, tokens):
@@ -88,37 +112,44 @@ def check_index(cache):
     assert len(live) <= cache.max_entries
     root = cache._root
     assert root.entry is None and root.edge == () and root.kv is None
-    nodes, ended, stack = 0, set(), [((), child) for child in root.children.values()]
-    stored = 0
+    nodes, unary, ended, stored = 0, 0, set(), 0
+    stack = [((), True, child) for child in root.children.values()]
     assert all(first == child.edge[0] for first, child in root.children.items())
     while stack:
-        above, node = stack.pop()
+        above, above_holds_kv, node = stack.pop()
         nodes += 1
         prefix = above + node.edge
         assert node.edge, "empty edge"
-        assert node.kv.shape[3] == len(node.edge), "block and edge disagree on columns"
-        assert not node.kv.flags.writeable, "stored block is writeable"
-        assert node.kv.base is None, "a view would keep a dropped column alive"
-        stored += node.kv.nbytes
+        if node.kv is not None:
+            assert above_holds_kv, "a K/V node below a token-only one: no match reaches it"
+            assert node.kv.shape[3] == len(node.edge), "block and edge disagree on columns"
+            assert not node.kv.flags.writeable, "stored block is writeable"
+            assert node.kv.base is None, "a view would keep a dropped column alive"
+            stored += node.kv.nbytes
         assert live.get(node.donor.key) is node.donor, "donor is not a live entry"
         assert node.donor.key[: len(prefix)] == prefix, "donor does not cover the node"
         if node.entry is None:
-            assert len(node.children) >= 2, "unary pass-through node left unmerged"
+            # A drop keeps a K/V node above a token-only only child (its
+            # prefix stays stored); any other pass-through node is merged.
+            assert len(node.children) >= 2 or node.kv is not None, (
+                "unary pass-through node left unmerged"
+            )
+            unary += len(node.children) == 1
         else:
             assert node.entry.key == prefix and live.get(prefix) is node.entry
             ended.add(prefix)
         for first, child in node.children.items():
             assert first == child.edge[0]
-            stack.append((prefix, child))
-    assert ended == set(live), "index and LRU table disagree about what is stored"
+            stack.append((prefix, node.kv is not None, child))
+    assert ended == set(live), "index and LRU table disagree about what is indexed"
     assert cache.stats.stored_bytes == stored, "occupancy gauge drifted from the blocks"
-    assert nodes <= 2 * len(live)  # so an empty cache is a bare root: back to baseline
+    assert nodes - unary <= 2 * len(live)  # so an empty cache is a bare root: back to baseline
 
 
 class TestRadixIndexModel:
     """Random op sequences against a brute-force longest-common-prefix oracle."""
 
-    OPS = ("insert", "match", "touch", "probe", "drop", "clear")
+    OPS = ("insert", "keyless", "match", "touch", "probe", "drop", "clear")
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -131,32 +162,41 @@ class TestRadixIndexModel:
     )
     def test_matches_oracle_and_keeps_invariants(self, max_entries, min_prefix_len, rng):
         cache = PrefixKVCache(max_entries=max_entries, min_prefix_len=min_prefix_len)
+        stored = set()  # prefixes whose K/V the cache must hold
         for _ in range(50):
-            (op,) = rng.choices(self.OPS, weights=(10, 4, 3, 2, 2, 0.2))
+            (op,) = rng.choices(self.OPS, weights=(6, 6, 4, 3, 2, 2, 0.2))
             # Three common tokens so prefixes collide constantly, three rare ones so an
             # un-index can drop one entry out of a branch instead of the whole branch.
             key = rng.choices(range(6), weights=(6, 6, 6, 1, 1, 1), k=rng.randint(0, 7))
             max_len = rng.choice([None, None, *range(-2, 9)])
-            if op == "insert":
+            if op in ("insert", "keyless"):
+                session = op == "insert"
                 lru_before, evictions = list(cache._entries), cache.stats.evictions
                 fresh = len(key) >= min_prefix_len and tuple(key) not in cache._entries
-                assert cache.insert(key, prefix_kvs(key)) == fresh
+                changes = len(key) >= min_prefix_len and key not in cache
+                # A session stores every column; a keyless prompt those it sights again.
+                prefixes = {tuple(key[:i]) for i in range(1, len(key) + 1)}
+                sighted = prefixes if session else prefixes & indexed_prefixes(cache)
+                assert cache.insert(key, prefix_kvs(key), session=session) == changes
+                if changes:
+                    stored |= sighted
                 if fresh and len(lru_before) == max_entries:  # overflow: exactly the LRU goes
                     assert cache.stats.evictions == evictions + 1
                     assert list(cache._entries) == lru_before[1:] + [tuple(key)]
                 else:
                     assert cache.stats.evictions == evictions
-                assert (key in cache) == (len(key) >= min_prefix_len)
+                assert (key in cache) == (len(key) >= min_prefix_len and tuple(key) in sighted)
             elif op in ("match", "touch"):
                 if op == "touch" and cache._entries:  # exact repeat of a live key: LRU reorder
                     key, max_len = list(rng.choice(list(cache._entries))), None
-                want = oracle_match_len(cache, key, max_len)
+                want = oracle_match_len(cache, key, max_len, stored)
                 match = cache.match(key, max_len=max_len)
                 assert (match.length if match else 0) == want
                 if match:
                     assert_match_is_prefix_of(match, key)
             elif op == "probe":
-                assert cache.probe(key, max_len=max_len) == oracle_match_len(cache, key, max_len)
+                want = oracle_match_len(cache, key, max_len, stored)
+                assert cache.probe(key, max_len=max_len) == want
             elif op == "drop":
                 stale = key[:2]
                 doomed = [live for live in cache._entries if set(stale) & set(live)]
@@ -165,6 +205,8 @@ class TestRadixIndexModel:
             else:
                 cache.clear()
                 assert len(cache) == 0
+            stored &= indexed_prefixes(cache)  # a prefix no live key indexes is gone
+            assert stored_prefixes(cache) == stored
             check_index(cache)
         drop_entries_mentioning(cache, range(6))  # evict everything that is left
         check_index(cache)
@@ -294,6 +336,32 @@ class TestSessionOccupancy:
         assert_match_is_prefix_of(first, self.turn(1))
 
 
+class TestKeylessOccupancy:
+    """Unique keyless prompts cost their shared columns' K/V, however many arrive."""
+
+    HEAD = [1, 30, 31, 32, 33]  # template head
+    HEAD_DIM = 64
+
+    def prompt(self, user):
+        # A distinct first history token per user: only the head is ever shared.
+        return self.HEAD + [100 + user, 50, 51, 90]
+
+    def test_stored_bytes_are_the_shared_head_and_do_not_grow(self):
+        cache = PrefixKVCache(max_entries=8, min_prefix_len=2)
+        head_bytes = len(self.HEAD) * prefix_kvs([1], head_dim=self.HEAD_DIM).nbytes
+        for user in range(40):
+            key = self.prompt(user)
+            assert cache.insert(key, prefix_kvs(key, head_dim=self.HEAD_DIM), session=False)
+            assert key not in cache  # its own tail is indexed, not stored
+            assert cache.stats.stored_bytes == (head_bytes if user else 0)
+            check_index(cache)
+        assert len(cache) == 8 and cache.stats.evictions == 40 - 8
+        assert stored_prefixes(cache) == {tuple(self.HEAD[:i]) for i in range(1, 6)}
+        match = cache.match(self.prompt(99))
+        assert match.length == len(self.HEAD)
+        assert_match_is_prefix_of(match, self.prompt(99))
+
+
 class TestScopedInvalidation:
     """Dropping one entry out of a shared branch leaves the rest of the index intact."""
 
@@ -334,7 +402,7 @@ class TestThreadStress:
                     key = [1, 2] + [int(t) for t in rng.integers(3, 6, size=rng.integers(0, 5))]
                     roll = rng.random()
                     if roll < 0.45:
-                        cache.insert(key, prefix_kvs(key))
+                        cache.insert(key, prefix_kvs(key), session=roll < 0.25)
                     elif roll < 0.9:
                         match = cache.match(key, max_len=len(key) - 1)
                         if match is not None:
@@ -531,14 +599,16 @@ class TestPrefixCacheDecodeParity:
                 assert plain_hyp.score == pytest.approx(warm_hyp.score, abs=1e-4)
 
     def test_session_growth_reuses_previous_turn(self):
+        """A session's first turn is stored whole, so its next turn hits it at once."""
         model, trie = make_model(), make_trie()
         cache = PrefixKVCache()
         first = TEMPLATE_HEAD + [40, 41, 42]
-        decode_prompts(model, [first], trie, beam_size=6, prefix_cache=cache)
+        decode_prompts(model, [first], trie, beam_size=6, prefix_cache=cache, sessions=[True])
+        assert first in cache
         grown = first + [43, 44]
         reused_before = cache.stats.reused_tokens
         batched = decode_prompts(
-            model, [grown], trie, beam_size=6, prefix_cache=cache
+            model, [grown], trie, beam_size=6, prefix_cache=cache, sessions=[True]
         )
         assert cache.stats.reused_tokens - reused_before == len(first)
         reference = beam_search_items_single(model, grown, trie, beam_size=6)
@@ -565,13 +635,60 @@ class TestPrefixCacheDecodeParity:
         model, trie = make_model(), make_trie()
         cache = PrefixKVCache()
         prompt = TEMPLATE_HEAD + [44, 45]
-        decode_prompts(model, [prompt], trie, beam_size=6, prefix_cache=cache)
+        decode_prompts(model, [prompt], trie, beam_size=6, prefix_cache=cache, sessions=[True])
         repeat = decode_prompts(
-            model, [prompt], trie, beam_size=6, prefix_cache=cache
+            model, [prompt], trie, beam_size=6, prefix_cache=cache, sessions=[True]
         )
         assert cache.stats.reused_tokens == len(prompt) - 1
         reference = beam_search_items_single(model, prompt, trie, beam_size=6)
         assert ranked_item_ids(repeat[0], 5) == ranked_item_ids(reference, 5)
+
+    def test_keyless_repeat_is_stored_on_its_second_sighting(self):
+        """Missed, then stored, then fully hit: a keyless prompt's K/V waits for a repeat."""
+        model, trie = make_model(), make_trie()
+        cache = PrefixKVCache()
+        prompt = TEMPLATE_HEAD + [44, 45]
+        reference = ranked_item_ids(beam_search_items_single(model, prompt, trie, beam_size=6), 5)
+        reused, held = [], []
+        for _ in range(3):
+            before = cache.stats.reused_tokens
+            got = decode_prompts(model, [prompt], trie, beam_size=6, prefix_cache=cache)
+            assert ranked_item_ids(got[0], 5) == reference
+            reused.append(cache.stats.reused_tokens - before)
+            held.append((prompt in cache, cache.stats.stored_bytes > 0))
+            check_index(cache)
+        assert reused == [0, 0, len(prompt) - 1]
+        assert held == [(False, False), (True, True), (True, True)]
+        assert len(cache) == 1
+
+    def test_mixed_session_and_keyless_cohorts_rank_like_the_cacheless_decode(self):
+        """Rows that store whole, rows that store on a repeat, and their hits: same rankings."""
+        model, trie = make_model(), make_trie()
+        prompts = session_prompts(np.random.default_rng(13), users=4, turns=3)
+        sessions = [user % 2 == 0 for user in range(4) for _ in range(3)]
+        plain = decode_prompts(model, prompts, trie, beam_size=8)
+        cache = PrefixKVCache()
+        for turn in range(3):  # each user's turn t, then the whole pool twice
+            rows = [row for row in range(len(prompts)) if row % 3 == turn]
+            got = decode_prompts(
+                model, [prompts[row] for row in rows], trie, beam_size=8,
+                prefix_cache=cache, sessions=[sessions[row] for row in rows],
+            )
+            for row, hypotheses in zip(rows, got):
+                assert [h.token_ids for h in hypotheses] == [h.token_ids for h in plain[row]]
+        for _ in range(2):
+            warm = decode_prompts(
+                model, prompts, trie, beam_size=8, prefix_cache=cache, sessions=sessions
+            )
+            for plain_row, warm_row in zip(plain, warm):
+                assert [h.token_ids for h in plain_row] == [h.token_ids for h in warm_row]
+                assert ranked_item_ids(plain_row, 8) == ranked_item_ids(warm_row, 8)
+                for plain_hyp, warm_hyp in zip(plain_row, warm_row):
+                    assert plain_hyp.score == pytest.approx(warm_hyp.score, abs=1e-4)
+            check_index(cache)
+        # Session turns hit their previous turn; keyless turns only the shared head.
+        assert all(prompt in cache for prompt in prompts)
+        assert cache.stats.reused_tokens > 0
 
 
     def test_warm_cache_after_scoped_invalidation_equals_cacheless(self):
@@ -609,12 +726,29 @@ class TestPrefixCacheOnLCRec:
         assert service.prefix_cache.stats.hits > 0
 
     def test_template_heads_hit_across_users(self, tiny_lcrec, tiny_dataset):
+        """The head's second sighting (the second user) stores it; the third user hits it."""
         service = RecommendationService(LCRecEngine(tiny_lcrec))
-        first, second = tiny_dataset.split.test_histories[:2]
+        first, second, third = tiny_dataset.split.test_histories[:3]
         service.recommend_many([first], top_k=3)
-        before = service.prefix_cache.stats.reused_tokens
         service.recommend_many([second], top_k=3)  # different user, same template
+        before = service.prefix_cache.stats.reused_tokens
+        service.recommend_many([third], top_k=3)
         assert service.prefix_cache.stats.reused_tokens > before
+
+    def test_session_growth_hits_previous_turn_at_once(self, tiny_lcrec, tiny_dataset):
+        """A keyed submit stores its prompt whole: the session's next turn hits all it shares."""
+        service = RecommendationService(LCRecEngine(tiny_lcrec))
+        history = list(tiny_dataset.split.test_histories[0])
+        turns = [history, history + [tiny_dataset.split.test_targets[0]]]
+        prompts = [service.engine.encode_history(turn) for turn in turns]
+        stats = service.prefix_cache.stats
+        for turn in turns:
+            before = stats.reused_tokens
+            handle = service.submit(turn, top_k=3, session_key="user:0")
+            service.flush()
+            assert handle.result() == tiny_lcrec.recommend(turn, top_k=3)
+        assert stats.reused_tokens - before == len(commonprefix(prompts))
+        assert all(prompt in service.prefix_cache for prompt in prompts)
 
     def test_disabled_cache(self, tiny_lcrec, tiny_dataset):
         service = RecommendationService(LCRecEngine(tiny_lcrec, prefix_cache=False))

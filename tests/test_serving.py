@@ -268,7 +268,8 @@ class TestRecommendationService:
         grown = history + [tiny_dataset.split.test_targets[0]]
         base_instr = tiny_lcrec.seq_instruction(history)
         grown_instr = tiny_lcrec.seq_instruction(grown)
-        service.submit_instruction(base_instr, top_k=3)
+        # A returning user's turn: keyed, so its prompt K/V is stored whole.
+        service.submit_instruction(base_instr, top_k=3, session_key="user")
         service.flush()  # warms the prefix cache with the base prompt
         before = service.stats.padding_fraction_sum
 

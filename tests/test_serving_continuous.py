@@ -393,7 +393,7 @@ class TestContinuousService:
         service.start()
         assert handles[0].result(timeout=20.0) == tiny_lcrec.recommend(first, top_k=5)
         assert handles[1].result(timeout=20.0) == tiny_lcrec.recommend(second, top_k=5)
-        levels = service.engine.num_levels - 1
+        levels = service.engine.trie.num_levels - 1
         # The first cohort steps to the end with the second request queued
         # behind it; only then is the second admitted, alone.
         assert seen == [(1, 0, 1)] * levels + [(1, 1, 0)] * levels

@@ -56,7 +56,7 @@ class TestEngineProtocol:
         engine = LCRecEngine(tiny_lcrec)
         assert isinstance(engine, GenerativeEngine)
         assert engine.supports_prefix_cache
-        assert engine.num_levels == tiny_lcrec.trie.num_levels
+        assert engine.trie.num_levels == tiny_lcrec.trie.num_levels
         assert engine.num_items == tiny_lcrec.trie.num_items
         assert engine.request_beam_size(3) == tiny_lcrec.config.beam_size
         assert engine.request_beam_size(99) == 99
@@ -223,7 +223,7 @@ class TestOneLevelPerStep:
             assert depths() == [depth + 1 for depth in before]
         # No level of these tries is forced for the whole batch, so every
         # level after the prefill's costs exactly one forward.
-        assert state.forwards == prefill_forwards + engine.num_levels - 1
+        assert state.forwards == prefill_forwards + engine.trie.num_levels - 1
 
 
 def bad_histories(num_items):
@@ -279,7 +279,7 @@ class TestTIGEREngine:
     def test_capability_flags(self, tiger):
         engine = TIGEREngine(tiger)
         assert not engine.supports_prefix_cache
-        assert engine.num_levels == tiger.num_levels
+        assert engine.trie.num_levels == tiger.num_levels
         assert engine.num_items == tiger.trie.num_items
 
     @pytest.mark.parametrize("batch", [1, 4, 16])

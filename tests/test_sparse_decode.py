@@ -285,8 +285,10 @@ class TestSparseDenseParity:
         cache = PrefixKVCache(min_prefix_len=2)
         grown = [prompt + [8, 9] for prompt in MIXED_PROMPTS]
         cohorts = (MIXED_PROMPTS, grown)
+        sessions = [True] * len(MIXED_PROMPTS)  # stored whole, so the grown turns hit
         states = [
-            decode_prefill(model, prompts, trie, beam_size=6, prefix_cache=cache)
+            decode_prefill(model, prompts, trie, beam_size=6, prefix_cache=cache,
+                           sessions=sessions)
             for prompts in cohorts
         ]
         assert cache.stats.hits > 0  # the grown prompts' prefill seeded a prefix region
