@@ -48,13 +48,7 @@ def main() -> None:
     embeddings /= np.maximum(np.linalg.norm(embeddings, axis=1, keepdims=True), 1e-9)
 
     indexer = SemanticIndexerConfig(
-        rqvae=RQVAEConfig(
-            input_dim=embeddings.shape[1],
-            latent_dim=24,
-            hidden_dims=(64,),
-            num_levels=4,
-            codebook_size=16,
-        ),
+        rqvae=RQVAEConfig(latent_dim=24, hidden_dims=(64,), num_levels=4, codebook_size=16),
         trainer=RQVAETrainerConfig(epochs=100, batch_size=256),
     )
 

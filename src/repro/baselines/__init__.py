@@ -19,7 +19,7 @@ from .generative import (
 from .gru4rec import GRU4Rec
 from .hgn import HGN
 from .p5cid import P5CID, P5CIDConfig
-from .s3rec import S3Rec, S3RecPretrainConfig
+from .s3rec import S3Rec
 from .sasrec import SASRec
 from .tiger import TIGER, TIGERConfig
 from .trainer import BaselineTrainer, BaselineTrainerConfig
@@ -37,7 +37,6 @@ __all__ = [
     "FilterLayer",
     "FDSA",
     "S3Rec",
-    "S3RecPretrainConfig",
     "P5CID",
     "P5CIDConfig",
     "TIGER",

@@ -20,26 +20,25 @@ from ..text import WordTokenizer
 __all__ = ["DSSM", "DSSMConfig"]
 
 
+_HIDDEN = 96  # the towers' MLP width
+_TEMPERATURE = 0.07  # of the in-batch softmax over cosine similarities
+_BATCH_SIZE = 64
+_MAX_TOKENS = 32  # words kept per text
+
+
 @dataclass
 class DSSMConfig:
     dim: int = 64
-    hidden: int = 96
-    temperature: float = 0.07
     epochs: int = 30
-    batch_size: int = 64
-    lr: float = 1e-3
-    clip_norm: float = 5.0
-    max_tokens: int = 32
-    seed: int = 0
 
 
 class _TextTower(Module):
     """Mean-pooled word embeddings -> MLP -> L2-normalised vector."""
 
-    def __init__(self, vocab_size: int, config: DSSMConfig, rng: np.random.Generator):
+    def __init__(self, vocab_size: int, dim: int, rng: np.random.Generator):
         super().__init__()
-        self.embeddings = Embedding(vocab_size, config.dim, rng=rng)
-        self.mlp = MLP([config.dim, config.hidden, config.dim], rng=rng)
+        self.embeddings = Embedding(vocab_size, dim, rng=rng)
+        self.mlp = MLP([dim, _HIDDEN, dim], rng=rng)
 
     def forward(self, token_ids: np.ndarray, mask: np.ndarray) -> Tensor:
         vectors = self.embeddings(token_ids)
@@ -63,17 +62,17 @@ class DSSM(Module):
     ):
         super().__init__()
         self.config = config or DSSMConfig()
-        rng = np.random.default_rng(self.config.seed)
+        rng = np.random.default_rng(0)
         vocab = WordTokenizer.build_vocab(item_titles + (extra_texts or []))
         self.tokenizer = WordTokenizer(vocab)
         self.item_titles = list(item_titles)
-        self.query_tower = _TextTower(len(vocab), self.config, rng)
-        self.doc_tower = _TextTower(len(vocab), self.config, rng)
+        self.query_tower = _TextTower(len(vocab), self.config.dim, rng)
+        self.doc_tower = _TextTower(len(vocab), self.config.dim, rng)
         self._item_vectors: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     def _encode_batch(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        ids = [self.tokenizer.encode(t)[: self.config.max_tokens] for t in texts]
+        ids = [self.tokenizer.encode(t)[:_MAX_TOKENS] for t in texts]
         width = max(max((len(i) for i in ids), default=1), 1)
         batch = np.full((len(ids), width), self.tokenizer.vocab.pad_id, dtype=np.int64)
         mask = np.zeros((len(ids), width), dtype=np.float32)
@@ -86,29 +85,28 @@ class DSSM(Module):
         """Train on (intention text, target item title) pairs."""
         if not examples:
             raise ValueError("no training examples")
-        cfg = self.config
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(0)
         queries = [e.text for e in examples]
         titles = [self.item_titles[e.item_id] for e in examples]
 
         def batches(order):
             # In-batch negatives need at least two rows.
-            chunks = (order[s : s + cfg.batch_size] for s in range(0, len(order), cfg.batch_size))
+            chunks = (order[s : s + _BATCH_SIZE] for s in range(0, len(order), _BATCH_SIZE))
             return (chosen for chosen in chunks if len(chosen) >= 2)
 
         def loss(chosen):
             q_vec = self.query_tower(*self._encode_batch([queries[i] for i in chosen]))
             d_vec = self.doc_tower(*self._encode_batch([titles[i] for i in chosen]))
-            logits = (q_vec @ d_vec.transpose(1, 0)) * (1.0 / cfg.temperature)
+            logits = (q_vec @ d_vec.transpose(1, 0)) * (1.0 / _TEMPERATURE)
             return F.cross_entropy(logits, np.arange(len(chosen)))
 
         losses = train_epochs(
             self,
-            Adam(self.parameters(), lr=cfg.lr),
-            (batches(rng.permutation(len(examples))) for _ in range(cfg.epochs)),
+            Adam(self.parameters(), lr=1e-3),
+            (batches(rng.permutation(len(examples))) for _ in range(self.config.epochs)),
             loss,
             name="DSSM epoch",
-            clip_norm=cfg.clip_norm,
+            clip_norm=5.0,
         )
         self._item_vectors = None
         return losses

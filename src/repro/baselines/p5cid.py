@@ -26,21 +26,15 @@ from .generative import BOS_ID, PAD_ID, SEP_ID, IndexTokenSpace, collaborative_i
 __all__ = ["P5CID", "P5CIDConfig"]
 
 IGNORE = -100
+_MAX_HISTORY = 10  # most recent items in a prompt
 
 
 @dataclass
 class P5CIDConfig:
     dim: int = 64
-    num_layers: int = 2
-    num_heads: int = 2
-    ffn_hidden: int = 128
     cluster_levels: int = 3
     branch: int = 8
-    max_history: int = 10
     epochs: int = 30
-    batch_size: int = 64
-    lr: float = 1e-3
-    clip_norm: float = 5.0
     beam_size: int = 20
     seed: int = 0
 
@@ -59,14 +53,14 @@ class P5CID:
         self.space = IndexTokenSpace(self.index_set)
         self.trie = self.space.build_trie()
         self.num_levels = self.index_set.num_levels
-        max_seq = (cfg.max_history + 1) * self.num_levels + 4
+        max_seq = (_MAX_HISTORY + 1) * self.num_levels + 4
         self.lm = TinyLlama(
             LMConfig(
                 vocab_size=self.space.vocab_size,
                 dim=cfg.dim,
-                num_layers=cfg.num_layers,
-                num_heads=cfg.num_heads,
-                ffn_hidden=cfg.ffn_hidden,
+                num_layers=2,
+                num_heads=2,
+                ffn_hidden=128,
                 max_seq_len=max_seq,
                 seed=cfg.seed,
             )
@@ -76,7 +70,7 @@ class P5CID:
     def _example(self, history: list[int], target: int | None) -> tuple[list[int], list[int]]:
         """(input ids, labels) — labels ignore everything but the target."""
         prompt = (
-            [BOS_ID] + self.space.history_ids(list(history)[-self.config.max_history :]) + [SEP_ID]
+            [BOS_ID] + self.space.history_ids(list(history)[-_MAX_HISTORY:]) + [SEP_ID]
         )
         if target is None:
             return prompt, []
@@ -90,7 +84,7 @@ class P5CID:
         inputs, labels = [], []
         for seq in dataset.split.train_sequences:
             for t in range(1, len(seq)):
-                ids, labs = self._example(seq[max(0, t - cfg.max_history) : t], seq[t])
+                ids, labs = self._example(seq[max(0, t - _MAX_HISTORY) : t], seq[t])
                 inputs.append(ids)
                 labels.append(labs)
         if not inputs:
@@ -110,11 +104,11 @@ class P5CID:
 
         return train_epochs(
             self.lm,
-            Adam(self.lm.parameters(), lr=cfg.lr),
-            (iterate_minibatches(len(inputs), cfg.batch_size, rng=rng) for _ in range(cfg.epochs)),
+            Adam(self.lm.parameters(), lr=1e-3),
+            (iterate_minibatches(len(inputs), 64, rng=rng) for _ in range(cfg.epochs)),
             loss,
             name="P5-CID epoch",
-            clip_norm=cfg.clip_norm,
+            clip_norm=5.0,
         )
 
     # ------------------------------------------------------------------

@@ -11,8 +11,6 @@ During pretraining attention is bidirectional; fine-tuning is causal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..data import SequentialDataset
@@ -32,20 +30,15 @@ from ..tensor import functional as F
 from .base import SequentialRecommender
 from .layers import TransformerEncoderLayer
 
-__all__ = ["S3Rec", "S3RecPretrainConfig"]
+__all__ = ["S3Rec"]
 
 IGNORE = -100
-
-
-@dataclass
-class S3RecPretrainConfig:
-    epochs: int = 10
-    batch_size: int = 64
-    lr: float = 1e-3
-    mask_prob: float = 0.3
-    attribute_weight: float = 0.5
-    clip_norm: float = 5.0
-    seed: int = 0
+# Pretraining: epochs, minibatch size, the share of real positions MIP
+# masks, and AAP's weight beside MIP.
+_PRETRAIN_EPOCHS = 10
+_PRETRAIN_BATCH_SIZE = 64
+_MASK_PROB = 0.3
+_ATTRIBUTE_WEIGHT = 0.5
 
 
 class S3Rec(SequentialRecommender):
@@ -68,6 +61,7 @@ class S3Rec(SequentialRecommender):
     ):
         rng = np.random.default_rng(seed)
         super().__init__(num_items, dim, max_len, rng, extra_rows=2)
+        self.seed = seed
         self.mask_id = num_items + 1
         attributes = np.asarray(item_attributes, dtype=np.int64)
         if attributes.shape != (num_items,):
@@ -101,22 +95,22 @@ class S3Rec(SequentialRecommender):
         return self.final_norm(x)
 
     # ------------------------------------------------------------------
-    def pretrain(
-        self, dataset: SequentialDataset, config: S3RecPretrainConfig | None = None
-    ) -> list[float]:
-        """Stage one: MIP + AAP objectives with bidirectional attention."""
-        config = config or S3RecPretrainConfig()
+    def pretrain(self, dataset: SequentialDataset) -> list[float]:
+        """Stage one: MIP + AAP objectives with bidirectional attention.
+
+        Masks and batch order are drawn from the seed the model was built with.
+        """
         sequences = [s for s in dataset.split.train_sequences if len(s) >= 2]
         padded = pad_sequences(
             sequences, pad_value=self.pad_id, max_len=self.max_len, align="right"
         )
         is_real = padded != self.pad_id
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(self.seed)
 
         def loss(batch_idx):
             batch = padded[batch_idx].copy()
             real = is_real[batch_idx]
-            mask = (rng.random(batch.shape) < config.mask_prob) & real
+            mask = (rng.random(batch.shape) < _MASK_PROB) & real
             for row in range(batch.shape[0]):
                 if not mask[row].any():
                     choices = np.flatnonzero(real[row])
@@ -129,20 +123,20 @@ class S3Rec(SequentialRecommender):
             aap_loss = F.cross_entropy(
                 self.attribute_head(hidden), attr_targets, ignore_index=IGNORE
             )
-            return mip_loss + aap_loss * config.attribute_weight
+            return mip_loss + aap_loss * _ATTRIBUTE_WEIGHT
 
         self._bidirectional = True
         try:
             return train_epochs(
                 self,
-                Adam(self.parameters(), lr=config.lr),
+                Adam(self.parameters(), lr=1e-3),
                 (
-                    iterate_minibatches(len(sequences), config.batch_size, rng=rng)
-                    for _ in range(config.epochs)
+                    iterate_minibatches(len(sequences), _PRETRAIN_BATCH_SIZE, rng=rng)
+                    for _ in range(_PRETRAIN_EPOCHS)
                 ),
                 loss,
                 name="S3-Rec pretrain epoch",
-                clip_norm=config.clip_norm,
+                clip_norm=5.0,
             )
         finally:
             self._bidirectional = False

@@ -56,19 +56,16 @@ from .layers import TransformerEncoderLayer
 
 __all__ = ["TIGER", "TIGERConfig"]
 
+_LAYERS = 2  # in the encoder and in the decoder
+
 
 @dataclass
 class TIGERConfig:
     dim: int = 64
     num_heads: int = 2
-    encoder_layers: int = 2
-    decoder_layers: int = 2
     dropout: float = 0.1
     max_history: int = 10
     epochs: int = 30
-    batch_size: int = 64
-    lr: float = 1e-3
-    clip_norm: float = 5.0
     beam_size: int = 20
     seed: int = 0
 
@@ -93,7 +90,7 @@ class TIGER(Module):
         self.encoder_layers = ModuleList(
             [
                 TransformerEncoderLayer(cfg.dim, cfg.num_heads, cfg.dim * 2, cfg.dropout, rng)
-                for _ in range(cfg.encoder_layers)
+                for _ in range(_LAYERS)
             ]
         )
         self.decoder_layers = ModuleList(
@@ -101,7 +98,7 @@ class TIGER(Module):
                 TransformerEncoderLayer(
                     cfg.dim, cfg.num_heads, cfg.dim * 2, cfg.dropout, rng, with_cross_attention=True
                 )
-                for _ in range(cfg.decoder_layers)
+                for _ in range(_LAYERS)
             ]
         )
         self.encoder_norm = LayerNorm(cfg.dim)
@@ -297,14 +294,11 @@ class TIGER(Module):
 
         return train_epochs(
             self,
-            Adam(self.parameters(), lr=cfg.lr),
-            (
-                iterate_minibatches(len(histories), cfg.batch_size, rng=rng)
-                for _ in range(cfg.epochs)
-            ),
+            Adam(self.parameters(), lr=1e-3),
+            (iterate_minibatches(len(histories), 64, rng=rng) for _ in range(cfg.epochs)),
             loss,
             name="TIGER epoch",
-            clip_norm=cfg.clip_norm,
+            clip_norm=5.0,
         )
 
     # ------------------------------------------------------------------
@@ -360,8 +354,9 @@ class TIGER(Module):
         This is the single-request parity oracle; serving and batched
         evaluation go through :meth:`recommend_many` instead.
         """
-        if top_k < 1:
-            raise ValueError("top_k must be positive")
+        from ..serving.queue import check_top_k  # lazy, as in recommend_many
+
+        check_top_k(top_k)
         beam_size = max(self.config.beam_size, top_k)
         num_items = self.trie.num_items
         with no_grad():

@@ -25,19 +25,14 @@ from .base import SequentialRecommender
 __all__ = ["BaselineTrainerConfig", "BaselineTrainer"]
 
 IGNORE = -100
+_MASK_PROB = 0.3  # share of real positions the masked mode hides
 
 
 @dataclass
 class BaselineTrainerConfig:
     epochs: int = 30
     batch_size: int = 64
-    lr: float = 1e-3
-    weight_decay: float = 0.0
-    clip_norm: float = 5.0
-    mask_prob: float = 0.3
-    min_history: int = 1
     seed: int = 0
-    log_every: int = 10
 
 
 class BaselineTrainer:
@@ -57,12 +52,11 @@ class BaselineTrainer:
         num_examples, loss = losses[model.training_mode](model, dataset, rng)
         return train_epochs(
             model,
-            Adam(model.parameters(), lr=cfg.lr),
+            Adam(model.parameters(), lr=1e-3),
             (iterate_minibatches(num_examples, cfg.batch_size, rng=rng) for _ in range(cfg.epochs)),
             loss,
             name=f"{model.name} epoch",
-            clip_norm=cfg.clip_norm,
-            log_every=cfg.log_every,
+            clip_norm=5.0,
         )
 
     # -- per-mode (number of training examples, loss of a minibatch) -----
@@ -87,7 +81,7 @@ class BaselineTrainer:
     def _pointwise(self, model, dataset, rng):
         histories, targets = [], []
         for seq in dataset.split.train_sequences:
-            for t in range(self.config.min_history, len(seq)):
+            for t in range(1, len(seq)):
                 histories.append(seq[max(0, t - model.max_len) : t])
                 targets.append(seq[t])
         if not histories:
@@ -117,7 +111,7 @@ class BaselineTrainer:
         def loss(batch_idx):
             batch = padded[batch_idx].copy()
             real = is_real[batch_idx]
-            mask = (rng.random(batch.shape) < self.config.mask_prob) & real
+            mask = (rng.random(batch.shape) < _MASK_PROB) & real
             # Guarantee at least one masked position per row.
             for row in range(batch.shape[0]):
                 if not mask[row].any():

@@ -101,7 +101,6 @@ def semantic_tiger_index(pretrained: LCRec, scale: BenchScale | None = None) -> 
     )
     lcrec = LCRec.from_pretrained(pretrained, config)
     lcrec.build_item_embeddings()
-    config.indexer.rqvae.input_dim = lcrec.item_embeddings.shape[1]
     index_set, _, _ = build_semantic_index_set(lcrec.item_embeddings, config.indexer)
     return index_set
 

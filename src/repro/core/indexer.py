@@ -10,7 +10,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -49,17 +49,12 @@ def build_semantic_index_set(
 ) -> tuple[ItemIndexSet, RQVAE, list[dict[str, float]]]:
     """Train an RQ-VAE on ``embeddings`` and construct item indices.
 
-    Returns the index set, the trained RQ-VAE (kept for analysis) and the
-    training history.
+    The RQ-VAE's ``input_dim`` is the embeddings' width, whatever
+    ``config.rqvae`` says.  Returns the index set, the trained RQ-VAE
+    (kept for analysis) and the training history.
     """
     embeddings = np.asarray(embeddings, dtype=np.float32)
-    rq_config = config.rqvae
-    if rq_config.input_dim != embeddings.shape[1]:
-        raise ValueError(
-            f"RQVAEConfig.input_dim={rq_config.input_dim} but embeddings "
-            f"have dim {embeddings.shape[1]}"
-        )
-    model = RQVAE(rq_config)
+    model = RQVAE(replace(config.rqvae, input_dim=embeddings.shape[1]))
     trainer = RQVAETrainer(model, config.trainer)
     history = trainer.fit(embeddings)
     index_set = build_semantic_indices(model, embeddings, strategy=config.strategy)

@@ -85,7 +85,8 @@ class LCRec:
     def __init__(self, dataset: SequentialDataset, config: LCRecConfig):
         config.validate()
         self.dataset = dataset
-        self.config = config
+        # A private copy: the build writes the LM's vocabulary size and seed into it.
+        self.config = copy.deepcopy(config)
         self._seeds = SeedSequenceFactory(config.seed)
         # Populated by build():
         self.tokenizer: WordTokenizer | None = None
@@ -115,6 +116,7 @@ class LCRec:
         if pretrained.lm is None or pretrained.index_set is not None:
             raise ValueError("pretrained must have run build_language_model() and nothing after")
         model = cls(pretrained.dataset, config)
+        config = model.config
         # What build_language_model writes into the config.
         config.lm.vocab_size = pretrained.config.lm.vocab_size
         config.lm.seed = pretrained.config.lm.seed
@@ -162,10 +164,8 @@ class LCRec:
         num_items = len(self.dataset.catalog)
         if source == "semantic":
             self.build_item_embeddings()
-            indexer_config = self.config.indexer
-            indexer_config.rqvae.input_dim = self.item_embeddings.shape[1]
             self.index_set, self.rqvae, _ = build_semantic_index_set(
-                self.item_embeddings, indexer_config
+                self.item_embeddings, self.config.indexer
             )
         elif source == "vanilla":
             self.index_set = build_vanilla_index_set(num_items)

@@ -33,27 +33,27 @@ ALL_TASKS = ("seq", "mut", "asy", "ite", "per")
 # mixture so benchmarks match the paper's recipe.
 EXTENSION_TASKS = ("bun", "exp")
 
+_MIN_HISTORY = 2  # items before the first training target
+_DESCRIPTION_WORDS = 14  # words of an item description in a prompt or response
+
 
 @dataclass
 class AlignmentTaskConfig:
-    """Which tasks to build and how much data per family."""
+    """Which tasks to build and how much data per family.
+
+    ``seq_per_user`` training pairs per user feed ``seq``; ``asy`` and
+    ``ite`` sample one per user, and ``per`` renders one per user.
+    """
 
     tasks: tuple[str, ...] = ALL_TASKS
     max_history: int = 8
-    min_history: int = 2
     seq_per_user: int = 3
-    asy_per_user: int = 1
-    ite_per_user: int = 1
-    per_per_user: int = 1
-    description_words: int = 14
     seed: int = 0
 
     def validate(self) -> None:
         unknown = set(self.tasks) - set(ALL_TASKS) - set(EXTENSION_TASKS)
         if unknown:
             raise ValueError(f"unknown tasks: {sorted(unknown)}")
-        if self.min_history < 1:
-            raise ValueError("min_history must be >= 1")
 
 
 @dataclass
@@ -80,7 +80,7 @@ class AlignmentTaskBuilder:
         pairs = []
         cfg = self.config
         for user, seq in enumerate(self.dataset.split.train_sequences):
-            for t in range(cfg.min_history, len(seq)):
+            for t in range(_MIN_HISTORY, len(seq)):
                 history = seq[max(0, t - cfg.max_history):t]
                 pairs.append((user, history, seq[t]))
         if not pairs:
@@ -98,7 +98,7 @@ class AlignmentTaskBuilder:
 
     def _short_description(self, item_id: int) -> str:
         words = self.dataset.catalog[item_id].description.split()
-        return " ".join(words[:self.config.description_words])
+        return " ".join(words[:_DESCRIPTION_WORDS])
 
     @staticmethod
     def _pick(rng: np.random.Generator, options: list[str]) -> str:
@@ -156,7 +156,7 @@ class AlignmentTaskBuilder:
 
     def _asy_examples(self, rng: np.random.Generator) -> list[InstructionExample]:
         examples = []
-        for _, history, target in self._sample_pairs(rng, self.config.asy_per_user):
+        for _, history, target in self._sample_pairs(rng, 1):
             variant = int(rng.integers(3))
             if variant == 0:
                 template = self._pick(rng, T.ASY_INDEX_TO_TITLE_TEMPLATES)
@@ -186,7 +186,7 @@ class AlignmentTaskBuilder:
 
     def _ite_examples(self, rng: np.random.Generator) -> list[InstructionExample]:
         examples = []
-        for _, history, target in self._sample_pairs(rng, self.config.ite_per_user):
+        for _, history, target in self._sample_pairs(rng, 1):
             intention = self.intention_generator.intention_for_item(
                 self.dataset.catalog[target], rng=rng,
             ).text
@@ -209,7 +209,7 @@ class AlignmentTaskBuilder:
         generator = self.intention_generator
         cfg = self.config
         for user, seq in enumerate(self.dataset.split.train_sequences):
-            if len(seq) < cfg.min_history or cfg.per_per_user < 1:
+            if len(seq) < _MIN_HISTORY:
                 continue
             history = seq[-cfg.max_history:]
             preference = generator.preference_for_history(user, history, rng=rng).text
@@ -226,9 +226,9 @@ class AlignmentTaskBuilder:
         examples = []
         cfg = self.config
         for user, seq in enumerate(self.dataset.split.train_sequences):
-            if len(seq) < cfg.min_history + 2:
+            if len(seq) < _MIN_HISTORY + 2:
                 continue
-            t = int(rng.integers(cfg.min_history, len(seq) - 1))
+            t = int(rng.integers(_MIN_HISTORY, len(seq) - 1))
             history = seq[max(0, t - cfg.max_history):t]
             bundle = seq[t:t + 2]
             template = self._pick(rng, T.BUN_TEMPLATES)
@@ -242,7 +242,6 @@ class AlignmentTaskBuilder:
     def _exp_examples(self, rng: np.random.Generator) -> list[InstructionExample]:
         """Explanation generation for a recommended item (extension)."""
         examples = []
-        cfg = self.config
         lexicon = self.dataset.catalog.lexicon
         for _, history, target in self._sample_pairs(rng, 1):
             item = self.dataset.catalog[target]

@@ -38,6 +38,10 @@ _COMMON_WORDS = (
     "modern portable compact professional authentic genuine improved advanced"
 ).split()
 
+# Inclusive ranges: keywords in a title, words in a description.
+_TITLE_KEYWORDS = (2, 4)
+_DESCRIPTION_WORDS = (14, 24)
+
 
 def _make_word(rng: np.random.Generator, min_syllables: int = 2, max_syllables: int = 3) -> str:
     """Generate a pronounceable pseudo-word."""
@@ -107,8 +111,6 @@ class CatalogConfig:
     category_pool_size: int = 12
     subcategory_pool_size: int = 8
     num_brands: int = 18
-    title_keywords: tuple[int, int] = (2, 4)
-    description_words: tuple[int, int] = (14, 24)
 
     @property
     def num_subcategories(self) -> int:
@@ -199,11 +201,9 @@ def _compose_title(
     item_sub: int,
     brand: str,
     lexicon: Lexicon,
-    config: CatalogConfig,
     rng: np.random.Generator,
 ) -> tuple[str, list[str]]:
-    low, high = config.title_keywords
-    n_keywords = int(rng.integers(low, high + 1))
+    n_keywords = int(rng.integers(_TITLE_KEYWORDS[0], _TITLE_KEYWORDS[1] + 1))
     cat_pool = lexicon.category_words[item_cat]
     sub_pool = lexicon.subcategory_words[item_sub]
     keywords = [cat_pool[rng.integers(len(cat_pool))]]
@@ -222,11 +222,9 @@ def _compose_description(
     item_sub: int,
     keywords: list[str],
     lexicon: Lexicon,
-    config: CatalogConfig,
     rng: np.random.Generator,
 ) -> str:
-    low, high = config.description_words
-    length = int(rng.integers(low, high + 1))
+    length = int(rng.integers(_DESCRIPTION_WORDS[0], _DESCRIPTION_WORDS[1] + 1))
     cat_pool = lexicon.category_words[item_cat]
     sub_pool = lexicon.subcategory_words[item_sub]
     common = lexicon.common_words
@@ -256,8 +254,8 @@ def generate_catalog(config: CatalogConfig, rng: np.random.Generator) -> ItemCat
             rng.integers(config.subcategories_per_category)
         )
         brand = lexicon.brand_words[int(rng.integers(len(lexicon.brand_words)))]
-        title, keywords = _compose_title(category, subcategory, brand, lexicon, config, rng)
-        description = _compose_description(category, subcategory, keywords, lexicon, config, rng)
+        title, keywords = _compose_title(category, subcategory, brand, lexicon, rng)
+        description = _compose_description(category, subcategory, keywords, lexicon, rng)
         items.append(Item(
             item_id=item_id,
             category=category,

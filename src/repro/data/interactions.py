@@ -31,26 +31,25 @@ class Interaction:
     timestamp: int
 
 
+_MIN_LENGTH = 5  # interactions per simulated user, the 5-core filter's floor
+_PREFERRED_CATEGORIES = 2  # categories a user's preferences spread over
+
+
 @dataclass
 class BehaviorConfig:
     """Parameters of the behaviour simulator."""
 
     num_users: int = 500
-    min_length: int = 5
     mean_length: float = 9.0
     max_length: int = 40
-    preferred_categories: int = 2
     stay_subcategory_prob: float = 0.45
     stay_category_prob: float = 0.30
     complement_prob: float = 0.15
-    popularity_exponent: float = 1.0
     user_noise: float = 0.35
 
     def validate(self) -> None:
         if self.num_users < 1:
             raise ValueError("num_users must be positive")
-        if self.min_length < 2:
-            raise ValueError("min_length must be at least 2")
         total = self.stay_subcategory_prob + self.stay_category_prob + self.complement_prob
         if total > 1.0:
             raise ValueError("transition probabilities exceed 1")
@@ -76,9 +75,9 @@ class BehaviorModel:
         num_items = len(catalog)
         num_subs = catalog.num_subcategories
 
-        # Zipf popularity over a random permutation of items.
+        # Zipf popularity (exponent 1) over a random permutation of items.
         ranks = rng.permutation(num_items) + 1
-        self.popularity = (1.0 / ranks) ** config.popularity_exponent
+        self.popularity = 1.0 / ranks
 
         # Items grouped by subcategory (some may be empty).
         subs = catalog.subcategories()
@@ -97,7 +96,7 @@ class BehaviorModel:
         num_cats = catalog.num_categories
         self.user_preferences = np.zeros((config.num_users, num_cats))
         for user in range(config.num_users):
-            k = min(config.preferred_categories, num_cats)
+            k = min(_PREFERRED_CATEGORIES, num_cats)
             chosen = rng.choice(num_cats, size=k, replace=False)
             weights = rng.dirichlet(np.ones(k) * 1.5)
             self.user_preferences[user, chosen] = weights
@@ -146,8 +145,8 @@ class BehaviorModel:
     def simulate_user(self, user: int, rng: np.random.Generator) -> list[int]:
         """One chronological item-id sequence for ``user``."""
         cfg = self.config
-        extra = rng.poisson(max(cfg.mean_length - cfg.min_length, 0.1))
-        length = int(np.clip(cfg.min_length + extra, cfg.min_length, cfg.max_length))
+        extra = rng.poisson(max(cfg.mean_length - _MIN_LENGTH, 0.1))
+        length = int(np.clip(_MIN_LENGTH + extra, _MIN_LENGTH, cfg.max_length))
         sub = self._start_subcategory(user, rng)
         sequence: list[int] = []
         previous = None

@@ -23,8 +23,6 @@ class LMConfig:
     ffn_hidden: int = 176
     max_seq_len: int = 256
     dropout: float = 0.0
-    rope_base: float = 10000.0
-    norm_eps: float = 1e-6
     seed: int = 0
 
     def validate(self) -> None:

@@ -73,7 +73,7 @@ class TransformerBlock(Module):
 
     def __init__(self, config: LMConfig, rope: RotaryEmbedding, rng: np.random.Generator):
         super().__init__()
-        self.attn_norm = RMSNorm(config.dim, eps=config.norm_eps)
+        self.attn_norm = RMSNorm(config.dim)
         self.attention = MultiHeadAttention(
             config.dim,
             config.num_heads,
@@ -81,7 +81,7 @@ class TransformerBlock(Module):
             dropout=config.dropout,
             rng=rng,
         )
-        self.ffn_norm = RMSNorm(config.dim, eps=config.norm_eps)
+        self.ffn_norm = RMSNorm(config.dim)
         self.feed_forward = SwiGLU(config.dim, config.ffn_hidden, rng)
         self.dropout = Dropout(config.dropout, rng=rng)
 
@@ -103,16 +103,12 @@ class TinyLlama(Module):
         config.validate()
         rng = np.random.default_rng(config.seed)
         self.config = config
-        self.rope = RotaryEmbedding(
-            config.dim // config.num_heads,
-            max_positions=config.max_seq_len,
-            base=config.rope_base,
-        )
+        self.rope = RotaryEmbedding(config.dim // config.num_heads, config.max_seq_len)
         self.tok_embeddings = Embedding(config.vocab_size, config.dim, rng=rng)
         self.blocks = ModuleList(
             [TransformerBlock(config, self.rope, rng) for _ in range(config.num_layers)]
         )
-        self.final_norm = RMSNorm(config.dim, eps=config.norm_eps)
+        self.final_norm = RMSNorm(config.dim)
         self.lm_head = Linear(config.dim, config.vocab_size, bias=False, rng=rng)
         # Cleared on every train()/eval() transition by Module.train.
         self._head_gather_cache = WeightMemo()

@@ -28,11 +28,7 @@ class PretrainConfig:
     batch_size: int = 16
     seq_len: int = 64
     lr: float = 3e-3
-    weight_decay: float = 0.01
-    warmup_frac: float = 0.1
-    clip_norm: float = 1.0
     seed: int = 0
-    log_every: int = 100
 
 
 def build_corpus_stream(tokenizer: WordTokenizer, texts: list[str]) -> np.ndarray:
@@ -71,15 +67,13 @@ def pretrain_lm(
     # the per-epoch means are the per-step losses.
     return train_epochs(
         model,
-        AdamW(model.parameters(), lr=config.lr, weight_decay=config.weight_decay),
+        AdamW(model.parameters(), lr=config.lr),
         ([window()] for _ in range(config.steps)),
         loss,
         name="pretrain step",
-        clip_norm=config.clip_norm,
+        clip_norm=1.0,
         schedule=CosineWarmup(
-            config.lr,
-            warmup_steps=int(config.steps * config.warmup_frac),
-            total_steps=config.steps,
+            config.lr, warmup_steps=int(config.steps * 0.1), total_steps=config.steps
         ),
-        log_every=config.log_every,
+        log_every=100,
     )

@@ -31,12 +31,8 @@ class TuningConfig:
     epochs: int = 4
     batch_size: int = 16
     lr: float = 3e-3
-    weight_decay: float = 0.01
-    warmup_frac: float = 0.05
-    clip_norm: float = 1.0
     max_len: int = 200
     seed: int = 0
-    log_every: int = 200
 
 
 class InstructionTuner:
@@ -84,15 +80,13 @@ class InstructionTuner:
 
         return train_epochs(
             self.model,
-            AdamW(self.model.parameters(), lr=config.lr, weight_decay=config.weight_decay),
+            AdamW(self.model.parameters(), lr=config.lr),
             steps(),
             loss,
             name="tune step",
-            clip_norm=config.clip_norm,
+            clip_norm=1.0,
             schedule=CosineWarmup(
-                config.lr,
-                warmup_steps=int(total_steps * config.warmup_frac),
-                total_steps=total_steps,
+                config.lr, warmup_steps=int(total_steps * 0.05), total_steps=total_steps
             ),
-            log_every=config.log_every,
+            log_every=200,
         )

@@ -1,7 +1,7 @@
 """Item index construction and conflict resolution (paper Sec. III-B2).
 
 After the RQ-VAE assigns greedy codes, items may collide (identical full
-code tuples).  Three strategies are provided:
+code tuples).  Two strategies are provided:
 
 * ``"usm"`` — the paper's uniform semantic mapping: for each group of
   conflicting items, redistribute the *last-level* codewords by solving the
@@ -9,7 +9,6 @@ code tuples).  Three strategies are provided:
   same prefix.  No extra level is added; indices stay semantic.
 * ``"extra_level"`` — the TIGER / P5-CID fallback the paper argues against:
   append a supplementary level that enumerates duplicates.
-* ``"raw"`` — keep conflicts (only for analysis; a trie cannot be built).
 
 The resulting :class:`ItemIndexSet` renders codes as index tokens
 (``<a_12><b_7><c_3><d_9>``), registers them with a tokenizer, and builds
@@ -146,7 +145,6 @@ def resolve_conflicts_usm(
     codes: np.ndarray,
     level_residuals: np.ndarray,
     codebooks: list[np.ndarray],
-    epsilon: float = 0.05,
     max_passes: int = 10,
 ) -> np.ndarray:
     """Uniform-semantic-mapping conflict resolution (Eq. 6, stage two).
@@ -206,7 +204,7 @@ def resolve_conflicts_usm(
                 movers = fitted
             if movers:
                 cost = pairwise_sq_distances(last_residuals[movers], last_codebook[free_codes])
-                assignment = uniform_assign(cost, capacity=1, epsilon=epsilon)
+                assignment = uniform_assign(cost, capacity=1)
                 for mover, col in zip(movers, assignment):
                     codes[mover, -1] = free_codes[col]
             for item in overflow:
@@ -265,22 +263,16 @@ def resolve_conflicts_extra_level(codes: np.ndarray) -> tuple[np.ndarray, int]:
     return np.concatenate([codes, extra[:, None]], axis=1), extra_size
 
 
-def build_semantic_indices(
-    rqvae: RQVAE, embeddings: np.ndarray, strategy: str = "usm", epsilon: float = 0.05
-) -> ItemIndexSet:
+def build_semantic_indices(rqvae: RQVAE, embeddings: np.ndarray, strategy: str) -> ItemIndexSet:
     """Quantise ``embeddings`` and resolve conflicts with ``strategy``."""
     result = rqvae.quantize(embeddings)
     codebook_size = rqvae.config.codebook_size
     num_levels = rqvae.config.num_levels
     if strategy == "usm":
         codebooks = [book.vectors.data for book in rqvae.codebooks]
-        codes = resolve_conflicts_usm(
-            result.codes, result.level_residuals, codebooks, epsilon=epsilon,
-        )
+        codes = resolve_conflicts_usm(result.codes, result.level_residuals, codebooks)
         return ItemIndexSet(codes, [codebook_size] * num_levels)
     if strategy == "extra_level":
         codes, extra_size = resolve_conflicts_extra_level(result.codes)
         return ItemIndexSet(codes, [codebook_size] * num_levels + [extra_size])
-    if strategy == "raw":
-        return ItemIndexSet(result.codes, [codebook_size] * num_levels)
     raise ValueError(f"unknown strategy {strategy!r}")

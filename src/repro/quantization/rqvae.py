@@ -3,11 +3,11 @@
 The RQ-VAE maps LLM text embeddings to ``H`` discrete codewords by
 recursively quantising residuals from coarse to fine.  Training follows
 Algorithm 1: levels ``1..H-1`` use nearest-neighbour assignment (Eq. 1);
-the last level optionally uses the Sinkhorn-based uniform semantic mapping
-(Eq. 6) so that item semantics spread uniformly over the final codebook.
+the last level uses the Sinkhorn-based uniform semantic mapping (Eq. 6) so
+that item semantics spread uniformly over the final codebook.
 
 Losses (Eq. 3-5): reconstruction plus the per-level RQ loss with
-stop-gradients on alternating sides and commitment coefficient ``beta``.
+stop-gradients on alternating sides and commitment coefficient ``beta = 0.25``.
 The decoder input uses the straight-through estimator, so encoder gradients
 flow through the quantisation.
 """
@@ -25,6 +25,10 @@ from .sinkhorn import sinkhorn_knopp
 
 __all__ = ["RQVAEConfig", "RQVAE", "Codebook", "QuantizationResult"]
 
+_BETA = 0.25  # commitment coefficient of Eq. 4
+# Sinkhorn scaling iterations per training batch on the last level.
+_USM_ITERS = 50
+
 
 @dataclass
 class RQVAEConfig:
@@ -35,10 +39,6 @@ class RQVAEConfig:
     hidden_dims: tuple[int, ...] = (128, 64)
     num_levels: int = 4
     codebook_size: int = 32
-    beta: float = 0.25
-    usm_last_level: bool = True
-    sinkhorn_epsilon: float = 0.05
-    sinkhorn_iters: int = 50
     seed: int = 0
 
     def validate(self) -> None:
@@ -46,8 +46,6 @@ class RQVAEConfig:
             raise ValueError("num_levels must be >= 1")
         if self.codebook_size < 2:
             raise ValueError("codebook_size must be >= 2")
-        if self.beta < 0:
-            raise ValueError("beta must be non-negative")
 
 
 @dataclass
@@ -109,39 +107,31 @@ class RQVAE(Module):
             residual = residual - centers[codes]
 
     # ------------------------------------------------------------------
-    def _assign_level(
-        self, residual_data: np.ndarray, level: int, training_usm: bool
-    ) -> np.ndarray:
-        """Codeword selection for one level (Eq. 1, or Eq. 6 on the last)."""
+    def _assign_level(self, residual_data: np.ndarray, level: int) -> np.ndarray:
+        """Training codeword selection for one level (Eq. 1, or Eq. 6 on the last)."""
         book = self.codebooks[level].vectors.data
         dist = pairwise_sq_distances(residual_data, book)
         is_last = level == self.config.num_levels - 1
-        if training_usm and is_last and residual_data.shape[0] > 1:
-            plan = sinkhorn_knopp(
-                dist, epsilon=self.config.sinkhorn_epsilon, num_iters=self.config.sinkhorn_iters
-            )
-            return plan.argmax(axis=1)
+        if is_last and residual_data.shape[0] > 1:
+            return sinkhorn_knopp(dist, num_iters=_USM_ITERS).argmax(axis=1)
         return dist.argmin(axis=1)
 
     def forward(self, embeddings: Tensor) -> tuple[Tensor, dict[str, Tensor], np.ndarray]:
         """Training pass: returns (total loss, loss parts, codes)."""
-        beta = self.config.beta
         z = self.encoder(embeddings)
         residual = z
         quantized_data = np.zeros_like(z.data)
         rq_loss: Tensor | None = None
         codes = []
         for level in range(self.config.num_levels):
-            code = self._assign_level(
-                residual.data, level, training_usm=self.config.usm_last_level
-            )
+            code = self._assign_level(residual.data, level)
             codes.append(code)
             vectors = F.embedding(self.codebooks[level].vectors, code)
             # ||sg[r] - v||^2: moves codebook vectors toward residuals.
             codebook_term = ((Tensor(residual.data) - vectors) ** 2).sum(axis=1).mean()
             # beta * ||r - sg[v]||^2: commitment, moves encoder toward codes.
             commit_term = ((residual - Tensor(vectors.data)) ** 2).sum(axis=1).mean()
-            level_loss = codebook_term + commit_term * beta
+            level_loss = codebook_term + commit_term * _BETA
             rq_loss = level_loss if rq_loss is None else rq_loss + level_loss
             quantized_data += vectors.data
             residual = residual - Tensor(vectors.data)

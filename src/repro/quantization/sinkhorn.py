@@ -63,9 +63,7 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def uniform_assign(
-    cost: np.ndarray, capacity: int | None = None, epsilon: float = 0.05, num_iters: int = 100
-) -> np.ndarray:
+def uniform_assign(cost: np.ndarray, capacity: int | None = None) -> np.ndarray:
     """Hard assignment of each row to one column with per-column capacity.
 
     Runs Sinkhorn to get soft transport probabilities, then rounds greedily
@@ -79,7 +77,7 @@ def uniform_assign(
         capacity = int(np.ceil(n / k))
     if capacity * k < n:
         raise ValueError(f"capacity {capacity} x {k} columns < {n} rows")
-    plan = sinkhorn_knopp(cost, epsilon=epsilon, num_iters=num_iters)
+    plan = sinkhorn_knopp(cost)
 
     assignment = np.full(n, -1, dtype=np.int64)
     remaining = np.full(k, capacity, dtype=np.int64)

@@ -17,11 +17,7 @@ __all__ = ["RQVAETrainerConfig", "RQVAETrainer"]
 class RQVAETrainerConfig:
     epochs: int = 200
     batch_size: int = 1024
-    lr: float = 1e-3
-    weight_decay: float = 0.01
-    kmeans_init: bool = True
     seed: int = 0
-    log_every: int = 50
 
 
 @dataclass
@@ -43,8 +39,7 @@ class RQVAETrainer:
             )
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
-        if cfg.kmeans_init:
-            self.model.init_codebooks_kmeans(embeddings, rng=rng)
+        self.model.init_codebooks_kmeans(embeddings, rng=rng)
         parts: list[dict[str, list[float]]] = []  # per epoch, per-batch loss terms
 
         def epochs():
@@ -60,11 +55,11 @@ class RQVAETrainer:
 
         totals = train_epochs(
             self.model,
-            AdamW(self.model.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay),
+            AdamW(self.model.parameters(), lr=1e-3),
             epochs(),
             loss,
             name="rqvae epoch",
-            log_every=cfg.log_every,
+            log_every=50,
         )
         return [
             {**{key: sum(v) / max(len(v), 1) for key, v in epoch.items()}, "total": total}

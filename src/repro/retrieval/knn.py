@@ -59,7 +59,6 @@ class ClusteredKNNConfig:
 
     n_clusters: int = 16
     n_probe: int = 4
-    kmeans_iters: int = 10
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -91,7 +90,7 @@ class ClusteredKNNIndex:
         self.config = config or ClusteredKNNConfig()
         k = min(self.config.n_clusters, vectors.shape[0])
         rng = np.random.default_rng(self.config.seed)
-        self.centers = kmeans(vectors, k, rng, num_iters=self.config.kmeans_iters)
+        self.centers = kmeans(vectors, k, rng, num_iters=10)
         self.centers.setflags(write=False)
         assignments = nearest_code(vectors, self.centers)
         self.members: list[np.ndarray] = []

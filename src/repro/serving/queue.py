@@ -19,6 +19,7 @@ from any mix of threads.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import time
 from collections import deque
@@ -38,7 +39,9 @@ def next_request_id() -> int:
 
 
 def check_top_k(top_k: int) -> None:
-    """Raise ``ValueError`` unless ``top_k`` asks for at least one item."""
+    """Raise ``ValueError`` unless ``top_k`` is an integer (not ``bool``) of at least one."""
+    if isinstance(top_k, bool) or not isinstance(top_k, (int, np.integer)):
+        raise ValueError(f"top_k must be an int, got {top_k!r}")
     if top_k < 1:
         raise ValueError("top_k must be positive")
 
@@ -50,9 +53,15 @@ def check_template_id(template_id: int, num_templates: int) -> None:
 
 
 def check_deadline_ms(deadline_ms: float | None) -> None:
-    """Raise ``ValueError`` unless ``deadline_ms`` is a positive shed budget or ``None``."""
-    if deadline_ms is not None and deadline_ms <= 0:
-        raise ValueError("deadline_ms must be positive (or None for no deadline)")
+    """Raise ``ValueError`` unless ``deadline_ms`` is a finite positive budget or ``None``.
+
+    An infinite or NaN budget would reach ``Condition.wait`` (which raises
+    on ``inf`` and returns at once on NaN) or a deadline that never passes.
+    """
+    if deadline_ms is not None and not (math.isfinite(deadline_ms) and deadline_ms > 0):
+        raise ValueError(
+            f"deadline_ms must be finite and positive (or None for no deadline), got {deadline_ms}"
+        )
 
 
 def check_history(history: Sequence[int], num_items: int) -> None:

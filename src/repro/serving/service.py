@@ -257,8 +257,7 @@ class RecommendationService(RecommendationClient):
                 f"{type(engine).__name__}; wrap the model first, e.g. "
                 "RecommendationService(LCRecEngine(model))"
             )
-        if deadline_ms <= 0:
-            raise ValueError("deadline_ms must be positive")
+        check_deadline_ms(deadline_ms)
         if mode not in ("deadline", "continuous"):
             raise ValueError(f"mode must be 'deadline' or 'continuous', got {mode!r}")
         if hybrid is not None and not engine.supports_narrowing:

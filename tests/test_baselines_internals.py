@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.generative import BOS_ID, PAD_ID, SEP_ID
-from repro.baselines.p5cid import IGNORE, P5CID, P5CIDConfig
+from repro.baselines.p5cid import _MAX_HISTORY, IGNORE, P5CID, P5CIDConfig
 from repro.baselines.tiger import TIGER, TIGERConfig
 from repro.core.indexer import build_random_index_set
 
@@ -34,7 +34,7 @@ class TestP5CIDEncoding:
     def test_history_truncated(self, model):
         long_history = list(range(20)) * 2
         prompt, _ = model._example(long_history, target=None)
-        max_tokens = (model.config.max_history * model.num_levels) + 2
+        max_tokens = (_MAX_HISTORY * model.num_levels) + 2
         assert len(prompt) <= max_tokens
 
 

@@ -165,6 +165,21 @@ class TestModelSpecifics:
         assert losses[-1] < losses[0]
         assert model._bidirectional is False  # restored after pretraining
 
+    def test_s3rec_pretrain_draws_from_the_model_seed(self, tiny_dataset):
+        """Masks and batch order follow ``seed``: equal weights, no dropout,
+        different seeds — different pretraining losses."""
+        subs = tiny_dataset.catalog.subcategories()
+        weights = None
+        losses = []
+        for seed in (1, 2):
+            model = S3Rec(tiny_dataset.num_items, subs, tiny_dataset.catalog.num_subcategories,
+                          dim=16, dropout=0.0, seed=seed)
+            if weights is None:
+                weights = model.state_dict()
+            model.load_state_dict(weights)
+            losses.append(model.pretrain(tiny_dataset))
+        assert losses[0] != losses[1]
+
     def test_caser_window_shapes(self, tiny_dataset):
         model = Caser(tiny_dataset.num_items, dim=16, max_len=20)
         padded, lengths = model.pad_histories([[1, 2, 3]])

@@ -56,8 +56,7 @@ class TestRandom:
 class TestSemantic:
     def make_config(self, strategy="usm"):
         return SemanticIndexerConfig(
-            rqvae=RQVAEConfig(input_dim=16, latent_dim=8, hidden_dims=(24,),
-                              num_levels=3, codebook_size=8),
+            rqvae=RQVAEConfig(latent_dim=8, hidden_dims=(24,), num_levels=3, codebook_size=8),
             trainer=RQVAETrainerConfig(epochs=60, batch_size=64),
             strategy=strategy,
         )
@@ -90,7 +89,10 @@ class TestSemantic:
             total += counts.sum()
         assert agree / total > 0.6
 
-    def test_dim_mismatch_rejected(self):
+    def test_input_dim_follows_the_embeddings(self):
         embeddings, _ = clustered_embeddings(dim=12)
-        with pytest.raises(ValueError):
-            build_semantic_index_set(embeddings, self.make_config())
+        config = self.make_config()
+        index_set, model, _ = build_semantic_index_set(embeddings, config)
+        assert model.config.input_dim == 12
+        assert config.rqvae.input_dim == RQVAEConfig().input_dim  # the caller's is untouched
+        assert index_set.is_unique()

@@ -8,6 +8,7 @@ import pytest
 from repro.core import AlignmentTaskBuilder, AlignmentTaskConfig
 from repro.core import templates as T
 from repro.core.indexer import build_random_index_set
+from repro.core.tasks import _MIN_HISTORY
 from repro.data import IntentionGenerator
 from repro.text import INDEX_TOKEN_PATTERN
 
@@ -90,7 +91,7 @@ class TestTaskBuilder:
     def test_histories_bounded(self, builder):
         config = builder.config
         for _, history, _ in builder._seq_pairs:
-            assert config.min_history <= len(history) <= config.max_history
+            assert _MIN_HISTORY <= len(history) <= config.max_history
 
     def test_mut_covers_every_item_both_directions(self, builder,
                                                    tiny_dataset):

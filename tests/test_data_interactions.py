@@ -28,7 +28,7 @@ class TestBehaviorModel:
 
     def test_preferred_categories_sparse(self):
         catalog = make_catalog()
-        config = BehaviorConfig(num_users=40, preferred_categories=2)
+        config = BehaviorConfig(num_users=40)
         model = BehaviorModel(catalog, config, np.random.default_rng(1))
         nonzero = (model.user_preferences > 0).sum(axis=1)
         assert (nonzero <= 2).all()
@@ -42,7 +42,7 @@ class TestBehaviorModel:
 
     def test_sequence_lengths_respect_bounds(self):
         catalog = make_catalog()
-        config = BehaviorConfig(num_users=30, min_length=5, max_length=12)
+        config = BehaviorConfig(num_users=30, max_length=12)
         model = BehaviorModel(catalog, config, np.random.default_rng(3))
         rng = np.random.default_rng(4)
         for user in range(30):
@@ -61,8 +61,6 @@ class TestBehaviorModel:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BehaviorConfig(num_users=0).validate()
-        with pytest.raises(ValueError):
-            BehaviorConfig(min_length=1).validate()
         with pytest.raises(ValueError):
             BehaviorConfig(stay_subcategory_prob=0.6, stay_category_prob=0.4,
                            complement_prob=0.2).validate()

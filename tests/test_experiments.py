@@ -947,3 +947,21 @@ class TestOnePretraining:
         other = self.fast_lcrec_config(pretrain=PretrainConfig(steps=7, batch_size=8, seq_len=48))
         with pytest.raises(ValueError, match="different LM"):
             LCRec.from_pretrained(stem, other)
+
+    def test_builds_leave_the_callers_config_alone(self, tiny_dataset):
+        """The LM's vocabulary size and seed go into the model's own copy."""
+        import copy
+
+        from repro.core import LCRec
+
+        config = self.fast_lcrec_config(index_source="random")
+        before = copy.deepcopy(config)
+        LCRec(tiny_dataset, config).build()
+        assert config == before
+        stem = LCRec(tiny_dataset, self.fast_lcrec_config())
+        stem.build_vocabulary()
+        stem.build_language_model()
+        variant = self.fast_lcrec_config(index_source="vanilla")
+        before = copy.deepcopy(variant)
+        LCRec.from_pretrained(stem, variant).build()
+        assert variant == before

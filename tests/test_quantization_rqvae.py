@@ -71,8 +71,6 @@ class TestRQVAEModel:
             RQVAE(RQVAEConfig(num_levels=0))
         with pytest.raises(ValueError):
             RQVAE(RQVAEConfig(codebook_size=1))
-        with pytest.raises(ValueError):
-            RQVAE(RQVAEConfig(beta=-1))
 
     def test_forward_returns_losses_and_codes(self):
         model = self.make()
@@ -170,7 +168,7 @@ class TestRQVAETraining:
         data, labels = clustered_embeddings(n=60, dim=8, clusters=4)
         model = RQVAE(RQVAEConfig(input_dim=8, latent_dim=4,
                                   hidden_dims=(16,), num_levels=3,
-                                  codebook_size=8, usm_last_level=True))
+                                  codebook_size=8))
         RQVAETrainer(model, RQVAETrainerConfig(epochs=80,
                                                batch_size=60)).fit(data)
         codes = model.quantize(data).codes

@@ -335,9 +335,10 @@ class TestLCRecBatchedPaths:
 
 
 class TestNonPositiveTopK:
-    """``top_k < 1`` is refused on every surface, before any lane answers."""
+    """``top_k`` that is not a positive int is refused on every surface,
+    before any lane answers (``2.5`` used to rank 5 items, ``True`` 1)."""
 
-    @pytest.mark.parametrize("top_k", [0, -1])
+    @pytest.mark.parametrize("top_k", [0, -1, 2.5, 3.0, True])
     def test_every_surface_raises(self, top_k, tiny_lcrec, tiny_dataset):
         from repro.baselines import TIGER, TIGERConfig
         from repro.core.indexer import build_random_index_set
@@ -369,7 +370,7 @@ class TestNonPositiveTopK:
                 lambda client=client: client.submit_instruction("a gift", top_k=top_k),
             ]
         for call in calls:
-            with pytest.raises(ValueError, match="top_k must be positive"):
+            with pytest.raises(ValueError, match="top_k must be (positive|an int)"):
                 call()
 
 

@@ -259,8 +259,11 @@ class TestAsyncService:
             assert len(p.result(timeout=10.0)) == 3
 
     def test_validation(self, tiny_lcrec):
-        with pytest.raises(ValueError):
-            RecommendationService(LCRecEngine(tiny_lcrec), deadline_ms=0.0)
+        # ``inf`` used to kill the flush thread (``Condition.wait`` overflows)
+        # and NaN to spin it without ever flushing a partial batch.
+        for deadline_ms in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="deadline_ms"):
+                RecommendationService(LCRecEngine(tiny_lcrec), deadline_ms=deadline_ms)
 
     def test_result_never_raises_another_requests_error(
         self, tiny_lcrec, tiny_dataset, monkeypatch

@@ -317,9 +317,14 @@ class TestDeadlineShedding:
 
     def test_deadline_validation(self, tiny_lcrec, tiny_dataset):
         history = list(tiny_dataset.split.test_histories[0])
-        service = RecommendationService(LCRecEngine(tiny_lcrec))
-        with pytest.raises(ValueError, match="deadline_ms"):
-            service.submit(history, deadline_ms=0.0)
+        engine = LCRecEngine(tiny_lcrec)
+        service = RecommendationService(engine)
+        # A NaN budget used to pass and never expire.
+        for deadline_ms in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="deadline_ms"):
+                service.submit(history, deadline_ms=deadline_ms)
+            with pytest.raises(ValueError, match="deadline_ms"):
+                ServingCluster(engine, num_workers=1, deadline_ms=deadline_ms)
 
 
 class TestBoundedQueue:

@@ -234,7 +234,7 @@ class TestArgumentsCheckedBeforeAnyLane:
         with pytest.raises(ValueError, match="template_id"):
             tiny_lcrec.recommend(history, top_k=TOP_K, template_id=template_id)
 
-    @pytest.mark.parametrize("deadline_ms", [0.0, -1.0])
+    @pytest.mark.parametrize("deadline_ms", [0.0, -1.0, float("inf"), float("nan")])
     def test_cold_start_lane(self, tiny_lcrec, deadline_ms):
         for kind in ("service", "cluster"):
             client = make_client(kind, tiny_lcrec, fallback=True)
