@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Hashable, Protocol, Sequence
 
 import numpy as np
 
@@ -231,8 +231,8 @@ def _seed_prompt_block(
 
     Each layer's cache adopts its K and V views, so the suffix forward
     appends into it.  The leading ``prefix_width`` columns are the cached
-    region: a row's segments are copied in right-aligned (one copy each,
-    every layer at once) and the pads left of them, which the caller
+    region: a row's matched K/V is copied in right-aligned (one copy,
+    every layer at once) and the pads left of it, which the caller
     masks, are zeroed.
     """
     attention = model.blocks[0].attention
@@ -243,10 +243,8 @@ def _seed_prompt_block(
     for row, match in enumerate(matches):
         start = prefix_width - (match.length if match else 0)
         block[:, :, row, :, :start] = 0.0
-        for segment in match.segments if match else ():
-            stop = start + segment.shape[3]
-            block[:, :, row, :, start:stop] = segment
-            start = stop
+        if match:
+            block[:, :, row, :, start:prefix_width] = match.kv
     for layer, cache in enumerate(caches):
         cache.seed_prompt(block[layer, 0], block[layer, 1], length=prefix_width)
     return block
@@ -259,7 +257,7 @@ def _store_prompts(
     prefix_width: int,
     remainder_pads: np.ndarray,
     prefix_cache: PrefixKVCache,
-    sessions: Sequence[bool],
+    sessions: Sequence[Hashable | None],
 ) -> None:
     """File each row's prompt into the prefix cache.
 
@@ -268,8 +266,9 @@ def _store_prompts(
     forwarded suffix region — so its pad-free concatenation is exactly the
     unpadded prompt K/V (pads influence nothing: they are masked out of
     attention and K/V at position ``i`` depends only on tokens ``<= i``).
-    ``insert`` copies only the columns it stores: all of a session row's,
-    and of a keyless row's only those an earlier prompt indexed.
+    ``insert`` copies only the columns it stores: all of a session row's
+    (which replaces that session's previous prompt), and of a keyless
+    row's only those an earlier prompt indexed.
     """
     for row, (prompt, session) in enumerate(zip(prompts, sessions)):
         if len(prompt) < prefix_cache.min_prefix_len:
@@ -288,16 +287,17 @@ def _prefill_prompts(
     pad_id: int,
     prefix_cache: PrefixKVCache | None,
     workspace: StepWorkspace,
-    sessions: Sequence[bool],
+    sessions: Sequence[Hashable | None],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run the prompt phase of a batched decode through ``caches``.
 
     With a prefix cache, each row is independently matched against it: the
     matched K/V is seeded into the caches (skipping the transformer for
     those tokens) and only the per-row unseen suffix is forwarded.  Decoded
-    prompts are filed back (``sessions`` says which rows store all their
-    K/V), so grown session histories hit on their next turn, and repeated
-    templates and duplicate queries from their second sighting on.
+    prompts are filed back (``sessions`` names each row's session, whose
+    prompt stores all its K/V), so grown session histories hit on their
+    next turn, and repeated templates and duplicate queries from their
+    second sighting on.
 
     Returns ``(last_hidden, pad_columns)``: the final-norm hidden state of
     every row's last prompt token ``(B, dim)`` — the candidate-gathered
@@ -313,6 +313,7 @@ def _prefill_prompts(
     remainders = [p[int(c) :] for p, c in zip(prompts, cached_lens)]
     tokens, remainder_pads = left_pad_prompts(remainders, pad_id=pad_id)
     block = _seed_prompt_block(model, caches, matches, prefix_width, prefix_width + tokens.shape[1])
+    del matches  # their K/V copies are seeded: free them before the forward
     prefix_pad = np.arange(prefix_width)[None, :] < (prefix_width - cached_lens)[:, None]
     suffix_pad = np.arange(tokens.shape[1])[None, :] < remainder_pads[:, None]
     pad_columns = np.concatenate([prefix_pad, suffix_pad], axis=1)
@@ -443,7 +444,7 @@ def decode_prefill(
     pad_id: int = 0,
     prefix_cache: PrefixKVCache | None = None,
     narrow: Sequence[Sequence[int] | None] | None = None,
-    sessions: Sequence[bool] | None = None,
+    sessions: Sequence[Hashable | None] | None = None,
 ) -> DecodeState:
     """Run the prompt phase and level-0 beam expansion for ``prompts``.
 
@@ -458,10 +459,11 @@ def decode_prefill(
     seeded into the decode caches and only each row's unseen suffix runs
     through the model.  Rankings are unaffected (see
     :class:`repro.llm.PrefixKVCache` for the invalidation contract).
-    ``sessions`` says, per prompt, whether it belongs to a session whose
-    next prompt extends it: such a row's prompt K/V is stored whole, a
-    keyless row's only where an earlier prompt shares it (``None``: every
-    row is keyless).
+    ``sessions`` names, per prompt, the session whose next prompt extends
+    it (``None`` for a keyless row): a session row's prompt K/V is stored
+    whole and replaces that session's previous prompt, a keyless row's is
+    stored only where an earlier prompt shares it (``sessions=None``:
+    every row is keyless).
     ``narrow`` optionally
     restricts beam selection to candidate items of ``trie`` (see
     :class:`DecodeState`): one item-id sequence per prompt, ``None`` for a
@@ -480,7 +482,7 @@ def decode_prefill(
     else:
         narrow = [None if items is None else trie.path_mask(items) for items in narrow]
     if sessions is None:
-        sessions = [False] * len(prompts)
+        sessions = [None] * len(prompts)
     elif len(sessions) != len(prompts):
         raise ValueError("sessions must match prompts one-to-one")
     for row, prompt in enumerate(prompts):

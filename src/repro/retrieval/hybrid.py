@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
+from ..serving.queue import RecommendRequest, check_history, check_top_k
 from .recommender import RetrievalRecommender
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -87,10 +88,7 @@ class HybridRecommender:
         to ``top_k``.  A history holding anything but an item id of the
         engine's live catalog raises ``ValueError``, as a submit does.
         """
-        from ..serving.queue import RecommendRequest, check_history
-
-        if top_k < 1:
-            raise ValueError("top_k must be positive")
+        check_top_k(top_k)
         engine = self.engine
         for history in histories:  # before any lane answers
             check_history(history, engine.num_items)

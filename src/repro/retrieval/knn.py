@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..quantization.codebook import kmeans, nearest_code
+from ..serving.queue import check_top_k
 
 __all__ = ["ClusteredKNNConfig", "ClusteredKNNIndex", "brute_force_topk", "rank_by_score"]
 
@@ -182,8 +183,7 @@ class ClusteredKNNIndex:
         ``self.num_clusters`` for exact search).  Returns fewer than
         ``top_k`` ids only when the whole catalog is smaller.
         """
-        if top_k < 1:
-            raise ValueError("top_k must be positive")
+        check_top_k(top_k)
         query = np.asarray(query, dtype=np.float32)
         if query.shape != (self.dim,):
             raise ValueError(f"query must have shape ({self.dim},), got {query.shape}")

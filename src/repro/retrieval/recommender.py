@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..eval.popularity import item_popularity
+from ..serving.queue import check_top_k
 from .knn import ClusteredKNNConfig, ClusteredKNNIndex
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -138,8 +139,7 @@ class RetrievalRecommender:
 
     def recommend(self, history: Sequence[int], top_k: int = 10) -> list[int]:
         """``min(top_k, num_items)`` distinct item ids, best first."""
-        if top_k < 1:
-            raise ValueError("top_k must be positive")
+        check_top_k(top_k)
         query = self.profile(history)
         if query is None:
             return self._popularity_prefix(top_k)

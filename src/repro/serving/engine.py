@@ -437,8 +437,9 @@ class TrieDecoderEngine(GenerativeEngine):
             pad_id=self.pad_id,
             prefix_cache=self.prefix_cache,
             narrow=[request.narrow_items for request in requests],
-            # A session's next prompt extends this one: store its K/V whole.
-            sessions=[request.session_key is not None for request in requests],
+            # A session's next prompt extends this one: store its K/V whole,
+            # in place of the session's previous prompt.
+            sessions=[request.session_key for request in requests],
         )
 
     def step(self, state: DecodeState) -> None:

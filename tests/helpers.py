@@ -44,7 +44,8 @@ def decode_prompts(model, prompts, trie, beam_size=20, pad_id=0, prefix_cache=No
 
     Prefill, step until every row is done, finish — what the serving
     engines drive, with no admissions or retirements in between.
-    ``sessions`` marks the rows whose prompt K/V the cache stores whole.
+    ``sessions`` names each row's session key (``None``: keyless): a keyed
+    row's prompt K/V is stored whole, in place of its session's previous one.
     """
     state = decode_prefill(model, prompts, trie, beam_size=beam_size, pad_id=pad_id,
                            prefix_cache=prefix_cache, sessions=sessions)

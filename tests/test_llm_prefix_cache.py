@@ -46,16 +46,20 @@ def prefix_kvs(key, head_dim=2):
     return np.stack([keys, keys + 0.5])[None]
 
 
+def own(key):
+    """A session key no other prompt shares: the prompt is stored whole and replaces nothing."""
+    return ("own", tuple(key))
+
+
 def matched_kv(match):
     """The K/V a match hands out, as one ``(layers, 2, heads, length, head_dim)`` array."""
-    assert sum(segment.shape[3] for segment in match.segments) == match.length
-    assert not any(segment.flags.writeable for segment in match.segments)
-    return np.concatenate(match.segments, axis=3)
+    assert match.kv.shape[3] == match.length
+    return match.kv
 
 
 def assert_match_is_prefix_of(match, query):
     """The K/V a match hands out is exactly what was inserted for ``query[:length]``."""
-    want = prefix_kvs(query, head_dim=match.segments[0].shape[4])
+    want = prefix_kvs(query, head_dim=match.kv.shape[4])
     np.testing.assert_array_equal(matched_kv(match), want[:, :, :, : match.length])
 
 
@@ -85,7 +89,7 @@ def stored_prefixes(cache):
     while stack:
         above, node = stack.pop()
         prefix = above + node.edge
-        if node.kv is not None:
+        if node.slots is not None:
             held.update(prefix[:i] for i in range(len(above) + 1, len(prefix) + 1))
         stack.extend((prefix, child) for child in node.children.values())
     return held
@@ -94,9 +98,10 @@ def stored_prefixes(cache):
 def drop_entries_mentioning(cache, tokens):
     """Un-index every entry whose key contains any of ``tokens``; returns how many.
 
-    Drives ``_drop`` — the one un-index path, which LRU eviction takes —
-    under the cache lock, so the radix bookkeeping is checked on drops out
-    of any branch, not only on whichever entry the LRU order names.
+    Drives ``_drop`` — the one un-index path, which LRU eviction and
+    supersession take — under the cache lock, so the radix bookkeeping is
+    checked on drops out of any branch, not only on whichever entry the
+    LRU order names.
     """
     stale = set(tokens)
     with cache._lock:
@@ -106,13 +111,30 @@ def drop_entries_mentioning(cache, tokens):
     return len(doomed)
 
 
+def check_pool(cache, held):
+    """Slots in use x column bytes = ``stored_bytes``, each held by one node, none also free."""
+    pool = cache._pool
+    if pool is None:
+        assert not held and cache.stats.stored_bytes == 0
+        return
+    ids = np.concatenate(held) if held else np.empty(0, dtype=np.int32)
+    free = pool.free[: pool.num_free]
+    assert len(np.unique(ids)) == ids.size, "a slot belongs to two nodes"
+    assert len(pool.columns) - pool.num_free == ids.size and not np.isin(ids, free).any()
+    assert len(np.unique(free)) == free.size and (free < pool.touched).sum() == (
+        pool.touched - ids.size
+    ), "the free stack lost or repeated a slot"
+    assert ids.size * pool.columns[0].nbytes == cache.stats.stored_bytes
+    assert not np.isnan(pool.columns[ids]).any(), "a held slot reads poisoned K/V"
+
+
 def check_index(cache):
-    """Structural invariants of the radix index (see ``_Node``)."""
+    """Structural invariants of the radix index (see ``_Node``) and its slot pool."""
     live = cache._entries
     assert len(live) <= cache.max_entries
     root = cache._root
-    assert root.entry is None and root.edge == () and root.kv is None
-    nodes, unary, ended, stored = 0, 0, set(), 0
+    assert root.entry is None and root.edge == () and root.slots is None
+    nodes, unary, ended, held = 0, 0, set(), []
     stack = [((), True, child) for child in root.children.values()]
     assert all(first == child.edge[0] for first, child in root.children.items())
     while stack:
@@ -120,18 +142,16 @@ def check_index(cache):
         nodes += 1
         prefix = above + node.edge
         assert node.edge, "empty edge"
-        if node.kv is not None:
+        if node.slots is not None:
             assert above_holds_kv, "a K/V node below a token-only one: no match reaches it"
-            assert node.kv.shape[3] == len(node.edge), "block and edge disagree on columns"
-            assert not node.kv.flags.writeable, "stored block is writeable"
-            assert node.kv.base is None, "a view would keep a dropped column alive"
-            stored += node.kv.nbytes
+            assert node.slots.shape == (len(node.edge),), "slots and edge disagree on columns"
+            held.append(node.slots)
         assert live.get(node.donor.key) is node.donor, "donor is not a live entry"
         assert node.donor.key[: len(prefix)] == prefix, "donor does not cover the node"
         if node.entry is None:
             # A drop keeps a K/V node above a token-only only child (its
             # prefix stays stored); any other pass-through node is merged.
-            assert len(node.children) >= 2 or node.kv is not None, (
+            assert len(node.children) >= 2 or node.slots is not None, (
                 "unary pass-through node left unmerged"
             )
             unary += len(node.children) == 1
@@ -140,9 +160,12 @@ def check_index(cache):
             ended.add(prefix)
         for first, child in node.children.items():
             assert first == child.edge[0]
-            stack.append((prefix, node.kv is not None, child))
+            stack.append((prefix, node.slots is not None, child))
     assert ended == set(live), "index and LRU table disagree about what is indexed"
-    assert cache.stats.stored_bytes == stored, "occupancy gauge drifted from the blocks"
+    check_pool(cache, held)
+    # Each session names one live entry, and that entry names it back.
+    assert all(live.get(e.key) is e and e.session == s for s, e in cache._sessions.items())
+    assert all(cache._sessions[e.session] is e for e in live.values() if e.session is not None)
     assert nodes - unary <= 2 * len(live)  # so an empty cache is a bare root: back to baseline
 
 
@@ -150,6 +173,7 @@ class TestRadixIndexModel:
     """Random op sequences against a brute-force longest-common-prefix oracle."""
 
     OPS = ("insert", "keyless", "match", "touch", "probe", "drop", "clear")
+    SESSIONS = ("a", "b", "c")
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -163,6 +187,7 @@ class TestRadixIndexModel:
     def test_matches_oracle_and_keeps_invariants(self, max_entries, min_prefix_len, rng):
         cache = PrefixKVCache(max_entries=max_entries, min_prefix_len=min_prefix_len)
         stored = set()  # prefixes whose K/V the cache must hold
+        newest = {}  # session -> its newest prompt still indexed
         for _ in range(50):
             (op,) = rng.choices(self.OPS, weights=(6, 6, 4, 3, 2, 2, 0.2))
             # Three common tokens so prefixes collide constantly, three rare ones so an
@@ -170,22 +195,35 @@ class TestRadixIndexModel:
             key = rng.choices(range(6), weights=(6, 6, 6, 1, 1, 1), k=rng.randint(0, 7))
             max_len = rng.choice([None, None, *range(-2, 9)])
             if op in ("insert", "keyless"):
-                session = op == "insert"
-                lru_before, evictions = list(cache._entries), cache.stats.evictions
-                fresh = len(key) >= min_prefix_len and tuple(key) not in cache._entries
-                changes = len(key) >= min_prefix_len and key not in cache
+                session = rng.choice(self.SESSIONS) if op == "insert" else None
+                lru = list(cache._entries)
+                evictions, superseded = cache.stats.evictions, cache.stats.superseded
+                indexed = len(key) >= min_prefix_len
+                changes = indexed and key not in cache
                 # A session stores every column; a keyless prompt those it sights again.
                 prefixes = {tuple(key[:i]) for i in range(1, len(key) + 1)}
                 sighted = prefixes if session else prefixes & indexed_prefixes(cache)
                 assert cache.insert(key, prefix_kvs(key), session=session) == changes
                 if changes:
                     stored |= sighted
-                if fresh and len(lru_before) == max_entries:  # overflow: exactly the LRU goes
+                if indexed:  # the key goes (or moves) to the LRU end
+                    lru = [live for live in lru if live != tuple(key)] + [tuple(key)]
+                replaced = newest.get(session) if indexed and session else None
+                if replaced is not None and replaced != tuple(key):  # supersession
+                    lru.remove(replaced)
+                    assert cache.stats.superseded == superseded + 1
+                else:
+                    assert cache.stats.superseded == superseded
+                if indexed and session:
+                    newest = {s: k for s, k in newest.items() if k != tuple(key)}
+                    newest[session] = tuple(key)
+                if len(lru) > max_entries:  # overflow: exactly the LRU goes
+                    lru.pop(0)
                     assert cache.stats.evictions == evictions + 1
-                    assert list(cache._entries) == lru_before[1:] + [tuple(key)]
                 else:
                     assert cache.stats.evictions == evictions
-                assert (key in cache) == (len(key) >= min_prefix_len and tuple(key) in sighted)
+                assert list(cache._entries) == lru
+                assert (key in cache) == (indexed and tuple(key) in sighted)
             elif op in ("match", "touch"):
                 if op == "touch" and cache._entries:  # exact repeat of a live key: LRU reorder
                     key, max_len = list(rng.choice(list(cache._entries))), None
@@ -204,20 +242,22 @@ class TestRadixIndexModel:
                 assert not any(live in cache for live in doomed)
             else:
                 cache.clear()
-                assert len(cache) == 0
+                assert len(cache) == 0 and cache._pool is None
             stored &= indexed_prefixes(cache)  # a prefix no live key indexes is gone
+            newest = {s: k for s, k in newest.items() if k in cache._entries}
             assert stored_prefixes(cache) == stored
+            assert {s: e.key for s, e in cache._sessions.items()} == newest
             check_index(cache)
         drop_entries_mentioning(cache, range(6))  # evict everything that is left
         check_index(cache)
-        assert len(cache) == 0 and not cache._root.children
+        assert len(cache) == 0 and not cache._root.children and not cache._sessions
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
     def test_strict_prefix_keys_in_both_insertion_orders(self, order):
         keys = [[1, 2, 3], [1, 2, 3, 4, 5]]
         cache = PrefixKVCache(min_prefix_len=2)
         for index in order:
-            assert cache.insert(keys[index], prefix_kvs(keys[index]))
+            assert cache.insert(keys[index], prefix_kvs(keys[index]), session=own(keys[index]))
             check_index(cache)
         assert keys[0] in cache and keys[1] in cache
         assert cache.match(keys[0]).length == 3
@@ -228,7 +268,7 @@ class TestRadixIndexModel:
     @pytest.mark.parametrize("max_len", [0, -1, -3])
     def test_non_positive_max_len_is_a_miss(self, max_len):
         cache = PrefixKVCache(min_prefix_len=1)
-        cache.insert([1, 2, 3, 4], prefix_kvs([1, 2, 3, 4]))
+        cache.insert([1, 2, 3, 4], prefix_kvs([1, 2, 3, 4]), session=own([1, 2, 3, 4]))
         assert cache.match([1, 2, 3, 4], max_len=max_len) is None
         assert cache.probe([1, 2, 3, 4], max_len=max_len) == 0
 
@@ -239,7 +279,7 @@ class TestRadixIndexModel:
         live = np.full((1, 2, 1, 7, 2), -1.0, dtype=np.float32)
         live[:, :, :, [1, 2, 5, 6]] = prefix_kvs(key)
         cache = PrefixKVCache(min_prefix_len=2)
-        assert cache.insert(key, live, columns=columns)
+        assert cache.insert(key, live, columns=columns, session=own(key))
         live[:] = -2.0  # the decode cache moves on; the stored copy is private
         assert_match_is_prefix_of(cache.match(key), key)
         check_index(cache)
@@ -276,16 +316,18 @@ class TestMalformedColumns:
         live[:, :, :, 2:6] = prefix_kvs(self.KEY)
         cache = PrefixKVCache(min_prefix_len=2)
         columns = (slice(2, 2), slice(2, 4, 1), slice(4, 6))
-        assert cache.insert(self.KEY, live, columns=columns)
+        assert cache.insert(self.KEY, live, columns=columns, session=own(self.KEY))
         assert_match_is_prefix_of(cache.match(self.KEY), self.KEY)
 
 
 class TestSessionOccupancy:
-    """A growing session stores each distinct radix column once, and gives it all back."""
+    """Prompts store each distinct radix column once, in the pool, and give it all back."""
 
     HEAD = [1, 30, 31, 32, 33]  # template head
     TAIL = [90, 91, 92]  # the template's fixed tail
-    HEAD_DIM = 512  # 4 KB per column: Python object overhead is noise beside it
+    # 32 KB per column: Python objects, the free stack and a pool write's fixed
+    # scratch (numpy's ~4 KB fancy-assignment buffer) are noise beside it.
+    HEAD_DIM = 4096
 
     def turn(self, t):
         return self.HEAD + list(range(40, 40 + t)) + self.TAIL
@@ -294,6 +336,7 @@ class TestSessionOccupancy:
         return prefix_kvs([1], head_dim=self.HEAD_DIM).nbytes
 
     def test_turns_store_distinct_columns_and_evict_to_zero(self):
+        """Turns kept side by side (each its own session): shared columns once, none on the heap."""
         turns = 6
         cache = PrefixKVCache(max_entries=turns, min_prefix_len=2)
         first = None
@@ -306,20 +349,17 @@ class TestSessionOccupancy:
             try:
                 held = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-                assert cache.insert(key, kv)
+                assert cache.insert(key, kv, session=own(key))
                 allocated = tracemalloc.get_traced_memory()[1] - held
             finally:
                 if not tracing:
                     tracemalloc.stop()
             # New columns: this turn's history item and the tail.  The previous
-            # turn's leaf (all of turn 1; later its last item and the tail) splits
-            # before the tail: both halves are copied.
+            # turn's leaf splits before the tail by slicing its slot ids: the
+            # columns go to the pool, none is cut from the heap.
             new_columns = len(key) if t == 1 else 1 + len(self.TAIL)
-            split_columns = {1: 0, 2: len(self.turn(1))}.get(t, 1 + len(self.TAIL))
-            new_bytes = new_columns * self.column_bytes()
-            split_bytes = split_columns * self.column_bytes()
-            assert cache.stats.stored_bytes - before == new_bytes
-            assert new_bytes <= allocated <= new_bytes + split_bytes + 4096
+            assert cache.stats.stored_bytes - before == new_columns * self.column_bytes()
+            assert allocated < self.column_bytes()
             check_index(cache)
             distinct = {live[: i + 1] for live in cache._entries for i in range(len(live))}
             assert cache.stats.stored_bytes == len(distinct) * self.column_bytes()
@@ -332,8 +372,28 @@ class TestSessionOccupancy:
                 cache._drop(entry)
             check_index(cache)
         assert cache.stats.stored_bytes == 0 and not cache._root.children
-        # A match handed out before the splits and evictions still reads its K/V.
+        # A match handed out before the splits and evictions owns its copy.
         assert_match_is_prefix_of(first, self.turn(1))
+
+    def test_one_session_keeps_only_its_newest_turn(self):
+        """Each turn replaces the last: the dead tail's slots are poisoned and reused."""
+        turns = 6
+        cache = PrefixKVCache(max_entries=turns, min_prefix_len=2)
+        for t in range(1, turns + 1):
+            key = self.turn(t)
+            tail = None
+            if t > 1:  # the previous turn's leaf: its last history item and the tail
+                tail = cache._root.children[1].slots[-1 - len(self.TAIL) :].copy()
+            assert cache.insert(key, prefix_kvs(key, head_dim=self.HEAD_DIM), session="user")
+            check_index(cache)
+            assert len(cache) == 1 and key in cache and self.turn(t - 1) not in cache
+            assert cache.stats.superseded == t - 1 and cache.stats.evictions == 0
+            assert cache.stats.stored_bytes == len(key) * self.column_bytes()
+            if tail is not None:  # the dead tail went back to the free stack, poisoned
+                assert np.isnan(cache._pool.columns[tail[1:]]).all()
+            assert_match_is_prefix_of(cache.match(key), key)
+        # The pool never holds more than one turn plus the next turn's new columns.
+        assert cache._pool.touched <= len(self.turn(turns)) + len(self.TAIL)
 
 
 class TestKeylessOccupancy:
@@ -351,7 +411,7 @@ class TestKeylessOccupancy:
         head_bytes = len(self.HEAD) * prefix_kvs([1], head_dim=self.HEAD_DIM).nbytes
         for user in range(40):
             key = self.prompt(user)
-            assert cache.insert(key, prefix_kvs(key, head_dim=self.HEAD_DIM), session=False)
+            assert cache.insert(key, prefix_kvs(key, head_dim=self.HEAD_DIM))
             assert key not in cache  # its own tail is indexed, not stored
             assert cache.stats.stored_bytes == (head_bytes if user else 0)
             check_index(cache)
@@ -374,7 +434,7 @@ class TestScopedInvalidation:
     def test_drops_exactly_the_entry_mentioning_the_token(self):
         cache = PrefixKVCache(min_prefix_len=2)
         for key in (self.A, self.B, self.C, self.D):
-            cache.insert(key, prefix_kvs(key))
+            cache.insert(key, prefix_kvs(key), session=own(key))
         assert drop_entries_mentioning(cache, [43]) == 1
         check_index(cache)
         assert self.B not in cache and len(cache) == 3
@@ -389,52 +449,116 @@ class TestScopedInvalidation:
         assert leaf.entry.key == tuple(self.A) and not leaf.children  # A's node is a leaf again
 
 
+def run_threads(*targets):
+    """Run ``targets`` on their own threads, switching often; re-raise what they raised."""
+    errors = []
+
+    def guarded(target):
+        try:
+            target()
+        except Exception as error:  # surfaced by the main thread below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=guarded, args=(target,)) for target in targets]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors
+
+
+def checked_match(cache, key):
+    """Match ``key`` and check every matched column against what was inserted for it."""
+    match = cache.match(key, max_len=len(key) - 1)
+    if match is not None:
+        assert 2 <= match.length < len(key)
+        assert_match_is_prefix_of(match, key)
+    assert cache.probe(key) <= len(key)
+
+
 class TestThreadStress:
     def test_interleaved_insert_match_invalidate(self):
         """Two threads hammer one small cache; every match is checked column by column."""
         cache = PrefixKVCache(max_entries=6, min_prefix_len=2)
-        errors = []
+        dropped = []
 
         def worker(seed):
             rng = np.random.default_rng(seed)
-            try:
-                for _ in range(1500):
-                    key = [1, 2] + [int(t) for t in rng.integers(3, 6, size=rng.integers(0, 5))]
-                    roll = rng.random()
-                    if roll < 0.45:
-                        cache.insert(key, prefix_kvs(key), session=roll < 0.25)
-                    elif roll < 0.9:
-                        match = cache.match(key, max_len=len(key) - 1)
-                        if match is not None:
-                            assert 2 <= match.length < len(key)
-                            assert_match_is_prefix_of(match, key)
-                        assert cache.probe(key) <= len(key)
-                    else:
-                        drop_entries_mentioning(cache, [int(rng.integers(3, 6))])
-            except Exception as error:  # surfaced by the main thread below
-                errors.append(error)
+            for _ in range(1500):
+                key = [1, 2] + [int(t) for t in rng.integers(3, 6, size=rng.integers(0, 5))]
+                roll = rng.random()
+                if roll < 0.45:
+                    session = f"user:{rng.integers(3)}" if roll < 0.25 else None
+                    cache.insert(key, prefix_kvs(key), session=session)
+                elif roll < 0.9:
+                    checked_match(cache, key)
+                else:
+                    dropped.append(drop_entries_mentioning(cache, [int(rng.integers(3, 6))]))
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=worker, args=(seed,)) for seed in (0, 1)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-                assert not thread.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert not errors, errors
+        run_threads(lambda: worker(0), lambda: worker(1))
         check_index(cache)
-        assert cache.stats.inserts - cache.stats.evictions == len(cache)
+        stats = cache.stats
+        assert stats.inserts - stats.evictions - stats.superseded - sum(dropped) == len(cache)
+
+    def test_supersede_on_one_thread_while_another_matches(self):
+        """Sessions grow and replace their turns on one thread; every match reads its K/V.
+
+        Columns are wide enough that a match's copy releases the GIL, so a
+        copy made outside the lock would race the writer's frees.
+        """
+        cache = PrefixKVCache(max_entries=4, min_prefix_len=2)
+        head_dim = 1024
+
+        wrote, read = threading.Event(), threading.Event()  # each side's quota is done
+
+        def keep_going(count, quota, mine, theirs):
+            """Run ``quota`` times, then on for as long as the other side runs."""
+            if count == quota:
+                mine.set()
+            return count < quota or not theirs.is_set()
+
+        def writer():
+            rng = np.random.default_rng(0)
+            turns = {}
+            try:
+                count = 0
+                while keep_going(count, 1500, wrote, read):
+                    session = int(rng.integers(6))  # more sessions than entries: evictions too
+                    base = turns.get(session, [1, 2])
+                    if len(base) > 9 or rng.random() < 0.2:  # a new user takes the key over
+                        base = [1, 2]
+                    key = turns[session] = base + [int(t) for t in rng.integers(3, 6, size=2)]
+                    cache.insert(key, prefix_kvs(key, head_dim=head_dim), session=session)
+                    count += 1
+            finally:
+                wrote.set()
+
+        def reader():
+            rng = np.random.default_rng(1)
+            try:
+                count = 0
+                while keep_going(count, 2000, read, wrote):
+                    checked_match(cache, [1, 2] + [int(t) for t in rng.integers(3, 6, size=8)])
+                    count += 1
+            finally:
+                read.set()
+
+        run_threads(writer, reader)
+        check_index(cache)
+        assert cache.stats.superseded > 100 and cache.stats.evictions > 100
 
 
 class TestPrefixKVCacheUnit:
     def test_exact_and_partial_match(self):
         cache = PrefixKVCache(min_prefix_len=2)
         prompt = [1, 5, 6, 7, 8]
-        cache.insert(prompt, fake_kvs(5))
+        cache.insert(prompt, fake_kvs(5), session=own(prompt))
         exact = cache.match(prompt)
         assert exact.length == 5
         assert matched_kv(exact).shape == (2, 2, 2, 5, 4)
@@ -446,12 +570,12 @@ class TestPrefixKVCacheUnit:
     def test_max_len_caps_match(self):
         cache = PrefixKVCache(min_prefix_len=2)
         prompt = [1, 5, 6, 7, 8]
-        cache.insert(prompt, fake_kvs(5))
+        cache.insert(prompt, fake_kvs(5), session=own(prompt))
         assert cache.match(prompt, max_len=len(prompt) - 1).length == 4
 
     def test_short_matches_are_misses(self):
         cache = PrefixKVCache(min_prefix_len=4)
-        cache.insert([1, 2, 3, 4, 5], fake_kvs(5))
+        cache.insert([1, 2, 3, 4, 5], fake_kvs(5), session=own([1, 2, 3, 4, 5]))
         assert cache.match([1, 2, 3, 9, 9, 9]) is None  # depth 3 < 4
         assert cache.match([1, 2, 3, 4, 9]) is not None
         assert cache.stats.lookups == 2
@@ -459,9 +583,9 @@ class TestPrefixKVCacheUnit:
 
     def test_insert_rejects_short_and_duplicate(self):
         cache = PrefixKVCache(min_prefix_len=4)
-        assert not cache.insert([1, 2], fake_kvs(2))
-        assert cache.insert([1, 2, 3, 4], fake_kvs(4))
-        assert not cache.insert([1, 2, 3, 4], fake_kvs(4))
+        assert not cache.insert([1, 2], fake_kvs(2), session=own([1, 2]))
+        assert cache.insert([1, 2, 3, 4], fake_kvs(4), session=own([1, 2, 3, 4]))
+        assert not cache.insert([1, 2, 3, 4], fake_kvs(4), session=own([1, 2, 3, 4]))
         assert len(cache) == 1
         assert [1, 2, 3, 4] in cache
         assert [1, 2, 3] not in cache
@@ -469,7 +593,7 @@ class TestPrefixKVCacheUnit:
     def test_insert_copies_and_freezes(self):
         cache = PrefixKVCache(min_prefix_len=2)
         kvs = fake_kvs(3)
-        cache.insert([1, 2, 3], kvs)
+        cache.insert([1, 2, 3], kvs, session=own([1, 2, 3]))
         kvs[:] = -1.0  # caller mutates its live buffer afterwards
         match = cache.match([1, 2, 3])
         np.testing.assert_array_equal(matched_kv(match), fake_kvs(3))
@@ -481,10 +605,10 @@ class TestPrefixKVCacheUnit:
 
     def test_lru_evicts_exactly_one_per_overflow(self):
         cache = PrefixKVCache(max_entries=2, min_prefix_len=2)
-        cache.insert([1, 2, 3], fake_kvs(3))
-        cache.insert([4, 5, 6], fake_kvs(3))
+        cache.insert([1, 2, 3], fake_kvs(3), session=own([1, 2, 3]))
+        cache.insert([4, 5, 6], fake_kvs(3), session=own([4, 5, 6]))
         cache.match([1, 2, 3])  # touch: [4, 5, 6] becomes least-recent
-        cache.insert([7, 8, 9], fake_kvs(3))
+        cache.insert([7, 8, 9], fake_kvs(3), session=own([7, 8, 9]))
         assert len(cache) == 2
         assert cache.stats.evictions == 1
         assert cache.match([4, 5, 6]) is None  # evicted and un-indexed
@@ -493,21 +617,57 @@ class TestPrefixKVCacheUnit:
         # Capacity holds at max_entries: each further overflow drops one, in LRU order.
         for evicted, key in enumerate(([10, 11, 12], [13, 14, 15]), start=2):
             oldest = next(iter(cache._entries))
-            cache.insert(key, fake_kvs(3))
+            cache.insert(key, fake_kvs(3), session=own(key))
             assert len(cache) == 2 and cache.stats.evictions == evicted
             assert list(oldest) not in cache and key in cache
         assert [7, 8, 9] not in cache and [1, 2, 3] not in cache
 
     def test_clear(self):
         cache = PrefixKVCache(min_prefix_len=2)
-        cache.insert([1, 2, 3], fake_kvs(3))
+        cache.insert([1, 2, 3], fake_kvs(3), session=own([1, 2, 3]))
         cache.clear()
         assert len(cache) == 0
         assert cache.match([1, 2, 3]) is None
+        assert cache._pool is None and not cache._sessions  # the pool's mapping is released
+        check_index(cache)
+
+    def test_freed_slots_read_nan(self):
+        """A dropped node's slots are poisoned before reuse: a read after free shows."""
+        cache = PrefixKVCache(min_prefix_len=2)
+        cache.insert([1, 2, 3], fake_kvs(3), session="user")
+        freed = cache._root.children[1].slots.copy()
+        assert not np.isnan(cache._pool.columns[freed]).any()
+        assert drop_entries_mentioning(cache, [3]) == 1
+        assert np.isnan(cache._pool.columns[freed]).all()
+        assert cache._pool.num_free == len(cache._pool.columns)
+        assert cache.stats.stored_bytes == 0
+        cache.insert([4, 5], fake_kvs(2), session="user")  # freed slots are reused first
+        assert set(cache._root.children[4].slots) < set(freed)
+        check_index(cache)
+
+    def test_pool_grows_and_keeps_its_columns(self, monkeypatch):
+        """Past its reservation the pool doubles, copying what is stored; matches still exact."""
+        monkeypatch.setattr("repro.llm.prefix_cache._SLOTS_PER_ENTRY", 2)
+        cache = PrefixKVCache(max_entries=3, min_prefix_len=2)
+        keys = [[1, 2, 3, 4, 5], [1, 2, 6, 7, 8, 9], [10, 11, 12, 13, 14, 15, 16]]
+        for key in keys:
+            cache.insert(key, prefix_kvs(key), session=own(key))
+            check_index(cache)
+        assert len(cache._pool.columns) == 24  # 6 slots, doubled twice for 16 columns
+        for key in keys:
+            assert_match_is_prefix_of(cache.match(key), key)
+
+    def test_columns_of_another_shape_are_refused(self):
+        cache = PrefixKVCache(min_prefix_len=2)
+        cache.insert([1, 2, 3], fake_kvs(3), session="user")
+        with pytest.raises(ValueError):
+            cache.insert([4, 5, 6], fake_kvs(3, heads=3), session="user")
+        assert [1, 2, 3] in cache
+        check_index(cache)
 
     def test_stats_token_hit_rate(self):
         cache = PrefixKVCache(min_prefix_len=2)
-        cache.insert([1, 2, 3, 4], fake_kvs(4))
+        cache.insert([1, 2, 3, 4], fake_kvs(4), session=own([1, 2, 3, 4]))
         cache.match([1, 2, 3, 4, 5, 6])  # 4 of 6 tokens reused
         assert cache.stats.prompt_tokens == 6
         assert cache.stats.reused_tokens == 4
@@ -603,14 +763,15 @@ class TestPrefixCacheDecodeParity:
         model, trie = make_model(), make_trie()
         cache = PrefixKVCache()
         first = TEMPLATE_HEAD + [40, 41, 42]
-        decode_prompts(model, [first], trie, beam_size=6, prefix_cache=cache, sessions=[True])
+        decode_prompts(model, [first], trie, beam_size=6, prefix_cache=cache, sessions=["user"])
         assert first in cache
         grown = first + [43, 44]
         reused_before = cache.stats.reused_tokens
         batched = decode_prompts(
-            model, [grown], trie, beam_size=6, prefix_cache=cache, sessions=[True]
+            model, [grown], trie, beam_size=6, prefix_cache=cache, sessions=["user"]
         )
         assert cache.stats.reused_tokens - reused_before == len(first)
+        assert grown in cache and first not in cache and len(cache) == 1  # superseded
         reference = beam_search_items_single(model, grown, trie, beam_size=6)
         assert ranked_item_ids(batched[0], 5) == ranked_item_ids(reference, 5)
 
@@ -635,9 +796,9 @@ class TestPrefixCacheDecodeParity:
         model, trie = make_model(), make_trie()
         cache = PrefixKVCache()
         prompt = TEMPLATE_HEAD + [44, 45]
-        decode_prompts(model, [prompt], trie, beam_size=6, prefix_cache=cache, sessions=[True])
+        decode_prompts(model, [prompt], trie, beam_size=6, prefix_cache=cache, sessions=["user"])
         repeat = decode_prompts(
-            model, [prompt], trie, beam_size=6, prefix_cache=cache, sessions=[True]
+            model, [prompt], trie, beam_size=6, prefix_cache=cache, sessions=["user"]
         )
         assert cache.stats.reused_tokens == len(prompt) - 1
         reference = beam_search_items_single(model, prompt, trie, beam_size=6)
@@ -665,7 +826,7 @@ class TestPrefixCacheDecodeParity:
         """Rows that store whole, rows that store on a repeat, and their hits: same rankings."""
         model, trie = make_model(), make_trie()
         prompts = session_prompts(np.random.default_rng(13), users=4, turns=3)
-        sessions = [user % 2 == 0 for user in range(4) for _ in range(3)]
+        sessions = [f"user:{u}" if u % 2 == 0 else None for u in range(4) for _ in range(3)]
         plain = decode_prompts(model, prompts, trie, beam_size=8)
         cache = PrefixKVCache()
         for turn in range(3):  # each user's turn t, then the whole pool twice
@@ -686,10 +847,41 @@ class TestPrefixCacheDecodeParity:
                 for plain_hyp, warm_hyp in zip(plain_row, warm_row):
                     assert plain_hyp.score == pytest.approx(warm_hyp.score, abs=1e-4)
             check_index(cache)
-        # Session turns hit their previous turn; keyless turns only the shared head.
-        assert all(prompt in cache for prompt in prompts)
-        assert cache.stats.reused_tokens > 0
+        # A session keeps its newest turn; keyless turns stay, stored on their repeats.
+        newest = {session: prompt for session, prompt in zip(sessions, prompts)}
+        for session, prompt in zip(sessions, prompts):
+            assert (prompt in cache) == (session is None or newest[session] is prompt)
+        assert cache.stats.reused_tokens > 0 and cache.stats.superseded > 0
 
+
+    def test_supersede_and_evict_churn_ranks_like_the_cacheless_decode(self):
+        """Sessions grow, refresh and change hands in a cache too small for them: same rankings."""
+        model, trie = make_model(), make_trie()
+        rng = np.random.default_rng(17)
+        cache = PrefixKVCache(max_entries=3)
+        histories = {}
+        for _ in range(8):
+            sessions = [int(s) for s in rng.choice(6, size=4, replace=False)]
+            for session in sessions:
+                history, roll = histories.get(session), rng.random()
+                if history is None or roll < 0.2:  # a new user takes the session over
+                    history = [int(t) for t in rng.integers(40, 60, size=3)]
+                elif roll < 0.7:  # the user's history grows; otherwise a refresh
+                    history = history + [int(rng.integers(40, 60))]
+                histories[session] = history
+            prompts = [TEMPLATE_HEAD + histories[s] + [61, 62] for s in sessions]
+            got = decode_prompts(
+                model, prompts, trie, beam_size=8, prefix_cache=cache,
+                sessions=[f"session:{s}" for s in sessions],
+            )
+            want = decode_prompts(model, prompts, trie, beam_size=8)
+            for got_row, want_row in zip(got, want):
+                assert [h.token_ids for h in got_row] == [h.token_ids for h in want_row]
+                for got_hyp, want_hyp in zip(got_row, want_row):
+                    assert got_hyp.score == pytest.approx(want_hyp.score, abs=1e-4)
+            check_index(cache)
+        stats = cache.stats
+        assert stats.superseded > 0 and stats.evictions > 0 and stats.reused_tokens > 0
 
     def test_warm_cache_after_scoped_invalidation_equals_cacheless(self):
         """Un-indexing some stored prompts leaves the rest decoding right."""
@@ -748,7 +940,9 @@ class TestPrefixCacheOnLCRec:
             service.flush()
             assert handle.result() == tiny_lcrec.recommend(turn, top_k=3)
         assert stats.reused_tokens - before == len(commonprefix(prompts))
-        assert all(prompt in service.prefix_cache for prompt in prompts)
+        # The newest turn replaced the earlier one: only it is stored.
+        assert prompts[1] in service.prefix_cache and prompts[0] not in service.prefix_cache
+        assert stats.superseded == 1 and len(service.prefix_cache) == 1
 
     def test_disabled_cache(self, tiny_lcrec, tiny_dataset):
         service = RecommendationService(LCRecEngine(tiny_lcrec, prefix_cache=False))

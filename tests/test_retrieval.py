@@ -143,6 +143,16 @@ class TestClusteredKNNParity:
         with pytest.raises(ValueError, match="top_k"):
             index.search(vectors[0], 0)
 
+    @pytest.mark.parametrize("top_k", [True, 2.5, 0, -1, "3"])
+    def test_top_k_is_a_positive_int_everywhere(self, vectors, top_k):
+        # The serving rule (``check_top_k``): ``True`` used to rank one item
+        # and 2.5 to raise a bare TypeError from a slice.
+        index = ClusteredKNNIndex(vectors, ClusteredKNNConfig(n_clusters=4))
+        with pytest.raises(ValueError, match="top_k"):
+            index.search(vectors[0], top_k)
+        with pytest.raises(ValueError, match="top_k"):
+            RetrievalRecommender(index).recommend([3, 8], top_k)
+
 
 class TestRetrievalRecommender:
     def make(self, vectors, popularity=None):
@@ -429,6 +439,15 @@ class TestHybridRecommender:
         candidates = hybrid.candidates(history, 5)
         expected = restricted_oracle(engine, [history], candidates, 5)[0]
         assert hybrid.recommend(history, top_k=5) == expected
+
+    @pytest.mark.parametrize("top_k", [True, 2.5, 0])
+    def test_top_k_is_a_positive_int_on_both_lanes(self, tiny_lcrec, retriever, top_k):
+        # A cold start (``[]``) answers from retrieval alone: ``True`` used to rank one item.
+        hybrid = HybridRecommender(LCRecEngine(tiny_lcrec, prefix_cache=False), retriever)
+        for history in ([], [0, 1]):
+            with pytest.raises(ValueError, match="top_k"):
+                hybrid.recommend(history, top_k=top_k)
+            assert len(hybrid.recommend(history, top_k=np.int64(3))) == 3
 
     def test_cold_start_routes_to_retrieval(self, tiny_lcrec, retriever):
         engine = LCRecEngine(tiny_lcrec, prefix_cache=False)

@@ -285,7 +285,8 @@ class TestSparseDenseParity:
         cache = PrefixKVCache(min_prefix_len=2)
         grown = [prompt + [8, 9] for prompt in MIXED_PROMPTS]
         cohorts = (MIXED_PROMPTS, grown)
-        sessions = [True] * len(MIXED_PROMPTS)  # stored whole, so the grown turns hit
+        # One session per row: stored whole, so each grown turn hits its first.
+        sessions = [f"user:{row}" for row in range(len(MIXED_PROMPTS))]
         states = [
             decode_prefill(model, prompts, trie, beam_size=6, prefix_cache=cache,
                            sessions=sessions)
