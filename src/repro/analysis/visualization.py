@@ -32,12 +32,10 @@ class SeparationReport:
         return self.centroid_distance / max(self.within_spread, 1e-12)
 
 
-def embedding_separation(
-    group_a: np.ndarray, group_b: np.ndarray, n_components: int = 2
-) -> SeparationReport:
-    """PCA-project both groups jointly and measure their separation."""
+def embedding_separation(group_a: np.ndarray, group_b: np.ndarray) -> SeparationReport:
+    """PCA-project both groups jointly onto two components and measure their separation."""
     stacked = np.concatenate([group_a, group_b], axis=0)
-    pca = fit_pca(stacked, n_components=n_components)
+    pca = fit_pca(stacked)
     projected_a = pca.transform(group_a)
     projected_b = pca.transform(group_b)
     centroid_a = projected_a.mean(axis=0)

@@ -72,7 +72,7 @@ class SequentialRecommender(Module):
         """Right-pad histories to ``max_len``; returns (batch, lengths)."""
         clipped = [list(h)[-self.max_len :] for h in histories]
         lengths = np.array([max(len(h), 1) for h in clipped], dtype=np.int64)
-        padded = pad_sequences(clipped, pad_value=self.pad_id, max_len=self.max_len, align="right")
+        padded = pad_sequences(clipped, pad_value=self.pad_id, max_len=self.max_len)
         return padded, lengths
 
     def score_all(self, histories: Sequence[Sequence[int]]) -> np.ndarray:

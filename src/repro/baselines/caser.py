@@ -17,6 +17,13 @@ from .base import SequentialRecommender
 
 __all__ = ["Caser"]
 
+# Horizontal filters per window height, the window heights, vertical
+# filters, and dropout before the fully connected layer.
+_HORIZONTAL_FILTERS = 8
+_FILTER_HEIGHTS = (2, 3, 4)
+_VERTICAL_FILTERS = 4
+_DROPOUT = 0.2
+
 
 class Caser(SequentialRecommender):
     """CNN over the embedded history window; pointwise training."""
@@ -29,28 +36,21 @@ class Caser(SequentialRecommender):
         num_items: int,
         dim: int = 64,
         max_len: int = 20,
-        horizontal_filters: int = 8,
-        filter_heights: tuple[int, ...] = (2, 3, 4),
-        vertical_filters: int = 4,
-        dropout: float = 0.2,
         seed: int = 0,
     ):
         rng = np.random.default_rng(seed)
         super().__init__(num_items, dim, max_len, rng)
-        self.filter_heights = tuple(filter_heights)
-        self.horizontal_filters = horizontal_filters
-        self.vertical_filters = vertical_filters
         # One weight (height * dim, filters) matrix per filter height.
         self._h_weights = []
-        for index, height in enumerate(self.filter_heights):
-            weight = Parameter(xavier_uniform(rng, (height * dim, horizontal_filters)))
+        for index, height in enumerate(_FILTER_HEIGHTS):
+            weight = Parameter(xavier_uniform(rng, (height * dim, _HORIZONTAL_FILTERS)))
             setattr(self, f"h_weight_{index}", weight)
             self._h_weights.append(weight)
-        # Vertical convolution: a (max_len, vertical_filters) mixing matrix.
-        self.v_weight = Parameter(xavier_uniform(rng, (max_len, vertical_filters)))
-        conv_out = len(self.filter_heights) * horizontal_filters + vertical_filters * dim
+        # Vertical convolution: a (max_len, vertical filters) mixing matrix.
+        self.v_weight = Parameter(xavier_uniform(rng, (max_len, _VERTICAL_FILTERS)))
+        conv_out = len(_FILTER_HEIGHTS) * _HORIZONTAL_FILTERS + _VERTICAL_FILTERS * dim
         self.fc = Linear(conv_out, dim, rng=rng)
-        self.dropout = Dropout(dropout, rng=rng)
+        self.dropout = Dropout(_DROPOUT, rng=rng)
 
     def user_representation(self, padded: np.ndarray, lengths: np.ndarray) -> Tensor:
         del lengths  # Caser always consumes the fixed-size window.
@@ -58,7 +58,7 @@ class Caser(SequentialRecommender):
         batch, seq_len, dim = x.shape
 
         horizontal_outputs = []
-        for height, weight in zip(self.filter_heights, self._h_weights):
+        for height, weight in zip(_FILTER_HEIGHTS, self._h_weights):
             if height > seq_len:
                 continue
             windows = stack(
@@ -73,7 +73,7 @@ class Caser(SequentialRecommender):
 
         # Vertical: mix over the time axis per embedding dimension.
         vertical = x.transpose(0, 2, 1) @ self.v_weight  # (B, d, Fv)
-        vertical = vertical.reshape(batch, dim * self.vertical_filters)
+        vertical = vertical.reshape(batch, dim * _VERTICAL_FILTERS)
 
         features = concat(horizontal_outputs + [vertical], axis=1)
         return self.fc(self.dropout(features)).relu()

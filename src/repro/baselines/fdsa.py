@@ -25,6 +25,12 @@ from .layers import TransformerEncoderLayer
 
 __all__ = ["FDSA"]
 
+# One self-attention layer of two heads per stream; dropout on both stream
+# inputs and inside every layer.
+_NUM_LAYERS = 1
+_NUM_HEADS = 2
+_DROPOUT = 0.2
+
 
 class FDSA(SequentialRecommender):
     """Item-stream + feature-stream self-attention with late fusion."""
@@ -39,9 +45,6 @@ class FDSA(SequentialRecommender):
         num_features: int,
         dim: int = 64,
         max_len: int = 20,
-        num_layers: int = 1,
-        num_heads: int = 2,
-        dropout: float = 0.2,
         seed: int = 0,
     ):
         rng = np.random.default_rng(seed)
@@ -55,19 +58,19 @@ class FDSA(SequentialRecommender):
         self.position_embeddings = Embedding(max_len + 1, dim, rng=rng)
         self.item_layers = ModuleList(
             [
-                TransformerEncoderLayer(dim, num_heads, dim * 2, dropout, rng)
-                for _ in range(num_layers)
+                TransformerEncoderLayer(dim, _NUM_HEADS, dim * 2, _DROPOUT, rng)
+                for _ in range(_NUM_LAYERS)
             ]
         )
         self.feature_layers = ModuleList(
             [
-                TransformerEncoderLayer(dim, num_heads, dim * 2, dropout, rng)
-                for _ in range(num_layers)
+                TransformerEncoderLayer(dim, _NUM_HEADS, dim * 2, _DROPOUT, rng)
+                for _ in range(_NUM_LAYERS)
             ]
         )
         self.fusion = Linear(dim * 2, dim, rng=rng)
         self.final_norm = LayerNorm(dim)
-        self.dropout = Dropout(dropout, rng=rng)
+        self.dropout = Dropout(_DROPOUT, rng=rng)
 
     def sequence_output(self, padded: np.ndarray) -> Tensor:
         seq_len = padded.shape[1]

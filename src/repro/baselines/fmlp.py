@@ -19,6 +19,10 @@ from .layers import PointwiseFeedForward
 
 __all__ = ["FMLP", "FilterLayer"]
 
+# Two filter blocks; dropout on the input and inside every block.
+_NUM_LAYERS = 2
+_DROPOUT = 0.2
+
 
 class FilterLayer(Module):
     """Per-dimension learnable circular convolution over the time axis."""
@@ -71,15 +75,15 @@ class FMLP(SequentialRecommender):
         num_items: int,
         dim: int = 64,
         max_len: int = 20,
-        num_layers: int = 2,
-        dropout: float = 0.2,
         seed: int = 0,
     ):
         rng = np.random.default_rng(seed)
         super().__init__(num_items, dim, max_len, rng)
-        self.blocks = ModuleList([FMLPBlock(max_len, dim, dropout, rng) for _ in range(num_layers)])
+        self.blocks = ModuleList(
+            [FMLPBlock(max_len, dim, _DROPOUT, rng) for _ in range(_NUM_LAYERS)]
+        )
         self.input_norm = LayerNorm(dim)
-        self.dropout = Dropout(dropout, rng=rng)
+        self.dropout = Dropout(_DROPOUT, rng=rng)
 
     def user_representation(self, padded: np.ndarray, lengths: np.ndarray) -> Tensor:
         x = self.dropout(self.input_norm(self.item_embeddings(padded)))

@@ -66,13 +66,13 @@ class IndexTokenSpace:
 
 
 # ----------------------------------------------------------------------
-def build_cooccurrence_matrix(dataset: SequentialDataset, window: int = 3) -> np.ndarray:
-    """Symmetric item co-occurrence counts within a sliding window."""
+def build_cooccurrence_matrix(dataset: SequentialDataset) -> np.ndarray:
+    """Symmetric item co-occurrence counts of pairs at most three positions apart."""
     num_items = dataset.num_items
     matrix = np.zeros((num_items, num_items), dtype=np.float64)
     for seq in dataset.split.train_sequences:
         for i, item_a in enumerate(seq):
-            for j in range(i + 1, min(i + 1 + window, len(seq))):
+            for j in range(i + 1, min(i + 4, len(seq))):
                 item_b = seq[j]
                 if item_a != item_b:
                     matrix[item_a, item_b] += 1.0

@@ -9,9 +9,12 @@ from .base import SequentialRecommender
 
 __all__ = ["GRU4Rec"]
 
+# Dropout on the embedded items before the one-layer GRU.
+_DROPOUT = 0.1
+
 
 class GRU4Rec(SequentialRecommender):
-    """Item embeddings encoded by a (stacked) GRU; tied output weights."""
+    """Item embeddings encoded by a GRU; tied output weights."""
 
     name = "GRU4Rec"
     training_mode = "causal"
@@ -21,14 +24,12 @@ class GRU4Rec(SequentialRecommender):
         num_items: int,
         dim: int = 64,
         max_len: int = 20,
-        num_layers: int = 1,
-        dropout: float = 0.1,
         seed: int = 0,
     ):
         rng = np.random.default_rng(seed)
         super().__init__(num_items, dim, max_len, rng)
-        self.gru = GRU(dim, dim, num_layers=num_layers, rng=rng)
-        self.dropout = Dropout(dropout, rng=rng)
+        self.gru = GRU(dim, dim, rng=rng)
+        self.dropout = Dropout(_DROPOUT, rng=rng)
 
     def sequence_output(self, padded: np.ndarray) -> Tensor:
         embedded = self.dropout(self.item_embeddings(padded))

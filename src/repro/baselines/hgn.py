@@ -17,6 +17,9 @@ from .base import SequentialRecommender
 
 __all__ = ["HGN"]
 
+# Dropout on the aggregated user representation.
+_DROPOUT = 0.2
+
 
 class HGN(SequentialRecommender):
     """Feature gating -> instance gating -> average aggregation."""
@@ -24,14 +27,12 @@ class HGN(SequentialRecommender):
     name = "HGN"
     training_mode = "pointwise"
 
-    def __init__(
-        self, num_items: int, dim: int = 64, max_len: int = 20, dropout: float = 0.2, seed: int = 0
-    ):
+    def __init__(self, num_items: int, dim: int = 64, max_len: int = 20, seed: int = 0):
         rng = np.random.default_rng(seed)
         super().__init__(num_items, dim, max_len, rng)
         self.feature_gate = Linear(dim, dim, rng=rng)
         self.instance_gate = Parameter(xavier_uniform(rng, (dim, 1)))
-        self.dropout = Dropout(dropout, rng=rng)
+        self.dropout = Dropout(_DROPOUT, rng=rng)
 
     def user_representation(self, padded: np.ndarray, lengths: np.ndarray) -> Tensor:
         x = self.item_embeddings(padded)  # (B, L, d)

@@ -39,6 +39,9 @@ _PRETRAIN_EPOCHS = 10
 _PRETRAIN_BATCH_SIZE = 64
 _MASK_PROB = 0.3
 _ATTRIBUTE_WEIGHT = 0.5
+# The backbone: two self-attention layers of two heads.
+_NUM_LAYERS = 2
+_NUM_HEADS = 2
 
 
 class S3Rec(SequentialRecommender):
@@ -54,8 +57,6 @@ class S3Rec(SequentialRecommender):
         num_attributes: int,
         dim: int = 64,
         max_len: int = 20,
-        num_layers: int = 2,
-        num_heads: int = 2,
         dropout: float = 0.2,
         seed: int = 0,
     ):
@@ -72,8 +73,8 @@ class S3Rec(SequentialRecommender):
         self.position_embeddings = Embedding(max_len + 1, dim, rng=rng)
         self.layers = ModuleList(
             [
-                TransformerEncoderLayer(dim, num_heads, dim * 2, dropout, rng)
-                for _ in range(num_layers)
+                TransformerEncoderLayer(dim, _NUM_HEADS, dim * 2, dropout, rng)
+                for _ in range(_NUM_LAYERS)
             ]
         )
         self.final_norm = LayerNorm(dim)
@@ -101,9 +102,7 @@ class S3Rec(SequentialRecommender):
         Masks and batch order are drawn from the seed the model was built with.
         """
         sequences = [s for s in dataset.split.train_sequences if len(s) >= 2]
-        padded = pad_sequences(
-            sequences, pad_value=self.pad_id, max_len=self.max_len, align="right"
-        )
+        padded = pad_sequences(sequences, pad_value=self.pad_id, max_len=self.max_len)
         is_real = padded != self.pad_id
         rng = np.random.default_rng(self.seed)
 

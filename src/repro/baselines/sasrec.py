@@ -14,6 +14,12 @@ from .layers import TransformerEncoderLayer
 
 __all__ = ["SASRec"]
 
+# Two causal self-attention layers of two heads; dropout on the input and
+# inside every layer.
+_NUM_LAYERS = 2
+_NUM_HEADS = 2
+_DROPOUT = 0.2
+
 
 class SASRec(SequentialRecommender):
     """Causal self-attention over the item sequence; tied output weights."""
@@ -26,9 +32,6 @@ class SASRec(SequentialRecommender):
         num_items: int,
         dim: int = 64,
         max_len: int = 20,
-        num_layers: int = 2,
-        num_heads: int = 2,
-        dropout: float = 0.2,
         seed: int = 0,
     ):
         rng = np.random.default_rng(seed)
@@ -36,12 +39,12 @@ class SASRec(SequentialRecommender):
         self.position_embeddings = Embedding(max_len + 1, dim, rng=rng)
         self.layers = ModuleList(
             [
-                TransformerEncoderLayer(dim, num_heads, dim * 2, dropout, rng)
-                for _ in range(num_layers)
+                TransformerEncoderLayer(dim, _NUM_HEADS, dim * 2, _DROPOUT, rng)
+                for _ in range(_NUM_LAYERS)
             ]
         )
         self.final_norm = LayerNorm(dim)
-        self.dropout = Dropout(dropout, rng=rng)
+        self.dropout = Dropout(_DROPOUT, rng=rng)
 
     def sequence_output(self, padded: np.ndarray) -> Tensor:
         seq_len = padded.shape[1]

@@ -79,6 +79,8 @@ class TIGER(Module):
         super().__init__()
         self.config = config or TIGERConfig()
         cfg = self.config
+        if cfg.max_history < 1:  # history[-0:] would be the whole history
+            raise ValueError(f"max_history must be at least 1, got {cfg.max_history}")
         rng = np.random.default_rng(cfg.seed)
         self.space = IndexTokenSpace(index_set)
         self.trie = self.space.build_trie()
@@ -129,7 +131,7 @@ class TIGER(Module):
 
     def _pad_histories(self, histories: list[list[int]]) -> np.ndarray:
         sources = [self.encode_history(history) for history in histories]
-        return pad_sequences(sources, pad_value=PAD_ID, align="right")
+        return pad_sequences(sources, pad_value=PAD_ID)
 
     def encode(self, source: np.ndarray) -> tuple[Tensor, np.ndarray]:
         """Bidirectional encoding; returns memory and the key padding mask.
@@ -252,7 +254,7 @@ class TIGER(Module):
         self-attention prompt column.  Returns the BOS hidden state ``(B,
         dim)``, that column's pad map and the number of forwards run.
         """
-        source = pad_sequences(prompts, pad_value=PAD_ID, align="right")
+        source = pad_sequences(prompts, pad_value=PAD_ID)
         memory, memory_mask = self.encode(source)
         bos = np.full((len(prompts), 1), BOS_ID, dtype=np.int64)
         for cache in caches:

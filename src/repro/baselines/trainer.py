@@ -64,9 +64,7 @@ class BaselineTrainer:
         sequences = [s for s in dataset.split.train_sequences if len(s) >= 2]
         if not sequences:
             raise ValueError("no training sequences of length >= 2")
-        padded = pad_sequences(
-            sequences, pad_value=model.pad_id, max_len=model.max_len + 1, align="right"
-        )
+        padded = pad_sequences(sequences, pad_value=model.pad_id, max_len=model.max_len + 1)
         inputs_all, targets_all = padded[:, :-1], padded[:, 1:]
         valid = targets_all != model.pad_id
         targets_all = np.where(valid, targets_all, IGNORE)
@@ -86,9 +84,7 @@ class BaselineTrainer:
                 targets.append(seq[t])
         if not histories:
             raise ValueError("no pointwise training pairs")
-        padded = pad_sequences(
-            histories, pad_value=model.pad_id, max_len=model.max_len, align="right"
-        )
+        padded = pad_sequences(histories, pad_value=model.pad_id, max_len=model.max_len)
         lengths = np.array([len(h) for h in histories], dtype=np.int64)
         targets = np.array(targets, dtype=np.int64)
 
@@ -103,9 +99,7 @@ class BaselineTrainer:
         if not hasattr(model, "mask_id"):
             raise TypeError(f"{model.name} lacks mask_id for masked training")
         sequences = [s for s in dataset.split.train_sequences if len(s) >= 2]
-        padded = pad_sequences(
-            sequences, pad_value=model.pad_id, max_len=model.max_len, align="right"
-        )
+        padded = pad_sequences(sequences, pad_value=model.pad_id, max_len=model.max_len)
         is_real = padded != model.pad_id
 
         def loss(batch_idx):

@@ -160,17 +160,6 @@ def build_lcrec_model(
     dataset: SequentialDataset,
     scale: BenchScale | None = None,
     tasks: tuple[str, ...] = ALL_TASKS,
-    index_source: str = "semantic",
-    indexing_strategy: str = "usm",
-    seed: int = 0,
 ) -> LCRec:
-    """Build (pretrain + index + tune) an LC-Rec variant."""
-    config = lcrec_config_for(
-        dataset,
-        scale,
-        tasks=tasks,
-        index_source=index_source,
-        indexing_strategy=indexing_strategy,
-        seed=seed,
-    )
-    return LCRec(dataset, config).build()
+    """Build (pretrain + index + tune) an LC-Rec variant: semantic USM indices, seed 0."""
+    return LCRec(dataset, lcrec_config_for(dataset, scale, tasks=tasks)).build()

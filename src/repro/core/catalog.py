@@ -247,7 +247,6 @@ class LiveCatalog:
         *,
         text: str | None = None,
         embedding: np.ndarray | None = None,
-        popularity_count: int = 0,
     ) -> IngestedItem:
         """Add one item and atomically publish the next catalog version.
 
@@ -301,7 +300,7 @@ class LiveCatalog:
             if new_retrieval is not None:
                 # The tier's geometry (RetrievalRecommender.from_lcrec): RQ-VAE reconstructions.
                 vector = self.rqvae.reconstruct(embedding[None, :])[0]
-                new_retrieval = new_retrieval.with_item(vector, popularity_count)
+                new_retrieval = new_retrieval.with_item(vector)
                 if new_retrieval.index.pending_inserts >= self.recluster_every:
                     new_retrieval = new_retrieval.reclustered()
             self._taken.add(tuple(int(c) for c in codes))

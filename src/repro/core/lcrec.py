@@ -37,6 +37,7 @@ from ..llm import (
 )
 from ..llm.instruction import prompt_ids
 from ..quantization import IndexTrie, ItemIndexSet, RQVAE
+from ..serving.queue import check_template_id
 from ..text import WordTokenizer
 from ..utils.logging import get_logger
 from ..utils.rng import SeedSequenceFactory
@@ -70,6 +71,7 @@ class LCRecConfig:
     def validate(self) -> None:
         if self.index_source not in ("semantic", "vanilla", "random"):
             raise ValueError(f"unknown index_source {self.index_source!r}")
+        self.tasks.validate()
 
 
 class LCRec:
@@ -222,9 +224,7 @@ class LCRec:
     # ------------------------------------------------------------------
     def seq_instruction(self, history: list[int], template_id: int = 0) -> str:
         """Render a sequential-prediction instruction for ``history``."""
-        count = len(T.SEQ_TEMPLATES)
-        if not 0 <= template_id < count:
-            raise ValueError(f"template_id must be in [0, {count}), got {template_id}")
+        check_template_id(template_id, len(T.SEQ_TEMPLATES))
         history = history[-self.config.tasks.max_history:]
         history_text = " , ".join(self.index_set.index_text(i) for i in history)
         return T.SEQ_TEMPLATES[template_id].format(history=history_text)
@@ -291,8 +291,9 @@ class LCRec:
 
         return LiveCatalog.from_lcrec(self, retrieval=retrieval, recluster_every=recluster_every)
 
-    def intention_instruction(self, intention_text: str, template_id: int = 0) -> str:
-        return T.ITE_SEARCH_TEMPLATES[template_id].format(intention=intention_text)
+    def intention_instruction(self, intention_text: str) -> str:
+        """The first intention-search template over ``intention_text``."""
+        return T.ITE_SEARCH_TEMPLATES[0].format(intention=intention_text)
 
     def recommend_for_intention(self, intention_text: str, top_k: int = 10) -> list[int]:
         """Item retrieval from a natural-language intention (Fig. 3 task)."""

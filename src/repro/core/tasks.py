@@ -54,6 +54,9 @@ class AlignmentTaskConfig:
         unknown = set(self.tasks) - set(ALL_TASKS) - set(EXTENSION_TASKS)
         if unknown:
             raise ValueError(f"unknown tasks: {sorted(unknown)}")
+        # history[-0:] is the whole history, seq[t - 0:t] none of it.
+        if self.max_history < 1:
+            raise ValueError(f"max_history must be at least 1, got {self.max_history}")
 
 
 @dataclass

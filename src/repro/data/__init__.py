@@ -1,6 +1,6 @@
 """Synthetic datasets, preprocessing and batching."""
 
-from .batching import iterate_minibatches, left_truncate, pad_sequences
+from .batching import iterate_minibatches, pad_sequences
 from .catalog import CatalogConfig, Item, ItemCatalog, Lexicon, generate_catalog
 from .datasets import (
     PRESETS,
@@ -52,6 +52,5 @@ __all__ = [
     "dataset_statistics",
     "format_table2_row",
     "pad_sequences",
-    "left_truncate",
     "iterate_minibatches",
 ]

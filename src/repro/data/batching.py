@@ -6,41 +6,27 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["pad_sequences", "iterate_minibatches", "left_truncate"]
+__all__ = ["pad_sequences", "iterate_minibatches"]
 
 
 def pad_sequences(
     sequences: Sequence[Sequence[int]],
     pad_value: int = 0,
     max_len: int | None = None,
-    align: str = "left",
 ) -> np.ndarray:
-    """Pad integer sequences into a dense ``(batch, max_len)`` array.
+    """Right-pad integer sequences into a dense ``(batch, max_len)`` array.
 
-    ``align='left'`` places each sequence at the *end* of the row (padding
-    on the left), which keeps the most recent interaction adjacent to the
-    prediction position — the convention for sequential recommenders.
-    ``align='right'`` pads on the right (language-model convention).
+    Each sequence starts at column 0; one longer than ``max_len`` keeps its
+    first ``max_len`` entries (callers clip histories to their most recent
+    items first).
     """
-    if align not in ("left", "right"):
-        raise ValueError("align must be 'left' or 'right'")
     if max_len is None:
         max_len = max((len(s) for s in sequences), default=0)
     batch = np.full((len(sequences), max_len), pad_value, dtype=np.int64)
     for row, seq in enumerate(sequences):
-        trimmed = list(seq)[-max_len:] if align == "left" else list(seq)[:max_len]
-        if not trimmed:
-            continue
-        if align == "left":
-            batch[row, -len(trimmed):] = trimmed
-        else:
-            batch[row, :len(trimmed)] = trimmed
+        trimmed = list(seq)[:max_len]
+        batch[row, :len(trimmed)] = trimmed
     return batch
-
-
-def left_truncate(sequence: Sequence[int], max_len: int) -> list[int]:
-    """Keep the most recent ``max_len`` entries."""
-    return list(sequence)[-max_len:]
 
 
 def iterate_minibatches(num_examples: int, batch_size: int,

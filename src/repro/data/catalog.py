@@ -43,9 +43,9 @@ _TITLE_KEYWORDS = (2, 4)
 _DESCRIPTION_WORDS = (14, 24)
 
 
-def _make_word(rng: np.random.Generator, min_syllables: int = 2, max_syllables: int = 3) -> str:
-    """Generate a pronounceable pseudo-word."""
-    syllables = rng.integers(min_syllables, max_syllables + 1)
+def _make_word(rng: np.random.Generator) -> str:
+    """Generate a pronounceable pseudo-word of two or three syllables."""
+    syllables = rng.integers(2, 4)
     parts = []
     for _ in range(syllables):
         parts.append(_ONSETS[rng.integers(len(_ONSETS))])

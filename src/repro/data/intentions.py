@@ -28,6 +28,10 @@ __all__ = [
     "IntentionGenerator", "IntentionExample", "PreferenceExample", "intention_template_texts"
 ]
 
+# An intention names 3 to 5 keywords of its item and 2 common noise words.
+_MIN_KEYWORDS, _MAX_KEYWORDS = 3, 5
+_NOISE_WORDS = 2
+
 _INTENT_OPENERS = [
     "looking for {cat} with",
     "i want a {cat} that has",
@@ -73,13 +77,9 @@ class IntentionGenerator:
         self,
         catalog: ItemCatalog,
         rng: np.random.Generator,
-        keyword_count: tuple[int, int] = (3, 5),
-        noise_words: int = 2,
     ):
         self.catalog = catalog
         self.rng = rng
-        self.keyword_count = keyword_count
-        self.noise_words = noise_words
 
     # ------------------------------------------------------------------
     def intention_for_item(
@@ -96,12 +96,11 @@ class IntentionGenerator:
         sub_pool = lexicon.subcategory_words[item.subcategory]
         cat_pool = lexicon.category_words[item.category]
 
-        low, high = self.keyword_count
-        n_kw = int(rng.integers(low, high + 1))
+        n_kw = int(rng.integers(_MIN_KEYWORDS, _MAX_KEYWORDS + 1))
         candidates = list(dict.fromkeys(list(item.keywords) + sub_pool + cat_pool))
         picks = list(rng.choice(candidates, size=min(n_kw, len(candidates)), replace=False))
         common = lexicon.common_words
-        noise = [common[int(rng.integers(len(common)))] for _ in range(self.noise_words)]
+        noise = [common[int(rng.integers(len(common)))] for _ in range(_NOISE_WORDS)]
         opener = _INTENT_OPENERS[int(rng.integers(len(_INTENT_OPENERS)))]
         text = opener.format(cat=cat_name) + " " + " ".join(picks + noise)
         return IntentionExample(user_id=user_id, item_id=item.item_id, text=text)

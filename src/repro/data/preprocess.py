@@ -26,11 +26,10 @@ def k_core_filter(
     log: list[Interaction],
     min_user_interactions: int = 5,
     min_item_interactions: int = 5,
-    max_rounds: int = 50,
 ) -> list[Interaction]:
-    """Iteratively drop users/items with too few interactions (k-core)."""
+    """Iteratively drop users/items with too few interactions (k-core), at most 50 rounds."""
     current = list(log)
-    for _ in range(max_rounds):
+    for _ in range(50):
         user_counts = Counter(x.user_id for x in current)
         item_counts = Counter(x.item_id for x in current)
         filtered = [
@@ -106,7 +105,10 @@ def leave_one_out_split(sequences: list[list[int]], max_len: int = 20) -> LeaveO
 
     Sequences shorter than 3 cannot produce train + valid + test entries
     and are rejected (the 5-core filter guarantees length >= 5 in practice).
+    Each history keeps its most recent ``max_len`` items, at least one.
     """
+    if max_len < 1:  # seq[-0:] would keep the whole sequence
+        raise ValueError(f"max_len must be at least 1, got {max_len}")
     train_sequences: list[list[int]] = []
     valid_histories: list[list[int]] = []
     valid_targets: list[int] = []

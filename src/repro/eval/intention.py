@@ -20,11 +20,10 @@ __all__ = ["evaluate_intention_retrieval"]
 def evaluate_intention_retrieval(
     retrieve: Callable[[str], list[int]],
     examples: Sequence[IntentionExample],
-    ks: tuple[int, ...] = (5, 10),
 ) -> MetricReport:
-    """HR/NDCG of retrieving each intention's target item."""
+    """HR/NDCG@5 and @10 of retrieving each intention's target item."""
     if not examples:
         raise ValueError("no intention examples")
     rankings = [retrieve(example.text) for example in examples]
     targets = [example.item_id for example in examples]
-    return MetricReport.from_rankings(rankings, targets, ks=ks)
+    return MetricReport.from_rankings(rankings, targets, ks=(5, 10))

@@ -74,14 +74,14 @@ class MetricReport:
     def __getitem__(self, key: str) -> float:
         return self.values[key]
 
-    def row(self, label: str, metrics: tuple[str, ...] = METRIC_ORDER) -> str:
+    def row(self, label: str) -> str:
         """One formatted table row (4-decimal fixed point, like Table III)."""
         cells = " ".join(
-            f"{self.values.get(metric, float('nan')):.4f}" for metric in metrics
+            f"{self.values.get(metric, float('nan')):.4f}" for metric in self.METRIC_ORDER
         )
         return f"{label:<14} {cells}"
 
-    @staticmethod
-    def header(metrics: tuple[str, ...] = METRIC_ORDER) -> str:
-        cells = " ".join(f"{m:>6}" for m in metrics)
+    @classmethod
+    def header(cls) -> str:
+        cells = " ".join(f"{m:>6}" for m in cls.METRIC_ORDER)
         return f"{'model':<14} {cells}"

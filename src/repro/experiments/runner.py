@@ -200,7 +200,7 @@ class _BackendRuntime:
     def make_engine(self, prefix_cache: bool):
         cache = PrefixKVCache(max_entries=_CACHE_ENTRIES) if prefix_cache else None
         if self.name == "lcrec":
-            return LCRecEngine(self.model, prefix_cache=cache if prefix_cache else False)
+            return LCRecEngine(self.model, prefix_cache=cache)
         if self.name == "p5cid":
             return P5CIDEngine(self.model, prefix_cache=cache)
         return TIGEREngine(self.model)

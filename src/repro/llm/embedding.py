@@ -15,19 +15,24 @@ from .model import TinyLlama
 
 __all__ = ["encode_texts"]
 
+# Tokens an item text is cut to, BOS included.
+_MAX_LEN = 64
+
 
 def encode_texts(
     model: TinyLlama,
     tokenizer: WordTokenizer,
     texts: list[str],
     batch_size: int = 32,
-    max_len: int = 64,
 ) -> np.ndarray:
-    """Mean-pooled final hidden states for each text ``(N, dim)``."""
+    """Mean-pooled final hidden states for each text ``(N, dim)``.
+
+    A text is BOS plus its first ``_MAX_LEN - 1`` tokens.
+    """
     if not texts:
         raise ValueError("no texts to encode")
     pad_id = tokenizer.vocab.pad_id
-    encoded = [[tokenizer.vocab.bos_id] + tokenizer.encode(text)[: max_len - 1] for text in texts]
+    encoded = [[tokenizer.vocab.bos_id] + tokenizer.encode(text)[: _MAX_LEN - 1] for text in texts]
     outputs = np.zeros((len(texts), model.config.dim), dtype=np.float32)
     model.eval()
     with no_grad():

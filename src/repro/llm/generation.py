@@ -81,6 +81,11 @@ __all__ = [
     "greedy_generate",
     "sequence_logprob",
 ]
+# The pad token of every decode: prompts are left-padded with it and a dead
+# hypothesis's pending column holds it.  The LM vocabulary's ``<pad>`` and
+# the ID baselines' ``PAD_ID`` are both 0.
+PAD_ID = 0
+
 
 class Scorer(Protocol):
     """What the beam stepper needs from a model: hidden states and a head.
@@ -155,10 +160,8 @@ class BeamHypothesis:
     item_id: int
 
 
-def left_pad_prompts(
-    prompts: Sequence[Sequence[int]], pad_id: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Left-pad ``prompts`` to a rectangle.
+def left_pad_prompts(prompts: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Left-pad ``prompts`` with :data:`PAD_ID` to a rectangle.
 
     Returns ``(tokens, pad_lengths)`` where ``tokens`` is ``(B, max_len)``
     int64 and ``pad_lengths[b]`` counts the pads prepended to row ``b``.
@@ -170,7 +173,7 @@ def left_pad_prompts(
     if any(len(p) == 0 for p in prompts):
         raise ValueError("prompts must be non-empty")
     max_len = max(len(p) for p in prompts)
-    tokens = np.full((len(prompts), max_len), pad_id, dtype=np.int64)
+    tokens = np.full((len(prompts), max_len), PAD_ID, dtype=np.int64)
     pad_lengths = np.zeros(len(prompts), dtype=np.int64)
     for row, prompt in enumerate(prompts):
         pad_lengths[row] = max_len - len(prompt)
@@ -284,7 +287,6 @@ def _prefill_prompts(
     model: TinyLlama,
     prompts: list[list[int]],
     caches: list[BeamKVCache],
-    pad_id: int,
     prefix_cache: PrefixKVCache | None,
     workspace: StepWorkspace,
     sessions: Sequence[Hashable | None],
@@ -311,7 +313,7 @@ def _prefill_prompts(
     cached_lens = np.array([m.length if m else 0 for m in matches], dtype=np.int64)
     prefix_width = int(cached_lens.max())
     remainders = [p[int(c) :] for p, c in zip(prompts, cached_lens)]
-    tokens, remainder_pads = left_pad_prompts(remainders, pad_id=pad_id)
+    tokens, remainder_pads = left_pad_prompts(remainders)
     block = _seed_prompt_block(model, caches, matches, prefix_width, prefix_width + tokens.shape[1])
     del matches  # their K/V copies are seeded: free them before the forward
     prefix_pad = np.arange(prefix_width)[None, :] < (prefix_width - cached_lens)[:, None]
@@ -390,7 +392,6 @@ class DecodeState:
     model: Scorer
     trie: IndexTrie
     num_beams: int
-    pad_id: int
     caches: list[BeamKVCache]
     beam_nodes: np.ndarray  # (B, >= width) int64: each hypothesis's trie node
     beam_scores: np.ndarray  # (B, >= width) float64
@@ -441,7 +442,6 @@ def decode_prefill(
     prompts: Sequence[Sequence[int]],
     trie: IndexTrie,
     beam_size: int = 20,
-    pad_id: int = 0,
     prefix_cache: PrefixKVCache | None = None,
     narrow: Sequence[Sequence[int] | None] | None = None,
     sessions: Sequence[Hashable | None] | None = None,
@@ -500,7 +500,7 @@ def decode_prefill(
             # Decoder-only: left-padded prompts through the prefix cache.
             forwards = 1
             hidden, pad_columns = _prefill_prompts(
-                model, prompts, caches, pad_id, prefix_cache, workspace, sessions
+                model, prompts, caches, prefix_cache, workspace, sessions
             )
         elif prefix_cache is not None:
             raise ValueError("an encoder-decoder scorer has no prompt K/V for a prefix cache")
@@ -517,13 +517,12 @@ def decode_prefill(
             model=model,
             trie=trie,
             num_beams=num_beams,
-            pad_id=pad_id,
             caches=caches,
             beam_nodes=np.zeros((len(prompts), 1), dtype=np.int64),
             beam_scores=np.zeros((len(prompts), 1)),
             prompt_pads=pad_columns,
             narrow=narrow,
-            pending=np.full((len(prompts), 1), pad_id, dtype=np.int64),
+            pending=np.full((len(prompts), 1), PAD_ID, dtype=np.int64),
             workspace=workspace,
             forwards=forwards,  # what the prompt phase ran
         )
@@ -570,7 +569,7 @@ def decode_step(state: DecodeState) -> DecodeState:
         # Every live hypothesis is forced: append without a forward
         # (log-probability 0.0 each), defer the KV update to the next
         # level that needs logits.
-        forced = candidates_info.forced_tokens(state.pad_id)
+        forced = candidates_info.forced_tokens()
         state.beam_nodes = state.trie.first_child[beam_nodes]
         state.beam_scores = beam_scores
         state.pending = np.concatenate([state.pending, forced[:, None]], axis=1)

@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 _LEVEL_LETTERS = "abcdefgh"
+# Spill-and-reassign rounds of USM conflict resolution.
+_USM_PASSES = 10
 
 
 class IndexConflictError(RuntimeError):
@@ -145,7 +147,6 @@ def resolve_conflicts_usm(
     codes: np.ndarray,
     level_residuals: np.ndarray,
     codebooks: list[np.ndarray],
-    max_passes: int = 10,
 ) -> np.ndarray:
     """Uniform-semantic-mapping conflict resolution (Eq. 6, stage two).
 
@@ -159,7 +160,7 @@ def resolve_conflicts_usm(
     tend to collapse — the farthest overflow items are *spilled*: their
     level ``H-1`` code is moved to the next-nearest center and resolution
     re-runs.  This keeps the reassignment semantic (nearby codes first)
-    while guaranteeing uniqueness.
+    while guaranteeing uniqueness, for at most ``_USM_PASSES`` rounds.
     """
     codes = codes.copy()
     num_levels = codes.shape[1]
@@ -168,7 +169,7 @@ def resolve_conflicts_usm(
     last_residuals = level_residuals[:, -1, :].copy()
     spill_rank = defaultdict(int)  # item -> how many spills so far
 
-    for _ in range(max_passes):
+    for _ in range(_USM_PASSES):
         buckets: dict[tuple, list[int]] = defaultdict(list)
         for item, row in enumerate(codes):
             buckets[tuple(row[:-1])].append(item)

@@ -94,14 +94,13 @@ class RQVAE(Module):
         self,
         embeddings: np.ndarray,
         rng: np.random.Generator | None = None,
-        num_iters: int = 20,
     ) -> None:
-        """K-means-initialise every level from the data's residuals."""
+        """K-means-initialise every level from the data's residuals (20 Lloyd iterations)."""
         rng = rng or np.random.default_rng(self.config.seed + 7)
         with no_grad():
             residual = self.encoder(Tensor(embeddings)).data.copy()
         for book in self.codebooks:
-            centers = kmeans(residual, book.size, rng, num_iters=num_iters)
+            centers = kmeans(residual, book.size, rng, num_iters=20)
             book.vectors.data = centers
             codes = nearest_code(residual, centers)
             residual = residual - centers[codes]

@@ -16,7 +16,7 @@ __all__ = ["sinkhorn_knopp", "uniform_assign"]
 
 
 def sinkhorn_knopp(
-    cost: np.ndarray, epsilon: float = 0.05, num_iters: int = 100, tol: float = 1e-6
+    cost: np.ndarray, epsilon: float = 0.05, num_iters: int = 100
 ) -> np.ndarray:
     """Solve the entropic OT problem with uniform marginals.
 
@@ -27,12 +27,13 @@ def sinkhorn_knopp(
     epsilon:
         Entropic regularisation strength (smaller = closer to hard OT).
     num_iters:
-        Maximum row/column scaling iterations.
+        Maximum row/column scaling iterations; they stop early once every
+        column sum is within ``1e-6`` of ``1/k``.
 
     Returns
     -------
     ``(n, k)`` transport plan ``Q`` with rows summing to ``1/n`` and columns
-    to ``1/k`` (up to ``tol``).
+    to ``1/k``.
     """
     if cost.ndim != 2:
         raise ValueError("cost must be 2-D")
@@ -52,7 +53,7 @@ def sinkhorn_knopp(
         log_row = _logsumexp(log_q, axis=1)
         log_q += log_row_target - log_row[:, None]
         col_err = np.abs(np.exp(_logsumexp(log_q, axis=0)) - 1.0 / k).max()
-        if col_err < tol:
+        if col_err < 1e-6:
             break
     return np.exp(log_q)
 

@@ -107,10 +107,10 @@ class SparseCandidates:
             single |= ~alive
         return bool(single.all())
 
-    def forced_tokens(self, pad_id: int = 0) -> np.ndarray:
-        """The first legal continuation per row (``pad_id`` for childless rows)."""
+    def forced_tokens(self) -> np.ndarray:
+        """The first legal continuation per row (0, the decode's pad id, for childless rows)."""
         first = self.trie.first_token[self.nodes]
-        return np.where(first >= 0, first, pad_id)
+        return np.where(first >= 0, first, 0)
 
 
 class IndexTrie:

@@ -67,20 +67,20 @@ class RetrievalRecommender:
         self.popularity_order = np.lexsort((np.arange(num_items), -counts))
         self.popularity_order.setflags(write=False)
 
-    def with_item(self, vector: np.ndarray, popularity_count: int = 0) -> "RetrievalRecommender":
+    def with_item(self, vector: np.ndarray) -> "RetrievalRecommender":
         """A new recommender whose index contains one more item.
 
         The incremental lane of the live catalog: the item's vector joins
         the KNN index through :meth:`ClusteredKNNIndex.with_vector`
         (shared clustering, nearest-center assignment) and enters the
-        popularity order with ``popularity_count`` training interactions —
-        0 for a brand-new item, which ranks it after every seen item in
-        the cold-start/backfill order (ties by id).  ``self`` is left
+        popularity order with 0 training interactions, which ranks a
+        brand-new item after every seen item in the cold-start/backfill
+        order (ties by id).  ``self`` is left
         untouched for readers pinned to the old catalog version.
         """
         index = self.index.with_vector(vector)
         counts = np.concatenate(
-            [self.popularity_counts, np.array([int(popularity_count)], dtype=np.int64)]
+            [self.popularity_counts, np.zeros(1, dtype=np.int64)]
         )
         return RetrievalRecommender(index, popularity=counts)
 

@@ -16,8 +16,8 @@ the queue's head is the next cohort as soon as the last one is
 delivered.  Every decode is a closed cohort — one prefill's rows, stepped
 in lockstep and harvested together.  A cross-request
 :class:`repro.llm.PrefixKVCache` (re-exported here) skips re-running
-prompt prefixes shared between requests, for engines advertising
-``supports_prefix_cache``.
+prompt prefixes shared between requests, for engines that hold one
+(``engine.prefix_cache``).
 
 Scaling past one decode thread, :class:`ServingCluster` runs N workers —
 each a ``RecommendationService`` over a private engine replica — behind a

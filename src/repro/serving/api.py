@@ -248,7 +248,6 @@ class RecommendationClient(abc.ABC):
         *,
         text: str | None = None,
         embedding=None,
-        popularity_count: int = 0,
     ):
         """Add one item to the live catalog behind this client.
 

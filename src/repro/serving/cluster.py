@@ -214,11 +214,7 @@ class ServingCluster(RecommendationClient):
         engine: GenerativeEngine | Callable[[], GenerativeEngine], num_workers: int
     ) -> list[GenerativeEngine]:
         if isinstance(engine, GenerativeEngine):
-            if num_workers > 1 and not engine.supports_replication:
-                raise ValueError(
-                    f"engine {engine.name!r} does not support replication; pass an "
-                    "engine factory callable to provision workers independently"
-                )
+            # An engine without replicate() raises here, before any worker starts.
             return [engine] + [engine.replicate() for _ in range(num_workers - 1)]
         engines = [engine() for _ in range(num_workers)]
         for built in engines:
@@ -433,7 +429,6 @@ class ServingCluster(RecommendationClient):
         *,
         text: str | None = None,
         embedding=None,
-        popularity_count: int = 0,
     ):
         """Add one item to the fleet's shared live catalog.
 
@@ -465,4 +460,4 @@ class ServingCluster(RecommendationClient):
                 "intended catalog object directly"
             )
         (catalog,) = catalogs.values()
-        return catalog.ingest(text=text, embedding=embedding, popularity_count=popularity_count)
+        return catalog.ingest(text=text, embedding=embedding)

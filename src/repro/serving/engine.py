@@ -9,8 +9,8 @@ Trie-constrained generation is a fixed-depth, level-synchronous beam search
 (paper Sec. III-D2), so a cohort runs from prompt to final level together
 and nothing joins or leaves it on the way.
 
-Around that call sit capability flags (``supports_prefix_cache``,
-``supports_narrowing``, ``num_templates``) and the
+Around that call sit the capability flag ``supports_narrowing``, the
+template count ``num_templates``, the optional ``prefix_cache`` and the
 request-shaping hooks (``encode_history``, ``request_beam_size``,
 ``effective_len``, ``finalize``) that keep model-specific text rendering,
 beam policy and ranking post-processing out of the service.
@@ -91,19 +91,19 @@ class GenerativeEngine(abc.ABC):
     conveniences (:meth:`recommend_many`, :meth:`rank_prompts`) on top of
     the one abstract decode call, :meth:`decode`.
 
-    Capability flags
-    ----------------
-    ``supports_prefix_cache``
-        Whether the engine can seed prompt K/V from a shared
-        :class:`repro.llm.PrefixKVCache` (``prefix_cache`` is then not
-        ``None`` when enabled).
-    ``supports_replication``
-        Whether :meth:`replicate` can stamp out worker-private copies of
-        this engine — shared (read-only at serving time) model weights,
-        but private mutable serving state: prefix K/V cache, gathered
-        output-head :class:`repro.tensor.WeightMemo`, step workspaces.
-        What :class:`repro.serving.ServingCluster` calls to provision one
-        engine per worker thread without cloning the weights.
+    Capabilities
+    ------------
+    ``prefix_cache``
+        The :class:`repro.llm.PrefixKVCache` the engine seeds prompt K/V
+        from, or ``None`` (the decoder-only engines take one).
+    :meth:`replicate`
+        Worker-private copies of this engine — shared (read-only at
+        serving time) model weights, but private mutable serving state:
+        prefix K/V cache, gathered output-head
+        :class:`repro.tensor.WeightMemo`, step workspaces.  What
+        :class:`repro.serving.ServingCluster` calls to provision one
+        engine per worker thread without cloning the weights; every
+        shipped engine implements it.
     ``supports_narrowing``
         Whether :meth:`decode` restricts each request's decode to its
         ``narrow_items`` (retrieval-narrowed decode): beam *selection* is
@@ -116,8 +116,6 @@ class GenerativeEngine(abc.ABC):
     """
 
     name: str = "engine"
-    supports_prefix_cache: bool = False
-    supports_replication: bool = False
     supports_narrowing: bool = False
     prefix_cache: PrefixKVCache | None = None
     default_beam_size: int = 20
@@ -154,15 +152,6 @@ class GenerativeEngine(abc.ABC):
         """
         return request.prompt_len
 
-    def set_prefix_cache(self, prefix_cache: PrefixKVCache | bool | None) -> None:
-        """Install (or disable) a cross-request prompt prefix cache."""
-        # Identity checks, not truthiness: an *empty* PrefixKVCache is
-        # falsy (it defines __len__), yet passing one still asks for
-        # caching and must be rejected just like prefix_cache=True.
-        if prefix_cache is not None and prefix_cache is not False:
-            raise NotImplementedError(f"{type(self).__name__} does not support a prefix cache")
-        self.prefix_cache = None
-
     def replicate(self) -> "GenerativeEngine":
         """A worker-private copy of this engine (cluster provisioning).
 
@@ -171,10 +160,13 @@ class GenerativeEngine(abc.ABC):
         path touches — prefix K/V cache, gathered-weight memos, scratch
         workspaces — so N workers can decode concurrently without their
         caches racing.  Rankings from a replica are identical to the
-        original's.  Only engines with ``supports_replication`` implement
-        this.
+        original's.  An engine without one cannot be handed to a
+        multi-worker cluster: pass a factory instead.
         """
-        raise NotImplementedError(f"{type(self).__name__} does not support replication")
+        raise NotImplementedError(
+            f"engine {self.name!r} does not support replication; pass an engine factory "
+            "callable to provision workers independently"
+        )
 
     # ------------------------------------------------------------------
     # Request encoding
@@ -312,24 +304,26 @@ class TrieDecoderEngine(GenerativeEngine):
     how rankings are post-processed.
     """
 
-    supports_prefix_cache = True
-    supports_replication = True
     supports_narrowing = True
 
     def __init__(
         self,
         lm: "TinyLlama",
         trie: IndexTrie,
-        pad_id: int = 0,
         prefix_cache: PrefixKVCache | bool | None = None,
         default_beam_size: int = 20,
     ):
         self.lm = lm
         self.catalog = None
         self.trie = trie
-        self.pad_id = pad_id
         self.default_beam_size = default_beam_size
-        self.set_prefix_cache(prefix_cache)
+        # True asks for a fresh cache; None serves without one.
+        if not (prefix_cache is None or prefix_cache is True
+                or isinstance(prefix_cache, PrefixKVCache)):
+            raise TypeError(
+                f"prefix_cache must be a PrefixKVCache, True or None, got {prefix_cache!r}"
+            )
+        self.prefix_cache = PrefixKVCache() if prefix_cache is True else prefix_cache
 
     @property
     def trie(self) -> IndexTrie:
@@ -368,13 +362,6 @@ class TrieDecoderEngine(GenerativeEngine):
 
     def effective_beams(self, beam_size: int) -> int:
         return min(beam_size, self.trie.num_items, self.lm.vocab_size)
-
-    def set_prefix_cache(self, prefix_cache: PrefixKVCache | bool | None) -> None:
-        if prefix_cache is True:
-            prefix_cache = PrefixKVCache()
-        elif prefix_cache is False:
-            prefix_cache = None
-        self.prefix_cache = prefix_cache
 
     def effective_len(self, request: RecommendRequest) -> int:
         if self.prefix_cache is None:
@@ -434,7 +421,6 @@ class TrieDecoderEngine(GenerativeEngine):
             [request.prompt_ids for request in requests],
             trie,
             beam_size=num_beams,  # this engine's clamp, not the stepper's
-            pad_id=self.pad_id,
             prefix_cache=self.prefix_cache,
             narrow=[request.narrow_items for request in requests],
             # A session's next prompt extends this one: store its K/V whole,
@@ -481,7 +467,6 @@ class LCRecEngine(TrieDecoderEngine):
         super().__init__(
             model.lm,
             model.trie,
-            pad_id=0,
             prefix_cache=prefix_cache,
             default_beam_size=model.config.beam_size,
         )
@@ -518,14 +503,9 @@ class P5CIDEngine(TrieDecoderEngine):
     name = "p5cid"
 
     def __init__(self, model: "P5CID", prefix_cache: PrefixKVCache | bool | None = None):
-        # Lazy import: repro.baselines must stay importable without pulling
-        # the serving package in (and vice versa).
-        from ..baselines.generative import PAD_ID
-
         super().__init__(
             model.lm,
             model.trie,
-            pad_id=PAD_ID,
             prefix_cache=prefix_cache,
             default_beam_size=model.config.beam_size,
         )
@@ -557,18 +537,11 @@ class TIGEREngine(GenerativeEngine):
     """
 
     name = "tiger"
-    supports_prefix_cache = False
-    supports_replication = True
     supports_narrowing = True
 
     def __init__(self, model: "TIGER"):
-        # Lazy import keeps repro.serving importable without the baselines
-        # package (and avoids an import cycle with baselines.tiger).
-        from ..baselines.generative import PAD_ID
-
         self.model = model
         self.trie = model.trie
-        self.pad_id = PAD_ID
         self.default_beam_size = model.config.beam_size
 
     @property
@@ -604,7 +577,6 @@ class TIGEREngine(GenerativeEngine):
             [request.prompt_ids for request in requests],
             self.trie,
             beam_size=_require_uniform_beams(self, requests),
-            pad_id=self.pad_id,
             narrow=[request.narrow_items for request in requests],
         )
 

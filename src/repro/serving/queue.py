@@ -47,7 +47,10 @@ def check_top_k(top_k: int) -> None:
 
 
 def check_template_id(template_id: int, num_templates: int) -> None:
-    """Raise ``ValueError`` unless ``template_id`` names one of the engine's prompt templates."""
+    """Raise ``ValueError`` unless ``template_id`` is an integer (not ``bool``)
+    naming one of the engine's prompt templates."""
+    if isinstance(template_id, bool) or not isinstance(template_id, (int, np.integer)):
+        raise ValueError(f"template_id must be an int, got {template_id!r}")
     if not 0 <= template_id < num_templates:
         raise ValueError(f"template_id must be in [0, {num_templates}), got {template_id}")
 

@@ -31,7 +31,7 @@ admission policy, *which requests form the next cohort, and when*:
 
 Results are identical to the engine's single-request oracle in every mode
 — batching, deadlines and admission order change the cost, never the
-math.  Engines with ``supports_prefix_cache`` additionally skip re-running
+math.  Engines with a ``prefix_cache`` additionally skip re-running
 prompt prefixes they have decoded before; see ``docs/serving.md`` for
 tuning and invalidation.
 
@@ -518,7 +518,6 @@ class RecommendationService(RecommendationClient):
         *,
         text: str | None = None,
         embedding=None,
-        popularity_count: int = 0,
     ):
         """Add one item to the live catalog the engine serves from.
 
@@ -539,7 +538,7 @@ class RecommendationService(RecommendationClient):
                 "engine has no live catalog; build one with model.live_catalog() "
                 "and engine.attach_catalog(catalog) before ingesting"
             )
-        return catalog.ingest(text=text, embedding=embedding, popularity_count=popularity_count)
+        return catalog.ingest(text=text, embedding=embedding)
 
     # ------------------------------------------------------------------
     # Decoding

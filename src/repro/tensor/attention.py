@@ -45,12 +45,12 @@ class RotaryEmbedding:
     the differentiable rotation.
     """
 
-    def __init__(self, head_dim: int, max_positions: int = 4096, base: float = 10000.0):
+    def __init__(self, head_dim: int, max_positions: int = 4096):
         if head_dim % 2 != 0:
             raise ValueError("RoPE head dimension must be even")
         self.head_dim = head_dim
         half = head_dim // 2
-        inv_freq = 1.0 / (base ** (np.arange(half) / half))
+        inv_freq = 1.0 / (10000.0 ** (np.arange(half) / half))  # LLaMA's base
         positions = np.arange(max_positions)
         angles = np.outer(positions, inv_freq)  # (P, half)
         self.cos = np.cos(angles).astype(np.float32)

@@ -33,30 +33,30 @@ __all__ = [
 ]
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``."""
+def softmax(x: Tensor) -> Tensor:
+    """Numerically stable softmax along the last axis."""
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    out_data = exp / exp.sum(axis=axis, keepdims=True)
+    out_data = exp / exp.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        inner = (g * out_data).sum(axis=axis, keepdims=True)
+        inner = (g * out_data).sum(axis=-1, keepdims=True)
         return (out_data * (g - inner),)
 
     return Tensor._make(out_data, (x,), backward)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax along ``axis``."""
+def log_softmax(x: Tensor) -> Tensor:
+    """Numerically stable log-softmax along the last axis."""
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out_data = shifted - log_z
     probs = np.exp(out_data)
 
     def backward(g):
-        return (g - probs * g.sum(axis=axis, keepdims=True),)
+        return (g - probs * g.sum(axis=-1, keepdims=True),)
 
     return Tensor._make(out_data, (x,), backward)
 

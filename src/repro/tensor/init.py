@@ -21,9 +21,7 @@ def xavier_uniform(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarr
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
-def normal_(
-    rng: np.random.Generator, shape: tuple[int, ...], std: float = 0.02, mean: float = 0.0
-) -> np.ndarray:
-    """Gaussian init (the transformer-embedding default)."""
-    return (rng.standard_normal(shape) * std + mean).astype(np.float32)
+def normal_(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Gaussian init with mean 0 and std 0.02 (the transformer-embedding default)."""
+    return (rng.standard_normal(shape) * 0.02).astype(np.float32)
 

@@ -181,24 +181,23 @@ class Embedding(Module):
         num_embeddings: int,
         embedding_dim: int,
         rng: np.random.Generator | None = None,
-        std: float = 0.02,
     ):
         super().__init__()
         rng = rng or np.random.default_rng(0)
         self.num_embeddings = num_embeddings
         self.embedding_dim = embedding_dim
-        self.weight = Parameter(normal_(rng, (num_embeddings, embedding_dim), std=std))
+        self.weight = Parameter(normal_(rng, (num_embeddings, embedding_dim)))
 
     def forward(self, indices: np.ndarray) -> Tensor:
         return F.embedding(self.weight, np.asarray(indices))
 
-    def extend(self, extra_rows: int, rng: np.random.Generator, std: float = 0.02) -> None:
+    def extend(self, extra_rows: int, rng: np.random.Generator) -> None:
         """Grow the table by ``extra_rows`` freshly initialised rows.
 
         This mirrors how LC-Rec appends item-index tokens to the LLaMA
         tokenizer as out-of-vocabulary tokens (paper Sec. IV-A4).
         """
-        new_rows = normal_(rng, (extra_rows, self.embedding_dim), std=std)
+        new_rows = normal_(rng, (extra_rows, self.embedding_dim))
         self.weight.data = np.concatenate([self.weight.data, new_rows], axis=0)
         self.weight.grad = None
         self.num_embeddings += extra_rows
@@ -207,9 +206,10 @@ class Embedding(Module):
 class LayerNorm(Module):
     """Layer normalisation with learnable scale and shift."""
 
-    def __init__(self, dim: int, eps: float = 1e-5):
+    eps = 1e-5
+
+    def __init__(self, dim: int):
         super().__init__()
-        self.eps = eps
         self.weight = Parameter(np.ones(dim, dtype=np.float32))
         self.bias = Parameter(np.zeros(dim, dtype=np.float32))
 
@@ -220,9 +220,10 @@ class LayerNorm(Module):
 class RMSNorm(Module):
     """Root-mean-square norm (LLaMA-style, no bias/centering)."""
 
-    def __init__(self, dim: int, eps: float = 1e-6):
+    eps = 1e-6
+
+    def __init__(self, dim: int):
         super().__init__()
-        self.eps = eps
         self.weight = Parameter(np.ones(dim, dtype=np.float32))
 
     def forward(self, x: Tensor) -> Tensor:
@@ -250,18 +251,12 @@ class MLP(Module):
     encoder and decoder of RQ-VAE are implemented as MLPs with ReLU").
     """
 
-    def __init__(
-        self,
-        dims: list[int],
-        rng: np.random.Generator | None = None,
-        final_activation: bool = False,
-    ):
+    def __init__(self, dims: list[int], rng: np.random.Generator | None = None):
         super().__init__()
         if len(dims) < 2:
             raise ValueError("MLP needs at least input and output dims")
         rng = rng or np.random.default_rng(0)
         self.dims = list(dims)
-        self.final_activation = final_activation
         self.linears = ModuleList(
             [Linear(dims[i], dims[i + 1], rng=rng) for i in range(len(dims) - 1)]
         )
@@ -270,6 +265,6 @@ class MLP(Module):
         last = len(self.linears) - 1
         for i, linear in enumerate(self.linears):
             x = linear(x)
-            if i < last or self.final_activation:
+            if i < last:  # the output layer is linear
                 x = x.relu()
         return x

@@ -64,12 +64,13 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam optimiser (Kingma & Ba)."""
+    """Adam optimiser (Kingma & Ba), with their recommended betas and epsilon."""
 
-    def __init__(self, params, lr: float = 1e-3, betas=(0.9, 0.999), eps: float = 1e-8):
+    beta1, beta2 = 0.9, 0.999
+    eps = 1e-8
+
+    def __init__(self, params, lr: float = 1e-3):
         super().__init__(params, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self._step = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
@@ -98,11 +99,9 @@ class AdamW(Adam):
         self,
         params,
         lr: float = 1e-3,
-        betas=(0.9, 0.999),
-        eps: float = 1e-8,
         weight_decay: float = 0.01,
     ):
-        super().__init__(params, lr, betas, eps)
+        super().__init__(params, lr)
         self.weight_decay = weight_decay
 
     def step(self) -> None:

@@ -4,7 +4,7 @@ A batched decode step runs the same handful of array shapes every
 iteration — the fused QKV projection, the beam-attention score block, the
 candidate-logit GEMM — and allocating them anew each step makes memory
 churn, not math, a visible cost at serving batch sizes.
-:class:`StepWorkspace` keeps one buffer per ``(name, shape, dtype)`` and
+:class:`StepWorkspace` keeps one float32 buffer per ``(name, shape)`` and
 hands it back on every request, so a steady-state decode performs zero
 step-scoped allocations: the first step of a decode sizes each buffer and
 later steps reuse it (a shape that legitimately changes — the attention
@@ -38,19 +38,17 @@ class StepWorkspace:
     def __init__(self) -> None:
         self._buffers: dict[tuple, np.ndarray] = {}
 
-    def take(self, name: str, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
-        """A reusable buffer of exactly ``shape``/``dtype`` for ``name``.
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """A reusable float32 buffer of exactly ``shape`` for ``name``.
 
         Contents are unspecified — the caller must overwrite every element
-        before reading.  The same ``(name, shape, dtype)`` always returns
-        the same array object until :meth:`clear`.  The key holds the
-        ``dtype`` object as passed (this runs some forty times per decode
-        step), so spell a dtype the same way at every call site.
+        before reading.  The same ``(name, shape)`` always returns the same
+        array object until :meth:`clear`.
         """
-        key = (name, shape, dtype)
+        key = (name, shape)
         buffer = self._buffers.get(key)
         if buffer is None:
-            buffer = np.empty(shape, dtype=dtype)
+            buffer = np.empty(shape, dtype=np.float32)
             self._buffers[key] = buffer
         return buffer
 

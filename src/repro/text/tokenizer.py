@@ -44,13 +44,12 @@ class WordTokenizer:
         return tokens
 
     @classmethod
-    def build_vocab(cls, texts: Iterable[str], min_count: int = 1,
-                    max_size: int | None = None) -> Vocabulary:
-        """Count word tokens over ``texts`` and build a frozen base vocab."""
+    def build_vocab(cls, texts: Iterable[str]) -> Vocabulary:
+        """Count word tokens over ``texts`` and build a frozen base vocab of them all."""
         counts: Counter = Counter()
         for text in texts:
             counts.update(cls.text_to_tokens(text))
-        return Vocabulary.from_counter(counts, min_count=min_count, max_size=max_size)
+        return Vocabulary.from_counter(counts)
 
     # ------------------------------------------------------------------
     def encode(self, text: str, add_bos: bool = False, add_eos: bool = False) -> list[int]:

@@ -38,8 +38,7 @@ def small_lcrec_config(**overrides) -> LCRecConfig:
     return config
 
 
-def decode_prompts(model, prompts, trie, beam_size=20, pad_id=0, prefix_cache=None,
-                   sessions=None):
+def decode_prompts(model, prompts, trie, beam_size=20, prefix_cache=None, sessions=None):
     """Decode ``prompts`` to the trie's last level in one go: one hypothesis list each.
 
     Prefill, step until every row is done, finish — what the serving
@@ -47,7 +46,7 @@ def decode_prompts(model, prompts, trie, beam_size=20, pad_id=0, prefix_cache=No
     ``sessions`` names each row's session key (``None``: keyless): a keyed
     row's prompt K/V is stored whole, in place of its session's previous one.
     """
-    state = decode_prefill(model, prompts, trie, beam_size=beam_size, pad_id=pad_id,
+    state = decode_prefill(model, prompts, trie, beam_size=beam_size,
                            prefix_cache=prefix_cache, sessions=sessions)
     while not state.done:
         decode_step(state)

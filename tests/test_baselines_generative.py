@@ -128,6 +128,12 @@ class TestTIGER:
         losses = model.fit(tiny_dataset)
         assert losses[-1] < losses[0]
 
+    @pytest.mark.parametrize("max_history", [0, -1])
+    def test_history_length_below_one_rejected(self, tiny_dataset, rng, max_history):
+        index_set = build_random_index_set(tiny_dataset.num_items, 3, 8, rng)
+        with pytest.raises(ValueError, match="max_history"):
+            TIGER(index_set, TIGERConfig(max_history=max_history))
+
     def test_score_all_not_supported(self, tiger):
         with pytest.raises(NotImplementedError):
             tiger.score_all([[0]])

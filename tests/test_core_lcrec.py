@@ -66,6 +66,11 @@ class TestInference:
         tokens = INDEX_TOKEN_PATTERN.findall(instruction)
         assert len(tokens) == 4 * len(history)
 
+    @pytest.mark.parametrize("template_id", [-1, 4, True, 1.5])
+    def test_seq_instruction_checks_template_id(self, tiny_lcrec, tiny_dataset, template_id):
+        with pytest.raises(ValueError, match="template_id"):
+            tiny_lcrec.seq_instruction(tiny_dataset.split.test_histories[0], template_id)
+
     def test_intention_recommendation(self, tiny_lcrec):
         ranked = tiny_lcrec.recommend_for_intention(
             "looking for something nice", top_k=5)

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.core import AlignmentTaskBuilder, AlignmentTaskConfig
+from repro.core import AlignmentTaskBuilder, AlignmentTaskConfig, LCRecConfig
 from repro.core import templates as T
 from repro.core.indexer import build_random_index_set
 from repro.core.tasks import _MIN_HISTORY
@@ -70,6 +70,15 @@ class TestTaskBuilder:
     def test_unknown_task_rejected(self):
         with pytest.raises(ValueError):
             AlignmentTaskConfig(tasks=("seq", "bogus")).validate()
+
+    @pytest.mark.parametrize("max_history", [0, -1])
+    def test_history_length_below_one_rejected(self, max_history):
+        # history[-0:] would serve the whole history and seq[t - 0:t] tune
+        # on none of it; a negative length would drop the oldest items.
+        with pytest.raises(ValueError, match="max_history"):
+            AlignmentTaskConfig(max_history=max_history).validate()
+        with pytest.raises(ValueError, match="max_history"):
+            LCRecConfig(tasks=AlignmentTaskConfig(max_history=max_history)).validate()
 
     def test_seq_responses_are_index_strings(self, builder):
         examples = [e for e in builder.epoch_examples(0) if e.task == "seq"]

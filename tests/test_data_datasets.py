@@ -9,7 +9,6 @@ from repro.data import (
     dataset_statistics,
     format_table2_row,
     iterate_minibatches,
-    left_truncate,
     pad_sequences,
     preset_config,
 )
@@ -148,25 +147,13 @@ class TestIntentions:
 
 
 class TestBatching:
-    def test_pad_left_alignment(self):
-        batch = pad_sequences([[1, 2], [3]], pad_value=0, max_len=4)
-        np.testing.assert_array_equal(batch, [[0, 0, 1, 2], [0, 0, 0, 3]])
-
     def test_pad_right_alignment(self):
-        batch = pad_sequences([[1, 2], [3]], pad_value=9, max_len=3,
-                              align="right")
+        batch = pad_sequences([[1, 2], [3]], pad_value=9, max_len=3)
         np.testing.assert_array_equal(batch, [[1, 2, 9], [3, 9, 9]])
 
-    def test_pad_truncates_left_keeping_recent(self):
-        batch = pad_sequences([[1, 2, 3, 4]], pad_value=0, max_len=2)
-        np.testing.assert_array_equal(batch, [[3, 4]])
-
-    def test_pad_invalid_align(self):
-        with pytest.raises(ValueError):
-            pad_sequences([[1]], align="middle")
-
-    def test_left_truncate(self):
-        assert left_truncate([1, 2, 3, 4], 2) == [3, 4]
+    def test_pad_truncates_keeping_the_head(self):
+        batch = pad_sequences([[1, 2, 3, 4], []], pad_value=0, max_len=2)
+        np.testing.assert_array_equal(batch, [[1, 2], [0, 0]])
 
     def test_minibatches_cover_everything(self, rng):
         seen = []

@@ -105,6 +105,12 @@ class TestLeaveOneOut:
         with pytest.raises(ValueError):
             leave_one_out_split([[1, 2]])
 
+    @pytest.mark.parametrize("max_len", [0, -2])
+    def test_history_length_below_one_rejected(self, max_len):
+        # seq[-0:] would keep the whole sequence, seq[2:] drop its oldest items.
+        with pytest.raises(ValueError, match="max_len"):
+            leave_one_out_split([[1, 2, 3, 4, 5]], max_len=max_len)
+
     @given(st.lists(st.integers(0, 50), min_size=3, max_size=40))
     @settings(max_examples=50, deadline=None)
     def test_no_leakage(self, seq):

@@ -769,7 +769,7 @@ class TestPopularityFallback:
 # Retrieval follows ingestion: the catalog is the tier (service + cluster)
 # ----------------------------------------------------------------------
 def catalog_engine(model, catalog):
-    engine = LCRecEngine(model, prefix_cache=False)
+    engine = LCRecEngine(model, prefix_cache=None)
     engine.attach_catalog(catalog)
     return engine
 

@@ -256,7 +256,7 @@ SOURCES = [[5, 9, 14, 20, 6, 11, 13, 22], [7, 10, 16, 25],
 
 
 def pad_sources(sources):
-    return pad_sequences(sources, pad_value=PAD_ID, align="right")
+    return pad_sequences(sources, pad_value=PAD_ID)
 
 
 class TestEncoderDecoder:
@@ -568,9 +568,9 @@ class RecordingWorkspace(StepWorkspace):
         super().__init__()
         self.taken = set()
 
-    def take(self, name, shape, dtype=np.float32):
-        self.taken.add((name, shape, dtype))
-        return super().take(name, shape, dtype)
+    def take(self, name, shape):
+        self.taken.add((name, shape))
+        return super().take(name, shape)
 
 
 class TestWorkspaceHygiene:

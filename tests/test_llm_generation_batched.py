@@ -41,7 +41,7 @@ MIXED_PROMPTS = [[1, 2, 3], [4, 5], [1], [2, 2, 6, 7], [3, 3, 3]]
 
 class TestLeftPadPrompts:
     def test_rectangle_and_pad_counts(self):
-        tokens, pads = left_pad_prompts(MIXED_PROMPTS, pad_id=0)
+        tokens, pads = left_pad_prompts(MIXED_PROMPTS)
         assert tokens.shape == (5, 4)
         assert pads.tolist() == [1, 2, 3, 0, 1]
         # Real tokens occupy the tail of each row.
@@ -217,7 +217,7 @@ class TestPaddedForwardEquivalence:
     def test_padded_hidden_states_match_unpadded(self):
         """Left-padding + masking must reproduce per-row forward passes."""
         model = make_model()
-        tokens, pads = left_pad_prompts(MIXED_PROMPTS, pad_id=0)
+        tokens, pads = left_pad_prompts(MIXED_PROMPTS)
         pad_columns = np.arange(tokens.shape[1]) < pads[:, None]
         with no_grad():
             batched = model.forward(tokens, pad_columns=pad_columns).data

@@ -945,7 +945,7 @@ class TestPrefixCacheOnLCRec:
         assert stats.superseded == 1 and len(service.prefix_cache) == 1
 
     def test_disabled_cache(self, tiny_lcrec, tiny_dataset):
-        service = RecommendationService(LCRecEngine(tiny_lcrec, prefix_cache=False))
+        service = RecommendationService(LCRecEngine(tiny_lcrec, prefix_cache=None))
         assert service.prefix_cache is None
         histories = tiny_dataset.split.test_histories[:3]
         for history, ranked in zip(histories, service.recommend_many(histories, top_k=4)):

@@ -72,24 +72,11 @@ class TestBeamSearchExactness:
 
 
 class TestPaddingProperties:
-    @given(st.lists(st.lists(st.integers(0, 9), max_size=12), min_size=1,
-                    max_size=8), st.integers(1, 15))
-    @settings(max_examples=40, deadline=None)
-    def test_left_padding_preserves_suffixes(self, sequences, max_len):
-        batch = pad_sequences(sequences, pad_value=-1, max_len=max_len)
-        for row, seq in zip(batch, sequences):
-            kept = [x for x in row if x != -1 or x in seq]
-            trimmed = seq[-max_len:]
-            # The non-pad tail of the row equals the recent suffix.
-            non_pad = row[row != -1] if -1 not in trimmed else row
-            assert list(non_pad[-len(trimmed):])[-len(trimmed):] == trimmed \
-                or len(trimmed) == 0
-
     @given(st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=6),
                     min_size=1, max_size=6))
     @settings(max_examples=40, deadline=None)
     def test_right_padding_preserves_prefixes(self, sequences):
-        batch = pad_sequences(sequences, pad_value=-1, align="right")
+        batch = pad_sequences(sequences, pad_value=-1)
         for row, seq in zip(batch, sequences):
             assert list(row[:len(seq)]) == seq
 

@@ -73,9 +73,9 @@ def p5cid(tiny_dataset):
 
 def make_engine(name, tiny_lcrec, tiger, p5cid, cache=False):
     if name == "lcrec":
-        return LCRecEngine(tiny_lcrec, prefix_cache=cache)
+        return LCRecEngine(tiny_lcrec, prefix_cache=cache or None)
     if name == "p5cid":
-        return P5CIDEngine(p5cid, prefix_cache=cache)
+        return P5CIDEngine(p5cid, prefix_cache=cache or None)
     assert not cache, "TIGER has no prefix cache"
     return TIGEREngine(tiger)
 
@@ -278,7 +278,6 @@ def restricted_oracle(engine, histories, candidates, top_k):
             prompts,
             engine.trie,
             beam_size=engine.num_items,
-            pad_id=engine.pad_id,
         )
         full = [ranked_item_ids(hyps, engine.num_items) for hyps in hypotheses]
         return [
@@ -336,7 +335,7 @@ class TestNarrowedDecodeParity:
         assert got == restricted_oracle(engine, histories, candidates, 3)
 
     def test_singleton_candidate_set(self, tiny_lcrec, tiny_dataset):
-        engine = LCRecEngine(tiny_lcrec, prefix_cache=False)
+        engine = LCRecEngine(tiny_lcrec, prefix_cache=None)
         histories = [list(tiny_dataset.split.test_histories[0])]
         assert narrowed_recommend(engine, histories, [5], top_k=1) == [[5]]
 
@@ -391,7 +390,7 @@ class TestNarrowedDecodeParity:
         assert (engine.trie.depth[state.beam_nodes[2]] == 1).all()  # at the row's depth
 
     def test_narrow_must_match_prompts_one_to_one(self, tiny_lcrec, tiny_dataset):
-        engine = LCRecEngine(tiny_lcrec, prefix_cache=False)
+        engine = LCRecEngine(tiny_lcrec, prefix_cache=None)
         prompts = [engine.encode_history(list(h)) for h in tiny_dataset.split.test_histories[:2]]
         with pytest.raises(ValueError, match="one-to-one"):
             decode_prefill(engine.lm, prompts, engine.trie, beam_size=4, narrow=[None])
@@ -400,7 +399,7 @@ class TestNarrowedDecodeParity:
         """Narrowed requests serve through the continuous loop."""
         candidates = list(range(0, tiny_dataset.num_items, 3))
         histories = [list(h) for h in tiny_dataset.split.test_histories[:5]]
-        engine = LCRecEngine(tiny_lcrec, prefix_cache=False)
+        engine = LCRecEngine(tiny_lcrec, prefix_cache=None)
         expected = restricted_oracle(engine, histories, candidates, 5)
 
         class FixedCandidates(HybridRecommender):
@@ -433,7 +432,7 @@ class TestHybridRecommender:
             HybridRecommender(NoNarrowing(), retriever)
 
     def test_ranking_is_narrowed_decode_of_candidates(self, tiny_lcrec, retriever, tiny_dataset):
-        engine = LCRecEngine(tiny_lcrec, prefix_cache=False)
+        engine = LCRecEngine(tiny_lcrec, prefix_cache=None)
         hybrid = HybridRecommender(engine, retriever, num_candidates=12)
         history = list(tiny_dataset.split.test_histories[0])
         candidates = hybrid.candidates(history, 5)
@@ -443,21 +442,21 @@ class TestHybridRecommender:
     @pytest.mark.parametrize("top_k", [True, 2.5, 0])
     def test_top_k_is_a_positive_int_on_both_lanes(self, tiny_lcrec, retriever, top_k):
         # A cold start (``[]``) answers from retrieval alone: ``True`` used to rank one item.
-        hybrid = HybridRecommender(LCRecEngine(tiny_lcrec, prefix_cache=False), retriever)
+        hybrid = HybridRecommender(LCRecEngine(tiny_lcrec, prefix_cache=None), retriever)
         for history in ([], [0, 1]):
             with pytest.raises(ValueError, match="top_k"):
                 hybrid.recommend(history, top_k=top_k)
             assert len(hybrid.recommend(history, top_k=np.int64(3))) == 3
 
     def test_cold_start_routes_to_retrieval(self, tiny_lcrec, retriever):
-        engine = LCRecEngine(tiny_lcrec, prefix_cache=False)
+        engine = LCRecEngine(tiny_lcrec, prefix_cache=None)
         hybrid = HybridRecommender(engine, retriever)
         assert hybrid.recommend([], top_k=5) == retriever.recommend([], 5)
 
     @pytest.mark.parametrize("history", [[-1, 5], [True, 2], [40, 5], [5, 3.7]])
     def test_history_ids_checked_before_any_lane(self, tiny_lcrec, retriever, history):
         # -1 would render as item 39, True as 1; 40 and 3.7 would fail deep in a lookup.
-        engine = LCRecEngine(tiny_lcrec, prefix_cache=False)
+        engine = LCRecEngine(tiny_lcrec, prefix_cache=None)
         assert engine.num_items == 40
         hybrid = HybridRecommender(engine, retriever)
         with pytest.raises(ValueError, match="is not an item id"):
@@ -466,7 +465,7 @@ class TestHybridRecommender:
             hybrid.recommend_many([[1, 2], history], top_k=5)
 
     def test_batched_matches_per_row(self, tiny_lcrec, retriever, tiny_dataset):
-        engine = LCRecEngine(tiny_lcrec, prefix_cache=False)
+        engine = LCRecEngine(tiny_lcrec, prefix_cache=None)
         hybrid = HybridRecommender(engine, retriever, num_candidates=8)
         pool = tiny_dataset.split.test_histories
         histories = [list(pool[i % len(pool)]) for i in range(6)] + [[]]
@@ -474,7 +473,7 @@ class TestHybridRecommender:
         assert batched == [hybrid.recommend(h, top_k=4) for h in histories]
 
     def test_result_contract(self, tiny_lcrec, retriever, tiny_dataset):
-        engine = LCRecEngine(tiny_lcrec, prefix_cache=False)
+        engine = LCRecEngine(tiny_lcrec, prefix_cache=None)
         hybrid = HybridRecommender(engine, retriever, num_candidates=6)
         history = list(tiny_dataset.split.test_histories[0])
         for top_k in (1, 10, retriever.num_items):
@@ -483,7 +482,7 @@ class TestHybridRecommender:
             assert len(set(ranked)) == len(ranked)
 
     def test_backfill_extends_from_candidates_then_popularity(self, tiny_lcrec, retriever):
-        engine = LCRecEngine(tiny_lcrec, prefix_cache=False)
+        engine = LCRecEngine(tiny_lcrec, prefix_cache=None)
         hybrid = HybridRecommender(engine, retriever)
         ranked = hybrid.backfill([5], [5, 7, 9], top_k=6)
         assert ranked[:3] == [5, 7, 9]

@@ -345,7 +345,7 @@ class TestNonPositiveTopK:
         from repro.retrieval import ClusteredKNNConfig, HybridRecommender, RetrievalRecommender
 
         history = list(tiny_dataset.split.test_histories[0])
-        engine = LCRecEngine(tiny_lcrec, prefix_cache=False)
+        engine = LCRecEngine(tiny_lcrec, prefix_cache=None)
         retriever = RetrievalRecommender.from_lcrec(
             tiny_lcrec, ClusteredKNNConfig(n_clusters=4, n_probe=2))
         tiger = TIGER(build_random_index_set(tiny_dataset.num_items, 3, 8,

@@ -275,7 +275,7 @@ class TestAsyncService:
         other batches under every driver: the failure-isolation matrix in
         ``test_serving_continuous.py``.)"""
         service = RecommendationService(
-            LCRecEngine(tiny_lcrec, prefix_cache=False),
+            LCRecEngine(tiny_lcrec, prefix_cache=None),
             batcher=MicroBatcherConfig(max_batch_size=1),
         )
         real_prefill = service.engine.prefill

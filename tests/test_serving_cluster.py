@@ -50,7 +50,7 @@ BATCHER = MicroBatcherConfig(max_batch_size=4)
 
 def oracle(model, histories, top_k):
     return RecommendationService(
-        LCRecEngine(model, prefix_cache=False), batcher=BATCHER
+        LCRecEngine(model, prefix_cache=None), batcher=BATCHER
     ).recommend_many(histories, top_k=top_k)
 
 
@@ -116,7 +116,7 @@ class TestEngineReplication:
         assert replica.trie is engine.trie  # read-mostly, shared
 
     def test_cacheless_engine_replicates_cacheless(self, tiny_lcrec):
-        replica = LCRecEngine(tiny_lcrec, prefix_cache=False).replicate()
+        replica = LCRecEngine(tiny_lcrec, prefix_cache=None).replicate()
         assert replica.prefix_cache is None
 
     def test_replica_rankings_identical(self, tiny_lcrec, tiny_dataset):
@@ -127,9 +127,9 @@ class TestEngineReplication:
 
     def test_unreplicatable_engine_needs_a_factory(self, tiny_lcrec):
         class NoReplication(LCRecEngine):
-            supports_replication = False
+            replicate = GenerativeEngine.replicate
 
-        with pytest.raises(ValueError, match="factory"):
+        with pytest.raises(NotImplementedError, match="factory"):
             ServingCluster(NoReplication(tiny_lcrec), num_workers=2)
         # A factory provisions workers without replicate().
         cluster = ServingCluster(lambda: NoReplication(tiny_lcrec), num_workers=2)
@@ -144,7 +144,7 @@ class TestClusterParity:
     def test_single_worker_cluster_matches_service_sync(self, tiny_lcrec, tiny_dataset):
         histories = [list(h) for h in tiny_dataset.split.test_histories[:6]]
         cluster = ServingCluster(
-            LCRecEngine(tiny_lcrec, prefix_cache=False), num_workers=1, batcher=BATCHER
+            LCRecEngine(tiny_lcrec, prefix_cache=None), num_workers=1, batcher=BATCHER
         )
         assert cluster.recommend_many(histories, top_k=5) == oracle(tiny_lcrec, histories, 5)
 
@@ -381,7 +381,7 @@ class TestLifecycle:
         worker to raise left every later worker's queue undecoded."""
         history = list(tiny_dataset.split.test_histories[0])
         cluster = ServingCluster(
-            LCRecEngine(tiny_lcrec, prefix_cache=False), num_workers=2, batcher=BATCHER
+            LCRecEngine(tiny_lcrec, prefix_cache=None), num_workers=2, batcher=BATCHER
         )
 
         def broken(requests):

@@ -483,7 +483,7 @@ class TestContinuousService:
         """A prefill failure fails only the requests it was admitting: the
         cohort admitted before it still delivers."""
         service = RecommendationService(
-            LCRecEngine(tiny_lcrec, prefix_cache=False),
+            LCRecEngine(tiny_lcrec, prefix_cache=None),
             batcher=MicroBatcherConfig(max_batch_size=4), mode="continuous")
         calls = {"count": 0}
         real_prefill = service.engine.prefill
@@ -515,7 +515,7 @@ class Poisoned(LCRecEngine):
     records which requests that failure has to take down with it."""
 
     def __init__(self, model, stage):
-        super().__init__(model, prefix_cache=False)
+        super().__init__(model, prefix_cache=None)
         self.stage = stage
         self.doomed = set()
 

@@ -25,7 +25,7 @@ from repro.baselines import P5CID, P5CIDConfig, TIGER, TIGERConfig
 from repro.core.indexer import build_random_index_set
 from test_live_width import narrowed_recommend
 
-from repro.llm import DecodeState, beam_search_items_single, ranked_item_ids
+from repro.llm import DecodeState, beam_search_items_single, decode_prefill, ranked_item_ids
 from repro.quantization import ItemIndexSet
 from repro.serving import (
     GenerativeEngine,
@@ -55,14 +55,15 @@ class TestEngineProtocol:
     def test_capability_flags(self, tiny_lcrec):
         engine = LCRecEngine(tiny_lcrec)
         assert isinstance(engine, GenerativeEngine)
-        assert engine.supports_prefix_cache
+        assert engine.supports_narrowing
+        assert isinstance(engine.prefix_cache, PrefixKVCache)  # on by default for LC-Rec
         assert engine.trie.num_levels == tiny_lcrec.trie.num_levels
         assert engine.num_items == tiny_lcrec.trie.num_items
         assert engine.request_beam_size(3) == tiny_lcrec.config.beam_size
         assert engine.request_beam_size(99) == 99
 
     def test_prefill_returns_a_decode_state(self, tiny_lcrec, tiny_dataset):
-        engine = LCRecEngine(tiny_lcrec, prefix_cache=False)
+        engine = LCRecEngine(tiny_lcrec, prefix_cache=None)
         prompt = engine.encode_history(list(tiny_dataset.split.test_histories[0]))
         request = RecommendRequest(prompt_ids=prompt, top_k=3, beam_size=5)
         state = engine.prefill([request])
@@ -73,27 +74,27 @@ class TestEngineProtocol:
     def test_prefix_cache_override_through_service(self, tiny_lcrec):
         # The engine owns its cache; the service itself takes no such keyword.
         with pytest.raises(TypeError):
-            RecommendationService(LCRecEngine(tiny_lcrec), prefix_cache=False)
-        service = RecommendationService(LCRecEngine(tiny_lcrec, prefix_cache=False))
+            RecommendationService(LCRecEngine(tiny_lcrec), prefix_cache=None)
+        service = RecommendationService(LCRecEngine(tiny_lcrec, prefix_cache=None))
         assert service.prefix_cache is None
         service = RecommendationService(LCRecEngine(tiny_lcrec))
         assert service.prefix_cache is not None
+
+    def test_prefix_cache_is_a_cache_true_or_none(self, tiny_lcrec):
+        # None is the one spelling of "no cache": False is refused at once,
+        # not at the first request's probe.
+        with pytest.raises(TypeError, match="prefix_cache"):
+            LCRecEngine(tiny_lcrec, prefix_cache=False)
 
     def test_unsupported_prefix_cache_rejected(self, tiny_dataset):
         index_set = build_random_index_set(tiny_dataset.num_items, 3, 8,
                                            np.random.default_rng(0))
         engine = TIGEREngine(TIGER(index_set, TIGERConfig(epochs=1, dim=16)))
-        assert not engine.supports_prefix_cache
-        with pytest.raises(NotImplementedError):
-            engine.set_prefix_cache(True)
-        # An *empty* cache instance is falsy (PrefixKVCache has __len__)
-        # but still asks for caching: it must be rejected, not silently
-        # dropped.
-        with pytest.raises(NotImplementedError):
-            engine.set_prefix_cache(PrefixKVCache())
-        engine.set_prefix_cache(False)  # disabling is always fine
-        engine.set_prefix_cache(None)
         assert engine.prefix_cache is None
+        # An encoder-decoder has no prompt K/V to cache: the stepper refuses
+        # one, even an *empty* (falsy: PrefixKVCache has __len__) instance.
+        with pytest.raises(ValueError, match="prefix cache"):
+            decode_prefill(engine.model, [[2, 3]], engine.trie, prefix_cache=PrefixKVCache())
 
     def test_rebuilt_model_serves_its_current_lm(self, tiny_lcrec, tiny_dataset):
         """Swapping lm (what a re-build does) reaches the very next
@@ -138,7 +139,7 @@ class TestLCRecEngineParity:
         histories = [list(h) for h in tiny_dataset.split.test_histories[:6]]
         oracle = lcrec_oracle(tiny_lcrec, histories, 5)
         service = RecommendationService(
-            LCRecEngine(tiny_lcrec, prefix_cache=cache),
+            LCRecEngine(tiny_lcrec, prefix_cache=cache or None),
             batcher=MicroBatcherConfig(max_batch_size=4), mode=mode)
         with service:
             pending = [service.submit(h, top_k=5) for h in histories]
@@ -155,7 +156,7 @@ class TestLCRecEngineParity:
         expected = [lcrec_oracle(tiny_lcrec, [h], k)[0]
                     for h, k in zip(histories, top_ks)]
         service = RecommendationService(
-            LCRecEngine(tiny_lcrec, prefix_cache=False),
+            LCRecEngine(tiny_lcrec, prefix_cache=None),
             batcher=MicroBatcherConfig(max_batch_size=4), mode="continuous")
         # Queue everything before the loop starts, so the first admission
         # pop sees the mixed-width queue all at once.
@@ -250,7 +251,7 @@ class TestHistoryIdsAreValidated:
     def test_service_and_cluster_refuse_before_any_lane(self, tiny_lcrec):
         from repro.retrieval import ClusteredKNNConfig, HybridRecommender, RetrievalRecommender
 
-        engine = LCRecEngine(tiny_lcrec, prefix_cache=False)
+        engine = LCRecEngine(tiny_lcrec, prefix_cache=None)
         retriever = RetrievalRecommender.from_lcrec(
             tiny_lcrec, ClusteredKNNConfig(n_clusters=4, n_probe=2))
         full = ServingCluster(engine, num_workers=1, fallback=retriever, max_backlog=1)
@@ -278,7 +279,8 @@ class TestHistoryIdsAreValidated:
 class TestTIGEREngine:
     def test_capability_flags(self, tiger):
         engine = TIGEREngine(tiger)
-        assert not engine.supports_prefix_cache
+        assert engine.supports_narrowing
+        assert engine.prefix_cache is None
         assert engine.trie.num_levels == tiger.num_levels
         assert engine.num_items == tiger.trie.num_items
 
@@ -501,7 +503,7 @@ class TestTIGEROnTheSharedStepper:
 class TestP5CIDEngine:
     def test_capability_flags(self, p5cid):
         engine = P5CIDEngine(p5cid)
-        assert engine.supports_prefix_cache
+        assert engine.supports_narrowing
         assert engine.prefix_cache is None  # off by default for P5-CID
 
     def test_serves_through_shared_service_continuously(self, p5cid,

@@ -211,7 +211,8 @@ class TestArgumentsCheckedBeforeAnyLane:
     """A bad ``deadline_ms`` or ``template_id`` raises on every lane, and
     nothing is counted."""
 
-    @pytest.mark.parametrize("template_id", [-1, 4])  # LC-Rec renders templates 0-3
+    # LC-Rec renders templates 0-3; a bool or a float is no template id.
+    @pytest.mark.parametrize("template_id", [-1, 4, True, 1.5])
     def test_template_id(self, tiny_lcrec, tiny_dataset, template_id):
         history = list(tiny_dataset.split.test_histories[0])
         lanes = (

@@ -460,7 +460,7 @@ class TestEngineSparseParity:
     def test_lcrec_engine_parity(self, tiny_lcrec, tiny_dataset, batch):
         pool = tiny_dataset.split.test_histories
         histories = [list(pool[i % len(pool)]) for i in range(batch)]
-        engine = LCRecEngine(tiny_lcrec, prefix_cache=False)
+        engine = LCRecEngine(tiny_lcrec, prefix_cache=None)
         assert engine.recommend_many(histories, top_k=5) == lcrec_oracle(tiny_lcrec, histories, 5)
 
     def test_lcrec_engine_parity_with_prefix_cache(self, tiny_lcrec, tiny_dataset):
@@ -477,7 +477,7 @@ class TestEngineSparseParity:
         pool = tiny_dataset.split.test_histories
         histories = [list(pool[i % len(pool)]) for i in range(6)]
         with RecommendationService(
-            LCRecEngine(tiny_lcrec, prefix_cache=False),
+            LCRecEngine(tiny_lcrec, prefix_cache=None),
             batcher=MicroBatcherConfig(max_batch_size=3),
             mode="continuous",
         ) as service:
@@ -504,7 +504,7 @@ class TestEngineSparseParity:
 class TestStageTimings:
     def test_sync_flush_populates_stage_seconds(self, tiny_lcrec, tiny_dataset):
         history = list(tiny_dataset.split.test_histories[0])
-        service = RecommendationService(LCRecEngine(tiny_lcrec, prefix_cache=False))
+        service = RecommendationService(LCRecEngine(tiny_lcrec, prefix_cache=None))
         pending = service.submit(history, top_k=3)
         service.flush()
         assert pending.result()
@@ -514,7 +514,7 @@ class TestStageTimings:
     def test_continuous_loop_populates_stage_seconds(self, tiny_lcrec, tiny_dataset):
         history = list(tiny_dataset.split.test_histories[0])
         with RecommendationService(
-            LCRecEngine(tiny_lcrec, prefix_cache=False), mode="continuous"
+            LCRecEngine(tiny_lcrec, prefix_cache=None), mode="continuous"
         ) as service:
             assert service.submit(history, top_k=3).result(timeout=60.0)
             assert service.stats.decode_seconds > 0

@@ -79,7 +79,7 @@ def reference_attention_forward(self, x, context=None, attn_mask=None):
     scores = (q @ k.transpose(0, 1, 3, 2)) * scale
     if attn_mask is not None:
         scores = F.masked_fill(scores, attn_mask, -1e9)
-    probs = self.attn_dropout(F.softmax(scores, axis=-1))
+    probs = self.attn_dropout(F.softmax(scores))
     return self.out_proj(self._merge_heads(probs @ v))
 
 

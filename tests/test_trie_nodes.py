@@ -141,8 +141,8 @@ class TestNodeTable:
         candidates = trie.allowed_token_ids(nodes)
         assert candidates.is_forced() == bool((fanout == 1).all())
         assert candidates.is_forced(alive) == bool(((fanout == 1) | ~alive).all())
-        forced = [brute_children(catalog, prefix)[:1] or [-3] for prefix in batch]
-        assert candidates.forced_tokens(pad_id=-3).tolist() == [ids[0] for ids in forced]
+        forced = [brute_children(catalog, prefix)[:1] or [0] for prefix in batch]
+        assert candidates.forced_tokens().tolist() == [ids[0] for ids in forced]
 
     def test_single_item_and_unary_chain(self):
         for catalog in ({7: (3,)}, {7: (3, 3, 3, 3)}, {1: (4, 5, 6), 2: (4, 5, 7)}):
