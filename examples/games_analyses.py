@@ -197,7 +197,7 @@ def popularity_buckets(dataset, model, sasrec, histories, targets) -> None:
     print("\nextension: HR@10 by target popularity")
     for label, ranked in rankings.items():
         print(f"--- {label} (overall HR@10 {hit_ratio_at_k(ranked, targets, 10):.4f}) ---")
-        print("\n".join(evaluate_by_popularity(ranked, targets, popularity, k=10).rows()))
+        print("\n".join(evaluate_by_popularity(ranked, targets, popularity).rows()))
 
 
 def main() -> None:

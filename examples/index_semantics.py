@@ -34,7 +34,7 @@ def figure4(models) -> None:
         groups = model.token_embedding_groups()
         indices, texts = groups["item_indices"], groups["item_texts"]
         separation = embedding_separation(indices, texts)
-        pca = fit_pca(np.concatenate([indices, texts], axis=0), n_components=2)
+        pca = fit_pca(np.concatenate([indices, texts], axis=0))
         print(
             f"\n--- Fig. 4, {label}: separation {separation.separation:.3f} "
             f"(centroid distance {separation.centroid_distance:.3f}, "

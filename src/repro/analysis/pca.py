@@ -8,6 +8,8 @@ import numpy as np
 
 __all__ = ["PCA", "fit_pca"]
 
+_N_COMPONENTS = 2
+
 
 @dataclass
 class PCA:
@@ -22,17 +24,17 @@ class PCA:
         return (x - self.mean) @ self.components.T
 
 
-def fit_pca(x: np.ndarray, n_components: int = 2) -> PCA:
-    """Fit PCA by singular value decomposition of the centred data."""
+def fit_pca(x: np.ndarray) -> PCA:
+    """Fit a 2-component PCA by singular value decomposition of the centred data."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("x must be 2-D")
     n, dim = x.shape
-    if n_components > min(n, dim):
-        raise ValueError("n_components larger than data rank bound")
+    if min(n, dim) < _N_COMPONENTS:
+        raise ValueError(f"need at least {_N_COMPONENTS} rows and columns for a 2-D projection")
     mean = x.mean(axis=0)
     centred = x - mean
     _, singular_values, v_t = np.linalg.svd(centred, full_matrices=False)
-    components = v_t[:n_components]
-    explained = (singular_values[:n_components] ** 2) / max(n - 1, 1)
+    components = v_t[:_N_COMPONENTS]
+    explained = (singular_values[:_N_COMPONENTS] ** 2) / max(n - 1, 1)
     return PCA(mean=mean, components=components, explained_variance=explained)

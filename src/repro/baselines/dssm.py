@@ -119,7 +119,7 @@ class DSSM(Module):
                 self._item_vectors = self.doc_tower(ids, mask).data
         return self._item_vectors
 
-    def retrieve(self, query: str, top_k: int = 10) -> list[int]:
+    def retrieve(self, query: str, top_k: int) -> list[int]:
         """Ranked item ids for a query by cosine similarity of the towers."""
         items = self._ensure_item_vectors()
         with no_grad():

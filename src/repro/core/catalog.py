@@ -139,11 +139,13 @@ class LiveCatalog:
         ``text -> (input_dim,) embedding`` callable; required for
         ``ingest(text=...)``.  :meth:`from_lcrec` wires the model's own
         text encoder.
-    recluster_every:
-        Incremental KNN inserts keep the original cluster centers; after
-        this many pending inserts the retrieval tier is re-clustered from
-        scratch so probe quality under churn tracks a fresh build.
+
+    Incremental KNN inserts keep the original cluster centers; after
+    ``recluster_every`` pending inserts the retrieval tier is re-clustered
+    from scratch so probe quality under churn tracks a fresh build.
     """
+
+    recluster_every = 64
 
     def __init__(
         self,
@@ -154,10 +156,7 @@ class LiveCatalog:
         retrieval: "RetrievalRecommender | None" = None,
         *,
         embed: Callable[[str], np.ndarray] | None = None,
-        recluster_every: int = 64,
     ):
-        if recluster_every < 1:
-            raise ValueError("recluster_every must be positive")
         if retrieval is not None and retrieval.num_items != index_set.num_items:
             raise ValueError(
                 f"retrieval covers {retrieval.num_items} items but the index "
@@ -166,7 +165,6 @@ class LiveCatalog:
         self.tokenizer = tokenizer
         self.rqvae = rqvae
         self.embed = embed
-        self.recluster_every = recluster_every
         self._version = CatalogVersion(0, trie, index_set, retrieval)
         self._taken = {tuple(int(c) for c in row) for row in index_set.codes}
         self._ingest_lock = threading.Lock()
@@ -196,17 +194,12 @@ class LiveCatalog:
     # Construction from a built model
     # ------------------------------------------------------------------
     @classmethod
-    def from_lcrec(
-        cls,
-        model: "LCRec",
-        retrieval: bool = True,
-        recluster_every: int = 64,
-    ) -> "LiveCatalog":
+    def from_lcrec(cls, model: "LCRec") -> "LiveCatalog":
         """A live catalog whose version 0 is ``model``'s built catalog.
 
-        ``retrieval=True`` builds the retrieval tier from the model
-        (RQ-VAE-reconstructed vectors, training-split popularity) so the
-        catalog can serve as the hybrid retriever and shed-time fallback.
+        The retrieval tier is built from the model (RQ-VAE-reconstructed
+        vectors, training-split popularity) so the catalog can serve as
+        the hybrid retriever and shed-time fallback.
         New-item embeddings come from the model's own text encoder, the
         same one that produced the build-time item embeddings.
         """
@@ -217,12 +210,8 @@ class LiveCatalog:
                 f"{model.config.index_source!r}); online ingestion needs one "
                 "to encode new items"
             )
-        tier = None
-        if retrieval:
-            from ..retrieval import RetrievalRecommender
-
-            tier = RetrievalRecommender.from_lcrec(model)
         from ..llm import encode_texts
+        from ..retrieval import RetrievalRecommender
 
         lm, tokenizer = model.lm, model.tokenizer
 
@@ -234,9 +223,8 @@ class LiveCatalog:
             model.index_set,
             tokenizer,
             rqvae=model.rqvae,
-            retrieval=tier,
+            retrieval=RetrievalRecommender.from_lcrec(model),
             embed=embed,
-            recluster_every=recluster_every,
         )
 
     # ------------------------------------------------------------------
@@ -325,7 +313,7 @@ class LiveCatalog:
         tier = self._version.retrieval
         if tier is None:
             raise RuntimeError(
-                "catalog has no retrieval tier (built with retrieval=False)"
+                "catalog has no retrieval tier (built without one)"
             )
         return tier
 

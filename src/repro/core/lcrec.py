@@ -37,7 +37,6 @@ from ..llm import (
 )
 from ..llm.instruction import prompt_ids
 from ..quantization import IndexTrie, ItemIndexSet, RQVAE
-from ..serving.queue import check_template_id
 from ..text import WordTokenizer
 from ..utils.logging import get_logger
 from ..utils.rng import SeedSequenceFactory
@@ -222,30 +221,26 @@ class LCRec:
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------
-    def seq_instruction(self, history: list[int], template_id: int = 0) -> str:
-        """Render a sequential-prediction instruction for ``history``."""
-        check_template_id(template_id, len(T.SEQ_TEMPLATES))
-        history = history[-self.config.tasks.max_history:]
-        history_text = " , ".join(self.index_set.index_text(i) for i in history)
-        return T.SEQ_TEMPLATES[template_id].format(history=history_text)
+    def seq_instruction(self, history: Sequence[int]) -> str:
+        """The first sequential-prediction template over ``history``."""
+        return T.seq_instruction(self.index_set, history, self.config.tasks.max_history, 0)
 
     def encode_instruction(self, instruction: str) -> list[int]:
         """Inference-side prompt token ids for a rendered instruction."""
         self._require_built()
         return prompt_ids(self.tokenizer, instruction, max_len=self.config.tuning.max_len)
 
-    def recommend(self, history: list[int], top_k: int = 10, template_id: int = 0) -> list[int]:
+    def recommend(self, history: list[int], top_k: int = 10) -> list[int]:
         """Full-ranking next-item recommendation via constrained beam search."""
         self._require_built()
-        instruction = self.seq_instruction(history, template_id)
-        return self.recommend_from_instruction(instruction, top_k=top_k)
+        return self.recommend_from_instruction(self.seq_instruction(history), top_k=top_k)
 
     def recommend_many(
-        self, histories: Sequence[Sequence[int]], top_k: int = 10, template_id: int = 0
+        self, histories: Sequence[Sequence[int]], top_k: int = 10
     ) -> list[list[int]]:
         """Batched :meth:`recommend`: all histories decoded together."""
         self._require_built()
-        instructions = [self.seq_instruction(list(h), template_id) for h in histories]
+        instructions = [self.seq_instruction(h) for h in histories]
         return self.recommend_many_from_instructions(instructions, top_k=top_k)
 
     def recommend_from_instruction(self, instruction: str, top_k: int = 10) -> list[int]:
@@ -279,7 +274,7 @@ class LCRec:
 
         return LCRecEngine(self, prefix_cache=prefix_cache)
 
-    def live_catalog(self, retrieval: bool = True, recluster_every: int = 64):
+    def live_catalog(self):
         """A :class:`repro.core.LiveCatalog` over this model's built catalog.
 
         Version 0 is the build-time trie/index set; ``catalog.ingest``
@@ -289,7 +284,7 @@ class LCRec:
         """
         from .catalog import LiveCatalog
 
-        return LiveCatalog.from_lcrec(self, retrieval=retrieval, recluster_every=recluster_every)
+        return LiveCatalog.from_lcrec(self)
 
     def intention_instruction(self, intention_text: str) -> str:
         """The first intention-search template over ``intention_text``."""

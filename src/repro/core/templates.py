@@ -12,6 +12,11 @@ Placeholders: ``{history}`` (index sequence), ``{title_history}``,
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Sequence
+
+if TYPE_CHECKING:
+    from ..quantization import ItemIndexSet
+
 __all__ = [
     "SEQ_TEMPLATES",
     "MUT_TEXT_TO_INDEX_TEMPLATES",
@@ -27,6 +32,7 @@ __all__ = [
     "EXP_TEMPLATES",
     "EXP_RESPONSE",
     "all_template_texts",
+    "seq_instruction",
 ]
 
 # A. Sequential item prediction (Sec. III-C1). Response: target index.
@@ -213,3 +219,11 @@ def all_template_texts() -> list[str]:
                 text = text.replace(placeholder, " ")
             texts.append(text)
     return texts
+
+
+def seq_instruction(
+    index_set: "ItemIndexSet", history: Sequence[int], max_history: int, template_id: int
+) -> str:
+    """The sequential-prediction prompt: the last ``max_history`` items' indices."""
+    history_text = " , ".join(index_set.index_text(i) for i in list(history)[-max_history:])
+    return SEQ_TEMPLATES[template_id].format(history=history_text)

@@ -30,15 +30,11 @@ def pad_sequences(
 
 
 def iterate_minibatches(num_examples: int, batch_size: int,
-                        rng: np.random.Generator | None = None,
-                        shuffle: bool = True) -> Iterator[np.ndarray]:
-    """Yield index arrays covering ``range(num_examples)`` in batches."""
+                        rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """Yield shuffled index arrays covering ``range(num_examples)`` in batches."""
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
     order = np.arange(num_examples)
-    if shuffle:
-        if rng is None:
-            raise ValueError("shuffle=True requires an rng")
-        rng.shuffle(order)
+    rng.shuffle(order)
     for start in range(0, num_examples, batch_size):
         yield order[start:start + batch_size]

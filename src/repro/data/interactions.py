@@ -32,6 +32,7 @@ class Interaction:
 
 
 _MIN_LENGTH = 5  # interactions per simulated user, the 5-core filter's floor
+_STAY_CATEGORY_PROB = 0.30  # next item: another subcategory of the current category
 _PREFERRED_CATEGORIES = 2  # categories a user's preferences spread over
 
 
@@ -43,14 +44,13 @@ class BehaviorConfig:
     mean_length: float = 9.0
     max_length: int = 40
     stay_subcategory_prob: float = 0.45
-    stay_category_prob: float = 0.30
     complement_prob: float = 0.15
     user_noise: float = 0.35
 
     def validate(self) -> None:
         if self.num_users < 1:
             raise ValueError("num_users must be positive")
-        total = self.stay_subcategory_prob + self.stay_category_prob + self.complement_prob
+        total = self.stay_subcategory_prob + _STAY_CATEGORY_PROB + self.complement_prob
         if total > 1.0:
             raise ValueError("transition probabilities exceed 1")
 
@@ -136,7 +136,7 @@ class BehaviorModel:
         if roll < cfg.complement_prob and current_sub in self.complements:
             return self.complements[current_sub]
         roll -= cfg.complement_prob
-        if roll < cfg.stay_category_prob:
+        if roll < _STAY_CATEGORY_PROB:
             per = self.catalog.num_subcategories // self.catalog.num_categories
             return self._sample_subcategory_for_category(current_sub // per, rng)
         return self._start_subcategory(user, rng)

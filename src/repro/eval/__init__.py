@@ -16,7 +16,6 @@ from .negatives import (
 )
 from .ranking import (
     evaluate_generative_model_batched,
-    evaluate_score_model,
     rankings_from_scores,
 )
 
@@ -25,7 +24,6 @@ __all__ = [
     "hit_ratio_at_k",
     "ndcg_at_k",
     "rank_of_target",
-    "evaluate_score_model",
     "evaluate_generative_model_batched",
     "rankings_from_scores",
     "NegativeSample",

@@ -80,8 +80,3 @@ class MetricReport:
             f"{self.values.get(metric, float('nan')):.4f}" for metric in self.METRIC_ORDER
         )
         return f"{label:<14} {cells}"
-
-    @classmethod
-    def header(cls) -> str:
-        cells = " ".join(f"{m:>6}" for m in cls.METRIC_ORDER)
-        return f"{'model':<14} {cells}"

@@ -19,6 +19,9 @@ from .metrics import hit_ratio_at_k
 
 __all__ = ["PopularityBucketReport", "item_popularity", "evaluate_by_popularity"]
 
+_BUCKETS = ("tail", "mid-1", "head")  # target-popularity terciles, least popular first
+_K = 10
+
 
 def item_popularity(train_sequences: Sequence[Sequence[int]],
                     num_items: int) -> np.ndarray:
@@ -50,30 +53,27 @@ def evaluate_by_popularity(
     ranked_lists: Sequence[Sequence[int]],
     targets: Sequence[int],
     popularity: np.ndarray,
-    num_buckets: int = 3,
-    k: int = 10,
 ) -> PopularityBucketReport:
-    """Split users by target popularity quantile and compute HR per bucket."""
+    """Split users by target popularity tercile and compute HR@10 per bucket."""
     if len(ranked_lists) != len(targets) or not targets:
         raise ValueError("ranked_lists and targets must align and be non-empty")
-    if num_buckets < 2:
-        raise ValueError("need at least two buckets")
     target_pop = popularity[np.asarray(targets)]
-    quantiles = np.quantile(target_pop, np.linspace(0, 1, num_buckets + 1))
-    labels, sizes, hrs = [], [], []
-    for b in range(num_buckets):
+    quantiles = np.quantile(target_pop, np.linspace(0, 1, len(_BUCKETS) + 1))
+    sizes, hrs = [], []
+    for b in range(len(_BUCKETS)):
         low, high = quantiles[b], quantiles[b + 1]
-        if b == num_buckets - 1:
+        if b == len(_BUCKETS) - 1:
             mask = (target_pop >= low)
         else:
             mask = (target_pop >= low) & (target_pop < high)
         indices = np.flatnonzero(mask)
-        labels.append("tail" if b == 0 else "head" if b == num_buckets - 1 else f"mid-{b}")
         sizes.append(len(indices))
         if len(indices) == 0:
             hrs.append(float("nan"))
             continue
         hrs.append(
-            hit_ratio_at_k([ranked_lists[i] for i in indices], [targets[i] for i in indices], k)
+            hit_ratio_at_k([ranked_lists[i] for i in indices], [targets[i] for i in indices], _K)
         )
-    return PopularityBucketReport(bucket_labels=labels, bucket_sizes=sizes, hr_at_k=hrs, k=k)
+    return PopularityBucketReport(
+        bucket_labels=list(_BUCKETS), bucket_sizes=sizes, hr_at_k=hrs, k=_K
+    )

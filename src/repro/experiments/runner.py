@@ -334,7 +334,7 @@ class ExperimentRunner:
         context: dict = {}
         if plan.client == "service":
             if plan.kind == "catalog_churn":
-                catalog = runtime.model.live_catalog(retrieval=True)
+                catalog = runtime.model.live_catalog()
                 engine = runtime.make_engine(plan.prefix_cache)
                 engine.attach_catalog(catalog)
                 # The catalog is the tier: it proxies the current version,

@@ -142,10 +142,6 @@ class ScenarioPlan:
     requires: tuple[str, ...] = ("engine",)
     extra: dict = field(default_factory=dict)
 
-    @property
-    def num_submits(self) -> int:
-        return sum(1 for event in self.events if isinstance(event, SubmitEvent))
-
 
 # ----------------------------------------------------------------------
 # Shared helpers

@@ -17,13 +17,13 @@ __all__ = ["encode_texts"]
 
 # Tokens an item text is cut to, BOS included.
 _MAX_LEN = 64
+_BATCH_SIZE = 32
 
 
 def encode_texts(
     model: TinyLlama,
     tokenizer: WordTokenizer,
     texts: list[str],
-    batch_size: int = 32,
 ) -> np.ndarray:
     """Mean-pooled final hidden states for each text ``(N, dim)``.
 
@@ -36,8 +36,8 @@ def encode_texts(
     outputs = np.zeros((len(texts), model.config.dim), dtype=np.float32)
     model.eval()
     with no_grad():
-        for start in range(0, len(encoded), batch_size):
-            chunk = encoded[start : start + batch_size]
+        for start in range(0, len(encoded), _BATCH_SIZE):
+            chunk = encoded[start : start + _BATCH_SIZE]
             width = max(len(ids) for ids in chunk)
             batch = np.full((len(chunk), width), pad_id, dtype=np.int64)
             mask = np.zeros((len(chunk), width), dtype=np.float32)

@@ -749,20 +749,15 @@ def greedy_generate(
     prompt_ids: list[int],
     max_new_tokens: int,
     eos_id: int,
-    banned_ids: set[int] | None = None,
 ) -> list[int]:
     """Greedy free-text generation (used by the Fig. 5 case study)."""
-    banned = banned_ids or set()
     with no_grad():
         caches = model.new_caches()
         tokens = np.asarray(prompt_ids, dtype=np.int64)[None, :]
         logits = model.forward(tokens, caches=caches).data[:, -1, :]
         generated: list[int] = []
         for _ in range(max_new_tokens):
-            row = logits[0].copy()
-            for token_id in banned:
-                row[token_id] = -np.inf
-            next_id = int(row.argmax())
+            next_id = int(logits[0].argmax())
             if next_id == eos_id:
                 break
             generated.append(next_id)
@@ -775,9 +770,8 @@ def sequence_logprob(
     model: TinyLlama,
     prompt_ids: list[int],
     continuation_ids: list[int],
-    length_normalize: bool = True,
 ) -> float:
-    """Log probability of ``continuation_ids`` given ``prompt_ids``.
+    """Mean per-token log probability of ``continuation_ids`` given ``prompt_ids``.
 
     Used for the Table V pairwise discrimination task: the model "chooses"
     whichever candidate response it assigns the higher (length-normalised)
@@ -795,6 +789,4 @@ def sequence_logprob(
     total = 0.0
     for offset, token in enumerate(continuation_ids):
         total += float(log_probs[start + offset, token])
-    if length_normalize:
-        total /= len(continuation_ids)
-    return total
+    return total / len(continuation_ids)

@@ -217,7 +217,7 @@ def resolve_conflicts_usm(
     remaining = count_conflicts(codes)
     if remaining:
         raise IndexConflictError(
-            f"{remaining} items still conflict after {max_passes} passes; "
+            f"{remaining} items still conflict after {_USM_PASSES} passes; "
             "increase codebook_size or num_levels"
         )
     return codes

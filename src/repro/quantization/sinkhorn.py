@@ -14,18 +14,16 @@ import numpy as np
 
 __all__ = ["sinkhorn_knopp", "uniform_assign"]
 
+_EPSILON = 0.05  # entropic regularisation strength (smaller = closer to hard OT)
 
-def sinkhorn_knopp(
-    cost: np.ndarray, epsilon: float = 0.05, num_iters: int = 100
-) -> np.ndarray:
+
+def sinkhorn_knopp(cost: np.ndarray, num_iters: int = 100) -> np.ndarray:
     """Solve the entropic OT problem with uniform marginals.
 
     Parameters
     ----------
     cost:
         ``(n, k)`` non-negative transport costs (squared distances).
-    epsilon:
-        Entropic regularisation strength (smaller = closer to hard OT).
     num_iters:
         Maximum row/column scaling iterations; they stop early once every
         column sum is within ``1e-6`` of ``1/k``.
@@ -41,7 +39,7 @@ def sinkhorn_knopp(
     if n == 0 or k == 0:
         raise ValueError("cost must be non-empty")
     # Log-domain scaling for numerical stability.
-    log_q = -cost / max(epsilon, 1e-12)
+    log_q = -cost / _EPSILON
     log_q -= log_q.max()
     log_row_target = -np.log(n)
     log_col_target = -np.log(k)

@@ -174,21 +174,18 @@ class ClusteredKNNIndex:
                 total += members.size
         return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
-    def search(
-        self, query: np.ndarray, top_k: int, n_probe: int | None = None
-    ) -> np.ndarray:
+    def search(self, query: np.ndarray, top_k: int) -> np.ndarray:
         """The ``top_k`` item ids nearest ``query`` by dot product.
 
-        Probes ``n_probe`` clusters (default from the config; pass
-        ``self.num_clusters`` for exact search).  Returns fewer than
+        Probes the config's ``n_probe`` clusters (a config with
+        ``n_probe = n_clusters`` searches exactly).  Returns fewer than
         ``top_k`` ids only when the whole catalog is smaller.
         """
         check_top_k(top_k)
         query = np.asarray(query, dtype=np.float32)
         if query.shape != (self.dim,):
             raise ValueError(f"query must have shape ({self.dim},), got {query.shape}")
-        if n_probe is None:
-            n_probe = min(self.config.n_probe, self.num_clusters)
-        members = self._probed_members(query, top_k, int(n_probe))
+        n_probe = min(self.config.n_probe, self.num_clusters)
+        members = self._probed_members(query, top_k, n_probe)
         scores = self.vectors[members] @ query
         return rank_by_score(members, scores, top_k)

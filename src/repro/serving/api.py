@@ -283,7 +283,7 @@ class RecommendationClient(abc.ABC):
         self.stop()
 
     def recommend_many(
-        self, histories: Sequence[Sequence[int]], top_k: int = 10, template_id: int = 0
+        self, histories: Sequence[Sequence[int]], top_k: int = 10
     ) -> list[list[int]]:
         """Submit + await a whole batch of histories, preserving order.
 
@@ -291,9 +291,7 @@ class RecommendationClient(abc.ABC):
         submit-all + one ``flush()``; with it, the background loops do the
         flushing and ``result()`` blocks until delivery.
         """
-        pending = [
-            self.submit(history, top_k=top_k, template_id=template_id) for history in histories
-        ]
+        pending = [self.submit(history, top_k=top_k) for history in histories]
         if not self.is_running:
             self.flush()
         return [handle.result() for handle in pending]

@@ -144,7 +144,7 @@ class ServingCluster(RecommendationClient):
         or deployments that want fully independent models.
     num_workers:
         Fleet size (decode threads once started).
-    batcher / deadline_ms / mode:
+    batcher / mode:
         Forwarded to every worker's ``RecommendationService`` unchanged.
     max_backlog:
         Per-worker admission bound on undelivered requests (queued plus
@@ -161,16 +161,6 @@ class ServingCluster(RecommendationClient):
         Intention/instruction submits keep plain rejections.  The object
         must be thread-safe for concurrent reads —
         :class:`repro.retrieval.RetrievalRecommender` is.
-    hybrid:
-        Optional :class:`repro.retrieval.HybridRecommender`, forwarded to
-        every worker service: history submits decode narrowed to their
-        retrieval candidates (or are answered from retrieval outright on
-        cold start), with rankings identical to
-        :meth:`HybridRecommender.recommend`.  One shared object serves
-        the whole fleet — workers use only its retrieval tier and
-        backfill rule, never its engine — so its candidate sets stay
-        consistent across workers (and, with a live catalog, across
-        catalog versions).
     """
 
     def __init__(
@@ -178,11 +168,9 @@ class ServingCluster(RecommendationClient):
         engine: GenerativeEngine | Callable[[], GenerativeEngine],
         num_workers: int = 4,
         batcher: MicroBatcherConfig | None = None,
-        deadline_ms: float = 25.0,
         mode: str = "deadline",
         max_backlog: int | None = 64,
         fallback: FallbackRecommender | None = None,
-        hybrid=None,
     ):
         if num_workers < 1:
             raise ValueError("num_workers must be positive")
@@ -192,21 +180,13 @@ class ServingCluster(RecommendationClient):
         self._workers = [
             _Worker(
                 index,
-                RecommendationService(
-                    worker_engine,
-                    batcher=batcher,
-                    deadline_ms=deadline_ms,
-                    mode=mode,
-                    fallback=fallback,
-                    hybrid=hybrid,
-                ),
+                RecommendationService(worker_engine, batcher=batcher, mode=mode, fallback=fallback),
             )
             for index, worker_engine in enumerate(engines)
         ]
         self.router = AffinityRouter(num_workers)
         self.max_backlog = max_backlog
         self.fallback = fallback
-        self.hybrid = hybrid
         self.stats = ClusterStats()
 
     @staticmethod

@@ -31,9 +31,11 @@ adapter               scorer
 Every adapter serves every mode, in closed cohorts.
 
 Every adapter is ranking-preserving: batching is a cost optimisation, never
-an approximation, and the parity suites pin each adapter to its
-single-request oracle (``LCRec.recommend`` / ``beam_search_items_single``,
-``TIGER.recommend``, ``P5CID.recommend``).
+an approximation, and the parity suites pin each adapter to a
+single-request oracle that does not run the stepper: the dense
+``beam_search_items_single`` for LC-Rec and, composed with one widen and
+the backfill, for P5-CID (whose ``P5CID.recommend`` is this engine), and
+``TIGER.recommend`` for TIGER.
 
 Writing a new adapter means implementing ``encode_history`` and ``decode``
 — by delegating to the shared stepper if the model can be its scorer (as
@@ -53,7 +55,7 @@ import copy
 from dataclasses import replace
 from typing import TYPE_CHECKING, Sequence
 
-from ..core.templates import SEQ_TEMPLATES
+from ..core.templates import SEQ_TEMPLATES, seq_instruction
 from ..llm import (
     BeamHypothesis,
     DecodeState,
@@ -224,13 +226,12 @@ class GenerativeEngine(abc.ABC):
         return self.finalize(requests, self.decode(requests))
 
     def recommend_many(
-        self, histories: Sequence[Sequence[int]], top_k: int = 10, template_id: int = 0
+        self, histories: Sequence[Sequence[int]], top_k: int = 10
     ) -> list[list[int]]:
         """Batched next-item recommendation: one decode for all histories."""
-        check_template_id(template_id, self.num_templates)
         for history in histories:
             check_history(history, self.num_items)
-        prompts = [self.encode_history(list(history), template_id) for history in histories]
+        prompts = [self.encode_history(list(history)) for history in histories]
         return self.rank_prompts(prompts, top_k=top_k)
 
 
@@ -247,8 +248,9 @@ def widen_and_backfill(
     short are re-decoded once with the beam widened to the full catalog
     (all short rows of the batch in one decode), and any residual
     shortfall is backfilled deterministically with the smallest unused
-    item ids.  This is the batched equivalent of ``TIGER.recommend`` /
-    ``P5CID.recommend``'s retry, and matches them ranking-for-ranking.
+    item ids.  This is the batched equivalent of ``TIGER.recommend``'s
+    retry and matches it ranking-for-ranking (``P5CID.recommend`` runs
+    this function through its engine).
     """
     num_items = engine.num_items
     rankings = [
@@ -473,16 +475,18 @@ class LCRecEngine(TrieDecoderEngine):
         self.model = model
 
     def encode_history(self, history: Sequence[int], template_id: int = 0) -> list[int]:
-        """:meth:`LCRec.seq_instruction`'s prompt, over the live index set.
+        """The prompt of SEQ template ``template_id`` over the live index set.
 
         With a catalog attached that is the current version's: an ingested
         id passes ``check_history`` (the live item count) but is not in the
         model's build-time index set.
         """
+        check_template_id(template_id, self.num_templates)
         index_set = self.model.index_set if self.catalog is None else self.catalog.version.index_set
-        history = list(history)[-self.model.config.tasks.max_history:]
-        history_text = " , ".join(index_set.index_text(i) for i in history)
-        return self.encode_instruction(SEQ_TEMPLATES[template_id].format(history=history_text))
+        instruction = seq_instruction(
+            index_set, history, self.model.config.tasks.max_history, template_id
+        )
+        return self.encode_instruction(instruction)
 
     def encode_instruction(self, instruction: str) -> list[int]:
         return self.model.encode_instruction(instruction)

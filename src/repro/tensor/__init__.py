@@ -12,12 +12,10 @@ from .nn import (
     Module,
     ModuleList,
     RMSNorm,
-    Sequential,
 )
-from .optim import Adam, AdamW, SGD, clip_grad_norm, train_epochs
+from .optim import Adam, AdamW, clip_grad_norm, train_epochs
 from .recurrent import GRU, GRUCell
 from .sched import CosineWarmup
-from .serialize import load_module, save_module
 from .tensor import (
     Parameter,
     Tensor,
@@ -42,7 +40,6 @@ __all__ = [
     "functional",
     "Module",
     "ModuleList",
-    "Sequential",
     "Linear",
     "Embedding",
     "LayerNorm",
@@ -58,14 +55,11 @@ __all__ = [
     "causal_mask",
     "GRU",
     "GRUCell",
-    "SGD",
     "Adam",
     "AdamW",
     "clip_grad_norm",
     "train_epochs",
     "CosineWarmup",
-    "save_module",
-    "load_module",
     "kaiming_uniform",
     "xavier_uniform",
     "normal_",

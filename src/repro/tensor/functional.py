@@ -19,7 +19,6 @@ from .tensor import Tensor, as_tensor
 
 __all__ = [
     "softmax",
-    "log_softmax",
     "cross_entropy",
     "layer_norm",
     "rms_norm",
@@ -28,7 +27,6 @@ __all__ = [
     "dropout_mask",
     "embedding",
     "masked_fill",
-    "logsumexp",
     "swiglu",
 ]
 
@@ -43,38 +41,6 @@ def softmax(x: Tensor) -> Tensor:
     def backward(g):
         inner = (g * out_data).sum(axis=-1, keepdims=True)
         return (out_data * (g - inner),)
-
-    return Tensor._make(out_data, (x,), backward)
-
-
-def log_softmax(x: Tensor) -> Tensor:
-    """Numerically stable log-softmax along the last axis."""
-    x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out_data = shifted - log_z
-    probs = np.exp(out_data)
-
-    def backward(g):
-        return (g - probs * g.sum(axis=-1, keepdims=True),)
-
-    return Tensor._make(out_data, (x,), backward)
-
-
-def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
-    """Stable ``log(sum(exp(x)))`` reduction."""
-    x = as_tensor(x)
-    maxes = x.data.max(axis=axis, keepdims=True)
-    exp = np.exp(x.data - maxes)
-    total = exp.sum(axis=axis, keepdims=True)
-    out_data = np.log(total) + maxes
-    softmax_vals = exp / total
-    if not keepdims:
-        out_data = np.squeeze(out_data, axis=axis)
-
-    def backward(g):
-        g_arr = g if keepdims else np.expand_dims(g, axis)
-        return (g_arr * softmax_vals,)
 
     return Tensor._make(out_data, (x,), backward)
 

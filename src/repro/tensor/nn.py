@@ -21,7 +21,6 @@ from .workspace import WeightMemo
 __all__ = [
     "Module",
     "ModuleList",
-    "Sequential",
     "Linear",
     "Embedding",
     "LayerNorm",
@@ -134,19 +133,6 @@ class ModuleList(Module):
 
     def __getitem__(self, index: int) -> Module:
         return self._items[index]
-
-
-class Sequential(Module):
-    """Apply sub-modules in order."""
-
-    def __init__(self, *modules: Module):
-        super().__init__()
-        self.layers = ModuleList(list(modules))
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return x
 
 
 class Linear(Module):

@@ -19,7 +19,7 @@ if TYPE_CHECKING:
     from .nn import Module
     from .sched import CosineWarmup
 
-__all__ = ["SGD", "Adam", "AdamW", "clip_grad_norm", "train_epochs"]
+__all__ = ["Adam", "AdamW", "clip_grad_norm", "train_epochs"]
 
 logger = get_logger(__name__)
 
@@ -41,26 +41,6 @@ class Optimizer:
 
     def step(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params, lr: float, momentum: float = 0.0):
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.params, self._velocity):
-            if param.grad is None:
-                continue
-            if self.momentum > 0:
-                velocity *= self.momentum
-                velocity += param.grad
-                param.data -= self.lr * velocity
-            else:
-                param.data -= self.lr * param.grad
 
 
 class Adam(Optimizer):
@@ -95,20 +75,12 @@ class Adam(Optimizer):
 class AdamW(Adam):
     """Adam with decoupled weight decay (Loshchilov & Hutter)."""
 
-    def __init__(
-        self,
-        params,
-        lr: float = 1e-3,
-        weight_decay: float = 0.01,
-    ):
-        super().__init__(params, lr)
-        self.weight_decay = weight_decay
+    weight_decay = 0.01
 
     def step(self) -> None:
-        if self.weight_decay > 0:
-            for param in self.params:
-                if param.grad is not None:
-                    param.data -= self.lr * self.weight_decay * param.data
+        for param in self.params:
+            if param.grad is not None:
+                param.data -= self.lr * self.weight_decay * param.data
         super().step()
 
 

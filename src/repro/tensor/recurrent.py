@@ -39,36 +39,19 @@ class GRUCell(Module):
 
 
 class GRU(Module):
-    """Unidirectional (stacked) GRU over a ``(batch, time, dim)`` input."""
+    """Unidirectional one-layer GRU over a ``(batch, time, dim)`` input."""
 
-    def __init__(
-        self,
-        input_dim: int,
-        hidden_dim: int,
-        num_layers: int = 1,
-        rng: np.random.Generator | None = None,
-    ):
+    def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator | None = None):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         self.hidden_dim = hidden_dim
-        self.num_layers = num_layers
-        cells = []
-        for layer in range(num_layers):
-            in_dim = input_dim if layer == 0 else hidden_dim
-            cells.append(GRUCell(in_dim, hidden_dim, rng=rng))
-        from .nn import ModuleList  # local import avoids a cycle at module load
-
-        self.cells = ModuleList(cells)
+        self.cell = GRUCell(input_dim, hidden_dim, rng=rng or np.random.default_rng(0))
 
     def forward(self, x: Tensor) -> Tensor:
-        """Return the hidden state sequence of the last layer ``(B, T, D)``."""
+        """Return the hidden state sequence ``(B, T, D)``."""
         batch, seq_len, _ = x.shape
-        layer_input = x
-        for cell in self.cells:
-            hidden = Tensor(np.zeros((batch, self.hidden_dim), dtype=np.float32))
-            outputs = []
-            for t in range(seq_len):
-                hidden = cell(layer_input[:, t, :], hidden)
-                outputs.append(hidden)
-            layer_input = stack(outputs, axis=1)
-        return layer_input
+        hidden = Tensor(np.zeros((batch, self.hidden_dim), dtype=np.float32))
+        outputs = []
+        for t in range(seq_len):
+            hidden = self.cell(x[:, t, :], hidden)
+            outputs.append(hidden)
+        return stack(outputs, axis=1)

@@ -15,13 +15,14 @@ __all__ = ["CosineWarmup"]
 class CosineWarmup:
     """Linear warmup followed by cosine decay to ``min_lr``."""
 
-    def __init__(self, base_lr: float, warmup_steps: int, total_steps: int, min_lr: float = 0.0):
+    min_lr = 0.0
+
+    def __init__(self, base_lr: float, warmup_steps: int, total_steps: int):
         if total_steps <= 0:
             raise ValueError("total_steps must be positive")
         self.base_lr = float(base_lr)
         self.warmup_steps = max(int(warmup_steps), 0)
         self.total_steps = int(total_steps)
-        self.min_lr = float(min_lr)
 
     def lr_at(self, step: int) -> float:
         if self.warmup_steps and step < self.warmup_steps:

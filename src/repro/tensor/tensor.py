@@ -164,16 +164,8 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying numpy array (no copy)."""
-        return self.data
-
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        """Return a tensor sharing data but cut from the graph."""
-        return Tensor(self.data)
 
     def zero_grad(self) -> None:
         self.grad = None

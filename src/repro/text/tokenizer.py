@@ -52,13 +52,8 @@ class WordTokenizer:
         return Vocabulary.from_counter(counts)
 
     # ------------------------------------------------------------------
-    def encode(self, text: str, add_bos: bool = False, add_eos: bool = False) -> list[int]:
-        ids = [self.vocab.token_to_id(t) for t in self.text_to_tokens(text)]
-        if add_bos:
-            ids.insert(0, self.vocab.bos_id)
-        if add_eos:
-            ids.append(self.vocab.eos_id)
-        return ids
+    def encode(self, text: str) -> list[int]:
+        return [self.vocab.token_to_id(t) for t in self.text_to_tokens(text)]
 
     def decode(self, ids: Sequence[int], skip_special: bool = True) -> str:
         specials = {self.vocab.pad_id, self.vocab.bos_id, self.vocab.eos_id}

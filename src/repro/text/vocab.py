@@ -50,17 +50,10 @@ class Vocabulary:
         return [self.add_token(token) for token in tokens]
 
     @classmethod
-    def from_counter(
-        cls, counts: Counter, min_count: int = 1, max_size: int | None = None
-    ) -> "Vocabulary":
+    def from_counter(cls, counts: Counter) -> "Vocabulary":
         """Build a base vocabulary from token counts (most frequent first)."""
         vocab = cls()
-        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        for token, count in ranked:
-            if count < min_count:
-                continue
-            if max_size is not None and len(vocab) >= max_size:
-                break
+        for token, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
             vocab.add_token(token)
         vocab.freeze_base()
         return vocab
@@ -76,10 +69,6 @@ class Vocabulary:
         if self._base_size is None:
             return len(self._id_to_token)
         return self._base_size
-
-    def is_extension_id(self, token_id: int) -> bool:
-        """True if ``token_id`` belongs to the index-token extension region."""
-        return token_id >= self.base_size
 
     # ------------------------------------------------------------------
     def token_to_id(self, token: str) -> int:
@@ -105,10 +94,6 @@ class Vocabulary:
     @property
     def eos_id(self) -> int:
         return self._token_to_id[EOS]
-
-    @property
-    def unk_id(self) -> int:
-        return self._token_to_id[UNK]
 
     def tokens(self) -> list[str]:
         """All tokens in id order (a copy)."""

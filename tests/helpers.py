@@ -14,7 +14,7 @@ import numpy as np
 from repro.core import LCRecConfig
 from repro.core.indexer import SemanticIndexerConfig
 from repro.core.tasks import AlignmentTaskConfig
-from repro.eval import MetricReport, evaluate_generative_model_batched
+from repro.eval import MetricReport, evaluate_generative_model_batched, rankings_from_scores
 from repro.llm import PretrainConfig, TuningConfig, decode_finish, decode_prefill, decode_step
 from repro.quantization import RQVAEConfig, RQVAETrainerConfig
 from repro.tensor import Tensor
@@ -53,17 +53,26 @@ def decode_prompts(model, prompts, trie, beam_size=20, prefix_cache=None, sessio
     return decode_finish(state)
 
 
-def evaluate_recommender(model, dataset, scale, template_id=0, batch_size=16) -> MetricReport:
+def evaluate_recommender(model, dataset, scale, template_id=0) -> MetricReport:
     """Offline leave-one-out HR/NDCG of an LC-Rec over the scale's
-    evaluation slice, decoded ``batch_size`` users at a time: the
-    reference a harness ``steady_state`` cell is checked against."""
+    evaluation slice under SEQ template ``template_id``, decoded by a
+    cache-less engine 16 users at a time: the reference a harness
+    ``steady_state`` cell is checked against."""
+    engine = model.engine(prefix_cache=None)
     limit = scale.max_eval_users
     return evaluate_generative_model_batched(
-        lambda batch: model.recommend_many(batch, top_k=10, template_id=template_id),
+        lambda batch: engine.rank_prompts(
+            [engine.encode_history(h, template_id) for h in batch], top_k=10
+        ),
         dataset.split.test_histories[:limit],
         dataset.split.test_targets[:limit],
-        batch_size=batch_size,
     )
+
+
+def evaluate_scores(model, histories, targets) -> MetricReport:
+    """Full-ranking HR/NDCG of a score model (``score_all``) over ``histories``."""
+    rankings = rankings_from_scores(model.score_all(histories), 10)
+    return MetricReport.from_rankings(rankings, list(targets))
 
 
 def evaluate_recommender_multi_template(

@@ -15,19 +15,19 @@ from repro.analysis import (
 class TestPCA:
     def test_projects_to_requested_dims(self, rng):
         x = rng.standard_normal((30, 10))
-        pca = fit_pca(x, n_components=3)
-        assert pca.transform(x).shape == (30, 3)
+        pca = fit_pca(x)
+        assert pca.transform(x).shape == (30, 2)
 
     def test_first_component_captures_dominant_axis(self, rng):
         base = rng.standard_normal((100, 1)) * np.array([[10.0]])
         noise = rng.standard_normal((100, 4)) * 0.1
         x = np.concatenate([base, noise], axis=1)
-        pca = fit_pca(x, n_components=2)
+        pca = fit_pca(x)
         assert abs(pca.components[0, 0]) > 0.99
 
     def test_explained_variance_sorted(self, rng):
         x = rng.standard_normal((50, 6))
-        pca = fit_pca(x, n_components=4)
+        pca = fit_pca(x)
         ev = pca.explained_variance
         assert all(ev[i] >= ev[i + 1] for i in range(len(ev) - 1))
 
@@ -35,11 +35,11 @@ class TestPCA:
         with pytest.raises(ValueError):
             fit_pca(rng.standard_normal(5))
         with pytest.raises(ValueError):
-            fit_pca(rng.standard_normal((3, 2)), n_components=5)
+            fit_pca(rng.standard_normal((3, 1)))
 
     def test_transform_centers_data(self, rng):
         x = rng.standard_normal((40, 5)) + 100.0
-        pca = fit_pca(x, n_components=2)
+        pca = fit_pca(x)
         projected = pca.transform(x)
         np.testing.assert_allclose(projected.mean(axis=0), 0.0, atol=1e-8)
 

@@ -70,15 +70,15 @@ class TestTraining:
         assert losses[-1] < losses[0], model.name
 
     def test_training_beats_random_ranking(self, tiny_dataset):
-        from repro.eval import evaluate_score_model
+        from helpers import evaluate_scores
 
         model = SASRec(tiny_dataset.num_items, dim=16)
         trainer = BaselineTrainer(BaselineTrainerConfig(epochs=10,
                                                         batch_size=32))
         trainer.fit(model, tiny_dataset)
-        report = evaluate_score_model(model,
-                                      tiny_dataset.split.test_histories,
-                                      tiny_dataset.split.test_targets)
+        report = evaluate_scores(model,
+                                 tiny_dataset.split.test_histories,
+                                 tiny_dataset.split.test_targets)
         # Random HR@10 would be 10/40 = 0.25.
         assert report["HR@10"] > 0.3
 

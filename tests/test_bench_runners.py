@@ -1,6 +1,7 @@
 """Plumbing tests for the harness's model builds (tiny scale, fast settings)."""
 
 import pytest
+from helpers import evaluate_scores
 
 from repro.bench.config import BenchScale
 from repro.bench.runners import (
@@ -9,14 +10,13 @@ from repro.bench.runners import (
     lcrec_config_for,
     train_traditional_baseline,
 )
-from repro.eval import evaluate_score_model
 
 FAST = BenchScale("test", dataset_scale=0.15, epoch_scale=0.1,
                   max_eval_users=20)
 
 
 def _evaluate(model, dataset):
-    return evaluate_score_model(
+    return evaluate_scores(
         model, dataset.split.test_histories[:20], dataset.split.test_targets[:20]
     )
 

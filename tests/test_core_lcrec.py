@@ -17,7 +17,7 @@ class TestBuildArtifacts:
         vocab = tiny_lcrec.tokenizer.vocab
         for token in tiny_lcrec.index_set.all_token_strings():
             assert token in vocab
-            assert vocab.is_extension_id(vocab.token_to_id(token))
+            assert vocab.token_to_id(token) >= vocab.base_size
 
     def test_vocabulary_pinned(self, tiny_lcrec):
         """The LM's vocabulary is the catalog text plus every template's prose
@@ -69,7 +69,35 @@ class TestInference:
     @pytest.mark.parametrize("template_id", [-1, 4, True, 1.5])
     def test_seq_instruction_checks_template_id(self, tiny_lcrec, tiny_dataset, template_id):
         with pytest.raises(ValueError, match="template_id"):
-            tiny_lcrec.seq_instruction(tiny_dataset.split.test_histories[0], template_id)
+            tiny_lcrec.engine(prefix_cache=None).encode_history(
+                tiny_dataset.split.test_histories[0], template_id
+            )
+
+    @pytest.mark.parametrize("live", [False, True])
+    def test_library_and_engine_render_one_seq_prompt(self, tiny_lcrec, tiny_dataset, live):
+        """``LCRec.seq_instruction`` and ``LCRecEngine.encode_history`` share one
+        renderer: the same token ids for every template, over the live index
+        set once a catalog is attached."""
+        from repro.core import templates as T
+
+        engine = tiny_lcrec.engine(prefix_cache=None)
+        histories = [list(h) for h in tiny_dataset.split.test_histories[:3]]
+        index_set = tiny_lcrec.index_set
+        if live:
+            catalog = tiny_lcrec.live_catalog()
+            engine.attach_catalog(catalog)
+            new_id = catalog.ingest(text="brand new travel kettle").item_id
+            histories.append([1, new_id])
+            index_set = catalog.index_set
+        max_history = tiny_lcrec.config.tasks.max_history
+        for history in histories:
+            history_text = " , ".join(index_set.index_text(i) for i in history[-max_history:])
+            for template_id, template in enumerate(T.SEQ_TEMPLATES):
+                expected = tiny_lcrec.encode_instruction(template.format(history=history_text))
+                assert engine.encode_history(history, template_id) == expected
+            if history[-1] < tiny_lcrec.index_set.num_items:
+                library = tiny_lcrec.encode_instruction(tiny_lcrec.seq_instruction(history))
+                assert library == engine.encode_history(history, 0)
 
     def test_intention_recommendation(self, tiny_lcrec):
         ranked = tiny_lcrec.recommend_for_intention(

@@ -162,12 +162,8 @@ class TestBatching:
         assert sorted(seen) == list(range(10))
 
     def test_minibatches_require_rng_when_shuffling(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # every pass shuffles: the rng is required
             list(iterate_minibatches(5, 2))
-
-    def test_minibatches_no_shuffle_ordered(self):
-        batches = list(iterate_minibatches(5, 2, shuffle=False))
-        assert batches[0].tolist() == [0, 1]
 
     def test_minibatch_size_validated(self, rng):
         with pytest.raises(ValueError):

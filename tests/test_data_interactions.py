@@ -62,14 +62,14 @@ class TestBehaviorModel:
         with pytest.raises(ValueError):
             BehaviorConfig(num_users=0).validate()
         with pytest.raises(ValueError):
-            BehaviorConfig(stay_subcategory_prob=0.6, stay_category_prob=0.4,
-                           complement_prob=0.2).validate()
+            # 0.6 + 0.3 (another subcategory of the category) + 0.2 > 1
+            BehaviorConfig(stay_subcategory_prob=0.6, complement_prob=0.2).validate()
 
     def test_subcategory_coherence(self):
         """High stay probability should produce category-coherent sessions."""
         catalog = make_catalog()
-        config = BehaviorConfig(num_users=50, stay_subcategory_prob=0.8,
-                                stay_category_prob=0.15, complement_prob=0.0)
+        config = BehaviorConfig(num_users=50, stay_subcategory_prob=0.7,
+                                complement_prob=0.0)
         model = BehaviorModel(catalog, config, np.random.default_rng(7))
         rng = np.random.default_rng(8)
         same = total = 0

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.eval import (
     MetricReport,
     evaluate_generative_model_batched,
-    evaluate_score_model,
     hit_ratio_at_k,
     ndcg_at_k,
     rank_of_target,
@@ -68,24 +67,13 @@ class TestMetricReport:
 
     def test_row_and_header_align(self):
         report = MetricReport.from_rankings([[1]], [1], ks=(1,))
-        header = MetricReport.header()
         row = report.row("model-x")
-        assert header.split()[0] == "model"
         assert row.startswith("model-x")
+        assert len(row.split()) == 1 + len(MetricReport.METRIC_ORDER)
 
     def test_getitem(self):
         report = MetricReport({"HR@5": 0.25})
         assert report["HR@5"] == 0.25
-
-
-class FakeScoreModel:
-    def __init__(self, scores):
-        self.scores = scores
-        self.calls = 0
-
-    def score_all(self, histories):
-        self.calls += 1
-        return self.scores[:len(histories)]
 
 
 class TestEvaluators:
@@ -102,16 +90,16 @@ class TestEvaluators:
             rankings_from_scores(np.zeros(3), 2)
 
     def test_evaluate_score_model(self):
-        scores = np.array([[0.9, 0.1, 0.0], [0.0, 0.1, 0.9]])
-        model = FakeScoreModel(scores)
-        report = evaluate_score_model(model, [[0], [1]], [0, 2], ks=(1,))
-        assert report["HR@1"] == 1.0
+        """The offline reference for served ID baselines: rank every item by score."""
+        from helpers import evaluate_scores
 
-    def test_evaluate_score_model_batching(self):
-        scores = np.array([[1.0, 0.0]] * 5)
-        model = FakeScoreModel(scores)
-        evaluate_score_model(model, [[0]] * 5, [0] * 5, ks=(1,), batch_size=2)
-        assert model.calls == 3
+        class Scores:
+            def score_all(self, histories):
+                return np.array([[0.9, 0.1, 0.0], [0.0, 0.1, 0.9]])[: len(histories)]
+
+        report = evaluate_scores(Scores(), [[0], [1]], [0, 2])
+        assert report["HR@1"] == 1.0
+        assert report["NDCG@5"] == 1.0
 
     def test_evaluate_generative_model(self):
         calls = []
@@ -120,8 +108,9 @@ class TestEvaluators:
             calls.append(len(histories))
             return [[history[0], 99] for history in histories]
 
-        report = evaluate_generative_model_batched(
-            recommend_batch, [[4], [7], [5]], [4, 99, 1], ks=(1,), batch_size=2
-        )
-        assert report["HR@1"] == pytest.approx(1 / 3)
-        assert calls == [2, 1]
+        histories = [[i] for i in range(17)]
+        targets = [i if i % 3 == 0 else 99 for i in range(17)]  # 6 first-place hits
+        report = evaluate_generative_model_batched(recommend_batch, histories, targets)
+        assert report["HR@1"] == pytest.approx(6 / 17)
+        assert report["HR@5"] == pytest.approx(1.0)
+        assert calls == [16, 1]

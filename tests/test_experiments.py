@@ -412,7 +412,7 @@ class TestScenarioShapes:
         plan = self.plan(tiny_dataset, "burst_overload", requests=9, max_backlog=1)
         assert plan.max_backlog == 1
         assert isinstance(plan.events[-1], BarrierEvent)
-        assert plan.num_submits == 9
+        assert sum(isinstance(e, SubmitEvent) for e in plan.events) == 9
         assert plan.extra["backlog_capacity"] == 2  # 2 workers x backlog 1
 
     def test_catalog_churn_plans_dense_ids(self, tiny_dataset):
@@ -658,14 +658,15 @@ class TestPaperCells:
         self.assert_quality_equals(record["quality"], offline)
 
     def test_id_baseline_ranks_offline(self, paper_result, tiny_dataset):
+        from helpers import evaluate_scores
+
         from repro.bench import train_traditional_baseline
-        from repro.eval import evaluate_score_model
 
         record = self.record(paper_result, "template0xsasrec")
         assert record["supported"] and record["client"] == "score_all"
         assert record["served"] == record["quality"]["evaluated"] == 60
         model = train_traditional_baseline("SASRec", tiny_dataset, bench_scale("tiny"))
-        offline = evaluate_score_model(
+        offline = evaluate_scores(
             model, tiny_dataset.split.test_histories[:60], tiny_dataset.split.test_targets[:60]
         )
         self.assert_quality_equals(record["quality"], offline)
@@ -778,7 +779,7 @@ class TestRetrievalRefresh:
     """A ``fallback=catalog`` answers from the current version; nothing swaps lanes."""
 
     def test_service_degrades_from_the_ingested_catalog(self, tiny_lcrec, tiny_dataset, rng):
-        catalog = tiny_lcrec.live_catalog(retrieval=True)
+        catalog = tiny_lcrec.live_catalog()
         built = catalog.version.retrieval
         service = RecommendationService(
             catalog_engine(tiny_lcrec, catalog), fallback=catalog, queue_depth=1
@@ -795,7 +796,7 @@ class TestRetrievalRefresh:
         service.flush()
 
     def test_cluster_degrades_from_the_ingested_catalog(self, tiny_lcrec, tiny_dataset, rng):
-        catalog = tiny_lcrec.live_catalog(retrieval=True)
+        catalog = tiny_lcrec.live_catalog()
         cluster = ServingCluster(
             catalog_engine(tiny_lcrec, catalog), num_workers=2, max_backlog=1, fallback=catalog
         )
@@ -809,7 +810,7 @@ class TestRetrievalRefresh:
         cluster.flush()
 
     def test_ingest_leaves_every_fallback_untouched(self, tiny_lcrec, tiny_dataset, rng):
-        catalog = tiny_lcrec.live_catalog(retrieval=True)
+        catalog = tiny_lcrec.live_catalog()
         static = catalog.version.retrieval
         custom = PopularityFallback(tiny_dataset)
         dim = tiny_lcrec.item_embeddings.shape[1]

@@ -67,22 +67,20 @@ class TestPopularityBuckets:
         np.testing.assert_array_equal(pop, [1, 3, 0])
 
     def test_bucket_report_structure(self):
-        popularity = np.array([100, 50, 1, 0])
-        targets = [0, 1, 2, 3]
-        ranked = [[0], [9], [2], [9]]
-        report = evaluate_by_popularity(ranked, targets, popularity,
-                                        num_buckets=2, k=1)
-        assert report.bucket_labels == ["tail", "head"]
-        assert report.bucket_sizes == [2, 2]  # the tail bucket is not empty
+        popularity = np.array([100, 50, 1, 0, 7, 9])
+        targets = [0, 1, 2, 3, 4, 5]
+        ranked = [[0], [9], [2], [9], [4], [5]]
+        report = evaluate_by_popularity(ranked, targets, popularity)
+        assert report.bucket_labels == ["tail", "mid-1", "head"]
+        assert report.bucket_sizes == [2, 2, 2]  # the tail bucket is not empty
         rows = report.rows()
-        assert len(rows) == 3
+        assert len(rows) == 4
 
     def test_tail_vs_head_hr(self):
-        popularity = np.array([0, 0, 100, 100])
-        targets = [0, 1, 2, 3]
-        ranked = [[9], [9], [2], [3]]  # only head targets hit
-        report = evaluate_by_popularity(ranked, targets, popularity,
-                                        num_buckets=2, k=1)
+        popularity = np.array([0, 0, 50, 50, 100, 100])
+        targets = [0, 1, 2, 3, 4, 5]
+        ranked = [[9] * 10] * 4 + [[4], [5]]  # only head targets are in the top 10
+        report = evaluate_by_popularity(ranked, targets, popularity)
         assert report.hr_at_k[0] == 0.0
         assert report.hr_at_k[-1] == 1.0
 
@@ -90,7 +88,7 @@ class TestPopularityBuckets:
         with pytest.raises(ValueError):
             evaluate_by_popularity([], [], np.array([1]))
         with pytest.raises(ValueError):
-            evaluate_by_popularity([[0]], [0], np.array([1]), num_buckets=1)
+            evaluate_by_popularity([[0]], [0, 1], np.array([1, 1]))
 
 
 class TestCodebookUsage:
@@ -147,7 +145,7 @@ class TestTrivialBaselines:
         """Sanity floor: a trained SASRec must clearly beat random."""
         from repro.baselines import BaselineTrainer, BaselineTrainerConfig, \
             SASRec
-        from repro.eval import evaluate_score_model
+        from helpers import evaluate_scores
 
         random_model = RandomScores(tiny_dataset.num_items)
         sasrec = SASRec(tiny_dataset.num_items, dim=16)
@@ -155,6 +153,6 @@ class TestTrivialBaselines:
                                                              tiny_dataset)
         histories = tiny_dataset.split.test_histories
         targets = tiny_dataset.split.test_targets
-        trained = evaluate_score_model(sasrec, histories, targets)
-        baseline = evaluate_score_model(random_model, histories, targets)
+        trained = evaluate_scores(sasrec, histories, targets)
+        baseline = evaluate_scores(random_model, histories, targets)
         assert trained["HR@10"] > baseline["HR@10"]

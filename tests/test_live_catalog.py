@@ -288,12 +288,12 @@ class TestEnginePinning:
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def live_catalog(tiny_lcrec):
-    return tiny_lcrec.live_catalog(recluster_every=3)
+    return tiny_lcrec.live_catalog()
 
 
 class TestLiveCatalogIngest:
     def test_ingest_publishes_new_version(self, tiny_lcrec):
-        catalog = tiny_lcrec.live_catalog(retrieval=False)
+        catalog = tiny_lcrec.live_catalog()
         v0 = catalog.version
         result = catalog.ingest(text="wireless noise cancelling headphones")
         assert catalog.version.version == 1
@@ -308,7 +308,7 @@ class TestLiveCatalogIngest:
         assert catalog.index_set.is_unique()
 
     def test_ingest_embedding_lane_and_validation(self, tiny_lcrec):
-        catalog = tiny_lcrec.live_catalog(retrieval=False)
+        catalog = tiny_lcrec.live_catalog()
         rng = np.random.default_rng(3)
         embedding = rng.normal(size=tiny_lcrec.item_embeddings.shape[1])
         result = catalog.ingest(embedding=embedding)
@@ -320,7 +320,7 @@ class TestLiveCatalogIngest:
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "short", "matrix"])
     def test_ingest_rejects_a_hostile_embedding(self, tiny_lcrec, bad):
-        catalog = tiny_lcrec.live_catalog(retrieval=False)
+        catalog = tiny_lcrec.live_catalog()
         dim = tiny_lcrec.item_embeddings.shape[1]
         embedding = {
             "nan": np.full(dim, np.nan),
@@ -342,21 +342,24 @@ class TestLiveCatalogIngest:
             catalog.ingest(text="anything")
 
     def test_retrieval_tier_extends_and_reclusters(self, tiny_lcrec):
-        catalog = tiny_lcrec.live_catalog(recluster_every=3)
+        catalog = tiny_lcrec.live_catalog()
         baseline = catalog.num_items
-        for round_ in range(3):
+        added = LiveCatalog.recluster_every
+        for round_ in range(added):
             catalog.ingest(text=f"brand new item number {round_}")
+            pending = catalog.version.retrieval.index.pending_inserts
+            assert pending == (round_ + 1) % added
         tier = catalog.version.retrieval
-        assert tier.num_items == baseline + 3
-        # recluster_every=3 tripped: pending inserts were folded into a
-        # fresh k-means build.
+        assert tier.num_items == baseline + added
+        # The last ingest tripped recluster_every: pending inserts were folded
+        # into a fresh k-means build.
         assert tier.index.pending_inserts == 0
         # The retrieval proxy can recommend the new items.
         full = catalog.recommend([0, 1, 2], top_k=catalog.num_items)
-        assert set(range(baseline, baseline + 3)) <= set(full)
+        assert set(range(baseline, baseline + added)) <= set(full)
 
     def test_new_item_recommendable_within_one_swap(self, tiny_lcrec):
-        catalog = tiny_lcrec.live_catalog(retrieval=False)
+        catalog = tiny_lcrec.live_catalog()
         engine = tiny_lcrec.engine(prefix_cache=None)
         engine.attach_catalog(catalog)
         result = catalog.ingest(text="limited edition collector figurine")
@@ -365,7 +368,7 @@ class TestLiveCatalogIngest:
         assert result.item_id in ranked
 
     def test_ingest_builds_the_trie_and_decodes_build_none(self, tiny_lcrec, monkeypatch):
-        catalog = tiny_lcrec.live_catalog(retrieval=False)
+        catalog = tiny_lcrec.live_catalog()
         engine = tiny_lcrec.engine(prefix_cache=None)
         engine.attach_catalog(catalog)
         builds = []
@@ -388,7 +391,7 @@ class TestLiveCatalogIngest:
 # ----------------------------------------------------------------------
 class TestServingIngest:
     def test_service_ingest_item_swaps_for_next_request(self, tiny_lcrec):
-        catalog = tiny_lcrec.live_catalog(retrieval=False)
+        catalog = tiny_lcrec.live_catalog()
         engine = tiny_lcrec.engine(prefix_cache=True)
         engine.attach_catalog(catalog)
         service = RecommendationService(engine)
@@ -402,7 +405,7 @@ class TestServingIngest:
         assert catalog.num_items == initial + 3
 
     def test_ingested_ids_are_valid_history_ids(self, tiny_lcrec):
-        catalog = tiny_lcrec.live_catalog(retrieval=False)
+        catalog = tiny_lcrec.live_catalog()
         engine = tiny_lcrec.engine(prefix_cache=None)
         engine.attach_catalog(catalog)
         service = RecommendationService(engine)
@@ -422,7 +425,7 @@ class TestServingIngest:
             service.ingest_item(text="x")
 
     def test_cluster_ingest_reaches_every_worker(self, tiny_lcrec):
-        catalog = tiny_lcrec.live_catalog(retrieval=False)
+        catalog = tiny_lcrec.live_catalog()
         engine = tiny_lcrec.engine(prefix_cache=True)
         engine.attach_catalog(catalog)
         cluster = ServingCluster(engine, num_workers=2)

@@ -128,10 +128,10 @@ class TestEncodeTexts:
 
     def test_batching_invariance(self, tokenizer):
         model = small_model(tokenizer)
-        texts = [f"the quick fox {i}" for i in range(5)]
-        together = encode_texts(model, tokenizer, texts, batch_size=5)
-        split = encode_texts(model, tokenizer, texts, batch_size=2)
-        np.testing.assert_allclose(together, split, atol=1e-4)
+        texts = [f"the quick fox {i}" for i in range(33)]  # two batches of 32 and 1
+        together = encode_texts(model, tokenizer, texts)
+        alone = np.concatenate([encode_texts(model, tokenizer, [t]) for t in texts])
+        np.testing.assert_allclose(together, alone, atol=1e-4)
 
     def test_empty_rejected(self, tokenizer):
         with pytest.raises(ValueError):

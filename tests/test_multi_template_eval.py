@@ -37,7 +37,7 @@ class TestMultiTemplateEvaluation:
     def test_all_seq_templates_usable(self, tiny_lcrec, tiny_dataset):
         from repro.core import templates as T
 
+        history = tiny_dataset.split.test_histories[0]
         for template_id in range(len(T.SEQ_TEMPLATES)):
-            instruction = tiny_lcrec.seq_instruction(
-                tiny_dataset.split.test_histories[0], template_id)
+            instruction = T.seq_instruction(tiny_lcrec.index_set, history, 6, template_id)
             assert "{" not in instruction

@@ -11,11 +11,17 @@ passes on a defaulted parameter of the function it sits in sets the option
 only if that parameter is set itself.
 
 Calls are matched to definitions by name (``Class(...)`` and ``cls(...)``
-reach the class's ``__init__``, ``super().__init__(...)`` the base's, and
-``f(**options)`` of a dict built in the same function passes its keys), so
-an option reached only through a call the scan cannot name is listed in
-``ALLOWED`` with its reason. Run this file as a
-script to print the census.
+reach the class's ``__init__``, ``super().__init__(...)`` the base's,
+``f(**options)`` of a dict built in the same function passes its keys, and
+``f(**kwargs)`` of the calling function's own ``**kwargs`` passes on what its
+callers give it), so an option reached only through a call the scan cannot
+name is listed in ``ALLOWED`` with its reason.
+
+Tests check code; they do not keep it alive.  An option that only
+``tests/`` sets is retired (its default becomes the behaviour) unless
+``TESTS_ONLY`` declares it with one of the reasons in ``REASONS``.  Run
+this file as a script to print the census and, beside it, the name census
+of ``test_names.py``.
 """
 
 from __future__ import annotations
@@ -31,16 +37,85 @@ _SKIPPED_CONFIGS = {"ExperimentConfig"}
 
 # "module:qualname.param" -> why it stays although the scan finds no setter.
 # An allowed option counts as set for the calls that pass it on.
-_HIDDEN_STATES = (
-    "dynamic call site: the beam stepper passes it to TIGER.hidden_states(**kwargs), "
-    "which forwards it here"
-)
 ALLOWED = {
-    "src/repro/baselines/tiger:TIGER.decode_hidden.pad_columns": _HIDDEN_STATES,
-    "src/repro/baselines/tiger:TIGER.decode_hidden.last_only": _HIDDEN_STATES,
     "src/repro/baselines/tiger:TIGER.prefill_prompts.workspace": (
         "dynamic call site: decode_prefill calls an encoder-decoder scorer's "
         "prefill_prompts through getattr(model, 'prefill_prompts')"
+    ),
+}
+
+# Why a parameter, field or public name that only tests/ reaches may stay.
+REASONS = {
+    "a": "perf/ passes the keyword at its default or calls / wraps the name (perf/ is frozen)",
+    "b": "a reference oracle or composed reference that tests compare against",
+    "c": "the engine of a named ROADMAP item",
+    "d": "an entry point's injection seam",
+    "e": "a knob a test sets so a model builds at fixture size",
+    "f": "a counter or gauge tests assert on",
+}
+
+# "module:qualname.param" -> "(letter) why" for each option only tests set.
+TESTS_ONLY = {
+    "src/repro/__main__:main.argv": "(d) the CLI's argument list (tests/test_cli.py)",
+    "src/repro/baselines/dssm:DSSMConfig.dim": "(e) narrow DSSM towers",
+    "src/repro/baselines/p5cid:P5CIDConfig.cluster_levels": (
+        "(e) a collaborative index that fits the tiny catalog"
+    ),
+    "src/repro/baselines/p5cid:P5CIDConfig.branch": (
+        "(e) a collaborative index that fits the tiny catalog"
+    ),
+    "src/repro/baselines/s3rec:S3Rec.__init__.dropout": (
+        "(e) a dropout-free backbone, so two seeds' pretraining losses differ only "
+        "by their masks and batch order"
+    ),
+    "src/repro/baselines/tiger:TIGERConfig.dropout": "(e) dropout on the training tape",
+    "src/repro/baselines/tiger:TIGERConfig.max_history": "(e) short TIGER sources",
+    "src/repro/baselines/trainer:BaselineTrainerConfig.batch_size": (
+        "(e) ID-baseline minibatches that fit the tiny split"
+    ),
+    "src/repro/eval/significance:paired_bootstrap.metric": "(c) ROADMAP item 17's paired test",
+    "src/repro/eval/significance:paired_bootstrap.k": "(c) ROADMAP item 17's paired test",
+    "src/repro/eval/significance:paired_bootstrap.num_resamples": (
+        "(c) ROADMAP item 17's paired test"
+    ),
+    "src/repro/eval/significance:paired_bootstrap.rng": "(c) ROADMAP item 17's paired test",
+    "src/repro/experiments/runner:run_experiment.dataset": (
+        "(d) the harness's Python entry point takes a prebuilt dataset"
+    ),
+    "src/repro/experiments/runner:run_experiment.models": (
+        "(d) the harness's Python entry point takes prebuilt models"
+    ),
+    "src/repro/experiments/runner:run_experiment.write": (
+        "(d) the harness's Python entry point can skip its record file"
+    ),
+    "src/repro/llm/config:LMConfig.dropout": "(e) dropout on the training tape",
+    "src/repro/llm/generation:beam_search_items_single.beam_size": (
+        "(b) the dense single-request oracle at the width under test"
+    ),
+    "src/repro/llm/pretrain:PretrainConfig.seq_len": "(a) perf/fixture.py sets it at its default",
+    "src/repro/quantization/rqvae:RQVAEConfig.num_levels": (
+        "(a) perf/fixture.py sets it at its default"
+    ),
+    "src/repro/retrieval/hybrid:HybridRecommender.__init__.num_candidates": (
+        "(a) perf/workloads.py passes it at its default"
+    ),
+    "src/repro/retrieval/knn:ClusteredKNNConfig.n_clusters": (
+        "(e) a few clusters over a 40-item fixture"
+    ),
+    "src/repro/retrieval/knn:ClusteredKNNConfig.n_probe": (
+        "(e) a few clusters over a 40-item fixture, or all of them for exact search"
+    ),
+    "src/repro/retrieval/recommender:RetrievalRecommender.from_lcrec.config": (
+        "(e) the retrieval tier's KNN sized for a 40-item fixture"
+    ),
+    "src/repro/serving/cluster:ServingCluster.__init__.mode": (
+        "(a) perf/workloads.py passes it at its default"
+    ),
+    "src/repro/serving/service:RecommendationService.__init__.deadline_ms": (
+        "(c) ROADMAP item 12's light-load arm, where the flush deadline costs pure latency"
+    ),
+    "src/repro/serving/service:RecommendationService.__init__.queue_depth": (
+        "(c) ROADMAP item 12's overload policies"
     ),
 }
 
@@ -206,8 +281,14 @@ class _Setter:
 
 
 def _collect_setters(
-    path: Path, tree: ast.Module, classes: _Classes, positions: dict[str, dict[str, int]]
+    path: Path,
+    tree: ast.Module,
+    classes: _Classes,
+    positions: dict[str, dict[str, int]],
+    forwards: dict[str, set[str]],
 ) -> list[_Setter]:
+    """The setters in one file; ``forwards`` gains ``f -> callees`` for every
+    ``callee(**kwargs)`` of ``f``'s own ``**kwargs``."""
     source = path.relative_to(ROOT).parts[0]
     setters: list[_Setter] = []
 
@@ -273,7 +354,7 @@ def _collect_setters(
                 out += unpacked.get(kw.value.id, [])
         return out
 
-    def visit(node, cls_name, fn_defaults, unpacked):
+    def visit(node, cls_name, fn_defaults, unpacked, caller=None):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
                 visit(child, child.name, {}, {})
@@ -282,12 +363,20 @@ def _collect_setters(
                 owner_name = child.name
                 if child.name == "__init__" and cls_name is not None:
                     owner_name = cls_name
-                visit(child, cls_name, defaulted(child, owner_name), dict_keywords(child))
+                kwarg = child.args.kwarg.arg if child.args.kwarg else None
+                visit(child, cls_name, defaulted(child, owner_name), dict_keywords(child),
+                      (owner_name, kwarg))
                 continue
             if isinstance(child, ast.Call):
                 keywords = keywords_of(child, unpacked)
                 starred = any(isinstance(a, ast.Starred) for a in child.args)
+                forwarded = caller is not None and caller[1] is not None and any(
+                    kw.arg is None and isinstance(kw.value, ast.Name) and kw.value.id == caller[1]
+                    for kw in child.keywords
+                )
                 for owner in set(owners_of(child, cls_name)):
+                    if forwarded:
+                        forwards.setdefault(caller[0], set()).add(owner)
                     for kw in keywords:
                         add((owner, kw.arg), kw.value, fn_defaults)
                     for pos in positions.get(owner, {}).items():
@@ -305,7 +394,7 @@ def _collect_setters(
                         isinstance(target.value, ast.Name) and target.value.id == "self"
                     ):
                         add(("*field", target.attr), child.value, fn_defaults)
-            visit(child, cls_name, fn_defaults, unpacked)
+            visit(child, cls_name, fn_defaults, unpacked, caller)
 
     visit(tree, None, {}, {})
     return setters
@@ -329,11 +418,22 @@ def census() -> tuple:
     for opt in options:
         if opt.position is not None:
             positions.setdefault(opt.key[0], {})[opt.name] = opt.position
+    forwards: dict[str, set[str]] = {}
     setters = [
         s
         for path, tree in parsed.items()
-        for s in _collect_setters(path, tree, classes, positions)
+        for s in _collect_setters(path, tree, classes, positions, forwards)
     ]
+    # A keyword given to f reaches each callee of f(**kwargs), down the chain.
+    work = [(s, ()) for s in setters]
+    while work:
+        setter, seen = work.pop()
+        for target in forwards.get(setter.key[0], ()):
+            if target in seen:
+                continue
+            passed = _Setter((target, setter.key[1]), setter.value, setter.source, setter.passes_on)
+            setters.append(passed)
+            work.append((passed, seen + (setter.key[0],)))
     by_key: dict[tuple[str, str], list[_Setter]] = {}
     for s in setters:
         by_key.setdefault(s.key, []).append(s)
@@ -377,6 +477,15 @@ def unset_options():
     return sorted(opt.label for opt, dirs in census() if not dirs)
 
 
+def options_set_only_by_tests():
+    return sorted(opt.label for opt, dirs in census() if dirs == ["tests"])
+
+
+def has_reason(reason: str) -> bool:
+    """A reason names one letter of ``REASONS`` in parentheses, then says why."""
+    return len(reason) > 4 and reason[0] == "(" and reason[2] == ")" and reason[1] in REASONS
+
+
 def test_every_option_has_a_setter_or_a_reason():
     missing = [label for label in unset_options() if label not in ALLOWED]
     assert not missing, (
@@ -396,7 +505,30 @@ def test_allowlist_gives_reasons():
     assert all(reason.strip() for reason in ALLOWED.values())
 
 
+def test_every_tests_only_option_is_declared():
+    undeclared = [label for label in options_set_only_by_tests() if label not in TESTS_ONLY]
+    assert not undeclared, (
+        "options that only tests set: make each a constant with its default value "
+        "(and drop the tests of its other values), or add a TESTS_ONLY line with "
+        "its reason:\n" + "\n".join(undeclared)
+    )
+
+
+def test_tests_only_table_is_current():
+    tests_only = set(options_set_only_by_tests())
+    stale = sorted(label for label in TESTS_ONLY if label not in tests_only)
+    assert not stale, "TESTS_ONLY lines whose option is gone or set outside tests:\n" + "\n".join(
+        stale
+    )
+
+
+def test_tests_only_reasons_name_a_letter():
+    assert not [label for label, reason in TESTS_ONLY.items() if not has_reason(reason)]
+
+
 if __name__ == "__main__":
+    from test_names import print_name_census
+
     rows = census()
     params = [(o, d) for o, d in rows if not o.is_field]
     fields = [(o, d) for o, d in rows if o.is_field]
@@ -408,4 +540,5 @@ if __name__ == "__main__":
         for o in unset:
             print("  unset     ", o.label, "(allowed)" if o.label in ALLOWED else "")
         for o in tests_only:
-            print("  tests-only", o.label)
+            print("  tests-only", o.label, TESTS_ONLY.get(o.label, "(undeclared)")[:3])
+    print_name_census()

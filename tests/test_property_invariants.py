@@ -122,11 +122,9 @@ class TestLogprobConsistency:
         """logp(ab) = logp(a) + logp(b | prompt+a)."""
         model = make_model()
         prompt = [1, 2]
-        joint = sequence_logprob(model, prompt, [5, 6],
-                                 length_normalize=False)
-        first = sequence_logprob(model, prompt, [5], length_normalize=False)
-        second = sequence_logprob(model, prompt + [5], [6],
-                                  length_normalize=False)
+        joint = 2 * sequence_logprob(model, prompt, [5, 6])  # the mean over 2 tokens
+        first = sequence_logprob(model, prompt, [5])
+        second = sequence_logprob(model, prompt + [5], [6])
         assert joint == pytest.approx(first + second, abs=1e-4)
 
 
@@ -146,6 +144,7 @@ RETRIEVER = RetrievalRecommender(
     ClusteredKNNIndex(_RETRIEVAL_VECTORS, ClusteredKNNConfig(n_clusters=6, n_probe=2)),
     popularity=_RETRIEVAL_COUNTS,
 )
+FULL_PROBE = ClusteredKNNIndex(_RETRIEVAL_VECTORS, ClusteredKNNConfig(n_clusters=6, n_probe=6))
 
 
 class TestRetrievalInvariants:
@@ -180,6 +179,6 @@ class TestRetrievalInvariants:
            top_k=st.integers(min_value=1, max_value=48))
     def test_full_probe_always_matches_brute_force(self, seed, top_k):
         query = np.random.default_rng(seed).standard_normal(10).astype(np.float32)
-        exact = brute_force_topk(RETRIEVER.index.vectors, query, top_k)
-        got = RETRIEVER.index.search(query, top_k, n_probe=RETRIEVER.index.num_clusters)
+        exact = brute_force_topk(FULL_PROBE.vectors, query, top_k)
+        got = FULL_PROBE.search(query, top_k)
         assert got.tolist() == exact.tolist()

@@ -57,7 +57,7 @@ class TestItemIndexSet:
         index_set.register(tokenizer)
         for item in range(3):
             for token_id in index_set.token_ids(item, tokenizer):
-                assert tokenizer.vocab.is_extension_id(token_id)
+                assert token_id >= tokenizer.vocab.base_size
 
 
 class TestConflictCounting:
@@ -123,6 +123,15 @@ class TestUSMResolution:
         level_residuals = rng.standard_normal((10, 1, 4)).astype(np.float32)
         codebooks = [rng.standard_normal((4, 4)).astype(np.float32)]
         with pytest.raises(IndexConflictError):
+            resolve_conflicts_usm(codes, level_residuals, codebooks)
+
+    def test_exhausted_passes_raise_conflict_error(self):
+        # 5 items over a 2-level x 2-code space (4 sequences): no pass count helps.
+        codes = np.zeros((5, 2), dtype=np.int64)
+        rng = np.random.default_rng(0)
+        level_residuals = rng.standard_normal((5, 2, 4)).astype(np.float32)
+        codebooks = [rng.standard_normal((2, 4)).astype(np.float32) for _ in range(2)]
+        with pytest.raises(IndexConflictError, match="still conflict after 10 passes"):
             resolve_conflicts_usm(codes, level_residuals, codebooks)
 
     def test_keeps_nonconflicting_assignments(self):

@@ -13,13 +13,13 @@ class TestSinkhornKnopp:
     def test_marginals_uniform(self):
         rng = np.random.default_rng(0)
         cost = rng.random((12, 4))
-        plan = sinkhorn_knopp(cost, epsilon=0.1, num_iters=300)
+        plan = sinkhorn_knopp(cost, num_iters=300)
         np.testing.assert_allclose(plan.sum(axis=1), 1 / 12, atol=1e-4)
         np.testing.assert_allclose(plan.sum(axis=0), 1 / 4, atol=1e-3)
 
     def test_low_epsilon_prefers_cheap_cells(self):
         cost = np.array([[0.0, 10.0], [10.0, 0.0]])
-        plan = sinkhorn_knopp(cost, epsilon=0.01)
+        plan = sinkhorn_knopp(cost)
         assert plan[0, 0] > plan[0, 1]
         assert plan[1, 1] > plan[1, 0]
 
@@ -31,14 +31,14 @@ class TestSinkhornKnopp:
 
     def test_handles_large_costs(self):
         cost = np.full((6, 3), 1e6)
-        plan = sinkhorn_knopp(cost, epsilon=0.05)
+        plan = sinkhorn_knopp(cost)
         assert np.isfinite(plan).all()
 
     @given(arrays(np.float64, (8, 4),
                   elements=st.floats(0, 100, allow_nan=False)))
     @settings(max_examples=30, deadline=None)
     def test_plan_is_distribution(self, cost):
-        plan = sinkhorn_knopp(cost, epsilon=0.1, num_iters=200)
+        plan = sinkhorn_knopp(cost, num_iters=200)
         assert (plan >= 0).all()
         np.testing.assert_allclose(plan.sum(), 1.0, atol=1e-3)
 

@@ -108,11 +108,12 @@ class TestClusteredKNNParity:
     @pytest.mark.parametrize("n_clusters", [2, 5, 16])
     def test_full_probe_matches_brute_force(self, vectors, n_clusters):
         """Probing every cluster covers the whole catalog: exact again."""
-        index = ClusteredKNNIndex(vectors, ClusteredKNNConfig(n_clusters=n_clusters))
+        config = ClusteredKNNConfig(n_clusters=n_clusters, n_probe=n_clusters)
+        index = ClusteredKNNIndex(vectors, config)
         queries = np.random.default_rng(11).standard_normal((10, vectors.shape[1]))
         for query in queries.astype(np.float32):
             exact = brute_force_topk(index.vectors, query, 10)
-            got = index.search(query, 10, n_probe=index.num_clusters)
+            got = index.search(query, 10)
             assert got.tolist() == exact.tolist()
 
     def test_seeded_build_is_deterministic(self, vectors):

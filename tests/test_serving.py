@@ -52,19 +52,19 @@ class TestRequestQueue:
 
 class TestMicroBatcher:
     def test_respects_max_batch_size(self):
-        config = MicroBatcherConfig(max_batch_size=4, bucket_width=100)
+        config = MicroBatcherConfig(max_batch_size=4)
         batches = plan_batches([request(5) for _ in range(10)], config)
         assert [len(b) for b in batches] == [4, 4, 2]
 
     def test_buckets_by_length(self):
-        config = MicroBatcherConfig(max_batch_size=64, bucket_width=2)
-        requests = [request(n) for n in (3, 10, 4, 11, 5, 30)]
+        config = MicroBatcherConfig(max_batch_size=64)  # bucket_width 16
+        requests = [request(n) for n in (3, 20, 4, 21, 5, 40)]
         batches = plan_batches(requests, config)
         assert [sorted(r.prompt_len for r in b) for b in batches] \
-            == [[3, 4, 5], [10, 11], [30]]
+            == [[3, 4, 5], [20, 21], [40]]
 
     def test_nothing_dropped_or_duplicated(self):
-        config = MicroBatcherConfig(max_batch_size=3, bucket_width=4)
+        config = MicroBatcherConfig(max_batch_size=3)
         requests = [request(n) for n in (9, 1, 5, 5, 2, 8, 7, 3)]
         batches = plan_batches(requests, config)
         flat = [r.request_id for b in batches for r in b]
@@ -72,7 +72,7 @@ class TestMicroBatcher:
 
     def test_never_mixes_beam_widths(self):
         """Beam width changes rankings, so co-batching must not mix it."""
-        config = MicroBatcherConfig(max_batch_size=64, bucket_width=100)
+        config = MicroBatcherConfig(max_batch_size=64)
         requests = [request(5, beam_size=b) for b in (10, 50, 10, 50, 10)]
         batches = plan_batches(requests, config)
         assert sorted(len(b) for b in batches) == [2, 3]
@@ -80,11 +80,11 @@ class TestMicroBatcher:
             assert len({r.beam_size for r in batch}) == 1
 
     def test_width_bounds_padding_within_batch(self):
-        config = MicroBatcherConfig(max_batch_size=64, bucket_width=2)
-        requests = [request(n) for n in (3, 9, 4, 8, 5, 10)]
+        config = MicroBatcherConfig(max_batch_size=64)
+        requests = [request(n) for n in (3, 30, 4, 28, 5, 40)]
         for batch in plan_batches(requests, config):
             lengths = [r.prompt_len for r in batch]
-            assert max(lengths) - min(lengths) <= 2
+            assert max(lengths) - min(lengths) <= MicroBatcherConfig.bucket_width
 
     def test_distinct_leading_tokens_do_not_fragment_batches(self):
         """The TIGER shape: every history starts with another item, lengths
@@ -114,11 +114,11 @@ class TestMicroBatcher:
     @given(
         shapes=st.lists(st.tuples(st.integers(1, 60), st.sampled_from([5, 10, 20])), max_size=40),
         max_batch_size=st.integers(1, 8),
-        bucket_width=st.integers(0, 20),
     )
-    def test_plan_properties(self, shapes, max_batch_size, bucket_width):
+    def test_plan_properties(self, shapes, max_batch_size):
         requests = [request(length, beam_size=beam) for length, beam in shapes]
-        config = MicroBatcherConfig(max_batch_size=max_batch_size, bucket_width=bucket_width)
+        config = MicroBatcherConfig(max_batch_size=max_batch_size)
+        bucket_width = config.bucket_width
         batches = plan_batches(requests, config)
         flat = [r.request_id for b in batches for r in b]
         assert sorted(flat) == sorted(r.request_id for r in requests)  # once each
@@ -141,8 +141,6 @@ class TestMicroBatcher:
     def test_config_validated(self):
         with pytest.raises(ValueError):
             plan_batches([request(2)], MicroBatcherConfig(max_batch_size=0))
-        with pytest.raises(ValueError):
-            plan_batches([request(2)], MicroBatcherConfig(bucket_width=-1))
 
     def test_padding_fraction(self):
         batch = [request(2), request(4)]
@@ -263,11 +261,12 @@ class TestRecommendationService:
         must be computed over those effective widths, not raw prompts."""
         service = RecommendationService(
             LCRecEngine(tiny_lcrec),
-            batcher=MicroBatcherConfig(max_batch_size=4, bucket_width=10_000))
+            batcher=MicroBatcherConfig(max_batch_size=4))
         history = list(tiny_dataset.split.test_histories[0])
-        grown = history + [tiny_dataset.split.test_targets[0]]
         base_instr = tiny_lcrec.seq_instruction(history)
-        grown_instr = tiny_lcrec.seq_instruction(grown)
+        # The same prompt with a few more tokens: a suffix within one length bucket.
+        target = tiny_dataset.split.test_targets[0]
+        grown_instr = base_instr + " " + tiny_lcrec.index_set.index_text(target)
         # A returning user's turn: keyed, so its prompt K/V is stored whole.
         service.submit_instruction(base_instr, top_k=3, session_key="user")
         service.flush()  # warms the prefix cache with the base prompt
@@ -281,6 +280,7 @@ class TestRecommendationService:
             cached = service.prefix_cache.probe(ids, max_len=len(ids) - 1)
             effective[instruction] = len(ids) - cached
         assert effective[base_instr] == 1  # exact repeat: 1-token suffix
+        assert effective[grown_instr] - 1 <= MicroBatcherConfig.bucket_width
 
         pending = [service.submit_instruction(i, top_k=3)
                    for i in (base_instr, grown_instr)]

@@ -558,7 +558,7 @@ class TestOneTick:
         engine = Poisoned(tiny_lcrec, stage)
         service = RecommendationService(
             engine,
-            batcher=MicroBatcherConfig(max_batch_size=2, bucket_width=10_000),
+            batcher=MicroBatcherConfig(max_batch_size=2),
             deadline_ms=5.0,
             mode="continuous" if driver == "continuous" else "deadline")
         failed = set()

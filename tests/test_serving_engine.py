@@ -25,7 +25,13 @@ from repro.baselines import P5CID, P5CIDConfig, TIGER, TIGERConfig
 from repro.core.indexer import build_random_index_set
 from test_live_width import narrowed_recommend
 
-from repro.llm import DecodeState, beam_search_items_single, decode_prefill, ranked_item_ids
+from repro.llm import (
+    DecodeState,
+    backfill_items,
+    beam_search_items_single,
+    decode_prefill,
+    ranked_item_ids,
+)
 from repro.quantization import ItemIndexSet
 from repro.serving import (
     GenerativeEngine,
@@ -459,7 +465,7 @@ class TestTIGEROnTheSharedStepper:
         finalize = engine.finalize
         engine.finalize = lambda reqs, hyps: finalized.append(len(reqs)) or finalize(reqs, hyps)
         service = RecommendationService(
-            engine, batcher=MicroBatcherConfig(max_batch_size=4, bucket_width=10_000))
+            engine, batcher=MicroBatcherConfig(max_batch_size=4))
         normal = [service.submit(h, top_k=2) for h in histories[:3]]
         short = service.submit(histories[3], top_k=5)
         assert service.flush() == 4
@@ -500,7 +506,30 @@ class TestTIGEROnTheSharedStepper:
             assert (state.workspace.num_buffers, state.workspace.nbytes) == (buffers, nbytes)
 
 
+def p5cid_oracle(model, history, top_k):
+    """P5-CID's ranking rebuilt from the dense single-request search: beam
+    ``max(beam_size, top_k)``, one widen to the catalog when the ranking is
+    short, then the smallest unused ids.  The engine caps every beam at the
+    LM vocabulary as well (14 tokens on this fixture), so the oracle does."""
+    num_items = model.trie.num_items
+    cap = min(num_items, model.lm.vocab_size)
+    prompt = P5CIDEngine(model).encode_history(history)
+    beam = max(model.config.beam_size, top_k)
+    hypotheses = beam_search_items_single(model.lm, prompt, model.trie, min(beam, cap))
+    ranked = ranked_item_ids(hypotheses, top_k)
+    if len(ranked) < min(top_k, num_items) and beam < num_items:
+        widened = beam_search_items_single(model.lm, prompt, model.trie, cap)
+        ranked = ranked_item_ids(widened, top_k)
+    return backfill_items(ranked, top_k, num_items)
+
+
 class TestP5CIDEngine:
+    @pytest.mark.parametrize("top_k", [1, 5, 20, 43])
+    def test_matches_the_single_request_oracle(self, p5cid, tiny_dataset, top_k):
+        histories = [list(h) for h in tiny_dataset.split.test_histories[:8]]
+        expected = [p5cid_oracle(p5cid, h, top_k) for h in histories]
+        assert P5CIDEngine(p5cid).recommend_many(histories, top_k=top_k) == expected
+
     def test_capability_flags(self, p5cid):
         engine = P5CIDEngine(p5cid)
         assert engine.supports_narrowing

@@ -58,13 +58,11 @@ class StubHybrid:
 
 
 def make_client(kind, model, *, fallback=False, hybrid=False, max_backlog=None):
-    options = dict(
-        batcher=BATCHER,
-        fallback=StubFallback() if fallback else None,
-        hybrid=StubHybrid() if hybrid else None,
-    )
+    options = dict(batcher=BATCHER, fallback=StubFallback() if fallback else None)
     if kind == "service":
-        return RecommendationService(LCRecEngine(model), **options)
+        hybrid = StubHybrid() if hybrid else None
+        return RecommendationService(LCRecEngine(model), hybrid=hybrid, **options)
+    assert not hybrid, "a cluster has no hybrid lane"
     return ServingCluster(LCRecEngine(model), num_workers=1, max_backlog=max_backlog, **options)
 
 
@@ -170,7 +168,7 @@ MATRIX = [
     (kind, case)
     for case in CASES
     for kind in ("service", "cluster")
-    if kind == "cluster" or not case.startswith("front_door")
+    if not case.startswith("front_door" if kind == "service" else "hybrid")
 ]
 
 
@@ -223,6 +221,8 @@ class TestArgumentsCheckedBeforeAnyLane:
         )
         for kind in ("service", "cluster"):
             for options, submitted in lanes:
+                if kind == "cluster" and options.get("hybrid"):
+                    continue
                 client = make_client(kind, tiny_lcrec, **options)
                 with pytest.raises(ValueError, match="template_id"):
                     client.submit(submitted, top_k=TOP_K, template_id=template_id)
@@ -231,9 +231,7 @@ class TestArgumentsCheckedBeforeAnyLane:
                 if kind == "cluster":
                     assert client.stats.submitted == 0 and not client.stats.per_worker
         with pytest.raises(ValueError, match="template_id"):
-            LCRecEngine(tiny_lcrec).recommend_many([history], top_k=TOP_K, template_id=template_id)
-        with pytest.raises(ValueError, match="template_id"):
-            tiny_lcrec.recommend(history, top_k=TOP_K, template_id=template_id)
+            LCRecEngine(tiny_lcrec).encode_history(history, template_id)
 
     @pytest.mark.parametrize("deadline_ms", [0.0, -1.0, float("inf"), float("nan")])
     def test_cold_start_lane(self, tiny_lcrec, deadline_ms):
@@ -245,12 +243,11 @@ class TestArgumentsCheckedBeforeAnyLane:
 
     def test_hybrid_lane(self, tiny_lcrec, tiny_dataset):
         history = list(tiny_dataset.split.test_histories[0])
-        for kind in ("service", "cluster"):
-            client = make_client(kind, tiny_lcrec, hybrid=True)
-            for submitted in ([], history):
-                with pytest.raises(ValueError, match="deadline_ms"):
-                    client.submit(submitted, top_k=TOP_K, deadline_ms=0.0)
-            assert the_service(client).stats.hybrid_retrieval == 0
+        service = make_client("service", tiny_lcrec, hybrid=True)
+        for submitted in ([], history):
+            with pytest.raises(ValueError, match="deadline_ms"):
+                service.submit(submitted, top_k=TOP_K, deadline_ms=0.0)
+        assert service.stats.hybrid_retrieval == 0
 
     def test_saturated_front_door(self, tiny_lcrec, tiny_dataset):
         history = list(tiny_dataset.split.test_histories[0])

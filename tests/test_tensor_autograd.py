@@ -149,15 +149,6 @@ class TestFusedOps:
     def test_softmax(self):
         check_gradient(lambda x: F.softmax(x).log(), rand(3, 5) * 0.5)
 
-    def test_log_softmax(self):
-        check_gradient(lambda x: F.log_softmax(x), rand(3, 5))
-
-    def test_logsumexp(self):
-        check_gradient(lambda x: F.logsumexp(x, axis=-1), rand(3, 5))
-
-    def test_logsumexp_keepdims(self):
-        check_gradient(lambda x: F.logsumexp(x, axis=1, keepdims=True), rand(3, 5))
-
     def test_cross_entropy(self):
         targets = np.array([0, 2, 1])
         check_gradient(lambda x: F.cross_entropy(x, targets), rand(3, 4))
@@ -270,11 +261,6 @@ class TestGraphMechanics:
         x = Tensor(rand(2, 2))
         with pytest.raises(RuntimeError):
             x.sum().backward()
-
-    def test_detach_cuts_graph(self):
-        x = Tensor(rand(2, 2), requires_grad=True)
-        y = (x * 2.0).detach() * 3.0
-        assert not y.requires_grad
 
     def test_diamond_graph(self):
         x = Tensor(np.array([3.0], dtype=np.float32), requires_grad=True)

@@ -34,7 +34,7 @@ from repro.llm import (
     pretrain_lm,
 )
 from repro.quantization import RQVAE, RQVAEConfig, RQVAETrainer, RQVAETrainerConfig
-from repro.tensor import SGD, Linear, Tensor, train_epochs
+from repro.tensor import Adam, Linear, Tensor, train_epochs
 from repro.text import WordTokenizer
 
 
@@ -126,7 +126,7 @@ def test_fit_ends_without_gradients_in_eval_mode(tiny_dataset, site):
 class TestTrainEpochs:
     def test_means_per_epoch_and_schedule_counts_steps_across_epochs(self):
         model = Linear(2, 1, rng=np.random.default_rng(0))
-        optimizer = SGD(model.parameters(), lr=0.1)
+        optimizer = Adam(model.parameters(), lr=0.1)
         seen = []
 
         class Recorder:
@@ -152,7 +152,7 @@ class TestTrainEpochs:
 
         with pytest.raises(ValueError, match="log_every must be >= 1, got 0"):
             train_epochs(
-                model, SGD(model.parameters(), lr=0.1), [[np.ones((1, 2))]], loss,
+                model, Adam(model.parameters(), lr=0.1), [[np.ones((1, 2))]], loss,
                 name="t", log_every=0,
             )
         assert calls == []
@@ -160,7 +160,7 @@ class TestTrainEpochs:
     @pytest.mark.parametrize("clip_norm", [None, 1.0])
     def test_a_non_finite_loss_raises_before_the_step_moves_the_weights(self, clip_norm):
         model = Linear(2, 1, rng=np.random.default_rng(0))
-        optimizer = SGD(model.parameters(), lr=0.1)
+        optimizer = Adam(model.parameters(), lr=0.1)
         batches = [np.ones((1, 2)), np.ones((1, 2)), np.array([[np.nan, 1.0]]), np.ones((1, 2))]
         seen = []
 
@@ -183,7 +183,7 @@ class TestTrainEpochs:
 
     def test_a_non_finite_gradient_norm_raises_before_the_step(self):
         model = Linear(2, 1, rng=np.random.default_rng(0))
-        optimizer = SGD(model.parameters(), lr=0.1)
+        optimizer = Adam(model.parameters(), lr=0.1)
         before = {k: v.tobytes() for k, v in model.state_dict().items()}
 
         def loss(batch):
