@@ -4,12 +4,12 @@
 A serving experiment is one skeleton — build a model, shape some traffic,
 drive the serving client, assert, report — factored into three pieces:
 
-* :class:`ExperimentConfig` (``config``) — the declarative input: seeds,
-  backends, scenarios, metric/cutoff lists, scale, expectations.  Loads
+* :class:`ExperimentConfig` (``config``) — the declarative input: seed,
+  backends, scenarios, the HR/NDCG cutoffs, scale, expectations.  Loads
   from dicts or JSON files.
 * the scenario matrix (``scenarios``) — deterministic workload
-  generators (cold-start, long-history, session-refresh, catalog-churn,
-  burst-overload, mixed-fleet, …) compiled into event plans any backend
+  generators (steady-state, cold-start, session-refresh, catalog-churn,
+  burst-overload, mixed-fleet) compiled into event plans any backend
   can replay.
 * :class:`ExperimentRunner` (``runner``) — builds each backend once,
   runs every cell through the one :class:`repro.serving.RecommendationClient`

@@ -1,10 +1,10 @@
 """Declarative experiment configuration: one dict/JSON → one reproducible run.
 
 An :class:`ExperimentConfig` is the single declaration the harness needs:
-*what* to measure (backends × scenarios, metric/cutoff lists), *at which
-size* (dataset preset and :class:`repro.bench.BenchScale` name — settable
-here programmatically, with the ``REPRO_SCALE`` environment variable only
-as the fallback), and *under which identity* (seed, run id).  Everything
+*what* to measure (backends × scenarios, and the cutoffs HR and NDCG are
+read at), *at which size* (dataset preset and :class:`repro.bench.BenchScale`
+name — settable here programmatically, with the ``REPRO_SCALE`` environment
+variable only as the fallback), and *under which seed*.  Everything
 downstream — workload generation, serving wiring, metric computation and
 the JSON record — is a pure function of this object, which is what makes
 two runs of the same config at the same seed emit identical records.
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 __all__ = [
@@ -30,15 +30,10 @@ __all__ = [
     "ScenarioSpec",
 ]
 
-KNOWN_METRICS = ("hr", "ndcg")
-
 _EXPECT_OPS = {
     "gt": lambda a, b: a > b,
     "ge": lambda a, b: a >= b,
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
     "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
 }
 
 
@@ -59,10 +54,17 @@ def _require_type(value, types, what: str):
     return value
 
 
+def _require_int(value, what: str, minimum: int) -> int:
+    """``value`` if it is an int (a bool is not one) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ExperimentConfigError(f"{what} must be an int >= {minimum}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Expectation:
     """One per-cell assertion: ``metric`` (dotted path into the record)
-    compared against ``value`` with ``op`` (gt/ge/lt/le/eq/ne).
+    compared against ``value`` with ``op`` (gt/ge/eq).
 
     This is how a scenario keeps its assertions: the harness evaluates
     every expectation against the finished cell record, writes the
@@ -192,21 +194,6 @@ class BackendSpec:
         return {"name": self.name, **label, **self.params}
 
 
-_TOP_LEVEL_KEYS = {
-    "name",
-    "seed",
-    "preset",
-    "scale",
-    "backends",
-    "scenarios",
-    "metrics",
-    "cutoffs",
-    "top_k",
-    "num_workers",
-    "run_id",
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """The full declaration of one experiment run.
@@ -224,11 +211,8 @@ class ExperimentConfig:
     seed: int = 0
     preset: str = "instruments"
     scale: str | None = None
-    metrics: tuple[str, ...] = ("hr", "ndcg")
     cutoffs: tuple[int, ...] = (5, 10)
-    top_k: int = 10
     num_workers: int = 2
-    run_id: str | None = None
 
     # ------------------------------------------------------------------
     # Loading
@@ -236,11 +220,11 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: Mapping) -> "ExperimentConfig":
         _require_type(raw, dict, "experiment config")
-        unknown = set(raw) - _TOP_LEVEL_KEYS
+        allowed = {config_field.name for config_field in fields(cls)}
+        unknown = set(raw) - allowed
         if unknown:
             raise ExperimentConfigError(
-                f"unknown config keys {sorted(unknown)}; "
-                f"allowed: {sorted(_TOP_LEVEL_KEYS)}"
+                f"unknown config keys {sorted(unknown)}; allowed: {sorted(allowed)}"
             )
         for key in ("name", "backends", "scenarios"):
             if key not in raw:
@@ -274,20 +258,10 @@ class ExperimentConfig:
                 f"scenario labels must be unique, got {labels}; "
                 "give repeated kinds an explicit 'label'"
             )
-        metrics = tuple(
-            _require_type(m, str, "metrics entry").lower()
-            for m in _require_type(raw.get("metrics", list(cls.metrics)), list, "metrics")
-        )
-        for metric in metrics:
-            if metric not in KNOWN_METRICS:
-                raise ExperimentConfigError(
-                    f"unknown metric {metric!r}; one of {sorted(KNOWN_METRICS)}"
-                )
-        cutoffs = tuple(
-            _require_type(k, int, "cutoffs entry")
-            for k in _require_type(raw.get("cutoffs", list(cls.cutoffs)), list, "cutoffs")
-        )
-        if not cutoffs or any(k < 1 for k in cutoffs):
+        cutoffs = _require_type(raw.get("cutoffs", list(cls.cutoffs)), list, "cutoffs")
+        if not cutoffs or any(
+            isinstance(k, bool) or not isinstance(k, int) or k < 1 for k in cutoffs
+        ):
             raise ExperimentConfigError(f"cutoffs must be positive ints, got {cutoffs}")
         scale = raw.get("scale")
         if scale is not None:
@@ -303,26 +277,16 @@ class ExperimentConfig:
 
         if preset not in PRESETS:
             raise ExperimentConfigError(f"unknown preset {preset!r}; one of {sorted(PRESETS)}")
-        config = cls(
+        return cls(
             name=name,
             backends=backends,
             scenarios=scenarios,
-            seed=_require_type(raw.get("seed", cls.seed), int, "seed"),
+            seed=_require_int(raw.get("seed", cls.seed), "seed", 0),
             preset=preset,
             scale=scale,
-            metrics=metrics,
-            cutoffs=cutoffs,
-            top_k=_require_type(raw.get("top_k", cls.top_k), int, "top_k"),
-            num_workers=_require_type(raw.get("num_workers", cls.num_workers), int, "num_workers"),
-            run_id=_require_type(raw.get("run_id"), (str, type(None)), "run_id"),
+            cutoffs=tuple(cutoffs),
+            num_workers=_require_int(raw.get("num_workers", cls.num_workers), "num_workers", 1),
         )
-        if config.top_k < 1:
-            raise ExperimentConfigError(f"top_k must be positive, got {config.top_k}")
-        if config.num_workers < 1:
-            raise ExperimentConfigError(
-                f"num_workers must be positive, got {config.num_workers}"
-            )
-        return config
 
     @classmethod
     def from_file(cls, path: str | pathlib.Path) -> "ExperimentConfig":
@@ -345,22 +309,15 @@ class ExperimentConfig:
             "scale": self.scale,
             "backends": [spec.to_dict() for spec in self.backends],
             "scenarios": [spec.to_dict() for spec in self.scenarios],
-            "metrics": list(self.metrics),
             "cutoffs": list(self.cutoffs),
-            "top_k": self.top_k,
             "num_workers": self.num_workers,
-            "run_id": self.run_id,
         }
 
     def metric_keys(self) -> list[str]:
-        """The quality-metric labels, e.g. ``["HR@5", "NDCG@10"]``."""
-        keys = []
-        for metric in self.metrics:
-            for cutoff in self.cutoffs:
-                if metric == "ndcg" and cutoff <= 1:
-                    continue  # NDCG@1 degenerates to HR@1
-                keys.append(f"{metric.upper()}@{cutoff}")
-        return keys
+        """The quality-metric labels, HR at every cutoff then NDCG, e.g.
+        ``["HR@5", "HR@10", "NDCG@5", "NDCG@10"]``; NDCG@1 degenerates to
+        HR@1 and is left out."""
+        return [f"HR@{k}" for k in self.cutoffs] + [f"NDCG@{k}" for k in self.cutoffs if k > 1]
 
 
 def cell_name(scenario: ScenarioSpec | str, backend: BackendSpec | str) -> str:

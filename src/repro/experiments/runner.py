@@ -81,6 +81,7 @@ __all__ = [
 
 _RESULT_TIMEOUT_S = 300.0
 _CACHE_ENTRIES = 32
+_TOP_K = 10  # the ranking length every cell asks for
 
 
 class ExperimentError(RuntimeError):
@@ -90,16 +91,17 @@ class ExperimentError(RuntimeError):
 # ----------------------------------------------------------------------
 # Backends
 # ----------------------------------------------------------------------
-# Parameter name → ``int`` or the allowed values (``tasks``: a non-empty
-# list of distinct ones).  ``epochs``/``dim`` reach the model builder.
+# Parameter name → ``int`` or the allowed values, the default first
+# (``tasks``: a non-empty list of distinct ones, default ``["seq"]``).
+# ``epochs`` reaches the model builder.
 _ENGINE_BACKENDS = {
     "lcrec": {
         "tasks": ALL_TASKS,
         "index_source": ("semantic", "vanilla", "random"),
         "indexing_strategy": ("usm", "extra_level"),
     },
-    "tiger": {"epochs": int, "dim": int, "index_source": ("random", "semantic")},
-    "p5cid": {"epochs": int, "dim": int},
+    "tiger": {"epochs": int, "index_source": ("random", "semantic")},
+    "p5cid": {"epochs": int},
 }
 # The ID baselines of Table III, by lower-cased paper name.  They rank
 # offline through ``score_all``, so only ``steady_state`` cells run them.
@@ -110,7 +112,6 @@ _BACKEND_PARAMS = {**_ENGINE_BACKENDS, **{name: {} for name in _SCORE_BACKENDS}}
 _REQUIREMENTS = {
     "engine": "a serving engine",
     "rqvae": "an RQ-VAE-indexed backend",
-    "language": "intention/instruction encoding",
     "templates": "several prompt templates",
 }
 
@@ -194,7 +195,7 @@ class _BackendRuntime:
         if getattr(self.model, "rqvae", None) is not None:
             offered.add("rqvae")
         if self.name == "lcrec":
-            offered |= {"language", "templates"}
+            offered.add("templates")
         return offered
 
     def make_engine(self, prefix_cache: bool):
@@ -243,7 +244,7 @@ def _build_backend(spec, dataset, scale, seed: int, pretrained, model=None) -> _
             model = TIGER(
                 index_set,
                 TIGERConfig(
-                    dim=params.get("dim", 48),
+                    dim=48,
                     epochs=params.get("epochs", scale.epochs(6, minimum=2)),
                     seed=seed,
                 ),
@@ -255,7 +256,7 @@ def _build_backend(spec, dataset, scale, seed: int, pretrained, model=None) -> _
             model = P5CID(
                 dataset,
                 P5CIDConfig(
-                    dim=params.get("dim", 48),
+                    dim=48,
                     epochs=params.get("epochs", scale.epochs(6, minimum=2)),
                     seed=seed,
                 ),
@@ -373,7 +374,13 @@ class ExperimentRunner:
         submitted: list[tuple[SubmitEvent, object]] = []
         for event in plan.events:
             if isinstance(event, SubmitEvent):
-                submitted.append((event, self._submit(client, event)))
+                handle = client.submit(
+                    list(event.history),
+                    top_k=_TOP_K,
+                    template_id=event.template_id,
+                    session_key=event.session,
+                )
+                submitted.append((event, handle))
             elif isinstance(event, BarrierEvent):
                 client.flush()
             elif isinstance(event, IngestEvent):
@@ -395,27 +402,11 @@ class ExperimentRunner:
             )
         return outcomes
 
-    def _submit(self, client, event: SubmitEvent):
-        if event.kind == "intention":
-            return client.submit_intention(
-                event.text, top_k=self.config.top_k, session_key=event.session
-            )
-        if event.kind == "instruction":
-            return client.submit_instruction(
-                event.text, top_k=self.config.top_k, session_key=event.session
-            )
-        return client.submit(
-            list(event.history),
-            top_k=self.config.top_k,
-            template_id=event.template_id,
-            session_key=event.session,
-        )
-
     def _rank_offline(self, plan: ScenarioPlan, model) -> list[dict]:
         """A score model's outcomes: every submit ranked by ``score_all``."""
         events = [event for event in plan.events if isinstance(event, SubmitEvent)]
         scores = model.score_all([list(event.history) for event in events])
-        rankings = rankings_from_scores(scores, self.config.top_k)
+        rankings = rankings_from_scores(scores, _TOP_K)
         return [
             {"event": event, "ranking": ranking, "degraded_reason": None}
             for event, ranking in zip(events, rankings)
@@ -425,10 +416,9 @@ class ExperimentRunner:
     def _quality(self, outcomes: list[dict]) -> dict:
         rankings, targets = [], []
         for outcome in outcomes:
-            event = outcome["event"]
-            if outcome["ranking"] is not None and event.target is not None:
+            if outcome["ranking"] is not None:
                 rankings.append(outcome["ranking"])
-                targets.append(event.target)
+                targets.append(outcome["event"].target)
         quality: dict = {"evaluated": len(rankings)}
         for key in self.config.metric_keys():
             metric, cutoff = key.split("@")
@@ -544,7 +534,7 @@ class ExperimentRunner:
         """
         records, failed = [], []
         for scenario_index, (spec, backend_spec) in enumerate(ordered_cells(self.config)):
-            rng = np.random.default_rng([max(self.config.seed, 0), scenario_index])
+            rng = np.random.default_rng([self.config.seed, scenario_index])
             record = self._run_cell(spec, backend_spec, rng)
             records.append(record)
             failed.extend(record.get("expectations", {}).get("failed", []))

@@ -26,13 +26,9 @@ Scenario kinds and their parameters (defaults in parentheses):
     the paper tables' cell: ``templates: 3`` is Table III's
     template-averaged protocol (LC-Rec only).
 ``cold_start``
-    Histories truncated to ``prefix_len`` (2) items, every
-    ``1/empty_fraction`` (0.25) request fully emptied — the cluster's
-    cold-start lane and the fallback's popularity ranking carry those.
-    ``requests`` (24).
-``long_history``
-    The users with the longest histories, longest first — the padding /
-    bucketing stress case.  ``requests`` (16).
+    Histories truncated to their last 2 items, every 4th request fully
+    emptied — the cluster's cold-start lane and the fallback's popularity
+    ranking carry those.  ``requests`` (24).
 ``session_refresh``
     ``sessions`` (6) users each re-requesting ``refresh`` (4) times
     under one session key, one flush barrier per round — the affinity +
@@ -53,15 +49,6 @@ Scenario kinds and their parameters (defaults in parentheses):
     Every configured backend behind one :class:`ServingCluster` (the
     cell's backend on worker 0, the rest cycling), affinity-routed.
     ``requests`` (24).
-``intention_traffic``
-    Sequential submits with every ``intention_every`` (2)-th request an
-    intention query (``submit_intention`` with deterministic free text
-    anchored on the user's last item).  Language engines only — other
-    backends record an unsupported cell.  ``requests`` (16).
-``instruction_traffic``
-    Every request an already-rendered instruction (``submit_instruction``)
-    paraphrasing the sequential task from the last ``history_tail`` (5)
-    items.  Language engines only.  ``requests`` (16).
 """
 
 from __future__ import annotations
@@ -69,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
-from .config import ExperimentConfigError
+from .config import ExperimentConfigError, _require_int
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..bench import BenchScale
@@ -89,20 +76,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SubmitEvent:
-    """One recommendation request: who asks, with what history, and the
-    held-out target (``None`` when the request has no quality label).
-
-    ``kind`` selects the client surface: ``"seq"`` submits the history
-    under prompt template ``template_id``, ``"intention"``/``"instruction"``
-    submit ``text`` through ``submit_intention``/``submit_instruction``
-    (language engines only — the plan carries ``requires=("language",)``
-    in that case)."""
+    """One recommendation request: who asks, with what history under which
+    prompt template, and the held-out target the ranking is scored against."""
 
     session: str
     history: tuple[int, ...]
-    target: int | None
-    kind: str = "seq"
-    text: str | None = None
+    target: int
     template_id: int = 0
 
 
@@ -185,47 +164,27 @@ def _plan_steady_state(dataset, scale, config, spec) -> ScenarioPlan:
     )
 
 
+_COLD_PREFIX_LEN = 2  # the items a cold-start history keeps
+_COLD_EMPTY_EVERY = 4  # every 4th cold-start history is emptied
+
+
 def _plan_cold_start(dataset, scale, config, spec) -> ScenarioPlan:
     pairs = _eval_pairs(dataset, scale)
     requests = _param(spec, "requests")
-    prefix_len = _param(spec, "prefix_len")
-    empty_fraction = _param(spec, "empty_fraction")
-    stride = int(round(1.0 / empty_fraction)) if empty_fraction > 0 else 0
     events = []
-    empty = 0
     for i in range(requests):
         history, target = pairs[i % len(pairs)]
-        # prefix_len 0 empties every history (``history[-0:]`` would keep it whole).
-        if not prefix_len or (stride and i % stride == 0):
-            history, empty = (), empty + 1
-        else:
-            history = history[-prefix_len:]
+        history = () if i % _COLD_EMPTY_EVERY == 0 else history[-_COLD_PREFIX_LEN:]
         events.append(SubmitEvent(f"user:{i % len(pairs)}", history, target))
     events.append(BarrierEvent())
+    empty = len(range(0, requests, _COLD_EMPTY_EVERY))
     return ScenarioPlan(
         kind=spec.kind,
         label=spec.label,
         events=tuple(events),
         num_workers=config.num_workers,
         use_fallback=True,
-        extra={"empty_histories": empty, "prefix_len": prefix_len},
-    )
-
-
-def _plan_long_history(dataset, scale, config, spec) -> ScenarioPlan:
-    pairs = _eval_pairs(dataset, scale)
-    requests = _param(spec, "requests")
-    # Longest histories first; ties keep dataset order (stable sort).
-    ranked = sorted(range(len(pairs)), key=lambda i: -len(pairs[i][0]))
-    picks = [ranked[i % len(ranked)] for i in range(requests)]
-    events = tuple(SubmitEvent(f"user:{i}", *pairs[i]) for i in picks) + (BarrierEvent(),)
-    lengths = [len(pairs[i][0]) for i in picks]
-    return ScenarioPlan(
-        kind=spec.kind,
-        label=spec.label,
-        events=events,
-        num_workers=config.num_workers,
-        extra={"max_history_len": max(lengths), "min_history_len": min(lengths)},
+        extra={"empty_histories": empty, "prefix_len": _COLD_PREFIX_LEN},
     )
 
 
@@ -294,77 +253,6 @@ def _plan_catalog_churn(dataset, scale, config, spec) -> ScenarioPlan:
     )
 
 
-def _plan_intention_traffic(dataset, scale, config, spec) -> ScenarioPlan:
-    """Sequential submits with every ``intention_every``-th request an
-    intention query — the Fig. 3-style free-text path.  Intention events
-    carry no quality target (there is no held-out answer to a free-text
-    ask), so ``quality.evaluated`` counts only the seq submits."""
-    pairs = _eval_pairs(dataset, scale)
-    requests = _param(spec, "requests")
-    intention_every = _param(spec, "intention_every")
-    events = []
-    intentions = 0
-    for i in range(requests):
-        history, target = pairs[i % len(pairs)]
-        session = f"user:{i % len(pairs)}"
-        if i % intention_every == 0:
-            anchor = history[-1] if history else target
-            events.append(
-                SubmitEvent(
-                    session,
-                    (),
-                    None,
-                    kind="intention",
-                    text=f"something that pairs well with item {anchor}",
-                )
-            )
-            intentions += 1
-        else:
-            events.append(SubmitEvent(session, history, target))
-    events.append(BarrierEvent())
-    return ScenarioPlan(
-        kind=spec.kind,
-        label=spec.label,
-        events=tuple(events),
-        num_workers=config.num_workers,
-        requires=("language",),
-        extra={"intention_requests": intentions},
-    )
-
-
-def _plan_instruction_traffic(dataset, scale, config, spec) -> ScenarioPlan:
-    """Every request an already-rendered free-form instruction built from
-    the user's history.  Targets are kept: the instruction paraphrases
-    the sequential task, so the quality block stays meaningful (if
-    template-shifted)."""
-    pairs = _eval_pairs(dataset, scale)
-    requests = _param(spec, "requests")
-    tail = _param(spec, "history_tail")
-    events = []
-    for i in range(requests):
-        history, target = pairs[i % len(pairs)]
-        recent = ", ".join(str(item) for item in history[-tail:])
-        events.append(
-            SubmitEvent(
-                f"user:{i % len(pairs)}",
-                history,
-                target,
-                kind="instruction",
-                text=f"The user recently interacted with items {recent}. "
-                "Predict the next item they will interact with.",
-            )
-        )
-    events.append(BarrierEvent())
-    return ScenarioPlan(
-        kind=spec.kind,
-        label=spec.label,
-        events=tuple(events),
-        num_workers=config.num_workers,
-        requires=("language",),
-        extra={"history_tail": tail},
-    )
-
-
 def _plan_mixed_fleet(dataset, scale, config, spec) -> ScenarioPlan:
     pairs = _eval_pairs(dataset, scale)
     requests = _param(spec, "requests")
@@ -384,11 +272,7 @@ def _plan_mixed_fleet(dataset, scale, config, spec) -> ScenarioPlan:
 
 _SCENARIOS = {
     "steady_state": (_plan_steady_state, {"requests": 24, "templates": 1}),
-    "cold_start": (
-        _plan_cold_start,
-        {"requests": 24, "prefix_len": 2, "empty_fraction": 0.25},
-    ),
-    "long_history": (_plan_long_history, {"requests": 16}),
+    "cold_start": (_plan_cold_start, {"requests": 24}),
     "session_refresh": (_plan_session_refresh, {"sessions": 6, "refresh": 4}),
     "burst_overload": (
         _plan_burst_overload,
@@ -396,14 +280,6 @@ _SCENARIOS = {
     ),
     "catalog_churn": (_plan_catalog_churn, {"requests": 24, "ingest_every": 6}),
     "mixed_fleet": (_plan_mixed_fleet, {"requests": 24}),
-    "intention_traffic": (
-        _plan_intention_traffic,
-        {"requests": 16, "intention_every": 2},
-    ),
-    "instruction_traffic": (
-        _plan_instruction_traffic,
-        {"requests": 16, "history_tail": 5},
-    ),
 }
 
 
@@ -416,8 +292,7 @@ def validate_scenario(kind: str, params: Mapping, where: str) -> None:
     """Reject unknown kinds and unknown, ill-typed or out-of-range parameters.
 
     A parameter takes its default's type: bool defaults are flags, int
-    defaults are counts (at least 1; ``prefix_len`` at least 0), float
-    defaults are fractions in [0, 1].
+    defaults are counts of at least 1.
     """
     if kind not in _SCENARIOS:
         raise ExperimentConfigError(
@@ -431,26 +306,13 @@ def validate_scenario(kind: str, params: Mapping, where: str) -> None:
             f"{kind!r}; allowed: {sorted(defaults)}"
         )
     for key, value in params.items():
-        default = defaults[key]
-        if isinstance(default, bool):
+        if isinstance(defaults[key], bool):
             if not isinstance(value, bool):
                 raise ExperimentConfigError(
                     f"{where}: parameter {key!r} must be a bool, got {value!r}"
                 )
-        elif isinstance(default, int):
-            minimum = 0 if key == "prefix_len" else 1
-            if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-                raise ExperimentConfigError(
-                    f"{where}: parameter {key!r} must be an int >= {minimum}, got {value!r}"
-                )
-        elif (
-            not isinstance(value, (int, float))
-            or isinstance(value, bool)
-            or not 0.0 <= value <= 1.0
-        ):
-            raise ExperimentConfigError(
-                f"{where}: parameter {key!r} must be a fraction in [0, 1], got {value!r}"
-            )
+        else:
+            _require_int(value, f"{where}: parameter {key!r}", 1)
 
 
 def build_plan(

@@ -4,13 +4,13 @@ Synchronous flushes, the deadline-batched background loop, continuous
 batching and the multi-worker cluster all share the surface pinned down
 here, so callers are *mode-agnostic*:
 
-* :class:`RecommendationClient` — ``submit(...) -> PendingRecommendation``
-  plus the intention/instruction variants, ``recommend_many``,
-  ``start``/``stop`` and context-manager lifecycle.  Implemented by
+* :class:`RecommendationClient` — ``submit(history, ...) ->
+  PendingRecommendation``, ``recommend_many``, ``start``/``stop`` and
+  context-manager lifecycle.  Implemented by
   :class:`repro.serving.RecommendationService` (one engine, one decode
   thread) and :class:`repro.serving.ServingCluster` (N workers behind an
   affinity router); swapping one for the other changes no caller code.
-* :class:`PendingRecommendation` — the one handle every ``submit*``
+* :class:`PendingRecommendation` — the one handle every ``submit``
   returns (``request_id``, ``done``, ``result(timeout)``, ``degraded``,
   ``degraded_reason``), whether the request is decoded, served from
   retrieval, or turned away.
@@ -166,7 +166,7 @@ def turn_away(
     stats,
     reason: str,
     tier: FallbackRecommender | None,
-    history: list[int] | None,
+    history: list[int],
     top_k: int,
     *,
     served: str,
@@ -176,17 +176,16 @@ def turn_away(
 ) -> PendingRecommendation:
     """Settle a request the LLM lane will not decode: degrade it, or fail it typed.
 
-    With a retrieval ``tier`` and a ``history`` to retrieve for, the
-    handle resolves with the tier's ranking, ``degraded_reason=reason``,
-    and ``stats``' ``served`` counter moves; otherwise it fails with
-    ``Overloaded(message, reason)`` and the ``shed`` counter moves —
-    served and shed are disjoint outcomes.  ``handle`` is the queued
-    request's own handle; by default a new one is born settled.
+    With a retrieval ``tier``, the handle resolves with the tier's ranking
+    of ``history``, ``degraded_reason=reason``, and ``stats``' ``served``
+    counter moves; otherwise it fails with ``Overloaded(message, reason)``
+    and the ``shed`` counter moves — served and shed are disjoint
+    outcomes.  ``handle`` is the queued request's own handle; by default a
+    new one is born settled.
     """
     handle = PendingRecommendation() if handle is None else handle
-    degrade = tier is not None and history is not None
-    stats.count(served if degrade else shed)
-    if degrade:
+    stats.count(served if tier is not None else shed)
+    if tier is not None:
         handle._deliver([int(item) for item in tier.recommend(history, top_k)], reason)
     else:
         handle._fail(Overloaded(message, reason=reason))
@@ -196,8 +195,8 @@ def turn_away(
 class RecommendationClient(abc.ABC):
     """The mode-agnostic serving surface: submit requests, await handles.
 
-    Subclasses provide the three ``submit*`` entry points and the
-    lifecycle; everything here is shared convenience built on them.  The
+    Subclasses provide ``submit``, ``flush`` and the lifecycle; everything
+    here is shared convenience built on them.  The
     keyword-only ``session_key`` (routing affinity) and ``deadline_ms``
     (shed budget) are accepted by every implementation — a single-process
     service stores a keyed prompt's K/V whole in its prefix cache and a
@@ -216,28 +215,6 @@ class RecommendationClient(abc.ABC):
         deadline_ms: float | None = None,
     ) -> PendingRecommendation:
         """Queue a next-item recommendation for an interaction history."""
-
-    @abc.abstractmethod
-    def submit_intention(
-        self,
-        intention_text: str,
-        top_k: int = 10,
-        *,
-        session_key: str | None = None,
-        deadline_ms: float | None = None,
-    ) -> PendingRecommendation:
-        """Queue an intention-query retrieval (engines that encode intentions)."""
-
-    @abc.abstractmethod
-    def submit_instruction(
-        self,
-        instruction: str,
-        top_k: int = 10,
-        *,
-        session_key: str | None = None,
-        deadline_ms: float | None = None,
-    ) -> PendingRecommendation:
-        """Queue an already-rendered instruction (engines that encode text)."""
 
     @abc.abstractmethod
     def flush(self) -> int:

@@ -25,7 +25,7 @@ fronts them with three policies:
   degrades by shedding a fraction of load, never by an unbounded p95
   cliff (``tests/test_serving_cluster.py::TestDeadlineShedding``).
   With a ``fallback``, the front door and the workers serve would-be-shed
-  history requests from it, flagged ``degraded``, through the same
+  requests from it, flagged ``degraded``, through the same
   turn-away path as a plain service (:func:`repro.serving.api.turn_away`).
 
 The cluster speaks the same :class:`repro.serving.RecommendationClient`
@@ -35,7 +35,7 @@ mode-agnostic, and a one-worker cluster returns rankings bit-identical to
 a plain ``RecommendationService`` over the same engine (scheduling and
 placement change cost, never math).
 
-Thread safety: ``submit*`` may race from any number of threads (routing
+Thread safety: ``submit`` may race from any number of threads (routing
 reads worker backlogs without a global lock, so the backlog bound is
 tight-but-approximate under heavy submit concurrency — admission may
 transiently overshoot by the number of concurrently admitting threads);
@@ -153,13 +153,12 @@ class ServingCluster(RecommendationClient):
     fallback:
         Optional :class:`repro.serving.FallbackRecommender` — the
         retrieval fast lane, shared by the front door and every worker.
-        History submits that would otherwise be shed (fleet-wide
-        saturation at the front door, per-worker queue overflow, or
-        deadline expiry) are served from it with ``degraded=True``
-        handles, and workers answer empty histories from it
-        (``degraded_reason="cold_start"``) without consuming a decode slot.
-        Intention/instruction submits keep plain rejections.  The object
-        must be thread-safe for concurrent reads —
+        Submits that would otherwise be shed (fleet-wide saturation at
+        the front door, per-worker queue overflow, or deadline expiry)
+        are served from it with ``degraded=True`` handles, and workers
+        answer empty histories from it (``degraded_reason="cold_start"``)
+        without consuming a decode slot.  The object must be thread-safe
+        for concurrent reads —
         :class:`repro.retrieval.RetrievalRecommender` is.
     """
 
@@ -303,28 +302,6 @@ class ServingCluster(RecommendationClient):
                 return affine, "affine"
         return self._least_loaded(), "keyless" if session_key is None else "spilled"
 
-    def _route(
-        self,
-        submit: Callable[[RecommendationService], PendingRecommendation],
-        session_key: str | None,
-        top_k: int,
-        deadline_ms: float | None,
-        history: list[int] | None = None,
-    ) -> PendingRecommendation:
-        # Arguments first: no lane may answer a submit that should raise.
-        check_top_k(top_k)
-        check_deadline_ms(deadline_ms)
-        worker, kind = self._admit(session_key)
-        if worker is None:
-            return turn_away(
-                self.stats, "queue_full", self.fallback, history, top_k,
-                served="degraded", shed="rejected",
-                message=f"all {self.num_workers} workers at backlog bound {self.max_backlog}",
-            )
-        handle = submit(worker.service)  # a submit that raises moves no counter
-        self.stats.count(kind, worker.index)
-        return handle
-
     # ------------------------------------------------------------------
     # The client surface
     # ------------------------------------------------------------------
@@ -344,57 +321,28 @@ class ServingCluster(RecommendationClient):
         """
         history = list(history)
         engine = self._workers[0].service.engine
+        # Arguments first: no lane may answer a submit that should raise.
+        check_top_k(top_k)
         check_template_id(template_id, engine.num_templates)
+        check_deadline_ms(deadline_ms)
         check_history(history, engine.num_items)
-        return self._route(
-            lambda service: service.submit(
-                history,
-                top_k=top_k,
-                template_id=template_id,
-                session_key=session_key,
-                deadline_ms=deadline_ms,
-            ),
-            session_key,
-            top_k,
-            deadline_ms,
-            history=history,
+        worker, kind = self._admit(session_key)
+        if worker is None:
+            return turn_away(
+                self.stats, "queue_full", self.fallback, history, top_k,
+                served="degraded", shed="rejected",
+                message=f"all {self.num_workers} workers at backlog bound {self.max_backlog}",
+            )
+        # A submit that raises moves no counter.
+        handle = worker.service.submit(
+            history,
+            top_k=top_k,
+            template_id=template_id,
+            session_key=session_key,
+            deadline_ms=deadline_ms,
         )
-
-    def submit_intention(
-        self,
-        intention_text: str,
-        top_k: int = 10,
-        *,
-        session_key: str | None = None,
-        deadline_ms: float | None = None,
-    ) -> PendingRecommendation:
-        """Route + queue an intention-query retrieval."""
-        return self._route(
-            lambda service: service.submit_intention(
-                intention_text, top_k=top_k, session_key=session_key, deadline_ms=deadline_ms
-            ),
-            session_key,
-            top_k,
-            deadline_ms,
-        )
-
-    def submit_instruction(
-        self,
-        instruction: str,
-        top_k: int = 10,
-        *,
-        session_key: str | None = None,
-        deadline_ms: float | None = None,
-    ) -> PendingRecommendation:
-        """Route + queue an already-rendered instruction."""
-        return self._route(
-            lambda service: service.submit_instruction(
-                instruction, top_k=top_k, session_key=session_key, deadline_ms=deadline_ms
-            ),
-            session_key,
-            top_k,
-            deadline_ms,
-        )
+        self.stats.count(kind, worker.index)
+        return handle
 
     def flush(self) -> int:
         """Flush every worker's queue, then re-raise the first error; returns requests served."""

@@ -177,14 +177,6 @@ class GenerativeEngine(abc.ABC):
     def encode_history(self, history: Sequence[int], template_id: int = 0) -> list[int]:
         """Encode an interaction history into this engine's prompt ids."""
 
-    def encode_instruction(self, instruction: str) -> list[int]:
-        """Encode an already-rendered instruction (language engines only)."""
-        raise NotImplementedError(f"{type(self).__name__} does not take free-form instructions")
-
-    def encode_intention(self, intention_text: str) -> list[int]:
-        """Encode an intention query (language engines only)."""
-        raise NotImplementedError(f"{type(self).__name__} does not take intention queries")
-
     # ------------------------------------------------------------------
     # The decode contract
     # ------------------------------------------------------------------
@@ -486,13 +478,7 @@ class LCRecEngine(TrieDecoderEngine):
         instruction = seq_instruction(
             index_set, history, self.model.config.tasks.max_history, template_id
         )
-        return self.encode_instruction(instruction)
-
-    def encode_instruction(self, instruction: str) -> list[int]:
         return self.model.encode_instruction(instruction)
-
-    def encode_intention(self, intention_text: str) -> list[int]:
-        return self.encode_instruction(self.model.intention_instruction(intention_text))
 
 
 class P5CIDEngine(TrieDecoderEngine):

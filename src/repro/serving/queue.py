@@ -102,11 +102,12 @@ class RecommendRequest:
     request already being decoded when its deadline passes completes
     normally (completion wins the race).
 
-    ``history`` is the raw interaction history behind a ``submit`` call
-    (``None`` for instruction/intention submits, which have no item
-    history).  The decode never reads it; it exists so a configured
-    retrieval fallback can serve the request at shed time — after
-    encoding, the prompt ids alone cannot be mapped back to items.
+    ``history`` is the raw interaction history behind a ``submit`` call;
+    every queued request carries one (``None`` only on requests an engine
+    or the hybrid library call decodes directly, which are never shed).
+    The decode never reads it; it exists so a configured retrieval
+    fallback can serve the request at shed time — after encoding, the
+    prompt ids alone cannot be mapped back to items.
 
     ``narrow_items`` is the hybrid lane's retrieval candidate set (``None``
     = full-trie decode).  The engine's prefill turns it into the row's node

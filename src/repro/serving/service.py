@@ -3,9 +3,8 @@
 :class:`RecommendationService` is the deployment-shaped entry point to any
 generative recommender wrapped in a :class:`repro.serving.GenerativeEngine`
 (LC-Rec, TIGER, P5-CID, or your own adapter): callers ``submit``
-recommendation requests (histories, free-form instructions, or intention
-queries — whichever the engine can encode) and read results from the
-returned :class:`PendingRecommendation`.
+interaction histories and read the next-item rankings from the returned
+:class:`PendingRecommendation`.
 
 Every way of serving decodes closed cohorts the same way, one at a time
 under the decode lock — shed the expired requests, one
@@ -35,7 +34,7 @@ math.  Engines with a ``prefix_cache`` additionally skip re-running
 prompt prefixes they have decoded before; see ``docs/serving.md`` for
 tuning and invalidation.
 
-Thread safety: ``submit*`` may be called from any number of threads in
+Thread safety: ``submit`` may be called from any number of threads in
 any mode, and ``flush`` may race the background loop (cohorts are decoded
 one at a time on an internal lock, and each request is delivered exactly
 once).
@@ -181,8 +180,7 @@ class RecommendationService(RecommendationClient):
     engine:
         A :class:`GenerativeEngine` adapter (``LCRecEngine(model)``,
         ``TIGEREngine(model)``, ``P5CIDEngine(model)``, ...).  Passing a
-        bare model raises ``TypeError`` — wrap it first (the pre-PR-4
-        ``RecommendationService(model)`` shim is gone).
+        bare model raises ``TypeError`` — wrap it first.
     batcher:
         Micro-batching policy; see :class:`MicroBatcherConfig`.
     deadline_ms:
@@ -198,8 +196,7 @@ class RecommendationService(RecommendationClient):
         worst-case latency bounded under overload.
     hybrid:
         Optional :class:`repro.retrieval.HybridRecommender` — the
-        retrieval-narrowed decode lane, now reachable through plain
-        ``submit`` calls.  When set, each history submit first asks the
+        retrieval-narrowed decode lane.  When set, each submit first asks the
         hybrid's retrieval tier for candidates: cold-start histories (no
         profile) and histories with no decodable candidates are answered
         from retrieval immediately (a handle born ``degraded``,
@@ -213,8 +210,6 @@ class RecommendationService(RecommendationClient):
         engine with ``supports_narrowing``; the hybrid's own engine is
         not used for decoding (only its retriever and backfill rule), so
         one hybrid object can be shared across cluster workers.
-        Intention/instruction submits bypass the lane (no history to
-        retrieve for).
     mode:
         The background thread's admission policy: ``"deadline"`` (default)
         decodes closed deadline-batched flushes; ``"continuous"`` decodes
@@ -223,16 +218,13 @@ class RecommendationService(RecommendationClient):
         in both modes.
     fallback:
         Optional :class:`repro.serving.FallbackRecommender` — the
-        retrieval fast lane.  When set, a ``submit`` (history) request
-        that admission control would shed (full queue at submit, or shed
-        deadline passed while queued) is *served* from the fallback
-        instead of rejected: its handle resolves with the fallback
-        ranking and ``degraded=True``.  An empty history is answered from
-        it at submit (``degraded_reason="cold_start"``) without costing a
-        decode slot.  Intention/instruction submits
-        carry no item history the fallback could use and keep the plain
-        ``Overloaded`` rejection.  ``None`` (default) sheds with
-        ``Overloaded``.
+        retrieval fast lane.  When set, a request that admission control
+        would shed (full queue at submit, or shed deadline passed while
+        queued) is *served* from the fallback instead of rejected: its
+        handle resolves with the fallback ranking and ``degraded=True``.
+        An empty history is answered from it at submit
+        (``degraded_reason="cold_start"``) without costing a decode slot.
+        ``None`` (default) sheds with ``Overloaded``.
 
     Thread safety: see the module docstring.  Every cohort decodes under
     one internal lock, so a concurrent ``flush()`` and background loop never
@@ -250,8 +242,6 @@ class RecommendationService(RecommendationClient):
         hybrid=None,
     ):
         if not isinstance(engine, GenerativeEngine):
-            # The pre-PR-4 constructor took a built LCRec model; the shim
-            # that silently wrapped it was removed in PR 6.
             raise TypeError(
                 "RecommendationService requires a GenerativeEngine adapter, got "
                 f"{type(engine).__name__}; wrap the model first, e.g. "
@@ -396,7 +386,7 @@ class RecommendationService(RecommendationClient):
         dropped with a typed :class:`repro.serving.Overloaded` instead of
         decoded late.
 
-        With a ``hybrid`` configured, history submits go through the
+        With a ``hybrid`` configured, submits go through the
         hybrid lane: retrieval candidates narrow the decode (or answer it
         outright on cold start), and the delivered ranking matches
         :meth:`HybridRecommender.recommend` exactly.
@@ -428,62 +418,8 @@ class RecommendationService(RecommendationClient):
                 self.stats, "cold_start", self.fallback, history, top_k,
                 served="degraded_cold_start",
             )
-        return self._submit_prompt(
-            self.engine.encode_history(history, template_id),
-            top_k,
-            session_key=session_key,
-            deadline_ms=deadline_ms,
-            history=history,
-            narrow_items=narrow_items,
-        )
-
-    def submit_intention(
-        self,
-        intention_text: str,
-        top_k: int = 10,
-        *,
-        session_key: str | None = None,
-        deadline_ms: float | None = None,
-    ) -> PendingRecommendation:
-        """Queue an intention-query retrieval (engines that encode intentions)."""
-        check_top_k(top_k)
-        check_deadline_ms(deadline_ms)
-        return self._submit_prompt(
-            self.engine.encode_intention(intention_text),
-            top_k,
-            session_key=session_key,
-            deadline_ms=deadline_ms,
-        )
-
-    def submit_instruction(
-        self,
-        instruction: str,
-        top_k: int = 10,
-        *,
-        session_key: str | None = None,
-        deadline_ms: float | None = None,
-    ) -> PendingRecommendation:
-        """Queue an already-rendered instruction (engines that encode text)."""
-        check_top_k(top_k)
-        check_deadline_ms(deadline_ms)
-        return self._submit_prompt(
-            self.engine.encode_instruction(instruction),
-            top_k,
-            session_key=session_key,
-            deadline_ms=deadline_ms,
-        )
-
-    def _submit_prompt(
-        self,
-        prompt_ids: list[int],
-        top_k: int,
-        session_key: str | None = None,
-        deadline_ms: float | None = None,
-        history: list[int] | None = None,
-        narrow_items: tuple[int, ...] | None = None,
-    ) -> PendingRecommendation:
         request = RecommendRequest(
-            prompt_ids=prompt_ids,
+            prompt_ids=self.engine.encode_history(history, template_id),
             top_k=top_k,
             # The effective beam width is fixed per request at submit time
             # (never widened by co-batched requests) so results match the
@@ -707,9 +643,8 @@ class RecommendationService(RecommendationClient):
     def _shed(self, request: RecommendRequest, reason: str, message: str) -> None:
         """Admission control turned ``request`` away: degrade it, or fail it typed.
 
-        With a retrieval fallback and a history to retrieve for, the
-        request is answered from the fast lane, flagged ``degraded``,
-        rather than failing the caller outright.
+        With a retrieval fallback, the request is answered from the fast
+        lane, flagged ``degraded``, rather than failing the caller outright.
         """
         handle = self._claim(request)
         if handle is not None:

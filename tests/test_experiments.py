@@ -119,14 +119,15 @@ class TestConfigValidation:
                 },
                 "unknown parameters",
             ),
+            # Every cell reports HR and NDCG: no config key picks the families.
             (
                 {
                     "name": "x",
                     "backends": ["lcrec"],
                     "scenarios": ["steady_state"],
-                    "metrics": ["mrr"],
+                    "metrics": ["hr"],
                 },
-                "unknown metric",
+                "unknown config keys",
             ),
             (
                 {"name": "x", "backends": ["lcrec"], "scenarios": ["steady_state", "steady_state"]},
@@ -181,6 +182,15 @@ class TestConfigValidation:
                     ("deadline_flush_ms", 10.0),
                 )
             ),
+            # A bool is no count, and a seed is non-negative: refused at load,
+            # not stored in the record or raised by numpy at the first cell.
+            *(
+                (
+                    {"name": "x", "backends": ["lcrec"], "scenarios": ["steady_state"], key: value},
+                    key,
+                )
+                for key, value in (("seed", True), ("seed", -1), ("num_workers", True))
+            ),
             # Scenario parameters are range-checked at load, before any model is built.
             *(
                 (
@@ -188,15 +198,43 @@ class TestConfigValidation:
                     fragment,
                 )
                 for kind, params, fragment in (
-                    ("cold_start", {"empty_fraction": 2}, "fraction"),
-                    ("cold_start", {"empty_fraction": -0.25}, "fraction"),
-                    ("cold_start", {"prefix_len": -1}, "int >= 0"),
                     ("burst_overload", {"max_backlog": 0}, "int >= 1"),
                     ("steady_state", {"requests": 2.5}, "int >= 1"),
                     ("steady_state", {"requests": 0}, "int >= 1"),
                     ("session_refresh", {"refresh": 0}, "int >= 1"),
                     ("catalog_churn", {"ingest_every": 0}, "int >= 1"),
                 )
+            ),
+            (
+                {"name": "x", "backends": ["lcrec"], "scenarios": ["steady_state"],
+                 "cutoffs": [True]},
+                "positive ints",
+            ),
+            # Keys and ops no committed config sets are gone, not ignored.
+            *(
+                (
+                    {"name": "x", "backends": ["lcrec"], "scenarios": ["steady_state"], key: value},
+                    "unknown config keys",
+                )
+                for key, value in (("top_k", 20), ("run_id", "nightly"))
+            ),
+            (
+                {"name": "x", "backends": [{"name": "tiger", "dim": 32}],
+                 "scenarios": ["steady_state"]},
+                "unknown parameters",
+            ),
+            (
+                {
+                    "name": "x",
+                    "backends": ["lcrec"],
+                    "scenarios": [
+                        {
+                            "kind": "steady_state",
+                            "expect": [{"metric": "shed", "op": "le", "value": 0}],
+                        }
+                    ],
+                },
+                "op 'le' unknown",
             ),
         ],
     )
@@ -212,12 +250,6 @@ class TestConfigValidation:
         with pytest.raises(ExperimentConfigError, match="unknown preset 'nope'"):
             minimal_config(preset="nope")
 
-    def test_run_id_must_be_a_string(self):
-        assert minimal_config(run_id="nightly").run_id == "nightly"
-        for run_id in (3, ["a"], {"id": 1}):
-            with pytest.raises(ExperimentConfigError, match="run_id"):
-                minimal_config(run_id=run_id)
-
     def test_cli_exits_2_on_unknown_scale(self, tmp_path, capsys):
         from repro.__main__ import main
 
@@ -225,6 +257,14 @@ class TestConfigValidation:
         path.write_text(json.dumps({**MATRIX_RAW, "scale": "huge"}))
         assert main(["experiment", "run", str(path), "--no-write"]) == 2
         assert "scale name" in capsys.readouterr().out
+
+    def test_cli_exits_2_on_negative_seed(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**MATRIX_RAW, "seed": -1}))
+        assert main(["experiment", "run", str(path), "--no-write"]) == 2
+        assert "seed must be an int >= 0, got -1" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "backend, fragment",
@@ -284,7 +324,7 @@ class TestConfigValidation:
         assert "burst_degraded" in labels and "burst_shed" in labels
 
     def test_metric_keys_skip_degenerate_ndcg(self):
-        config = minimal_config(metrics=["hr", "ndcg"], cutoffs=[1, 5])
+        config = minimal_config(cutoffs=[1, 5])
         assert config.metric_keys() == ["HR@1", "HR@5", "NDCG@5"]
 
     def test_registries(self):
@@ -376,24 +416,13 @@ class TestScenarioShapes:
         assert all(isinstance(e, SubmitEvent) and e.target is not None for e in submits)
 
     def test_cold_start_truncates_and_empties(self, tiny_dataset):
-        plan = self.plan(
-            tiny_dataset, "cold_start", requests=8, prefix_len=2, empty_fraction=0.25
-        )
+        plan = self.plan(tiny_dataset, "cold_start", requests=9)
         submits = [e for e in plan.events if isinstance(e, SubmitEvent)]
-        empty = [e for e in submits if not e.history]
-        assert len(empty) == 2  # every 4th request
-        assert all(len(e.history) <= 2 for e in submits)
+        # Every 4th request from the first is emptied, the rest keep 2 items.
+        assert [i for i, e in enumerate(submits) if not e.history] == [0, 4, 8]
+        assert all(len(e.history) == 2 for e in submits if e.history)
+        assert plan.extra == {"empty_histories": 3, "prefix_len": 2}
         assert plan.use_fallback
-        bare = self.plan(tiny_dataset, "cold_start", requests=4, prefix_len=0, empty_fraction=0)
-        assert all(e.history == () for e in bare.events if isinstance(e, SubmitEvent))
-        assert bare.extra["empty_histories"] == 4
-
-    def test_long_history_longest_first(self, tiny_dataset):
-        plan = self.plan(tiny_dataset, "long_history", requests=5)
-        lengths = [len(e.history) for e in plan.events if isinstance(e, SubmitEvent)]
-        assert lengths == sorted(lengths, reverse=True)
-        full = max(len(h) for h in tiny_dataset.split.test_histories)
-        assert lengths[0] == full
 
     def test_session_refresh_repeats_sessions(self, tiny_dataset):
         plan = self.plan(tiny_dataset, "session_refresh", sessions=3, refresh=4)
@@ -432,38 +461,6 @@ class TestScenarioShapes:
     def test_mixed_fleet_sizes_to_backends(self, tiny_dataset):
         plan = self.plan(tiny_dataset, "mixed_fleet", requests=4)
         assert plan.num_workers == 2 and plan.extra["fleet_size"] == 2
-
-    def test_intention_traffic_interleaves_language_requests(self, tiny_dataset):
-        plan = self.plan(tiny_dataset, "intention_traffic", requests=8, intention_every=2)
-        assert plan.requires == ("language",)
-        submits = [e for e in plan.events if isinstance(e, SubmitEvent)]
-        intentions = [e for e in submits if e.kind == "intention"]
-        assert len(submits) == 8
-        assert len(intentions) == plan.extra["intention_requests"] == 4
-        for event in intentions:
-            assert event.text and "pairs well with" in event.text
-            assert event.history == () and event.target is None
-        for event in submits:
-            if event.kind == "seq":
-                assert event.text is None and event.target is not None
-
-    def test_instruction_traffic_paraphrases_histories(self, tiny_dataset):
-        plan = self.plan(tiny_dataset, "instruction_traffic", requests=6, history_tail=3)
-        assert plan.requires == ("language",)
-        submits = [e for e in plan.events if isinstance(e, SubmitEvent)]
-        assert len(submits) == 6 and plan.extra["history_tail"] == 3
-        for event in submits:
-            assert event.kind == "instruction"
-            assert event.target is not None  # quality stays measurable
-            assert "Predict the next item" in event.text
-            # The prompt names exactly the items the plan keeps.
-            recent = event.history[-3:]
-            assert all(str(item) in event.text for item in recent)
-
-    def test_submit_events_default_to_sequential_kind(self, tiny_dataset):
-        plan = self.plan(tiny_dataset, "steady_state", requests=3)
-        submits = [e for e in plan.events if isinstance(e, SubmitEvent)]
-        assert all(e.kind == "seq" and e.text is None for e in submits)
 
 
 # ----------------------------------------------------------------------
@@ -700,60 +697,6 @@ class TestPaperCells:
 
 
 # ----------------------------------------------------------------------
-# Language traffic end to end: lcrec serves, token-only backends gate
-# ----------------------------------------------------------------------
-class TestLanguageTraffic:
-    @pytest.fixture(scope="class")
-    def language_result(self, tiny_dataset, tiny_lcrec, tiny_tiger):
-        return run_experiment(
-            {
-                "name": "language",
-                "scale": "tiny",
-                "backends": ["lcrec", "tiger"],
-                "scenarios": [
-                    {"kind": "intention_traffic", "requests": 6},
-                    {"kind": "instruction_traffic", "requests": 4},
-                ],
-            },
-            dataset=tiny_dataset,
-            models={"lcrec": tiny_lcrec, "tiger": tiny_tiger},
-            write=False,
-        )
-
-    def test_lcrec_serves_language_cells(self, language_result):
-        for record in language_result["records"]:
-            if record["backend"] != "lcrec":
-                continue
-            assert record["supported"] and record["served"] == record["requests"]
-
-    def test_intention_requests_skip_quality(self, language_result):
-        record = next(
-            r
-            for r in language_result["records"]
-            if r["name"] == "intention_trafficxlcrec"
-        )
-        # Intention submits carry no target, so only the sequential half
-        # of the traffic is evaluated for quality.
-        assert record["quality"]["evaluated"] == record["served"] - 3
-        assert record["extra"]["intention_requests"] == 3
-
-    def test_instruction_requests_keep_quality(self, language_result):
-        record = next(
-            r
-            for r in language_result["records"]
-            if r["name"] == "instruction_trafficxlcrec"
-        )
-        assert record["quality"]["evaluated"] == record["served"] == 4
-
-    def test_token_only_backends_record_unsupported(self, language_result):
-        for record in language_result["records"]:
-            if record["backend"] != "tiger":
-                continue
-            assert record["supported"] is False
-            assert "intention/instruction" in record["reason"]
-
-
-# ----------------------------------------------------------------------
 # The fallback used by embedding-free backends
 # ----------------------------------------------------------------------
 class TestPopularityFallback:
@@ -892,7 +835,7 @@ class TestOnePretraining:
                     {"name": "lcrec", "tasks": ["seq"]},
                     {"name": "lcrec", "label": "random_seq", "tasks": ["seq"],
                      "index_source": "random"},
-                    {"name": "tiger", "index_source": "semantic", "epochs": 1, "dim": 16},
+                    {"name": "tiger", "index_source": "semantic", "epochs": 1},
                 ],
                 "scenarios": [{"kind": "steady_state", "requests": 2}],
             },

@@ -1,8 +1,7 @@
 """The option census: every defaulted parameter and config field has a setter.
 
 A defaulted parameter of a ``src/`` function, or a field of a config
-dataclass (a ``@dataclass`` named ``*Config``; ``ExperimentConfig``'s keys
-are the harness's JSON schema and are not counted), is an option. It stays
+dataclass (a ``@dataclass`` named ``*Config``), is an option. It stays
 only if something sets it: a call in ``src/``, ``perf/``, ``examples/`` or
 ``tests/`` that passes it by keyword or by position, a preset's ``dict(...)``
 key, an attribute assignment or a ``replace(...)`` of a field. A keyword
@@ -19,21 +18,31 @@ name is listed in ``ALLOWED`` with its reason.
 
 Tests check code; they do not keep it alive.  An option that only
 ``tests/`` sets is retired (its default becomes the behaviour) unless
-``TESTS_ONLY`` declares it with one of the reasons in ``REASONS``.  Run
-this file as a script to print the census and, beside it, the name census
-of ``test_names.py``.
+``TESTS_ONLY`` declares it with one of the reasons in ``REASONS``.
+
+The experiment harness's JSON schema is counted the same way: each
+registered top-level key, scenario kind and scenario parameter, backend and
+backend parameter, and expectation op is an option, and its setters are
+the committed ``examples/experiments/*.json`` configs that set it to a
+value other than its default (a required key, a kind, a backend or an op
+by appearing at all) and the CLI's ``experiment run --scale``.  An entry
+nothing sets goes unless ``SCHEMA_DECLARED`` names it with its reason.
+
+Run this file as a script (``PYTHONPATH=src``) to print the option census,
+the schema census and, beside them, the name census of ``test_names.py``.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import functools
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SETTER_DIRS = ("src", "perf", "examples", "tests")
-_SKIPPED_CONFIGS = {"ExperimentConfig"}
 
 # "module:qualname.param" -> why it stays although the scan finds no setter.
 # An allowed option counts as set for the calls that pass it on.
@@ -219,11 +228,7 @@ def _collect_options(path: Path, tree: ast.Module) -> list[Option]:
     def visit(node, scope: list[str], parent):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                if (
-                    _is_dataclass(child)
-                    and child.name.endswith("Config")
-                    and child.name not in _SKIPPED_CONFIGS
-                ):
+                if _is_dataclass(child) and child.name.endswith("Config"):
                     index = 0
                     for stmt in child.body:
                         if not isinstance(stmt, ast.AnnAssign) or not isinstance(
@@ -526,6 +531,124 @@ def test_tests_only_reasons_name_a_letter():
     assert not [label for label, reason in TESTS_ONLY.items() if not has_reason(reason)]
 
 
+# ----------------------------------------------------------------------
+# The harness schema
+# ----------------------------------------------------------------------
+# "<kind>:<entry>" -> "(letter) why" for each schema entry no committed
+# config or CLI flag sets.
+SCHEMA_DECLARED = {
+    "key:seed": "(c) ROADMAP item 8's seeds 0-2 (the committed configs run seed 0)",
+}
+
+
+def _plain(value):
+    """JSON lists and the registries' tuples compare as one type."""
+    return tuple(value) if isinstance(value, list) else value
+
+
+@functools.cache
+def schema_census() -> tuple:
+    """Every harness schema entry with the sorted sources that set it."""
+    from repro.experiments import ExperimentConfig, known_scenarios
+    from repro.experiments.config import _EXPECT_OPS
+    from repro.experiments.runner import _BACKEND_PARAMS
+
+    keys = {
+        f.name: f.default if f.default is not dataclasses.MISSING else _NOT_LITERAL
+        for f in dataclasses.fields(ExperimentConfig)
+    }
+    # A backend parameter's default is its first allowed value (a list of
+    # it for the task list); an int parameter's is scale-derived.
+    backend_params = {
+        name: {
+            key: None if allowed is int else ([allowed[0]] if key == "tasks" else allowed[0])
+            for key, allowed in params.items()
+        }
+        for name, params in _BACKEND_PARAMS.items()
+    }
+    entries = (
+        [(f"key:{key}", default) for key, default in keys.items()]
+        + [(f"scenario:{kind}", _NOT_LITERAL) for kind in known_scenarios()]
+        + [
+            (f"scenario:{kind}.{param}", default)
+            for kind, params in known_scenarios().items()
+            for param, default in params.items()
+        ]
+        + [(f"backend:{name}", _NOT_LITERAL) for name in backend_params]
+        + [
+            (f"backend:{name}.{param}", default)
+            for name, params in backend_params.items()
+            for param, default in params.items()
+        ]
+        + [(f"op:{op}", _NOT_LITERAL) for op in _EXPECT_OPS]
+    )
+
+    sets: dict[str, list] = {}  # entry -> the values the committed configs give it
+    for path in sorted((ROOT / "examples" / "experiments").glob("*.json")):
+        raw = json.loads(path.read_text())
+        for key, value in raw.items():
+            sets.setdefault(f"key:{key}", []).append(value)
+        for scenario in raw.get("scenarios", []):
+            scenario = {"kind": scenario} if isinstance(scenario, str) else scenario
+            kind = scenario["kind"]
+            sets.setdefault(f"scenario:{kind}", []).append(kind)
+            for param, value in scenario.items():
+                if param == "expect":
+                    for expectation in value:
+                        sets.setdefault(f"op:{expectation['op']}", []).append(expectation["op"])
+                elif param not in ("kind", "label"):
+                    sets.setdefault(f"scenario:{kind}.{param}", []).append(value)
+        for backend in raw.get("backends", []):
+            backend = {"name": backend} if isinstance(backend, str) else backend
+            name = backend["name"].lower()
+            sets.setdefault(f"backend:{name}", []).append(name)
+            for param, value in backend.items():
+                if param not in ("name", "label"):
+                    sets.setdefault(f"backend:{name}.{param}", []).append(value)
+
+    main = ast.parse((ROOT / "src" / "repro" / "__main__.py").read_text())
+    cli_scale = any(
+        isinstance(node, ast.Constant) and node.value == "--scale" for node in ast.walk(main)
+    )
+    rows = []
+    for label, default in entries:
+        sources = []
+        if any(
+            default is _NOT_LITERAL or not _same(_plain(value), _plain(default))
+            for value in sets.get(label, [])
+        ):
+            sources.append("examples")
+        if label == "key:scale" and cli_scale:
+            sources.append("cli")
+        rows.append((label, sources))
+    return tuple(rows)
+
+
+def unset_schema_entries():
+    return sorted(label for label, sources in schema_census() if not sources)
+
+
+def test_every_schema_entry_has_a_setter_or_a_reason():
+    missing = [label for label in unset_schema_entries() if label not in SCHEMA_DECLARED]
+    assert not missing, (
+        "harness schema entries no committed config sets: delete each (its default "
+        "becomes the behaviour), set it in a config, or add a SCHEMA_DECLARED line "
+        "with its reason:\n" + "\n".join(missing)
+    )
+
+
+def test_schema_declarations_are_current():
+    unset = set(unset_schema_entries())
+    stale = sorted(label for label in SCHEMA_DECLARED if label not in unset)
+    assert not stale, "SCHEMA_DECLARED lines whose entry is gone or now set:\n" + "\n".join(
+        stale
+    )
+
+
+def test_schema_reasons_name_a_letter():
+    assert not [label for label, reason in SCHEMA_DECLARED.items() if not has_reason(reason)]
+
+
 if __name__ == "__main__":
     from test_names import print_name_census
 
@@ -541,4 +664,9 @@ if __name__ == "__main__":
             print("  unset     ", o.label, "(allowed)" if o.label in ALLOWED else "")
         for o in tests_only:
             print("  tests-only", o.label, TESTS_ONLY.get(o.label, "(undeclared)")[:3])
+    schema = schema_census()
+    unset = [label for label, sources in schema if not sources]
+    print(f"harness schema entries: {len(schema)}, no setter {len(unset)}")
+    for label in unset:
+        print("  unset     ", label, SCHEMA_DECLARED.get(label, "(undeclared)")[:3])
     print_name_census()

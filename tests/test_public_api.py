@@ -59,10 +59,10 @@ def test_public_classes_documented():
 
 
 class TestUnifiedClientSurface:
-    """One client API across all serving modes — the PR-6 contract.
+    """One client API across all serving modes.
 
     Single-process or cluster, sync or background, callers program
-    against ``RecommendationClient``: the same ``submit*`` signatures,
+    against ``RecommendationClient``: the same ``submit`` signature,
     the same handle semantics, the same lifecycle verbs.
     """
 
@@ -78,16 +78,13 @@ class TestUnifiedClientSurface:
             assert issubclass(cls, RecommendationClient)
 
     def test_submit_signatures_are_aligned(self):
-        """Each submit verb exposes the same caller-facing parameters."""
-        for method in ("submit", "submit_intention", "submit_instruction"):
-            signatures = [
-                inspect.signature(getattr(cls, method)) for cls in self.clients()
-            ]
-            names = [list(sig.parameters) for sig in signatures]
-            assert names[0] == names[1], f"{method} diverges: {names}"
-            for sig in signatures:
-                assert sig.parameters["session_key"].kind is inspect.Parameter.KEYWORD_ONLY
-                assert sig.parameters["deadline_ms"].kind is inspect.Parameter.KEYWORD_ONLY
+        """``submit`` exposes the same caller-facing parameters on both clients."""
+        signatures = [inspect.signature(cls.submit) for cls in self.clients()]
+        names = [list(sig.parameters) for sig in signatures]
+        assert names[0] == names[1], f"submit diverges: {names}"
+        for sig in signatures:
+            assert sig.parameters["session_key"].kind is inspect.Parameter.KEYWORD_ONLY
+            assert sig.parameters["deadline_ms"].kind is inspect.Parameter.KEYWORD_ONLY
 
     def test_lifecycle_verbs_exist_everywhere(self):
         for cls in self.clients():
@@ -96,15 +93,14 @@ class TestUnifiedClientSurface:
                 assert hasattr(cls, verb), f"{cls.__name__} lacks {verb}"
 
     def test_every_submit_verb_returns_the_one_handle(self):
-        """Both clients annotate every submit verb with the one handle class."""
+        """Both clients annotate ``submit`` with the one handle class."""
         import typing
 
         from repro.serving import PendingRecommendation, RecommendationClient
 
         for cls in (RecommendationClient, *self.clients()):
-            for method in ("submit", "submit_intention", "submit_instruction"):
-                hints = typing.get_type_hints(getattr(cls, method))
-                assert hints["return"] is PendingRecommendation, (cls.__name__, method)
+            hints = typing.get_type_hints(cls.submit)
+            assert hints["return"] is PendingRecommendation, cls.__name__
 
     def test_handle_born_settled_draws_a_real_request_id(self):
         from repro.serving import PendingRecommendation, RecommendRequest

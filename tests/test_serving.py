@@ -230,12 +230,6 @@ class TestRecommendationService:
         assert len(ranked) == 10
         assert pending.done
 
-    def test_intention_submission(self, service, tiny_lcrec):
-        pending = service.submit_intention("looking for something nice",
-                                           top_k=5)
-        assert pending.result() == tiny_lcrec.recommend_for_intention(
-            "looking for something nice", top_k=5)
-
     def test_stats_track_batches(self, service, tiny_dataset):
         service.recommend_many(tiny_dataset.split.test_histories[:6],
                                top_k=2)
@@ -262,33 +256,32 @@ class TestRecommendationService:
         service = RecommendationService(
             LCRecEngine(tiny_lcrec),
             batcher=MicroBatcherConfig(max_batch_size=4))
-        history = list(tiny_dataset.split.test_histories[0])
-        base_instr = tiny_lcrec.seq_instruction(history)
-        # The same prompt with a few more tokens: a suffix within one length bucket.
-        target = tiny_dataset.split.test_targets[0]
-        grown_instr = base_instr + " " + tiny_lcrec.index_set.index_text(target)
+        # A short history grows by one item: its next prompt shares all but
+        # the new item and the template tail, a suffix within one length bucket.
+        base = list(tiny_dataset.split.test_histories[0])[-2:]
+        grown = base + [tiny_dataset.split.test_targets[0]]
+        template = 3  # the SEQ template with the shortest tail
         # A returning user's turn: keyed, so its prompt K/V is stored whole.
-        service.submit_instruction(base_instr, top_k=3, session_key="user")
+        service.submit(base, top_k=3, template_id=template, session_key="user")
         service.flush()  # warms the prefix cache with the base prompt
         before = service.stats.padding_fraction_sum
 
         # Probe *before* the decode inserts these prompts, exactly as the
         # batch planner does.
-        effective = {}
-        for instruction in (base_instr, grown_instr):
-            ids = tiny_lcrec.encode_instruction(instruction)
+        widths = []
+        for history in (base, grown):
+            ids = service.engine.encode_history(history, template)
             cached = service.prefix_cache.probe(ids, max_len=len(ids) - 1)
-            effective[instruction] = len(ids) - cached
-        assert effective[base_instr] == 1  # exact repeat: 1-token suffix
-        assert effective[grown_instr] - 1 <= MicroBatcherConfig.bucket_width
+            widths.append(len(ids) - cached)
+        assert widths[0] == 1  # exact repeat: 1-token suffix
+        assert 1 < widths[1] <= MicroBatcherConfig.bucket_width + 1
 
-        pending = [service.submit_instruction(i, top_k=3)
-                   for i in (base_instr, grown_instr)]
+        pending = [service.submit(history, top_k=3, template_id=template)
+                   for history in (base, grown)]
         service.flush()
         for p in pending:
             assert len(p.result()) == 3
         assert service.stats.batches == 2  # the pair co-batched
-        widths = list(effective.values())
         expected = (2 * max(widths) - sum(widths)) / (2 * max(widths))
         assert (service.stats.padding_fraction_sum - before
                 == pytest.approx(expected))
@@ -366,8 +359,6 @@ class TestNonPositiveTopK:
             calls += [
                 lambda client=client: client.submit(history, top_k=top_k),
                 lambda client=client: client.submit([], top_k=top_k),
-                lambda client=client: client.submit_intention("a gift", top_k=top_k),
-                lambda client=client: client.submit_instruction("a gift", top_k=top_k),
             ]
         for call in calls:
             with pytest.raises(ValueError, match="top_k must be (positive|an int)"):

@@ -502,22 +502,6 @@ class TestDegradedFallback:
         assert handle.result() == first
         assert service.stats.degraded_deadline == 1
 
-    def test_intention_submits_keep_plain_rejection(self, tiny_lcrec, tiny_dataset):
-        """No history, nothing to retrieve for: typed Overloaded as before."""
-        history = list(tiny_dataset.split.test_histories[0])
-        fallback = StubFallback()
-        service = RecommendationService(
-            LCRecEngine(tiny_lcrec), batcher=BATCHER, queue_depth=1, fallback=fallback
-        )
-        service.submit(history, top_k=3)
-        shed = service.submit_intention("something comfortable")
-        with pytest.raises(Overloaded):
-            shed.result()
-        assert not shed.degraded
-        assert fallback.calls == 0
-        assert service.stats.shed_queue_full == 1
-        service.flush()
-
     def test_cluster_front_door_serves_degraded(self, tiny_lcrec, tiny_dataset):
         history = list(tiny_dataset.split.test_histories[0])
         fallback = StubFallback()

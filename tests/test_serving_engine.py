@@ -345,13 +345,6 @@ class TestTIGEREngine:
         assert results == [tiger.recommend(h, top_k=5) for h in histories]
         assert service.stats.joins == 0 and service.stats.requests == len(histories)
 
-    def test_instruction_submission_rejected(self, tiger):
-        service = RecommendationService(TIGEREngine(tiger))
-        with pytest.raises(NotImplementedError):
-            service.submit_instruction("free text has no meaning here")
-        with pytest.raises(NotImplementedError):
-            service.submit_intention("nor do intention queries")
-
 
 def mixed_fanout_index_set():
     """18 items, 4 levels: the second level is forced under two of the three

@@ -1,7 +1,7 @@
 """Every way a submit can end, on both clients, through one handle class.
 
 A request is decoded, served from a retrieval tier (``degraded``), or
-failed with a typed ``Overloaded`` — and whichever it is, ``submit*``
+failed with a typed ``Overloaded`` — and whichever it is, ``submit``
 returns a :class:`repro.serving.PendingRecommendation` carrying a real
 request id, and exactly one outcome counter moves by exactly one.  The
 argument checks run before any of those lanes.
@@ -116,10 +116,6 @@ CASES = {
     "decoded": (
         {}, None, lambda c, h: c.submit(h, top_k=TOP_K), "requests", None, "decode",
     ),
-    "instruction_decoded": (
-        {}, None, lambda c, h: c.submit_instruction("a gift", top_k=TOP_K),
-        "requests", None, "instruction",
-    ),
     "cold_start_fallback": (
         {"fallback": True}, None, lambda c, h: c.submit([], top_k=TOP_K),
         "degraded_cold_start", "cold_start", FALLBACK_RANKING,
@@ -140,10 +136,6 @@ CASES = {
         {}, fill_queue, lambda c, h: c.submit(h, top_k=TOP_K),
         "shed_queue_full", None, Overloaded("", "queue_full"),
     ),
-    "intention_queue_full_fallback": (
-        {"fallback": True}, fill_queue, lambda c, h: c.submit_intention("a gift", top_k=TOP_K),
-        "shed_queue_full", None, Overloaded("", "queue_full"),
-    ),
     "deadline_fallback": (
         {"fallback": True}, None,
         lambda c, h: expire(c, lambda **kw: c.submit(h, top_k=TOP_K, **kw)),
@@ -160,7 +152,7 @@ CASES = {
     ),
     "front_door": (
         {"max_backlog": 1}, fill_front_door,
-        lambda c, h: c.submit_instruction("a gift", top_k=TOP_K),
+        lambda c, h: c.submit(h, top_k=TOP_K),
         "cluster.rejected", None, Overloaded("", "queue_full"),
     ),
 }
@@ -181,7 +173,7 @@ def test_outcome_matrix(tiny_lcrec, tiny_dataset, kind, case):
         setup(client, history)
     before = outcome_counters(client)
     handle = act(client, history)
-    if outcome in ("decode", "instruction"):
+    if outcome == "decode":
         client.flush()
     after = outcome_counters(client)
 
@@ -194,8 +186,6 @@ def test_outcome_matrix(tiny_lcrec, tiny_dataset, kind, case):
         assert shed.value.reason == outcome.reason
     elif outcome == "decode":
         assert handle.result() == tiny_lcrec.recommend(history, top_k=TOP_K)
-    elif outcome == "instruction":
-        assert handle.result() == tiny_lcrec.recommend_from_instruction("a gift", top_k=TOP_K)
     else:
         assert handle.result() == outcome
     assert handle.request_id >= 0 and handle.request_id not in SEEN_REQUEST_IDS
@@ -253,22 +243,16 @@ class TestArgumentsCheckedBeforeAnyLane:
         history = list(tiny_dataset.split.test_histories[0])
         cluster = make_client("cluster", tiny_lcrec, fallback=True, max_backlog=1)
         cluster.submit(history, top_k=TOP_K)
-        submits = (
-            lambda: cluster.submit(history, top_k=TOP_K, deadline_ms=-1.0),
-            lambda: cluster.submit_intention("a gift", top_k=TOP_K, deadline_ms=-1.0),
-            lambda: cluster.submit_instruction("a gift", top_k=TOP_K, deadline_ms=-1.0),
-        )
-        for submit in submits:
-            with pytest.raises(ValueError, match="deadline_ms"):
-                submit()
+        with pytest.raises(ValueError, match="deadline_ms"):
+            cluster.submit(history, top_k=TOP_K, deadline_ms=-1.0)
         assert (cluster.stats.submitted, cluster.stats.degraded, cluster.stats.rejected) == (
             1, 0, 0
         )
         cluster.flush()
 
     def test_a_worker_submit_that_raises_is_not_counted(self, tiny_lcrec, tiny_dataset):
-        # The front door checks worker 0 (LC-Rec: four templates, intentions);
-        # worker 1's TIGER engine has one template and no intention encoder.
+        # The front door checks worker 0 (LC-Rec: four templates);
+        # worker 1's TIGER engine has one.
         tiger = TIGER(
             build_random_index_set(tiny_dataset.num_items, 3, 8, np.random.default_rng(0)),
             TIGERConfig(dim=16),
@@ -279,8 +263,6 @@ class TestArgumentsCheckedBeforeAnyLane:
         key = next(k for k in map(str, range(100)) if cluster.router.affine_worker(k) == 1)
         with pytest.raises(ValueError, match="template_id"):
             cluster.submit([1, 2], top_k=TOP_K, template_id=1, session_key=key)
-        with pytest.raises(NotImplementedError):
-            cluster.submit_intention("a gift", top_k=TOP_K, session_key=key)
         assert cluster.stats == ClusterStats()
         assert cluster.workers[1].backlog == 0
         cluster.submit([1, 2], top_k=TOP_K, session_key=key)
